@@ -1,9 +1,10 @@
 """Exact min-cost bipartite matchings on finite point sets.
 
-The scaled solver delegates to scipy's shortest-augmenting-path assignment
-routine; the factorial brute-force enumerator is kept fully independent as
-the oracle. Cost ties (within EPS_TIE) are broken toward the edge list that
-is lexicographically earliest in point coordinates.
+Every solve in the package goes through this module: the Euclidean cost
+matrix, scipy's shortest-augmenting-path assignment routine, and the padding
+for reserve pools. The factorial brute-force enumerator is kept fully
+independent as the oracle. Cost ties (within EPS_TIE) are broken toward the
+edge list that is lexicographically earliest in point coordinates.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from scipy.optimize import linear_sum_assignment
 FORMAT_VERSION = 1
 EPS_TIE = 1e-9
 BRUTE_FORCE_MAX = 9
+BIG = 1e15  # forbidden-cell cost in padded assignment problems
 
 TWO_COLOR = "two_color"
 ONE_COLOR = "one_color"
@@ -85,6 +87,23 @@ class Matching:
         }
 
     @staticmethod
+    def from_edges(reds, blues, edges) -> "Matching":
+        """Two-color matching with the given edges, sorted; every other point
+        is unmatched, and the matching is perfect iff none is."""
+        m = Matching(reds, blues, sorted((int(i), int(j)) for i, j in edges),
+                     kind="partial")
+        e = np.asarray(m.edges, dtype=int).reshape(-1, 2)
+        used_r = np.zeros(len(m.reds), dtype=bool)
+        used_b = np.zeros(len(m.blues), dtype=bool)
+        used_r[e[:, 0]] = True
+        used_b[e[:, 1]] = True
+        m.unmatched_reds = np.flatnonzero(~used_r).tolist()
+        m.unmatched_blues = np.flatnonzero(~used_b).tolist()
+        if not (m.unmatched_reds or m.unmatched_blues):
+            m.kind = "perfect"
+        return m
+
+    @staticmethod
     def from_json(d: dict, reds, blues) -> "Matching":
         return Matching(
             reds=reds,
@@ -95,6 +114,10 @@ class Matching:
             unmatched_reds=list(d.get("unmatched_reds", [])),
             unmatched_blues=list(d.get("unmatched_blues", [])),
         )
+
+
+def _points(pts) -> np.ndarray:
+    return np.asarray(pts, dtype=float).reshape(-1, 2)
 
 
 def _cost_matrix(reds: np.ndarray, blues: np.ndarray) -> np.ndarray:
@@ -138,8 +161,7 @@ def _canonicalize_ties(reds, blues, cost, assign) -> np.ndarray:
 
 def min_cost_perfect(reds, blues) -> Matching:
     """Perfect matching of minimum total Euclidean length."""
-    reds = np.asarray(reds, dtype=float).reshape(-1, 2)
-    blues = np.asarray(blues, dtype=float).reshape(-1, 2)
+    reds, blues = _points(reds), _points(blues)
     if len(reds) != len(blues):
         raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
     if len(reds) == 0:
@@ -155,8 +177,7 @@ def min_cost_perfect(reds, blues) -> Matching:
 
 def brute_force_min(reds, blues) -> Matching:
     """Exhaustive minimum over all permutations; independent oracle."""
-    reds = np.asarray(reds, dtype=float).reshape(-1, 2)
-    blues = np.asarray(blues, dtype=float).reshape(-1, 2)
+    reds, blues = _points(reds), _points(blues)
     n = len(reds)
     if n != len(blues):
         raise ValueError("size mismatch")
@@ -184,47 +205,44 @@ def brute_force_min(reds, blues) -> Matching:
     return Matching(reds, blues, [(i, int(best[i])) for i in range(n)], kind="perfect")
 
 
-def min_cost_all_blue(reds, blues) -> Matching:
-    """Min-length partial matching of maximum cardinality with every blue
-    point matched; requires at least as many reds as blues."""
-    reds = np.asarray(reds, dtype=float).reshape(-1, 2)
-    blues = np.asarray(blues, dtype=float).reshape(-1, 2)
-    if len(reds) < len(blues):
-        raise ValueError("need |reds| >= |blues|")
-    if len(blues) == 0:
-        return Matching(reds, blues, [], kind="partial",
-                        unmatched_reds=list(range(len(reds))))
-    cost = _cost_matrix(blues, reds)  # rows = blues (the saturated side)
-    rows, cols = linear_sum_assignment(cost)
-    edges = sorted((int(r), int(b)) for b, r in zip(rows, cols))
-    used = {r for r, _ in edges}
-    return Matching(
-        reds, blues, edges,
-        kind="partial" if len(blues) < len(reds) else "perfect",
-        unmatched_reds=[i for i in range(len(reds)) if i not in used],
-    )
+def min_cost_pairs(reds, blues) -> List[Tuple[int, int]]:
+    """Sorted index pairs of a min-length matching of maximum cardinality:
+    the smaller color class is fully matched."""
+    reds, blues = _points(reds), _points(blues)
+    if len(reds) == 0 or len(blues) == 0:
+        return []
+    rows, cols = linear_sum_assignment(_cost_matrix(reds, blues))
+    return list(zip(rows.tolist(), cols.tolist()))  # scipy returns rows sorted
 
 
 def max_cardinality_min_cost(reds, blues) -> Matching:
     """Min-length matching of maximum cardinality; the smaller color class is
     fully matched and the excess of the other is left unmatched."""
-    reds = np.asarray(reds, dtype=float).reshape(-1, 2)
-    blues = np.asarray(blues, dtype=float).reshape(-1, 2)
-    if len(reds) == 0 or len(blues) == 0:
-        return Matching(reds, blues, [], kind="partial",
-                        unmatched_reds=list(range(len(reds))),
-                        unmatched_blues=list(range(len(blues))))
-    cost = _cost_matrix(reds, blues)
+    return Matching.from_edges(reds, blues, min_cost_pairs(reds, blues))
+
+
+def min_cost_saturating(reds, blues, reserve_reds, reserve_blues
+                        ) -> List[Tuple[int, int]]:
+    """Sorted index pairs of a min-length matching that covers every point of
+    (reds, blues), with partners drawn from them or from the reserve pools.
+    Indices run over reds + reserve_reds and blues + reserve_blues; reserve
+    points left over, or paired with each other, stay unused."""
+    reds, blues = _points(reds), _points(blues)
+    all_r = np.concatenate([reds, _points(reserve_reds)])
+    all_b = np.concatenate([blues, _points(reserve_blues)])
+    nr1, nb1, nr, nb = len(reds), len(blues), len(all_r), len(all_b)
+    if nr1 > nb or nb1 > nr:
+        raise ValueError("reserve pools too small to saturate the mandatory points")
+    size = max(nr, nb)
+    cost = np.zeros((size, size))
+    if nr and nb:
+        cost[:nr, :nb] = _cost_matrix(all_r, all_b)
+        cost[nr1:nr, nb1:nb] = 0.0  # reserve-reserve: both unused
+    cost[:nr1, nb:] = BIG   # mandatory reds cannot go unmatched
+    cost[nr:, :nb1] = BIG   # mandatory blues cannot go unmatched
     rows, cols = linear_sum_assignment(cost)
-    edges = sorted((int(i), int(j)) for i, j in zip(rows, cols))
-    used_r = {i for i, _ in edges}
-    used_b = {j for _, j in edges}
-    return Matching(
-        reds, blues, edges,
-        kind="perfect" if len(reds) == len(blues) else "partial",
-        unmatched_reds=[i for i in range(len(reds)) if i not in used_r],
-        unmatched_blues=[j for j in range(len(blues)) if j not in used_b],
-    )
+    return sorted((i, j) for i, j in zip(rows.tolist(), cols.tolist())
+                  if i < nr and j < nb and (i < nr1 or j < nb1))
 
 
 def improvable_pair(m: Matching) -> Optional[Tuple[int, int]]:

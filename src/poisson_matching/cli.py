@@ -2,7 +2,8 @@
 
 Every command is deterministic given its flags/config (all randomness flows
 from explicit seeds). Exit codes: 0 success, 1 property violation, 2 usage
-or configuration error. A JSON config file can supply defaults; flags win.
+or configuration error, including any invalid flag value or input file. A
+JSON config file can supply defaults; flags win.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import sys
 from typing import Optional
 
 import click
-import numpy as np
 
 from . import hierarchy, verify, walks
 from .assignment import Matching, brute_force_min, min_cost_perfect
 from .geometry import Disk, Domain
 from .render import RenderSpec, render_scene
-from .sampling import ColoredPointSet, SampleConfig, sample
+from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 
 FORMAT_VERSION = 1
 
@@ -51,26 +51,29 @@ def _parse_window(window: str) -> tuple:
 
 def _make_domain(kind: str, window: str) -> Domain:
     parts = _parse_window(window)
-    try:
-        if kind == "line":
-            return Domain.line(parts[0], parts[1])
-        if kind == "strip":
-            return Domain.strip(parts[0], parts[1])
-        if len(parts) != 4:
-            raise click.UsageError("plane domain needs x0,x1,y0,y1")
-        return Domain.plane(*parts)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    if kind == "line":
+        return Domain.line(parts[0], parts[1])
+    if kind == "strip":
+        return Domain.strip(parts[0], parts[1])
+    if len(parts) != 4:
+        raise click.UsageError("plane domain needs x0,x1,y0,y1")
+    return Domain.plane(*parts)
 
 
-class ConfigGroup(click.Group):
-    """Group that reads --config JSON as flag defaults for the subcommand."""
+class InputErrorGroup(click.Group):
+    """Group whose subcommands report invalid flag values and malformed input
+    files as usage errors (exit 2) instead of tracebacks."""
 
     def invoke(self, ctx):
-        return super().invoke(ctx)
+        try:
+            return super().invoke(ctx)
+        except KeyError as e:
+            raise click.UsageError(f"input is missing the key {e}", ctx) from e
+        except ValueError as e:  # includes json.JSONDecodeError
+            raise click.UsageError(str(e), ctx) from e
 
 
-@click.group(cls=ConfigGroup)
+@click.group(cls=InputErrorGroup)
 def main():
     """Desk-scale Poisson matching constructions and verifiers."""
 
@@ -98,10 +101,7 @@ def config_option(f):
 def cmd_sample(seed, kind, window, lambda_red, lambda_blue, out):
     """Draw a seeded two-color Poisson configuration."""
     domain = _make_domain(kind, window)
-    try:
-        ps = sample(SampleConfig(lambda_red, lambda_blue, domain, seed))
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    ps = sample(SampleConfig(lambda_red, lambda_blue, domain, seed))
     _dump(ps.to_json(), out)
 
 
@@ -129,6 +129,8 @@ def _arcs_from(d: dict):
 
 def _load_result(path: str):
     d = _load(path)
+    if d.get("format", FORMAT_VERSION) != FORMAT_VERSION:
+        raise ValueError(f"unsupported format {d['format']!r} in {path}")
     if "points" in d:
         ps = ColoredPointSet.from_json(d["points"])
         m = Matching.from_json(d["matching"], ps.reds, ps.blues)
@@ -169,8 +171,7 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
         m, diagnostics, _ = hierarchy.run_hierarchical(ps, seed, stages, system=system)
     elif construction == "laminate":
         x0, x1 = _parse_window(window)[:2]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-        shift = float(rng.uniform(0.0, 1.0))
+        shift = float(derived_rng(seed, 5).uniform(0.0, 1.0))
         results = []
         for band in range(bands):
             bps = sample(SampleConfig(lambda_red, lambda_blue,
@@ -184,42 +185,38 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
             raise click.UsageError(f"--in is required for {construction}")
         ps, _, _ = _load_result(in_path)
         kind = ps.domain.kind
-        try:
-            if construction == "zero_block":
-                if kind != "strip":
-                    raise click.UsageError("zero_block requires a strip domain")
-                m = walks.zero_block_matching(ps)
-            elif construction == "one_color":
-                if kind != "strip":
-                    raise click.UsageError("one_color requires a strip domain")
-                if coin is None:
-                    coin = int(np.random.default_rng(
-                        np.random.SeedSequence([seed, 6])).integers(0, 2))
-                m = walks.one_color_pairing(ps, coin)
-                diagnostics = {"coin": coin}
-            elif construction == "cut_time":
-                if kind != "strip":
-                    raise click.UsageError("cut_time requires a strip domain")
-                m = walks.cut_time_matching(ps)
-            elif construction == "excursion":
-                if kind not in ("line", "strip"):
-                    raise click.UsageError("excursion requires a line or strip domain")
-                m = walks.excursion_matching(ps)
-                if kind == "strip":
-                    arcs = walks.polygonal_arcs(m, ps)
-            else:  # min_cost
-                if ps.n_red != ps.n_blue:
-                    raise click.UsageError(
-                        "min_cost needs equal counts; resample or use another construction")
-                m = min_cost_perfect(ps.reds, ps.blues)
-                if oracle:
-                    ref = brute_force_min(ps.reds, ps.blues)
-                    diagnostics["oracle_cost"] = ref.total_length
-                    if abs(ref.total_length - m.total_length) > 1e-9:
-                        click.echo("oracle mismatch", err=True)
-                        sys.exit(1)
-        except ValueError as e:
-            raise click.UsageError(str(e))
+        if construction == "zero_block":
+            if kind != "strip":
+                raise click.UsageError("zero_block requires a strip domain")
+            m = walks.zero_block_matching(ps)
+        elif construction == "one_color":
+            if kind != "strip":
+                raise click.UsageError("one_color requires a strip domain")
+            if coin is None:
+                coin = int(derived_rng(seed, 6).integers(0, 2))
+            m = walks.one_color_pairing(ps, coin)
+            diagnostics = {"coin": coin}
+        elif construction == "cut_time":
+            if kind != "strip":
+                raise click.UsageError("cut_time requires a strip domain")
+            m = walks.cut_time_matching(ps)
+        elif construction == "excursion":
+            if kind not in ("line", "strip"):
+                raise click.UsageError("excursion requires a line or strip domain")
+            m = walks.excursion_matching(ps)
+            if kind == "strip":
+                arcs = walks.polygonal_arcs(m, ps)
+        else:  # min_cost
+            if ps.n_red != ps.n_blue:
+                raise click.UsageError(
+                    "min_cost needs equal counts; resample or use another construction")
+            m = min_cost_perfect(ps.reds, ps.blues)
+            if oracle:
+                ref = brute_force_min(ps.reds, ps.blues)
+                diagnostics["oracle_cost"] = ref.total_length
+                if abs(ref.total_length - m.total_length) > 1e-9:
+                    click.echo("oracle mismatch", err=True)
+                    sys.exit(1)
     diagnostics.update({
         "construction": construction,
         "edges": len(m.edges),
@@ -330,10 +327,8 @@ def cmd_render(in_path, width, height, walk, blocks, seed, out):
         system = hierarchy.build_block_system(seed, max(blocks, 2))
         window = ps.domain.window_rect()
         top = system.block_containing(blocks, window.x0, window.y0)
-        block_list = [top]
-        for level in range(blocks, 1, -1):
-            block_list.extend(c for b in list(block_list)
-                              if b.level == level for c in system.children(b))
+        block_list = [b for n in range(blocks, 0, -1)
+                      for b in hierarchy._blocks_at_level(system, top, n)]
     svg = render_scene(ps, m, arcs=arcs, walk=w, blocks=block_list,
                        spec=RenderSpec(width=width, height=height))
     with open(out, "w") as f:

@@ -15,13 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .assignment import Matching
+from .assignment import Matching, min_cost_pairs, min_cost_saturating
 from .geometry import Domain, Rect
 from .sampling import ColoredPointSet, derived_rng
-
-BIG = 1e15  # forbidden-cell cost in padded assignment problems
 
 
 @dataclass(frozen=True)
@@ -175,12 +172,8 @@ class StageState:
         return int((self.red_partner >= 0).sum())
 
     def to_matching(self) -> Matching:
-        edges = sorted((i, int(j)) for i, j in enumerate(self.red_partner) if j >= 0)
-        un_r = [i for i, j in enumerate(self.red_partner) if j < 0]
-        un_b = [j for j, i in enumerate(self.blue_partner) if i < 0]
-        return Matching(self.ps.reds, self.ps.blues, edges,
-                        kind="perfect" if not (un_r or un_b) else "partial",
-                        unmatched_reds=un_r, unmatched_blues=un_b)
+        edges = [(i, j) for i, j in enumerate(self.red_partner) if j >= 0]
+        return Matching.from_edges(self.ps.reds, self.ps.blues, edges)
 
 
 def _in_rect(pts: np.ndarray, rect: Rect) -> np.ndarray:
@@ -191,19 +184,12 @@ def _in_rect(pts: np.ndarray, rect: Rect) -> np.ndarray:
     return np.nonzero(m)[0]
 
 
-def _match_max_cardinality(state: StageState, ridx: np.ndarray, bidx: np.ndarray
-                           ) -> List[Tuple[int, int]]:
-    """Min-length matching of maximum cardinality between the given unmatched
-    index sets; applies it to the state and returns the new edges."""
-    if len(ridx) == 0 or len(bidx) == 0:
-        return []
-    rpts = state.ps.reds[ridx]
-    bpts = state.ps.blues[bidx]
-    diff = rpts[:, None, :] - bpts[None, :, :]
-    cost = np.hypot(diff[..., 0], diff[..., 1])
-    rows, cols = linear_sum_assignment(cost)
+def _link(state: StageState, ridx: np.ndarray, bidx: np.ndarray,
+          pairs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Record the solver's local pairs as partners in the state and return
+    them as sorted global (red, blue) edges."""
     new = []
-    for i, j in zip(rows, cols):
+    for i, j in pairs:
         ri, bj = int(ridx[i]), int(bidx[j])
         state.red_partner[ri] = bj
         state.blue_partner[bj] = ri
@@ -211,10 +197,24 @@ def _match_max_cardinality(state: StageState, ridx: np.ndarray, bidx: np.ndarray
     return sorted(new)
 
 
-def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
+def _match_max_cardinality(state: StageState, ridx: np.ndarray, bidx: np.ndarray
+                           ) -> List[Tuple[int, int]]:
+    """Min-length matching of maximum cardinality between the given unmatched
+    index sets; applies it to the state and returns the new edges."""
+    if len(ridx) == 0 or len(bidx) == 0:  # true in most unit squares: skip set-up
+        return []
+    pairs = min_cost_pairs(state.ps.reds[ridx], state.ps.blues[bidx])
+    return _link(state, ridx, bidx, pairs)
+
+
+def _window_block(ps: ColoredPointSet, system: BlockSystem) -> Block:
+    """The level-N block containing the window's lower-left corner."""
     window = ps.domain.window_rect()
-    probe = system.block_containing(system.N, window.x0, window.y0)
-    if probe.rect != window:
+    return system.block_containing(system.N, window.x0, window.y0)
+
+
+def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
+    if _window_block(ps, system).rect != ps.domain.window_rect():
         raise ValueError("window must coincide with a single level-N block")
     return StageState(
         ps=ps, system=system,
@@ -225,12 +225,11 @@ def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
     )
 
 
-def _blocks_at_level(state: StageState, n: int) -> List[Block]:
-    window = state.ps.domain.window_rect()
-    top = state.system.block_containing(state.system.N, window.x0, window.y0)
+def _blocks_at_level(system: BlockSystem, top: Block, n: int) -> List[Block]:
+    """The level-n blocks tiling ``top``, in children order."""
     blocks = [top]
-    for level in range(state.system.N, n, -1):
-        blocks = [c for b in blocks for c in state.system.children(b)]
+    for _ in range(top.level, n, -1):
+        blocks = [c for b in blocks for c in system.children(b)]
     return blocks
 
 
@@ -240,7 +239,8 @@ def stage1(state: StageState) -> StageState:
     if state.stage != 0:
         raise ValueError("stage 1 must run first")
     records = []
-    for block in _blocks_at_level(state, 1):
+    top = _window_block(state.ps, state.system)
+    for block in _blocks_at_level(state.system, top, 1):
         ridx = _in_rect(state.ps.reds, block.rect)
         bidx = _in_rect(state.ps.blues, block.rect)
         new = _match_max_cardinality(state, ridx, bidx)
@@ -280,33 +280,11 @@ def _rect_minus(pts_idx: np.ndarray, pts: np.ndarray, inner: Rect) -> np.ndarray
 
 def _saturating_match(state: StageState, r1, b1, r2, b2) -> List[Tuple[int, int]]:
     """Min-length matching covering every point of (r1, b1), with partners
-    drawn from (r1, b1) themselves or from the reserve pools (r2, b2).
-    Reserve-reserve and dummy pairings cost nothing and add no edge."""
-    reds = np.concatenate([r1, r2]).astype(int)
-    blues = np.concatenate([b1, b2]).astype(int)
-    nr, nb = len(reds), len(blues)
-    size = max(nr, nb)
-    cost = np.zeros((size, size))
-    if nr and nb:
-        rpts = state.ps.reds[reds]
-        bpts = state.ps.blues[blues]
-        diff = rpts[:, None, :] - bpts[None, :, :]
-        cost[:nr, :nb] = np.hypot(diff[..., 0], diff[..., 1])
-        cost[len(r1):nr, len(b1):nb] = 0.0  # reserve-reserve: both unused
-    cost[:len(r1), nb:] = BIG   # mandatory reds cannot go unmatched
-    cost[nr:, :len(b1)] = BIG   # mandatory blues cannot go unmatched
-    rows, cols = linear_sum_assignment(cost)
-    new = []
-    for i, j in zip(rows, cols):
-        if i >= nr or j >= nb:
-            continue
-        if i >= len(r1) and j >= len(b1):
-            continue  # reserve pair at zero cost: not an edge
-        ri, bj = int(reds[i]), int(blues[j])
-        state.red_partner[ri] = bj
-        state.blue_partner[bj] = ri
-        new.append((ri, bj))
-    return sorted(new)
+    drawn from (r1, b1) themselves or from the reserve pools (r2, b2)."""
+    pairs = min_cost_saturating(state.ps.reds[r1], state.ps.blues[b1],
+                                state.ps.reds[r2], state.ps.blues[b2])
+    return _link(state, np.concatenate([r1, r2]).astype(int),
+                 np.concatenate([b1, b2]).astype(int), pairs)
 
 
 def stage_n(state: StageState, block: Block) -> BlockRecord:
@@ -376,7 +354,8 @@ def stage_n(state: StageState, block: Block) -> BlockRecord:
 def run_stage(state: StageState, n: int) -> StageState:
     if n != state.stage + 1:
         raise ValueError("stages must run in order")
-    records = [stage_n(state, block) for block in _blocks_at_level(state, n)]
+    top = _window_block(state.ps, state.system)
+    records = [stage_n(state, block) for block in _blocks_at_level(state.system, top, n)]
     state.stage = n
     state.records.append(records)
     return state

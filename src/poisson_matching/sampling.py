@@ -6,7 +6,6 @@ replay deterministically and trials can run in parallel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,16 +77,6 @@ class ColoredPointSet:
             blues=np.asarray(d["blues"], dtype=float).reshape(-1, 2),
             seed=d["seed"],
         )
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=1, sort_keys=True)
-            f.write("\n")
-
-    @staticmethod
-    def load(path) -> "ColoredPointSet":
-        with open(path) as f:
-            return ColoredPointSet.from_json(json.load(f))
 
 
 def _canonical(pts) -> np.ndarray:

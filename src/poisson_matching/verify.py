@@ -55,6 +55,17 @@ def _matching_segments(m: Matching) -> List[Segment]:
     return [Segment(Point(*a), Point(*b)) for a, b in zip(p, q)]
 
 
+def _arc_segments(arcs) -> Tuple[List[Segment], List[int]]:
+    """Every polyline segment of the arcs, and the index of its arc."""
+    segs: List[Segment] = []
+    owner: List[int] = []
+    for k, arc in enumerate(arcs):
+        for s in arc.segments():
+            segs.append(s)
+            owner.append(k)
+    return segs, owner
+
+
 def _pairwise_hits(segs: Sequence[Segment], skip_same_group=None) -> List[Tuple[int, int]]:
     """All-pairs closed-segment intersections, with a vectorized orientation
     prefilter and scalar confirmation of near-degenerate candidates."""
@@ -101,11 +112,7 @@ def check_planarity(m: Matching, arcs=None) -> VerificationReport:
         hits = _pairwise_hits(segs)
         n_pairs = len(segs) * (len(segs) - 1) // 2
     else:
-        segs, owner = [], []
-        for k, arc in enumerate(arcs):
-            for s in arc.segments():
-                segs.append(s)
-                owner.append(k)
+        segs, owner = _arc_segments(arcs)
         raw = _pairwise_hits(segs, skip_same_group=owner)
         hits = sorted({(owner[i], owner[j]) for i, j in raw})
         n_pairs = len(arcs) * (len(arcs) - 1) // 2
@@ -119,12 +126,7 @@ def check_planarity(m: Matching, arcs=None) -> VerificationReport:
 def check_arc_disjointness(arcs) -> VerificationReport:
     """Pairwise intersection scan over all polyline segments of all arcs;
     segments of the same arc are exempt (they share vertices)."""
-    segs: List[Segment] = []
-    owner: List[int] = []
-    for k, arc in enumerate(arcs):
-        for s in arc.segments():
-            segs.append(s)
-            owner.append(k)
+    segs, owner = _arc_segments(arcs)
     hits = _pairwise_hits(segs, skip_same_group=owner)
     return VerificationReport(
         property_name="arc_disjointness",

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assignment import (EPS_TIE, Matching, ONE_COLOR, brute_force_min,
-                         min_cost_all_blue, min_cost_perfect)
+                         max_cardinality_min_cost, min_cost_perfect)
 from .geometry import LINE, STRIP, Segment, Point
 from .sampling import ColoredPointSet, derived_rng
 from .verify import VerificationReport
@@ -95,13 +95,7 @@ def zero_block_matching(ps: ColoredPointSet) -> Matching:
             raise AssertionError("zero block is not balanced")
         sub = min_cost_perfect(ps.reds[ridx], ps.blues[bidx])
         edges.extend((int(ridx[i]), int(bidx[j])) for i, j in sub.edges)
-    matched_r = {i for i, _ in edges}
-    matched_b = {j for _, j in edges}
-    un_r = [i for i in range(ps.n_red) if i not in matched_r]
-    un_b = [j for j in range(ps.n_blue) if j not in matched_b]
-    return Matching(ps.reds, ps.blues, sorted(edges),
-                    kind="perfect" if not (un_r or un_b) else "partial",
-                    unmatched_reds=un_r, unmatched_blues=un_b)
+    return Matching.from_edges(ps.reds, ps.blues, edges)
 
 
 def one_color_pairing(ps: ColoredPointSet, coin: int) -> Matching:
@@ -142,13 +136,9 @@ def cut_time_matching(ps: ColoredPointSet) -> Matching:
         bidx = _points_in_interval(ps.blues, lo, hi)
         if len(ridx) <= len(bidx):
             raise AssertionError("cut block must have a strict red excess")
-        sub = min_cost_all_blue(ps.reds[ridx], ps.blues[bidx])
+        sub = max_cardinality_min_cost(ps.reds[ridx], ps.blues[bidx])
         edges.extend((int(ridx[i]), int(bidx[j])) for i, j in sub.edges)
-    matched_r = {i for i, _ in edges}
-    matched_b = {j for _, j in edges}
-    return Matching(ps.reds, ps.blues, sorted(edges), kind="partial",
-                    unmatched_reds=[i for i in range(ps.n_red) if i not in matched_r],
-                    unmatched_blues=[j for j in range(ps.n_blue) if j not in matched_b])
+    return Matching.from_edges(ps.reds, ps.blues, edges)
 
 
 def excursion_matching(ps: ColoredPointSet) -> Matching:
@@ -160,20 +150,15 @@ def excursion_matching(ps: ColoredPointSet) -> Matching:
     blue_at = {float(x): j for j, x in enumerate(ps.blues[:, 0])}
     stack: List[int] = []
     edges: List[Tuple[int, int]] = []
-    orphan_blues: List[int] = []
     for x, s in zip(walk.xs, walk.signs):
         if s == 1:
             stack.append(red_at[float(x)])
-        else:
-            j = blue_at[float(x)]
-            if stack:
-                edges.append((stack.pop(), j))
-            else:
-                orphan_blues.append(j)  # excursion opened left of the window
-    un_r = sorted(stack)  # excursions not closed within the window
-    return Matching(ps.reds, ps.blues, sorted(edges),
-                    kind="perfect" if not (un_r or orphan_blues) else "partial",
-                    unmatched_reds=un_r, unmatched_blues=sorted(orphan_blues))
+        elif stack:
+            edges.append((stack.pop(), blue_at[float(x)]))
+    # Blues met with an empty stack close excursions opened left of the
+    # window and reds left on the stack open ones it does not close: both
+    # stay unmatched.
+    return Matching.from_edges(ps.reds, ps.blues, edges)
 
 
 @dataclass
@@ -337,15 +322,8 @@ def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, Optional[
     domain = Domain.plane(x0, x1, shift, len(results) + shift)
     combined = ColoredPointSet(domain, red_arr[r_order], blue_arr[b_order],
                                seed=results[0][0].seed)
-    new_edges = sorted((r_map[i], b_map[j]) for i, j in edges)
-    matched_r = {i for i, _ in new_edges}
-    matched_b = {j for _, j in new_edges}
-    matching = Matching(
-        combined.reds, combined.blues, new_edges,
-        kind="perfect" if len(new_edges) == combined.n_red == combined.n_blue else "partial",
-        unmatched_reds=[i for i in range(combined.n_red) if i not in matched_r],
-        unmatched_blues=[j for j in range(combined.n_blue) if j not in matched_b],
-    )
+    matching = Matching.from_edges(combined.reds, combined.blues,
+                                   [(r_map[i], b_map[j]) for i, j in edges])
     for arc in arcs:
         arc.edge = (r_map[arc.edge[0]], b_map[arc.edge[1]])
     return combined, matching, arcs

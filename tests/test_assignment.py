@@ -7,7 +7,8 @@ import pytest
 from poisson_matching.assignment import (Matching, brute_force_min,
                                          improvable_pair,
                                          max_cardinality_min_cost,
-                                         min_cost_all_blue, min_cost_perfect)
+                                         min_cost_pairs, min_cost_perfect,
+                                         min_cost_saturating)
 from poisson_matching.geometry import is_parallel_free
 from poisson_matching.sampling import derived_rng
 from poisson_matching.verify import check_planarity
@@ -69,34 +70,38 @@ class TestBruteForce:
         assert m.edges[0] == (0, 1)
 
 
-class TestMinCostAllBlue:
+class TestMaxCardinalityMinCost:
     def test_nearest_red_used(self):
-        m = min_cost_all_blue([[0, 0], [5, 0]], [[0.1, 0]])
+        m = max_cardinality_min_cost([[0, 0], [5, 0]], [[0.1, 0]])
         assert m.edges == [(0, 0)]
         assert m.unmatched_reds == [1]
 
     def test_empty_blues(self):
-        m = min_cost_all_blue([[0, 0]], np.empty((0, 2)))
+        m = max_cardinality_min_cost([[0, 0]], np.empty((0, 2)))
         assert m.edges == [] and m.unmatched_reds == [0]
-
-    def test_fewer_reds_rejected(self):
-        with pytest.raises(ValueError):
-            min_cost_all_blue([[0, 0]], [[1, 0], [2, 0]])
+        assert m.kind == "partial"
 
     def test_matches_injection_oracle(self):
         rng = derived_rng(23)
         for _ in range(50):
             reds = rng.uniform(0, 1, (5, 2))
             blues = rng.uniform(0, 1, (3, 2))
-            got = min_cost_all_blue(reds, blues).total_length
+            m = max_cardinality_min_cost(reds, blues)
             best = min(
                 sum(math.hypot(*(reds[r] - blues[b])) for b, r in enumerate(inj))
                 for inj in itertools.permutations(range(5), 3)
             )
-            assert got == pytest.approx(best, abs=1e-12)
+            assert m.total_length == pytest.approx(best, abs=1e-12)
+            assert len(m.edges) == 3 and not m.unmatched_blues
 
+    def test_pairs_are_the_matching_edges(self):
+        rng = derived_rng(29)
+        reds = rng.uniform(0, 1, (6, 2))
+        blues = rng.uniform(0, 1, (4, 2))
+        pairs = min_cost_pairs(reds, blues)
+        assert pairs == sorted(pairs)
+        assert max_cardinality_min_cost(reds, blues).edges == pairs
 
-class TestMaxCardinalityMinCost:
     def test_excess_blues_left_unmatched(self):
         m = max_cardinality_min_cost([[0.0, 0.0]], [[0.1, 0.0], [5.0, 0.0]])
         assert m.edges == [(0, 0)]
@@ -116,15 +121,86 @@ class TestMaxCardinalityMinCost:
         m = max_cardinality_min_cost(np.empty((0, 2)), [[1, 0]])
         assert m.edges == [] and m.unmatched_blues == [0]
 
-    def test_agrees_with_all_blue_when_blues_fewer(self):
-        rng = derived_rng(37)
-        for _ in range(20):
-            reds = rng.uniform(0, 1, (6, 2))
-            blues = rng.uniform(0, 1, (4, 2))
-            a = max_cardinality_min_cost(reds, blues)
-            b = min_cost_all_blue(reds, blues)
-            assert a.total_length == pytest.approx(b.total_length, abs=1e-12)
-            assert len(a.edges) == 4 and not a.unmatched_blues
+    def test_both_empty_is_perfect(self):
+        m = max_cardinality_min_cost(np.empty((0, 2)), np.empty((0, 2)))
+        assert m.edges == [] and m.kind == "perfect"
+
+
+def _saturating_oracle(reds, blues, reserve_reds, reserve_blues):
+    """Minimum length over every set of disjoint pairs that covers all
+    mandatory points and pairs no two reserve points, by enumeration."""
+    all_r = np.concatenate([reds, reserve_reds])
+    all_b = np.concatenate([blues, reserve_blues])
+    best = math.inf
+    for k in range(min(len(all_r), len(all_b)) + 1):
+        for rs in itertools.combinations(range(len(all_r)), k):
+            for bs in itertools.permutations(range(len(all_b)), k):
+                pairs = list(zip(rs, bs))
+                if any(i >= len(reds) and j >= len(blues) for i, j in pairs):
+                    continue
+                if not (set(range(len(reds))) <= set(rs)
+                        and set(range(len(blues))) <= set(bs)):
+                    continue
+                best = min(best, sum(math.hypot(*(all_r[i] - all_b[j]))
+                                     for i, j in pairs))
+    return best
+
+
+class TestMinCostSaturating:
+    def test_matches_enumeration_oracle(self):
+        rng = derived_rng(47)
+        for _ in range(60):
+            sizes = rng.integers(0, 3, size=4)
+            if sizes.sum() > 6:
+                continue
+            reds, blues, rres, bres = (rng.uniform(0, 1, (int(n), 2)) for n in sizes)
+            if len(reds) > len(blues) + len(bres) or len(blues) > len(reds) + len(rres):
+                with pytest.raises(ValueError):
+                    min_cost_saturating(reds, blues, rres, bres)
+                continue
+            pairs = min_cost_saturating(reds, blues, rres, bres)
+            all_r = np.concatenate([reds, rres])
+            all_b = np.concatenate([blues, bres])
+            m = Matching(all_r, all_b, pairs, kind="partial")  # checks disjointness
+            assert pairs == sorted(pairs)
+            assert {i for i, _ in pairs} >= set(range(len(reds)))
+            assert {j for _, j in pairs} >= set(range(len(blues)))
+            assert not any(i >= len(reds) and j >= len(blues) for i, j in pairs)
+            assert m.total_length == pytest.approx(
+                _saturating_oracle(reds, blues, rres, bres), abs=1e-12)
+
+    def test_reserve_absorbs_excess(self):
+        # two mandatory reds, one mandatory blue: the far red takes the reserve blue
+        pairs = min_cost_saturating([[0, 0], [5, 0]], [[0.1, 0]], np.empty((0, 2)),
+                                    [[5, 0.2], [9, 9]])
+        assert pairs == [(0, 0), (1, 1)]
+
+
+class TestFromEdges:
+    def test_full_cover_is_perfect(self):
+        m = Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(1, 1), (0, 0)])
+        assert m.edges == [(0, 0), (1, 1)]
+        assert m.kind == "perfect"
+        assert m.unmatched_reds == [] and m.unmatched_blues == []
+
+    def test_uncovered_points_make_it_partial(self):
+        m = Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(1, 0)])
+        assert m.kind == "partial"
+        assert m.unmatched_reds == [0] and m.unmatched_blues == [1]
+
+    def test_empty_inputs_are_perfect(self):
+        m = Matching.from_edges(np.empty((0, 2)), np.empty((0, 2)), [])
+        assert m.kind == "perfect" and m.edges == []
+
+    def test_one_empty_side_is_partial(self):
+        m = Matching.from_edges(SQUARE_REDS, np.empty((0, 2)), [])
+        assert m.kind == "partial" and m.unmatched_reds == [0, 1]
+
+    def test_edges_are_validated(self):
+        with pytest.raises(ValueError):
+            Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(0, 0), (1, 0)])
+        with pytest.raises(ValueError):
+            Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(0, 2)])
 
 
 class TestImprovablePair:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -195,6 +196,49 @@ class TestExitCodes:
         pytest.skip("no balanced small sample found")
 
 
+ONE_EDGE_RESULT = {
+    "format": 1,
+    "points": {"format": 1, "seed": 0, "reds": [[0.0, 0.5]], "blues": [[1.0, 0.5]],
+               "domain": {"kind": "strip", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 1.0}},
+    "matching": {"format": 1, "kind": "perfect", "edges": [[0, 0]]},
+}
+NO_DOMAIN_RESULT = {**ONE_EDGE_RESULT, "points": {
+    k: v for k, v in ONE_EDGE_RESULT["points"].items() if k != "domain"}}
+VERIFY = ["verify", "--property", "planarity", "--in"]
+
+# command line, and the text of the file appended as its last argument
+BAD_INPUTS = {
+    "window_not_numbers": (["sample", "--seed", "1", "--window", "a,b"], None),
+    "one_stage_hierarchy": (["match", "--construction", "hierarchical",
+                             "--stages", "1"], None),
+    "no_laminate_bands": (["match", "--construction", "laminate", "--bands", "0"],
+                          None),
+    "disk_without_radius": (["stats", "--kind", "crossings", "--disk", "1,2", "--in"],
+                            json.dumps(ONE_EDGE_RESULT)),
+    "no_domain_key": (VERIFY, json.dumps(NO_DOMAIN_RESULT)),
+    "truncated_json": (VERIFY, json.dumps(ONE_EDGE_RESULT)[:40]),
+    "unknown_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "format": 99})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_is_usage_error(runner, tmp_path, name):
+    args, text = BAD_INPUTS[name]
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        args = [*args, str(path)]
+    res = invoke(runner, *args)
+    assert res.exit_code == 2, res.output
+    assert "Error:" in res.output and "Traceback" not in res.output
+
+
+def test_one_edge_result_is_valid(runner, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(ONE_EDGE_RESULT))
+    assert invoke(runner, *VERIFY, str(path)).exit_code == 0
+
+
 class TestConfigAndStats:
     def test_config_file_supplies_defaults(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -230,3 +274,59 @@ class TestConfigAndStats:
                "--out", str(match))
         res = invoke(runner, "verify", "--in", str(match), "--property", "arcs")
         assert res.exit_code == 0, res.output
+
+
+# SHA-256 of CLI outputs recorded before the assignment layer and the block
+# walk were consolidated; a changed digest is a behaviour change. Commands
+# name the files of ``pinned_inputs`` in braces; render digests cover the SVG.
+PINNED = {
+    "match_zero_block": ("match --construction zero_block --seed 3 --in {strip}",
+                         "fe5f98d83b4aa5bd49478d89617efdb4c049b8101d4939a6719c639deb5f3c5a"),
+    "match_one_color": ("match --construction one_color --seed 3 --in {strip}",
+                        "43dc9d820fb75d70f5a930be5cb3c465bd1b793b01f655e49c7dfccd93e93e84"),
+    "match_cut_time": ("match --construction cut_time --seed 3 --in {strip}",
+                       "19ae9168ebfa7de1e9274ec9b6bbff05125cd690f83d7cae1a1041267c5ed8bf"),
+    "match_excursion": ("match --construction excursion --seed 3 --in {strip}",
+                        "cbe55d3747fd2d26f679cbbfa5cc6598869a429a00c63f131a5aa229d7890000"),
+    "match_min_cost": ("match --construction min_cost --seed 3 --in {plane}",
+                       "c043ea23327a603a6e3507c090829c87480bb5cf2df18430d6587e788dd643dd"),
+    "match_hierarchical": ("match --construction hierarchical --seed 2 --stages 3",
+                           "ade3151e5ea678e4eb54d6faa643da6e83aeef2949330380d137843638b6f5ce"),
+    "match_laminate": ("match --construction laminate --seed 4 --bands 2 --window 0,20",
+                       "8b5d6ac0c0b53022bc6e4d89107aa8e1b8e4bbea69487fff89d4150ad2d04a6f"),
+    "verify_planarity": ("verify --in {excursion} --property planarity",
+                         "f4a142e7c78233d3bc82ac60da501e2dd70c176be3613e97ee1cd158e3422a40"),
+    "render_walk": ("render --in {excursion} --walk --out {svg}",
+                    "259d35397be24b63949df5121da7116136acc4bbb3d4a39c2d06bc521d7fd04d"),
+    "render_blocks_3": ("render --in {hier} --seed 2 --blocks 3 --out {svg}",
+                        "25200fc175baffad97c3ba2a2250d522f9cd01bbeabab666221a6d0495286e22"),
+    "render_blocks_1": ("render --in {hier} --seed 2 --blocks 1 --out {svg}",
+                        "5d5e7e56473b252cd1b1c7e76e975b294e00076e4c8d2b6878fb6919d6d76282"),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    """Small strip, plane and hierarchical input files shared by the cases."""
+    runner = CliRunner()
+    tmp = tmp_path_factory.mktemp("pinned")
+    strip = sample_file(runner, tmp, "strip.json")
+    plane = sample_file(runner, tmp, "plane.json", domain="plane",
+                        window="0,3,0,3", seed=1)  # 9 reds, 9 blues
+    excursion = tmp / "excursion.json"
+    invoke(runner, "match", "--in", str(strip), "--construction", "excursion",
+           "--out", str(excursion))
+    hier = tmp / "hier.json"
+    invoke(runner, "match", "--construction", "hierarchical", "--seed", "2",
+           "--stages", "3", "--out", str(hier))
+    return {"strip": strip, "plane": plane, "excursion": excursion,
+            "hier": hier, "svg": tmp / "out.svg"}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_output_digest_pinned(runner, pinned_inputs, name):
+    command, digest = PINNED[name]
+    res = invoke(runner, *(arg.format(**pinned_inputs) for arg in command.split()))
+    assert res.exit_code == 0, res.output
+    out = pinned_inputs["svg"].read_bytes() if "{svg}" in command else res.stdout_bytes
+    assert hashlib.sha256(out).hexdigest() == digest
