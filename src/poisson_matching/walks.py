@@ -69,14 +69,14 @@ def build_walk(ps: ColoredPointSet) -> StepWalk:
     return StepWalk(xs, signs, x_left=ps.domain.x0)
 
 
-def _points_in_interval(pts: np.ndarray, lo: float, hi: float,
-                        left_open: bool = True) -> np.ndarray:
-    """Indices of points with x in (lo, hi] (the between-zeros convention)."""
-    if not len(pts):
-        return np.empty(0, dtype=int)
-    x = pts[:, 0]
-    mask = (x > lo) & (x <= hi) if left_open else (x >= lo) & (x < hi)
-    return np.nonzero(mask)[0]
+def _interval_cuts(ps: ColoredPointSet, boundaries
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Red and blue index cuts (rc, bc) at the boundaries: the points of block
+    k, with x in (boundaries[k], boundaries[k+1]] (the between-zeros
+    convention), are reds[rc[k]:rc[k+1]] and blues[bc[k]:bc[k+1]], as both
+    lists are sorted by x."""
+    return (np.searchsorted(ps.reds[:, 0], boundaries, side="right"),
+            np.searchsorted(ps.blues[:, 0], boundaries, side="right"))
 
 
 def zero_block_matching(ps: ColoredPointSet) -> Matching:
@@ -86,15 +86,13 @@ def zero_block_matching(ps: ColoredPointSet) -> Matching:
     walk = build_walk(ps)
     vals = walk.values
     zero_xs = walk.xs[vals == 0]  # steps are +/-1, so the prior value is nonzero
-    boundaries = [ps.domain.x0] + list(zero_xs)
+    rc, bc = _interval_cuts(ps, np.concatenate([[ps.domain.x0], zero_xs]))
     edges: List[Tuple[int, int]] = []
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        ridx = _points_in_interval(ps.reds, lo, hi)
-        bidx = _points_in_interval(ps.blues, lo, hi)
-        if len(ridx) != len(bidx):
+    for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
+        if r1 - r0 != b1 - b0:
             raise AssertionError("zero block is not balanced")
-        sub = min_cost_perfect(ps.reds[ridx], ps.blues[bidx])
-        edges.extend((int(ridx[i]), int(bidx[j])) for i, j in sub.edges)
+        sub = min_cost_perfect(ps.reds[r0:r1], ps.blues[b0:b1])
+        edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
     return Matching.from_edges(ps.reds, ps.blues, edges)
 
 
@@ -130,14 +128,13 @@ def cut_time_matching(ps: ColoredPointSet) -> Matching:
     cut-times stay unmatched."""
     walk = build_walk(ps)
     cuts = cut_times(walk)
+    rc, bc = _interval_cuts(ps, cuts)
     edges: List[Tuple[int, int]] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        ridx = _points_in_interval(ps.reds, lo, hi)
-        bidx = _points_in_interval(ps.blues, lo, hi)
-        if len(ridx) <= len(bidx):
+    for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
+        if r1 - r0 <= b1 - b0:
             raise AssertionError("cut block must have a strict red excess")
-        sub = max_cardinality_min_cost(ps.reds[ridx], ps.blues[bidx])
-        edges.extend((int(ridx[i]), int(bidx[j])) for i, j in sub.edges)
+        sub = max_cardinality_min_cost(ps.reds[r0:r1], ps.blues[b0:b1])
+        edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
     return Matching.from_edges(ps.reds, ps.blues, edges)
 
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from poisson_matching.assignment import (Matching, brute_force_min,
+from poisson_matching.assignment import (EPS_TIE, ONE_COLOR, ROW_BLOCK,
+                                         TWO_COLOR, Matching, _assign,
+                                         _cost_matrix, brute_force_min,
                                          improvable_pair,
                                          max_cardinality_min_cost,
                                          min_cost_pairs, min_cost_perfect,
@@ -44,6 +46,102 @@ class TestMinCostPerfect:
 
     def test_empty(self):
         assert min_cost_perfect(np.empty((0, 2)), np.empty((0, 2))).edges == []
+
+
+def _reference_canonicalize_ties(reds, blues, cost, assign) -> np.ndarray:
+    """The tie pass as a plain loop over every pair: the reference for the
+    vectorised one."""
+    assign = assign.copy()
+    n = len(assign)
+    order = np.lexsort((reds[:, 1], reds[:, 0]))
+    changed = True
+    while changed:
+        changed = False
+        for ai in range(n):
+            for aj in range(ai + 1, n):
+                i, j = order[ai], order[aj]
+                cur = cost[i, assign[i]] + cost[j, assign[j]]
+                alt = cost[i, assign[j]] + cost[j, assign[i]]
+                if abs(alt - cur) <= EPS_TIE:
+                    pi = tuple(blues[assign[i]])
+                    pj = tuple(blues[assign[j]])
+                    if pj < pi:
+                        assign[i], assign[j] = assign[j], assign[i]
+                        changed = True
+    return assign
+
+
+def _lattice(rng, width, n, distinct):
+    """n integer points on a width x width grid, distinct or drawn with
+    replacement (so points may repeat)."""
+    cells = rng.choice(width * width, size=n, replace=not distinct)
+    return np.stack([cells // width, cells % width], axis=1).astype(float)
+
+
+class TestTiePass:
+    @staticmethod
+    def _check(reds, blues) -> bool:
+        """min_cost_perfect's partners equal the reference pass applied to the
+        same assignment-routine output; True when that pass swapped."""
+        cost = _cost_matrix(reds, blues)
+        raw = _assign(cost)
+        want = _reference_canonicalize_ties(reds, blues, cost, raw)
+        got = min_cost_perfect(reds, blues)
+        assert got.edges == [(i, int(want[i])) for i in range(len(reds))]
+        return bool((want != raw).any())
+
+    def test_matches_reference_on_lattices(self):
+        rng = derived_rng(53)
+        swapped = 0
+        for _ in range(300):
+            width = int(rng.integers(2, 7))
+            n = int(rng.integers(1, min(width * width, 12) + 1))
+            reds = _lattice(rng, width, n, distinct=True)
+            blues = _lattice(rng, width, n, distinct=True)
+            swapped += self._check(reds, blues)
+        assert swapped >= 30
+
+    def test_matches_reference_with_duplicate_blues(self):
+        rng = derived_rng(59)
+        swapped = 0
+        for _ in range(200):
+            width = int(rng.integers(2, 7))
+            n = int(rng.integers(2, 15))
+            reds = _lattice(rng, width, n, distinct=n <= width * width)
+            blues = _lattice(rng, width, n, distinct=False)
+            swapped += self._check(reds, blues)
+        assert swapped >= 30
+
+    def test_matches_reference_across_row_blocks(self):
+        rng = derived_rng(61)
+        swapped = 0
+        for width in (2, 3, 4, 5, 6):
+            for n in (ROW_BLOCK + 1, 2 * ROW_BLOCK + 7):
+                reds = _lattice(rng, width, n, distinct=False)
+                blues = _lattice(rng, width, n, distinct=False)
+                swapped += self._check(reds, blues)
+        assert swapped >= 5
+
+    def test_random_reals_pass_unchanged(self):
+        rng = derived_rng(67)
+        reds = rng.uniform(0, 5, (ROW_BLOCK * 3, 2))
+        blues = rng.uniform(0, 5, (ROW_BLOCK * 3, 2))
+        assert not self._check(reds, blues)
+
+    def test_tied_three_cycle_is_not_undone(self):
+        # Three matchings of equal length; the 2-swap pass stops at a fixed
+        # point that is not the lexicographically earliest minimum.
+        reds = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]])
+        blues = np.array([[1.0, 1.0], [0.0, 2.0], [1.0, 0.0]])
+        fast = min_cost_perfect(reds, blues)
+        slow = brute_force_min(reds, blues)
+        assert fast.edges == [(0, 2), (1, 0), (2, 1)]
+        assert slow.edges == [(0, 1), (1, 2), (2, 0)]
+        assert fast.total_length == slow.total_length
+        assign = np.array([j for _, j in fast.edges])
+        cost = _cost_matrix(reds, blues)
+        fixed = _reference_canonicalize_ties(reds, blues, cost, assign)
+        assert (fixed == assign).all()
 
 
 class TestBruteForce:
@@ -203,6 +301,34 @@ class TestFromEdges:
             Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(0, 2)])
 
 
+def _reference_improvable_pair(m):
+    """The 2-swap scan as a plain loop over every edge pair: the reference
+    for the vectorised one."""
+    bs = m.blues if m.color_mode == TWO_COLOR else m.reds
+    for a in range(len(m.edges)):
+        i, j = m.edges[a]
+        for b in range(a + 1, len(m.edges)):
+            u, v = m.edges[b]
+            cur = math.hypot(*(m.reds[i] - bs[j])) + math.hypot(*(m.reds[u] - bs[v]))
+            alt = math.hypot(*(m.reds[i] - bs[v])) + math.hypot(*(m.reds[u] - bs[j]))
+            if alt < cur - EPS_TIE:
+                return (a, b)
+    return None
+
+
+def _crossed(reds, blues, a):
+    """min_cost_perfect's edges with the partners of edge a and of the edge
+    whose red is nearest to a's exchanged: a local defect, so the first
+    improvable pair usually involves edge a wherever it sits in scan order."""
+    edges = list(min_cost_perfect(reds, blues).edges)  # edge k has red k
+    near = np.hypot(*(reds - reds[a]).T)
+    near[a] = np.inf
+    a, b = sorted((a, int(np.argmin(near))))
+    (i, x), (j, y) = edges[a], edges[b]
+    edges[a], edges[b] = (i, y), (j, x)
+    return Matching(reds, blues, edges, kind="perfect")
+
+
 class TestImprovablePair:
     def test_crossed_square_improvable(self):
         m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1), (1, 0)], kind="perfect")
@@ -234,6 +360,49 @@ class TestImprovablePair:
                 edges[a], edges[b] = (i, y), (j, x)
                 swapped = Matching(reds, blues, edges, kind="perfect")
                 assert swapped.total_length >= base - 1e-9
+
+    def test_matches_reference_on_random_inputs(self):
+        rng = derived_rng(71)
+        found = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 3 * ROW_BLOCK))
+            reds = rng.uniform(0, 10, (n, 2))
+            blues = rng.uniform(0, 10, (n, 2))
+            m = _crossed(reds, blues, int(rng.integers(n)))
+            want = _reference_improvable_pair(m)
+            assert improvable_pair(m) == want
+            found += want is not None and want[0] >= ROW_BLOCK
+        assert found >= 5
+
+    def test_matches_reference_on_lattices(self):
+        rng = derived_rng(73)
+        found = 0
+        for _ in range(200):
+            width = int(rng.integers(2, 7))
+            n = int(rng.integers(2, min(width * width, 12) + 1))
+            reds = _lattice(rng, width, n, distinct=True)
+            blues = _lattice(rng, width, n, distinct=True)
+            m = Matching(reds, blues, list(enumerate(rng.permutation(n).tolist())),
+                         kind="perfect")
+            want = _reference_improvable_pair(m)
+            assert improvable_pair(m) == want
+            found += want is not None
+        assert 20 <= found < 200
+
+    def test_matches_reference_one_color(self):
+        rng = derived_rng(79)
+        for _ in range(30):
+            n = 2 * int(rng.integers(1, ROW_BLOCK))
+            reds = rng.uniform(0, 10, (n, 2))
+            ends = rng.permutation(n).reshape(-1, 2).tolist()
+            m = Matching(reds, np.empty((0, 2)), [tuple(e) for e in ends],
+                         kind="partial", color_mode=ONE_COLOR)
+            assert improvable_pair(m) == _reference_improvable_pair(m)
+
+    def test_empty_and_single_edge(self):
+        assert improvable_pair(Matching(np.empty((0, 2)), np.empty((0, 2)), [])) is None
+        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1)], kind="partial")
+        assert improvable_pair(m) is None
 
 
 class TestPlanarityOfMinimum:
