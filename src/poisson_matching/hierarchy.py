@@ -6,6 +6,10 @@ left-most (even level) or bottom-most (odd level) member is its heir. Stages
 1..N build a partial matching whose edges never leave their level-n block,
 with unmatched points funneled into heirs; a block is bad when the rematch
 step cannot absorb its excess, and dodgy when one of its children is bad.
+
+Blocks are half-open, [x0, x1) x [y0, y1), and all their edges are integers,
+so ``init_state`` finds each point's block at each level once, by integer
+division of its unit cell, and the stages do no rectangle test.
 """
 
 from __future__ import annotations
@@ -153,10 +157,29 @@ class BlockRecord:
     new_edges_in_heirs: Optional[bool]
 
 
+_Buckets = Tuple[Dict[Tuple[int, int], np.ndarray], np.ndarray]
+
+
+def _bucket(pts: np.ndarray, system: BlockSystem, n: int) -> _Buckets:
+    """Find each point's level-n block once. Returns every occupied block
+    (ix, iy) with its points' indices, ascending, and per point whether it
+    lies in its block's heir: the first child along the split axis (x at
+    even levels, y at odd ones), flush with the parent. Level 1 has no heirs."""
+    cell = np.floor(pts).astype(np.int64) - system.offsets(n)
+    block = cell // system.dims(n)
+    order = np.lexsort(block.T[::-1])  # stable, so each block's indices ascend
+    keys, counts = np.unique(block[order], axis=0, return_counts=True)
+    members = dict(zip(map(tuple, keys.tolist()), np.split(order, np.cumsum(counts)[:-1])))
+    along = cell[:, n % 2]
+    in_heir = along % system.a[n] < system.a[n - 2] if n >= 2 else np.zeros(len(pts), bool)
+    return members, in_heir
+
+
 @dataclass
 class StageState:
     """Mutable matching state across stages: partner index arrays (-1 for
-    unmatched) plus per-point unmatch-event counters and block statuses."""
+    unmatched) plus per-point unmatch-event counters and block statuses.
+    ``levels[n]`` holds the red and the blue buckets of level n."""
 
     ps: ColoredPointSet
     system: BlockSystem
@@ -164,6 +187,7 @@ class StageState:
     blue_partner: np.ndarray
     red_unmatch_events: np.ndarray
     blue_unmatch_events: np.ndarray
+    levels: Dict[int, Tuple[_Buckets, _Buckets]]
     stage: int = 0
     status: Dict[Tuple[int, int, int], str] = field(default_factory=dict)
     records: List[List[BlockRecord]] = field(default_factory=list)
@@ -174,14 +198,6 @@ class StageState:
     def to_matching(self) -> Matching:
         edges = [(i, j) for i, j in enumerate(self.red_partner) if j >= 0]
         return Matching.from_edges(self.ps.reds, self.ps.blues, edges)
-
-
-def _in_rect(pts: np.ndarray, rect: Rect) -> np.ndarray:
-    if not len(pts):
-        return np.empty(0, dtype=int)
-    m = ((pts[:, 0] >= rect.x0) & (pts[:, 0] < rect.x1)
-         & (pts[:, 1] >= rect.y0) & (pts[:, 1] < rect.y1))
-    return np.nonzero(m)[0]
 
 
 def _link(state: StageState, ridx: np.ndarray, bidx: np.ndarray,
@@ -222,7 +238,18 @@ def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
         blue_partner=np.full(ps.n_blue, -1, dtype=int),
         red_unmatch_events=np.zeros(ps.n_red, dtype=int),
         blue_unmatch_events=np.zeros(ps.n_blue, dtype=int),
+        levels={n: (_bucket(ps.reds, system, n), _bucket(ps.blues, system, n))
+                for n in range(1, system.N + 1)},
     )
+
+
+_NO_POINTS = np.empty(0, dtype=np.int64)
+
+
+def _members(state: StageState, block: Block) -> Tuple[np.ndarray, np.ndarray]:
+    """(red, blue) indices of the points in ``block``, ascending."""
+    return tuple(members.get((block.ix, block.iy), _NO_POINTS)
+                 for members, _ in state.levels[block.level])
 
 
 def _blocks_at_level(system: BlockSystem, top: Block, n: int) -> List[Block]:
@@ -241,8 +268,7 @@ def stage1(state: StageState) -> StageState:
     records = []
     top = _window_block(state.ps, state.system)
     for block in _blocks_at_level(state.system, top, 1):
-        ridx = _in_rect(state.ps.reds, block.rect)
-        bidx = _in_rect(state.ps.blues, block.rect)
+        ridx, bidx = _members(state, block)
         new = _match_max_cardinality(state, ridx, bidx)
         state.status[block.key] = "ok"
         records.append(BlockRecord(
@@ -263,21 +289,6 @@ def classify_dodgy(state: StageState, block: Block) -> bool:
     return any(state.status.get(c.key) == "bad" for c in state.system.children(block))
 
 
-def _unmatched_in(state: StageState, rect: Rect) -> Tuple[np.ndarray, np.ndarray]:
-    ridx = _in_rect(state.ps.reds, rect)
-    bidx = _in_rect(state.ps.blues, rect)
-    return (ridx[state.red_partner[ridx] < 0], bidx[state.blue_partner[bidx] < 0])
-
-
-def _rect_minus(pts_idx: np.ndarray, pts: np.ndarray, inner: Rect) -> np.ndarray:
-    if not len(pts_idx):
-        return pts_idx
-    p = pts[pts_idx]
-    inside = ((p[:, 0] >= inner.x0) & (p[:, 0] < inner.x1)
-              & (p[:, 1] >= inner.y0) & (p[:, 1] < inner.y1))
-    return pts_idx[~inside]
-
-
 def _saturating_match(state: StageState, r1, b1, r2, b2) -> List[Tuple[int, int]]:
     """Min-length matching covering every point of (r1, b1), with partners
     drawn from (r1, b1) themselves or from the reserve pools (r2, b2)."""
@@ -291,63 +302,48 @@ def stage_n(state: StageState, block: Block) -> BlockRecord:
     """One level-n block of stage n: unmatch the heir, absorb the rest of the
     block's unmatched points using the heir's heir as reserve, then match as
     many leftovers as possible."""
-    system = state.system
     n = block.level
-    B = system.heir_of(block)
-    C = system.heir_of(B) if n > 2 else B
+    (_, r_heir), (_, b_heir) = state.levels[n]
+    (_, r_below), (_, b_below) = state.levels[n - 1]
+    ridx, bidx = _members(state, block)
+    r_in_B, b_in_B = r_heir[ridx], b_heir[bidx]
+    # C is the heir's heir, or the heir B itself at n = 2
+    r_in_C = r_in_B & r_below[ridx] if n > 2 else r_in_B
+    b_in_C = b_in_B & b_below[bidx] if n > 2 else b_in_B
 
     # (i) unmatch all points in the heir
-    for idx in _in_rect(state.ps.reds, B.rect):
-        j = state.red_partner[idx]
-        if j >= 0:
-            state.red_partner[idx] = -1
-            state.blue_partner[j] = -1
-            state.red_unmatch_events[idx] += 1
-            state.blue_unmatch_events[j] += 1
+    heir_reds = ridx[r_in_B & (state.red_partner[ridx] >= 0)]
+    partners = state.red_partner[heir_reds]
+    state.red_partner[heir_reds] = -1
+    state.blue_partner[partners] = -1
+    state.red_unmatch_events[heir_reds] += 1
+    state.blue_unmatch_events[partners] += 1
 
     # (ii) match everything unmatched in A \ B into (A \ B) u C
-    un_r, un_b = _unmatched_in(state, block.rect)
-    r1 = _rect_minus(un_r, state.ps.reds, B.rect)
-    b1 = _rect_minus(un_b, state.ps.blues, B.rect)
-    r2 = _in_rect(state.ps.reds, C.rect)
-    b2 = _in_rect(state.ps.blues, C.rect)
+    r1 = ridx[(state.red_partner[ridx] < 0) & ~r_in_B]
+    b1 = bidx[(state.blue_partner[bidx] < 0) & ~b_in_B]
+    r2, b2 = ridx[r_in_C], bidx[b_in_C]
     excess = len(r1) - len(b1)
     feasible = excess <= len(b2) if excess >= 0 else -excess <= len(r2)
-    new_edges: List[Tuple[int, int]] = []
-    if feasible:
-        new_edges.extend(_saturating_match(state, r1, b1, r2, b2))
-        state.status[block.key] = "ok"
-    else:
-        state.status[block.key] = "bad"
+    state.status[block.key] = "ok" if feasible else "bad"
+    new_edges = _saturating_match(state, r1, b1, r2, b2) if feasible else []
 
     # (iii) match as many of the remaining unmatched points in A as possible
-    un_r, un_b = _unmatched_in(state, block.rect)
-    new_edges.extend(_match_max_cardinality(state, un_r, un_b))
+    un_r, un_b = state.red_partner[ridx] < 0, state.blue_partner[bidx] < 0
+    new_edges.extend(_match_max_cardinality(state, ridx[un_r], bidx[un_b]))
 
-    # bookkeeping for verification
-    ridx = _in_rect(state.ps.reds, block.rect)
-    bidx = _in_rect(state.ps.blues, block.rect)
-    un_r, un_b = _unmatched_in(state, block.rect)
-    bad = state.status[block.key] == "bad"
-    dodgy = classify_dodgy(state, block)
-    heir_rect = B.rect
-    unmatched_in_heir = all(heir_rect.contains(state.ps.reds[i]) for i in un_r) and \
-        all(heir_rect.contains(state.ps.blues[j]) for j in un_b)
-    heir_rects = [heir_rect] + [system.heir_of(c).rect for c in system.children(block)
-                                if c.level >= 2]
-    if n == 2:
-        heir_rects = [heir_rect]
-
-    def in_heirs(p):
-        return any(h.contains(p) for h in heir_rects)
-
-    confined = all(in_heirs(state.ps.reds[i]) and in_heirs(state.ps.blues[j])
-                   for i, j in new_edges)
+    # bookkeeping for verification: a new edge's ends lie in B or in the heir
+    # of their own child of A (none at n = 2, whose children are level 1)
+    un_r, un_b = state.red_partner[ridx] < 0, state.blue_partner[bidx] < 0
+    ri, bj = np.array(new_edges, dtype=int).reshape(-1, 2).T
+    confined = (r_heir[ri] | r_below[ri]).all() and (b_heir[bj] | b_below[bj]).all()
     return BlockRecord(
         key=block.key, n_red=len(ridx), n_blue=len(bidx),
-        unmatched=len(un_r) + len(un_b), bad=bad, dodgy=dodgy,
-        new_edges=sorted(new_edges), unmatched_in_heir=unmatched_in_heir,
-        new_edges_in_heirs=confined,
+        unmatched=int(un_r.sum() + un_b.sum()),
+        bad=not feasible, dodgy=classify_dodgy(state, block),
+        new_edges=sorted(new_edges),
+        unmatched_in_heir=bool(r_in_B[un_r].all() and b_in_B[un_b].all()),
+        new_edges_in_heirs=bool(confined),
     )
 
 

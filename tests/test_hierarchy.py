@@ -1,6 +1,11 @@
+import dataclasses
+import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
+from scipy.stats import poisson, skellam
 
 from poisson_matching.geometry import Rect
 from poisson_matching.hierarchy import (BlockSystem, aligned_window,
@@ -228,3 +233,130 @@ def test_run_hierarchical_diagnostics_shape():
         for key in ("blocks", "bad_count", "dodgy_count", "unmatched"):
             assert key in diag["levels"][n]
     assert diag["unmatched_red"] == len(m.unmatched_reds)
+
+
+def records_digest(state):
+    """SHA-256 over every BlockRecord (all fields) and both unmatch-event counters."""
+    payload = {
+        "records": [[dataclasses.astuple(rec) for rec in recs] for recs in state.records],
+        "red_unmatch_events": state.red_unmatch_events.tolist(),
+        "blue_unmatch_events": state.blue_unmatch_events.tolist(),
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+# Every record field and event count, so that a change in which points a block
+# holds shows here even where the matching and the per-level sums stay the same.
+RECORD_DIGESTS = {
+    (0, 4): "146295641342d3336f55c57ae843644586b3413fa243315d9147038b1c36e33d",
+    (1, 4): "2889eec7717e897b23cd530f0794b2f74780b375ef10450cc1f03c04ed498344",
+    (2, 4): "c9b2a2bb66e70b2ebccc7b1333cd4ed1947346a108a27baa341981cb08619dea",
+    (0, 5): "711a96fd6e3dfb4d14bd43b971d99bc8bef45386b37679085b49ad4d41d3d37b",
+}
+
+
+@pytest.mark.parametrize("seed,N", sorted(RECORD_DIGESTS))
+def test_block_records_pinned(seed, N):
+    _, _, (_, _, state) = hierarchical_case(seed, N)
+    assert records_digest(state) == RECORD_DIGESTS[seed, N]
+
+
+def check_against_rect_scan(system, ps):
+    """Run the stages one at a time and recompute each new record's counts and
+    heir flags by plain ``Rect.contains`` scans over the block and heir
+    rectangles. Returns the number of records checked."""
+    state = init_state(ps, system)
+    stage1(state)
+    checked = 0
+    for n in range(1, system.N + 1):
+        if n > 1:
+            run_stage(state, n)
+        for rec in state.records[n - 1]:
+            block = system.block(*rec.key)
+            reds = [i for i, p in enumerate(ps.reds) if block.rect.contains(p)]
+            blues = [j for j, p in enumerate(ps.blues) if block.rect.contains(p)]
+            assert (rec.n_red, rec.n_blue) == (len(reds), len(blues)), rec.key
+            unmatched = ([ps.reds[i] for i in reds if state.red_partner[i] < 0]
+                         + [ps.blues[j] for j in blues if state.blue_partner[j] < 0])
+            assert rec.unmatched == len(unmatched), rec.key
+            checked += 1
+            if n == 1:
+                continue
+            heir = heir_of(system, block).rect
+            heirs = [heir] + [heir_of(system, c).rect for c in system.children(block)
+                              if c.level >= 2]
+            assert rec.unmatched_in_heir == all(heir.contains(p) for p in unmatched), rec.key
+            ends = [p for i, j in rec.new_edges for p in (ps.reds[i], ps.blues[j])]
+            assert rec.new_edges_in_heirs == all(any(h.contains(p) for h in heirs)
+                                                 for p in ends), rec.key
+    return checked
+
+
+def lattice_case(system, seed):
+    """Points at integer coordinates, so every one lies on block edges: the
+    window's lattice points including its lower-left corner (always red), its
+    far edges (outside the window) and one row and column just outside."""
+    w = aligned_window(system).window_rect()
+    rng = np.random.default_rng(seed)
+    reds, blues = [], []
+    for x in range(int(w.x0) - 1, int(w.x1) + 1):
+        for y in range(int(w.y0) - 1, int(w.y1) + 1):
+            u = 0.0 if (x, y) == (w.x0, w.y0) else rng.random()
+            if u < 0.45:
+                reds.append([x, y])
+            elif u < 0.9:
+                blues.append([x, y])
+    return ColoredPointSet(aligned_window(system), reds, blues, seed=seed)
+
+
+class TestMembershipOnBlockEdges:
+    @pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
+                             ids=["zero_offsets", "seeded_offsets"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lattice_points_half_open(self, system, seed):
+        ps = lattice_case(system, seed)
+        w = ps.domain.window_rect()
+        assert any(w.contains(p) for p in ps.reds) and any(w.contains(p) for p in ps.blues)
+        assert not all(w.contains(p) for p in np.concatenate([ps.reds, ps.blues]))
+        assert check_against_rect_scan(system, ps) == 144 + 72 + 12 + 1
+
+    @pytest.mark.parametrize("N,seed", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)])
+    def test_random_windows(self, N, seed):
+        system = build_block_system(seed, N)
+        ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), seed))
+        assert check_against_rect_scan(system, ps) > 0
+
+
+def exact_bad_rate(system, n):
+    """P(a level-n block is bad) from counts alone: after stage n-1 the points
+    left unmatched in A \\ B are its color excess X - X', and the rematch step
+    absorbs it iff the heir-of-heir C (C = B at n = 2) holds at least that many
+    points of the other color; so P(bad) = 2 P(X - X' > Y) with X, X' Poisson
+    of area(A \\ B) and Y Poisson of area(C)."""
+    a = system.a
+    area_a, area_b = a[n] * a[n - 1], a[n - 1] * a[n - 2]
+    area_c = area_b if n == 2 else a[n - 2] * a[n - 3]
+    mu = area_a - area_b
+    y = np.arange(int(poisson.isf(1e-15, area_c)) + 1)
+    return 2.0 * float(np.sum(poisson.pmf(y, area_c) * skellam.sf(y, mu, mu)))
+
+
+class TestExactBadRate:
+    def test_exact_values(self):
+        system = zero_offset_system(4)
+        assert exact_bad_rate(system, 2) == pytest.approx(0.3652, abs=1e-4)
+        assert exact_bad_rate(system, 3) == pytest.approx(0.7427, abs=1e-4)
+
+    def test_observed_rates_match_exact(self):
+        bad = {2: 0, 3: 0}
+        blocks = {2: 0, 3: 0}
+        for seed in range(40):
+            system, _, (_, _, state) = hierarchical_case(seed)
+            for n in bad:
+                bad[n] += sum(rec.bad for rec in state.records[n - 1])
+                blocks[n] += len(state.records[n - 1])
+        assert blocks == {2: 2880, 3: 480}
+        for n in bad:
+            p = exact_bad_rate(system, n)
+            sigma = math.sqrt(p * (1 - p) / blocks[n])
+            assert abs(bad[n] / blocks[n] - p) <= 4 * sigma, (n, bad[n], blocks[n])
