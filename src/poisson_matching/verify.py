@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -66,33 +66,75 @@ def _arc_segments(arcs) -> Tuple[List[Segment], List[int]]:
     return segs, owner
 
 
+PAIR_CHUNK = 1 << 16  # box pairs the sweep expands at once (one segment's at least)
+
+
+def _box_pairs(P: np.ndarray, Q: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Index arrays (a, b) of the segment pairs whose bounding boxes, padded
+    by EPS_GEOM (the slack of ``_on_segment``), overlap; each pair once.
+
+    Sort and sweep: with the boxes sorted by left edge, sorted segment p
+    overlaps in x exactly the later q whose left edge is at most its right
+    edge, a run found with one ``searchsorted``. Runs are expanded a chunk
+    of about PAIR_CHUNK pairs at a time and kept where the y-ranges overlap.
+    """
+    lo = np.minimum(P, Q) - EPS_GEOM
+    hi = np.maximum(P, Q) + EPS_GEOM
+    order = np.argsort(lo[:, 0], kind="stable")
+    left = lo[order, 0]
+    n = len(order)
+    count = np.searchsorted(left, hi[order, 0], side="right") - np.arange(1, n + 1)
+    ends = np.cumsum(count)
+    p0 = 0
+    while p0 < n:
+        done = int(ends[p0 - 1]) if p0 else 0
+        p1 = max(p0 + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
+        run = count[p0:p1]
+        rows = np.repeat(np.arange(p0, p1), run)
+        cols = rows + 1 + np.arange(len(rows)) - np.repeat(np.cumsum(run) - run, run)
+        a, b = order[rows], order[cols]
+        keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+        yield a[keep], b[keep]
+        p0 = p1
+
+
 def _pairwise_hits(segs: Sequence[Segment], skip_same_group=None) -> List[Tuple[int, int]]:
-    """All-pairs closed-segment intersections, with a vectorized orientation
-    prefilter and scalar confirmation of near-degenerate candidates."""
+    """Closed-segment intersections over all pairs, as (i, j) with i < j in
+    lexicographic order.
+
+    Candidates are the pairs whose padded bounding boxes overlap
+    (``_box_pairs``); a vectorized orientation-sign prefilter keeps those
+    that may cross or touch, and ``segments_intersect`` confirms each. Pairs
+    with disjoint padded boxes can neither cross, touch within EPS_GEOM nor
+    overlap, so the hits, and any DegenerateGeometryError, are those of a
+    dense all-pairs scan whenever the rounding error of the orientation
+    determinants stays below EPS_GEOM. Memory is linear in the segments
+    plus one chunk.
+    """
     n = len(segs)
     if n < 2:
         return []
     P = np.asarray([[s.a.x, s.a.y] for s in segs])
     Q = np.asarray([[s.b.x, s.b.y] for s in segs])
 
-    def cross3(A, B, C):
-        return ((B[:, None, 0] - A[:, None, 0]) * (C[None, :, 1] - A[:, None, 1])
-                - (B[:, None, 1] - A[:, None, 1]) * (C[None, :, 0] - A[:, None, 0]))
-
-    d1 = cross3(P, Q, P)  # orient(Pi,Qi,Pj)
-    d2 = cross3(P, Q, Q)
-
-    def sgn(d):
+    def sgn(A, B, C):
+        """Orientation sign of C[k] against A[k] -> B[k], 0 within EPS_GEOM."""
+        d = ((B[:, 0] - A[:, 0]) * (C[:, 1] - A[:, 1])
+             - (B[:, 1] - A[:, 1]) * (C[:, 0] - A[:, 0]))
         return (d > EPS_GEOM).astype(np.int8) - (d < -EPS_GEOM).astype(np.int8)
 
-    s1, s2 = sgn(d1), sgn(d2)
-    s3, s4 = s1.T, s2.T
-    proper = (s1 * s2 == -1) & (s3 * s4 == -1)
-    touchy = (s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0)
-    candidate = proper | touchy
+    kept = [np.empty((2, 0), dtype=np.intp)]
+    for a, b in _box_pairs(P, Q):
+        s1, s2 = sgn(P[a], Q[a], P[b]), sgn(P[a], Q[a], Q[b])
+        s3, s4 = sgn(P[b], Q[b], P[a]), sgn(P[b], Q[b], Q[a])
+        proper = (s1 * s2 == -1) & (s3 * s4 == -1)
+        touchy = (s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0)
+        candidate = proper | touchy
+        kept.append(np.sort(np.stack([a[candidate], b[candidate]]), axis=0))
+    ii, jj = np.concatenate(kept, axis=1)
+    order = np.lexsort((jj, ii))
     hits = []
-    ii, jj = np.nonzero(np.triu(candidate, k=1))
-    for i, j in zip(ii.tolist(), jj.tolist()):
+    for i, j in zip(ii[order].tolist(), jj[order].tolist()):
         if skip_same_group is not None and skip_same_group[i] == skip_same_group[j]:
             continue
         if segments_intersect(segs[i], segs[j]):
@@ -101,7 +143,10 @@ def _pairwise_hits(segs: Sequence[Segment], skip_same_group=None) -> List[Tuple[
 
 
 def check_planarity(m: Matching, arcs=None) -> VerificationReport:
-    """All-pairs edge intersection scan; witnesses are intersecting pairs.
+    """Edge intersection check; witnesses are intersecting pairs, in order.
+
+    Only the edge pairs proposed by a bounding-box sweep are tested
+    (``_pairwise_hits``); ``trials`` is still the count of all pairs.
 
     When ``arcs`` is given the edges are taken with their polygonal-arc
     geometry (the planar drawing of nested strip matchings) instead of
@@ -124,8 +169,10 @@ def check_planarity(m: Matching, arcs=None) -> VerificationReport:
 
 
 def check_arc_disjointness(arcs) -> VerificationReport:
-    """Pairwise intersection scan over all polyline segments of all arcs;
-    segments of the same arc are exempt (they share vertices)."""
+    """Intersection check over all polyline segments of all arcs; segments
+    of the same arc are exempt (they share vertices). Only the segment pairs
+    proposed by a bounding-box sweep are tested (``_pairwise_hits``);
+    ``trials`` is still the count of all segment pairs."""
     segs, owner = _arc_segments(arcs)
     hits = _pairwise_hits(segs, skip_same_group=owner)
     return VerificationReport(

@@ -187,29 +187,57 @@ class ArcSpec:
         }
 
 
+def _range_reduce(values: np.ndarray, op, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``op`` (np.minimum or np.maximum) over values[lo[e]:hi[e]] for every
+    e, where every hi > lo. Sparse table (Bender & Farach-Colton 2000): row k
+    holds op over each run of 2**k values, and a range is op of the two runs
+    of its largest power-of-two length that start at lo and end at hi.
+    O(n log n) to build, O(1) per range; min and max are exact."""
+    rows = [values]
+    while 2 ** len(rows) <= len(values):
+        w = 2 ** (len(rows) - 1)
+        prev = rows[-1]
+        # run starts past n - 2w are never read: pad with the row below
+        rows.append(np.concatenate([op(prev[:-w], prev[w:]), prev[-w:]]))
+    table = np.stack(rows)
+    k = np.frexp(hi - lo)[1] - 1
+    return op(table[k, lo], table[k, hi - 2 ** k])
+
+
 def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> List[ArcSpec]:
-    """Arcs for an excursion matching on the strip; pairwise disjoint."""
+    """Arcs for an excursion matching on the strip; pairwise disjoint.
+
+    The points with x in [red x, blue x] are a run of the walk order, so the
+    lowest of them and the walk's highest value over them are range queries
+    (``_range_reduce``); the depth counts from the walk's value just left of
+    the red."""
     walk = build_walk(ps)
+    if not m.edges:
+        return []
     vals = walk.values
-    allpts = np.concatenate([ps.reds, ps.blues]) if ps.n_red + ps.n_blue else np.empty((0, 2))
+    allpts = np.concatenate([ps.reds, ps.blues])
+    ys = allpts[np.argsort(allpts[:, 0], kind="stable"), 1]  # in walk order
+    ii = np.asarray([i for i, _ in m.edges])
+    jj = np.asarray([j for _, j in m.edges])
+    x_lo, x_hi = ps.reds[ii, 0], ps.blues[jj, 0]
+    backwards = np.flatnonzero(x_lo > x_hi)
+    n_ok = int(backwards[0]) if len(backwards) else len(ii)
+    k_lo = np.searchsorted(walk.xs, x_lo[:n_ok], side="left")
+    k_hi = np.searchsorted(walk.xs, x_hi[:n_ok], side="right")
+    lowest = _range_reduce(ys, np.minimum, k_lo, k_hi)
+    base_level = np.where(k_lo > 0, vals[k_lo - 1], walk.base)
+    depth = _range_reduce(vals, np.maximum, k_lo, k_hi) - base_level
+    if (depth < 1).any():
+        raise AssertionError("edge interval must contain the red's up-step")
+    if n_ok < len(ii):
+        raise ValueError("excursion edges run left to right")
     arcs = []
-    for (i, j) in m.edges:
+    for (i, j), low, d in zip(m.edges, lowest.tolist(), depth.tolist()):
         r = ps.reds[i]
         b = ps.blues[j]
-        x_lo, x_hi = r[0], b[0]
-        if x_lo > x_hi:
-            raise ValueError("excursion edges run left to right")
-        between = allpts[(allpts[:, 0] >= x_lo) & (allpts[:, 0] <= x_hi)]
-        lowest = float(between[:, 1].min())
-        k_lo = int(np.searchsorted(walk.xs, x_lo, side="left"))
-        k_hi = int(np.searchsorted(walk.xs, x_hi, side="right"))
-        base_level = walk.value_left(x_lo)
-        depth = int(vals[k_lo:k_hi].max() - base_level)
-        if depth < 1:
-            raise AssertionError("edge interval must contain the red's up-step")
-        h = lowest / depth
+        h = low / d
         arcs.append(ArcSpec(
-            edge=(i, j), height=h, lowest=lowest, depth=depth,
+            edge=(i, j), height=h, lowest=low, depth=d,
             vertices=[(float(r[0]), float(r[1])), (float(r[0]), h),
                       (float(b[0]), h), (float(b[0]), float(b[1]))],
         ))
@@ -244,7 +272,9 @@ def crossing_profile(m: Matching) -> CrossingProfile:
     hi = np.maximum(m.reds[[i for i, _ in m.edges], 0], bs[[j for _, j in m.edges], 0])
     breaks = np.unique(np.concatenate([lo, hi]))
     mids = (breaks[:-1] + breaks[1:]) / 2
-    values = ((lo[None, :] <= mids[:, None]) & (mids[:, None] <= hi[None, :])).sum(axis=1)
+    # edges with lo <= mid, less those with hi < mid (each has lo <= hi)
+    values = (np.searchsorted(np.sort(lo), mids, side="right")
+              - np.searchsorted(np.sort(hi), mids, side="left"))
     return CrossingProfile(breaks, values.astype(int))
 
 

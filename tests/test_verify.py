@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from poisson_matching import verify
 from poisson_matching.assignment import Matching, min_cost_perfect
-from poisson_matching.geometry import Disk, Domain, Rect
-from poisson_matching.sampling import ColoredPointSet, SampleConfig, sample
-from poisson_matching.verify import (ChernoffParams,
+from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
+                                       Domain, Point, Rect, Segment,
+                                       segments_intersect)
+from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
+                                       derived_rng, sample)
+from poisson_matching.verify import (ChernoffParams, _arc_segments,
+                                     _box_pairs, _matching_segments,
+                                     _pairwise_hits,
                                      box_rematch_experiment, chernoff_bound,
                                      chernoff_mc, check_arc_disjointness,
                                      check_planarity, crossing_stats,
                                      estimate_eta, interior_window)
-from poisson_matching.walks import excursion_matching, polygonal_arcs
+from poisson_matching.walks import ArcSpec, excursion_matching, polygonal_arcs
 
 
 def square_ps(seed, side=20.0, lam=1.0):
@@ -62,6 +68,285 @@ class TestPlanarity:
         n = min(ps.n_red, ps.n_blue)
         m = min_cost_perfect(ps.reds[:n], ps.blues[:n])
         assert check_planarity(m).trials == n * (n - 1) // 2
+
+
+def _dense_hits(segs, skip_same_group=None):
+    """The all-pairs scan the sweep replaced, kept verbatim as the oracle:
+    n x n orientation arrays, then scalar confirmation in (i, j) order."""
+    n = len(segs)
+    if n < 2:
+        return []
+    P = np.asarray([[s.a.x, s.a.y] for s in segs])
+    Q = np.asarray([[s.b.x, s.b.y] for s in segs])
+
+    def cross3(A, B, C):
+        return ((B[:, None, 0] - A[:, None, 0]) * (C[None, :, 1] - A[:, None, 1])
+                - (B[:, None, 1] - A[:, None, 1]) * (C[None, :, 0] - A[:, None, 0]))
+
+    d1 = cross3(P, Q, P)  # orient(Pi,Qi,Pj)
+    d2 = cross3(P, Q, Q)
+
+    def sgn(d):
+        return (d > EPS_GEOM).astype(np.int8) - (d < -EPS_GEOM).astype(np.int8)
+
+    s1, s2 = sgn(d1), sgn(d2)
+    s3, s4 = s1.T, s2.T
+    proper = (s1 * s2 == -1) & (s3 * s4 == -1)
+    touchy = (s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0)
+    candidate = proper | touchy
+    hits = []
+    ii, jj = np.nonzero(np.triu(candidate, k=1))
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        if skip_same_group is not None and skip_same_group[i] == skip_same_group[j]:
+            continue
+        if segments_intersect(segs[i], segs[j]):
+            hits.append((i, j))
+    return hits
+
+
+def _outcome(scan, segs, groups=None):
+    """The hit list, or the DegenerateGeometryError message."""
+    try:
+        return scan(segs, groups)
+    except DegenerateGeometryError as e:
+        return ("degenerate", str(e))
+
+
+def _segments(coords):
+    return [Segment(Point(a, b), Point(c, d)) for a, b, c, d in coords
+            if (a, b) != (c, d)]
+
+
+def _random_segments(rng, n, scale, length):
+    starts = rng.uniform(0.0, scale, size=(n, 2))
+    ends = starts + rng.uniform(-length, length, size=(n, 2)) * scale
+    return _segments(np.hstack([starts, ends]).tolist())
+
+
+def _lattice_segments(rng, k):
+    """One horizontal per row and one vertical per column of a k x k grid,
+    plus a star of non-collinear arms from one lattice point: crossings,
+    T-junctions and shared endpoints, but no collinear overlaps."""
+    coords = []
+    for r in range(k):
+        a, b = sorted(rng.choice(k, size=2, replace=False).tolist())
+        coords.append((a, r, b, r))
+        a, b = sorted(rng.choice(k, size=2, replace=False).tolist())
+        coords.append((r, a, r, b))
+    cx, cy = rng.integers(0, k, size=2).tolist()
+    for dx, dy in [(1, 1), (1, -1), (-1, 1), (-1, -1), (2, 1), (1, 2)]:
+        coords.append((cx, cy, cx + dx, cy + dy))
+    order = rng.permutation(len(coords))
+    return _segments([tuple(float(v) for v in coords[o]) for o in order])
+
+
+def _touch(s, t):
+    """How two intersecting lattice segments meet."""
+    if {s.a, s.b} & {t.a, t.b}:
+        return "shared endpoint"
+
+    def inside(p, u):
+        cross = (u.b.x - u.a.x) * (p.y - u.a.y) - (u.b.y - u.a.y) * (p.x - u.a.x)
+        return cross == 0 and min(u.a.x, u.b.x) <= p.x <= max(u.a.x, u.b.x) \
+            and min(u.a.y, u.b.y) <= p.y <= max(u.a.y, u.b.y)
+
+    if any(inside(p, t) for p in (s.a, s.b)) or any(inside(p, s) for p in (t.a, t.b)):
+        return "t-junction"
+    return "crossing"
+
+
+def _assert_same_as_dense(families):
+    """Sweep against oracle on (segments, groups) inputs; the oracle must
+    find hits somewhere, so the family cannot pass vacuously."""
+    found = 0
+    for segs, groups in families:
+        want = _outcome(_dense_hits, segs, groups)
+        assert _outcome(_pairwise_hits, segs, groups) == want
+        found += len(want) if isinstance(want, list) else 0
+    assert found > 0
+
+
+class TestSweepAgainstDenseScan:
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0, 1000.0])
+    def test_random_segments(self, scale):
+        rng = derived_rng(31, int(scale))
+        _assert_same_as_dense(
+            (_random_segments(rng, int(rng.integers(2, 150)), scale, 0.3), None)
+            for _ in range(20))
+
+    def test_lattice_shared_endpoints_and_t_junctions(self):
+        rng = derived_rng(32)
+        families = [(_lattice_segments(rng, int(rng.integers(3, 9))), None)
+                    for _ in range(40)]
+        _assert_same_as_dense(families)
+        kinds = {_touch(segs[i], segs[j]) for segs, _ in families
+                 for i, j in _dense_hits(segs)}
+        assert {"shared endpoint", "t-junction"} <= kinds
+
+    def test_random_lattice_segments(self):
+        # integer endpoints on a small grid: shared endpoints, T-junctions and
+        # collinear overlaps mixed; both scans raise on the same first pair
+        rng = derived_rng(33)
+        families = [(_segments(rng.integers(0, 5, size=(int(rng.integers(2, 12)), 4))
+                               .astype(float).tolist()), None) for _ in range(200)]
+        _assert_same_as_dense(families)
+        raised = [segs for segs, _ in families
+                  if isinstance(_outcome(_dense_hits, segs), tuple)]
+        assert 0 < len(raised) < len(families)
+
+    @pytest.mark.parametrize("coords", [
+        [(0, 0, 2, 0), (1, 0, 3, 0)],                  # horizontal overlap
+        [(5, 1, 5, 4), (5, 3, 5, 2)],                  # vertical containment
+        [(0, 0, 2, 2), (3, 3, 1, 1)],                  # diagonal overlap
+        # a crossing first, then an overlap among other segments
+        [(0, 0, 4, 1), (9, 9, 7, 7), (2, 5, 6, 9), (0, 4, 4, 0), (6, 6, 8, 8)],
+    ])
+    def test_collinear_overlap_raises_on_both(self, coords):
+        segs = _segments([tuple(map(float, c)) for c in coords])
+        with pytest.raises(DegenerateGeometryError):
+            _dense_hits(segs)
+        assert _outcome(_pairwise_hits, segs) == _outcome(_dense_hits, segs)
+
+    def test_collinear_touch_and_gap(self):
+        touch = _segments([(0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 3.0, 3.0)])
+        gap = _segments([(0.0, 0.0, 1.0, 1.0), (1.5, 1.5, 3.0, 3.0)])
+        assert _pairwise_hits(touch) == _dense_hits(touch) == [(0, 1)]
+        assert _pairwise_hits(gap) == _dense_hits(gap) == []
+
+    def test_near_flat_crossing(self):
+        # the chords cross at (1, 1e-9) with every determinant tiny, and
+        # their boxes are 2e-9 tall
+        segs = _segments([(0.0, 0.0, 2.0, 2e-9), (0.0, 2e-9, 2.0, 0.0)])
+        assert _pairwise_hits(segs) == _dense_hits(segs) == [(0, 1)]
+
+    def test_touch_within_eps_across_box_edges(self):
+        # a vertical EPS_GEOM / 4 right of a horizontal's end, and a
+        # horizontal EPS_GEOM / 4 above a vertical's end: the boxes are
+        # disjoint, the padded boxes are not, and both scans report the touch
+        gap = 1.0 + EPS_GEOM / 4
+        segs = _segments([(0.0, 0.0, 1.0, 0.0), (gap, 0.0, gap, 1.0),
+                          (5.0, 0.0, 5.0, 1.0), (4.0, gap, 6.0, gap)])
+        assert _pairwise_hits(segs) == _dense_hits(segs) == [(0, 1), (2, 3)]
+
+    def test_owner_groups(self):
+        rng = derived_rng(34)
+        families = []
+        for _ in range(20):
+            segs = _random_segments(rng, int(rng.integers(2, 120)), 10.0, 0.3)
+            families.append((segs, rng.integers(0, 4, size=len(segs)).tolist()))
+            families.append((segs, None))
+        _assert_same_as_dense(families)
+        # grouping really removes hits
+        assert any(len(_dense_hits(s, g)) < len(_dense_hits(s))
+                   for s, g in families[::2])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_small_chunks(self, chunk, monkeypatch):
+        rng = derived_rng(35, chunk)
+        families = [(_random_segments(rng, 80, 10.0, 0.3), None) for _ in range(5)]
+        families += [(_lattice_segments(rng, 6), None) for _ in range(5)]
+        monkeypatch.setattr(verify, "PAIR_CHUNK", chunk)
+        _assert_same_as_dense(families)
+
+    def test_more_box_pairs_than_one_chunk(self):
+        # 420 segments across one square: every x-range overlaps every
+        # other, 87990 pairs, so the sweep expands them in two chunks
+        rng = derived_rng(36)
+        left = rng.uniform([0.0, 0.0], [0.1, 1.0], size=(420, 2))
+        right = rng.uniform([0.9, 0.0], [1.0, 1.0], size=(420, 2))
+        segs = _segments(np.hstack([left, right]).tolist())
+        P = np.asarray([[s.a.x, s.a.y] for s in segs])
+        Q = np.asarray([[s.b.x, s.b.y] for s in segs])
+        chunks = [len(a) for a, _ in _box_pairs(P, Q)]
+        assert 420 * 419 // 2 > verify.PAIR_CHUNK and len(chunks) == 2
+        _assert_same_as_dense([(segs, None)])
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 16])
+    def test_box_pairs_each_overlap_once(self, chunk, monkeypatch):
+        monkeypatch.setattr(verify, "PAIR_CHUNK", chunk)
+        rng = derived_rng(37, chunk)
+        for _ in range(20):
+            n = int(rng.integers(1, 60))
+            P = rng.integers(0, 8, size=(n, 2)).astype(float)
+            Q = rng.integers(0, 8, size=(n, 2)).astype(float)
+            got = [tuple(sorted(p)) for a, b in _box_pairs(P, Q)
+                   for p in zip(a.tolist(), b.tolist())]
+            lo, hi = np.minimum(P, Q), np.maximum(P, Q)
+            want = [(i, j) for i in range(n) for j in range(i + 1, n)
+                    if (lo[i] <= hi[j]).all() and (lo[j] <= hi[i]).all()]
+            assert len(got) == len(set(got))
+            assert sorted(got) == want
+
+    def test_strip_excursion_chords(self):
+        # nested excursion edges drawn as straight chords cross one another
+        families = []
+        for seed in range(4):
+            ps = sample(SampleConfig(1, 1, Domain.strip(0, 150), seed))
+            families.append((_matching_segments(excursion_matching(ps)), None))
+        _assert_same_as_dense(families)
+
+
+def _crossing_arcs(seed, n=80, length=40.0):
+    """A random matching on the strip, and four-vertex arcs for it at random
+    heights below both endpoints: the arcs cross one another."""
+    rng = derived_rng(seed, 38)
+    reds = rng.uniform([0.0, 0.2], [length, 1.0], size=(n, 2))
+    blues = np.column_stack([reds[:, 0] + rng.uniform(0.1, 6.0, n),
+                             rng.uniform(0.2, 1.0, n)])
+    m = Matching(reds, blues, [(i, i) for i in range(n)])
+    arcs = []
+    for (rx, ry), (bx, by), h in zip(reds.tolist(), blues.tolist(),
+                                     rng.uniform(0.0, 0.2, n).tolist()):
+        arcs.append(ArcSpec(edge=(len(arcs), len(arcs)), height=h, lowest=h,
+                            depth=1, vertices=[(rx, ry), (rx, h), (bx, h), (bx, by)]))
+    return m, arcs
+
+
+class TestReportsPinned:
+    def test_planarity_chords_literal(self):
+        # four chords through one point: every pair crosses
+        reds = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        blues = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
+        m = Matching(reds, blues, [(0, 3), (1, 2), (2, 1), (3, 0)])
+        rep = check_planarity(m)
+        assert rep.trials == 6
+        assert rep.violations == [{"edges": [i, j]} for i in range(4)
+                                  for j in range(i + 1, 4)]
+
+    def test_arcs_literal(self):
+        # red 1 -> blue 3 (depth 2, height 0.35) and red 2 -> blue 4 (depth
+        # 1, height 0.5, no right leg): the second arc's horizontal crosses
+        # the first one's right leg at (3, 0.5)
+        ps = ColoredPointSet(Domain.strip(0, 10), reds=[[1, 0.8], [2, 0.7]],
+                             blues=[[3, 0.9], [4, 0.5]], seed=0)
+        m = Matching(ps.reds, ps.blues, [(0, 0), (1, 1)])
+        arcs = polygonal_arcs(m, ps)
+        assert check_planarity(m, arcs=arcs).to_json() == {
+            "format": 1, "property": "planarity", "trials": 1, "pass": False,
+            "violations": [{"edges": [0, 1]}]}
+        rep = check_arc_disjointness(arcs)
+        assert rep.trials == 10  # 5 segments
+        assert rep.violations == [{"arcs": [0, 1]}]
+
+    def test_reports_follow_dense_order(self):
+        found = 0
+        for seed in range(3):
+            m, arcs = _crossing_arcs(seed)
+            segs, owner = _arc_segments(arcs)
+            raw = _dense_hits(segs, owner)
+            found += len(raw)
+            assert check_arc_disjointness(arcs).to_json()["violations"] == [
+                {"arcs": [owner[i], owner[j]]} for i, j in raw]
+            assert check_arc_disjointness(arcs).trials == len(segs) * (len(segs) - 1) // 2
+            planar = check_planarity(m, arcs=arcs)
+            assert planar.violations == [{"edges": [i, j]} for i, j in
+                                         sorted({(owner[i], owner[j]) for i, j in raw})]
+            assert planar.trials == len(arcs) * (len(arcs) - 1) // 2
+            chords = check_planarity(m)
+            assert chords.violations == [{"edges": [i, j]} for i, j in
+                                         _dense_hits(_matching_segments(m))]
+            assert chords.trials == len(m.edges) * (len(m.edges) - 1) // 2
+        assert found > 0
 
 
 class TestArcDisjointness:

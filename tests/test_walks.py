@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from poisson_matching.assignment import Matching
+from poisson_matching.assignment import Matching, min_cost_perfect
 from poisson_matching.geometry import Domain
-from poisson_matching.sampling import ColoredPointSet, SampleConfig, count_diff, sample
+from poisson_matching.sampling import (ColoredPointSet, SampleConfig, count_diff,
+                                       derived_rng, sample)
 from poisson_matching.verify import check_arc_disjointness, check_planarity
-from poisson_matching.walks import (build_walk, crossing_profile,
+from poisson_matching.walks import (ArcSpec, build_walk, crossing_profile,
                                     cut_time_matching, cut_times,
                                     excursion_matching, laminate_strips,
                                     minimality_certificate_d1,
@@ -203,6 +204,151 @@ class TestPolygonalArcs:
         m = excursion_matching(ps)
         arcs = polygonal_arcs(m, ps)
         assert check_arc_disjointness(arcs).passed
+
+
+def _reference_arcs(m, ps):
+    """The per-edge loop the range queries replaced, kept verbatim: an O(n)
+    mask over all points and a prefix sum per edge."""
+    walk = build_walk(ps)
+    vals = walk.values
+    allpts = np.concatenate([ps.reds, ps.blues]) if ps.n_red + ps.n_blue else np.empty((0, 2))
+    arcs = []
+    for (i, j) in m.edges:
+        r = ps.reds[i]
+        b = ps.blues[j]
+        x_lo, x_hi = r[0], b[0]
+        if x_lo > x_hi:
+            raise ValueError("excursion edges run left to right")
+        between = allpts[(allpts[:, 0] >= x_lo) & (allpts[:, 0] <= x_hi)]
+        lowest = float(between[:, 1].min())
+        k_lo = int(np.searchsorted(walk.xs, x_lo, side="left"))
+        k_hi = int(np.searchsorted(walk.xs, x_hi, side="right"))
+        base_level = walk.value_left(x_lo)
+        depth = int(vals[k_lo:k_hi].max() - base_level)
+        if depth < 1:
+            raise AssertionError("edge interval must contain the red's up-step")
+        h = lowest / depth
+        arcs.append(ArcSpec(
+            edge=(i, j), height=h, lowest=lowest, depth=depth,
+            vertices=[(float(r[0]), float(r[1])), (float(r[0]), h),
+                      (float(b[0]), h), (float(b[0]), float(b[1]))],
+        ))
+    return arcs
+
+
+def _left_to_right_matching(ps, rng, reach=6):
+    """Each red, in x order, takes one of the next unused blues to its right:
+    edges cross, nest and sit side by side, unlike an excursion matching."""
+    edges, used = [], set()
+    for i, x in enumerate(ps.reds[:, 0]):
+        right = [j for j in np.flatnonzero(ps.blues[:, 0] > x).tolist() if j not in used]
+        if right:
+            j = right[int(rng.integers(0, min(len(right), reach)))]
+            used.add(j)
+            edges.append((i, j))
+    return Matching.from_edges(ps.reds, ps.blues, edges)
+
+
+def _same_arcs(got, want):
+    assert [a.to_json() for a in got] == [a.to_json() for a in want]
+    assert all(type(a.lowest) is float and type(a.depth) is int for a in got)
+
+
+class TestArcsAgainstLoop:
+    @pytest.mark.parametrize("lam_red", [1.0, 1.3, 0.7])
+    def test_seeded_strips(self, lam_red):
+        for seed in range(4):
+            ps = sample(SampleConfig(lam_red, 1.0, Domain.strip(0, 200), seed))
+            m = excursion_matching(ps)
+            assert m.edges
+            _same_arcs(polygonal_arcs(m, ps), _reference_arcs(m, ps))
+
+    def test_non_excursion_matchings(self):
+        rng = derived_rng(41)
+        depths = set()
+        for seed in range(12):
+            ps = sample(SampleConfig(1, 1, Domain.strip(0, 60), seed))
+            m = _left_to_right_matching(ps, rng)
+            want = _reference_arcs(m, ps)
+            _same_arcs(polygonal_arcs(m, ps), want)
+            depths.update(a.depth for a in want)
+        assert len(depths) > 3
+
+    def test_hand_built(self):
+        # crossing intervals, an edge over an empty gap, and a walk that dips
+        # below zero before the first red
+        ps = ColoredPointSet(Domain.strip(0, 10),
+                             reds=[[1, 0.9], [2, 0.4], [6, 0.7]],
+                             blues=[[0.5, 0.2], [3, 0.8], [4, 0.6], [8, 0.3]], seed=0)
+        for edges in ([(0, 1), (1, 2)], [(1, 1), (0, 2), (2, 3)], [(2, 3)], []):
+            m = Matching.from_edges(ps.reds, ps.blues, edges)
+            _same_arcs(polygonal_arcs(m, ps), _reference_arcs(m, ps))
+
+    def test_right_to_left_rejected(self):
+        ps = ColoredPointSet(Domain.strip(0, 10), reds=[[1, 0.5], [5, 0.5]],
+                             blues=[[2, 0.5], [3, 0.5]], seed=0)
+        for edges in ([(1, 0)], [(0, 0), (1, 1)]):
+            m = Matching.from_edges(ps.reds, ps.blues, edges)
+            with pytest.raises(ValueError):
+                _reference_arcs(m, ps)
+            with pytest.raises(ValueError):
+                polygonal_arcs(m, ps)
+
+
+def _reference_profile_values(m):
+    """The (mids x edges) matrix count the event counts replaced."""
+    bs = m.blues if m.color_mode == "two_color" else m.reds
+    lo = np.minimum(m.reds[[i for i, _ in m.edges], 0], bs[[j for _, j in m.edges], 0])
+    hi = np.maximum(m.reds[[i for i, _ in m.edges], 0], bs[[j for _, j in m.edges], 0])
+    breaks = np.unique(np.concatenate([lo, hi]))
+    mids = (breaks[:-1] + breaks[1:]) / 2
+    values = ((lo[None, :] <= mids[:, None]) & (mids[:, None] <= hi[None, :])).sum(axis=1)
+    return breaks, values.astype(int)
+
+
+class TestProfileAgainstMatrix:
+    def _check(self, m):
+        prof = crossing_profile(m)
+        breaks, values = _reference_profile_values(m)
+        assert np.array_equal(prof.breakpoints, breaks)
+        assert np.array_equal(prof.values, values) and prof.values.dtype == values.dtype
+        return values
+
+    def test_random_nested_and_one_color(self):
+        rng = derived_rng(42)
+        peak = 0
+        for seed in range(6):
+            ps = sample(SampleConfig(1, 1, Domain.line(0, 80), seed))
+            n = min(ps.n_red, ps.n_blue)
+            perm = rng.permutation(n)
+            for m in (Matching(ps.reds, ps.blues, [(i, int(perm[i])) for i in range(n)],
+                               kind="partial"),
+                      excursion_matching(ps),
+                      min_cost_perfect(ps.reds[:n], ps.blues[:n]),
+                      one_color_pairing(ps, seed % 2)):
+                peak = max(peak, self._check(m).max())
+        assert peak > 2
+
+    def test_shared_breakpoints(self):
+        # intervals [1, 5], [3, 7] and [3, 5]: red 1 sits at blue 0's x,
+        # and each inner breakpoint ends one interval and starts another
+        m = Matching([[1, 0], [3, 0], [5, 0]], [[3, 0.5], [5, 0.5], [7, 0.5]],
+                     [(0, 1), (1, 2), (2, 0)])
+        assert self._check(m).tolist() == [1, 3, 1]
+        # breakpoints 1 and the next float: their midpoint rounds to 1, where
+        # [0.5, 1] ends and [1, 4] starts; both still cover it
+        adjacent = np.nextafter(1.0, 2.0)
+        m = Matching([[0.5, 0], [1.0, 0], [adjacent, 0]],
+                     [[1.0, 0.5], [4.0, 0.5], [3.0, 0.5]], [(0, 0), (1, 1), (2, 2)])
+        assert self._check(m).tolist() == [1, 2, 2, 1]
+
+    def test_without_edges(self):
+        ps = line_ps([1, 2], [3, 4])
+        m = Matching(ps.reds, ps.blues, [], kind="partial", unmatched_reds=[0, 1],
+                     unmatched_blues=[0, 1])
+        prof = crossing_profile(m)
+        assert prof.breakpoints.tolist() == [0.0, 0.0] and prof.values.tolist() == []
+        assert prof.integral() == 0.0
 
 
 class TestCrossingProfile:
