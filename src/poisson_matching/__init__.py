@@ -12,7 +12,7 @@ from .walks import (ArcSpec, CrossingProfile, StepWalk, build_walk,
                     laminate_strips, minimality_certificate_d1,
                     one_color_pairing, polygonal_arcs, zero_block_matching)
 from .hierarchy import (Block, BlockSystem, build_block_system, heir_frequency,
-                        heir_of, run_hierarchical)
+                        run_hierarchical)
 from .verify import (ChernoffParams, StatsReport, VerificationReport,
                      box_rematch_experiment, check_arc_disjointness,
                      check_planarity, chernoff_bound, chernoff_mc,

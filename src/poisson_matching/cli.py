@@ -17,13 +17,14 @@ from typing import Optional
 import click
 
 from . import hierarchy, verify, walks
-from .assignment import Matching, brute_force_min, min_cost_perfect
+from .assignment import Matching, brute_force_min, improvable_pair, min_cost_perfect
 from .geometry import Disk, Domain
 from .render import RenderSpec, render_scene
 from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 
 FORMAT_VERSION = 1
 
+DRAWABLE = click.IntRange(2 * RenderSpec.margin + 1, None)  # leaves a drawing area
 CONSTRUCTIONS = ("zero_block", "one_color", "cut_time", "excursion",
                  "min_cost", "hierarchical", "laminate")
 
@@ -247,7 +248,9 @@ def cmd_verify(in_path, prop, k, trials, seed, out):
         # on the arc geometry rather than straight chords
         report = verify.check_planarity(m, arcs=_arcs_from(d))
     elif prop == "arcs":
-        report = verify.check_arc_disjointness(_arcs_from(d) or [])
+        if "arcs" not in d:
+            raise click.UsageError("input has no arcs")
+        report = verify.check_arc_disjointness(_arcs_from(d))
     elif prop == "minimality":
         if ps.domain.kind != "line":
             raise click.UsageError("minimality certificate requires a line domain")
@@ -255,7 +258,6 @@ def cmd_verify(in_path, prop, k, trials, seed, out):
     else:
         pair = None
         if len(m.edges) >= 2:
-            from .assignment import improvable_pair
             pair = improvable_pair(m)
         report = verify.VerificationReport(
             "improvable_pair", trials=len(m.edges) * (len(m.edges) - 1) // 2,
@@ -306,10 +308,10 @@ def cmd_stats(in_path, kind, box_side, disk, out):
 @main.command("render")
 @config_option
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--width", type=int, default=800, show_default=True)
-@click.option("--height", type=int, default=400, show_default=True)
+@click.option("--width", type=DRAWABLE, default=800, show_default=True)
+@click.option("--height", type=DRAWABLE, default=400, show_default=True)
 @click.option("--walk/--no-walk", default=False, help="Overlay the counting walk.")
-@click.option("--blocks", type=int, default=0,
+@click.option("--blocks", type=click.IntRange(0, None), default=0,
               help="Overlay block outlines up to this level (hierarchical).")
 @click.option("--seed", type=int, default=0, help="Seed for block offsets overlay.")
 @click.option("--out", type=click.Path(), required=True)

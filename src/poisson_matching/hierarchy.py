@@ -105,10 +105,6 @@ def build_block_system(seed: int, N: int) -> BlockSystem:
     return BlockSystem(N=N, a=a, r=r, t=t)
 
 
-def heir_of(system: BlockSystem, block: Block) -> Block:
-    return system.heir_of(block)
-
-
 def aligned_window(system: BlockSystem, ix: int = 0, iy: int = 0) -> Domain:
     """Plane domain equal to one level-N block (the truncation policy)."""
     rect = system.block(system.N, ix, iy).rect
@@ -191,9 +187,6 @@ class StageState:
     stage: int = 0
     status: Dict[Tuple[int, int, int], str] = field(default_factory=dict)
     records: List[List[BlockRecord]] = field(default_factory=list)
-
-    def matched_count(self) -> int:
-        return int((self.red_partner >= 0).sum())
 
     def to_matching(self) -> Matching:
         edges = [(i, j) for i, j in enumerate(self.red_partner) if j >= 0]

@@ -55,15 +55,18 @@ def _matching_segments(m: Matching) -> List[Segment]:
     return [Segment(Point(*a), Point(*b)) for a, b in zip(p, q)]
 
 
-def _arc_segments(arcs) -> Tuple[List[Segment], List[int]]:
-    """Every polyline segment of the arcs, and the index of its arc."""
-    segs: List[Segment] = []
-    owner: List[int] = []
-    for k, arc in enumerate(arcs):
-        for s in arc.segments():
-            segs.append(s)
-            owner.append(k)
-    return segs, owner
+def _arc_arrays(arcs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every polyline piece of the arcs as endpoint arrays (P, Q), arc-major
+    and without the zero-length pieces, as ``ArcSpec.segments`` lists them,
+    and the index of each piece's arc. Every arc needs four finite 2-D
+    vertices; anything else is a ValueError."""
+    V = np.asarray([a.vertices for a in arcs] or np.empty((0, 4, 2)), dtype=float)
+    if V.shape != (len(arcs), 4, 2) or not np.isfinite(V).all():
+        raise ValueError("every arc needs four finite 2-D vertices")
+    P, Q = V[:, :3].reshape(-1, 2), V[:, 1:].reshape(-1, 2)
+    owner = np.repeat(np.arange(len(arcs)), 3)
+    keep = (P != Q).any(axis=1)
+    return P[keep], Q[keep], owner[keep]
 
 
 PAIR_CHUNK = 1 << 16  # box pairs the sweep expands at once (one segment's at least)
@@ -98,24 +101,22 @@ def _box_pairs(P: np.ndarray, Q: np.ndarray) -> Iterator[Tuple[np.ndarray, np.nd
         p0 = p1
 
 
-def _pairwise_hits(segs: Sequence[Segment], skip_same_group=None) -> List[Tuple[int, int]]:
-    """Closed-segment intersections over all pairs, as (i, j) with i < j in
-    lexicographic order.
+def _pairwise_hits(P: np.ndarray, Q: np.ndarray, skip_same_group=None) -> List[Tuple[int, int]]:
+    """Closed-segment intersections among the segments P[k] -> Q[k] ((n, 2)
+    endpoint arrays), as (i, j) with i < j in lexicographic order; pairs with
+    equal integer owners ``skip_same_group`` are exempt.
 
     Candidates are the pairs whose padded bounding boxes overlap
     (``_box_pairs``); a vectorized orientation-sign prefilter keeps those
-    that may cross or touch, and ``segments_intersect`` confirms each. Pairs
-    with disjoint padded boxes can neither cross, touch within EPS_GEOM nor
-    overlap, so the hits, and any DegenerateGeometryError, are those of a
-    dense all-pairs scan whenever the rounding error of the orientation
-    determinants stays below EPS_GEOM. Memory is linear in the segments
-    plus one chunk.
+    that may cross or touch, and ``segments_intersect`` confirms each, on
+    ``Segment``s built for the candidates only. Pairs with disjoint padded
+    boxes can neither cross, touch within EPS_GEOM nor overlap, so the hits,
+    and any DegenerateGeometryError, are those of a dense all-pairs scan
+    whenever the rounding error of the orientation determinants stays below
+    EPS_GEOM. Memory is linear in the segments plus one chunk.
     """
-    n = len(segs)
-    if n < 2:
-        return []
-    P = np.asarray([[s.a.x, s.a.y] for s in segs])
-    Q = np.asarray([[s.b.x, s.b.y] for s in segs])
+    if (P == Q).all(axis=1).any():
+        raise ValueError("zero-length segment")
 
     def sgn(A, B, C):
         """Orientation sign of C[k] against A[k] -> B[k], 0 within EPS_GEOM."""
@@ -132,33 +133,36 @@ def _pairwise_hits(segs: Sequence[Segment], skip_same_group=None) -> List[Tuple[
         candidate = proper | touchy
         kept.append(np.sort(np.stack([a[candidate], b[candidate]]), axis=0))
     ii, jj = np.concatenate(kept, axis=1)
+    if skip_same_group is not None:
+        group = np.asarray(skip_same_group)
+        apart = group[ii] != group[jj]
+        ii, jj = ii[apart], jj[apart]
     order = np.lexsort((jj, ii))
-    hits = []
-    for i, j in zip(ii[order].tolist(), jj[order].tolist()):
-        if skip_same_group is not None and skip_same_group[i] == skip_same_group[j]:
-            continue
-        if segments_intersect(segs[i], segs[j]):
-            hits.append((i, j))
-    return hits
+    used = np.unique(np.concatenate([ii, jj]))
+    seg = {k: Segment(Point(*a), Point(*b))  # plain floats, as error messages show
+           for k, a, b in zip(used.tolist(), P[used].tolist(), Q[used].tolist())}
+    return [(i, j) for i, j in zip(ii[order].tolist(), jj[order].tolist())
+            if segments_intersect(seg[i], seg[j])]
 
 
 def check_planarity(m: Matching, arcs=None) -> VerificationReport:
     """Edge intersection check; witnesses are intersecting pairs, in order.
 
-    Only the edge pairs proposed by a bounding-box sweep are tested
-    (``_pairwise_hits``); ``trials`` is still the count of all pairs.
+    The chords' endpoint arrays go to ``_pairwise_hits``, which tests only
+    the pairs a bounding-box sweep proposes; ``trials`` counts all pairs.
 
     When ``arcs`` is given the edges are taken with their polygonal-arc
-    geometry (the planar drawing of nested strip matchings) instead of
-    straight chords; segments belonging to the same edge are exempt.
+    geometry (the planar drawing of nested strip matchings, ``_arc_arrays``)
+    instead of straight chords; segments belonging to the same edge are exempt.
     """
     if arcs is None:
-        segs = _matching_segments(m)
-        hits = _pairwise_hits(segs)
-        n_pairs = len(segs) * (len(segs) - 1) // 2
+        P, Q = m.endpoint_arrays()
+        hits = _pairwise_hits(P, Q)
+        n_pairs = len(P) * (len(P) - 1) // 2
     else:
-        segs, owner = _arc_segments(arcs)
-        raw = _pairwise_hits(segs, skip_same_group=owner)
+        P, Q, owner = _arc_arrays(arcs)
+        raw = _pairwise_hits(P, Q, skip_same_group=owner)
+        owner = owner.tolist()
         hits = sorted({(owner[i], owner[j]) for i, j in raw})
         n_pairs = len(arcs) * (len(arcs) - 1) // 2
     return VerificationReport(
@@ -169,15 +173,16 @@ def check_planarity(m: Matching, arcs=None) -> VerificationReport:
 
 
 def check_arc_disjointness(arcs) -> VerificationReport:
-    """Intersection check over all polyline segments of all arcs; segments
-    of the same arc are exempt (they share vertices). Only the segment pairs
-    proposed by a bounding-box sweep are tested (``_pairwise_hits``);
-    ``trials`` is still the count of all segment pairs."""
-    segs, owner = _arc_segments(arcs)
-    hits = _pairwise_hits(segs, skip_same_group=owner)
+    """Intersection check over all polyline segments of all arcs, as
+    ``_arc_arrays`` flattens them; segments of the same arc are exempt (they
+    share vertices). Only the segment pairs proposed by a bounding-box sweep
+    are tested (``_pairwise_hits``); ``trials`` counts all segment pairs."""
+    P, Q, owner = _arc_arrays(arcs)
+    hits = _pairwise_hits(P, Q, skip_same_group=owner)
+    owner = owner.tolist()  # plain ints for the JSON witnesses
     return VerificationReport(
         property_name="arc_disjointness",
-        trials=len(segs) * (len(segs) - 1) // 2,
+        trials=len(P) * (len(P) - 1) // 2,
         violations=[{"arcs": [owner[i], owner[j]]} for i, j in hits],
     )
 

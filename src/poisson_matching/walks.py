@@ -20,7 +20,7 @@ import numpy as np
 
 from .assignment import (EPS_TIE, Matching, ONE_COLOR, brute_force_min,
                          max_cardinality_min_cost, min_cost_perfect)
-from .geometry import LINE, STRIP, Segment, Point
+from .geometry import LINE, STRIP, Domain, Point, Segment
 from .sampling import ColoredPointSet, derived_rng
 from .verify import VerificationReport
 
@@ -323,7 +323,6 @@ def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, Optional[
     x1 = results[0][0].domain.x1
     reds, blues, edges, arcs = [], [], [], []
     red_off = blue_off = 0
-    from .geometry import Domain
     for band, (ps, m, band_arcs) in enumerate(results):
         if ps.domain.kind != STRIP or (ps.domain.x0, ps.domain.x1) != (x0, x1):
             raise ValueError("all bands must share the same strip window")

@@ -205,6 +205,19 @@ ONE_EDGE_RESULT = {
 NO_DOMAIN_RESULT = {**ONE_EDGE_RESULT, "points": {
     k: v for k, v in ONE_EDGE_RESULT["points"].items() if k != "domain"}}
 VERIFY = ["verify", "--property", "planarity", "--in"]
+VERIFY_ARCS = ["verify", "--property", "arcs", "--in"]
+
+
+def _with_arc(vertices):
+    """The one-edge result carrying one arc with the given vertices."""
+    arc = {"edge": [0, 0], "height": 0.25, "lowest": 0.5, "depth": 1,
+           "vertices": vertices}
+    return json.dumps({**ONE_EDGE_RESULT, "arcs": [arc]})
+
+
+ARC_RESULT = _with_arc([[0.0, 0.5], [0.0, 0.25], [1.0, 0.25], [1.0, 0.5]])
+THREE_VERTEX_ARC = _with_arc([[0.0, 0.5], [0.0, 0.25], [1.0, 0.5]])
+NAN_VERTEX_ARC = _with_arc([[0.0, 0.5], [0.0, float("nan")], [1.0, 0.25], [1.0, 0.5]])
 
 # command line, and the text of the file appended as its last argument
 BAD_INPUTS = {
@@ -218,6 +231,11 @@ BAD_INPUTS = {
     "no_domain_key": (VERIFY, json.dumps(NO_DOMAIN_RESULT)),
     "truncated_json": (VERIFY, json.dumps(ONE_EDGE_RESULT)[:40]),
     "unknown_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "format": 99})),
+    "three_vertex_arc_planarity": (VERIFY, THREE_VERTEX_ARC),
+    "three_vertex_arc_arcs": (VERIFY_ARCS, THREE_VERTEX_ARC),
+    "nan_vertex_planarity": (VERIFY, NAN_VERTEX_ARC),
+    "nan_vertex_arcs": (VERIFY_ARCS, NAN_VERTEX_ARC),
+    "arcs_without_arcs_key": (VERIFY_ARCS, json.dumps(ONE_EDGE_RESULT)),
 }
 
 
@@ -237,6 +255,38 @@ def test_one_edge_result_is_valid(runner, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(ONE_EDGE_RESULT))
     assert invoke(runner, *VERIFY, str(path)).exit_code == 0
+
+
+@pytest.mark.parametrize("command", [VERIFY, VERIFY_ARCS])
+def test_well_formed_arc_is_valid(runner, tmp_path, command):
+    # the malformed arc inputs above differ from this one in one vertex
+    path = tmp_path / "input.json"
+    path.write_text(ARC_RESULT)
+    res = invoke(runner, *command, str(path))
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["trials"] == (0 if command == VERIFY else 3)
+
+
+@pytest.mark.parametrize("flags", [["--blocks", "-1"], ["--width", "10"],
+                                   ["--width", "40"], ["--height", "0"],
+                                   ["--height", "-5"]])
+def test_render_without_drawing_area_is_usage_error(runner, tmp_path, flags):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(ONE_EDGE_RESULT))
+    out = tmp_path / "out.svg"
+    res = invoke(runner, "render", "--in", str(path), *flags, "--out", str(out))
+    assert res.exit_code == 2, res.output
+    assert "Error:" in res.output and not out.exists()
+
+
+def test_smallest_drawing_area_renders(runner, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(ONE_EDGE_RESULT))
+    out = tmp_path / "out.svg"
+    res = invoke(runner, "render", "--in", str(path), "--width", "41",
+                 "--height", "41", "--blocks", "0", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert out.read_text().startswith("<svg")
 
 
 class TestConfigAndStats:

@@ -10,7 +10,7 @@ from scipy.stats import poisson, skellam
 from poisson_matching.geometry import Rect
 from poisson_matching.hierarchy import (BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
-                                        heir_frequency, heir_of, init_state,
+                                        heir_frequency, init_state,
                                         run_hierarchical, run_stage, stage1)
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, sample
 
@@ -56,18 +56,18 @@ class TestBlockSystem:
 
     def test_heir_even_level_leftmost(self):
         s = zero_offset_system(2)
-        heir = heir_of(s, s.block(2, 0, 0))
+        heir = s.heir_of(s.block(2, 0, 0))
         assert heir.rect == Rect(0, 1, 0, 1)
 
     def test_heir_odd_level_bottommost(self):
         s = zero_offset_system(3)
-        heir = heir_of(s, s.block(3, 0, 0))
+        heir = s.heir_of(s.block(3, 0, 0))
         assert heir.rect == Rect(0, 2, 0, 1)
 
     def test_level_one_has_no_heir(self):
         s = zero_offset_system(2)
         with pytest.raises(ValueError):
-            heir_of(s, s.block(1, 0, 0))
+            s.heir_of(s.block(1, 0, 0))
 
 
 class TestHeirFrequency:
@@ -158,7 +158,7 @@ class TestStages:
                 heirs = 0
                 for n in range(2, 5):
                     block = system.block_containing(n, x, y)
-                    if heir_of(system, block).rect.contains((x, y)):
+                    if system.heir_of(block).rect.contains((x, y)):
                         heirs += 1
                 assert events[idx] <= heirs
 
@@ -282,8 +282,8 @@ def check_against_rect_scan(system, ps):
             checked += 1
             if n == 1:
                 continue
-            heir = heir_of(system, block).rect
-            heirs = [heir] + [heir_of(system, c).rect for c in system.children(block)
+            heir = system.heir_of(block).rect
+            heirs = [heir] + [system.heir_of(c).rect for c in system.children(block)
                               if c.level >= 2]
             assert rec.unmatched_in_heir == all(heir.contains(p) for p in unmatched), rec.key
             ends = [p for i, j in rec.new_edges for p in (ps.reds[i], ps.blues[j])]

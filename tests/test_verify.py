@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,14 +11,15 @@ from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        segments_intersect)
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
-from poisson_matching.verify import (ChernoffParams, _arc_segments,
+from poisson_matching.verify import (ChernoffParams, _arc_arrays,
                                      _box_pairs, _matching_segments,
                                      _pairwise_hits,
                                      box_rematch_experiment, chernoff_bound,
                                      chernoff_mc, check_arc_disjointness,
                                      check_planarity, crossing_stats,
                                      estimate_eta, interior_window)
-from poisson_matching.walks import ArcSpec, excursion_matching, polygonal_arcs
+from poisson_matching.walks import (ArcSpec, excursion_matching, laminate_strips,
+                                    polygonal_arcs)
 
 
 def square_ps(seed, side=20.0, lam=1.0):
@@ -104,6 +106,19 @@ def _dense_hits(segs, skip_same_group=None):
     return hits
 
 
+def _sweep_hits(segs, skip_same_group=None):
+    """The sweep on the segments' endpoint arrays, called like the oracle."""
+    P = np.asarray([s.a for s in segs], dtype=float).reshape(-1, 2)
+    Q = np.asarray([s.b for s in segs], dtype=float).reshape(-1, 2)
+    return _pairwise_hits(P, Q, skip_same_group)
+
+
+def _arc_pieces(arcs):
+    """Every ``ArcSpec.segments`` piece of the arcs, and its arc's index."""
+    pieces = [(s, k) for k, arc in enumerate(arcs) for s in arc.segments()]
+    return [s for s, _ in pieces], [k for _, k in pieces]
+
+
 def _outcome(scan, segs, groups=None):
     """The hit list, or the DegenerateGeometryError message."""
     try:
@@ -161,7 +176,7 @@ def _assert_same_as_dense(families):
     found = 0
     for segs, groups in families:
         want = _outcome(_dense_hits, segs, groups)
-        assert _outcome(_pairwise_hits, segs, groups) == want
+        assert _outcome(_sweep_hits, segs, groups) == want
         found += len(want) if isinstance(want, list) else 0
     assert found > 0
 
@@ -205,19 +220,19 @@ class TestSweepAgainstDenseScan:
         segs = _segments([tuple(map(float, c)) for c in coords])
         with pytest.raises(DegenerateGeometryError):
             _dense_hits(segs)
-        assert _outcome(_pairwise_hits, segs) == _outcome(_dense_hits, segs)
+        assert _outcome(_sweep_hits, segs) == _outcome(_dense_hits, segs)
 
     def test_collinear_touch_and_gap(self):
         touch = _segments([(0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 3.0, 3.0)])
         gap = _segments([(0.0, 0.0, 1.0, 1.0), (1.5, 1.5, 3.0, 3.0)])
-        assert _pairwise_hits(touch) == _dense_hits(touch) == [(0, 1)]
-        assert _pairwise_hits(gap) == _dense_hits(gap) == []
+        assert _sweep_hits(touch) == _dense_hits(touch) == [(0, 1)]
+        assert _sweep_hits(gap) == _dense_hits(gap) == []
 
     def test_near_flat_crossing(self):
         # the chords cross at (1, 1e-9) with every determinant tiny, and
         # their boxes are 2e-9 tall
         segs = _segments([(0.0, 0.0, 2.0, 2e-9), (0.0, 2e-9, 2.0, 0.0)])
-        assert _pairwise_hits(segs) == _dense_hits(segs) == [(0, 1)]
+        assert _sweep_hits(segs) == _dense_hits(segs) == [(0, 1)]
 
     def test_touch_within_eps_across_box_edges(self):
         # a vertical EPS_GEOM / 4 right of a horizontal's end, and a
@@ -226,7 +241,7 @@ class TestSweepAgainstDenseScan:
         gap = 1.0 + EPS_GEOM / 4
         segs = _segments([(0.0, 0.0, 1.0, 0.0), (gap, 0.0, gap, 1.0),
                           (5.0, 0.0, 5.0, 1.0), (4.0, gap, 6.0, gap)])
-        assert _pairwise_hits(segs) == _dense_hits(segs) == [(0, 1), (2, 3)]
+        assert _sweep_hits(segs) == _dense_hits(segs) == [(0, 1), (2, 3)]
 
     def test_owner_groups(self):
         rng = derived_rng(34)
@@ -332,13 +347,15 @@ class TestReportsPinned:
         found = 0
         for seed in range(3):
             m, arcs = _crossing_arcs(seed)
-            segs, owner = _arc_segments(arcs)
+            segs, owner = _arc_pieces(arcs)
             raw = _dense_hits(segs, owner)
             found += len(raw)
-            assert check_arc_disjointness(arcs).to_json()["violations"] == [
-                {"arcs": [owner[i], owner[j]]} for i, j in raw]
+            report = check_arc_disjointness(arcs).to_json()
+            assert report["violations"] == [{"arcs": [owner[i], owner[j]]} for i, j in raw]
+            assert json.loads(json.dumps(report)) == report  # plain ints, not numpy
             assert check_arc_disjointness(arcs).trials == len(segs) * (len(segs) - 1) // 2
             planar = check_planarity(m, arcs=arcs)
+            json.dumps(planar.to_json())
             assert planar.violations == [{"edges": [i, j]} for i, j in
                                          sorted({(owner[i], owner[j]) for i, j in raw})]
             assert planar.trials == len(arcs) * (len(arcs) - 1) // 2
@@ -347,6 +364,75 @@ class TestReportsPinned:
                                          _dense_hits(_matching_segments(m))]
             assert chords.trials == len(m.edges) * (len(m.edges) - 1) // 2
         assert found > 0
+
+
+def _strip_arcs(seed, length=150.0):
+    ps = sample(SampleConfig(1, 1, Domain.strip(0, length), seed))
+    m = excursion_matching(ps)
+    return ps, m, polygonal_arcs(m, ps)
+
+
+def _arc(vertices):
+    return ArcSpec(edge=(0, 0), height=0.5, lowest=1.0, depth=1, vertices=vertices)
+
+
+class TestArcArrays:
+    """``_arc_arrays`` against the pieces that ``ArcSpec.segments`` lists."""
+
+    @staticmethod
+    def _check(arcs):
+        segs, owner = _arc_pieces(arcs)
+        P, Q, got = _arc_arrays(arcs)
+        assert P.shape == Q.shape == (len(segs), 2)
+        assert P.tolist() == [list(s.a) for s in segs]
+        assert Q.tolist() == [list(s.b) for s in segs]
+        assert got.tolist() == owner
+        return len(segs)
+
+    def test_seeded_strips(self):
+        for seed in range(4):
+            _, _, arcs = _strip_arcs(seed)
+            # an end leg has zero length where the endpoint is its arc's
+            # lowest point at depth 1; those pieces are dropped
+            assert 0 < self._check(arcs) < 3 * len(arcs)
+
+    def test_laminated_strips(self):
+        _, _, arcs = laminate_strips([_strip_arcs(seed, 60.0) for seed in range(3)],
+                                     shift=0.4)
+        assert 0 < self._check(arcs) < 3 * len(arcs)
+
+    def test_no_arcs(self):
+        assert self._check([]) == 0
+        assert check_arc_disjointness([]).to_json()["trials"] == 0
+
+    @pytest.mark.parametrize("vertices", [
+        [(0.0, 1.0), (0.0, 0.5), (1.0, 1.0)],
+        [(0.0, 1.0), (0.0, 0.5), (1.0, 0.5), (1.0, 1.0), (2.0, 1.0)],
+        [(0.0, 1.0), (0.0, math.nan), (1.0, 0.5), (1.0, 1.0)],
+        [(0.0, 1.0), (0.0, 0.5), (math.inf, 0.5), (1.0, 1.0)],
+        [(0.0, 1.0, 0.0), (0.0, 0.5, 0.0), (1.0, 0.5, 0.0), (1.0, 1.0, 0.0)],
+    ])
+    def test_malformed_arc_rejected(self, vertices):
+        good = _arc([(0.0, 1.0), (0.0, 0.5), (1.0, 0.5), (1.0, 1.0)])
+        assert self._check([good, good]) == 6
+        with pytest.raises(ValueError):
+            _arc_arrays([good, _arc(vertices)])
+        with pytest.raises(ValueError):
+            check_arc_disjointness([_arc(vertices)])
+
+    def test_three_vertex_arcs_are_not_regrouped(self):
+        # four three-vertex arcs hold as many vertices as three four-vertex
+        # ones; they must be rejected, not read as three arcs
+        arcs = [_arc([(k, 1.0), (k, 0.5), (k + 0.5, 1.0)]) for k in range(4)]
+        with pytest.raises(ValueError):
+            _arc_arrays(arcs)
+
+    def test_zero_length_chord_rejected(self):
+        # far from every other chord, so no candidate pair would build it
+        reds = np.array([[1.0, 0.5], [5.0, 0.5]])
+        blues = np.array([[1.0, 0.5], [6.0, 0.5]])
+        with pytest.raises(ValueError):
+            check_planarity(Matching(reds, blues, [(0, 0), (1, 1)]))
 
 
 class TestArcDisjointness:
