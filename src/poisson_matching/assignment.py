@@ -5,6 +5,12 @@ matrix (scipy's ``cdist``), scipy's shortest-augmenting-path assignment
 routine, and the padding for reserve pools. The factorial brute-force
 enumerator is kept fully independent as the oracle.
 
+scipy is loaded at the first solve, inside ``_cost_matrix`` and ``_assign``,
+not when this module is imported. Its import takes about 0.5 s, most of the
+package's import time, and only the exact min-cost constructions need it;
+sampling, the walk constructions, the arc verifiers and rendering never
+load it. Once loaded, the local import is a dictionary lookup.
+
 Cost ties (within EPS_TIE) are broken differently by the two solvers. The
 oracle returns the edge list that is lexicographically earliest in point
 coordinates among all minima. ``min_cost_perfect`` returns a fixed point of
@@ -29,8 +35,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 FORMAT_VERSION = 1
 EPS_TIE = 1e-9
@@ -138,6 +142,7 @@ def _points(pts) -> np.ndarray:
 
 
 def _cost_matrix(reds: np.ndarray, blues: np.ndarray) -> np.ndarray:
+    from scipy.spatial.distance import cdist  # loaded at first use; see module doc
     return cdist(reds, blues)
 
 
@@ -160,6 +165,7 @@ def _assign(cost: np.ndarray) -> np.ndarray:
     0.33 +/- 0.17 s per square solve in index order, 0.19 +/- 0.06 s in this
     order). On inputs with tied minima the order picks which minimum the
     routine returns."""
+    from scipy.optimize import linear_sum_assignment  # loaded at first use
     order = _scattered(len(cost))
     assign = np.empty(len(cost), dtype=int)
     assign[order] = linear_sum_assignment(cost[order])[1]

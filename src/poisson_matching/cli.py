@@ -8,6 +8,7 @@ JSON config file can supply defaults; flags win.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -119,25 +120,39 @@ def _result_json(ps: ColoredPointSet, m: Matching, arcs=None, diagnostics=None) 
     return out
 
 
-def _arcs_from(d: dict):
+@contextlib.contextmanager
+def _fields_of(path: str):
+    """Building objects from the file at ``path``: a field of the wrong JSON
+    type (null for a list, a list for an object) is a ValueError naming the
+    file, and so a usage error."""
+    try:
+        yield
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed input {path}: {e}") from e
+
+
+def _arcs_from(d: dict, path: str):
     if "arcs" not in d:
         return None
-    return [walks.ArcSpec(edge=tuple(a["edge"]), height=a["height"],
-                          lowest=a["lowest"], depth=a["depth"],
-                          vertices=[tuple(v) for v in a["vertices"]])
-            for a in d["arcs"]]
+    with _fields_of(path):
+        return [walks.ArcSpec(edge=tuple(a["edge"]), height=a["height"],
+                              lowest=a["lowest"], depth=a["depth"],
+                              vertices=[tuple(v) for v in a["vertices"]])
+                for a in d["arcs"]]
 
 
 def _load_result(path: str):
     d = _load(path)
+    if not isinstance(d, dict):
+        raise ValueError(f"malformed input {path}: not a JSON object")
     if d.get("format", FORMAT_VERSION) != FORMAT_VERSION:
         raise ValueError(f"unsupported format {d['format']!r} in {path}")
-    if "points" in d:
-        ps = ColoredPointSet.from_json(d["points"])
-        m = Matching.from_json(d["matching"], ps.reds, ps.blues)
-        return ps, m, d
-    ps = ColoredPointSet.from_json(d)
-    return ps, None, d
+    with _fields_of(path):
+        if "points" in d:
+            ps = ColoredPointSet.from_json(d["points"])
+            m = Matching.from_json(d["matching"], ps.reds, ps.blues)
+            return ps, m, d
+        return ColoredPointSet.from_json(d), None, d
 
 
 @main.command("match")
@@ -246,11 +261,11 @@ def cmd_verify(in_path, prop, k, trials, seed, out):
     if prop == "planarity":
         # results carrying arcs are drawn with them, so planarity is checked
         # on the arc geometry rather than straight chords
-        report = verify.check_planarity(m, arcs=_arcs_from(d))
+        report = verify.check_planarity(m, arcs=_arcs_from(d, in_path))
     elif prop == "arcs":
         if "arcs" not in d:
             raise click.UsageError("input has no arcs")
-        report = verify.check_arc_disjointness(_arcs_from(d))
+        report = verify.check_arc_disjointness(_arcs_from(d, in_path))
     elif prop == "minimality":
         if ps.domain.kind != "line":
             raise click.UsageError("minimality certificate requires a line domain")
@@ -318,7 +333,7 @@ def cmd_stats(in_path, kind, box_side, disk, out):
 def cmd_render(in_path, width, height, walk, blocks, seed, out):
     """Render a result file to SVG."""
     ps, m, d = _load_result(in_path)
-    arcs = _arcs_from(d)
+    arcs = _arcs_from(d, in_path)
     w = None
     if walk:
         if ps.domain.kind not in ("line", "strip"):

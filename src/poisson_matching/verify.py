@@ -60,9 +60,13 @@ def _arc_arrays(arcs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     and without the zero-length pieces, as ``ArcSpec.segments`` lists them,
     and the index of each piece's arc. Every arc needs four finite 2-D
     vertices; anything else is a ValueError."""
-    V = np.asarray([a.vertices for a in arcs] or np.empty((0, 4, 2)), dtype=float)
+    bad = ValueError("every arc needs four finite 2-D vertices")
+    try:
+        V = np.asarray([a.vertices for a in arcs] or np.empty((0, 4, 2)), dtype=float)
+    except TypeError as e:  # a coordinate that is no number, e.g. a dict
+        raise bad from e
     if V.shape != (len(arcs), 4, 2) or not np.isfinite(V).all():
-        raise ValueError("every arc needs four finite 2-D vertices")
+        raise bad
     P, Q = V[:, :3].reshape(-1, 2), V[:, 1:].reshape(-1, 2)
     owner = np.repeat(np.arange(len(arcs)), 3)
     keep = (P != Q).any(axis=1)
@@ -138,7 +142,8 @@ def _pairwise_hits(P: np.ndarray, Q: np.ndarray, skip_same_group=None) -> List[T
         apart = group[ii] != group[jj]
         ii, jj = ii[apart], jj[apart]
     order = np.lexsort((jj, ii))
-    used = np.unique(np.concatenate([ii, jj]))
+    # sorted like np.unique, which would import numpy.ma (16 ms) on first call
+    used = np.flatnonzero(np.bincount(np.concatenate([ii, jj]), minlength=len(P)))
     seg = {k: Segment(Point(*a), Point(*b))  # plain floats, as error messages show
            for k, a, b in zip(used.tolist(), P[used].tolist(), Q[used].tolist())}
     return [(i, j) for i, j in zip(ii[order].tolist(), jj[order].tolist())

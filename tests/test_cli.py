@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import poisson_matching
 from poisson_matching.cli import main
 from poisson_matching.sampling import ColoredPointSet
 
@@ -208,16 +212,26 @@ VERIFY = ["verify", "--property", "planarity", "--in"]
 VERIFY_ARCS = ["verify", "--property", "arcs", "--in"]
 
 
-def _with_arc(vertices):
-    """The one-edge result carrying one arc with the given vertices."""
+def _with_arc(vertices, **fields):
+    """The one-edge result carrying one arc with the given vertices, and any
+    other arc fields overridden."""
     arc = {"edge": [0, 0], "height": 0.25, "lowest": 0.5, "depth": 1,
-           "vertices": vertices}
+           "vertices": vertices, **fields}
     return json.dumps({**ONE_EDGE_RESULT, "arcs": [arc]})
 
 
-ARC_RESULT = _with_arc([[0.0, 0.5], [0.0, 0.25], [1.0, 0.25], [1.0, 0.5]])
+ARC_VERTICES = [[0.0, 0.5], [0.0, 0.25], [1.0, 0.25], [1.0, 0.5]]
+ARC_RESULT = _with_arc(ARC_VERTICES)
 THREE_VERTEX_ARC = _with_arc([[0.0, 0.5], [0.0, 0.25], [1.0, 0.5]])
 NAN_VERTEX_ARC = _with_arc([[0.0, 0.5], [0.0, float("nan")], [1.0, 0.25], [1.0, 0.5]])
+DICT_COORDINATE_ARC = _with_arc([[0.0, 0.5], [{"y": 0.25}, 0.25], [1.0, 0.25], [1.0, 0.5]])
+NULL_ARCS = json.dumps({**ONE_EDGE_RESULT, "arcs": None})
+NULL_EDGE_ARC = _with_arc(ARC_VERTICES, edge=None)
+NULL_EDGES = json.dumps({**ONE_EDGE_RESULT, "matching": {
+    **ONE_EDGE_RESULT["matching"], "edges": None}})
+TOP_LEVEL_LIST = json.dumps([ONE_EDGE_RESULT])
+RENDER = ["render", "--out", os.devnull, "--in"]
+STATS_ETA = ["stats", "--kind", "eta", "--in"]
 
 # command line, and the text of the file appended as its last argument
 BAD_INPUTS = {
@@ -235,7 +249,20 @@ BAD_INPUTS = {
     "three_vertex_arc_arcs": (VERIFY_ARCS, THREE_VERTEX_ARC),
     "nan_vertex_planarity": (VERIFY, NAN_VERTEX_ARC),
     "nan_vertex_arcs": (VERIFY_ARCS, NAN_VERTEX_ARC),
+    "dict_coordinate_planarity": (VERIFY, DICT_COORDINATE_ARC),
+    "dict_coordinate_arcs": (VERIFY_ARCS, DICT_COORDINATE_ARC),
     "arcs_without_arcs_key": (VERIFY_ARCS, json.dumps(ONE_EDGE_RESULT)),
+    # wrongly typed fields, caught where the file is loaded
+    "null_arcs_planarity": (VERIFY, NULL_ARCS),
+    "null_arcs_arcs": (VERIFY_ARCS, NULL_ARCS),
+    "null_arcs_render": (RENDER, NULL_ARCS),
+    "null_arc_edge_planarity": (VERIFY, NULL_EDGE_ARC),
+    "null_arc_edge_arcs": (VERIFY_ARCS, NULL_EDGE_ARC),
+    "null_edges_planarity": (VERIFY, NULL_EDGES),
+    "null_edges_arcs": (VERIFY_ARCS, NULL_EDGES),
+    "top_level_list_planarity": (VERIFY, TOP_LEVEL_LIST),
+    "top_level_list_arcs": (VERIFY_ARCS, TOP_LEVEL_LIST),
+    "top_level_list_stats": (STATS_ETA, TOP_LEVEL_LIST),
 }
 
 
@@ -380,3 +407,75 @@ def test_output_digest_pinned(runner, pinned_inputs, name):
     assert res.exit_code == 0, res.output
     out = pinned_inputs["svg"].read_bytes() if "{svg}" in command else res.stdout_bytes
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# Cold start: scipy (and numpy.ma, which scipy and np.unique pull in) load
+# only when a command solves an assignment problem. Each case runs in a fresh
+# interpreter, since this process has loaded both long ago.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(poisson_matching.__file__)))
+WATCHED = ("numpy.ma", "scipy", "scipy.optimize")
+RUN_MAIN = """
+import sys
+from poisson_matching.cli import main
+main(sys.argv[1:], standalone_mode=False)
+"""
+
+NO_SOLVE = {
+    "sample": "sample --seed 7 --out {out}",
+    "match_excursion": "match --construction excursion --in {strip} --out {out}",
+    "match_one_color": "match --construction one_color --in {strip} --out {out}",
+    "match_laminate": "match --construction laminate --seed 4 --bands 2 --window 0,20 "
+                      "--out {out}",
+    "verify_planarity": "verify --property planarity --in {excursion} --out {out}",
+    "verify_arcs": "verify --property arcs --in {excursion} --out {out}",
+    "stats_eta": "stats --kind eta --in {excursion} --out {out}",
+    "stats_crossings": "stats --kind crossings --in {excursion} --out {out}",
+    "render_walk": "render --in {excursion} --walk --out {svg}",
+}
+# zero_block solves each balanced block between returns to zero exactly
+SOLVES = {
+    "match_min_cost": "match --construction min_cost --in {plane} --out {out}",
+    "match_zero_block": "match --construction zero_block --in {strip} --out {out}",
+    "match_cut_time": "match --construction cut_time --in {red_strip} --out {out}",
+    "match_hierarchical": "match --construction hierarchical --seed 2 --stages 3 "
+                          "--out {out}",
+    "stats_box_rematch": "stats --kind box-rematch --in {excursion} --out {out}",
+}
+
+
+def _loaded_after(code, *argv):
+    """Which WATCHED modules a fresh interpreter holds after running code."""
+    probe = code + f"\nprint(*[m for m in {WATCHED!r} if m in sys.modules])\n"
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def cold_inputs(pinned_inputs, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cold")
+    # a red excess gives the cut-time construction blocks to solve
+    red_strip = tmp / "red_strip.json"
+    res = invoke(CliRunner(), "sample", "--seed", "7", "--window", "0,30",
+                 "--lambda-red", "2", "--out", str(red_strip))
+    assert res.exit_code == 0, res.output
+    return {**pinned_inputs, "red_strip": red_strip, "out": tmp / "out.json"}
+
+
+@pytest.mark.parametrize("module", ["poisson_matching", "poisson_matching.cli"])
+def test_import_loads_no_scipy(module):
+    assert _loaded_after(f"import sys\nimport {module}") == set()
+
+
+@pytest.mark.parametrize("name", sorted(NO_SOLVE))
+def test_command_without_solve_loads_no_scipy(cold_inputs, name):
+    argv = [arg.format(**cold_inputs) for arg in NO_SOLVE[name].split()]
+    assert _loaded_after(RUN_MAIN, *argv) == set()
+
+
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_command_that_solves_loads_scipy(cold_inputs, name):
+    argv = [arg.format(**cold_inputs) for arg in SOLVES[name].split()]
+    assert "scipy.optimize" in _loaded_after(RUN_MAIN, *argv)
