@@ -311,6 +311,8 @@ def min_cost_saturating(reds, blues, reserve_reds, reserve_blues
     nr1, nb1, nr, nb = len(reds), len(blues), len(all_r), len(all_b)
     if nr1 > nb or nb1 > nr:
         raise ValueError("reserve pools too small to saturate the mandatory points")
+    if nr1 == nb1 == 0:  # every pair returned needs a mandatory end
+        return []
     size = max(nr, nb)
     cost = np.zeros((size, size))
     if nr and nb:

@@ -84,6 +84,8 @@ def config_option(f):
     def callback(ctx, param, value):
         if value:
             defaults = _load(value)
+            if not isinstance(defaults, dict):
+                raise click.BadParameter(f"{value} is not a JSON object", ctx, param)
             ctx.default_map = {**defaults, **(ctx.default_map or {})}
         return value
     return click.option("--config", type=click.Path(exists=True), callback=callback,
@@ -343,9 +345,9 @@ def cmd_render(in_path, width, height, walk, blocks, seed, out):
     if blocks:
         system = hierarchy.build_block_system(seed, max(blocks, 2))
         window = ps.domain.window_rect()
-        top = system.block_containing(blocks, window.x0, window.y0)
-        block_list = [b for n in range(blocks, 0, -1)
-                      for b in hierarchy._blocks_at_level(system, top, n)]
+        cells = system.grids(system.block_containing(blocks, window.x0, window.y0))
+        block_list = [system.block(n, ix, iy) for n in range(blocks, 0, -1)
+                      for ix, iy in cells[n].tolist()]
     svg = render_scene(ps, m, arcs=arcs, walk=w, blocks=block_list,
                        spec=RenderSpec(width=width, height=height))
     with open(out, "w") as f:

@@ -7,9 +7,16 @@ left-most (even level) or bottom-most (odd level) member is its heir. Stages
 with unmatched points funneled into heirs; a block is bad when the rematch
 step cannot absorb its excess, and dodgy when one of its children is bad.
 
-Blocks are half-open, [x0, x1) x [y0, y1), and all their edges are integers,
-so ``init_state`` finds each point's block at each level once, by integer
-division of its unit cell, and the stages do no rectangle test.
+Blocks are half-open, [x0, x1) x [y0, y1), and all their edges are integers.
+``init_state`` builds one integer table per level, once: the window's
+level-n blocks in children order (the children of a block are consecutive
+rows), and for each color the points stably sorted by block row, with each
+point's heir flag. A stage then works on the whole level at once: counts,
+masks, excesses and the records' flags are grouped numpy over block rows,
+and Python visits only the blocks that have something to solve. Blocks of
+one level are disjoint, so solving every block's rematch step and then
+every block's leftover step gives the same partners as going block by
+block.
 """
 
 from __future__ import annotations
@@ -70,21 +77,31 @@ class BlockSystem:
         return self.block(n, int(math.floor((x - xo) / w)),
                           int(math.floor((y - yo) / h)))
 
+    def grids(self, top: Block, lowest: int = 1) -> Dict[int, np.ndarray]:
+        """For each level n from ``top.level`` down to ``lowest``, the (ix, iy)
+        rows of the level-n blocks tiling ``top``, in children order: a
+        block's children are consecutive rows, ordered left-to-right (even
+        level) or bottom-to-top (odd level)."""
+        cells = {top.level: np.array([[top.ix, top.iy]], dtype=np.int64)}
+        for n in range(top.level, max(lowest, 1), -1):
+            count = self.a[n] // self.a[n - 2]
+            # Children align flush with the parent (t[n] = t[n-2] mod a[n-2]),
+            # so the first child's index is an exact quotient.
+            corner = np.array(self.offsets(n)) + cells[n] * self.dims(n)
+            first = (corner - self.offsets(n - 1)) // self.dims(n - 1)
+            step = np.zeros((count, 2), dtype=np.int64)
+            step[:, n % 2] = np.arange(count)
+            cells[n - 1] = (first[:, None, :] + step).reshape(-1, 2)
+        return cells
+
     def children(self, block: Block) -> List[Block]:
         """The n(n-1) level-(n-1) blocks tiling a level-n block, ordered
         left-to-right (even level) or bottom-to-top (odd level)."""
         n = block.level
         if n < 2:
             raise ValueError("level-1 blocks have no children")
-        count = self.a[n] // self.a[n - 2]
-        w, h = self.dims(n - 1)
-        xo, yo = self.offsets(n - 1)
-        # Children align flush with the parent (t[n] = t[n-2] mod a[n-2]).
-        ix0 = round((block.rect.x0 - xo) / w)
-        iy0 = round((block.rect.y0 - yo) / h)
-        if n % 2 == 0:
-            return [self.block(n - 1, ix0 + k, iy0) for k in range(count)]
-        return [self.block(n - 1, ix0, iy0 + k) for k in range(count)]
+        return [self.block(n - 1, ix, iy)
+                for ix, iy in self.grids(block, n - 1)[n - 1].tolist()]
 
     def heir_of(self, block: Block) -> Block:
         """Left-most child for even levels, bottom-most for odd levels."""
@@ -153,29 +170,74 @@ class BlockRecord:
     new_edges_in_heirs: Optional[bool]
 
 
-_Buckets = Tuple[Dict[Tuple[int, int], np.ndarray], np.ndarray]
+@dataclass
+class ColorTable:
+    """One color's points grouped by the blocks of a level: ``order`` holds
+    the window's points stably sorted by block row, so block k's points are
+    ``order[start[k]:start[k + 1]]``, ascending."""
+
+    row: np.ndarray      # block row of each point; -1 outside the window
+    order: np.ndarray
+    start: np.ndarray
+    in_heir: np.ndarray  # per point: lies in its block's heir (never at level 1)
+
+    def select(self, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The window's points where the per-point ``mask`` holds, in the same
+        layout: (indices, offsets)."""
+        idx = self.order[mask[self.order]]
+        start = np.zeros(len(self.start), dtype=np.int64)
+        np.cumsum(np.bincount(self.row[idx], minlength=len(start) - 1), out=start[1:])
+        return idx, start
+
+    def count(self, mask: np.ndarray) -> np.ndarray:
+        """Per block, how many of its points the per-point ``mask`` holds."""
+        return np.diff(self.select(mask)[1])
 
 
-def _bucket(pts: np.ndarray, system: BlockSystem, n: int) -> _Buckets:
-    """Find each point's level-n block once. Returns every occupied block
-    (ix, iy) with its points' indices, ascending, and per point whether it
-    lies in its block's heir: the first child along the split axis (x at
-    even levels, y at odd ones), flush with the parent. Level 1 has no heirs."""
+@dataclass
+class LevelTable:
+    """The window's level-n blocks in children order, each color's points
+    grouped by them, and which blocks the stage found bad."""
+
+    n: int
+    cells: np.ndarray  # (blocks, 2) ix, iy
+    red: ColorTable
+    blue: ColorTable
+    bad: Optional[np.ndarray] = None
+
+
+def _color_table(pts: np.ndarray, system: BlockSystem, n: int,
+                 grid: np.ndarray, lo: np.ndarray) -> ColorTable:
+    """Find each point's level-n block once, by integer division of its unit
+    cell, and its row through ``grid`` (the rows of the blocks from ``lo``)."""
     cell = np.floor(pts).astype(np.int64) - system.offsets(n)
-    block = cell // system.dims(n)
-    order = np.lexsort(block.T[::-1])  # stable, so each block's indices ascend
-    keys, counts = np.unique(block[order], axis=0, return_counts=True)
-    members = dict(zip(map(tuple, keys.tolist()), np.split(order, np.cumsum(counts)[:-1])))
+    rel = cell // system.dims(n) - lo
+    inside = ((rel >= 0) & (rel < grid.shape)).all(axis=1)
+    row = np.full(len(pts), -1, dtype=np.int64)
+    row[inside] = grid[tuple(rel[inside].T)]
+    # stable, so each block's indices ascend; the outside points (-1) sort first
+    order = np.argsort(row, kind="stable")[len(pts) - np.count_nonzero(inside):]
+    start = np.zeros(grid.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[order], minlength=grid.size), out=start[1:])
     along = cell[:, n % 2]
     in_heir = along % system.a[n] < system.a[n - 2] if n >= 2 else np.zeros(len(pts), bool)
-    return members, in_heir
+    return ColorTable(row, order, start, in_heir)
+
+
+def _level_table(ps: ColoredPointSet, system: BlockSystem, n: int,
+                 cells: np.ndarray) -> LevelTable:
+    lo = cells.min(axis=0)
+    grid = np.empty(cells.max(axis=0) - lo + 1, dtype=np.int64)
+    grid[tuple((cells - lo).T)] = np.arange(len(cells))  # the blocks fill the grid
+    return LevelTable(n, cells, _color_table(ps.reds, system, n, grid, lo),
+                      _color_table(ps.blues, system, n, grid, lo))
 
 
 @dataclass
 class StageState:
     """Mutable matching state across stages: partner index arrays (-1 for
-    unmatched) plus per-point unmatch-event counters and block statuses.
-    ``levels[n]`` holds the red and the blue buckets of level n."""
+    unmatched) plus per-point unmatch-event counters. ``levels[n]`` is the
+    table of level n."""
 
     ps: ColoredPointSet
     system: BlockSystem
@@ -183,9 +245,8 @@ class StageState:
     blue_partner: np.ndarray
     red_unmatch_events: np.ndarray
     blue_unmatch_events: np.ndarray
-    levels: Dict[int, Tuple[_Buckets, _Buckets]]
+    levels: Dict[int, LevelTable]
     stage: int = 0
-    status: Dict[Tuple[int, int, int], str] = field(default_factory=dict)
     records: List[List[BlockRecord]] = field(default_factory=list)
 
     def to_matching(self) -> Matching:
@@ -206,16 +267,6 @@ def _link(state: StageState, ridx: np.ndarray, bidx: np.ndarray,
     return sorted(new)
 
 
-def _match_max_cardinality(state: StageState, ridx: np.ndarray, bidx: np.ndarray
-                           ) -> List[Tuple[int, int]]:
-    """Min-length matching of maximum cardinality between the given unmatched
-    index sets; applies it to the state and returns the new edges."""
-    if len(ridx) == 0 or len(bidx) == 0:  # true in most unit squares: skip set-up
-        return []
-    pairs = min_cost_pairs(state.ps.reds[ridx], state.ps.blues[bidx])
-    return _link(state, ridx, bidx, pairs)
-
-
 def _window_block(ps: ColoredPointSet, system: BlockSystem) -> Block:
     """The level-N block containing the window's lower-left corner."""
     window = ps.domain.window_rect()
@@ -223,34 +274,52 @@ def _window_block(ps: ColoredPointSet, system: BlockSystem) -> Block:
 
 
 def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
-    if _window_block(ps, system).rect != ps.domain.window_rect():
+    top = _window_block(ps, system)
+    if top.rect != ps.domain.window_rect():
         raise ValueError("window must coincide with a single level-N block")
+    cells = system.grids(top)
     return StageState(
         ps=ps, system=system,
         red_partner=np.full(ps.n_red, -1, dtype=int),
         blue_partner=np.full(ps.n_blue, -1, dtype=int),
         red_unmatch_events=np.zeros(ps.n_red, dtype=int),
         blue_unmatch_events=np.zeros(ps.n_blue, dtype=int),
-        levels={n: (_bucket(ps.reds, system, n), _bucket(ps.blues, system, n))
-                for n in range(1, system.N + 1)},
+        levels={n: _level_table(ps, system, n, cells[n]) for n in range(1, system.N + 1)},
     )
 
 
-_NO_POINTS = np.empty(0, dtype=np.int64)
+def _match_leftovers(state: StageState, lv: LevelTable,
+                     edges: Dict[int, List[Tuple[int, int]]]) -> None:
+    """In every block of the level, min-length matching of maximum cardinality
+    among its unmatched points; adds each block's new edges to ``edges``."""
+    r, rs = lv.red.select(state.red_partner < 0)
+    b, bs = lv.blue.select(state.blue_partner < 0)
+    for k in np.flatnonzero((np.diff(rs) > 0) & (np.diff(bs) > 0)).tolist():
+        ridx, bidx = r[rs[k]:rs[k + 1]], b[bs[k]:bs[k + 1]]
+        pairs = min_cost_pairs(state.ps.reds[ridx], state.ps.blues[bidx])
+        edges.setdefault(k, []).extend(_link(state, ridx, bidx, pairs))
 
 
-def _members(state: StageState, block: Block) -> Tuple[np.ndarray, np.ndarray]:
-    """(red, blue) indices of the points in ``block``, ascending."""
-    return tuple(members.get((block.ix, block.iy), _NO_POINTS)
-                 for members, _ in state.levels[block.level])
-
-
-def _blocks_at_level(system: BlockSystem, top: Block, n: int) -> List[Block]:
-    """The level-n blocks tiling ``top``, in children order."""
-    blocks = [top]
-    for _ in range(top.level, n, -1):
-        blocks = [c for b in blocks for c in system.children(b)]
-    return blocks
+def _append_records(state: StageState, lv: LevelTable, bad: np.ndarray,
+                    dodgy: np.ndarray, edges: Dict[int, List[Tuple[int, int]]],
+                    unmatched_in_heir=None, new_edges_in_heirs=None) -> None:
+    """One BlockRecord per block of the level, in children order; the two
+    heir flags are per-block arrays, or None at level 1."""
+    lv.bad = bad
+    unmatched = (lv.red.count(state.red_partner < 0)
+                 + lv.blue.count(state.blue_partner < 0))
+    none = [None] * len(lv.cells)
+    columns = zip(lv.cells.tolist(), np.diff(lv.red.start).tolist(),
+                  np.diff(lv.blue.start).tolist(), unmatched.tolist(),
+                  bad.tolist(), dodgy.tolist(),
+                  none if unmatched_in_heir is None else unmatched_in_heir.tolist(),
+                  none if new_edges_in_heirs is None else new_edges_in_heirs.tolist())
+    state.records.append([
+        BlockRecord(key=(lv.n, ix, iy), n_red=nr, n_blue=nb, unmatched=u,
+                    bad=is_bad, dodgy=is_dodgy, new_edges=sorted(edges.get(k, ())),
+                    unmatched_in_heir=in_heir, new_edges_in_heirs=confined)
+        for k, ((ix, iy), nr, nb, u, is_bad, is_dodgy, in_heir, confined)
+        in enumerate(columns)])
 
 
 def stage1(state: StageState) -> StageState:
@@ -258,54 +327,29 @@ def stage1(state: StageState) -> StageState:
     minimum length among maximum-cardinality matchings."""
     if state.stage != 0:
         raise ValueError("stage 1 must run first")
-    records = []
-    top = _window_block(state.ps, state.system)
-    for block in _blocks_at_level(state.system, top, 1):
-        ridx, bidx = _members(state, block)
-        new = _match_max_cardinality(state, ridx, bidx)
-        state.status[block.key] = "ok"
-        records.append(BlockRecord(
-            key=block.key, n_red=len(ridx), n_blue=len(bidx),
-            unmatched=len(ridx) + len(bidx) - 2 * len(new),
-            bad=False, dodgy=False, new_edges=new,
-            unmatched_in_heir=None, new_edges_in_heirs=None,
-        ))
+    lv = state.levels[1]
+    edges: Dict[int, List[Tuple[int, int]]] = {}
+    _match_leftovers(state, lv, edges)
+    clear = np.zeros(len(lv.cells), dtype=bool)  # no block is bad or dodgy
+    _append_records(state, lv, clear, clear, edges)
     state.stage = 1
-    state.records.append(records)
     return state
 
 
-def classify_dodgy(state: StageState, block: Block) -> bool:
-    """A block is dodgy when at least one of its children is bad."""
-    if block.level < 2:
-        return False
-    return any(state.status.get(c.key) == "bad" for c in state.system.children(block))
+def run_stage(state: StageState, n: int) -> StageState:
+    """Stage n on every level-n block A at once: unmatch the heir B, absorb
+    the rest of A's unmatched points using the heir's heir C as reserve
+    (C = B at n = 2), then match as many leftovers as possible."""
+    if n != state.stage + 1:
+        raise ValueError("stages must run in order")
+    lv, below = state.levels[n], state.levels[n - 1]
+    reds, blues = state.ps.reds, state.ps.blues
+    r_heir, b_heir = lv.red.in_heir, lv.blue.in_heir
+    r_below, b_below = below.red.in_heir, below.blue.in_heir
 
-
-def _saturating_match(state: StageState, r1, b1, r2, b2) -> List[Tuple[int, int]]:
-    """Min-length matching covering every point of (r1, b1), with partners
-    drawn from (r1, b1) themselves or from the reserve pools (r2, b2)."""
-    pairs = min_cost_saturating(state.ps.reds[r1], state.ps.blues[b1],
-                                state.ps.reds[r2], state.ps.blues[b2])
-    return _link(state, np.concatenate([r1, r2]).astype(int),
-                 np.concatenate([b1, b2]).astype(int), pairs)
-
-
-def stage_n(state: StageState, block: Block) -> BlockRecord:
-    """One level-n block of stage n: unmatch the heir, absorb the rest of the
-    block's unmatched points using the heir's heir as reserve, then match as
-    many leftovers as possible."""
-    n = block.level
-    (_, r_heir), (_, b_heir) = state.levels[n]
-    (_, r_below), (_, b_below) = state.levels[n - 1]
-    ridx, bidx = _members(state, block)
-    r_in_B, b_in_B = r_heir[ridx], b_heir[bidx]
-    # C is the heir's heir, or the heir B itself at n = 2
-    r_in_C = r_in_B & r_below[ridx] if n > 2 else r_in_B
-    b_in_C = b_in_B & b_below[bidx] if n > 2 else b_in_B
-
-    # (i) unmatch all points in the heir
-    heir_reds = ridx[r_in_B & (state.red_partner[ridx] >= 0)]
+    # (i) unmatch all points in the heirs; an edge never leaves its child of
+    # A, so the partners of the heirs' reds are all the heirs' matched blues
+    heir_reds = lv.red.select(r_heir & (state.red_partner >= 0))[0]
     partners = state.red_partner[heir_reds]
     state.red_partner[heir_reds] = -1
     state.blue_partner[partners] = -1
@@ -313,40 +357,36 @@ def stage_n(state: StageState, block: Block) -> BlockRecord:
     state.blue_unmatch_events[partners] += 1
 
     # (ii) match everything unmatched in A \ B into (A \ B) u C
-    r1 = ridx[(state.red_partner[ridx] < 0) & ~r_in_B]
-    b1 = bidx[(state.blue_partner[bidx] < 0) & ~b_in_B]
-    r2, b2 = ridx[r_in_C], bidx[b_in_C]
-    excess = len(r1) - len(b1)
-    feasible = excess <= len(b2) if excess >= 0 else -excess <= len(r2)
-    state.status[block.key] = "ok" if feasible else "bad"
-    new_edges = _saturating_match(state, r1, b1, r2, b2) if feasible else []
+    r1, r1s = lv.red.select((state.red_partner < 0) & ~r_heir)
+    b1, b1s = lv.blue.select((state.blue_partner < 0) & ~b_heir)
+    r2, r2s = lv.red.select(r_heir & r_below if n > 2 else r_heir)
+    b2, b2s = lv.blue.select(b_heir & b_below if n > 2 else b_heir)
+    n_r1, n_b1 = np.diff(r1s), np.diff(b1s)
+    excess = n_r1 - n_b1
+    feasible = np.where(excess >= 0, excess <= np.diff(b2s), -excess <= np.diff(r2s))
+    edges: Dict[int, List[Tuple[int, int]]] = {}
+    for k in np.flatnonzero(feasible & (n_r1 + n_b1 > 0)).tolist():
+        sr1, sb1 = r1[r1s[k]:r1s[k + 1]], b1[b1s[k]:b1s[k + 1]]
+        sr2, sb2 = r2[r2s[k]:r2s[k + 1]], b2[b2s[k]:b2s[k + 1]]
+        pairs = min_cost_saturating(reds[sr1], blues[sb1], reds[sr2], blues[sb2])
+        edges[k] = _link(state, np.concatenate([sr1, sr2]),
+                         np.concatenate([sb1, sb2]), pairs)
 
     # (iii) match as many of the remaining unmatched points in A as possible
-    un_r, un_b = state.red_partner[ridx] < 0, state.blue_partner[bidx] < 0
-    new_edges.extend(_match_max_cardinality(state, ridx[un_r], bidx[un_b]))
+    _match_leftovers(state, lv, edges)
 
     # bookkeeping for verification: a new edge's ends lie in B or in the heir
     # of their own child of A (none at n = 2, whose children are level 1)
-    un_r, un_b = state.red_partner[ridx] < 0, state.blue_partner[bidx] < 0
-    ri, bj = np.array(new_edges, dtype=int).reshape(-1, 2).T
-    confined = (r_heir[ri] | r_below[ri]).all() and (b_heir[bj] | b_below[bj]).all()
-    return BlockRecord(
-        key=block.key, n_red=len(ridx), n_blue=len(bidx),
-        unmatched=int(un_r.sum() + un_b.sum()),
-        bad=not feasible, dodgy=classify_dodgy(state, block),
-        new_edges=sorted(new_edges),
-        unmatched_in_heir=bool(r_in_B[un_r].all() and b_in_B[un_b].all()),
-        new_edges_in_heirs=bool(confined),
-    )
-
-
-def run_stage(state: StageState, n: int) -> StageState:
-    if n != state.stage + 1:
-        raise ValueError("stages must run in order")
-    top = _window_block(state.ps, state.system)
-    records = [stage_n(state, block) for block in _blocks_at_level(state.system, top, n)]
+    outside = (lv.red.count((state.red_partner < 0) & ~r_heir)
+               + lv.blue.count((state.blue_partner < 0) & ~b_heir))
+    ri, bj = np.array([e for new in edges.values() for e in new],
+                      dtype=np.int64).reshape(-1, 2).T
+    stray = ~((r_heir | r_below)[ri] & (b_heir | b_below)[bj])
+    strays = np.bincount(lv.red.row[ri[stray]], minlength=len(lv.cells))
+    dodgy = below.bad.reshape(len(lv.cells), -1).any(axis=1)
+    _append_records(state, lv, ~feasible, dodgy, edges,
+                    unmatched_in_heir=outside == 0, new_edges_in_heirs=strays == 0)
     state.stage = n
-    state.records.append(records)
     return state
 
 

@@ -309,26 +309,28 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     if t <= 0:
         raise ValueError("square side must be positive")
     d = ps.domain
-    nx = max(1, int(math.ceil((d.x1 - d.x0) / t)))
-    ny = max(1, int(math.ceil((d.y1 - d.y0) / t))) if d.kind != "line" else 1
-    cell_of = {}
-    for k, (i, j) in enumerate(m.edges):
-        r, b = ps.reds[i], ps.blues[j]
-        cr = (int((r[0] - d.x0) // t), int((r[1] - d.y0) // t))
-        cb = (int((b[0] - d.x0) // t), int((b[1] - d.y0) // t))
-        if cr == cb:
-            cell_of.setdefault(cr, []).append(k)
+    e = np.asarray(m.edges, dtype=int).reshape(-1, 2)
+    r, b = ps.reds[e[:, 0]], ps.blues[e[:, 1]]
+    corner = np.array([d.x0, d.y0])
+    cell = (r - corner) // t  # the same floats as Python's // per coordinate
+    ks = np.flatnonzero((cell == (b - corner) // t).all(axis=1))
+    ks = ks[np.lexsort((cell[ks, 1], cell[ks, 0]))]  # by cell, then by edge
+    cells = cell[ks]
+    first = np.ones(len(ks), dtype=bool)
+    first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    bounds = np.append(np.flatnonzero(first), len(ks)).tolist()
+    # per-edge lengths summed in edge order, as Matching.edge_length gives them
+    lengths = [math.hypot(dx, dy) for dx, dy in (r[ks] - b[ks]).tolist()]
+    ridx, bidx = e[ks, 0].tolist(), e[ks, 1].tolist()
+    ks = ks.tolist()
     new_edges = list(m.edges)
     improvements = []
-    for cell, ks in sorted(cell_of.items()):
-        ridx = [m.edges[k][0] for k in ks]
-        bidx = [m.edges[k][1] for k in ks]
-        before = sum(m.edge_length(k) for k in ks)
-        sub = min_cost_perfect(ps.reds[ridx], ps.blues[bidx])
-        after = sub.total_length
-        improvements.append(before - after)
-        for (a, b) in sub.edges:
-            new_edges[ks[a]] = (ridx[a], bidx[b])
+    for s0, s1 in zip(bounds, bounds[1:]):
+        before = sum(lengths[s0:s1])
+        sub = min_cost_perfect(ps.reds[ridx[s0:s1]], ps.blues[bidx[s0:s1]])
+        improvements.append(before - sub.total_length)
+        for a, c in sub.edges:
+            new_edges[ks[s0 + a]] = (ridx[s0 + a], bidx[s0 + c])
     rematched = Matching(ps.reds, ps.blues, new_edges, kind=m.kind,
                          unmatched_reds=list(m.unmatched_reds),
                          unmatched_blues=list(m.unmatched_blues))

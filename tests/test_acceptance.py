@@ -16,8 +16,9 @@ from poisson_matching.assignment import (Matching, brute_force_min,
                                          min_cost_perfect)
 from poisson_matching.cli import main as cli_main
 from poisson_matching.geometry import Disk, Domain
-from poisson_matching.hierarchy import (aligned_window, build_block_system,
-                                        heir_frequency, run_hierarchical)
+from poisson_matching.hierarchy import (BlockSystem, aligned_window,
+                                        build_block_system, heir_frequency,
+                                        run_hierarchical)
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
 from poisson_matching.verify import (ChernoffParams, box_rematch_experiment,
@@ -126,6 +127,30 @@ def test_criterion_04_strip_constructions(capfd):
     assert ok, failures
 
 
+def _hierarchical_failures(tag, ps, m, diag, state, N):
+    """Criterion 5's invariants on one window. Returns the failures and
+    whether the window was bad-free, so that its total-unmatched check ran."""
+    failures = []
+    window = ps.domain.window_rect()
+    for i, j in m.edges:
+        if not (window.contains(ps.reds[i]) and window.contains(ps.blues[j])):
+            failures.append((tag, f"edge leaves level-{N} block", (i, j)))
+    for n, recs in zip(range(1, N + 1), state.records):
+        for rec in recs:
+            if rec.unmatched != abs(rec.n_red - rec.n_blue):
+                failures.append((tag, n, rec.key, "unmatched != |excess|"))
+            if n >= 2 and not rec.bad and not rec.unmatched_in_heir:
+                failures.append((tag, n, rec.key, "unmatched outside heir"))
+            if n >= 3 and not rec.bad and not rec.dodgy \
+                    and not rec.new_edges_in_heirs:
+                failures.append((tag, n, rec.key, "new edges outside heirs"))
+    bad_free = sum(diag["levels"][n]["bad_count"] for n in diag["levels"]) == 0
+    if bad_free and (len(m.unmatched_reds) + len(m.unmatched_blues)
+                     != abs(ps.n_red - ps.n_blue)):
+        failures.append((tag, "bad-free total unmatched != excess"))
+    return failures, bad_free
+
+
 def test_criterion_05_hierarchical_invariants(capfd):
     failures = []
     bad_free_checked = 0
@@ -133,29 +158,30 @@ def test_criterion_05_hierarchical_invariants(capfd):
         system = build_block_system(500 + seed, 4)
         ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), 500 + seed))
         m, diag, state = run_hierarchical(ps, 500 + seed, 4, system=system)
-        window = ps.domain.window_rect()
-        for i, j in m.edges:
-            if not (window.contains(ps.reds[i]) and window.contains(ps.blues[j])):
-                failures.append((seed, "edge leaves level-4 block", (i, j)))
-        for n, recs in zip(range(1, 5), state.records):
-            for rec in recs:
-                if rec.unmatched != abs(rec.n_red - rec.n_blue):
-                    failures.append((seed, n, rec.key, "unmatched != |excess|"))
-                if n >= 2 and not rec.bad and not rec.unmatched_in_heir:
-                    failures.append((seed, n, rec.key, "unmatched outside heir"))
-                if n >= 3 and not rec.bad and not rec.dodgy \
-                        and not rec.new_edges_in_heirs:
-                    failures.append((seed, n, rec.key, "new edges outside heirs"))
-        total_bad = sum(diag["levels"][n]["bad_count"] for n in diag["levels"])
-        if total_bad == 0:
-            bad_free_checked += 1
-            if (len(m.unmatched_reds) + len(m.unmatched_blues)
-                    != abs(ps.n_red - ps.n_blue)):
-                failures.append((seed, "bad-free total unmatched != excess"))
+        found, bad_free = _hierarchical_failures(seed, ps, m, diag, state, 4)
+        failures += found
+        bad_free_checked += bad_free
     ok = not failures
     _line(capfd, 5, "hierarchical stage invariants", ok,
           f"50 seeds, {bad_free_checked} bad-free")
     assert ok, failures
+
+
+def test_criterion_05_bad_free_window_with_excess():
+    # Random windows are almost never bad-free, so the total-unmatched check
+    # above rarely runs; here it runs on a level-3 window (2 x 6, zero
+    # offsets) with one red and one blue in every unit square plus an extra
+    # red outside every heir, which stages 2 and 3 must carry into the heirs.
+    system = BlockSystem(N=3, a=[1, 1, 2, 6], r=[0] * 4, t=[0] * 4)
+    cells = [(x, y) for x in range(2) for y in range(6)]
+    reds = [[x + 0.25, y + 0.5] for x, y in cells] + [[1.5, 3.25]]
+    blues = [[x + 0.75, y + 0.5] for x, y in cells]
+    ps = ColoredPointSet(aligned_window(system), reds, blues, seed=0)
+    m, diag, state = run_hierarchical(ps, 0, 3, system=system)
+    failures, bad_free = _hierarchical_failures("handcrafted", ps, m, diag, state, 3)
+    assert bad_free and not failures, failures
+    assert len(m.unmatched_reds) == 1 and not m.unmatched_blues
+    assert any(rec.new_edges for rec in state.records[2])  # stage 3 rematched
 
 
 def test_criterion_06_heir_probability(capfd):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from poisson_matching import assignment
 from poisson_matching.assignment import (EPS_TIE, ONE_COLOR, ROW_BLOCK,
                                          TWO_COLOR, Matching, _assign,
                                          _cost_matrix, brute_force_min,
@@ -272,6 +273,14 @@ class TestMinCostSaturating:
         pairs = min_cost_saturating([[0, 0], [5, 0]], [[0.1, 0]], np.empty((0, 2)),
                                     [[5, 0.2], [9, 9]])
         assert pairs == [(0, 0), (1, 1)]
+
+    def test_no_mandatory_points_solves_nothing(self, monkeypatch):
+        def no_solve(cost):
+            raise AssertionError("solved a problem with no mandatory point")
+
+        monkeypatch.setattr(assignment, "_assign", no_solve)
+        assert min_cost_saturating(np.empty((0, 2)), np.empty((0, 2)),
+                                   [[0, 0], [1, 1]], [[0, 1]]) == []
 
 
 class TestFromEdges:

@@ -263,6 +263,7 @@ BAD_INPUTS = {
     "top_level_list_planarity": (VERIFY, TOP_LEVEL_LIST),
     "top_level_list_arcs": (VERIFY_ARCS, TOP_LEVEL_LIST),
     "top_level_list_stats": (STATS_ETA, TOP_LEVEL_LIST),
+    "config_top_level_list": (["sample", "--seed", "1", "--config"], "[1, 2]"),
 }
 
 
@@ -333,6 +334,12 @@ class TestConfigAndStats:
         cfg.write_text(json.dumps({"seed": 7}))
         res = invoke(runner, "sample", "--config", str(cfg), "--seed", "8")
         assert json.loads(res.output)["seed"] == 8
+
+    def test_config_that_is_not_an_object_is_named(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        res = invoke(runner, "sample", "--config", str(cfg), "--seed", "1")
+        assert res.exit_code == 2 and "cfg.json is not a JSON object" in res.output
 
     def test_stats_commands_run(self, runner, tmp_path):
         pts = sample_file(runner, tmp_path)

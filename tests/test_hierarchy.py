@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.stats import poisson, skellam
 
+from poisson_matching import hierarchy
+from poisson_matching.assignment import min_cost_pairs, min_cost_saturating
 from poisson_matching.geometry import Rect
-from poisson_matching.hierarchy import (BlockSystem, aligned_window,
+from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
                                         heir_frequency, init_state,
                                         run_hierarchical, run_stage, stage1)
@@ -360,3 +362,235 @@ class TestExactBadRate:
             p = exact_bad_rate(system, n)
             sigma = math.sqrt(p * (1 - p) / blocks[n])
             assert abs(bad[n] / blocks[n] - p) <= 4 * sigma, (n, bad[n], blocks[n])
+
+
+# --- Per-block oracle ------------------------------------------------------
+# The stages as they ran before the level tables: one block at a time, in
+# children order, from dict buckets of each block's points. Kept verbatim as
+# the oracle for the table-driven stages, which must give every record,
+# partner and unmatch-event count exactly.
+
+@dataclasses.dataclass
+class OracleState:
+    ps: ColoredPointSet
+    system: BlockSystem
+    red_partner: np.ndarray
+    blue_partner: np.ndarray
+    red_unmatch_events: np.ndarray
+    blue_unmatch_events: np.ndarray
+    levels: dict
+    stage: int = 0
+    status: dict = dataclasses.field(default_factory=dict)
+    records: list = dataclasses.field(default_factory=list)
+
+
+def _bucket(pts, system, n):
+    cell = np.floor(pts).astype(np.int64) - system.offsets(n)
+    block = cell // system.dims(n)
+    order = np.lexsort(block.T[::-1])  # stable, so each block's indices ascend
+    keys, counts = np.unique(block[order], axis=0, return_counts=True)
+    members = dict(zip(map(tuple, keys.tolist()), np.split(order, np.cumsum(counts)[:-1])))
+    along = cell[:, n % 2]
+    in_heir = along % system.a[n] < system.a[n - 2] if n >= 2 else np.zeros(len(pts), bool)
+    return members, in_heir
+
+
+def oracle_init_state(ps, system):
+    return OracleState(
+        ps=ps, system=system,
+        red_partner=np.full(ps.n_red, -1, dtype=int),
+        blue_partner=np.full(ps.n_blue, -1, dtype=int),
+        red_unmatch_events=np.zeros(ps.n_red, dtype=int),
+        blue_unmatch_events=np.zeros(ps.n_blue, dtype=int),
+        levels={n: (_bucket(ps.reds, system, n), _bucket(ps.blues, system, n))
+                for n in range(1, system.N + 1)},
+    )
+
+
+def _link(state, ridx, bidx, pairs):
+    new = []
+    for i, j in pairs:
+        ri, bj = int(ridx[i]), int(bidx[j])
+        state.red_partner[ri] = bj
+        state.blue_partner[bj] = ri
+        new.append((ri, bj))
+    return sorted(new)
+
+
+def _match_max_cardinality(state, ridx, bidx):
+    if len(ridx) == 0 or len(bidx) == 0:  # true in most unit squares: skip set-up
+        return []
+    pairs = min_cost_pairs(state.ps.reds[ridx], state.ps.blues[bidx])
+    return _link(state, ridx, bidx, pairs)
+
+
+def _window_block(ps, system):
+    window = ps.domain.window_rect()
+    return system.block_containing(system.N, window.x0, window.y0)
+
+
+_NO_POINTS = np.empty(0, dtype=np.int64)
+
+
+def _members(state, block):
+    return tuple(members.get((block.ix, block.iy), _NO_POINTS)
+                 for members, _ in state.levels[block.level])
+
+
+def _blocks_at_level(system, top, n):
+    blocks = [top]
+    for _ in range(top.level, n, -1):
+        blocks = [c for b in blocks for c in system.children(b)]
+    return blocks
+
+
+def oracle_stage1(state):
+    records = []
+    top = _window_block(state.ps, state.system)
+    for block in _blocks_at_level(state.system, top, 1):
+        ridx, bidx = _members(state, block)
+        new = _match_max_cardinality(state, ridx, bidx)
+        state.status[block.key] = "ok"
+        records.append(BlockRecord(
+            key=block.key, n_red=len(ridx), n_blue=len(bidx),
+            unmatched=len(ridx) + len(bidx) - 2 * len(new),
+            bad=False, dodgy=False, new_edges=new,
+            unmatched_in_heir=None, new_edges_in_heirs=None,
+        ))
+    state.stage = 1
+    state.records.append(records)
+    return state
+
+
+def classify_dodgy(state, block):
+    if block.level < 2:
+        return False
+    return any(state.status.get(c.key) == "bad" for c in state.system.children(block))
+
+
+def _saturating_match(state, r1, b1, r2, b2):
+    pairs = min_cost_saturating(state.ps.reds[r1], state.ps.blues[b1],
+                                state.ps.reds[r2], state.ps.blues[b2])
+    return _link(state, np.concatenate([r1, r2]).astype(int),
+                 np.concatenate([b1, b2]).astype(int), pairs)
+
+
+def stage_n(state, block):
+    n = block.level
+    (_, r_heir), (_, b_heir) = state.levels[n]
+    (_, r_below), (_, b_below) = state.levels[n - 1]
+    ridx, bidx = _members(state, block)
+    r_in_B, b_in_B = r_heir[ridx], b_heir[bidx]
+    # C is the heir's heir, or the heir B itself at n = 2
+    r_in_C = r_in_B & r_below[ridx] if n > 2 else r_in_B
+    b_in_C = b_in_B & b_below[bidx] if n > 2 else b_in_B
+
+    # (i) unmatch all points in the heir
+    heir_reds = ridx[r_in_B & (state.red_partner[ridx] >= 0)]
+    partners = state.red_partner[heir_reds]
+    state.red_partner[heir_reds] = -1
+    state.blue_partner[partners] = -1
+    state.red_unmatch_events[heir_reds] += 1
+    state.blue_unmatch_events[partners] += 1
+
+    # (ii) match everything unmatched in A \ B into (A \ B) u C
+    r1 = ridx[(state.red_partner[ridx] < 0) & ~r_in_B]
+    b1 = bidx[(state.blue_partner[bidx] < 0) & ~b_in_B]
+    r2, b2 = ridx[r_in_C], bidx[b_in_C]
+    excess = len(r1) - len(b1)
+    feasible = excess <= len(b2) if excess >= 0 else -excess <= len(r2)
+    state.status[block.key] = "ok" if feasible else "bad"
+    new_edges = _saturating_match(state, r1, b1, r2, b2) if feasible else []
+
+    # (iii) match as many of the remaining unmatched points in A as possible
+    un_r, un_b = state.red_partner[ridx] < 0, state.blue_partner[bidx] < 0
+    new_edges.extend(_match_max_cardinality(state, ridx[un_r], bidx[un_b]))
+
+    # bookkeeping for verification: a new edge's ends lie in B or in the heir
+    # of their own child of A (none at n = 2, whose children are level 1)
+    un_r, un_b = state.red_partner[ridx] < 0, state.blue_partner[bidx] < 0
+    ri, bj = np.array(new_edges, dtype=int).reshape(-1, 2).T
+    confined = (r_heir[ri] | r_below[ri]).all() and (b_heir[bj] | b_below[bj]).all()
+    return BlockRecord(
+        key=block.key, n_red=len(ridx), n_blue=len(bidx),
+        unmatched=int(un_r.sum() + un_b.sum()),
+        bad=not feasible, dodgy=classify_dodgy(state, block),
+        new_edges=sorted(new_edges),
+        unmatched_in_heir=bool(r_in_B[un_r].all() and b_in_B[un_b].all()),
+        new_edges_in_heirs=bool(confined),
+    )
+
+
+def oracle_run_stage(state, n):
+    top = _window_block(state.ps, state.system)
+    records = [stage_n(state, block) for block in _blocks_at_level(state.system, top, n)]
+    state.stage = n
+    state.records.append(records)
+    return state
+
+
+def compare_with_oracle(system, ps):
+    """Run the table-driven stages and the per-block oracle side by side and
+    require identical records, partners and unmatch-event counts after every
+    stage. Returns the oracle's (bad, dodgy) block counts."""
+    state, oracle = init_state(ps, system), oracle_init_state(ps, system)
+    for n in range(1, system.N + 1):
+        if n == 1:
+            stage1(state)
+            oracle_stage1(oracle)
+        else:
+            run_stage(state, n)
+            oracle_run_stage(oracle, n)
+        got = [dataclasses.astuple(rec) for rec in state.records[n - 1]]
+        want = [dataclasses.astuple(rec) for rec in oracle.records[n - 1]]
+        assert got == want, n
+        for name in ("red_partner", "blue_partner",
+                     "red_unmatch_events", "blue_unmatch_events"):
+            assert (getattr(state, name) == getattr(oracle, name)).all(), (n, name)
+    recs = [rec for level in oracle.records for rec in level]
+    return sum(rec.bad for rec in recs), sum(rec.dodgy for rec in recs)
+
+
+class TestAgainstPerBlockOracle:
+    def test_seeded_windows(self):
+        bad = dodgy = 0
+        for N, seeds in ((2, range(4)), (3, range(4)), (4, range(4)), (5, range(2))):
+            for seed in seeds:
+                system = build_block_system(seed, N)
+                ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), seed))
+                b, d = compare_with_oracle(system, ps)
+                bad, dodgy = bad + b, dodgy + d
+        assert bad > 0 and dodgy > 0, (bad, dodgy)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_offset_system(self, seed):
+        system = zero_offset_system(4)
+        ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), seed))
+        bad, dodgy = compare_with_oracle(system, ps)
+        assert bad > 0 and dodgy > 0
+
+    @pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
+                             ids=["zero_offsets", "seeded_offsets"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lattice_points_on_block_edges(self, system, seed):
+        compare_with_oracle(system, lattice_case(system, seed))
+
+    @pytest.mark.parametrize("blues,bad", [([], True), ([[0.5, 0.5]], False)],
+                             ids=["bad", "absorbable"])
+    def test_handcrafted_blocks(self, blues, bad):
+        system = zero_offset_system(2)
+        ps = ColoredPointSet(aligned_window(system), reds=[[1.5, 0.5]], blues=blues, seed=0)
+        assert compare_with_oracle(system, ps) == (int(bad), 0)
+
+
+def test_hierarchy_solves_saturating_only_with_mandatory_points(monkeypatch):
+    sizes = []
+
+    def recording(reds, blues, reserve_reds, reserve_blues):
+        sizes.append((len(reds), len(blues)))
+        return min_cost_saturating(reds, blues, reserve_reds, reserve_blues)
+
+    monkeypatch.setattr(hierarchy, "min_cost_saturating", recording)
+    for seed in range(3):
+        hierarchical_case(seed)
+    assert sizes and all(nr + nb > 0 for nr, nb in sizes)

@@ -571,3 +571,68 @@ class TestBoxRematch:
         m = Matching(ps.reds, ps.blues, [(i, i) for i in range(n)])
         with pytest.raises(ValueError):
             box_rematch_experiment(ps, m, t=0.0)
+
+
+def _box_rematch_loop(ps, m, t):
+    """box_rematch_experiment as a plain loop over the edges, kept verbatim
+    as the oracle for the grouped version: (improvements, new edges)."""
+    d = ps.domain
+    cell_of = {}
+    for k, (i, j) in enumerate(m.edges):
+        r, b = ps.reds[i], ps.blues[j]
+        cr = (int((r[0] - d.x0) // t), int((r[1] - d.y0) // t))
+        cb = (int((b[0] - d.x0) // t), int((b[1] - d.y0) // t))
+        if cr == cb:
+            cell_of.setdefault(cr, []).append(k)
+    new_edges = list(m.edges)
+    improvements = []
+    for cell, ks in sorted(cell_of.items()):
+        ridx = [m.edges[k][0] for k in ks]
+        bidx = [m.edges[k][1] for k in ks]
+        before = sum(m.edge_length(k) for k in ks)
+        sub = min_cost_perfect(ps.reds[ridx], ps.blues[bidx])
+        after = sub.total_length
+        improvements.append(before - after)
+        for (a, b) in sub.edges:
+            new_edges[ks[a]] = (ridx[a], bidx[b])
+    return improvements, new_edges
+
+
+class TestBoxRematchAgainstLoop:
+    @staticmethod
+    def _same(ps, m, t):
+        res = box_rematch_experiment(ps, m, t)
+        improvements, edges = _box_rematch_loop(ps, m, t)
+        assert res.cell_improvements == improvements  # bit-identical floats
+        assert res.matching.edges == edges
+        return len(improvements)
+
+    def test_random_matchings(self):
+        rng = np.random.default_rng(71)
+        cells = 0
+        for seed in range(8):
+            ps, n = balanced(square_ps(seed, side=10.0))
+            m = Matching(ps.reds, ps.blues, list(enumerate(rng.permutation(n).tolist())))
+            near = min_cost_perfect(ps.reds, ps.blues)
+            for t in (0.7, 2.0, 3.5, 25.0):
+                cells += self._same(ps, m, t) + self._same(ps, near, t)
+        assert cells > 100
+
+    def test_edges_on_and_across_cell_boundaries(self):
+        # lattice points lie on the side-2 cell edges: each half-open cell
+        # takes its lower-left edges, and edges between cells stay as they are
+        dom = Domain.plane(0.0, 6.0, 0.0, 6.0)
+        rng = np.random.default_rng(5)
+        pts = np.array([(x, y) for x in range(6) for y in range(6)], dtype=float)
+        cells = 0
+        for _ in range(5):
+            perm = rng.permutation(len(pts))
+            ps = ColoredPointSet(dom, pts[perm[:18]], pts[perm[18:]], seed=0)
+            m = Matching(ps.reds, ps.blues, [(i, i) for i in range(18)])  # x-order pairs
+            cells += self._same(ps, m, 2.0)
+        assert cells >= 5
+
+    def test_no_edges(self):
+        ps, _ = balanced(square_ps(1, side=4.0))
+        m = Matching(ps.reds, ps.blues, [], kind="partial")
+        assert self._same(ps, m, 2.0) == 0
