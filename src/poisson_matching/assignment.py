@@ -5,6 +5,12 @@ matrix (scipy's ``cdist``), scipy's shortest-augmenting-path assignment
 routine, and the padding for reserve pools. The factorial brute-force
 enumerator is kept fully independent as the oracle.
 
+A problem with a single point on one side is a nearest-neighbour query.
+``nearest_in_groups`` answers many of them in one numpy pass, with the cost
+matrix's floats, and flags the groups whose nearest point is tied so that
+the caller can hand those to the solvers; the hierarchy's one-point blocks
+take this path, which skips a scipy call of about 30 microseconds each.
+
 scipy is loaded at the first solve, inside ``_cost_matrix`` and ``_assign``,
 not when this module is imported. Its import takes about 0.5 s, most of the
 package's import time, and only the exact min-cost constructions need it;
@@ -63,16 +69,22 @@ class Matching:
     def __post_init__(self):
         self.reds = np.asarray(self.reds, dtype=float).reshape(-1, 2)
         self.blues = np.asarray(self.blues, dtype=float).reshape(-1, 2)
-        seen_r, seen_b = set(), set()
-        rs = self.reds
         bs = self.blues if self.color_mode == TWO_COLOR else self.reds
-        for i, j in self.edges:
-            if not (0 <= i < len(rs) and 0 <= j < len(bs)):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            if i in seen_r or j in seen_b:
-                raise ValueError("a point appears in two edges")
-            seen_r.add(i)
-            seen_b.add(j)
+        e = np.asarray(self.edges).reshape(len(self.edges), 2)
+        if len(e) and e.dtype.kind not in "iu":
+            raise ValueError("edge indices must be integers")
+        e = e.astype(np.int64, copy=False)
+        # the first failing edge decides the error, range before reuse; the
+        # edges before an out-of-range one are all in range
+        outside = np.flatnonzero((e < 0).any(axis=1) | (e[:, 0] >= len(self.reds))
+                                 | (e[:, 1] >= len(bs)))
+        first = int(outside[0]) if len(outside) else len(e)
+        if (np.bincount(e[:first, 0]).max(initial=0) > 1
+                or np.bincount(e[:first, 1]).max(initial=0) > 1):
+            raise ValueError("a point appears in two edges")
+        if first < len(e):
+            i, j = self.edges[first]
+            raise ValueError(f"edge ({i},{j}) out of range")
         if self.kind == "perfect" and self.color_mode == TWO_COLOR:
             if len(self.edges) != len(self.reds) or len(self.edges) != len(self.blues):
                 raise ValueError("perfect matching must cover all points")
@@ -111,9 +123,10 @@ class Matching:
     def from_edges(reds, blues, edges) -> "Matching":
         """Two-color matching with the given edges, sorted; every other point
         is unmatched, and the matching is perfect iff none is."""
-        m = Matching(reds, blues, sorted((int(i), int(j)) for i, j in edges),
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+        m = Matching(reds, blues, list(zip(e[:, 0].tolist(), e[:, 1].tolist())),
                      kind="partial")
-        e = np.asarray(m.edges, dtype=int).reshape(-1, 2)
         used_r = np.zeros(len(m.reds), dtype=bool)
         used_b = np.zeros(len(m.blues), dtype=bool)
         used_r[e[:, 0]] = True
@@ -144,6 +157,14 @@ def _points(pts) -> np.ndarray:
 def _cost_matrix(reds: np.ndarray, blues: np.ndarray) -> np.ndarray:
     from scipy.spatial.distance import cdist  # loaded at first use; see module doc
     return cdist(reds, blues)
+
+
+def _pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distance from each p[k] to q[k]: the float ``cdist`` gives for the
+    pair, bit for bit, as both sum the squared differences in coordinate
+    order and take the root (``np.hypot`` rounds differently)."""
+    d = q - p
+    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
 
 @functools.lru_cache(maxsize=128)  # the hierarchy solves thousands of tiny problems
@@ -291,6 +312,32 @@ def min_cost_pairs(reds, blues) -> List[Tuple[int, int]]:
     if len(reds) <= len(blues):
         return list(enumerate(_assign(cost).tolist()))
     return sorted(zip(_assign(cost.T).tolist(), range(len(blues))))
+
+
+def nearest_in_groups(sources, targets, start) -> Tuple[np.ndarray, np.ndarray]:
+    """For every group g, the local index of the first of the targets
+    ``targets[start[g]:start[g + 1]]`` nearest to ``sources[g]``, and whether
+    another target of the group is at exactly the same distance. The offsets
+    run from 0 to ``len(targets)``, and every group needs a target.
+
+    The distances are the cost matrix's floats (``_pair_distances``), so
+    where a group's nearest target is unique it is the partner the solvers
+    give the one-point problem: ``min_cost_pairs`` of one point against the
+    group, or ``min_cost_saturating`` with that point as the only mandatory
+    one and the group as the other color's reserve. A tied group is left to
+    the solvers, whose tie choice this does not model."""
+    sources, targets = _points(sources), _points(targets)
+    start = np.asarray(start, dtype=np.int64)
+    counts = np.diff(start)
+    if (counts < 1).any():
+        raise ValueError("every group needs a target")
+    if not len(counts):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    dist = _pair_distances(np.repeat(sources, counts, axis=0), targets)
+    at_min = dist == np.repeat(np.minimum.reduceat(dist, start[:-1]), counts)
+    n_min = np.add.reduceat(at_min, start[:-1], dtype=np.int64)
+    hits = np.flatnonzero(at_min)
+    return hits[np.cumsum(n_min) - n_min] - start[:-1], n_min > 1
 
 
 def max_cardinality_min_cost(reds, blues) -> Matching:

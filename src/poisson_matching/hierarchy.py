@@ -12,11 +12,17 @@ Blocks are half-open, [x0, x1) x [y0, y1), and all their edges are integers.
 level-n blocks in children order (the children of a block are consecutive
 rows), and for each color the points stably sorted by block row, with each
 point's heir flag. A stage then works on the whole level at once: counts,
-masks, excesses and the records' flags are grouped numpy over block rows,
-and Python visits only the blocks that have something to solve. Blocks of
-one level are disjoint, so solving every block's rematch step and then
-every block's leftover step gives the same partners as going block by
-block.
+masks, excesses and the records' flags are grouped numpy over block rows.
+A block whose problem has a single point on one side (one mandatory point
+in the rematch step, or one unmatched point of a color in the leftover
+step) pairs it with its nearest candidate, for the whole level in one
+``nearest_in_groups`` pass; Python visits only the blocks with a real
+assignment problem, and those whose nearest candidate is tied, which go to
+the solvers so that the tie is broken as they break it. Blocks of one level
+are disjoint, so solving every block's rematch step and then every block's
+leftover step gives the same partners as going block by block. A stage's
+new edges are read back from the partner arrays: the reds unmatched after
+the heir unmatch that are matched at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .assignment import Matching, min_cost_pairs, min_cost_saturating
+from .assignment import Matching, min_cost_pairs, min_cost_saturating, nearest_in_groups
 from .geometry import Domain, Rect
 from .sampling import ColoredPointSet, derived_rng
 
@@ -250,21 +256,43 @@ class StageState:
     records: List[List[BlockRecord]] = field(default_factory=list)
 
     def to_matching(self) -> Matching:
-        edges = [(i, j) for i, j in enumerate(self.red_partner) if j >= 0]
-        return Matching.from_edges(self.ps.reds, self.ps.blues, edges)
+        ri = np.flatnonzero(self.red_partner >= 0)
+        return Matching.from_edges(self.ps.reds, self.ps.blues,
+                                   np.column_stack([ri, self.red_partner[ri]]))
 
 
-def _link(state: StageState, ridx: np.ndarray, bidx: np.ndarray,
-          pairs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Record the solver's local pairs as partners in the state and return
-    them as sorted global (red, blue) edges."""
-    new = []
-    for i, j in pairs:
-        ri, bj = int(ridx[i]), int(bidx[j])
-        state.red_partner[ri] = bj
-        state.blue_partner[bj] = ri
-        new.append((ri, bj))
-    return sorted(new)
+def _link(state: StageState, ri: np.ndarray, bj: np.ndarray) -> None:
+    """Make the reds ``ri`` and the blues ``bj`` partners, pair by pair."""
+    state.red_partner[ri] = bj
+    state.blue_partner[bj] = ri
+
+
+def _solve(state: StageState, solver, ridx: np.ndarray, bidx: np.ndarray,
+           *points: np.ndarray) -> None:
+    """Link the local (red, blue) pairs that ``solver(*points)`` returns;
+    ``ridx`` and ``bidx`` give the global index of each local one."""
+    i, j = np.array(solver(*points), dtype=np.int64).reshape(-1, 2).T
+    _link(state, ridx[i], bidx[j])
+
+
+def _pair_nearest(state: StageState, one: np.ndarray, src: np.ndarray,
+                  src_start: np.ndarray, tgt: np.ndarray, tgt_start: np.ndarray,
+                  red: bool) -> np.ndarray:
+    """For the blocks where ``one`` holds, each with a single source point
+    (red if ``red``, else blue) and at least one target of the other color,
+    both given as indices grouped by block with offsets, make the source and
+    its nearest target partners. Returns the rows of the blocks whose
+    nearest target is tied; those are left to the solvers."""
+    src_pts, tgt_pts = ((state.ps.reds, state.ps.blues) if red
+                        else (state.ps.blues, state.ps.reds))
+    src = src[src_start[:-1][one]]
+    tgt = tgt[np.repeat(one, np.diff(tgt_start))]
+    start = np.zeros(len(src) + 1, dtype=np.int64)
+    np.cumsum(np.diff(tgt_start)[one], out=start[1:])
+    local, tied = nearest_in_groups(src_pts[src], tgt_pts[tgt], start)
+    src, tgt = src[~tied], tgt[start[:-1] + local][~tied]
+    _link(state, *((src, tgt) if red else (tgt, src)))
+    return np.flatnonzero(one)[tied]
 
 
 def _window_block(ps: ColoredPointSet, system: BlockSystem) -> Block:
@@ -288,38 +316,46 @@ def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
     )
 
 
-def _match_leftovers(state: StageState, lv: LevelTable,
-                     edges: Dict[int, List[Tuple[int, int]]]) -> None:
+def _match_leftovers(state: StageState, lv: LevelTable) -> None:
     """In every block of the level, min-length matching of maximum cardinality
-    among its unmatched points; adds each block's new edges to ``edges``."""
+    among its unmatched points. A block where one color has a single point
+    pairs it with its nearest point of the other color."""
+    reds, blues = state.ps.reds, state.ps.blues
     r, rs = lv.red.select(state.red_partner < 0)
     b, bs = lv.blue.select(state.blue_partner < 0)
-    for k in np.flatnonzero((np.diff(rs) > 0) & (np.diff(bs) > 0)).tolist():
+    n_r, n_b = np.diff(rs), np.diff(bs)
+    solve = (n_r > 1) & (n_b > 1)
+    solve[_pair_nearest(state, (n_r == 1) & (n_b > 0), r, rs, b, bs, red=True)] = True
+    solve[_pair_nearest(state, (n_b == 1) & (n_r > 1), b, bs, r, rs, red=False)] = True
+    for k in np.flatnonzero(solve).tolist():
         ridx, bidx = r[rs[k]:rs[k + 1]], b[bs[k]:bs[k + 1]]
-        pairs = min_cost_pairs(state.ps.reds[ridx], state.ps.blues[bidx])
-        edges.setdefault(k, []).extend(_link(state, ridx, bidx, pairs))
+        _solve(state, min_cost_pairs, ridx, bidx, reds[ridx], blues[bidx])
 
 
 def _append_records(state: StageState, lv: LevelTable, bad: np.ndarray,
-                    dodgy: np.ndarray, edges: Dict[int, List[Tuple[int, int]]],
+                    dodgy: np.ndarray, new: Tuple[np.ndarray, np.ndarray],
                     unmatched_in_heir=None, new_edges_in_heirs=None) -> None:
-    """One BlockRecord per block of the level, in children order; the two
-    heir flags are per-block arrays, or None at level 1."""
+    """One BlockRecord per block of the level, in children order. ``new``
+    holds the reds matched in this stage, grouped by block and ascending
+    within it, with offsets; the two heir flags are per-block arrays, or
+    None at level 1."""
     lv.bad = bad
     unmatched = (lv.red.count(state.red_partner < 0)
                  + lv.blue.count(state.blue_partner < 0))
+    ri, start = new
+    pairs = list(zip(ri.tolist(), state.red_partner[ri].tolist()))
     none = [None] * len(lv.cells)
     columns = zip(lv.cells.tolist(), np.diff(lv.red.start).tolist(),
                   np.diff(lv.blue.start).tolist(), unmatched.tolist(),
-                  bad.tolist(), dodgy.tolist(),
+                  bad.tolist(), dodgy.tolist(), start[:-1].tolist(), start[1:].tolist(),
                   none if unmatched_in_heir is None else unmatched_in_heir.tolist(),
                   none if new_edges_in_heirs is None else new_edges_in_heirs.tolist())
     state.records.append([
         BlockRecord(key=(lv.n, ix, iy), n_red=nr, n_blue=nb, unmatched=u,
-                    bad=is_bad, dodgy=is_dodgy, new_edges=sorted(edges.get(k, ())),
+                    bad=is_bad, dodgy=is_dodgy, new_edges=pairs[e0:e1],
                     unmatched_in_heir=in_heir, new_edges_in_heirs=confined)
-        for k, ((ix, iy), nr, nb, u, is_bad, is_dodgy, in_heir, confined)
-        in enumerate(columns)])
+        for (ix, iy), nr, nb, u, is_bad, is_dodgy, e0, e1, in_heir, confined
+        in columns])
 
 
 def stage1(state: StageState) -> StageState:
@@ -328,10 +364,9 @@ def stage1(state: StageState) -> StageState:
     if state.stage != 0:
         raise ValueError("stage 1 must run first")
     lv = state.levels[1]
-    edges: Dict[int, List[Tuple[int, int]]] = {}
-    _match_leftovers(state, lv, edges)
+    _match_leftovers(state, lv)
     clear = np.zeros(len(lv.cells), dtype=bool)  # no block is bad or dodgy
-    _append_records(state, lv, clear, clear, edges)
+    _append_records(state, lv, clear, clear, lv.red.select(state.red_partner >= 0))
     state.stage = 1
     return state
 
@@ -356,35 +391,40 @@ def run_stage(state: StageState, n: int) -> StageState:
     state.red_unmatch_events[heir_reds] += 1
     state.blue_unmatch_events[partners] += 1
 
-    # (ii) match everything unmatched in A \ B into (A \ B) u C
-    r1, r1s = lv.red.select((state.red_partner < 0) & ~r_heir)
+    open_reds = state.red_partner < 0
+
+    # (ii) match everything unmatched in A \ B into (A \ B) u C; a single
+    # such point takes its nearest point of the other color in C
+    r1, r1s = lv.red.select(open_reds & ~r_heir)
     b1, b1s = lv.blue.select((state.blue_partner < 0) & ~b_heir)
     r2, r2s = lv.red.select(r_heir & r_below if n > 2 else r_heir)
     b2, b2s = lv.blue.select(b_heir & b_below if n > 2 else b_heir)
     n_r1, n_b1 = np.diff(r1s), np.diff(b1s)
     excess = n_r1 - n_b1
     feasible = np.where(excess >= 0, excess <= np.diff(b2s), -excess <= np.diff(r2s))
-    edges: Dict[int, List[Tuple[int, int]]] = {}
-    for k in np.flatnonzero(feasible & (n_r1 + n_b1 > 0)).tolist():
+    solve = feasible & (n_r1 + n_b1 > 1)
+    single = feasible & (n_r1 + n_b1 == 1)
+    solve[_pair_nearest(state, single & (n_r1 == 1), r1, r1s, b2, b2s, red=True)] = True
+    solve[_pair_nearest(state, single & (n_b1 == 1), b1, b1s, r2, r2s, red=False)] = True
+    for k in np.flatnonzero(solve).tolist():
         sr1, sb1 = r1[r1s[k]:r1s[k + 1]], b1[b1s[k]:b1s[k + 1]]
         sr2, sb2 = r2[r2s[k]:r2s[k + 1]], b2[b2s[k]:b2s[k + 1]]
-        pairs = min_cost_saturating(reds[sr1], blues[sb1], reds[sr2], blues[sb2])
-        edges[k] = _link(state, np.concatenate([sr1, sr2]),
-                         np.concatenate([sb1, sb2]), pairs)
+        _solve(state, min_cost_saturating, np.concatenate([sr1, sr2]),
+               np.concatenate([sb1, sb2]), reds[sr1], blues[sb1], reds[sr2], blues[sb2])
 
     # (iii) match as many of the remaining unmatched points in A as possible
-    _match_leftovers(state, lv, edges)
+    _match_leftovers(state, lv)
 
     # bookkeeping for verification: a new edge's ends lie in B or in the heir
     # of their own child of A (none at n = 2, whose children are level 1)
     outside = (lv.red.count((state.red_partner < 0) & ~r_heir)
                + lv.blue.count((state.blue_partner < 0) & ~b_heir))
-    ri, bj = np.array([e for new in edges.values() for e in new],
-                      dtype=np.int64).reshape(-1, 2).T
-    stray = ~((r_heir | r_below)[ri] & (b_heir | b_below)[bj])
+    new = lv.red.select(open_reds & (state.red_partner >= 0))
+    ri = new[0]  # the reds of this stage's new edges
+    stray = ~((r_heir | r_below)[ri] & (b_heir | b_below)[state.red_partner[ri]])
     strays = np.bincount(lv.red.row[ri[stray]], minlength=len(lv.cells))
     dodgy = below.bad.reshape(len(lv.cells), -1).any(axis=1)
-    _append_records(state, lv, ~feasible, dodgy, edges,
+    _append_records(state, lv, ~feasible, dodgy, new,
                     unmatched_in_heir=outside == 0, new_edges_in_heirs=strays == 0)
     state.stage = n
     return state

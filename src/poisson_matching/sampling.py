@@ -48,8 +48,11 @@ class ColoredPointSet:
         for pts in (self.reds, self.blues):
             if pts.size and not np.isfinite(pts).all():
                 raise ValueError("non-finite coordinates")
+        # equal points are adjacent once sorted, and -0.0 == 0.0 both in the
+        # sort and in the comparison
         allpts = np.concatenate([self.reds, self.blues])
-        if len(allpts) != len({(x, y) for x, y in allpts}):
+        allpts = allpts[np.lexsort((allpts[:, 1], allpts[:, 0]))]
+        if (allpts[1:] == allpts[:-1]).all(axis=1).any():
             raise ValueError("duplicate points: configuration is not simple")
 
     @property

@@ -25,6 +25,12 @@ from .sampling import ColoredPointSet, derived_rng
 from .verify import VerificationReport
 
 
+class WalkInvariantError(ValueError):
+    """A block or an edge interval of the counting walk lacks a property the
+    construction relies on, because the points are not what the walk assumes
+    (a point left of the window, say)."""
+
+
 @dataclass
 class StepWalk:
     """Piecewise-constant right-continuous walk: sorted jump locations with
@@ -90,7 +96,7 @@ def zero_block_matching(ps: ColoredPointSet) -> Matching:
     edges: List[Tuple[int, int]] = []
     for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
         if r1 - r0 != b1 - b0:
-            raise AssertionError("zero block is not balanced")
+            raise WalkInvariantError("zero block is not balanced")
         sub = min_cost_perfect(ps.reds[r0:r1], ps.blues[b0:b1])
         edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
     return Matching.from_edges(ps.reds, ps.blues, edges)
@@ -132,7 +138,7 @@ def cut_time_matching(ps: ColoredPointSet) -> Matching:
     edges: List[Tuple[int, int]] = []
     for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
         if r1 - r0 <= b1 - b0:
-            raise AssertionError("cut block must have a strict red excess")
+            raise WalkInvariantError("cut block must have a strict red excess")
         sub = max_cardinality_min_cost(ps.reds[r0:r1], ps.blues[b0:b1])
         edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
     return Matching.from_edges(ps.reds, ps.blues, edges)
@@ -228,7 +234,7 @@ def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> List[ArcSpec]:
     base_level = np.where(k_lo > 0, vals[k_lo - 1], walk.base)
     depth = _range_reduce(vals, np.maximum, k_lo, k_hi) - base_level
     if (depth < 1).any():
-        raise AssertionError("edge interval must contain the red's up-step")
+        raise WalkInvariantError("edge interval must contain the red's up-step")
     if n_ok < len(ii):
         raise ValueError("excursion edges run left to right")
     arcs = []

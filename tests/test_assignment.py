@@ -7,11 +7,11 @@ import pytest
 from poisson_matching import assignment
 from poisson_matching.assignment import (EPS_TIE, ONE_COLOR, ROW_BLOCK,
                                          TWO_COLOR, Matching, _assign,
-                                         _cost_matrix, brute_force_min,
-                                         improvable_pair,
+                                         _cost_matrix, _pair_distances,
+                                         brute_force_min, improvable_pair,
                                          max_cardinality_min_cost,
                                          min_cost_pairs, min_cost_perfect,
-                                         min_cost_saturating)
+                                         min_cost_saturating, nearest_in_groups)
 from poisson_matching.geometry import is_parallel_free
 from poisson_matching.sampling import derived_rng
 from poisson_matching.verify import check_planarity
@@ -283,6 +283,71 @@ class TestMinCostSaturating:
                                    [[0, 0], [1, 1]], [[0, 1]]) == []
 
 
+def _one_point_groups(rng, lattice, groups=400):
+    """Per group a source, 1-6 targets and 0-3 points of the source's color
+    (the saturating problem's other reserve), all distinct within the group:
+    uniform reals, or integer points of a 5x5 lattice, where ties are
+    common. Returns (sources, targets, start, extras)."""
+    sources, targets, counts, extras = [], [], [], []
+    for _ in range(groups):
+        k, e = int(rng.integers(1, 7)), int(rng.integers(0, 4))
+        if lattice:
+            cells = rng.choice(25, size=1 + k + e, replace=False)
+            pts = np.column_stack([cells // 5, cells % 5]).astype(float)
+        else:
+            pts = rng.uniform(-3, 3, (1 + k + e, 2))
+        sources.append(pts[0])
+        targets.append(pts[1:1 + k])
+        counts.append(k)
+        extras.append(pts[1 + k:])
+    start = np.concatenate([[0], np.cumsum(counts)])
+    return np.array(sources), np.concatenate(targets), start, extras
+
+
+class TestNearestInGroups:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 50.0, 1e4])
+    def test_distances_equal_cdist_bitwise(self, scale):
+        rng = derived_rng(61)
+        p = rng.uniform(-scale, scale, (300, 2))
+        q = rng.uniform(-scale, scale, (300, 2))
+        want = _cost_matrix(p, q)
+        rows, cols = np.indices(want.shape).reshape(2, -1)
+        got = _pair_distances(p[rows], q[cols])
+        assert np.array_equal(got, want.ravel())
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
+    def test_matches_the_one_point_solves(self, lattice):
+        rng = derived_rng(62, lattice)
+        sources, targets, start, extras = _one_point_groups(rng, lattice)
+        local, tied = nearest_in_groups(sources, targets, start)
+        none = np.empty((0, 2))
+        for g, (src, extra) in enumerate(zip(sources, extras)):
+            group = targets[start[g]:start[g + 1]]
+            cost = _cost_matrix(src[None], group)[0]
+            assert tied[g] == (np.count_nonzero(cost == cost.min()) > 1)
+            assert cost[local[g]] == cost.min()
+            assert (cost[:local[g]] > cost.min()).all()  # the first nearest
+            if tied[g]:
+                continue
+            j = int(local[g])
+            assert min_cost_pairs([src], group) == [(0, j)]
+            assert min_cost_pairs(group, [src]) == [(j, 0)]
+            assert min_cost_saturating([src], none, extra, group) == [(0, j)]
+            assert min_cost_saturating(none, [src], group, extra) == [(j, 0)]
+        assert tied.any() == lattice, tied.sum()
+
+    def test_single_target_and_no_group(self):
+        local, tied = nearest_in_groups([[0, 0], [1, 1]], [[5, 5], [1, 2], [1, 0]],
+                                        [0, 1, 3])
+        assert local.tolist() == [0, 0] and tied.tolist() == [False, True]
+        local, tied = nearest_in_groups(np.empty((0, 2)), np.empty((0, 2)), [0])
+        assert len(local) == len(tied) == 0
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError):
+            nearest_in_groups([[0, 0], [1, 1]], [[5, 5]], [0, 1, 1])
+
+
 class TestFromEdges:
     def test_full_cover_is_perfect(self):
         m = Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(1, 1), (0, 0)])
@@ -308,6 +373,46 @@ class TestFromEdges:
             Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(0, 0), (1, 0)])
         with pytest.raises(ValueError):
             Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(0, 2)])
+
+    def test_edges_are_python_int_tuples(self):
+        m = Matching.from_edges(SQUARE_REDS, SQUARE_BLUES,
+                                np.array([[1, 1], [0, 0]], dtype=np.int32))
+        assert m.edges == [(0, 0), (1, 1)]
+        assert all(type(i) is int and type(j) is int for i, j in m.edges)
+
+
+# edges, and the error the per-edge scan raises first: a range failure is
+# reported at the first out-of-range edge unless an earlier edge reuses a point
+EDGE_ERRORS = [
+    ([(0, 0), (1, 1)], None),
+    ([(0, 0), (0, 1)], "a point appears in two edges"),
+    ([(0, 0), (1, 0)], "a point appears in two edges"),
+    ([(0, 2)], r"edge \(0,2\) out of range"),
+    ([(-1, 0)], r"edge \(-1,0\) out of range"),
+    ([(0, 0), (1, 1), (2, 0)], r"edge \(2,0\) out of range"),
+    ([(0, 0), (0, 1), (5, 5)], "a point appears in two edges"),
+    ([(5, 5), (0, 0), (0, 1)], r"edge \(5,5\) out of range"),
+    ([(0, 0), (0, 5)], r"edge \(0,5\) out of range"),
+    ([(0, 1), (1, 1)], "a point appears in two edges"),
+    ([(0, None)], "edge indices must be integers"),
+]
+
+
+@pytest.mark.parametrize("edges,error", EDGE_ERRORS)
+def test_matching_validation_order(edges, error):
+    if error is None:
+        Matching(SQUARE_REDS, SQUARE_BLUES, edges, kind="partial")
+        return
+    with pytest.raises(ValueError, match=error):
+        Matching(SQUARE_REDS, SQUARE_BLUES, edges, kind="partial")
+
+
+def test_one_color_edges_range_over_reds():
+    Matching(SQUARE_REDS, np.empty((0, 2)), [(0, 1)], kind="partial",
+             color_mode=ONE_COLOR)
+    with pytest.raises(ValueError, match="out of range"):
+        Matching(SQUARE_REDS, np.empty((0, 2)), [(0, 2)], kind="partial",
+                 color_mode=ONE_COLOR)
 
 
 def _reference_improvable_pair(m):

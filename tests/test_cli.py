@@ -264,6 +264,11 @@ BAD_INPUTS = {
     "top_level_list_arcs": (VERIFY_ARCS, TOP_LEVEL_LIST),
     "top_level_list_stats": (STATS_ETA, TOP_LEVEL_LIST),
     "config_top_level_list": (["sample", "--seed", "1", "--config"], "[1, 2]"),
+    # the walk counts a red left of the window, the zero blocks do not
+    "zero_block_point_left_of_window": (
+        ["match", "--construction", "zero_block", "--out", os.devnull, "--in"],
+        json.dumps({**ONE_EDGE_RESULT["points"], "reds": [[-1.0, 0.5]],
+                    "blues": [[1.0, 0.5]]})),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import poisson, skellam
 
 from poisson_matching import hierarchy
-from poisson_matching.assignment import min_cost_pairs, min_cost_saturating
+from poisson_matching.assignment import _cost_matrix, min_cost_pairs, min_cost_saturating
 from poisson_matching.geometry import Rect
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
@@ -594,3 +594,59 @@ def test_hierarchy_solves_saturating_only_with_mandatory_points(monkeypatch):
     for seed in range(3):
         hierarchical_case(seed)
     assert sizes and all(nr + nb > 0 for nr, nb in sizes)
+
+
+def _tied(source, targets):
+    """Whether two of ``targets`` are nearest to ``source`` at the same cost."""
+    cost = _cost_matrix(np.asarray(source).reshape(1, 2), targets)[0]
+    return np.count_nonzero(cost == cost.min()) > 1
+
+
+def _record_one_point_solves(monkeypatch):
+    """Wrap both solvers as the hierarchy sees them. Returns the list that
+    gets, per call, (solver name, whether the problem has a single point on
+    one side, and if so whether its nearest partner is tied)."""
+    calls = []
+
+    def pairs(reds, blues):
+        if min(len(reds), len(blues)) == 1:
+            one, other = (reds, blues) if len(reds) == 1 else (blues, reds)
+            calls.append(("pairs", True, _tied(one, other)))
+        else:
+            calls.append(("pairs", False, None))
+        return min_cost_pairs(reds, blues)
+
+    def saturating(reds, blues, reserve_reds, reserve_blues):
+        if len(reds) + len(blues) == 1:
+            one, other = (reds, reserve_blues) if len(reds) else (blues, reserve_reds)
+            calls.append(("saturating", True, _tied(one, other)))
+        else:
+            calls.append(("saturating", False, None))
+        return min_cost_saturating(reds, blues, reserve_reds, reserve_blues)
+
+    monkeypatch.setattr(hierarchy, "min_cost_pairs", pairs)
+    monkeypatch.setattr(hierarchy, "min_cost_saturating", saturating)
+    return calls
+
+
+def test_one_point_blocks_reach_the_solvers_only_when_tied(monkeypatch):
+    calls = _record_one_point_solves(monkeypatch)
+    for seed in range(4):
+        hierarchical_case(seed)
+    assert all(tied for _, one, tied in calls if one), calls
+    # the solvers still get every block with a real assignment problem
+    assert {name for name, one, _ in calls if not one} == {"pairs", "saturating"}
+
+
+@pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
+                         ids=["zero_offsets", "seeded_offsets"])
+@pytest.mark.parametrize("seed", [1, 2])  # lattice seeds with tied one-point blocks
+def test_tied_one_point_blocks_fall_back_to_the_solvers(monkeypatch, system, seed):
+    calls = _record_one_point_solves(monkeypatch)
+    ps = lattice_case(system, seed)
+    state = init_state(ps, system)
+    stage1(state)
+    for n in range(2, system.N + 1):
+        run_stage(state, n)
+    one_point = [tied for _, one, tied in calls if one]
+    assert one_point and all(one_point)

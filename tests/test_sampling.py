@@ -71,6 +71,26 @@ def test_duplicate_points_rejected():
                         blues=[], seed=0)
 
 
+@pytest.mark.parametrize("reds,blues", [
+    ([[2.0, 0.5], [1.0, 0.25]], [[3.0, 0.1], [1.0, 0.25]]),  # red and blue
+    ([[1.0, 0.5]], [[2.0, 0.5], [0.5, 0.5], [2.0, 0.5]]),    # two blues
+    ([[-0.0, 0.5], [1.0, 0.5]], [[0.0, 0.5]]),               # -0.0 == 0.0
+    ([[0.0, -0.0], [0.0, 0.5]], [[-0.0, 0.0]]),
+], ids=["red_blue", "same_color", "signed_zero_x", "signed_zero_both"])
+def test_duplicates_rejected_as_in_a_set_of_tuples(reds, blues):
+    allpts = [tuple(p) for p in reds + blues]
+    assert len(set(allpts)) < len(allpts)  # the definition of a duplicate
+    with pytest.raises(ValueError, match="duplicate points"):
+        ColoredPointSet(Domain.strip(-1, 10), reds=reds, blues=blues, seed=0)
+
+
+def test_near_duplicates_accepted():
+    x = 1.0
+    ps = ColoredPointSet(Domain.strip(0, 10), reds=[[x, 0.5], [np.nextafter(x, 2), 0.5]],
+                         blues=[[x, np.nextafter(0.5, 1)]], seed=0)
+    assert ps.n_red == 2 and ps.n_blue == 1
+
+
 def test_json_round_trip():
     ps = sample(SampleConfig(1.5, 1.0, Domain.strip(0, 20), seed=8))
     again = ColoredPointSet.from_json(ps.to_json())

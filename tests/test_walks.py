@@ -7,7 +7,9 @@ from poisson_matching.geometry import Domain
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig, count_diff,
                                        derived_rng, sample)
 from poisson_matching.verify import check_arc_disjointness, check_planarity
-from poisson_matching.walks import (ArcSpec, build_walk, crossing_profile,
+from poisson_matching import walks
+from poisson_matching.walks import (ArcSpec, StepWalk, WalkInvariantError,
+                                    build_walk, crossing_profile,
                                     cut_time_matching, cut_times,
                                     excursion_matching, laminate_strips,
                                     minimality_certificate_d1,
@@ -454,3 +456,34 @@ class TestLaminateStrips:
     def test_bad_shift_rejected(self):
         with pytest.raises(ValueError):
             laminate_strips([self._band(0)], shift=1.5)
+
+
+class TestWalkInvariantErrors:
+    """The walk constructions' internal checks raise one ValueError subclass,
+    so the CLI reports them as input errors."""
+
+    def test_point_left_of_window_unbalances_a_zero_block(self):
+        # the walk counts the red at x = -1, the zero blocks start at x0 = 0
+        ps = strip_ps([-1.0], [0.5])
+        with pytest.raises(WalkInvariantError, match="zero block is not balanced"):
+            zero_block_matching(ps)
+
+    def test_cut_block_without_red_excess(self, monkeypatch):
+        # no input reaches it: the block between two cut-times always ends
+        # with the red step that makes the second one
+        ps = strip_ps([1.0, 3.0], [2.0])
+        monkeypatch.setattr(walks, "cut_times", lambda walk: np.array([0.5, 2.5]))
+        with pytest.raises(WalkInvariantError, match="strict red excess"):
+            cut_time_matching(ps)
+
+    def test_edge_interval_without_up_step(self, monkeypatch):
+        # no input reaches it either: the walk steps up at every red
+        ps = strip_ps([1.0], [2.0])
+        m = excursion_matching(ps)
+        monkeypatch.setattr(walks, "build_walk",
+                            lambda ps: StepWalk([1.0, 2.0], [-1, 1], x_left=0.0))
+        with pytest.raises(WalkInvariantError, match="up-step"):
+            polygonal_arcs(m, ps)
+
+    def test_is_a_value_error(self):
+        assert issubclass(WalkInvariantError, ValueError)
