@@ -6,7 +6,7 @@ from .geometry import (Disk, Domain, Point, Rect, Segment,
 from .sampling import ColoredPointSet, SampleConfig, count_diff, derived_rng, sample
 from .assignment import (Matching, brute_force_min, improvable_pair,
                          max_cardinality_min_cost, min_cost_pairs,
-                         min_cost_perfect, min_cost_saturating)
+                         min_cost_partners, min_cost_perfect, min_cost_saturating)
 from .walks import (ArcSpec, CrossingProfile, StepWalk, WalkInvariantError, build_walk,
                     crossing_profile, cut_time_matching, excursion_matching,
                     laminate_strips, minimality_certificate_d1,

@@ -64,6 +64,8 @@ class Disk:
     radius: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.cx, self.cy, self.radius))):
+            raise ValueError("disk centre and radius must be finite")
         if self.radius <= 0:
             raise ValueError("disk radius must be positive")
 

@@ -23,13 +23,21 @@ are disjoint, so solving every block's rematch step and then every block's
 leftover step gives the same partners as going block by block. A stage's
 new edges are read back from the partner arrays: the reds unmatched after
 the heir unmatch that are matched at the end.
+
+A stage keeps its records as per-block columns on its level table, with its
+new edges' partners read when it runs (a later heir unmatch overwrites the
+partner arrays). ``StageState.records`` shows them as ``BlockRecord`` rows,
+built only when read: most blocks of the lower levels hold a point or two,
+so one object per block made up much of a run's time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -165,6 +173,8 @@ def bad_block_bound(system: BlockSystem, n: int) -> float:
 
 @dataclass
 class BlockRecord:
+    """One block after its stage: a row of ``BlockRecords``."""
+
     key: Tuple[int, int, int]
     n_red: int
     n_blue: int
@@ -203,13 +213,64 @@ class ColorTable:
 @dataclass
 class LevelTable:
     """The window's level-n blocks in children order, each color's points
-    grouped by them, and which blocks the stage found bad."""
+    grouped by them, and, once stage n has run, its per-block columns, which
+    ``BlockRecords`` shows as rows. ``new_edges`` holds the (red, blue) pairs
+    the stage made, grouped by block with offsets ``new_start``, as they
+    were when the stage ran (a later stage may unmatch them); the two heir
+    flags are None at level 1."""
 
     n: int
     cells: np.ndarray  # (blocks, 2) ix, iy
     red: ColorTable
     blue: ColorTable
+    unmatched: Optional[np.ndarray] = None
     bad: Optional[np.ndarray] = None
+    dodgy: Optional[np.ndarray] = None
+    new_edges: Optional[np.ndarray] = None
+    new_start: Optional[np.ndarray] = None
+    unmatched_in_heir: Optional[np.ndarray] = None
+    new_edges_in_heirs: Optional[np.ndarray] = None
+
+
+class BlockRecords(Sequence):
+    """Read-only view of one level's stage columns as ``BlockRecord`` rows,
+    one per block in children order. A row is built when it is asked for;
+    iteration builds them all from the columns in one pass."""
+
+    def __init__(self, lv: LevelTable):
+        self._lv = lv
+
+    def __len__(self) -> int:
+        return len(self._lv.cells)
+
+    def __getitem__(self, k: int) -> BlockRecord:
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("block record index out of range")
+        return next(self._rows(k, k + 1))
+
+    def __iter__(self) -> Iterator[BlockRecord]:
+        return self._rows(0, len(self))
+
+    def _rows(self, k0: int, k1: int) -> Iterator[BlockRecord]:
+        lv = self._lv
+        e0, e1 = lv.new_start[k0], lv.new_start[k1]
+        pairs = list(zip(*lv.new_edges[e0:e1].T.tolist()))
+        bounds = (lv.new_start[k0:k1 + 1] - e0).tolist()
+        none = [None] * (k1 - k0)
+        heir_flags = [none if col is None else col[k0:k1].tolist()
+                      for col in (lv.unmatched_in_heir, lv.new_edges_in_heirs)]
+        columns = zip(lv.cells[k0:k1].tolist(),
+                      np.diff(lv.red.start[k0:k1 + 1]).tolist(),
+                      np.diff(lv.blue.start[k0:k1 + 1]).tolist(),
+                      lv.unmatched[k0:k1].tolist(), lv.bad[k0:k1].tolist(),
+                      lv.dodgy[k0:k1].tolist(), bounds[:-1], bounds[1:], *heir_flags)
+        for (ix, iy), nr, nb, u, is_bad, is_dodgy, s0, s1, in_heir, confined in columns:
+            yield BlockRecord(key=(lv.n, ix, iy), n_red=nr, n_blue=nb, unmatched=u,
+                              bad=is_bad, dodgy=is_dodgy, new_edges=pairs[s0:s1],
+                              unmatched_in_heir=in_heir, new_edges_in_heirs=confined)
 
 
 def _color_table(pts: np.ndarray, system: BlockSystem, n: int,
@@ -253,7 +314,11 @@ class StageState:
     blue_unmatch_events: np.ndarray
     levels: Dict[int, LevelTable]
     stage: int = 0
-    records: List[List[BlockRecord]] = field(default_factory=list)
+
+    @property
+    def records(self) -> List[BlockRecords]:
+        """Per stage run so far, its level's block records."""
+        return [BlockRecords(self.levels[n]) for n in range(1, self.stage + 1)]
 
     def to_matching(self) -> Matching:
         ri = np.flatnonzero(self.red_partner >= 0)
@@ -332,30 +397,19 @@ def _match_leftovers(state: StageState, lv: LevelTable) -> None:
         _solve(state, min_cost_pairs, ridx, bidx, reds[ridx], blues[bidx])
 
 
-def _append_records(state: StageState, lv: LevelTable, bad: np.ndarray,
-                    dodgy: np.ndarray, new: Tuple[np.ndarray, np.ndarray],
-                    unmatched_in_heir=None, new_edges_in_heirs=None) -> None:
-    """One BlockRecord per block of the level, in children order. ``new``
-    holds the reds matched in this stage, grouped by block and ascending
-    within it, with offsets; the two heir flags are per-block arrays, or
-    None at level 1."""
-    lv.bad = bad
-    unmatched = (lv.red.count(state.red_partner < 0)
-                 + lv.blue.count(state.blue_partner < 0))
-    ri, start = new
-    pairs = list(zip(ri.tolist(), state.red_partner[ri].tolist()))
-    none = [None] * len(lv.cells)
-    columns = zip(lv.cells.tolist(), np.diff(lv.red.start).tolist(),
-                  np.diff(lv.blue.start).tolist(), unmatched.tolist(),
-                  bad.tolist(), dodgy.tolist(), start[:-1].tolist(), start[1:].tolist(),
-                  none if unmatched_in_heir is None else unmatched_in_heir.tolist(),
-                  none if new_edges_in_heirs is None else new_edges_in_heirs.tolist())
-    state.records.append([
-        BlockRecord(key=(lv.n, ix, iy), n_red=nr, n_blue=nb, unmatched=u,
-                    bad=is_bad, dodgy=is_dodgy, new_edges=pairs[e0:e1],
-                    unmatched_in_heir=in_heir, new_edges_in_heirs=confined)
-        for (ix, iy), nr, nb, u, is_bad, is_dodgy, e0, e1, in_heir, confined
-        in columns])
+def _keep_columns(state: StageState, lv: LevelTable, bad: np.ndarray,
+                  dodgy: np.ndarray, new: Tuple[np.ndarray, np.ndarray],
+                  unmatched_in_heir=None, new_edges_in_heirs=None) -> None:
+    """Store the stage's per-block columns on the level. ``new`` holds the
+    reds matched in this stage, grouped by block and ascending within it,
+    with offsets; their partners are read now, before a later stage's heir
+    unmatch can overwrite them."""
+    ri, lv.new_start = new
+    lv.new_edges = np.column_stack([ri, state.red_partner[ri]])
+    lv.unmatched = (lv.red.count(state.red_partner < 0)
+                    + lv.blue.count(state.blue_partner < 0))
+    lv.bad, lv.dodgy = bad, dodgy
+    lv.unmatched_in_heir, lv.new_edges_in_heirs = unmatched_in_heir, new_edges_in_heirs
 
 
 def stage1(state: StageState) -> StageState:
@@ -366,7 +420,7 @@ def stage1(state: StageState) -> StageState:
     lv = state.levels[1]
     _match_leftovers(state, lv)
     clear = np.zeros(len(lv.cells), dtype=bool)  # no block is bad or dodgy
-    _append_records(state, lv, clear, clear, lv.red.select(state.red_partner >= 0))
+    _keep_columns(state, lv, clear, clear, lv.red.select(state.red_partner >= 0))
     state.stage = 1
     return state
 
@@ -424,8 +478,8 @@ def run_stage(state: StageState, n: int) -> StageState:
     stray = ~((r_heir | r_below)[ri] & (b_heir | b_below)[state.red_partner[ri]])
     strays = np.bincount(lv.red.row[ri[stray]], minlength=len(lv.cells))
     dodgy = below.bad.reshape(len(lv.cells), -1).any(axis=1)
-    _append_records(state, lv, ~feasible, dodgy, new,
-                    unmatched_in_heir=outside == 0, new_edges_in_heirs=strays == 0)
+    _keep_columns(state, lv, ~feasible, dodgy, new,
+                  unmatched_in_heir=outside == 0, new_edges_in_heirs=strays == 0)
     state.stage = n
     return state
 
@@ -442,12 +496,13 @@ def run_hierarchical(ps: ColoredPointSet, seed: int, N: int,
     for n in range(2, N + 1):
         run_stage(state, n)
     diagnostics = {"levels": {}, "offsets": {"r": system.r, "t": system.t}}
-    for n, records in zip(range(1, N + 1), state.records):
+    for n in range(1, N + 1):
+        lv = state.levels[n]
         diagnostics["levels"][n] = {
-            "blocks": len(records),
-            "bad_count": sum(rec.bad for rec in records),
-            "dodgy_count": sum(rec.dodgy for rec in records),
-            "unmatched": sum(rec.unmatched for rec in records),
+            "blocks": len(lv.cells),
+            "bad_count": int(np.count_nonzero(lv.bad)),
+            "dodgy_count": int(np.count_nonzero(lv.dodgy)),
+            "unmatched": int(lv.unmatched.sum()),
         }
     m = state.to_matching()
     diagnostics["unmatched_red"] = len(m.unmatched_reds)

@@ -13,7 +13,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import Matching, min_cost_perfect
+from .assignment import Matching, min_cost_partners
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment,
                        edge_crosses_region, segments_intersect)
 from .sampling import ColoredPointSet, derived_rng
@@ -305,11 +305,15 @@ class BoxRematchResult:
 def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRematchResult:
     """Partition the window into side-t squares; inside each square, replace
     the edges lying entirely within it by the min-length matching of their
-    endpoints. Edges crossing square boundaries are untouched."""
-    if t <= 0:
-        raise ValueError("square side must be positive")
+    endpoints. Edges crossing square boundaries are untouched.
+
+    Each cell is solved by ``min_cost_partners`` on its endpoint arrays; its
+    length after rematching is summed as ``Matching.total_length`` sums it,
+    without building a matching per cell."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("square side must be positive and finite")
     d = ps.domain
-    e = np.asarray(m.edges, dtype=int).reshape(-1, 2)
+    e = np.array(m.edges, dtype=int).reshape(-1, 2)  # a copy: rewritten below
     r, b = ps.reds[e[:, 0]], ps.blues[e[:, 1]]
     corner = np.array([d.x0, d.y0])
     cell = (r - corner) // t  # the same floats as Python's // per coordinate
@@ -319,20 +323,19 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     first = np.ones(len(ks), dtype=bool)
     first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
     bounds = np.append(np.flatnonzero(first), len(ks)).tolist()
+    R, B = r[ks], b[ks]
     # per-edge lengths summed in edge order, as Matching.edge_length gives them
-    lengths = [math.hypot(dx, dy) for dx, dy in (r[ks] - b[ks]).tolist()]
-    ridx, bidx = e[ks, 0].tolist(), e[ks, 1].tolist()
-    ks = ks.tolist()
-    new_edges = list(m.edges)
+    lengths = [math.hypot(dx, dy) for dx, dy in (R - B).tolist()]
+    partner = e[ks, 1]  # each rematched edge keeps its red and takes a new blue
     improvements = []
     for s0, s1 in zip(bounds, bounds[1:]):
-        before = sum(lengths[s0:s1])
-        sub = min_cost_perfect(ps.reds[ridx[s0:s1]], ps.blues[bidx[s0:s1]])
-        improvements.append(before - sub.total_length)
-        for a, c in sub.edges:
-            new_edges[ks[s0 + a]] = (ridx[s0 + a], bidx[s0 + c])
-    rematched = Matching(ps.reds, ps.blues, new_edges, kind=m.kind,
-                         unmatched_reds=list(m.unmatched_reds),
+        assign = min_cost_partners(R[s0:s1], B[s0:s1])
+        after = np.hypot(*(R[s0:s1] - B[s0:s1][assign]).T).sum()
+        improvements.append(sum(lengths[s0:s1]) - float(after))
+        partner[s0:s1] = partner[s0:s1][assign]
+    e[ks, 1] = partner
+    rematched = Matching(ps.reds, ps.blues, list(zip(e[:, 0].tolist(), e[:, 1].tolist())),
+                         kind=m.kind, unmatched_reds=list(m.unmatched_reds),
                          unmatched_blues=list(m.unmatched_blues))
     return BoxRematchResult(m.total_length, rematched.total_length,
                             improvements, rematched)

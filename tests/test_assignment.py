@@ -145,6 +145,89 @@ class TestTiePass:
         assert (fixed == assign).all()
 
 
+def _far_reals(rng, n):
+    """n reds and n blues at random reals, paired in index order and far
+    from the collinear pair of ``_tied_pair``: no tied pair among them."""
+    reds = rng.uniform(100.0, 200.0, (n, 2))
+    return reds, reds + rng.uniform(-1.0, 1.0, (n, 2))
+
+
+def _tied_pair():
+    """Two reds and two blues on a line, both assignments of length 4 exactly.
+    By index red 0 comes first, by coordinates red 1; the tie pass gives the
+    lexicographically first red, red 1 at 0.0, the earlier blue, blue 1."""
+    return (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[3.0, 0.0], [2.0, 0.0]]))
+
+
+class TestTiePassFastExit:
+    """The exit taken before the ordered scan when no pair is tied: the
+    partners must still be the reference pass's, and the exit must be taken
+    exactly when there is no tied pair."""
+
+    @staticmethod
+    def _run(monkeypatch, reds, blues, raw):
+        """_canonicalize_ties against the reference on the raw assignment;
+        returns (partners, whether the ordered scan ran)."""
+        ranked, lex_rank = [], assignment._lex_rank
+
+        def counting(pts):
+            ranked.append(len(pts))
+            return lex_rank(pts)
+
+        monkeypatch.setattr(assignment, "_lex_rank", counting)
+        cost = _cost_matrix(reds, blues)
+        got = assignment._canonicalize_ties(reds, blues, cost, np.asarray(raw))
+        want = _reference_canonicalize_ties(reds, blues, cost, np.asarray(raw))
+        assert (got == want).all()
+        monkeypatch.undo()
+        return got, bool(ranked)
+
+    @pytest.mark.parametrize("raw", [[0, 1], [1, 0]])
+    def test_single_tie_index_and_lex_order_opposite(self, monkeypatch, raw):
+        reds, blues = _tied_pair()
+        got, scanned = self._run(monkeypatch, reds, blues, raw)
+        assert got.tolist() == [0, 1] and scanned
+
+    @pytest.mark.parametrize("raw", [[0, 1], [1, 0]])
+    def test_single_tie_among_untied_pairs(self, monkeypatch, raw):
+        fr, fb = _far_reals(derived_rng(71), 40)
+        pr, pb = _tied_pair()
+        reds = np.concatenate([fr[:25], pr, fr[25:]])
+        blues = np.concatenate([fb[:25], pb, fb[25:]])
+        start = np.concatenate([np.arange(25), 25 + np.array(raw), np.arange(27, 42)])
+        got, scanned = self._run(monkeypatch, reds, blues, start)
+        assert got[25:27].tolist() == [25, 26] and scanned
+
+    @pytest.mark.parametrize("raw", [[0, 1], [1, 0]])
+    def test_tie_only_in_last_row_block(self, monkeypatch, raw):
+        n = 2 * ROW_BLOCK + 10
+        fr, fb = _far_reals(derived_rng(73), n - 2)
+        pr, pb = _tied_pair()
+        reds, blues = np.concatenate([fr, pr]), np.concatenate([fb, pb])
+        start = np.concatenate([np.arange(n - 2), n - 2 + np.array(raw)])
+        got, scanned = self._run(monkeypatch, reds, blues, start)
+        assert got[-2:].tolist() == [n - 2, n - 1] and scanned
+        # without the pair, nothing is tied and the exit is taken
+        _, scanned = self._run(monkeypatch, fr, fb, np.arange(n - 2))
+        assert not scanned
+
+    def test_duplicate_blues(self, monkeypatch):
+        # equal blues make a tied pair, but swapping them gains nothing, so
+        # the scan runs and leaves the partners as they are
+        fr, fb = _far_reals(derived_rng(79), 30)
+        fb[7] = fb[19]
+        got, scanned = self._run(monkeypatch, fr, fb, np.arange(30))
+        assert scanned and got.tolist() == list(range(30))
+
+    def test_random_reals_take_the_exit(self, monkeypatch):
+        rng = derived_rng(83)
+        for n in (1, 2, 30, ROW_BLOCK + 3):
+            reds, blues = rng.uniform(0, 5, (n, 2)), rng.uniform(0, 5, (n, 2))
+            raw = _assign(_cost_matrix(reds, blues))
+            got, scanned = self._run(monkeypatch, reds, blues, raw)
+            assert not scanned and (got == raw).all()
+
+
 class TestBruteForce:
     def test_empty(self):
         m = brute_force_min(np.empty((0, 2)), np.empty((0, 2)))
@@ -223,6 +306,48 @@ class TestMaxCardinalityMinCost:
     def test_both_empty_is_perfect(self):
         m = max_cardinality_min_cost(np.empty((0, 2)), np.empty((0, 2)))
         assert m.edges == [] and m.kind == "perfect"
+
+
+def _old_min_cost_pairs(reds, blues):
+    """min_cost_pairs as it was: the cost matrix in index order, reordered
+    by ``_assign`` (transposed when there are more reds than blues)."""
+    if len(reds) == 0 or len(blues) == 0:
+        return []
+    cost = _cost_matrix(reds, blues)
+    if len(reds) <= len(blues):
+        return list(enumerate(_assign(cost).tolist()))
+    return sorted(zip(_assign(cost.T).tolist(), range(len(blues))))
+
+
+class TestMinCostPairsInSolverOrder:
+    def test_cost_rows_equal_the_reordered_matrix(self):
+        rng = derived_rng(89)
+        reds, blues = rng.uniform(0, 9, (37, 2)), rng.uniform(0, 9, (23, 2))
+        cost = _cost_matrix(reds, blues)
+        for rows, cols, full in ((reds, blues, cost), (blues, reds, cost.T)):
+            order = assignment._scattered(len(rows))
+            assert np.array_equal(_cost_matrix(rows[order], cols), full[order])
+
+    def test_random_rectangular_inputs(self):
+        rng = derived_rng(97)
+        for _ in range(200):
+            nr, nb = (int(k) for k in rng.integers(0, 12, 2))
+            reds, blues = rng.uniform(0, 3, (nr, 2)), rng.uniform(0, 3, (nb, 2))
+            assert min_cost_pairs(reds, blues) == _old_min_cost_pairs(reds, blues)
+
+    def test_lattice_ties(self):
+        rng = derived_rng(101)
+        tied = 0
+        for _ in range(200):
+            width = int(rng.integers(2, 5))
+            nr, nb = (int(k) for k in rng.integers(1, width * width + 1, 2))
+            reds = _lattice(rng, width, nr, distinct=True)
+            blues = _lattice(rng, width, nb, distinct=True)
+            pairs = min_cost_pairs(reds, blues)
+            assert pairs == _old_min_cost_pairs(reds, blues)
+            cost = _cost_matrix(reds, blues)
+            tied += any(np.count_nonzero(cost[i] == cost[i, j]) > 1 for i, j in pairs)
+        assert tied > 50
 
 
 def _saturating_oracle(reds, blues, reserve_reds, reserve_blues):

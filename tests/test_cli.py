@@ -242,6 +242,17 @@ BAD_INPUTS = {
                           None),
     "disk_without_radius": (["stats", "--kind", "crossings", "--disk", "1,2", "--in"],
                             json.dumps(ONE_EDGE_RESULT)),
+    # NaN passes a plain `<= 0` test, so these used to exit 0 with 0 cells / mean 0
+    "disk_nan_centre": (["stats", "--kind", "crossings", "--disk", "nan,1,1", "--in"],
+                        json.dumps(ONE_EDGE_RESULT)),
+    "disk_nan_radius": (["stats", "--kind", "crossings", "--disk", "1,1,nan", "--in"],
+                        json.dumps(ONE_EDGE_RESULT)),
+    "disk_inf_centre": (["stats", "--kind", "crossings", "--disk", "1,inf,1", "--in"],
+                        json.dumps(ONE_EDGE_RESULT)),
+    "box_side_nan": (["stats", "--kind", "box-rematch", "--box-side", "nan", "--in"],
+                     json.dumps(ONE_EDGE_RESULT)),
+    "box_side_inf": (["stats", "--kind", "box-rematch", "--box-side", "inf", "--in"],
+                     json.dumps(ONE_EDGE_RESULT)),
     "no_domain_key": (VERIFY, json.dumps(NO_DOMAIN_RESULT)),
     "truncated_json": (VERIFY, json.dumps(ONE_EDGE_RESULT)[:40]),
     "unknown_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "format": 99})),

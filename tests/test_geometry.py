@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ class TestParallelFree:
         for i in range(len(segs)):
             for j in range(i + 1, len(segs)):
                 segments_intersect(segs[i], segs[j])  # must not raise
+
+
+@pytest.mark.parametrize("cx,cy,r", [(math.nan, 1, 1), (1, math.nan, 1), (1, 1, math.nan),
+                                     (math.inf, 1, 1), (1, 1, math.inf), (1, 1, 0), (1, 1, -1)])
+def test_disk_rejects_values_not_finite_or_radius_not_positive(cx, cy, r):
+    with pytest.raises(ValueError):
+        Disk(cx, cy, r)
 
 
 class TestEdgeCrossesRegion:

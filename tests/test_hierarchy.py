@@ -650,3 +650,82 @@ def test_tied_one_point_blocks_fall_back_to_the_solvers(monkeypatch, system, see
         run_stage(state, n)
     one_point = [tied for _, one, tied in calls if one]
     assert one_point and all(one_point)
+
+
+# --- The records view --------------------------------------------------------
+# state.records[n - 1] is a read-only view over level n's stage columns; its
+# rows are built on request and must be the rows the oracle builds.
+
+class TestBlockRecordsView:
+    def test_len_indexing_and_iteration(self):
+        _, _, (_, _, state) = hierarchical_case(seed=5)
+        assert len(state.records) == 4
+        for n, recs in zip(range(1, 5), state.records):
+            rows = list(recs)
+            assert len(recs) == len(rows) == len(state.levels[n].cells) > 0
+            assert all(isinstance(rec, BlockRecord) for rec in rows)
+            for k in {0, len(rows) // 2, len(rows) - 1}:
+                assert recs[k] == rows[k]
+                assert recs[k - len(rows)] == rows[k]
+            assert recs[-1] == rows[-1] and recs[-len(rows)] == rows[0]
+            for k in (len(rows), -len(rows) - 1):
+                with pytest.raises(IndexError):
+                    recs[k]
+            for k in (1.0, slice(1, 4)):
+                with pytest.raises(TypeError):
+                    recs[k]
+            assert [rec.key[0] for rec in recs] == [n] * len(rows)
+
+    def test_rows_read_only(self):
+        _, _, (_, _, state) = hierarchical_case(seed=5)
+        with pytest.raises(TypeError):
+            state.records[0][0] = state.records[0][1]
+
+    def test_indexed_rows_equal_the_oracle(self):
+        for N, seed in ((2, 0), (3, 1), (4, 2), (5, 0)):
+            system = build_block_system(seed, N)
+            ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), seed))
+            state, oracle = init_state(ps, system), oracle_init_state(ps, system)
+            stage1(state)
+            oracle_stage1(oracle)
+            for n in range(2, N + 1):
+                run_stage(state, n)
+                oracle_run_stage(oracle, n)
+            for recs, want in zip(state.records, oracle.records):
+                want = [dataclasses.astuple(rec) for rec in want]
+                assert [dataclasses.astuple(recs[k]) for k in range(len(recs))] == want
+                assert [dataclasses.astuple(recs[k - len(recs)])
+                        for k in range(len(recs))] == want
+
+    def test_rows_unchanged_by_later_stages(self):
+        # a later stage's heir unmatch rewrites red_partner for some of an
+        # earlier stage's new edges; the rows keep the partners they had
+        system = build_block_system(3, 4)
+        ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), 3))
+        state = init_state(ps, system)
+        stage1(state)
+        taken = {}
+        for n in range(1, 5):
+            if n > 1:
+                run_stage(state, n)
+            taken[n] = [dataclasses.astuple(rec) for rec in state.records[n - 1]]
+        undone = 0
+        for n in range(1, 5):
+            assert [dataclasses.astuple(rec) for rec in state.records[n - 1]] == taken[n]
+            undone += sum(state.red_partner[i] != j
+                          for rec in state.records[n - 1] for i, j in rec.new_edges)
+        assert undone > 0
+
+    def test_diagnostics_equal_row_sums(self):
+        for N, seeds in ((2, range(3)), (3, range(3)), (4, range(2)), (5, range(1))):
+            for seed in seeds:
+                _, _, (_, diag, state) = hierarchical_case(seed, N)
+                want = {n: {"blocks": len(recs),
+                            "bad_count": sum(rec.bad for rec in recs),
+                            "dodgy_count": sum(rec.dodgy for rec in recs),
+                            "unmatched": sum(rec.unmatched for rec in recs)}
+                        for n, recs in zip(range(1, N + 1), state.records)}
+                assert diag["levels"] == want
+                assert json.dumps(diag["levels"]) == json.dumps(want)
+                assert all(type(v) is int for level in diag["levels"].values()
+                           for v in level.values())

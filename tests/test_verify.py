@@ -572,6 +572,14 @@ class TestBoxRematch:
         with pytest.raises(ValueError):
             box_rematch_experiment(ps, m, t=0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_side_not_finite(self, t):
+        # NaN passes a plain `t <= 0` test, and then no edge lies in any cell
+        ps, n = balanced(square_ps(0, side=4.0))
+        m = Matching(ps.reds, ps.blues, [(i, i) for i in range(n)])
+        with pytest.raises(ValueError):
+            box_rematch_experiment(ps, m, t=t)
+
 
 def _box_rematch_loop(ps, m, t):
     """box_rematch_experiment as a plain loop over the edges, kept verbatim
