@@ -27,14 +27,18 @@ so on rare tie-rich inputs the two solvers return different minima.
 
 The tie pass finds candidate pairs with numpy, a block of rows at a time, so
 Python touches only actual swaps. Before the ordered scan it makes one scan
-in index order for any tied pair at all, and returns at once when there is
-none, as on random reals: 0.06 -> 0.03 ms at n=30 and 12 -> 7.5 ms at
-n=1000 (2-CPU Xeon). Both scans gather a block of rows at a time from the
-cost matrix, so neither holds a second n-by-n array. The assignment
-routine itself dominates the time of ``min_cost_perfect``. It takes its
-rows in golden-ratio order (see ``_assign``), which makes it faster and its
-time less dependent on the input; ``min_cost_pairs`` builds its cost
-matrix in that order to begin with, so no reordered copy is made.
+in row order for any tied pair at all, and returns at once when there is
+none, as on random reals: 0.06 -> 0.03 ms at n=30 and 12 -> 6 ms at n=1000
+(2-CPU Xeon). Both scans gather a block of rows at a time from the cost
+matrix, so neither holds a second n-by-n array. The assignment routine
+itself dominates the time of ``min_cost_perfect``. It takes its rows in
+golden-ratio order (see ``_assign``), which makes it faster and its time
+less dependent on the input. Every dense solve builds its cost matrix in
+that order to begin with, so none makes a reordered copy; at n=1000 the
+traced peak of ``min_cost_perfect`` is 8.8 MiB, one 7.6 MiB matrix and the
+scan's row blocks, where the copy made it 15.3 MiB. ``min_cost_partners``
+runs the tie pass on that matrix and maps the partners back to the reds'
+index order.
 
 ``min_cost_partners`` is the solve itself, returning a partner array;
 ``min_cost_perfect`` wraps it in a ``Matching``. Callers that solve many
@@ -183,11 +187,18 @@ def _scattered(n: int) -> np.ndarray:
     return np.argsort(np.arange(n) * GOLDEN % 1.0, kind="stable")
 
 
-def _assign(cost: np.ndarray, scattered: bool = False) -> np.ndarray:
+@functools.lru_cache(maxsize=128)
+def _scattered_at(n: int) -> np.ndarray:
+    """Position of each of 0..n-1 in ``_scattered(n)``: its inverse."""
+    return np.argsort(_scattered(n), kind="stable")
+
+
+def _assign(cost: np.ndarray) -> np.ndarray:
     """Column of each row in a min-cost assignment of the rows of ``cost``
-    (no more rows than columns), from scipy's routine. ``cost`` holds the
-    rows in index order, or, if ``scattered``, already in the routine's
-    order ``_scattered(len(cost))``, which spares the reordered copy.
+    (no more rows than columns), from scipy's routine. Every dense solve
+    builds ``cost`` already in the routine's row order: its row k is row
+    ``_scattered(len(cost))[k]`` of the problem, so no reordered copy is
+    made. The result is indexed by the problem's rows.
 
     The routine adds rows to the matching one at a time, in index order. The
     package's point sets are sorted by x, so in that order each new row finds
@@ -199,17 +210,16 @@ def _assign(cost: np.ndarray, scattered: bool = False) -> np.ndarray:
     order). On inputs with tied minima the order picks which minimum the
     routine returns."""
     from scipy.optimize import linear_sum_assignment  # loaded at first use
-    order = _scattered(len(cost))
     assign = np.empty(len(cost), dtype=int)
-    assign[order] = linear_sum_assignment(cost if scattered else cost[order])[1]
+    assign[_scattered(len(cost))] = linear_sum_assignment(cost)[1]
     return assign
 
 
 def _assign_points(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``_assign`` of the cost matrix of ``rows`` against ``cols``, built in
-    the routine's row order; its entries are those of ``_cost_matrix(rows,
-    cols)``, and the two orientations' entries are equal bit for bit."""
-    return _assign(_cost_matrix(rows[_scattered(len(rows))], cols), scattered=True)
+    """``_assign`` of the cost matrix of ``rows`` against ``cols``; its
+    entries are those of ``_cost_matrix(rows, cols)``, and the two
+    orientations' entries are equal bit for bit."""
+    return _assign(_cost_matrix(rows[_scattered(len(rows))], cols))
 
 
 def _lex_key(reds: np.ndarray, blues: np.ndarray, assign) -> tuple:
@@ -247,28 +257,36 @@ def _lex_rank(pts: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _canonicalize_ties(reds, blues, cost, assign) -> np.ndarray:
+def _canonicalize_ties(reds, blues, cost, assign, ids) -> np.ndarray:
     """Pairwise-swap pass: among cost-preserving 2-swaps prefer the
     lexicographically earlier partner sequence. Pairs of reds are scanned in
     red-lex order, swapping wherever the later red's partner is the earlier
     blue, until a whole scan swaps nothing. Random-real inputs have no ties,
     so this only matters for handcrafted configurations.
 
+    Row k of ``cost``, ``reds[k]`` and ``assign[k]`` belong to the red of
+    index ``ids[k]``; reds at equal coordinates are scanned in the order of
+    that index, so the result does not depend on the order of the rows.
+
     Fast exit: a swap needs a tied pair, whichever red comes first, and the
     test is symmetric in the two reds (float addition commutes), so when a
-    scan of the upper triangle in index order finds no tied pair the
+    scan of the upper triangle in row order finds no tied pair the
     assignment is returned as it is, before any lexicographic ordering."""
     n = len(assign)
     d = cost[np.arange(n), assign]
 
     def tied(rows, cols):  # cost[i, assign[j]] + cost[j, assign[i]], i in rows
-        alt = cost[rows][:, assign[cols]] + cost[cols][:, assign[rows]].T
-        return np.abs(alt - (d[rows, None] + d[cols])) <= EPS_TIE
+        # updated in place, so at most two row blocks are live; ``take``
+        # gives a C-order block, which the transposed gather matches
+        alt = np.take(cost[rows], assign[cols], axis=1)
+        alt += cost[cols][:, assign[rows]].T
+        alt -= d[rows, None] + d[cols]
+        return np.abs(alt, out=alt) <= EPS_TIE
 
     if _first_pair(n, tied) is None:
         return assign
     assign = assign.copy()
-    order = np.lexsort((reds[:, 1], reds[:, 0]))
+    order = np.lexsort((ids, reds[:, 1], reds[:, 0]))
     rank = _lex_rank(blues)
 
     def swaps(rows, cols):
@@ -301,8 +319,13 @@ def min_cost_partners(reds, blues) -> np.ndarray:
         raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
     if len(reds) == 0:
         return np.empty(0, dtype=int)
+    order = _scattered(len(reds))
+    reds = reds[order]
     cost = _cost_matrix(reds, blues)
-    return _canonicalize_ties(reds, blues, cost, _assign(cost))
+    part = _canonicalize_ties(reds, blues, cost, _assign(cost)[order], order)
+    assign = np.empty_like(part)
+    assign[order] = part
+    return assign
 
 
 def min_cost_perfect(reds, blues) -> Matching:
@@ -399,12 +422,16 @@ def min_cost_saturating(reds, blues, reserve_reds, reserve_blues
     if nr1 == nb1 == 0:  # every pair returned needs a mandatory end
         return []
     size = max(nr, nb)
+    # the matrix in the solver's row order: row at[i] holds padded row i, and
+    # the cost rows come a block at a time, so no n-by-n temporary is made
+    at = _scattered_at(size)
     cost = np.zeros((size, size))
-    if nr and nb:
-        cost[:nr, :nb] = _cost_matrix(all_r, all_b)
-        cost[nr1:nr, nb1:nb] = 0.0  # reserve-reserve: both unused
-    cost[:nr1, nb:] = BIG   # mandatory reds cannot go unmatched
-    cost[nr:, :nb1] = BIG   # mandatory blues cannot go unmatched
+    for r0 in range(0, nr, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, nr)
+        cost[at[r0:r1], :nb] = _cost_matrix(all_r[r0:r1], all_b)
+    cost[at[nr1:nr], nb1:nb] = 0.0  # reserve-reserve: both unused
+    cost[at[:nr1], nb:] = BIG   # mandatory reds cannot go unmatched
+    cost[at[nr:], :nb1] = BIG   # mandatory blues cannot go unmatched
     return [(i, j) for i, j in enumerate(_assign(cost).tolist())
             if i < nr and j < nb and (i < nr1 or j < nb1)]
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import click
 
-from . import hierarchy, verify, walks
+from . import assignment, hierarchy, sampling, verify, walks
 from .assignment import Matching, brute_force_min, improvable_pair, min_cost_perfect
 from .geometry import Disk, Domain
 from .render import RenderSpec, render_scene
@@ -143,14 +143,21 @@ def _arcs_from(d: dict, path: str):
                 for a in d["arcs"]]
 
 
+def _check_format(d: dict, path: str, version: int = FORMAT_VERSION,
+                  what: str = "") -> None:
+    if d.get("format", version) != version:
+        raise ValueError(f"unsupported {what}format {d['format']!r} in {path}")
+
+
 def _load_result(path: str):
     d = _load(path)
     if not isinstance(d, dict):
         raise ValueError(f"malformed input {path}: not a JSON object")
-    if d.get("format", FORMAT_VERSION) != FORMAT_VERSION:
-        raise ValueError(f"unsupported format {d['format']!r} in {path}")
+    _check_format(d, path)
     with _fields_of(path):
         if "points" in d:
+            _check_format(d["points"], path, sampling.FORMAT_VERSION, "points ")
+            _check_format(d["matching"], path, assignment.FORMAT_VERSION, "matching ")
             ps = ColoredPointSet.from_json(d["points"])
             m = Matching.from_json(d["matching"], ps.reds, ps.blues)
             return ps, m, d

@@ -32,9 +32,6 @@ class Segment:
         if self.a == self.b:
             raise ValueError(f"degenerate segment at {self.a}")
 
-    def length(self) -> float:
-        return math.hypot(self.b.x - self.a.x, self.b.y - self.a.y)
-
 
 @dataclass(frozen=True)
 class Rect:

@@ -1,13 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from poisson_matching import assignment
-from poisson_matching.assignment import (EPS_TIE, ONE_COLOR, ROW_BLOCK,
-                                         TWO_COLOR, Matching, _assign,
-                                         _cost_matrix, _pair_distances,
+from poisson_matching.assignment import (BIG, EPS_TIE, ONE_COLOR, ROW_BLOCK,
+                                         TWO_COLOR, Matching, _cost_matrix,
+                                         _pair_distances, _points,
                                          brute_force_min, improvable_pair,
                                          max_cardinality_min_cost,
                                          min_cost_pairs, min_cost_perfect,
@@ -49,6 +50,84 @@ class TestMinCostPerfect:
         assert min_cost_perfect(np.empty((0, 2)), np.empty((0, 2))).edges == []
 
 
+# The index-order dense path as it was before every solve built its cost
+# matrix in solver row order: ``_assign`` copied the matrix into that order.
+# Kept verbatim as the oracle for the copy-free path.
+
+
+def _old_assign(cost: np.ndarray) -> np.ndarray:
+    from scipy.optimize import linear_sum_assignment
+    order = assignment._scattered(len(cost))
+    assign = np.empty(len(cost), dtype=int)
+    assign[order] = linear_sum_assignment(cost[order])[1]
+    return assign
+
+
+def _old_canonicalize_ties(reds, blues, cost, assign) -> np.ndarray:
+    n = len(assign)
+    d = cost[np.arange(n), assign]
+
+    def tied(rows, cols):  # cost[i, assign[j]] + cost[j, assign[i]], i in rows
+        alt = cost[rows][:, assign[cols]] + cost[cols][:, assign[rows]].T
+        return np.abs(alt - (d[rows, None] + d[cols])) <= EPS_TIE
+
+    if assignment._first_pair(n, tied) is None:
+        return assign
+    assign = assign.copy()
+    order = np.lexsort((reds[:, 1], reds[:, 0]))
+    rank = assignment._lex_rank(blues)
+
+    def swaps(rows, cols):
+        part = assign[order]
+        d = cost[order, part]
+        alt = (cost[np.ix_(order[rows], part[cols])]
+               + cost[np.ix_(order[cols], part[rows])].T)
+        cur = d[rows, None] + d[cols]
+        earlier = rank[part[cols]] < rank[part[rows], None]
+        return (np.abs(alt - cur) <= EPS_TIE) & earlier
+
+    changed = True
+    while changed:
+        changed = False
+        pos = assignment._first_pair(n, swaps)
+        while pos is not None:
+            i, j = order[pos // n], order[pos % n]
+            assign[i], assign[j] = assign[j], assign[i]
+            changed = True
+            pos = assignment._first_pair(n, swaps, pos + 1)
+    return assign
+
+
+def _old_min_cost_partners(reds, blues) -> np.ndarray:
+    reds, blues = _points(reds), _points(blues)
+    if len(reds) != len(blues):
+        raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
+    if len(reds) == 0:
+        return np.empty(0, dtype=int)
+    cost = _cost_matrix(reds, blues)
+    return _old_canonicalize_ties(reds, blues, cost, _old_assign(cost))
+
+
+def _old_min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
+    reds, blues = _points(reds), _points(blues)
+    all_r = np.concatenate([reds, _points(reserve_reds)])
+    all_b = np.concatenate([blues, _points(reserve_blues)])
+    nr1, nb1, nr, nb = len(reds), len(blues), len(all_r), len(all_b)
+    if nr1 > nb or nb1 > nr:
+        raise ValueError("reserve pools too small to saturate the mandatory points")
+    if nr1 == nb1 == 0:  # every pair returned needs a mandatory end
+        return []
+    size = max(nr, nb)
+    cost = np.zeros((size, size))
+    if nr and nb:
+        cost[:nr, :nb] = _cost_matrix(all_r, all_b)
+        cost[nr1:nr, nb1:nb] = 0.0  # reserve-reserve: both unused
+    cost[:nr1, nb:] = BIG   # mandatory reds cannot go unmatched
+    cost[nr:, :nb1] = BIG   # mandatory blues cannot go unmatched
+    return [(i, j) for i, j in enumerate(_old_assign(cost).tolist())
+            if i < nr and j < nb and (i < nr1 or j < nb1)]
+
+
 def _reference_canonicalize_ties(reds, blues, cost, assign) -> np.ndarray:
     """The tie pass as a plain loop over every pair: the reference for the
     vectorised one."""
@@ -85,7 +164,7 @@ class TestTiePass:
         """min_cost_perfect's partners equal the reference pass applied to the
         same assignment-routine output; True when that pass swapped."""
         cost = _cost_matrix(reds, blues)
-        raw = _assign(cost)
+        raw = _old_assign(cost)
         want = _reference_canonicalize_ties(reds, blues, cost, raw)
         got = min_cost_perfect(reds, blues)
         assert got.edges == [(i, int(want[i])) for i in range(len(reds))]
@@ -176,7 +255,8 @@ class TestTiePassFastExit:
 
         monkeypatch.setattr(assignment, "_lex_rank", counting)
         cost = _cost_matrix(reds, blues)
-        got = assignment._canonicalize_ties(reds, blues, cost, np.asarray(raw))
+        got = assignment._canonicalize_ties(reds, blues, cost, np.asarray(raw),
+                                            np.arange(len(reds)))
         want = _reference_canonicalize_ties(reds, blues, cost, np.asarray(raw))
         assert (got == want).all()
         monkeypatch.undo()
@@ -223,7 +303,7 @@ class TestTiePassFastExit:
         rng = derived_rng(83)
         for n in (1, 2, 30, ROW_BLOCK + 3):
             reds, blues = rng.uniform(0, 5, (n, 2)), rng.uniform(0, 5, (n, 2))
-            raw = _assign(_cost_matrix(reds, blues))
+            raw = _old_assign(_cost_matrix(reds, blues))
             got, scanned = self._run(monkeypatch, reds, blues, raw)
             assert not scanned and (got == raw).all()
 
@@ -310,13 +390,13 @@ class TestMaxCardinalityMinCost:
 
 def _old_min_cost_pairs(reds, blues):
     """min_cost_pairs as it was: the cost matrix in index order, reordered
-    by ``_assign`` (transposed when there are more reds than blues)."""
+    by ``_old_assign`` (transposed when there are more reds than blues)."""
     if len(reds) == 0 or len(blues) == 0:
         return []
     cost = _cost_matrix(reds, blues)
     if len(reds) <= len(blues):
-        return list(enumerate(_assign(cost).tolist()))
-    return sorted(zip(_assign(cost.T).tolist(), range(len(blues))))
+        return list(enumerate(_old_assign(cost).tolist()))
+    return sorted(zip(_old_assign(cost.T).tolist(), range(len(blues))))
 
 
 class TestMinCostPairsInSolverOrder:
@@ -406,6 +486,112 @@ class TestMinCostSaturating:
         monkeypatch.setattr(assignment, "_assign", no_solve)
         assert min_cost_saturating(np.empty((0, 2)), np.empty((0, 2)),
                                    [[0, 0], [1, 1]], [[0, 1]]) == []
+
+
+class TestAgainstIndexOrderPath:
+    """The solves that build their cost matrix in solver row order give the
+    partners of the index-order path they replaced, bit for bit."""
+
+    @staticmethod
+    def _check(reds, blues) -> bool:
+        """min_cost_partners equals the old path; True when the old path's
+        tie pass swapped."""
+        want = _old_min_cost_partners(reds, blues)
+        assert np.array_equal(assignment.min_cost_partners(reds, blues), want)
+        return len(want) > 0 and bool(
+            (want != _old_assign(_cost_matrix(reds, blues))).any())
+
+    def test_random_reals(self):
+        rng = derived_rng(107)
+        for n in (0, 1, 2, 3, 30, ROW_BLOCK + 1, 200):
+            reds, blues = rng.uniform(0, 5, (n, 2)), rng.uniform(0, 5, (n, 2))
+            assert not self._check(reds, blues)
+
+    def test_lattices(self):
+        rng = derived_rng(109)
+        swapped = 0
+        for _ in range(300):
+            width = int(rng.integers(2, 7))
+            n = int(rng.integers(1, width * width + 1))
+            swapped += self._check(_lattice(rng, width, n, distinct=True),
+                                   _lattice(rng, width, n, distinct=True))
+        assert swapped >= 30
+
+    @pytest.mark.parametrize("side", ["reds", "blues"])
+    def test_duplicate_points(self, side):
+        # equal reds are scanned in index order whatever rows they sit in
+        rng = derived_rng(113, side == "reds")
+        swapped = 0
+        for _ in range(200):
+            width = int(rng.integers(2, 7))
+            n = int(rng.integers(2, 20))
+            dup = _lattice(rng, width, n, distinct=False)
+            other = _lattice(rng, width, n, distinct=n <= width * width)
+            swapped += self._check(*((dup, other) if side == "reds" else (other, dup)))
+        assert swapped >= 30
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
+    def test_across_row_blocks(self, n):
+        rng = derived_rng(127, n)
+        swapped = 0
+        for width in (2, 3, 4, 5, 6):
+            swapped += self._check(_lattice(rng, width, n, distinct=False),
+                                   _lattice(rng, width, n, distinct=False))
+        assert not self._check(rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2)))
+        assert swapped >= 3
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
+    def test_saturating_with_reserves(self, lattice):
+        rng = derived_rng(131, lattice)
+        both = 0
+        shapes = [rng.integers(0, 9, size=4) for _ in range(200)]
+        shapes += [(50, 30, 40, 70), (100, 90, 50, 80), (20, 70, 90, 5)]
+        for sizes in shapes:
+            if lattice:
+                reds, blues, rres, bres = (_lattice(rng, 6, int(k), distinct=False)
+                                           for k in sizes)
+            else:
+                reds, blues, rres, bres = (rng.uniform(0, 4, (int(k), 2)) for k in sizes)
+            if len(reds) > len(blues) + len(bres) or len(blues) > len(reds) + len(rres):
+                continue
+            assert (min_cost_saturating(reds, blues, rres, bres)
+                    == _old_min_cost_saturating(reds, blues, rres, bres))
+            both += len(rres) > 0 and len(bres) > 0
+        assert both >= 100
+
+
+class TestDenseSolvePeakMemory:
+    """A dense solve holds one n-by-n cost matrix: no reordered copy, and
+    only row blocks besides (the index-order path peaked at two matrices)."""
+
+    N = 600
+
+    @staticmethod
+    def _traced_peak(solve, *args) -> int:
+        solve(*(a[:3] for a in args))  # load scipy outside the trace
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            solve(*args)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("solve", [assignment.min_cost_partners, min_cost_perfect])
+    def test_perfect_solves(self, solve):
+        rng = derived_rng(137)
+        reds, blues = rng.uniform(0, 25, (self.N, 2)), rng.uniform(0, 25, (self.N, 2))
+        assert self._traced_peak(solve, reds, blues) < 1.3 * self.N * self.N * 8
+
+    def test_saturating(self):
+        rng = derived_rng(139)
+        reds, rres = rng.uniform(0, 25, (300, 2)), rng.uniform(0, 25, (300, 2))
+        blues, bres = rng.uniform(0, 25, (250, 2)), rng.uniform(0, 25, (320, 2))
+        peak = self._traced_peak(min_cost_saturating, reds, blues, rres, bres)
+        assert peak < 1.3 * self.N * self.N * 8
 
 
 def _one_point_groups(rng, lattice, groups=400):

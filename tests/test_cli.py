@@ -256,6 +256,11 @@ BAD_INPUTS = {
     "no_domain_key": (VERIFY, json.dumps(NO_DOMAIN_RESULT)),
     "truncated_json": (VERIFY, json.dumps(ONE_EDGE_RESULT)[:40]),
     "unknown_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "format": 99})),
+    # the nested versions used to go unchecked, so these exited 0
+    "unknown_points_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "points": {
+        **ONE_EDGE_RESULT["points"], "format": 99}})),
+    "unknown_matching_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
+        **ONE_EDGE_RESULT["matching"], "format": 99}})),
     "three_vertex_arc_planarity": (VERIFY, THREE_VERTEX_ARC),
     "three_vertex_arc_arcs": (VERIFY_ARCS, THREE_VERTEX_ARC),
     "nan_vertex_planarity": (VERIFY, NAN_VERTEX_ARC),
