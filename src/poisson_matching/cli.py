@@ -173,8 +173,9 @@ def _load_result(path: str):
               help="Construction randomness (offsets, coin, shift, bands).")
 @click.option("--coin", type=click.IntRange(0, 1), default=None,
               help="Phase for one_color (default: derived from seed).")
-@click.option("--stages", type=int, default=4, show_default=True,
-              help="Levels N for hierarchical.")
+@click.option("--stages", type=click.IntRange(2, 6), default=4, show_default=True,
+              help="Levels N for hierarchical; at N=7 one dense solve would "
+                   "need over 56 GB.")
 @click.option("--bands", type=int, default=3, show_default=True,
               help="Strip bands for laminate.")
 @click.option("--window", default="0,50", show_default=True,

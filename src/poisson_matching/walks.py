@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assignment import (EPS_TIE, Matching, ONE_COLOR, brute_force_min,
-                         max_cardinality_min_cost, min_cost_perfect)
+                         min_cost_pairs, min_cost_partners)
 from .geometry import LINE, STRIP, Domain, Point, Segment
 from .sampling import ColoredPointSet, derived_rng
 from .verify import VerificationReport
@@ -97,8 +97,8 @@ def zero_block_matching(ps: ColoredPointSet) -> Matching:
     for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
         if r1 - r0 != b1 - b0:
             raise WalkInvariantError("zero block is not balanced")
-        sub = min_cost_perfect(ps.reds[r0:r1], ps.blues[b0:b1])
-        edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
+        part = min_cost_partners(ps.reds[r0:r1], ps.blues[b0:b1])
+        edges.extend(zip(range(r0, r1), (b0 + part).tolist()))
     return Matching.from_edges(ps.reds, ps.blues, edges)
 
 
@@ -131,7 +131,8 @@ def cut_times(walk: StepWalk) -> np.ndarray:
 def cut_time_matching(ps: ColoredPointSet) -> Matching:
     """Between consecutive cut-times each block holds strictly more reds than
     blues; match all its blues at minimum length. Points outside the outermost
-    cut-times stay unmatched."""
+    cut-times stay unmatched. Every block's excess is checked; a block with
+    no blue has nothing to solve."""
     walk = build_walk(ps)
     cuts = cut_times(walk)
     rc, bc = _interval_cuts(ps, cuts)
@@ -139,8 +140,9 @@ def cut_time_matching(ps: ColoredPointSet) -> Matching:
     for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
         if r1 - r0 <= b1 - b0:
             raise WalkInvariantError("cut block must have a strict red excess")
-        sub = max_cardinality_min_cost(ps.reds[r0:r1], ps.blues[b0:b1])
-        edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
+        if b1 > b0:
+            edges.extend((int(r0 + i), int(b0 + j))
+                         for i, j in min_cost_pairs(ps.reds[r0:r1], ps.blues[b0:b1]))
     return Matching.from_edges(ps.reds, ps.blues, edges)
 
 

@@ -1,9 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
+
+import poisson_matching
 
 from poisson_matching import assignment
 from poisson_matching.assignment import (BIG, EPS_TIE, ONE_COLOR, ROW_BLOCK,
@@ -594,6 +602,106 @@ class TestDenseSolvePeakMemory:
         assert peak < 1.3 * self.N * self.N * 8
 
 
+def _cost_matrices():
+    """Cost matrices of random reals, tie-rich lattices, rectangular shapes,
+    and the empty and one-row edge cases."""
+    rng = derived_rng(71)
+    for n in (2, 7, 40, 150):
+        yield rng.uniform(0.0, 10.0, (n, n))
+    for width, n in ((2, 6), (3, 9), (5, 25), (6, 60)):
+        yield _cost_matrix(_lattice(rng, width, n, False), _lattice(rng, width, n, False))
+    for rows, cols in ((3, 8), (20, 45), (45, 20), (1, 9), (9, 1)):
+        yield rng.uniform(0.0, 10.0, (rows, cols))
+    yield np.zeros((1, 5))  # one row, every column tied
+    yield np.empty((0, 0))
+    yield np.empty((0, 4))
+
+
+class TestCompiledKernels:
+    """The solves call scipy's compiled functions, loaded without the
+    subpackages' inits; their output equals the public functions'."""
+
+    @pytest.fixture
+    def public_only(self, monkeypatch):
+        """The compiled-module lookup fails, so ``_kernel`` falls back to the
+        public imports; the cache is cleared before and after."""
+        def use(lookup):
+            monkeypatch.setattr(assignment, "_extension", lookup)
+            assignment._kernel.cache_clear()
+        yield use
+        monkeypatch.undo()
+        assignment._kernel.cache_clear()
+
+    def test_assignment_equals_public_routine(self):
+        solve = assignment._kernel("assign")
+        for cost in _cost_matrices():
+            rows, cols = solve(cost)
+            want_rows, want_cols = linear_sum_assignment(cost)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+    def test_distances_equal_public_cdist(self):
+        rng = derived_rng(72)
+        for n, m in ((0, 0), (0, 3), (3, 0), (1, 9), (30, 7)):
+            p, q = rng.uniform(-50.0, 50.0, (n, 2)), rng.uniform(-50.0, 50.0, (m, 2))
+            assert np.array_equal(_cost_matrix(p, q), cdist(p, q))
+
+    def test_kernels_come_from_the_compiled_modules(self):
+        for key, (module, name, _, _) in assignment._KERNELS.items():
+            compiled = assignment._extension(module)
+            if compiled is not None:  # else this scipy is laid out otherwise
+                assert assignment._kernel(key) is getattr(compiled, name)
+
+    def test_lookup_finds_only_compiled_modules(self):
+        assert assignment._extension("scipy.optimize._no_such_module") is None
+        assert "json.tool" not in sys.modules
+        assert assignment._extension("json.tool") is None  # pure Python
+        assert "json.tool" not in sys.modules
+
+    @pytest.mark.parametrize("lookup", [lambda name: None,
+                                        lambda name: types.ModuleType(name)],
+                             ids=["no_module", "no_function"])
+    def test_public_fallback_gives_equal_partners(self, public_only, lookup):
+        rng = derived_rng(73)
+        problems = [(rng.uniform(0, 10, (n, 2)), rng.uniform(0, 10, (n, 2)))
+                    for n in (1, 5, 30, 120)]
+        problems += [(_lattice(rng, w, n, False), _lattice(rng, w, n, False))
+                     for w, n in ((3, 9), (5, 25))]
+        reserves = [rng.uniform(0, 10, (k, 2)) for k in (4, 9)]
+
+        def solve_all():
+            return ([min_cost_perfect(r, b).edges for r, b in problems],
+                    [min_cost_pairs(r, b[:len(b) // 2 + 1]) for r, b in problems],
+                    [min_cost_saturating(r[:2], b[:1], *reserves) for r, b in problems])
+
+        compiled = solve_all()
+        public_only(lookup)
+        assert assignment._kernel("assign") is linear_sum_assignment
+        assert assignment._kernel("cdist") is cdist
+        assert solve_all() == compiled
+
+    def test_public_import_after_private_load(self):
+        code = """
+import sys
+import numpy as np
+from poisson_matching.assignment import _cost_matrix, _kernel, min_cost_perfect
+rng = np.random.default_rng(5)
+reds, blues = rng.random((40, 2)), rng.random((40, 2))
+edges = min_cost_perfect(reds, blues).edges
+assert not {"scipy.optimize", "scipy.spatial"} & set(sys.modules)
+import scipy.optimize
+from scipy.spatial.distance import cdist
+cost = cdist(reds, blues)
+assert np.array_equal(cost, _cost_matrix(reds, blues))
+assert np.array_equal(scipy.optimize.linear_sum_assignment(cost)[1], _kernel("assign")(cost)[1])
+assert min_cost_perfect(reds, blues).edges == edges
+"""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(poisson_matching.__file__)))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path})
+        assert res.returncode == 0, res.stderr
+
+
 def _one_point_groups(rng, lattice, groups=400):
     """Per group a source, 1-6 targets and 0-3 points of the source's color
     (the saturating problem's other reserve), all distinct within the group:
@@ -621,7 +729,8 @@ class TestNearestInGroups:
         rng = derived_rng(61)
         p = rng.uniform(-scale, scale, (300, 2))
         q = rng.uniform(-scale, scale, (300, 2))
-        want = _cost_matrix(p, q)
+        want = cdist(p, q)
+        assert np.array_equal(_cost_matrix(p, q), want)
         rows, cols = np.indices(want.shape).reshape(2, -1)
         got = _pair_distances(p[rows], q[cols])
         assert np.array_equal(got, want.ravel())

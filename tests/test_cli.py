@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import poisson_matching
+from poisson_matching import cli, hierarchy
 from poisson_matching.cli import main
 from poisson_matching.sampling import ColoredPointSet
 
@@ -300,6 +301,19 @@ def test_bad_input_is_usage_error(runner, tmp_path, name):
     assert "Error:" in res.output and "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("stages", ["7", "12"])
+def test_stages_out_of_reach_are_usage_errors(runner, monkeypatch, stages):
+    # N=7 needs a dense solve of over 56 GB and N=12 an array numpy refuses:
+    # the bound must stop both before anything is sampled or built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("--stages passed its bound")
+    monkeypatch.setattr(cli, "sample", unreachable)
+    monkeypatch.setattr(hierarchy, "build_block_system", unreachable)
+    res = invoke(runner, "match", "--construction", "hierarchical", "--stages", stages)
+    assert res.exit_code == 2, res.output
+    assert "--stages" in res.output and "Traceback" not in res.output
+
+
 def test_one_edge_result_is_valid(runner, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(ONE_EDGE_RESULT))
@@ -437,11 +451,13 @@ def test_output_digest_pinned(runner, pinned_inputs, name):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
-# Cold start: scipy (and numpy.ma, which scipy and np.unique pull in) load
-# only when a command solves an assignment problem. Each case runs in a fresh
-# interpreter, since this process has loaded both long ago.
+# Cold start: scipy (and numpy.ma, which scipy's subpackages and np.unique
+# pull in) load only when a command solves an assignment problem, and then
+# only scipy's top level and its compiled assignment and distance modules,
+# never the inits of scipy.optimize or scipy.spatial. Each case runs in a
+# fresh interpreter, since this process has loaded all of them long ago.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(poisson_matching.__file__)))
-WATCHED = ("numpy.ma", "scipy", "scipy.optimize")
+WATCHED = ("numpy.ma", "scipy", "scipy.optimize", "scipy.spatial", "scipy.optimize._lsap")
 RUN_MAIN = """
 import sys
 from poisson_matching.cli import main
@@ -506,4 +522,6 @@ def test_command_without_solve_loads_no_scipy(cold_inputs, name):
 @pytest.mark.parametrize("name", sorted(SOLVES))
 def test_command_that_solves_loads_scipy(cold_inputs, name):
     argv = [arg.format(**cold_inputs) for arg in SOLVES[name].split()]
-    assert "scipy.optimize" in _loaded_after(RUN_MAIN, *argv)
+    loaded = _loaded_after(RUN_MAIN, *argv)
+    assert "scipy.optimize._lsap" in loaded  # the assignment routine
+    assert not loaded & {"scipy.optimize", "scipy.spatial"}

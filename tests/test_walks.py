@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from poisson_matching.assignment import Matching, min_cost_perfect
+from poisson_matching.assignment import (Matching, max_cardinality_min_cost,
+                                         min_cost_perfect)
 from poisson_matching.geometry import Domain
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig, count_diff,
                                        derived_rng, sample)
@@ -147,6 +148,47 @@ class TestCutTimeMatching:
             for j in m.unmatched_blues:
                 x = ps.blues[j, 0]
                 assert x <= cuts[0] or x > cuts[-1]
+
+
+# The block constructions as they were when every block built a Matching
+# (empty cut blocks included); the oracle for the partner-array path.
+
+
+def _old_zero_block_matching(ps):
+    walk = build_walk(ps)
+    zero_xs = walk.xs[walk.values == 0]
+    rc, bc = walks._interval_cuts(ps, np.concatenate([[ps.domain.x0], zero_xs]))
+    edges = []
+    for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
+        sub = min_cost_perfect(ps.reds[r0:r1], ps.blues[b0:b1])
+        edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
+    return Matching.from_edges(ps.reds, ps.blues, edges)
+
+
+def _old_cut_time_matching(ps):
+    rc, bc = walks._interval_cuts(ps, cut_times(build_walk(ps)))
+    edges = []
+    for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
+        sub = max_cardinality_min_cost(ps.reds[r0:r1], ps.blues[b0:b1])
+        edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
+    return Matching.from_edges(ps.reds, ps.blues, edges)
+
+
+@pytest.mark.parametrize("construction, old, lam_red", [
+    (zero_block_matching, _old_zero_block_matching, 1.0),
+    (cut_time_matching, _old_cut_time_matching, 1.2)], ids=["zero_block", "cut_time"])
+def test_block_edges_equal_per_block_matchings(construction, old, lam_red):
+    empty = 0
+    for seed in range(10):
+        ps = sample(SampleConfig(lam_red, 1.0, Domain.strip(0, 300), seed=seed))
+        got, want = construction(ps), old(ps)
+        assert got.edges == want.edges and got.kind == want.kind
+        assert got.unmatched_reds == want.unmatched_reds
+        assert got.unmatched_blues == want.unmatched_blues
+        if construction is cut_time_matching:
+            rc, bc = walks._interval_cuts(ps, cut_times(build_walk(ps)))
+            empty += int((np.diff(bc) == 0).sum())
+    assert construction is zero_block_matching or empty >= 10  # blue-free blocks met
 
 
 class TestExcursionMatching:
@@ -473,6 +515,13 @@ class TestWalkInvariantErrors:
         # with the red step that makes the second one
         ps = strip_ps([1.0, 3.0], [2.0])
         monkeypatch.setattr(walks, "cut_times", lambda walk: np.array([0.5, 2.5]))
+        with pytest.raises(WalkInvariantError, match="strict red excess"):
+            cut_time_matching(ps)
+
+    def test_empty_cut_block_is_checked(self, monkeypatch):
+        # a block with no blue is not solved, but its excess is still checked
+        ps = strip_ps([1.0, 3.0], [])
+        monkeypatch.setattr(walks, "cut_times", lambda walk: np.array([0.5, 1.5, 1.6]))
         with pytest.raises(WalkInvariantError, match="strict red excess"):
             cut_time_matching(ps)
 
