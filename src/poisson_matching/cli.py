@@ -259,8 +259,10 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
 @click.option("--property", "prop",
               type=click.Choice(["planarity", "arcs", "minimality", "improvable"]),
               required=True)
-@click.option("--k", type=int, default=4, show_default=True)
-@click.option("--trials", type=int, default=200, show_default=True)
+@click.option("--k", type=click.IntRange(1, 8), default=4, show_default=True,
+              help="Edges per minimality subset (factorial oracle).")
+@click.option("--trials", type=click.IntRange(1, None), default=200, show_default=True,
+              help="Subsets the minimality certificate checks.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_verify(in_path, prop, k, trials, seed, out):

@@ -108,19 +108,6 @@ class BlockSystem:
             cells[n - 1] = (first[:, None, :] + step).reshape(-1, 2)
         return cells
 
-    def children(self, block: Block) -> List[Block]:
-        """The n(n-1) level-(n-1) blocks tiling a level-n block, ordered
-        left-to-right (even level) or bottom-to-top (odd level)."""
-        n = block.level
-        if n < 2:
-            raise ValueError("level-1 blocks have no children")
-        return [self.block(n - 1, ix, iy)
-                for ix, iy in self.grids(block, n - 1)[n - 1].tolist()]
-
-    def heir_of(self, block: Block) -> Block:
-        """Left-most child for even levels, bottom-most for odd levels."""
-        return self.children(block)[0]
-
 
 def build_block_system(seed: int, N: int) -> BlockSystem:
     if N < 2:
@@ -322,8 +309,8 @@ class StageState:
 
     def to_matching(self) -> Matching:
         ri = np.flatnonzero(self.red_partner >= 0)
-        return Matching.from_edges(self.ps.reds, self.ps.blues,
-                                   np.column_stack([ri, self.red_partner[ri]]))
+        return Matching(self.ps.reds, self.ps.blues,
+                        list(zip(ri.tolist(), self.red_partner[ri].tolist())))
 
 
 def _link(state: StageState, ri: np.ndarray, bj: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import Matching, min_cost_partners
+from .assignment import TWO_COLOR, Matching, min_cost_partners
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment,
                        edge_crosses_region, segments_intersect)
 from .sampling import ColoredPointSet, derived_rng
@@ -48,11 +48,6 @@ class StatsReport:
 
     def to_json(self) -> dict:
         return {"format": FORMAT_VERSION, "name": self.name, **self.payload}
-
-
-def _matching_segments(m: Matching) -> List[Segment]:
-    p, q = m.endpoint_arrays()
-    return [Segment(Point(*a), Point(*b)) for a, b in zip(p, q)]
 
 
 def _arc_arrays(arcs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,10 +253,11 @@ def estimate_eta(pairs: Sequence[Tuple[ColoredPointSet, Matching]],
     pooled_matched = 0
     for ps, m in pairs:
         s = interior_window(ps, fraction)
+        p, q = m.endpoint_arrays()
         total = 0.0
-        for k, (i, j) in enumerate(m.edges):
-            if s.contains(ps.reds[i]):
-                total += m.edge_length(k)
+        for red, d in zip(p.tolist(), (p - q).tolist()):
+            if s.contains(red):
+                total += math.hypot(*d)  # as Matching.edge_length
                 pooled_matched += 1
         pooled_total += total
         skipped += sum(1 for i in m.unmatched_reds if s.contains(ps.reds[i]))
@@ -277,7 +273,8 @@ def estimate_eta(pairs: Sequence[Tuple[ColoredPointSet, Matching]],
 
 def crossing_stats(m: Matching, regions: Sequence[Region]) -> StatsReport:
     """Edges crossing each query region, with a small tail summary."""
-    segs = _matching_segments(m)
+    p, q = m.endpoint_arrays()
+    segs = [Segment(Point(*a), Point(*b)) for a, b in zip(p.tolist(), q.tolist())]
     counts = []
     for region in regions:
         counts.append(sum(1 for s in segs if edge_crosses_region(s, region)))
@@ -305,13 +302,16 @@ class BoxRematchResult:
 def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRematchResult:
     """Partition the window into side-t squares; inside each square, replace
     the edges lying entirely within it by the min-length matching of their
-    endpoints. Edges crossing square boundaries are untouched.
+    endpoints. Edges crossing square boundaries are untouched. The matching
+    must be two-color: a cell rematches reds with blues.
 
     Each cell is solved by ``min_cost_partners`` on its endpoint arrays; its
     length after rematching is summed as ``Matching.total_length`` sums it,
     without building a matching per cell."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError("square side must be positive and finite")
+    if m.color_mode != TWO_COLOR:
+        raise ValueError("box rematch needs a two-color matching")
     d = ps.domain
     e = np.array(m.edges, dtype=int).reshape(-1, 2)  # a copy: rewritten below
     r, b = ps.reds[e[:, 0]], ps.blues[e[:, 1]]
@@ -334,8 +334,6 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
         improvements.append(sum(lengths[s0:s1]) - float(after))
         partner[s0:s1] = partner[s0:s1][assign]
     e[ks, 1] = partner
-    rematched = Matching(ps.reds, ps.blues, list(zip(e[:, 0].tolist(), e[:, 1].tolist())),
-                         kind=m.kind, unmatched_reds=list(m.unmatched_reds),
-                         unmatched_blues=list(m.unmatched_blues))
+    rematched = Matching(ps.reds, ps.blues, list(zip(e[:, 0].tolist(), e[:, 1].tolist())))
     return BoxRematchResult(m.total_length, rematched.total_length,
                             improvements, rematched)

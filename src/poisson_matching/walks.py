@@ -13,6 +13,7 @@ unmatched and are flagged, never force-matched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -52,16 +53,6 @@ class StepWalk:
         """Walk value immediately after each jump."""
         return self.base + np.cumsum(self.signs)
 
-    def value(self, t: float) -> int:
-        """F(t): right-continuous, so jumps at t are included."""
-        k = int(np.searchsorted(self.xs, t, side="right"))
-        return self.base + int(self.signs[:k].sum())
-
-    def value_left(self, t: float) -> int:
-        """F(t-): limit from the left."""
-        k = int(np.searchsorted(self.xs, t, side="left"))
-        return self.base + int(self.signs[:k].sum())
-
 
 def build_walk(ps: ColoredPointSet) -> StepWalk:
     if ps.domain.kind not in (LINE, STRIP):
@@ -99,7 +90,7 @@ def zero_block_matching(ps: ColoredPointSet) -> Matching:
             raise WalkInvariantError("zero block is not balanced")
         part = min_cost_partners(ps.reds[r0:r1], ps.blues[b0:b1])
         edges.extend(zip(range(r0, r1), (b0 + part).tolist()))
-    return Matching.from_edges(ps.reds, ps.blues, edges)
+    return Matching(ps.reds, ps.blues, edges)
 
 
 def one_color_pairing(ps: ColoredPointSet, coin: int) -> Matching:
@@ -107,12 +98,8 @@ def one_color_pairing(ps: ColoredPointSet, coin: int) -> Matching:
     classes. Leftover endpoint reds stay unmatched (window truncation)."""
     if coin not in (0, 1):
         raise ValueError("coin must be 0 or 1")
-    n = ps.n_red
-    edges = [(i, i + 1) for i in range(coin, n - 1, 2)]
-    used = {k for e in edges for k in e}
-    return Matching(ps.reds, ps.blues, edges, kind="partial",
-                    color_mode=ONE_COLOR,
-                    unmatched_reds=[i for i in range(n) if i not in used])
+    edges = [(i, i + 1) for i in range(coin, ps.n_red - 1, 2)]
+    return Matching(ps.reds, ps.blues, edges, color_mode=ONE_COLOR)
 
 
 def cut_times(walk: StepWalk) -> np.ndarray:
@@ -143,7 +130,7 @@ def cut_time_matching(ps: ColoredPointSet) -> Matching:
         if b1 > b0:
             edges.extend((int(r0 + i), int(b0 + j))
                          for i, j in min_cost_pairs(ps.reds[r0:r1], ps.blues[b0:b1]))
-    return Matching.from_edges(ps.reds, ps.blues, edges)
+    return Matching(ps.reds, ps.blues, edges)
 
 
 def excursion_matching(ps: ColoredPointSet) -> Matching:
@@ -163,7 +150,7 @@ def excursion_matching(ps: ColoredPointSet) -> Matching:
     # Blues met with an empty stack close excursions opened left of the
     # window and reds left on the stack open ones it does not close: both
     # stay unmatched.
-    return Matching.from_edges(ps.reds, ps.blues, edges)
+    return Matching(ps.reds, ps.blues, sorted(edges))
 
 
 @dataclass
@@ -225,11 +212,10 @@ def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> List[ArcSpec]:
     vals = walk.values
     allpts = np.concatenate([ps.reds, ps.blues])
     ys = allpts[np.argsort(allpts[:, 0], kind="stable"), 1]  # in walk order
-    ii = np.asarray([i for i, _ in m.edges])
-    jj = np.asarray([j for _, j in m.edges])
-    x_lo, x_hi = ps.reds[ii, 0], ps.blues[jj, 0]
+    p, q = m.endpoint_arrays()
+    x_lo, x_hi = p[:, 0], q[:, 0]
     backwards = np.flatnonzero(x_lo > x_hi)
-    n_ok = int(backwards[0]) if len(backwards) else len(ii)
+    n_ok = int(backwards[0]) if len(backwards) else len(p)
     k_lo = np.searchsorted(walk.xs, x_lo[:n_ok], side="left")
     k_hi = np.searchsorted(walk.xs, x_hi[:n_ok], side="right")
     lowest = _range_reduce(ys, np.minimum, k_lo, k_hi)
@@ -237,18 +223,14 @@ def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> List[ArcSpec]:
     depth = _range_reduce(vals, np.maximum, k_lo, k_hi) - base_level
     if (depth < 1).any():
         raise WalkInvariantError("edge interval must contain the red's up-step")
-    if n_ok < len(ii):
+    if n_ok < len(p):
         raise ValueError("excursion edges run left to right")
     arcs = []
-    for (i, j), low, d in zip(m.edges, lowest.tolist(), depth.tolist()):
-        r = ps.reds[i]
-        b = ps.blues[j]
+    for (i, j), (rx, ry), (bx, by), low, d in zip(m.edges, p.tolist(), q.tolist(),
+                                                  lowest.tolist(), depth.tolist()):
         h = low / d
-        arcs.append(ArcSpec(
-            edge=(i, j), height=h, lowest=low, depth=d,
-            vertices=[(float(r[0]), float(r[1])), (float(r[0]), h),
-                      (float(b[0]), h), (float(b[0]), float(b[1]))],
-        ))
+        arcs.append(ArcSpec(edge=(i, j), height=h, lowest=low, depth=d,
+                            vertices=[(rx, ry), (rx, h), (bx, h), (bx, by)]))
     return arcs
 
 
@@ -263,21 +245,14 @@ class CrossingProfile:
         widths = np.diff(self.breakpoints)
         return float((widths * self.values).sum())
 
-    def value_at(self, t: float) -> int:
-        if t <= self.breakpoints[0] or t >= self.breakpoints[-1]:
-            return 0
-        k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return int(self.values[k])
-
 
 def crossing_profile(m: Matching) -> CrossingProfile:
     """h(t) = number of matched intervals covering t; its integral equals the
     total edge length of a line matching."""
     if not m.edges:
         return CrossingProfile(np.asarray([0.0, 0.0]), np.asarray([], dtype=int))
-    bs = m.blues if m.color_mode == "two_color" else m.reds
-    lo = np.minimum(m.reds[[i for i, _ in m.edges], 0], bs[[j for _, j in m.edges], 0])
-    hi = np.maximum(m.reds[[i for i, _ in m.edges], 0], bs[[j for _, j in m.edges], 0])
+    p, q = m.endpoint_arrays()
+    lo, hi = np.minimum(p[:, 0], q[:, 0]), np.maximum(p[:, 0], q[:, 0])
     breaks = np.unique(np.concatenate([lo, hi]))
     mids = (breaks[:-1] + breaks[1:]) / 2
     # edges with lo <= mid, less those with hi < mid (each has lo <= hi)
@@ -288,22 +263,22 @@ def crossing_profile(m: Matching) -> CrossingProfile:
 
 def minimality_certificate_d1(m: Matching, ps: ColoredPointSet, k: int,
                               trials: int, seed: int = 0) -> VerificationReport:
-    """Check random k-subsets of edges against the brute-force rematch
-    minimum; a violating subset witnesses non-minimality."""
-    if k > 8:
-        raise ValueError("k <= 8 (factorial oracle)")
+    """Check ``trials`` random k-subsets of the edges (all of them where
+    there are fewer) against the brute-force rematch minimum; a violating
+    subset witnesses non-minimality. The report's ``trials`` is the number
+    of subsets checked, 0 for a matching without edges."""
+    if not 1 <= k <= 8:
+        raise ValueError("need 1 <= k <= 8 (factorial oracle)")
     rng = derived_rng(seed, 91)
     violations = []
-    n_edges = len(m.edges)
-    for t in range(trials):
-        size = min(k, n_edges)
-        if size == 0:
-            break
-        idx = rng.choice(n_edges, size=size, replace=False)
-        ridx = [m.edges[a][0] for a in idx]
-        bidx = [m.edges[a][1] for a in idx]
-        own = sum(m.edge_length(a) for a in idx)
-        best = brute_force_min(ps.reds[ridx], ps.blues[bidx]).total_length
+    p, q = m.endpoint_arrays()
+    lengths = [math.hypot(dx, dy) for dx, dy in (p - q).tolist()]  # as edge_length
+    size = min(k, len(p))
+    checked = max(trials, 0) if size else 0
+    for t in range(checked):
+        idx = rng.choice(len(p), size=size, replace=False)
+        own = sum(lengths[a] for a in idx)
+        best = brute_force_min(p[idx], q[idx]).total_length
         if own > best + EPS_TIE:
             violations.append({
                 "trial": t,
@@ -313,7 +288,7 @@ def minimality_certificate_d1(m: Matching, ps: ColoredPointSet, k: int,
             })
     return VerificationReport(
         property_name="minimality_d1",
-        trials=trials,
+        trials=checked,
         violations=violations,
     )
 
@@ -356,8 +331,8 @@ def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, Optional[
     domain = Domain.plane(x0, x1, shift, len(results) + shift)
     combined = ColoredPointSet(domain, red_arr[r_order], blue_arr[b_order],
                                seed=results[0][0].seed)
-    matching = Matching.from_edges(combined.reds, combined.blues,
-                                   [(r_map[i], b_map[j]) for i, j in edges])
+    matching = Matching(combined.reds, combined.blues,
+                        sorted((r_map[i], b_map[j]) for i, j in edges))
     for arc in arcs:
         arc.edge = (r_map[arc.edge[0]], b_map[arc.edge[1]])
     return combined, matching, arcs

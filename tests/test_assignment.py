@@ -21,9 +21,12 @@ from poisson_matching.assignment import (BIG, EPS_TIE, ONE_COLOR, ROW_BLOCK,
                                          max_cardinality_min_cost,
                                          min_cost_pairs, min_cost_perfect,
                                          min_cost_saturating, nearest_in_groups)
-from poisson_matching.geometry import is_parallel_free
-from poisson_matching.sampling import derived_rng
-from poisson_matching.verify import check_planarity
+from poisson_matching.geometry import Domain, is_parallel_free
+from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
+from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
+from poisson_matching.verify import box_rematch_experiment, check_planarity
+from poisson_matching.walks import (cut_time_matching, excursion_matching, laminate_strips,
+                                    one_color_pairing, polygonal_arcs, zero_block_matching)
 
 SQUARE_REDS = np.array([[0.0, 0.0], [1.0, 0.0]])
 SQUARE_BLUES = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -473,7 +476,7 @@ class TestMinCostSaturating:
             pairs = min_cost_saturating(reds, blues, rres, bres)
             all_r = np.concatenate([reds, rres])
             all_b = np.concatenate([blues, bres])
-            m = Matching(all_r, all_b, pairs, kind="partial")  # checks disjointness
+            m = Matching(all_r, all_b, pairs)  # checks disjointness
             assert pairs == sorted(pairs)
             assert {i for i, _ in pairs} >= set(range(len(reds)))
             assert {j for _, j in pairs} >= set(range(len(blues)))
@@ -769,36 +772,44 @@ class TestNearestInGroups:
 
 
 class TestFromEdges:
+    """The one constructor: kind and unmatched points follow from the edges."""
+
     def test_full_cover_is_perfect(self):
-        m = Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(1, 1), (0, 0)])
-        assert m.edges == [(0, 0), (1, 1)]
+        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(1, 1), (0, 0)])
+        assert m.edges == [(1, 1), (0, 0)]  # kept in the order given
         assert m.kind == "perfect"
         assert m.unmatched_reds == [] and m.unmatched_blues == []
 
     def test_uncovered_points_make_it_partial(self):
-        m = Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(1, 0)])
+        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(1, 0)])
         assert m.kind == "partial"
         assert m.unmatched_reds == [0] and m.unmatched_blues == [1]
 
     def test_empty_inputs_are_perfect(self):
-        m = Matching.from_edges(np.empty((0, 2)), np.empty((0, 2)), [])
+        m = Matching(np.empty((0, 2)), np.empty((0, 2)), [])
         assert m.kind == "perfect" and m.edges == []
 
     def test_one_empty_side_is_partial(self):
-        m = Matching.from_edges(SQUARE_REDS, np.empty((0, 2)), [])
+        m = Matching(SQUARE_REDS, np.empty((0, 2)), [])
         assert m.kind == "partial" and m.unmatched_reds == [0, 1]
 
     def test_edges_are_validated(self):
         with pytest.raises(ValueError):
-            Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(0, 0), (1, 0)])
+            Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 0), (1, 0)])
         with pytest.raises(ValueError):
-            Matching.from_edges(SQUARE_REDS, SQUARE_BLUES, [(0, 2)])
+            Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 2)])
 
     def test_edges_are_python_int_tuples(self):
-        m = Matching.from_edges(SQUARE_REDS, SQUARE_BLUES,
-                                np.array([[1, 1], [0, 0]], dtype=np.int32))
-        assert m.edges == [(0, 0), (1, 1)]
-        assert all(type(i) is int and type(j) is int for i, j in m.edges)
+        # the constructions hand over sorted edges of plain ints, which the
+        # JSON writer and the arc records take as they are
+        ps = sample(SampleConfig(1, 1, Domain.strip(0, 40), 5))
+        red_ps = sample(SampleConfig(1.3, 1, Domain.strip(0, 40), 5))
+        n = min(ps.n_red, ps.n_blue)
+        for m in (excursion_matching(ps), zero_block_matching(ps),
+                  cut_time_matching(red_ps), max_cardinality_min_cost(ps.reds, ps.blues),
+                  min_cost_perfect(ps.reds[:n], ps.blues[:n])):
+            assert m.edges and m.edges == sorted(m.edges)
+            assert all(type(i) is int and type(j) is int for i, j in m.edges)
 
 
 # edges, and the error the per-edge scan raises first: a range failure is
@@ -821,18 +832,115 @@ EDGE_ERRORS = [
 @pytest.mark.parametrize("edges,error", EDGE_ERRORS)
 def test_matching_validation_order(edges, error):
     if error is None:
-        Matching(SQUARE_REDS, SQUARE_BLUES, edges, kind="partial")
+        Matching(SQUARE_REDS, SQUARE_BLUES, edges)
         return
     with pytest.raises(ValueError, match=error):
-        Matching(SQUARE_REDS, SQUARE_BLUES, edges, kind="partial")
+        Matching(SQUARE_REDS, SQUARE_BLUES, edges)
 
 
 def test_one_color_edges_range_over_reds():
-    Matching(SQUARE_REDS, np.empty((0, 2)), [(0, 1)], kind="partial",
-             color_mode=ONE_COLOR)
+    Matching(SQUARE_REDS, np.empty((0, 2)), [(0, 1)], color_mode=ONE_COLOR)
     with pytest.raises(ValueError, match="out of range"):
-        Matching(SQUARE_REDS, np.empty((0, 2)), [(0, 2)], kind="partial",
-                 color_mode=ONE_COLOR)
+        Matching(SQUARE_REDS, np.empty((0, 2)), [(0, 2)], color_mode=ONE_COLOR)
+
+
+THREE_REDS = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize("edges,color_mode,error", [
+    ([(0, 1), (1, 2)], ONE_COLOR, "a point appears in two edges"),
+    ([(0, 1), (2, 0)], ONE_COLOR, "a point appears in two edges"),
+    ([(1, 1)], ONE_COLOR, "a red is paired with itself"),
+    ([(0, 1)], "three_color", "unknown color_mode"),
+    ([(0, 1)], None, "unknown color_mode"),
+])
+def test_one_color_and_color_mode_checks(edges, color_mode, error):
+    # one-color edges pair reds, so a red is used once over both columns
+    with pytest.raises(ValueError, match=error):
+        Matching(THREE_REDS, np.empty((0, 2)), edges, color_mode=color_mode)
+
+
+def _construction_cases():
+    """(name, matching) for every construction on seeded inputs, the empty
+    and one-color cases included."""
+    cases = []
+    for seed in range(3):
+        strip = sample(SampleConfig(1, 1, Domain.strip(0, 40), seed))
+        red_strip = sample(SampleConfig(1.3, 1, Domain.strip(0, 40), seed))
+        line = sample(SampleConfig(1, 1, Domain.line(0, 40), seed))
+        plane = sample(SampleConfig(1, 1, Domain.plane(0, 6, 0, 6), seed))
+        n = min(plane.n_red, plane.n_blue)
+        small = min(n, 6)
+        excursion = excursion_matching(strip)
+        system = build_block_system(seed, 3)
+        window = sample(SampleConfig(1, 1, aligned_window(system), seed))
+        bands = [(strip, excursion, polygonal_arcs(excursion, strip)),
+                 (red_strip, excursion_matching(red_strip), None)]
+        cases += [
+            ("zero_block", zero_block_matching(strip)),
+            ("one_color_0", one_color_pairing(strip, 0)),
+            ("one_color_1", one_color_pairing(strip, 1)),
+            ("cut_time", cut_time_matching(red_strip)),
+            ("excursion_strip", excursion),
+            ("excursion_line", excursion_matching(line)),
+            ("min_cost", min_cost_perfect(plane.reds[:n], plane.blues[:n])),
+            ("hierarchical", run_hierarchical(window, seed, 3, system=system)[0]),
+            ("laminate", laminate_strips(bands, 0.25)[1]),
+            ("max_cardinality", max_cardinality_min_cost(plane.reds, plane.blues)),
+            ("brute_force", brute_force_min(plane.reds[:small], plane.blues[:small])),
+            ("box_rematch", box_rematch_experiment(strip, excursion, 3.0).matching),
+        ]
+    lone = ColoredPointSet(Domain.strip(0, 2), [[1.0, 0.5]], np.empty((0, 2)))
+    cases += [
+        ("empty", Matching(np.empty((0, 2)), np.empty((0, 2)), [])),
+        ("no_blues", max_cardinality_min_cost(SQUARE_REDS, np.empty((0, 2)))),
+        ("one_color_lone_red", one_color_pairing(lone, 0)),
+        ("one_color_empty", Matching(np.empty((0, 2)), np.empty((0, 2)), [],
+                                     color_mode=ONE_COLOR)),
+    ]
+    return cases
+
+
+CONSTRUCTION_CASES = _construction_cases()
+
+
+@pytest.mark.parametrize("name,m", CONSTRUCTION_CASES,
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CONSTRUCTION_CASES)])
+def test_kind_and_unmatched_follow_from_edges(name, m):
+    # the oracle: set difference over the edge ends
+    if m.color_mode == ONE_COLOR:
+        want_reds = set(range(len(m.reds))) - {k for e in m.edges for k in e}
+        want_blues, want_kind = set(), "partial"
+    else:
+        want_reds = set(range(len(m.reds))) - {i for i, _ in m.edges}
+        want_blues = set(range(len(m.blues))) - {j for _, j in m.edges}
+        want_kind = "partial" if want_reds or want_blues else "perfect"
+    assert m.unmatched_reds == sorted(want_reds)
+    assert m.unmatched_blues == sorted(want_blues)
+    assert m.kind == want_kind
+    d = m.to_json()
+    assert (d["kind"], d["unmatched_reds"], d["unmatched_blues"]) == (
+        want_kind, sorted(want_reds), sorted(want_blues))
+
+
+def test_one_color_is_partial_with_every_red_matched():
+    # the window truncates a pairing of the whole line: partial even when
+    # no red is left over
+    ps = sample(SampleConfig(1, 1, Domain.strip(0, 50), 1))
+    m = one_color_pairing(ps, 0)
+    assert m.edges and m.unmatched_reds == [] and m.unmatched_blues == []
+    assert m.kind == "partial"
+
+
+def test_from_json_checks_stated_values_against_edges():
+    m = Matching(SQUARE_REDS, SQUARE_BLUES, [(1, 0)])
+    d = m.to_json()
+    assert Matching.from_json(d, SQUARE_REDS, SQUARE_BLUES).edges == [(1, 0)]
+    for key, value in [("kind", "perfect"), ("kind", "complete"),
+                       ("unmatched_reds", [0, 1]), ("unmatched_blues", []),
+                       ("color_mode", "three_color")]:
+        with pytest.raises(ValueError):
+            Matching.from_json({**d, key: value}, SQUARE_REDS, SQUARE_BLUES)
 
 
 def _reference_improvable_pair(m):
@@ -860,18 +968,18 @@ def _crossed(reds, blues, a):
     a, b = sorted((a, int(np.argmin(near))))
     (i, x), (j, y) = edges[a], edges[b]
     edges[a], edges[b] = (i, y), (j, x)
-    return Matching(reds, blues, edges, kind="perfect")
+    return Matching(reds, blues, edges)
 
 
 class TestImprovablePair:
     def test_crossed_square_improvable(self):
-        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1), (1, 0)], kind="perfect")
+        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1), (1, 0)])
         assert improvable_pair(m) == (0, 1)
         improvement = m.total_length - 2.0
         assert improvement == pytest.approx(2 * math.sqrt(2) - 2)
 
     def test_optimal_square_not_improvable(self):
-        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 0), (1, 1)], kind="perfect")
+        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 0), (1, 1)])
         assert improvable_pair(m) is None
 
     def test_solver_output_never_improvable(self):
@@ -892,7 +1000,7 @@ class TestImprovablePair:
                 edges = list(m.edges)
                 (i, x), (j, y) = edges[a], edges[b]
                 edges[a], edges[b] = (i, y), (j, x)
-                swapped = Matching(reds, blues, edges, kind="perfect")
+                swapped = Matching(reds, blues, edges)
                 assert swapped.total_length >= base - 1e-9
 
     def test_matches_reference_on_random_inputs(self):
@@ -916,8 +1024,7 @@ class TestImprovablePair:
             n = int(rng.integers(2, min(width * width, 12) + 1))
             reds = _lattice(rng, width, n, distinct=True)
             blues = _lattice(rng, width, n, distinct=True)
-            m = Matching(reds, blues, list(enumerate(rng.permutation(n).tolist())),
-                         kind="perfect")
+            m = Matching(reds, blues, list(enumerate(rng.permutation(n).tolist())))
             want = _reference_improvable_pair(m)
             assert improvable_pair(m) == want
             found += want is not None
@@ -929,13 +1036,12 @@ class TestImprovablePair:
             n = 2 * int(rng.integers(1, ROW_BLOCK))
             reds = rng.uniform(0, 10, (n, 2))
             ends = rng.permutation(n).reshape(-1, 2).tolist()
-            m = Matching(reds, np.empty((0, 2)), [tuple(e) for e in ends],
-                         kind="partial", color_mode=ONE_COLOR)
+            m = Matching(reds, np.empty((0, 2)), [tuple(e) for e in ends], color_mode=ONE_COLOR)
             assert improvable_pair(m) == _reference_improvable_pair(m)
 
     def test_empty_and_single_edge(self):
         assert improvable_pair(Matching(np.empty((0, 2)), np.empty((0, 2)), [])) is None
-        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1)], kind="partial")
+        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1)])
         assert improvable_pair(m) is None
 
 
@@ -965,4 +1071,4 @@ def test_matching_json_round_trip():
 
 def test_matching_degree_constraint():
     with pytest.raises(ValueError):
-        Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 0), (0, 1)], kind="partial")
+        Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 0), (0, 1)])

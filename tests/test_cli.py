@@ -233,6 +233,20 @@ NULL_EDGES = json.dumps({**ONE_EDGE_RESULT, "matching": {
 TOP_LEVEL_LIST = json.dumps([ONE_EDGE_RESULT])
 RENDER = ["render", "--out", os.devnull, "--in"]
 STATS_ETA = ["stats", "--kind", "eta", "--in"]
+LINE_RESULT = json.dumps({**ONE_EDGE_RESULT, "points": {
+    **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.0]], "blues": [[1.0, 0.0]],
+    "domain": {"kind": "line", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 0.0}}})
+MINIMALITY = ["verify", "--property", "minimality"]
+# red 1 in two one-color edges, though neither column repeats an index
+ONE_COLOR_REUSE = json.dumps({**ONE_EDGE_RESULT, "points": {
+    **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.5], [0.5, 0.2], [1.5, 0.5]]},
+    "matching": {"format": 1, "kind": "partial", "color_mode": "one_color",
+                 "edges": [[0, 1], [1, 2]]}})
+# edge (0, 1) is in range only if its second index names a red
+UNKNOWN_COLOR_MODE = json.dumps({**ONE_EDGE_RESULT, "points": {
+    **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.5], [0.5, 0.2]]},
+    "matching": {"format": 1, "kind": "partial", "color_mode": "three_color",
+                 "edges": [[0, 1]]}})
 
 # command line, and the text of the file appended as its last argument
 BAD_INPUTS = {
@@ -281,6 +295,23 @@ BAD_INPUTS = {
     "top_level_list_arcs": (VERIFY_ARCS, TOP_LEVEL_LIST),
     "top_level_list_stats": (STATS_ETA, TOP_LEVEL_LIST),
     "config_top_level_list": (["sample", "--seed", "1", "--config"], "[1, 2]"),
+    # stated kind and unmatched lists must be those the edges give; these
+    # used to pass, and the false list reached the output
+    "unmatched_reds_disagree": (STATS_ETA, json.dumps({**ONE_EDGE_RESULT, "matching": {
+        **ONE_EDGE_RESULT["matching"], "unmatched_reds": [0]}})),
+    "kind_disagrees": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
+        **ONE_EDGE_RESULT["matching"], "kind": "partial"}})),
+    "unknown_color_mode": (VERIFY, UNKNOWN_COLOR_MODE),
+    "one_color_red_in_two_edges": (VERIFY, ONE_COLOR_REUSE),
+    # the cells would pair reds with the blues of the same indices
+    "box_rematch_one_color": (["stats", "--kind", "box-rematch", "--in"], json.dumps({
+        **json.loads(ONE_COLOR_REUSE), "matching": {
+            "format": 1, "kind": "partial", "color_mode": "one_color", "edges": [[0, 1]]}})),
+    # a minimality certificate that checks no subset proves nothing
+    "minimality_k_0": ([*MINIMALITY, "--k", "0", "--in"], LINE_RESULT),
+    "minimality_k_9": ([*MINIMALITY, "--k", "9", "--in"], LINE_RESULT),
+    "minimality_trials_0": ([*MINIMALITY, "--trials", "0", "--in"], LINE_RESULT),
+    "minimality_trials_negative": ([*MINIMALITY, "--trials", "-3", "--in"], LINE_RESULT),
     # the walk counts a red left of the window, the zero blocks do not
     "zero_block_point_left_of_window": (
         ["match", "--construction", "zero_block", "--out", os.devnull, "--in"],
@@ -318,6 +349,20 @@ def test_one_edge_result_is_valid(runner, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(ONE_EDGE_RESULT))
     assert invoke(runner, *VERIFY, str(path)).exit_code == 0
+
+
+def test_minimality_reports_subsets_checked(runner, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(LINE_RESULT)
+    res = invoke(runner, *MINIMALITY, "--trials", "5", "--in", str(path))
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["trials"] == 5
+    empty = json.loads(LINE_RESULT)
+    empty["matching"] = {"format": 1, "kind": "partial", "edges": []}
+    path.write_text(json.dumps(empty))
+    res = invoke(runner, *MINIMALITY, "--in", str(path))
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["trials"] == 0
 
 
 @pytest.mark.parametrize("command", [VERIFY, VERIFY_ARCS])

@@ -22,6 +22,21 @@ def zero_offset_system(N=4):
     return BlockSystem(N=N, a=a, r=[0] * (N + 1), t=[0] * (N + 1))
 
 
+def children(system, block):
+    """The n(n-1) level-(n-1) blocks tiling a level-n block, ordered
+    left-to-right (even level) or bottom-to-top (odd level)."""
+    n = block.level
+    if n < 2:
+        raise ValueError("level-1 blocks have no children")
+    return [system.block(n - 1, ix, iy)
+            for ix, iy in system.grids(block, n - 1)[n - 1].tolist()]
+
+
+def heir_of(system, block):
+    """Left-most child for even levels, bottom-most for odd levels."""
+    return children(system, block)[0]
+
+
 class TestBlockSystem:
     def test_factorial_sizes(self):
         s = build_block_system(seed=0, N=4)
@@ -30,15 +45,15 @@ class TestBlockSystem:
     def test_child_counts(self):
         s = zero_offset_system(4)
         b3 = s.block(3, 0, 0)
-        assert len(s.children(b3)) == 6  # a3/a1
+        assert len(children(s, b3)) == 6  # a3/a1
         b4 = s.block(4, 0, 0)
-        assert len(s.children(b4)) == 12  # a4/a2
+        assert len(children(s, b4)) == 12  # a4/a2
 
     def test_children_partition_parent(self):
         s = build_block_system(seed=5, N=4)
         for n in (2, 3, 4):
             parent = s.block_containing(n, 0.5, 0.5)
-            kids = s.children(parent)
+            kids = children(s, parent)
             assert sum(k.rect.area for k in kids) == parent.rect.area
             for k in kids:
                 assert k.rect.x0 >= parent.rect.x0 and k.rect.x1 <= parent.rect.x1
@@ -58,18 +73,18 @@ class TestBlockSystem:
 
     def test_heir_even_level_leftmost(self):
         s = zero_offset_system(2)
-        heir = s.heir_of(s.block(2, 0, 0))
+        heir = heir_of(s, s.block(2, 0, 0))
         assert heir.rect == Rect(0, 1, 0, 1)
 
     def test_heir_odd_level_bottommost(self):
         s = zero_offset_system(3)
-        heir = s.heir_of(s.block(3, 0, 0))
+        heir = heir_of(s, s.block(3, 0, 0))
         assert heir.rect == Rect(0, 2, 0, 1)
 
     def test_level_one_has_no_heir(self):
         s = zero_offset_system(2)
         with pytest.raises(ValueError):
-            s.heir_of(s.block(1, 0, 0))
+            heir_of(s, s.block(1, 0, 0))
 
 
 class TestHeirFrequency:
@@ -160,7 +175,7 @@ class TestStages:
                 heirs = 0
                 for n in range(2, 5):
                     block = system.block_containing(n, x, y)
-                    if system.heir_of(block).rect.contains((x, y)):
+                    if heir_of(system, block).rect.contains((x, y)):
                         heirs += 1
                 assert events[idx] <= heirs
 
@@ -213,7 +228,7 @@ class TestBadBlocks:
                 for rec in recs:
                     block = system.block(*rec.key)
                     has_bad_child = any(c.key in bad_keys
-                                        for c in system.children(block))
+                                        for c in children(system, block))
                     assert rec.dodgy == has_bad_child
 
     def test_bad_frequency_within_analytic_bound(self):
@@ -284,8 +299,8 @@ def check_against_rect_scan(system, ps):
             checked += 1
             if n == 1:
                 continue
-            heir = system.heir_of(block).rect
-            heirs = [heir] + [system.heir_of(c).rect for c in system.children(block)
+            heir = heir_of(system, block).rect
+            heirs = [heir] + [heir_of(system, c).rect for c in children(system, block)
                               if c.level >= 2]
             assert rec.unmatched_in_heir == all(heir.contains(p) for p in unmatched), rec.key
             ends = [p for i, j in rec.new_edges for p in (ps.reds[i], ps.blues[j])]
@@ -440,7 +455,7 @@ def _members(state, block):
 def _blocks_at_level(system, top, n):
     blocks = [top]
     for _ in range(top.level, n, -1):
-        blocks = [c for b in blocks for c in system.children(b)]
+        blocks = [c for b in blocks for c in children(system, b)]
     return blocks
 
 
@@ -465,7 +480,7 @@ def oracle_stage1(state):
 def classify_dodgy(state, block):
     if block.level < 2:
         return False
-    return any(state.status.get(c.key) == "bad" for c in state.system.children(block))
+    return any(state.status.get(c.key) == "bad" for c in children(state.system, block))
 
 
 def _saturating_match(state, r1, b1, r2, b2):

@@ -12,8 +12,7 @@ from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
 from poisson_matching.verify import (ChernoffParams, _arc_arrays,
-                                     _box_pairs, _matching_segments,
-                                     _pairwise_hits,
+                                     _box_pairs, _pairwise_hits,
                                      box_rematch_experiment, chernoff_bound,
                                      chernoff_mc, check_arc_disjointness,
                                      check_planarity, crossing_stats,
@@ -70,6 +69,12 @@ class TestPlanarity:
         n = min(ps.n_red, ps.n_blue)
         m = min_cost_perfect(ps.reds[:n], ps.blues[:n])
         assert check_planarity(m).trials == n * (n - 1) // 2
+
+
+def _matching_segments(m):
+    """Each edge of m as a straight Segment, in edge order."""
+    p, q = m.endpoint_arrays()
+    return [Segment(Point(*a), Point(*b)) for a, b in zip(p, q)]
 
 
 def _dense_hits(segs, skip_same_group=None):
@@ -506,7 +511,8 @@ class TestEta:
     def test_unmatched_reds_reported(self):
         dom = Domain.plane(0.0, 4.0, 0.0, 4.0)
         ps = ColoredPointSet(dom, [[2.0, 2.0]], [], seed=0)
-        m = Matching(ps.reds, ps.blues, [], kind="partial", unmatched_reds=[0])
+        m = Matching(ps.reds, ps.blues, [])
+        assert m.unmatched_reds == [0]
         rep = estimate_eta([(ps, m)])
         assert rep.payload["unmatched_reds_in_interior"] == 1
 
@@ -642,5 +648,5 @@ class TestBoxRematchAgainstLoop:
 
     def test_no_edges(self):
         ps, _ = balanced(square_ps(1, side=4.0))
-        m = Matching(ps.reds, ps.blues, [], kind="partial")
+        m = Matching(ps.reds, ps.blues, [])
         assert self._same(ps, m, 2.0) == 0

@@ -33,18 +33,38 @@ def line_ps(red_xs, blue_xs, x0=0.0, x1=10.0):
                            blues=[[x, 0.0] for x in blue_xs], seed=0)
 
 
+def walk_value(w, t):
+    """F(t) of a StepWalk: right-continuous, so jumps at t are included."""
+    k = int(np.searchsorted(w.xs, t, side="right"))
+    return w.base + int(w.signs[:k].sum())
+
+
+def walk_value_left(w, t):
+    """F(t-) of a StepWalk: the limit from the left."""
+    k = int(np.searchsorted(w.xs, t, side="left"))
+    return w.base + int(w.signs[:k].sum())
+
+
+def profile_value_at(prof, t):
+    """A CrossingProfile's value at t: 0 outside its breakpoints."""
+    if t <= prof.breakpoints[0] or t >= prof.breakpoints[-1]:
+        return 0
+    k = int(np.searchsorted(prof.breakpoints, t, side="right")) - 1
+    return int(prof.values[k])
+
+
 class TestBuildWalk:
     def test_single_up_down(self):
         w = build_walk(strip_ps([1], [2]))
-        assert w.value(0.5) == 0
-        assert w.value(1.0) == 1
-        assert w.value(1.5) == 1
-        assert w.value(2.0) == 0
-        assert w.value_left(1.0) == 0
+        assert walk_value(w, 0.5) == 0
+        assert walk_value(w, 1.0) == 1
+        assert walk_value(w, 1.5) == 1
+        assert walk_value(w, 2.0) == 0
+        assert walk_value_left(w, 1.0) == 0
 
     def test_empty(self):
         w = build_walk(strip_ps([], []))
-        assert w.value(5.0) == 0
+        assert walk_value(w, 5.0) == 0
 
     def test_increments_match_direct_counts(self):
         ps = sample(SampleConfig(1, 1, Domain.strip(0, 50), seed=13))
@@ -54,7 +74,7 @@ class TestBuildWalk:
             x, y = sorted(rng.uniform(0, 50, 2))
             if x == y:
                 continue
-            assert w.value(y) - w.value(x) == count_diff(ps, Rect(x, y, 0, 1))
+            assert walk_value(w, y) - walk_value(w, x) == count_diff(ps, Rect(x, y, 0, 1))
 
     def test_duplicate_x_rejected(self):
         ps = strip_ps([1.0], [], heights=0.3)
@@ -162,7 +182,7 @@ def _old_zero_block_matching(ps):
     for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
         sub = min_cost_perfect(ps.reds[r0:r1], ps.blues[b0:b1])
         edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
-    return Matching.from_edges(ps.reds, ps.blues, edges)
+    return Matching(ps.reds, ps.blues, sorted(edges))
 
 
 def _old_cut_time_matching(ps):
@@ -171,7 +191,7 @@ def _old_cut_time_matching(ps):
     for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
         sub = max_cardinality_min_cost(ps.reds[r0:r1], ps.blues[b0:b1])
         edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
-    return Matching.from_edges(ps.reds, ps.blues, edges)
+    return Matching(ps.reds, ps.blues, sorted(edges))
 
 
 @pytest.mark.parametrize("construction, old, lam_red", [
@@ -267,7 +287,7 @@ def _reference_arcs(m, ps):
         lowest = float(between[:, 1].min())
         k_lo = int(np.searchsorted(walk.xs, x_lo, side="left"))
         k_hi = int(np.searchsorted(walk.xs, x_hi, side="right"))
-        base_level = walk.value_left(x_lo)
+        base_level = walk_value_left(walk, x_lo)
         depth = int(vals[k_lo:k_hi].max() - base_level)
         if depth < 1:
             raise AssertionError("edge interval must contain the red's up-step")
@@ -290,7 +310,7 @@ def _left_to_right_matching(ps, rng, reach=6):
             j = right[int(rng.integers(0, min(len(right), reach)))]
             used.add(j)
             edges.append((i, j))
-    return Matching.from_edges(ps.reds, ps.blues, edges)
+    return Matching(ps.reds, ps.blues, sorted(edges))
 
 
 def _same_arcs(got, want):
@@ -325,14 +345,14 @@ class TestArcsAgainstLoop:
                              reds=[[1, 0.9], [2, 0.4], [6, 0.7]],
                              blues=[[0.5, 0.2], [3, 0.8], [4, 0.6], [8, 0.3]], seed=0)
         for edges in ([(0, 1), (1, 2)], [(1, 1), (0, 2), (2, 3)], [(2, 3)], []):
-            m = Matching.from_edges(ps.reds, ps.blues, edges)
+            m = Matching(ps.reds, ps.blues, sorted(edges))
             _same_arcs(polygonal_arcs(m, ps), _reference_arcs(m, ps))
 
     def test_right_to_left_rejected(self):
         ps = ColoredPointSet(Domain.strip(0, 10), reds=[[1, 0.5], [5, 0.5]],
                              blues=[[2, 0.5], [3, 0.5]], seed=0)
         for edges in ([(1, 0)], [(0, 0), (1, 1)]):
-            m = Matching.from_edges(ps.reds, ps.blues, edges)
+            m = Matching(ps.reds, ps.blues, sorted(edges))
             with pytest.raises(ValueError):
                 _reference_arcs(m, ps)
             with pytest.raises(ValueError):
@@ -365,8 +385,7 @@ class TestProfileAgainstMatrix:
             ps = sample(SampleConfig(1, 1, Domain.line(0, 80), seed))
             n = min(ps.n_red, ps.n_blue)
             perm = rng.permutation(n)
-            for m in (Matching(ps.reds, ps.blues, [(i, int(perm[i])) for i in range(n)],
-                               kind="partial"),
+            for m in (Matching(ps.reds, ps.blues, [(i, int(perm[i])) for i in range(n)]),
                       excursion_matching(ps),
                       min_cost_perfect(ps.reds[:n], ps.blues[:n]),
                       one_color_pairing(ps, seed % 2)):
@@ -388,8 +407,8 @@ class TestProfileAgainstMatrix:
 
     def test_without_edges(self):
         ps = line_ps([1, 2], [3, 4])
-        m = Matching(ps.reds, ps.blues, [], kind="partial", unmatched_reds=[0, 1],
-                     unmatched_blues=[0, 1])
+        m = Matching(ps.reds, ps.blues, [])
+        assert m.unmatched_reds == [0, 1] and m.unmatched_blues == [0, 1]
         prof = crossing_profile(m)
         assert prof.breakpoints.tolist() == [0.0, 0.0] and prof.values.tolist() == []
         assert prof.integral() == 0.0
@@ -403,11 +422,11 @@ class TestCrossingProfile:
 
     def test_nested_hand_sum(self):
         ps = line_ps([1, 2], [3, 4])
-        m = Matching(ps.reds, ps.blues, [(0, 1), (1, 0)], kind="perfect")
+        m = Matching(ps.reds, ps.blues, [(0, 1), (1, 0)])
         prof = crossing_profile(m)
-        assert prof.value_at(1.5) == 1
-        assert prof.value_at(2.5) == 2
-        assert prof.value_at(3.5) == 1
+        assert profile_value_at(prof, 1.5) == 1
+        assert profile_value_at(prof, 2.5) == 2
+        assert profile_value_at(prof, 3.5) == 1
         assert prof.integral() == pytest.approx(4.0)
 
     def test_identity_for_any_matching(self):
@@ -415,8 +434,7 @@ class TestCrossingProfile:
         n = min(ps.n_red, ps.n_blue)
         rng = np.random.default_rng(1)
         perm = rng.permutation(n)
-        m = Matching(ps.reds, ps.blues, [(i, int(perm[i])) for i in range(n)],
-                     kind="partial")
+        m = Matching(ps.reds, ps.blues, [(i, int(perm[i])) for i in range(n)])
         prof = crossing_profile(m)
         assert abs(prof.integral() - m.total_length) < 1e-9
 
@@ -428,7 +446,7 @@ class TestCrossingProfile:
         w = build_walk(ps)
         prof = crossing_profile(m)
         for t in [1.5, 2.5, 3.5, 4.5, 5.5]:
-            assert prof.value_at(t) == w.value(t) - w.value(0.5)
+            assert profile_value_at(prof, t) == walk_value(w, t) - walk_value(w, 0.5)
 
     def test_profile_lower_bounds_alternatives(self):
         # the excursion profile is the pointwise minimum over all matchings
@@ -437,11 +455,10 @@ class TestCrossingProfile:
         base = crossing_profile(m)
         import itertools
         for perm in itertools.permutations(range(3)):
-            alt = Matching(ps.reds, ps.blues, [(i, perm[i]) for i in range(3)],
-                           kind="perfect")
+            alt = Matching(ps.reds, ps.blues, [(i, perm[i]) for i in range(3)])
             prof = crossing_profile(alt)
             for t in np.linspace(1.2, 6.3, 40):
-                assert base.value_at(t) <= prof.value_at(t)
+                assert profile_value_at(base, t) <= profile_value_at(prof, t)
 
 
 class TestMinimalityCertificate:
@@ -459,7 +476,7 @@ class TestMinimalityCertificate:
 
     def test_corrupted_matching_caught(self):
         ps = line_ps([1, 4], [2, 3])
-        bad = Matching(ps.reds, ps.blues, [(0, 1), (1, 0)], kind="perfect")
+        bad = Matching(ps.reds, ps.blues, [(0, 1), (1, 0)])
         # cost 2+2=4; the rematch (1,2),(4,3) costs 2
         rep = minimality_certificate_d1(bad, ps, k=2, trials=20, seed=0)
         assert not rep.passed
@@ -469,6 +486,16 @@ class TestMinimalityCertificate:
         ps = line_ps([1], [2])
         with pytest.raises(ValueError):
             minimality_certificate_d1(excursion_matching(ps), ps, k=9, trials=1)
+        with pytest.raises(ValueError):
+            minimality_certificate_d1(excursion_matching(ps), ps, k=0, trials=1)
+
+    def test_reports_subsets_checked(self):
+        ps = line_ps([1, 4], [2, 3])
+        m = excursion_matching(ps)
+        assert minimality_certificate_d1(m, ps, k=2, trials=7).trials == 7
+        assert minimality_certificate_d1(m, ps, k=2, trials=-3).trials == 0
+        empty = Matching(ps.reds, ps.blues, [])
+        assert minimality_certificate_d1(empty, ps, k=2, trials=200).trials == 0
 
 
 class TestLaminateStrips:
