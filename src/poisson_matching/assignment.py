@@ -6,11 +6,13 @@ shortest-augmenting-path assignment routine, and the padding for reserve
 pools. The factorial brute-force enumerator is kept fully independent as the
 oracle.
 
-A problem with a single point on one side is a nearest-neighbour query.
-``nearest_in_groups`` answers many of them in one numpy pass, with the cost
-matrix's floats, and flags the groups whose nearest point is tied so that
-the caller can hand those to the solvers; the hierarchy's one-point blocks
-take this path, which skips a scipy call of about 30 microseconds each.
+A problem with at most SMALL_MAX = 3 points on one side has few enough
+injections to score outright. ``min_cost_in_groups`` settles many such
+problems in one numpy pass per size, with the cost matrix's floats, where
+the least total beats the runner-up by more than EPS_TIE; a problem not
+settled (a near-tie, or a larger one) goes to the solvers, so the tie is
+broken as they break it. The hierarchy's blocks take this path first,
+which skips a scipy call of about 30 microseconds each.
 
 Of scipy, only two compiled functions are used, and ``_kernel`` loads
 them at the first solve, not when this module is imported:
@@ -77,6 +79,8 @@ EPS_TIE = 1e-9
 BRUTE_FORCE_MAX = 9
 BIG = 1e15  # forbidden-cell cost in padded assignment problems
 ROW_BLOCK = 64  # rows per block of the pair scans; bounds their temporaries
+SMALL_MAX = 3  # largest small side that min_cost_in_groups settles
+PAIR_BLOCK = 4096  # point pairs per batch of min_cost_in_groups
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 TWO_COLOR = "two_color"
@@ -143,19 +147,24 @@ class Matching:
 
     def endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The two end points of every edge, in edge order: (red, partner)."""
-        e = self._edge_array()
+        return self._endpoints(self._edge_array())
+
+    def _endpoints(self, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.reds[e[:, 0]], self._partners[e[:, 1]]
+
+    def _unmatched(self, e: np.ndarray) -> Tuple[List[int], List[int]]:
+        """The unmatched reds and blues, given the edge array."""
+        if self.color_mode == ONE_COLOR:
+            return _unused(len(self.reds), e), []
+        return _unused(len(self.reds), e[:, 0]), _unused(len(self.blues), e[:, 1])
 
     @property
     def unmatched_reds(self) -> List[int]:
-        e = self._edge_array()
-        return _unused(len(self.reds), e if self.color_mode == ONE_COLOR else e[:, 0])
+        return self._unmatched(self._edge_array())[0]
 
     @property
     def unmatched_blues(self) -> List[int]:
-        if self.color_mode == ONE_COLOR:
-            return []
-        return _unused(len(self.blues), self._edge_array()[:, 1])
+        return self._unmatched(self._edge_array())[1]
 
     @property
     def kind(self) -> str:
@@ -168,10 +177,7 @@ class Matching:
 
     @property
     def total_length(self) -> float:
-        p, q = self.endpoint_arrays()
-        if not len(p):
-            return 0.0
-        return float(np.hypot(*(p - q).T).sum())
+        return _length(*self.endpoint_arrays())
 
     def edge_length(self, k: int) -> float:
         """Length of edge k. It takes the endpoint arrays of all edges, so a
@@ -180,14 +186,16 @@ class Matching:
         return float(math.hypot(*(p[k] - q[k])))
 
     def to_json(self) -> dict:
+        e = self._edge_array()  # once for the length and both lists
+        unmatched_reds, unmatched_blues = self._unmatched(e)
         return {
             "format": FORMAT_VERSION,
             "kind": self.kind,
             "color_mode": self.color_mode,
-            "edges": [[int(i), int(j)] for i, j in self.edges],
-            "total_length": self.total_length,
-            "unmatched_reds": self.unmatched_reds,
-            "unmatched_blues": self.unmatched_blues,
+            "edges": [[int(i), int(j)] for i, j in self.edges],  # reuses the int objects
+            "total_length": _length(*self._endpoints(e)),
+            "unmatched_reds": unmatched_reds,
+            "unmatched_blues": unmatched_blues,
         }
 
     @staticmethod
@@ -202,6 +210,13 @@ class Matching:
             if key in d and list(d[key]) != getattr(m, key):
                 raise ValueError(f"stated {key} disagree with the edges")
         return m
+
+
+def _length(p: np.ndarray, q: np.ndarray) -> float:
+    """Total length of the segments p[k] -> q[k], as a matching reports it."""
+    if not len(p):
+        return 0.0
+    return float(np.hypot(*(p - q).T).sum())
 
 
 def _unused(n: int, used: np.ndarray) -> List[int]:
@@ -346,6 +361,28 @@ def _lex_rank(pts: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _has_tie(cost: np.ndarray, assign: np.ndarray) -> bool:
+    """Whether two rows i != j have cost[i, assign[j]] + cost[j, assign[i]]
+    within EPS_TIE of their own two costs. Rows come a block of ROW_BLOCK
+    at a time, each against the rows from the block's first on, so each
+    pair is tested at least once; the test is symmetric in the two rows
+    (float addition commutes), so the order does not matter."""
+    n = len(assign)
+    d = cost[np.arange(n), assign]
+    for r0 in range(0, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        # updated in place, so at most two row blocks are live; ``take``
+        # gives a C-order block, which the transposed gather matches
+        alt = np.take(cost[r0:r1], assign[r0:], axis=1)
+        alt += cost[r0:, assign[r0:r1]].T
+        alt -= d[r0:r1, None] + d[r0:]
+        hit = np.abs(alt, out=alt) <= EPS_TIE
+        np.fill_diagonal(hit, False)  # a row paired with itself
+        if hit.any():
+            return True
+    return False
+
+
 def _canonicalize_ties(reds, blues, cost, assign, ids) -> np.ndarray:
     """Pairwise-swap pass: among cost-preserving 2-swaps prefer the
     lexicographically earlier partner sequence. Pairs of reds are scanned in
@@ -357,22 +394,11 @@ def _canonicalize_ties(reds, blues, cost, assign, ids) -> np.ndarray:
     index ``ids[k]``; reds at equal coordinates are scanned in the order of
     that index, so the result does not depend on the order of the rows.
 
-    Fast exit: a swap needs a tied pair, whichever red comes first, and the
-    test is symmetric in the two reds (float addition commutes), so when a
-    scan of the upper triangle in row order finds no tied pair the
-    assignment is returned as it is, before any lexicographic ordering."""
+    Fast exit: a swap needs a tied pair, whichever red comes first, so when
+    ``_has_tie`` finds none in row order the assignment is returned as it
+    is, before any lexicographic ordering."""
     n = len(assign)
-    d = cost[np.arange(n), assign]
-
-    def tied(rows, cols):  # cost[i, assign[j]] + cost[j, assign[i]], i in rows
-        # updated in place, so at most two row blocks are live; ``take``
-        # gives a C-order block, which the transposed gather matches
-        alt = np.take(cost[rows], assign[cols], axis=1)
-        alt += cost[cols][:, assign[rows]].T
-        alt -= d[rows, None] + d[cols]
-        return np.abs(alt, out=alt) <= EPS_TIE
-
-    if _first_pair(n, tied) is None:
+    if not _has_tie(cost, assign):
         return assign
     assign = assign.copy()
     order = np.lexsort((ids, reds[:, 1], reds[:, 0]))
@@ -464,30 +490,110 @@ def min_cost_pairs(reds, blues) -> List[Tuple[int, int]]:
     return sorted(zip(_assign_points(blues, reds).tolist(), range(len(blues))))
 
 
-def nearest_in_groups(sources, targets, start) -> Tuple[np.ndarray, np.ndarray]:
-    """For every group g, the local index of the first of the targets
-    ``targets[start[g]:start[g + 1]]`` nearest to ``sources[g]``, and whether
-    another target of the group is at exactly the same distance. The offsets
-    run from 0 to ``len(targets)``, and every group needs a target.
+def _spans(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ranges ``first[k] .. first[k] + count[k] - 1`` laid end to end, and
+    their offsets."""
+    at = np.zeros(len(count) + 1, dtype=np.int64)
+    np.cumsum(count, out=at[1:])
+    return np.repeat(first - at[:-1], count) + np.arange(at[-1]), at
 
-    The distances are the cost matrix's floats (``_pair_distances``), so
-    where a group's nearest target is unique it is the partner the solvers
-    give the one-point problem: ``min_cost_pairs`` of one point against the
-    group, or ``min_cost_saturating`` with that point as the only mandatory
-    one and the group as the other color's reserve. A tied group is left to
-    the solvers, whose tie choice this does not model."""
-    sources, targets = _points(sources), _points(targets)
-    start = np.asarray(start, dtype=np.int64)
-    counts = np.diff(start)
-    if (counts < 1).any():
-        raise ValueError("every group needs a target")
-    if not len(counts):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    dist = _pair_distances(np.repeat(sources, counts, axis=0), targets)
-    at_min = dist == np.repeat(np.minimum.reduceat(dist, start[:-1]), counts)
-    n_min = np.add.reduceat(at_min, start[:-1], dtype=np.int64)
-    hits = np.flatnonzero(at_min)
-    return hits[np.cumsum(n_min) - n_min] - start[:-1], n_min > 1
+
+@functools.lru_cache(maxsize=None)
+def _choices(s: int) -> np.ndarray:
+    """Every way to give each of ``s`` points one of its s + 1 nearest
+    candidates, one way per row."""
+    return np.array(list(itertools.product(range(s + 1), repeat=s)), dtype=np.intp)
+
+
+def min_cost_in_groups(small, small_start, large, large_start
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Min-cost injections of many small problems at once. Group g matches
+    each of its points ``small[small_start[g]:small_start[g + 1]]`` to a
+    distinct one of ``large[large_start[g]:large_start[g + 1]]``, which must
+    hold at least as many points, and at least one.
+
+    Returns the partner of every small point, as an index into ``large``,
+    and per group whether it is settled; a point of a group not settled has
+    partner -1. A group is settled where it has at most SMALL_MAX points and
+    its least total length beats every other injection's by more than
+    EPS_TIE. Such a unique minimum is the matching the solvers without a
+    tie pass give the group's problem: ``min_cost_pairs`` of the two sides,
+    and ``min_cost_saturating`` with the small side as its only mandatory
+    points and the large side as the other color's reserve. The rest are
+    left to the solvers, whose choice among near-ties this does not model.
+    (``min_cost_partners`` is not covered: its tie pass compares a
+    differently rounded sum with EPS_TIE, so at a gap within a few ulps of
+    EPS_TIE the two tests can disagree.)
+
+    The distances are the cost matrix's floats (``_pair_distances``), and an
+    injection's total is their sum in point order. A group of s points
+    scores only the injections that give each point one of its s + 1
+    nearest points, (s + 1)**s of them, so all groups of one size go in one
+    padded pass and the work is linear in the pairs of points, however many
+    large points a group has; the groups go in batches of about PAIR_BLOCK
+    pairs, which bounds the memory the passes hold at once. No total that
+    matters is lost: a point matched outside its s + 1 nearest finds at
+    least two of them free, and moving it to either gives an injection whose
+    total is no larger (a float sum never grows when a term shrinks), at
+    least one of the two not the best one, so the least total and the
+    runner-up's are both reached inside."""
+    small, large = _points(small), _points(large)
+    small_start = np.asarray(small_start, dtype=np.int64)
+    large_start = np.asarray(large_start, dtype=np.int64)
+    n_small, n_large = np.diff(small_start), np.diff(large_start)
+    if len(n_small) != len(n_large) or (n_small < 1).any() or (n_large < n_small).any():
+        raise ValueError("every group needs a point, and no fewer large points than small")
+    partner = np.full(len(small), -1, dtype=np.int64)
+    settled = np.zeros(len(n_small), dtype=bool)
+    groups = np.flatnonzero(n_small <= SMALL_MAX)
+    if len(groups):
+        # batches of at most PAIR_BLOCK point pairs, or one larger group,
+        # bound the temporaries, which hold every pair of a batch
+        batch = (np.cumsum(n_small[groups] * n_large[groups]) - 1) // PAIR_BLOCK
+        for g in np.split(groups, np.flatnonzero(np.diff(batch)) + 1):
+            _settle_batch(small, small_start, large, large_start, g, partner, settled)
+    return partner, settled
+
+
+def _settle_batch(small, small_start, large, large_start, groups, partner, settled):
+    """``min_cost_in_groups`` for its groups ``groups``, all of at most
+    SMALL_MAX points: writes the partners and the mask of those settled."""
+    n, n_large = np.diff(small_start)[groups], np.diff(large_start)[groups]
+    # each point of those groups against every large point of its group
+    pts, at = _spans(small_start[groups], n)
+    size, count = np.repeat(n, n), np.repeat(n_large, n)
+    cand, cat = _spans(np.repeat(large_start[groups], n), count)
+    dist = _pair_distances(np.repeat(small[pts], count, axis=0), large[cand])
+    # each point's nearest candidates, padded with inf: only a point with
+    # more than size + 1 candidates needs its candidates sorted
+    rank = np.arange(SMALL_MAX + 1)
+    order = np.arange(len(dist))
+    sort = np.flatnonzero(np.repeat(count > size + 1, count))
+    order[sort] = sort[np.lexsort((dist[sort], np.repeat(np.arange(len(pts)), count)[sort]))]
+    have = rank < count[:, None]
+    near = order[np.where(have, cat[:-1, None] + rank, cat[:-1, None])]
+    near_d, near_c = np.where(have, dist[near], np.inf), cand[near]
+
+    for s in range(1, SMALL_MAX + 1):
+        g = np.flatnonzero(n == s)
+        if not len(g):
+            continue
+        rows = at[g, None] + np.arange(s)                   # (groups, s)
+        choice = _choices(s)                                # (ways, s)
+        total = near_d[rows[:, 0, None], choice[:, 0]]      # (groups, ways)
+        picked = [near_c[rows[:, 0, None], choice[:, 0]]]
+        for k in range(1, s):
+            total = total + near_d[rows[:, k, None], choice[:, k]]
+            picked.append(near_c[rows[:, k, None], choice[:, k]])
+        for k in range(1, s):  # a point taken twice is no injection
+            for j in range(k):
+                total[picked[j] == picked[k]] = np.inf
+        best = np.argmin(total, axis=1)
+        least = total[np.arange(len(g)), best]
+        total[np.arange(len(g)), best] = np.inf  # leaves the runner-up least
+        ok = total.min(axis=1) - least > EPS_TIE  # inf when the best is the only one
+        settled[groups[g[ok]]] = True
+        partner[pts[rows[ok]]] = np.stack([p[ok, best[ok]] for p in picked], axis=1)
 
 
 def max_cardinality_min_cost(reds, blues) -> Matching:

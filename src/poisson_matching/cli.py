@@ -243,13 +243,14 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
                 if abs(ref.total_length - m.total_length) > 1e-9:
                     click.echo("oracle mismatch", err=True)
                     sys.exit(1)
-    diagnostics.update({
+    result = _result_json(ps, m, arcs, diagnostics)
+    diagnostics.update({  # counted from the lists the result holds already
         "construction": construction,
         "edges": len(m.edges),
-        "unmatched_reds": len(m.unmatched_reds),
-        "unmatched_blues": len(m.unmatched_blues),
+        "unmatched_reds": len(result["matching"]["unmatched_reds"]),
+        "unmatched_blues": len(result["matching"]["unmatched_blues"]),
     })
-    _dump(_result_json(ps, m, arcs, diagnostics), out)
+    _dump(result, out)
 
 
 @main.command("verify")

@@ -13,16 +13,18 @@ level-n blocks in children order (the children of a block are consecutive
 rows), and for each color the points stably sorted by block row, with each
 point's heir flag. A stage then works on the whole level at once: counts,
 masks, excesses and the records' flags are grouped numpy over block rows.
-A block whose problem has a single point on one side (one mandatory point
-in the rematch step, or one unmatched point of a color in the leftover
-step) pairs it with its nearest candidate, for the whole level in one
-``nearest_in_groups`` pass; Python visits only the blocks with a real
-assignment problem, and those whose nearest candidate is tied, which go to
-the solvers so that the tie is broken as they break it. Blocks of one level
-are disjoint, so solving every block's rematch step and then every block's
-leftover step gives the same partners as going block by block. A stage's
-new edges are read back from the partner arrays: the reds unmatched after
-the heir unmatch that are matched at the end.
+Each step first settles the level's small block problems in one
+``min_cost_in_groups`` pass: in the leftover step every block holding both
+colors, with its smaller color as the small side, and in the rematch step
+every block whose mandatory points are all of one color, against the other
+color's points in the reserve. Python visits only the blocks that pass
+leaves (a near-tie, more than three points on each side, or mandatory
+points of both colors) and hands each to the solvers, so a tie is broken
+as they break it. Blocks of one level are disjoint, so solving every
+block's rematch step and then every block's leftover step gives the same
+partners as going block by block. A stage's new edges are read back from
+the partner arrays: the reds unmatched after the heir unmatch that are
+matched at the end.
 
 A stage keeps its records as per-block columns on its level table, with its
 new edges' partners read when it runs (a later heir unmatch overwrites the
@@ -41,7 +43,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .assignment import Matching, min_cost_pairs, min_cost_saturating, nearest_in_groups
+from .assignment import (Matching, _spans, min_cost_in_groups, min_cost_pairs,
+                         min_cost_saturating)
 from .geometry import Domain, Rect
 from .sampling import ColoredPointSet, derived_rng
 
@@ -137,7 +140,10 @@ def _grid_start(t: np.ndarray, period: int) -> np.ndarray:
 
 def heir_frequency(n: int, trials: int, seed: int = 0) -> float:
     """Monte Carlo frequency of the unit square [0,1)^2 lying in the heir of
-    its (n+1)-block, i.e. its n-block being the heir; equals 1/(n(n+1))."""
+    its (n+1)-block, i.e. its n-block being the heir; equals 1/(n(n+1)).
+    Needs n >= 1 and at least one trial."""
+    if n < 1 or trials < 1:
+        raise ValueError(f"need n >= 1 and trials >= 1, got n={n}, trials={trials}")
     rng = derived_rng(seed, 11, n)
     a = [math.factorial(k) for k in range(n + 2)]
     t = [np.zeros(trials, dtype=np.int64), np.zeros(trials, dtype=np.int64)]
@@ -151,7 +157,9 @@ def heir_frequency(n: int, trials: int, seed: int = 0) -> float:
 
 def bad_block_bound(system: BlockSystem, n: int) -> float:
     """Analytic tail bound on the probability that a fixed unit square lies
-    in a bad level-n block."""
+    in a bad level-n block, for 3 <= n <= N (it reads a[n - 3])."""
+    if not 3 <= n <= system.N:
+        raise ValueError(f"the bound needs 3 <= n <= {system.N}, got n={n}")
     a = system.a
     num = (a[n - 2] * a[n - 3]) ** 2
     den = 6.0 * (a[n] * a[n - 1] - a[n - 1] * a[n - 2])
@@ -327,24 +335,42 @@ def _solve(state: StageState, solver, ridx: np.ndarray, bidx: np.ndarray,
     _link(state, ridx[i], bidx[j])
 
 
-def _pair_nearest(state: StageState, one: np.ndarray, src: np.ndarray,
-                  src_start: np.ndarray, tgt: np.ndarray, tgt_start: np.ndarray,
-                  red: bool) -> np.ndarray:
-    """For the blocks where ``one`` holds, each with a single source point
-    (red if ``red``, else blue) and at least one target of the other color,
-    both given as indices grouped by block with offsets, make the source and
-    its nearest target partners. Returns the rows of the blocks whose
-    nearest target is tied; those are left to the solvers."""
-    src_pts, tgt_pts = ((state.ps.reds, state.ps.blues) if red
-                        else (state.ps.blues, state.ps.reds))
-    src = src[src_start[:-1][one]]
-    tgt = tgt[np.repeat(one, np.diff(tgt_start))]
-    start = np.zeros(len(src) + 1, dtype=np.int64)
-    np.cumsum(np.diff(tgt_start)[one], out=start[1:])
-    local, tied = nearest_in_groups(src_pts[src], tgt_pts[tgt], start)
-    src, tgt = src[~tied], tgt[start[:-1] + local][~tied]
-    _link(state, *((src, tgt) if red else (tgt, src)))
-    return np.flatnonzero(one)[tied]
+def _groups(idx: np.ndarray, start: np.ndarray, rows: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """The members ``idx[start[k]:start[k + 1]]`` of the blocks ``rows``,
+    concatenated, with their offsets."""
+    pos, at = _spans(start[rows], start[rows + 1] - start[rows])
+    return idx[pos], at
+
+
+def _joined(starts: List[np.ndarray]) -> np.ndarray:
+    """Offsets of several grouped index arrays laid end to end."""
+    shift = np.cumsum([0] + [s[-1] for s in starts[:-1]])
+    return np.concatenate([[0]] + [s[1:] + d for s, d in zip(starts, shift)])
+
+
+def _settle(state: StageState, *problems) -> np.ndarray:
+    """Settle the blocks' small problems in one ``min_cost_in_groups`` pass
+    and link the partners it settles. A problem is (rows, small, large, red):
+    in each block of ``rows``, the points of the small side, red if ``red``,
+    are to take distinct points of the large side, both sides given as
+    indices grouped by block with offsets. Returns the rows of the blocks
+    settled; the rest are left to the solvers."""
+    pts = {True: state.ps.reds, False: state.ps.blues}
+    small = [_groups(*side, rows) for rows, side, _, _ in problems]
+    large = [_groups(*side, rows) for rows, _, side, _ in problems]
+    colors = [red for *_, red in problems]
+    partner, settled = min_cost_in_groups(
+        np.concatenate([pts[red][si] for (si, _), red in zip(small, colors)]),
+        _joined([ss for _, ss in small]),
+        np.concatenate([pts[not red][li] for (li, _), red in zip(large, colors)]),
+        _joined([ls for _, ls in large]))
+    k = np.flatnonzero(partner >= 0)
+    one = np.concatenate([si for si, _ in small])[k]
+    other = np.concatenate([li for li, _ in large])[partner[k]]
+    red = np.repeat(colors, [len(si) for si, _ in small])[k]
+    _link(state, np.where(red, one, other), np.where(red, other, one))
+    return np.concatenate([rows for rows, *_ in problems])[settled]
 
 
 def _window_block(ps: ColoredPointSet, system: BlockSystem) -> Block:
@@ -370,15 +396,16 @@ def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
 
 def _match_leftovers(state: StageState, lv: LevelTable) -> None:
     """In every block of the level, min-length matching of maximum cardinality
-    among its unmatched points. A block where one color has a single point
-    pairs it with its nearest point of the other color."""
+    among its unmatched points. The blocks whose smaller color has at most
+    three points are settled in one grouped pass first."""
     reds, blues = state.ps.reds, state.ps.blues
     r, rs = lv.red.select(state.red_partner < 0)
     b, bs = lv.blue.select(state.blue_partner < 0)
     n_r, n_b = np.diff(rs), np.diff(bs)
-    solve = (n_r > 1) & (n_b > 1)
-    solve[_pair_nearest(state, (n_r == 1) & (n_b > 0), r, rs, b, bs, red=True)] = True
-    solve[_pair_nearest(state, (n_b == 1) & (n_r > 1), b, bs, r, rs, red=False)] = True
+    solve = (n_r > 0) & (n_b > 0)
+    fewer = n_r <= n_b
+    solve[_settle(state, (np.flatnonzero(solve & fewer), (r, rs), (b, bs), True),
+                  (np.flatnonzero(solve & ~fewer), (b, bs), (r, rs), False))] = False
     for k in np.flatnonzero(solve).tolist():
         ridx, bidx = r[rs[k]:rs[k + 1]], b[bs[k]:bs[k + 1]]
         _solve(state, min_cost_pairs, ridx, bidx, reds[ridx], blues[bidx])
@@ -434,8 +461,9 @@ def run_stage(state: StageState, n: int) -> StageState:
 
     open_reds = state.red_partner < 0
 
-    # (ii) match everything unmatched in A \ B into (A \ B) u C; a single
-    # such point takes its nearest point of the other color in C
+    # (ii) match everything unmatched in A \ B into (A \ B) u C; where all
+    # such points are of one color, the grouped pass settles the small ones
+    # against the other color's points in C
     r1, r1s = lv.red.select(open_reds & ~r_heir)
     b1, b1s = lv.blue.select((state.blue_partner < 0) & ~b_heir)
     r2, r2s = lv.red.select(r_heir & r_below if n > 2 else r_heir)
@@ -443,10 +471,9 @@ def run_stage(state: StageState, n: int) -> StageState:
     n_r1, n_b1 = np.diff(r1s), np.diff(b1s)
     excess = n_r1 - n_b1
     feasible = np.where(excess >= 0, excess <= np.diff(b2s), -excess <= np.diff(r2s))
-    solve = feasible & (n_r1 + n_b1 > 1)
-    single = feasible & (n_r1 + n_b1 == 1)
-    solve[_pair_nearest(state, single & (n_r1 == 1), r1, r1s, b2, b2s, red=True)] = True
-    solve[_pair_nearest(state, single & (n_b1 == 1), b1, b1s, r2, r2s, red=False)] = True
+    solve = feasible & (n_r1 + n_b1 > 0)
+    solve[_settle(state, (np.flatnonzero(solve & (n_b1 == 0)), (r1, r1s), (b2, b2s), True),
+                  (np.flatnonzero(solve & (n_r1 == 0)), (b1, b1s), (r2, r2s), False))] = False
     for k in np.flatnonzero(solve).tolist():
         sr1, sb1 = r1[r1s[k]:r1s[k + 1]], b1[b1s[k]:b1s[k + 1]]
         sr2, sb2 = r2[r2s[k]:r2s[k + 1]], b2[b2s[k]:b2s[k + 1]]
@@ -492,7 +519,7 @@ def run_hierarchical(ps: ColoredPointSet, seed: int, N: int,
             "unmatched": int(lv.unmatched.sum()),
         }
     m = state.to_matching()
-    diagnostics["unmatched_red"] = len(m.unmatched_reds)
-    diagnostics["unmatched_blue"] = len(m.unmatched_blues)
+    diagnostics["unmatched_red"] = int(np.count_nonzero(state.red_partner < 0))
+    diagnostics["unmatched_blue"] = int(np.count_nonzero(state.blue_partner < 0))
     diagnostics["total_length"] = m.total_length
     return m, diagnostics, state

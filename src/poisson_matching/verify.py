@@ -13,7 +13,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import TWO_COLOR, Matching, min_cost_partners
+from .assignment import TWO_COLOR, Matching, _length, min_cost_partners
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment,
                        edge_crosses_region, segments_intersect)
 from .sampling import ColoredPointSet, derived_rng
@@ -303,17 +303,19 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     """Partition the window into side-t squares; inside each square, replace
     the edges lying entirely within it by the min-length matching of their
     endpoints. Edges crossing square boundaries are untouched. The matching
-    must be two-color: a cell rematches reds with blues.
+    must be two-color, of the points of ``ps``: a cell rematches reds with
+    blues.
 
-    Each cell is solved by ``min_cost_partners`` on its endpoint arrays; its
-    length after rematching is summed as ``Matching.total_length`` sums it,
-    without building a matching per cell."""
+    The edges are read once. Each cell is solved by ``min_cost_partners``
+    on its endpoint arrays, and every length is summed from the endpoint
+    arrays as ``Matching.total_length`` sums it (``_length``), without
+    building a matching per cell or reading the edges again."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError("square side must be positive and finite")
     if m.color_mode != TWO_COLOR:
         raise ValueError("box rematch needs a two-color matching")
     d = ps.domain
-    e = np.array(m.edges, dtype=int).reshape(-1, 2)  # a copy: rewritten below
+    e = m._edge_array()  # a fresh array: rewritten below
     r, b = ps.reds[e[:, 0]], ps.blues[e[:, 1]]
     corner = np.array([d.x0, d.y0])
     cell = (r - corner) // t  # the same floats as Python's // per coordinate
@@ -324,16 +326,18 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
     bounds = np.append(np.flatnonzero(first), len(ks)).tolist()
     R, B = r[ks], b[ks]
-    # per-edge lengths summed in edge order, as Matching.edge_length gives them
-    lengths = [math.hypot(dx, dy) for dx, dy in (R - B).tolist()]
-    partner = e[ks, 1]  # each rematched edge keeps its red and takes a new blue
-    improvements = []
+    # each rematched edge keeps its red and takes the blue at B[new]
+    new = np.arange(len(ks))
     for s0, s1 in zip(bounds, bounds[1:]):
-        assign = min_cost_partners(R[s0:s1], B[s0:s1])
-        after = np.hypot(*(R[s0:s1] - B[s0:s1][assign]).T).sum()
-        improvements.append(sum(lengths[s0:s1]) - float(after))
-        partner[s0:s1] = partner[s0:s1][assign]
-    e[ks, 1] = partner
+        new[s0:s1] = s0 + min_cost_partners(R[s0:s1], B[s0:s1])
+    # per-edge lengths before summed in edge order, as Matching.edge_length
+    # gives them, and after as the cell's Matching.total_length
+    before = [math.hypot(dx, dy) for dx, dy in (R - B).tolist()]
+    after = np.hypot(*(R - B[new]).T)
+    improvements = [sum(before[s0:s1]) - float(after[s0:s1].sum())
+                    for s0, s1 in zip(bounds, bounds[1:])]
+    length_before = _length(r, b)
+    e[ks, 1] = e[ks[new], 1]
+    b[ks] = B[new]
     rematched = Matching(ps.reds, ps.blues, list(zip(e[:, 0].tolist(), e[:, 1].tolist())))
-    return BoxRematchResult(m.total_length, rematched.total_length,
-                            improvements, rematched)
+    return BoxRematchResult(length_before, _length(r, b), improvements, rematched)

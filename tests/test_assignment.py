@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -15,12 +16,13 @@ import poisson_matching
 
 from poisson_matching import assignment
 from poisson_matching.assignment import (BIG, EPS_TIE, ONE_COLOR, ROW_BLOCK,
-                                         TWO_COLOR, Matching, _cost_matrix,
-                                         _pair_distances, _points,
+                                         SMALL_MAX, TWO_COLOR, Matching,
+                                         _cost_matrix, _pair_distances, _points,
                                          brute_force_min, improvable_pair,
                                          max_cardinality_min_cost,
-                                         min_cost_pairs, min_cost_perfect,
-                                         min_cost_saturating, nearest_in_groups)
+                                         min_cost_in_groups, min_cost_pairs,
+                                         min_cost_partners, min_cost_perfect,
+                                         min_cost_saturating)
 from poisson_matching.geometry import Domain, is_parallel_free
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
@@ -727,6 +729,9 @@ def _one_point_groups(rng, lattice, groups=400):
 
 
 class TestNearestInGroups:
+    """The one-point groups of ``min_cost_in_groups``: a nearest-point query
+    per group, with no limit on the group's size."""
+
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 50.0, 1e4])
     def test_distances_equal_cdist_bitwise(self, scale):
         rng = derived_rng(61)
@@ -742,33 +747,166 @@ class TestNearestInGroups:
     def test_matches_the_one_point_solves(self, lattice):
         rng = derived_rng(62, lattice)
         sources, targets, start, extras = _one_point_groups(rng, lattice)
-        local, tied = nearest_in_groups(sources, targets, start)
+        partner, settled = min_cost_in_groups(sources, np.arange(len(sources) + 1),
+                                              targets, start)
         none = np.empty((0, 2))
         for g, (src, extra) in enumerate(zip(sources, extras)):
             group = targets[start[g]:start[g + 1]]
-            cost = _cost_matrix(src[None], group)[0]
-            assert tied[g] == (np.count_nonzero(cost == cost.min()) > 1)
-            assert cost[local[g]] == cost.min()
-            assert (cost[:local[g]] > cost.min()).all()  # the first nearest
-            if tied[g]:
+            cost = np.sort(_cost_matrix(src[None], group)[0])
+            assert settled[g] == (len(cost) == 1 or cost[1] - cost[0] > EPS_TIE)
+            if not settled[g]:
+                assert partner[g] == -1
                 continue
-            j = int(local[g])
+            j = int(partner[g] - start[g])
             assert min_cost_pairs([src], group) == [(0, j)]
             assert min_cost_pairs(group, [src]) == [(j, 0)]
             assert min_cost_saturating([src], none, extra, group) == [(0, j)]
             assert min_cost_saturating(none, [src], group, extra) == [(j, 0)]
-        assert tied.any() == lattice, tied.sum()
+        assert (~settled).any() == lattice, (~settled).sum()
 
     def test_single_target_and_no_group(self):
-        local, tied = nearest_in_groups([[0, 0], [1, 1]], [[5, 5], [1, 2], [1, 0]],
-                                        [0, 1, 3])
-        assert local.tolist() == [0, 0] and tied.tolist() == [False, True]
-        local, tied = nearest_in_groups(np.empty((0, 2)), np.empty((0, 2)), [0])
-        assert len(local) == len(tied) == 0
+        partner, settled = min_cost_in_groups([[0, 0], [1, 1]], [0, 1, 2],
+                                              [[5, 5], [1, 2], [1, 0]], [0, 1, 3])
+        assert partner.tolist() == [0, -1] and settled.tolist() == [True, False]
+        partner, settled = min_cost_in_groups(np.empty((0, 2)), [0], np.empty((0, 2)), [0])
+        assert len(partner) == len(settled) == 0
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            nearest_in_groups([[0, 0], [1, 1]], [[5, 5]], [0, 1, 1])
+            min_cost_in_groups([[0, 0], [1, 1]], [0, 1, 2], [[5, 5]], [0, 1, 1])
+        with pytest.raises(ValueError):  # no small point
+            min_cost_in_groups([[0, 0]], [0, 0, 1], [[5, 5], [1, 1]], [0, 1, 2])
+        with pytest.raises(ValueError):  # fewer large points than small
+            min_cost_in_groups([[0, 0], [1, 1]], [0, 2], [[5, 5]], [0, 1])
+        with pytest.raises(ValueError):  # unequal group counts
+            min_cost_in_groups([[0, 0]], [0, 1], [[5, 5]], [0, 1, 1])
+
+
+def _injection_totals(small, large):
+    """Every injection of ``small`` into ``large`` with its total length,
+    the sum in point order of scipy's ``cdist`` entries; ascending."""
+    cost = cdist(small, large)
+    return sorted((sum(cost[i, j] for i, j in enumerate(perm)), perm)
+                  for perm in itertools.permutations(range(len(large)), len(small)))
+
+
+def _small_groups(rng, lattice, groups=300):
+    """Per group 1-4 small points, as many to 8 large points and 0-3 points
+    of the small side's color (the saturating problem's other reserve), all
+    distinct within the group: uniform reals, or integer points of a 4x4
+    lattice, where tied totals are common. Returns (small, small_start,
+    large, large_start, extras)."""
+    small, large, extras, n_small, n_large = [], [], [], [], []
+    for _ in range(groups):
+        s = int(rng.integers(1, 5))
+        n, e = int(rng.integers(s, 9)), int(rng.integers(0, 4))
+        if lattice:
+            cells = rng.choice(16, size=min(s + n + e, 16), replace=False)
+            pts = np.column_stack([cells // 4, cells % 4]).astype(float)
+            n = min(n, 16 - s)
+        else:
+            pts = rng.uniform(-3, 3, (s + n + e, 2))
+        small.append(pts[:s])
+        large.append(pts[s:s + n])
+        extras.append(pts[s + n:])
+        n_small.append(s)
+        n_large.append(n)
+    offsets = [np.concatenate([[0], np.cumsum(c)]) for c in (n_small, n_large)]
+    return np.concatenate(small), offsets[0], np.concatenate(large), offsets[1], extras
+
+
+class TestMinCostInGroups:
+    """Groups of up to SMALL_MAX points are settled exactly where their least
+    total beats the runner-up by more than EPS_TIE, and a settled group's
+    partners are the ones every solver gives its problem."""
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
+    def test_against_enumeration_and_the_solvers(self, lattice):
+        rng = derived_rng(64, lattice)
+        small, ss, large, ls, extras = _small_groups(rng, lattice)
+        partner, settled = min_cost_in_groups(small, ss, large, ls)
+        none = np.empty((0, 2))
+        sizes = {True: set(), False: set()}
+        for g, extra in enumerate(extras):
+            S, L = small[ss[g]:ss[g + 1]], large[ls[g]:ls[g + 1]]
+            totals = _injection_totals(S, L)
+            unique = len(totals) == 1 or totals[1][0] - totals[0][0] > EPS_TIE
+            assert settled[g] == (len(S) <= SMALL_MAX and unique), g
+            sizes[bool(settled[g])].add(len(S))
+            if not settled[g]:
+                assert (partner[ss[g]:ss[g + 1]] == -1).all()
+                continue
+            got = (partner[ss[g]:ss[g + 1]] - ls[g]).tolist()
+            assert got == list(totals[0][1])
+            want_pairs = list(enumerate(got))
+            assert min_cost_pairs(S, L) == want_pairs
+            assert min_cost_pairs(L, S) == sorted((j, i) for i, j in want_pairs)
+            assert min_cost_saturating(S, none, extra, L) == want_pairs
+            assert min_cost_saturating(none, S, L, extra) == sorted((j, i) for i, j in want_pairs)
+            if len(S) == len(L):
+                # min_cost_partners' tie pass rounds its sum otherwise, so it
+                # agrees only where the gap is clear of EPS_TIE, as here
+                assert len(totals) == 1 or totals[1][0] - totals[0][0] > 2 * EPS_TIE
+                assert min_cost_partners(S, L).tolist() == got
+                assert brute_force_min(S, L).edges == want_pairs
+        # every small size is settled somewhere; four points never are, and
+        # the lattice's ties leave some small groups to the solvers
+        assert sizes[True] == set(range(1, SMALL_MAX + 1))
+        assert (SMALL_MAX + 1) in sizes[False]
+        assert (sizes[False] - {SMALL_MAX + 1} != set()) == lattice
+
+    @pytest.mark.parametrize("gap,settles", [(0.0, False), (0.5 * EPS_TIE, False),
+                                             (1.5 * EPS_TIE, True), (4 * EPS_TIE, True)])
+    def test_runner_up_within_eps_tie_is_not_settled(self, gap, settles):
+        # one group of each small size whose runner-up costs ``gap`` more:
+        # the point at (0, 0) has a second candidate 1 + gap away
+        groups = [([[0, 0]], [[1, 0], [0, -1 - gap]]),
+                  ([[0, 0], [10, 0]], [[1, 0], [10, 1], [0, -1 - gap]]),
+                  ([[0, 0], [10, 0], [20, 0]],
+                   [[1, 0], [10, 1], [20, 1], [0, -1 - gap], [30, 30]])]
+        small = np.concatenate([np.array(S, float) for S, _ in groups])
+        large = np.concatenate([np.array(L, float) for _, L in groups])
+        ss = np.cumsum([0] + [len(S) for S, _ in groups])
+        ls = np.cumsum([0] + [len(L) for _, L in groups])
+        partner, settled = min_cost_in_groups(small, ss, large, ls)
+        for g, (S, L) in enumerate(groups):
+            totals = _injection_totals(np.array(S, float), np.array(L, float))
+            assert (totals[1][0] - totals[0][0] > EPS_TIE) == settles
+        assert settled.tolist() == [settles] * 3
+        assert ((partner >= 0) == settles).all()
+        if settles:
+            assert (partner - np.repeat(ls[:-1], np.diff(ss))).tolist() == [0, 0, 1, 0, 1, 2]
+            for g, (S, L) in enumerate(groups):
+                want = list(enumerate((partner[ss[g]:ss[g + 1]] - ls[g]).tolist()))
+                assert min_cost_pairs(S, L) == want
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_batches_change_nothing(self, block, monkeypatch):
+        # groups go in batches of about PAIR_BLOCK point pairs; with a block
+        # of one pair every group of at most SMALL_MAX points is a batch
+        rng = derived_rng(66)
+        small, ss, large, ls, _ = _small_groups(rng, lattice=True)
+        want = min_cost_in_groups(small, ss, large, ls)
+        batches = []
+        settle = assignment._settle_batch
+        monkeypatch.setattr(assignment, "PAIR_BLOCK", block)
+        monkeypatch.setattr(assignment, "_settle_batch",
+                            lambda *a: batches.append(len(a[4])) or settle(*a))
+        got = min_cost_in_groups(small, ss, large, ls)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        pairs = np.diff(ss) * np.diff(ls)
+        assert sum(batches) == (np.diff(ss) <= SMALL_MAX).sum()
+        assert len(batches) >= pairs[np.diff(ss) <= SMALL_MAX].sum() / (block + 8 * SMALL_MAX)
+        if block == 1:
+            assert batches == [1] * len(batches)
+
+    def test_no_limit_on_the_large_side(self):
+        rng = derived_rng(65)
+        for s in range(1, SMALL_MAX + 1):
+            S, L = rng.uniform(0, 50, (s, 2)), rng.uniform(0, 50, (400, 2))
+            partner, settled = min_cost_in_groups(S, [0, s], L, [0, 400])
+            assert settled.tolist() == [True]
+            assert min_cost_pairs(S, L) == list(enumerate(partner.tolist()))
 
 
 class TestFromEdges:
@@ -921,6 +1059,27 @@ def test_kind_and_unmatched_follow_from_edges(name, m):
     d = m.to_json()
     assert (d["kind"], d["unmatched_reds"], d["unmatched_blues"]) == (
         want_kind, sorted(want_reds), sorted(want_blues))
+
+
+@pytest.mark.parametrize("name,m", CONSTRUCTION_CASES,
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CONSTRUCTION_CASES)])
+def test_to_json_reads_the_edges_once(monkeypatch, name, m):
+    # the fields as the properties give them, each reading the edges itself
+    want = {"format": 1, "kind": m.kind, "color_mode": m.color_mode,
+            "edges": [[int(i), int(j)] for i, j in m.edges],
+            "total_length": m.total_length, "unmatched_reds": m.unmatched_reds,
+            "unmatched_blues": m.unmatched_blues}
+    calls, edge_array = [], Matching._edge_array
+
+    def counting(self):
+        calls.append(1)
+        return edge_array(self)
+
+    monkeypatch.setattr(Matching, "_edge_array", counting)
+    got = m.to_json()
+    assert len(calls) == 1
+    assert got == want
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_one_color_is_partial_with_every_red_matched():

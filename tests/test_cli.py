@@ -526,7 +526,9 @@ SOLVES = {
     "match_min_cost": "match --construction min_cost --in {plane} --out {out}",
     "match_zero_block": "match --construction zero_block --in {strip} --out {out}",
     "match_cut_time": "match --construction cut_time --in {red_strip} --out {out}",
-    "match_hierarchical": "match --construction hierarchical --seed 2 --stages 3 "
+    # at three stages the grouped pass settles every block of this window,
+    # so no solver runs; four stages leave the solvers larger blocks
+    "match_hierarchical": "match --construction hierarchical --seed 2 --stages 4 "
                           "--out {out}",
     "stats_box_rematch": "stats --kind box-rematch --in {excursion} --out {out}",
 }

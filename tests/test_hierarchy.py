@@ -1,14 +1,17 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.stats import poisson, skellam
 
 from poisson_matching import hierarchy
-from poisson_matching.assignment import _cost_matrix, min_cost_pairs, min_cost_saturating
+from poisson_matching.assignment import (EPS_TIE, SMALL_MAX, min_cost_in_groups,
+                                         min_cost_pairs, min_cost_saturating)
 from poisson_matching.geometry import Rect
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
@@ -95,6 +98,16 @@ class TestHeirFrequency:
         est = heir_frequency(n, trials, seed=2)
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(est - p) <= 3 * sigma
+
+    @pytest.mark.parametrize("n,trials", [(0, 1000), (-1, 1000), (2, 0), (2, -5)],
+                             ids=["n_zero", "n_negative", "no_trials", "negative_trials"])
+    def test_rejects_out_of_range_arguments(self, n, trials):
+        # n = 0 used to return 1.0, and no trials a nan with a RuntimeWarning
+        with pytest.raises(ValueError):
+            heir_frequency(n, trials)
+
+    def test_smallest_arguments_accepted(self):
+        assert 0.0 <= heir_frequency(1, 1) <= 1.0
 
 
 def hierarchical_case(seed, N=4, lam=1.0):
@@ -242,6 +255,19 @@ class TestBadBlocks:
             hits += diag["levels"][4]["bad_count"] > 0
         assert hits / trials <= bound
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 6],
+                             ids=["level_1", "level_2", "above_N", "far_above_N"])
+    def test_bound_rejects_levels_out_of_range(self, n):
+        # n = 2 read a[-1] = N! and returned 0.0 against an observed level-2
+        # rate of about 0.37; n = 1 overflowed, and n > N ran off the table
+        with pytest.raises(ValueError):
+            bad_block_bound(build_block_system(0, 4), n)
+
+    def test_bound_defined_from_level_3_to_N(self):
+        system = build_block_system(0, 4)
+        for n in (3, 4):
+            assert 0.0 < bad_block_bound(system, n) <= 2.0
+
 
 def test_run_hierarchical_diagnostics_shape():
     _, _, (m, diag, state) = hierarchical_case(seed=23)
@@ -249,7 +275,10 @@ def test_run_hierarchical_diagnostics_shape():
     for n in diag["levels"]:
         for key in ("blocks", "bad_count", "dodgy_count", "unmatched"):
             assert key in diag["levels"][n]
+    # counted from the partner arrays; the matching's own lists agree
     assert diag["unmatched_red"] == len(m.unmatched_reds)
+    assert diag["unmatched_blue"] == len(m.unmatched_blues)
+    assert type(diag["unmatched_red"]) is int and type(diag["unmatched_blue"]) is int
 
 
 def records_digest(state):
@@ -611,60 +640,94 @@ def test_hierarchy_solves_saturating_only_with_mandatory_points(monkeypatch):
     assert sizes and all(nr + nb > 0 for nr, nb in sizes)
 
 
-def _tied(source, targets):
-    """Whether two of ``targets`` are nearest to ``source`` at the same cost."""
-    cost = _cost_matrix(np.asarray(source).reshape(1, 2), targets)[0]
-    return np.count_nonzero(cost == cost.min()) > 1
+def _tied(small, large):
+    """Whether the problem of matching each of ``small`` to a distinct one of
+    ``large`` has a runner-up within EPS_TIE of its least total, by
+    enumerating every injection over scipy's ``cdist`` entries."""
+    cost = cdist(np.asarray(small, float).reshape(-1, 2), np.asarray(large, float).reshape(-1, 2))
+    totals = sorted(sum(cost[i, j] for i, j in enumerate(perm))
+                    for perm in itertools.permutations(range(cost.shape[1]), len(cost)))
+    return len(totals) > 1 and totals[1] - totals[0] <= EPS_TIE
 
 
-def _record_one_point_solves(monkeypatch):
-    """Wrap both solvers as the hierarchy sees them. Returns the list that
-    gets, per call, (solver name, whether the problem has a single point on
-    one side, and if so whether its nearest partner is tied)."""
-    calls = []
+def _record_small_solves(monkeypatch):
+    """Wrap both solvers as the hierarchy sees them, and its grouped pass.
+    Returns two lists: per solver call, (solver name, points on the small
+    side, whether that problem is tied), where the small side of a
+    saturating problem is its mandatory points when they are all of one
+    color and None otherwise, and tied is None above SMALL_MAX; and the
+    small-side size of every group the grouped pass settles."""
+    calls, settled = [], []
+
+    def record(name, small, large):
+        size = len(small) if small is not None else None
+        tied = _tied(small, large) if size is not None and size <= SMALL_MAX else None
+        calls.append((name, size, tied))
 
     def pairs(reds, blues):
-        if min(len(reds), len(blues)) == 1:
-            one, other = (reds, blues) if len(reds) == 1 else (blues, reds)
-            calls.append(("pairs", True, _tied(one, other)))
-        else:
-            calls.append(("pairs", False, None))
+        small, large = (reds, blues) if len(reds) <= len(blues) else (blues, reds)
+        record("pairs", small, large)
         return min_cost_pairs(reds, blues)
 
     def saturating(reds, blues, reserve_reds, reserve_blues):
-        if len(reds) + len(blues) == 1:
-            one, other = (reds, reserve_blues) if len(reds) else (blues, reserve_reds)
-            calls.append(("saturating", True, _tied(one, other)))
-        else:
-            calls.append(("saturating", False, None))
+        one_sided = (reds, reserve_blues) if not len(blues) else (blues, reserve_reds)
+        record("saturating", *(one_sided if not (len(reds) and len(blues)) else (None, None)))
         return min_cost_saturating(reds, blues, reserve_reds, reserve_blues)
+
+    def grouped(small, small_start, large, large_start):
+        partner, ok = min_cost_in_groups(small, small_start, large, large_start)
+        settled.extend(np.diff(small_start)[ok].tolist())
+        return partner, ok
 
     monkeypatch.setattr(hierarchy, "min_cost_pairs", pairs)
     monkeypatch.setattr(hierarchy, "min_cost_saturating", saturating)
-    return calls
+    monkeypatch.setattr(hierarchy, "min_cost_in_groups", grouped)
+    return calls, settled
 
 
 def test_one_point_blocks_reach_the_solvers_only_when_tied(monkeypatch):
-    calls = _record_one_point_solves(monkeypatch)
+    calls, settled = _record_small_solves(monkeypatch)
     for seed in range(4):
         hierarchical_case(seed)
-    assert all(tied for _, one, tied in calls if one), calls
+    assert 1 in settled
+    assert all(tied for _, size, tied in calls if size == 1), calls
     # the solvers still get every block with a real assignment problem
-    assert {name for name, one, _ in calls if not one} == {"pairs", "saturating"}
+    assert {name for name, size, _ in calls
+            if size is None or size > SMALL_MAX} == {"pairs", "saturating"}
+
+
+def test_small_blocks_reach_the_solvers_only_when_tied(monkeypatch):
+    # two and three points on the small side, in both steps: without a
+    # near-tie the grouped pass settles them
+    calls, settled = _record_small_solves(monkeypatch)
+    for seed in range(4):
+        hierarchical_case(seed)
+    assert set(range(1, SMALL_MAX + 1)) <= set(settled)
+    small = [(name, tied) for name, size, tied in calls if size is not None and size <= SMALL_MAX]
+    assert all(tied for _, tied in small), small
 
 
 @pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
                          ids=["zero_offsets", "seeded_offsets"])
 @pytest.mark.parametrize("seed", [1, 2])  # lattice seeds with tied one-point blocks
 def test_tied_one_point_blocks_fall_back_to_the_solvers(monkeypatch, system, seed):
-    calls = _record_one_point_solves(monkeypatch)
-    ps = lattice_case(system, seed)
-    state = init_state(ps, system)
-    stage1(state)
-    for n in range(2, system.N + 1):
-        run_stage(state, n)
-    one_point = [tied for _, one, tied in calls if one]
+    calls, _ = _record_small_solves(monkeypatch)
+    compare_with_oracle(system, lattice_case(system, seed))
+    one_point = [tied for _, size, tied in calls if size == 1]
     assert one_point and all(one_point)
+
+
+@pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
+                         ids=["zero_offsets", "seeded_offsets"])
+def test_tied_small_blocks_fall_back_to_the_solvers(monkeypatch, system):
+    # lattice points make tied totals in blocks of two and three points too;
+    # those reach the solvers, and the partners are the per-block oracle's
+    calls, _ = _record_small_solves(monkeypatch)
+    for seed in (2, 7):  # between them, tied blocks of one, two and three points
+        compare_with_oracle(system, lattice_case(system, seed))
+    sizes = {size for _, size, tied in calls if size is not None and size <= SMALL_MAX}
+    assert sizes == set(range(1, SMALL_MAX + 1)), sizes
+    assert all(tied for _, size, tied in calls if size is not None and size <= SMALL_MAX)
 
 
 # --- The records view --------------------------------------------------------
