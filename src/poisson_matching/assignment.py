@@ -6,13 +6,25 @@ shortest-augmenting-path assignment routine, and the padding for reserve
 pools. The factorial brute-force enumerator is kept fully independent as the
 oracle.
 
+``assign_in_groups`` is the one exact-solve entry point. It takes many
+independent problems of one kind at once, as points laid end to end with
+offsets: SQUARE (perfect, with the tie pass), RECTANGULAR (the smaller side
+fully matched) and SATURATING (mandatory points and reserve pools). Their
+cost matrices share one buffer, written by the ``cdist`` kernel, and the
+assignment routine is called once per problem, so the Python around each
+problem is a few slices and two kernel calls; the partners come back as
+one array. ``min_cost_partners``, ``min_cost_pairs`` and
+``min_cost_saturating`` are one-problem calls of it. The hierarchy's
+blocks, the box-rematch cells and the walks' zero and cut-time blocks each
+go to it in one call per step.
+
 A problem with at most SMALL_MAX = 3 points on one side has few enough
 injections to score outright. ``min_cost_in_groups`` settles many such
 problems in one numpy pass per size, with the cost matrix's floats, where
 the least total beats the runner-up by more than EPS_TIE; a problem not
-settled (a near-tie, or a larger one) goes to the solvers, so the tie is
-broken as they break it. The hierarchy's blocks take this path first,
-which skips a scipy call of about 30 microseconds each.
+settled (a near-tie, or a larger one) goes to ``assign_in_groups``, so the
+tie is broken as the solvers break it. The hierarchy's blocks take this
+path first, which skips the kernel calls of each problem it settles.
 
 Of scipy, only two compiled functions are used, and ``_kernel`` loads
 them at the first solve, not when this module is imported:
@@ -50,14 +62,15 @@ golden-ratio order (see ``_assign``), which makes it faster and its time
 less dependent on the input. Every dense solve builds its cost matrix in
 that order to begin with, so none makes a reordered copy; at n=1000 the
 traced peak of ``min_cost_perfect`` is 8.8 MiB, one 7.6 MiB matrix and the
-scan's row blocks, where the copy made it 15.3 MiB. ``min_cost_partners``
-runs the tie pass on that matrix and maps the partners back to the reds'
-index order.
+scan's row blocks, where the copy made it 15.3 MiB. The tie pass runs on
+that matrix, and the partners are mapped back to the reds' index order.
+Problems that share the buffer are screened for tied pairs a batch at a
+time (``_tied_in_buffer``), so the scan in Python visits only tied ones.
 
-``min_cost_partners`` is the solve itself, returning a partner array;
-``min_cost_perfect`` wraps it in a ``Matching``. Callers that solve many
-small problems and need only partners and lengths, such as the box-rematch
-experiment, use it directly.
+``min_cost_partners`` returns a partner array; ``min_cost_perfect`` wraps
+it in a ``Matching``. A ``Matching`` keeps its edges as one validated int64
+array and builds its list of edge tuples only when it is read, so a
+construction that has its edges as arrays passes them as they are.
 """
 
 from __future__ import annotations
@@ -69,8 +82,7 @@ import importlib.util
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,17 +93,29 @@ BIG = 1e15  # forbidden-cell cost in padded assignment problems
 ROW_BLOCK = 64  # rows per block of the pair scans; bounds their temporaries
 SMALL_MAX = 3  # largest small side that min_cost_in_groups settles
 PAIR_BLOCK = 4096  # point pairs per batch of min_cost_in_groups
+GROUP_ENTRIES = 1 << 14  # cost entries in the buffer assign_in_groups shares
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 TWO_COLOR = "two_color"
 ONE_COLOR = "one_color"
 
+# the kinds of problem assign_in_groups solves
+SQUARE = "square"
+RECTANGULAR = "rectangular"
+SATURATING = "saturating"
 
-@dataclass
+
 class Matching:
     """Edges between a red and a blue point list (or red-red pairs when
     color_mode is ONE_COLOR), in the order given. Partial matchings leave
     points unmatched.
+
+    ``edges`` may be a list of (i, j) index pairs or an (E, 2) integer array.
+    The matching keeps its validated edges as one read-only (E, 2) int64
+    array, which the lengths, the endpoint arrays, the JSON writer and the
+    unmatched lists read. ``edges`` reads as a list of (i, j) tuples in the
+    given order: the list passed, or one of plain ints built from the array
+    at its first read. The edges are fixed once the matching is built.
 
     ``kind``, ``unmatched_reds`` and ``unmatched_blues`` follow from the
     edges; none is stored. Two-color: the unmatched points of each color are
@@ -101,20 +125,21 @@ class Matching:
     window truncates a pairing of the whole line). ``from_json`` rejects a
     file whose stated kind or unmatched lists disagree with its edges."""
 
-    reds: np.ndarray
-    blues: np.ndarray
-    edges: List[Tuple[int, int]]
-    color_mode: str = TWO_COLOR
+    def __init__(self, reds, blues, edges, color_mode: str = TWO_COLOR):
+        if color_mode not in (TWO_COLOR, ONE_COLOR):
+            raise ValueError(f"unknown color_mode {color_mode!r}")
+        self.color_mode = color_mode
+        self.reds = np.asarray(reds, dtype=float).reshape(-1, 2)
+        self.blues = np.asarray(blues, dtype=float).reshape(-1, 2)
+        self._edges = None if isinstance(edges, np.ndarray) else edges
+        self._e = self._validated(edges)
 
-    def __post_init__(self):
-        if self.color_mode not in (TWO_COLOR, ONE_COLOR):
-            raise ValueError(f"unknown color_mode {self.color_mode!r}")
-        self.reds = np.asarray(self.reds, dtype=float).reshape(-1, 2)
-        self.blues = np.asarray(self.blues, dtype=float).reshape(-1, 2)
-        e = np.asarray(self.edges).reshape(len(self.edges), 2)
+    def _validated(self, edges) -> np.ndarray:
+        """The edges as a fresh read-only int64 array, after the checks."""
+        e = np.asarray(edges).reshape(len(edges), 2)
         if len(e) and e.dtype.kind not in "iu":
             raise ValueError("edge indices must be integers")
-        e = e.astype(np.int64, copy=False)
+        e = e.astype(np.int64)  # a copy, so the caller's array is not shared
         # the first failing edge decides the error, range before reuse; the
         # edges before an out-of-range one are all in range
         outside = np.flatnonzero((e < 0).any(axis=1) | (e[:, 0] >= len(self.reds))
@@ -131,8 +156,16 @@ class Matching:
         if reused:
             raise ValueError("a point appears in two edges")
         if first < len(e):
-            i, j = self.edges[first]
+            i, j = e[first].tolist()
             raise ValueError(f"edge ({i},{j}) out of range")
+        e.flags.writeable = False
+        return e
+
+    @property
+    def edges(self) -> List[Tuple[int, int]]:
+        if self._edges is None:
+            self._edges = list(zip(*self._e.T.tolist()))
+        return self._edges
 
     @property
     def _partners(self) -> np.ndarray:
@@ -140,10 +173,8 @@ class Matching:
         return self.blues if self.color_mode == TWO_COLOR else self.reds
 
     def _edge_array(self) -> np.ndarray:
-        # fromiter over the flattened pairs takes 2.5x less time than
-        # np.asarray on the list of tuples (25k edges, 1.6 vs 3.8 ms, 2-CPU Xeon)
-        return np.fromiter(itertools.chain.from_iterable(self.edges), np.int64,
-                           2 * len(self.edges)).reshape(-1, 2)
+        """The validated edges, (E, 2) int64, read-only."""
+        return self._e
 
     def endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The two end points of every edge, in edge order: (red, partner)."""
@@ -171,7 +202,7 @@ class Matching:
         # the constructor admits no point in two edges, so a two-color
         # matching leaves no point unmatched exactly when it has as many
         # edges as points of each color
-        if self.color_mode == TWO_COLOR and len(self.edges) == len(self.reds) == len(self.blues):
+        if self.color_mode == TWO_COLOR and len(self._e) == len(self.reds) == len(self.blues):
             return "perfect"
         return "partial"
 
@@ -186,13 +217,13 @@ class Matching:
         return float(math.hypot(*(p[k] - q[k])))
 
     def to_json(self) -> dict:
-        e = self._edge_array()  # once for the length and both lists
+        e = self._edge_array()  # once for the edges, the length and both lists
         unmatched_reds, unmatched_blues = self._unmatched(e)
         return {
             "format": FORMAT_VERSION,
             "kind": self.kind,
             "color_mode": self.color_mode,
-            "edges": [[int(i), int(j)] for i, j in self.edges],  # reuses the int objects
+            "edges": e.tolist(),
             "total_length": _length(*self._endpoints(e)),
             "unmatched_reds": unmatched_reds,
             "unmatched_blues": unmatched_blues,
@@ -293,11 +324,10 @@ def _scattered_at(n: int) -> np.ndarray:
 
 
 def _assign(cost: np.ndarray) -> np.ndarray:
-    """Column of each row in a min-cost assignment of the rows of ``cost``
-    (no more rows than columns), from scipy's routine. Every dense solve
-    builds ``cost`` already in the routine's row order: its row k is row
-    ``_scattered(len(cost))[k]`` of the problem, so no reordered copy is
-    made. The result is indexed by the problem's rows.
+    """Column of each row of ``cost`` (no more rows than columns) in a
+    min-cost assignment, from scipy's routine. Every solve builds ``cost``
+    with its rows in golden-ratio order (``_scattered``); see
+    ``assign_in_groups``.
 
     The routine adds rows to the matching one at a time, in index order. The
     package's point sets are sorted by x, so in that order each new row finds
@@ -314,16 +344,7 @@ def _assign(cost: np.ndarray) -> np.ndarray:
     without ``scipy.optimize``'s init; where that module is missing, not
     compiled or lacks the function, it is the public
     ``scipy.optimize.linear_sum_assignment``, the same routine."""
-    assign = np.empty(len(cost), dtype=int)
-    assign[_scattered(len(cost))] = _kernel("assign")(cost)[1]
-    return assign
-
-
-def _assign_points(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``_assign`` of the cost matrix of ``rows`` against ``cols``; its
-    entries are those of ``_cost_matrix(rows, cols)``, and the two
-    orientations' entries are equal bit for bit."""
-    return _assign(_cost_matrix(rows[_scattered(len(rows))], cols))
+    return _kernel("assign")(cost)[1]
 
 
 def _lex_key(reds: np.ndarray, blues: np.ndarray, assign) -> tuple:
@@ -425,28 +446,184 @@ def _canonicalize_ties(reds, blues, cost, assign, ids) -> np.ndarray:
     return assign
 
 
+def _tied_in_buffer(flat: np.ndarray, off: np.ndarray, n: np.ndarray,
+                    col: np.ndarray) -> np.ndarray:
+    """``_has_tie`` of many square matrices at once, per matrix: matrix g is
+    the n[g]-by-n[g] block of ``flat`` from offset off[g], row-major, and
+    ``col`` holds the column of each of their rows, matrix after matrix.
+    Every pair of rows i < j of a matrix is tested with ``_has_tie``'s float
+    operations, so the answers are its answers; the pairs number fewer than
+    the entries."""
+    at = np.zeros(len(n) + 1, dtype=np.int64)
+    np.cumsum(n, out=at[1:])
+    group = np.repeat(np.arange(len(n)), n)
+    row = np.arange(at[-1])
+    base = off[group] + (row - at[group]) * n[group]  # where each row starts
+    d = flat[base + col]
+    later = at[group + 1] - row - 1
+    i = np.repeat(row, later)
+    j = _spans(row + 1, later)[0]
+    alt = flat[base[i] + col[j]] + flat[base[j] + col[i]]
+    alt -= d[i] + d[j]
+    return np.bincount(group[i[np.abs(alt) <= EPS_TIE]], minlength=len(n)) > 0
+
+
+def _pad(cost: np.ndarray, reds: np.ndarray, blues: np.ndarray,
+         must_r: int, must_b: int) -> None:
+    """Write ``min_cost_saturating``'s padded square matrix into ``cost``,
+    in the solver's row order: row at[i] holds padded row i. The first
+    ``must_r`` reds and ``must_b`` blues are mandatory. The cost rows come a
+    block at a time, so no temporary as large as the matrix is made."""
+    nr, nb = len(reds), len(blues)
+    at = _scattered_at(len(cost))
+    cost.fill(0.0)
+    for r0 in range(0, nr, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, nr)
+        cost[at[r0:r1], :nb] = _cost_matrix(reds[r0:r1], blues)
+    cost[at[must_r:nr], must_b:nb] = 0.0  # reserve-reserve: both unused
+    cost[at[:must_r], nb:] = BIG   # mandatory reds cannot go unmatched
+    cost[at[nr:], :must_b] = BIG   # mandatory blues cannot go unmatched
+
+
+def _batches(entries: List[int], cap: int) -> Iterator[List[int]]:
+    """Runs of consecutive problems whose matrices fit in ``cap`` entries
+    together, in order; a problem larger than ``cap`` comes alone."""
+    batch, used = [], 0
+    for k, e in enumerate(entries):
+        if batch and used + e > cap:
+            yield batch
+            batch, used = [], 0
+        batch.append(k)
+        used += e
+    if batch:
+        yield batch
+
+
+def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
+                     red_must=None, blue_must=None) -> np.ndarray:
+    """Exact solves of many independent problems in one call. Problem g has
+    the reds ``reds[red_start[g]:red_start[g + 1]]`` and the blues
+    ``blues[blue_start[g]:blue_start[g + 1]]``. Returns the partner of every
+    red, as an index into ``blues``, or -1 where it is left unmatched. The
+    kinds are the package's three single-problem solves, each of which is a
+    one-problem call:
+
+    - SQUARE (``min_cost_partners``): equal sides, every red matched at
+      minimum total length, ties broken by the tie pass;
+    - RECTANGULAR (``min_cost_pairs``): the smaller side fully matched at
+      minimum total length; a problem with an empty side has no pairs;
+    - SATURATING (``min_cost_saturating``): the first ``red_must[g]`` reds
+      and ``blue_must[g]`` blues of problem g are mandatory and the rest are
+      its reserve; every mandatory point is matched, no pair joins two
+      reserve points, and a problem without mandatory points has no pairs.
+
+    Each problem's cost matrix is the one its single-problem solve has
+    always built, with its rows in golden-ratio order (``_scattered``): the
+    smaller side's points against the larger side's, the reds where the
+    sides are equal, written by the compiled ``cdist`` kernel, or the padded
+    matrix of ``_pad``. The assignment routine is called once per problem.
+    Matrices of at most GROUP_ENTRIES entries are laid end to end in one
+    buffer, a batch at a time; a larger one gets a matrix of its own. For
+    SQUARE the tie pass screens a batch for tied pairs at once
+    (``_tied_in_buffer``), so Python visits only the tied problems, and a
+    matrix of its own a block of rows at a time (``_has_tie``)."""
+    reds, blues = _points(reds), _points(blues)
+    red_start = np.asarray(red_start, dtype=np.int64)
+    blue_start = np.asarray(blue_start, dtype=np.int64)
+    n_r, n_b = red_start[1:] - red_start[:-1], blue_start[1:] - blue_start[:-1]
+    if len(n_r) != len(n_b):
+        raise ValueError("need as many groups of blues as of reds")
+    if kind == SATURATING:
+        must_r = np.asarray(red_must, dtype=np.int64)
+        must_b = np.asarray(blue_must, dtype=np.int64)
+        if ((must_r > n_b) | (must_b > n_r)).any():
+            raise ValueError("reserve pools too small to saturate the mandatory points")
+        solve = must_r + must_b > 0  # every pair needs a mandatory end
+        n_rows = n_cols = np.maximum(n_r, n_b)
+        must = (must_r, must_b)
+    elif kind in (SQUARE, RECTANGULAR):
+        if kind == SQUARE and (n_r != n_b).any():
+            k = np.flatnonzero(n_r != n_b)[0]
+            raise ValueError(f"size mismatch: {n_r[k]} reds vs {n_b[k]} blues")
+        solve = (n_r > 0) & (n_b > 0)
+        n_rows, n_cols = np.minimum(n_r, n_b), np.maximum(n_r, n_b)
+        must = ()
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    partner = np.full(len(reds), -1, dtype=np.int64)
+    g = solve.nonzero()[0]
+    if not len(g):
+        return partner
+    entries = (n_rows * n_cols)[g]
+    problems = list(zip(red_start[g].tolist(), n_r[g].tolist(), blue_start[g].tolist(),
+                        n_b[g].tolist(), n_rows[g].tolist(), n_cols[g].tolist(),
+                        *(m[g].tolist() for m in must)))
+    buf = np.empty(min(GROUP_ENTRIES, int(entries[entries <= GROUP_ENTRIES].sum())))
+    distances, assign = _kernel("cdist"), _assign  # looked up once, not per problem
+    # problem by problem, in order, each row's red and blue within its problem
+    red_ends, blue_ends = [], []
+    for batch in _batches(entries.tolist(), len(buf)):
+        used, square = 0, []
+        for k in batch:
+            a, nr, b, nb, n, m, *must_k = problems[k]
+            if n * m > len(buf):  # alone in its batch
+                cost = np.empty((n, m))
+            else:
+                cost = buf[used:used + n * m].reshape(n, m)
+                used += n * m
+            sc = _scattered(n)
+            if kind == SATURATING:  # row k of the matrix is padded row sc[k]
+                _pad(cost, reds[a:a + nr], blues[b:b + nb], *must_k)
+                red_ends.append(sc)
+                blue_ends.append(assign(cost))
+            elif nr <= nb:  # the reds are the rows
+                c = assign(distances(reds[a:a + nr][sc], blues[b:b + nb], out=cost))
+                if kind == SQUARE:
+                    square.append((a, b, n, sc, c, cost))
+                else:
+                    red_ends.append(sc)
+                    blue_ends.append(c)
+            else:
+                blue_ends.append(sc)
+                red_ends.append(assign(distances(blues[b:b + nb][sc], reds[a:a + nr], out=cost)))
+        if square:
+            if used:
+                size = np.array([n for _, _, n, *_ in square])
+                tied = _tied_in_buffer(buf, np.cumsum(size * size) - size * size, size,
+                                       np.concatenate([c for *_, c, _ in square])).tolist()
+            else:  # one problem, in a matrix of its own: the tie pass screens it
+                tied = [True]
+            for (a, b, n, sc, c, cost), tie in zip(square, tied):
+                red_ends.append(sc)
+                blue_ends.append(_canonicalize_ties(reds[a:a + n][sc], blues[b:b + n], cost, c, sc)
+                                 if tie else c)
+
+    def each_row(x: np.ndarray) -> np.ndarray:
+        return np.repeat(x[g], n_rows[g])
+
+    r, q = np.concatenate(red_ends), np.concatenate(blue_ends)
+    if kind == SATURATING:  # the matrix's pairs that are pairs of the problem
+        keep = ((r < each_row(n_r)) & (q < each_row(n_b))
+                & ((r < each_row(must_r)) | (q < each_row(must_b))))
+        r, q = r[keep], q[keep]
+        partner[r + each_row(red_start[:-1])[keep]] = q + each_row(blue_start[:-1])[keep]
+    else:
+        partner[r + each_row(red_start[:-1])] = q + each_row(blue_start[:-1])
+    return partner
+
+
 def min_cost_partners(reds, blues) -> np.ndarray:
     """Blue partner of each red in a perfect matching of minimum total
     Euclidean length, as an index array; ties are broken as described in
     the module docstring."""
     reds, blues = _points(reds), _points(blues)
-    if len(reds) != len(blues):
-        raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
-    if len(reds) == 0:
-        return np.empty(0, dtype=int)
-    order = _scattered(len(reds))
-    reds = reds[order]
-    cost = _cost_matrix(reds, blues)
-    part = _canonicalize_ties(reds, blues, cost, _assign(cost)[order], order)
-    assign = np.empty_like(part)
-    assign[order] = part
-    return assign
+    return assign_in_groups(SQUARE, reds, [0, len(reds)], blues, [0, len(blues)])
 
 
 def min_cost_perfect(reds, blues) -> Matching:
     """Perfect matching of minimum total Euclidean length."""
     assign = min_cost_partners(reds, blues)
-    return Matching(reds, blues, list(enumerate(assign.tolist())))
+    return Matching(reds, blues, np.column_stack([np.arange(len(assign)), assign]))
 
 
 def brute_force_min(reds, blues) -> Matching:
@@ -483,11 +660,13 @@ def min_cost_pairs(reds, blues) -> List[Tuple[int, int]]:
     """Sorted index pairs of a min-length matching of maximum cardinality:
     the smaller color class is fully matched."""
     reds, blues = _points(reds), _points(blues)
-    if len(reds) == 0 or len(blues) == 0:
-        return []
-    if len(reds) <= len(blues):
-        return list(enumerate(_assign_points(reds, blues).tolist()))
-    return sorted(zip(_assign_points(blues, reds).tolist(), range(len(blues))))
+    return _pairs(assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)]))
+
+
+def _pairs(partner: np.ndarray) -> List[Tuple[int, int]]:
+    """The (red, blue) pairs of a partner array, by red."""
+    ri = np.flatnonzero(partner >= 0)
+    return list(zip(ri.tolist(), partner[ri].tolist()))
 
 
 def _spans(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -611,24 +790,8 @@ def min_cost_saturating(reds, blues, reserve_reds, reserve_blues
     reds, blues = _points(reds), _points(blues)
     all_r = np.concatenate([reds, _points(reserve_reds)])
     all_b = np.concatenate([blues, _points(reserve_blues)])
-    nr1, nb1, nr, nb = len(reds), len(blues), len(all_r), len(all_b)
-    if nr1 > nb or nb1 > nr:
-        raise ValueError("reserve pools too small to saturate the mandatory points")
-    if nr1 == nb1 == 0:  # every pair returned needs a mandatory end
-        return []
-    size = max(nr, nb)
-    # the matrix in the solver's row order: row at[i] holds padded row i, and
-    # the cost rows come a block at a time, so no n-by-n temporary is made
-    at = _scattered_at(size)
-    cost = np.zeros((size, size))
-    for r0 in range(0, nr, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, nr)
-        cost[at[r0:r1], :nb] = _cost_matrix(all_r[r0:r1], all_b)
-    cost[at[nr1:nr], nb1:nb] = 0.0  # reserve-reserve: both unused
-    cost[at[:nr1], nb:] = BIG   # mandatory reds cannot go unmatched
-    cost[at[nr:], :nb1] = BIG   # mandatory blues cannot go unmatched
-    return [(i, j) for i, j in enumerate(_assign(cost).tolist())
-            if i < nr and j < nb and (i < nr1 or j < nb1)]
+    return _pairs(assign_in_groups(SATURATING, all_r, [0, len(all_r)], all_b, [0, len(all_b)],
+                                   [len(reds)], [len(blues)]))
 
 
 def improvable_pair(m: Matching) -> Optional[Tuple[int, int]]:

@@ -246,7 +246,7 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
     result = _result_json(ps, m, arcs, diagnostics)
     diagnostics.update({  # counted from the lists the result holds already
         "construction": construction,
-        "edges": len(m.edges),
+        "edges": len(result["matching"]["edges"]),
         "unmatched_reds": len(result["matching"]["unmatched_reds"]),
         "unmatched_blues": len(result["matching"]["unmatched_blues"]),
     })

@@ -11,19 +11,21 @@ Blocks are half-open, [x0, x1) x [y0, y1), and all their edges are integers.
 ``init_state`` builds one integer table per level, once: the window's
 level-n blocks in children order (the children of a block are consecutive
 rows), and for each color the points stably sorted by block row, with each
-point's heir flag. A stage then works on the whole level at once: counts,
-masks, excesses and the records' flags are grouped numpy over block rows.
-Each step first settles the level's small block problems in one
-``min_cost_in_groups`` pass: in the leftover step every block holding both
-colors, with its smaller color as the small side, and in the rematch step
-every block whose mandatory points are all of one color, against the other
-color's points in the reserve. Python visits only the blocks that pass
-leaves (a near-tie, more than three points on each side, or mandatory
-points of both colors) and hands each to the solvers, so a tie is broken
-as they break it. Blocks of one level are disjoint, so solving every
-block's rematch step and then every block's leftover step gives the same
-partners as going block by block. A stage's new edges are read back from
-the partner arrays: the reds unmatched after the heir unmatch that are
+point's heir flag; each color's unit cells are found once for all levels.
+A stage then works on the whole level at once: counts, masks, excesses and
+the records' flags are grouped numpy over block rows. Each step first
+settles the level's small block problems in one ``min_cost_in_groups``
+pass: in the leftover step every block holding both colors, with its
+smaller color as the small side, and in the rematch step every block whose
+mandatory points are all of one color, against the other color's points in
+the reserve. The blocks that pass leaves (a near-tie, more than three
+points on each side, or mandatory points of both colors) go to the exact
+solves in one ``assign_in_groups`` call per step, each block's points
+gathered by index arrays, so a tie is broken as the solvers break it and no
+Python loop visits a block. Blocks of one level are disjoint, so solving
+every block's rematch step and then every block's leftover step gives the
+same partners as going block by block. A stage's new edges are read back
+from the partner arrays: the reds unmatched after the heir unmatch that are
 matched at the end.
 
 A stage keeps its records as per-block columns on its level table, with its
@@ -43,8 +45,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .assignment import (Matching, _spans, min_cost_in_groups, min_cost_pairs,
-                         min_cost_saturating)
+from .assignment import (RECTANGULAR, SATURATING, Matching, _spans, assign_in_groups,
+                         min_cost_in_groups)
 from .geometry import Domain, Rect
 from .sampling import ColoredPointSet, derived_rng
 
@@ -268,31 +270,35 @@ class BlockRecords(Sequence):
                               unmatched_in_heir=in_heir, new_edges_in_heirs=confined)
 
 
-def _color_table(pts: np.ndarray, system: BlockSystem, n: int,
+def _color_table(unit: np.ndarray, system: BlockSystem, n: int,
                  grid: np.ndarray, lo: np.ndarray) -> ColorTable:
     """Find each point's level-n block once, by integer division of its unit
-    cell, and its row through ``grid`` (the rows of the blocks from ``lo``)."""
-    cell = np.floor(pts).astype(np.int64) - system.offsets(n)
+    cell ``unit`` (the floor of its coordinates), and its row through
+    ``grid`` (the rows of the blocks from ``lo``)."""
+    cell = unit - system.offsets(n)
     rel = cell // system.dims(n) - lo
     inside = ((rel >= 0) & (rel < grid.shape)).all(axis=1)
-    row = np.full(len(pts), -1, dtype=np.int64)
+    row = np.full(len(unit), -1, dtype=np.int64)
     row[inside] = grid[tuple(rel[inside].T)]
-    # stable, so each block's indices ascend; the outside points (-1) sort first
-    order = np.argsort(row, kind="stable")[len(pts) - np.count_nonzero(inside):]
+    # stable, so each block's indices ascend; the outside points (-1) sort
+    # first. With fewer than 2**15 blocks the rows sort as int16, for which
+    # numpy's stable sort is a radix sort
+    key = row.astype(np.int16) if grid.size < 2 ** 15 else row
+    order = np.argsort(key, kind="stable")[len(unit) - np.count_nonzero(inside):]
     start = np.zeros(grid.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(row[order], minlength=grid.size), out=start[1:])
     along = cell[:, n % 2]
-    in_heir = along % system.a[n] < system.a[n - 2] if n >= 2 else np.zeros(len(pts), bool)
+    in_heir = along % system.a[n] < system.a[n - 2] if n >= 2 else np.zeros(len(unit), bool)
     return ColorTable(row, order, start, in_heir)
 
 
-def _level_table(ps: ColoredPointSet, system: BlockSystem, n: int,
+def _level_table(units: Tuple[np.ndarray, np.ndarray], system: BlockSystem, n: int,
                  cells: np.ndarray) -> LevelTable:
+    """Level n's table, from each color's unit cells."""
     lo = cells.min(axis=0)
     grid = np.empty(cells.max(axis=0) - lo + 1, dtype=np.int64)
     grid[tuple((cells - lo).T)] = np.arange(len(cells))  # the blocks fill the grid
-    return LevelTable(n, cells, _color_table(ps.reds, system, n, grid, lo),
-                      _color_table(ps.blues, system, n, grid, lo))
+    return LevelTable(n, cells, *(_color_table(u, system, n, grid, lo) for u in units))
 
 
 @dataclass
@@ -318,7 +324,7 @@ class StageState:
     def to_matching(self) -> Matching:
         ri = np.flatnonzero(self.red_partner >= 0)
         return Matching(self.ps.reds, self.ps.blues,
-                        list(zip(ri.tolist(), self.red_partner[ri].tolist())))
+                        np.column_stack([ri, self.red_partner[ri]]))
 
 
 def _link(state: StageState, ri: np.ndarray, bj: np.ndarray) -> None:
@@ -327,20 +333,42 @@ def _link(state: StageState, ri: np.ndarray, bj: np.ndarray) -> None:
     state.blue_partner[bj] = ri
 
 
-def _solve(state: StageState, solver, ridx: np.ndarray, bidx: np.ndarray,
-           *points: np.ndarray) -> None:
-    """Link the local (red, blue) pairs that ``solver(*points)`` returns;
-    ``ridx`` and ``bidx`` give the global index of each local one."""
-    i, j = np.array(solver(*points), dtype=np.int64).reshape(-1, 2).T
-    _link(state, ridx[i], bidx[j])
-
-
 def _groups(idx: np.ndarray, start: np.ndarray, rows: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray]:
     """The members ``idx[start[k]:start[k + 1]]`` of the blocks ``rows``,
     concatenated, with their offsets."""
     pos, at = _spans(start[rows], start[rows + 1] - start[rows])
     return idx[pos], at
+
+
+def _gathered(parts: List[Tuple[np.ndarray, np.ndarray]], rows: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """The members of the blocks ``rows`` in each of the grouped index
+    arrays ``parts`` (indices, offsets), merged block by block: a block's
+    members of the first part, then of the next. Returns (indices, offsets)."""
+    (a, a_start), *rest = [_groups(idx, start, rows) for idx, start in parts]
+    for b, b_start in rest:
+        out = np.empty(len(a) + len(b), dtype=np.int64)
+        out[np.arange(len(a)) + np.repeat(b_start[:-1], np.diff(a_start))] = a
+        out[np.arange(len(b)) + np.repeat(a_start[1:], np.diff(b_start))] = b
+        a, a_start = out, a_start + b_start
+    return a, a_start
+
+
+def _solve_blocks(state: StageState, kind: str, rows: np.ndarray, red_parts, blue_parts,
+                  *must: np.ndarray) -> None:
+    """Solve the blocks ``rows`` in one ``assign_in_groups`` call and link
+    the partners. A block's points of each color are its members of that
+    color's parts in turn (``_gathered``); ``must`` are the SATURATING
+    kind's per-block counts of mandatory reds and blues, the first part's."""
+    if not len(rows):
+        return
+    ri, rs = _gathered(red_parts, rows)
+    bi, bs = _gathered(blue_parts, rows)
+    partner = assign_in_groups(kind, state.ps.reds[ri], rs, state.ps.blues[bi], bs,
+                               *(m[rows] for m in must))
+    k = np.flatnonzero(partner >= 0)
+    _link(state, ri[k], bi[partner[k]])
 
 
 def _joined(starts: List[np.ndarray]) -> np.ndarray:
@@ -384,13 +412,14 @@ def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
     if top.rect != ps.domain.window_rect():
         raise ValueError("window must coincide with a single level-N block")
     cells = system.grids(top)
+    units = tuple(np.floor(pts).astype(np.int64) for pts in (ps.reds, ps.blues))
     return StageState(
         ps=ps, system=system,
         red_partner=np.full(ps.n_red, -1, dtype=int),
         blue_partner=np.full(ps.n_blue, -1, dtype=int),
         red_unmatch_events=np.zeros(ps.n_red, dtype=int),
         blue_unmatch_events=np.zeros(ps.n_blue, dtype=int),
-        levels={n: _level_table(ps, system, n, cells[n]) for n in range(1, system.N + 1)},
+        levels={n: _level_table(units, system, n, cells[n]) for n in range(1, system.N + 1)},
     )
 
 
@@ -398,7 +427,6 @@ def _match_leftovers(state: StageState, lv: LevelTable) -> None:
     """In every block of the level, min-length matching of maximum cardinality
     among its unmatched points. The blocks whose smaller color has at most
     three points are settled in one grouped pass first."""
-    reds, blues = state.ps.reds, state.ps.blues
     r, rs = lv.red.select(state.red_partner < 0)
     b, bs = lv.blue.select(state.blue_partner < 0)
     n_r, n_b = np.diff(rs), np.diff(bs)
@@ -406,9 +434,7 @@ def _match_leftovers(state: StageState, lv: LevelTable) -> None:
     fewer = n_r <= n_b
     solve[_settle(state, (np.flatnonzero(solve & fewer), (r, rs), (b, bs), True),
                   (np.flatnonzero(solve & ~fewer), (b, bs), (r, rs), False))] = False
-    for k in np.flatnonzero(solve).tolist():
-        ridx, bidx = r[rs[k]:rs[k + 1]], b[bs[k]:bs[k + 1]]
-        _solve(state, min_cost_pairs, ridx, bidx, reds[ridx], blues[bidx])
+    _solve_blocks(state, RECTANGULAR, np.flatnonzero(solve), [(r, rs)], [(b, bs)])
 
 
 def _keep_columns(state: StageState, lv: LevelTable, bad: np.ndarray,
@@ -446,7 +472,6 @@ def run_stage(state: StageState, n: int) -> StageState:
     if n != state.stage + 1:
         raise ValueError("stages must run in order")
     lv, below = state.levels[n], state.levels[n - 1]
-    reds, blues = state.ps.reds, state.ps.blues
     r_heir, b_heir = lv.red.in_heir, lv.blue.in_heir
     r_below, b_below = below.red.in_heir, below.blue.in_heir
 
@@ -474,11 +499,8 @@ def run_stage(state: StageState, n: int) -> StageState:
     solve = feasible & (n_r1 + n_b1 > 0)
     solve[_settle(state, (np.flatnonzero(solve & (n_b1 == 0)), (r1, r1s), (b2, b2s), True),
                   (np.flatnonzero(solve & (n_r1 == 0)), (b1, b1s), (r2, r2s), False))] = False
-    for k in np.flatnonzero(solve).tolist():
-        sr1, sb1 = r1[r1s[k]:r1s[k + 1]], b1[b1s[k]:b1s[k + 1]]
-        sr2, sb2 = r2[r2s[k]:r2s[k + 1]], b2[b2s[k]:b2s[k + 1]]
-        _solve(state, min_cost_saturating, np.concatenate([sr1, sr2]),
-               np.concatenate([sb1, sb2]), reds[sr1], blues[sb1], reds[sr2], blues[sb2])
+    _solve_blocks(state, SATURATING, np.flatnonzero(solve), [(r1, r1s), (r2, r2s)],
+                  [(b1, b1s), (b2, b2s)], n_r1, n_b1)
 
     # (iii) match as many of the remaining unmatched points in A as possible
     _match_leftovers(state, lv)
@@ -505,6 +527,8 @@ def run_hierarchical(ps: ColoredPointSet, seed: int, N: int,
     final partial matching, JSON-ready diagnostics, and the full state."""
     if system is None:
         system = build_block_system(seed, N)
+    elif system.N != N:
+        raise ValueError(f"N={N} but the block system has N={system.N}")
     state = init_state(ps, system)
     stage1(state)
     for n in range(2, N + 1):

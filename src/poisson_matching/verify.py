@@ -13,7 +13,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import TWO_COLOR, Matching, _length, min_cost_partners
+from .assignment import SQUARE, TWO_COLOR, Matching, _length, assign_in_groups
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment,
                        edge_crosses_region, segments_intersect)
 from .sampling import ColoredPointSet, derived_rng
@@ -306,16 +306,18 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     must be two-color, of the points of ``ps``: a cell rematches reds with
     blues.
 
-    The edges are read once. Each cell is solved by ``min_cost_partners``
-    on its endpoint arrays, and every length is summed from the endpoint
-    arrays as ``Matching.total_length`` sums it (``_length``), without
-    building a matching per cell or reading the edges again."""
+    The edges are read once, from the matching's edge array. The cells are
+    solved in one ``assign_in_groups`` call, each as ``min_cost_partners``
+    solves it, and every length is summed from the endpoint arrays as
+    ``Matching.total_length`` sums it (``_length``), without building a
+    matching per cell or reading the edges again. The matching returned is
+    built from the rewritten edge array."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError("square side must be positive and finite")
     if m.color_mode != TWO_COLOR:
         raise ValueError("box rematch needs a two-color matching")
     d = ps.domain
-    e = m._edge_array()  # a fresh array: rewritten below
+    e = m._edge_array().copy()  # rewritten below
     r, b = ps.reds[e[:, 0]], ps.blues[e[:, 1]]
     corner = np.array([d.x0, d.y0])
     cell = (r - corner) // t  # the same floats as Python's // per coordinate
@@ -324,20 +326,19 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     cells = cell[ks]
     first = np.ones(len(ks), dtype=bool)
     first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
-    bounds = np.append(np.flatnonzero(first), len(ks)).tolist()
+    bounds = np.append(np.flatnonzero(first), len(ks))
     R, B = r[ks], b[ks]
     # each rematched edge keeps its red and takes the blue at B[new]
-    new = np.arange(len(ks))
-    for s0, s1 in zip(bounds, bounds[1:]):
-        new[s0:s1] = s0 + min_cost_partners(R[s0:s1], B[s0:s1])
+    new = assign_in_groups(SQUARE, R, bounds, B, bounds)
+    bounds = bounds.tolist()
     # per-edge lengths before summed in edge order, as Matching.edge_length
     # gives them, and after as the cell's Matching.total_length
-    before = [math.hypot(dx, dy) for dx, dy in (R - B).tolist()]
+    before = list(map(math.hypot, *(R - B).T.tolist()))
     after = np.hypot(*(R - B[new]).T)
     improvements = [sum(before[s0:s1]) - float(after[s0:s1].sum())
                     for s0, s1 in zip(bounds, bounds[1:])]
     length_before = _length(r, b)
     e[ks, 1] = e[ks[new], 1]
     b[ks] = B[new]
-    rematched = Matching(ps.reds, ps.blues, list(zip(e[:, 0].tolist(), e[:, 1].tolist())))
+    rematched = Matching(ps.reds, ps.blues, e)
     return BoxRematchResult(length_before, _length(r, b), improvements, rematched)

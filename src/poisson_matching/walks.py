@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import (EPS_TIE, Matching, ONE_COLOR, brute_force_min,
-                         min_cost_pairs, min_cost_partners)
+from .assignment import (EPS_TIE, ONE_COLOR, RECTANGULAR, SQUARE, Matching,
+                         assign_in_groups, brute_force_min)
 from .geometry import LINE, STRIP, Domain, Point, Segment
 from .sampling import ColoredPointSet, derived_rng
 from .verify import VerificationReport
@@ -76,6 +76,15 @@ def _interval_cuts(ps: ColoredPointSet, boundaries
             np.searchsorted(ps.blues[:, 0], boundaries, side="right"))
 
 
+def _block_matching(ps: ColoredPointSet, kind: str, rc: np.ndarray, bc: np.ndarray) -> Matching:
+    """Solve every block of the cuts (rc, bc) (``_interval_cuts``) in one
+    ``assign_in_groups`` call of ``kind``: the matching of their edges, by
+    red. Points outside the blocks stay unmatched."""
+    partner = assign_in_groups(kind, ps.reds, rc, ps.blues, bc)
+    ri = np.flatnonzero(partner >= 0)
+    return Matching(ps.reds, ps.blues, np.column_stack([ri, partner[ri]]))
+
+
 def zero_block_matching(ps: ColoredPointSet) -> Matching:
     """Split the window at the walk's return-to-zero locations and take the
     min-length perfect matching inside each balanced block. Points to the
@@ -84,13 +93,9 @@ def zero_block_matching(ps: ColoredPointSet) -> Matching:
     vals = walk.values
     zero_xs = walk.xs[vals == 0]  # steps are +/-1, so the prior value is nonzero
     rc, bc = _interval_cuts(ps, np.concatenate([[ps.domain.x0], zero_xs]))
-    edges: List[Tuple[int, int]] = []
-    for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
-        if r1 - r0 != b1 - b0:
-            raise WalkInvariantError("zero block is not balanced")
-        part = min_cost_partners(ps.reds[r0:r1], ps.blues[b0:b1])
-        edges.extend(zip(range(r0, r1), (b0 + part).tolist()))
-    return Matching(ps.reds, ps.blues, edges)
+    if (np.diff(rc) != np.diff(bc)).any():
+        raise WalkInvariantError("zero block is not balanced")
+    return _block_matching(ps, SQUARE, rc, bc)
 
 
 def one_color_pairing(ps: ColoredPointSet, coin: int) -> Matching:
@@ -123,14 +128,9 @@ def cut_time_matching(ps: ColoredPointSet) -> Matching:
     walk = build_walk(ps)
     cuts = cut_times(walk)
     rc, bc = _interval_cuts(ps, cuts)
-    edges: List[Tuple[int, int]] = []
-    for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
-        if r1 - r0 <= b1 - b0:
-            raise WalkInvariantError("cut block must have a strict red excess")
-        if b1 > b0:
-            edges.extend((int(r0 + i), int(b0 + j))
-                         for i, j in min_cost_pairs(ps.reds[r0:r1], ps.blues[b0:b1]))
-    return Matching(ps.reds, ps.blues, edges)
+    if (np.diff(rc) <= np.diff(bc)).any():
+        raise WalkInvariantError("cut block must have a strict red excess")
+    return _block_matching(ps, RECTANGULAR, rc, bc)
 
 
 def excursion_matching(ps: ColoredPointSet) -> Matching:
@@ -249,9 +249,9 @@ class CrossingProfile:
 def crossing_profile(m: Matching) -> CrossingProfile:
     """h(t) = number of matched intervals covering t; its integral equals the
     total edge length of a line matching."""
-    if not m.edges:
-        return CrossingProfile(np.asarray([0.0, 0.0]), np.asarray([], dtype=int))
     p, q = m.endpoint_arrays()
+    if not len(p):
+        return CrossingProfile(np.asarray([0.0, 0.0]), np.asarray([], dtype=int))
     lo, hi = np.minimum(p[:, 0], q[:, 0]), np.maximum(p[:, 0], q[:, 0])
     breaks = np.unique(np.concatenate([lo, hi]))
     mids = (breaks[:-1] + breaks[1:]) / 2

@@ -976,6 +976,35 @@ def test_matching_validation_order(edges, error):
         Matching(SQUARE_REDS, SQUARE_BLUES, edges)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("edges,error", [(e, err) for e, err in EDGE_ERRORS
+                                         if None not in itertools.chain(*e)])
+def test_matching_validation_order_from_arrays(edges, error, dtype):
+    # the checks and their order are those of the list: the first failing
+    # edge decides the error
+    e = np.array(edges, dtype=dtype)
+    if error is None:
+        assert Matching(SQUARE_REDS, SQUARE_BLUES, e).edges == edges
+        return
+    with pytest.raises(ValueError, match=error):
+        Matching(SQUARE_REDS, SQUARE_BLUES, e)
+
+
+def test_float_edge_array_rejected():
+    with pytest.raises(ValueError, match="edge indices must be integers"):
+        Matching(SQUARE_REDS, SQUARE_BLUES, np.array([[0.0, 0.0]]))
+
+
+def test_array_edges_read_back_as_int_tuples():
+    e = np.array([[1, 1], [0, 0]])
+    m = Matching(SQUARE_REDS, SQUARE_BLUES, e)
+    e[0] = [0, 0]  # the matching keeps a copy
+    assert m.edges == [(1, 1), (0, 0)]
+    assert all(type(i) is int and type(j) is int for i, j in m.edges)
+    assert m.kind == "perfect"
+    assert Matching(SQUARE_REDS, SQUARE_BLUES, np.empty((0, 2), dtype=np.int64)).edges == []
+
+
 def test_one_color_edges_range_over_reds():
     Matching(SQUARE_REDS, np.empty((0, 2)), [(0, 1)], color_mode=ONE_COLOR)
     with pytest.raises(ValueError, match="out of range"):
@@ -1080,6 +1109,18 @@ def test_to_json_reads_the_edges_once(monkeypatch, name, m):
     assert len(calls) == 1
     assert got == want
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("name,m", CONSTRUCTION_CASES,
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CONSTRUCTION_CASES)])
+def test_list_and_array_built_matchings_agree(name, m):
+    from_list = Matching(m.reds, m.blues, list(m.edges), color_mode=m.color_mode)
+    from_array = Matching(m.reds, m.blues, np.array(m.edges, dtype=np.int64).reshape(-1, 2),
+                          color_mode=m.color_mode)
+    want = json.dumps(m.to_json(), sort_keys=True)
+    assert json.dumps(from_list.to_json(), sort_keys=True) == want
+    assert json.dumps(from_array.to_json(), sort_keys=True) == want
+    assert from_list.edges == from_array.edges == m.edges
 
 
 def test_one_color_is_partial_with_every_red_matched():

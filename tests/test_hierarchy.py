@@ -3,21 +3,24 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.stats import poisson, skellam
 
-from poisson_matching import hierarchy
-from poisson_matching.assignment import (EPS_TIE, SMALL_MAX, min_cost_in_groups,
-                                         min_cost_pairs, min_cost_saturating)
+from poisson_matching import assignment, hierarchy
+from poisson_matching.assignment import (BIG, EPS_TIE, GROUP_ENTRIES, RECTANGULAR, ROW_BLOCK,
+                                         SATURATING, SMALL_MAX, SQUARE, _canonicalize_ties,
+                                         assign_in_groups, min_cost_in_groups)
 from poisson_matching.geometry import Rect
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
                                         heir_frequency, init_state,
                                         run_hierarchical, run_stage, stage1)
-from poisson_matching.sampling import ColoredPointSet, SampleConfig, sample
+from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 
 
 def zero_offset_system(N=4):
@@ -408,6 +411,79 @@ class TestExactBadRate:
             assert abs(bad[n] / blocks[n] - p) <= 4 * sigma, (n, bad[n], blocks[n])
 
 
+# --- Single-problem solves ----------------------------------------------------
+# The package's three exact solves as they were before they became one-problem
+# calls of ``assign_in_groups``: each builds its cost matrix with the public
+# ``cdist`` and calls the public ``linear_sum_assignment`` once, with the rows
+# in the same golden-ratio order and the same tie pass. Kept as the oracles
+# for the grouped routine and for the per-block stages below.
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_order(n):
+    return np.argsort(np.arange(n) * GOLDEN % 1.0, kind="stable")
+
+
+def _points(pts):
+    return np.asarray(pts, dtype=float).reshape(-1, 2)
+
+
+def _assign(cost):
+    """Column of each problem row; row k of ``cost`` is problem row
+    ``_golden_order(len(cost))[k]``."""
+    assign = np.empty(len(cost), dtype=int)
+    assign[_golden_order(len(cost))] = linear_sum_assignment(cost)[1]
+    return assign
+
+
+def min_cost_partners(reds, blues):
+    reds, blues = _points(reds), _points(blues)
+    if len(reds) != len(blues):
+        raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
+    if len(reds) == 0:
+        return np.empty(0, dtype=int)
+    order = _golden_order(len(reds))
+    reds = reds[order]
+    cost = cdist(reds, blues)
+    part = _canonicalize_ties(reds, blues, cost, _assign(cost)[order], order)
+    assign = np.empty_like(part)
+    assign[order] = part
+    return assign
+
+
+def min_cost_pairs(reds, blues):
+    reds, blues = _points(reds), _points(blues)
+    if len(reds) == 0 or len(blues) == 0:
+        return []
+    if len(reds) <= len(blues):
+        return list(enumerate(_assign(cdist(reds[_golden_order(len(reds))], blues)).tolist()))
+    cost = cdist(blues[_golden_order(len(blues))], reds)
+    return sorted(zip(_assign(cost).tolist(), range(len(blues))))
+
+
+def min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
+    reds, blues = _points(reds), _points(blues)
+    all_r = np.concatenate([reds, _points(reserve_reds)])
+    all_b = np.concatenate([blues, _points(reserve_blues)])
+    nr1, nb1, nr, nb = len(reds), len(blues), len(all_r), len(all_b)
+    if nr1 > nb or nb1 > nr:
+        raise ValueError("reserve pools too small to saturate the mandatory points")
+    if nr1 == nb1 == 0:
+        return []
+    size = max(nr, nb)
+    at = np.argsort(_golden_order(size), kind="stable")
+    cost = np.zeros((size, size))
+    for r0 in range(0, nr, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, nr)
+        cost[at[r0:r1], :nb] = cdist(all_r[r0:r1], all_b)
+    cost[at[nr1:nr], nb1:nb] = 0.0
+    cost[at[:nr1], nb:] = BIG
+    cost[at[nr:], :nb1] = BIG
+    return [(i, j) for i, j in enumerate(_assign(cost).tolist())
+            if i < nr and j < nb and (i < nr1 or j < nb1)]
+
+
 # --- Per-block oracle ------------------------------------------------------
 # The stages as they ran before the level tables: one block at a time, in
 # children order, from dict buckets of each block's points. Kept verbatim as
@@ -630,11 +706,12 @@ class TestAgainstPerBlockOracle:
 def test_hierarchy_solves_saturating_only_with_mandatory_points(monkeypatch):
     sizes = []
 
-    def recording(reds, blues, reserve_reds, reserve_blues):
-        sizes.append((len(reds), len(blues)))
-        return min_cost_saturating(reds, blues, reserve_reds, reserve_blues)
+    def recording(kind, reds, red_start, blues, blue_start, *must):
+        if kind == SATURATING:
+            sizes.extend(zip(*(np.asarray(m).tolist() for m in must)))
+        return assign_in_groups(kind, reds, red_start, blues, blue_start, *must)
 
-    monkeypatch.setattr(hierarchy, "min_cost_saturating", recording)
+    monkeypatch.setattr(hierarchy, "assign_in_groups", recording)
     for seed in range(3):
         hierarchical_case(seed)
     assert sizes and all(nr + nb > 0 for nr, nb in sizes)
@@ -651,12 +728,13 @@ def _tied(small, large):
 
 
 def _record_small_solves(monkeypatch):
-    """Wrap both solvers as the hierarchy sees them, and its grouped pass.
-    Returns two lists: per solver call, (solver name, points on the small
-    side, whether that problem is tied), where the small side of a
-    saturating problem is its mandatory points when they are all of one
-    color and None otherwise, and tied is None above SMALL_MAX; and the
-    small-side size of every group the grouped pass settles."""
+    """Wrap the hierarchy's two grouped routines: the exact solves and the
+    small-problem pass. Returns two lists: per problem handed to the exact
+    solves, each of which reaches the assignment kernel, (solver name,
+    points on the small side, whether that problem is tied), where the
+    small side of a saturating problem is its mandatory points when they are
+    all of one color and None otherwise, and tied is None above SMALL_MAX;
+    and the small-side size of every group the small-problem pass settles."""
     calls, settled = [], []
 
     def record(name, small, large):
@@ -664,23 +742,24 @@ def _record_small_solves(monkeypatch):
         tied = _tied(small, large) if size is not None and size <= SMALL_MAX else None
         calls.append((name, size, tied))
 
-    def pairs(reds, blues):
-        small, large = (reds, blues) if len(reds) <= len(blues) else (blues, reds)
-        record("pairs", small, large)
-        return min_cost_pairs(reds, blues)
-
-    def saturating(reds, blues, reserve_reds, reserve_blues):
-        one_sided = (reds, reserve_blues) if not len(blues) else (blues, reserve_reds)
-        record("saturating", *(one_sided if not (len(reds) and len(blues)) else (None, None)))
-        return min_cost_saturating(reds, blues, reserve_reds, reserve_blues)
+    def solves(kind, reds, red_start, blues, blue_start, *must):
+        for g in range(len(red_start) - 1):
+            r = reds[red_start[g]:red_start[g + 1]]
+            b = blues[blue_start[g]:blue_start[g + 1]]
+            if kind == RECTANGULAR:
+                record("pairs", *((r, b) if len(r) <= len(b) else (b, r)))
+            else:
+                mr, mb = (int(m[g]) for m in must)
+                one_sided = (r[:mr], b[mb:]) if not mb else (b[:mb], r[mr:])
+                record("saturating", *(one_sided if not (mr and mb) else (None, None)))
+        return assign_in_groups(kind, reds, red_start, blues, blue_start, *must)
 
     def grouped(small, small_start, large, large_start):
         partner, ok = min_cost_in_groups(small, small_start, large, large_start)
         settled.extend(np.diff(small_start)[ok].tolist())
         return partner, ok
 
-    monkeypatch.setattr(hierarchy, "min_cost_pairs", pairs)
-    monkeypatch.setattr(hierarchy, "min_cost_saturating", saturating)
+    monkeypatch.setattr(hierarchy, "assign_in_groups", solves)
     monkeypatch.setattr(hierarchy, "min_cost_in_groups", grouped)
     return calls, settled
 
@@ -728,6 +807,206 @@ def test_tied_small_blocks_fall_back_to_the_solvers(monkeypatch, system):
     sizes = {size for _, size, tied in calls if size is not None and size <= SMALL_MAX}
     assert sizes == set(range(1, SMALL_MAX + 1)), sizes
     assert all(tied for _, size, tied in calls if size is not None and size <= SMALL_MAX)
+
+
+# --- The grouped exact solves against the single-problem solves --------------
+# assign_in_groups must give every problem the partners, and the assignment
+# kernel the cost matrix, bit for bit, of the single-problem solves above.
+
+def _one_by_one(kind, reds, red_start, blues, blue_start, must=()):
+    """assign_in_groups' partner array, problem by problem."""
+    partner = np.full(len(reds), -1, dtype=np.int64)
+    for g in range(len(red_start) - 1):
+        a, b = red_start[g], blue_start[g]
+        r, bl = reds[a:red_start[g + 1]], blues[b:blue_start[g + 1]]
+        if kind == SQUARE:
+            pairs = enumerate(min_cost_partners(r, bl).tolist())
+        elif kind == RECTANGULAR:
+            pairs = min_cost_pairs(r, bl)
+        else:
+            mr, mb = must[0][g], must[1][g]
+            pairs = min_cost_saturating(r[:mr], bl[:mb], r[mr:], bl[mb:])
+        for i, j in pairs:
+            partner[a + i] = b + j
+    return partner
+
+
+def _batch(rng, sizes, lattice):
+    """Groups of the given (reds, blues) sizes laid end to end: points of the
+    4x4 integer lattice where ``lattice[g]`` holds, where tied totals are
+    common, and uniform reals elsewhere. Returns (reds, red_start, blues,
+    blue_start)."""
+    reds, blues = [], []
+    for (nr, nb), lat in zip(sizes, lattice):
+        for n, out in ((nr, reds), (nb, blues)):
+            out.append(rng.integers(0, 4, (n, 2)).astype(float) if lat
+                       else rng.uniform(0, 4, (n, 2)))
+    nr, nb = np.array(sizes, dtype=np.int64).reshape(-1, 2).T
+    return (np.concatenate(reds), np.concatenate([[0], np.cumsum(nr)]),
+            np.concatenate(blues), np.concatenate([[0], np.cumsum(nb)]))
+
+
+def _must(rng, red_start, blue_start):
+    """Mandatory counts of a feasible saturating problem for every group,
+    some with none, some with points of one color, some of both."""
+    nr, nb = np.diff(red_start), np.diff(blue_start)
+    mr = rng.integers(0, np.minimum(nr, nb) + 1)
+    mb = np.where(rng.random(len(nr)) < 0.5, 0, rng.integers(0, np.minimum(nb, nr - mr) + 1))
+    return mr, mb
+
+
+def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=()):
+    """Partners and kernel inputs of assign_in_groups equal the single
+    solves'; returns the kernel inputs."""
+    def recorder(seen, solve):
+        def recording(cost):
+            seen.append(np.array(cost))
+            return solve(cost)
+        return recording
+
+    got_inputs, want_inputs = [], []
+    monkeypatch.setattr(assignment, "_assign", recorder(got_inputs, assignment._assign))
+    got = assign_in_groups(kind, reds, red_start, blues, blue_start, *must)
+    monkeypatch.setattr(sys.modules[__name__], "linear_sum_assignment",
+                        recorder(want_inputs, linear_sum_assignment))
+    want = _one_by_one(kind, reds, red_start, blues, blue_start, must)
+    monkeypatch.undo()
+    assert np.array_equal(got, want)
+    assert len(got_inputs) == len(want_inputs)
+    for a, b in zip(got_inputs, want_inputs):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    return got_inputs
+
+
+def _sizes(rng, kind, groups, largest=12):
+    nr = rng.integers(0 if kind != SQUARE else 1, largest + 1, groups)
+    nb = nr if kind == SQUARE else rng.integers(0, largest + 1, groups)
+    return list(zip(nr.tolist(), nb.tolist()))
+
+
+class TestAssignInGroups:
+    @pytest.mark.parametrize("kind", [SQUARE, RECTANGULAR, SATURATING])
+    @pytest.mark.parametrize("points", ["random", "lattice", "mixed"])
+    def test_batches(self, monkeypatch, kind, points):
+        rng = derived_rng(151, [SQUARE, RECTANGULAR, SATURATING].index(kind), len(points))
+        sizes = _sizes(rng, kind, 80)
+        lattice = {"random": [False] * 80, "lattice": [True] * 80,
+                   "mixed": (rng.random(80) < 0.5).tolist()}[points]
+        reds, rs, blues, bs = _batch(rng, sizes, lattice)
+        must = _must(rng, rs, bs) if kind == SATURATING else ()
+        assert len(_check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)) > 40
+
+    def test_tied_group_between_untied_ones(self, monkeypatch):
+        # the middle group's two matchings both have length 2; only it goes
+        # through the tie pass's ordered scan, which picks the earlier blues
+        rng = derived_rng(157)
+        tied_reds, tied_blues = [[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]
+        reds = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_reds, rng.uniform(0, 4, (7, 2))])
+        blues = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_blues, rng.uniform(0, 4, (7, 2))])
+        start = np.array([0, 9, 11, 18])
+        scanned, lex_rank = [], assignment._lex_rank
+
+        def counting(pts):
+            scanned.append(pts.tolist())
+            return lex_rank(pts)
+
+        monkeypatch.setattr(assignment, "_lex_rank", counting)
+        got = assign_in_groups(SQUARE, reds, start, blues, start)
+        monkeypatch.undo()
+        assert scanned == [tied_blues]
+        assert got[9:11].tolist() == [10, 9]  # (0,0)-(0,1) and (1,1)-(1,0)
+        _check_grouped(monkeypatch, SQUARE, reds, start, blues, start)
+
+    def test_groups_with_an_empty_side(self, monkeypatch):
+        rng = derived_rng(163)
+        sizes = [(3, 0), (4, 5), (0, 2), (0, 0), (2, 2)]
+        reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
+        assert len(_check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)) == 2
+        # square problems with no points, saturating ones with no mandatory
+        # point: no pairs and no kernel call
+        square = [(0, 0), (3, 3), (0, 0)]
+        reds, rs, blues, bs = _batch(rng, square, [False] * 3)
+        assert len(_check_grouped(monkeypatch, SQUARE, reds, rs, blues, bs)) == 1
+        reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
+        must = (np.array([0, 2, 0, 0, 0]), np.array([0, 1, 0, 0, 0]))
+        assert len(_check_grouped(monkeypatch, SATURATING, reds, rs, blues, bs, must)) == 1
+        got = assign_in_groups(SATURATING, reds, rs, blues, bs, *must)
+        assert (got[:3] == -1).all() and (got[7:] == -1).all()
+
+    def test_mandatory_points_of_both_colors(self, monkeypatch):
+        rng = derived_rng(167)
+        for lattice in (False, True):
+            sizes = _sizes(rng, SATURATING, 40)
+            sizes = [(max(nr, 2), max(nb, 2)) for nr, nb in sizes]
+            reds, rs, blues, bs = _batch(rng, sizes, [lattice] * 40)
+            nr, nb = np.diff(rs), np.diff(bs)
+            must = (rng.integers(1, np.minimum(nr, nb)), rng.integers(1, np.minimum(nr, nb)))
+            assert ((must[0] > 0) & (must[1] > 0)).all()
+            _check_grouped(monkeypatch, SATURATING, reds, rs, blues, bs, must)
+
+    @pytest.mark.parametrize("bound", [GROUP_ENTRIES, 64], ids=["default", "tiny"])
+    def test_group_larger_than_the_buffer(self, monkeypatch, bound):
+        # a problem above the bound gets a matrix of its own between problems
+        # that share the buffer; with a tiny bound most problems do
+        rng = derived_rng(173)
+        big = math.isqrt(GROUP_ENTRIES) + 3
+        for kind in (SQUARE, RECTANGULAR, SATURATING):
+            sizes = _sizes(rng, kind, 20)
+            sizes[7] = (big, big) if kind != RECTANGULAR else (big - 20, big + 40)
+            reds, rs, blues, bs = _batch(rng, sizes, (np.arange(20) % 3 == 0).tolist())
+            must = _must(rng, rs, bs) if kind == SATURATING else ()
+            if kind == SATURATING:
+                must[0][7] = 5
+            monkeypatch.setattr(assignment, "GROUP_ENTRIES", bound)
+            inputs = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
+            assert max(c.size for c in inputs) > GROUP_ENTRIES
+
+    def test_rejects_what_the_single_solves_reject(self):
+        pts = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="size mismatch: 2 reds vs 1 blues"):
+            assign_in_groups(SQUARE, pts, [0, 1, 3], pts, [0, 1, 2])
+        with pytest.raises(ValueError, match="reserve pools too small"):
+            assign_in_groups(SATURATING, pts, [0, 3], pts[:1], [0, 1], [2], [0])
+        with pytest.raises(ValueError, match="unknown kind"):
+            assign_in_groups("triangular", pts, [0, 3], pts, [0, 3])
+
+
+# --- Windows and block systems ------------------------------------------------
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_run_hierarchical_needs_the_systems_level(N):
+    # a level-4 system: N=5 has no level-5 table, and N=3 would run three
+    # stages on a window that is one level-4 block
+    system = build_block_system(0, 4)
+    ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), 0))
+    with pytest.raises(ValueError, match=f"N={N} but the block system has N=4"):
+        run_hierarchical(ps, 0, N, system=system)
+
+
+def test_color_tables_sort_rows_of_either_width():
+    # level 1 at N=6 has 86,400 blocks, too many for int16 rows; the other
+    # levels, and every level at N=4, sort their rows as int16
+    widths = set()
+    for N in (4, 6):
+        system = build_block_system(7, N)
+        ps = sample(SampleConfig(0.05, 0.05, aligned_window(system), 7))
+        state = init_state(ps, system)
+        for n, lv in state.levels.items():
+            widths.add(len(lv.cells) < 2 ** 15)
+            for table, pts in ((lv.red, ps.reds), (lv.blue, ps.blues)):
+                # the oracle: each point's block by its own coordinates,
+                # then the window's points by (row, index)
+                w, h = system.dims(n)
+                xo, yo = system.offsets(n)
+                ij = np.floor((pts - [xo, yo]) / [w, h]).astype(np.int64)
+                rows = {tuple(c): k for k, c in enumerate(lv.cells.tolist())}
+                row = np.array([rows.get(tuple(c), -1) for c in ij.tolist()], dtype=np.int64)
+                inside = np.flatnonzero(row >= 0)
+                assert np.array_equal(table.row, row)
+                assert np.array_equal(table.order, inside[np.lexsort((inside, row[inside]))])
+                assert np.array_equal(np.diff(table.start),
+                                      np.bincount(row[inside], minlength=len(lv.cells)))
+    assert widths == {True, False}
 
 
 # --- The records view --------------------------------------------------------

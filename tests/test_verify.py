@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from poisson_matching import verify
-from poisson_matching.assignment import Matching, min_cost_perfect
+from poisson_matching.assignment import Matching, _canonicalize_ties, min_cost_perfect
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        Domain, Point, Rect, Segment,
                                        segments_intersect)
@@ -587,9 +589,24 @@ class TestBoxRematch:
             box_rematch_experiment(ps, m, t=t)
 
 
+def _min_cost_perfect(reds, blues):
+    """min_cost_perfect as a single-problem solve, independent of the
+    package's grouped one: public ``cdist`` and ``linear_sum_assignment``,
+    the rows in golden-ratio order, and the package's tie pass."""
+    reds, blues = np.asarray(reds, float).reshape(-1, 2), np.asarray(blues, float).reshape(-1, 2)
+    n = len(reds)
+    order = np.argsort(np.arange(n) * ((math.sqrt(5.0) - 1.0) / 2.0) % 1.0, kind="stable")
+    cost = cdist(reds[order], blues)
+    part = _canonicalize_ties(reds[order], blues, cost, linear_sum_assignment(cost)[1], order)
+    assign = np.empty_like(part)
+    assign[order] = part
+    return Matching(reds, blues, list(enumerate(assign.tolist())))
+
+
 def _box_rematch_loop(ps, m, t):
     """box_rematch_experiment as a plain loop over the edges, kept verbatim
-    as the oracle for the grouped version: (improvements, new edges)."""
+    as the oracle for the grouped version, with its own single-problem
+    solve: (improvements, new edges)."""
     d = ps.domain
     cell_of = {}
     for k, (i, j) in enumerate(m.edges):
@@ -604,7 +621,7 @@ def _box_rematch_loop(ps, m, t):
         ridx = [m.edges[k][0] for k in ks]
         bidx = [m.edges[k][1] for k in ks]
         before = sum(m.edge_length(k) for k in ks)
-        sub = min_cost_perfect(ps.reds[ridx], ps.blues[bidx])
+        sub = _min_cost_perfect(ps.reds[ridx], ps.blues[bidx])
         after = sub.total_length
         improvements.append(before - after)
         for (a, b) in sub.edges:
