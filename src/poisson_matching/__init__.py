@@ -3,16 +3,15 @@
 from .geometry import (Disk, Domain, Point, Rect, Segment,
                        DegenerateGeometryError, edge_crosses_region,
                        is_parallel_free, segments_intersect)
-from .sampling import ColoredPointSet, SampleConfig, count_diff, derived_rng, sample
-from .assignment import (Matching, brute_force_min, improvable_pair,
-                         max_cardinality_min_cost, min_cost_pairs,
-                         min_cost_partners, min_cost_perfect, min_cost_saturating)
+from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
+from .matching import Matching
+from .assignment import (brute_force_min, improvable_pair, max_cardinality_min_cost,
+                         min_cost_perfect)
 from .walks import (ArcSpec, CrossingProfile, StepWalk, WalkInvariantError, build_walk,
                     crossing_profile, cut_time_matching, excursion_matching,
                     laminate_strips, minimality_certificate_d1,
                     one_color_pairing, polygonal_arcs, zero_block_matching)
-from .hierarchy import (Block, BlockSystem, build_block_system, heir_frequency,
-                        run_hierarchical)
+from .hierarchy import BlockSystem, build_block_system, heir_frequency, run_hierarchical
 from .verify import (ChernoffParams, StatsReport, VerificationReport,
                      box_rematch_experiment, check_arc_disjointness,
                      check_planarity, chernoff_bound, chernoff_mc,

@@ -13,10 +13,9 @@ fully matched) and SATURATING (mandatory points and reserve pools). Their
 cost matrices share one buffer, written by the ``cdist`` kernel, and the
 assignment routine is called once per problem, so the Python around each
 problem is a few slices and two kernel calls; the partners come back as
-one array. ``min_cost_partners``, ``min_cost_pairs`` and
-``min_cost_saturating`` are one-problem calls of it. The hierarchy's
-blocks, the box-rematch cells and the walks' zero and cut-time blocks each
-go to it in one call per step.
+one array. ``min_cost_perfect`` and ``max_cardinality_min_cost`` are
+one-problem calls of it. The hierarchy's blocks, the box-rematch cells and
+the walks' zero and cut-time blocks each go to it in one call per step.
 
 A problem with at most SMALL_MAX = 3 points on one side has few enough
 injections to score outright. ``min_cost_in_groups`` settles many such
@@ -66,11 +65,6 @@ scan's row blocks, where the copy made it 15.3 MiB. The tie pass runs on
 that matrix, and the partners are mapped back to the reds' index order.
 Problems that share the buffer are screened for tied pairs a batch at a
 time (``_tied_in_buffer``), so the scan in Python visits only tied ones.
-
-``min_cost_partners`` returns a partner array; ``min_cost_perfect`` wraps
-it in a ``Matching``. A ``Matching`` keeps its edges as one validated int64
-array and builds its list of edge tuples only when it is read, so a
-construction that has its edges as arrays passes them as they are.
 """
 
 from __future__ import annotations
@@ -86,7 +80,8 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-FORMAT_VERSION = 1
+from .matching import Matching, partner_edges
+
 EPS_TIE = 1e-9
 BRUTE_FORCE_MAX = 9
 BIG = 1e15  # forbidden-cell cost in padded assignment problems
@@ -96,165 +91,10 @@ PAIR_BLOCK = 4096  # point pairs per batch of min_cost_in_groups
 GROUP_ENTRIES = 1 << 14  # cost entries in the buffer assign_in_groups shares
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-TWO_COLOR = "two_color"
-ONE_COLOR = "one_color"
-
 # the kinds of problem assign_in_groups solves
 SQUARE = "square"
 RECTANGULAR = "rectangular"
 SATURATING = "saturating"
-
-
-class Matching:
-    """Edges between a red and a blue point list (or red-red pairs when
-    color_mode is ONE_COLOR), in the order given. Partial matchings leave
-    points unmatched.
-
-    ``edges`` may be a list of (i, j) index pairs or an (E, 2) integer array.
-    The matching keeps its validated edges as one read-only (E, 2) int64
-    array, which the lengths, the endpoint arrays, the JSON writer and the
-    unmatched lists read. ``edges`` reads as a list of (i, j) tuples in the
-    given order: the list passed, or one of plain ints built from the array
-    at its first read. The edges are fixed once the matching is built.
-
-    ``kind``, ``unmatched_reds`` and ``unmatched_blues`` follow from the
-    edges; none is stored. Two-color: the unmatched points of each color are
-    the indices in no edge, and the kind is "perfect" iff there are none.
-    One-color: the unmatched reds are the reds at neither end of any edge,
-    there are no unmatched blues, and the kind is always "partial" (the
-    window truncates a pairing of the whole line). ``from_json`` rejects a
-    file whose stated kind or unmatched lists disagree with its edges."""
-
-    def __init__(self, reds, blues, edges, color_mode: str = TWO_COLOR):
-        if color_mode not in (TWO_COLOR, ONE_COLOR):
-            raise ValueError(f"unknown color_mode {color_mode!r}")
-        self.color_mode = color_mode
-        self.reds = np.asarray(reds, dtype=float).reshape(-1, 2)
-        self.blues = np.asarray(blues, dtype=float).reshape(-1, 2)
-        self._edges = None if isinstance(edges, np.ndarray) else edges
-        self._e = self._validated(edges)
-
-    def _validated(self, edges) -> np.ndarray:
-        """The edges as a fresh read-only int64 array, after the checks."""
-        e = np.asarray(edges).reshape(len(edges), 2)
-        if len(e) and e.dtype.kind not in "iu":
-            raise ValueError("edge indices must be integers")
-        e = e.astype(np.int64)  # a copy, so the caller's array is not shared
-        # the first failing edge decides the error, range before reuse; the
-        # edges before an out-of-range one are all in range
-        outside = np.flatnonzero((e < 0).any(axis=1) | (e[:, 0] >= len(self.reds))
-                                 | (e[:, 1] >= len(self._partners)))
-        first = int(outside[0]) if len(outside) else len(e)
-        inside = e[:first]
-        if self.color_mode == ONE_COLOR:
-            if (inside[:, 0] == inside[:, 1]).any():
-                raise ValueError("a red is paired with itself")
-            reused = np.bincount(inside.ravel()).max(initial=0) > 1  # both ends are reds
-        else:
-            reused = (np.bincount(inside[:, 0]).max(initial=0) > 1
-                      or np.bincount(inside[:, 1]).max(initial=0) > 1)
-        if reused:
-            raise ValueError("a point appears in two edges")
-        if first < len(e):
-            i, j = e[first].tolist()
-            raise ValueError(f"edge ({i},{j}) out of range")
-        e.flags.writeable = False
-        return e
-
-    @property
-    def edges(self) -> List[Tuple[int, int]]:
-        if self._edges is None:
-            self._edges = list(zip(*self._e.T.tolist()))
-        return self._edges
-
-    @property
-    def _partners(self) -> np.ndarray:
-        """The points the second index of an edge refers to."""
-        return self.blues if self.color_mode == TWO_COLOR else self.reds
-
-    def _edge_array(self) -> np.ndarray:
-        """The validated edges, (E, 2) int64, read-only."""
-        return self._e
-
-    def endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The two end points of every edge, in edge order: (red, partner)."""
-        return self._endpoints(self._edge_array())
-
-    def _endpoints(self, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.reds[e[:, 0]], self._partners[e[:, 1]]
-
-    def _unmatched(self, e: np.ndarray) -> Tuple[List[int], List[int]]:
-        """The unmatched reds and blues, given the edge array."""
-        if self.color_mode == ONE_COLOR:
-            return _unused(len(self.reds), e), []
-        return _unused(len(self.reds), e[:, 0]), _unused(len(self.blues), e[:, 1])
-
-    @property
-    def unmatched_reds(self) -> List[int]:
-        return self._unmatched(self._edge_array())[0]
-
-    @property
-    def unmatched_blues(self) -> List[int]:
-        return self._unmatched(self._edge_array())[1]
-
-    @property
-    def kind(self) -> str:
-        # the constructor admits no point in two edges, so a two-color
-        # matching leaves no point unmatched exactly when it has as many
-        # edges as points of each color
-        if self.color_mode == TWO_COLOR and len(self._e) == len(self.reds) == len(self.blues):
-            return "perfect"
-        return "partial"
-
-    @property
-    def total_length(self) -> float:
-        return _length(*self.endpoint_arrays())
-
-    def edge_length(self, k: int) -> float:
-        """Length of edge k. It takes the endpoint arrays of all edges, so a
-        loop over the edges takes ``endpoint_arrays`` once instead."""
-        p, q = self.endpoint_arrays()
-        return float(math.hypot(*(p[k] - q[k])))
-
-    def to_json(self) -> dict:
-        e = self._edge_array()  # once for the edges, the length and both lists
-        unmatched_reds, unmatched_blues = self._unmatched(e)
-        return {
-            "format": FORMAT_VERSION,
-            "kind": self.kind,
-            "color_mode": self.color_mode,
-            "edges": e.tolist(),
-            "total_length": _length(*self._endpoints(e)),
-            "unmatched_reds": unmatched_reds,
-            "unmatched_blues": unmatched_blues,
-        }
-
-    @staticmethod
-    def from_json(d: dict, reds, blues) -> "Matching":
-        """The matching a file states; its kind and unmatched lists, where
-        given, must be those its edges give."""
-        m = Matching(reds, blues, [tuple(e) for e in d["edges"]],
-                     color_mode=d.get("color_mode", TWO_COLOR))
-        if d["kind"] != m.kind:
-            raise ValueError(f"stated kind {d['kind']!r} disagrees with the edges ({m.kind!r})")
-        for key in ("unmatched_reds", "unmatched_blues"):
-            if key in d and list(d[key]) != getattr(m, key):
-                raise ValueError(f"stated {key} disagree with the edges")
-        return m
-
-
-def _length(p: np.ndarray, q: np.ndarray) -> float:
-    """Total length of the segments p[k] -> q[k], as a matching reports it."""
-    if not len(p):
-        return 0.0
-    return float(np.hypot(*(p - q).T).sum())
-
-
-def _unused(n: int, used: np.ndarray) -> List[int]:
-    """The indices in range(n) that ``used`` does not hold, ascending."""
-    seen = np.zeros(n, dtype=bool)
-    seen[used] = True
-    return np.flatnonzero(~seen).tolist()
 
 
 def _points(pts) -> np.ndarray:
@@ -470,8 +310,8 @@ def _tied_in_buffer(flat: np.ndarray, off: np.ndarray, n: np.ndarray,
 
 def _pad(cost: np.ndarray, reds: np.ndarray, blues: np.ndarray,
          must_r: int, must_b: int) -> None:
-    """Write ``min_cost_saturating``'s padded square matrix into ``cost``,
-    in the solver's row order: row at[i] holds padded row i. The first
+    """Write a SATURATING problem's padded square matrix into ``cost``, in
+    the solver's row order: row at[i] holds padded row i. The first
     ``must_r`` reds and ``must_b`` blues are mandatory. The cost rows come a
     block at a time, so no temporary as large as the matrix is made."""
     nr, nb = len(reds), len(blues)
@@ -505,23 +345,24 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     the reds ``reds[red_start[g]:red_start[g + 1]]`` and the blues
     ``blues[blue_start[g]:blue_start[g + 1]]``. Returns the partner of every
     red, as an index into ``blues``, or -1 where it is left unmatched. The
-    kinds are the package's three single-problem solves, each of which is a
-    one-problem call:
+    kinds:
 
-    - SQUARE (``min_cost_partners``): equal sides, every red matched at
+    - SQUARE (``min_cost_perfect``): equal sides, every red matched at
       minimum total length, ties broken by the tie pass;
-    - RECTANGULAR (``min_cost_pairs``): the smaller side fully matched at
-      minimum total length; a problem with an empty side has no pairs;
-    - SATURATING (``min_cost_saturating``): the first ``red_must[g]`` reds
-      and ``blue_must[g]`` blues of problem g are mandatory and the rest are
-      its reserve; every mandatory point is matched, no pair joins two
-      reserve points, and a problem without mandatory points has no pairs.
+    - RECTANGULAR (``max_cardinality_min_cost``): the smaller side fully
+      matched at minimum total length; a problem with an empty side has no
+      pairs;
+    - SATURATING (the hierarchy's rematch step): the first ``red_must[g]``
+      reds and ``blue_must[g]`` blues of problem g are mandatory and the
+      rest are its reserve; every mandatory point is matched, no pair joins
+      two reserve points, and a problem without mandatory points has no
+      pairs.
 
-    Each problem's cost matrix is the one its single-problem solve has
-    always built, with its rows in golden-ratio order (``_scattered``): the
-    smaller side's points against the larger side's, the reds where the
-    sides are equal, written by the compiled ``cdist`` kernel, or the padded
-    matrix of ``_pad``. The assignment routine is called once per problem.
+    Each problem's cost matrix has its rows in golden-ratio order
+    (``_scattered``): the smaller side's points against the larger side's,
+    the reds where the sides are equal, written by the compiled ``cdist``
+    kernel, or the padded matrix of ``_pad``. The assignment routine is
+    called once per problem.
     Matrices of at most GROUP_ENTRIES entries are laid end to end in one
     buffer, a batch at a time; a larger one gets a matrix of its own. For
     SQUARE the tie pass screens a batch for tied pairs at once
@@ -612,18 +453,12 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     return partner
 
 
-def min_cost_partners(reds, blues) -> np.ndarray:
-    """Blue partner of each red in a perfect matching of minimum total
-    Euclidean length, as an index array; ties are broken as described in
-    the module docstring."""
-    reds, blues = _points(reds), _points(blues)
-    return assign_in_groups(SQUARE, reds, [0, len(reds)], blues, [0, len(blues)])
-
-
 def min_cost_perfect(reds, blues) -> Matching:
-    """Perfect matching of minimum total Euclidean length."""
-    assign = min_cost_partners(reds, blues)
-    return Matching(reds, blues, np.column_stack([np.arange(len(assign)), assign]))
+    """Perfect matching of minimum total Euclidean length; ties are broken
+    as described in the module docstring."""
+    reds, blues = _points(reds), _points(blues)
+    partner = assign_in_groups(SQUARE, reds, [0, len(reds)], blues, [0, len(blues)])
+    return Matching(reds, blues, partner_edges(partner))
 
 
 def brute_force_min(reds, blues) -> Matching:
@@ -656,19 +491,6 @@ def brute_force_min(reds, blues) -> Matching:
     return Matching(reds, blues, [(i, int(best[i])) for i in range(n)])
 
 
-def min_cost_pairs(reds, blues) -> List[Tuple[int, int]]:
-    """Sorted index pairs of a min-length matching of maximum cardinality:
-    the smaller color class is fully matched."""
-    reds, blues = _points(reds), _points(blues)
-    return _pairs(assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)]))
-
-
-def _pairs(partner: np.ndarray) -> List[Tuple[int, int]]:
-    """The (red, blue) pairs of a partner array, by red."""
-    ri = np.flatnonzero(partner >= 0)
-    return list(zip(ri.tolist(), partner[ri].tolist()))
-
-
 def _spans(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The ranges ``first[k] .. first[k] + count[k] - 1`` laid end to end, and
     their offsets."""
@@ -696,13 +518,13 @@ def min_cost_in_groups(small, small_start, large, large_start
     partner -1. A group is settled where it has at most SMALL_MAX points and
     its least total length beats every other injection's by more than
     EPS_TIE. Such a unique minimum is the matching the solvers without a
-    tie pass give the group's problem: ``min_cost_pairs`` of the two sides,
-    and ``min_cost_saturating`` with the small side as its only mandatory
-    points and the large side as the other color's reserve. The rest are
-    left to the solvers, whose choice among near-ties this does not model.
-    (``min_cost_partners`` is not covered: its tie pass compares a
-    differently rounded sum with EPS_TIE, so at a gap within a few ulps of
-    EPS_TIE the two tests can disagree.)
+    tie pass give the group's problem in ``assign_in_groups``: RECTANGULAR
+    on the two sides, and SATURATING with the small side as its only
+    mandatory points and the large side as the other color's reserve. The
+    rest are left to the solvers, whose choice among near-ties this does
+    not model. (SQUARE is not covered: its tie pass compares a differently
+    rounded sum with EPS_TIE, so at a gap within a few ulps of EPS_TIE the
+    two tests can disagree.)
 
     The distances are the cost matrix's floats (``_pair_distances``), and an
     injection's total is their sum in point order. A group of s points
@@ -778,20 +600,9 @@ def _settle_batch(small, small_start, large, large_start, groups, partner, settl
 def max_cardinality_min_cost(reds, blues) -> Matching:
     """Min-length matching of maximum cardinality; the smaller color class is
     fully matched and the excess of the other is left unmatched."""
-    return Matching(reds, blues, min_cost_pairs(reds, blues))
-
-
-def min_cost_saturating(reds, blues, reserve_reds, reserve_blues
-                        ) -> List[Tuple[int, int]]:
-    """Sorted index pairs of a min-length matching that covers every point of
-    (reds, blues), with partners drawn from them or from the reserve pools.
-    Indices run over reds + reserve_reds and blues + reserve_blues; reserve
-    points left over, or paired with each other, stay unused."""
     reds, blues = _points(reds), _points(blues)
-    all_r = np.concatenate([reds, _points(reserve_reds)])
-    all_b = np.concatenate([blues, _points(reserve_blues)])
-    return _pairs(assign_in_groups(SATURATING, all_r, [0, len(all_r)], all_b, [0, len(all_b)],
-                                   [len(reds)], [len(blues)]))
+    partner = assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)])
+    return Matching(reds, blues, partner_edges(partner))
 
 
 def improvable_pair(m: Matching) -> Optional[Tuple[int, int]]:

@@ -17,15 +17,16 @@ from typing import Optional
 
 import click
 
-from . import assignment, hierarchy, sampling, verify, walks
-from .assignment import Matching, brute_force_min, improvable_pair, min_cost_perfect
+from . import hierarchy, matching, sampling, verify, walks
+from .assignment import brute_force_min, improvable_pair, min_cost_perfect
 from .geometry import Disk, Domain
-from .render import RenderSpec, render_scene
+from .matching import Matching
+from .render import MARGIN, RenderSpec, render_scene
 from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 
 FORMAT_VERSION = 1
 
-DRAWABLE = click.IntRange(2 * RenderSpec.margin + 1, None)  # leaves a drawing area
+DRAWABLE = click.IntRange(2 * MARGIN + 1, None)  # leaves a drawing area
 CONSTRUCTIONS = ("zero_block", "one_color", "cut_time", "excursion",
                  "min_cost", "hierarchical", "laminate")
 
@@ -157,7 +158,7 @@ def _load_result(path: str):
     with _fields_of(path):
         if "points" in d:
             _check_format(d["points"], path, sampling.FORMAT_VERSION, "points ")
-            _check_format(d["matching"], path, assignment.FORMAT_VERSION, "matching ")
+            _check_format(d["matching"], path, matching.FORMAT_VERSION, "matching ")
             ps = ColoredPointSet.from_json(d["points"])
             m = Matching.from_json(d["matching"], ps.reds, ps.blues)
             return ps, m, d
@@ -339,8 +340,9 @@ def cmd_stats(in_path, kind, box_side, disk, out):
 @click.option("--width", type=DRAWABLE, default=800, show_default=True)
 @click.option("--height", type=DRAWABLE, default=400, show_default=True)
 @click.option("--walk/--no-walk", default=False, help="Overlay the counting walk.")
-@click.option("--blocks", type=click.IntRange(0, None), default=0,
-              help="Overlay block outlines up to this level (hierarchical).")
+@click.option("--blocks", type=click.IntRange(0, 6), default=0,
+              help="Overlay block outlines up to this level (hierarchical); "
+                   "level 7 would draw over 3M level-1 cells.")
 @click.option("--seed", type=int, default=0, help="Seed for block offsets overlay.")
 @click.option("--out", type=click.Path(), required=True)
 def cmd_render(in_path, width, height, walk, blocks, seed, out):
@@ -352,14 +354,13 @@ def cmd_render(in_path, width, height, walk, blocks, seed, out):
         if ps.domain.kind not in ("line", "strip"):
             raise click.UsageError("walk overlay requires a line or strip domain")
         w = walks.build_walk(ps)
-    block_list = None
+    rows = None
     if blocks:
         system = hierarchy.build_block_system(seed, max(blocks, 2))
-        window = ps.domain.window_rect()
-        cells = system.grids(system.block_containing(blocks, window.x0, window.y0))
-        block_list = [system.block(n, ix, iy) for n in range(blocks, 0, -1)
-                      for ix, iy in cells[n].tolist()]
-    svg = render_scene(ps, m, arcs=arcs, walk=w, blocks=block_list,
+        cells = hierarchy.window_grids(system, blocks, ps.domain.window_rect())
+        rows = [(n, *rect) for n in range(blocks, 0, -1)
+                for rect in system.rects(n, cells[n]).tolist()]
+    svg = render_scene(ps, m, arcs=arcs, walk=w, blocks=rows,
                        spec=RenderSpec(width=width, height=height))
     with open(out, "w") as f:
         f.write(svg)

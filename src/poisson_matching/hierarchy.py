@@ -8,6 +8,10 @@ with unmatched points funneled into heirs; a block is bad when the rematch
 step cannot absorb its excess, and dodgy when one of its children is bad.
 
 Blocks are half-open, [x0, x1) x [y0, y1), and all their edges are integers.
+A block is its level and its (ix, iy) cell on that level's grid: the
+rectangle is ``BlockSystem.rects``'s, and the block holding a point is
+found by ``BlockSystem.locate``, integer division of the point's unit cell
+(the floor of its coordinates), which is exact at every block edge.
 ``init_state`` builds one integer table per level, once: the window's
 level-n blocks in children order (the children of a block are consecutive
 rows), and for each color the points stably sorted by block row, with each
@@ -45,22 +49,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .assignment import (RECTANGULAR, SATURATING, Matching, _spans, assign_in_groups,
-                         min_cost_in_groups)
+from .assignment import RECTANGULAR, SATURATING, _spans, assign_in_groups, min_cost_in_groups
 from .geometry import Domain, Rect
+from .matching import Matching, partner_edges
 from .sampling import ColoredPointSet, derived_rng
-
-
-@dataclass(frozen=True)
-class Block:
-    level: int
-    ix: int
-    iy: int
-    rect: Rect
-
-    @property
-    def key(self) -> Tuple[int, int, int]:
-        return (self.level, self.ix, self.iy)
 
 
 @dataclass
@@ -84,33 +76,33 @@ class BlockSystem:
             return self.t[n], self.t[n - 1]
         return self.t[n - 1], self.t[n]
 
-    def block(self, n: int, ix: int, iy: int) -> Block:
-        w, h = self.dims(n)
-        xo, yo = self.offsets(n)
-        return Block(n, ix, iy, Rect(xo + ix * w, xo + (ix + 1) * w,
-                                     yo + iy * h, yo + (iy + 1) * h))
+    def locate(self, n: int, unit) -> np.ndarray:
+        """The (ix, iy) rows of the level-n blocks holding the unit cells
+        ``unit``, (k, 2) integers: the floors of the points' coordinates.
+        Integer division, so exact at every block edge."""
+        return (np.asarray(unit, dtype=np.int64) - self.offsets(n)) // self.dims(n)
 
-    def block_containing(self, n: int, x: float, y: float) -> Block:
-        w, h = self.dims(n)
-        xo, yo = self.offsets(n)
-        return self.block(n, int(math.floor((x - xo) / w)),
-                          int(math.floor((y - yo) / h)))
+    def rects(self, n: int, cells: np.ndarray) -> np.ndarray:
+        """The (x0, x1, y0, y1) rows of the level-n blocks whose (ix, iy)
+        rows are ``cells``."""
+        lo = np.array(self.offsets(n)) + cells * self.dims(n)
+        hi = lo + self.dims(n)
+        return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])
 
-    def grids(self, top: Block, lowest: int = 1) -> Dict[int, np.ndarray]:
-        """For each level n from ``top.level`` down to ``lowest``, the (ix, iy)
-        rows of the level-n blocks tiling ``top``, in children order: a
-        block's children are consecutive rows, ordered left-to-right (even
-        level) or bottom-to-top (odd level)."""
-        cells = {top.level: np.array([[top.ix, top.iy]], dtype=np.int64)}
-        for n in range(top.level, max(lowest, 1), -1):
-            count = self.a[n] // self.a[n - 2]
-            # Children align flush with the parent (t[n] = t[n-2] mod a[n-2]),
-            # so the first child's index is an exact quotient.
-            corner = np.array(self.offsets(n)) + cells[n] * self.dims(n)
-            first = (corner - self.offsets(n - 1)) // self.dims(n - 1)
+    def grids(self, n: int, ix: int, iy: int, lowest: int = 1) -> Dict[int, np.ndarray]:
+        """For each level m from n down to ``lowest``, the (ix, iy) rows of
+        the level-m blocks tiling the level-n block (ix, iy), in children
+        order: a block's children are consecutive rows, ordered
+        left-to-right (even level) or bottom-to-top (odd level)."""
+        cells = {n: np.array([[ix, iy]], dtype=np.int64)}
+        for m in range(n, max(lowest, 1), -1):
+            count = self.a[m] // self.a[m - 2]
+            # Children align flush with the parent (t[m] = t[m-2] mod a[m-2]),
+            # so the first child is the one holding the parent's corner.
+            first = self.locate(m - 1, self.rects(m, cells[m])[:, ::2])
             step = np.zeros((count, 2), dtype=np.int64)
-            step[:, n % 2] = np.arange(count)
-            cells[n - 1] = (first[:, None, :] + step).reshape(-1, 2)
+            step[:, m % 2] = np.arange(count)
+            cells[m - 1] = (first[:, None, :] + step).reshape(-1, 2)
         return cells
 
 
@@ -128,10 +120,17 @@ def build_block_system(seed: int, N: int) -> BlockSystem:
     return BlockSystem(N=N, a=a, r=r, t=t)
 
 
-def aligned_window(system: BlockSystem, ix: int = 0, iy: int = 0) -> Domain:
-    """Plane domain equal to one level-N block (the truncation policy)."""
-    rect = system.block(system.N, ix, iy).rect
-    return Domain.plane(rect.x0, rect.x1, rect.y0, rect.y1)
+def aligned_window(system: BlockSystem) -> Domain:
+    """Plane domain equal to the level-N block (0, 0) (the truncation
+    policy)."""
+    return Domain.plane(*system.rects(system.N, np.zeros((1, 2), dtype=np.int64))[0].tolist())
+
+
+def window_grids(system: BlockSystem, n: int, window: Rect) -> Dict[int, np.ndarray]:
+    """``BlockSystem.grids`` of the level-n block holding the lower-left
+    corner of ``window``."""
+    corner = [[math.floor(window.x0), math.floor(window.y0)]]
+    return system.grids(n, *system.locate(n, corner)[0].tolist())
 
 
 def _grid_start(t: np.ndarray, period: int) -> np.ndarray:
@@ -272,11 +271,10 @@ class BlockRecords(Sequence):
 
 def _color_table(unit: np.ndarray, system: BlockSystem, n: int,
                  grid: np.ndarray, lo: np.ndarray) -> ColorTable:
-    """Find each point's level-n block once, by integer division of its unit
-    cell ``unit`` (the floor of its coordinates), and its row through
-    ``grid`` (the rows of the blocks from ``lo``)."""
-    cell = unit - system.offsets(n)
-    rel = cell // system.dims(n) - lo
+    """Find each point's level-n block once, from its unit cell ``unit``
+    (``BlockSystem.locate``), and its row through ``grid`` (the rows of the
+    blocks from ``lo``)."""
+    rel = system.locate(n, unit) - lo
     inside = ((rel >= 0) & (rel < grid.shape)).all(axis=1)
     row = np.full(len(unit), -1, dtype=np.int64)
     row[inside] = grid[tuple(rel[inside].T)]
@@ -287,7 +285,7 @@ def _color_table(unit: np.ndarray, system: BlockSystem, n: int,
     order = np.argsort(key, kind="stable")[len(unit) - np.count_nonzero(inside):]
     start = np.zeros(grid.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(row[order], minlength=grid.size), out=start[1:])
-    along = cell[:, n % 2]
+    along = unit[:, n % 2] - system.offsets(n)[n % 2]
     in_heir = along % system.a[n] < system.a[n - 2] if n >= 2 else np.zeros(len(unit), bool)
     return ColorTable(row, order, start, in_heir)
 
@@ -322,9 +320,7 @@ class StageState:
         return [BlockRecords(self.levels[n]) for n in range(1, self.stage + 1)]
 
     def to_matching(self) -> Matching:
-        ri = np.flatnonzero(self.red_partner >= 0)
-        return Matching(self.ps.reds, self.ps.blues,
-                        np.column_stack([ri, self.red_partner[ri]]))
+        return Matching(self.ps.reds, self.ps.blues, partner_edges(self.red_partner))
 
 
 def _link(state: StageState, ri: np.ndarray, bj: np.ndarray) -> None:
@@ -401,17 +397,11 @@ def _settle(state: StageState, *problems) -> np.ndarray:
     return np.concatenate([rows for rows, *_ in problems])[settled]
 
 
-def _window_block(ps: ColoredPointSet, system: BlockSystem) -> Block:
-    """The level-N block containing the window's lower-left corner."""
-    window = ps.domain.window_rect()
-    return system.block_containing(system.N, window.x0, window.y0)
-
-
 def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
-    top = _window_block(ps, system)
-    if top.rect != ps.domain.window_rect():
+    window = ps.domain.window_rect()
+    cells = window_grids(system, system.N, window)
+    if Rect(*system.rects(system.N, cells[system.N])[0].tolist()) != window:
         raise ValueError("window must coincide with a single level-N block")
-    cells = system.grids(top)
     units = tuple(np.floor(pts).astype(np.int64) for pts in (ps.reds, ps.blues))
     return StageState(
         ps=ps, system=system,

@@ -1,0 +1,174 @@
+"""A matching between two point lists, and its JSON form.
+
+A ``Matching`` is built from its edges, and everything else about it
+follows from them: its kind, its unmatched points, its length and its
+endpoint arrays. It keeps the edges as one validated read-only int64 array
+and builds its list of edge tuples only when that is read, so a
+construction that has its edges as arrays passes them as they are;
+``partner_edges`` gives the edges of a partner array, the form every solve
+returns. This module loads no scipy.
+"""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+import numpy as np
+
+FORMAT_VERSION = 1
+
+TWO_COLOR = "two_color"
+ONE_COLOR = "one_color"
+
+
+class Matching:
+    """Edges between a red and a blue point list (or red-red pairs when
+    color_mode is ONE_COLOR), in the order given. Partial matchings leave
+    points unmatched.
+
+    ``edges`` may be a list of (i, j) index pairs or an (E, 2) integer array.
+    The matching keeps its validated edges as one read-only (E, 2) int64
+    array, which the lengths, the endpoint arrays, the JSON writer and the
+    unmatched lists read. ``edges`` reads as a list of (i, j) tuples in the
+    given order: the list passed, or one of plain ints built from the array
+    at its first read. The edges are fixed once the matching is built.
+
+    ``kind``, ``unmatched_reds`` and ``unmatched_blues`` follow from the
+    edges; none is stored. Two-color: the unmatched points of each color are
+    the indices in no edge, and the kind is "perfect" iff there are none.
+    One-color: the unmatched reds are the reds at neither end of any edge,
+    there are no unmatched blues, and the kind is always "partial" (the
+    window truncates a pairing of the whole line). ``from_json`` rejects a
+    file whose stated kind or unmatched lists disagree with its edges."""
+
+    def __init__(self, reds, blues, edges, color_mode: str = TWO_COLOR):
+        if color_mode not in (TWO_COLOR, ONE_COLOR):
+            raise ValueError(f"unknown color_mode {color_mode!r}")
+        self.color_mode = color_mode
+        self.reds = np.asarray(reds, dtype=float).reshape(-1, 2)
+        self.blues = np.asarray(blues, dtype=float).reshape(-1, 2)
+        self._edges = None if isinstance(edges, np.ndarray) else edges
+        self._e = self._validated(edges)
+
+    def _validated(self, edges) -> np.ndarray:
+        """The edges as a fresh read-only int64 array, after the checks."""
+        e = np.asarray(edges).reshape(len(edges), 2)
+        if len(e) and e.dtype.kind not in "iu":
+            raise ValueError("edge indices must be integers")
+        e = e.astype(np.int64)  # a copy, so the caller's array is not shared
+        # the first failing edge decides the error, range before reuse; the
+        # edges before an out-of-range one are all in range
+        outside = np.flatnonzero((e < 0).any(axis=1) | (e[:, 0] >= len(self.reds))
+                                 | (e[:, 1] >= len(self._partners)))
+        first = int(outside[0]) if len(outside) else len(e)
+        inside = e[:first]
+        if self.color_mode == ONE_COLOR:
+            if (inside[:, 0] == inside[:, 1]).any():
+                raise ValueError("a red is paired with itself")
+            reused = np.bincount(inside.ravel()).max(initial=0) > 1  # both ends are reds
+        else:
+            reused = (np.bincount(inside[:, 0]).max(initial=0) > 1
+                      or np.bincount(inside[:, 1]).max(initial=0) > 1)
+        if reused:
+            raise ValueError("a point appears in two edges")
+        if first < len(e):
+            i, j = e[first].tolist()
+            raise ValueError(f"edge ({i},{j}) out of range")
+        e.flags.writeable = False
+        return e
+
+    @property
+    def edges(self) -> List[Tuple[int, int]]:
+        if self._edges is None:
+            self._edges = list(zip(*self._e.T.tolist()))
+        return self._edges
+
+    @property
+    def _partners(self) -> np.ndarray:
+        """The points the second index of an edge refers to."""
+        return self.blues if self.color_mode == TWO_COLOR else self.reds
+
+    def _edge_array(self) -> np.ndarray:
+        """The validated edges, (E, 2) int64, read-only."""
+        return self._e
+
+    def endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The two end points of every edge, in edge order: (red, partner)."""
+        return self._endpoints(self._edge_array())
+
+    def _endpoints(self, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.reds[e[:, 0]], self._partners[e[:, 1]]
+
+    def _unmatched(self, e: np.ndarray) -> Tuple[List[int], List[int]]:
+        """The unmatched reds and blues, given the edge array."""
+        if self.color_mode == ONE_COLOR:
+            return _unused(len(self.reds), e), []
+        return _unused(len(self.reds), e[:, 0]), _unused(len(self.blues), e[:, 1])
+
+    @property
+    def unmatched_reds(self) -> List[int]:
+        return self._unmatched(self._edge_array())[0]
+
+    @property
+    def unmatched_blues(self) -> List[int]:
+        return self._unmatched(self._edge_array())[1]
+
+    @property
+    def kind(self) -> str:
+        # the constructor admits no point in two edges, so a two-color
+        # matching leaves no point unmatched exactly when it has as many
+        # edges as points of each color
+        if self.color_mode == TWO_COLOR and len(self._e) == len(self.reds) == len(self.blues):
+            return "perfect"
+        return "partial"
+
+    @property
+    def total_length(self) -> float:
+        return _length(*self.endpoint_arrays())
+
+    def to_json(self) -> dict:
+        e = self._edge_array()  # once for the edges, the length and both lists
+        unmatched_reds, unmatched_blues = self._unmatched(e)
+        return {
+            "format": FORMAT_VERSION,
+            "kind": self.kind,
+            "color_mode": self.color_mode,
+            "edges": e.tolist(),
+            "total_length": _length(*self._endpoints(e)),
+            "unmatched_reds": unmatched_reds,
+            "unmatched_blues": unmatched_blues,
+        }
+
+    @staticmethod
+    def from_json(d: dict, reds, blues) -> "Matching":
+        """The matching a file states; its kind and unmatched lists, where
+        given, must be those its edges give."""
+        m = Matching(reds, blues, [tuple(e) for e in d["edges"]],
+                     color_mode=d.get("color_mode", TWO_COLOR))
+        if d["kind"] != m.kind:
+            raise ValueError(f"stated kind {d['kind']!r} disagrees with the edges ({m.kind!r})")
+        for key in ("unmatched_reds", "unmatched_blues"):
+            if key in d and list(d[key]) != getattr(m, key):
+                raise ValueError(f"stated {key} disagree with the edges")
+        return m
+
+
+def _length(p: np.ndarray, q: np.ndarray) -> float:
+    """Total length of the segments p[k] -> q[k], as a matching reports it."""
+    if not len(p):
+        return 0.0
+    return float(np.hypot(*(p - q).T).sum())
+
+
+def _unused(n: int, used: np.ndarray) -> List[int]:
+    """The indices in range(n) that ``used`` does not hold, ascending."""
+    seen = np.zeros(n, dtype=bool)
+    seen[used] = True
+    return np.flatnonzero(~seen).tolist()
+
+
+def partner_edges(partner: np.ndarray) -> np.ndarray:
+    """The (red, partner) edges of a partner array, by red, as an (E, 2)
+    array: red i is matched to partner[i], or unmatched where that is -1."""
+    ri = np.flatnonzero(partner >= 0)
+    return np.column_stack([ri, partner[ri]])

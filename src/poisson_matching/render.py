@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .assignment import Matching
 from .geometry import LINE
+from .matching import Matching
 from .sampling import ColoredPointSet
 
 RED = "#c62828"
@@ -17,6 +17,9 @@ EDGE = "#555555"
 ARC = "#2e7d32"
 WALK = "#9e9e9e"
 BLOCK_COLORS = ["#bdbdbd", "#ffb300", "#8e24aa", "#00897b", "#d81b60", "#3949ab"]
+MARGIN = 20
+POINT_RADIUS = 2.5
+WALK_SCALE = 0.08  # walk units per strip height
 
 
 def _fmt(v: float) -> str:
@@ -27,9 +30,6 @@ def _fmt(v: float) -> str:
 class RenderSpec:
     width: int = 800
     height: int = 400
-    margin: int = 20
-    point_radius: float = 2.5
-    walk_scale: float = 0.08  # walk units per strip height
 
 
 class _Canvas:
@@ -39,12 +39,12 @@ class _Canvas:
         self.elements: List[str] = []
 
     def tx(self, x: float) -> float:
-        w = self.spec.width - 2 * self.spec.margin
-        return self.spec.margin + (x - self.x0) / (self.x1 - self.x0) * w
+        w = self.spec.width - 2 * MARGIN
+        return MARGIN + (x - self.x0) / (self.x1 - self.x0) * w
 
     def ty(self, y: float) -> float:
-        h = self.spec.height - 2 * self.spec.margin
-        return self.spec.height - self.spec.margin - (y - self.y0) / (self.y1 - self.y0) * h
+        h = self.spec.height - 2 * MARGIN
+        return self.spec.height - MARGIN - (y - self.y0) / (self.y1 - self.y0) * h
 
     def line(self, a, b, color, width=1.0, dash=None, cls="line"):
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -62,7 +62,7 @@ class _Canvas:
         )
 
     def circle(self, p, color, r=None, cls="point"):
-        r = r if r is not None else self.spec.point_radius
+        r = r if r is not None else POINT_RADIUS
         self.elements.append(
             f'<circle class="{cls}" cx="{_fmt(self.tx(p[0]))}" cy="{_fmt(self.ty(p[1]))}" '
             f'r="{_fmt(r)}" fill="{color}" />'
@@ -91,7 +91,8 @@ def render_scene(ps: ColoredPointSet,
                  walk=None,
                  blocks: Optional[Sequence] = None,
                  spec: Optional[RenderSpec] = None) -> str:
-    """Compose point/edge/arc/walk/block layers into one SVG document."""
+    """Compose point/edge/arc/walk/block layers into one SVG document. A
+    block is a (level, x0, x1, y0, y1) row."""
     spec = spec or RenderSpec()
     d = ps.domain
     if d.kind == LINE:
@@ -101,19 +102,18 @@ def render_scene(ps: ColoredPointSet,
     if walk is not None and len(walk.xs):
         vals = walk.values
         lo = min(0, int(vals.min()))
-        y0 = min(y0, (lo - 1) * spec.walk_scale)
+        y0 = min(y0, (lo - 1) * WALK_SCALE)
     canvas = _Canvas(spec, d.x0, d.x1, y0, y1)
 
     if blocks:
-        for b in blocks:
-            color = BLOCK_COLORS[b.level % len(BLOCK_COLORS)]
-            canvas.rect(b.rect.x0, b.rect.x1, b.rect.y0, b.rect.y1,
-                        color, width=0.5 + 0.4 * b.level)
+        for level, x0, x1, y0, y1 in blocks:
+            color = BLOCK_COLORS[level % len(BLOCK_COLORS)]
+            canvas.rect(x0, x1, y0, y1, color, width=0.5 + 0.4 * level)
 
     if walk is not None and len(walk.xs):
         vals = walk.values
-        s = spec.walk_scale
-        prev_v = walk.base
+        s = WALK_SCALE
+        prev_v = 0
         prev_x = d.x0
         for x, v in zip(walk.xs, vals):
             canvas.line((prev_x, prev_v * s - s), (x, prev_v * s - s), WALK, cls="walk")

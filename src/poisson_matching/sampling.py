@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, Rect, LINE, STRIP
+from .geometry import Domain, LINE, STRIP
 
 FORMAT_VERSION = 1
 
@@ -112,20 +112,3 @@ def sample(config: SampleConfig) -> ColoredPointSet:
     reds = _uniform_points(rng, n_red, config.domain)
     blues = _uniform_points(rng, n_blue, config.domain)
     return ColoredPointSet(config.domain, reds, blues, seed=config.seed)
-
-
-def count_diff(ps: ColoredPointSet, rect: Rect) -> int:
-    """(#reds - #blues) inside the half-open rectangle."""
-    return _count_in(ps.reds, rect) - _count_in(ps.blues, rect)
-
-
-def _count_in(pts: np.ndarray, rect: Rect) -> int:
-    if not len(pts):
-        return 0
-    inside = (
-        (pts[:, 0] >= rect.x0)
-        & (pts[:, 0] < rect.x1)
-        & (pts[:, 1] >= rect.y0)
-        & (pts[:, 1] < rect.y1)
-    )
-    return int(inside.sum())

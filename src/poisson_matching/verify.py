@@ -13,9 +13,10 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import SQUARE, TWO_COLOR, Matching, _length, assign_in_groups
+from .assignment import SQUARE, assign_in_groups
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment,
                        edge_crosses_region, segments_intersect)
+from .matching import TWO_COLOR, Matching, _length
 from .sampling import ColoredPointSet, derived_rng
 
 FORMAT_VERSION = 1
@@ -257,7 +258,7 @@ def estimate_eta(pairs: Sequence[Tuple[ColoredPointSet, Matching]],
         total = 0.0
         for red, d in zip(p.tolist(), (p - q).tolist()):
             if s.contains(red):
-                total += math.hypot(*d)  # as Matching.edge_length
+                total += math.hypot(*d)  # math.hypot: np.hypot rounds otherwise
                 pooled_matched += 1
         pooled_total += total
         skipped += sum(1 for i in m.unmatched_reds if s.contains(ps.reds[i]))
@@ -307,7 +308,7 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     blues.
 
     The edges are read once, from the matching's edge array. The cells are
-    solved in one ``assign_in_groups`` call, each as ``min_cost_partners``
+    solved in one ``assign_in_groups`` call, each as ``min_cost_perfect``
     solves it, and every length is summed from the endpoint arrays as
     ``Matching.total_length`` sums it (``_length``), without building a
     matching per cell or reading the edges again. The matching returned is
@@ -331,8 +332,8 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     # each rematched edge keeps its red and takes the blue at B[new]
     new = assign_in_groups(SQUARE, R, bounds, B, bounds)
     bounds = bounds.tolist()
-    # per-edge lengths before summed in edge order, as Matching.edge_length
-    # gives them, and after as the cell's Matching.total_length
+    # per-edge lengths before by math.hypot, summed in edge order, and after
+    # as a Matching of the cell sums them (``_length``)
     before = list(map(math.hypot, *(R - B).T.tolist()))
     after = np.hypot(*(R - B[new]).T)
     improvements = [sum(before[s0:s1]) - float(after[s0:s1].sum())

@@ -19,9 +19,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import (EPS_TIE, ONE_COLOR, RECTANGULAR, SQUARE, Matching,
-                         assign_in_groups, brute_force_min)
+from .assignment import EPS_TIE, RECTANGULAR, SQUARE, assign_in_groups, brute_force_min
 from .geometry import LINE, STRIP, Domain, Point, Segment
+from .matching import ONE_COLOR, Matching, partner_edges
 from .sampling import ColoredPointSet, derived_rng
 from .verify import VerificationReport
 
@@ -39,8 +39,6 @@ class StepWalk:
 
     xs: np.ndarray
     signs: np.ndarray
-    x_left: float
-    base: int = 0
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -51,7 +49,7 @@ class StepWalk:
     @property
     def values(self) -> np.ndarray:
         """Walk value immediately after each jump."""
-        return self.base + np.cumsum(self.signs)
+        return np.cumsum(self.signs)
 
 
 def build_walk(ps: ColoredPointSet) -> StepWalk:
@@ -63,7 +61,7 @@ def build_walk(ps: ColoredPointSet) -> StepWalk:
     xs, signs = xs[order], signs[order]
     if len(xs) > 1 and (np.diff(xs) == 0).any():
         raise ValueError("duplicate x-coordinates (probability-zero event)")
-    return StepWalk(xs, signs, x_left=ps.domain.x0)
+    return StepWalk(xs, signs)
 
 
 def _interval_cuts(ps: ColoredPointSet, boundaries
@@ -81,8 +79,7 @@ def _block_matching(ps: ColoredPointSet, kind: str, rc: np.ndarray, bc: np.ndarr
     ``assign_in_groups`` call of ``kind``: the matching of their edges, by
     red. Points outside the blocks stay unmatched."""
     partner = assign_in_groups(kind, ps.reds, rc, ps.blues, bc)
-    ri = np.flatnonzero(partner >= 0)
-    return Matching(ps.reds, ps.blues, np.column_stack([ri, partner[ri]]))
+    return Matching(ps.reds, ps.blues, partner_edges(partner))
 
 
 def zero_block_matching(ps: ColoredPointSet) -> Matching:
@@ -113,8 +110,8 @@ def cut_times(walk: StepWalk) -> np.ndarray:
     vals = walk.values
     if not len(vals):
         return np.empty(0)
-    prev = np.concatenate([[walk.base], vals[:-1]])
-    past_sup = np.maximum.accumulate(np.concatenate([[walk.base], vals]))[:-1]
+    prev = np.concatenate([[0], vals[:-1]])
+    past_sup = np.maximum.accumulate(np.concatenate([[0], vals]))[:-1]
     future_inf = np.minimum.accumulate(vals[::-1])[::-1]
     mask = (walk.signs == 1) & (past_sup == prev) & (future_inf == vals)
     return walk.xs[mask]
@@ -219,7 +216,7 @@ def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> List[ArcSpec]:
     k_lo = np.searchsorted(walk.xs, x_lo[:n_ok], side="left")
     k_hi = np.searchsorted(walk.xs, x_hi[:n_ok], side="right")
     lowest = _range_reduce(ys, np.minimum, k_lo, k_hi)
-    base_level = np.where(k_lo > 0, vals[k_lo - 1], walk.base)
+    base_level = np.where(k_lo > 0, vals[k_lo - 1], 0)
     depth = _range_reduce(vals, np.maximum, k_lo, k_hi) - base_level
     if (depth < 1).any():
         raise WalkInvariantError("edge interval must contain the red's up-step")
@@ -272,7 +269,7 @@ def minimality_certificate_d1(m: Matching, ps: ColoredPointSet, k: int,
     rng = derived_rng(seed, 91)
     violations = []
     p, q = m.endpoint_arrays()
-    lengths = [math.hypot(dx, dy) for dx, dy in (p - q).tolist()]  # as edge_length
+    lengths = [math.hypot(dx, dy) for dx, dy in (p - q).tolist()]  # np.hypot rounds otherwise
     size = min(k, len(p))
     checked = max(trials, 0) if size else 0
     for t in range(checked):

@@ -11,11 +11,11 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
-from poisson_matching.assignment import (Matching, brute_force_min,
-                                         max_cardinality_min_cost,
+from poisson_matching.assignment import (brute_force_min, max_cardinality_min_cost,
                                          min_cost_perfect)
 from poisson_matching.cli import main as cli_main
 from poisson_matching.geometry import Disk, Domain
+from poisson_matching.matching import Matching
 from poisson_matching.hierarchy import (BlockSystem, aligned_window,
                                         build_block_system, heir_frequency,
                                         run_hierarchical)

@@ -15,16 +15,14 @@ from scipy.spatial.distance import cdist
 import poisson_matching
 
 from poisson_matching import assignment
-from poisson_matching.assignment import (BIG, EPS_TIE, ONE_COLOR, ROW_BLOCK,
-                                         SMALL_MAX, TWO_COLOR, Matching,
-                                         _cost_matrix, _pair_distances, _points,
-                                         brute_force_min, improvable_pair,
-                                         max_cardinality_min_cost,
-                                         min_cost_in_groups, min_cost_pairs,
-                                         min_cost_partners, min_cost_perfect,
-                                         min_cost_saturating)
+from poisson_matching.assignment import (BIG, EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING,
+                                         SMALL_MAX, SQUARE, _cost_matrix, _pair_distances,
+                                         _points, assign_in_groups, brute_force_min,
+                                         improvable_pair, max_cardinality_min_cost,
+                                         min_cost_in_groups, min_cost_perfect)
 from poisson_matching.geometry import Domain, is_parallel_free
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
+from poisson_matching.matching import ONE_COLOR, TWO_COLOR, Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 from poisson_matching.verify import box_rematch_experiment, check_planarity
 from poisson_matching.walks import (cut_time_matching, excursion_matching, laminate_strips,
@@ -32,6 +30,34 @@ from poisson_matching.walks import (cut_time_matching, excursion_matching, lamin
 
 SQUARE_REDS = np.array([[0.0, 0.0], [1.0, 0.0]])
 SQUARE_BLUES = np.array([[0.0, 1.0], [1.0, 1.0]])
+
+
+# One-problem calls of assign_in_groups: the partner array of a square
+# problem, and the (red, blue) pairs, by red, of a rectangular problem and of
+# a saturating one, whose indices run over reds + reserve_reds and blues +
+# reserve_blues.
+
+def min_cost_partners(reds, blues) -> np.ndarray:
+    reds, blues = _points(reds), _points(blues)
+    return assign_in_groups(SQUARE, reds, [0, len(reds)], blues, [0, len(blues)])
+
+
+def _pairs(partner):
+    ri = np.flatnonzero(partner >= 0)
+    return list(zip(ri.tolist(), partner[ri].tolist()))
+
+
+def min_cost_pairs(reds, blues):
+    reds, blues = _points(reds), _points(blues)
+    return _pairs(assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)]))
+
+
+def min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
+    reds, blues = _points(reds), _points(blues)
+    all_r = np.concatenate([reds, _points(reserve_reds)])
+    all_b = np.concatenate([blues, _points(reserve_blues)])
+    return _pairs(assign_in_groups(SATURATING, all_r, [0, len(all_r)], all_b, [0, len(all_b)],
+                                   [len(reds)], [len(blues)]))
 
 
 class TestMinCostPerfect:
@@ -510,7 +536,7 @@ class TestAgainstIndexOrderPath:
         """min_cost_partners equals the old path; True when the old path's
         tie pass swapped."""
         want = _old_min_cost_partners(reds, blues)
-        assert np.array_equal(assignment.min_cost_partners(reds, blues), want)
+        assert np.array_equal(min_cost_partners(reds, blues), want)
         return len(want) > 0 and bool(
             (want != _old_assign(_cost_matrix(reds, blues))).any())
 
@@ -593,7 +619,7 @@ class TestDenseSolvePeakMemory:
             if not tracing:
                 tracemalloc.stop()
 
-    @pytest.mark.parametrize("solve", [assignment.min_cost_partners, min_cost_perfect])
+    @pytest.mark.parametrize("solve", [min_cost_partners, min_cost_perfect])
     def test_perfect_solves(self, solve):
         rng = derived_rng(137)
         reds, blues = rng.uniform(0, 25, (self.N, 2)), rng.uniform(0, 25, (self.N, 2))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -345,6 +346,21 @@ def test_stages_out_of_reach_are_usage_errors(runner, monkeypatch, stages):
     assert "--stages" in res.output and "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("blocks", ["7", "8"])
+def test_blocks_out_of_reach_are_usage_errors(runner, monkeypatch, tmp_path, blocks):
+    # level 7 has 3.6M level-1 cells and level 8 would allocate 3.2 GB in
+    # ``grids``: the bound must stop both before a block system is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("--blocks passed its bound")
+    monkeypatch.setattr(hierarchy, "build_block_system", unreachable)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(ONE_EDGE_RESULT))
+    out = tmp_path / "out.svg"
+    res = invoke(runner, "render", "--in", str(path), "--blocks", blocks, "--out", str(out))
+    assert res.exit_code == 2, res.output
+    assert "--blocks" in res.output and "Traceback" not in res.output and not out.exists()
+
+
 def test_one_edge_result_is_valid(runner, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(ONE_EDGE_RESULT))
@@ -553,6 +569,30 @@ def cold_inputs(pinned_inputs, tmp_path_factory):
                  "--lambda-red", "2", "--out", str(red_strip))
     assert res.exit_code == 0, res.output
     return {**pinned_inputs, "red_strip": red_strip, "out": tmp / "out.json"}
+
+
+# The package's public names: a new one is added here on purpose.
+PUBLIC_NAMES = {
+    "Disk", "Domain", "Point", "Rect", "Segment", "DegenerateGeometryError",
+    "edge_crosses_region", "is_parallel_free", "segments_intersect",
+    "ColoredPointSet", "SampleConfig", "derived_rng", "sample",
+    "Matching",
+    "brute_force_min", "improvable_pair", "max_cardinality_min_cost", "min_cost_perfect",
+    "ArcSpec", "CrossingProfile", "StepWalk", "WalkInvariantError", "build_walk",
+    "crossing_profile", "cut_time_matching", "excursion_matching", "laminate_strips",
+    "minimality_certificate_d1", "one_color_pairing", "polygonal_arcs",
+    "zero_block_matching",
+    "BlockSystem", "build_block_system", "heir_frequency", "run_hierarchical",
+    "ChernoffParams", "StatsReport", "VerificationReport", "box_rematch_experiment",
+    "check_arc_disjointness", "check_planarity", "chernoff_bound", "chernoff_mc",
+    "crossing_stats", "estimate_eta",
+}
+
+
+def test_public_names_pinned():
+    names = {name for name, value in vars(poisson_matching).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("module", ["poisson_matching", "poisson_matching.cli"])

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,14 +29,47 @@ def zero_offset_system(N=4):
     return BlockSystem(N=N, a=a, r=[0] * (N + 1), t=[0] * (N + 1))
 
 
+# Blocks as objects, the oracle for the package's integer (ix, iy) rows: a
+# block's rectangle from the grid's dims and offsets, and the block holding
+# a point by exact rational floors.
+
+@dataclasses.dataclass(frozen=True)
+class Block:
+    level: int
+    ix: int
+    iy: int
+    rect: Rect
+
+    @property
+    def key(self):
+        return (self.level, self.ix, self.iy)
+
+
+def block_at(system, n, ix, iy):
+    w, h = system.dims(n)
+    xo, yo = system.offsets(n)
+    return Block(n, ix, iy, Rect(xo + ix * w, xo + (ix + 1) * w,
+                                 yo + iy * h, yo + (iy + 1) * h))
+
+
+def exact_cell(system, n, x, y):
+    w, h = system.dims(n)
+    xo, yo = system.offsets(n)
+    return math.floor((Fraction(x) - xo) / w), math.floor((Fraction(y) - yo) / h)
+
+
+def block_holding(system, n, x, y):
+    return block_at(system, n, *exact_cell(system, n, x, y))
+
+
 def children(system, block):
     """The n(n-1) level-(n-1) blocks tiling a level-n block, ordered
     left-to-right (even level) or bottom-to-top (odd level)."""
     n = block.level
     if n < 2:
         raise ValueError("level-1 blocks have no children")
-    return [system.block(n - 1, ix, iy)
-            for ix, iy in system.grids(block, n - 1)[n - 1].tolist()]
+    return [block_at(system, n - 1, ix, iy)
+            for ix, iy in system.grids(n, block.ix, block.iy, n - 1)[n - 1].tolist()]
 
 
 def heir_of(system, block):
@@ -50,15 +84,15 @@ class TestBlockSystem:
 
     def test_child_counts(self):
         s = zero_offset_system(4)
-        b3 = s.block(3, 0, 0)
+        b3 = block_at(s, 3, 0, 0)
         assert len(children(s, b3)) == 6  # a3/a1
-        b4 = s.block(4, 0, 0)
+        b4 = block_at(s, 4, 0, 0)
         assert len(children(s, b4)) == 12  # a4/a2
 
     def test_children_partition_parent(self):
         s = build_block_system(seed=5, N=4)
         for n in (2, 3, 4):
-            parent = s.block_containing(n, 0.5, 0.5)
+            parent = block_holding(s, n, 0.5, 0.5)
             kids = children(s, parent)
             assert sum(k.rect.area for k in kids) == parent.rect.area
             for k in kids:
@@ -67,8 +101,8 @@ class TestBlockSystem:
 
     def test_zero_offsets_anchor_origin(self):
         s = zero_offset_system(4)
-        assert s.block(4, 0, 0).rect == Rect(0, 24, 0, 6)
-        assert s.block(3, 0, 0).rect == Rect(0, 2, 0, 6)
+        assert block_at(s, 4, 0, 0).rect == Rect(0, 24, 0, 6)
+        assert block_at(s, 3, 0, 0).rect == Rect(0, 2, 0, 6)
 
     def test_offset_ranges(self):
         for seed in range(20):
@@ -79,18 +113,92 @@ class TestBlockSystem:
 
     def test_heir_even_level_leftmost(self):
         s = zero_offset_system(2)
-        heir = heir_of(s, s.block(2, 0, 0))
+        heir = heir_of(s, block_at(s, 2, 0, 0))
         assert heir.rect == Rect(0, 1, 0, 1)
 
     def test_heir_odd_level_bottommost(self):
         s = zero_offset_system(3)
-        heir = heir_of(s, s.block(3, 0, 0))
+        heir = heir_of(s, block_at(s, 3, 0, 0))
         assert heir.rect == Rect(0, 2, 0, 1)
 
     def test_level_one_has_no_heir(self):
         s = zero_offset_system(2)
         with pytest.raises(ValueError):
-            heir_of(s, s.block(1, 0, 0))
+            heir_of(s, block_at(s, 1, 0, 0))
+
+
+def below_edges(edges, ulps=3):
+    """Each value of ``edges`` and the 1 to ``ulps`` floats just below it."""
+    out = []
+    for v in map(float, edges):
+        out.append(v)
+        for _ in range(ulps):
+            v = math.nextafter(v, -math.inf)
+            out.append(v)
+    return out
+
+
+class TestBlockLookup:
+    """``BlockSystem.locate``, the one point-in-block lookup, against exact
+    rational floors; ``rects`` against the block rectangles."""
+
+    @staticmethod
+    def _check(system, n, pts) -> int:
+        """locate's cells equal the exact ones; returns how many of the points
+        the float quotient floor((x - offset) / side) misplaces."""
+        pts = np.asarray(pts, dtype=float)
+        got = system.locate(n, np.floor(pts).astype(np.int64)).tolist()
+        want = [list(exact_cell(system, n, x, y)) for x, y in pts.tolist()]
+        assert got == want
+        (w, h), (xo, yo) = system.dims(n), system.offsets(n)
+        floats = [[math.floor((x - xo) / w), math.floor((y - yo) / h)] for x, y in pts.tolist()]
+        return sum(f != e for f, e in zip(floats, want))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_points(self, seed):
+        system = build_block_system(seed, 6)
+        rng = derived_rng(seed, 41)
+        for n in range(1, 7):
+            self._check(system, n, rng.uniform(-40, 40, (300, 2)) * system.dims(n))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_points_just_below_block_edges(self, seed):
+        # 1 to 3 ulps below an edge the float quotient can round up onto it
+        system = build_block_system(seed, 6)
+        misplaced = 0
+        for n in range(1, 7):
+            (w, h), (xo, yo) = system.dims(n), system.offsets(n)
+            xs = below_edges(xo + w * np.arange(-40, 41))
+            ys = below_edges(yo + h * np.arange(-40, 41))
+            misplaced += self._check(system, n, list(zip(xs, ys)))
+            misplaced += self._check(system, n, list(zip(xs, ys[::-1])))
+        assert misplaced > 0  # the float lookup fails here; locate must not
+
+    def test_float_quotient_failing_case(self):
+        # x = 4319.999999999999 lies in the block [-720, 4320) of side 5040
+        # and offset 14400, index -3; the float quotient rounds it onto the
+        # edge, index -2
+        system = BlockSystem(N=2, a=[1, 1, 5040], r=[0, 0, 0], t=[0, 0, 14400])
+        x = 4319.999999999999
+        assert math.floor((x - 14400) / 5040) == -2
+        assert system.locate(2, [[math.floor(x), 0]]).tolist() == [[-3, 0]]
+        assert self._check(system, 2, [[x, 0.5]]) == 1
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_rects_equal_the_block_rectangles(self, seed):
+        system = build_block_system(seed, 5)
+        cells = system.grids(5, 0, 0)
+        rng = derived_rng(seed, 43)
+        for n in range(1, 6):
+            rows = np.concatenate([cells[n], rng.integers(-60, 60, (50, 2))])
+            want = [[b.rect.x0, b.rect.x1, b.rect.y0, b.rect.y1]
+                    for b in (block_at(system, n, ix, iy) for ix, iy in rows.tolist())]
+            assert system.rects(n, rows).tolist() == want
+
+    def test_aligned_window_is_the_top_block(self):
+        for seed in range(3):
+            system = build_block_system(seed, 5)
+            assert aligned_window(system).window_rect() == block_at(system, 5, 0, 0).rect
 
 
 class TestHeirFrequency:
@@ -158,7 +266,7 @@ class TestStages:
         system, ps, (m, diag, state) = hierarchical_case(seed=11)
         for n, recs in zip(range(1, 5), state.records):
             for rec in recs:
-                rect = system.block(*rec.key).rect
+                rect = block_at(system, *rec.key).rect
                 for i, j in rec.new_edges:
                     assert rect.contains(ps.reds[i])
                     assert rect.contains(ps.blues[j])
@@ -190,14 +298,14 @@ class TestStages:
                 x, y = pts[idx]
                 heirs = 0
                 for n in range(2, 5):
-                    block = system.block_containing(n, x, y)
+                    block = block_holding(system, n, x, y)
                     if heir_of(system, block).rect.contains((x, y)):
                         heirs += 1
                 assert events[idx] <= heirs
 
     def test_misaligned_window_rejected(self):
         system = build_block_system(seed=1, N=4)
-        rect = system.block(4, 0, 0).rect
+        rect = block_at(system, 4, 0, 0).rect
         from poisson_matching.geometry import Domain
         bad_dom = Domain.plane(rect.x0 + 1, rect.x1 + 1, rect.y0, rect.y1)
         ps = sample(SampleConfig(1, 1, bad_dom, seed=1))
@@ -242,7 +350,7 @@ class TestBadBlocks:
             bad_keys = {rec.key for recs in state.records for rec in recs if rec.bad}
             for recs in state.records[2:]:
                 for rec in recs:
-                    block = system.block(*rec.key)
+                    block = block_at(system, *rec.key)
                     has_bad_child = any(c.key in bad_keys
                                         for c in children(system, block))
                     assert rec.dodgy == has_bad_child
@@ -321,7 +429,7 @@ def check_against_rect_scan(system, ps):
         if n > 1:
             run_stage(state, n)
         for rec in state.records[n - 1]:
-            block = system.block(*rec.key)
+            block = block_at(system, *rec.key)
             reds = [i for i, p in enumerate(ps.reds) if block.rect.contains(p)]
             blues = [j for j, p in enumerate(ps.blues) if block.rect.contains(p)]
             assert (rec.n_red, rec.n_blue) == (len(reds), len(blues)), rec.key
@@ -546,7 +654,7 @@ def _match_max_cardinality(state, ridx, bidx):
 
 def _window_block(ps, system):
     window = ps.domain.window_rect()
-    return system.block_containing(system.N, window.x0, window.y0)
+    return block_holding(system, system.N, window.x0, window.y0)
 
 
 _NO_POINTS = np.empty(0, dtype=np.int64)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from poisson_matching.geometry import Domain, Rect
-from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
-                                       count_diff, derived_rng, sample)
+from poisson_matching.geometry import Domain
+from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 
 
 def test_determinism_same_seed():
@@ -39,21 +38,6 @@ def test_poisson_mean_clt_band():
     counts = [sample(SampleConfig(1.0, 1.0, Domain.strip(0, 100), seed=s)).n_red
               for s in range(10_000)]
     assert abs(np.mean(counts) - 100.0) < 0.3
-
-
-def test_count_diff_basics():
-    ps = ColoredPointSet(Domain.strip(0, 10), reds=[[1.0, 0.5]], blues=[[5.0, 0.5]],
-                         seed=0)
-    assert count_diff(ps, Rect(0, 2, 0, 1)) == 1
-    assert count_diff(ps, Rect(4, 6, 0, 1)) == -1
-    assert count_diff(ps, Rect(2, 4, 0, 1)) == 0
-
-
-def test_count_diff_additive_over_partition():
-    ps = sample(SampleConfig(1.0, 1.0, Domain.strip(0, 40), seed=11))
-    cuts = np.linspace(0, 40, 9)
-    parts = sum(count_diff(ps, Rect(a, b, 0, 1)) for a, b in zip(cuts, cuts[1:]))
-    assert parts == ps.n_red - ps.n_blue
 
 
 def test_small_samples_parallel_free():

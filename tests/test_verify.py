@@ -7,10 +7,11 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from poisson_matching import verify
-from poisson_matching.assignment import Matching, _canonicalize_ties, min_cost_perfect
+from poisson_matching.assignment import _canonicalize_ties, min_cost_perfect
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        Domain, Point, Rect, Segment,
                                        segments_intersect)
+from poisson_matching.matching import Matching
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
 from poisson_matching.verify import (ChernoffParams, _arc_arrays,
@@ -620,7 +621,7 @@ def _box_rematch_loop(ps, m, t):
     for cell, ks in sorted(cell_of.items()):
         ridx = [m.edges[k][0] for k in ks]
         bidx = [m.edges[k][1] for k in ks]
-        before = sum(m.edge_length(k) for k in ks)
+        before = sum(math.hypot(*(ps.reds[i] - ps.blues[j])) for i, j in zip(ridx, bidx))
         sub = _min_cost_perfect(ps.reds[ridx], ps.blues[bidx])
         after = sub.total_length
         improvements.append(before - after)

@@ -2,11 +2,10 @@
 import numpy as np
 import pytest
 
-from poisson_matching.assignment import (Matching, max_cardinality_min_cost,
-                                         min_cost_perfect)
-from poisson_matching.geometry import Domain
-from poisson_matching.sampling import (ColoredPointSet, SampleConfig, count_diff,
-                                       derived_rng, sample)
+from poisson_matching.assignment import max_cardinality_min_cost, min_cost_perfect
+from poisson_matching.geometry import Domain, Rect
+from poisson_matching.matching import Matching
+from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 from poisson_matching.verify import check_arc_disjointness, check_planarity
 from poisson_matching import walks
 from poisson_matching.walks import (ArcSpec, StepWalk, WalkInvariantError,
@@ -16,7 +15,6 @@ from poisson_matching.walks import (ArcSpec, StepWalk, WalkInvariantError,
                                     minimality_certificate_d1,
                                     one_color_pairing, polygonal_arcs,
                                     zero_block_matching)
-from poisson_matching.geometry import Rect
 
 
 def strip_ps(red_xs, blue_xs, length=10.0, heights=0.5):
@@ -36,13 +34,35 @@ def line_ps(red_xs, blue_xs, x0=0.0, x1=10.0):
 def walk_value(w, t):
     """F(t) of a StepWalk: right-continuous, so jumps at t are included."""
     k = int(np.searchsorted(w.xs, t, side="right"))
-    return w.base + int(w.signs[:k].sum())
+    return int(w.signs[:k].sum())
 
 
 def walk_value_left(w, t):
     """F(t-) of a StepWalk: the limit from the left."""
     k = int(np.searchsorted(w.xs, t, side="left"))
-    return w.base + int(w.signs[:k].sum())
+    return int(w.signs[:k].sum())
+
+
+def count_diff(ps, rect):
+    """(#reds - #blues) inside the half-open rectangle, by direct count: the
+    oracle for the walk's increments."""
+    return sum(sum(1 for p in pts if rect.contains(p)) * sign
+               for pts, sign in ((ps.reds, 1), (ps.blues, -1)))
+
+
+def test_count_diff_basics():
+    ps = ColoredPointSet(Domain.strip(0, 10), reds=[[1.0, 0.5]], blues=[[5.0, 0.5]],
+                         seed=0)
+    assert count_diff(ps, Rect(0, 2, 0, 1)) == 1
+    assert count_diff(ps, Rect(4, 6, 0, 1)) == -1
+    assert count_diff(ps, Rect(2, 4, 0, 1)) == 0
+
+
+def test_count_diff_additive_over_partition():
+    ps = sample(SampleConfig(1.0, 1.0, Domain.strip(0, 40), seed=11))
+    cuts = np.linspace(0, 40, 9)
+    parts = sum(count_diff(ps, Rect(a, b, 0, 1)) for a, b in zip(cuts, cuts[1:]))
+    assert parts == ps.n_red - ps.n_blue
 
 
 def profile_value_at(prof, t):
@@ -557,7 +577,7 @@ class TestWalkInvariantErrors:
         ps = strip_ps([1.0], [2.0])
         m = excursion_matching(ps)
         monkeypatch.setattr(walks, "build_walk",
-                            lambda ps: StepWalk([1.0, 2.0], [-1, 1], x_left=0.0))
+                            lambda ps: StepWalk([1.0, 2.0], [-1, 1]))
         with pytest.raises(WalkInvariantError, match="up-step"):
             polygonal_arcs(m, ps)
 
