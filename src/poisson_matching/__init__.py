@@ -7,8 +7,8 @@ from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 from .matching import Matching
 from .assignment import (brute_force_min, improvable_pair, max_cardinality_min_cost,
                          min_cost_perfect)
-from .walks import (ArcSpec, CrossingProfile, StepWalk, WalkInvariantError, build_walk,
-                    crossing_profile, cut_time_matching, excursion_matching,
+from .walks import (ArcSpec, ArcTable, CrossingProfile, StepWalk, WalkInvariantError,
+                    build_walk, crossing_profile, cut_time_matching, excursion_matching,
                     laminate_strips, minimality_certificate_d1,
                     one_color_pairing, polygonal_arcs, zero_block_matching)
 from .hierarchy import BlockSystem, build_block_system, heir_frequency, run_hierarchical

@@ -110,14 +110,15 @@ def cmd_sample(seed, kind, window, lambda_red, lambda_blue, out):
     _dump(ps.to_json(), out)
 
 
-def _result_json(ps: ColoredPointSet, m: Matching, arcs=None, diagnostics=None) -> dict:
+def _result_json(ps: ColoredPointSet, m: Matching, arcs: Optional[walks.ArcTable] = None,
+                 diagnostics=None) -> dict:
     out = {
         "format": FORMAT_VERSION,
         "points": ps.to_json(),
         "matching": m.to_json(),
     }
     if arcs is not None:
-        out["arcs"] = [a.to_json() for a in arcs]
+        out["arcs"] = arcs.to_json()
     if diagnostics is not None:
         out["diagnostics"] = diagnostics
     return out
@@ -138,10 +139,7 @@ def _arcs_from(d: dict, path: str):
     if "arcs" not in d:
         return None
     with _fields_of(path):
-        return [walks.ArcSpec(edge=tuple(a["edge"]), height=a["height"],
-                              lowest=a["lowest"], depth=a["depth"],
-                              vertices=[tuple(v) for v in a["vertices"]])
-                for a in d["arcs"]]
+        return walks.ArcTable.from_json(d["arcs"])
 
 
 def _check_format(d: dict, path: str, version: int = FORMAT_VERSION,

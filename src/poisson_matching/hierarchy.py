@@ -128,7 +128,11 @@ def aligned_window(system: BlockSystem) -> Domain:
 
 def window_grids(system: BlockSystem, n: int, window: Rect) -> Dict[int, np.ndarray]:
     """``BlockSystem.grids`` of the level-n block holding the lower-left
-    corner of ``window``."""
+    corner of ``window``. A corner at 2**53 or beyond, where floats are
+    more than a unit apart and int64 block arithmetic may overflow, is a
+    ValueError."""
+    if not max(abs(window.x0), abs(window.y0)) < 2.0 ** 53:
+        raise ValueError("window corner lies beyond the block grid (|coordinate| >= 2**53)")
     corner = [[math.floor(window.x0), math.floor(window.y0)]]
     return system.grids(n, *system.locate(n, corner)[0].tolist())
 

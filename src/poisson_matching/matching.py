@@ -142,8 +142,9 @@ class Matching:
     @staticmethod
     def from_json(d: dict, reds, blues) -> "Matching":
         """The matching a file states; its kind and unmatched lists, where
-        given, must be those its edges give."""
-        m = Matching(reds, blues, [tuple(e) for e in d["edges"]],
+        given, must be those its edges give. The edges are read as one
+        array, and ``edges`` reads them as tuples of plain ints."""
+        m = Matching(reds, blues, np.asarray(d["edges"]),
                      color_mode=d.get("color_mode", TWO_COLOR))
         if d["kind"] != m.kind:
             raise ValueError(f"stated kind {d['kind']!r} disagrees with the edges ({m.kind!r})")

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from .arcs import ArcTable
 from .geometry import LINE
 from .matching import Matching
 from .sampling import ColoredPointSet
@@ -91,8 +92,9 @@ def render_scene(ps: ColoredPointSet,
                  walk=None,
                  blocks: Optional[Sequence] = None,
                  spec: Optional[RenderSpec] = None) -> str:
-    """Compose point/edge/arc/walk/block layers into one SVG document. A
-    block is a (level, x0, x1, y0, y1) row."""
+    """Compose point/edge/arc/walk/block layers into one SVG document. The
+    arcs are an ``ArcTable`` or a sequence of ``ArcSpec`` rows, drawn from
+    the vertex column; a block is a (level, x0, x1, y0, y1) row."""
     spec = spec or RenderSpec()
     d = ps.domain
     if d.kind == LINE:
@@ -127,8 +129,8 @@ def render_scene(ps: ColoredPointSet,
             canvas.line(a, b, EDGE, cls="edge")
 
     if arcs:
-        for arc in arcs:
-            canvas.polyline(arc.vertices, ARC, cls="arc")
+        for vertices in ArcTable.of(arcs).vertices.tolist():
+            canvas.polyline(vertices, ARC, cls="arc")
 
     for p in ps.reds:
         canvas.circle(p, RED, cls="red-point")

@@ -49,9 +49,10 @@ class ColoredPointSet:
             if pts.size and not np.isfinite(pts).all():
                 raise ValueError("non-finite coordinates")
         # equal points are adjacent once sorted, and -0.0 == 0.0 both in the
-        # sort and in the comparison
+        # sort and in the comparison; the stable sort of the two sorted
+        # colours merges them
         allpts = np.concatenate([self.reds, self.blues])
-        allpts = allpts[np.lexsort((allpts[:, 1], allpts[:, 0]))]
+        allpts = allpts[canonical_order(allpts)]
         if (allpts[1:] == allpts[:-1]).all(axis=1).any():
             raise ValueError("duplicate points: configuration is not simple")
 
@@ -82,12 +83,21 @@ class ColoredPointSet:
         )
 
 
+def canonical_order(pts: np.ndarray) -> np.ndarray:
+    """The permutation sorting (n, 2) points by x, then y, ties kept in
+    input order: for points without NaN, ``np.lexsort((y, x))``. One stable argsort on x gives it
+    when no two x are equal, as for any sampled configuration; the lexsort
+    runs only when some are."""
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order, 0]
+    if (xs[1:] == xs[:-1]).any():
+        order = np.lexsort((pts[:, 1], pts[:, 0]))
+    return order
+
+
 def _canonical(pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    if len(pts):
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        pts = pts[order]
-    return pts
+    return pts[canonical_order(pts)]
 
 
 def _uniform_points(rng: np.random.Generator, n: int, domain: Domain) -> np.ndarray:

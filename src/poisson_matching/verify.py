@@ -2,7 +2,9 @@
 
 Verification reports carry explicit violation witnesses; statistics reports
 (average edge length, crossing counts) are diagnostics and never assert
-infinite-volume claims.
+infinite-volume claims. The arc verifiers flatten an ``ArcTable``'s vertex
+column into segments (``_arc_arrays``) and share one segment-hit list per
+table (``_arc_hits``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .arcs import ArcTable
 from .assignment import SQUARE, assign_in_groups
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment,
                        edge_crosses_region, segments_intersect)
@@ -52,21 +55,32 @@ class StatsReport:
 
 
 def _arc_arrays(arcs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every polyline piece of the arcs as endpoint arrays (P, Q), arc-major
+    """Every polyline piece of the arcs (an ``ArcTable``, or a sequence of
+    ``ArcSpec`` rows, which becomes one) as endpoint arrays (P, Q), arc-major
     and without the zero-length pieces, as ``ArcSpec.segments`` lists them,
-    and the index of each piece's arc. Every arc needs four finite 2-D
-    vertices; anything else is a ValueError."""
-    bad = ValueError("every arc needs four finite 2-D vertices")
-    try:
-        V = np.asarray([a.vertices for a in arcs] or np.empty((0, 4, 2)), dtype=float)
-    except TypeError as e:  # a coordinate that is no number, e.g. a dict
-        raise bad from e
-    if V.shape != (len(arcs), 4, 2) or not np.isfinite(V).all():
-        raise bad
+    and the index of each piece's arc. The one flattening of arcs into
+    segments; the table's checks make an arc without four finite 2-D
+    vertices a ValueError."""
+    V = ArcTable.of(arcs).vertices
     P, Q = V[:, :3].reshape(-1, 2), V[:, 1:].reshape(-1, 2)
-    owner = np.repeat(np.arange(len(arcs)), 3)
+    owner = np.repeat(np.arange(len(V)), 3)
     keep = (P != Q).any(axis=1)
     return P[keep], Q[keep], owner[keep]
+
+
+def _arc_hits(arcs) -> Tuple[int, List[Tuple[int, int]]]:
+    """The number of polyline pieces of the arcs (``_arc_arrays``), and for
+    each intersecting pair of pieces of different arcs, in the order of
+    ``_pairwise_hits``, the indices of their two arcs. Found once per
+    ``ArcTable`` and kept on it, as its columns are read-only; a sequence of
+    rows, which may change, is read anew."""
+    table = ArcTable.of(arcs)
+    if table._hits is None:
+        P, Q, owner = _arc_arrays(table)
+        raw = _pairwise_hits(P, Q, skip_same_group=owner)
+        owner = owner.tolist()  # plain ints for the JSON witnesses
+        table._hits = (len(P), [(owner[i], owner[j]) for i, j in raw])
+    return table._hits
 
 
 PAIR_CHUNK = 1 << 16  # box pairs the sweep expands at once (one segment's at least)
@@ -153,18 +167,17 @@ def check_planarity(m: Matching, arcs=None) -> VerificationReport:
     the pairs a bounding-box sweep proposes; ``trials`` counts all pairs.
 
     When ``arcs`` is given the edges are taken with their polygonal-arc
-    geometry (the planar drawing of nested strip matchings, ``_arc_arrays``)
-    instead of straight chords; segments belonging to the same edge are exempt.
+    geometry (the planar drawing of nested strip matchings) instead of
+    straight chords: the witnesses are the arc pairs of the segment hits
+    that ``check_arc_disjointness`` reports (``_arc_hits``, shared by both
+    for one ``ArcTable``), each once; segments of the same edge are exempt.
     """
     if arcs is None:
         P, Q = m.endpoint_arrays()
         hits = _pairwise_hits(P, Q)
         n_pairs = len(P) * (len(P) - 1) // 2
     else:
-        P, Q, owner = _arc_arrays(arcs)
-        raw = _pairwise_hits(P, Q, skip_same_group=owner)
-        owner = owner.tolist()
-        hits = sorted({(owner[i], owner[j]) for i, j in raw})
+        hits = sorted(set(_arc_hits(arcs)[1]))
         n_pairs = len(arcs) * (len(arcs) - 1) // 2
     return VerificationReport(
         property_name="planarity",
@@ -177,14 +190,13 @@ def check_arc_disjointness(arcs) -> VerificationReport:
     """Intersection check over all polyline segments of all arcs, as
     ``_arc_arrays`` flattens them; segments of the same arc are exempt (they
     share vertices). Only the segment pairs proposed by a bounding-box sweep
-    are tested (``_pairwise_hits``); ``trials`` counts all segment pairs."""
-    P, Q, owner = _arc_arrays(arcs)
-    hits = _pairwise_hits(P, Q, skip_same_group=owner)
-    owner = owner.tolist()  # plain ints for the JSON witnesses
+    are tested (``_pairwise_hits``, once per ``ArcTable``: ``_arc_hits``);
+    ``trials`` counts all segment pairs."""
+    n_segments, hits = _arc_hits(arcs)
     return VerificationReport(
         property_name="arc_disjointness",
-        trials=len(P) * (len(P) - 1) // 2,
-        violations=[{"arcs": [owner[i], owner[j]]} for i, j in hits],
+        trials=n_segments * (n_segments - 1) // 2,
+        violations=[{"arcs": [i, j]} for i, j in hits],
     )
 
 

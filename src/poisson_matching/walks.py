@@ -4,6 +4,9 @@ The walk steps up at red x-coordinates and down at blue ones, anchored to 0
 at the window's left edge. Zero sets, cut-times and excursions of this walk
 drive the zero-block, cut-time and excursion matchings; nesting depths and
 lowest intervening points give heights for non-crossing polygonal arcs.
+The excursion matching is a bracket pairing found by sorting the walk's
+steps by level, and the arcs come as one ``ArcTable`` (``arcs.py``), built
+and laminated column by column with no per-arc Python.
 
 Finite-window truncation policy: rules defined via inf/sup over the whole
 real line are restricted to the window, and points they leave unresolved
@@ -15,14 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .assignment import EPS_TIE, RECTANGULAR, SQUARE, assign_in_groups, brute_force_min
-from .geometry import LINE, STRIP, Domain, Point, Segment
+from .arcs import ArcSpec, ArcTable  # ArcSpec, the table's row type, is exported here too
+from .geometry import LINE, STRIP, Domain
 from .matching import ONE_COLOR, Matching, partner_edges
-from .sampling import ColoredPointSet, derived_rng
+from .sampling import ColoredPointSet, canonical_order, derived_rng
 from .verify import VerificationReport
 
 
@@ -133,50 +137,25 @@ def cut_time_matching(ps: ColoredPointSet) -> Matching:
 def excursion_matching(ps: ColoredPointSet) -> Matching:
     """Match each red to the blue ending its upward excursion: the first
     point to the right where the walk returns to its pre-red level. Edge
-    x-intervals are pairwise disjoint or nested (bracket matching)."""
+    x-intervals are pairwise disjoint or nested (bracket matching).
+
+    The pairing is a sort by level: the up-step to level h is matched with
+    the next down-step from h, and between two up-steps to h the walk steps
+    down from h, so each level's steps alternate. A down-step with no
+    up-step before it at its level closes an excursion opened left of the
+    window, and an up-step with no down-step after it opens one the window
+    does not close: both stay unmatched."""
     walk = build_walk(ps)
-    red_at = {float(x): i for i, x in enumerate(ps.reds[:, 0])}
-    blue_at = {float(x): j for j, x in enumerate(ps.blues[:, 0])}
-    stack: List[int] = []
-    edges: List[Tuple[int, int]] = []
-    for x, s in zip(walk.xs, walk.signs):
-        if s == 1:
-            stack.append(red_at[float(x)])
-        elif stack:
-            edges.append((stack.pop(), blue_at[float(x)]))
-    # Blues met with an empty stack close excursions opened left of the
-    # window and reds left on the stack open ones it does not close: both
-    # stay unmatched.
-    return Matching(ps.reds, ps.blues, sorted(edges))
-
-
-@dataclass
-class ArcSpec:
-    """Four-vertex polyline joining a matched pair below all intervening
-    arcs: down from the red to height H, across, and up to the blue, where
-    H = (lowest intervening point height) / (maximum nesting depth)."""
-
-    edge: Tuple[int, int]
-    height: float
-    lowest: float
-    depth: int
-    vertices: List[Tuple[float, float]]
-
-    def segments(self) -> List[Segment]:
-        segs = []
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if a != b:
-                segs.append(Segment(Point(*a), Point(*b)))
-        return segs
-
-    def to_json(self) -> dict:
-        return {
-            "edge": [int(self.edge[0]), int(self.edge[1])],
-            "height": self.height,
-            "lowest": self.lowest,
-            "depth": self.depth,
-            "vertices": [[float(x), float(y)] for x, y in self.vertices],
-        }
+    up = walk.signs == 1
+    level = walk.values + ~up  # an up-step's level after it, a down-step's before
+    k = np.argsort(level, kind="stable")  # by level, then by x
+    pair = up[k[:-1]] & ~up[k[1:]] & (level[k[:-1]] == level[k[1:]])
+    # the m-th up-step of the walk is reds[m], the m-th down-step blues[m]
+    red, blue = np.cumsum(up) - 1, np.cumsum(~up) - 1
+    opens, closes = k[:-1][pair], k[1:][pair]
+    by_red = np.argsort(opens)
+    return Matching(ps.reds, ps.blues, np.column_stack([red[opens[by_red]],
+                                                        blue[closes[by_red]]]))
 
 
 def _range_reduce(values: np.ndarray, op, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -196,16 +175,15 @@ def _range_reduce(values: np.ndarray, op, lo: np.ndarray, hi: np.ndarray) -> np.
     return op(table[k, lo], table[k, hi - 2 ** k])
 
 
-def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> List[ArcSpec]:
-    """Arcs for an excursion matching on the strip; pairwise disjoint.
+def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> ArcTable:
+    """Arcs for an excursion matching on the strip; pairwise disjoint. One
+    ``ArcTable`` row per edge, in edge order, built column by column.
 
     The points with x in [red x, blue x] are a run of the walk order, so the
     lowest of them and the walk's highest value over them are range queries
     (``_range_reduce``); the depth counts from the walk's value just left of
     the red."""
     walk = build_walk(ps)
-    if not m.edges:
-        return []
     vals = walk.values
     allpts = np.concatenate([ps.reds, ps.blues])
     ys = allpts[np.argsort(allpts[:, 0], kind="stable"), 1]  # in walk order
@@ -222,13 +200,11 @@ def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> List[ArcSpec]:
         raise WalkInvariantError("edge interval must contain the red's up-step")
     if n_ok < len(p):
         raise ValueError("excursion edges run left to right")
-    arcs = []
-    for (i, j), (rx, ry), (bx, by), low, d in zip(m.edges, p.tolist(), q.tolist(),
-                                                  lowest.tolist(), depth.tolist()):
-        h = low / d
-        arcs.append(ArcSpec(edge=(i, j), height=h, lowest=low, depth=d,
-                            vertices=[(rx, ry), (rx, h), (bx, h), (bx, by)]))
-    return arcs
+    height = lowest / depth
+    # down from the red to the height, across, and up to the blue
+    vertices = np.stack([p, p, q, q], axis=1)
+    vertices[:, 1:3, 1] = height[:, None]
+    return ArcTable(m._edge_array(), height, lowest, depth, vertices)
 
 
 @dataclass
@@ -290,11 +266,24 @@ def minimality_certificate_d1(m: Matching, ps: ColoredPointSet, k: int,
     )
 
 
-def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, Optional[List[ArcSpec]]]],
-                    shift: float) -> Tuple[ColoredPointSet, Matching, List[ArcSpec]]:
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``order``: where each index went."""
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(order))
+    return inv
+
+
+def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, Optional[Sequence]]],
+                    shift: float) -> Tuple[ColoredPointSet, Matching, ArcTable]:
     """Stack independent strip constructions into unit-height plane bands and
     apply a global vertical shift. Bands are disjoint, so per-band planarity
-    and arc-disjointness carry over."""
+    and arc-disjointness carry over.
+
+    A band's arcs (an ``ArcTable``, a sequence of ``ArcSpec`` rows, or None
+    for none) are lifted column by column; every edge index, of the matching
+    and of the arcs, is offset by the band and then mapped to the combined
+    point lists' canonical order by the inverse of their sorting
+    permutation."""
     if not 0.0 <= shift < 1.0:
         raise ValueError("shift must lie in [0, 1)")
     if not results:
@@ -302,34 +291,33 @@ def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, Optional[
     x0 = results[0][0].domain.x0
     x1 = results[0][0].domain.x1
     reds, blues, edges, arcs = [], [], [], []
-    red_off = blue_off = 0
+    offset = np.zeros(2, dtype=np.int64)  # reds and blues of the bands so far
     for band, (ps, m, band_arcs) in enumerate(results):
         if ps.domain.kind != STRIP or (ps.domain.x0, ps.domain.x1) != (x0, x1):
             raise ValueError("all bands must share the same strip window")
         dy = band + shift
         reds.append(ps.reds + [0.0, dy])
         blues.append(ps.blues + [0.0, dy])
-        edges.extend((i + red_off, j + blue_off) for i, j in m.edges)
-        for arc in band_arcs or []:
-            arcs.append(ArcSpec(
-                edge=(arc.edge[0] + red_off, arc.edge[1] + blue_off),
-                height=arc.height + dy, lowest=arc.lowest + dy, depth=arc.depth,
-                vertices=[(x, y + dy) for x, y in arc.vertices],
-            ))
-        red_off += ps.n_red
-        blue_off += ps.n_blue
-    red_arr = np.concatenate(reds) if reds else np.empty((0, 2))
-    blue_arr = np.concatenate(blues) if blues else np.empty((0, 2))
+        edges.append(m._edge_array() + offset)
+        t = ArcTable.of(band_arcs or [])
+        vertices = t.vertices.copy()
+        vertices[..., 1] += dy
+        arcs.append((t.edges + offset, t.height + dy, t.lowest + dy, t.depth, vertices))
+        offset += (ps.n_red, ps.n_blue)
+    red_arr = np.concatenate(reds)
+    blue_arr = np.concatenate(blues)
     # Re-sort into the canonical (x, y) order and remap indices.
-    r_order = np.lexsort((red_arr[:, 1], red_arr[:, 0]))
-    b_order = np.lexsort((blue_arr[:, 1], blue_arr[:, 0]))
-    r_map = {int(old): new for new, old in enumerate(r_order)}
-    b_map = {int(old): new for new, old in enumerate(b_order)}
+    r_order = canonical_order(red_arr)
+    b_order = canonical_order(blue_arr)
+    r_new, b_new = _inverse(r_order), _inverse(b_order)
     domain = Domain.plane(x0, x1, shift, len(results) + shift)
     combined = ColoredPointSet(domain, red_arr[r_order], blue_arr[b_order],
                                seed=results[0][0].seed)
-    matching = Matching(combined.reds, combined.blues,
-                        sorted((r_map[i], b_map[j]) for i, j in edges))
-    for arc in arcs:
-        arc.edge = (r_map[arc.edge[0]], b_map[arc.edge[1]])
-    return combined, matching, arcs
+
+    def remap(e):
+        return np.column_stack([r_new[e[:, 0]], b_new[e[:, 1]]])
+
+    e = remap(np.concatenate(edges))
+    matching = Matching(combined.reds, combined.blues, e[np.lexsort((e[:, 1], e[:, 0]))])
+    arc_edges, height, lowest, depth, vertices = map(np.concatenate, zip(*arcs))
+    return combined, matching, ArcTable(remap(arc_edges), height, lowest, depth, vertices)

@@ -313,6 +313,31 @@ BAD_INPUTS = {
     "minimality_k_9": ([*MINIMALITY, "--k", "9", "--in"], LINE_RESULT),
     "minimality_trials_0": ([*MINIMALITY, "--trials", "0", "--in"], LINE_RESULT),
     "minimality_trials_negative": ([*MINIMALITY, "--trials", "-3", "--in"], LINE_RESULT),
+    # the window's corner cell does not fit the int64 block lookup; this
+    # used to exit 1 with an OverflowError traceback
+    "blocks_window_beyond_int64": (
+        ["render", "--blocks", "2", "--out", os.devnull, "--in"],
+        json.dumps({**ONE_EDGE_RESULT, "points": {
+            **ONE_EDGE_RESULT["points"], "reds": [[1.2e300, 0.5]], "blues": [[1.5e300, 0.5]],
+            "domain": {"kind": "strip", "x0": 1e300, "x1": 2e300, "y0": 0.0, "y1": 1.0}}})),
+    # edges are read as one array: each malformed shape or type is an input error
+    "ragged_edges": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
+        **ONE_EDGE_RESULT["matching"], "edges": [[0, 0], [0]]}})),
+    "float_edge": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
+        **ONE_EDGE_RESULT["matching"], "edges": [[0.0, 0]]}})),
+    "string_edge": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
+        **ONE_EDGE_RESULT["matching"], "edges": [["0", 0]]}})),
+    "three_index_edge": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
+        **ONE_EDGE_RESULT["matching"], "edges": [[0, 0, 0]]}})),
+    "object_edges": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
+        **ONE_EDGE_RESULT["matching"], "edges": {"0": 0}}})),
+    # arc columns are checked whole when the file is read, for every command
+    "negative_arc_edge_arcs": (VERIFY_ARCS, _with_arc(ARC_VERTICES, edge=[0, -1])),
+    "float_arc_depth_planarity": (VERIFY, _with_arc(ARC_VERTICES, depth=1.5)),
+    "arc_without_height_arcs": (VERIFY_ARCS, json.dumps({**ONE_EDGE_RESULT, "arcs": [
+        {"edge": [0, 0], "lowest": 0.5, "depth": 1, "vertices": ARC_VERTICES}]})),
+    "three_vertex_arc_render": (RENDER, THREE_VERTEX_ARC),
+    "nan_vertex_render": (RENDER, NAN_VERTEX_ARC),
     # the walk counts a red left of the window, the zero blocks do not
     "zero_block_point_left_of_window": (
         ["match", "--construction", "zero_block", "--out", os.devnull, "--in"],
@@ -359,6 +384,26 @@ def test_blocks_out_of_reach_are_usage_errors(runner, monkeypatch, tmp_path, blo
     res = invoke(runner, "render", "--in", str(path), "--blocks", blocks, "--out", str(out))
     assert res.exit_code == 2, res.output
     assert "--blocks" in res.output and "Traceback" not in res.output and not out.exists()
+
+
+def test_edges_read_as_tuples_of_plain_ints(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**ONE_EDGE_RESULT, "points": {
+        **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.5], [0.5, 0.2]],
+        "blues": [[1.0, 0.5], [1.5, 0.1]]},
+        "matching": {"format": 1, "kind": "perfect", "edges": [[1, 0], [0, 1]]}}))
+    _, m, _ = cli._load_result(str(path))
+    assert m.edges == [(1, 0), (0, 1)]
+    assert all(type(i) is int and type(j) is int for i, j in m.edges)
+    assert m._edge_array().dtype == np.int64
+
+
+def test_render_arcs_from_table_and_rows_alike(pinned_inputs):
+    from poisson_matching.render import render_scene
+    ps, m, d = cli._load_result(str(pinned_inputs["excursion"]))
+    table = cli._arcs_from(d, "excursion.json")
+    assert len(table) > 0
+    assert render_scene(ps, m, arcs=table) == render_scene(ps, m, arcs=list(table))
 
 
 def test_one_edge_result_is_valid(runner, tmp_path):
@@ -578,7 +623,7 @@ PUBLIC_NAMES = {
     "ColoredPointSet", "SampleConfig", "derived_rng", "sample",
     "Matching",
     "brute_force_min", "improvable_pair", "max_cardinality_min_cost", "min_cost_perfect",
-    "ArcSpec", "CrossingProfile", "StepWalk", "WalkInvariantError", "build_walk",
+    "ArcSpec", "ArcTable", "CrossingProfile", "StepWalk", "WalkInvariantError", "build_walk",
     "crossing_profile", "cut_time_matching", "excursion_matching", "laminate_strips",
     "minimality_certificate_d1", "one_color_pairing", "polygonal_arcs",
     "zero_block_matching",

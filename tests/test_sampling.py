@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from poisson_matching.geometry import Domain
-from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
+from poisson_matching.sampling import (ColoredPointSet, SampleConfig, canonical_order,
+                                       derived_rng, sample)
 
 
 def test_determinism_same_seed():
@@ -89,3 +90,51 @@ def test_derived_rng_streams_independent_and_stable():
     a2 = derived_rng(5, 1).uniform(size=3)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
+
+
+def _lexsorted(pts):
+    """The lexsort the stable argsort on x replaced, as the oracle."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+
+def _orderings():
+    rng = derived_rng(17)
+    base = np.column_stack([rng.uniform(0, 10, 40), rng.uniform(0, 1, 40)])
+    tied = base.copy()
+    tied[::3, 0] = np.round(tied[::3, 0])  # runs of equal x with distinct y
+    tied[5:9, 0] = 2.0
+    zeros = np.array([[0.0, 0.5], [-0.0, 0.25], [0.0, -0.0], [-0.0, 0.75], [1.0, 0.0]])
+    for pts in (base, tied, zeros):
+        srt = _lexsorted(pts)
+        yield from (srt, srt[::-1], pts, pts[rng.permutation(len(pts))])
+
+
+def test_canonical_order_is_the_lexsort():
+    tied = 0
+    for pts in _orderings():
+        order = canonical_order(pts)
+        assert np.array_equal(order, np.lexsort((pts[:, 1], pts[:, 0])))
+        want = _lexsorted(pts)
+        got = ColoredPointSet(Domain.strip(-1, 11), reds=pts, blues=[], seed=0).reds
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays where it was
+        tied += bool((np.diff(np.sort(pts[:, 0])) == 0).any())
+    assert tied >= 8  # the lexsort branch ran on the tied and signed-zero inputs
+
+
+def test_duplicates_within_and_across_colours_rejected():
+    rng = derived_rng(18)
+    pts = np.column_stack([rng.uniform(0, 10, 30), rng.uniform(0, 1, 30)])
+    pts[::4, 0] = np.round(pts[::4, 0])
+    reds, blues = pts[:15], pts[15:]
+    assert ColoredPointSet(Domain.strip(-1, 11), reds, blues, seed=0).n_red == 15
+    for k in (0, 4, 14):
+        for r, b in ((np.vstack([reds, reds[k]]), blues), (reds, np.vstack([blues, blues[k]])),
+                     (reds, np.vstack([blues, reds[k]])), (np.vstack([reds, blues[k]]), blues)):
+            with pytest.raises(ValueError, match="duplicate points"):
+                ColoredPointSet(Domain.strip(-1, 11), r[::-1], b, seed=0)
+    # an equal x in both colours with different y is no duplicate
+    same_x = np.array([[reds[0, 0], 1 - reds[0, 1]]])
+    assert ColoredPointSet(Domain.strip(-1, 11), reds, np.vstack([blues, same_x]),
+                           seed=0).n_blue == 16

@@ -20,8 +20,8 @@ from poisson_matching.verify import (ChernoffParams, _arc_arrays,
                                      chernoff_mc, check_arc_disjointness,
                                      check_planarity, crossing_stats,
                                      estimate_eta, interior_window)
-from poisson_matching.walks import (ArcSpec, excursion_matching, laminate_strips,
-                                    polygonal_arcs)
+from poisson_matching.walks import (ArcSpec, ArcTable, excursion_matching,
+                                    laminate_strips, polygonal_arcs)
 
 
 def square_ps(seed, side=20.0, lam=1.0):
@@ -441,6 +441,57 @@ class TestArcArrays:
         blues = np.array([[1.0, 0.5], [6.0, 0.5]])
         with pytest.raises(ValueError):
             check_planarity(Matching(reds, blues, [(0, 0), (1, 1)]))
+
+
+class TestSharedArcHits:
+    """``check_arc_disjointness`` and ``check_planarity(arcs=...)`` report
+    from one hit list per ``ArcTable``."""
+
+    @staticmethod
+    def _reports(m, arcs):
+        return (check_arc_disjointness(arcs).to_json(),
+                check_planarity(m, arcs=arcs).to_json())
+
+    def test_table_and_rows_report_alike(self):
+        cases = [_crossing_arcs(seed) for seed in range(3)]
+        cases += [(m, arcs) for _, m, arcs in (_strip_arcs(s) for s in range(2))]
+        crossing = 0
+        for m, arcs in cases:
+            table = ArcTable.of(arcs)
+            want = self._reports(m, list(table))
+            assert self._reports(m, table) == want
+            assert self._reports(m, table) == want  # again, from the kept hits
+            crossing += not want[0]["pass"]
+        assert crossing == 3  # the crossing arcs were caught, the strip arcs passed
+
+    def test_hits_found_once_per_table(self, monkeypatch):
+        calls = []
+        sweep = verify._pairwise_hits
+        monkeypatch.setattr(verify, "_pairwise_hits",
+                            lambda *a, **k: calls.append(1) or sweep(*a, **k))
+        m, arcs = _crossing_arcs(1)
+        table = ArcTable.of(arcs)
+        self._reports(m, table)
+        self._reports(m, table)
+        assert len(calls) == 1
+        self._reports(m, arcs)  # rows may change between calls: read anew
+        assert len(calls) == 3
+
+    def test_hits_never_reach_another_table(self):
+        m, arcs = _crossing_arcs(2)
+        _, good_m, good = _strip_arcs(0)
+        crossed = ArcTable.of(arcs)
+        assert not check_arc_disjointness(crossed).passed
+        # a copy of a table finds its hits afresh and reports alike
+        twin = ArcTable.of(list(crossed))
+        assert check_planarity(m, arcs=twin).to_json() == check_planarity(m, arcs=crossed).to_json()
+        assert check_arc_disjointness(good).passed
+        assert check_planarity(good_m, arcs=good).passed
+        # tables made and dropped in turn each report their own hits
+        for k in range(20):
+            t = ArcTable.of(arcs) if k % 2 else ArcTable.of(list(good))
+            assert check_arc_disjointness(t).passed == (k % 2 == 0)
+            del t
 
 
 class TestArcDisjointness:

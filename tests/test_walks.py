@@ -1,4 +1,7 @@
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from poisson_matching.matching import Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 from poisson_matching.verify import check_arc_disjointness, check_planarity
 from poisson_matching import walks
-from poisson_matching.walks import (ArcSpec, StepWalk, WalkInvariantError,
+from poisson_matching.walks import (ArcSpec, ArcTable, StepWalk, WalkInvariantError,
                                     build_walk, crossing_profile,
                                     cut_time_matching, cut_times,
                                     excursion_matching, laminate_strips,
@@ -263,6 +266,56 @@ class TestExcursionMatching:
         assert m.unmatched_reds == [0]
 
 
+def _stack_excursion(ps):
+    """The Python stack loop the level sort replaced, kept verbatim as the
+    oracle: reds are pushed at their up-steps and each blue pops the latest
+    open red; a blue met with an empty stack stays unmatched."""
+    walk = build_walk(ps)
+    red_at = {float(x): i for i, x in enumerate(ps.reds[:, 0])}
+    blue_at = {float(x): j for j, x in enumerate(ps.blues[:, 0])}
+    stack = []
+    edges = []
+    for x, s in zip(walk.xs, walk.signs):
+        if s == 1:
+            stack.append(red_at[float(x)])
+        elif stack:
+            edges.append((stack.pop(), blue_at[float(x)]))
+    return Matching(ps.reds, ps.blues, sorted(edges))
+
+
+class TestExcursionAgainstStack:
+    @staticmethod
+    def _check(ps):
+        got, want = excursion_matching(ps), _stack_excursion(ps)
+        assert got.edges == want.edges
+        assert all(type(i) is int and type(j) is int for i, j in got.edges)
+        assert got.unmatched_reds == want.unmatched_reds
+        assert got.unmatched_blues == want.unmatched_blues
+        return want
+
+    @pytest.mark.parametrize("lam_red", [1.0, 1.4, 0.7])
+    def test_seeded_strips_and_lines(self, lam_red):
+        open_reds = early_blues = 0
+        for seed in range(6):
+            for domain in (Domain.strip(0, 150), Domain.line(0, 150)):
+                want = self._check(sample(SampleConfig(lam_red, 1.0, domain, seed)))
+                assert want.edges
+                open_reds += len(want.unmatched_reds)
+                early_blues += len(want.unmatched_blues)
+        assert open_reds and early_blues  # both kinds of unmatched point met
+
+    def test_blues_before_any_red_and_reds_left_open(self):
+        for reds, blues in (([5, 6], [1, 2, 3, 7]), ([1, 2, 3], [4]), ([2, 5], [1, 3, 4, 6]),
+                            ([1, 4, 5], [2, 3, 6, 7, 8])):
+            self._check(strip_ps(reds, blues))
+            self._check(line_ps(reds, blues))
+
+    def test_empty_colours(self):
+        for reds, blues in (([], []), ([1, 2], []), ([], [1, 2])):
+            m = self._check(strip_ps(reds, blues))
+            assert m.edges == []
+
+
 class TestPolygonalArcs:
     def test_single_edge_depth_one(self):
         ps = strip_ps([1], [2], heights=0.6)
@@ -377,6 +430,71 @@ class TestArcsAgainstLoop:
                 _reference_arcs(m, ps)
             with pytest.raises(ValueError):
                 polygonal_arcs(m, ps)
+
+
+class TestArcTable:
+    @staticmethod
+    def _arcs(seed, length=120.0):
+        ps = sample(SampleConfig(1, 1, Domain.strip(0, length), seed))
+        m = excursion_matching(ps)
+        return ps, m, polygonal_arcs(m, ps)
+
+    def test_columns_are_read_only(self):
+        _, m, t = self._arcs(0)
+        n = len(m.edges)
+        assert isinstance(t, ArcTable) and len(t) == n > 0
+        shapes = {"edges": ((n, 2), np.int64), "height": ((n,), np.float64),
+                  "lowest": ((n,), np.float64), "depth": ((n,), np.int64),
+                  "vertices": ((n, 4, 2), np.float64)}
+        for name, (shape, dtype) in shapes.items():
+            col = getattr(t, name)
+            assert col.shape == shape and col.dtype == dtype
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 0
+
+    def test_rows_equal_the_reference_loop(self):
+        for seed in range(3):
+            ps, m, t = self._arcs(seed)
+            want = _reference_arcs(m, ps)
+            assert list(t) == want  # tuple edges and vertices, plain numbers
+            assert [t[k] for k in range(len(t))] == want
+            assert t[-1] == want[-1]
+            with pytest.raises(IndexError):
+                t[len(t)]
+            assert t.to_json() == [a.to_json() for a in want]
+            assert (json.dumps(t.to_json(), indent=1, sort_keys=True)
+                    == json.dumps([a.to_json() for a in want], indent=1, sort_keys=True))
+
+    def test_rows_and_json_build_the_same_table(self):
+        _, _, t = self._arcs(4)
+        assert ArcTable.of(t) is t
+        for again in (ArcTable.of(list(t)), ArcTable.from_json(t.to_json()),
+                      ArcTable.from_json(json.loads(json.dumps(t.to_json())))):
+            for name in ("edges", "height", "lowest", "depth", "vertices"):
+                a, b = getattr(again, name), getattr(t, name)
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+
+    def test_empty_table(self):
+        ps = strip_ps([], [])
+        t = polygonal_arcs(excursion_matching(ps), ps)
+        assert len(t) == 0 and list(t) == [] and t.to_json() == []
+        assert t.vertices.shape == (0, 4, 2) and t.edges.shape == (0, 2)
+        assert ArcTable.of([]).vertices.shape == (0, 4, 2)
+
+    @pytest.mark.parametrize("field,value", [
+        ("edges", [(0,)]), ("edges", [(0, -1)]), ("edges", [(0.5, 1)]), ("edges", [None]),
+        ("edges", [(0, 0), (1, 1)]), ("height", [math.nan]), ("lowest", [math.inf]),
+        ("lowest", ["low"]), ("depth", [1.5]), ("depth", [None]),
+        ("vertices", [[(0.0, 1.0), (0.0, 0.5), (1.0, 1.0)]]),
+        ("vertices", [[(0.0, 1.0), ({"y": 0}, 0.5), (1.0, 0.5), (1.0, 1.0)]]),
+    ])
+    def test_malformed_column_rejected(self, field, value):
+        good = dict(edges=[(0, 0)], height=[0.25], lowest=[0.5], depth=[1],
+                    vertices=[[(0.0, 1.0), (0.0, 0.25), (1.0, 0.25), (1.0, 1.0)]])
+        assert len(ArcTable(**good)) == 1
+        with pytest.raises(ValueError, match="every arc needs"):
+            ArcTable(**{**good, field: value})
 
 
 def _reference_profile_values(m):
@@ -545,6 +663,55 @@ class TestLaminateStrips:
     def test_bad_shift_rejected(self):
         with pytest.raises(ValueError):
             laminate_strips([self._band(0)], shift=1.5)
+
+    def test_columns_equal_the_per_arc_loop(self):
+        for seeds, shift in (((1,), 0.0), ((1, 2), 0.25), ((0, 3, 5, 6), 0.7321)):
+            results = [self._band(s) for s in seeds]
+            results[-1] = (*results[-1][:2], list(results[-1][2]))  # rows, not a table
+            ps, m, arcs = laminate_strips(results, shift)
+            want_ps, want_m, want_arcs = _reference_laminate(results, shift)
+            assert np.array_equal(ps.reds, want_ps.reds)
+            assert np.array_equal(ps.blues, want_ps.blues)
+            assert m.edges == want_m.edges
+            assert list(arcs) == want_arcs
+
+    def test_bands_without_arcs(self):
+        results = [(ps, m, None) for ps, m, _ in (self._band(1), self._band(2))]
+        _, m, arcs = laminate_strips(results, 0.5)
+        assert len(arcs) == 0 and m.edges == _reference_laminate(results, 0.5)[1].edges
+
+
+def _reference_laminate(results, shift):
+    """The per-arc rebuild with dict remaps that the column concatenation
+    replaced, kept as the oracle."""
+    x0, x1 = results[0][0].domain.x0, results[0][0].domain.x1
+    reds, blues, edges, arcs = [], [], [], []
+    red_off = blue_off = 0
+    for band, (ps, m, band_arcs) in enumerate(results):
+        dy = band + shift
+        reds.append(ps.reds + [0.0, dy])
+        blues.append(ps.blues + [0.0, dy])
+        edges.extend((i + red_off, j + blue_off) for i, j in m.edges)
+        for arc in band_arcs or []:
+            arcs.append(ArcSpec(
+                edge=(arc.edge[0] + red_off, arc.edge[1] + blue_off),
+                height=arc.height + dy, lowest=arc.lowest + dy, depth=arc.depth,
+                vertices=[(x, y + dy) for x, y in arc.vertices],
+            ))
+        red_off += ps.n_red
+        blue_off += ps.n_blue
+    red_arr, blue_arr = np.concatenate(reds), np.concatenate(blues)
+    r_order = np.lexsort((red_arr[:, 1], red_arr[:, 0]))
+    b_order = np.lexsort((blue_arr[:, 1], blue_arr[:, 0]))
+    r_map = {int(old): new for new, old in enumerate(r_order)}
+    b_map = {int(old): new for new, old in enumerate(b_order)}
+    combined = ColoredPointSet(Domain.plane(x0, x1, shift, len(results) + shift),
+                               red_arr[r_order], blue_arr[b_order], seed=results[0][0].seed)
+    matching = Matching(combined.reds, combined.blues,
+                        sorted((r_map[i], b_map[j]) for i, j in edges))
+    for arc in arcs:
+        arc.edge = (r_map[arc.edge[0]], b_map[arc.edge[1]])
+    return combined, matching, arcs
 
 
 class TestWalkInvariantErrors:
