@@ -283,11 +283,10 @@ def cmd_verify(in_path, prop, k, trials, seed, out):
             raise click.UsageError("minimality certificate requires a line domain")
         report = walks.minimality_certificate_d1(m, ps, k, trials, seed)
     else:
-        pair = None
-        if len(m.edges) >= 2:
-            pair = improvable_pair(m)
+        n = len(d["matching"]["edges"])  # not m.edges, a list of tuples
+        pair = improvable_pair(m) if n >= 2 else None
         report = verify.VerificationReport(
-            "improvable_pair", trials=len(m.edges) * (len(m.edges) - 1) // 2,
+            "improvable_pair", trials=n * (n - 1) // 2,
             violations=[] if pair is None else [{"edges": list(pair)}])
     _dump(report.to_json(), out)
     if not report.passed:

@@ -1,15 +1,18 @@
 """Planar geometry primitives: points, segments, rectangles, intersection tests.
 
-All predicates are tolerance-based (EPS_GEOM): inputs are random reals, so
-exact degeneracies have probability zero and near-degeneracies are reported
-rather than silently resolved.
+All predicates are tolerance-based (an absolute EPS_GEOM) and go through one
+orientation predicate on coordinate arrays: inputs are random reals, so exact
+degeneracies have probability zero and near-degeneracies are reported rather
+than silently resolved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Tuple, Union
+
+import numpy as np
 
 EPS_GEOM = 1e-12
 
@@ -133,22 +136,68 @@ class Domain:
         return Domain(d["kind"], d["x0"], d["x1"], d["y0"], d["y1"])
 
 
-def orientation(a, b, c) -> int:
-    """Sign of the cross product (b-a) x (c-a); 0 within EPS_GEOM."""
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if det > EPS_GEOM:
-        return 1
-    if det < -EPS_GEOM:
-        return -1
-    return 0
+def orientation(A, B, C) -> np.ndarray:
+    """Sign of the cross product (B-A) x (C-A) as int8, 0 within EPS_GEOM,
+    row by row for points or (..., 2) arrays broadcast against each other."""
+    A, B, C = (np.asarray(X, dtype=float) for X in (A, B, C))
+    U, V = B - A, C - A
+    det = U[..., 0] * V[..., 1] - U[..., 1] * V[..., 0]
+    return (det > EPS_GEOM).astype(np.int8) - (det < -EPS_GEOM).astype(np.int8)
 
 
-def _on_segment(a, b, p) -> bool:
-    """Whether collinear point p lies on the closed segment ab."""
-    return (
-        min(a[0], b[0]) - EPS_GEOM <= p[0] <= max(a[0], b[0]) + EPS_GEOM
-        and min(a[1], b[1]) - EPS_GEOM <= p[1] <= max(a[1], b[1]) + EPS_GEOM
-    )
+def _on_segment(A, B, C) -> np.ndarray:
+    """Whether each collinear point C[k] lies on the closed segment A[k]B[k]."""
+    return ((np.minimum(A, B) - EPS_GEOM <= C)
+            & (C <= np.maximum(A, B) + EPS_GEOM)).all(axis=-1)
+
+
+def _lex_less(U, V) -> np.ndarray:
+    """Whether U[k] < V[k] as (x, y) tuples compare."""
+    return (U[..., 0] < V[..., 0]) | ((U[..., 0] == V[..., 0]) & (U[..., 1] < V[..., 1]))
+
+
+def _sorted_ends(A, B) -> Tuple[np.ndarray, np.ndarray]:
+    """Each segment's ends (A[k], B[k]) as ``sorted`` orders the tuples."""
+    swap = _lex_less(B, A)[:, None]
+    return np.where(swap, B, A), np.where(swap, A, B)
+
+
+def _intersections(P1, Q1, P2, Q2) -> Tuple[np.ndarray, np.ndarray]:
+    """Whether the closed segments P1[k]Q1[k] and P2[k]Q2[k] ((..., 2)
+    arrays, broadcast) intersect, as masks (hit, degenerate); degenerate
+    rows, collinear with overlapping interiors, are not hits. In priority
+    order: a proper crossing; collinear segments (four zero signs), compared
+    by their sorted ends; an end with a zero sign on the other segment. Only
+    rows with a zero sign reach the last two."""
+    P1, Q1, P2, Q2 = np.broadcast_arrays(*(np.asarray(X, dtype=float)
+                                           for X in (P1, Q1, P2, Q2)))
+    o1, o2 = orientation(P1, Q1, P2), orientation(P1, Q1, Q2)
+    o3, o4 = orientation(P2, Q2, P1), orientation(P2, Q2, Q1)
+    hit = (o1 * o2 == -1) & (o3 * o4 == -1)
+    degenerate = np.zeros_like(hit)
+    zero = (o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0)
+    if not zero.any():
+        return hit, degenerate
+    o1, o2, o3, o4 = o1[zero], o2[zero], o3[zero], o4[zero]
+    a, b, c, d = P1[zero], Q1[zero], P2[zero], Q2[zero]
+    collinear = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
+    lo1, hi1 = _sorted_ends(a, b)
+    lo2, hi2 = _sorted_ends(c, d)
+    # the low end of the segment that starts later, the high end of the other
+    swap = _lex_less(lo2, lo1)[:, None]
+    late, high = np.where(swap, lo1, lo2), np.where(swap, hi2, hi1)
+    overlap = collinear & ~_lex_less(high, late)
+    touch = (np.abs(late - high) <= EPS_GEOM).all(axis=1)
+    on_other = (((o1 == 0) & _on_segment(a, b, c)) | ((o2 == 0) & _on_segment(a, b, d))
+                | ((o3 == 0) & _on_segment(c, d, a)) | ((o4 == 0) & _on_segment(c, d, b)))
+    hit[zero] = (overlap & touch) | (~collinear & on_other)
+    degenerate[zero] = overlap & ~touch
+    return hit, degenerate
+
+
+def _overlap_error(s1: Segment, s2: Segment) -> DegenerateGeometryError:
+    return DegenerateGeometryError(
+        f"collinear segments with overlapping interiors: {s1} / {s2}")
 
 
 def segments_intersect(s1: Segment, s2: Segment) -> bool:
@@ -157,91 +206,52 @@ def segments_intersect(s1: Segment, s2: Segment) -> bool:
     Raises DegenerateGeometryError for collinear segments with overlapping
     interiors (impossible for parallel-free input; signals corrupt data).
     """
-    a, b = s1.a, s1.b
-    c, d = s2.a, s2.b
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-
-    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
-        return True
-
-    if o1 == o2 == 0 and o3 == o4 == 0:
-        # Collinear: compare projections along the shared line.
-        lo1, hi1 = sorted((a, b))
-        lo2, hi2 = sorted((c, d))
-        if lo2 < lo1:
-            lo1, hi1, lo2, hi2 = lo2, hi2, lo1, hi1
-        if lo2 > hi1:
-            return False
-        if abs(lo2[0] - hi1[0]) <= EPS_GEOM and abs(lo2[1] - hi1[1]) <= EPS_GEOM:
-            return True  # touch at a single shared endpoint
-        raise DegenerateGeometryError(
-            f"collinear segments with overlapping interiors: {s1} / {s2}"
-        )
-
-    # Mixed cases: one endpoint lies on the other (closed) segment.
-    if o1 == 0 and _on_segment(a, b, c):
-        return True
-    if o2 == 0 and _on_segment(a, b, d):
-        return True
-    if o3 == 0 and _on_segment(c, d, a):
-        return True
-    if o4 == 0 and _on_segment(c, d, b):
-        return True
-    return False
+    hit, degenerate = _intersections(*([p] for p in (s1.a, s1.b, s2.a, s2.b)))
+    if degenerate[0]:
+        raise _overlap_error(s1, s2)
+    return bool(hit[0])
 
 
 def is_parallel_free(points: Sequence) -> bool:
     """Whether no two distinct unordered point pairs span parallel vectors.
 
-    Quartic scan over pairs of pairs; intended for desk-scale inputs.
+    Each pair's direction is tested against the later ones at once, by
+    orientation from the origin; intended for desk-scale inputs.
     """
-    pts = [(float(p[0]), float(p[1])) for p in points]
-    n = len(pts)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for k, (i, j) in enumerate(pairs):
-        vx = pts[j][0] - pts[i][0]
-        vy = pts[j][1] - pts[i][1]
-        for (u, v) in pairs[k + 1:]:
-            wx = pts[v][0] - pts[u][0]
-            wy = pts[v][1] - pts[u][1]
-            if abs(vx * wy - vy * wx) <= EPS_GEOM:
-                return False
-    return True
+    pts = np.array([(p[0], p[1]) for p in points], dtype=float).reshape(-1, 2)
+    i, j = np.triu_indices(len(pts), 1)
+    V = pts[j] - pts[i]
+    return not any((orientation((0.0, 0.0), v, V[k + 1:]) == 0).any()
+                   for k, v in enumerate(V))
 
 
-def _segment_point_distance(a, b, p) -> float:
-    ax, ay = a[0], a[1]
-    bx, by = b[0], b[1]
-    px, py = p[0], p[1]
-    dx, dy = bx - ax, by - ay
+def _segment_point_distance(A, B, p) -> np.ndarray:
+    """Distance from the point p to each closed segment A[k]B[k]. The last
+    step is Python's ``math.hypot``, as ``np.hypot`` rounds otherwise."""
+    (ax, ay), (dx, dy) = A.T, (B - A).T
+    px, py = p
     denom = dx * dx + dy * dy
-    t = 0.0 if denom == 0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
-    return math.hypot(ax + t * dx - px, ay + t * dy - py)
+    t = np.clip(np.divide((px - ax) * dx + (py - ay) * dy, denom,
+                          out=np.zeros_like(denom), where=denom != 0), 0.0, 1.0)
+    X, Y = ax + t * dx - px, ay + t * dy - py
+    return np.fromiter(map(math.hypot, X.tolist(), Y.tolist()), float, len(X))
+
+
+def _crosses_region(P, Q, region: Region) -> np.ndarray:
+    """Whether each closed segment P[k]Q[k] ((k, 2) arrays) meets the closed
+    region; a segment running along a rectangle's side still touches it."""
+    if isinstance(region, Disk):
+        return _segment_point_distance(P, Q, (region.cx, region.cy)) <= region.radius
+    r: Rect = region
+    lo, hi = np.array([r.x0, r.y0]), np.array([r.x1, r.y1])
+    inside = ((lo <= P) & (P <= hi)).all(axis=1) | ((lo <= Q) & (Q <= hi)).all(axis=1)
+    corners = np.array([(r.x0, r.y0), (r.x1, r.y0), (r.x1, r.y1), (r.x0, r.y1)])
+    hit, degenerate = _intersections(P, Q, corners[:, None],  # (4, k): sides by segments
+                                     np.roll(corners, -1, axis=0)[:, None])
+    return inside | (hit | degenerate).any(axis=0)
 
 
 def edge_crosses_region(s: Segment, region: Region) -> bool:
     """Whether the closed segment intersects the closed region."""
-    if isinstance(region, Disk):
-        return _segment_point_distance(s.a, s.b, (region.cx, region.cy)) <= region.radius
-    r: Rect = region
-    if (r.x0 <= s.a.x <= r.x1 and r.y0 <= s.a.y <= r.y1) or (
-        r.x0 <= s.b.x <= r.x1 and r.y0 <= s.b.y <= r.y1
-    ):
-        return True
-    corners = [
-        Point(r.x0, r.y0),
-        Point(r.x1, r.y0),
-        Point(r.x1, r.y1),
-        Point(r.x0, r.y1),
-    ]
-    for i in range(4):
-        edge = Segment(corners[i], corners[(i + 1) % 4])
-        try:
-            if segments_intersect(s, edge):
-                return True
-        except DegenerateGeometryError:
-            return True  # segment runs along a rectangle side: still touches
-    return False
+    return bool(_crosses_region(np.array([s.a], dtype=float),
+                                np.array([s.b], dtype=float), region)[0])

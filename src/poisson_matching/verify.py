@@ -17,8 +17,8 @@ import numpy as np
 
 from .arcs import ArcTable
 from .assignment import SQUARE, assign_in_groups
-from .geometry import (EPS_GEOM, Point, Rect, Region, Segment,
-                       edge_crosses_region, segments_intersect)
+from .geometry import (EPS_GEOM, Point, Rect, Region, Segment, _crosses_region,
+                       _intersections, _overlap_error)
 from .matching import TWO_COLOR, Matching, _length
 from .sampling import ColoredPointSet, derived_rng
 
@@ -121,43 +121,33 @@ def _pairwise_hits(P: np.ndarray, Q: np.ndarray, skip_same_group=None) -> List[T
     equal integer owners ``skip_same_group`` are exempt.
 
     Candidates are the pairs whose padded bounding boxes overlap
-    (``_box_pairs``); a vectorized orientation-sign prefilter keeps those
-    that may cross or touch, and ``segments_intersect`` confirms each, on
-    ``Segment``s built for the candidates only. Pairs with disjoint padded
-    boxes can neither cross, touch within EPS_GEOM nor overlap, so the hits,
-    and any DegenerateGeometryError, are those of a dense all-pairs scan
-    whenever the rounding error of the orientation determinants stays below
-    EPS_GEOM. Memory is linear in the segments plus one chunk.
+    (``_box_pairs``), decided by one ``_intersections`` call per sweep chunk.
+    Pairs with disjoint padded boxes can neither cross, touch within
+    EPS_GEOM nor overlap, so the hits, and the DegenerateGeometryError of
+    the first degenerate pair in (i, j) order, are those of a dense all-pairs
+    scan whenever the rounding error of the orientation determinants stays
+    below EPS_GEOM. Memory is linear in the segments plus one chunk.
     """
     if (P == Q).all(axis=1).any():
         raise ValueError("zero-length segment")
-
-    def sgn(A, B, C):
-        """Orientation sign of C[k] against A[k] -> B[k], 0 within EPS_GEOM."""
-        d = ((B[:, 0] - A[:, 0]) * (C[:, 1] - A[:, 1])
-             - (B[:, 1] - A[:, 1]) * (C[:, 0] - A[:, 0]))
-        return (d > EPS_GEOM).astype(np.int8) - (d < -EPS_GEOM).astype(np.int8)
-
-    kept = [np.empty((2, 0), dtype=np.intp)]
+    group = None if skip_same_group is None else np.asarray(skip_same_group)
+    kept = [np.empty((3, 0), dtype=np.intp)]
     for a, b in _box_pairs(P, Q):
-        s1, s2 = sgn(P[a], Q[a], P[b]), sgn(P[a], Q[a], Q[b])
-        s3, s4 = sgn(P[b], Q[b], P[a]), sgn(P[b], Q[b], Q[a])
-        proper = (s1 * s2 == -1) & (s3 * s4 == -1)
-        touchy = (s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0)
-        candidate = proper | touchy
-        kept.append(np.sort(np.stack([a[candidate], b[candidate]]), axis=0))
-    ii, jj = np.concatenate(kept, axis=1)
-    if skip_same_group is not None:
-        group = np.asarray(skip_same_group)
-        apart = group[ii] != group[jj]
-        ii, jj = ii[apart], jj[apart]
-    order = np.lexsort((jj, ii))
-    # sorted like np.unique, which would import numpy.ma (16 ms) on first call
-    used = np.flatnonzero(np.bincount(np.concatenate([ii, jj]), minlength=len(P)))
-    seg = {k: Segment(Point(*a), Point(*b))  # plain floats, as error messages show
-           for k, a, b in zip(used.tolist(), P[used].tolist(), Q[used].tolist())}
-    return [(i, j) for i, j in zip(ii[order].tolist(), jj[order].tolist())
-            if segments_intersect(seg[i], seg[j])]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        if group is not None:
+            apart = group[i] != group[j]
+            i, j = i[apart], j[apart]
+        hit, degenerate = _intersections(P[i], Q[i], P[j], Q[j])
+        found = hit | degenerate
+        kept.append(np.stack([i[found], j[found], degenerate[found]]))
+    found = np.concatenate(kept, axis=1)
+    ii, jj, bad = found[:, np.lexsort(found[1::-1])]  # by i, then j
+    if bad.any():
+        k = int(np.argmax(bad))
+        # plain floats, as the message shows them
+        raise _overlap_error(*(Segment(Point(*P[s].tolist()), Point(*Q[s].tolist()))
+                               for s in (ii[k], jj[k])))
+    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def check_planarity(m: Matching, arcs=None) -> VerificationReport:
@@ -287,10 +277,9 @@ def estimate_eta(pairs: Sequence[Tuple[ColoredPointSet, Matching]],
 def crossing_stats(m: Matching, regions: Sequence[Region]) -> StatsReport:
     """Edges crossing each query region, with a small tail summary."""
     p, q = m.endpoint_arrays()
-    segs = [Segment(Point(*a), Point(*b)) for a, b in zip(p.tolist(), q.tolist())]
-    counts = []
-    for region in regions:
-        counts.append(sum(1 for s in segs if edge_crosses_region(s, region)))
+    if (p == q).all(axis=1).any():
+        raise ValueError("zero-length segment")
+    counts = [int(_crosses_region(p, q, region).sum()) for region in regions]
     arr = np.asarray(counts, dtype=float) if counts else np.zeros(0)
     return StatsReport("crossings", {
         "counts": counts,

@@ -226,7 +226,8 @@ def crossing_profile(m: Matching) -> CrossingProfile:
     if not len(p):
         return CrossingProfile(np.asarray([0.0, 0.0]), np.asarray([], dtype=int))
     lo, hi = np.minimum(p[:, 0], q[:, 0]), np.maximum(p[:, 0], q[:, 0])
-    breaks = np.unique(np.concatenate([lo, hi]))
+    ends = np.sort(np.concatenate([lo, hi]))  # np.unique's, without importing numpy.ma
+    breaks = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
     mids = (breaks[:-1] + breaks[1:]) / 2
     # edges with lo <= mid, less those with hi < mid (each has lo <= hi)
     values = (np.searchsorted(np.sort(lo), mids, side="right")

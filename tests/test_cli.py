@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import poisson_matching
 from poisson_matching import cli, hierarchy
 from poisson_matching.cli import main
+from poisson_matching.matching import Matching
 from poisson_matching.sampling import ColoredPointSet
 
 
@@ -426,6 +427,25 @@ def test_minimality_reports_subsets_checked(runner, tmp_path):
     assert json.loads(res.output)["trials"] == 0
 
 
+@pytest.mark.parametrize("construction,exit_code", [("min_cost", 0), ("excursion", 1)])
+def test_improvable_counts_edges_from_the_file(runner, tmp_path, monkeypatch,
+                                               construction, exit_code):
+    # the pair count comes from the file's edge list: the matching's list of
+    # edge tuples is never built
+    points = (sample_file(runner, tmp_path, domain="plane", window="0,3,0,3", seed=1)
+              if construction == "min_cost" else sample_file(runner, tmp_path))
+    result = tmp_path / "m.json"
+    invoke(runner, "match", "--in", str(points), "--construction", construction,
+           "--out", str(result))
+    n = len(json.loads(result.read_text())["matching"]["edges"])
+    monkeypatch.setattr(Matching, "edges", property(lambda m: pytest.fail("edge tuples built")))
+    res = invoke(runner, "verify", "--property", "improvable", "--in", str(result))
+    assert res.exit_code == exit_code, res.output
+    report = json.loads(res.output)
+    assert n >= 2 and report["trials"] == n * (n - 1) // 2
+    assert len(report["violations"]) == exit_code
+
+
 @pytest.mark.parametrize("command", [VERIFY, VERIFY_ARCS])
 def test_well_formed_arc_is_valid(runner, tmp_path, command):
     # the malformed arc inputs above differ from this one in one vertex
@@ -643,6 +663,16 @@ def test_public_names_pinned():
 @pytest.mark.parametrize("module", ["poisson_matching", "poisson_matching.cli"])
 def test_import_loads_no_scipy(module):
     assert _loaded_after(f"import sys\nimport {module}") == set()
+
+
+def test_crossing_profile_loads_no_numpy_ma():
+    # sorted and masked in place of np.unique, whose first call imports it
+    code = ("import sys\n"
+            "from poisson_matching import (Domain, SampleConfig, crossing_profile,\n"
+            "                              excursion_matching, sample)\n"
+            "ps = sample(SampleConfig(1.0, 1.0, Domain.line(0, 30), 7))\n"
+            "assert crossing_profile(excursion_matching(ps)).values.any()\n")
+    assert _loaded_after(code) == set()
 
 
 @pytest.mark.parametrize("name", sorted(NO_SOLVE))

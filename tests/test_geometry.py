@@ -5,10 +5,132 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_matching.geometry import (DegenerateGeometryError, Disk, Domain,
-                                       Point, Rect, Segment,
+from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
+                                       Domain, Point, Rect, Segment,
+                                       _crosses_region, _intersections,
                                        edge_crosses_region, is_parallel_free,
-                                       segments_intersect)
+                                       orientation, segments_intersect)
+
+
+# --- Scalar oracles ---------------------------------------------------------
+#
+# The one-pair predicates as they were before the package's array forms
+# (``orientation`` on arrays, ``_intersections``, ``_crosses_region``) took
+# their place, kept verbatim as the oracles those forms must agree with row
+# by row; the other test modules confirm pairs with them too.
+
+def scalar_orientation(a, b, c) -> int:
+    """Sign of the cross product (b-a) x (c-a); 0 within EPS_GEOM."""
+    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    if det > EPS_GEOM:
+        return 1
+    if det < -EPS_GEOM:
+        return -1
+    return 0
+
+
+def scalar_on_segment(a, b, p) -> bool:
+    """Whether collinear point p lies on the closed segment ab."""
+    return (
+        min(a[0], b[0]) - EPS_GEOM <= p[0] <= max(a[0], b[0]) + EPS_GEOM
+        and min(a[1], b[1]) - EPS_GEOM <= p[1] <= max(a[1], b[1]) + EPS_GEOM
+    )
+
+
+def scalar_segments_intersect(s1: Segment, s2: Segment) -> bool:
+    """Closed-segment intersection test via orientation signs.
+
+    Raises DegenerateGeometryError for collinear segments with overlapping
+    interiors (impossible for parallel-free input; signals corrupt data).
+    """
+    a, b = s1.a, s1.b
+    c, d = s2.a, s2.b
+    o1 = scalar_orientation(a, b, c)
+    o2 = scalar_orientation(a, b, d)
+    o3 = scalar_orientation(c, d, a)
+    o4 = scalar_orientation(c, d, b)
+
+    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+        return True
+
+    if o1 == o2 == 0 and o3 == o4 == 0:
+        # Collinear: compare projections along the shared line.
+        lo1, hi1 = sorted((a, b))
+        lo2, hi2 = sorted((c, d))
+        if lo2 < lo1:
+            lo1, hi1, lo2, hi2 = lo2, hi2, lo1, hi1
+        if lo2 > hi1:
+            return False
+        if abs(lo2[0] - hi1[0]) <= EPS_GEOM and abs(lo2[1] - hi1[1]) <= EPS_GEOM:
+            return True  # touch at a single shared endpoint
+        raise DegenerateGeometryError(
+            f"collinear segments with overlapping interiors: {s1} / {s2}"
+        )
+
+    # Mixed cases: one endpoint lies on the other (closed) segment.
+    if o1 == 0 and scalar_on_segment(a, b, c):
+        return True
+    if o2 == 0 and scalar_on_segment(a, b, d):
+        return True
+    if o3 == 0 and scalar_on_segment(c, d, a):
+        return True
+    if o4 == 0 and scalar_on_segment(c, d, b):
+        return True
+    return False
+
+
+def scalar_is_parallel_free(points) -> bool:
+    """Whether no two distinct unordered point pairs span parallel vectors.
+
+    Quartic scan over pairs of pairs; intended for desk-scale inputs.
+    """
+    pts = [(float(p[0]), float(p[1])) for p in points]
+    n = len(pts)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for k, (i, j) in enumerate(pairs):
+        vx = pts[j][0] - pts[i][0]
+        vy = pts[j][1] - pts[i][1]
+        for (u, v) in pairs[k + 1:]:
+            wx = pts[v][0] - pts[u][0]
+            wy = pts[v][1] - pts[u][1]
+            if abs(vx * wy - vy * wx) <= EPS_GEOM:
+                return False
+    return True
+
+
+def scalar_segment_point_distance(a, b, p) -> float:
+    ax, ay = a[0], a[1]
+    bx, by = b[0], b[1]
+    px, py = p[0], p[1]
+    dx, dy = bx - ax, by - ay
+    denom = dx * dx + dy * dy
+    t = 0.0 if denom == 0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
+    return math.hypot(ax + t * dx - px, ay + t * dy - py)
+
+
+def scalar_edge_crosses_region(s: Segment, region) -> bool:
+    """Whether the closed segment intersects the closed region."""
+    if isinstance(region, Disk):
+        return scalar_segment_point_distance(s.a, s.b, (region.cx, region.cy)) <= region.radius
+    r: Rect = region
+    if (r.x0 <= s.a.x <= r.x1 and r.y0 <= s.a.y <= r.y1) or (
+        r.x0 <= s.b.x <= r.x1 and r.y0 <= s.b.y <= r.y1
+    ):
+        return True
+    corners = [
+        Point(r.x0, r.y0),
+        Point(r.x1, r.y0),
+        Point(r.x1, r.y1),
+        Point(r.x0, r.y1),
+    ]
+    for i in range(4):
+        edge = Segment(corners[i], corners[(i + 1) % 4])
+        try:
+            if scalar_segments_intersect(s, edge):
+                return True
+        except DegenerateGeometryError:
+            return True  # segment runs along a rectangle side: still touches
+    return False
 
 
 def seg(ax, ay, bx, by):
@@ -73,6 +195,153 @@ class TestParallelFree:
         for i in range(len(segs)):
             for j in range(i + 1, len(segs)):
                 segments_intersect(segs[i], segs[j])  # must not raise
+
+
+# --- Array forms against the scalar oracles ---------------------------------
+
+def _pair_rows(kind, seed, n=10_000):
+    """n coordinate rows (ax, ay, bx, by, cx, cy, dx, dy) of segment pairs,
+    less those with a zero-length segment: uniform in the unit square,
+    on a 4 x 4 integer grid (collinear, touching and overlapping pairs),
+    that grid moved by up to 2 EPS_GEOM per coordinate (signs and touches
+    at the tolerance), or uniform scaled by 1e5."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        c = rng.uniform(0.0, 1.0, (n, 8))
+    elif kind == "grid":
+        c = rng.integers(0, 4, (n, 8)).astype(float)
+    elif kind == "grid_eps":
+        c = rng.integers(0, 4, (n, 8)) + rng.uniform(-2.0, 2.0, (n, 8)) * EPS_GEOM
+    else:
+        c = rng.uniform(0.0, 1.0, (n, 8)) * 1e5
+    return c[(c[:, 0:2] != c[:, 2:4]).any(axis=1) & (c[:, 4:6] != c[:, 6:8]).any(axis=1)]
+
+
+def _scalar_outcomes(rows):
+    """Per row: the oracle's answer, or None where it raises."""
+    out = []
+    for ax, ay, bx, by, cx, cy, dx, dy in rows.tolist():
+        try:
+            out.append(scalar_segments_intersect(seg(ax, ay, bx, by), seg(cx, cy, dx, dy)))
+        except DegenerateGeometryError:
+            out.append(None)
+    return out
+
+
+PAIR_KINDS = ["random", "grid", "grid_eps", "scaled"]
+
+
+class TestArrayFormsAgainstScalar:
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_intersections_row_by_row(self, kind):
+        rows = _pair_rows(kind, seed=PAIR_KINDS.index(kind))
+        want = _scalar_outcomes(rows)
+        hit, degenerate = _intersections(rows[:, 0:2], rows[:, 2:4], rows[:, 4:6], rows[:, 6:8])
+        assert hit.tolist() == [w is True for w in want]
+        assert degenerate.tolist() == [w is None for w in want]
+        # every family decides both ways; the grids also raise
+        assert 0 < hit.sum() < len(rows)
+        if kind.startswith("grid"):
+            assert degenerate.sum() > 0
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_segments_intersect_answers_and_raises_alike(self, kind):
+        rows = _pair_rows(kind, seed=10 + PAIR_KINDS.index(kind), n=1500)
+        for ax, ay, bx, by, cx, cy, dx, dy in rows.tolist():
+            s1, s2 = seg(ax, ay, bx, by), seg(cx, cy, dx, dy)
+            try:
+                want = scalar_segments_intersect(s1, s2)
+            except DegenerateGeometryError as e:
+                with pytest.raises(DegenerateGeometryError) as got:
+                    segments_intersect(s1, s2)
+                assert str(got.value) == str(e)
+            else:
+                assert segments_intersect(s1, s2) is want
+
+    def test_integer_segments_keep_their_message(self):
+        s1, s2 = seg(0, 0, 2, 0), seg(1, 0, 3, 0)
+        with pytest.raises(DegenerateGeometryError) as got:
+            segments_intersect(s1, s2)
+        assert str(got.value) == ("collinear segments with overlapping interiors: "
+                                  f"{s1} / {s2}")
+        assert "Point(x=0, y=0)" in str(got.value)
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_orientation_signs(self, kind):
+        rows = _pair_rows(kind, seed=20 + PAIR_KINDS.index(kind))
+        A, B, C = rows[:, 0:2], rows[:, 2:4], rows[:, 4:6]
+        got = orientation(A, B, C)
+        assert got.dtype == np.int8
+        assert got.tolist() == [scalar_orientation(a, b, c)
+                                for a, b, c in zip(A.tolist(), B.tolist(), C.tolist())]
+        assert {-1, 1} <= set(got.tolist())
+
+    def test_sides_broadcast_against_rows(self):
+        rows = _pair_rows("grid", seed=30, n=2000)
+        c, d = (1.0, 1.0), (1.0, 3.0)
+        hit, degenerate = _intersections(rows[:, 0:2], rows[:, 2:4], c, d)
+        want = _scalar_outcomes(np.hstack([rows[:, :4], np.tile([*c, *d], (len(rows), 1))]))
+        assert hit.tolist() == [w is True for w in want]
+        assert degenerate.tolist() == [w is None for w in want]
+
+    def test_no_rows(self):
+        empty = np.zeros((0, 2))
+        hit, degenerate = _intersections(empty, empty, empty, empty)
+        assert hit.shape == degenerate.shape == (0,)
+        assert _crosses_region(empty, empty, Rect(0, 1, 0, 1)).shape == (0,)
+        assert _crosses_region(empty, empty, Disk(0, 0, 1)).shape == (0,)
+
+
+REGIONS = [Disk(1.0, 1.0, 1.0), Disk(0.3, -0.2, 0.05), Rect(0.0, 2.0, 0.0, 1.0),
+           Rect(1.0, 2.0, 1.0, 3.0)]
+
+
+class TestRegionsAgainstScalar:
+    @staticmethod
+    def _segments():
+        """Random and grid segments, with hand cases: along a rectangle side
+        (ends outside), collinear with a side but apart, tangent to a disk,
+        and one whose squared length underflows to zero."""
+        rng = np.random.default_rng(40)
+        coords = np.vstack([rng.uniform(-1.0, 3.0, (400, 4)),
+                            rng.integers(-1, 4, (400, 4)).astype(float)]).tolist()
+        coords += [(-1, 0, 3, 0), (1, -1, 1, 4), (-1, 1, 3, 1), (3, 0, 4, 0),
+                   (0, 2, 2, 2), (0, 0, 1e-200, 0), (0.25, -0.2, 0.3, -0.1)]
+        return [seg(*c) for c in coords if (c[0], c[1]) != (c[2], c[3])]
+
+    @pytest.mark.parametrize("region", REGIONS, ids=repr)
+    def test_edge_crosses_region(self, region):
+        segs = self._segments()
+        want = [scalar_edge_crosses_region(s, region) for s in segs]
+        assert [edge_crosses_region(s, region) for s in segs] == want
+        P = np.array([s.a for s in segs], dtype=float)
+        Q = np.array([s.b for s in segs], dtype=float)
+        assert _crosses_region(P, Q, region).tolist() == want
+        assert 0 < sum(want) < len(segs)
+
+    def test_hand_cases(self):
+        square = Rect(0, 2, 0, 1)
+        assert edge_crosses_region(seg(-1, 0, 3, 0), square)  # along the bottom
+        assert edge_crosses_region(seg(2, -1, 2, 4), square)  # along the right side
+        assert not edge_crosses_region(seg(3, 0, 4, 0), square)  # collinear, apart
+        assert edge_crosses_region(seg(0, 2, 2, 2), Disk(1, 1, 1))  # tangent
+
+
+class TestParallelFreeAgainstScalar:
+    def test_point_sets(self):
+        rng = np.random.default_rng(50)
+        sets = [rng.uniform(0, 1, (int(rng.integers(0, 12)), 2)) for _ in range(40)]
+        sets += [rng.integers(0, 5, (int(rng.integers(3, 8)), 2)).astype(float)
+                 for _ in range(40)]
+        sets += [[(0, 0), (1, 0), (0, 1), (1, 1 + t * EPS_GEOM)] for t in (0.5, 1.0, 2.0)]
+        sets += [[(0, 0), (0, 0), (1, 2)], [(3, 4)], []]
+        got = [is_parallel_free(pts) for pts in sets]
+        assert got == [scalar_is_parallel_free(pts) for pts in sets]
+        assert True in got and False in got
+
+    def test_reads_the_first_two_coordinates(self):
+        pts = np.random.default_rng(51).uniform(0, 1, (8, 3))
+        assert is_parallel_free(pts) == scalar_is_parallel_free(pts)
 
 
 @pytest.mark.parametrize("cx,cy,r", [(math.nan, 1, 1), (1, math.nan, 1), (1, 1, math.nan),

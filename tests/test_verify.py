@@ -9,8 +9,7 @@ from scipy.spatial.distance import cdist
 from poisson_matching import verify
 from poisson_matching.assignment import _canonicalize_ties, min_cost_perfect
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
-                                       Domain, Point, Rect, Segment,
-                                       segments_intersect)
+                                       Domain, Point, Rect, Segment)
 from poisson_matching.matching import Matching
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
@@ -22,6 +21,7 @@ from poisson_matching.verify import (ChernoffParams, _arc_arrays,
                                      estimate_eta, interior_window)
 from poisson_matching.walks import (ArcSpec, ArcTable, excursion_matching,
                                     laminate_strips, polygonal_arcs)
+from test_geometry import scalar_edge_crosses_region, scalar_segments_intersect
 
 
 def square_ps(seed, side=20.0, lam=1.0):
@@ -82,7 +82,9 @@ def _matching_segments(m):
 
 def _dense_hits(segs, skip_same_group=None):
     """The all-pairs scan the sweep replaced, kept verbatim as the oracle:
-    n x n orientation arrays, then scalar confirmation in (i, j) order."""
+    n x n orientation arrays, then confirmation in (i, j) order by the
+    scalar oracle ``scalar_segments_intersect``, independent of the
+    package's array predicate."""
     n = len(segs)
     if n < 2:
         return []
@@ -109,7 +111,7 @@ def _dense_hits(segs, skip_same_group=None):
     for i, j in zip(ii.tolist(), jj.tolist()):
         if skip_same_group is not None and skip_same_group[i] == skip_same_group[j]:
             continue
-        if segments_intersect(segs[i], segs[j]):
+        if scalar_segments_intersect(segs[i], segs[j]):
             hits.append((i, j))
     return hits
 
@@ -229,6 +231,20 @@ class TestSweepAgainstDenseScan:
         with pytest.raises(DegenerateGeometryError):
             _dense_hits(segs)
         assert _outcome(_sweep_hits, segs) == _outcome(_dense_hits, segs)
+
+    def test_first_degenerate_pair_in_index_order_raises(self):
+        # two overlaps: (1, 2) lies leftmost, so the sweep meets it first,
+        # but (0, 3) comes first in (i, j) order, and its message is raised
+        segs = _segments([(10.0, 10.0, 12.0, 12.0), (0.0, 0.0, 2.0, 0.0),
+                          (1.0, 0.0, 3.0, 0.0), (11.0, 11.0, 13.0, 13.0)])
+        want = ("degenerate", "collinear segments with overlapping interiors: "
+                f"{segs[0]} / {segs[3]}")
+        assert _outcome(_dense_hits, segs) == want
+        assert _outcome(_sweep_hits, segs) == want
+        # exempt by owner, the first overlap gives way to the second
+        groups = [0, 1, 2, 0]
+        assert _outcome(_sweep_hits, segs, groups) == _outcome(_dense_hits, segs, groups)
+        assert f"{segs[1]} / {segs[2]}" in _outcome(_sweep_hits, segs, groups)[1]
 
     def test_collinear_touch_and_gap(self):
         touch = _segments([(0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 3.0, 3.0)])
@@ -583,6 +599,29 @@ class TestCrossingStats:
         assert rep.payload["counts"] == [1, 2, 0]
         assert rep.payload["max"] == 2
         assert rep.payload["tail_ge_10"] == 0
+
+    def test_counts_equal_the_per_edge_loop(self):
+        # random chords, lattice chords (touching the rectangles, vertical
+        # ones running along their sides), and a chord through the bottom
+        # side of the first Rect with both ends outside it
+        rng = derived_rng(44)
+        reds = np.vstack([rng.uniform(0.0, 4.0, (150, 2)),
+                          rng.integers(0, 5, (150, 2)).astype(float), [[-1.0, 1.0]]])
+        blues = np.vstack([rng.uniform(0.0, 4.0, (150, 2)),
+                           rng.integers(0, 5, (150, 2)).astype(float) + [[0.0, 0.5]],
+                           [[5.0, 1.0]]])
+        m = Matching(reds, blues, [(i, i) for i in range(len(reds))])
+        regions = [Disk(2.0, 2.0, 1.0), Disk(1.0, 1.0, 0.5),
+                   Rect(1.0, 3.0, 1.0, 2.0), Rect(0.0, 4.0, 0.5, 1.5)]
+        segs = _matching_segments(m)
+        want = [sum(scalar_edge_crosses_region(s, r) for s in segs) for r in regions]
+        assert crossing_stats(m, regions).payload["counts"] == want
+        assert all(0 < c < len(segs) for c in want)
+
+    def test_zero_length_edge_rejected(self):
+        m = Matching(np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]), [(0, 0)])
+        with pytest.raises(ValueError):
+            crossing_stats(m, [Disk(0.0, 0.0, 1.0)])
 
 
 class TestBoxRematch:
