@@ -20,10 +20,9 @@ the walks' zero and cut-time blocks each go to it in one call per step.
 A problem with at most SMALL_MAX = 3 points on one side has few enough
 injections to score outright. ``min_cost_in_groups`` settles many such
 problems in one numpy pass per size, with the cost matrix's floats, where
-the least total beats the runner-up by more than EPS_TIE; a problem not
-settled (a near-tie, or a larger one) goes to ``assign_in_groups``, so the
-tie is broken as the solvers break it. The hierarchy's blocks take this
-path first, which skips the kernel calls of each problem it settles.
+the least total beats the runner-up by more than EPS_TIE. It is
+``assign_in_groups``' first step for the problems whose answer it provably
+gives; the rest (a near-tie, or a larger problem) reach the kernel.
 
 Of scipy, only two compiled functions are used, and ``_kernel`` loads
 them at the first solve, not when this module is imported:
@@ -358,7 +357,12 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
       two reserve points, and a problem without mandatory points has no
       pairs.
 
-    Each problem's cost matrix has its rows in golden-ratio order
+    A small problem, whose smaller side (RECTANGULAR; the reds where the
+    sides are equal) or mandatory points (SATURATING, all of one color, the
+    other color all reserve) number at most SMALL_MAX, goes first to one
+    ``min_cost_in_groups`` call, which settles it with the solvers' answer
+    unless it is a near-tie; a problem settled there reaches no kernel.
+    Each other problem's cost matrix has its rows in golden-ratio order
     (``_scattered``): the smaller side's points against the larger side's,
     the reds where the sides are equal, written by the compiled ``cdist``
     kernel, or the padded matrix of ``_pad``. The assignment routine is
@@ -392,6 +396,8 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     else:
         raise ValueError(f"unknown kind {kind!r}")
     partner = np.full(len(reds), -1, dtype=np.int64)
+    if kind != SQUARE:
+        solve[_settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner)] = False
     g = solve.nonzero()[0]
     if not len(g):
         return partner
@@ -451,6 +457,34 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     else:
         partner[r + each_row(red_start[:-1])] = q + each_row(blue_start[:-1])
     return partner
+
+
+def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
+                  ) -> np.ndarray:
+    """Offer the small problems among those to ``solve`` (see
+    ``assign_in_groups``) to one ``min_cost_in_groups`` call; write the
+    partners of those it settles and return their indices."""
+    n_r, n_b = np.diff(red_start), np.diff(blue_start)
+    if kind == RECTANGULAR:
+        fewer = n_r <= n_b
+        k_r, k_b = np.where(fewer, n_r, 0), np.where(fewer, 0, n_b)
+    else:
+        k_r, k_b = must
+    g = np.flatnonzero(solve & (np.minimum(k_r, k_b) == 0) & (k_r + k_b <= SMALL_MAX))
+    if not len(g):
+        return g
+    # both colors' points in one array, the blues after the reds; red marks
+    # the problems whose small side is red
+    pts, first_b, red = np.concatenate([reds, blues]), blue_start[g] + len(reds), k_r[g] > 0
+    small, small_start = _spans(np.where(red, red_start[g], first_b), (k_r + k_b)[g])
+    large, large_start = _spans(np.where(red, first_b, red_start[g]),
+                                np.where(red, n_b[g], n_r[g]))
+    p, settled = min_cost_in_groups(pts[small], small_start, pts[large], large_start)
+    k = np.flatnonzero(p >= 0)
+    one, other = small[k], large[p[k]]
+    is_red = one < len(reds)
+    partner[np.where(is_red, one, other)] = np.where(is_red, other, one) - len(reds)
+    return g[settled]
 
 
 def min_cost_perfect(reds, blues) -> Matching:

@@ -72,6 +72,15 @@ class Disk:
 
 Region = Union[Rect, Disk]
 
+
+def _two_columns(values, what: str, dtype=None) -> np.ndarray:
+    """``values`` as an (n, 2) array: [] is no rows, another shape a ValueError."""
+    a = np.asarray(values, dtype=dtype)
+    if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != 2):
+        raise ValueError(f"{what} must be rows of two, got an array of shape {a.shape}")
+    return a.reshape(-1, 2)
+
+
 LINE = "line"
 STRIP = "strip"
 PLANE = "plane"
@@ -81,7 +90,8 @@ PLANE = "plane"
 class Domain:
     """Sampling domain: a window on the line, the unit strip, or the plane.
 
-    The line stores y0 == y1 == 0; the strip fixes y to [0, 1).
+    The line stores y0 == y1 == 0; the strip fixes y to [0, 1). Either
+    with another y-range is a ValueError.
     """
 
     kind: str
@@ -97,6 +107,10 @@ class Domain:
             raise ValueError("empty window")
         if self.kind == PLANE and not self.y0 < self.y1:
             raise ValueError("empty window")
+        fixed = {LINE: (0.0, 0.0), STRIP: (0.0, 1.0)}.get(self.kind)
+        if fixed is not None and (self.y0, self.y1) != fixed:
+            raise ValueError(f"a {self.kind} domain has y0, y1 = {fixed}, "
+                             f"not {self.y0}, {self.y1}")
 
     @staticmethod
     def line(x0: float, x1: float) -> "Domain":

@@ -17,18 +17,12 @@ level-n blocks in children order (the children of a block are consecutive
 rows), and for each color the points stably sorted by block row, with each
 point's heir flag; each color's unit cells are found once for all levels.
 A stage then works on the whole level at once: counts, masks, excesses and
-the records' flags are grouped numpy over block rows. Each step first
-settles the level's small block problems in one ``min_cost_in_groups``
-pass: in the leftover step every block holding both colors, with its
-smaller color as the small side, and in the rematch step every block whose
-mandatory points are all of one color, against the other color's points in
-the reserve. The blocks that pass leaves (a near-tie, more than three
-points on each side, or mandatory points of both colors) go to the exact
-solves in one ``assign_in_groups`` call per step, each block's points
-gathered by index arrays, so a tie is broken as the solvers break it and no
-Python loop visits a block. Blocks of one level are disjoint, so solving
-every block's rematch step and then every block's leftover step gives the
-same partners as going block by block. A stage's new edges are read back
+the records' flags are grouped numpy over block rows. Each step solves
+every block with a problem in one ``assign_in_groups`` call, each block's
+points gathered by index arrays, so no Python loop visits a block. Blocks
+of one level are disjoint, so solving every block's rematch step and then
+every block's leftover step gives the same partners as going block by
+block. A stage's new edges are read back
 from the partner arrays: the reds unmatched after the heir unmatch that are
 matched at the end.
 
@@ -49,7 +43,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .assignment import RECTANGULAR, SATURATING, _spans, assign_in_groups, min_cost_in_groups
+from .assignment import RECTANGULAR, SATURATING, _spans, assign_in_groups
 from .geometry import Domain, Rect
 from .matching import Matching, partner_edges
 from .sampling import ColoredPointSet, derived_rng
@@ -327,12 +321,6 @@ class StageState:
         return Matching(self.ps.reds, self.ps.blues, partner_edges(self.red_partner))
 
 
-def _link(state: StageState, ri: np.ndarray, bj: np.ndarray) -> None:
-    """Make the reds ``ri`` and the blues ``bj`` partners, pair by pair."""
-    state.red_partner[ri] = bj
-    state.blue_partner[bj] = ri
-
-
 def _groups(idx: np.ndarray, start: np.ndarray, rows: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray]:
     """The members ``idx[start[k]:start[k + 1]]`` of the blocks ``rows``,
@@ -361,44 +349,13 @@ def _solve_blocks(state: StageState, kind: str, rows: np.ndarray, red_parts, blu
     the partners. A block's points of each color are its members of that
     color's parts in turn (``_gathered``); ``must`` are the SATURATING
     kind's per-block counts of mandatory reds and blues, the first part's."""
-    if not len(rows):
-        return
     ri, rs = _gathered(red_parts, rows)
     bi, bs = _gathered(blue_parts, rows)
     partner = assign_in_groups(kind, state.ps.reds[ri], rs, state.ps.blues[bi], bs,
                                *(m[rows] for m in must))
     k = np.flatnonzero(partner >= 0)
-    _link(state, ri[k], bi[partner[k]])
-
-
-def _joined(starts: List[np.ndarray]) -> np.ndarray:
-    """Offsets of several grouped index arrays laid end to end."""
-    shift = np.cumsum([0] + [s[-1] for s in starts[:-1]])
-    return np.concatenate([[0]] + [s[1:] + d for s, d in zip(starts, shift)])
-
-
-def _settle(state: StageState, *problems) -> np.ndarray:
-    """Settle the blocks' small problems in one ``min_cost_in_groups`` pass
-    and link the partners it settles. A problem is (rows, small, large, red):
-    in each block of ``rows``, the points of the small side, red if ``red``,
-    are to take distinct points of the large side, both sides given as
-    indices grouped by block with offsets. Returns the rows of the blocks
-    settled; the rest are left to the solvers."""
-    pts = {True: state.ps.reds, False: state.ps.blues}
-    small = [_groups(*side, rows) for rows, side, _, _ in problems]
-    large = [_groups(*side, rows) for rows, _, side, _ in problems]
-    colors = [red for *_, red in problems]
-    partner, settled = min_cost_in_groups(
-        np.concatenate([pts[red][si] for (si, _), red in zip(small, colors)]),
-        _joined([ss for _, ss in small]),
-        np.concatenate([pts[not red][li] for (li, _), red in zip(large, colors)]),
-        _joined([ls for _, ls in large]))
-    k = np.flatnonzero(partner >= 0)
-    one = np.concatenate([si for si, _ in small])[k]
-    other = np.concatenate([li for li, _ in large])[partner[k]]
-    red = np.repeat(colors, [len(si) for si, _ in small])[k]
-    _link(state, np.where(red, one, other), np.where(red, other, one))
-    return np.concatenate([rows for rows, *_ in problems])[settled]
+    ri, bj = ri[k], bi[partner[k]]
+    state.red_partner[ri], state.blue_partner[bj] = bj, ri
 
 
 def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
@@ -419,15 +376,10 @@ def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
 
 def _match_leftovers(state: StageState, lv: LevelTable) -> None:
     """In every block of the level, min-length matching of maximum cardinality
-    among its unmatched points. The blocks whose smaller color has at most
-    three points are settled in one grouped pass first."""
+    among its unmatched points."""
     r, rs = lv.red.select(state.red_partner < 0)
     b, bs = lv.blue.select(state.blue_partner < 0)
-    n_r, n_b = np.diff(rs), np.diff(bs)
-    solve = (n_r > 0) & (n_b > 0)
-    fewer = n_r <= n_b
-    solve[_settle(state, (np.flatnonzero(solve & fewer), (r, rs), (b, bs), True),
-                  (np.flatnonzero(solve & ~fewer), (b, bs), (r, rs), False))] = False
+    solve = (np.diff(rs) > 0) & (np.diff(bs) > 0)
     _solve_blocks(state, RECTANGULAR, np.flatnonzero(solve), [(r, rs)], [(b, bs)])
 
 
@@ -480,9 +432,7 @@ def run_stage(state: StageState, n: int) -> StageState:
 
     open_reds = state.red_partner < 0
 
-    # (ii) match everything unmatched in A \ B into (A \ B) u C; where all
-    # such points are of one color, the grouped pass settles the small ones
-    # against the other color's points in C
+    # (ii) match everything unmatched in A \ B into (A \ B) u C
     r1, r1s = lv.red.select(open_reds & ~r_heir)
     b1, b1s = lv.blue.select((state.blue_partner < 0) & ~b_heir)
     r2, r2s = lv.red.select(r_heir & r_below if n > 2 else r_heir)
@@ -490,11 +440,8 @@ def run_stage(state: StageState, n: int) -> StageState:
     n_r1, n_b1 = np.diff(r1s), np.diff(b1s)
     excess = n_r1 - n_b1
     feasible = np.where(excess >= 0, excess <= np.diff(b2s), -excess <= np.diff(r2s))
-    solve = feasible & (n_r1 + n_b1 > 0)
-    solve[_settle(state, (np.flatnonzero(solve & (n_b1 == 0)), (r1, r1s), (b2, b2s), True),
-                  (np.flatnonzero(solve & (n_r1 == 0)), (b1, b1s), (r2, r2s), False))] = False
-    _solve_blocks(state, SATURATING, np.flatnonzero(solve), [(r1, r1s), (r2, r2s)],
-                  [(b1, b1s), (b2, b2s)], n_r1, n_b1)
+    _solve_blocks(state, SATURATING, np.flatnonzero(feasible & (n_r1 + n_b1 > 0)),
+                  [(r1, r1s), (r2, r2s)], [(b1, b1s), (b2, b2s)], n_r1, n_b1)
 
     # (iii) match as many of the remaining unmatched points in A as possible
     _match_leftovers(state, lv)

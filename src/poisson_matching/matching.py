@@ -11,9 +11,12 @@ returns. This module loads no scipy.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Tuple
 
 import numpy as np
+
+from .geometry import _two_columns
 
 FORMAT_VERSION = 1
 
@@ -29,9 +32,8 @@ class Matching:
     ``edges`` may be a list of (i, j) index pairs or an (E, 2) integer array.
     The matching keeps its validated edges as one read-only (E, 2) int64
     array, which the lengths, the endpoint arrays, the JSON writer and the
-    unmatched lists read. ``edges`` reads as a list of (i, j) tuples in the
-    given order: the list passed, or one of plain ints built from the array
-    at its first read. The edges are fixed once the matching is built.
+    unmatched lists read, and ``edges`` reads as a list of plain-int (i, j)
+    tuples in the given order, built from it at its first read.
 
     ``kind``, ``unmatched_reds`` and ``unmatched_blues`` follow from the
     edges; none is stored. Two-color: the unmatched points of each color are
@@ -47,12 +49,11 @@ class Matching:
         self.color_mode = color_mode
         self.reds = np.asarray(reds, dtype=float).reshape(-1, 2)
         self.blues = np.asarray(blues, dtype=float).reshape(-1, 2)
-        self._edges = None if isinstance(edges, np.ndarray) else edges
         self._e = self._validated(edges)
 
     def _validated(self, edges) -> np.ndarray:
         """The edges as a fresh read-only int64 array, after the checks."""
-        e = np.asarray(edges).reshape(len(edges), 2)
+        e = _two_columns(edges, "edges")
         if len(e) and e.dtype.kind not in "iu":
             raise ValueError("edge indices must be integers")
         e = e.astype(np.int64)  # a copy, so the caller's array is not shared
@@ -77,11 +78,9 @@ class Matching:
         e.flags.writeable = False
         return e
 
-    @property
+    @functools.cached_property
     def edges(self) -> List[Tuple[int, int]]:
-        if self._edges is None:
-            self._edges = list(zip(*self._e.T.tolist()))
-        return self._edges
+        return list(zip(*self._e.T.tolist()))
 
     @property
     def _partners(self) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, LINE, STRIP
+from .geometry import Domain, LINE, STRIP, _two_columns
 
 FORMAT_VERSION = 1
 
@@ -77,8 +77,8 @@ class ColoredPointSet:
     def from_json(d: dict) -> "ColoredPointSet":
         return ColoredPointSet(
             domain=Domain.from_json(d["domain"]),
-            reds=np.asarray(d["reds"], dtype=float).reshape(-1, 2),
-            blues=np.asarray(d["blues"], dtype=float).reshape(-1, 2),
+            reds=d["reds"],
+            blues=d["blues"],
             seed=d["seed"],
         )
 
@@ -96,7 +96,7 @@ def canonical_order(pts: np.ndarray) -> np.ndarray:
 
 
 def _canonical(pts) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    pts = _two_columns(pts, "points", float)
     return pts[canonical_order(pts)]
 
 

@@ -27,6 +27,10 @@ from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng
 from poisson_matching.verify import box_rematch_experiment, check_planarity
 from poisson_matching.walks import (cut_time_matching, excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs, zero_block_matching)
+# the single-problem solves through the public scipy functions: what the
+# kernel gives a problem, the oracle for the small-problem pass
+from test_hierarchy import min_cost_pairs as kernel_pairs
+from test_hierarchy import min_cost_saturating as kernel_saturating
 
 SQUARE_REDS = np.array([[0.0, 0.0], [1.0, 0.0]])
 SQUARE_BLUES = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -784,10 +788,10 @@ class TestNearestInGroups:
                 assert partner[g] == -1
                 continue
             j = int(partner[g] - start[g])
-            assert min_cost_pairs([src], group) == [(0, j)]
-            assert min_cost_pairs(group, [src]) == [(j, 0)]
-            assert min_cost_saturating([src], none, extra, group) == [(0, j)]
-            assert min_cost_saturating(none, [src], group, extra) == [(j, 0)]
+            assert kernel_pairs([src], group) == [(0, j)]
+            assert kernel_pairs(group, [src]) == [(j, 0)]
+            assert kernel_saturating([src], none, extra, group) == [(0, j)]
+            assert kernel_saturating(none, [src], group, extra) == [(j, 0)]
         assert (~settled).any() == lattice, (~settled).sum()
 
     def test_single_target_and_no_group(self):
@@ -865,10 +869,10 @@ class TestMinCostInGroups:
             got = (partner[ss[g]:ss[g + 1]] - ls[g]).tolist()
             assert got == list(totals[0][1])
             want_pairs = list(enumerate(got))
-            assert min_cost_pairs(S, L) == want_pairs
-            assert min_cost_pairs(L, S) == sorted((j, i) for i, j in want_pairs)
-            assert min_cost_saturating(S, none, extra, L) == want_pairs
-            assert min_cost_saturating(none, S, L, extra) == sorted((j, i) for i, j in want_pairs)
+            assert kernel_pairs(S, L) == want_pairs
+            assert kernel_pairs(L, S) == sorted((j, i) for i, j in want_pairs)
+            assert kernel_saturating(S, none, extra, L) == want_pairs
+            assert kernel_saturating(none, S, L, extra) == sorted((j, i) for i, j in want_pairs)
             if len(S) == len(L):
                 # min_cost_partners' tie pass rounds its sum otherwise, so it
                 # agrees only where the gap is clear of EPS_TIE, as here
@@ -904,7 +908,7 @@ class TestMinCostInGroups:
             assert (partner - np.repeat(ls[:-1], np.diff(ss))).tolist() == [0, 0, 1, 0, 1, 2]
             for g, (S, L) in enumerate(groups):
                 want = list(enumerate((partner[ss[g]:ss[g + 1]] - ls[g]).tolist()))
-                assert min_cost_pairs(S, L) == want
+                assert kernel_pairs(S, L) == want
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_batches_change_nothing(self, block, monkeypatch):
@@ -932,7 +936,7 @@ class TestMinCostInGroups:
             S, L = rng.uniform(0, 50, (s, 2)), rng.uniform(0, 50, (400, 2))
             partner, settled = min_cost_in_groups(S, [0, s], L, [0, 400])
             assert settled.tolist() == [True]
-            assert min_cost_pairs(S, L) == list(enumerate(partner.tolist()))
+            assert kernel_pairs(S, L) == list(enumerate(partner.tolist()))
 
 
 class TestFromEdges:
@@ -1029,6 +1033,27 @@ def test_array_edges_read_back_as_int_tuples():
     assert all(type(i) is int and type(j) is int for i, j in m.edges)
     assert m.kind == "perfect"
     assert Matching(SQUARE_REDS, SQUARE_BLUES, np.empty((0, 2), dtype=np.int64)).edges == []
+
+
+def test_list_edges_read_back_as_own_int_tuples():
+    # the matching keeps no alias of the caller's list: a later append
+    # changes none of its views, and the pairs come back as plain-int tuples
+    e = [[0, 1]]
+    m = Matching(SQUARE_REDS, SQUARE_BLUES, e)
+    e.append([1, 0])
+    assert m.edges == [(0, 1)]
+    assert m.kind == "partial" and m.unmatched_reds == [1] and m.to_json()["edges"] == [[0, 1]]
+    m = Matching(SQUARE_REDS, SQUARE_BLUES, [(np.int64(1), np.int32(0))])
+    assert m.edges == [(1, 0)]
+    assert all(type(i) is int and type(j) is int for i, j in m.edges)
+    assert Matching(SQUARE_REDS, SQUARE_BLUES, []).edges == []
+
+
+@pytest.mark.parametrize("edges", [[[[0, 0]]], [0, 0], [[]], [[0, 0, 0]]],
+                         ids=["nested", "flat", "empty_row", "three_wide"])
+def test_edges_of_another_shape_rejected(edges):
+    with pytest.raises(ValueError, match="edges must be"):
+        Matching(SQUARE_REDS, SQUARE_BLUES, edges)
 
 
 def test_one_color_edges_range_over_reds():

@@ -339,6 +339,21 @@ BAD_INPUTS = {
         {"edge": [0, 0], "lowest": 0.5, "depth": 1, "vertices": ARC_VERTICES}]})),
     "three_vertex_arc_render": (RENDER, THREE_VERTEX_ARC),
     "nan_vertex_render": (RENDER, NAN_VERTEX_ARC),
+    # points, edges and y-ranges of the wrong shape; each of these used to
+    # be read as something else and exit 0
+    "reds_one_flat_row": (["match", "--construction", "excursion", "--out", os.devnull,
+                           "--in"], json.dumps({**ONE_EDGE_RESULT["points"], "reds": [
+                               [0.1, 0.5, 0.3, 0.5, 0.5, 0.5, 0.7, 0.5, 0.9, 0.5]]})),
+    "reds_flat_list": (STATS_ETA, json.dumps({**ONE_EDGE_RESULT, "points": {
+        **ONE_EDGE_RESULT["points"], "reds": [0.0, 0.5]}})),
+    "edges_nested_too_deep": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
+        **ONE_EDGE_RESULT["matching"], "edges": [[[0, 0]]]}})),
+    "strip_y1_not_1": (STATS_ETA, json.dumps({**ONE_EDGE_RESULT, "points": {
+        **ONE_EDGE_RESULT["points"], "domain": {
+            "kind": "strip", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 7.0}}})),
+    "line_y1_not_0": (STATS_ETA, json.dumps({**json.loads(LINE_RESULT), "points": {
+        **json.loads(LINE_RESULT)["points"], "domain": {
+            "kind": "line", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 1.0}}})),
     # the walk counts a red left of the window, the zero blocks do not
     "zero_block_point_left_of_window": (
         ["match", "--construction", "zero_block", "--out", os.devnull, "--in"],
@@ -628,7 +643,9 @@ def _loaded_after(code, *argv):
 @pytest.fixture(scope="module")
 def cold_inputs(pinned_inputs, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cold")
-    # a red excess gives the cut-time construction blocks to solve
+    # a red excess gives the cut-time construction blocks to solve, some
+    # with more than three blues, which the small-problem pass leaves to
+    # the kernel
     red_strip = tmp / "red_strip.json"
     res = invoke(CliRunner(), "sample", "--seed", "7", "--window", "0,30",
                  "--lambda-red", "2", "--out", str(red_strip))

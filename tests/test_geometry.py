@@ -413,3 +413,14 @@ class TestDomain:
     def test_json_round_trip(self):
         d = Domain.plane(0, 24, 0, 6)
         assert Domain.from_json(d.to_json()) == d
+
+    @pytest.mark.parametrize("kind,y0,y1", [("strip", 0.0, 7.0), ("strip", 1.0, 2.0),
+                                            ("strip", 0.0, float("nan")),
+                                            ("line", 0.0, 1.0), ("line", -1.0, 0.0)])
+    def test_fixed_y_range_required(self, kind, y0, y1):
+        # a strip's area is its length and a line's y is 0: a file with
+        # another y-range would scale the eta estimate or move the points
+        d = (Domain.strip if kind == "strip" else Domain.line)(0, 5).to_json()
+        assert Domain.from_json(d).kind == kind
+        with pytest.raises(ValueError, match=f"a {kind} domain has y0, y1"):
+            Domain.from_json({**d, "y0": y0, "y1": y1})

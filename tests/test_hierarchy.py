@@ -825,50 +825,55 @@ def test_hierarchy_solves_saturating_only_with_mandatory_points(monkeypatch):
     assert sizes and all(nr + nb > 0 for nr, nb in sizes)
 
 
-def _tied(small, large):
-    """Whether the problem of matching each of ``small`` to a distinct one of
-    ``large`` has a runner-up within EPS_TIE of its least total, by
-    enumerating every injection over scipy's ``cdist`` entries."""
-    cost = cdist(np.asarray(small, float).reshape(-1, 2), np.asarray(large, float).reshape(-1, 2))
+def _tied(cost):
+    """Whether the problem of matching each row of ``cost`` to a distinct
+    column has a runner-up within EPS_TIE of its least total, by enumerating
+    every injection; a total is the sum of its entries in row order."""
     totals = sorted(sum(cost[i, j] for i, j in enumerate(perm))
                     for perm in itertools.permutations(range(cost.shape[1]), len(cost)))
     return len(totals) > 1 and totals[1] - totals[0] <= EPS_TIE
 
 
 def _record_small_solves(monkeypatch):
-    """Wrap the hierarchy's two grouped routines: the exact solves and the
-    small-problem pass. Returns two lists: per problem handed to the exact
-    solves, each of which reaches the assignment kernel, (solver name,
-    points on the small side, whether that problem is tied), where the
-    small side of a saturating problem is its mandatory points when they are
-    all of one color and None otherwise, and tied is None above SMALL_MAX;
-    and the small-side size of every group the small-problem pass settles."""
-    calls, settled = [], []
+    """Watch the assignment layer at the kernel boundary while the hierarchy
+    runs. Returns two lists: per problem that reaches the assignment kernel
+    (``assignment._assign``), (solver name, points on the small side,
+    whether that problem is tied), where the small side of a saturating
+    problem is its mandatory points when they are all of one color and None
+    otherwise, and tied is None above SMALL_MAX; and the small-side size of
+    every group the small-problem pass (``assignment.min_cost_in_groups``)
+    settles. A saturating problem is known by its padded matrix
+    (``assignment._pad``); a rectangular one's matrix holds the cost rows of
+    its small side in golden-ratio order."""
+    calls, settled, padded = [], [], []
+    kernel, pad, settle = assignment._assign, assignment._pad, assignment.min_cost_in_groups
 
-    def record(name, small, large):
-        size = len(small) if small is not None else None
-        tied = _tied(small, large) if size is not None and size <= SMALL_MAX else None
-        calls.append((name, size, tied))
+    def record(name, cost):
+        size = len(cost) if cost is not None else None
+        calls.append((name, size, _tied(cost) if size is not None and size <= SMALL_MAX
+                      else None))
 
-    def solves(kind, reds, red_start, blues, blue_start, *must):
-        for g in range(len(red_start) - 1):
-            r = reds[red_start[g]:red_start[g + 1]]
-            b = blues[blue_start[g]:blue_start[g + 1]]
-            if kind == RECTANGULAR:
-                record("pairs", *((r, b) if len(r) <= len(b) else (b, r)))
-            else:
-                mr, mb = (int(m[g]) for m in must)
-                one_sided = (r[:mr], b[mb:]) if not mb else (b[:mb], r[mr:])
-                record("saturating", *(one_sided if not (mr and mb) else (None, None)))
-        return assign_in_groups(kind, reds, red_start, blues, blue_start, *must)
+    def padding(cost, reds, blues, must_r, must_b):
+        pad(cost, reds, blues, must_r, must_b)
+        padded.append((cost, reds, blues, must_r, must_b))
 
-    def grouped(small, small_start, large, large_start):
-        partner, ok = min_cost_in_groups(small, small_start, large, large_start)
+    def solving(cost):
+        if padded and padded[-1][0] is cost:
+            _, reds, blues, mr, mb = padded.pop()
+            one_sided = (reds[:mr], blues) if not mb else (blues[:mb], reds)
+            record("saturating", cdist(*one_sided) if not (mr and mb) else None)
+        else:  # problem row i is row at[i] of the matrix
+            record("pairs", cost[np.argsort(_golden_order(len(cost)), kind="stable")])
+        return kernel(cost)
+
+    def settling(small, small_start, large, large_start):
+        partner, ok = settle(small, small_start, large, large_start)
         settled.extend(np.diff(small_start)[ok].tolist())
         return partner, ok
 
-    monkeypatch.setattr(hierarchy, "assign_in_groups", solves)
-    monkeypatch.setattr(hierarchy, "min_cost_in_groups", grouped)
+    monkeypatch.setattr(assignment, "_assign", solving)
+    monkeypatch.setattr(assignment, "_pad", padding)
+    monkeypatch.setattr(assignment, "min_cost_in_groups", settling)
     return calls, settled
 
 
@@ -921,10 +926,11 @@ def test_tied_small_blocks_fall_back_to_the_solvers(monkeypatch, system):
 # assign_in_groups must give every problem the partners, and the assignment
 # kernel the cost matrix, bit for bit, of the single-problem solves above.
 
-def _one_by_one(kind, reds, red_start, blues, blue_start, must=()):
-    """assign_in_groups' partner array, problem by problem."""
+def _one_by_one(kind, reds, red_start, blues, blue_start, must=(), skip=()):
+    """assign_in_groups' partner array, problem by problem; the problems
+    ``skip`` are left unmatched."""
     partner = np.full(len(reds), -1, dtype=np.int64)
-    for g in range(len(red_start) - 1):
+    for g in sorted(set(range(len(red_start) - 1)) - set(skip)):
         a, b = red_start[g], blue_start[g]
         r, bl = reds[a:red_start[g + 1]], blues[b:blue_start[g + 1]]
         if kind == SQUARE:
@@ -963,27 +969,73 @@ def _must(rng, red_start, blue_start):
     return mr, mb
 
 
+def _small_problems(kind, reds, red_start, blues, blue_start, must=()):
+    """The problems the small-problem pass may settle, ascending, and per
+    problem its small side's points and the other side's: a rectangular
+    problem's smaller side (its reds where the sides are equal) against the
+    other, or a saturating problem's mandatory points, all of one color,
+    against every point of the other color."""
+    problems, small, large = [], [], []
+    for g in range(len(red_start) - 1):
+        r, b = reds[red_start[g]:red_start[g + 1]], blues[blue_start[g]:blue_start[g + 1]]
+        if kind == RECTANGULAR:
+            sides = (r, b) if len(r) <= len(b) else (b, r)
+        elif kind == SATURATING and not (must[0][g] and must[1][g]):
+            mr, mb = must[0][g], must[1][g]
+            sides = (r[:mr], b) if mr else (b[:mb], r)
+        else:
+            continue
+        if 0 < len(sides[0]) <= SMALL_MAX:
+            problems.append(g)
+            small.append(sides[0])
+            large.append(sides[1])
+    return problems, small, large
+
+
 def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=()):
-    """Partners and kernel inputs of assign_in_groups equal the single
-    solves'; returns the kernel inputs."""
+    """Partners of assign_in_groups equal the single solves' for every
+    problem, and the kernel inputs equal theirs for the problems the
+    small-problem pass leaves. The pass, recorded at
+    ``assignment.min_cost_in_groups``, must be offered exactly the small
+    problems, in one call. Returns the kernel inputs and the problems the
+    pass settled."""
     def recorder(seen, solve):
         def recording(cost):
             seen.append(np.array(cost))
             return solve(cost)
         return recording
 
+    offered = []
+
+    def settling(small, small_start, large, large_start):
+        partner, settled = min_cost_in_groups(small, small_start, large, large_start)
+        offered.append((small, small_start, large, large_start, settled))
+        return partner, settled
+
     got_inputs, want_inputs = [], []
     monkeypatch.setattr(assignment, "_assign", recorder(got_inputs, assignment._assign))
+    monkeypatch.setattr(assignment, "min_cost_in_groups", settling)
     got = assign_in_groups(kind, reds, red_start, blues, blue_start, *must)
+    monkeypatch.undo()
+    assert np.array_equal(got, _one_by_one(kind, reds, red_start, blues, blue_start, must))
+    problems, small, large = _small_problems(kind, reds, red_start, blues, blue_start, must)
+    assert len(offered) == (len(problems) > 0)
+    settled = []
+    if offered:
+        small_pts, small_start, large_pts, large_start, ok = offered[0]
+        assert np.array_equal(small_pts, np.concatenate(small))
+        assert np.array_equal(large_pts, np.concatenate(large))
+        assert np.diff(small_start).tolist() == [len(x) for x in small]
+        assert np.diff(large_start).tolist() == [len(x) for x in large]
+        settled = np.array(problems)[ok].tolist()
     monkeypatch.setattr(sys.modules[__name__], "linear_sum_assignment",
                         recorder(want_inputs, linear_sum_assignment))
-    want = _one_by_one(kind, reds, red_start, blues, blue_start, must)
+    _one_by_one(kind, reds, red_start, blues, blue_start, must, skip=settled)
     monkeypatch.undo()
-    assert np.array_equal(got, want)
     assert len(got_inputs) == len(want_inputs)
     for a, b in zip(got_inputs, want_inputs):
         assert a.shape == b.shape and np.array_equal(a, b)
-    return got_inputs
+    return got_inputs, settled
 
 
 def _sizes(rng, kind, groups, largest=12):
@@ -1002,7 +1054,16 @@ class TestAssignInGroups:
                    "mixed": (rng.random(80) < 0.5).tolist()}[points]
         reds, rs, blues, bs = _batch(rng, sizes, lattice)
         must = _must(rng, rs, bs) if kind == SATURATING else ()
-        assert len(_check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)) > 40
+        inputs, settled = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
+        assert len(inputs) + len(settled) > 40
+        offered = _small_problems(kind, reds, rs, blues, bs, must)[0]
+        if kind == SQUARE:
+            assert not offered
+        else:
+            # reals have no near-ties, so the pass settles every small
+            # problem; the lattice's ties leave some to the kernel
+            assert len(settled) > 10
+            assert (len(settled) == len(offered)) == (points == "random")
 
     def test_tied_group_between_untied_ones(self, monkeypatch):
         # the middle group's two matchings both have length 2; only it goes
@@ -1029,15 +1090,19 @@ class TestAssignInGroups:
         rng = derived_rng(163)
         sizes = [(3, 0), (4, 5), (0, 2), (0, 0), (2, 2)]
         reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
-        assert len(_check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)) == 2
+        # the two-point problem is the pass's, the other reaches the kernel
+        inputs, settled = _check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)
+        assert len(inputs) == 1 and settled == [4]
         # square problems with no points, saturating ones with no mandatory
         # point: no pairs and no kernel call
         square = [(0, 0), (3, 3), (0, 0)]
         reds, rs, blues, bs = _batch(rng, square, [False] * 3)
-        assert len(_check_grouped(monkeypatch, SQUARE, reds, rs, blues, bs)) == 1
+        inputs, settled = _check_grouped(monkeypatch, SQUARE, reds, rs, blues, bs)
+        assert len(inputs) == 1 and settled == []
         reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
         must = (np.array([0, 2, 0, 0, 0]), np.array([0, 1, 0, 0, 0]))
-        assert len(_check_grouped(monkeypatch, SATURATING, reds, rs, blues, bs, must)) == 1
+        inputs, settled = _check_grouped(monkeypatch, SATURATING, reds, rs, blues, bs, must)
+        assert len(inputs) == 1 and settled == []
         got = assign_in_groups(SATURATING, reds, rs, blues, bs, *must)
         assert (got[:3] == -1).all() and (got[7:] == -1).all()
 
@@ -1066,7 +1131,7 @@ class TestAssignInGroups:
             if kind == SATURATING:
                 must[0][7] = 5
             monkeypatch.setattr(assignment, "GROUP_ENTRIES", bound)
-            inputs = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
+            inputs, _ = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
             assert max(c.size for c in inputs) > GROUP_ENTRIES
 
     def test_rejects_what_the_single_solves_reject(self):

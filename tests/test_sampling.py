@@ -69,6 +69,18 @@ def test_duplicates_rejected_as_in_a_set_of_tuples(reds, blues):
         ColoredPointSet(Domain.strip(-1, 10), reds=reds, blues=blues, seed=0)
 
 
+@pytest.mark.parametrize("reds", [[[0.1, 0.5, 0.3, 0.5]], [0.1, 0.5], [[[0.1, 0.5]]],
+                                  [[0.1, 0.5, 0.3]]],
+                         ids=["one_wide_row", "flat", "nested", "three_wide"])
+def test_points_of_another_shape_rejected(reds):
+    d = ColoredPointSet(Domain.strip(0, 10), [], [[1.0, 0.5]]).to_json()
+    assert ColoredPointSet.from_json(d).n_red == 0  # an empty list is no points
+    with pytest.raises(ValueError, match="points must be rows of two"):
+        ColoredPointSet.from_json({**d, "reds": reds})
+    with pytest.raises(ValueError, match="points must be rows of two"):
+        ColoredPointSet(Domain.strip(0, 10), reds, [])
+
+
 def test_near_duplicates_accepted():
     x = 1.0
     ps = ColoredPointSet(Domain.strip(0, 10), reds=[[x, 0.5], [np.nextafter(x, 2), 0.5]],

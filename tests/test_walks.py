@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from poisson_matching.assignment import max_cardinality_min_cost, min_cost_perfect
+from poisson_matching import assignment
+from poisson_matching.assignment import SMALL_MAX, max_cardinality_min_cost, min_cost_perfect
 from poisson_matching.geometry import Domain, Rect
 from poisson_matching.matching import Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
@@ -18,6 +19,7 @@ from poisson_matching.walks import (ArcSpec, ArcTable, StepWalk, WalkInvariantEr
                                     minimality_certificate_d1,
                                     one_color_pairing, polygonal_arcs,
                                     zero_block_matching)
+from test_hierarchy import min_cost_pairs as kernel_pairs
 
 
 def strip_ps(red_xs, blue_xs, length=10.0, heights=0.5):
@@ -232,6 +234,29 @@ def test_block_edges_equal_per_block_matchings(construction, old, lam_red):
             rc, bc = walks._interval_cuts(ps, cut_times(build_walk(ps)))
             empty += int((np.diff(bc) == 0).sum())
     assert construction is zero_block_matching or empty >= 10  # blue-free blocks met
+
+
+def test_cut_time_small_blocks_skip_the_kernel(monkeypatch):
+    # the cut blocks with one to three blues are the small-problem pass's:
+    # only the larger ones reach the assignment kernel, each with its blues
+    # as the rows, and the edges are the per-block solves through the public
+    # scipy functions
+    rows, kernel = [], assignment._assign
+    monkeypatch.setattr(assignment, "_assign", lambda cost: rows.append(len(cost)) or kernel(cost))
+    small = []
+    for seed in range(10):
+        ps = sample(SampleConfig(1.2, 1.0, Domain.strip(0, 300), seed=seed))
+        rows.clear()
+        got = cut_time_matching(ps)
+        rc, bc = walks._interval_cuts(ps, cut_times(build_walk(ps)))
+        blues = np.diff(bc)
+        assert sorted(rows) == sorted(blues[blues > SMALL_MAX].tolist())
+        small += blues[(blues > 0) & (blues <= SMALL_MAX)].tolist()
+        want = sorted((int(r0 + i), int(b0 + j))
+                      for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:])
+                      for i, j in kernel_pairs(ps.reds[r0:r1], ps.blues[b0:b1]))
+        assert got.edges == want
+    assert len(small) >= 10 and set(small) == set(range(1, SMALL_MAX + 1))
 
 
 class TestExcursionMatching:
