@@ -1,28 +1,29 @@
 """Exact min-cost bipartite matchings on finite point sets.
 
-Every solve in the package goes through this module: the Euclidean cost
-matrix (the compiled kernel of scipy's ``cdist``), scipy's
-shortest-augmenting-path assignment routine, and the padding for reserve
-pools. The factorial brute-force enumerator is kept fully independent as the
-oracle.
-
-``assign_in_groups`` is the one exact-solve entry point. It takes many
-independent problems of one kind at once, as points laid end to end with
-offsets: SQUARE (perfect, with the tie pass), RECTANGULAR (the smaller side
-fully matched) and SATURATING (mandatory points and reserve pools). Their
-cost matrices share one buffer, written by the ``cdist`` kernel, and the
-assignment routine is called once per problem, so the Python around each
-problem is a few slices and two kernel calls; the partners come back as
-one array. ``min_cost_perfect`` and ``max_cardinality_min_cost`` are
-one-problem calls of it. The hierarchy's blocks, the box-rematch cells and
-the walks' zero and cut-time blocks each go to it in one call per step.
+Every solve in the package goes through this module, and within it through
+one door, ``assign_in_groups``: it alone scores an assignment problem or
+calls a scipy kernel. It takes many independent problems of one kind at
+once, as points laid end to end with offsets: SQUARE (perfect, with the tie
+pass), RECTANGULAR (the smaller side fully matched) and SATURATING
+(mandatory points and reserve pools). Their cost matrices share one buffer,
+written by the ``cdist`` kernel, and the assignment routine is called once
+per problem, so the Python around each problem is a few slices and two
+kernel calls; the partners come back as one array. ``min_cost_perfect`` and
+``max_cardinality_min_cost`` are one-problem calls of it. The hierarchy's
+blocks, the box-rematch cells and the walks' zero and cut-time blocks each
+go to it in one call per step.
 
 A problem with at most SMALL_MAX = 3 points on one side has few enough
-injections to score outright. ``min_cost_in_groups`` settles many such
-problems in one numpy pass per size, with the cost matrix's floats, where
-the least total beats the runner-up by more than EPS_TIE. It is
-``assign_in_groups``' first step for the problems whose answer it provably
-gives; the rest (a near-tie, or a larger problem) reach the kernel.
+injections to score outright. ``assign_in_groups``' first step, its
+small-problem pass (``_settle_small``), settles the RECTANGULAR and
+SATURATING problems of that size in one numpy pass per size, with the cost
+matrix's floats, where the least total beats the runner-up by more than
+EPS_TIE; the rest (a near-tie, or a larger problem) reach the kernel.
+
+The brute-force enumerator ``brute_force_min``, kept as the oracle, and the
+2-swap probe ``improvable_pair`` solve nothing: they take their distances
+from ``_pair_distances``, in numpy, equal to the kernel's bit for bit, so
+they stay independent of the kernel loader and load no scipy.
 
 Of scipy, only two compiled functions are used, and ``_kernel`` loads
 them at the first solve, not when this module is imported:
@@ -39,7 +40,7 @@ output bytes are the same. Where a scipy lays its modules out otherwise (a
 module missing, not compiled, or without the function), ``_kernel`` falls
 back to ``scipy.optimize.linear_sum_assignment`` and
 ``scipy.spatial.distance.cdist``. Sampling, the walk constructions, the arc
-verifiers and rendering never load scipy at all.
+verifiers, the oracle and rendering never load scipy at all.
 
 Cost ties (within EPS_TIE) are broken differently by the two solvers. The
 oracle returns the edge list that is lexicographically earliest in point
@@ -85,8 +86,8 @@ EPS_TIE = 1e-9
 BRUTE_FORCE_MAX = 9
 BIG = 1e15  # forbidden-cell cost in padded assignment problems
 ROW_BLOCK = 64  # rows per block of the pair scans; bounds their temporaries
-SMALL_MAX = 3  # largest small side that min_cost_in_groups settles
-PAIR_BLOCK = 4096  # point pairs per batch of min_cost_in_groups
+SMALL_MAX = 3  # largest small side the small-problem pass settles
+PAIR_BLOCK = 4096  # point pairs per batch of the small-problem pass
 GROUP_ENTRIES = 1 << 14  # cost entries in the buffer assign_in_groups shares
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -138,16 +139,14 @@ def _kernel(key: str):
     return function
 
 
-def _cost_matrix(reds: np.ndarray, blues: np.ndarray) -> np.ndarray:
-    return _kernel("cdist")(reds, blues)
-
-
 def _pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distance from each p[k] to q[k]: the float ``cdist`` gives for the
-    pair, bit for bit, as both sum the squared differences in coordinate
-    order and take the root (``np.hypot`` rounds differently)."""
+    """Distance from each point of ``p`` to the point of ``q`` it meets when
+    the two (..., 2) arrays broadcast, so ``p[:, None]`` against ``q`` gives
+    the whole cost matrix: the float ``cdist`` gives for the pair, bit for
+    bit, as both sum the squared differences in coordinate order and take
+    the root (``np.hypot`` rounds differently)."""
     d = q - p
-    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
 
 
 @functools.lru_cache(maxsize=128)  # the hierarchy solves thousands of tiny problems
@@ -316,9 +315,10 @@ def _pad(cost: np.ndarray, reds: np.ndarray, blues: np.ndarray,
     nr, nb = len(reds), len(blues)
     at = _scattered_at(len(cost))
     cost.fill(0.0)
+    distances = _kernel("cdist")
     for r0 in range(0, nr, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, nr)
-        cost[at[r0:r1], :nb] = _cost_matrix(reds[r0:r1], blues)
+        cost[at[r0:r1], :nb] = distances(reds[r0:r1], blues)
     cost[at[must_r:nr], must_b:nb] = 0.0  # reserve-reserve: both unused
     cost[at[:must_r], nb:] = BIG   # mandatory reds cannot go unmatched
     cost[at[nr:], :must_b] = BIG   # mandatory blues cannot go unmatched
@@ -357,11 +357,10 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
       two reserve points, and a problem without mandatory points has no
       pairs.
 
-    A small problem, whose smaller side (RECTANGULAR; the reds where the
-    sides are equal) or mandatory points (SATURATING, all of one color, the
-    other color all reserve) number at most SMALL_MAX, goes first to one
-    ``min_cost_in_groups`` call, which settles it with the solvers' answer
-    unless it is a near-tie; a problem settled there reaches no kernel.
+    A RECTANGULAR or SATURATING problem with at most SMALL_MAX points on its
+    small side goes first to the small-problem pass (``_settle_small``),
+    which settles it with the solvers' answer unless it is a near-tie; a
+    problem settled there reaches no kernel.
     Each other problem's cost matrix has its rows in golden-ratio order
     (``_scattered``): the smaller side's points against the larger side's,
     the reds where the sides are equal, written by the compiled ``cdist``
@@ -461,9 +460,34 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
 
 def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
                   ) -> np.ndarray:
-    """Offer the small problems among those to ``solve`` (see
-    ``assign_in_groups``) to one ``min_cost_in_groups`` call; write the
-    partners of those it settles and return their indices."""
+    """The small-problem pass: settle in numpy, without a kernel, the small
+    problems among those to ``solve`` (see ``assign_in_groups``); write
+    their partners and return their indices.
+
+    A problem is offered when its small side has at most SMALL_MAX points:
+    RECTANGULAR, its smaller side (its reds where the sides are equal)
+    against the other; SATURATING, its mandatory points, when they are all
+    of one color, against every point of the other color, all reserve. Both
+    colors' problems go in one pass. An offered problem is settled where the
+    least total length of an injection of its small side into its other side
+    beats every other injection's by more than EPS_TIE. Such a unique
+    minimum is the matching the kernel gives the problem; the rest are left
+    to the kernel, whose choice among near-ties this does not model. (SQUARE
+    is not offered: its tie pass compares a differently rounded sum with
+    EPS_TIE, so at a gap within a few ulps of EPS_TIE the two tests can
+    disagree.)
+
+    The distances are the cost matrix's floats (``_pair_distances``), and an
+    injection's total is their sum in point order. A problem with s points
+    on its small side scores only the injections that give each point one of
+    its s + 1 nearest points, (s + 1)**s of them, so all problems of one
+    size go in one padded pass and the work is linear in the pairs of
+    points, however many points the other side has. No total that matters
+    is lost: a point matched outside its s + 1 nearest finds at least two of
+    them free, and moving it to either gives an injection whose total is no
+    larger (a float sum never grows when a term shrinks), at least one of
+    the two not the best one, so the least total and the runner-up's are
+    both reached inside."""
     n_r, n_b = np.diff(red_start), np.diff(blue_start)
     if kind == RECTANGULAR:
         fewer = n_r <= n_b
@@ -479,11 +503,12 @@ def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
     small, small_start = _spans(np.where(red, red_start[g], first_b), (k_r + k_b)[g])
     large, large_start = _spans(np.where(red, first_b, red_start[g]),
                                 np.where(red, n_b[g], n_r[g]))
-    p, settled = min_cost_in_groups(pts[small], small_start, pts[large], large_start)
-    k = np.flatnonzero(p >= 0)
-    one, other = small[k], large[p[k]]
-    is_red = one < len(reds)
-    partner[np.where(is_red, one, other)] = np.where(is_red, other, one) - len(reds)
+    settled = np.zeros(len(g), dtype=bool)
+    # batches of at most PAIR_BLOCK point pairs, or one larger problem,
+    # bound the temporaries, which hold every pair of a batch
+    batch = (np.cumsum(np.diff(small_start) * np.diff(large_start)) - 1) // PAIR_BLOCK
+    for k in np.split(np.arange(len(g)), np.flatnonzero(np.diff(batch)) + 1):
+        _settle_batch(pts, small, small_start, large, large_start, k, len(reds), partner, settled)
     return g[settled]
 
 
@@ -505,8 +530,9 @@ def brute_force_min(reds, blues) -> Matching:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX}")
     if n == 0:
         return Matching(reds, blues, [])
-    cost = _cost_matrix(reds, blues)
-    rows = cost.tolist()  # plain-float rows keep the n! loop cheap
+    # the cost matrix's floats, not from the solvers' kernel; plain-float
+    # rows keep the n! loop cheap
+    rows = _pair_distances(reds[:, None], blues).tolist()
     best = None
     best_cost = math.inf
     best_key = None
@@ -540,71 +566,26 @@ def _choices(s: int) -> np.ndarray:
     return np.array(list(itertools.product(range(s + 1), repeat=s)), dtype=np.intp)
 
 
-def min_cost_in_groups(small, small_start, large, large_start
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Min-cost injections of many small problems at once. Group g matches
-    each of its points ``small[small_start[g]:small_start[g + 1]]`` to a
-    distinct one of ``large[large_start[g]:large_start[g + 1]]``, which must
-    hold at least as many points, and at least one.
-
-    Returns the partner of every small point, as an index into ``large``,
-    and per group whether it is settled; a point of a group not settled has
-    partner -1. A group is settled where it has at most SMALL_MAX points and
-    its least total length beats every other injection's by more than
-    EPS_TIE. Such a unique minimum is the matching the solvers without a
-    tie pass give the group's problem in ``assign_in_groups``: RECTANGULAR
-    on the two sides, and SATURATING with the small side as its only
-    mandatory points and the large side as the other color's reserve. The
-    rest are left to the solvers, whose choice among near-ties this does
-    not model. (SQUARE is not covered: its tie pass compares a differently
-    rounded sum with EPS_TIE, so at a gap within a few ulps of EPS_TIE the
-    two tests can disagree.)
-
-    The distances are the cost matrix's floats (``_pair_distances``), and an
-    injection's total is their sum in point order. A group of s points
-    scores only the injections that give each point one of its s + 1
-    nearest points, (s + 1)**s of them, so all groups of one size go in one
-    padded pass and the work is linear in the pairs of points, however many
-    large points a group has; the groups go in batches of about PAIR_BLOCK
-    pairs, which bounds the memory the passes hold at once. No total that
-    matters is lost: a point matched outside its s + 1 nearest finds at
-    least two of them free, and moving it to either gives an injection whose
-    total is no larger (a float sum never grows when a term shrinks), at
-    least one of the two not the best one, so the least total and the
-    runner-up's are both reached inside."""
-    small, large = _points(small), _points(large)
-    small_start = np.asarray(small_start, dtype=np.int64)
-    large_start = np.asarray(large_start, dtype=np.int64)
-    n_small, n_large = np.diff(small_start), np.diff(large_start)
-    if len(n_small) != len(n_large) or (n_small < 1).any() or (n_large < n_small).any():
-        raise ValueError("every group needs a point, and no fewer large points than small")
-    partner = np.full(len(small), -1, dtype=np.int64)
-    settled = np.zeros(len(n_small), dtype=bool)
-    groups = np.flatnonzero(n_small <= SMALL_MAX)
-    if len(groups):
-        # batches of at most PAIR_BLOCK point pairs, or one larger group,
-        # bound the temporaries, which hold every pair of a batch
-        batch = (np.cumsum(n_small[groups] * n_large[groups]) - 1) // PAIR_BLOCK
-        for g in np.split(groups, np.flatnonzero(np.diff(batch)) + 1):
-            _settle_batch(small, small_start, large, large_start, g, partner, settled)
-    return partner, settled
-
-
-def _settle_batch(small, small_start, large, large_start, groups, partner, settled):
-    """``min_cost_in_groups`` for its groups ``groups``, all of at most
-    SMALL_MAX points: writes the partners and the mask of those settled."""
+def _settle_batch(pts, small, small_start, large, large_start, groups, n_reds,
+                  partner, settled):
+    """``_settle_small`` for the problems ``groups``: problem g matches its
+    points ``small[small_start[g]:small_start[g + 1]]`` of ``pts`` (the
+    reds, then the blues; ``n_reds`` of them reds) to distinct ones of
+    ``large[large_start[g]:large_start[g + 1]]``. Writes the partners of
+    the problems it settles and marks them in ``settled``."""
     n, n_large = np.diff(small_start)[groups], np.diff(large_start)[groups]
-    # each point of those groups against every large point of its group
-    pts, at = _spans(small_start[groups], n)
+    # each small point of those problems against every point of its other side
+    point, at = _spans(small_start[groups], n)
     size, count = np.repeat(n, n), np.repeat(n_large, n)
     cand, cat = _spans(np.repeat(large_start[groups], n), count)
-    dist = _pair_distances(np.repeat(small[pts], count, axis=0), large[cand])
+    point, cand = small[point], large[cand]  # indices into pts
+    dist = _pair_distances(np.repeat(pts[point], count, axis=0), pts[cand])
     # each point's nearest candidates, padded with inf: only a point with
     # more than size + 1 candidates needs its candidates sorted
     rank = np.arange(SMALL_MAX + 1)
     order = np.arange(len(dist))
     sort = np.flatnonzero(np.repeat(count > size + 1, count))
-    order[sort] = sort[np.lexsort((dist[sort], np.repeat(np.arange(len(pts)), count)[sort]))]
+    order[sort] = sort[np.lexsort((dist[sort], np.repeat(np.arange(len(point)), count)[sort]))]
     have = rank < count[:, None]
     near = order[np.where(have, cat[:-1, None] + rank, cat[:-1, None])]
     near_d, near_c = np.where(have, dist[near], np.inf), cand[near]
@@ -628,7 +609,9 @@ def _settle_batch(small, small_start, large, large_start, groups, partner, settl
         total[np.arange(len(g)), best] = np.inf  # leaves the runner-up least
         ok = total.min(axis=1) - least > EPS_TIE  # inf when the best is the only one
         settled[groups[g[ok]]] = True
-        partner[pts[rows[ok]]] = np.stack([p[ok, best[ok]] for p in picked], axis=1)
+        mine, theirs = point[rows[ok]], np.stack([p[ok, best[ok]] for p in picked], axis=1)
+        red = mine < n_reds  # the small side is red; a red's partner indexes the blues
+        partner[np.where(red, mine, theirs)] = np.where(red, theirs, mine) - n_reds
 
 
 def max_cardinality_min_cost(reds, blues) -> Matching:
@@ -647,7 +630,7 @@ def improvable_pair(m: Matching) -> Optional[Tuple[int, int]]:
     d = np.hypot(*(p - q).T)
 
     def shorter(rows, cols):
-        alt = _cost_matrix(p[rows], q[cols]) + _cost_matrix(p[cols], q[rows]).T
+        alt = _pair_distances(p[rows, None], q[cols]) + _pair_distances(p[cols, None], q[rows]).T
         return alt < d[rows, None] + d[cols] - EPS_TIE
 
     pos = _first_pair(n, shorter) if n else None

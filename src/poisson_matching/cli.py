@@ -142,6 +142,17 @@ def _arcs_from(d: dict, path: str):
         return walks.ArcTable.from_json(d["arcs"])
 
 
+def _block_system(d: dict, path: str) -> hierarchy.BlockSystem:
+    """The block system a hierarchical result was built on, from the offsets
+    its diagnostics state; stated shifts must be those the offsets give."""
+    with _fields_of(path):
+        offsets = d["diagnostics"]["offsets"]
+        system = hierarchy.BlockSystem.from_offsets(offsets["r"])
+        if offsets.get("t", system.t) != system.t:
+            raise ValueError(f"the block shifts t in {path} disagree with its offsets r")
+    return system
+
+
 def _check_format(d: dict, path: str, version: int = FORMAT_VERSION,
                   what: str = "") -> None:
     if d.get("format", version) != version:
@@ -338,11 +349,10 @@ def cmd_stats(in_path, kind, box_side, disk, out):
 @click.option("--height", type=DRAWABLE, default=400, show_default=True)
 @click.option("--walk/--no-walk", default=False, help="Overlay the counting walk.")
 @click.option("--blocks", type=click.IntRange(0, 6), default=0,
-              help="Overlay block outlines up to this level (hierarchical); "
-                   "level 7 would draw over 3M level-1 cells.")
-@click.option("--seed", type=int, default=0, help="Seed for block offsets overlay.")
+              help="Overlay the outlines of the file's own blocks up to this "
+                   "level (hierarchical); level 7 would draw over 3M level-1 cells.")
 @click.option("--out", type=click.Path(), required=True)
-def cmd_render(in_path, width, height, walk, blocks, seed, out):
+def cmd_render(in_path, width, height, walk, blocks, out):
     """Render a result file to SVG."""
     ps, m, d = _load_result(in_path)
     arcs = _arcs_from(d, in_path)
@@ -353,7 +363,10 @@ def cmd_render(in_path, width, height, walk, blocks, seed, out):
         w = walks.build_walk(ps)
     rows = None
     if blocks:
-        system = hierarchy.build_block_system(seed, max(blocks, 2))
+        system = _block_system(d, in_path)
+        if blocks > system.N:
+            raise click.UsageError(f"--blocks {blocks} is above the level of the file's "
+                                   f"block system (N={system.N})")
         cells = hierarchy.window_grids(system, blocks, ps.domain.window_rect())
         rows = [(n, *rect) for n in range(blocks, 0, -1)
                 for rect in system.rects(n, cells[n]).tolist()]

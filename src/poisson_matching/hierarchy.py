@@ -99,19 +99,29 @@ class BlockSystem:
             cells[m - 1] = (first[:, None, :] + step).reshape(-1, 2)
         return cells
 
+    @classmethod
+    def from_offsets(cls, r) -> "BlockSystem":
+        """The system of the offsets ``r``, with N = len(r) - 1 >= 2 levels:
+        r[0] = r[1] = 0, and from n = 2 on an integer 0 <= r[n] < n(n-1).
+        Any other ``r`` is a ValueError."""
+        N = len(r) - 1
+        a = [math.factorial(n) for n in range(N + 1)]
+        if (N < 2 or not all(type(rn) is int for rn in r) or r[0] != 0 or r[1] != 0
+                or not all(0 <= r[n] < a[n] // a[n - 2] for n in range(2, N + 1))):
+            raise ValueError(f"malformed block offsets r={r!r}: need r[0] = r[1] = 0 "
+                             "and 0 <= r[n] < n(n-1) for n = 2..N, N >= 2")
+        t = [0, 0]
+        for n in range(2, N + 1):
+            t.append(r[n] * a[n - 2] + t[n - 2])
+        return cls(N=N, a=a, r=list(r), t=t)
+
 
 def build_block_system(seed: int, N: int) -> BlockSystem:
     if N < 2:
         raise ValueError("need N >= 2")
-    a = [math.factorial(n) for n in range(N + 1)]
     rng = derived_rng(seed, 3)
-    r = [0, 0]
-    t = [0, 0]
-    for n in range(2, N + 1):
-        rn = int(rng.integers(0, a[n] // a[n - 2]))
-        r.append(rn)
-        t.append(rn * a[n - 2] + t[n - 2])
-    return BlockSystem(N=N, a=a, r=r, t=t)
+    return BlockSystem.from_offsets(
+        [0, 0] + [int(rng.integers(0, n * (n - 1))) for n in range(2, N + 1)])
 
 
 def aligned_window(system: BlockSystem) -> Domain:

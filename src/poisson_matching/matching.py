@@ -93,24 +93,16 @@ class Matching:
 
     def endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The two end points of every edge, in edge order: (red, partner)."""
-        return self._endpoints(self._edge_array())
-
-    def _endpoints(self, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.reds[e[:, 0]], self._partners[e[:, 1]]
-
-    def _unmatched(self, e: np.ndarray) -> Tuple[List[int], List[int]]:
-        """The unmatched reds and blues, given the edge array."""
-        if self.color_mode == ONE_COLOR:
-            return _unused(len(self.reds), e), []
-        return _unused(len(self.reds), e[:, 0]), _unused(len(self.blues), e[:, 1])
+        return self.reds[self._e[:, 0]], self._partners[self._e[:, 1]]
 
     @property
     def unmatched_reds(self) -> List[int]:
-        return self._unmatched(self._edge_array())[0]
+        # one-color: a red at either end of an edge is matched
+        return _unused(len(self.reds), self._e if self.color_mode == ONE_COLOR else self._e[:, 0])
 
     @property
     def unmatched_blues(self) -> List[int]:
-        return self._unmatched(self._edge_array())[1]
+        return [] if self.color_mode == ONE_COLOR else _unused(len(self.blues), self._e[:, 1])
 
     @property
     def kind(self) -> str:
@@ -126,16 +118,14 @@ class Matching:
         return _length(*self.endpoint_arrays())
 
     def to_json(self) -> dict:
-        e = self._edge_array()  # once for the edges, the length and both lists
-        unmatched_reds, unmatched_blues = self._unmatched(e)
         return {
             "format": FORMAT_VERSION,
             "kind": self.kind,
             "color_mode": self.color_mode,
-            "edges": e.tolist(),
-            "total_length": _length(*self._endpoints(e)),
-            "unmatched_reds": unmatched_reds,
-            "unmatched_blues": unmatched_blues,
+            "edges": self._e.tolist(),
+            "total_length": self.total_length,
+            "unmatched_reds": self.unmatched_reds,
+            "unmatched_blues": self.unmatched_blues,
         }
 
     @staticmethod

@@ -14,12 +14,11 @@ from scipy.spatial.distance import cdist
 
 import poisson_matching
 
-from poisson_matching import assignment
+from poisson_matching import assignment, matching
 from poisson_matching.assignment import (BIG, EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING,
-                                         SMALL_MAX, SQUARE, _cost_matrix, _pair_distances,
-                                         _points, assign_in_groups, brute_force_min,
-                                         improvable_pair, max_cardinality_min_cost,
-                                         min_cost_in_groups, min_cost_perfect)
+                                         SMALL_MAX, SQUARE, _pair_distances, _points,
+                                         assign_in_groups, brute_force_min, improvable_pair,
+                                         max_cardinality_min_cost, min_cost_perfect)
 from poisson_matching.geometry import Domain, is_parallel_free
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
 from poisson_matching.matching import ONE_COLOR, TWO_COLOR, Matching
@@ -147,7 +146,7 @@ def _old_min_cost_partners(reds, blues) -> np.ndarray:
         raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
     if len(reds) == 0:
         return np.empty(0, dtype=int)
-    cost = _cost_matrix(reds, blues)
+    cost = cdist(reds, blues)
     return _old_canonicalize_ties(reds, blues, cost, _old_assign(cost))
 
 
@@ -163,7 +162,7 @@ def _old_min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
     size = max(nr, nb)
     cost = np.zeros((size, size))
     if nr and nb:
-        cost[:nr, :nb] = _cost_matrix(all_r, all_b)
+        cost[:nr, :nb] = cdist(all_r, all_b)
         cost[nr1:nr, nb1:nb] = 0.0  # reserve-reserve: both unused
     cost[:nr1, nb:] = BIG   # mandatory reds cannot go unmatched
     cost[nr:, :nb1] = BIG   # mandatory blues cannot go unmatched
@@ -206,7 +205,7 @@ class TestTiePass:
     def _check(reds, blues) -> bool:
         """min_cost_perfect's partners equal the reference pass applied to the
         same assignment-routine output; True when that pass swapped."""
-        cost = _cost_matrix(reds, blues)
+        cost = cdist(reds, blues)
         raw = _old_assign(cost)
         want = _reference_canonicalize_ties(reds, blues, cost, raw)
         got = min_cost_perfect(reds, blues)
@@ -262,7 +261,7 @@ class TestTiePass:
         assert slow.edges == [(0, 1), (1, 2), (2, 0)]
         assert fast.total_length == slow.total_length
         assign = np.array([j for _, j in fast.edges])
-        cost = _cost_matrix(reds, blues)
+        cost = cdist(reds, blues)
         fixed = _reference_canonicalize_ties(reds, blues, cost, assign)
         assert (fixed == assign).all()
 
@@ -297,7 +296,7 @@ class TestTiePassFastExit:
             return lex_rank(pts)
 
         monkeypatch.setattr(assignment, "_lex_rank", counting)
-        cost = _cost_matrix(reds, blues)
+        cost = cdist(reds, blues)
         got = assignment._canonicalize_ties(reds, blues, cost, np.asarray(raw),
                                             np.arange(len(reds)))
         want = _reference_canonicalize_ties(reds, blues, cost, np.asarray(raw))
@@ -346,7 +345,7 @@ class TestTiePassFastExit:
         rng = derived_rng(83)
         for n in (1, 2, 30, ROW_BLOCK + 3):
             reds, blues = rng.uniform(0, 5, (n, 2)), rng.uniform(0, 5, (n, 2))
-            raw = _old_assign(_cost_matrix(reds, blues))
+            raw = _old_assign(cdist(reds, blues))
             got, scanned = self._run(monkeypatch, reds, blues, raw)
             assert not scanned and (got == raw).all()
 
@@ -373,6 +372,29 @@ class TestBruteForce:
         m = brute_force_min(reds, blues)
         # both matchings cost 2*sqrt(2); partner of red (0,0) must be (1,-1)
         assert m.edges[0] == (0, 1)
+
+    def test_independent_of_the_solvers_kernel(self, monkeypatch):
+        # a fault in the kernel loader must not reach the oracle: with a
+        # wrong distance kernel the solvers go wrong, the oracle does not
+        rng = derived_rng(59)
+        reds, blues = rng.uniform(0, 5, (7, 2)), rng.uniform(0, 5, (7, 2))
+        cost = cdist(reds, blues)
+        least = min(itertools.permutations(range(7)),
+                    key=lambda perm: sum(cost[i, j] for i, j in enumerate(perm)))
+        want = list(enumerate(least))
+        kernel = assignment._kernel
+
+        def wrong(key):
+            if key == "cdist":
+                return lambda p, q, out=None: np.subtract(1e3, cdist(p, q), out=out)
+            return kernel(key)
+
+        monkeypatch.setattr(assignment, "_kernel", wrong)
+        assert max_cardinality_min_cost(reds, blues).edges != want  # the fault is real
+        assert brute_force_min(reds, blues).edges == want
+        assert improvable_pair(Matching(reds, blues, want)) is None
+        swapped = [(0, least[1]), (1, least[0]), *want[2:]]
+        assert improvable_pair(Matching(reds, blues, swapped)) == (0, 1)
 
 
 class TestMaxCardinalityMinCost:
@@ -436,7 +458,7 @@ def _old_min_cost_pairs(reds, blues):
     by ``_old_assign`` (transposed when there are more reds than blues)."""
     if len(reds) == 0 or len(blues) == 0:
         return []
-    cost = _cost_matrix(reds, blues)
+    cost = cdist(reds, blues)
     if len(reds) <= len(blues):
         return list(enumerate(_old_assign(cost).tolist()))
     return sorted(zip(_old_assign(cost.T).tolist(), range(len(blues))))
@@ -446,10 +468,10 @@ class TestMinCostPairsInSolverOrder:
     def test_cost_rows_equal_the_reordered_matrix(self):
         rng = derived_rng(89)
         reds, blues = rng.uniform(0, 9, (37, 2)), rng.uniform(0, 9, (23, 2))
-        cost = _cost_matrix(reds, blues)
+        cost = cdist(reds, blues)
         for rows, cols, full in ((reds, blues, cost), (blues, reds, cost.T)):
             order = assignment._scattered(len(rows))
-            assert np.array_equal(_cost_matrix(rows[order], cols), full[order])
+            assert np.array_equal(cdist(rows[order], cols), full[order])
 
     def test_random_rectangular_inputs(self):
         rng = derived_rng(97)
@@ -468,7 +490,7 @@ class TestMinCostPairsInSolverOrder:
             blues = _lattice(rng, width, nb, distinct=True)
             pairs = min_cost_pairs(reds, blues)
             assert pairs == _old_min_cost_pairs(reds, blues)
-            cost = _cost_matrix(reds, blues)
+            cost = cdist(reds, blues)
             tied += any(np.count_nonzero(cost[i] == cost[i, j]) > 1 for i, j in pairs)
         assert tied > 50
 
@@ -542,7 +564,7 @@ class TestAgainstIndexOrderPath:
         want = _old_min_cost_partners(reds, blues)
         assert np.array_equal(min_cost_partners(reds, blues), want)
         return len(want) > 0 and bool(
-            (want != _old_assign(_cost_matrix(reds, blues))).any())
+            (want != _old_assign(cdist(reds, blues))).any())
 
     def test_random_reals(self):
         rng = derived_rng(107)
@@ -644,7 +666,7 @@ def _cost_matrices():
     for n in (2, 7, 40, 150):
         yield rng.uniform(0.0, 10.0, (n, n))
     for width, n in ((2, 6), (3, 9), (5, 25), (6, 60)):
-        yield _cost_matrix(_lattice(rng, width, n, False), _lattice(rng, width, n, False))
+        yield cdist(_lattice(rng, width, n, False), _lattice(rng, width, n, False))
     for rows, cols in ((3, 8), (20, 45), (45, 20), (1, 9), (9, 1)):
         yield rng.uniform(0.0, 10.0, (rows, cols))
     yield np.zeros((1, 5))  # one row, every column tied
@@ -678,7 +700,7 @@ class TestCompiledKernels:
         rng = derived_rng(72)
         for n, m in ((0, 0), (0, 3), (3, 0), (1, 9), (30, 7)):
             p, q = rng.uniform(-50.0, 50.0, (n, 2)), rng.uniform(-50.0, 50.0, (m, 2))
-            assert np.array_equal(_cost_matrix(p, q), cdist(p, q))
+            assert np.array_equal(assignment._kernel("cdist")(p, q), cdist(p, q))
 
     def test_kernels_come_from_the_compiled_modules(self):
         for key, (module, name, _, _) in assignment._KERNELS.items():
@@ -718,7 +740,7 @@ class TestCompiledKernels:
         code = """
 import sys
 import numpy as np
-from poisson_matching.assignment import _cost_matrix, _kernel, min_cost_perfect
+from poisson_matching.assignment import _kernel, min_cost_perfect
 rng = np.random.default_rng(5)
 reds, blues = rng.random((40, 2)), rng.random((40, 2))
 edges = min_cost_perfect(reds, blues).edges
@@ -726,7 +748,7 @@ assert not {"scipy.optimize", "scipy.spatial"} & set(sys.modules)
 import scipy.optimize
 from scipy.spatial.distance import cdist
 cost = cdist(reds, blues)
-assert np.array_equal(cost, _cost_matrix(reds, blues))
+assert np.array_equal(cost, _kernel("cdist")(reds, blues))
 assert np.array_equal(scipy.optimize.linear_sum_assignment(cost)[1], _kernel("assign")(cost)[1])
 assert min_cost_perfect(reds, blues).edges == edges
 """
@@ -737,12 +759,66 @@ assert min_cost_perfect(reds, blues).edges == edges
         assert res.returncode == 0, res.stderr
 
 
+def _laid(groups):
+    """Point lists laid end to end, and their offsets."""
+    groups = [_points(g) for g in groups]
+    return np.concatenate(groups), np.cumsum([0] + [len(g) for g in groups])
+
+
+def _grouped_pairs(monkeypatch, kind, reds, blues, must=()):
+    """Solve the problems (reds[g], blues[g]) in one assign_in_groups call.
+    Returns each problem's (red, blue) pairs, as indices within the
+    problem, and the mask of the problems its small-problem pass
+    (``assignment._settle_small``, recorded) settled."""
+    (r, rs), (b, bs) = _laid(reds), _laid(blues)
+    calls, settle = [], assignment._settle_small
+    with monkeypatch.context() as patch:
+        patch.setattr(assignment, "_settle_small",
+                      lambda *args: calls.append(settle(*args)) or calls[-1])
+        partner = assign_in_groups(kind, r, rs, b, bs, *must)
+    assert len(calls) == 1  # one pass per call
+    settled = np.zeros(len(reds), dtype=bool)
+    settled[calls[0]] = True
+    pairs = [[(i, int(partner[rs[g] + i] - bs[g])) for i in range(rs[g + 1] - rs[g])
+              if partner[rs[g] + i] >= 0] for g in range(len(reds))]
+    return pairs, settled
+
+
+def _check_four_ways(monkeypatch, small, large, extras):
+    """Solve every problem (small[g], large[g]) in groups four ways:
+    RECTANGULAR with the small sides as the reds and as the blues, and
+    SATURATING with the small side mandatory, ``extras[g]`` as reserve of
+    its color and the large side all reserve, again as either color. Each
+    way every problem's pairs are its single solve's through the public
+    scipy functions, the pass settles the same problems, and a settled
+    problem gets the same pairs. Returns the settled mask and each
+    problem's pairs, (small, large) indices within the problem."""
+    none = np.empty((0, 2))
+    k = np.array([len(x) for x in small])
+    zero = np.zeros_like(k)
+    padded = [np.concatenate([_points(s), _points(e)]) for s, e in zip(small, extras)]
+    pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
+    assert pairs == [kernel_pairs(s, t) for s, t in zip(small, large)]
+    for kind, reds, blues, must, single in (
+            (RECTANGULAR, large, small, (), lambda s, t, e: kernel_pairs(t, s)),
+            (SATURATING, padded, large, (k, zero),
+             lambda s, t, e: kernel_saturating(s, none, e, t)),
+            (SATURATING, large, padded, (zero, k),
+             lambda s, t, e: kernel_saturating(none, s, t, e))):
+        got, mask = _grouped_pairs(monkeypatch, kind, reds, blues, must)
+        assert got == [single(*problem) for problem in zip(small, large, extras)]
+        assert np.array_equal(mask, settled)
+        for g in np.flatnonzero(settled):
+            assert sorted(got[g] if reds is padded else [(i, j) for j, i in got[g]]) == pairs[g]
+    return settled, pairs
+
+
 def _one_point_groups(rng, lattice, groups=400):
     """Per group a source, 1-6 targets and 0-3 points of the source's color
     (the saturating problem's other reserve), all distinct within the group:
     uniform reals, or integer points of a 5x5 lattice, where ties are
-    common. Returns (sources, targets, start, extras)."""
-    sources, targets, counts, extras = [], [], [], []
+    common. Returns (sources, targets, extras), a list of each."""
+    sources, targets, extras = [], [], []
     for _ in range(groups):
         k, e = int(rng.integers(1, 7)), int(rng.integers(0, 4))
         if lattice:
@@ -750,17 +826,15 @@ def _one_point_groups(rng, lattice, groups=400):
             pts = np.column_stack([cells // 5, cells % 5]).astype(float)
         else:
             pts = rng.uniform(-3, 3, (1 + k + e, 2))
-        sources.append(pts[0])
+        sources.append(pts[:1])
         targets.append(pts[1:1 + k])
-        counts.append(k)
         extras.append(pts[1 + k:])
-    start = np.concatenate([[0], np.cumsum(counts)])
-    return np.array(sources), np.concatenate(targets), start, extras
+    return sources, targets, extras
 
 
 class TestNearestInGroups:
-    """The one-point groups of ``min_cost_in_groups``: a nearest-point query
-    per group, with no limit on the group's size."""
+    """The one-point problems of the small-problem pass: a nearest-point
+    query per problem, with no limit on the problem's size."""
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 50.0, 1e4])
     def test_distances_equal_cdist_bitwise(self, scale):
@@ -768,48 +842,28 @@ class TestNearestInGroups:
         p = rng.uniform(-scale, scale, (300, 2))
         q = rng.uniform(-scale, scale, (300, 2))
         want = cdist(p, q)
-        assert np.array_equal(_cost_matrix(p, q), want)
+        assert np.array_equal(_pair_distances(p[:, None], q), want)
         rows, cols = np.indices(want.shape).reshape(2, -1)
         got = _pair_distances(p[rows], q[cols])
         assert np.array_equal(got, want.ravel())
 
     @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
-    def test_matches_the_one_point_solves(self, lattice):
+    def test_matches_the_one_point_solves(self, monkeypatch, lattice):
         rng = derived_rng(62, lattice)
-        sources, targets, start, extras = _one_point_groups(rng, lattice)
-        partner, settled = min_cost_in_groups(sources, np.arange(len(sources) + 1),
-                                              targets, start)
-        none = np.empty((0, 2))
-        for g, (src, extra) in enumerate(zip(sources, extras)):
-            group = targets[start[g]:start[g + 1]]
-            cost = np.sort(_cost_matrix(src[None], group)[0])
+        sources, targets, extras = _one_point_groups(rng, lattice)
+        settled, _ = _check_four_ways(monkeypatch, sources, targets, extras)
+        for g, (src, group) in enumerate(zip(sources, targets)):
+            cost = np.sort(cdist(src, group)[0])
             assert settled[g] == (len(cost) == 1 or cost[1] - cost[0] > EPS_TIE)
-            if not settled[g]:
-                assert partner[g] == -1
-                continue
-            j = int(partner[g] - start[g])
-            assert kernel_pairs([src], group) == [(0, j)]
-            assert kernel_pairs(group, [src]) == [(j, 0)]
-            assert kernel_saturating([src], none, extra, group) == [(0, j)]
-            assert kernel_saturating(none, [src], group, extra) == [(j, 0)]
         assert (~settled).any() == lattice, (~settled).sum()
 
-    def test_single_target_and_no_group(self):
-        partner, settled = min_cost_in_groups([[0, 0], [1, 1]], [0, 1, 2],
-                                              [[5, 5], [1, 2], [1, 0]], [0, 1, 3])
-        assert partner.tolist() == [0, -1] and settled.tolist() == [True, False]
-        partner, settled = min_cost_in_groups(np.empty((0, 2)), [0], np.empty((0, 2)), [0])
-        assert len(partner) == len(settled) == 0
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            min_cost_in_groups([[0, 0], [1, 1]], [0, 1, 2], [[5, 5]], [0, 1, 1])
-        with pytest.raises(ValueError):  # no small point
-            min_cost_in_groups([[0, 0]], [0, 0, 1], [[5, 5], [1, 1]], [0, 1, 2])
-        with pytest.raises(ValueError):  # fewer large points than small
-            min_cost_in_groups([[0, 0], [1, 1]], [0, 2], [[5, 5]], [0, 1])
-        with pytest.raises(ValueError):  # unequal group counts
-            min_cost_in_groups([[0, 0]], [0, 1], [[5, 5]], [0, 1, 1])
+    def test_single_target_and_no_group(self, monkeypatch):
+        sources, targets = [[[0, 0]], [[1, 1]]], [[[5, 5]], [[1, 2], [1, 0]]]
+        pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, sources, targets)
+        assert settled.tolist() == [True, False]
+        assert pairs == [[(0, 0)], kernel_pairs(sources[1], targets[1])]
+        none = np.empty((0, 2))
+        assert len(assign_in_groups(RECTANGULAR, none, [0], none, [0])) == 0
 
 
 def _injection_totals(small, large):
@@ -824,9 +878,9 @@ def _small_groups(rng, lattice, groups=300):
     """Per group 1-4 small points, as many to 8 large points and 0-3 points
     of the small side's color (the saturating problem's other reserve), all
     distinct within the group: uniform reals, or integer points of a 4x4
-    lattice, where tied totals are common. Returns (small, small_start,
-    large, large_start, extras)."""
-    small, large, extras, n_small, n_large = [], [], [], [], []
+    lattice, where tied totals are common. Returns (small, large, extras),
+    a list of each."""
+    small, large, extras = [], [], []
     for _ in range(groups):
         s = int(rng.integers(1, 5))
         n, e = int(rng.integers(s, 9)), int(rng.integers(0, 4))
@@ -839,104 +893,91 @@ def _small_groups(rng, lattice, groups=300):
         small.append(pts[:s])
         large.append(pts[s:s + n])
         extras.append(pts[s + n:])
-        n_small.append(s)
-        n_large.append(n)
-    offsets = [np.concatenate([[0], np.cumsum(c)]) for c in (n_small, n_large)]
-    return np.concatenate(small), offsets[0], np.concatenate(large), offsets[1], extras
+    return small, large, extras
 
 
 class TestMinCostInGroups:
-    """Groups of up to SMALL_MAX points are settled exactly where their least
-    total beats the runner-up by more than EPS_TIE, and a settled group's
-    partners are the ones every solver gives its problem."""
+    """The small-problem pass of assign_in_groups: problems of up to
+    SMALL_MAX points on the small side are settled exactly where their least
+    total beats the runner-up by more than EPS_TIE, and a settled problem's
+    partners are the ones every solver gives it."""
 
     @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
-    def test_against_enumeration_and_the_solvers(self, lattice):
+    def test_against_enumeration_and_the_solvers(self, monkeypatch, lattice):
         rng = derived_rng(64, lattice)
-        small, ss, large, ls, extras = _small_groups(rng, lattice)
-        partner, settled = min_cost_in_groups(small, ss, large, ls)
-        none = np.empty((0, 2))
+        small, large, extras = _small_groups(rng, lattice)
+        settled, pairs = _check_four_ways(monkeypatch, small, large, extras)
         sizes = {True: set(), False: set()}
-        for g, extra in enumerate(extras):
-            S, L = small[ss[g]:ss[g + 1]], large[ls[g]:ls[g + 1]]
+        for g, (S, L) in enumerate(zip(small, large)):
             totals = _injection_totals(S, L)
             unique = len(totals) == 1 or totals[1][0] - totals[0][0] > EPS_TIE
             assert settled[g] == (len(S) <= SMALL_MAX and unique), g
             sizes[bool(settled[g])].add(len(S))
             if not settled[g]:
-                assert (partner[ss[g]:ss[g + 1]] == -1).all()
                 continue
-            got = (partner[ss[g]:ss[g + 1]] - ls[g]).tolist()
-            assert got == list(totals[0][1])
-            want_pairs = list(enumerate(got))
-            assert kernel_pairs(S, L) == want_pairs
-            assert kernel_pairs(L, S) == sorted((j, i) for i, j in want_pairs)
-            assert kernel_saturating(S, none, extra, L) == want_pairs
-            assert kernel_saturating(none, S, L, extra) == sorted((j, i) for i, j in want_pairs)
+            want_pairs = list(enumerate(totals[0][1]))
+            assert pairs[g] == want_pairs
             if len(S) == len(L):
                 # min_cost_partners' tie pass rounds its sum otherwise, so it
                 # agrees only where the gap is clear of EPS_TIE, as here
                 assert len(totals) == 1 or totals[1][0] - totals[0][0] > 2 * EPS_TIE
-                assert min_cost_partners(S, L).tolist() == got
+                assert list(enumerate(min_cost_partners(S, L).tolist())) == want_pairs
                 assert brute_force_min(S, L).edges == want_pairs
         # every small size is settled somewhere; four points never are, and
-        # the lattice's ties leave some small groups to the solvers
+        # the lattice's ties leave some small problems to the solvers
         assert sizes[True] == set(range(1, SMALL_MAX + 1))
         assert (SMALL_MAX + 1) in sizes[False]
         assert (sizes[False] - {SMALL_MAX + 1} != set()) == lattice
 
     @pytest.mark.parametrize("gap,settles", [(0.0, False), (0.5 * EPS_TIE, False),
                                              (1.5 * EPS_TIE, True), (4 * EPS_TIE, True)])
-    def test_runner_up_within_eps_tie_is_not_settled(self, gap, settles):
-        # one group of each small size whose runner-up costs ``gap`` more:
+    def test_runner_up_within_eps_tie_is_not_settled(self, monkeypatch, gap, settles):
+        # one problem of each small size whose runner-up costs ``gap`` more:
         # the point at (0, 0) has a second candidate 1 + gap away
         groups = [([[0, 0]], [[1, 0], [0, -1 - gap]]),
                   ([[0, 0], [10, 0]], [[1, 0], [10, 1], [0, -1 - gap]]),
                   ([[0, 0], [10, 0], [20, 0]],
                    [[1, 0], [10, 1], [20, 1], [0, -1 - gap], [30, 30]])]
-        small = np.concatenate([np.array(S, float) for S, _ in groups])
-        large = np.concatenate([np.array(L, float) for _, L in groups])
-        ss = np.cumsum([0] + [len(S) for S, _ in groups])
-        ls = np.cumsum([0] + [len(L) for _, L in groups])
-        partner, settled = min_cost_in_groups(small, ss, large, ls)
-        for g, (S, L) in enumerate(groups):
-            totals = _injection_totals(np.array(S, float), np.array(L, float))
+        small = [np.array(S, float) for S, _ in groups]
+        large = [np.array(L, float) for _, L in groups]
+        for S, L in zip(small, large):
+            totals = _injection_totals(S, L)
             assert (totals[1][0] - totals[0][0] > EPS_TIE) == settles
+        pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
         assert settled.tolist() == [settles] * 3
-        assert ((partner >= 0) == settles).all()
+        assert pairs == [kernel_pairs(S, L) for S, L in zip(small, large)]
         if settles:
-            assert (partner - np.repeat(ls[:-1], np.diff(ss))).tolist() == [0, 0, 1, 0, 1, 2]
-            for g, (S, L) in enumerate(groups):
-                want = list(enumerate((partner[ss[g]:ss[g + 1]] - ls[g]).tolist()))
-                assert kernel_pairs(S, L) == want
+            assert pairs == [[(i, i) for i in range(s)] for s in (1, 2, 3)]
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_batches_change_nothing(self, block, monkeypatch):
-        # groups go in batches of about PAIR_BLOCK point pairs; with a block
-        # of one pair every group of at most SMALL_MAX points is a batch
+        # problems go in batches of about PAIR_BLOCK point pairs; with a
+        # block of one pair every problem of at most SMALL_MAX points is a
+        # batch
         rng = derived_rng(66)
-        small, ss, large, ls, _ = _small_groups(rng, lattice=True)
-        want = min_cost_in_groups(small, ss, large, ls)
+        small, large, _ = _small_groups(rng, lattice=True)
+        want = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
         batches = []
         settle = assignment._settle_batch
         monkeypatch.setattr(assignment, "PAIR_BLOCK", block)
         monkeypatch.setattr(assignment, "_settle_batch",
-                            lambda *a: batches.append(len(a[4])) or settle(*a))
-        got = min_cost_in_groups(small, ss, large, ls)
-        assert all(np.array_equal(x, y) for x, y in zip(got, want))
-        pairs = np.diff(ss) * np.diff(ls)
-        assert sum(batches) == (np.diff(ss) <= SMALL_MAX).sum()
-        assert len(batches) >= pairs[np.diff(ss) <= SMALL_MAX].sum() / (block + 8 * SMALL_MAX)
+                            lambda *a: batches.append(len(a[5])) or settle(*a))
+        got = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        n_small = np.array([len(S) for S in small])
+        pairs = n_small * np.array([len(L) for L in large])
+        assert sum(batches) == (n_small <= SMALL_MAX).sum()
+        assert len(batches) >= pairs[n_small <= SMALL_MAX].sum() / (block + 8 * SMALL_MAX)
         if block == 1:
             assert batches == [1] * len(batches)
 
-    def test_no_limit_on_the_large_side(self):
+    def test_no_limit_on_the_large_side(self, monkeypatch):
         rng = derived_rng(65)
         for s in range(1, SMALL_MAX + 1):
             S, L = rng.uniform(0, 50, (s, 2)), rng.uniform(0, 50, (400, 2))
-            partner, settled = min_cost_in_groups(S, [0, s], L, [0, 400])
+            pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, [S], [L])
             assert settled.tolist() == [True]
-            assert kernel_pairs(S, L) == list(enumerate(partner.tolist()))
+            assert pairs == [kernel_pairs(S, L)]
 
 
 class TestFromEdges:
@@ -1143,23 +1184,38 @@ def test_kind_and_unmatched_follow_from_edges(name, m):
 
 @pytest.mark.parametrize("name,m", CONSTRUCTION_CASES,
                          ids=[f"{name}-{k}" for k, (name, _) in enumerate(CONSTRUCTION_CASES)])
-def test_to_json_reads_the_edges_once(monkeypatch, name, m):
-    # the fields as the properties give them, each reading the edges itself
+def test_to_json_reads_the_edges_once(name, m):
+    # the fields as the properties give them, each reading the edge array
+    # the constructor validated once; the writer builds no list of edge
+    # tuples, which a matching built from an array never needs
     want = {"format": 1, "kind": m.kind, "color_mode": m.color_mode,
             "edges": [[int(i), int(j)] for i, j in m.edges],
             "total_length": m.total_length, "unmatched_reds": m.unmatched_reds,
             "unmatched_blues": m.unmatched_blues}
-    calls, edge_array = [], Matching._edge_array
-
-    def counting(self):
-        calls.append(1)
-        return edge_array(self)
-
-    monkeypatch.setattr(Matching, "_edge_array", counting)
-    got = m.to_json()
-    assert len(calls) == 1
+    fresh = Matching(m.reds, m.blues, m._edge_array(), color_mode=m.color_mode)
+    got = fresh.to_json()
+    assert "edges" not in vars(fresh)  # the cached tuple list was never built
     assert got == want
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("name,m", CONSTRUCTION_CASES,
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CONSTRUCTION_CASES)])
+def test_unmatched_lists_scan_only_their_own_color(monkeypatch, name, m):
+    scanned, unused = [], matching._unused
+
+    def counting(n, used):
+        scanned.append(n)
+        return unused(n, used)
+
+    monkeypatch.setattr(matching, "_unused", counting)
+    reds = m.unmatched_reds
+    assert scanned == [len(m.reds)]
+    scanned.clear()
+    blues = m.unmatched_blues
+    assert scanned == ([] if m.color_mode == ONE_COLOR else [len(m.blues)])
+    monkeypatch.undo()
+    assert (reds, blues) == (m.unmatched_reds, m.unmatched_blues)
 
 
 @pytest.mark.parametrize("name,m", CONSTRUCTION_CASES,

@@ -250,6 +250,12 @@ UNKNOWN_COLOR_MODE = json.dumps({**ONE_EDGE_RESULT, "points": {
     "matching": {"format": 1, "kind": "partial", "color_mode": "three_color",
                  "edges": [[0, 1]]}})
 
+# a strip result at x = 1e300 that states the block system of offsets r = [0, 0, 1]
+BEYOND_INT64 = json.dumps({**ONE_EDGE_RESULT, "points": {
+    **ONE_EDGE_RESULT["points"], "reds": [[1.2e300, 0.5]], "blues": [[1.5e300, 0.5]],
+    "domain": {"kind": "strip", "x0": 1e300, "x1": 2e300, "y0": 0.0, "y1": 1.0}},
+    "diagnostics": {"offsets": {"r": [0, 0, 1], "t": [0, 0, 1]}}})
+
 # command line, and the text of the file appended as its last argument
 BAD_INPUTS = {
     "window_not_numbers": (["sample", "--seed", "1", "--window", "a,b"], None),
@@ -315,12 +321,10 @@ BAD_INPUTS = {
     "minimality_trials_0": ([*MINIMALITY, "--trials", "0", "--in"], LINE_RESULT),
     "minimality_trials_negative": ([*MINIMALITY, "--trials", "-3", "--in"], LINE_RESULT),
     # the window's corner cell does not fit the int64 block lookup; this
-    # used to exit 1 with an OverflowError traceback
+    # used to exit 1 with an OverflowError traceback. The file states a
+    # valid block system, so the lookup is what fails
     "blocks_window_beyond_int64": (
-        ["render", "--blocks", "2", "--out", os.devnull, "--in"],
-        json.dumps({**ONE_EDGE_RESULT, "points": {
-            **ONE_EDGE_RESULT["points"], "reds": [[1.2e300, 0.5]], "blues": [[1.5e300, 0.5]],
-            "domain": {"kind": "strip", "x0": 1e300, "x1": 2e300, "y0": 0.0, "y1": 1.0}}})),
+        ["render", "--blocks", "2", "--out", os.devnull, "--in"], BEYOND_INT64),
     # edges are read as one array: each malformed shape or type is an input error
     "ragged_edges": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
         **ONE_EDGE_RESULT["matching"], "edges": [[0, 0], [0]]}})),
@@ -393,13 +397,64 @@ def test_blocks_out_of_reach_are_usage_errors(runner, monkeypatch, tmp_path, blo
     # ``grids``: the bound must stop both before a block system is built
     def unreachable(*args, **kwargs):
         raise AssertionError("--blocks passed its bound")
-    monkeypatch.setattr(hierarchy, "build_block_system", unreachable)
+    monkeypatch.setattr(hierarchy.BlockSystem, "from_offsets", unreachable)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(ONE_EDGE_RESULT))
     out = tmp_path / "out.svg"
     res = invoke(runner, "render", "--in", str(path), "--blocks", blocks, "--out", str(out))
     assert res.exit_code == 2, res.output
     assert "--blocks" in res.output and "Traceback" not in res.output and not out.exists()
+
+
+def _with_offsets(**offsets):
+    return json.dumps({**ONE_EDGE_RESULT, "diagnostics": {"offsets": offsets}})
+
+
+# render --blocks draws the block system the file states: --blocks, the
+# file's text, and a part of the error message
+BAD_BLOCKS = {
+    "no_diagnostics": ("1", json.dumps(ONE_EDGE_RESULT), "'diagnostics'"),
+    "no_r": ("1", _with_offsets(t=[0, 0, 1]), "'r'"),
+    "r_not_a_list": ("1", _with_offsets(r=12), "malformed input"),
+    "r_one_level": ("1", _with_offsets(r=[0, 0]), "malformed block offsets"),
+    "r_out_of_range": ("1", _with_offsets(r=[0, 0, 2]), "malformed block offsets"),
+    "r_negative": ("1", _with_offsets(r=[0, 0, 1, -1]), "malformed block offsets"),
+    "r_float": ("1", _with_offsets(r=[0, 0, 1.0]), "malformed block offsets"),
+    "r_first_not_0": ("1", _with_offsets(r=[1, 0, 1]), "malformed block offsets"),
+    "t_disagrees": ("1", _with_offsets(r=[0, 0, 1], t=[0, 0, 0]), "disagree"),
+    "above_the_files_level": ("3", _with_offsets(r=[0, 0, 1], t=[0, 0, 1]), "N=2"),
+    "window_beyond_int64": ("2", BEYOND_INT64, "2**53"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BLOCKS))
+def test_render_blocks_of_a_bad_block_system_is_usage_error(runner, tmp_path, name):
+    blocks, text, message = BAD_BLOCKS[name]
+    path, out = tmp_path / "input.json", tmp_path / "out.svg"
+    path.write_text(text)
+    res = invoke(runner, "render", "--in", str(path), "--blocks", blocks, "--out", str(out))
+    assert res.exit_code == 2, res.output
+    assert message in res.output and "Traceback" not in res.output and not out.exists()
+
+
+def test_render_blocks_draw_the_files_own_system(runner, tmp_path):
+    # a seed-3 file rendered with no seed draws seed 3's blocks; it used to
+    # draw seed 0's unless --seed 3 was given again
+    from poisson_matching.render import render_scene
+    path, out = tmp_path / "h.json", tmp_path / "h.svg"
+    invoke(runner, "match", "--construction", "hierarchical", "--seed", "3", "--stages", "3",
+           "--out", str(path))
+    res = invoke(runner, "render", "--in", str(path), "--blocks", "3", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    ps, m, _ = cli._load_result(str(path))
+
+    def drawn(seed):
+        system = hierarchy.build_block_system(seed, 3)
+        cells = hierarchy.window_grids(system, 3, ps.domain.window_rect())
+        return render_scene(ps, m, blocks=[(n, *rect) for n in (3, 2, 1)
+                                           for rect in system.rects(n, cells[n]).tolist()])
+
+    assert out.read_text() == drawn(3) != drawn(0)
 
 
 def test_edges_read_as_tuples_of_plain_ints(tmp_path):
@@ -558,9 +613,9 @@ PINNED = {
                          "f4a142e7c78233d3bc82ac60da501e2dd70c176be3613e97ee1cd158e3422a40"),
     "render_walk": ("render --in {excursion} --walk --out {svg}",
                     "259d35397be24b63949df5121da7116136acc4bbb3d4a39c2d06bc521d7fd04d"),
-    "render_blocks_3": ("render --in {hier} --seed 2 --blocks 3 --out {svg}",
+    "render_blocks_3": ("render --in {hier} --blocks 3 --out {svg}",
                         "25200fc175baffad97c3ba2a2250d522f9cd01bbeabab666221a6d0495286e22"),
-    "render_blocks_1": ("render --in {hier} --seed 2 --blocks 1 --out {svg}",
+    "render_blocks_1": ("render --in {hier} --blocks 1 --out {svg}",
                         "5d5e7e56473b252cd1b1c7e76e975b294e00076e4c8d2b6878fb6919d6d76282"),
 }
 
@@ -616,6 +671,9 @@ NO_SOLVE = {
     "stats_eta": "stats --kind eta --in {excursion} --out {out}",
     "stats_crossings": "stats --kind crossings --in {excursion} --out {out}",
     "render_walk": "render --in {excursion} --walk --out {svg}",
+    # the oracle and the 2-swap probe take their distances in numpy
+    "verify_minimality": "verify --property minimality --in {line_excursion} --out {out}",
+    "verify_improvable": "verify --property improvable --in {min_cost} --out {out}",
 }
 # zero_block solves each balanced block between returns to zero exactly
 SOLVES = {
@@ -650,7 +708,17 @@ def cold_inputs(pinned_inputs, tmp_path_factory):
     res = invoke(CliRunner(), "sample", "--seed", "7", "--window", "0,30",
                  "--lambda-red", "2", "--out", str(red_strip))
     assert res.exit_code == 0, res.output
-    return {**pinned_inputs, "red_strip": red_strip, "out": tmp / "out.json"}
+    line = sample_file(CliRunner(), tmp, "line.json", domain="line", window="0,40", seed=3)
+    line_excursion = tmp / "line_excursion.json"
+    res = invoke(CliRunner(), "match", "--in", str(line), "--construction", "excursion",
+                 "--out", str(line_excursion))
+    assert res.exit_code == 0, res.output
+    min_cost = tmp / "min_cost.json"
+    res = invoke(CliRunner(), "match", "--in", str(pinned_inputs["plane"]),
+                 "--construction", "min_cost", "--out", str(min_cost))
+    assert res.exit_code == 0, res.output
+    return {**pinned_inputs, "red_strip": red_strip, "line_excursion": line_excursion,
+            "min_cost": min_cost, "out": tmp / "out.json"}
 
 
 # The package's public names: a new one is added here on purpose.

@@ -15,7 +15,7 @@ from scipy.stats import poisson, skellam
 from poisson_matching import assignment, hierarchy
 from poisson_matching.assignment import (BIG, EPS_TIE, GROUP_ENTRIES, RECTANGULAR, ROW_BLOCK,
                                          SATURATING, SMALL_MAX, SQUARE, _canonicalize_ties,
-                                         assign_in_groups, min_cost_in_groups)
+                                         assign_in_groups)
 from poisson_matching.geometry import Rect
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
@@ -841,12 +841,12 @@ def _record_small_solves(monkeypatch):
     whether that problem is tied), where the small side of a saturating
     problem is its mandatory points when they are all of one color and None
     otherwise, and tied is None above SMALL_MAX; and the small-side size of
-    every group the small-problem pass (``assignment.min_cost_in_groups``)
-    settles. A saturating problem is known by its padded matrix
-    (``assignment._pad``); a rectangular one's matrix holds the cost rows of
-    its small side in golden-ratio order."""
+    every problem the small-problem pass settles, recorded at its batches
+    (``assignment._settle_batch``). A saturating problem is known by its
+    padded matrix (``assignment._pad``); a rectangular one's matrix holds
+    the cost rows of its small side in golden-ratio order."""
     calls, settled, padded = [], [], []
-    kernel, pad, settle = assignment._assign, assignment._pad, assignment.min_cost_in_groups
+    kernel, pad, settle = assignment._assign, assignment._pad, assignment._settle_batch
 
     def record(name, cost):
         size = len(cost) if cost is not None else None
@@ -866,14 +866,13 @@ def _record_small_solves(monkeypatch):
             record("pairs", cost[np.argsort(_golden_order(len(cost)), kind="stable")])
         return kernel(cost)
 
-    def settling(small, small_start, large, large_start):
-        partner, ok = settle(small, small_start, large, large_start)
-        settled.extend(np.diff(small_start)[ok].tolist())
-        return partner, ok
+    def settling(pts, small, small_start, large, large_start, groups, n_reds, partner, ok):
+        settle(pts, small, small_start, large, large_start, groups, n_reds, partner, ok)
+        settled.extend(np.diff(small_start)[groups[ok[groups]]].tolist())
 
     monkeypatch.setattr(assignment, "_assign", solving)
     monkeypatch.setattr(assignment, "_pad", padding)
-    monkeypatch.setattr(assignment, "min_cost_in_groups", settling)
+    monkeypatch.setattr(assignment, "_settle_batch", settling)
     return calls, settled
 
 
@@ -995,34 +994,36 @@ def _small_problems(kind, reds, red_start, blues, blue_start, must=()):
 def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=()):
     """Partners of assign_in_groups equal the single solves' for every
     problem, and the kernel inputs equal theirs for the problems the
-    small-problem pass leaves. The pass, recorded at
-    ``assignment.min_cost_in_groups``, must be offered exactly the small
-    problems, in one call. Returns the kernel inputs and the problems the
-    pass settled."""
+    small-problem pass leaves. The pass, recorded at its batches
+    (``assignment._settle_batch``), must be offered exactly the small
+    problems, in one pass: one set of point lists, its batches taking the
+    problems in order. Returns the kernel inputs and the problems the pass
+    settled."""
     def recorder(seen, solve):
         def recording(cost):
             seen.append(np.array(cost))
             return solve(cost)
         return recording
 
-    offered = []
+    batches, settle = [], assignment._settle_batch
 
-    def settling(small, small_start, large, large_start):
-        partner, settled = min_cost_in_groups(small, small_start, large, large_start)
-        offered.append((small, small_start, large, large_start, settled))
-        return partner, settled
+    def settling(pts, small, small_start, large, large_start, groups, n_reds, partner, ok):
+        settle(pts, small, small_start, large, large_start, groups, n_reds, partner, ok)
+        batches.append((pts[small], small_start, pts[large], large_start, groups, ok))
 
     got_inputs, want_inputs = [], []
     monkeypatch.setattr(assignment, "_assign", recorder(got_inputs, assignment._assign))
-    monkeypatch.setattr(assignment, "min_cost_in_groups", settling)
+    monkeypatch.setattr(assignment, "_settle_batch", settling)
     got = assign_in_groups(kind, reds, red_start, blues, blue_start, *must)
     monkeypatch.undo()
     assert np.array_equal(got, _one_by_one(kind, reds, red_start, blues, blue_start, must))
     problems, small, large = _small_problems(kind, reds, red_start, blues, blue_start, must)
-    assert len(offered) == (len(problems) > 0)
+    assert bool(batches) == (len(problems) > 0)
     settled = []
-    if offered:
-        small_pts, small_start, large_pts, large_start, ok = offered[0]
+    if batches:
+        small_pts, small_start, large_pts, large_start, _, ok = batches[0]
+        assert all(b[1] is small_start and b[5] is ok for b in batches)  # one pass
+        assert np.concatenate([b[4] for b in batches]).tolist() == list(range(len(problems)))
         assert np.array_equal(small_pts, np.concatenate(small))
         assert np.array_equal(large_pts, np.concatenate(large))
         assert np.diff(small_start).tolist() == [len(x) for x in small]
