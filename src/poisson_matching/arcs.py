@@ -5,9 +5,8 @@
 ``vertices`` (E, 4, 2) float64. The columns are validated once, when the
 table is built, and are read-only, so whatever is computed from a table
 holds for as long as the table lives: the verifiers keep their segment
-hits on it.
-``ArcSpec`` is the row type: indexing or iterating a table gives rows, and
-``ArcTable.of`` turns a sequence of rows into a table.
+hits on it. A table is the only form in which any function takes arcs.
+``ArcSpec`` is the row type: indexing or iterating a table gives rows.
 """
 
 from __future__ import annotations
@@ -93,16 +92,6 @@ class ArcTable:
         self.lowest = _column(lowest, float, (), n, "a finite lowest point")
         self.depth = _column(depth, np.int64, (), n, "an integer depth")
         self._hits = None  # the verifiers' segment hits, found once (verify._arc_hits)
-
-    @classmethod
-    def of(cls, arcs) -> "ArcTable":
-        """``arcs`` if it is a table, else the table of its ``ArcSpec`` rows."""
-        if isinstance(arcs, ArcTable):
-            return arcs
-        arcs = list(arcs)
-        return cls([a.edge for a in arcs], [a.height for a in arcs],
-                   [a.lowest for a in arcs], [a.depth for a in arcs],
-                   [a.vertices for a in arcs])
 
     @classmethod
     def from_json(cls, rows) -> "ArcTable":

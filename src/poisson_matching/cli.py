@@ -31,13 +31,16 @@ CONSTRUCTIONS = ("zero_block", "one_color", "cut_time", "excursion",
                  "min_cost", "hierarchical", "laminate")
 
 
-def _dump(obj: dict, path: Optional[str]):
-    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+def _write(text: str, path: Optional[str]):
     if path:
         with open(path, "w") as f:
             f.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _dump(obj: dict, path: Optional[str]):
+    _write(json.dumps(obj, indent=1, sort_keys=True) + "\n", path)
 
 
 def _load(path: str) -> dict:
@@ -200,6 +203,8 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
     """Build a matching with the chosen construction."""
     arcs = None
     diagnostics = {}
+    if in_path is not None and construction in ("hierarchical", "laminate"):
+        raise click.UsageError(f"{construction} samples its own points and reads no --in")
     if construction == "hierarchical":
         system = hierarchy.build_block_system(seed, stages)
         domain = hierarchy.aligned_window(system)
@@ -292,7 +297,7 @@ def cmd_verify(in_path, prop, k, trials, seed, out):
     elif prop == "minimality":
         if ps.domain.kind != "line":
             raise click.UsageError("minimality certificate requires a line domain")
-        report = walks.minimality_certificate_d1(m, ps, k, trials, seed)
+        report = walks.minimality_certificate_d1(m, k, trials, seed)
     else:
         n = len(d["matching"]["edges"])  # not m.edges, a list of tuples
         pair = improvable_pair(m) if n >= 2 else None
@@ -319,7 +324,6 @@ def cmd_stats(in_path, kind, box_side, disk, out):
         raise click.UsageError("input has no matching; run 'match' first")
     if kind == "eta":
         report = verify.estimate_eta([(ps, m)])
-        _dump(report.to_json(), out)
     elif kind == "crossings":
         if disk:
             cx, cy, r = (float(v) for v in disk.split(","))
@@ -329,17 +333,15 @@ def cmd_stats(in_path, kind, box_side, disk, out):
             cy = (ps.domain.y0 + ps.domain.y1) / 2
             region = Disk(cx, cy, 0.5)
         report = verify.crossing_stats(m, [region])
-        _dump(report.to_json(), out)
     else:
         res = verify.box_rematch_experiment(ps, m, box_side)
-        _dump({
-            "format": FORMAT_VERSION,
-            "name": "box_rematch",
+        report = verify.StatsReport("box_rematch", {
             "length_before": res.length_before,
             "length_after": res.length_after,
             "improvement": res.improvement,
             "cells_rematched": len(res.cell_improvements),
-        }, out)
+        })
+    _dump(report.to_json(), out)
 
 
 @main.command("render")
@@ -370,10 +372,8 @@ def cmd_render(in_path, width, height, walk, blocks, out):
         cells = hierarchy.window_grids(system, blocks, ps.domain.window_rect())
         rows = [(n, *rect) for n in range(blocks, 0, -1)
                 for rect in system.rects(n, cells[n]).tolist()]
-    svg = render_scene(ps, m, arcs=arcs, walk=w, blocks=rows,
-                       spec=RenderSpec(width=width, height=height))
-    with open(out, "w") as f:
-        f.write(svg)
+    _write(render_scene(ps, m, arcs=arcs, walk=w, blocks=rows,
+                        spec=RenderSpec(width=width, height=height)), out)
 
 
 @main.command("sweep")
@@ -401,12 +401,7 @@ def cmd_sweep(kind, lambdas, ratios, trials, seed, out):
     writer = csv.writer(buf)
     writer.writerow(["lambda", "mu", "estimate", "bound", "pass"])
     writer.writerows(rows)
-    text = buf.getvalue()
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(buf.getvalue(), out)
     if not ok:
         sys.exit(1)
 

@@ -88,13 +88,13 @@ class _Canvas:
 
 def render_scene(ps: ColoredPointSet,
                  matching: Optional[Matching] = None,
-                 arcs: Optional[Sequence] = None,
+                 arcs: Optional[ArcTable] = None,
                  walk=None,
                  blocks: Optional[Sequence] = None,
                  spec: Optional[RenderSpec] = None) -> str:
     """Compose point/edge/arc/walk/block layers into one SVG document. The
-    arcs are an ``ArcTable`` or a sequence of ``ArcSpec`` rows, drawn from
-    the vertex column; a block is a (level, x0, x1, y0, y1) row."""
+    arcs, an ``ArcTable``, are drawn from its vertex column; a block is a
+    (level, x0, x1, y0, y1) row."""
     spec = spec or RenderSpec()
     d = ps.domain
     if d.kind == LINE:
@@ -128,8 +128,8 @@ def render_scene(ps: ColoredPointSet,
         for a, b in zip(p, q):
             canvas.line(a, b, EDGE, cls="edge")
 
-    if arcs:
-        for vertices in ArcTable.of(arcs).vertices.tolist():
+    if arcs is not None:
+        for vertices in arcs.vertices.tolist():
             canvas.polyline(vertices, ARC, cls="arc")
 
     for p in ps.reds:

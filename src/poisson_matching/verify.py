@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,33 +54,50 @@ class StatsReport:
         return {"format": FORMAT_VERSION, "name": self.name, **self.payload}
 
 
-def _arc_arrays(arcs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every polyline piece of the arcs (an ``ArcTable``, or a sequence of
-    ``ArcSpec`` rows, which becomes one) as endpoint arrays (P, Q), arc-major
+def _arc_arrays(arcs: ArcTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every polyline piece of the arcs as endpoint arrays (P, Q), arc-major
     and without the zero-length pieces, as ``ArcSpec.segments`` lists them,
     and the index of each piece's arc. The one flattening of arcs into
-    segments; the table's checks make an arc without four finite 2-D
-    vertices a ValueError."""
-    V = ArcTable.of(arcs).vertices
+    segments."""
+    V = arcs.vertices
     P, Q = V[:, :3].reshape(-1, 2), V[:, 1:].reshape(-1, 2)
     owner = np.repeat(np.arange(len(V)), 3)
     keep = (P != Q).any(axis=1)
     return P[keep], Q[keep], owner[keep]
 
 
-def _arc_hits(arcs) -> Tuple[int, List[Tuple[int, int]]]:
+def _arc_hits(arcs: ArcTable) -> Tuple[int, List[Tuple[int, int]]]:
     """The number of polyline pieces of the arcs (``_arc_arrays``), and for
     each intersecting pair of pieces of different arcs, in the order of
-    ``_pairwise_hits``, the indices of their two arcs. Found once per
-    ``ArcTable`` and kept on it, as its columns are read-only; a sequence of
-    rows, which may change, is read anew."""
-    table = ArcTable.of(arcs)
-    if table._hits is None:
-        P, Q, owner = _arc_arrays(table)
+    ``_pairwise_hits``, the indices of their two arcs. Found once per table
+    and kept on it, as its columns are read-only."""
+    if arcs._hits is None:
+        P, Q, owner = _arc_arrays(arcs)
         raw = _pairwise_hits(P, Q, skip_same_group=owner)
         owner = owner.tolist()  # plain ints for the JSON witnesses
-        table._hits = (len(P), [(owner[i], owner[j]) for i, j in raw])
-    return table._hits
+        arcs._hits = (len(P), [(owner[i], owner[j]) for i, j in raw])
+    return arcs._hits
+
+
+def _drawn_edges(m: Matching, arcs: ArcTable) -> np.ndarray:
+    """The position in ``m``'s edge list of the edge each arc draws, found
+    through the edge's red, which no two edges share in either color mode.
+    The arcs must draw ``m``: one arc per edge, from the edge's red to its
+    partner. Anything else is a ValueError."""
+    e = m._edge_array()
+    if len(arcs) != len(e):
+        raise ValueError(f"{len(arcs)} arcs cannot draw a matching of {len(e)} edges")
+    at = np.full(len(m.reds) + 1, len(e))  # len(e): no edge, as for any red beyond the last
+    at[e[:, 0]] = np.arange(len(e))
+    red, partner = arcs.edges.T
+    k = at[np.minimum(red, len(m.reds))]
+    if ((k == len(e)).any() or (e[k, 1] != partner).any()
+            or np.bincount(k).max(initial=0) > 1):
+        raise ValueError("every arc must draw an edge of the matching, and no two the same")
+    ends = np.stack([m.reds.take(red, axis=0), m._partners.take(partner, axis=0)], axis=1)
+    if (arcs.vertices[:, ::3] != ends).any():
+        raise ValueError("every arc must run from its edge's red to its partner")
+    return k
 
 
 PAIR_CHUNK = 1 << 16  # box pairs the sweep expands at once (one segment's at least)
@@ -150,37 +167,35 @@ def _pairwise_hits(P: np.ndarray, Q: np.ndarray, skip_same_group=None) -> List[T
     return list(zip(ii.tolist(), jj.tolist()))
 
 
-def check_planarity(m: Matching, arcs=None) -> VerificationReport:
-    """Edge intersection check; witnesses are intersecting pairs, in order.
+def check_planarity(m: Matching, arcs: Optional[ArcTable] = None) -> VerificationReport:
+    """Edge intersection check; witnesses are intersecting pairs of positions
+    in ``m``'s edge list, in order, and ``trials`` counts all pairs.
 
     The chords' endpoint arrays go to ``_pairwise_hits``, which tests only
-    the pairs a bounding-box sweep proposes; ``trials`` counts all pairs.
-
-    When ``arcs`` is given the edges are taken with their polygonal-arc
-    geometry (the planar drawing of nested strip matchings) instead of
-    straight chords: the witnesses are the arc pairs of the segment hits
-    that ``check_arc_disjointness`` reports (``_arc_hits``, shared by both
-    for one ``ArcTable``), each once; segments of the same edge are exempt.
+    the pairs a bounding-box sweep proposes. Given ``arcs``, which must draw
+    ``m`` (``_drawn_edges``), the edges are taken with their polygonal-arc
+    geometry (the planar drawing of nested strip matchings) instead: the
+    witnesses are the edges of the arc pairs that ``check_arc_disjointness``
+    reports (``_arc_hits``, shared by both for one table), each once.
     """
+    n = len(m._edge_array())
     if arcs is None:
-        P, Q = m.endpoint_arrays()
-        hits = _pairwise_hits(P, Q)
-        n_pairs = len(P) * (len(P) - 1) // 2
+        hits = _pairwise_hits(*m.endpoint_arrays())
     else:
-        hits = sorted(set(_arc_hits(arcs)[1]))
-        n_pairs = len(arcs) * (len(arcs) - 1) // 2
+        at = _drawn_edges(m, arcs).tolist()
+        hits = sorted({tuple(sorted((at[i], at[j]))) for i, j in _arc_hits(arcs)[1]})
     return VerificationReport(
         property_name="planarity",
-        trials=n_pairs,
+        trials=n * (n - 1) // 2,
         violations=[{"edges": [i, j]} for i, j in hits],
     )
 
 
-def check_arc_disjointness(arcs) -> VerificationReport:
+def check_arc_disjointness(arcs: ArcTable) -> VerificationReport:
     """Intersection check over all polyline segments of all arcs, as
     ``_arc_arrays`` flattens them; segments of the same arc are exempt (they
     share vertices). Only the segment pairs proposed by a bounding-box sweep
-    are tested (``_pairwise_hits``, once per ``ArcTable``: ``_arc_hits``);
+    are tested (``_pairwise_hits``, once per table: ``_arc_hits``);
     ``trials`` counts all segment pairs."""
     n_segments, hits = _arc_hits(arcs)
     return VerificationReport(

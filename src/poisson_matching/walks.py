@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -235,8 +235,8 @@ def crossing_profile(m: Matching) -> CrossingProfile:
     return CrossingProfile(breaks, values.astype(int))
 
 
-def minimality_certificate_d1(m: Matching, ps: ColoredPointSet, k: int,
-                              trials: int, seed: int = 0) -> VerificationReport:
+def minimality_certificate_d1(m: Matching, k: int, trials: int,
+                              seed: int = 0) -> VerificationReport:
     """Check ``trials`` random k-subsets of the edges (all of them where
     there are fewer) against the brute-force rematch minimum; a violating
     subset witnesses non-minimality. The report's ``trials`` is the number
@@ -274,17 +274,17 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     return inv
 
 
-def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, Optional[Sequence]]],
+def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, ArcTable]],
                     shift: float) -> Tuple[ColoredPointSet, Matching, ArcTable]:
     """Stack independent strip constructions into unit-height plane bands and
     apply a global vertical shift. Bands are disjoint, so per-band planarity
     and arc-disjointness carry over.
 
-    A band's arcs (an ``ArcTable``, a sequence of ``ArcSpec`` rows, or None
-    for none) are lifted column by column; every edge index, of the matching
-    and of the arcs, is offset by the band and then mapped to the combined
-    point lists' canonical order by the inverse of their sorting
-    permutation."""
+    Each band brings its own ``ArcTable``, lifted column by column; every
+    edge index, of the matching and of the arcs, is offset by the band and
+    then mapped to the combined point lists' canonical order by the inverse
+    of their sorting permutation. The arcs keep the bands' order, so they
+    are not in the combined matching's edge order."""
     if not 0.0 <= shift < 1.0:
         raise ValueError("shift must lie in [0, 1)")
     if not results:
@@ -293,14 +293,13 @@ def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, Optional[
     x1 = results[0][0].domain.x1
     reds, blues, edges, arcs = [], [], [], []
     offset = np.zeros(2, dtype=np.int64)  # reds and blues of the bands so far
-    for band, (ps, m, band_arcs) in enumerate(results):
+    for band, (ps, m, t) in enumerate(results):
         if ps.domain.kind != STRIP or (ps.domain.x0, ps.domain.x1) != (x0, x1):
             raise ValueError("all bands must share the same strip window")
         dy = band + shift
         reds.append(ps.reds + [0.0, dy])
         blues.append(ps.blues + [0.0, dy])
         edges.append(m._edge_array() + offset)
-        t = ArcTable.of(band_arcs or [])
         vertices = t.vertices.copy()
         vertices[..., 1] += dy
         arcs.append((t.edges + offset, t.height + dy, t.lowest + dy, t.depth, vertices))

@@ -83,8 +83,7 @@ def test_criterion_03_line_minimality_and_length_identity(capfd):
     for seed in range(20):
         ps = sample(SampleConfig(1.0, 1.0, Domain.line(0.0, 100.0), 300 + seed))
         m = excursion_matching(ps)
-        rep = minimality_certificate_d1(m, ps, k=6,
-                                        trials=trials_per_sample, seed=seed)
+        rep = minimality_certificate_d1(m, k=6, trials=trials_per_sample, seed=seed)
         if not rep.passed:
             failures.append((seed, rep.violations))
         prof = crossing_profile(m)

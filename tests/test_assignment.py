@@ -1133,8 +1133,9 @@ def _construction_cases():
         excursion = excursion_matching(strip)
         system = build_block_system(seed, 3)
         window = sample(SampleConfig(1, 1, aligned_window(system), seed))
+        red_excursion = excursion_matching(red_strip)
         bands = [(strip, excursion, polygonal_arcs(excursion, strip)),
-                 (red_strip, excursion_matching(red_strip), None)]
+                 (red_strip, red_excursion, polygonal_arcs(red_excursion, red_strip))]
         cases += [
             ("zero_block", zero_block_matching(strip)),
             ("one_color_0", one_color_pairing(strip, 0)),

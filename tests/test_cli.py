@@ -469,12 +469,52 @@ def test_edges_read_as_tuples_of_plain_ints(tmp_path):
     assert m._edge_array().dtype == np.int64
 
 
-def test_render_arcs_from_table_and_rows_alike(pinned_inputs):
-    from poisson_matching.render import render_scene
-    ps, m, d = cli._load_result(str(pinned_inputs["excursion"]))
-    table = cli._arcs_from(d, "excursion.json")
-    assert len(table) > 0
-    assert render_scene(ps, m, arcs=table) == render_scene(ps, m, arcs=list(table))
+def _moved(arcs):
+    return [{**a, "vertices": [[x + 1000.0, y] for x, y in a["vertices"]]} for a in arcs]
+
+
+# arcs that do not draw the file's matching; planarity used to read each of
+# the first two as a planar drawing and exit 0
+UNDRAWN_ARCS = {
+    "emptied": lambda arcs: [],
+    "moved_off_their_points": _moved,
+    "pair_not_an_edge": lambda arcs: [
+        {**arcs[0], "edge": [arcs[0]["edge"][0], arcs[1]["edge"][1]]}, *arcs[1:]],
+    "edge_drawn_twice": lambda arcs: [arcs[0], arcs[0], *arcs[2:]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDRAWN_ARCS))
+def test_planarity_on_arcs_that_do_not_draw_the_matching_is_usage_error(
+        runner, pinned_inputs, tmp_path, name):
+    d = json.loads(pinned_inputs["excursion"].read_text())
+    assert len(d["arcs"]) >= 2
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps({**d, "arcs": UNDRAWN_ARCS[name](d["arcs"])}))
+    res = invoke(runner, *VERIFY, str(path))
+    assert res.exit_code == 2, res.output
+    assert "arc" in res.output and "Traceback" not in res.output
+
+
+def test_laminate_arcs_draw_the_matching_out_of_edge_order(runner, tmp_path):
+    path = tmp_path / "lam.json"
+    invoke(runner, "match", "--construction", "laminate", "--seed", "4", "--bands", "2",
+           "--window", "0,20", "--out", str(path))
+    d = json.loads(path.read_text())
+    edges = d["matching"]["edges"]
+    assert [a["edge"] for a in d["arcs"]] != edges
+    res = invoke(runner, *VERIFY, str(path))
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["trials"] == len(edges) * (len(edges) - 1) // 2
+
+
+@pytest.mark.parametrize("construction", ["hierarchical", "laminate"])
+def test_match_in_where_it_is_not_read_is_usage_error(runner, tmp_path, construction):
+    pts = sample_file(runner, tmp_path)
+    res = invoke(runner, "match", "--in", str(pts), "--construction", construction,
+                 "--stages", "2", "--seed", "1")
+    assert res.exit_code == 2
+    assert "--in" in res.output
 
 
 def test_one_edge_result_is_valid(runner, tmp_path):

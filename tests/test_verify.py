@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,9 +20,10 @@ from poisson_matching.verify import (ChernoffParams, _arc_arrays,
                                      chernoff_mc, check_arc_disjointness,
                                      check_planarity, crossing_stats,
                                      estimate_eta, interior_window)
-from poisson_matching.walks import (ArcSpec, ArcTable, excursion_matching,
-                                    laminate_strips, polygonal_arcs)
+from poisson_matching.walks import (ArcSpec, excursion_matching,
+                                    laminate_strips, one_color_pairing, polygonal_arcs)
 from test_geometry import scalar_edge_crosses_region, scalar_segments_intersect
+from test_walks import table_of
 
 
 def square_ps(seed, side=20.0, lam=1.0):
@@ -326,8 +328,8 @@ class TestSweepAgainstDenseScan:
 
 
 def _crossing_arcs(seed, n=80, length=40.0):
-    """A random matching on the strip, and four-vertex arcs for it at random
-    heights below both endpoints: the arcs cross one another."""
+    """A random matching on the strip, and the table of four-vertex arcs for
+    it at random heights below both endpoints: the arcs cross one another."""
     rng = derived_rng(seed, 38)
     reds = rng.uniform([0.0, 0.2], [length, 1.0], size=(n, 2))
     blues = np.column_stack([reds[:, 0] + rng.uniform(0.1, 6.0, n),
@@ -338,7 +340,7 @@ def _crossing_arcs(seed, n=80, length=40.0):
                                      rng.uniform(0.0, 0.2, n).tolist()):
         arcs.append(ArcSpec(edge=(len(arcs), len(arcs)), height=h, lowest=h,
                             depth=1, vertices=[(rx, ry), (rx, h), (bx, h), (bx, by)]))
-    return m, arcs
+    return m, table_of(arcs)
 
 
 class TestReportsPinned:
@@ -366,6 +368,20 @@ class TestReportsPinned:
         rep = check_arc_disjointness(arcs)
         assert rep.trials == 10  # 5 segments
         assert rep.violations == [{"arcs": [0, 1]}]
+
+    def test_arc_witnesses_name_edge_positions(self):
+        # the literal's crossing pair and a third arc right of them, the
+        # table in another order than the edges: the arcs that cross are
+        # rows 1 and 2, the edges they draw are at positions 0 and 1
+        ps = ColoredPointSet(Domain.strip(0, 10), reds=[[1, 0.8], [2, 0.7], [6, 0.5]],
+                             blues=[[3, 0.9], [4, 0.5], [7, 0.5]], seed=0)
+        m = Matching(ps.reds, ps.blues, [(0, 0), (1, 1), (2, 2)])
+        rows = list(polygonal_arcs(m, ps))
+        table = table_of([rows[2], rows[0], rows[1]])
+        assert check_arc_disjointness(table).violations == [{"arcs": [1, 2]}]
+        assert check_planarity(m, arcs=table).to_json() == {
+            "format": 1, "property": "planarity", "trials": 3, "pass": False,
+            "violations": [{"edges": [0, 1]}]}
 
     def test_reports_follow_dense_order(self):
         found = 0
@@ -426,8 +442,8 @@ class TestArcArrays:
         assert 0 < self._check(arcs) < 3 * len(arcs)
 
     def test_no_arcs(self):
-        assert self._check([]) == 0
-        assert check_arc_disjointness([]).to_json()["trials"] == 0
+        assert self._check(table_of([])) == 0
+        assert check_arc_disjointness(table_of([])).to_json()["trials"] == 0
 
     @pytest.mark.parametrize("vertices", [
         [(0.0, 1.0), (0.0, 0.5), (1.0, 1.0)],
@@ -438,18 +454,18 @@ class TestArcArrays:
     ])
     def test_malformed_arc_rejected(self, vertices):
         good = _arc([(0.0, 1.0), (0.0, 0.5), (1.0, 0.5), (1.0, 1.0)])
-        assert self._check([good, good]) == 6
+        assert self._check(table_of([good, good])) == 6
         with pytest.raises(ValueError):
-            _arc_arrays([good, _arc(vertices)])
+            table_of([good, _arc(vertices)])
         with pytest.raises(ValueError):
-            check_arc_disjointness([_arc(vertices)])
+            table_of([_arc(vertices)])
 
     def test_three_vertex_arcs_are_not_regrouped(self):
         # four three-vertex arcs hold as many vertices as three four-vertex
         # ones; they must be rejected, not read as three arcs
         arcs = [_arc([(k, 1.0), (k, 0.5), (k + 0.5, 1.0)]) for k in range(4)]
         with pytest.raises(ValueError):
-            _arc_arrays(arcs)
+            table_of(arcs)
 
     def test_zero_length_chord_rejected(self):
         # far from every other chord, so no candidate pair would build it
@@ -468,46 +484,93 @@ class TestSharedArcHits:
         return (check_arc_disjointness(arcs).to_json(),
                 check_planarity(m, arcs=arcs).to_json())
 
-    def test_table_and_rows_report_alike(self):
-        cases = [_crossing_arcs(seed) for seed in range(3)]
-        cases += [(m, arcs) for _, m, arcs in (_strip_arcs(s) for s in range(2))]
-        crossing = 0
-        for m, arcs in cases:
-            table = ArcTable.of(arcs)
-            want = self._reports(m, list(table))
-            assert self._reports(m, table) == want
-            assert self._reports(m, table) == want  # again, from the kept hits
-            crossing += not want[0]["pass"]
-        assert crossing == 3  # the crossing arcs were caught, the strip arcs passed
-
     def test_hits_found_once_per_table(self, monkeypatch):
         calls = []
         sweep = verify._pairwise_hits
         monkeypatch.setattr(verify, "_pairwise_hits",
                             lambda *a, **k: calls.append(1) or sweep(*a, **k))
-        m, arcs = _crossing_arcs(1)
-        table = ArcTable.of(arcs)
-        self._reports(m, table)
-        self._reports(m, table)
+        m, table = _crossing_arcs(1)
+        want = self._reports(m, table)
+        assert not want[0]["pass"]
+        assert self._reports(m, table) == want  # again, from the kept hits
         assert len(calls) == 1
-        self._reports(m, arcs)  # rows may change between calls: read anew
-        assert len(calls) == 3
 
     def test_hits_never_reach_another_table(self):
-        m, arcs = _crossing_arcs(2)
+        m, crossed = _crossing_arcs(2)
         _, good_m, good = _strip_arcs(0)
-        crossed = ArcTable.of(arcs)
         assert not check_arc_disjointness(crossed).passed
         # a copy of a table finds its hits afresh and reports alike
-        twin = ArcTable.of(list(crossed))
+        twin = table_of(crossed)
         assert check_planarity(m, arcs=twin).to_json() == check_planarity(m, arcs=crossed).to_json()
         assert check_arc_disjointness(good).passed
         assert check_planarity(good_m, arcs=good).passed
         # tables made and dropped in turn each report their own hits
         for k in range(20):
-            t = ArcTable.of(arcs) if k % 2 else ArcTable.of(list(good))
+            t = table_of(crossed) if k % 2 else table_of(good)
             assert check_arc_disjointness(t).passed == (k % 2 == 0)
             del t
+
+
+def _tampered(rows, how, n_reds):
+    """The arc rows of a matching, changed so that they no longer draw it."""
+    rows = list(rows)
+    first, second = rows[0], rows[1]
+    if how == "empty":
+        return []
+    if how == "one_missing":
+        return rows[:-1]
+    if how == "moved":
+        return [dataclasses.replace(a, vertices=[(x + 1000.0, y) for x, y in a.vertices])
+                for a in rows]
+    if how == "end_moved":
+        rows[0] = dataclasses.replace(first, vertices=[*first.vertices[:3], (
+            first.vertices[3][0], first.vertices[3][1] - 0.01)])
+    elif how == "reversed":
+        rows[0] = dataclasses.replace(first, vertices=first.vertices[::-1])
+    elif how == "not_an_edge":
+        rows[0] = dataclasses.replace(first, edge=(first.edge[0], second.edge[1]))
+    elif how == "red_out_of_range":
+        rows[0] = dataclasses.replace(first, edge=(n_reds, first.edge[1]))
+    else:  # "twice"
+        rows[1] = first
+    return rows
+
+
+TAMPERINGS = ("empty", "one_missing", "moved", "end_moved", "reversed", "not_an_edge",
+              "red_out_of_range", "twice")
+
+
+class TestArcsDrawTheMatching:
+    """``check_planarity(m, arcs)`` reads the table as the drawing of ``m``:
+    one arc per edge, from the edge's red to its partner, in any order."""
+
+    def test_any_row_order_reports_alike(self):
+        for seed in range(3):
+            _, m, arcs = _strip_arcs(seed, 60.0)
+            rows = list(arcs)
+            want = check_planarity(m, arcs=arcs).to_json()
+            assert want["pass"] and want["trials"] == len(rows) * (len(rows) - 1) // 2
+            order = derived_rng(seed, 3).permutation(len(rows)).tolist()
+            assert check_planarity(m, arcs=table_of([rows[k] for k in order])).to_json() == want
+
+    def test_one_color_edges_are_found_by_their_first_red(self):
+        ps = sample(SampleConfig(1, 1, Domain.strip(0, 40), 5))
+        m = one_color_pairing(ps, 1)
+        rows = list(polygonal_arcs(m, ps))
+        rep = check_planarity(m, arcs=table_of(rows[::-1]))
+        assert rep.passed and rep.trials == len(rows) * (len(rows) - 1) // 2 > 0
+        with pytest.raises(ValueError):
+            check_planarity(m, arcs=table_of(_tampered(rows, "not_an_edge", ps.n_red)))
+
+    @pytest.mark.parametrize("how", TAMPERINGS)
+    def test_arcs_that_draw_something_else_rejected(self, how):
+        ps, m, arcs = _strip_arcs(1, 60.0)
+        tampered = table_of(_tampered(arcs, how, ps.n_red))
+        with pytest.raises(ValueError, match="arc") as rejected:
+            check_planarity(m, arcs=tampered)
+        # rejected as a drawing, not for the segments that overlap once drawn
+        assert not isinstance(rejected.value, DegenerateGeometryError)
+        assert check_planarity(m, arcs=arcs).passed
 
 
 class TestArcDisjointness:
