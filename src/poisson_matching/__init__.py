@@ -7,14 +7,15 @@ from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 from .matching import Matching
 from .assignment import (brute_force_min, improvable_pair, max_cardinality_min_cost,
                          min_cost_perfect)
-from .walks import (ArcSpec, ArcTable, CrossingProfile, StepWalk, WalkInvariantError,
-                    build_walk, crossing_profile, cut_time_matching, excursion_matching,
-                    laminate_strips, minimality_certificate_d1,
-                    one_color_pairing, polygonal_arcs, zero_block_matching)
+from .arcs import ArcSpec, ArcTable
+from .walks import (CrossingProfile, StepWalk, WalkInvariantError, build_walk,
+                    crossing_profile, cut_time_matching, excursion_matching,
+                    laminate_strips, one_color_pairing, polygonal_arcs,
+                    zero_block_matching)
 from .hierarchy import BlockSystem, build_block_system, heir_frequency, run_hierarchical
 from .verify import (ChernoffParams, StatsReport, VerificationReport,
                      box_rematch_experiment, check_arc_disjointness,
                      check_planarity, chernoff_bound, chernoff_mc,
-                     crossing_stats, estimate_eta)
+                     crossing_stats, estimate_eta, minimality_certificate_d1)
 
 __version__ = "0.1.0"

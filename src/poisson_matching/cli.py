@@ -3,7 +3,10 @@
 Every command is deterministic given its flags/config (all randomness flows
 from explicit seeds). Exit codes: 0 success, 1 property violation, 2 usage
 or configuration error, including any invalid flag value or input file. A
-JSON config file can supply defaults; flags win.
+JSON config file can supply defaults; flags win. The commands are a thin
+shell over the API: ``_load_result`` reads every input file (arcs only as
+the drawing of the matching), ``verify`` builds every report, and ``_write``
+streams every output, so none is held whole.
 """
 
 from __future__ import annotations
@@ -11,36 +14,46 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 import click
 
 from . import hierarchy, matching, sampling, verify, walks
-from .assignment import brute_force_min, improvable_pair, min_cost_perfect
+from .arcs import ArcTable
+from .assignment import brute_force_min, min_cost_perfect
 from .geometry import Disk, Domain
 from .matching import Matching
-from .render import MARGIN, RenderSpec, render_scene
+from .render import MARGIN, render_scene
 from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 
 FORMAT_VERSION = 1
 
+CHUNKS_PER_WRITE = 256
 DRAWABLE = click.IntRange(2 * MARGIN + 1, None)  # leaves a drawing area
 CONSTRUCTIONS = ("zero_block", "one_color", "cut_time", "excursion",
                  "min_cost", "hierarchical", "laminate")
 
 
-def _write(text: str, path: Optional[str]):
-    if path:
-        with open(path, "w") as f:
-            f.write(text)
-    else:
-        click.echo(text, nl=False)
+def _write(chunks: Iterable[str], path: Optional[str]):
+    """Stream the strings ``chunks`` to the file at ``path``, or to standard
+    output, joined CHUNKS_PER_WRITE at a time: the JSON encoder's chunks are
+    a few bytes each, and a write per chunk costs more than the join."""
+    chunks = iter(chunks)
+    stdout = contextlib.nullcontext(click.get_text_stream("stdout"))
+    with open(path, "w") if path else stdout as f:
+        while batch := list(itertools.islice(chunks, CHUNKS_PER_WRITE)):
+            f.write("".join(batch))
+        f.flush()
 
 
 def _dump(obj: dict, path: Optional[str]):
-    _write(json.dumps(obj, indent=1, sort_keys=True) + "\n", path)
+    """``obj`` as ``json.dumps(obj, indent=1, sort_keys=True)`` and a newline
+    give it, streamed chunk by chunk as the encoder yields them."""
+    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(obj)
+    _write(itertools.chain(chunks, ["\n"]), path)
 
 
 def _load(path: str) -> dict:
@@ -113,7 +126,7 @@ def cmd_sample(seed, kind, window, lambda_red, lambda_blue, out):
     _dump(ps.to_json(), out)
 
 
-def _result_json(ps: ColoredPointSet, m: Matching, arcs: Optional[walks.ArcTable] = None,
+def _result_json(ps: ColoredPointSet, m: Matching, arcs: Optional[ArcTable] = None,
                  diagnostics=None) -> dict:
     out = {
         "format": FORMAT_VERSION,
@@ -138,13 +151,6 @@ def _fields_of(path: str):
         raise ValueError(f"malformed input {path}: {e}") from e
 
 
-def _arcs_from(d: dict, path: str):
-    if "arcs" not in d:
-        return None
-    with _fields_of(path):
-        return walks.ArcTable.from_json(d["arcs"])
-
-
 def _block_system(d: dict, path: str) -> hierarchy.BlockSystem:
     """The block system a hierarchical result was built on, from the offsets
     its diagnostics state; stated shifts must be those the offsets give."""
@@ -163,18 +169,25 @@ def _check_format(d: dict, path: str, version: int = FORMAT_VERSION,
 
 
 def _load_result(path: str):
+    """The points, matching and arcs of the result file at ``path``, and its
+    dict; a point-set file has neither matching nor arcs. Arcs that do not
+    draw the matching (``verify._drawn_edges``) are an input error."""
     d = _load(path)
     if not isinstance(d, dict):
         raise ValueError(f"malformed input {path}: not a JSON object")
     _check_format(d, path)
     with _fields_of(path):
-        if "points" in d:
-            _check_format(d["points"], path, sampling.FORMAT_VERSION, "points ")
-            _check_format(d["matching"], path, matching.FORMAT_VERSION, "matching ")
-            ps = ColoredPointSet.from_json(d["points"])
-            m = Matching.from_json(d["matching"], ps.reds, ps.blues)
-            return ps, m, d
-        return ColoredPointSet.from_json(d), None, d
+        if "points" not in d:
+            return ColoredPointSet.from_json(d), None, None, d
+        _check_format(d["points"], path, sampling.FORMAT_VERSION, "points ")
+        _check_format(d["matching"], path, matching.FORMAT_VERSION, "matching ")
+        ps = ColoredPointSet.from_json(d["points"])
+        m = Matching.from_json(d["matching"], ps.reds, ps.blues)
+        arcs = None
+        if "arcs" in d:
+            arcs = ArcTable.from_json(d["arcs"])
+            verify._drawn_edges(m, arcs)
+        return ps, m, arcs, d
 
 
 @main.command("match")
@@ -224,22 +237,18 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
     else:
         if in_path is None:
             raise click.UsageError(f"--in is required for {construction}")
-        ps, _, _ = _load_result(in_path)
+        ps, *_ = _load_result(in_path)
         kind = ps.domain.kind
+        if construction in ("zero_block", "one_color", "cut_time") and kind != "strip":
+            raise click.UsageError(f"{construction} requires a strip domain")
         if construction == "zero_block":
-            if kind != "strip":
-                raise click.UsageError("zero_block requires a strip domain")
             m = walks.zero_block_matching(ps)
         elif construction == "one_color":
-            if kind != "strip":
-                raise click.UsageError("one_color requires a strip domain")
             if coin is None:
                 coin = int(derived_rng(seed, 6).integers(0, 2))
             m = walks.one_color_pairing(ps, coin)
             diagnostics = {"coin": coin}
         elif construction == "cut_time":
-            if kind != "strip":
-                raise click.UsageError("cut_time requires a strip domain")
             m = walks.cut_time_matching(ps)
         elif construction == "excursion":
             if kind not in ("line", "strip"):
@@ -283,27 +292,23 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
 @click.option("--out", type=click.Path(), default=None)
 def cmd_verify(in_path, prop, k, trials, seed, out):
     """Check a matching property; exit 1 with witnesses on violation."""
-    ps, m, d = _load_result(in_path)
+    ps, m, arcs, _ = _load_result(in_path)
     if m is None:
         raise click.UsageError("input has no matching; run 'match' first")
     if prop == "planarity":
         # results carrying arcs are drawn with them, so planarity is checked
         # on the arc geometry rather than straight chords
-        report = verify.check_planarity(m, arcs=_arcs_from(d, in_path))
+        report = verify.check_planarity(m, arcs)
     elif prop == "arcs":
-        if "arcs" not in d:
+        if arcs is None:
             raise click.UsageError("input has no arcs")
-        report = verify.check_arc_disjointness(_arcs_from(d, in_path))
+        report = verify.check_arc_disjointness(arcs)
     elif prop == "minimality":
         if ps.domain.kind != "line":
             raise click.UsageError("minimality certificate requires a line domain")
-        report = walks.minimality_certificate_d1(m, k, trials, seed)
+        report = verify.minimality_certificate_d1(m, k, trials, seed)
     else:
-        n = len(d["matching"]["edges"])  # not m.edges, a list of tuples
-        pair = improvable_pair(m) if n >= 2 else None
-        report = verify.VerificationReport(
-            "improvable_pair", trials=n * (n - 1) // 2,
-            violations=[] if pair is None else [{"edges": list(pair)}])
+        report = verify.check_improvable(m)
     _dump(report.to_json(), out)
     if not report.passed:
         sys.exit(1)
@@ -319,7 +324,7 @@ def cmd_verify(in_path, prop, k, trials, seed, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_stats(in_path, kind, box_side, disk, out):
     """Quantitative diagnostics for a matching."""
-    ps, m, _ = _load_result(in_path)
+    ps, m, *_ = _load_result(in_path)
     if m is None:
         raise click.UsageError("input has no matching; run 'match' first")
     if kind == "eta":
@@ -334,13 +339,7 @@ def cmd_stats(in_path, kind, box_side, disk, out):
             region = Disk(cx, cy, 0.5)
         report = verify.crossing_stats(m, [region])
     else:
-        res = verify.box_rematch_experiment(ps, m, box_side)
-        report = verify.StatsReport("box_rematch", {
-            "length_before": res.length_before,
-            "length_after": res.length_after,
-            "improvement": res.improvement,
-            "cells_rematched": len(res.cell_improvements),
-        })
+        report = verify.box_rematch_experiment(ps, m, box_side).report()
     _dump(report.to_json(), out)
 
 
@@ -356,8 +355,7 @@ def cmd_stats(in_path, kind, box_side, disk, out):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_render(in_path, width, height, walk, blocks, out):
     """Render a result file to SVG."""
-    ps, m, d = _load_result(in_path)
-    arcs = _arcs_from(d, in_path)
+    ps, m, arcs, d = _load_result(in_path)
     w = None
     if walk:
         if ps.domain.kind not in ("line", "strip"):
@@ -372,8 +370,8 @@ def cmd_render(in_path, width, height, walk, blocks, out):
         cells = hierarchy.window_grids(system, blocks, ps.domain.window_rect())
         rows = [(n, *rect) for n in range(blocks, 0, -1)
                 for rect in system.rects(n, cells[n]).tolist()]
-    _write(render_scene(ps, m, arcs=arcs, walk=w, blocks=rows,
-                        spec=RenderSpec(width=width, height=height)), out)
+    _write([render_scene(ps, m, arcs=arcs, walk=w, blocks=rows,
+                         width=width, height=height)], out)
 
 
 @main.command("sweep")
@@ -398,10 +396,8 @@ def cmd_sweep(kind, lambdas, ratios, trials, seed, out):
             rows.append([lam, p.mu, rep.payload["estimate"],
                          rep.payload["bound"], rep.payload["within_bound"]])
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["lambda", "mu", "estimate", "bound", "pass"])
-    writer.writerows(rows)
-    _write(buf.getvalue(), out)
+    csv.writer(buf).writerows([["lambda", "mu", "estimate", "bound", "pass"], *rows])
+    _write([buf.getvalue()], out)
     if not ok:
         sys.exit(1)
 

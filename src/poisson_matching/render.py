@@ -4,7 +4,6 @@ byte-identical across runs and usable as golden files."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .arcs import ArcTable
@@ -27,25 +26,19 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
-@dataclass
-class RenderSpec:
-    width: int = 800
-    height: int = 400
-
-
 class _Canvas:
-    def __init__(self, spec: RenderSpec, x0, x1, y0, y1):
-        self.spec = spec
+    def __init__(self, width: int, height: int, x0, x1, y0, y1):
+        self.width, self.height = width, height
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
         self.elements: List[str] = []
 
     def tx(self, x: float) -> float:
-        w = self.spec.width - 2 * MARGIN
+        w = self.width - 2 * MARGIN
         return MARGIN + (x - self.x0) / (self.x1 - self.x0) * w
 
     def ty(self, y: float) -> float:
-        h = self.spec.height - 2 * MARGIN
-        return self.spec.height - MARGIN - (y - self.y0) / (self.y1 - self.y0) * h
+        h = self.height - 2 * MARGIN
+        return self.height - MARGIN - (y - self.y0) / (self.y1 - self.y0) * h
 
     def line(self, a, b, color, width=1.0, dash=None, cls="line"):
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -80,9 +73,9 @@ class _Canvas:
     def svg(self) -> str:
         body = "\n".join(self.elements)
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.spec.width}" '
-            f'height="{self.spec.height}" '
-            f'viewBox="0 0 {self.spec.width} {self.spec.height}">\n{body}\n</svg>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
+            f'height="{self.height}" '
+            f'viewBox="0 0 {self.width} {self.height}">\n{body}\n</svg>\n'
         )
 
 
@@ -91,11 +84,12 @@ def render_scene(ps: ColoredPointSet,
                  arcs: Optional[ArcTable] = None,
                  walk=None,
                  blocks: Optional[Sequence] = None,
-                 spec: Optional[RenderSpec] = None) -> str:
+                 width: int = 800,
+                 height: int = 400) -> str:
     """Compose point/edge/arc/walk/block layers into one SVG document. The
     arcs, an ``ArcTable``, are drawn from its vertex column; a block is a
-    (level, x0, x1, y0, y1) row."""
-    spec = spec or RenderSpec()
+    (level, x0, x1, y0, y1) row. ``width`` and ``height`` are the SVG's
+    size in pixels, a margin of MARGIN included."""
     d = ps.domain
     if d.kind == LINE:
         y0, y1 = -1.0, 1.0
@@ -105,7 +99,7 @@ def render_scene(ps: ColoredPointSet,
         vals = walk.values
         lo = min(0, int(vals.min()))
         y0 = min(y0, (lo - 1) * WALK_SCALE)
-    canvas = _Canvas(spec, d.x0, d.x1, y0, y1)
+    canvas = _Canvas(width, height, d.x0, d.x1, y0, y1)
 
     if blocks:
         for level, x0, x1, y0, y1 in blocks:

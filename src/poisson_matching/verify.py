@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcTable
-from .assignment import SQUARE, assign_in_groups
+from .assignment import EPS_TIE, SQUARE, assign_in_groups, brute_force_min, improvable_pair
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment, _crosses_region,
                        _intersections, _overlap_error)
 from .matching import TWO_COLOR, Matching, _length
@@ -205,6 +205,38 @@ def check_arc_disjointness(arcs: ArcTable) -> VerificationReport:
     )
 
 
+def check_improvable(m: Matching) -> VerificationReport:
+    """The 2-swap probe (``improvable_pair``) as a report: its pair of edges
+    is the witness, and ``trials`` counts the pairs of edges."""
+    n, pair = len(m._edge_array()), improvable_pair(m)
+    return VerificationReport("improvable_pair", n * (n - 1) // 2,
+                              [] if pair is None else [{"edges": list(pair)}])
+
+
+def minimality_certificate_d1(m: Matching, k: int, trials: int,
+                              seed: int = 0) -> VerificationReport:
+    """Check ``trials`` random k-subsets of the edges (all of them where
+    there are fewer) against the brute-force rematch minimum; a violating
+    subset witnesses non-minimality. The report's ``trials`` is the number
+    of subsets checked, 0 for a matching without edges."""
+    if not 1 <= k <= 8:
+        raise ValueError("need 1 <= k <= 8 (factorial oracle)")
+    rng = derived_rng(seed, 91)
+    violations = []
+    p, q = m.endpoint_arrays()
+    lengths = [math.hypot(dx, dy) for dx, dy in (p - q).tolist()]  # np.hypot rounds otherwise
+    size = min(k, len(p))
+    checked = max(trials, 0) if size else 0
+    for t in range(checked):
+        idx = rng.choice(len(p), size=size, replace=False)
+        own = sum(lengths[a] for a in idx)
+        best = brute_force_min(p[idx], q[idx]).total_length
+        if own > best + EPS_TIE:
+            violations.append({"trial": t, "edges": sorted(int(a) for a in idx),
+                               "cost": own, "minimum": best})
+    return VerificationReport("minimality_d1", checked, violations)
+
+
 @dataclass(frozen=True)
 class ChernoffParams:
     lam: float
@@ -314,6 +346,14 @@ class BoxRematchResult:
     @property
     def improvement(self) -> float:
         return self.length_before - self.length_after
+
+    def report(self) -> StatsReport:
+        return StatsReport("box_rematch", {
+            "length_before": self.length_before,
+            "length_after": self.length_after,
+            "improvement": self.improvement,
+            "cells_rematched": len(self.cell_improvements),
+        })
 
 
 def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRematchResult:

@@ -6,7 +6,9 @@ drive the zero-block, cut-time and excursion matchings; nesting depths and
 lowest intervening points give heights for non-crossing polygonal arcs.
 The excursion matching is a bracket pairing found by sorting the walk's
 steps by level, and the arcs come as one ``ArcTable`` (``arcs.py``), built
-and laminated column by column with no per-arc Python.
+and laminated column by column with no per-arc Python. The reports that
+check these matchings, the d = 1 minimality certificate among them, are
+built in ``verify``.
 
 Finite-window truncation policy: rules defined via inf/sup over the whole
 real line are restricted to the window, and points they leave unresolved
@@ -16,18 +18,16 @@ unmatched and are flagged, never force-matched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .assignment import EPS_TIE, RECTANGULAR, SQUARE, assign_in_groups, brute_force_min
+from .assignment import RECTANGULAR, SQUARE, assign_in_groups
 from .arcs import ArcSpec, ArcTable  # ArcSpec, the table's row type, is exported here too
 from .geometry import LINE, STRIP, Domain
 from .matching import ONE_COLOR, Matching, partner_edges
-from .sampling import ColoredPointSet, canonical_order, derived_rng
-from .verify import VerificationReport
+from .sampling import ColoredPointSet, canonical_order
 
 
 class WalkInvariantError(ValueError):
@@ -233,38 +233,6 @@ def crossing_profile(m: Matching) -> CrossingProfile:
     values = (np.searchsorted(np.sort(lo), mids, side="right")
               - np.searchsorted(np.sort(hi), mids, side="left"))
     return CrossingProfile(breaks, values.astype(int))
-
-
-def minimality_certificate_d1(m: Matching, k: int, trials: int,
-                              seed: int = 0) -> VerificationReport:
-    """Check ``trials`` random k-subsets of the edges (all of them where
-    there are fewer) against the brute-force rematch minimum; a violating
-    subset witnesses non-minimality. The report's ``trials`` is the number
-    of subsets checked, 0 for a matching without edges."""
-    if not 1 <= k <= 8:
-        raise ValueError("need 1 <= k <= 8 (factorial oracle)")
-    rng = derived_rng(seed, 91)
-    violations = []
-    p, q = m.endpoint_arrays()
-    lengths = [math.hypot(dx, dy) for dx, dy in (p - q).tolist()]  # np.hypot rounds otherwise
-    size = min(k, len(p))
-    checked = max(trials, 0) if size else 0
-    for t in range(checked):
-        idx = rng.choice(len(p), size=size, replace=False)
-        own = sum(lengths[a] for a in idx)
-        best = brute_force_min(p[idx], q[idx]).total_length
-        if own > best + EPS_TIE:
-            violations.append({
-                "trial": t,
-                "edges": sorted(int(a) for a in idx),
-                "cost": own,
-                "minimum": best,
-            })
-    return VerificationReport(
-        property_name="minimality_d1",
-        trials=checked,
-        violations=violations,
-    )
 
 
 def _inverse(order: np.ndarray) -> np.ndarray:

@@ -24,11 +24,11 @@ from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
 from poisson_matching.verify import (ChernoffParams, box_rematch_experiment,
                                      chernoff_bound, chernoff_mc,
                                      check_arc_disjointness, check_planarity,
-                                     crossing_stats, estimate_eta)
+                                     crossing_stats, estimate_eta,
+                                     minimality_certificate_d1)
 from poisson_matching.walks import (build_walk, crossing_profile, cut_times,
                                     cut_time_matching, excursion_matching,
-                                    minimality_certificate_d1, polygonal_arcs,
-                                    zero_block_matching)
+                                    polygonal_arcs, zero_block_matching)
 
 
 def _line(capfd, num, name, ok, detail=""):

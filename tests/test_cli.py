@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 import poisson_matching
-from poisson_matching import cli, hierarchy
+from poisson_matching import cli, hierarchy, walks
 from poisson_matching.cli import main
+from poisson_matching.geometry import Domain
 from poisson_matching.matching import Matching
-from poisson_matching.sampling import ColoredPointSet
+from poisson_matching.sampling import ColoredPointSet, SampleConfig, sample
 
 
 @pytest.fixture
@@ -256,119 +258,158 @@ BEYOND_INT64 = json.dumps({**ONE_EDGE_RESULT, "points": {
     "domain": {"kind": "strip", "x0": 1e300, "x1": 2e300, "y0": 0.0, "y1": 1.0}},
     "diagnostics": {"offsets": {"r": [0, 0, 1], "t": [0, 0, 1]}}})
 
-# command line, and the text of the file appended as its last argument
+POINT_SET = json.dumps(ONE_EDGE_RESULT["points"])
+LINE_POINTS = json.dumps(json.loads(LINE_RESULT)["points"])
+PLANE_POINTS = json.dumps({**ONE_EDGE_RESULT["points"], "domain": {
+    "kind": "plane", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 1.0}})
+
+
+def _match(construction):
+    return ["match", "--construction", construction, "--out", os.devnull, "--in"]
+
+
+# command line, the text of the file appended as its last argument, and a
+# part of the error message that names the cause
 BAD_INPUTS = {
-    "window_not_numbers": (["sample", "--seed", "1", "--window", "a,b"], None),
+    "window_not_numbers": (["sample", "--seed", "1", "--window", "a,b"], None,
+                           "could not convert"),
     "one_stage_hierarchy": (["match", "--construction", "hierarchical",
-                             "--stages", "1"], None),
+                             "--stages", "1"], None, "'--stages'"),
     "no_laminate_bands": (["match", "--construction", "laminate", "--bands", "0"],
-                          None),
+                          None, "strip result"),
     "disk_without_radius": (["stats", "--kind", "crossings", "--disk", "1,2", "--in"],
-                            json.dumps(ONE_EDGE_RESULT)),
+                            json.dumps(ONE_EDGE_RESULT), "expected 3"),
     # NaN passes a plain `<= 0` test, so these used to exit 0 with 0 cells / mean 0
     "disk_nan_centre": (["stats", "--kind", "crossings", "--disk", "nan,1,1", "--in"],
-                        json.dumps(ONE_EDGE_RESULT)),
+                        json.dumps(ONE_EDGE_RESULT), "must be finite"),
     "disk_nan_radius": (["stats", "--kind", "crossings", "--disk", "1,1,nan", "--in"],
-                        json.dumps(ONE_EDGE_RESULT)),
+                        json.dumps(ONE_EDGE_RESULT), "must be finite"),
     "disk_inf_centre": (["stats", "--kind", "crossings", "--disk", "1,inf,1", "--in"],
-                        json.dumps(ONE_EDGE_RESULT)),
+                        json.dumps(ONE_EDGE_RESULT), "must be finite"),
     "box_side_nan": (["stats", "--kind", "box-rematch", "--box-side", "nan", "--in"],
-                     json.dumps(ONE_EDGE_RESULT)),
+                     json.dumps(ONE_EDGE_RESULT), "square side"),
     "box_side_inf": (["stats", "--kind", "box-rematch", "--box-side", "inf", "--in"],
-                     json.dumps(ONE_EDGE_RESULT)),
-    "no_domain_key": (VERIFY, json.dumps(NO_DOMAIN_RESULT)),
-    "truncated_json": (VERIFY, json.dumps(ONE_EDGE_RESULT)[:40]),
-    "unknown_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "format": 99})),
+                     json.dumps(ONE_EDGE_RESULT), "square side"),
+    "no_domain_key": (VERIFY, json.dumps(NO_DOMAIN_RESULT), "'domain'"),
+    "truncated_json": (VERIFY, json.dumps(ONE_EDGE_RESULT)[:40], "Unterminated string"),
+    "unknown_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "format": 99}),
+                       "unsupported format"),
     # the nested versions used to go unchecked, so these exited 0
     "unknown_points_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "points": {
-        **ONE_EDGE_RESULT["points"], "format": 99}})),
+        **ONE_EDGE_RESULT["points"], "format": 99}}), "unsupported points format"),
     "unknown_matching_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
-        **ONE_EDGE_RESULT["matching"], "format": 99}})),
-    "three_vertex_arc_planarity": (VERIFY, THREE_VERTEX_ARC),
-    "three_vertex_arc_arcs": (VERIFY_ARCS, THREE_VERTEX_ARC),
-    "nan_vertex_planarity": (VERIFY, NAN_VERTEX_ARC),
-    "nan_vertex_arcs": (VERIFY_ARCS, NAN_VERTEX_ARC),
-    "dict_coordinate_planarity": (VERIFY, DICT_COORDINATE_ARC),
-    "dict_coordinate_arcs": (VERIFY_ARCS, DICT_COORDINATE_ARC),
-    "arcs_without_arcs_key": (VERIFY_ARCS, json.dumps(ONE_EDGE_RESULT)),
+        **ONE_EDGE_RESULT["matching"], "format": 99}}), "unsupported matching format"),
+    "three_vertex_arc_planarity": (VERIFY, THREE_VERTEX_ARC, "four finite 2-D vertices"),
+    "three_vertex_arc_arcs": (VERIFY_ARCS, THREE_VERTEX_ARC, "four finite 2-D vertices"),
+    "nan_vertex_planarity": (VERIFY, NAN_VERTEX_ARC, "four finite 2-D vertices"),
+    "nan_vertex_arcs": (VERIFY_ARCS, NAN_VERTEX_ARC, "four finite 2-D vertices"),
+    "dict_coordinate_planarity": (VERIFY, DICT_COORDINATE_ARC, "four finite 2-D vertices"),
+    "dict_coordinate_arcs": (VERIFY_ARCS, DICT_COORDINATE_ARC, "four finite 2-D vertices"),
+    "arcs_without_arcs_key": (VERIFY_ARCS, json.dumps(ONE_EDGE_RESULT), "has no arcs"),
     # wrongly typed fields, caught where the file is loaded
-    "null_arcs_planarity": (VERIFY, NULL_ARCS),
-    "null_arcs_arcs": (VERIFY_ARCS, NULL_ARCS),
-    "null_arcs_render": (RENDER, NULL_ARCS),
-    "null_arc_edge_planarity": (VERIFY, NULL_EDGE_ARC),
-    "null_arc_edge_arcs": (VERIFY_ARCS, NULL_EDGE_ARC),
-    "null_edges_planarity": (VERIFY, NULL_EDGES),
-    "null_edges_arcs": (VERIFY_ARCS, NULL_EDGES),
-    "top_level_list_planarity": (VERIFY, TOP_LEVEL_LIST),
-    "top_level_list_arcs": (VERIFY_ARCS, TOP_LEVEL_LIST),
-    "top_level_list_stats": (STATS_ETA, TOP_LEVEL_LIST),
-    "config_top_level_list": (["sample", "--seed", "1", "--config"], "[1, 2]"),
+    "null_arcs_planarity": (VERIFY, NULL_ARCS, "malformed input"),
+    "null_arcs_arcs": (VERIFY_ARCS, NULL_ARCS, "malformed input"),
+    "null_arcs_render": (RENDER, NULL_ARCS, "malformed input"),
+    "null_arc_edge_planarity": (VERIFY, NULL_EDGE_ARC, "edge of two indices"),
+    "null_arc_edge_arcs": (VERIFY_ARCS, NULL_EDGE_ARC, "edge of two indices"),
+    "null_edges_planarity": (VERIFY, NULL_EDGES, "rows of two"),
+    "null_edges_arcs": (VERIFY_ARCS, NULL_EDGES, "rows of two"),
+    "top_level_list_planarity": (VERIFY, TOP_LEVEL_LIST, "not a JSON object"),
+    "top_level_list_arcs": (VERIFY_ARCS, TOP_LEVEL_LIST, "not a JSON object"),
+    "top_level_list_stats": (STATS_ETA, TOP_LEVEL_LIST, "not a JSON object"),
+    "config_top_level_list": (["sample", "--seed", "1", "--config"], "[1, 2]",
+                              "not a JSON object"),
     # stated kind and unmatched lists must be those the edges give; these
     # used to pass, and the false list reached the output
     "unmatched_reds_disagree": (STATS_ETA, json.dumps({**ONE_EDGE_RESULT, "matching": {
-        **ONE_EDGE_RESULT["matching"], "unmatched_reds": [0]}})),
+        **ONE_EDGE_RESULT["matching"], "unmatched_reds": [0]}}), "unmatched_reds"),
     "kind_disagrees": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
-        **ONE_EDGE_RESULT["matching"], "kind": "partial"}})),
-    "unknown_color_mode": (VERIFY, UNKNOWN_COLOR_MODE),
-    "one_color_red_in_two_edges": (VERIFY, ONE_COLOR_REUSE),
+        **ONE_EDGE_RESULT["matching"], "kind": "partial"}}), "stated kind"),
+    "unknown_color_mode": (VERIFY, UNKNOWN_COLOR_MODE, "color_mode"),
+    "one_color_red_in_two_edges": (VERIFY, ONE_COLOR_REUSE, "two edges"),
     # the cells would pair reds with the blues of the same indices
     "box_rematch_one_color": (["stats", "--kind", "box-rematch", "--in"], json.dumps({
         **json.loads(ONE_COLOR_REUSE), "matching": {
-            "format": 1, "kind": "partial", "color_mode": "one_color", "edges": [[0, 1]]}})),
+            "format": 1, "kind": "partial", "color_mode": "one_color", "edges": [[0, 1]]}}),
+        "two-color matching"),
     # a minimality certificate that checks no subset proves nothing
-    "minimality_k_0": ([*MINIMALITY, "--k", "0", "--in"], LINE_RESULT),
-    "minimality_k_9": ([*MINIMALITY, "--k", "9", "--in"], LINE_RESULT),
-    "minimality_trials_0": ([*MINIMALITY, "--trials", "0", "--in"], LINE_RESULT),
-    "minimality_trials_negative": ([*MINIMALITY, "--trials", "-3", "--in"], LINE_RESULT),
+    "minimality_k_0": ([*MINIMALITY, "--k", "0", "--in"], LINE_RESULT, "'--k'"),
+    "minimality_k_9": ([*MINIMALITY, "--k", "9", "--in"], LINE_RESULT, "'--k'"),
+    "minimality_trials_0": ([*MINIMALITY, "--trials", "0", "--in"], LINE_RESULT,
+                            "'--trials'"),
+    "minimality_trials_negative": ([*MINIMALITY, "--trials", "-3", "--in"], LINE_RESULT,
+                                   "'--trials'"),
     # the window's corner cell does not fit the int64 block lookup; this
     # used to exit 1 with an OverflowError traceback. The file states a
     # valid block system, so the lookup is what fails
     "blocks_window_beyond_int64": (
-        ["render", "--blocks", "2", "--out", os.devnull, "--in"], BEYOND_INT64),
+        ["render", "--blocks", "2", "--out", os.devnull, "--in"], BEYOND_INT64, "2**53"),
     # edges are read as one array: each malformed shape or type is an input error
     "ragged_edges": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
-        **ONE_EDGE_RESULT["matching"], "edges": [[0, 0], [0]]}})),
+        **ONE_EDGE_RESULT["matching"], "edges": [[0, 0], [0]]}}), "sequence"),
     "float_edge": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
-        **ONE_EDGE_RESULT["matching"], "edges": [[0.0, 0]]}})),
+        **ONE_EDGE_RESULT["matching"], "edges": [[0.0, 0]]}}), "must be integers"),
     "string_edge": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
-        **ONE_EDGE_RESULT["matching"], "edges": [["0", 0]]}})),
+        **ONE_EDGE_RESULT["matching"], "edges": [["0", 0]]}}), "must be integers"),
     "three_index_edge": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
-        **ONE_EDGE_RESULT["matching"], "edges": [[0, 0, 0]]}})),
+        **ONE_EDGE_RESULT["matching"], "edges": [[0, 0, 0]]}}), "rows of two"),
     "object_edges": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
-        **ONE_EDGE_RESULT["matching"], "edges": {"0": 0}}})),
+        **ONE_EDGE_RESULT["matching"], "edges": {"0": 0}}}), "rows of two"),
     # arc columns are checked whole when the file is read, for every command
-    "negative_arc_edge_arcs": (VERIFY_ARCS, _with_arc(ARC_VERTICES, edge=[0, -1])),
-    "float_arc_depth_planarity": (VERIFY, _with_arc(ARC_VERTICES, depth=1.5)),
+    "negative_arc_edge_arcs": (VERIFY_ARCS, _with_arc(ARC_VERTICES, edge=[0, -1]),
+                               "edge of two indices"),
+    "float_arc_depth_planarity": (VERIFY, _with_arc(ARC_VERTICES, depth=1.5),
+                                  "integer depth"),
     "arc_without_height_arcs": (VERIFY_ARCS, json.dumps({**ONE_EDGE_RESULT, "arcs": [
-        {"edge": [0, 0], "lowest": 0.5, "depth": 1, "vertices": ARC_VERTICES}]})),
-    "three_vertex_arc_render": (RENDER, THREE_VERTEX_ARC),
-    "nan_vertex_render": (RENDER, NAN_VERTEX_ARC),
+        {"edge": [0, 0], "lowest": 0.5, "depth": 1, "vertices": ARC_VERTICES}]}),
+        "'height'"),
+    "three_vertex_arc_render": (RENDER, THREE_VERTEX_ARC, "four finite 2-D vertices"),
+    "nan_vertex_render": (RENDER, NAN_VERTEX_ARC, "four finite 2-D vertices"),
     # points, edges and y-ranges of the wrong shape; each of these used to
     # be read as something else and exit 0
     "reds_one_flat_row": (["match", "--construction", "excursion", "--out", os.devnull,
                            "--in"], json.dumps({**ONE_EDGE_RESULT["points"], "reds": [
-                               [0.1, 0.5, 0.3, 0.5, 0.5, 0.5, 0.7, 0.5, 0.9, 0.5]]})),
+                               [0.1, 0.5, 0.3, 0.5, 0.5, 0.5, 0.7, 0.5, 0.9, 0.5]]}),
+                          "rows of two"),
     "reds_flat_list": (STATS_ETA, json.dumps({**ONE_EDGE_RESULT, "points": {
-        **ONE_EDGE_RESULT["points"], "reds": [0.0, 0.5]}})),
+        **ONE_EDGE_RESULT["points"], "reds": [0.0, 0.5]}}), "rows of two"),
     "edges_nested_too_deep": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
-        **ONE_EDGE_RESULT["matching"], "edges": [[[0, 0]]]}})),
+        **ONE_EDGE_RESULT["matching"], "edges": [[[0, 0]]]}}), "rows of two"),
     "strip_y1_not_1": (STATS_ETA, json.dumps({**ONE_EDGE_RESULT, "points": {
         **ONE_EDGE_RESULT["points"], "domain": {
-            "kind": "strip", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 7.0}}})),
+            "kind": "strip", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 7.0}}}),
+        "strip domain"),
     "line_y1_not_0": (STATS_ETA, json.dumps({**json.loads(LINE_RESULT), "points": {
         **json.loads(LINE_RESULT)["points"], "domain": {
-            "kind": "line", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 1.0}}})),
+            "kind": "line", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 1.0}}}), "line domain"),
     # the walk counts a red left of the window, the zero blocks do not
     "zero_block_point_left_of_window": (
         ["match", "--construction", "zero_block", "--out", os.devnull, "--in"],
         json.dumps({**ONE_EDGE_RESULT["points"], "reds": [[-1.0, 0.5]],
-                    "blues": [[1.0, 0.5]]})),
+                    "blues": [[1.0, 0.5]]}), "not balanced"),
+    # each command's own checks of its flags and of the kind of file it reads
+    "plane_window_of_two_numbers": (["sample", "--seed", "1", "--domain", "plane",
+                                     "--window", "0,10"], None, "x0,x1,y0,y1"),
+    "construction_without_in": (["match", "--construction", "excursion"], None,
+                                "--in is required"),
+    "one_color_on_line": (_match("one_color"), LINE_POINTS, "one_color requires a strip"),
+    "cut_time_on_line": (_match("cut_time"), LINE_POINTS, "cut_time requires a strip"),
+    "excursion_on_plane": (_match("excursion"), PLANE_POINTS,
+                           "excursion requires a line or strip"),
+    "min_cost_unequal_counts": (_match("min_cost"), json.dumps({
+        **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.5], [0.5, 0.5]]}), "equal counts"),
+    "verify_point_set": (VERIFY, POINT_SET, "has no matching"),
+    "stats_point_set": (STATS_ETA, POINT_SET, "has no matching"),
+    "minimality_on_strip": ([*MINIMALITY, "--in"], json.dumps(ONE_EDGE_RESULT),
+                            "requires a line domain"),
+    "render_walk_on_plane": (["render", "--walk", "--out", os.devnull, "--in"],
+                             PLANE_POINTS, "walk overlay requires a line or strip"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_is_usage_error(runner, tmp_path, name):
-    args, text = BAD_INPUTS[name]
+    args, text, cause = BAD_INPUTS[name]
     if text is not None:
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -376,6 +417,7 @@ def test_bad_input_is_usage_error(runner, tmp_path, name):
     res = invoke(runner, *args)
     assert res.exit_code == 2, res.output
     assert "Error:" in res.output and "Traceback" not in res.output
+    assert cause in res.output
 
 
 @pytest.mark.parametrize("stages", ["7", "12"])
@@ -446,7 +488,7 @@ def test_render_blocks_draw_the_files_own_system(runner, tmp_path):
            "--out", str(path))
     res = invoke(runner, "render", "--in", str(path), "--blocks", "3", "--out", str(out))
     assert res.exit_code == 0, res.output
-    ps, m, _ = cli._load_result(str(path))
+    ps, m, _, _ = cli._load_result(str(path))
 
     def drawn(seed):
         system = hierarchy.build_block_system(seed, 3)
@@ -463,7 +505,7 @@ def test_edges_read_as_tuples_of_plain_ints(tmp_path):
         **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.5], [0.5, 0.2]],
         "blues": [[1.0, 0.5], [1.5, 0.1]]},
         "matching": {"format": 1, "kind": "perfect", "edges": [[1, 0], [0, 1]]}}))
-    _, m, _ = cli._load_result(str(path))
+    _, m, _, _ = cli._load_result(str(path))
     assert m.edges == [(1, 0), (0, 1)]
     assert all(type(i) is int and type(j) is int for i, j in m.edges)
     assert m._edge_array().dtype == np.int64
@@ -492,6 +534,21 @@ def test_planarity_on_arcs_that_do_not_draw_the_matching_is_usage_error(
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps({**d, "arcs": UNDRAWN_ARCS[name](d["arcs"])}))
     res = invoke(runner, *VERIFY, str(path))
+    assert res.exit_code == 2, res.output
+    assert "arc" in res.output and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", [VERIFY_ARCS, RENDER], ids=["arcs", "render"])
+@pytest.mark.parametrize("name", sorted(UNDRAWN_ARCS))
+def test_every_command_reading_arcs_rejects_arcs_that_do_not_draw_the_matching(
+        runner, pinned_inputs, tmp_path, command, name):
+    # arcs are read once, as the drawing of the matching: verify --property
+    # arcs used to pass the first two (the emptied list with trials 0), and
+    # render drew them
+    d = json.loads(pinned_inputs["excursion"].read_text())
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps({**d, "arcs": UNDRAWN_ARCS[name](d["arcs"])}))
+    res = invoke(runner, *command, str(path))
     assert res.exit_code == 2, res.output
     assert "arc" in res.output and "Traceback" not in res.output
 
@@ -540,8 +597,8 @@ def test_minimality_reports_subsets_checked(runner, tmp_path):
 @pytest.mark.parametrize("construction,exit_code", [("min_cost", 0), ("excursion", 1)])
 def test_improvable_counts_edges_from_the_file(runner, tmp_path, monkeypatch,
                                                construction, exit_code):
-    # the pair count comes from the file's edge list: the matching's list of
-    # edge tuples is never built
+    # the pair count comes from the matching's edge array: its list of edge
+    # tuples is never built
     points = (sample_file(runner, tmp_path, domain="plane", window="0,3,0,3", seed=1)
               if construction == "min_cost" else sample_file(runner, tmp_path))
     result = tmp_path / "m.json"
@@ -812,3 +869,50 @@ def test_command_that_solves_loads_scipy(cold_inputs, name):
     loaded = _loaded_after(RUN_MAIN, *argv)
     assert "scipy.optimize._lsap" in loaded  # the assignment routine
     assert not loaded & {"scipy.optimize", "scipy.spatial"}
+
+
+# every command that writes JSON, run on the files of ``cold_inputs``
+JSON_OUTPUTS = {
+    "sample": "sample --seed 7",
+    "match_excursion": "match --construction excursion --in {strip}",
+    "match_min_cost": "match --construction min_cost --in {plane}",
+    "match_laminate": "match --construction laminate --seed 4 --bands 2 --window 0,20",
+    "match_hierarchical": "match --construction hierarchical --seed 2 --stages 3",
+    "verify_planarity": "verify --property planarity --in {excursion}",
+    "verify_arcs": "verify --property arcs --in {excursion}",
+    "verify_minimality": "verify --property minimality --in {line_excursion}",
+    "verify_improvable": "verify --property improvable --in {min_cost}",
+    "stats_eta": "stats --kind eta --in {excursion}",
+    "stats_crossings": "stats --kind crossings --in {excursion}",
+    "stats_box_rematch": "stats --kind box-rematch --in {excursion}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_OUTPUTS))
+def test_json_output_streams_the_bytes_of_json_dumps(runner, cold_inputs, name):
+    # streamed chunk by chunk, to a file or to stdout, the output is what
+    # one json.dumps call and a newline give
+    args = [arg.format(**cold_inputs) for arg in JSON_OUTPUTS[name].split()]
+    res = invoke(runner, *args)
+    assert res.exit_code == 0, res.output
+    assert invoke(runner, *args, "--out", str(cold_inputs["out"])).exit_code == 0
+    written = cold_inputs["out"].read_bytes()
+    assert written == res.stdout_bytes
+    dumped = json.dumps(json.loads(written), indent=1, sort_keys=True) + "\n"
+    assert written == dumped.encode()
+
+
+def test_dump_holds_less_than_the_file(tmp_path):
+    # the encoder's chunks go to the file as they come: neither their list
+    # nor the whole text is held (json.dumps held about six times the file)
+    ps = sample(SampleConfig(1.0, 1.0, Domain.strip(0, 2000), 0))
+    m = walks.excursion_matching(ps)
+    result = cli._result_json(ps, m, walks.polygonal_arcs(m, ps))
+    path = tmp_path / "result.json"
+    tracemalloc.start()
+    try:
+        cli._dump(result, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size

@@ -10,13 +10,13 @@ from poisson_matching.assignment import SMALL_MAX, max_cardinality_min_cost, min
 from poisson_matching.geometry import Domain, Rect
 from poisson_matching.matching import Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
-from poisson_matching.verify import check_arc_disjointness, check_planarity
+from poisson_matching.verify import (check_arc_disjointness, check_planarity,
+                                     minimality_certificate_d1)
 from poisson_matching import walks
 from poisson_matching.walks import (ArcSpec, ArcTable, StepWalk, WalkInvariantError,
                                     build_walk, crossing_profile,
                                     cut_time_matching, cut_times,
                                     excursion_matching, laminate_strips,
-                                    minimality_certificate_d1,
                                     one_color_pairing, polygonal_arcs,
                                     zero_block_matching)
 from test_hierarchy import min_cost_pairs as kernel_pairs
