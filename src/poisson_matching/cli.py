@@ -361,17 +361,16 @@ def cmd_render(in_path, width, height, walk, blocks, out):
         if ps.domain.kind not in ("line", "strip"):
             raise click.UsageError("walk overlay requires a line or strip domain")
         w = walks.build_walk(ps)
-    rows = None
+    rects = []
     if blocks:
         system = _block_system(d, in_path)
         if blocks > system.N:
             raise click.UsageError(f"--blocks {blocks} is above the level of the file's "
                                    f"block system (N={system.N})")
         cells = hierarchy.window_grids(system, blocks, ps.domain.window_rect())
-        rows = [(n, *rect) for n in range(blocks, 0, -1)
-                for rect in system.rects(n, cells[n]).tolist()]
-    _write([render_scene(ps, m, arcs=arcs, walk=w, blocks=rows,
-                         width=width, height=height)], out)
+        rects = [(n, system.rects(n, cells[n])) for n in range(blocks, 0, -1)]
+    _write(render_scene(ps, m, arcs=arcs, walk=w, blocks=rects,
+                        width=width, height=height), out)
 
 
 @main.command("sweep")

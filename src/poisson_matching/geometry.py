@@ -91,7 +91,7 @@ class Domain:
     """Sampling domain: a window on the line, the unit strip, or the plane.
 
     The line stores y0 == y1 == 0; the strip fixes y to [0, 1). Either
-    with another y-range is a ValueError.
+    with another y-range, or any bound that is not finite, is a ValueError.
     """
 
     kind: str
@@ -111,6 +111,10 @@ class Domain:
         if fixed is not None and (self.y0, self.y1) != fixed:
             raise ValueError(f"a {self.kind} domain has y0, y1 = {fixed}, "
                              f"not {self.y0}, {self.y1}")
+        # a comparison, not math.isfinite, so that a huge int is no OverflowError
+        if not all(abs(v) < math.inf for v in (self.x0, self.x1, self.y0, self.y1)):
+            raise ValueError(f"domain bounds must be finite, got {self.x0}, {self.x1}, "
+                             f"{self.y0}, {self.y1}")
 
     @staticmethod
     def line(x0: float, x1: float) -> "Domain":
@@ -147,6 +151,11 @@ class Domain:
 
     @staticmethod
     def from_json(d: dict) -> "Domain":
+        """The domain ``d`` states; a bound that is not an int or a float (a
+        string, a bool) is a ValueError."""
+        for key in ("x0", "x1", "y0", "y1"):
+            if type(d[key]) not in (int, float):
+                raise ValueError(f"domain bound {key} must be a number, got {d[key]!r}")
         return Domain(d["kind"], d["x0"], d["x1"], d["y0"], d["y1"])
 
 

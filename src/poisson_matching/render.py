@@ -1,10 +1,17 @@
 """Deterministic SVG rendering of point sets, matchings, walks, arcs and
 block hierarchies. Text output with fixed number formatting so renders are
-byte-identical across runs and usable as golden files."""
+byte-identical across runs and usable as golden files.
+
+``render_scene`` streams the document: each layer is one ``%`` template
+filled row by row from numpy columns, mapped to the screen once per
+column, so neither a list of elements nor the whole text is held.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Tuple
+
+import numpy as np
 
 from .arcs import ArcTable
 from .geometry import LINE
@@ -21,113 +28,76 @@ MARGIN = 20
 POINT_RADIUS = 2.5
 WALK_SCALE = 0.08  # walk units per strip height
 
+# one element per row: the {} fields are set per layer, the % fields per row
+LINE_ROW = ('<line class="{}" x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
+            'stroke="{}" stroke-width="1.0"{} />\n')
+RECT_ROW = ('<rect class="block" x="%.4f" y="%.4f" width="%.4f" height="%.4f" '
+            'fill="none" stroke="{}" stroke-width="{}" />\n')
+ARC_ROW = ('<polyline class="arc" points="%.4f,%.4f %.4f,%.4f %.4f,%.4f %.4f,%.4f" '
+           f'fill="none" stroke="{ARC}" stroke-width="1.0" />\n')
+POINT_ROW = '<circle class="{}" cx="%.4f" cy="%.4f" r="{:.4f}" fill="{}" />\n'
 
-def _fmt(v: float) -> str:
-    return f"{v:.4f}"
 
-
-class _Canvas:
-    def __init__(self, width: int, height: int, x0, x1, y0, y1):
-        self.width, self.height = width, height
-        self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
-        self.elements: List[str] = []
-
-    def tx(self, x: float) -> float:
-        w = self.width - 2 * MARGIN
-        return MARGIN + (x - self.x0) / (self.x1 - self.x0) * w
-
-    def ty(self, y: float) -> float:
-        h = self.height - 2 * MARGIN
-        return self.height - MARGIN - (y - self.y0) / (self.y1 - self.y0) * h
-
-    def line(self, a, b, color, width=1.0, dash=None, cls="line"):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
-        self.elements.append(
-            f'<line class="{cls}" x1="{_fmt(self.tx(a[0]))}" y1="{_fmt(self.ty(a[1]))}" '
-            f'x2="{_fmt(self.tx(b[0]))}" y2="{_fmt(self.ty(b[1]))}" '
-            f'stroke="{color}" stroke-width="{width}"{d} />'
-        )
-
-    def polyline(self, pts, color, width=1.0, cls="arc"):
-        path = " ".join(f"{_fmt(self.tx(x))},{_fmt(self.ty(y))}" for x, y in pts)
-        self.elements.append(
-            f'<polyline class="{cls}" points="{path}" fill="none" '
-            f'stroke="{color}" stroke-width="{width}" />'
-        )
-
-    def circle(self, p, color, r=None, cls="point"):
-        r = r if r is not None else POINT_RADIUS
-        self.elements.append(
-            f'<circle class="{cls}" cx="{_fmt(self.tx(p[0]))}" cy="{_fmt(self.ty(p[1]))}" '
-            f'r="{_fmt(r)}" fill="{color}" />'
-        )
-
-    def rect(self, x0, x1, y0, y1, color, width=1.0, cls="block"):
-        self.elements.append(
-            f'<rect class="{cls}" x="{_fmt(self.tx(x0))}" y="{_fmt(self.ty(y1))}" '
-            f'width="{_fmt(self.tx(x1) - self.tx(x0))}" '
-            f'height="{_fmt(self.ty(y0) - self.ty(y1))}" '
-            f'fill="none" stroke="{color}" stroke-width="{width}" />'
-        )
-
-    def svg(self) -> str:
-        body = "\n".join(self.elements)
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}">\n{body}\n</svg>\n'
-        )
+def _rows(template: str, *columns: np.ndarray) -> Iterator[str]:
+    """``template`` filled from each row of ``columns``."""
+    return map(template.__mod__, zip(*(c.tolist() for c in columns)))
 
 
 def render_scene(ps: ColoredPointSet,
                  matching: Optional[Matching] = None,
                  arcs: Optional[ArcTable] = None,
                  walk=None,
-                 blocks: Optional[Sequence] = None,
+                 blocks: Iterable[Tuple[int, np.ndarray]] = (),
                  width: int = 800,
-                 height: int = 400) -> str:
-    """Compose point/edge/arc/walk/block layers into one SVG document. The
-    arcs, an ``ArcTable``, are drawn from its vertex column; a block is a
-    (level, x0, x1, y0, y1) row. ``width`` and ``height`` are the SVG's
-    size in pixels, a margin of MARGIN included."""
+                 height: int = 400) -> Iterator[str]:
+    """The SVG document of the block, walk, edge, arc and point layers, as
+    chunks of text. The arcs, an ``ArcTable``, are drawn from its vertex
+    column; ``blocks`` are (level, rects) pairs, ``rects`` the (x0, x1, y0,
+    y1) rows ``BlockSystem.rects`` gives. ``width`` and ``height`` are the
+    SVG's size in pixels, a margin of MARGIN included."""
     d = ps.domain
-    if d.kind == LINE:
-        y0, y1 = -1.0, 1.0
-    else:
-        y0, y1 = d.y0, d.y1
-    if walk is not None and len(walk.xs):
-        vals = walk.values
-        lo = min(0, int(vals.min()))
-        y0 = min(y0, (lo - 1) * WALK_SCALE)
-    canvas = _Canvas(width, height, d.x0, d.x1, y0, y1)
+    y0, y1 = (-1.0, 1.0) if d.kind == LINE else (d.y0, d.y1)
+    steps = walk is not None and len(walk.xs)
+    if steps:
+        y0 = min(y0, (min(0, int(walk.values.min())) - 1) * WALK_SCALE)
+    w, h = width - 2 * MARGIN, height - 2 * MARGIN
 
-    if blocks:
-        for level, x0, x1, y0, y1 in blocks:
+    def tx(x):
+        return MARGIN + (x - d.x0) / (d.x1 - d.x0) * w
+
+    def ty(y):
+        return height - MARGIN - (y - y0) / (y1 - y0) * h
+
+    def layers() -> Iterator[str]:
+        for level, rects in blocks:
+            left, right = tx(rects[:, 0]), tx(rects[:, 1])
+            bottom, top = ty(rects[:, 2]), ty(rects[:, 3])
             color = BLOCK_COLORS[level % len(BLOCK_COLORS)]
-            canvas.rect(x0, x1, y0, y1, color, width=0.5 + 0.4 * level)
+            yield from _rows(RECT_ROW.format(color, 0.5 + 0.4 * level),
+                             left, top, right - left, bottom - top)
+        if steps:
+            # a flat to each jump and the dashed riser at it, then the last flat
+            xs = tx(np.concatenate([[d.x0], walk.xs, [d.x1]])).tolist()
+            ys = ty(np.concatenate([[0], walk.values]) * WALK_SCALE - WALK_SCALE).tolist()
+            flat = LINE_ROW.format("walk", WALK, "")
+            riser = LINE_ROW.format("walk", WALK, ' stroke-dasharray="2,2"')
+            x, y = xs[1:-1], ys[:-1]  # each jump's x and the level before it
+            yield from map((flat + riser).__mod__, zip(xs, y, x, y, x, y, x, ys[1:]))
+            yield flat % (xs[-2], ys[-1], xs[-1], ys[-1])
+        if matching is not None:
+            p, q = matching.endpoint_arrays()
+            yield from _rows(LINE_ROW.format("edge", EDGE, ""),
+                             tx(p[:, 0]), ty(p[:, 1]), tx(q[:, 0]), ty(q[:, 1]))
+        if arcs is not None:
+            xy = np.stack([tx(arcs.vertices[..., 0]), ty(arcs.vertices[..., 1])], axis=-1)
+            yield from _rows(ARC_ROW, *xy.reshape(len(xy), 8).T)
+        for cls, color, pts in (("red-point", RED, ps.reds), ("blue-point", BLUE, ps.blues)):
+            yield from _rows(POINT_ROW.format(cls, POINT_RADIUS, color),
+                             tx(pts[:, 0]), ty(pts[:, 1]))
 
-    if walk is not None and len(walk.xs):
-        vals = walk.values
-        s = WALK_SCALE
-        prev_v = 0
-        prev_x = d.x0
-        for x, v in zip(walk.xs, vals):
-            canvas.line((prev_x, prev_v * s - s), (x, prev_v * s - s), WALK, cls="walk")
-            canvas.line((x, prev_v * s - s), (x, v * s - s), WALK, dash="2,2", cls="walk")
-            prev_x, prev_v = x, v
-        canvas.line((prev_x, prev_v * s - s), (d.x1, prev_v * s - s), WALK, cls="walk")
-
-    if matching is not None:
-        p, q = matching.endpoint_arrays()
-        for a, b in zip(p, q):
-            canvas.line(a, b, EDGE, cls="edge")
-
-    if arcs is not None:
-        for vertices in arcs.vertices.tolist():
-            canvas.polyline(vertices, ARC, cls="arc")
-
-    for p in ps.reds:
-        canvas.circle(p, RED, cls="red-point")
-    for p in ps.blues:
-        canvas.circle(p, BLUE, cls="blue-point")
-    return canvas.svg()
+    body = layers()
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">\n')
+    yield next(body, "\n")  # an empty scene keeps the blank line of its empty body
+    yield from body
+    yield "</svg>\n"

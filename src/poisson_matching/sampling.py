@@ -75,6 +75,8 @@ class ColoredPointSet:
 
     @staticmethod
     def from_json(d: dict) -> "ColoredPointSet":
+        if type(d["seed"]) is not int:
+            raise ValueError(f"seed must be an integer, got {d['seed']!r}")
         return ColoredPointSet(
             domain=Domain.from_json(d["domain"]),
             reds=d["reds"],

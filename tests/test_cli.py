@@ -15,6 +15,7 @@ from poisson_matching import cli, hierarchy, walks
 from poisson_matching.cli import main
 from poisson_matching.geometry import Domain
 from poisson_matching.matching import Matching
+from poisson_matching.render import render_scene
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, sample
 
 
@@ -263,6 +264,19 @@ LINE_POINTS = json.dumps(json.loads(LINE_RESULT)["points"])
 PLANE_POINTS = json.dumps({**ONE_EDGE_RESULT["points"], "domain": {
     "kind": "plane", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 1.0}})
 
+# bounds stored as strings compare as strings, so the window looked valid;
+# render and stats then crashed, and match wrote the strings back out
+STRING_BOUNDS = json.dumps({**ONE_EDGE_RESULT, "points": {
+    **ONE_EDGE_RESULT["points"], "domain": {
+        **ONE_EDGE_RESULT["points"]["domain"], "x0": "0", "x1": "20"}}})
+STRING_BOUNDS_POINTS = json.dumps(json.loads(STRING_BOUNDS)["points"])
+STRING_BOUND = "domain bound x0 must be a number, got '0'"
+
+
+def _with_points(**fields):
+    """The one-edge result's point set with ``fields`` overridden."""
+    return json.dumps({**ONE_EDGE_RESULT["points"], **fields})
+
 
 def _match(construction):
     return ["match", "--construction", construction, "--out", os.devnull, "--in"]
@@ -404,6 +418,27 @@ BAD_INPUTS = {
                             "requires a line domain"),
     "render_walk_on_plane": (["render", "--walk", "--out", os.devnull, "--in"],
                              PLANE_POINTS, "walk overlay requires a line or strip"),
+    # domain bounds and seeds of the wrong type, caught where the file is read
+    "string_bounds_render": (RENDER, STRING_BOUNDS, STRING_BOUND),
+    "string_bounds_stats_eta": (STATS_ETA, STRING_BOUNDS, STRING_BOUND),
+    "string_bounds_stats_crossings": (["stats", "--kind", "crossings", "--in"],
+                                      STRING_BOUNDS, STRING_BOUND),
+    "string_bounds_stats_box_rematch": (["stats", "--kind", "box-rematch", "--in"],
+                                        STRING_BOUNDS, STRING_BOUND),
+    "string_bounds_match": (_match("excursion"), STRING_BOUNDS_POINTS, STRING_BOUND),
+    "bool_bound_match": (_match("excursion"), _with_points(domain={
+        **ONE_EDGE_RESULT["points"]["domain"], "x1": True}),
+        "domain bound x1 must be a number, got True"),
+    "infinite_bound_match": (_match("excursion"), _with_points(domain={
+        **ONE_EDGE_RESULT["points"]["domain"], "x1": float("inf")}),
+        "domain bounds must be finite"),
+    "plane_string_bound_match": (_match("min_cost"), _with_points(domain={
+        "kind": "plane", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": "1"}),
+        "domain bound y1 must be a number, got '1'"),
+    "string_seed_match": (_match("excursion"), _with_points(seed="3"),
+                          "seed must be an integer, got '3'"),
+    "float_seed_match": (_match("excursion"), _with_points(seed=3.0),
+                         "seed must be an integer, got 3.0"),
 }
 
 
@@ -482,7 +517,6 @@ def test_render_blocks_of_a_bad_block_system_is_usage_error(runner, tmp_path, na
 def test_render_blocks_draw_the_files_own_system(runner, tmp_path):
     # a seed-3 file rendered with no seed draws seed 3's blocks; it used to
     # draw seed 0's unless --seed 3 was given again
-    from poisson_matching.render import render_scene
     path, out = tmp_path / "h.json", tmp_path / "h.svg"
     invoke(runner, "match", "--construction", "hierarchical", "--seed", "3", "--stages", "3",
            "--out", str(path))
@@ -493,8 +527,8 @@ def test_render_blocks_draw_the_files_own_system(runner, tmp_path):
     def drawn(seed):
         system = hierarchy.build_block_system(seed, 3)
         cells = hierarchy.window_grids(system, 3, ps.domain.window_rect())
-        return render_scene(ps, m, blocks=[(n, *rect) for n in (3, 2, 1)
-                                           for rect in system.rects(n, cells[n]).tolist()])
+        return "".join(render_scene(ps, m, blocks=[(n, system.rects(n, cells[n]))
+                                                   for n in (3, 2, 1)]))
 
     assert out.read_text() == drawn(3) != drawn(0)
 
@@ -635,6 +669,23 @@ def test_render_without_drawing_area_is_usage_error(runner, tmp_path, flags):
     assert "Error:" in res.output and not out.exists()
 
 
+# no element is drawn, so the body between the tags is one blank line
+EMPTY_SVG = (b'<svg xmlns="http://www.w3.org/2000/svg" width="800" height="400" '
+             b'viewBox="0 0 800 400">\n\n</svg>\n')
+
+
+@pytest.mark.parametrize("flags", [[], ["--walk"]], ids=["plain", "walk"])
+def test_empty_scene_keeps_its_blank_line(runner, tmp_path, flags):
+    path, out = tmp_path / "empty.json", tmp_path / "empty.svg"
+    res = invoke(runner, "sample", "--seed", "3", "--window", "0,0.01", "--out", str(path))
+    assert res.exit_code == 0, res.output
+    points = json.loads(path.read_text())
+    assert points["reds"] == points["blues"] == []
+    res = invoke(runner, "render", "--in", str(path), *flags, "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == EMPTY_SVG
+
+
 def test_smallest_drawing_area_renders(runner, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(ONE_EDGE_RESULT))
@@ -714,25 +765,41 @@ PINNED = {
                         "25200fc175baffad97c3ba2a2250d522f9cd01bbeabab666221a6d0495286e22"),
     "render_blocks_1": ("render --in {hier} --blocks 1 --out {svg}",
                         "5d5e7e56473b252cd1b1c7e76e975b294e00076e4c8d2b6878fb6919d6d76282"),
+    # recorded before render streamed its layers: the line's fixed y-range,
+    # the laminate's shifted plane bands, and sizes other than the default
+    "render_line_walk": ("render --in {line_excursion} --walk --out {svg}",
+                         "a5938672fedc0221fcc51eebf5e3c787e9febd6983c54268488fe9736991e58d"),
+    "render_laminate": ("render --in {laminate} --out {svg}",
+                        "ece9e1de2f67df76dba26656e6f52edc8c215b7da3188cc083db5ba91670283d"),
+    "render_41x41_blocks_3": ("render --in {hier} --width 41 --height 41 --blocks 3 "
+                              "--out {svg}",
+                              "2a1324a4ca5f60152e91269cc3cf9d8d99753118db8c6a48a9be620fa4c1840c"),
+    "render_1000x333_walk": ("render --in {excursion} --width 1000 --height 333 --walk "
+                             "--out {svg}",
+                             "e026f316ed16142a4208372895dbd53468330dab0ff868fe56b211e6ca3e0762"),
 }
 
 
 @pytest.fixture(scope="module")
 def pinned_inputs(tmp_path_factory):
-    """Small strip, plane and hierarchical input files shared by the cases."""
+    """Small strip, plane, line, hierarchical and laminate input files
+    shared by the cases."""
     runner = CliRunner()
     tmp = tmp_path_factory.mktemp("pinned")
     strip = sample_file(runner, tmp, "strip.json")
     plane = sample_file(runner, tmp, "plane.json", domain="plane",
                         window="0,3,0,3", seed=1)  # 9 reds, 9 blues
-    excursion = tmp / "excursion.json"
-    invoke(runner, "match", "--in", str(strip), "--construction", "excursion",
-           "--out", str(excursion))
-    hier = tmp / "hier.json"
-    invoke(runner, "match", "--construction", "hierarchical", "--seed", "2",
-           "--stages", "3", "--out", str(hier))
-    return {"strip": strip, "plane": plane, "excursion": excursion,
-            "hier": hier, "svg": tmp / "out.svg"}
+    line = sample_file(runner, tmp, "line.json", domain="line", window="0,40", seed=3)
+    files = {"excursion": ["--in", str(strip), "--construction", "excursion"],
+             "line_excursion": ["--in", str(line), "--construction", "excursion"],
+             "hier": ["--construction", "hierarchical", "--seed", "2", "--stages", "3"],
+             "laminate": ["--construction", "laminate", "--seed", "4", "--bands", "2",
+                          "--window", "0,20"]}
+    for name, args in files.items():
+        res = invoke(runner, "match", *args, "--out", str(tmp / f"{name}.json"))
+        assert res.exit_code == 0, res.output
+    return {"strip": strip, "plane": plane, "svg": tmp / "out.svg",
+            **{name: tmp / f"{name}.json" for name in files}}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -805,17 +872,12 @@ def cold_inputs(pinned_inputs, tmp_path_factory):
     res = invoke(CliRunner(), "sample", "--seed", "7", "--window", "0,30",
                  "--lambda-red", "2", "--out", str(red_strip))
     assert res.exit_code == 0, res.output
-    line = sample_file(CliRunner(), tmp, "line.json", domain="line", window="0,40", seed=3)
-    line_excursion = tmp / "line_excursion.json"
-    res = invoke(CliRunner(), "match", "--in", str(line), "--construction", "excursion",
-                 "--out", str(line_excursion))
-    assert res.exit_code == 0, res.output
     min_cost = tmp / "min_cost.json"
     res = invoke(CliRunner(), "match", "--in", str(pinned_inputs["plane"]),
                  "--construction", "min_cost", "--out", str(min_cost))
     assert res.exit_code == 0, res.output
-    return {**pinned_inputs, "red_strip": red_strip, "line_excursion": line_excursion,
-            "min_cost": min_cost, "out": tmp / "out.json"}
+    return {**pinned_inputs, "red_strip": red_strip, "min_cost": min_cost,
+            "out": tmp / "out.json"}
 
 
 # The package's public names: a new one is added here on purpose.
@@ -912,6 +974,22 @@ def test_dump_holds_less_than_the_file(tmp_path):
     tracemalloc.start()
     try:
         cli._dump(result, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
+def test_render_holds_less_than_the_file(tmp_path):
+    # each layer is written row by row as it is formatted: neither a list
+    # of elements nor the joined SVG is held (3.5 times the file before)
+    ps = sample(SampleConfig(1.0, 1.0, Domain.strip(0, 2000), 0))
+    m = walks.excursion_matching(ps)
+    arcs, walk = walks.polygonal_arcs(m, ps), walks.build_walk(ps)
+    path = tmp_path / "scene.svg"
+    tracemalloc.start()
+    try:
+        cli._write(render_scene(ps, m, arcs=arcs, walk=walk), str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -414,6 +414,15 @@ class TestDomain:
         d = Domain.plane(0, 24, 0, 6)
         assert Domain.from_json(d.to_json()) == d
 
+    @pytest.mark.parametrize("bounds", [(0, math.inf), (-math.inf, 0)])
+    def test_unbounded_window_rejected(self, bounds):
+        with pytest.raises(ValueError, match="must be finite"):
+            Domain.line(*bounds)
+
+    def test_huge_int_bound_is_finite(self):
+        # compared with inf, not converted to a float, so no OverflowError
+        assert Domain.line(0, 10**400).x1 == 10**400
+
     @pytest.mark.parametrize("kind,y0,y1", [("strip", 0.0, 7.0), ("strip", 1.0, 2.0),
                                             ("strip", 0.0, float("nan")),
                                             ("line", 0.0, 1.0), ("line", -1.0, 0.0)])
