@@ -95,16 +95,9 @@ class ArcTable:
 
     @classmethod
     def from_json(cls, rows) -> "ArcTable":
-        """The table of the arc objects that ``to_json`` writes."""
+        """The table of the arc objects that ``ArcSpec.to_json`` writes."""
         return cls(*([a[key] for a in rows]
                      for key in ("edge", "height", "lowest", "depth", "vertices")))
-
-    def to_json(self) -> List[dict]:
-        """``[arc.to_json() for arc in self]``, written from the columns."""
-        return [{"edge": e, "height": h, "lowest": low, "depth": d, "vertices": v}
-                for e, h, low, d, v in zip(self.edges.tolist(), self.height.tolist(),
-                                           self.lowest.tolist(), self.depth.tolist(),
-                                           self.vertices.tolist())]
 
     def __len__(self) -> int:
         return len(self.vertices)

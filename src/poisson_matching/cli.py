@@ -7,17 +7,28 @@ JSON config file can supply defaults; flags win. The commands are a thin
 shell over the API: ``_load_result`` reads every input file (arcs only as
 the drawing of the matching), ``verify`` builds every report, and ``_write``
 streams every output, so none is held whole.
+
+``_dump`` is the one JSON writer. It writes the bytes of ``json.dumps(obj,
+indent=1, sort_keys=True)`` and a newline, but the row lists (points, edges,
+arcs) come from their numpy columns, one ``%`` template per row, and only
+the rest (diagnostics, reports, scalars) goes through the json encoder.
+
+``run`` is the console script's entry: it freezes the import heap with
+``gc.freeze()`` before the command runs, so the command's collections and
+the interpreter's exit leave those objects alone. In-process callers call
+``main`` and never freeze.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import itertools
 import json
 import sys
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import click
 
@@ -32,6 +43,12 @@ from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 FORMAT_VERSION = 1
 
 CHUNKS_PER_WRITE = 256
+ROWS_PER_BLOCK = 512  # rows of a column list read from numpy at a time
+# one row of each column list, None where a column's value goes
+PAIR_ROW = [None, None]  # a point's (x, y), an edge's (red, partner)
+ARC_ROW = {"depth": None, "edge": [None, None], "height": None, "lowest": None,
+           "vertices": [[None, None]] * 4}  # keys sorted, as _arc_rows' columns
+MARK = json.dumps("\0")  # a column list's place in the encoded skeleton
 DRAWABLE = click.IntRange(2 * MARGIN + 1, None)  # leaves a drawing area
 CONSTRUCTIONS = ("zero_block", "one_color", "cut_time", "excursion",
                  "min_cost", "hierarchical", "laminate")
@@ -49,11 +66,82 @@ def _write(chunks: Iterable[str], path: Optional[str]):
         f.flush()
 
 
+class _Rows:
+    """A JSON list that ``_dump`` writes from numpy columns: each row is
+    ``prototype`` with its None values filled, in the order json.dumps
+    writes them (keys sorted), from ``columns``."""
+
+    def __init__(self, prototype, *columns):
+        self.template = json.dumps(prototype, indent=1, sort_keys=True).replace("null", "%r")
+        self.columns = columns
+
+    def chunks(self, level: int) -> Iterator[str]:
+        """The list as json.dumps writes it as the value of a key indented
+        ``level`` spaces, a chunk per row. Every float column is finite,
+        checked where it was built, so ``%r`` is json's float form."""
+        n = len(self.columns[0])
+        if not n:
+            yield "[]"
+            return
+        pad = "\n" + " " * (level + 1)
+        row = "," + pad + self.template.replace("\n", pad)
+        rows = itertools.chain.from_iterable(
+            map(row.__mod__, zip(*(c[s:s + ROWS_PER_BLOCK].tolist() for c in self.columns)))
+            for s in range(0, n, ROWS_PER_BLOCK))
+        yield "[" + next(rows)[1:]  # the first row has no comma before it
+        yield from rows
+        yield "\n" + " " * level + "]"
+
+
+def _pair_rows(a) -> _Rows:
+    """The rows of an (n, 2) array: points' float (x, y), edges' int pairs."""
+    return _Rows(PAIR_ROW, a[:, 0], a[:, 1])
+
+
+def _arc_rows(arcs: ArcTable) -> _Rows:
+    """The arc objects ``ArcSpec.to_json`` writes, from the table's columns."""
+    return _Rows(ARC_ROW, arcs.depth, *arcs.edges.T, arcs.height, arcs.lowest,
+                 *arcs.vertices.reshape(-1, 8).T)
+
+
+def _skeleton(obj: dict, level: int, lists: list) -> dict:
+    """``obj``, keys indented ``level`` spaces, with every ``_Rows`` in it or
+    in its nested dicts replaced by a mark; the row lists' chunks go to
+    ``lists`` in the order their marks are written."""
+    out = {}
+    for key, value in sorted(obj.items()):
+        if isinstance(value, dict):
+            value = _skeleton(value, level + 1, lists)
+        elif isinstance(value, _Rows):
+            lists.append(value.chunks(level))
+            value = "\0"
+        out[key] = value
+    return out
+
+
+def _json_chunks(obj: dict) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=1, sort_keys=True)`` and a
+    newline, with each ``_Rows`` value written as its list: the encoder's
+    chunks of the rest, and each list, row by row, where its mark stands.
+    A report has no row lists, and its chunks pass as they come."""
+    lists = []
+    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(_skeleton(obj, 1, lists))
+    return itertools.chain(_spliced(chunks, iter(lists)) if lists else chunks, ["\n"])
+
+
+def _spliced(chunks: Iterator[str], lists: Iterator[Iterator[str]]) -> Iterator[str]:
+    """``chunks`` with each mark replaced by the next list's chunks."""
+    for chunk in chunks:
+        if MARK in chunk:  # the encoder writes a string whole, in one chunk
+            head, chunk = chunk.split(MARK)
+            yield head
+            yield from next(lists)
+        yield chunk
+
+
 def _dump(obj: dict, path: Optional[str]):
-    """``obj`` as ``json.dumps(obj, indent=1, sort_keys=True)`` and a newline
-    give it, streamed chunk by chunk as the encoder yields them."""
-    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(obj)
-    _write(itertools.chain(chunks, ["\n"]), path)
+    """Stream ``obj``'s JSON text (``_json_chunks``) to ``path`` or stdout."""
+    _write(_json_chunks(obj), path)
 
 
 def _load(path: str) -> dict:
@@ -123,18 +211,18 @@ def cmd_sample(seed, kind, window, lambda_red, lambda_blue, out):
     """Draw a seeded two-color Poisson configuration."""
     domain = _make_domain(kind, window)
     ps = sample(SampleConfig(lambda_red, lambda_blue, domain, seed))
-    _dump(ps.to_json(), out)
+    _dump(ps.to_json(rows=_pair_rows), out)
 
 
 def _result_json(ps: ColoredPointSet, m: Matching, arcs: Optional[ArcTable] = None,
                  diagnostics=None) -> dict:
     out = {
         "format": FORMAT_VERSION,
-        "points": ps.to_json(),
-        "matching": m.to_json(),
+        "points": ps.to_json(rows=_pair_rows),
+        "matching": m.to_json(rows=_pair_rows),
     }
     if arcs is not None:
-        out["arcs"] = arcs.to_json()
+        out["arcs"] = _arc_rows(arcs)
     if diagnostics is not None:
         out["diagnostics"] = diagnostics
     return out
@@ -268,9 +356,9 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
                     click.echo("oracle mismatch", err=True)
                     sys.exit(1)
     result = _result_json(ps, m, arcs, diagnostics)
-    diagnostics.update({  # counted from the lists the result holds already
+    diagnostics.update({  # counted from the edge array and the result's lists
         "construction": construction,
-        "edges": len(result["matching"]["edges"]),
+        "edges": len(m._edge_array()),
         "unmatched_reds": len(result["matching"]["unmatched_reds"]),
         "unmatched_blues": len(result["matching"]["unmatched_blues"]),
     })
@@ -331,7 +419,11 @@ def cmd_stats(in_path, kind, box_side, disk, out):
         report = verify.estimate_eta([(ps, m)])
     elif kind == "crossings":
         if disk:
-            cx, cy, r = (float(v) for v in disk.split(","))
+            try:
+                cx, cy, r = (float(v) for v in disk.split(","))
+            except ValueError:  # too few or too many values, or not numbers
+                raise click.UsageError(
+                    f"--disk cx,cy,r needs three numbers, got {disk!r}") from None
             region = Disk(cx, cy, r)
         else:
             cx = (ps.domain.x0 + ps.domain.x1) / 2
@@ -401,5 +493,13 @@ def cmd_sweep(kind, lambdas, ratios, trials, seed, out):
         sys.exit(1)
 
 
-if __name__ == "__main__":
+def run():
+    """The console script: ``main`` on the command line, after freezing the
+    objects the imports made, so that neither the command's collections nor
+    the interpreter's exit walks them."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -117,12 +117,14 @@ class Matching:
     def total_length(self) -> float:
         return _length(*self.endpoint_arrays())
 
-    def to_json(self) -> dict:
+    def to_json(self, rows=np.ndarray.tolist) -> dict:
+        """The matching object; ``rows`` gives the value the (E, 2) edge
+        array is written as (the CLI passes its column writer's)."""
         return {
             "format": FORMAT_VERSION,
             "kind": self.kind,
             "color_mode": self.color_mode,
-            "edges": self._e.tolist(),
+            "edges": rows(self._e),
             "total_length": self.total_length,
             "unmatched_reds": self.unmatched_reds,
             "unmatched_blues": self.unmatched_blues,

@@ -6,6 +6,7 @@ replay deterministically and trials can run in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,10 @@ class SampleConfig:
     seed: int
 
     def __post_init__(self):
-        if self.lambda_red <= 0 or self.lambda_blue <= 0:
-            raise ValueError("intensities must be positive")
+        # NaN passes a `<= 0` test
+        if not all(math.isfinite(lam) and lam > 0
+                   for lam in (self.lambda_red, self.lambda_blue)):
+            raise ValueError("intensities must be positive and finite")
 
 
 @dataclass
@@ -64,13 +67,15 @@ class ColoredPointSet:
     def n_blue(self) -> int:
         return len(self.blues)
 
-    def to_json(self) -> dict:
+    def to_json(self, rows=np.ndarray.tolist) -> dict:
+        """The point-set object; ``rows`` gives the value each (n, 2) point
+        array is written as (the CLI passes its column writer's)."""
         return {
             "format": FORMAT_VERSION,
             "domain": self.domain.to_json(),
             "seed": self.seed,
-            "reds": self.reds.tolist(),
-            "blues": self.blues.tolist(),
+            "reds": rows(self.reds),
+            "blues": rows(self.blues),
         }
 
     @staticmethod

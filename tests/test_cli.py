@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +11,12 @@ import types
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poisson_matching
 from poisson_matching import cli, hierarchy, walks
+from poisson_matching.arcs import ArcTable
 from poisson_matching.cli import main
 from poisson_matching.geometry import Domain
 from poisson_matching.matching import Matching
@@ -291,8 +296,26 @@ BAD_INPUTS = {
                              "--stages", "1"], None, "'--stages'"),
     "no_laminate_bands": (["match", "--construction", "laminate", "--bands", "0"],
                           None, "strip result"),
+    # a --disk that is not three numbers used to report only Python's
+    # unpacking or float conversion error
     "disk_without_radius": (["stats", "--kind", "crossings", "--disk", "1,2", "--in"],
-                            json.dumps(ONE_EDGE_RESULT), "expected 3"),
+                            json.dumps(ONE_EDGE_RESULT), "--disk cx,cy,r"),
+    "disk_of_four_values": (["stats", "--kind", "crossings", "--disk", "1,2,3,4", "--in"],
+                            json.dumps(ONE_EDGE_RESULT), "--disk cx,cy,r"),
+    "disk_not_numbers": (["stats", "--kind", "crossings", "--disk", "a,b,c", "--in"],
+                         json.dumps(ONE_EDGE_RESULT), "--disk cx,cy,r"),
+    # NaN passes a plain `<= 0` test, and numpy's Poisson draw rejected NaN
+    # and inf intensities only with messages of its own
+    "sample_lambda_nan": (["sample", "--seed", "1", "--lambda-red", "nan"], None,
+                          "intensities must be positive and finite"),
+    "sample_lambda_inf": (["sample", "--seed", "1", "--lambda-blue", "inf"], None,
+                          "intensities must be positive and finite"),
+    "hierarchical_lambda_nan": (["match", "--construction", "hierarchical", "--stages", "2",
+                                 "--lambda-blue", "nan"], None,
+                                "intensities must be positive and finite"),
+    "hierarchical_lambda_inf": (["match", "--construction", "hierarchical", "--stages", "2",
+                                 "--lambda-red", "inf"], None,
+                                "intensities must be positive and finite"),
     # NaN passes a plain `<= 0` test, so these used to exit 0 with 0 cells / mean 0
     "disk_nan_centre": (["stats", "--kind", "crossings", "--disk", "nan,1,1", "--in"],
                         json.dumps(ONE_EDGE_RESULT), "must be finite"),
@@ -938,6 +961,10 @@ JSON_OUTPUTS = {
     "sample": "sample --seed 7",
     "match_excursion": "match --construction excursion --in {strip}",
     "match_min_cost": "match --construction min_cost --in {plane}",
+    "match_min_cost_oracle": "match --construction min_cost --oracle --in {plane}",
+    "match_zero_block": "match --construction zero_block --in {strip}",
+    "match_one_color": "match --construction one_color --in {strip}",
+    "match_cut_time": "match --construction cut_time --in {red_strip}",
     "match_laminate": "match --construction laminate --seed 4 --bands 2 --window 0,20",
     "match_hierarchical": "match --construction hierarchical --seed 2 --stages 3",
     "verify_planarity": "verify --property planarity --in {excursion}",
@@ -965,19 +992,98 @@ def test_json_output_streams_the_bytes_of_json_dumps(runner, cold_inputs, name):
 
 
 def test_dump_holds_less_than_the_file(tmp_path):
-    # the encoder's chunks go to the file as they come: neither their list
-    # nor the whole text is held (json.dumps held about six times the file)
+    # the row lists are read from their columns ROWS_PER_BLOCK rows at a
+    # time and written row by row: neither the rows as lists nor the text
+    # is held (json.dumps of the list form held about six times the file)
     ps = sample(SampleConfig(1.0, 1.0, Domain.strip(0, 2000), 0))
     m = walks.excursion_matching(ps)
-    result = cli._result_json(ps, m, walks.polygonal_arcs(m, ps))
+    arcs = walks.polygonal_arcs(m, ps)
     path = tmp_path / "result.json"
     tracemalloc.start()
     try:
-        cli._dump(result, str(path))
+        cli._dump(cli._result_json(ps, m, arcs), str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(arcs) > cli.ROWS_PER_BLOCK  # so the arcs take more than one block
     assert peak < path.stat().st_size
+
+
+def _written(tmp_path, obj) -> str:
+    path = tmp_path / "out.json"
+    cli._dump(obj, str(path))
+    return path.read_text()
+
+
+def _list_form(ps, m, arcs=None, diagnostics=None) -> dict:
+    """The result ``_result_json`` describes, with every row list a list."""
+    out = {"format": cli.FORMAT_VERSION, "points": ps.to_json(), "matching": m.to_json()}
+    if arcs is not None:
+        out["arcs"] = [a.to_json() for a in arcs]
+    if diagnostics is not None:
+        out["diagnostics"] = diagnostics
+    return out
+
+
+@pytest.mark.parametrize("length", [0, 50, 1000, 10000])
+def test_writer_equals_json_dumps_on_strips(tmp_path, length):
+    # the whole text, points, edges and arcs written from their columns,
+    # against one json.dumps of the list form; L = 0 has no point at all
+    if length:
+        ps = sample(SampleConfig(1.0, 1.0, Domain.strip(0, length), length))
+    else:
+        ps = ColoredPointSet(Domain.strip(0, 1), [], [])
+    m = walks.excursion_matching(ps)
+    arcs = walks.polygonal_arcs(m, ps)
+    assert length < 10000 or len(arcs) > 4 * cli.ROWS_PER_BLOCK
+    diagnostics = {"construction": "excursion", "edges": len(arcs)}
+    want = json.dumps(_list_form(ps, m, arcs, diagnostics), indent=1, sort_keys=True) + "\n"
+    assert _written(tmp_path, cli._result_json(ps, m, arcs, diagnostics)) == want
+    assert (_written(tmp_path, ps.to_json(rows=cli._pair_rows))
+            == json.dumps(ps.to_json(), indent=1, sort_keys=True) + "\n")
+
+
+def test_writer_equals_json_dumps_on_laminate_and_hierarchy(tmp_path):
+    bands = []
+    for band in range(3):
+        ps = sample(SampleConfig(1.0, 1.0, Domain.strip(0, 40), band))
+        m = walks.excursion_matching(ps)
+        bands.append((ps, m, walks.polygonal_arcs(m, ps)))
+    ps, m, arcs = walks.laminate_strips(bands, 0.25)
+    cases = [(ps, m, arcs, {"bands": 3, "shift": 0.25})]
+    system = hierarchy.build_block_system(5, 3)
+    ps = sample(SampleConfig(1.0, 1.0, hierarchy.aligned_window(system), 5))
+    m, diagnostics, _ = hierarchy.run_hierarchical(ps, 5, 3, system=system)
+    cases.append((ps, m, None, diagnostics))  # nested records and lists
+    for ps, m, arcs, diagnostics in cases:
+        want = json.dumps(_list_form(ps, m, arcs, diagnostics), indent=1, sort_keys=True)
+        assert _written(tmp_path, cli._result_json(ps, m, arcs, diagnostics)) == want + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(FINITE, FINITE), max_size=8),
+       st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)), max_size=8))
+def test_percent_r_is_json_for_finite_floats_and_ints(pairs, edges):
+    # every float column the writer reads is finite (points and arc columns
+    # reject NaN and inf where they are built), and for finite floats and
+    # for ints, %r is the form json writes
+    floats = np.array(pairs, dtype=float).reshape(-1, 2)
+    ints = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    obj = {"a": cli._pair_rows(floats), "b": {"c": cli._pair_rows(ints)}}
+    want = {"a": floats.tolist(), "b": {"c": ints.tolist()}}
+    assert "".join(cli._json_chunks(obj)) == json.dumps(want, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_columns_are_finite_where_built(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        ColoredPointSet(Domain.strip(0, 1), [[0.5, bad]], [])
+    with pytest.raises(ValueError, match="finite"):
+        ArcTable([[0, 0]], [bad], [0.5], [1], [[[0.0, 0.5], [0.0, 0.25],
+                                                [1.0, 0.25], [1.0, 0.5]]])
 
 
 def test_render_holds_less_than_the_file(tmp_path):
@@ -994,3 +1100,25 @@ def test_render_holds_less_than_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size
+
+
+def test_console_script_freezes_the_import_heap_before_the_command(tmp_path):
+    # a command added for the probe reports the freeze count it runs with;
+    # run() is what the console script and ``python -m`` call
+    probe = ("import gc, sys\n"
+             "from poisson_matching import cli\n"
+             "assert gc.get_freeze_count() == 0\n"
+             "cli.main.command('probe')(lambda: print(gc.get_freeze_count()))\n"
+             "sys.argv = ['poisson-matching', 'probe']\n"
+             "cli.run()\n")
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) > 1000  # the modules, classes and functions of the imports
+
+
+def test_in_process_commands_never_freeze(runner, tmp_path):
+    before = gc.get_freeze_count()
+    assert invoke(runner, "sample", "--seed", "7", "--out", str(tmp_path / "p.json")).exit_code == 0
+    assert gc.get_freeze_count() == before

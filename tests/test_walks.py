@@ -495,14 +495,12 @@ class TestArcTable:
             assert t[-1] == want[-1]
             with pytest.raises(IndexError):
                 t[len(t)]
-            assert t.to_json() == [a.to_json() for a in want]
-            assert (json.dumps(t.to_json(), indent=1, sort_keys=True)
-                    == json.dumps([a.to_json() for a in want], indent=1, sort_keys=True))
 
     def test_rows_and_json_build_the_same_table(self):
         _, _, t = self._arcs(4)
-        for again in (table_of(t), ArcTable.from_json(t.to_json()),
-                      ArcTable.from_json(json.loads(json.dumps(t.to_json())))):
+        rows = [a.to_json() for a in t]
+        for again in (table_of(t), ArcTable.from_json(rows),
+                      ArcTable.from_json(json.loads(json.dumps(rows)))):
             for name in ("edges", "height", "lowest", "depth", "vertices"):
                 a, b = getattr(again, name), getattr(t, name)
                 assert np.array_equal(a, b) and a.dtype == b.dtype
@@ -510,7 +508,7 @@ class TestArcTable:
     def test_empty_table(self):
         ps = strip_ps([], [])
         t = polygonal_arcs(excursion_matching(ps), ps)
-        assert len(t) == 0 and list(t) == [] and t.to_json() == []
+        assert len(t) == 0 and list(t) == []
         assert t.vertices.shape == (0, 4, 2) and t.edges.shape == (0, 2)
         assert ArcTable.from_json([]).vertices.shape == (0, 4, 2)
 
