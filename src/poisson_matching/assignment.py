@@ -80,6 +80,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .geometry import _two_columns
 from .matching import Matching, partner_edges
 
 EPS_TIE = 1e-9
@@ -95,10 +96,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQUARE = "square"
 RECTANGULAR = "rectangular"
 SATURATING = "saturating"
-
-
-def _points(pts) -> np.ndarray:
-    return np.asarray(pts, dtype=float).reshape(-1, 2)
 
 
 # the compiled module and function behind each kernel, and its public import
@@ -371,7 +368,8 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     SQUARE the tie pass screens a batch for tied pairs at once
     (``_tied_in_buffer``), so Python visits only the tied problems, and a
     matrix of its own a block of rows at a time (``_has_tie``)."""
-    reds, blues = _points(reds), _points(blues)
+    reds = _two_columns(reds, "reds", float)
+    blues = _two_columns(blues, "blues", float)
     red_start = np.asarray(red_start, dtype=np.int64)
     blue_start = np.asarray(blue_start, dtype=np.int64)
     n_r, n_b = red_start[1:] - red_start[:-1], blue_start[1:] - blue_start[:-1]
@@ -515,14 +513,16 @@ def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
 def min_cost_perfect(reds, blues) -> Matching:
     """Perfect matching of minimum total Euclidean length; ties are broken
     as described in the module docstring."""
-    reds, blues = _points(reds), _points(blues)
+    reds = _two_columns(reds, "reds", float)
+    blues = _two_columns(blues, "blues", float)
     partner = assign_in_groups(SQUARE, reds, [0, len(reds)], blues, [0, len(blues)])
     return Matching(reds, blues, partner_edges(partner))
 
 
 def brute_force_min(reds, blues) -> Matching:
     """Exhaustive minimum over all permutations; independent oracle."""
-    reds, blues = _points(reds), _points(blues)
+    reds = _two_columns(reds, "reds", float)
+    blues = _two_columns(blues, "blues", float)
     n = len(reds)
     if n != len(blues):
         raise ValueError("size mismatch")
@@ -617,7 +617,8 @@ def _settle_batch(pts, small, small_start, large, large_start, groups, n_reds,
 def max_cardinality_min_cost(reds, blues) -> Matching:
     """Min-length matching of maximum cardinality; the smaller color class is
     fully matched and the excess of the other is left unmatched."""
-    reds, blues = _points(reds), _points(blues)
+    reds = _two_columns(reds, "reds", float)
+    blues = _two_columns(blues, "blues", float)
     partner = assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)])
     return Matching(reds, blues, partner_edges(partner))
 

@@ -32,15 +32,13 @@ from typing import Iterable, Iterator, Optional
 
 import click
 
-from . import hierarchy, matching, sampling, verify, walks
+from . import hierarchy, verify, walks
 from .arcs import ArcTable
 from .assignment import brute_force_min, min_cost_perfect
 from .geometry import Disk, Domain
-from .matching import Matching
+from .matching import FORMAT_VERSION, Matching
 from .render import MARGIN, render_scene
 from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
-
-FORMAT_VERSION = 1
 
 CHUNKS_PER_WRITE = 256
 ROWS_PER_BLOCK = 512  # rows of a column list read from numpy at a time
@@ -149,22 +147,14 @@ def _load(path: str) -> dict:
         return json.load(f)
 
 
-def _parse_window(window: str) -> tuple:
-    parts = [float(v) for v in window.split(",")]
-    if len(parts) not in (2, 4):
-        raise click.UsageError("window must be 'x0,x1' or 'x0,x1,y0,y1'")
-    return tuple(parts)
-
-
 def _make_domain(kind: str, window: str) -> Domain:
-    parts = _parse_window(window)
-    if kind == "line":
-        return Domain.line(parts[0], parts[1])
-    if kind == "strip":
-        return Domain.strip(parts[0], parts[1])
-    if len(parts) != 4:
-        raise click.UsageError("plane domain needs x0,x1,y0,y1")
-    return Domain.plane(*parts)
+    """The ``kind`` domain on ``window``: 'x0,x1' for a line or strip,
+    'x0,x1,y0,y1' for a plane; any other count is a usage error."""
+    parts = [float(v) for v in window.split(",")]
+    bounds = "x0,x1,y0,y1" if kind == "plane" else "x0,x1"
+    if len(parts) != bounds.count(",") + 1:
+        raise click.UsageError(f"a {kind} window is {bounds}, got {len(parts)} numbers")
+    return getattr(Domain, kind)(*parts)
 
 
 class InputErrorGroup(click.Group):
@@ -250,9 +240,8 @@ def _block_system(d: dict, path: str) -> hierarchy.BlockSystem:
     return system
 
 
-def _check_format(d: dict, path: str, version: int = FORMAT_VERSION,
-                  what: str = "") -> None:
-    if d.get("format", version) != version:
+def _check_format(d: dict, path: str, what: str = "") -> None:
+    if d.get("format", FORMAT_VERSION) != FORMAT_VERSION:
         raise ValueError(f"unsupported {what}format {d['format']!r} in {path}")
 
 
@@ -267,8 +256,8 @@ def _load_result(path: str):
     with _fields_of(path):
         if "points" not in d:
             return ColoredPointSet.from_json(d), None, None, d
-        _check_format(d["points"], path, sampling.FORMAT_VERSION, "points ")
-        _check_format(d["matching"], path, matching.FORMAT_VERSION, "matching ")
+        _check_format(d["points"], path, "points ")
+        _check_format(d["matching"], path, "matching ")
         ps = ColoredPointSet.from_json(d["points"])
         m = Matching.from_json(d["matching"], ps.reds, ps.blues)
         arcs = None
@@ -293,7 +282,7 @@ def _load_result(path: str):
 @click.option("--bands", type=int, default=3, show_default=True,
               help="Strip bands for laminate.")
 @click.option("--window", default="0,50", show_default=True,
-              help="Window for constructions that sample internally.")
+              help="Strip window x0,x1 of laminate's bands.")
 @click.option("--lambda-red", type=float, default=1.0, show_default=True)
 @click.option("--lambda-blue", type=float, default=1.0, show_default=True)
 @click.option("--oracle", is_flag=True,
@@ -312,12 +301,11 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
         ps = sample(SampleConfig(lambda_red, lambda_blue, domain, seed))
         m, diagnostics, _ = hierarchy.run_hierarchical(ps, seed, stages, system=system)
     elif construction == "laminate":
-        x0, x1 = _parse_window(window)[:2]
+        domain = _make_domain("strip", window)
         shift = float(derived_rng(seed, 5).uniform(0.0, 1.0))
         results = []
         for band in range(bands):
-            bps = sample(SampleConfig(lambda_red, lambda_blue,
-                                      Domain.strip(x0, x1), seed * 1000 + band))
+            bps = sample(SampleConfig(lambda_red, lambda_blue, domain, seed * 1000 + band))
             bm = walks.excursion_matching(bps)
             results.append((bps, bm, walks.polygonal_arcs(bm, bps)))
         ps, m, arcs = walks.laminate_strips(results, shift)
@@ -467,15 +455,13 @@ def cmd_render(in_path, width, height, walk, blocks, out):
 
 @main.command("sweep")
 @config_option
-@click.option("--kind", type=click.Choice(["chernoff"]), default="chernoff",
-              show_default=True)
 @click.option("--lambdas", default="1,5,10,20", show_default=True)
 @click.option("--ratios", default="0.25,0.5,1.0", show_default=True,
               help="mu as a fraction of lambda.")
 @click.option("--trials", type=int, default=100000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def cmd_sweep(kind, lambdas, ratios, trials, seed, out):
+def cmd_sweep(lambdas, ratios, trials, seed, out):
     """Grid Monte Carlo sweep; CSV of (lambda, mu, estimate, bound, pass)."""
     rows = []
     ok = True

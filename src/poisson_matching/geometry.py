@@ -241,7 +241,7 @@ def is_parallel_free(points: Sequence) -> bool:
     Each pair's direction is tested against the later ones at once, by
     orientation from the origin; intended for desk-scale inputs.
     """
-    pts = np.array([(p[0], p[1]) for p in points], dtype=float).reshape(-1, 2)
+    pts = _two_columns(points, "points", float)
     i, j = np.triu_indices(len(pts), 1)
     V = pts[j] - pts[i]
     return not any((orientation((0.0, 0.0), v, V[k + 1:]) == 0).any()

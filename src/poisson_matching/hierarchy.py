@@ -28,18 +28,17 @@ matched at the end.
 
 A stage keeps its records as per-block columns on its level table, with its
 new edges' partners read when it runs (a later heir unmatch overwrites the
-partner arrays). ``StageState.records`` shows them as ``BlockRecord`` rows,
-built only when read: most blocks of the lower levels hold a point or two,
-so one object per block made up much of a run's time.
+partner arrays). No row object is kept: each read of ``StageState.records``
+builds, per stage run, a tuple of ``BlockRecord`` rows from the columns in
+one pass. Most blocks of the lower levels hold a point or two, so one object
+per block made up much of a run's time.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,13 +82,13 @@ class BlockSystem:
         hi = lo + self.dims(n)
         return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])
 
-    def grids(self, n: int, ix: int, iy: int, lowest: int = 1) -> Dict[int, np.ndarray]:
-        """For each level m from n down to ``lowest``, the (ix, iy) rows of
-        the level-m blocks tiling the level-n block (ix, iy), in children
-        order: a block's children are consecutive rows, ordered
-        left-to-right (even level) or bottom-to-top (odd level)."""
+    def grids(self, n: int, ix: int, iy: int) -> Dict[int, np.ndarray]:
+        """For each level m from n down to 1, the (ix, iy) rows of the
+        level-m blocks tiling the level-n block (ix, iy), in children order:
+        a block's children are consecutive rows, ordered left-to-right (even
+        level) or bottom-to-top (odd level)."""
         cells = {n: np.array([[ix, iy]], dtype=np.int64)}
-        for m in range(n, max(lowest, 1), -1):
+        for m in range(n, 1, -1):
             count = self.a[m] // self.a[m - 2]
             # Children align flush with the parent (t[m] = t[m-2] mod a[m-2]),
             # so the first child is the one holding the parent's corner.
@@ -177,7 +176,7 @@ def bad_block_bound(system: BlockSystem, n: int) -> float:
 
 @dataclass
 class BlockRecord:
-    """One block after its stage: a row of ``BlockRecords``."""
+    """One block after its stage: a row of ``StageState.records``."""
 
     key: Tuple[int, int, int]
     n_red: int
@@ -217,11 +216,11 @@ class ColorTable:
 @dataclass
 class LevelTable:
     """The window's level-n blocks in children order, each color's points
-    grouped by them, and, once stage n has run, its per-block columns, which
-    ``BlockRecords`` shows as rows. ``new_edges`` holds the (red, blue) pairs
-    the stage made, grouped by block with offsets ``new_start``, as they
-    were when the stage ran (a later stage may unmatch them); the two heir
-    flags are None at level 1."""
+    grouped by them, and, once stage n has run, its per-block columns, from
+    which ``_block_records`` builds rows. ``new_edges`` holds the (red, blue)
+    pairs the stage made, grouped by block with offsets ``new_start``, as
+    they were when the stage ran (a later stage may unmatch them); the two
+    heir flags are None at level 1."""
 
     n: int
     cells: np.ndarray  # (blocks, 2) ix, iy
@@ -236,45 +235,22 @@ class LevelTable:
     new_edges_in_heirs: Optional[np.ndarray] = None
 
 
-class BlockRecords(Sequence):
-    """Read-only view of one level's stage columns as ``BlockRecord`` rows,
-    one per block in children order. A row is built when it is asked for;
-    iteration builds them all from the columns in one pass."""
-
-    def __init__(self, lv: LevelTable):
-        self._lv = lv
-
-    def __len__(self) -> int:
-        return len(self._lv.cells)
-
-    def __getitem__(self, k: int) -> BlockRecord:
-        k = operator.index(k)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("block record index out of range")
-        return next(self._rows(k, k + 1))
-
-    def __iter__(self) -> Iterator[BlockRecord]:
-        return self._rows(0, len(self))
-
-    def _rows(self, k0: int, k1: int) -> Iterator[BlockRecord]:
-        lv = self._lv
-        e0, e1 = lv.new_start[k0], lv.new_start[k1]
-        pairs = list(zip(*lv.new_edges[e0:e1].T.tolist()))
-        bounds = (lv.new_start[k0:k1 + 1] - e0).tolist()
-        none = [None] * (k1 - k0)
-        heir_flags = [none if col is None else col[k0:k1].tolist()
-                      for col in (lv.unmatched_in_heir, lv.new_edges_in_heirs)]
-        columns = zip(lv.cells[k0:k1].tolist(),
-                      np.diff(lv.red.start[k0:k1 + 1]).tolist(),
-                      np.diff(lv.blue.start[k0:k1 + 1]).tolist(),
-                      lv.unmatched[k0:k1].tolist(), lv.bad[k0:k1].tolist(),
-                      lv.dodgy[k0:k1].tolist(), bounds[:-1], bounds[1:], *heir_flags)
-        for (ix, iy), nr, nb, u, is_bad, is_dodgy, s0, s1, in_heir, confined in columns:
-            yield BlockRecord(key=(lv.n, ix, iy), n_red=nr, n_blue=nb, unmatched=u,
-                              bad=is_bad, dodgy=is_dodgy, new_edges=pairs[s0:s1],
-                              unmatched_in_heir=in_heir, new_edges_in_heirs=confined)
+def _block_records(lv: LevelTable) -> Tuple[BlockRecord, ...]:
+    """Level ``lv``'s stage columns as ``BlockRecord`` rows, one per block
+    in children order, built in one pass."""
+    pairs = list(zip(*lv.new_edges.T.tolist()))
+    bounds = lv.new_start.tolist()
+    none = [None] * len(lv.cells)
+    heir_flags = [none if col is None else col.tolist()
+                  for col in (lv.unmatched_in_heir, lv.new_edges_in_heirs)]
+    columns = zip(lv.cells.tolist(), np.diff(lv.red.start).tolist(),
+                  np.diff(lv.blue.start).tolist(), lv.unmatched.tolist(), lv.bad.tolist(),
+                  lv.dodgy.tolist(), bounds[:-1], bounds[1:], *heir_flags)
+    return tuple(BlockRecord(key=(lv.n, ix, iy), n_red=nr, n_blue=nb, unmatched=u,
+                             bad=is_bad, dodgy=is_dodgy, new_edges=pairs[s0:s1],
+                             unmatched_in_heir=in_heir, new_edges_in_heirs=confined)
+                 for (ix, iy), nr, nb, u, is_bad, is_dodgy, s0, s1, in_heir, confined
+                 in columns)
 
 
 def _color_table(unit: np.ndarray, system: BlockSystem, n: int,
@@ -323,9 +299,10 @@ class StageState:
     stage: int = 0
 
     @property
-    def records(self) -> List[BlockRecords]:
-        """Per stage run so far, its level's block records."""
-        return [BlockRecords(self.levels[n]) for n in range(1, self.stage + 1)]
+    def records(self) -> List[Tuple[BlockRecord, ...]]:
+        """Per stage run so far, its level's block records, built anew at
+        each read (``_block_records``)."""
+        return [_block_records(self.levels[n]) for n in range(1, self.stage + 1)]
 
     def to_matching(self) -> Matching:
         return Matching(self.ps.reds, self.ps.blues, partner_edges(self.red_partner))

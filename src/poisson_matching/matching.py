@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import _two_columns
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # of every JSON object the package writes and the CLI reads
 
 TWO_COLOR = "two_color"
 ONE_COLOR = "one_color"
@@ -47,8 +47,8 @@ class Matching:
         if color_mode not in (TWO_COLOR, ONE_COLOR):
             raise ValueError(f"unknown color_mode {color_mode!r}")
         self.color_mode = color_mode
-        self.reds = np.asarray(reds, dtype=float).reshape(-1, 2)
-        self.blues = np.asarray(blues, dtype=float).reshape(-1, 2)
+        self.reds = _two_columns(reds, "reds", float)
+        self.blues = _two_columns(blues, "blues", float)
         self._e = self._validated(edges)
 
     def _validated(self, edges) -> np.ndarray:

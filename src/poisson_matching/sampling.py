@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain, LINE, STRIP, _two_columns
-
-FORMAT_VERSION = 1
+from .matching import FORMAT_VERSION
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:

@@ -19,10 +19,8 @@ from .arcs import ArcTable
 from .assignment import EPS_TIE, SQUARE, assign_in_groups, brute_force_min, improvable_pair
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment, _crosses_region,
                        _intersections, _overlap_error)
-from .matching import TWO_COLOR, Matching, _length
+from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _length
 from .sampling import ColoredPointSet, derived_rng
-
-FORMAT_VERSION = 1
 
 
 @dataclass

@@ -16,8 +16,8 @@ import poisson_matching
 
 from poisson_matching import assignment, matching
 from poisson_matching.assignment import (BIG, EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING,
-                                         SMALL_MAX, SQUARE, _pair_distances, _points,
-                                         assign_in_groups, brute_force_min, improvable_pair,
+                                         SMALL_MAX, SQUARE, _pair_distances, assign_in_groups,
+                                         brute_force_min, improvable_pair,
                                          max_cardinality_min_cost, min_cost_perfect)
 from poisson_matching.geometry import Domain, is_parallel_free
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
@@ -26,6 +26,7 @@ from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng
 from poisson_matching.verify import box_rematch_experiment, check_planarity
 from poisson_matching.walks import (cut_time_matching, excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs, zero_block_matching)
+from test_hierarchy import _points
 # the single-problem solves through the public scipy functions: what the
 # kernel gives a problem, the oracle for the small-problem pass
 from test_hierarchy import min_cost_pairs as kernel_pairs
@@ -1095,6 +1096,26 @@ def test_list_edges_read_back_as_own_int_tuples():
 def test_edges_of_another_shape_rejected(edges):
     with pytest.raises(ValueError, match="edges must be"):
         Matching(SQUARE_REDS, SQUARE_BLUES, edges)
+
+
+# every public entry that takes point arrays reads them through one gate, so
+# a (2, 3) array is not read as three points, nor a flat list as two
+POINT_ENTRIES = {
+    "Matching": lambda pts: Matching(pts, pts, []),
+    "min_cost_perfect": lambda pts: min_cost_perfect(pts, pts),
+    "max_cardinality_min_cost": lambda pts: max_cardinality_min_cost(pts, pts),
+    "brute_force_min": lambda pts: brute_force_min(pts, pts),
+    "is_parallel_free": is_parallel_free,
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_ENTRIES))
+def test_point_arrays_of_another_shape_rejected(name):
+    entry = POINT_ENTRIES[name]
+    for pts, shape in ((np.zeros((2, 3)), r"\(2, 3\)"), ([0.0, 1.0, 2.0, 3.0], r"\(4,\)")):
+        with pytest.raises(ValueError, match=f"must be rows of two, got an array of shape {shape}"):
+            entry(pts)
+    entry([])
 
 
 def test_one_color_edges_range_over_reds():

@@ -427,6 +427,15 @@ BAD_INPUTS = {
     # each command's own checks of its flags and of the kind of file it reads
     "plane_window_of_two_numbers": (["sample", "--seed", "1", "--domain", "plane",
                                      "--window", "0,10"], None, "x0,x1,y0,y1"),
+    "strip_window_of_four_numbers": (["sample", "--seed", "1", "--domain", "strip",
+                                      "--window", "0,5,3,9"], None,
+                                     "a strip window is x0,x1, got 4 numbers"),
+    "line_window_of_four_numbers": (["sample", "--seed", "1", "--domain", "line",
+                                     "--window", "0,5,3,9"], None,
+                                    "a line window is x0,x1, got 4 numbers"),
+    "laminate_window_of_four_numbers": (["match", "--construction", "laminate",
+                                         "--window", "0,5,3,9"], None,
+                                        "a strip window is x0,x1, got 4 numbers"),
     "construction_without_in": (["match", "--construction", "excursion"], None,
                                 "--in is required"),
     "one_color_on_line": (_match("one_color"), LINE_POINTS, "one_color requires a strip"),

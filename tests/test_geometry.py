@@ -339,10 +339,6 @@ class TestParallelFreeAgainstScalar:
         assert got == [scalar_is_parallel_free(pts) for pts in sets]
         assert True in got and False in got
 
-    def test_reads_the_first_two_coordinates(self):
-        pts = np.random.default_rng(51).uniform(0, 1, (8, 3))
-        assert is_parallel_free(pts) == scalar_is_parallel_free(pts)
-
 
 @pytest.mark.parametrize("cx,cy,r", [(math.nan, 1, 1), (1, math.nan, 1), (1, 1, math.nan),
                                      (math.inf, 1, 1), (1, 1, math.inf), (1, 1, 0), (1, 1, -1)])

@@ -69,7 +69,7 @@ def children(system, block):
     if n < 2:
         raise ValueError("level-1 blocks have no children")
     return [block_at(system, n - 1, ix, iy)
-            for ix, iy in system.grids(n, block.ix, block.iy, n - 1)[n - 1].tolist()]
+            for ix, iy in system.grids(n, block.ix, block.iy)[n - 1].tolist()]
 
 
 def heir_of(system, block):
@@ -1183,9 +1183,9 @@ def test_color_tables_sort_rows_of_either_width():
     assert widths == {True, False}
 
 
-# --- The records view --------------------------------------------------------
-# state.records[n - 1] is a read-only view over level n's stage columns; its
-# rows are built on request and must be the rows the oracle builds.
+# --- The records -------------------------------------------------------------
+# state.records[n - 1] is a tuple of level n's rows, built from its stage
+# columns at each read; they must be the rows the oracle builds.
 
 class TestBlockRecordsView:
     def test_len_indexing_and_iteration(self):
@@ -1202,15 +1202,21 @@ class TestBlockRecordsView:
             for k in (len(rows), -len(rows) - 1):
                 with pytest.raises(IndexError):
                     recs[k]
-            for k in (1.0, slice(1, 4)):
-                with pytest.raises(TypeError):
-                    recs[k]
+            with pytest.raises(TypeError):
+                recs[1.0]
             assert [rec.key[0] for rec in recs] == [n] * len(rows)
 
     def test_rows_read_only(self):
         _, _, (_, _, state) = hierarchical_case(seed=5)
         with pytest.raises(TypeError):
             state.records[0][0] = state.records[0][1]
+        # each read builds equal rows anew, so a changed row changes no later read
+        first = state.records
+        assert state.records == first
+        rec = next(rec for recs in first for rec in recs if rec.new_edges)
+        want = list(rec.new_edges)
+        rec.new_edges.append((-1, -1))
+        assert next(r for recs in state.records for r in recs if r.key == rec.key).new_edges == want
 
     def test_indexed_rows_equal_the_oracle(self):
         for N, seed in ((2, 0), (3, 1), (4, 2), (5, 0)):
