@@ -37,11 +37,10 @@ from .arcs import ArcTable
 from .assignment import brute_force_min, min_cost_perfect
 from .geometry import Disk, Domain
 from .matching import FORMAT_VERSION, Matching
-from .render import MARGIN, render_scene
+from .render import MARGIN, _rows, render_scene
 from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 
 CHUNKS_PER_WRITE = 256
-ROWS_PER_BLOCK = 512  # rows of a column list read from numpy at a time
 # one row of each column list, None where a column's value goes
 PAIR_ROW = [None, None]  # a point's (x, y), an edge's (red, partner)
 ARC_ROW = {"depth": None, "edge": [None, None], "height": None, "lowest": None,
@@ -75,17 +74,14 @@ class _Rows:
 
     def chunks(self, level: int) -> Iterator[str]:
         """The list as json.dumps writes it as the value of a key indented
-        ``level`` spaces, a chunk per row. Every float column is finite,
-        checked where it was built, so ``%r`` is json's float form."""
-        n = len(self.columns[0])
-        if not n:
+        ``level`` spaces, a chunk per row, filled by ``render._rows``. Every
+        float column is finite, checked where it was built, so ``%r`` is
+        json's float form."""
+        if not len(self.columns[0]):
             yield "[]"
             return
         pad = "\n" + " " * (level + 1)
-        row = "," + pad + self.template.replace("\n", pad)
-        rows = itertools.chain.from_iterable(
-            map(row.__mod__, zip(*(c[s:s + ROWS_PER_BLOCK].tolist() for c in self.columns)))
-            for s in range(0, n, ROWS_PER_BLOCK))
+        rows = _rows("," + pad + self.template.replace("\n", pad), *self.columns)
         yield "[" + next(rows)[1:]  # the first row has no comma before it
         yield from rows
         yield "\n" + " " * level + "]"

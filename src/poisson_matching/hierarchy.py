@@ -32,6 +32,9 @@ partner arrays). No row object is kept: each read of ``StageState.records``
 builds, per stage run, a tuple of ``BlockRecord`` rows from the columns in
 one pass. Most blocks of the lower levels hold a point or two, so one object
 per block made up much of a run's time.
+
+``heir_frequency`` applies the stage tables' heir test to the origin's unit
+cell, and ``bad_block_bound`` is twice ``verify.chernoff_bound``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .assignment import RECTANGULAR, SATURATING, _spans, assign_in_groups
 from .geometry import Domain, Rect
 from .matching import Matching, partner_edges
 from .sampling import ColoredPointSet, derived_rng
+from .verify import ChernoffParams, chernoff_bound
 
 
 @dataclass
@@ -140,38 +144,31 @@ def window_grids(system: BlockSystem, n: int, window: Rect) -> Dict[int, np.ndar
     return system.grids(n, *system.locate(n, corner)[0].tolist())
 
 
-def _grid_start(t: np.ndarray, period: int) -> np.ndarray:
-    """Left/bottom coordinate of the grid cell containing 0."""
-    s = t % period
-    return np.where(s > 0, s - period, 0)
-
-
 def heir_frequency(n: int, trials: int, seed: int = 0) -> float:
     """Monte Carlo frequency of the unit square [0,1)^2 lying in the heir of
     its (n+1)-block, i.e. its n-block being the heir; equals 1/(n(n+1)).
-    Needs n >= 1 and at least one trial."""
-    if n < 1 or trials < 1:
-        raise ValueError(f"need n >= 1 and trials >= 1, got n={n}, trials={trials}")
+    Needs 1 <= n <= 19, so that (n+1)! fits in int64, and trials >= 1."""
+    if not 1 <= n <= 19 or trials < 1:
+        raise ValueError(f"need 1 <= n <= 19 and trials >= 1, got n={n}, trials={trials}")
     rng = derived_rng(seed, 11, n)
     a = [math.factorial(k) for k in range(n + 2)]
     t = [np.zeros(trials, dtype=np.int64), np.zeros(trials, dtype=np.int64)]
     for m in range(2, n + 2):
         rm = rng.integers(0, a[m] // a[m - 2], size=trials)
         t.append(rm * a[m - 2] + t[m - 2])
-    lo_child = _grid_start(t[n - 1], a[n - 1])
-    lo_parent = _grid_start(t[n + 1], a[n + 1])
-    return float(np.mean(lo_child == lo_parent))
+    return float(np.mean(-t[n + 1] % a[n + 1] < a[n - 1]))
 
 
 def bad_block_bound(system: BlockSystem, n: int) -> float:
     """Analytic tail bound on the probability that a fixed unit square lies
-    in a bad level-n block, for 3 <= n <= N (it reads a[n - 3])."""
+    in a bad level-n block, for 3 <= n <= N (it reads a[n - 3]): twice
+    ``chernoff_bound``, with lam the area of A outside its heir B and mu
+    the area of C, the heir's heir."""
     if not 3 <= n <= system.N:
         raise ValueError(f"the bound needs 3 <= n <= {system.N}, got n={n}")
     a = system.a
-    num = (a[n - 2] * a[n - 3]) ** 2
-    den = 6.0 * (a[n] * a[n - 1] - a[n - 1] * a[n - 2])
-    return 2.0 * math.exp(-num / den)
+    return 2.0 * chernoff_bound(ChernoffParams(a[n] * a[n - 1] - a[n - 1] * a[n - 2],
+                                               a[n - 2] * a[n - 3]))
 
 
 @dataclass

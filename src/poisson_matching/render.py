@@ -4,11 +4,13 @@ byte-identical across runs and usable as golden files.
 
 ``render_scene`` streams the document: each layer is one ``%`` template
 filled row by row from numpy columns, mapped to the screen once per
-column, so neither a list of elements nor the whole text is held.
+column and read ROWS_PER_BLOCK rows at a time (``_rows``, which the CLI's
+JSON writer uses too), so neither a list of elements nor the text is held.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -27,6 +29,7 @@ BLOCK_COLORS = ["#bdbdbd", "#ffb300", "#8e24aa", "#00897b", "#d81b60", "#3949ab"
 MARGIN = 20
 POINT_RADIUS = 2.5
 WALK_SCALE = 0.08  # walk units per strip height
+ROWS_PER_BLOCK = 512  # rows of a column read from numpy at a time
 
 # one element per row: the {} fields are set per layer, the % fields per row
 LINE_ROW = ('<line class="{}" x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
@@ -39,8 +42,11 @@ POINT_ROW = '<circle class="{}" cx="%.4f" cy="%.4f" r="{:.4f}" fill="{}" />\n'
 
 
 def _rows(template: str, *columns: np.ndarray) -> Iterator[str]:
-    """``template`` filled from each row of ``columns``."""
-    return map(template.__mod__, zip(*(c.tolist() for c in columns)))
+    """``template`` filled from each row of ``columns``, read ROWS_PER_BLOCK
+    rows at a time."""
+    return itertools.chain.from_iterable(
+        map(template.__mod__, zip(*(c[s:s + ROWS_PER_BLOCK].tolist() for c in columns)))
+        for s in range(0, len(columns[0]), ROWS_PER_BLOCK))
 
 
 def render_scene(ps: ColoredPointSet,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, LINE, STRIP, _two_columns
+from .geometry import Domain, LINE, _two_columns
 from .matching import FORMAT_VERSION
 
 
@@ -108,12 +108,8 @@ def _canonical(pts) -> np.ndarray:
 
 def _uniform_points(rng: np.random.Generator, n: int, domain: Domain) -> np.ndarray:
     xs = rng.uniform(domain.x0, domain.x1, size=n)
-    if domain.kind == LINE:
-        ys = np.zeros(n)
-    elif domain.kind == STRIP:
-        ys = rng.uniform(0.0, 1.0, size=n)
-    else:
-        ys = rng.uniform(domain.y0, domain.y1, size=n)
+    # a strip's y-range is (0, 1): the plane's draw on it
+    ys = np.zeros(n) if domain.kind == LINE else rng.uniform(domain.y0, domain.y1, size=n)
     return np.column_stack([xs, ys])
 
 

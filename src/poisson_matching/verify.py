@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcTable
-from .assignment import EPS_TIE, SQUARE, assign_in_groups, brute_force_min, improvable_pair
+from .assignment import EPS_TIE, SQUARE, _spans, assign_in_groups, brute_force_min, improvable_pair
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment, _crosses_region,
                        _intersections, _overlap_error)
 from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _length
@@ -122,9 +122,8 @@ def _box_pairs(P: np.ndarray, Q: np.ndarray) -> Iterator[Tuple[np.ndarray, np.nd
         done = int(ends[p0 - 1]) if p0 else 0
         p1 = max(p0 + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
         run = count[p0:p1]
-        rows = np.repeat(np.arange(p0, p1), run)
-        cols = rows + 1 + np.arange(len(rows)) - np.repeat(np.cumsum(run) - run, run)
-        a, b = order[rows], order[cols]
+        a = order[np.repeat(np.arange(p0, p1), run)]
+        b = order[_spans(np.arange(p0 + 1, p1 + 1), run)[0]]
         keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
         yield a[keep], b[keep]
         p0 = p1

@@ -112,8 +112,6 @@ def cut_times(walk: StepWalk) -> np.ndarray:
     """Jump locations where the walk's past supremum equals its value just
     before the jump and its future infimum equals its value at the jump."""
     vals = walk.values
-    if not len(vals):
-        return np.empty(0)
     prev = np.concatenate([[0], vals[:-1]])
     past_sup = np.maximum.accumulate(np.concatenate([[0], vals]))[:-1]
     future_inf = np.minimum.accumulate(vals[::-1])[::-1]

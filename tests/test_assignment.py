@@ -366,6 +366,11 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_min(pts, pts + 5)
 
+    def test_size_mismatch(self):
+        pts = np.random.default_rng(0).uniform(0, 1, (3, 2))
+        with pytest.raises(ValueError, match="size mismatch"):
+            brute_force_min(pts, pts[:2] + 5)
+
     def test_tie_rule_lexicographic(self):
         # two reds equidistant from two blues: the earlier partner sequence wins
         reds = [[0.0, 0.0], [2.0, 0.0]]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poisson_matching
-from poisson_matching import cli, hierarchy, walks
+from poisson_matching import cli, hierarchy, render, verify, walks
 from poisson_matching.arcs import ArcTable
 from poisson_matching.cli import main
 from poisson_matching.geometry import Domain
@@ -209,6 +209,23 @@ class TestExitCodes:
                 assert res.exit_code == 0, res.output
                 return
         pytest.skip("no balanced small sample found")
+
+    def test_min_cost_oracle_mismatch_exits_one(self, runner, tmp_path, monkeypatch):
+        # an oracle that matches nothing costs 0, below any perfect matching
+        monkeypatch.setattr(cli, "brute_force_min", lambda reds, blues: Matching(reds, blues, []))
+        pts = sample_file(runner, tmp_path, domain="plane", window="0,3,0,3", seed=1)
+        res = invoke(runner, "match", "--in", str(pts), "--construction", "min_cost",
+                     "--oracle")
+        assert res.exit_code == 1
+        assert "oracle mismatch" in res.output
+
+    def test_sweep_bound_missed_exits_one(self, runner, monkeypatch):
+        # no frequency lies below a negative bound
+        monkeypatch.setattr(verify, "chernoff_bound", lambda p: -1.0)
+        res = invoke(runner, "sweep", "--lambdas", "2", "--ratios", "0.5",
+                     "--trials", "10000")
+        assert res.exit_code == 1
+        assert res.output.splitlines()[-1].endswith(",-1.0,False")
 
 
 ONE_EDGE_RESULT = {
@@ -471,6 +488,10 @@ BAD_INPUTS = {
                           "seed must be an integer, got '3'"),
     "float_seed_match": (_match("excursion"), _with_points(seed=3.0),
                          "seed must be an integer, got 3.0"),
+    # a window of positive sides whose area underflows to 0.0
+    "plane_window_of_zero_measure": (["sample", "--seed", "1", "--domain", "plane",
+                                      "--window", "0,1e-200,0,1e-200"], None,
+                                     "window has zero measure"),
 }
 
 
@@ -762,6 +783,20 @@ class TestConfigAndStats:
             assert res.exit_code == 0, (kind, res.output)
             json.loads(res.output)
 
+    def test_eta_on_a_line_sums_the_interior_edges(self, runner, pinned_inputs):
+        # a line's interior window is the middle half of its x-range, one
+        # unit high, and the sum is over the edges whose red lies in it
+        path = pinned_inputs["line_excursion"]
+        res = invoke(runner, "stats", "--in", str(path), "--kind", "eta")
+        assert res.exit_code == 0, res.output
+        d = json.loads(path.read_text())
+        domain, reds, blues = d["points"]["domain"], d["points"]["reds"], d["points"]["blues"]
+        lo, hi = (3 * domain["x0"] + domain["x1"]) / 4, (domain["x0"] + 3 * domain["x1"]) / 4
+        total = sum(math.dist(reds[i], blues[j]) for i, j in d["matching"]["edges"]
+                    if lo <= reds[i][0] < hi)
+        assert total > 0
+        assert json.loads(res.output)["eta_hat"] == pytest.approx(total / (hi - lo), rel=1e-12)
+
     def test_verify_arcs_from_match_output(self, runner, tmp_path):
         pts = sample_file(runner, tmp_path)
         match = tmp_path / "m.json"
@@ -809,6 +844,10 @@ PINNED = {
     "render_1000x333_walk": ("render --in {excursion} --width 1000 --height 333 --walk "
                              "--out {svg}",
                              "e026f316ed16142a4208372895dbd53468330dab0ff868fe56b211e6ca3e0762"),
+    # recorded when render read each column whole: 559 reds and 623 blues,
+    # so the point layers take two blocks of render.ROWS_PER_BLOCK rows
+    "render_long_walk": ("render --in {long_excursion} --walk --out {svg}",
+                         "5eda53960c810db3f65bc94ac6028bf6c814a90edb44619655c58af335607fb9"),
 }
 
 
@@ -822,7 +861,9 @@ def pinned_inputs(tmp_path_factory):
     plane = sample_file(runner, tmp, "plane.json", domain="plane",
                         window="0,3,0,3", seed=1)  # 9 reds, 9 blues
     line = sample_file(runner, tmp, "line.json", domain="line", window="0,40", seed=3)
+    long_strip = sample_file(runner, tmp, "long_strip.json", window="0,600", seed=3)
     files = {"excursion": ["--in", str(strip), "--construction", "excursion"],
+             "long_excursion": ["--in", str(long_strip), "--construction", "excursion"],
              "line_excursion": ["--in", str(line), "--construction", "excursion"],
              "hier": ["--construction", "hierarchical", "--seed", "2", "--stages", "3"],
              "laminate": ["--construction", "laminate", "--seed", "4", "--bands", "2",
@@ -1014,7 +1055,7 @@ def test_dump_holds_less_than_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(arcs) > cli.ROWS_PER_BLOCK  # so the arcs take more than one block
+    assert len(arcs) > render.ROWS_PER_BLOCK  # so the arcs take more than one block
     assert peak < path.stat().st_size
 
 
@@ -1044,7 +1085,7 @@ def test_writer_equals_json_dumps_on_strips(tmp_path, length):
         ps = ColoredPointSet(Domain.strip(0, 1), [], [])
     m = walks.excursion_matching(ps)
     arcs = walks.polygonal_arcs(m, ps)
-    assert length < 10000 or len(arcs) > 4 * cli.ROWS_PER_BLOCK
+    assert length < 10000 or len(arcs) > 4 * render.ROWS_PER_BLOCK
     diagnostics = {"construction": "excursion", "edges": len(arcs)}
     want = json.dumps(_list_form(ps, m, arcs, diagnostics), indent=1, sort_keys=True) + "\n"
     assert _written(tmp_path, cli._result_json(ps, m, arcs, diagnostics)) == want

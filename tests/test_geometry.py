@@ -347,6 +347,23 @@ def test_disk_rejects_values_not_finite_or_radius_not_positive(cx, cy, r):
         Disk(cx, cy, r)
 
 
+# a constructor or method call on values it rejects, and a part of its message
+SHAPE_ERRORS = {
+    "degenerate_segment": (lambda: Segment(Point(1, 2), Point(1, 2)), "degenerate segment"),
+    "empty_rect_in_x": (lambda: Rect(1, 1, 0, 1), "empty rectangle"),
+    "empty_rect_in_y": (lambda: Rect(0, 1, 2, 1), "empty rectangle"),
+    "unknown_domain_kind": (lambda: Domain("disk", 0, 1), "unknown domain kind 'disk'"),
+    "window_rect_of_a_line": (lambda: Domain.line(0, 5).window_rect(), "no planar window"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_ERRORS))
+def test_empty_or_unknown_shapes_rejected(name):
+    make, message = SHAPE_ERRORS[name]
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestEdgeCrossesRegion:
     def test_segment_through_disk(self):
         assert edge_crosses_region(seg(0, 0, 2, 0), Disk(1, 0, 0.5))

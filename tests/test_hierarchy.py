@@ -111,6 +111,11 @@ class TestBlockSystem:
                 assert 0 <= s.r[n] < s.a[n] // s.a[n - 2]
                 assert 0 <= s.t[n] < s.a[n]
 
+    @pytest.mark.parametrize("N", [1, 0, -3])
+    def test_fewer_than_two_levels_rejected(self, N):
+        with pytest.raises(ValueError, match="need N >= 2"):
+            build_block_system(0, N)
+
     def test_heir_even_level_leftmost(self):
         s = zero_offset_system(2)
         heir = heir_of(s, block_at(s, 2, 0, 0))
@@ -201,6 +206,23 @@ class TestBlockLookup:
             assert aligned_window(system).window_rect() == block_at(system, 5, 0, 0).rect
 
 
+# Per n, the hits of heir_frequency(n, trials, seed) for seeds 0, 1, 2 at one
+# trial and at 1000, recorded when it compared two grid-cell starts; it now
+# applies the stage tables' heir test, which must give the same floats.
+HEIR_HITS = {
+    1: ((1, 1, 1), (490, 477, 493)), 2: ((0, 0, 0), (168, 177, 187)),
+    3: ((0, 0, 0), (82, 84, 94)), 4: ((0, 0, 0), (59, 36, 53)),
+    5: ((0, 0, 0), (33, 34, 35)), 6: ((0, 0, 0), (29, 22, 24)),
+    7: ((0, 0, 0), (20, 21, 18)), 8: ((0, 0, 0), (16, 10, 13)),
+    9: ((0, 0, 0), (8, 15, 11)), 10: ((0, 0, 0), (6, 12, 8)),
+    11: ((0, 0, 0), (9, 3, 10)), 12: ((0, 0, 0), (3, 4, 8)),
+    13: ((1, 0, 0), (2, 8, 4)), 14: ((0, 0, 0), (3, 4, 5)),
+    15: ((0, 0, 0), (1, 3, 5)), 16: ((0, 0, 0), (4, 5, 3)),
+    17: ((0, 0, 0), (2, 5, 3)), 18: ((0, 0, 0), (6, 4, 5)),
+    19: ((0, 0, 0), (3, 2, 1)),
+}
+
+
 class TestHeirFrequency:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_closed_form(self, n):
@@ -210,15 +232,28 @@ class TestHeirFrequency:
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(est - p) <= 3 * sigma
 
-    @pytest.mark.parametrize("n,trials", [(0, 1000), (-1, 1000), (2, 0), (2, -5)],
-                             ids=["n_zero", "n_negative", "no_trials", "negative_trials"])
+    @pytest.mark.parametrize("n,trials", [(0, 1000), (-1, 1000), (2, 0), (2, -5),
+                                          (20, 1000), (25, 1)],
+                             ids=["n_zero", "n_negative", "no_trials", "negative_trials",
+                                  "n_20", "n_25"])
     def test_rejects_out_of_range_arguments(self, n, trials):
-        # n = 0 used to return 1.0, and no trials a nan with a RuntimeWarning
-        with pytest.raises(ValueError):
+        # n = 0 used to return 1.0, and no trials a nan with a RuntimeWarning;
+        # from n = 20 on, (n+1)! overflows int64, which raised numpy's
+        # OverflowError
+        with pytest.raises(ValueError, match="1 <= n <= 19"):
             heir_frequency(n, trials)
 
     def test_smallest_arguments_accepted(self):
         assert 0.0 <= heir_frequency(1, 1) <= 1.0
+
+    @pytest.mark.parametrize("n", sorted(HEIR_HITS))
+    def test_pinned(self, n):
+        # the frequency of one trial is a hit or a miss, and of 1000 trials
+        # the hit count over 1000, the very float np.mean gives
+        ones, thousands = HEIR_HITS[n]
+        for seed in range(3):
+            assert heir_frequency(n, 1, seed) == ones[seed]
+            assert heir_frequency(n, 1000, seed) == thousands[seed] / 1000
 
 
 def hierarchical_case(seed, N=4, lam=1.0):
@@ -318,6 +353,9 @@ class TestStages:
         state = init_state(ps, system)
         with pytest.raises(ValueError):
             run_stage(state, 2)  # stage 1 must run first
+        stage1(state)
+        with pytest.raises(ValueError, match="stage 1 must run first"):
+            stage1(state)  # and only once
 
 
 class TestBadBlocks:
@@ -378,6 +416,13 @@ class TestBadBlocks:
         system = build_block_system(0, 4)
         for n in (3, 4):
             assert 0.0 < bad_block_bound(system, n) <= 2.0
+
+    def test_bound_pinned(self):
+        # recorded when the bound had an exponential of its own; it is now
+        # twice chernoff_bound, with the same floats
+        system = build_block_system(0, 6)
+        assert [bad_block_bound(system, n) for n in range(3, 7)] == [
+            1.966942907643235, 1.9899244546123305, 1.9825328626057548, 1.9189302517383269]
 
 
 def test_run_hierarchical_diagnostics_shape():
@@ -1143,6 +1188,8 @@ class TestAssignInGroups:
             assign_in_groups(SATURATING, pts, [0, 3], pts[:1], [0, 1], [2], [0])
         with pytest.raises(ValueError, match="unknown kind"):
             assign_in_groups("triangular", pts, [0, 3], pts, [0, 3])
+        with pytest.raises(ValueError, match="need as many groups of blues as of reds"):
+            assign_in_groups(SQUARE, pts, [0, 1, 3], pts, [0, 3])
 
 
 # --- Windows and block systems ------------------------------------------------
@@ -1155,6 +1202,12 @@ def test_run_hierarchical_needs_the_systems_level(N):
     ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), 0))
     with pytest.raises(ValueError, match=f"N={N} but the block system has N=4"):
         run_hierarchical(ps, 0, N, system=system)
+
+
+def test_run_hierarchical_builds_the_seeds_system():
+    system = build_block_system(3, 3)
+    ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), 3))
+    assert run_hierarchical(ps, 3, 3)[1] == run_hierarchical(ps, 3, 3, system=system)[1]
 
 
 def test_color_tables_sort_rows_of_either_width():

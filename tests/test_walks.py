@@ -101,6 +101,11 @@ class TestBuildWalk:
                 continue
             assert walk_value(w, y) - walk_value(w, x) == count_diff(ps, Rect(x, y, 0, 1))
 
+    @pytest.mark.parametrize("xs", [[2.0, 1.0], [1.0, 1.0], [0.5, 3.0, 2.0]])
+    def test_jumps_not_increasing_rejected(self, xs):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            StepWalk(xs, [1] * len(xs))
+
     def test_duplicate_x_rejected(self):
         ps = strip_ps([1.0], [], heights=0.3)
         ps.blues = np.array([[1.0, 0.7]])
@@ -155,6 +160,11 @@ class TestOneColorPairing:
         m = one_color_pairing(strip_ps([1], []), coin=0)
         assert m.edges == []
 
+    @pytest.mark.parametrize("coin", [2, -1])
+    def test_coin_outside_zero_one_rejected(self, coin):
+        with pytest.raises(ValueError, match="coin must be 0 or 1"):
+            one_color_pairing(strip_ps([1, 2, 3, 4], []), coin)
+
     def test_planar(self):
         ps = sample(SampleConfig(1, 1, Domain.strip(0, 40), seed=2))
         for coin in (0, 1):
@@ -172,6 +182,10 @@ class TestCutTimeMatching:
     def test_all_blue_no_cuts(self):
         ps = strip_ps([], [1, 2, 3])
         assert len(cut_times(build_walk(ps))) == 0
+
+    def test_empty_walk_no_cuts(self):
+        cuts = cut_times(build_walk(strip_ps([], [])))
+        assert cuts.shape == (0,) and cuts.dtype == float
 
     def test_red_excess_between_cuts(self):
         ps = sample(SampleConfig(2, 1, Domain.strip(0, 50), seed=21))
@@ -695,6 +709,12 @@ class TestLaminateStrips:
     def test_bad_shift_rejected(self):
         with pytest.raises(ValueError):
             laminate_strips([self._band(0)], shift=1.5)
+
+    def test_bands_on_different_windows_rejected(self):
+        ps = sample(SampleConfig(1, 1, Domain.strip(0, 20), seed=0))
+        m = excursion_matching(ps)
+        with pytest.raises(ValueError, match="same strip window"):
+            laminate_strips([self._band(1), (ps, m, polygonal_arcs(m, ps))], shift=0.0)
 
     def test_columns_equal_the_per_arc_loop(self):
         for seeds, shift in (((1,), 0.0), ((1, 2), 0.25), ((0, 3, 5, 6), 0.7321)):
