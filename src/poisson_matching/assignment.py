@@ -82,6 +82,7 @@ import numpy as np
 
 from .geometry import _two_columns
 from .matching import Matching, partner_edges
+from .sampling import canonical_order
 
 EPS_TIE = 1e-9
 BRUTE_FORCE_MAX = 9
@@ -155,7 +156,7 @@ def _scattered(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _scattered_at(n: int) -> np.ndarray:
     """Position of each of 0..n-1 in ``_scattered(n)``: its inverse."""
-    return np.argsort(_scattered(n), kind="stable")
+    return _inverse(_scattered(n))
 
 
 def _assign(cost: np.ndarray) -> np.ndarray:
@@ -208,7 +209,7 @@ def _first_pair(n: int, hits, start: int = 0) -> Optional[int]:
 def _lex_rank(pts: np.ndarray) -> np.ndarray:
     """Dense rank of each point in lexicographic (x, y) order; equal points
     share a rank."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    order = canonical_order(pts)
     ranked = pts[order]
     new = np.ones(len(pts), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
@@ -289,11 +290,10 @@ def _tied_in_buffer(flat: np.ndarray, off: np.ndarray, n: np.ndarray,
     Every pair of rows i < j of a matrix is tested with ``_has_tie``'s float
     operations, so the answers are its answers; the pairs number fewer than
     the entries."""
-    at = np.zeros(len(n) + 1, dtype=np.int64)
-    np.cumsum(n, out=at[1:])
+    place, at = _spans(np.zeros(len(n), dtype=np.int64), n)  # each row's, in its matrix
     group = np.repeat(np.arange(len(n)), n)
     row = np.arange(at[-1])
-    base = off[group] + (row - at[group]) * n[group]  # where each row starts
+    base = off[group] + place * n[group]  # where each row starts
     d = flat[base + col]
     later = at[group + 1] - row - 1
     i = np.repeat(row, later)
@@ -557,6 +557,13 @@ def _spans(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     at = np.zeros(len(count) + 1, dtype=np.int64)
     np.cumsum(count, out=at[1:])
     return np.repeat(first - at[:-1], count) + np.arange(at[-1]), at
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``order``: where each index went."""
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(order))
+    return inv
 
 
 @functools.lru_cache(maxsize=None)

@@ -323,15 +323,10 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
         elif construction == "cut_time":
             m = walks.cut_time_matching(ps)
         elif construction == "excursion":
-            if kind not in ("line", "strip"):
-                raise click.UsageError("excursion requires a line or strip domain")
             m = walks.excursion_matching(ps)
             if kind == "strip":
                 arcs = walks.polygonal_arcs(m, ps)
         else:  # min_cost
-            if ps.n_red != ps.n_blue:
-                raise click.UsageError(
-                    "min_cost needs equal counts; resample or use another construction")
             m = min_cost_perfect(ps.reds, ps.blues)
             if oracle:
                 ref = brute_force_min(ps.reds, ps.blues)
@@ -432,11 +427,7 @@ def cmd_stats(in_path, kind, box_side, disk, out):
 def cmd_render(in_path, width, height, walk, blocks, out):
     """Render a result file to SVG."""
     ps, m, arcs, d = _load_result(in_path)
-    w = None
-    if walk:
-        if ps.domain.kind not in ("line", "strip"):
-            raise click.UsageError("walk overlay requires a line or strip domain")
-        w = walks.build_walk(ps)
+    w = walks.build_walk(ps) if walk else None
     rects = []
     if blocks:
         system = _block_system(d, in_path)

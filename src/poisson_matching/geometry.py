@@ -53,8 +53,10 @@ class Rect:
     def area(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
-    def contains(self, p) -> bool:
-        return self.x0 <= p[0] < self.x1 and self.y0 <= p[1] < self.y1
+    def contains(self, p):
+        """Whether the point p = (x, y) lies in the rectangle, or for (2, k)
+        columns p = (xs, ys), a mask of which of the k points do."""
+        return (self.x0 <= p[0]) & (p[0] < self.x1) & (self.y0 <= p[1]) & (p[1] < self.y1)
 
 
 @dataclass(frozen=True)

@@ -83,12 +83,12 @@ def render_scene(ps: ColoredPointSet,
                              left, top, right - left, bottom - top)
         if steps:
             # a flat to each jump and the dashed riser at it, then the last flat
-            xs = tx(np.concatenate([[d.x0], walk.xs, [d.x1]])).tolist()
-            ys = ty(np.concatenate([[0], walk.values]) * WALK_SCALE - WALK_SCALE).tolist()
+            xs = tx(np.concatenate([[d.x0], walk.xs, [d.x1]]))
+            ys = ty(np.concatenate([[0], walk.values]) * WALK_SCALE - WALK_SCALE)
             flat = LINE_ROW.format("walk", WALK, "")
             riser = LINE_ROW.format("walk", WALK, ' stroke-dasharray="2,2"')
             x, y = xs[1:-1], ys[:-1]  # each jump's x and the level before it
-            yield from map((flat + riser).__mod__, zip(xs, y, x, y, x, y, x, ys[1:]))
+            yield from _rows(flat + riser, xs[:-2], y, x, y, x, y, x, ys[1:])
             yield flat % (xs[-2], ys[-1], xs[-1], ys[-1])
         if matching is not None:
             p, q = matching.endpoint_arrays()

@@ -301,13 +301,13 @@ def estimate_eta(pairs: Sequence[Tuple[ColoredPointSet, Matching]],
     for ps, m in pairs:
         s = interior_window(ps, fraction)
         p, q = m.endpoint_arrays()
-        total = 0.0
-        for red, d in zip(p.tolist(), (p - q).tolist()):
-            if s.contains(red):
-                total += math.hypot(*d)  # math.hypot: np.hypot rounds otherwise
-                pooled_matched += 1
+        inside = s.contains(p.T)
+        total = 0.0  # summed in edge order: sum() rounds otherwise since Python 3.12
+        for d in (p - q)[inside].tolist():
+            total += math.hypot(*d)  # math.hypot: np.hypot rounds otherwise
         pooled_total += total
-        skipped += sum(1 for i in m.unmatched_reds if s.contains(ps.reds[i]))
+        pooled_matched += int(inside.sum())
+        skipped += int(s.contains(ps.reds[m.unmatched_reds].T).sum())
         per_window.append(total / s.area)
     return StatsReport("eta", {
         "eta_hat": float(np.mean(per_window)) if per_window else 0.0,

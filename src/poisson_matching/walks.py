@@ -6,7 +6,9 @@ drive the zero-block, cut-time and excursion matchings; nesting depths and
 lowest intervening points give heights for non-crossing polygonal arcs.
 The excursion matching is a bracket pairing found by sorting the walk's
 steps by level, and the arcs come as one ``ArcTable`` (``arcs.py``), built
-and laminated column by column with no per-arc Python. The reports that
+and laminated column by column with no per-arc Python. Both read each
+step's point by one rule: the m-th up-step is reds[m], the m-th down-step
+blues[m]. ``polygonal_arcs`` takes strips only. The reports that
 check these matchings, the d = 1 minimality certificate among them, are
 built in ``verify``.
 
@@ -23,7 +25,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .assignment import RECTANGULAR, SQUARE, assign_in_groups
+from .assignment import RECTANGULAR, SQUARE, _inverse, assign_in_groups
 from .arcs import ArcSpec, ArcTable  # ArcSpec, the table's row type, is exported here too
 from .geometry import LINE, STRIP, Domain
 from .matching import ONE_COLOR, Matching, partner_edges
@@ -62,10 +64,7 @@ def build_walk(ps: ColoredPointSet) -> StepWalk:
     xs = np.concatenate([ps.reds[:, 0], ps.blues[:, 0]])
     signs = np.concatenate([np.ones(ps.n_red, int), -np.ones(ps.n_blue, int)])
     order = np.argsort(xs, kind="stable")
-    xs, signs = xs[order], signs[order]
-    if len(xs) > 1 and (np.diff(xs) == 0).any():
-        raise ValueError("duplicate x-coordinates (probability-zero event)")
-    return StepWalk(xs, signs)
+    return StepWalk(xs[order], signs[order])  # rejects a repeated x
 
 
 def _interval_cuts(ps: ColoredPointSet, boundaries
@@ -180,11 +179,14 @@ def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> ArcTable:
     The points with x in [red x, blue x] are a run of the walk order, so the
     lowest of them and the walk's highest value over them are range queries
     (``_range_reduce``); the depth counts from the walk's value just left of
-    the red."""
+    the red. Each step's point is read by ``excursion_matching``'s rule."""
+    if ps.domain.kind != STRIP:
+        raise ValueError(f"polygonal arcs need a strip domain, not a {ps.domain.kind}")
     walk = build_walk(ps)
     vals = walk.values
-    allpts = np.concatenate([ps.reds, ps.blues])
-    ys = allpts[np.argsort(allpts[:, 0], kind="stable"), 1]  # in walk order
+    up = walk.signs == 1
+    ys = np.empty(len(up))  # each step's point's y, in walk order
+    ys[up], ys[~up] = ps.reds[:, 1], ps.blues[:, 1]
     p, q = m.endpoint_arrays()
     x_lo, x_hi = p[:, 0], q[:, 0]
     backwards = np.flatnonzero(x_lo > x_hi)
@@ -231,13 +233,6 @@ def crossing_profile(m: Matching) -> CrossingProfile:
     values = (np.searchsorted(np.sort(lo), mids, side="right")
               - np.searchsorted(np.sort(hi), mids, side="left"))
     return CrossingProfile(breaks, values.astype(int))
-
-
-def _inverse(order: np.ndarray) -> np.ndarray:
-    """The inverse of the permutation ``order``: where each index went."""
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    return inv
 
 
 def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, ArcTable]],

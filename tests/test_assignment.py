@@ -64,6 +64,30 @@ def min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
                                    [len(reds)], [len(blues)]))
 
 
+def test_scattered_at_inverts_scattered():
+    for n in range(301):
+        assert np.array_equal(assignment._scattered(n)[assignment._scattered_at(n)], np.arange(n))
+
+
+def test_tied_in_buffer_is_has_tie_of_each_matrix():
+    # square matrices of 0-6 rows laid end to end, of random reals (no ties)
+    # or of small integers (many), each row with a column of its own
+    rng = derived_rng(29)
+    seen = set()
+    for trial in range(60):
+        sizes = rng.integers(0, 7, size=8)
+        mats = [rng.integers(0, 4, (n, n)).astype(float) if rng.random() < 0.3
+                else rng.uniform(0, 1, (n, n)) for n in sizes]
+        cols = [rng.permutation(n) for n in sizes]
+        got = assignment._tied_in_buffer(np.concatenate([c.ravel() for c in mats]),
+                                         np.cumsum(sizes * sizes) - sizes * sizes, sizes,
+                                         np.concatenate(cols))
+        want = [assignment._has_tie(c, col) for c, col in zip(mats, cols)]
+        assert got.tolist() == want
+        seen.update(want)
+    assert seen == {False, True}
+
+
 class TestMinCostPerfect:
     def test_single_pair(self):
         m = min_cost_perfect([[0, 0]], [[1, 0]])

@@ -458,15 +458,16 @@ BAD_INPUTS = {
     "one_color_on_line": (_match("one_color"), LINE_POINTS, "one_color requires a strip"),
     "cut_time_on_line": (_match("cut_time"), LINE_POINTS, "cut_time requires a strip"),
     "excursion_on_plane": (_match("excursion"), PLANE_POINTS,
-                           "excursion requires a line or strip"),
+                           "walk requires a line or strip domain"),
     "min_cost_unequal_counts": (_match("min_cost"), json.dumps({
-        **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.5], [0.5, 0.5]]}), "equal counts"),
+        **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.5], [0.5, 0.5]]}),
+        "size mismatch: 2 reds vs 1 blues"),
     "verify_point_set": (VERIFY, POINT_SET, "has no matching"),
     "stats_point_set": (STATS_ETA, POINT_SET, "has no matching"),
     "minimality_on_strip": ([*MINIMALITY, "--in"], json.dumps(ONE_EDGE_RESULT),
                             "requires a line domain"),
     "render_walk_on_plane": (["render", "--walk", "--out", os.devnull, "--in"],
-                             PLANE_POINTS, "walk overlay requires a line or strip"),
+                             PLANE_POINTS, "walk requires a line or strip domain"),
     # domain bounds and seeds of the wrong type, caught where the file is read
     "string_bounds_render": (RENDER, STRING_BOUNDS, STRING_BOUND),
     "string_bounds_stats_eta": (STATS_ETA, STRING_BOUNDS, STRING_BOUND),

@@ -364,6 +364,18 @@ def test_empty_or_unknown_shapes_rejected(name):
         make()
 
 
+class TestRectContains:
+    def test_columns_equal_the_point_form(self):
+        # every edge and corner of [1, 3) x [-2, 0.5), and points either side
+        r = Rect(1.0, 3.0, -2.0, 0.5)
+        pts = [[x, y] for x in (0.5, 1.0, 2.0, 3.0, 3.5) for y in (-2.5, -2.0, 0.0, 0.5, 1.0)]
+        inside = [bool(r.contains(p)) for p in pts]
+        assert [p for p, hit in zip(pts, inside) if hit] == [
+            [1.0, -2.0], [1.0, 0.0], [2.0, -2.0], [2.0, 0.0]]
+        mask = r.contains(np.array(pts).T)
+        assert mask.dtype == bool and mask.tolist() == inside
+
+
 class TestEdgeCrossesRegion:
     def test_segment_through_disk(self):
         assert edge_crosses_region(seg(0, 0, 2, 0), Disk(1, 0, 0.5))

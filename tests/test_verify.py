@@ -11,7 +11,7 @@ from poisson_matching import verify
 from poisson_matching.assignment import _canonicalize_ties, min_cost_perfect
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        Domain, Point, Rect, Segment)
-from poisson_matching.matching import Matching
+from poisson_matching.matching import ONE_COLOR, Matching
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
 from poisson_matching.verify import (ChernoffParams, _arc_arrays,
@@ -613,7 +613,46 @@ class TestChernoff:
         assert a.payload == b.payload
 
 
+def _eta_by_edge(pairs, fraction=0.5):
+    """``estimate_eta``'s payload by a loop over the edges, one red at a time."""
+    per_window, pooled, matched, skipped = [], 0.0, 0, 0
+    for ps, m in pairs:
+        s = interior_window(ps, fraction)
+
+        def inside(p):
+            return s.x0 <= p[0] < s.x1 and s.y0 <= p[1] < s.y1
+
+        partners = ps.reds if m.color_mode == ONE_COLOR else ps.blues
+        total = 0.0
+        for i, j in m.edges:
+            red, partner = ps.reds[i].tolist(), partners[j].tolist()
+            if inside(red):
+                total += math.hypot(red[0] - partner[0], red[1] - partner[1])
+                matched += 1
+        pooled += total
+        skipped += sum(1 for i in m.unmatched_reds if inside(ps.reds[i].tolist()))
+        per_window.append(total / s.area)
+    return {"eta_hat": float(np.mean(per_window)) if per_window else 0.0,
+            "eta_per_matched_red": pooled / max(matched, 1), "per_window": per_window,
+            "unmatched_reds_in_interior": skipped, "fraction": fraction}
+
+
 class TestEta:
+    def test_payload_equals_a_loop_over_the_edges(self):
+        strip = sample(SampleConfig(1.3, 1.0, Domain.strip(0, 80), 5))
+        line = sample(SampleConfig(1.2, 1.0, Domain.line(0, 80), 6))
+        plane, _ = balanced(square_ps(3, side=6.0))
+        pairs = [(strip, excursion_matching(strip)), (strip, one_color_pairing(strip, 1)),
+                 (line, excursion_matching(line)),
+                 (plane, min_cost_perfect(plane.reds, plane.blues)),
+                 (strip, Matching(strip.reds, strip.blues, []))]
+        # unmatched reds both inside and outside the interior windows
+        inner = [interior_window(ps).contains(ps.reds[m.unmatched_reds].T) for ps, m in pairs]
+        assert np.concatenate(inner).any() and not np.concatenate(inner).all()
+        for chosen in [pairs, *([pair] for pair in pairs), []]:
+            for fraction in (0.5, 0.8):
+                assert estimate_eta(chosen, fraction).payload == _eta_by_edge(chosen, fraction)
+
     def test_interior_window_centered(self):
         ps = square_ps(0, side=10.0)
         s = interior_window(ps, 0.5)

@@ -109,8 +109,19 @@ class TestBuildWalk:
     def test_duplicate_x_rejected(self):
         ps = strip_ps([1.0], [], heights=0.3)
         ps.blues = np.array([[1.0, 0.7]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             build_walk(ps)
+
+    @pytest.mark.parametrize("domain", [Domain.strip(0, 60), Domain.line(0, 60)])
+    def test_up_steps_are_the_reds_and_down_steps_the_blues(self, domain):
+        # the m-th up-step is reds[m] and the m-th down-step blues[m]: the
+        # rule by which excursion_matching and polygonal_arcs read the walk
+        for seed in range(6):
+            ps = sample(SampleConfig(1.0, 1.2, domain, seed))
+            w = build_walk(ps)
+            up = w.signs == 1
+            assert np.array_equal(w.xs[up], ps.reds[:, 0])
+            assert np.array_equal(w.xs[~up], ps.blues[:, 0])
 
     def test_plane_rejected(self):
         ps = ColoredPointSet(Domain.plane(0, 2, 0, 2), reds=[[1, 1]], blues=[], seed=0)
@@ -380,6 +391,31 @@ class TestPolygonalArcs:
         m = excursion_matching(ps)
         arcs = polygonal_arcs(m, ps)
         assert check_arc_disjointness(arcs).passed
+
+    @pytest.mark.parametrize("lam_red", [1.0, 1.3, 0.7])
+    def test_lowest_and_height_read_the_walk_order(self, lam_red):
+        # the points in walk order by a sort of all of them on x
+        for seed in range(4):
+            ps = sample(SampleConfig(lam_red, 1.0, Domain.strip(0, 200), seed))
+            m = excursion_matching(ps)
+            arcs = polygonal_arcs(m, ps)
+            pts = np.concatenate([ps.reds, ps.blues])
+            ys = pts[np.argsort(pts[:, 0], kind="stable"), 1]
+            xs = np.sort(pts[:, 0])
+            p, q = m.endpoint_arrays()
+            lowest = [ys[np.searchsorted(xs, a):np.searchsorted(xs, b, side="right")].min()
+                      for a, b in zip(p[:, 0], q[:, 0])]
+            assert len(lowest) and arcs.lowest.tolist() == lowest
+            assert arcs.height.tolist() == [lo / d for lo, d in zip(lowest, arcs.depth.tolist())]
+
+    def test_domain_not_a_strip_rejected(self):
+        # on a line every arc would lie on the line itself, at height 0
+        ps = sample(SampleConfig(1, 1, Domain.line(0, 30), 3))
+        with pytest.raises(ValueError, match="need a strip domain, not a line"):
+            polygonal_arcs(excursion_matching(ps), ps)
+        ps = ColoredPointSet(Domain.plane(0, 2, 0, 2), reds=[[1, 1]], blues=[[1.5, 1]], seed=0)
+        with pytest.raises(ValueError, match="need a strip domain, not a plane"):
+            polygonal_arcs(Matching(ps.reds, ps.blues, [(0, 0)]), ps)
 
 
 def _reference_arcs(m, ps):
