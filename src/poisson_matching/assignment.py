@@ -76,7 +76,7 @@ import importlib.util
 import itertools
 import math
 import sys
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -321,20 +321,6 @@ def _pad(cost: np.ndarray, reds: np.ndarray, blues: np.ndarray,
     cost[at[nr:], :must_b] = BIG   # mandatory blues cannot go unmatched
 
 
-def _batches(entries: List[int], cap: int) -> Iterator[List[int]]:
-    """Runs of consecutive problems whose matrices fit in ``cap`` entries
-    together, in order; a problem larger than ``cap`` comes alone."""
-    batch, used = [], 0
-    for k, e in enumerate(entries):
-        if batch and used + e > cap:
-            yield batch
-            batch, used = [], 0
-        batch.append(k)
-        used += e
-    if batch:
-        yield batch
-
-
 def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
                      red_must=None, blue_must=None) -> np.ndarray:
     """Exact solves of many independent problems in one call. Problem g has
@@ -406,9 +392,9 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     distances, assign = _kernel("cdist"), _assign  # looked up once, not per problem
     # problem by problem, in order, each row's red and blue within its problem
     red_ends, blue_ends = [], []
-    for batch in _batches(entries.tolist(), len(buf)):
+    for p0, p1 in _runs(entries, len(buf)):
         used, square = 0, []
-        for k in batch:
+        for k in range(p0, p1):
             a, nr, b, nb, n, m, *must_k = problems[k]
             if n * m > len(buf):  # alone in its batch
                 cost = np.empty((n, m))
@@ -504,9 +490,9 @@ def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
     settled = np.zeros(len(g), dtype=bool)
     # batches of at most PAIR_BLOCK point pairs, or one larger problem,
     # bound the temporaries, which hold every pair of a batch
-    batch = (np.cumsum(np.diff(small_start) * np.diff(large_start)) - 1) // PAIR_BLOCK
-    for k in np.split(np.arange(len(g)), np.flatnonzero(np.diff(batch)) + 1):
-        _settle_batch(pts, small, small_start, large, large_start, k, len(reds), partner, settled)
+    for p0, p1 in _runs(np.diff(small_start) * np.diff(large_start), PAIR_BLOCK):
+        _settle_batch(pts, small, small_start, large, large_start, np.arange(p0, p1),
+                      len(reds), partner, settled)
     return g[settled]
 
 
@@ -557,6 +543,17 @@ def _spans(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     at = np.zeros(len(count) + 1, dtype=np.int64)
     np.cumsum(count, out=at[1:])
     return np.repeat(first - at[:-1], count) + np.arange(at[-1]), at
+
+
+def _runs(sizes: np.ndarray, cap: int) -> Iterator[Tuple[int, int]]:
+    """The runs [p0, p1) of consecutive items whose ``sizes`` total at most
+    ``cap``, in order, each as long as it can be; an item over ``cap`` is a
+    run alone."""
+    ends, p1 = np.cumsum(sizes), 0
+    while p1 < len(ends):
+        p0, done = p1, (int(ends[p1 - 1]) if p1 else 0)
+        p1 = max(p0 + 1, int(np.searchsorted(ends, done + cap, side="right")))
+        yield p0, p1
 
 
 def _inverse(order: np.ndarray) -> np.ndarray:

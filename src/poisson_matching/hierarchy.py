@@ -34,7 +34,7 @@ one pass. Most blocks of the lower levels hold a point or two, so one object
 per block made up much of a run's time.
 
 ``heir_frequency`` applies the stage tables' heir test to the origin's unit
-cell, and ``bad_block_bound`` is twice ``verify.chernoff_bound``.
+cell, and ``bad_block_bound`` is twice ``chernoff_bound``, defined here.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .assignment import RECTANGULAR, SATURATING, _spans, assign_in_groups
 from .geometry import Domain, Rect
 from .matching import Matching, partner_edges
 from .sampling import ColoredPointSet, derived_rng
-from .verify import ChernoffParams, chernoff_bound
 
 
 @dataclass
@@ -157,6 +156,21 @@ def heir_frequency(n: int, trials: int, seed: int = 0) -> float:
         rm = rng.integers(0, a[m] // a[m - 2], size=trials)
         t.append(rm * a[m - 2] + t[m - 2])
     return float(np.mean(-t[n + 1] % a[n + 1] < a[n - 1]))
+
+
+@dataclass(frozen=True)
+class ChernoffParams:
+    lam: float
+    mu: float
+
+    def __post_init__(self):
+        if not (0 < self.mu <= self.lam):
+            raise ValueError("need 0 < mu <= lam")
+
+
+def chernoff_bound(p: ChernoffParams) -> float:
+    """exp(-mu^2 / (6 lam)), the tail bound for P(X - X' >= Y)."""
+    return math.exp(-p.mu ** 2 / (6.0 * p.lam))
 
 
 def bad_block_bound(system: BlockSystem, n: int) -> float:

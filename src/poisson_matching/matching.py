@@ -152,6 +152,14 @@ def _length(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.hypot(*(p - q).T).sum())
 
 
+def _in_order(lengths) -> float:
+    """``lengths`` added one by one from 0.0, in order: ``sum()`` rounds otherwise since 3.12."""
+    total = 0.0
+    for x in lengths:
+        total += x
+    return total
+
+
 def _unused(n: int, used: np.ndarray) -> List[int]:
     """The indices in range(n) that ``used`` does not hold, ascending."""
     seen = np.zeros(n, dtype=bool)

@@ -4,7 +4,8 @@ Verification reports carry explicit violation witnesses; statistics reports
 (average edge length, crossing counts) are diagnostics and never assert
 infinite-volume claims. The arc verifiers flatten an ``ArcTable``'s vertex
 column into segments (``_arc_arrays``) and share one segment-hit list per
-table (``_arc_hits``).
+table (``_arc_hits``). Edge lengths are totalled in order, never by the
+builtin ``sum`` (``matching._in_order``); the Chernoff tail is ``hierarchy``'s.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcTable
-from .assignment import EPS_TIE, SQUARE, _spans, assign_in_groups, brute_force_min, improvable_pair
+from .assignment import (EPS_TIE, SQUARE, _runs, _spans, assign_in_groups, brute_force_min,
+                         improvable_pair)
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment, _crosses_region,
                        _intersections, _overlap_error)
-from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _length
+from .hierarchy import ChernoffParams, chernoff_bound
+from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _in_order, _length
 from .sampling import ColoredPointSet, derived_rng
 
 
@@ -107,26 +110,20 @@ def _box_pairs(P: np.ndarray, Q: np.ndarray) -> Iterator[Tuple[np.ndarray, np.nd
 
     Sort and sweep: with the boxes sorted by left edge, sorted segment p
     overlaps in x exactly the later q whose left edge is at most its right
-    edge, a run found with one ``searchsorted``. Runs are expanded a chunk
-    of about PAIR_CHUNK pairs at a time and kept where the y-ranges overlap.
+    edge, a run found with one ``searchsorted``. Runs are expanded at most
+    PAIR_CHUNK pairs at a time (``_runs``), kept where the y-ranges overlap.
     """
     lo = np.minimum(P, Q) - EPS_GEOM
     hi = np.maximum(P, Q) + EPS_GEOM
     order = np.argsort(lo[:, 0], kind="stable")
     left = lo[order, 0]
-    n = len(order)
-    count = np.searchsorted(left, hi[order, 0], side="right") - np.arange(1, n + 1)
-    ends = np.cumsum(count)
-    p0 = 0
-    while p0 < n:
-        done = int(ends[p0 - 1]) if p0 else 0
-        p1 = max(p0 + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
+    count = np.searchsorted(left, hi[order, 0], side="right") - np.arange(1, len(order) + 1)
+    for p0, p1 in _runs(count, PAIR_CHUNK):
         run = count[p0:p1]
         a = order[np.repeat(np.arange(p0, p1), run)]
         b = order[_spans(np.arange(p0 + 1, p1 + 1), run)[0]]
         keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
         yield a[keep], b[keep]
-        p0 = p1
 
 
 def _pairwise_hits(P: np.ndarray, Q: np.ndarray, skip_same_group=None) -> List[Tuple[int, int]]:
@@ -226,27 +223,12 @@ def minimality_certificate_d1(m: Matching, k: int, trials: int,
     checked = max(trials, 0) if size else 0
     for t in range(checked):
         idx = rng.choice(len(p), size=size, replace=False)
-        own = sum(lengths[a] for a in idx)
+        own = _in_order(lengths[a] for a in idx)
         best = brute_force_min(p[idx], q[idx]).total_length
         if own > best + EPS_TIE:
             violations.append({"trial": t, "edges": sorted(int(a) for a in idx),
                                "cost": own, "minimum": best})
     return VerificationReport("minimality_d1", checked, violations)
-
-
-@dataclass(frozen=True)
-class ChernoffParams:
-    lam: float
-    mu: float
-
-    def __post_init__(self):
-        if not (0 < self.mu <= self.lam):
-            raise ValueError("need 0 < mu <= lam")
-
-
-def chernoff_bound(p: ChernoffParams) -> float:
-    """exp(-mu^2 / (6 lam)), the tail bound for P(X - X' >= Y)."""
-    return math.exp(-p.mu ** 2 / (6.0 * p.lam))
 
 
 def chernoff_mc(p: ChernoffParams, trials: int, seed: int = 0) -> StatsReport:
@@ -302,9 +284,8 @@ def estimate_eta(pairs: Sequence[Tuple[ColoredPointSet, Matching]],
         s = interior_window(ps, fraction)
         p, q = m.endpoint_arrays()
         inside = s.contains(p.T)
-        total = 0.0  # summed in edge order: sum() rounds otherwise since Python 3.12
-        for d in (p - q)[inside].tolist():
-            total += math.hypot(*d)  # math.hypot: np.hypot rounds otherwise
+        # math.hypot: np.hypot rounds otherwise
+        total = _in_order(math.hypot(*d) for d in (p - q)[inside].tolist())
         pooled_total += total
         pooled_matched += int(inside.sum())
         skipped += int(s.contains(ps.reds[m.unmatched_reds].T).sum())
@@ -389,7 +370,7 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     # as a Matching of the cell sums them (``_length``)
     before = list(map(math.hypot, *(R - B).T.tolist()))
     after = np.hypot(*(R - B[new]).T)
-    improvements = [sum(before[s0:s1]) - float(after[s0:s1].sum())
+    improvements = [_in_order(before[s0:s1]) - float(after[s0:s1].sum())
                     for s0, s1 in zip(bounds, bounds[1:])]
     length_before = _length(r, b)
     e[ks, 1] = e[ks[new], 1]

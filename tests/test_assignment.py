@@ -1009,6 +1009,72 @@ class TestMinCostInGroups:
             assert settled.tolist() == [True]
             assert pairs == [kernel_pairs(S, L)]
 
+    def test_a_batch_over_pair_block_holds_one_problem(self, monkeypatch):
+        # 1, 8000 and 100 point pairs: the middle problem is over PAIR_BLOCK,
+        # so it is a batch alone, and the last problem one of its own
+        rng = derived_rng(67)
+        small = [rng.uniform(0, 50, (s, 2)) for s in (1, 2, 1)]
+        large = [rng.uniform(0, 50, (n, 2)) for n in (1, 4000, 100)]
+        batches, settle = [], assignment._settle_batch
+
+        def settling(*args):
+            small_start, large_start, groups = args[2], args[4], args[5]
+            pairs = (np.diff(small_start) * np.diff(large_start))[groups]
+            batches.append((groups.tolist(), int(pairs.sum())))
+            settle(*args)
+
+        monkeypatch.setattr(assignment, "_settle_batch", settling)
+        pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
+        assert settled.tolist() == [True] * 3
+        assert pairs == [kernel_pairs(S, L) for S, L in zip(small, large)]
+        assert [groups for groups, _ in batches] == [[0], [1], [2]]
+        assert all(len(groups) == 1 for groups, n in batches if n > assignment.PAIR_BLOCK)
+
+
+# The batcher of assign_in_groups before one splitter served every size-capped
+# batch. Kept verbatim as the oracle for ``_runs``.
+
+
+def _old_batches(entries, cap):
+    """Runs of consecutive problems whose matrices fit in ``cap`` entries
+    together, in order; a problem larger than ``cap`` comes alone."""
+    batch, used = [], 0
+    for k, e in enumerate(entries):
+        if batch and used + e > cap:
+            yield batch
+            batch, used = [], 0
+        batch.append(k)
+        used += e
+    if batch:
+        yield batch
+
+
+class TestRuns:
+    @staticmethod
+    def _same(sizes, cap):
+        got = [list(range(p0, p1)) for p0, p1 in assignment._runs(np.array(sizes, int), cap)]
+        assert got == list(_old_batches(sizes, cap))
+        return got
+
+    def test_random_sizes(self):
+        rng = derived_rng(68)
+        over = alone = 0
+        for _ in range(300):
+            cap = int(rng.integers(0, 40))
+            sizes = rng.integers(0, 50, int(rng.integers(0, 30)))
+            sizes[rng.random(len(sizes)) < 0.3] = 0
+            runs = self._same(sizes.tolist(), cap)
+            over += int((sizes > cap).sum())
+            alone += sum(len(run) == 1 and sizes[run[0]] > cap for run in runs)
+        assert alone == over > 100  # every item over the cap is a run alone
+
+    def test_edge_cases(self):
+        assert self._same([], 5) == []
+        assert self._same([0, 0, 0], 0) == [[0, 1, 2]]
+        assert self._same([3, 0, 2, 0], 0) == [[0], [1], [2], [3]]
+        assert self._same([0, 7, 0, 0, 2, 3], 5) == [[0], [1], [2, 3, 4, 5]]
+        assert self._same([1, 8000, 100], 4096) == [[0], [1], [2]]
+
 
 class TestFromEdges:
     """The one constructor: kind and unmatched points follow from the edges."""

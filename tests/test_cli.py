@@ -197,18 +197,12 @@ class TestExitCodes:
         assert res.exit_code == 2
 
     def test_min_cost_oracle_agrees(self, runner, tmp_path):
-        # tiny plane sample with forced equal counts via retry over seeds
-        for seed in range(30):
-            pts = sample_file(runner, tmp_path, name=f"p{seed}.json",
-                              domain="plane", window="0,2,0,2", seed=seed)
-            d = json.loads(pts.read_text())
-            n_r, n_b = len(d["reds"]), len(d["blues"])
-            if n_r == n_b and 1 <= n_r <= 7:
-                res = invoke(runner, "match", "--in", str(pts),
-                             "--construction", "min_cost", "--oracle")
-                assert res.exit_code == 0, res.output
-                return
-        pytest.skip("no balanced small sample found")
+        # seed 2 is the first whose tiny plane sample has equal counts
+        pts = sample_file(runner, tmp_path, domain="plane", window="0,2,0,2", seed=2)
+        d = json.loads(pts.read_text())
+        assert len(d["reds"]) == len(d["blues"]) == 3
+        res = invoke(runner, "match", "--in", str(pts), "--construction", "min_cost", "--oracle")
+        assert res.exit_code == 0, res.output
 
     def test_min_cost_oracle_mismatch_exits_one(self, runner, tmp_path, monkeypatch):
         # an oracle that matches nothing costs 0, below any perfect matching

@@ -11,6 +11,7 @@ from poisson_matching import verify
 from poisson_matching.assignment import _canonicalize_ties, min_cost_perfect
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        Domain, Point, Rect, Segment)
+from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
 from poisson_matching.matching import ONE_COLOR, Matching
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
@@ -19,7 +20,8 @@ from poisson_matching.verify import (ChernoffParams, _arc_arrays,
                                      box_rematch_experiment, chernoff_bound,
                                      chernoff_mc, check_arc_disjointness,
                                      check_planarity, crossing_stats,
-                                     estimate_eta, interior_window)
+                                     estimate_eta, interior_window,
+                                     minimality_certificate_d1)
 from poisson_matching.walks import (ArcSpec, excursion_matching,
                                     laminate_strips, one_color_pairing, polygonal_arcs)
 from test_geometry import scalar_edge_crosses_region, scalar_segments_intersect
@@ -796,6 +798,59 @@ def _min_cost_perfect(reds, blues):
     return Matching(reds, blues, list(enumerate(assign.tolist())))
 
 
+def _added(values):
+    """``values`` added one by one from 0.0, in order."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _neumaier(values, start=0):
+    """``sum()`` as Python 3.12 and later round it: Neumaier's compensated
+    sum, the compensation added at the end."""
+    total, carry = float(start), 0.0
+    for x in values:
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry
+
+
+class TestLengthsInOrder:
+    """Edge lengths are totalled in order from 0.0, so no report depends on
+    how ``sum()`` rounds, which changed in Python 3.12: a compensated
+    ``sum`` put into ``verify`` changes none of them."""
+
+    def test_box_rematch_cell_improvements(self, monkeypatch):
+        system = build_block_system(2, 4)
+        ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), 2))
+        m = run_hierarchical(ps, 2, 4, system=system)[0]
+        want = box_rematch_experiment(ps, m, 6.0).cell_improvements
+        monkeypatch.setattr(verify, "sum", _neumaier, raising=False)
+        assert box_rematch_experiment(ps, m, 6.0).cell_improvements == want
+        # the cells' lengths, in edge order: the two sums differ on some
+        corner, cells = np.array([ps.domain.x0, ps.domain.y0]), {}
+        for r, b in zip(*m.endpoint_arrays()):
+            cell = (r - corner) // 6.0
+            if (cell == (b - corner) // 6.0).all():
+                cells.setdefault(tuple(cell), []).append(math.hypot(*(r - b)))
+        assert len(want) == len(cells) > 2
+        assert any(_neumaier(x) != _added(x) for x in cells.values())
+
+    def test_minimality_costs(self, monkeypatch):
+        ps = sample(SampleConfig(1, 1, Domain.line(0, 200), seed=33))
+        e = excursion_matching(ps)._edge_array().copy()
+        e[:, 1] = derived_rng(34).permutation(e[:, 1])
+        shuffled = Matching(ps.reds, ps.blues, e)
+        want = minimality_certificate_d1(shuffled, 4, 200, 1).violations
+        monkeypatch.setattr(verify, "sum", _neumaier, raising=False)
+        assert minimality_certificate_d1(shuffled, 4, 200, 1).violations == want
+        lengths = [[math.dist(ps.reds[e[a, 0]], ps.blues[e[a, 1]]) for a in v["edges"]]
+                   for v in want]
+        assert len(want) > 100 and any(_neumaier(x) != _added(x) for x in lengths)
+
+
 def _box_rematch_loop(ps, m, t):
     """box_rematch_experiment as a plain loop over the edges, kept verbatim
     as the oracle for the grouped version, with its own single-problem
@@ -813,7 +868,7 @@ def _box_rematch_loop(ps, m, t):
     for cell, ks in sorted(cell_of.items()):
         ridx = [m.edges[k][0] for k in ks]
         bidx = [m.edges[k][1] for k in ks]
-        before = sum(math.hypot(*(ps.reds[i] - ps.blues[j])) for i, j in zip(ridx, bidx))
+        before = _added(math.hypot(*(ps.reds[i] - ps.blues[j])) for i, j in zip(ridx, bidx))
         sub = _min_cost_perfect(ps.reds[ridx], ps.blues[bidx])
         after = sub.total_length
         improvements.append(before - after)
