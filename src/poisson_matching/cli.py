@@ -34,7 +34,7 @@ import click
 
 from . import hierarchy, verify, walks
 from .arcs import ArcTable
-from .assignment import brute_force_min, min_cost_perfect
+from .assignment import EPS_TIE, brute_force_min, min_cost_perfect
 from .geometry import Disk, Domain
 from .matching import FORMAT_VERSION, Matching
 from .render import MARGIN, _rows, render_scene
@@ -331,7 +331,7 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
             if oracle:
                 ref = brute_force_min(ps.reds, ps.blues)
                 diagnostics["oracle_cost"] = ref.total_length
-                if abs(ref.total_length - m.total_length) > 1e-9:
+                if abs(ref.total_length - m.total_length) > EPS_TIE:
                     click.echo("oracle mismatch", err=True)
                     sys.exit(1)
     result = _result_json(ps, m, arcs, diagnostics)

@@ -15,7 +15,8 @@ found by ``BlockSystem.locate``, integer division of the point's unit cell
 ``init_state`` builds one integer table per level, once: the window's
 level-n blocks in children order (the children of a block are consecutive
 rows), and for each color the points stably sorted by block row, with each
-point's heir flag; each color's unit cells are found once for all levels.
+point's heir flag. Each point's block is found once, at level 1; a level-n
+block's unit cells are consecutive level-1 rows, so its row is a division.
 A stage then works on the whole level at once: counts, masks, excesses and
 the records' flags are grouped numpy over block rows. Each step solves
 every block with a problem in one ``assign_in_groups`` call, each block's
@@ -220,8 +221,9 @@ class ColorTable:
         return idx, start
 
     def count(self, mask: np.ndarray) -> np.ndarray:
-        """Per block, how many of its points the per-point ``mask`` holds."""
-        return np.diff(self.select(mask)[1])
+        """Per block, how many of its points the per-point ``mask`` holds:
+        a count of the rows where it holds, the outside points' -1 in bin 0."""
+        return np.bincount(self.row[mask] + 1, minlength=len(self.start))[1:]
 
 
 @dataclass
@@ -264,34 +266,36 @@ def _block_records(lv: LevelTable) -> Tuple[BlockRecord, ...]:
                  in columns)
 
 
-def _color_table(unit: np.ndarray, system: BlockSystem, n: int,
-                 grid: np.ndarray, lo: np.ndarray) -> ColorTable:
-    """Find each point's level-n block once, from its unit cell ``unit``
-    (``BlockSystem.locate``), and its row through ``grid`` (the rows of the
-    blocks from ``lo``)."""
-    rel = system.locate(n, unit) - lo
-    inside = ((rel >= 0) & (rel < grid.shape)).all(axis=1)
-    row = np.full(len(unit), -1, dtype=np.int64)
-    row[inside] = grid[tuple(rel[inside].T)]
-    # stable, so each block's indices ascend; the outside points (-1) sort
-    # first. With fewer than 2**15 blocks the rows sort as int16, for which
-    # numpy's stable sort is a radix sort
-    key = row.astype(np.int16) if grid.size < 2 ** 15 else row
-    order = np.argsort(key, kind="stable")[len(unit) - np.count_nonzero(inside):]
-    start = np.zeros(grid.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row[order], minlength=grid.size), out=start[1:])
-    along = unit[:, n % 2] - system.offsets(n)[n % 2]
-    in_heir = along % system.a[n] < system.a[n - 2] if n >= 2 else np.zeros(len(unit), bool)
-    return ColorTable(row, order, start, in_heir)
-
-
-def _level_table(units: Tuple[np.ndarray, np.ndarray], system: BlockSystem, n: int,
-                 cells: np.ndarray) -> LevelTable:
-    """Level n's table, from each color's unit cells."""
-    lo = cells.min(axis=0)
-    grid = np.empty(cells.max(axis=0) - lo + 1, dtype=np.int64)
-    grid[tuple((cells - lo).T)] = np.arange(len(cells))  # the blocks fill the grid
-    return LevelTable(n, cells, *(_color_table(u, system, n, grid, lo) for u in units))
+def _level_tables(ps: ColoredPointSet, system: BlockSystem, cells: Dict[int, np.ndarray],
+                  window: Rect) -> Dict[int, LevelTable]:
+    """Every level's table. Each point's level-1 row is found once, from its
+    unit cell: in children order it is a mixed-radix number whose level-m
+    digit (m >= 2) is its level-(m-1) block's place among its parent's
+    children, worth a[m-1]a[m-2] rows; -1 outside the window. A level-n
+    block's a[n]a[n-1] unit cells being consecutive level-1 rows, its row is
+    the level-1 row divided by that, -1 staying -1."""
+    N, a = system.N, system.a
+    colors = {n: [] for n in range(1, N + 1)}
+    for pts in (ps.reds, ps.blues):
+        unit = np.floor(pts).astype(np.int64)
+        row1 = sum((unit[:, m % 2] - system.t[m]) % a[m] // a[m - 2] * (a[m - 1] * a[m - 2])
+                   for m in range(2, N + 1))
+        inside = window.contains(pts.T)
+        row1[~inside] = -1
+        start1 = np.zeros(len(cells[1]) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row1[inside], minlength=len(cells[1])), out=start1[1:])
+        for n, tables in colors.items():
+            k = a[n] * a[n - 1]  # the unit cells of a level-n block
+            row, start = row1 // k, start1[::k]
+            # stable, so each block's indices ascend; the outside points (-1)
+            # sort first. With fewer than 2**15 blocks the rows sort as int16,
+            # for which numpy's stable sort is a radix sort
+            key = row.astype(np.int16) if len(cells[n]) < 2 ** 15 else row
+            order = np.argsort(key, kind="stable")[len(pts) - start[-1]:]
+            along = unit[:, n % 2] - system.offsets(n)[n % 2]
+            in_heir = along % a[n] < a[n - 2] if n >= 2 else np.zeros(len(unit), bool)
+            tables.append(ColorTable(row, order, start, in_heir))
+    return {n: LevelTable(n, cells[n], *tables) for n, tables in colors.items()}
 
 
 @dataclass
@@ -361,14 +365,13 @@ def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
     cells = window_grids(system, system.N, window)
     if Rect(*system.rects(system.N, cells[system.N])[0].tolist()) != window:
         raise ValueError("window must coincide with a single level-N block")
-    units = tuple(np.floor(pts).astype(np.int64) for pts in (ps.reds, ps.blues))
     return StageState(
         ps=ps, system=system,
         red_partner=np.full(ps.n_red, -1, dtype=int),
         blue_partner=np.full(ps.n_blue, -1, dtype=int),
         red_unmatch_events=np.zeros(ps.n_red, dtype=int),
         blue_unmatch_events=np.zeros(ps.n_blue, dtype=int),
-        levels={n: _level_table(units, system, n, cells[n]) for n in range(1, system.N + 1)},
+        levels=_level_tables(ps, system, cells, window),
     )
 
 
@@ -421,7 +424,8 @@ def run_stage(state: StageState, n: int) -> StageState:
 
     # (i) unmatch all points in the heirs; an edge never leaves its child of
     # A, so the partners of the heirs' reds are all the heirs' matched blues
-    heir_reds = lv.red.select(r_heir & (state.red_partner >= 0))[0]
+    # (a matched point lies in the window)
+    heir_reds = np.flatnonzero(r_heir & (state.red_partner >= 0))
     partners = state.red_partner[heir_reds]
     state.red_partner[heir_reds] = -1
     state.blue_partner[partners] = -1

@@ -1210,13 +1210,34 @@ def test_run_hierarchical_builds_the_seeds_system():
     assert run_hierarchical(ps, 3, 3)[1] == run_hierarchical(ps, 3, 3, system=system)[1]
 
 
+def with_points_around(ps, system):
+    """``ps`` plus five points of each color just outside the aligned
+    window, on all four sides and at a corner: on the far edges, which a
+    half-open window leaves out, or half a unit beyond them, and a hair or
+    half a unit below the near edges."""
+    w = aligned_window(system).window_rect()
+    xm, ym = (w.x0 + w.x1) / 2 + 0.25, (w.y0 + w.y1) / 2 + 0.25
+    around = [[w.x0 - 1e-9, ym], [w.x0 - 0.5, w.y0 + 0.5], [w.x1, ym], [w.x1 + 0.5, w.y1 - 0.5],
+              [xm, w.y0 - 1e-9], [w.x0 + 0.5, w.y0 - 0.5], [xm, w.y1], [w.x1 - 0.5, w.y1 + 0.5],
+              [w.x0 - 0.5, w.y0 - 0.5], [w.x1, w.y1]]
+    return ColoredPointSet(ps.domain, np.concatenate([ps.reds, around[::2]]),
+                           np.concatenate([ps.blues, around[1::2]]), seed=ps.seed)
+
+
+def color_table_cases():
+    """Per N = 4 and 6, its system and a sparse window with points around it."""
+    for N in (4, 6):
+        system = build_block_system(7, N)
+        yield system, with_points_around(sample(SampleConfig(0.05, 0.05, aligned_window(system), 7)),
+                                         system)
+
+
 def test_color_tables_sort_rows_of_either_width():
     # level 1 at N=6 has 86,400 blocks, too many for int16 rows; the other
     # levels, and every level at N=4, sort their rows as int16
     widths = set()
-    for N in (4, 6):
-        system = build_block_system(7, N)
-        ps = sample(SampleConfig(0.05, 0.05, aligned_window(system), 7))
+    for system, ps in color_table_cases():
+        window = aligned_window(system).window_rect()
         state = init_state(ps, system)
         for n, lv in state.levels.items():
             widths.add(len(lv.cells) < 2 ** 15)
@@ -1229,11 +1250,26 @@ def test_color_tables_sort_rows_of_either_width():
                 rows = {tuple(c): k for k, c in enumerate(lv.cells.tolist())}
                 row = np.array([rows.get(tuple(c), -1) for c in ij.tolist()], dtype=np.int64)
                 inside = np.flatnonzero(row >= 0)
+                # the five points around the window read -1 at every level
+                outside = ~window.contains(pts.T)
+                assert np.count_nonzero(outside) == 5 and (table.row[outside] == -1).all()
                 assert np.array_equal(table.row, row)
                 assert np.array_equal(table.order, inside[np.lexsort((inside, row[inside]))])
                 assert np.array_equal(np.diff(table.start),
                                       np.bincount(row[inside], minlength=len(lv.cells)))
     assert widths == {True, False}
+
+
+def test_color_table_counts_are_the_selections_sizes():
+    # count(mask) is the per-block size of select(mask), the points around
+    # the window left out, on random masks at every level
+    rng = np.random.default_rng(31)
+    for system, ps in color_table_cases():
+        for lv in init_state(ps, system).levels.values():
+            for table in (lv.red, lv.blue):
+                for p in (0.0, 0.3, 0.9, 1.0):
+                    mask = rng.random(len(table.row)) < p
+                    assert np.array_equal(table.count(mask), np.diff(table.select(mask)[1]))
 
 
 # --- The records -------------------------------------------------------------
