@@ -80,7 +80,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .geometry import _two_columns
+from .geometry import _same_points, _two_columns
 from .matching import Matching, partner_edges
 from .sampling import canonical_order
 
@@ -212,7 +212,7 @@ def _lex_rank(pts: np.ndarray) -> np.ndarray:
     order = canonical_order(pts)
     ranked = pts[order]
     new = np.ones(len(pts), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new[1:] = ~_same_points(ranked[1:], ranked[:-1])
     rank = np.empty(len(pts), dtype=int)
     rank[order] = np.cumsum(new)
     return rank
@@ -540,9 +540,15 @@ def brute_force_min(reds, blues) -> Matching:
 def _spans(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The ranges ``first[k] .. first[k] + count[k] - 1`` laid end to end, and
     their offsets."""
+    at = _offsets(count)
+    return np.repeat(first - at[:-1], count) + np.arange(at[-1]), at
+
+
+def _offsets(count: np.ndarray) -> np.ndarray:
+    """The offsets of groups of sizes ``count`` laid end to end."""
     at = np.zeros(len(count) + 1, dtype=np.int64)
     np.cumsum(count, out=at[1:])
-    return np.repeat(first - at[:-1], count) + np.arange(at[-1]), at
+    return at
 
 
 def _runs(sizes: np.ndarray, cap: int) -> Iterator[Tuple[int, int]]:
@@ -561,6 +567,12 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     inv = np.empty_like(order)
     inv[order] = np.arange(len(order))
     return inv
+
+
+def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for integer keys in [-bound, bound):
+    as int16 where they fit, for which numpy's stable sort is a radix sort."""
+    return np.argsort(key.astype(np.int16) if bound <= 2 ** 15 else key, kind="stable")
 
 
 @functools.lru_cache(maxsize=None)

@@ -83,6 +83,11 @@ def _two_columns(values, what: str, dtype=None) -> np.ndarray:
     return a.reshape(-1, 2)
 
 
+def _same_points(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether row k of the (n, 2) arrays ``p`` and ``q`` is one point, column by column."""
+    return (p[:, 0] == q[:, 0]) & (p[:, 1] == q[:, 1])
+
+
 LINE = "line"
 STRIP = "strip"
 PLANE = "plane"
@@ -268,8 +273,9 @@ def _crosses_region(P, Q, region: Region) -> np.ndarray:
     if isinstance(region, Disk):
         return _segment_point_distance(P, Q, (region.cx, region.cy)) <= region.radius
     r: Rect = region
-    lo, hi = np.array([r.x0, r.y0]), np.array([r.x1, r.y1])
-    inside = ((lo <= P) & (P <= hi)).all(axis=1) | ((lo <= Q) & (Q <= hi)).all(axis=1)
+    (px, py), (qx, qy) = P.T, Q.T
+    inside = ((r.x0 <= px) & (px <= r.x1) & (r.y0 <= py) & (py <= r.y1)
+              | (r.x0 <= qx) & (qx <= r.x1) & (r.y0 <= qy) & (qy <= r.y1))
     corners = np.array([(r.x0, r.y0), (r.x1, r.y0), (r.x1, r.y1), (r.x0, r.y1)])
     hit, degenerate = _intersections(P, Q, corners[:, None],  # (4, k): sides by segments
                                      np.roll(corners, -1, axis=0)[:, None])

@@ -19,13 +19,14 @@ point's heir flag. Each point's block is found once, at level 1; a level-n
 block's unit cells are consecutive level-1 rows, so its row is a division.
 A stage then works on the whole level at once: counts, masks, excesses and
 the records' flags are grouped numpy over block rows. Each step solves
-every block with a problem in one ``assign_in_groups`` call, each block's
-points gathered by index arrays, so no Python loop visits a block. Blocks
-of one level are disjoint, so solving every block's rematch step and then
-every block's leftover step gives the same partners as going block by
-block. A stage's new edges are read back
-from the partner arrays: the reds unmatched after the heir unmatch that are
-matched at the end.
+its blocks in one ``assign_in_groups`` call, each block's points gathered
+by index arrays, so no Python loop visits a block: the rematch step's by
+one stable sort per color of block row and part (A's open points outside
+B, then C's), the leftover step's from the level table. Blocks of one
+level are disjoint, so solving every block's rematch step and then every
+block's leftover step gives the same partners as going block by block. A
+stage's new edges are read back from the partner arrays: the reds
+unmatched after the heir unmatch that are matched at the end.
 
 A stage keeps its records as per-block columns on its level table, with its
 new edges' partners read when it runs (a later heir unmatch overwrites the
@@ -46,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .assignment import RECTANGULAR, SATURATING, _spans, assign_in_groups
+from .assignment import RECTANGULAR, SATURATING, _offsets, _stable_order, assign_in_groups
 from .geometry import Domain, Rect
 from .matching import Matching, partner_edges
 from .sampling import ColoredPointSet, derived_rng
@@ -90,16 +91,21 @@ class BlockSystem:
         """For each level m from n down to 1, the (ix, iy) rows of the
         level-m blocks tiling the level-n block (ix, iy), in children order:
         a block's children are consecutive rows, ordered left-to-right (even
-        level) or bottom-to-top (odd level)."""
-        cells = {n: np.array([[ix, iy]], dtype=np.int64)}
+        level) or bottom-to-top (odd level). Built on the ix and iy columns:
+        across that axis a child has its parent's side and offset, so its
+        index; along it the children align flush with the parent (t[m] =
+        t[m-2] mod a[m-2]), the first at the parent's index times their
+        count, plus (t[m] - t[m-2]) / a[m-2], which is r[m]."""
+        x, y = np.array([ix], dtype=np.int64), np.array([iy], dtype=np.int64)
+        cells = {n: np.column_stack([x, y])}
         for m in range(n, 1, -1):
             count = self.a[m] // self.a[m - 2]
-            # Children align flush with the parent (t[m] = t[m-2] mod a[m-2]),
-            # so the first child is the one holding the parent's corner.
-            first = self.locate(m - 1, self.rects(m, cells[m])[:, ::2])
-            step = np.zeros((count, 2), dtype=np.int64)
-            step[:, m % 2] = np.arange(count)
-            cells[m - 1] = (first[:, None, :] + step).reshape(-1, 2)
+            shift = (self.t[m] - self.t[m - 2]) // self.a[m - 2]
+            along, across = (x, y) if m % 2 == 0 else (y, x)
+            along = ((along * count + shift)[:, None] + np.arange(count)).ravel()
+            across = np.repeat(across, count)
+            x, y = (along, across) if m % 2 == 0 else (across, along)
+            cells[m - 1] = np.column_stack([x, y])
         return cells
 
     @classmethod
@@ -216,9 +222,7 @@ class ColorTable:
         """The window's points where the per-point ``mask`` holds, in the same
         layout: (indices, offsets)."""
         idx = self.order[mask[self.order]]
-        start = np.zeros(len(self.start), dtype=np.int64)
-        np.cumsum(np.bincount(self.row[idx], minlength=len(start) - 1), out=start[1:])
-        return idx, start
+        return idx, _offsets(np.bincount(self.row[idx], minlength=len(self.start) - 1))
 
     def count(self, mask: np.ndarray) -> np.ndarray:
         """Per block, how many of its points the per-point ``mask`` holds:
@@ -273,27 +277,24 @@ def _level_tables(ps: ColoredPointSet, system: BlockSystem, cells: Dict[int, np.
     digit (m >= 2) is its level-(m-1) block's place among its parent's
     children, worth a[m-1]a[m-2] rows; -1 outside the window. A level-n
     block's a[n]a[n-1] unit cells being consecutive level-1 rows, its row is
-    the level-1 row divided by that, -1 staying -1."""
+    the level-1 row divided by that, -1 staying -1. A point lies in its
+    level-n block's heir when its level-n digit is 0."""
     N, a = system.N, system.a
     colors = {n: [] for n in range(1, N + 1)}
     for pts in (ps.reds, ps.blues):
-        unit = np.floor(pts).astype(np.int64)
-        row1 = sum((unit[:, m % 2] - system.t[m]) % a[m] // a[m - 2] * (a[m - 1] * a[m - 2])
-                   for m in range(2, N + 1))
+        unit = [np.floor(pts[:, k]).astype(np.int64) for k in (0, 1)]
+        digit = {m: (unit[m % 2] - system.t[m]) % a[m] // a[m - 2] for m in range(2, N + 1)}
+        row1 = sum(digit[m] * (a[m - 1] * a[m - 2]) for m in range(2, N + 1))
         inside = window.contains(pts.T)
         row1[~inside] = -1
-        start1 = np.zeros(len(cells[1]) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row1[inside], minlength=len(cells[1])), out=start1[1:])
+        start1 = _offsets(np.bincount(row1[inside], minlength=len(cells[1])))
         for n, tables in colors.items():
             k = a[n] * a[n - 1]  # the unit cells of a level-n block
             row, start = row1 // k, start1[::k]
             # stable, so each block's indices ascend; the outside points (-1)
-            # sort first. With fewer than 2**15 blocks the rows sort as int16,
-            # for which numpy's stable sort is a radix sort
-            key = row.astype(np.int16) if len(cells[n]) < 2 ** 15 else row
-            order = np.argsort(key, kind="stable")[len(pts) - start[-1]:]
-            along = unit[:, n % 2] - system.offsets(n)[n % 2]
-            in_heir = along % a[n] < a[n - 2] if n >= 2 else np.zeros(len(unit), bool)
+            # sort first
+            order = _stable_order(row, len(cells[n]))[len(pts) - start[-1]:]
+            in_heir = digit[n] == 0 if n >= 2 else np.zeros(len(pts), bool)
             tables.append(ColorTable(row, order, start, in_heir))
     return {n: LevelTable(n, cells[n], *tables) for n, tables in colors.items()}
 
@@ -323,38 +324,35 @@ class StageState:
         return Matching(self.ps.reds, self.ps.blues, partner_edges(self.red_partner))
 
 
-def _groups(idx: np.ndarray, start: np.ndarray, rows: np.ndarray
-            ) -> Tuple[np.ndarray, np.ndarray]:
-    """The members ``idx[start[k]:start[k + 1]]`` of the blocks ``rows``,
-    concatenated, with their offsets."""
-    pos, at = _spans(start[rows], start[rows + 1] - start[rows])
-    return idx[pos], at
+def _parts(table: ColorTable, part0: np.ndarray, part1: np.ndarray
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window's points in the disjoint per-point masks ``part0`` and
+    ``part1``, grouped by block row, each block's part-0 points before its
+    part-1 points and each part ascending: one stable sort of row * 2 +
+    part. Returns their indices and each part's per-block counts."""
+    blocks = len(table.start) - 1
+    idx = np.flatnonzero(part0 | part1)
+    key = table.row[idx] * 2 + part1[idx]  # -2 or -1 outside the window: first
+    count = np.bincount(key + 2, minlength=2 * blocks + 2)[2:]
+    return idx[_stable_order(key, 2 * blocks)][len(idx) - count.sum():], count[::2], count[1::2]
 
 
-def _gathered(parts: List[Tuple[np.ndarray, np.ndarray]], rows: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    """The members of the blocks ``rows`` in each of the grouped index
-    arrays ``parts`` (indices, offsets), merged block by block: a block's
-    members of the first part, then of the next. Returns (indices, offsets)."""
-    (a, a_start), *rest = [_groups(idx, start, rows) for idx, start in parts]
-    for b, b_start in rest:
-        out = np.empty(len(a) + len(b), dtype=np.int64)
-        out[np.arange(len(a)) + np.repeat(b_start[:-1], np.diff(a_start))] = a
-        out[np.arange(len(b)) + np.repeat(a_start[1:], np.diff(b_start))] = b
-        a, a_start = out, a_start + b_start
-    return a, a_start
+def _kept(idx: np.ndarray, count: np.ndarray, keep: np.ndarray
+          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Of the points ``idx``, grouped by block with per-block counts
+    ``count``, those of the blocks where ``keep`` holds, and their offsets."""
+    return idx[np.repeat(keep, count)], _offsets(count[keep])
 
 
-def _solve_blocks(state: StageState, kind: str, rows: np.ndarray, red_parts, blue_parts,
-                  *must: np.ndarray) -> None:
-    """Solve the blocks ``rows`` in one ``assign_in_groups`` call and link
-    the partners. A block's points of each color are its members of that
-    color's parts in turn (``_gathered``); ``must`` are the SATURATING
-    kind's per-block counts of mandatory reds and blues, the first part's."""
-    ri, rs = _gathered(red_parts, rows)
-    bi, bs = _gathered(blue_parts, rows)
-    partner = assign_in_groups(kind, state.ps.reds[ri], rs, state.ps.blues[bi], bs,
-                               *(m[rows] for m in must))
+def _solve_blocks(state: StageState, kind: str, red, blue, *must: np.ndarray) -> None:
+    """Solve the blocks of ``red`` and ``blue`` in one ``assign_in_groups``
+    call and link the partners. They hold each color's points grouped by
+    block, (indices, offsets), each block's in the order its problem takes
+    them; ``must`` are the SATURATING kind's per-block counts of mandatory
+    reds and blues, which a block lists first."""
+    (ri, rs), (bi, bs) = red, blue
+    partner = assign_in_groups(kind, state.ps.reds.take(ri, axis=0), rs,
+                               state.ps.blues.take(bi, axis=0), bs, *must)
     k = np.flatnonzero(partner >= 0)
     ri, bj = ri[k], bi[partner[k]]
     state.red_partner[ri], state.blue_partner[bj] = bj, ri
@@ -377,11 +375,10 @@ def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
 
 def _match_leftovers(state: StageState, lv: LevelTable) -> None:
     """In every block of the level, min-length matching of maximum cardinality
-    among its unmatched points."""
-    r, rs = lv.red.select(state.red_partner < 0)
-    b, bs = lv.blue.select(state.blue_partner < 0)
-    solve = (np.diff(rs) > 0) & (np.diff(bs) > 0)
-    _solve_blocks(state, RECTANGULAR, np.flatnonzero(solve), [(r, rs)], [(b, bs)])
+    among its unmatched points: one problem per block, of which those with
+    an empty side have no pairs."""
+    _solve_blocks(state, RECTANGULAR, lv.red.select(state.red_partner < 0),
+                  lv.blue.select(state.blue_partner < 0))
 
 
 def _keep_columns(state: StageState, lv: LevelTable, bad: np.ndarray,
@@ -434,16 +431,16 @@ def run_stage(state: StageState, n: int) -> StageState:
 
     open_reds = state.red_partner < 0
 
-    # (ii) match everything unmatched in A \ B into (A \ B) u C
-    r1, r1s = lv.red.select(open_reds & ~r_heir)
-    b1, b1s = lv.blue.select((state.blue_partner < 0) & ~b_heir)
-    r2, r2s = lv.red.select(r_heir & r_below if n > 2 else r_heir)
-    b2, b2s = lv.blue.select(b_heir & b_below if n > 2 else b_heir)
-    n_r1, n_b1 = np.diff(r1s), np.diff(b1s)
+    # (ii) match everything unmatched in A \ B into (A \ B) u C: a block's
+    # problem lists the unmatched points of A \ B, then those of C
+    ri, n_r1, n_r2 = _parts(lv.red, open_reds & ~r_heir, r_heir & r_below if n > 2 else r_heir)
+    bi, n_b1, n_b2 = _parts(lv.blue, (state.blue_partner < 0) & ~b_heir,
+                            b_heir & b_below if n > 2 else b_heir)
     excess = n_r1 - n_b1
-    feasible = np.where(excess >= 0, excess <= np.diff(b2s), -excess <= np.diff(r2s))
-    _solve_blocks(state, SATURATING, np.flatnonzero(feasible & (n_r1 + n_b1 > 0)),
-                  [(r1, r1s), (r2, r2s)], [(b1, b1s), (b2, b2s)], n_r1, n_b1)
+    feasible = np.where(excess >= 0, excess <= n_b2, -excess <= n_r2)
+    solve = feasible & (n_r1 + n_b1 > 0)
+    _solve_blocks(state, SATURATING, _kept(ri, n_r1 + n_r2, solve), _kept(bi, n_b1 + n_b2, solve),
+                  n_r1[solve], n_b1[solve])
 
     # (iii) match as many of the remaining unmatched points in A as possible
     _match_leftovers(state, lv)

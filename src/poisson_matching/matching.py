@@ -59,8 +59,9 @@ class Matching:
         e = e.astype(np.int64)  # a copy, so the caller's array is not shared
         # the first failing edge decides the error, range before reuse; the
         # edges before an out-of-range one are all in range
-        outside = np.flatnonzero((e < 0).any(axis=1) | (e[:, 0] >= len(self.reds))
-                                 | (e[:, 1] >= len(self._partners)))
+        i, j = e.T
+        outside = np.flatnonzero((i < 0) | (j < 0) | (i >= len(self.reds))
+                                 | (j >= len(self._partners)))
         first = int(outside[0]) if len(outside) else len(e)
         inside = e[:first]
         if self.color_mode == ONE_COLOR:
@@ -93,7 +94,7 @@ class Matching:
 
     def endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The two end points of every edge, in edge order: (red, partner)."""
-        return self.reds[self._e[:, 0]], self._partners[self._e[:, 1]]
+        return self.reds.take(self._e[:, 0], axis=0), self._partners.take(self._e[:, 1], axis=0)
 
     @property
     def unmatched_reds(self) -> List[int]:
@@ -115,7 +116,7 @@ class Matching:
 
     @property
     def total_length(self) -> float:
-        return _length(*self.endpoint_arrays())
+        return float(_lengths(*self.endpoint_arrays()).sum())
 
     def to_json(self, rows=np.ndarray.tolist) -> dict:
         """The matching object; ``rows`` gives the value the (E, 2) edge
@@ -145,11 +146,9 @@ class Matching:
         return m
 
 
-def _length(p: np.ndarray, q: np.ndarray) -> float:
-    """Total length of the segments p[k] -> q[k], as a matching reports it."""
-    if not len(p):
-        return 0.0
-    return float(np.hypot(*(p - q).T).sum())
+def _lengths(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The length of each segment p[k] -> q[k], as a matching's total adds them."""
+    return np.hypot(*(p - q).T)
 
 
 def _in_order(lengths) -> float:

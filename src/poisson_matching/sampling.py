@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, LINE, _two_columns
+from .geometry import Domain, LINE, _same_points, _two_columns
 from .matching import FORMAT_VERSION
 
 
@@ -51,11 +51,11 @@ class ColoredPointSet:
             if pts.size and not np.isfinite(pts).all():
                 raise ValueError("non-finite coordinates")
         # equal points are adjacent once sorted, and -0.0 == 0.0 both in the
-        # sort and in the comparison; the stable sort of the two sorted
-        # colours merges them
+        # sort and in the comparison; the stable sort merges the two sorted
+        # colours
         allpts = np.concatenate([self.reds, self.blues])
-        allpts = allpts[canonical_order(allpts)]
-        if (allpts[1:] == allpts[:-1]).all(axis=1).any():
+        allpts = allpts.take(canonical_order(allpts, kind="stable"), axis=0)
+        if _same_points(allpts[1:], allpts[:-1]).any():
             raise ValueError("duplicate points: configuration is not simple")
 
     @property
@@ -89,21 +89,23 @@ class ColoredPointSet:
         )
 
 
-def canonical_order(pts: np.ndarray) -> np.ndarray:
+def canonical_order(pts: np.ndarray, kind=None) -> np.ndarray:
     """The permutation sorting (n, 2) points by x, then y, ties kept in
-    input order: for points without NaN, ``np.lexsort((y, x))``. One stable argsort on x gives it
-    when no two x are equal, as for any sampled configuration; the lexsort
-    runs only when some are."""
-    order = np.argsort(pts[:, 0], kind="stable")
-    xs = pts[order, 0]
+    input order: for points without NaN, ``np.lexsort((y, x))``. Where no
+    two x are equal, as in a sampled configuration, any sort of x gives it:
+    numpy's of ``kind``, the default for unordered x, "stable" to merge
+    sorted lists laid end to end. The lexsort runs only where some are."""
+    x = pts[:, 0]
+    order = np.argsort(x, kind=kind)
+    xs = x[order]
     if (xs[1:] == xs[:-1]).any():
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
+        order = np.lexsort((pts[:, 1], x))
     return order
 
 
 def _canonical(pts) -> np.ndarray:
     pts = _two_columns(pts, "points", float)
-    return pts[canonical_order(pts)]
+    return pts.take(canonical_order(pts), axis=0)
 
 
 def _uniform_points(rng: np.random.Generator, n: int, domain: Domain) -> np.ndarray:

@@ -17,12 +17,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcTable
-from .assignment import (EPS_TIE, SQUARE, _runs, _spans, assign_in_groups, brute_force_min,
-                         improvable_pair)
+from .assignment import (EPS_TIE, SQUARE, _runs, _spans, _stable_order, assign_in_groups,
+                         brute_force_min, improvable_pair)
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment, _crosses_region,
-                       _intersections, _overlap_error)
+                       _intersections, _overlap_error, _same_points)
 from .hierarchy import ChernoffParams, chernoff_bound
-from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _in_order, _length
+from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _in_order, _lengths
 from .sampling import ColoredPointSet, derived_rng
 
 
@@ -63,7 +63,7 @@ def _arc_arrays(arcs: ArcTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     V = arcs.vertices
     P, Q = V[:, :3].reshape(-1, 2), V[:, 1:].reshape(-1, 2)
     owner = np.repeat(np.arange(len(V)), 3)
-    keep = (P != Q).any(axis=1)
+    keep = ~_same_points(P, Q)
     return P[keep], Q[keep], owner[keep]
 
 
@@ -139,7 +139,7 @@ def _pairwise_hits(P: np.ndarray, Q: np.ndarray, skip_same_group=None) -> List[T
     scan whenever the rounding error of the orientation determinants stays
     below EPS_GEOM. Memory is linear in the segments plus one chunk.
     """
-    if (P == Q).all(axis=1).any():
+    if _same_points(P, Q).any():
         raise ValueError("zero-length segment")
     group = None if skip_same_group is None else np.asarray(skip_same_group)
     kept = [np.empty((3, 0), dtype=np.intp)]
@@ -302,7 +302,7 @@ def estimate_eta(pairs: Sequence[Tuple[ColoredPointSet, Matching]],
 def crossing_stats(m: Matching, regions: Sequence[Region]) -> StatsReport:
     """Edges crossing each query region, with a small tail summary."""
     p, q = m.endpoint_arrays()
-    if (p == q).all(axis=1).any():
+    if _same_points(p, q).any():
         raise ValueError("zero-length segment")
     counts = [int(_crosses_region(p, q, region).sum()) for region in regions]
     arr = np.asarray(counts, dtype=float) if counts else np.zeros(0)
@@ -334,6 +334,18 @@ class BoxRematchResult:
         })
 
 
+def _cell_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.lexsort((y, x))`` for cells (x, y) of whole floats: one sort of the
+    cell numbers x * rows + y, counted from the lowest x and y, which are
+    exact below 2**53 cells; past that, or for an infinite cell, the lexsort."""
+    dx, dy = x - x.min(initial=np.inf), y - y.min(initial=np.inf)
+    rows = dy.max(initial=0.0) + 1
+    cells = (dx.max(initial=0.0) + 1) * rows
+    if not cells < 2 ** 53:
+        return np.lexsort((y, x))
+    return _stable_order((dx * rows + dy).astype(np.int64), int(cells))
+
+
 def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRematchResult:
     """Partition the window into side-t squares; inside each square, replace
     the edges lying entirely within it by the min-length matching of their
@@ -342,38 +354,40 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     blues.
 
     The edges are read once, from the matching's edge array. The cells are
-    solved in one ``assign_in_groups`` call, each as ``min_cost_perfect``
-    solves it, and every length is summed from the endpoint arrays as
-    ``Matching.total_length`` sums it (``_length``), without building a
-    matching per cell or reading the edges again. The matching returned is
-    built from the rewritten edge array."""
+    ordered by one sort (``_cell_order``) and solved in one
+    ``assign_in_groups`` call, each as ``min_cost_perfect`` solves it. Every
+    length is summed from the endpoint arrays as ``Matching.total_length``
+    sums them (``_lengths``, the rematched edges' replaced for the total
+    after), without building a matching per cell or reading the edges
+    again. The matching returned is built from the rewritten edge array."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError("square side must be positive and finite")
     if m.color_mode != TWO_COLOR:
         raise ValueError("box rematch needs a two-color matching")
     d = ps.domain
     e = m._edge_array().copy()  # rewritten below
-    r, b = ps.reds[e[:, 0]], ps.blues[e[:, 1]]
-    corner = np.array([d.x0, d.y0])
-    cell = (r - corner) // t  # the same floats as Python's // per coordinate
-    ks = np.flatnonzero((cell == (b - corner) // t).all(axis=1))
-    ks = ks[np.lexsort((cell[ks, 1], cell[ks, 0]))]  # by cell, then by edge
-    cells = cell[ks]
+    r, b = ps.reds.take(e[:, 0], axis=0), ps.blues.take(e[:, 1], axis=0)
+    # each end's cell, column by column: the same floats as Python's //
+    x, y = (r[:, 0] - d.x0) // t, (r[:, 1] - d.y0) // t
+    ks = np.flatnonzero((x == (b[:, 0] - d.x0) // t) & (y == (b[:, 1] - d.y0) // t))
+    ks = ks[_cell_order(x[ks], y[ks])]  # by cell, then by edge
+    x, y = x[ks], y[ks]
     first = np.ones(len(ks), dtype=bool)
-    first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    first[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
     bounds = np.append(np.flatnonzero(first), len(ks))
-    R, B = r[ks], b[ks]
+    R, B = r.take(ks, axis=0), b.take(ks, axis=0)
     # each rematched edge keeps its red and takes the blue at B[new]
     new = assign_in_groups(SQUARE, R, bounds, B, bounds)
     bounds = bounds.tolist()
     # per-edge lengths before by math.hypot, summed in edge order, and after
-    # as a Matching of the cell sums them (``_length``)
+    # as a Matching of the cell sums them (``_lengths``)
     before = list(map(math.hypot, *(R - B).T.tolist()))
-    after = np.hypot(*(R - B[new]).T)
+    after = _lengths(R, B.take(new, axis=0))
     improvements = [_in_order(before[s0:s1]) - float(after[s0:s1].sum())
                     for s0, s1 in zip(bounds, bounds[1:])]
-    length_before = _length(r, b)
+    lengths = _lengths(r, b)
+    length_before = float(lengths.sum())
+    lengths[ks] = after
     e[ks, 1] = e[ks[new], 1]
-    b[ks] = B[new]
     rematched = Matching(ps.reds, ps.blues, e)
-    return BoxRematchResult(length_before, _length(r, b), improvements, rematched)
+    return BoxRematchResult(length_before, float(lengths.sum()), improvements, rematched)

@@ -25,7 +25,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .assignment import RECTANGULAR, SQUARE, _inverse, assign_in_groups
+from .assignment import RECTANGULAR, SQUARE, _inverse, _stable_order, assign_in_groups
 from .arcs import ArcSpec, ArcTable  # ArcSpec, the table's row type, is exported here too
 from .geometry import LINE, STRIP, Domain
 from .matching import ONE_COLOR, Matching, partner_edges
@@ -145,7 +145,7 @@ def excursion_matching(ps: ColoredPointSet) -> Matching:
     walk = build_walk(ps)
     up = walk.signs == 1
     level = walk.values + ~up  # an up-step's level after it, a down-step's before
-    k = np.argsort(level, kind="stable")  # by level, then by x
+    k = _stable_order(level, int(np.abs(level).max(initial=0)) + 1)  # by level, then by x
     pair = up[k[:-1]] & ~up[k[1:]] & (level[k[:-1]] == level[k[1:]])
     # the m-th up-step of the walk is reds[m], the m-th down-step blues[m]
     red, blue = np.cumsum(up) - 1, np.cumsum(~up) - 1
@@ -268,8 +268,8 @@ def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, ArcTable]
     red_arr = np.concatenate(reds)
     blue_arr = np.concatenate(blues)
     # Re-sort into the canonical (x, y) order and remap indices.
-    r_order = canonical_order(red_arr)
-    b_order = canonical_order(blue_arr)
+    r_order = canonical_order(red_arr, kind="stable")  # the bands' sorted lists, merged
+    b_order = canonical_order(blue_arr, kind="stable")
     r_new, b_new = _inverse(r_order), _inverse(b_order)
     domain = Domain.plane(x0, x1, shift, len(results) + shift)
     combined = ColoredPointSet(domain, red_arr[r_order], blue_arr[b_order],

@@ -1131,6 +1131,7 @@ EDGE_ERRORS = [
     ([(0, 0), (0, 5)], r"edge \(0,5\) out of range"),
     ([(0, 1), (1, 1)], "a point appears in two edges"),
     ([(0, None)], "edge indices must be integers"),
+    ([(0, -1)], r"edge \(0,-1\) out of range"),
 ]
 
 

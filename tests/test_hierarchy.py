@@ -206,6 +206,37 @@ class TestBlockLookup:
             assert aligned_window(system).window_rect() == block_at(system, 5, 0, 0).rect
 
 
+def _grids_by_rows(system, n, ix, iy):
+    """``BlockSystem.grids`` as it was built on (k, 2) rows, kept verbatim as
+    the oracle for the column version: each level's first children are the
+    blocks ``locate`` finds at the parents' lower-left corners (``rects``)."""
+    cells = {n: np.array([[ix, iy]], dtype=np.int64)}
+    for m in range(n, 1, -1):
+        count = system.a[m] // system.a[m - 2]
+        first = system.locate(m - 1, system.rects(m, cells[m])[:, ::2])
+        step = np.zeros((count, 2), dtype=np.int64)
+        step[:, m % 2] = np.arange(count)
+        cells[m - 1] = (first[:, None, :] + step).reshape(-1, 2)
+    return cells
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_grids_equal_the_row_construction(N):
+    # every level of the grids of blocks at and around the origin, on
+    # seeded systems and on those with the least and the greatest offsets
+    rng = derived_rng(N, 47)
+    systems = [build_block_system(seed, N) for seed in range(40 if N < 6 else 6)]
+    systems += [BlockSystem.from_offsets([0, 0] + [k * (k - 1) - 1 for k in range(2, N + 1)]),
+                zero_offset_system(N)]
+    for system in systems:
+        for n in range(1, N + 1):
+            for ix, iy in [(0, 0)] + rng.integers(-40, 40, (2, 2)).tolist():
+                got, want = system.grids(n, ix, iy), _grids_by_rows(system, n, ix, iy)
+                assert list(got) == list(want)
+                for m in want:
+                    assert got[m].dtype == want[m].dtype and np.array_equal(got[m], want[m])
+
+
 # Per n, the hits of heir_frequency(n, trials, seed) for seeds 0, 1, 2 at one
 # trial and at 1000, recorded when it compared two grid-cell starts; it now
 # applies the stage tables' heir test, which must give the same floats.

@@ -135,6 +135,28 @@ def test_canonical_order_is_the_lexsort():
     assert tied >= 8  # the lexsort branch ran on the tied and signed-zero inputs
 
 
+@pytest.mark.parametrize("kind", [None, "stable"])
+def test_canonical_order_is_the_lexsort_on_random_sets(kind):
+    # where no two x are equal any sort of x gives the order, and the
+    # default sort ties nothing; repeated x, with different or equal y and
+    # with signed zeros, take the lexsort. Half the sets are two sorted
+    # lists end to end, as the merges pass them
+    rng = derived_rng(19)
+    repeated = 0
+    for trial in range(400):
+        n = int(rng.integers(0, 40))
+        pts = (rng.uniform(-5, 5, (n, 2)),
+               np.column_stack([rng.integers(-3, 4, n) * 0.5, rng.uniform(-1, 1, n)]),
+               rng.integers(-2, 3, (n, 2)) * 0.5,
+               rng.choice([-0.0, 0.0, 0.5], (n, 2)))[trial % 4]
+        if trial % 8 >= 4:
+            pts = np.concatenate([_lexsorted(pts[: n // 2]), _lexsorted(pts[n // 2:])])
+        repeated += len(np.unique(pts[:, 0])) < n
+        assert np.array_equal(canonical_order(pts, kind=kind),
+                              np.lexsort((pts[:, 1], pts[:, 0])))
+    assert repeated > 250
+
+
 def test_duplicates_within_and_across_colours_rejected():
     rng = derived_rng(18)
     pts = np.column_stack([rng.uniform(0, 10, 30), rng.uniform(0, 1, 30)])

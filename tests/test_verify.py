@@ -8,12 +8,12 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from poisson_matching import verify
-from poisson_matching.assignment import _canonicalize_ties, min_cost_perfect
+from poisson_matching.assignment import _canonicalize_ties, _stable_order, min_cost_perfect
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        Domain, Point, Rect, Segment)
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
 from poisson_matching.matching import ONE_COLOR, Matching
-from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
+from poisson_matching.sampling import (ColoredPointSet, SampleConfig, canonical_order,
                                        derived_rng, sample)
 from poisson_matching.verify import (ChernoffParams, _arc_arrays,
                                      _box_pairs, _pairwise_hits,
@@ -915,3 +915,48 @@ class TestBoxRematchAgainstLoop:
         ps, _ = balanced(square_ps(1, side=4.0))
         m = Matching(ps.reds, ps.blues, [])
         assert self._same(ps, m, 2.0) == 0
+
+    def test_window_of_2_15_cells_or_more(self, monkeypatch):
+        # three edges in each of 60 cells scattered over a 256-by-256 grid
+        # of side 1, so the cells' numbers sort as int64 (``_cell_order``)
+        bounds = []
+        monkeypatch.setattr(verify, "_stable_order",
+                            lambda key, bound: bounds.append(bound) or _stable_order(key, bound))
+        rng = np.random.default_rng(73)
+        cell = rng.choice(256 * 256, 60, replace=False)
+        corner = np.repeat(np.column_stack([cell // 256, cell % 256]), 3, axis=0).astype(float)
+        reds, blues = (corner + rng.uniform(0, 1, corner.shape) for _ in range(2))
+        ps = ColoredPointSet(Domain.plane(0.0, 256.0, 0.0, 256.0), reds, blues, seed=0)
+        # red k shares its cell with blue k; each cell's blues go in reverse
+        at_r, at_b = (np.argsort(canonical_order(pts)) for pts in (reds, blues))
+        blue_of = np.arange(len(reds)).reshape(-1, 3)[:, ::-1].ravel()
+        m = Matching(ps.reds, ps.blues, np.column_stack([at_r, at_b[blue_of]]))
+        assert self._same(ps, m, 1.0) == 60
+        assert bounds and min(bounds) >= 2 ** 15
+
+
+class TestCellOrder:
+    """``_cell_order`` against ``np.lexsort``: by int16 cell numbers, by
+    int64 ones past 2**15 cells, and by the lexsort itself past 2**53 cells
+    or for an infinite cell."""
+
+    def test_each_way_is_the_lexsort(self, monkeypatch):
+        bounds = []
+        monkeypatch.setattr(verify, "_stable_order",
+                            lambda key, bound: bounds.append(bound) or _stable_order(key, bound))
+        rng = np.random.default_rng(74)
+        lexsorts = 0
+        for lo, hi in ((0, 3), (-7, 100), (1000, 1400), (-2 ** 40, 2 ** 40), (0, 2 ** 60)):
+            for n in (0, 1, 50, 500):
+                x, y = (rng.integers(lo, hi, n).astype(float) for _ in range(2))
+                calls = len(bounds)
+                assert np.array_equal(verify._cell_order(x, y), np.lexsort((y, x)))
+                lexsorts += len(bounds) == calls
+        x = np.array([3.0, np.inf, -np.inf, 3.0, np.inf, 0.0])
+        y = np.array([1.0, 0.0, 2.0, 0.0, 0.0, -np.inf])
+        calls = len(bounds)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert np.array_equal(verify._cell_order(x, y), np.lexsort((y, x)))
+        lexsorts += len(bounds) == calls
+        # the two widest ranges at 50 and 500 cells, and the infinite cells
+        assert min(bounds) < 2 ** 15 < max(bounds) < 2 ** 53 and lexsorts == 5

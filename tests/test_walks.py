@@ -354,6 +354,17 @@ class TestExcursionAgainstStack:
                 early_blues += len(want.unmatched_blues)
         assert open_reds and early_blues  # both kinds of unmatched point met
 
+    def test_walks_of_2_15_steps_or_more(self):
+        # the levels sort as int16 where they lie within +-2**15, as on a
+        # sampled line of 2**15 steps, and as int64 on a walk that climbs to
+        # level 2**16 + 1 and back, where int16 would put the steps at level
+        # 2**16 + 1 between those at level 1
+        ps = sample(SampleConfig(1.0, 1.0, Domain.line(0, 20000.0), 29))
+        assert ps.n_red + ps.n_blue >= 2 ** 15 and self._check(ps).edges
+        n = 2 ** 16 + 1
+        xs = np.arange(2 * n) / (2 * n)
+        assert len(self._check(line_ps(xs[:n], xs[n:], x1=1.0)).edges) == n
+
     def test_blues_before_any_red_and_reds_left_open(self):
         for reds, blues in (([5, 6], [1, 2, 3, 7]), ([1, 2, 3], [4]), ([2, 5], [1, 3, 4, 6]),
                             ([1, 4, 5], [2, 3, 6, 7, 8])):
