@@ -217,11 +217,11 @@ def _result_json(ps: ColoredPointSet, m: Matching, arcs: Optional[ArcTable] = No
 @contextlib.contextmanager
 def _fields_of(path: str):
     """Building objects from the file at ``path``: a field of the wrong JSON
-    type (null for a list, a list for an object) is a ValueError naming the
-    file, and so a usage error."""
+    type (null for a list, a list for an object), or a number too large for
+    a float, is a ValueError naming the file, and so a usage error."""
     try:
         yield
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, OverflowError) as e:
         raise ValueError(f"malformed input {path}: {e}") from e
 
 
@@ -434,7 +434,7 @@ def cmd_render(in_path, width, height, walk, blocks, out):
         if blocks > system.N:
             raise click.UsageError(f"--blocks {blocks} is above the level of the file's "
                                    f"block system (N={system.N})")
-        cells = hierarchy.window_grids(system, blocks, ps.domain.window_rect())
+        cells = hierarchy.window_grids(system, system.N, ps.domain.window_rect())
         rects = [(n, system.rects(n, cells[n])) for n in range(blocks, 0, -1)]
     _write(render_scene(ps, m, arcs=arcs, walk=w, blocks=rects,
                         width=width, height=height), out)

@@ -159,10 +159,14 @@ class Domain:
     @staticmethod
     def from_json(d: dict) -> "Domain":
         """The domain ``d`` states; a bound that is not an int or a float (a
-        string, a bool) is a ValueError."""
+        string, a bool), or an int too large for a float, is a ValueError."""
         for key in ("x0", "x1", "y0", "y1"):
             if type(d[key]) not in (int, float):
                 raise ValueError(f"domain bound {key} must be a number, got {d[key]!r}")
+            try:
+                float(d[key])
+            except OverflowError:
+                raise ValueError(f"domain bound {key} is too large for a float") from None
         return Domain(d["kind"], d["x0"], d["x1"], d["y0"], d["y1"])
 
 

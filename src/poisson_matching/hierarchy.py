@@ -14,19 +14,20 @@ found by ``BlockSystem.locate``, integer division of the point's unit cell
 (the floor of its coordinates), which is exact at every block edge.
 ``init_state`` builds one integer table per level, once: the window's
 level-n blocks in children order (the children of a block are consecutive
-rows), and for each color the points stably sorted by block row, with each
-point's heir flag. Each point's block is found once, at level 1; a level-n
-block's unit cells are consecutive level-1 rows, so its row is a division.
-A stage then works on the whole level at once: counts, masks, excesses and
-the records' flags are grouped numpy over block rows. Each step solves
-its blocks in one ``assign_in_groups`` call, each block's points gathered
-by index arrays, so no Python loop visits a block: the rematch step's by
-one stable sort per color of block row and part (A's open points outside
-B, then C's), the leftover step's from the level table. Blocks of one
-level are disjoint, so solving every block's rematch step and then every
-block's leftover step gives the same partners as going block by block. A
-stage's new edges are read back from the partner arrays: the reds
-unmatched after the heir unmatch that are matched at the end.
+rows), and for each color each point's block row and heir flag. Each
+point's block is found once, at level 1; a level-n block's unit cells are
+consecutive level-1 rows, so its row is a division. A stage then works on
+the whole level at once: counts, masks, excesses and the records' flags are
+grouped numpy over block rows. Each step solves its blocks in one
+``assign_in_groups`` call, each block's points gathered by index arrays, so
+no Python loop visits a block. ``ColorTable.select`` is the one grouping:
+one stable sort of block row and part, per color and call, for the rematch
+step's two parts (A's open points outside B, then C's), the leftover step's
+open points and the stage's new edges. Blocks of one level are disjoint, so
+solving every block's rematch step and then every block's leftover step
+gives the same partners as going block by block. A stage's new edges are
+read back from the partner arrays: the reds unmatched after the heir
+unmatch that are matched at the end.
 
 A stage keeps its records as per-block columns on its level table, with its
 new edges' partners read when it runs (a later heir unmatch overwrites the
@@ -209,31 +210,35 @@ class BlockRecord:
 
 @dataclass
 class ColorTable:
-    """One color's points grouped by the blocks of a level: ``order`` holds
-    the window's points stably sorted by block row, so block k's points are
-    ``order[start[k]:start[k + 1]]``, ascending."""
+    """One color's points and the blocks of a level they lie in."""
 
     row: np.ndarray      # block row of each point; -1 outside the window
-    order: np.ndarray
-    start: np.ndarray
+    blocks: int          # the level's blocks, rows 0..blocks-1
     in_heir: np.ndarray  # per point: lies in its block's heir (never at level 1)
 
-    def select(self, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The window's points where the per-point ``mask`` holds, in the same
-        layout: (indices, offsets)."""
-        idx = self.order[mask[self.order]]
-        return idx, _offsets(np.bincount(self.row[idx], minlength=len(self.start) - 1))
+    def select(self, *masks: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The window's points in the disjoint per-point ``masks``, grouped
+        by block row, each block's points of the first mask, then of the
+        next, each mask's ascending: one stable sort of row * k + part for k
+        masks. Returns their indices and each mask's per-block counts."""
+        k = len(masks)
+        idx = np.flatnonzero(np.logical_or.reduce(masks))
+        # row * k + part: -k..-1 outside the window, which sort first
+        key = self.row[idx] * k + sum(p * mask[idx] for p, mask in enumerate(masks))
+        count = np.bincount(key + k, minlength=k * (self.blocks + 1))[k:]
+        order = idx[_stable_order(key, k * self.blocks)][len(idx) - count.sum():]
+        return (order, *(count[p::k] for p in range(k)))
 
     def count(self, mask: np.ndarray) -> np.ndarray:
         """Per block, how many of its points the per-point ``mask`` holds:
         a count of the rows where it holds, the outside points' -1 in bin 0."""
-        return np.bincount(self.row[mask] + 1, minlength=len(self.start))[1:]
+        return np.bincount(self.row[mask] + 1, minlength=self.blocks + 1)[1:]
 
 
 @dataclass
 class LevelTable:
-    """The window's level-n blocks in children order, each color's points
-    grouped by them, and, once stage n has run, its per-block columns, from
+    """The window's level-n blocks in children order, each color's points'
+    rows among them, and, once stage n has run, its per-block columns, from
     which ``_block_records`` builds rows. ``new_edges`` holds the (red, blue)
     pairs the stage made, grouped by block with offsets ``new_start``, as
     they were when the stage ran (a later stage may unmatch them); the two
@@ -260,8 +265,8 @@ def _block_records(lv: LevelTable) -> Tuple[BlockRecord, ...]:
     none = [None] * len(lv.cells)
     heir_flags = [none if col is None else col.tolist()
                   for col in (lv.unmatched_in_heir, lv.new_edges_in_heirs)]
-    columns = zip(lv.cells.tolist(), np.diff(lv.red.start).tolist(),
-                  np.diff(lv.blue.start).tolist(), lv.unmatched.tolist(), lv.bad.tolist(),
+    columns = zip(lv.cells.tolist(), lv.red.count(lv.red.row >= 0).tolist(),
+                  lv.blue.count(lv.blue.row >= 0).tolist(), lv.unmatched.tolist(), lv.bad.tolist(),
                   lv.dodgy.tolist(), bounds[:-1], bounds[1:], *heir_flags)
     return tuple(BlockRecord(key=(lv.n, ix, iy), n_red=nr, n_blue=nb, unmatched=u,
                              bad=is_bad, dodgy=is_dodgy, new_edges=pairs[s0:s1],
@@ -285,17 +290,10 @@ def _level_tables(ps: ColoredPointSet, system: BlockSystem, cells: Dict[int, np.
         unit = [np.floor(pts[:, k]).astype(np.int64) for k in (0, 1)]
         digit = {m: (unit[m % 2] - system.t[m]) % a[m] // a[m - 2] for m in range(2, N + 1)}
         row1 = sum(digit[m] * (a[m - 1] * a[m - 2]) for m in range(2, N + 1))
-        inside = window.contains(pts.T)
-        row1[~inside] = -1
-        start1 = _offsets(np.bincount(row1[inside], minlength=len(cells[1])))
+        row1[~window.contains(pts.T)] = -1
         for n, tables in colors.items():
-            k = a[n] * a[n - 1]  # the unit cells of a level-n block
-            row, start = row1 // k, start1[::k]
-            # stable, so each block's indices ascend; the outside points (-1)
-            # sort first
-            order = _stable_order(row, len(cells[n]))[len(pts) - start[-1]:]
             in_heir = digit[n] == 0 if n >= 2 else np.zeros(len(pts), bool)
-            tables.append(ColorTable(row, order, start, in_heir))
+            tables.append(ColorTable(row1 // (a[n] * a[n - 1]), len(cells[n]), in_heir))
     return {n: LevelTable(n, cells[n], *tables) for n, tables in colors.items()}
 
 
@@ -324,35 +322,22 @@ class StageState:
         return Matching(self.ps.reds, self.ps.blues, partner_edges(self.red_partner))
 
 
-def _parts(table: ColorTable, part0: np.ndarray, part1: np.ndarray
-           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The window's points in the disjoint per-point masks ``part0`` and
-    ``part1``, grouped by block row, each block's part-0 points before its
-    part-1 points and each part ascending: one stable sort of row * 2 +
-    part. Returns their indices and each part's per-block counts."""
-    blocks = len(table.start) - 1
-    idx = np.flatnonzero(part0 | part1)
-    key = table.row[idx] * 2 + part1[idx]  # -2 or -1 outside the window: first
-    count = np.bincount(key + 2, minlength=2 * blocks + 2)[2:]
-    return idx[_stable_order(key, 2 * blocks)][len(idx) - count.sum():], count[::2], count[1::2]
-
-
 def _kept(idx: np.ndarray, count: np.ndarray, keep: np.ndarray
           ) -> Tuple[np.ndarray, np.ndarray]:
     """Of the points ``idx``, grouped by block with per-block counts
-    ``count``, those of the blocks where ``keep`` holds, and their offsets."""
-    return idx[np.repeat(keep, count)], _offsets(count[keep])
+    ``count``, those of the blocks where ``keep`` holds, and their counts."""
+    return idx[np.repeat(keep, count)], count[keep]
 
 
 def _solve_blocks(state: StageState, kind: str, red, blue, *must: np.ndarray) -> None:
     """Solve the blocks of ``red`` and ``blue`` in one ``assign_in_groups``
     call and link the partners. They hold each color's points grouped by
-    block, (indices, offsets), each block's in the order its problem takes
-    them; ``must`` are the SATURATING kind's per-block counts of mandatory
-    reds and blues, which a block lists first."""
-    (ri, rs), (bi, bs) = red, blue
-    partner = assign_in_groups(kind, state.ps.reds.take(ri, axis=0), rs,
-                               state.ps.blues.take(bi, axis=0), bs, *must)
+    block, (indices, per-block counts), each block's in the order its
+    problem takes them; ``must`` are the SATURATING kind's per-block counts
+    of mandatory reds and blues, which a block lists first."""
+    (ri, rc), (bi, bc) = red, blue
+    partner = assign_in_groups(kind, state.ps.reds.take(ri, axis=0), _offsets(rc),
+                               state.ps.blues.take(bi, axis=0), _offsets(bc), *must)
     k = np.flatnonzero(partner >= 0)
     ri, bj = ri[k], bi[partner[k]]
     state.red_partner[ri], state.blue_partner[bj] = bj, ri
@@ -386,9 +371,10 @@ def _keep_columns(state: StageState, lv: LevelTable, bad: np.ndarray,
                   unmatched_in_heir=None, new_edges_in_heirs=None) -> None:
     """Store the stage's per-block columns on the level. ``new`` holds the
     reds matched in this stage, grouped by block and ascending within it,
-    with offsets; their partners are read now, before a later stage's heir
-    unmatch can overwrite them."""
-    ri, lv.new_start = new
+    with per-block counts; their partners are read now, before a later
+    stage's heir unmatch can overwrite them."""
+    ri, count = new
+    lv.new_start = _offsets(count)
     lv.new_edges = np.column_stack([ri, state.red_partner[ri]])
     lv.unmatched = (lv.red.count(state.red_partner < 0)
                     + lv.blue.count(state.blue_partner < 0))
@@ -433,9 +419,9 @@ def run_stage(state: StageState, n: int) -> StageState:
 
     # (ii) match everything unmatched in A \ B into (A \ B) u C: a block's
     # problem lists the unmatched points of A \ B, then those of C
-    ri, n_r1, n_r2 = _parts(lv.red, open_reds & ~r_heir, r_heir & r_below if n > 2 else r_heir)
-    bi, n_b1, n_b2 = _parts(lv.blue, (state.blue_partner < 0) & ~b_heir,
-                            b_heir & b_below if n > 2 else b_heir)
+    ri, n_r1, n_r2 = lv.red.select(open_reds & ~r_heir, r_heir & r_below if n > 2 else r_heir)
+    bi, n_b1, n_b2 = lv.blue.select((state.blue_partner < 0) & ~b_heir,
+                                    b_heir & b_below if n > 2 else b_heir)
     excess = n_r1 - n_b1
     feasible = np.where(excess >= 0, excess <= n_b2, -excess <= n_r2)
     solve = feasible & (n_r1 + n_b1 > 0)

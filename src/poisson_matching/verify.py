@@ -316,9 +316,12 @@ def crossing_stats(m: Matching, regions: Sequence[Region]) -> StatsReport:
 
 @dataclass
 class BoxRematchResult:
+    """The lengths before and after a box rematch, the number of cells
+    rematched (those holding an edge), and the rematched matching."""
+
     length_before: float
     length_after: float
-    cell_improvements: List[float]
+    cells_rematched: int
     matching: Matching
 
     @property
@@ -330,7 +333,7 @@ class BoxRematchResult:
             "length_before": self.length_before,
             "length_after": self.length_after,
             "improvement": self.improvement,
-            "cells_rematched": len(self.cell_improvements),
+            "cells_rematched": self.cells_rematched,
         })
 
 
@@ -355,8 +358,8 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
 
     The edges are read once, from the matching's edge array. The cells are
     ordered by one sort (``_cell_order``) and solved in one
-    ``assign_in_groups`` call, each as ``min_cost_perfect`` solves it. Every
-    length is summed from the endpoint arrays as ``Matching.total_length``
+    ``assign_in_groups`` call, each as ``min_cost_perfect`` solves it. Both
+    totals are summed from the endpoint arrays as ``Matching.total_length``
     sums them (``_lengths``, the rematched edges' replaced for the total
     after), without building a matching per cell or reading the edges
     again. The matching returned is built from the rewritten edge array."""
@@ -378,16 +381,9 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     R, B = r.take(ks, axis=0), b.take(ks, axis=0)
     # each rematched edge keeps its red and takes the blue at B[new]
     new = assign_in_groups(SQUARE, R, bounds, B, bounds)
-    bounds = bounds.tolist()
-    # per-edge lengths before by math.hypot, summed in edge order, and after
-    # as a Matching of the cell sums them (``_lengths``)
-    before = list(map(math.hypot, *(R - B).T.tolist()))
-    after = _lengths(R, B.take(new, axis=0))
-    improvements = [_in_order(before[s0:s1]) - float(after[s0:s1].sum())
-                    for s0, s1 in zip(bounds, bounds[1:])]
     lengths = _lengths(r, b)
     length_before = float(lengths.sum())
-    lengths[ks] = after
+    lengths[ks] = _lengths(R, B.take(new, axis=0))
     e[ks, 1] = e[ks[new], 1]
     rematched = Matching(ps.reds, ps.blues, e)
-    return BoxRematchResult(length_before, float(lengths.sum()), improvements, rematched)
+    return BoxRematchResult(length_before, float(lengths.sum()), len(bounds) - 1, rematched)

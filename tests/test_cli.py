@@ -287,6 +287,10 @@ STRING_BOUNDS = json.dumps({**ONE_EDGE_RESULT, "points": {
         **ONE_EDGE_RESULT["points"]["domain"], "x0": "0", "x1": "20"}}})
 STRING_BOUNDS_POINTS = json.dumps(json.loads(STRING_BOUNDS)["points"])
 STRING_BOUND = "domain bound x0 must be a number, got '0'"
+# a bound that Python reads as an int but no float holds
+HUGE_BOUND = json.dumps({**ONE_EDGE_RESULT, "points": {
+    **ONE_EDGE_RESULT["points"], "domain": {
+        **ONE_EDGE_RESULT["points"]["domain"], "x1": 10 ** 400}}})
 
 
 def _with_points(**fields):
@@ -476,6 +480,16 @@ BAD_INPUTS = {
     "infinite_bound_match": (_match("excursion"), _with_points(domain={
         **ONE_EDGE_RESULT["points"]["domain"], "x1": float("inf")}),
         "domain bounds must be finite"),
+    # numbers too large for a float; each used to exit 1 with an
+    # OverflowError traceback
+    "huge_bound_stats_eta": (STATS_ETA, HUGE_BOUND, "domain bound x1 is too large"),
+    "huge_bound_stats_crossings": (["stats", "--kind", "crossings", "--in"], HUGE_BOUND,
+                                   "domain bound x1 is too large"),
+    "huge_bound_render": (RENDER, HUGE_BOUND, "domain bound x1 is too large"),
+    "huge_coordinate_match": (_match("excursion"), _with_points(reds=[[10 ** 400, 0.5]]),
+                              "malformed input"),
+    "huge_arc_height_arcs": (VERIFY_ARCS, _with_arc(ARC_VERTICES, height=10 ** 400),
+                             "malformed input"),
     "plane_string_bound_match": (_match("min_cost"), _with_points(domain={
         "kind": "plane", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": "1"}),
         "domain bound y1 must be a number, got '1'"),
@@ -579,6 +593,23 @@ def test_render_blocks_draw_the_files_own_system(runner, tmp_path):
                                                    for n in (3, 2, 1)]))
 
     assert out.read_text() == drawn(3) != drawn(0)
+
+
+@pytest.mark.parametrize("seed,N", [(2, 3), (1, 5)])
+def test_render_blocks_draw_every_block_of_the_window(runner, tmp_path, seed, N):
+    # --blocks b < N used to draw only the level-b block at the window's
+    # lower-left corner and the blocks inside it
+    path, out = tmp_path / "h.json", tmp_path / "h.svg"
+    invoke(runner, "match", "--construction", "hierarchical", "--seed", str(seed),
+           "--stages", str(N), "--out", str(path))
+    levels = json.loads(path.read_text())["diagnostics"]["levels"]
+    for b in range(1, N + 1):
+        res = invoke(runner, "render", "--in", str(path), "--blocks", str(b), "--out", str(out))
+        assert res.exit_code == 0, res.output
+        rects = [line for line in out.read_text().splitlines() if 'class="block"' in line]
+        drawn = {n: sum(f'stroke="{render.BLOCK_COLORS[n]}"' in line for line in rects)
+                 for n in range(1, N + 1)}
+        assert drawn == {n: levels[str(n)]["blocks"] if n <= b else 0 for n in drawn}
 
 
 def test_edges_read_as_tuples_of_plain_ints(tmp_path):
@@ -825,8 +856,9 @@ PINNED = {
                     "259d35397be24b63949df5121da7116136acc4bbb3d4a39c2d06bc521d7fd04d"),
     "render_blocks_3": ("render --in {hier} --blocks 3 --out {svg}",
                         "25200fc175baffad97c3ba2a2250d522f9cd01bbeabab666221a6d0495286e22"),
+    # re-pinned when --blocks below N came to draw every block of the window
     "render_blocks_1": ("render --in {hier} --blocks 1 --out {svg}",
-                        "5d5e7e56473b252cd1b1c7e76e975b294e00076e4c8d2b6878fb6919d6d76282"),
+                        "ac531f214a2c9956e3e478a54a7edfc31d62df85412d62011c7396afc9263a95"),
     # recorded before render streamed its layers: the line's fixed y-range,
     # the laminate's shifted plane bands, and sizes other than the default
     "render_line_walk": ("render --in {line_excursion} --walk --out {svg}",

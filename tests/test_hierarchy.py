@@ -15,7 +15,7 @@ from scipy.stats import poisson, skellam
 from poisson_matching import assignment, hierarchy
 from poisson_matching.assignment import (BIG, EPS_TIE, GROUP_ENTRIES, RECTANGULAR, ROW_BLOCK,
                                          SATURATING, SMALL_MAX, SQUARE, _canonicalize_ties,
-                                         assign_in_groups)
+                                         _stable_order, assign_in_groups)
 from poisson_matching.geometry import Rect
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
@@ -1263,44 +1263,74 @@ def color_table_cases():
                                          system)
 
 
-def test_color_tables_sort_rows_of_either_width():
-    # level 1 at N=6 has 86,400 blocks, too many for int16 rows; the other
-    # levels, and every level at N=4, sort their rows as int16
-    widths = set()
+def select_oracle(table, masks):
+    """``ColorTable.select`` by ``np.lexsort``: the window's points in the
+    disjoint ``masks`` by (block row, mask, index), and each mask's
+    per-block counts."""
+    row, part = table.row, np.full(len(table.row), -1)
+    for p, mask in enumerate(masks):
+        part[mask] = p
+    idx = np.flatnonzero((part >= 0) & (row >= 0))
+    counts = [np.bincount(row[mask & (row >= 0)], minlength=table.blocks) for mask in masks]
+    return idx[np.lexsort((idx, part[idx], row[idx]))], counts
+
+
+def same_selection(table, masks):
+    """``table.select(*masks)`` is the oracle's; returns its indices."""
+    idx, *counts = table.select(*masks)
+    want, want_counts = select_oracle(table, masks)
+    assert np.array_equal(idx, want)
+    assert len(counts) == len(masks)
+    for count, want_count, mask in zip(counts, want_counts, masks):
+        assert np.array_equal(count, want_count)
+        assert np.array_equal(table.count(mask), count)
+    return idx
+
+
+def test_color_tables_sort_rows_of_either_width(monkeypatch):
+    # level 1 at N=6 has 86,400 blocks, too many for int16 keys; the other
+    # levels, and every level at N=4, sort their keys as int16
+    bounds = []
+    monkeypatch.setattr(hierarchy, "_stable_order",
+                        lambda key, bound: bounds.append(bound) or _stable_order(key, bound))
     for system, ps in color_table_cases():
         window = aligned_window(system).window_rect()
         state = init_state(ps, system)
         for n, lv in state.levels.items():
-            widths.add(len(lv.cells) < 2 ** 15)
             for table, pts in ((lv.red, ps.reds), (lv.blue, ps.blues)):
-                # the oracle: each point's block by its own coordinates,
-                # then the window's points by (row, index)
+                # the oracle: each point's block by its own coordinates
                 w, h = system.dims(n)
                 xo, yo = system.offsets(n)
                 ij = np.floor((pts - [xo, yo]) / [w, h]).astype(np.int64)
                 rows = {tuple(c): k for k, c in enumerate(lv.cells.tolist())}
                 row = np.array([rows.get(tuple(c), -1) for c in ij.tolist()], dtype=np.int64)
-                inside = np.flatnonzero(row >= 0)
                 # the five points around the window read -1 at every level
+                # and are never selected
                 outside = ~window.contains(pts.T)
                 assert np.count_nonzero(outside) == 5 and (table.row[outside] == -1).all()
                 assert np.array_equal(table.row, row)
-                assert np.array_equal(table.order, inside[np.lexsort((inside, row[inside]))])
-                assert np.array_equal(np.diff(table.start),
-                                      np.bincount(row[inside], minlength=len(lv.cells)))
-    assert widths == {True, False}
+                assert table.blocks == len(lv.cells)
+                assert not outside[same_selection(table, [np.ones(len(pts), bool)])].any()
+    assert min(bounds) <= 2 ** 15 < max(bounds)
 
 
 def test_color_table_counts_are_the_selections_sizes():
-    # count(mask) is the per-block size of select(mask), the points around
-    # the window left out, on random masks at every level
+    # select(*masks) against the lexsort oracle, and count(mask) is the
+    # per-block size of mask's part, on one and two random disjoint masks at
+    # every level: the points around the window left out, and at N=6 level 1
+    # (86,400 blocks, int64 keys) most blocks empty
     rng = np.random.default_rng(31)
+    empty = False
     for system, ps in color_table_cases():
         for lv in init_state(ps, system).levels.values():
             for table in (lv.red, lv.blue):
                 for p in (0.0, 0.3, 0.9, 1.0):
                     mask = rng.random(len(table.row)) < p
-                    assert np.array_equal(table.count(mask), np.diff(table.select(mask)[1]))
+                    same_selection(table, [mask])
+                    part = rng.integers(0, 3, len(table.row))
+                    same_selection(table, [(part == 0) & mask, (part == 1) & mask])
+                    empty |= (table.count(mask) == 0).any() and mask.any()
+    assert empty
 
 
 # --- The records -------------------------------------------------------------
