@@ -9,9 +9,11 @@ the drawing of the matching), ``verify`` builds every report, and ``_write``
 streams every output, so none is held whole.
 
 ``_dump`` is the one JSON writer. It writes the bytes of ``json.dumps(obj,
-indent=1, sort_keys=True)`` and a newline, but the row lists (points, edges,
-arcs) come from their numpy columns, one ``%`` template per row, and only
-the rest (diagnostics, reports, scalars) goes through the json encoder.
+indent=1, sort_keys=True)`` and a newline, from one walk (``_json_chunks``):
+the commands put the point and edge arrays and the arc table in the dict
+themselves, each is written from its numpy columns, one ``%`` template per
+row, and only the rest (diagnostics, reports, scalars) goes through the
+json encoder, chunk by chunk.
 
 ``run`` is the console script's entry: it freezes the import heap with
 ``gc.freeze()`` before the command runs, so the command's collections and
@@ -27,10 +29,12 @@ import gc
 import io
 import itertools
 import json
+import operator
 import sys
 from typing import Iterable, Iterator, Optional
 
 import click
+import numpy as np
 
 from . import hierarchy, verify, walks
 from .arcs import ArcTable
@@ -44,8 +48,8 @@ CHUNKS_PER_WRITE = 256
 # one row of each column list, None where a column's value goes
 PAIR_ROW = [None, None]  # a point's (x, y), an edge's (red, partner)
 ARC_ROW = {"depth": None, "edge": [None, None], "height": None, "lowest": None,
-           "vertices": [[None, None]] * 4}  # keys sorted, as _arc_rows' columns
-MARK = json.dumps("\0")  # a column list's place in the encoded skeleton
+           "vertices": [[None, None]] * 4}  # keys sorted, as _json_chunks' columns
+ENCODER = json.JSONEncoder(indent=1, sort_keys=True)
 DRAWABLE = click.IntRange(2 * MARGIN + 1, None)  # leaves a drawing area
 CONSTRUCTIONS = ("zero_block", "one_color", "cut_time", "excursion",
                  "min_cost", "hierarchical", "laminate")
@@ -63,79 +67,51 @@ def _write(chunks: Iterable[str], path: Optional[str]):
         f.flush()
 
 
-class _Rows:
-    """A JSON list that ``_dump`` writes from numpy columns: each row is
-    ``prototype`` with its None values filled, in the order json.dumps
-    writes them (keys sorted), from ``columns``."""
-
-    def __init__(self, prototype, *columns):
-        self.template = json.dumps(prototype, indent=1, sort_keys=True).replace("null", "%r")
-        self.columns = columns
-
-    def chunks(self, level: int) -> Iterator[str]:
-        """The list as json.dumps writes it as the value of a key indented
-        ``level`` spaces, a chunk per row, filled by ``render._rows``. Every
-        float column is finite, checked where it was built, so ``%r`` is
-        json's float form."""
-        if not len(self.columns[0]):
-            yield "[]"
-            return
+def _json_chunks(value, level: int) -> Iterator[str]:
+    """The text ``json.dumps(value, indent=1, sort_keys=True)`` gives
+    ``value`` as the value of a key indented ``level`` spaces, as chunks. An
+    (n, 2) array or an ``ArcTable`` is written row by row from its columns,
+    ``PAIR_ROW`` or ``ARC_ROW`` filled by ``render._rows``; every float
+    column is finite, checked where it was built, so ``%r`` is json's form.
+    A dict holding either at any depth, keyed by strings, is walked key by
+    key, sorted; any other value is the encoder's chunks, re-indented, as
+    they come."""
+    if isinstance(value, (np.ndarray, ArcTable)):
+        if not len(value):
+            return iter(["[]"])
+        if isinstance(value, ArcTable):
+            prototype, columns = ARC_ROW, (value.depth, *value.edges.T, value.height,
+                                           value.lowest, *value.vertices.reshape(-1, 8).T)
+        else:
+            prototype, columns = PAIR_ROW, value.T
         pad = "\n" + " " * (level + 1)
-        rows = _rows("," + pad + self.template.replace("\n", pad), *self.columns)
-        yield "[" + next(rows)[1:]  # the first row has no comma before it
-        yield from rows
-        yield "\n" + " " * level + "]"
+        template = json.dumps(prototype, indent=1, sort_keys=True).replace("null", "%r")
+        rows = _rows("," + pad + template.replace("\n", pad), *columns)
+        # the first row has no comma before it
+        return itertools.chain(["[" + next(rows)[1:]], rows, ["\n" + " " * level + "]"])
+    if isinstance(value, dict) and _holds_rows(value):
+        pad = "\n" + " " * (level + 1)
+        fields = (itertools.chain([("," if k else "") + pad + json.dumps(key) + ": "],
+                                  _json_chunks(value[key], level + 1))
+                  for k, key in enumerate(sorted(value)))
+        return itertools.chain(["{"], itertools.chain.from_iterable(fields),
+                               ["\n" + " " * level + "}"])
+    chunks = ENCODER.iterencode(value)
+    if level:  # the encoder indents from 0
+        chunks = map(operator.methodcaller("replace", "\n", "\n" + " " * level), chunks)
+    return chunks
 
 
-def _pair_rows(a) -> _Rows:
-    """The rows of an (n, 2) array: points' float (x, y), edges' int pairs."""
-    return _Rows(PAIR_ROW, a[:, 0], a[:, 1])
+def _holds_rows(d: dict) -> bool:
+    """Whether ``d`` or a dict nested in it holds an array or an arc table."""
+    return any(isinstance(v, (np.ndarray, ArcTable)) or isinstance(v, dict) and _holds_rows(v)
+               for v in d.values())
 
 
-def _arc_rows(arcs: ArcTable) -> _Rows:
-    """The arc objects ``ArcSpec.to_json`` writes, from the table's columns."""
-    return _Rows(ARC_ROW, arcs.depth, *arcs.edges.T, arcs.height, arcs.lowest,
-                 *arcs.vertices.reshape(-1, 8).T)
-
-
-def _skeleton(obj: dict, level: int, lists: list) -> dict:
-    """``obj``, keys indented ``level`` spaces, with every ``_Rows`` in it or
-    in its nested dicts replaced by a mark; the row lists' chunks go to
-    ``lists`` in the order their marks are written."""
-    out = {}
-    for key, value in sorted(obj.items()):
-        if isinstance(value, dict):
-            value = _skeleton(value, level + 1, lists)
-        elif isinstance(value, _Rows):
-            lists.append(value.chunks(level))
-            value = "\0"
-        out[key] = value
-    return out
-
-
-def _json_chunks(obj: dict) -> Iterator[str]:
-    """The text of ``json.dumps(obj, indent=1, sort_keys=True)`` and a
-    newline, with each ``_Rows`` value written as its list: the encoder's
-    chunks of the rest, and each list, row by row, where its mark stands.
-    A report has no row lists, and its chunks pass as they come."""
-    lists = []
-    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(_skeleton(obj, 1, lists))
-    return itertools.chain(_spliced(chunks, iter(lists)) if lists else chunks, ["\n"])
-
-
-def _spliced(chunks: Iterator[str], lists: Iterator[Iterator[str]]) -> Iterator[str]:
-    """``chunks`` with each mark replaced by the next list's chunks."""
-    for chunk in chunks:
-        if MARK in chunk:  # the encoder writes a string whole, in one chunk
-            head, chunk = chunk.split(MARK)
-            yield head
-            yield from next(lists)
-        yield chunk
-
-
-def _dump(obj: dict, path: Optional[str]):
-    """Stream ``obj``'s JSON text (``_json_chunks``) to ``path`` or stdout."""
-    _write(_json_chunks(obj), path)
+def _dump(value, path: Optional[str]):
+    """Stream ``value``'s JSON text (``_json_chunks``) and a newline to
+    ``path`` or stdout."""
+    _write(itertools.chain(_json_chunks(value, 0), ["\n"]), path)
 
 
 def _load(path: str) -> dict:
@@ -197,18 +173,20 @@ def cmd_sample(seed, kind, window, lambda_red, lambda_blue, out):
     """Draw a seeded two-color Poisson configuration."""
     domain = _make_domain(kind, window)
     ps = sample(SampleConfig(lambda_red, lambda_blue, domain, seed))
-    _dump(ps.to_json(rows=_pair_rows), out)
+    _dump(ps.to_json(rows=np.asarray), out)
 
 
 def _result_json(ps: ColoredPointSet, m: Matching, arcs: Optional[ArcTable] = None,
                  diagnostics=None) -> dict:
+    """The result object, its point and edge arrays and its arc table kept
+    as they are, for ``_dump`` to write from their columns."""
     out = {
         "format": FORMAT_VERSION,
-        "points": ps.to_json(rows=_pair_rows),
-        "matching": m.to_json(rows=_pair_rows),
+        "points": ps.to_json(rows=np.asarray),
+        "matching": m.to_json(rows=np.asarray),
     }
     if arcs is not None:
-        out["arcs"] = _arc_rows(arcs)
+        out["arcs"] = arcs
     if diagnostics is not None:
         out["diagnostics"] = diagnostics
     return out
@@ -350,7 +328,8 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
               help="Result JSON from 'match'.")
 @click.option("--property", "prop",
               type=click.Choice(["planarity", "arcs", "minimality", "improvable"]),
-              required=True)
+              required=True,
+              help="planarity needs a strip or plane domain, minimality a line.")
 @click.option("--k", type=click.IntRange(1, 8), default=4, show_default=True,
               help="Edges per minimality subset (factorial oracle).")
 @click.option("--trials", type=click.IntRange(1, None), default=200, show_default=True,
@@ -363,6 +342,8 @@ def cmd_verify(in_path, prop, k, trials, seed, out):
     if m is None:
         raise click.UsageError("input has no matching; run 'match' first")
     if prop == "planarity":
+        if ps.domain.kind == "line":  # every edge lies on the one line
+            raise click.UsageError("planarity requires a strip or plane domain, not a line")
         # results carrying arcs are drawn with them, so planarity is checked
         # on the arc geometry rather than straight chords
         report = verify.check_planarity(m, arcs)
@@ -386,7 +367,9 @@ def cmd_verify(in_path, prop, k, trials, seed, out):
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--kind", type=click.Choice(["eta", "crossings", "box-rematch"]),
               required=True)
-@click.option("--box-side", type=float, default=6.0, show_default=True)
+@click.option("--box-side", type=float, default=6.0, show_default=True,
+              help="Side of the box-rematch squares; the window must be fewer "
+                   "than 2**53 of them across.")
 @click.option("--disk", default=None, help="cx,cy,r query disk for crossings.")
 @click.option("--out", type=click.Path(), default=None)
 def cmd_stats(in_path, kind, box_side, disk, out):

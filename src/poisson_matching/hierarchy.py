@@ -283,12 +283,18 @@ def _level_tables(ps: ColoredPointSet, system: BlockSystem, cells: Dict[int, np.
     children, worth a[m-1]a[m-2] rows; -1 outside the window. A level-n
     block's a[n]a[n-1] unit cells being consecutive level-1 rows, its row is
     the level-1 row divided by that, -1 staying -1. A point lies in its
-    level-n block's heir when its level-n digit is 0."""
+    level-n block's heir when its level-n digit is 0.
+
+    The digits come from one divmod chain per axis: a point's level-m block
+    index along level m's axis (x for even m) is q[m], with q[0] and q[1]
+    its unit cell, and q[m], digit[m] = divmod(q[m-2] - r[m], a[m] / a[m-2])."""
     N, a = system.N, system.a
     colors = {n: [] for n in range(1, N + 1)}
     for pts in (ps.reds, ps.blues):
-        unit = [np.floor(pts[:, k]).astype(np.int64) for k in (0, 1)]
-        digit = {m: (unit[m % 2] - system.t[m]) % a[m] // a[m - 2] for m in range(2, N + 1)}
+        q = [np.floor(pts[:, k]).astype(np.int64) for k in (0, 1)]  # q[m] replaces q[m - 2]
+        digit = {}
+        for m in range(2, N + 1):
+            q[m % 2], digit[m] = np.divmod(q[m % 2] - system.r[m], a[m] // a[m - 2])
         row1 = sum(digit[m] * (a[m - 1] * a[m - 2]) for m in range(2, N + 1))
         row1[~window.contains(pts.T)] = -1
         for n, tables in colors.items():

@@ -120,7 +120,8 @@ class Matching:
 
     def to_json(self, rows=np.ndarray.tolist) -> dict:
         """The matching object; ``rows`` gives the value the (E, 2) edge
-        array is written as (the CLI passes its column writer's)."""
+        array is written as (the CLI passes ``np.asarray``, and its writer
+        writes the array from its columns)."""
         return {
             "format": FORMAT_VERSION,
             "kind": self.kind,

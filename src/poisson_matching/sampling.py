@@ -68,7 +68,8 @@ class ColoredPointSet:
 
     def to_json(self, rows=np.ndarray.tolist) -> dict:
         """The point-set object; ``rows`` gives the value each (n, 2) point
-        array is written as (the CLI passes its column writer's)."""
+        array is written as (the CLI passes ``np.asarray``, and its writer
+        writes the arrays from their columns)."""
         return {
             "format": FORMAT_VERSION,
             "domain": self.domain.to_json(),

@@ -340,7 +340,8 @@ class BoxRematchResult:
 def _cell_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``np.lexsort((y, x))`` for cells (x, y) of whole floats: one sort of the
     cell numbers x * rows + y, counted from the lowest x and y, which are
-    exact below 2**53 cells; past that, or for an infinite cell, the lexsort."""
+    exact below 2**53 cells; past that, the lexsort. A window under 2**53
+    squares a side (``box_rematch_experiment``'s bound) has finite cells."""
     dx, dy = x - x.min(initial=np.inf), y - y.min(initial=np.inf)
     rows = dy.max(initial=0.0) + 1
     cells = (dx.max(initial=0.0) + 1) * rows
@@ -362,12 +363,17 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     totals are summed from the endpoint arrays as ``Matching.total_length``
     sums them (``_lengths``, the rematched edges' replaced for the total
     after), without building a matching per cell or reading the edges
-    again. The matching returned is built from the rewritten edge array."""
+    again. The matching returned is built from the rewritten edge array.
+
+    A side that leaves the window 2**53 squares or more across, where cell
+    numbers are no longer exact floats or overflow to inf, is a ValueError."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError("square side must be positive and finite")
     if m.color_mode != TWO_COLOR:
         raise ValueError("box rematch needs a two-color matching")
     d = ps.domain
+    if not max(d.x1 - d.x0, d.y1 - d.y0) / t < 2 ** 53:
+        raise ValueError(f"square side {t!r} leaves the window 2**53 squares or more across")
     e = m._edge_array().copy()  # rewritten below
     r, b = ps.reds.take(e[:, 0], axis=0), ps.blues.take(e[:, 1], axis=0)
     # each end's cell, column by column: the same floats as Python's //

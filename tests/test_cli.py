@@ -342,6 +342,11 @@ BAD_INPUTS = {
                      json.dumps(ONE_EDGE_RESULT), "square side"),
     "box_side_inf": (["stats", "--kind", "box-rematch", "--box-side", "inf", "--in"],
                      json.dumps(ONE_EDGE_RESULT), "square side"),
+    # cells of side 5e-324 overflow to inf, and the edge's two ends shared one
+    "box_side_too_small": (["stats", "--kind", "box-rematch", "--box-side", "5e-324", "--in"],
+                           json.dumps(ONE_EDGE_RESULT), "square side"),
+    # every edge lies on the line; this used to exit 0, or 2 naming collinear overlaps
+    "planarity_on_line": (VERIFY, LINE_RESULT, "strip or plane domain"),
     "no_domain_key": (VERIFY, json.dumps(NO_DOMAIN_RESULT), "'domain'"),
     "truncated_json": (VERIFY, json.dumps(ONE_EDGE_RESULT)[:40], "Unterminated string"),
     "unknown_format": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "format": 99}),
@@ -1116,7 +1121,7 @@ def test_writer_equals_json_dumps_on_strips(tmp_path, length):
     diagnostics = {"construction": "excursion", "edges": len(arcs)}
     want = json.dumps(_list_form(ps, m, arcs, diagnostics), indent=1, sort_keys=True) + "\n"
     assert _written(tmp_path, cli._result_json(ps, m, arcs, diagnostics)) == want
-    assert (_written(tmp_path, ps.to_json(rows=cli._pair_rows))
+    assert (_written(tmp_path, ps.to_json(rows=np.asarray))
             == json.dumps(ps.to_json(), indent=1, sort_keys=True) + "\n")
 
 
@@ -1140,18 +1145,32 @@ def test_writer_equals_json_dumps_on_laminate_and_hierarchy(tmp_path):
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+INDEX = st.integers(0, 2**63 - 1)
+ARC = st.tuples(st.tuples(INDEX, INDEX), FINITE, FINITE, st.integers(-2**63, 2**63 - 1),
+                st.lists(FINITE, min_size=8, max_size=8))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(FINITE, FINITE), max_size=8),
-       st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)), max_size=8))
-def test_percent_r_is_json_for_finite_floats_and_ints(pairs, edges):
+       st.lists(st.tuples(INDEX, INDEX), max_size=8), st.lists(ARC, max_size=6))
+def test_percent_r_is_json_for_finite_floats_and_ints(pairs, edges, arcs):
     # every float column the writer reads is finite (points and arc columns
     # reject NaN and inf where they are built), and for finite floats and
-    # for ints, %r is the form json writes
+    # for ints, %r is the form json writes. The rows sit at depth 1 and in a
+    # dict that holds none itself, beside values the encoder writes (int
+    # keys, nested dicts) and an empty array and table
     floats = np.array(pairs, dtype=float).reshape(-1, 2)
     ints = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    obj = {"a": cli._pair_rows(floats), "b": {"c": cli._pair_rows(ints)}}
-    want = {"a": floats.tolist(), "b": {"c": ints.tolist()}}
-    assert "".join(cli._json_chunks(obj)) == json.dumps(want, indent=1, sort_keys=True) + "\n"
+    edge, height, lowest, depth, coords = zip(*arcs) if arcs else ([],) * 5
+    table = ArcTable(edge, height, lowest, depth, np.reshape(coords, (-1, 4, 2)))
+    empty = ArcTable([], [], [], [], [])
+    keyed = {3: [1.5, "x"], 1: {"b": None, "a": []}}
+    obj = {"a": floats, "empty": floats[:0], "keyed": keyed,
+           "b": {"c": {"edges": ints, "arcs": table, "none": empty}, "keyed": keyed}}
+    want = {"a": floats.tolist(), "empty": [], "keyed": keyed,
+            "b": {"c": {"edges": ints.tolist(), "arcs": [a.to_json() for a in table],
+                        "none": []}, "keyed": keyed}}
+    assert "".join(cli._json_chunks(obj, 0)) == json.dumps(want, indent=1, sort_keys=True)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

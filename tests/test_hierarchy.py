@@ -237,6 +237,35 @@ def test_grids_equal_the_row_construction(N):
                     assert got[m].dtype == want[m].dtype and np.array_equal(got[m], want[m])
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_level_tables_equal_the_modulo_digits(N):
+    # every level's rows and heir flags, from the digits of one divmod chain
+    # per axis, against the former formula's digits (unit - t[m]) % a[m] //
+    # a[m - 2], for points in the window and unit cells out to +-10**6
+    rng = derived_rng(N, 53)
+    systems = [build_block_system(seed, N) for seed in range(20)]
+    systems += [BlockSystem.from_offsets([0, 0] + [k * (k - 1) - 1 for k in range(2, N + 1)]),
+                zero_offset_system(N)]
+    for system in systems:
+        a, domain = system.a, aligned_window(system)
+        w = domain.window_rect()
+        pts = np.concatenate([rng.uniform([w.x0, w.y0], [w.x1, w.y1], (60, 2)),
+                              rng.uniform(-1e6, 1e6, (60, 2))])
+        ps = ColoredPointSet(domain, pts[::2], pts[1::2])
+        levels = hierarchy.init_state(ps, system).levels
+        for color, pts in (("red", ps.reds), ("blue", ps.blues)):
+            unit = np.floor(pts).astype(np.int64)
+            digit = {m: (unit[:, m % 2] - system.t[m]) % a[m] // a[m - 2]
+                     for m in range(2, N + 1)}
+            row1 = sum(digit[m] * (a[m - 1] * a[m - 2]) for m in range(2, N + 1))
+            row1[~w.contains(pts.T)] = -1
+            for n in range(1, N + 1):
+                table = getattr(levels[n], color)
+                assert np.array_equal(table.row, row1 // (a[n] * a[n - 1]))
+                assert np.array_equal(table.in_heir, digit[n] == 0 if n >= 2 else
+                                      np.zeros(len(pts), bool))
+
+
 # Per n, the hits of heir_frequency(n, trials, seed) for seeds 0, 1, 2 at one
 # trial and at 1000, recorded when it compared two grid-cell starts; it now
 # applies the stage tables' heir test, which must give the same floats.

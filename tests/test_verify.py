@@ -775,12 +775,17 @@ class TestBoxRematch:
         with pytest.raises(ValueError):
             box_rematch_experiment(ps, m, t=0.0)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf])
-    def test_rejects_side_not_finite(self, t):
-        # NaN passes a plain `t <= 0` test, and then no edge lies in any cell
-        ps, n = balanced(square_ps(0, side=4.0))
-        m = Matching(ps.reds, ps.blues, [(i, i) for i in range(n)])
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("t,x1", [pytest.param(math.nan, 4.0, id="nan"),
+                                      pytest.param(math.inf, 4.0, id="inf"),
+                                      pytest.param(5e-324, 4.0, id="5e-324"),
+                                      pytest.param(6.0, 1e308, id="window_2e308_wide")])
+    def test_rejects_side_not_finite(self, t, x1):
+        # NaN passes a plain `t <= 0` test, and then no edge lies in any cell.
+        # 2**53 squares or more across, cell numbers are no exact floats: at
+        # 5e-324 both ends' cells overflowed to inf, which made them one cell
+        ps = ColoredPointSet(Domain.strip(-x1, x1), [[0.5, 0.5]], [[1.0, 0.5]])
+        m = Matching(ps.reds, ps.blues, [(0, 0)])
+        with pytest.raises(ValueError, match="square side"):
             box_rematch_experiment(ps, m, t=t)
 
 
