@@ -3,22 +3,22 @@
 Every solve in the package goes through this module, and within it through
 one door, ``assign_in_groups``: it alone scores an assignment problem or
 calls a scipy kernel. It takes many independent problems of one kind at
-once, as points laid end to end with offsets: SQUARE (perfect, with the tie
-pass), RECTANGULAR (the smaller side fully matched) and SATURATING
-(mandatory points and reserve pools). Their cost matrices share one buffer,
-written by the ``cdist`` kernel, and the assignment routine is called once
-per problem, so the Python around each problem is a few slices and two
-kernel calls; the partners come back as one array. ``min_cost_perfect`` and
-``max_cardinality_min_cost`` are one-problem calls of it. The hierarchy's
-blocks, the box-rematch cells and the walks' zero and cut-time blocks each
-go to it in one call per step.
+once, as points laid end to end with offsets: RECTANGULAR (the smaller
+side fully matched, so every point where the sides are equal) and
+SATURATING (mandatory points and reserve pools). Their cost matrices are
+written by the ``cdist`` kernel into one reused buffer, and the assignment
+routine is called once per problem, so the Python around each problem is a
+few slices and two kernel calls; the partners come back as one array.
+``min_cost_perfect`` and ``max_cardinality_min_cost`` are one-problem calls
+of it. The hierarchy's blocks, the box-rematch cells and the walks' zero
+and cut-time blocks each go to it in one call per step.
 
 A problem with at most SMALL_MAX = 3 points on one side has few enough
 injections to score outright. ``assign_in_groups``' first step, its
-small-problem pass (``_settle_small``), settles the RECTANGULAR and
-SATURATING problems of that size in one numpy pass per size, with the cost
-matrix's floats, where the least total beats the runner-up by more than
-EPS_TIE; the rest (a near-tie, or a larger problem) reach the kernel.
+small-problem pass (``_settle_small``), settles the problems of that size
+in one numpy pass per size, with the cost matrix's floats, where the least
+total beats the runner-up by more than EPS_TIE; the rest (a near-tie, or a
+larger problem) reach the kernel.
 
 The brute-force enumerator ``brute_force_min``, kept as the oracle, and the
 2-swap probe ``improvable_pair`` solve nothing: they take their distances
@@ -42,29 +42,29 @@ back to ``scipy.optimize.linear_sum_assignment`` and
 ``scipy.spatial.distance.cdist``. Sampling, the walk constructions, the arc
 verifiers, the oracle and rendering never load scipy at all.
 
-Cost ties (within EPS_TIE) are broken differently by the two solvers. The
-oracle returns the edge list that is lexicographically earliest in point
-coordinates among all minima. ``min_cost_perfect`` returns a fixed point of
-cost-preserving 2-swaps toward earlier partners: no two reds, in red-lex
-order, can exchange partners at equal cost so that the earlier red gets the
-lexicographically earlier blue. That is weaker: a tied 3-cycle is not undone,
-so on rare tie-rich inputs the two solvers return different minima.
+Poisson points tie in length with probability 0, and the constructions
+need a minimum, not a canonical one. So ``min_cost_perfect`` returns a
+minimum: on tied inputs (within EPS_TIE) the kernel's choice for the points
+in the given order, the same on every run. The oracle returns the minimum
+whose edge list is lexicographically earliest in point coordinates, so on
+tied inputs the two can differ at equal length.
 
-The tie pass finds candidate pairs with numpy, a block of rows at a time, so
-Python touches only actual swaps. Before the ordered scan it makes one scan
-in row order for any tied pair at all, and returns at once when there is
-none, as on random reals: 0.06 -> 0.03 ms at n=30 and 12 -> 6 ms at n=1000
-(2-CPU Xeon). Both scans gather a block of rows at a time from the cost
-matrix, so neither holds a second n-by-n array. The assignment routine
-itself dominates the time of ``min_cost_perfect``. It takes its rows in
-golden-ratio order (see ``_assign``), which makes it faster and its time
-less dependent on the input. Every dense solve builds its cost matrix in
-that order to begin with, so none makes a reordered copy; at n=1000 the
-traced peak of ``min_cost_perfect`` is 8.8 MiB, one 7.6 MiB matrix and the
-scan's row blocks, where the copy made it 15.3 MiB. The tie pass runs on
-that matrix, and the partners are mapped back to the reds' index order.
-Problems that share the buffer are screened for tied pairs a batch at a
-time (``_tied_in_buffer``), so the scan in Python visits only tied ones.
+The assignment routine dominates the time of a dense solve. It takes its
+rows in golden-ratio order (see ``_assign``), and every dense solve builds
+its cost matrix in that order to begin with, so none makes a reordered copy:
+at n=1000 that is one 7.6 MiB matrix, where the copy made it 15.3 MiB.
+
+Every cost matrix of a call is a prefix view ``work[:n*m].reshape(n, m)``
+of one float64 buffer, taken from the module's one-slot spare (``_spare``),
+grown if too small and put back when the call is done, so two concurrent
+calls never write one buffer. A buffer of at most SPARE_ENTRIES = 2**22
+entries (32 MiB) is kept. A matrix freed after its solve raises glibc's
+dynamic mmap threshold to its size, so the next goes on the heap, where the
+freed pages stay resident beside it: with no buffer kept, the
+``exact_assignment`` benchmark peaked at 60.0-60.4 MB, against 54.2-54.6 MB
+with it (seeds 0 and 7). Above 32 MiB, glibc's largest threshold, malloc
+maps each matrix anyway, and a kept one would only hold memory: the N=6
+hierarchy's level-6 matrix is 116 MB.
 """
 
 from __future__ import annotations
@@ -80,9 +80,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .geometry import _same_points, _two_columns
+from .geometry import _two_columns
 from .matching import Matching, partner_edges
-from .sampling import canonical_order
 
 EPS_TIE = 1e-9
 BRUTE_FORCE_MAX = 9
@@ -90,13 +89,14 @@ BIG = 1e15  # forbidden-cell cost in padded assignment problems
 ROW_BLOCK = 64  # rows per block of the pair scans; bounds their temporaries
 SMALL_MAX = 3  # largest small side the small-problem pass settles
 PAIR_BLOCK = 4096  # point pairs per batch of the small-problem pass
-GROUP_ENTRIES = 1 << 14  # cost entries in the buffer assign_in_groups shares
+SPARE_ENTRIES = 1 << 22  # largest buffer kept between solves: 32 MiB (module doc)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # the kinds of problem assign_in_groups solves
-SQUARE = "square"
 RECTANGULAR = "rectangular"
 SATURATING = "saturating"
+
+_spare: list = []  # at most one float64 buffer, free for the next solve
 
 
 # the compiled module and function behind each kernel, and its public import
@@ -189,118 +189,18 @@ def _lex_key(reds: np.ndarray, blues: np.ndarray, assign) -> tuple:
     return tuple((blues[assign[i]][0], blues[assign[i]][1]) for i in order)
 
 
-def _first_pair(n: int, hits, start: int = 0) -> Optional[int]:
-    """Flat position a*n + b of the first pair a < b, in scan order from flat
-    position ``start`` on, that ``hits(rows, cols)`` marks; None if there is
-    none. ``hits`` gets two slices, a block of at most ROW_BLOCK rows and
-    every column from the block's first row on, and returns a boolean
-    (rows, cols) array."""
-    for r0 in range(start // n, n, ROW_BLOCK):
+def _first_pair(n: int, hits) -> Optional[int]:
+    """Flat position a*n + b of the first pair a < b, in scan order, that
+    ``hits(rows, cols)`` marks; None if there is none. ``hits`` gets two
+    slices, a block of at most ROW_BLOCK rows and every column from the
+    block's first row on, and returns a boolean (rows, cols) array."""
+    for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
         rows, cols = np.arange(r0, r1), np.arange(r0, n)
         a, b = np.nonzero(hits(slice(r0, r1), slice(r0, n)) & (cols > rows[:, None]))
-        flat = rows[a] * n + cols[b]
-        flat = flat[flat >= start]
-        if len(flat):
-            return int(flat[0])
+        if len(a):  # nonzero lists the hits in row-major order
+            return int(rows[a[0]] * n + cols[b[0]])
     return None
-
-
-def _lex_rank(pts: np.ndarray) -> np.ndarray:
-    """Dense rank of each point in lexicographic (x, y) order; equal points
-    share a rank."""
-    order = canonical_order(pts)
-    ranked = pts[order]
-    new = np.ones(len(pts), dtype=bool)
-    new[1:] = ~_same_points(ranked[1:], ranked[:-1])
-    rank = np.empty(len(pts), dtype=int)
-    rank[order] = np.cumsum(new)
-    return rank
-
-
-def _has_tie(cost: np.ndarray, assign: np.ndarray) -> bool:
-    """Whether two rows i != j have cost[i, assign[j]] + cost[j, assign[i]]
-    within EPS_TIE of their own two costs. Rows come a block of ROW_BLOCK
-    at a time, each against the rows from the block's first on, so each
-    pair is tested at least once; the test is symmetric in the two rows
-    (float addition commutes), so the order does not matter."""
-    n = len(assign)
-    d = cost[np.arange(n), assign]
-    for r0 in range(0, n, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n)
-        # updated in place, so at most two row blocks are live; ``take``
-        # gives a C-order block, which the transposed gather matches
-        alt = np.take(cost[r0:r1], assign[r0:], axis=1)
-        alt += cost[r0:, assign[r0:r1]].T
-        alt -= d[r0:r1, None] + d[r0:]
-        hit = np.abs(alt, out=alt) <= EPS_TIE
-        np.fill_diagonal(hit, False)  # a row paired with itself
-        if hit.any():
-            return True
-    return False
-
-
-def _canonicalize_ties(reds, blues, cost, assign, ids) -> np.ndarray:
-    """Pairwise-swap pass: among cost-preserving 2-swaps prefer the
-    lexicographically earlier partner sequence. Pairs of reds are scanned in
-    red-lex order, swapping wherever the later red's partner is the earlier
-    blue, until a whole scan swaps nothing. Random-real inputs have no ties,
-    so this only matters for handcrafted configurations.
-
-    Row k of ``cost``, ``reds[k]`` and ``assign[k]`` belong to the red of
-    index ``ids[k]``; reds at equal coordinates are scanned in the order of
-    that index, so the result does not depend on the order of the rows.
-
-    Fast exit: a swap needs a tied pair, whichever red comes first, so when
-    ``_has_tie`` finds none in row order the assignment is returned as it
-    is, before any lexicographic ordering."""
-    n = len(assign)
-    if not _has_tie(cost, assign):
-        return assign
-    assign = assign.copy()
-    order = np.lexsort((ids, reds[:, 1], reds[:, 0]))
-    rank = _lex_rank(blues)
-
-    def swaps(rows, cols):
-        part = assign[order]
-        d = cost[order, part]
-        alt = (cost[np.ix_(order[rows], part[cols])]
-               + cost[np.ix_(order[cols], part[rows])].T)
-        cur = d[rows, None] + d[cols]
-        earlier = rank[part[cols]] < rank[part[rows], None]
-        return (np.abs(alt - cur) <= EPS_TIE) & earlier
-
-    changed = True
-    while changed:
-        changed = False
-        pos = _first_pair(n, swaps)
-        while pos is not None:
-            i, j = order[pos // n], order[pos % n]
-            assign[i], assign[j] = assign[j], assign[i]
-            changed = True
-            pos = _first_pair(n, swaps, pos + 1)
-    return assign
-
-
-def _tied_in_buffer(flat: np.ndarray, off: np.ndarray, n: np.ndarray,
-                    col: np.ndarray) -> np.ndarray:
-    """``_has_tie`` of many square matrices at once, per matrix: matrix g is
-    the n[g]-by-n[g] block of ``flat`` from offset off[g], row-major, and
-    ``col`` holds the column of each of their rows, matrix after matrix.
-    Every pair of rows i < j of a matrix is tested with ``_has_tie``'s float
-    operations, so the answers are its answers; the pairs number fewer than
-    the entries."""
-    place, at = _spans(np.zeros(len(n), dtype=np.int64), n)  # each row's, in its matrix
-    group = np.repeat(np.arange(len(n)), n)
-    row = np.arange(at[-1])
-    base = off[group] + place * n[group]  # where each row starts
-    d = flat[base + col]
-    later = at[group + 1] - row - 1
-    i = np.repeat(row, later)
-    j = _spans(row + 1, later)[0]
-    alt = flat[base[i] + col[j]] + flat[base[j] + col[i]]
-    alt -= d[i] + d[j]
-    return np.bincount(group[i[np.abs(alt) <= EPS_TIE]], minlength=len(n)) > 0
 
 
 def _pad(cost: np.ndarray, reds: np.ndarray, blues: np.ndarray,
@@ -329,31 +229,25 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     red, as an index into ``blues``, or -1 where it is left unmatched. The
     kinds:
 
-    - SQUARE (``min_cost_perfect``): equal sides, every red matched at
-      minimum total length, ties broken by the tie pass;
-    - RECTANGULAR (``max_cardinality_min_cost``): the smaller side fully
-      matched at minimum total length; a problem with an empty side has no
-      pairs;
+    - RECTANGULAR (``max_cardinality_min_cost``, and ``min_cost_perfect``
+      where the sides are equal): the smaller side fully matched at minimum
+      total length; a problem with an empty side has no pairs;
     - SATURATING (the hierarchy's rematch step): the first ``red_must[g]``
       reds and ``blue_must[g]`` blues of problem g are mandatory and the
       rest are its reserve; every mandatory point is matched, no pair joins
       two reserve points, and a problem without mandatory points has no
       pairs.
 
-    A RECTANGULAR or SATURATING problem with at most SMALL_MAX points on its
-    small side goes first to the small-problem pass (``_settle_small``),
-    which settles it with the solvers' answer unless it is a near-tie; a
-    problem settled there reaches no kernel.
+    A problem with at most SMALL_MAX points on its small side goes first to
+    the small-problem pass (``_settle_small``), which settles it with the
+    kernel's answer unless it is a near-tie; a problem settled there reaches
+    no kernel.
     Each other problem's cost matrix has its rows in golden-ratio order
     (``_scattered``): the smaller side's points against the larger side's,
     the reds where the sides are equal, written by the compiled ``cdist``
-    kernel, or the padded matrix of ``_pad``. The assignment routine is
-    called once per problem.
-    Matrices of at most GROUP_ENTRIES entries are laid end to end in one
-    buffer, a batch at a time; a larger one gets a matrix of its own. For
-    SQUARE the tie pass screens a batch for tied pairs at once
-    (``_tied_in_buffer``), so Python visits only the tied problems, and a
-    matrix of its own a block of rows at a time (``_has_tie``)."""
+    kernel, or the padded matrix of ``_pad``. Every matrix is a prefix view
+    of one buffer, the module's spare (see module doc), and the assignment
+    routine is called once per problem."""
     reds = _two_columns(reds, "reds", float)
     blues = _two_columns(blues, "blues", float)
     red_start = np.asarray(red_start, dtype=np.int64)
@@ -369,64 +263,47 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
         solve = must_r + must_b > 0  # every pair needs a mandatory end
         n_rows = n_cols = np.maximum(n_r, n_b)
         must = (must_r, must_b)
-    elif kind in (SQUARE, RECTANGULAR):
-        if kind == SQUARE and (n_r != n_b).any():
-            k = np.flatnonzero(n_r != n_b)[0]
-            raise ValueError(f"size mismatch: {n_r[k]} reds vs {n_b[k]} blues")
+    elif kind == RECTANGULAR:
         solve = (n_r > 0) & (n_b > 0)
         n_rows, n_cols = np.minimum(n_r, n_b), np.maximum(n_r, n_b)
         must = ()
     else:
         raise ValueError(f"unknown kind {kind!r}")
     partner = np.full(len(reds), -1, dtype=np.int64)
-    if kind != SQUARE:
-        solve[_settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner)] = False
+    solve[_settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner)] = False
     g = solve.nonzero()[0]
     if not len(g):
         return partner
-    entries = (n_rows * n_cols)[g]
-    problems = list(zip(red_start[g].tolist(), n_r[g].tolist(), blue_start[g].tolist(),
-                        n_b[g].tolist(), n_rows[g].tolist(), n_cols[g].tolist(),
-                        *(m[g].tolist() for m in must)))
-    buf = np.empty(min(GROUP_ENTRIES, int(entries[entries <= GROUP_ENTRIES].sum())))
+    problems = zip(red_start[g].tolist(), n_r[g].tolist(), blue_start[g].tolist(),
+                   n_b[g].tolist(), n_rows[g].tolist(), n_cols[g].tolist(),
+                   *(m[g].tolist() for m in must))
+    need = int((n_rows * n_cols)[g].max())
+    try:  # list.pop is atomic: no other call gets this buffer
+        work = _spare.pop()
+    except IndexError:
+        work = np.empty(0)
+    if len(work) < need:
+        work = np.empty(need)
     distances, assign = _kernel("cdist"), _assign  # looked up once, not per problem
     # problem by problem, in order, each row's red and blue within its problem
     red_ends, blue_ends = [], []
-    for p0, p1 in _runs(entries, len(buf)):
-        used, square = 0, []
-        for k in range(p0, p1):
-            a, nr, b, nb, n, m, *must_k = problems[k]
-            if n * m > len(buf):  # alone in its batch
-                cost = np.empty((n, m))
-            else:
-                cost = buf[used:used + n * m].reshape(n, m)
-                used += n * m
+    try:
+        for a, nr, b, nb, n, m, *must_k in problems:
+            cost = work[:n * m].reshape(n, m)
             sc = _scattered(n)
             if kind == SATURATING:  # row k of the matrix is padded row sc[k]
                 _pad(cost, reds[a:a + nr], blues[b:b + nb], *must_k)
                 red_ends.append(sc)
                 blue_ends.append(assign(cost))
             elif nr <= nb:  # the reds are the rows
-                c = assign(distances(reds[a:a + nr][sc], blues[b:b + nb], out=cost))
-                if kind == SQUARE:
-                    square.append((a, b, n, sc, c, cost))
-                else:
-                    red_ends.append(sc)
-                    blue_ends.append(c)
+                red_ends.append(sc)
+                blue_ends.append(assign(distances(reds[a:a + nr][sc], blues[b:b + nb], out=cost)))
             else:
                 blue_ends.append(sc)
                 red_ends.append(assign(distances(blues[b:b + nb][sc], reds[a:a + nr], out=cost)))
-        if square:
-            if used:
-                size = np.array([n for _, _, n, *_ in square])
-                tied = _tied_in_buffer(buf, np.cumsum(size * size) - size * size, size,
-                                       np.concatenate([c for *_, c, _ in square])).tolist()
-            else:  # one problem, in a matrix of its own: the tie pass screens it
-                tied = [True]
-            for (a, b, n, sc, c, cost), tie in zip(square, tied):
-                red_ends.append(sc)
-                blue_ends.append(_canonicalize_ties(reds[a:a + n][sc], blues[b:b + n], cost, c, sc)
-                                 if tie else c)
+    finally:
+        if len(work) <= SPARE_ENTRIES:
+            _spare[:] = [work]  # one assignment: the spare never holds two
 
     def each_row(x: np.ndarray) -> np.ndarray:
         return np.repeat(x[g], n_rows[g])
@@ -456,10 +333,7 @@ def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
     least total length of an injection of its small side into its other side
     beats every other injection's by more than EPS_TIE. Such a unique
     minimum is the matching the kernel gives the problem; the rest are left
-    to the kernel, whose choice among near-ties this does not model. (SQUARE
-    is not offered: its tie pass compares a differently rounded sum with
-    EPS_TIE, so at a gap within a few ulps of EPS_TIE the two tests can
-    disagree.)
+    to the kernel, whose choice among near-ties this does not model.
 
     The distances are the cost matrix's floats (``_pair_distances``), and an
     injection's total is their sum in point order. A problem with s points
@@ -497,11 +371,14 @@ def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
 
 
 def min_cost_perfect(reds, blues) -> Matching:
-    """Perfect matching of minimum total Euclidean length; ties are broken
-    as described in the module docstring."""
+    """Perfect matching of minimum total Euclidean length. Where several
+    matchings tie for the minimum, it is the one the kernel picks for the
+    points in the given order, the same on every run (module doc)."""
     reds = _two_columns(reds, "reds", float)
     blues = _two_columns(blues, "blues", float)
-    partner = assign_in_groups(SQUARE, reds, [0, len(reds)], blues, [0, len(blues)])
+    if len(reds) != len(blues):
+        raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
+    partner = assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)])
     return Matching(reds, blues, partner_edges(partner))
 
 

@@ -4,9 +4,10 @@ Every command is deterministic given its flags/config (all randomness flows
 from explicit seeds). Exit codes: 0 success, 1 property violation, 2 usage
 or configuration error, including any invalid flag value or input file. A
 JSON config file can supply defaults; flags win. The commands are a thin
-shell over the API: ``_load_result`` reads every input file (arcs only as
-the drawing of the matching), ``verify`` builds every report, and ``_write``
-streams every output, so none is held whole.
+shell over the API: ``_load_result`` reads every input file (points only
+inside their window, arcs only as the drawing of the matching), ``verify``
+builds every report, and ``_write`` streams every output, so none is held
+whole.
 
 ``_dump`` is the one JSON writer. It writes the bytes of ``json.dumps(obj,
 indent=1, sort_keys=True)`` and a newline, from one walk (``_json_chunks``):
@@ -129,9 +130,9 @@ def _make_domain(kind: str, window: str) -> Domain:
     return getattr(Domain, kind)(*parts)
 
 
-class InputErrorGroup(click.Group):
-    """Group whose subcommands report invalid flag values and malformed input
-    files as usage errors (exit 2) instead of tracebacks."""
+class InputErrorCommand(click.Command):
+    """Command that reports invalid flag values and malformed input files as
+    usage errors (exit 2) under its own usage line, instead of tracebacks."""
 
     def invoke(self, ctx):
         try:
@@ -142,6 +143,10 @@ class InputErrorGroup(click.Group):
             raise click.UsageError(str(e), ctx) from e
 
 
+class InputErrorGroup(click.Group):
+    command_class = InputErrorCommand  # every subcommand
+
+
 @click.group(cls=InputErrorGroup)
 def main():
     """Desk-scale Poisson matching constructions and verifiers."""
@@ -150,7 +155,10 @@ def main():
 def config_option(f):
     def callback(ctx, param, value):
         if value:
-            defaults = _load(value)
+            try:
+                defaults = _load(value)
+            except ValueError as e:  # not JSON
+                raise click.BadParameter(f"{value}: {e}", ctx, param) from e
             if not isinstance(defaults, dict):
                 raise click.BadParameter(f"{value} is not a JSON object", ctx, param)
             ctx.default_map = {**defaults, **(ctx.default_map or {})}
@@ -219,20 +227,34 @@ def _check_format(d: dict, path: str, what: str = "") -> None:
         raise ValueError(f"unsupported {what}format {d['format']!r} in {path}")
 
 
+def _points_of(d: dict, path: str) -> ColoredPointSet:
+    """The point set ``d`` states; a point outside its domain's closed
+    window is a ValueError naming the file and the first such point."""
+    ps = ColoredPointSet.from_json(d)
+    w = ps.domain
+    x, y = np.concatenate([ps.reds, ps.blues]).T
+    out = np.flatnonzero((x < w.x0) | (x > w.x1) | (y < w.y0) | (y > w.y1))
+    if len(out):
+        raise ValueError(f"the point {(float(x[out[0]]), float(y[out[0]]))} in {path} lies "
+                         f"outside its window [{w.x0!r}, {w.x1!r}] x [{w.y0!r}, {w.y1!r}]")
+    return ps
+
+
 def _load_result(path: str):
     """The points, matching and arcs of the result file at ``path``, and its
-    dict; a point-set file has neither matching nor arcs. Arcs that do not
-    draw the matching (``verify._drawn_edges``) are an input error."""
+    dict; a point-set file has neither matching nor arcs. Points outside the
+    file's window (``_points_of``) and arcs that do not draw the matching
+    (``verify._drawn_edges``) are input errors."""
     d = _load(path)
     if not isinstance(d, dict):
         raise ValueError(f"malformed input {path}: not a JSON object")
     _check_format(d, path)
     with _fields_of(path):
         if "points" not in d:
-            return ColoredPointSet.from_json(d), None, None, d
+            return _points_of(d, path), None, None, d
         _check_format(d["points"], path, "points ")
         _check_format(d["matching"], path, "matching ")
-        ps = ColoredPointSet.from_json(d["points"])
+        ps = _points_of(d["points"], path)
         m = Matching.from_json(d["matching"], ps.reds, ps.blues)
         arcs = None
         if "arcs" in d:

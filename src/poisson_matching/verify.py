@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcTable
-from .assignment import (EPS_TIE, SQUARE, _runs, _spans, _stable_order, assign_in_groups,
+from .assignment import (EPS_TIE, RECTANGULAR, _runs, _spans, _stable_order, assign_in_groups,
                          brute_force_min, improvable_pair)
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment, _crosses_region,
                        _intersections, _overlap_error, _same_points)
@@ -386,7 +386,7 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     bounds = np.append(np.flatnonzero(first), len(ks))
     R, B = r.take(ks, axis=0), b.take(ks, axis=0)
     # each rematched edge keeps its red and takes the blue at B[new]
-    new = assign_in_groups(SQUARE, R, bounds, B, bounds)
+    new = assign_in_groups(RECTANGULAR, R, bounds, B, bounds)
     lengths = _lengths(r, b)
     length_before = float(lengths.sum())
     lengths[ks] = _lengths(R, B.take(new, axis=0))

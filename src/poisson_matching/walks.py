@@ -25,7 +25,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .assignment import RECTANGULAR, SQUARE, _inverse, _stable_order, assign_in_groups
+from .assignment import RECTANGULAR, _inverse, _stable_order, assign_in_groups
 from .arcs import ArcSpec, ArcTable  # ArcSpec, the table's row type, is exported here too
 from .geometry import LINE, STRIP, Domain
 from .matching import ONE_COLOR, Matching, partner_edges
@@ -95,7 +95,7 @@ def zero_block_matching(ps: ColoredPointSet) -> Matching:
     rc, bc = _interval_cuts(ps, np.concatenate([[ps.domain.x0], zero_xs]))
     if (np.diff(rc) != np.diff(bc)).any():
         raise WalkInvariantError("zero block is not balanced")
-    return _block_matching(ps, SQUARE, rc, bc)
+    return _block_matching(ps, RECTANGULAR, rc, bc)
 
 
 def one_color_pairing(ps: ColoredPointSet, coin: int) -> Matching:

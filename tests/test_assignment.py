@@ -15,9 +15,9 @@ from scipy.spatial.distance import cdist
 import poisson_matching
 
 from poisson_matching import assignment, matching
-from poisson_matching.assignment import (BIG, EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING,
-                                         SMALL_MAX, SQUARE, _pair_distances, assign_in_groups,
-                                         brute_force_min, improvable_pair,
+from poisson_matching.assignment import (BIG, BRUTE_FORCE_MAX, EPS_TIE, RECTANGULAR,
+                                         ROW_BLOCK, SATURATING, SMALL_MAX, _pair_distances,
+                                         assign_in_groups, brute_force_min, improvable_pair,
                                          max_cardinality_min_cost, min_cost_perfect)
 from poisson_matching.geometry import Domain, is_parallel_free
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
@@ -36,14 +36,14 @@ SQUARE_REDS = np.array([[0.0, 0.0], [1.0, 0.0]])
 SQUARE_BLUES = np.array([[0.0, 1.0], [1.0, 1.0]])
 
 
-# One-problem calls of assign_in_groups: the partner array of a square
-# problem, and the (red, blue) pairs, by red, of a rectangular problem and of
-# a saturating one, whose indices run over reds + reserve_reds and blues +
-# reserve_blues.
+# One-problem calls of assign_in_groups: the partner array of a problem
+# with equal sides, and the (red, blue) pairs, by red, of a rectangular
+# problem and of a saturating one, whose indices run over reds + reserve_reds
+# and blues + reserve_blues.
 
 def min_cost_partners(reds, blues) -> np.ndarray:
     reds, blues = _points(reds), _points(blues)
-    return assign_in_groups(SQUARE, reds, [0, len(reds)], blues, [0, len(blues)])
+    return assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)])
 
 
 def _pairs(partner):
@@ -67,25 +67,6 @@ def min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
 def test_scattered_at_inverts_scattered():
     for n in range(301):
         assert np.array_equal(assignment._scattered(n)[assignment._scattered_at(n)], np.arange(n))
-
-
-def test_tied_in_buffer_is_has_tie_of_each_matrix():
-    # square matrices of 0-6 rows laid end to end, of random reals (no ties)
-    # or of small integers (many), each row with a column of its own
-    rng = derived_rng(29)
-    seen = set()
-    for trial in range(60):
-        sizes = rng.integers(0, 7, size=8)
-        mats = [rng.integers(0, 4, (n, n)).astype(float) if rng.random() < 0.3
-                else rng.uniform(0, 1, (n, n)) for n in sizes]
-        cols = [rng.permutation(n) for n in sizes]
-        got = assignment._tied_in_buffer(np.concatenate([c.ravel() for c in mats]),
-                                         np.cumsum(sizes * sizes) - sizes * sizes, sizes,
-                                         np.concatenate(cols))
-        want = [assignment._has_tie(c, col) for c, col in zip(mats, cols)]
-        assert got.tolist() == want
-        seen.update(want)
-    assert seen == {False, True}
 
 
 class TestMinCostPerfect:
@@ -130,49 +111,13 @@ def _old_assign(cost: np.ndarray) -> np.ndarray:
     return assign
 
 
-def _old_canonicalize_ties(reds, blues, cost, assign) -> np.ndarray:
-    n = len(assign)
-    d = cost[np.arange(n), assign]
-
-    def tied(rows, cols):  # cost[i, assign[j]] + cost[j, assign[i]], i in rows
-        alt = cost[rows][:, assign[cols]] + cost[cols][:, assign[rows]].T
-        return np.abs(alt - (d[rows, None] + d[cols])) <= EPS_TIE
-
-    if assignment._first_pair(n, tied) is None:
-        return assign
-    assign = assign.copy()
-    order = np.lexsort((reds[:, 1], reds[:, 0]))
-    rank = assignment._lex_rank(blues)
-
-    def swaps(rows, cols):
-        part = assign[order]
-        d = cost[order, part]
-        alt = (cost[np.ix_(order[rows], part[cols])]
-               + cost[np.ix_(order[cols], part[rows])].T)
-        cur = d[rows, None] + d[cols]
-        earlier = rank[part[cols]] < rank[part[rows], None]
-        return (np.abs(alt - cur) <= EPS_TIE) & earlier
-
-    changed = True
-    while changed:
-        changed = False
-        pos = assignment._first_pair(n, swaps)
-        while pos is not None:
-            i, j = order[pos // n], order[pos % n]
-            assign[i], assign[j] = assign[j], assign[i]
-            changed = True
-            pos = assignment._first_pair(n, swaps, pos + 1)
-    return assign
-
-
 def _old_min_cost_partners(reds, blues) -> np.ndarray:
     reds, blues = _points(reds), _points(blues)
     if len(reds) != len(blues):
         raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
     if len(reds) == 0:
         return np.empty(0, dtype=int)
-    cost = cdist(reds, blues)
-    return _old_canonicalize_ties(reds, blues, cost, _old_assign(cost))
+    return _old_assign(cdist(reds, blues))
 
 
 def _old_min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
@@ -195,29 +140,6 @@ def _old_min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
             if i < nr and j < nb and (i < nr1 or j < nb1)]
 
 
-def _reference_canonicalize_ties(reds, blues, cost, assign) -> np.ndarray:
-    """The tie pass as a plain loop over every pair: the reference for the
-    vectorised one."""
-    assign = assign.copy()
-    n = len(assign)
-    order = np.lexsort((reds[:, 1], reds[:, 0]))
-    changed = True
-    while changed:
-        changed = False
-        for ai in range(n):
-            for aj in range(ai + 1, n):
-                i, j = order[ai], order[aj]
-                cur = cost[i, assign[i]] + cost[j, assign[j]]
-                alt = cost[i, assign[j]] + cost[j, assign[i]]
-                if abs(alt - cur) <= EPS_TIE:
-                    pi = tuple(blues[assign[i]])
-                    pj = tuple(blues[assign[j]])
-                    if pj < pi:
-                        assign[i], assign[j] = assign[j], assign[i]
-                        changed = True
-    return assign
-
-
 def _lattice(rng, width, n, distinct):
     """n integer points on a width x width grid, distinct or drawn with
     replacement (so points may repeat)."""
@@ -225,154 +147,88 @@ def _lattice(rng, width, n, distinct):
     return np.stack([cells // width, cells % width], axis=1).astype(float)
 
 
+def _tied(reds, blues, partner) -> bool:
+    """Whether two reds can exchange their partners at a length within
+    EPS_TIE of their own: another least matching, when ``partner`` is one."""
+    swapped = cdist(reds, blues)[:, partner]  # [i, j]: red i to red j's partner
+    d = np.diag(swapped)
+    alt = swapped + swapped.T - d[:, None] - d
+    np.fill_diagonal(alt, np.inf)
+    return bool((np.abs(alt) <= EPS_TIE).any())
+
+
 class TestTiePass:
+    """Tied inputs, where a tie pass once chose among the minima: with none,
+    min_cost_perfect returns a perfect matching of least length, brute
+    force's within EPS_TIE up to BRUTE_FORCE_MAX points and the index-order
+    solve's above, whichever minimum the kernel picks."""
+
     @staticmethod
     def _check(reds, blues) -> bool:
-        """min_cost_perfect's partners equal the reference pass applied to the
-        same assignment-routine output; True when that pass swapped."""
-        cost = cdist(reds, blues)
-        raw = _old_assign(cost)
-        want = _reference_canonicalize_ties(reds, blues, cost, raw)
-        got = min_cost_perfect(reds, blues)
-        assert got.edges == [(i, int(want[i])) for i in range(len(reds))]
-        return bool((want != raw).any())
+        """The check above; True when the input is tied (``_tied``)."""
+        m = min_cost_perfect(reds, blues)
+        assert m.kind == "perfect"
+        if len(reds) <= BRUTE_FORCE_MAX:
+            least = brute_force_min(reds, blues).total_length
+        else:
+            least = Matching(reds, blues, list(enumerate(
+                linear_sum_assignment(cdist(reds, blues))[1].tolist()))).total_length
+        assert abs(m.total_length - least) <= EPS_TIE
+        return _tied(reds, blues, np.array([j for _, j in m.edges], dtype=int))
 
     def test_matches_reference_on_lattices(self):
         rng = derived_rng(53)
-        swapped = 0
+        tied = 0
         for _ in range(300):
             width = int(rng.integers(2, 7))
             n = int(rng.integers(1, min(width * width, 12) + 1))
             reds = _lattice(rng, width, n, distinct=True)
             blues = _lattice(rng, width, n, distinct=True)
-            swapped += self._check(reds, blues)
-        assert swapped >= 30
+            tied += self._check(reds, blues)
+        assert tied >= 30
 
     def test_matches_reference_with_duplicate_blues(self):
         rng = derived_rng(59)
-        swapped = 0
+        tied = 0
         for _ in range(200):
             width = int(rng.integers(2, 7))
             n = int(rng.integers(2, 15))
             reds = _lattice(rng, width, n, distinct=n <= width * width)
             blues = _lattice(rng, width, n, distinct=False)
-            swapped += self._check(reds, blues)
-        assert swapped >= 30
+            tied += self._check(reds, blues)
+        assert tied >= 30
 
     def test_matches_reference_across_row_blocks(self):
         rng = derived_rng(61)
-        swapped = 0
+        tied = 0
         for width in (2, 3, 4, 5, 6):
             for n in (ROW_BLOCK + 1, 2 * ROW_BLOCK + 7):
                 reds = _lattice(rng, width, n, distinct=False)
                 blues = _lattice(rng, width, n, distinct=False)
-                swapped += self._check(reds, blues)
-        assert swapped >= 5
+                tied += self._check(reds, blues)
+        assert tied >= 5
 
     def test_random_reals_pass_unchanged(self):
+        # no ties, and the partners are the kernel's, as the solver rows give them
         rng = derived_rng(67)
         reds = rng.uniform(0, 5, (ROW_BLOCK * 3, 2))
         blues = rng.uniform(0, 5, (ROW_BLOCK * 3, 2))
         assert not self._check(reds, blues)
+        raw = _old_assign(cdist(reds, blues))
+        assert min_cost_perfect(reds, blues).edges == list(enumerate(raw.tolist()))
 
     def test_tied_three_cycle_is_not_undone(self):
-        # Three matchings of equal length; the 2-swap pass stops at a fixed
-        # point that is not the lexicographically earliest minimum.
+        # Three matchings of equal length: min_cost_perfect returns one, and
+        # the same one on every call, not brute force's lexicographically
+        # earliest.
         reds = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]])
         blues = np.array([[1.0, 1.0], [0.0, 2.0], [1.0, 0.0]])
         fast = min_cost_perfect(reds, blues)
         slow = brute_force_min(reds, blues)
-        assert fast.edges == [(0, 2), (1, 0), (2, 1)]
         assert slow.edges == [(0, 1), (1, 2), (2, 0)]
+        assert fast.edges != slow.edges
         assert fast.total_length == slow.total_length
-        assign = np.array([j for _, j in fast.edges])
-        cost = cdist(reds, blues)
-        fixed = _reference_canonicalize_ties(reds, blues, cost, assign)
-        assert (fixed == assign).all()
-
-
-def _far_reals(rng, n):
-    """n reds and n blues at random reals, paired in index order and far
-    from the collinear pair of ``_tied_pair``: no tied pair among them."""
-    reds = rng.uniform(100.0, 200.0, (n, 2))
-    return reds, reds + rng.uniform(-1.0, 1.0, (n, 2))
-
-
-def _tied_pair():
-    """Two reds and two blues on a line, both assignments of length 4 exactly.
-    By index red 0 comes first, by coordinates red 1; the tie pass gives the
-    lexicographically first red, red 1 at 0.0, the earlier blue, blue 1."""
-    return (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[3.0, 0.0], [2.0, 0.0]]))
-
-
-class TestTiePassFastExit:
-    """The exit taken before the ordered scan when no pair is tied: the
-    partners must still be the reference pass's, and the exit must be taken
-    exactly when there is no tied pair."""
-
-    @staticmethod
-    def _run(monkeypatch, reds, blues, raw):
-        """_canonicalize_ties against the reference on the raw assignment;
-        returns (partners, whether the ordered scan ran)."""
-        ranked, lex_rank = [], assignment._lex_rank
-
-        def counting(pts):
-            ranked.append(len(pts))
-            return lex_rank(pts)
-
-        monkeypatch.setattr(assignment, "_lex_rank", counting)
-        cost = cdist(reds, blues)
-        got = assignment._canonicalize_ties(reds, blues, cost, np.asarray(raw),
-                                            np.arange(len(reds)))
-        want = _reference_canonicalize_ties(reds, blues, cost, np.asarray(raw))
-        assert (got == want).all()
-        monkeypatch.undo()
-        return got, bool(ranked)
-
-    @pytest.mark.parametrize("raw", [[0, 1], [1, 0]])
-    def test_single_tie_index_and_lex_order_opposite(self, monkeypatch, raw):
-        reds, blues = _tied_pair()
-        got, scanned = self._run(monkeypatch, reds, blues, raw)
-        assert got.tolist() == [0, 1] and scanned
-
-    @pytest.mark.parametrize("raw", [[0, 1], [1, 0]])
-    def test_single_tie_among_untied_pairs(self, monkeypatch, raw):
-        fr, fb = _far_reals(derived_rng(71), 40)
-        pr, pb = _tied_pair()
-        reds = np.concatenate([fr[:25], pr, fr[25:]])
-        blues = np.concatenate([fb[:25], pb, fb[25:]])
-        start = np.concatenate([np.arange(25), 25 + np.array(raw), np.arange(27, 42)])
-        got, scanned = self._run(monkeypatch, reds, blues, start)
-        assert got[25:27].tolist() == [25, 26] and scanned
-
-    @pytest.mark.parametrize("raw", [[0, 1], [1, 0]])
-    def test_tie_only_in_last_row_block(self, monkeypatch, raw):
-        n = 2 * ROW_BLOCK + 10
-        fr, fb = _far_reals(derived_rng(73), n - 2)
-        pr, pb = _tied_pair()
-        reds, blues = np.concatenate([fr, pr]), np.concatenate([fb, pb])
-        start = np.concatenate([np.arange(n - 2), n - 2 + np.array(raw)])
-        got, scanned = self._run(monkeypatch, reds, blues, start)
-        assert got[-2:].tolist() == [n - 2, n - 1] and scanned
-        # without the pair, nothing is tied and the exit is taken
-        _, scanned = self._run(monkeypatch, fr, fb, np.arange(n - 2))
-        assert not scanned
-
-    def test_duplicate_blues(self, monkeypatch):
-        # equal blues make a tied pair, but swapping them gains nothing, so
-        # the scan runs and leaves the partners as they are
-        fr, fb = _far_reals(derived_rng(79), 30)
-        fb[7] = fb[19]
-        got, scanned = self._run(monkeypatch, fr, fb, np.arange(30))
-        assert scanned and got.tolist() == list(range(30))
-
-    def test_random_reals_take_the_exit(self, monkeypatch):
-        rng = derived_rng(83)
-        for n in (1, 2, 30, ROW_BLOCK + 3):
-            reds, blues = rng.uniform(0, 5, (n, 2)), rng.uniform(0, 5, (n, 2))
-            raw = _old_assign(cdist(reds, blues))
-            got, scanned = self._run(monkeypatch, reds, blues, raw)
-            assert not scanned and (got == raw).all()
+        assert all(min_cost_perfect(reds, blues).edges == fast.edges for _ in range(5))
 
 
 class TestBruteForce:
@@ -585,16 +441,16 @@ class TestMinCostSaturating:
 
 class TestAgainstIndexOrderPath:
     """The solves that build their cost matrix in solver row order give the
-    partners of the index-order path they replaced, bit for bit."""
+    partners of the index-order path they replaced, bit for bit, tied inputs
+    (lattices, repeated points) included."""
 
     @staticmethod
     def _check(reds, blues) -> bool:
-        """min_cost_partners equals the old path; True when the old path's
-        tie pass swapped."""
+        """min_cost_partners equals the old path; True when the input is
+        tied (``_tied``)."""
         want = _old_min_cost_partners(reds, blues)
         assert np.array_equal(min_cost_partners(reds, blues), want)
-        return len(want) > 0 and bool(
-            (want != _old_assign(cdist(reds, blues))).any())
+        return _tied(reds, blues, want)
 
     def test_random_reals(self):
         rng = derived_rng(107)
@@ -604,36 +460,35 @@ class TestAgainstIndexOrderPath:
 
     def test_lattices(self):
         rng = derived_rng(109)
-        swapped = 0
+        tied = 0
         for _ in range(300):
             width = int(rng.integers(2, 7))
             n = int(rng.integers(1, width * width + 1))
-            swapped += self._check(_lattice(rng, width, n, distinct=True),
-                                   _lattice(rng, width, n, distinct=True))
-        assert swapped >= 30
+            tied += self._check(_lattice(rng, width, n, distinct=True),
+                                _lattice(rng, width, n, distinct=True))
+        assert tied >= 30
 
     @pytest.mark.parametrize("side", ["reds", "blues"])
     def test_duplicate_points(self, side):
-        # equal reds are scanned in index order whatever rows they sit in
         rng = derived_rng(113, side == "reds")
-        swapped = 0
+        tied = 0
         for _ in range(200):
             width = int(rng.integers(2, 7))
             n = int(rng.integers(2, 20))
             dup = _lattice(rng, width, n, distinct=False)
             other = _lattice(rng, width, n, distinct=n <= width * width)
-            swapped += self._check(*((dup, other) if side == "reds" else (other, dup)))
-        assert swapped >= 30
+            tied += self._check(*((dup, other) if side == "reds" else (other, dup)))
+        assert tied >= 30
 
     @pytest.mark.parametrize("n", [ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
     def test_across_row_blocks(self, n):
         rng = derived_rng(127, n)
-        swapped = 0
+        tied = 0
         for width in (2, 3, 4, 5, 6):
-            swapped += self._check(_lattice(rng, width, n, distinct=False),
-                                   _lattice(rng, width, n, distinct=False))
+            tied += self._check(_lattice(rng, width, n, distinct=False),
+                                _lattice(rng, width, n, distinct=False))
         assert not self._check(rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2)))
-        assert swapped >= 3
+        assert tied >= 3
 
     @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
     def test_saturating_with_reserves(self, lattice):
@@ -948,9 +803,6 @@ class TestMinCostInGroups:
             want_pairs = list(enumerate(totals[0][1]))
             assert pairs[g] == want_pairs
             if len(S) == len(L):
-                # min_cost_partners' tie pass rounds its sum otherwise, so it
-                # agrees only where the gap is clear of EPS_TIE, as here
-                assert len(totals) == 1 or totals[1][0] - totals[0][0] > 2 * EPS_TIE
                 assert list(enumerate(min_cost_partners(S, L).tolist())) == want_pairs
                 assert brute_force_min(S, L).edges == want_pairs
         # every small size is settled somewhere; four points never are, and

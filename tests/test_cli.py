@@ -439,11 +439,12 @@ BAD_INPUTS = {
     "line_y1_not_0": (STATS_ETA, json.dumps({**json.loads(LINE_RESULT), "points": {
         **json.loads(LINE_RESULT)["points"], "domain": {
             "kind": "line", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 1.0}}}), "line domain"),
-    # the walk counts a red left of the window, the zero blocks do not
+    # the walk counts a red left of the window, the zero blocks do not; it
+    # failed as an unbalanced zero block, and is now refused as it is read
     "zero_block_point_left_of_window": (
         ["match", "--construction", "zero_block", "--out", os.devnull, "--in"],
         json.dumps({**ONE_EDGE_RESULT["points"], "reds": [[-1.0, 0.5]],
-                    "blues": [[1.0, 0.5]]}), "not balanced"),
+                    "blues": [[1.0, 0.5]]}), "lies outside its window"),
     # each command's own checks of its flags and of the kind of file it reads
     "plane_window_of_two_numbers": (["sample", "--seed", "1", "--domain", "plane",
                                      "--window", "0,10"], None, "x0,x1,y0,y1"),
@@ -520,6 +521,47 @@ def test_bad_input_is_usage_error(runner, tmp_path, name):
     assert res.exit_code == 2, res.output
     assert "Error:" in res.output and "Traceback" not in res.output
     assert cause in res.output
+
+
+# files whose points lie outside their window, and the first such point: a
+# strip (0, 2) edge at x = 1e300 made box rematch print overflow warnings
+# and exit 2 with "cost matrix is infeasible"
+OUTSIDE_THE_WINDOW = {
+    "far_edge_box_rematch": (["stats", "--kind", "box-rematch", "--box-side", "1e-10", "--in"],
+                             json.dumps({**ONE_EDGE_RESULT, "points": {
+                                 **ONE_EDGE_RESULT["points"], "reds": [[1e300, 0.5]],
+                                 "blues": [[1.5e300, 0.5]]}}),
+                             "(1e+300, 0.5)"),
+    "blue_left_of_a_point_set": (_match("excursion"), _with_points(blues=[[-0.5, 0.5]]),
+                                 "(-0.5, 0.5)"),
+    "off_the_line": (STATS_ETA, json.dumps({**json.loads(LINE_RESULT), "points": {
+        **json.loads(LINE_RESULT)["points"], "blues": [[1.0, 0.5]]}}), "(1.0, 0.5)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_THE_WINDOW))
+def test_points_outside_the_window_are_usage_errors(runner, tmp_path, name):
+    args, text, point = OUTSIDE_THE_WINDOW[name]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    res = invoke(runner, *args, str(path))
+    assert res.exit_code == 2, res.output
+    assert f"Error: the point {point} in {path} lies outside its window" in res.output
+    assert "Warning" not in res.output and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args,text", [
+    (["stats", "--kind", "box-rematch", "--box-side", "5e-324", "--in"],
+     json.dumps(ONE_EDGE_RESULT)),
+    (["sample", "--seed", "1", "--config"], "{"),
+], ids=["raised_while_running", "raised_reading_flags"])
+def test_value_error_in_a_command_prints_the_commands_usage(runner, tmp_path, args, text):
+    # it used to print the group's line, "Usage: main [OPTIONS] COMMAND [ARGS]..."
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    res = invoke(runner, *args, str(path))
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith(f"Usage: main {args[0]} [OPTIONS]\n")
 
 
 @pytest.mark.parametrize("stages", ["7", "12"])

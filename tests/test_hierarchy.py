@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,9 @@ from scipy.spatial.distance import cdist
 from scipy.stats import poisson, skellam
 
 from poisson_matching import assignment, hierarchy
-from poisson_matching.assignment import (BIG, EPS_TIE, GROUP_ENTRIES, RECTANGULAR, ROW_BLOCK,
-                                         SATURATING, SMALL_MAX, SQUARE, _canonicalize_ties,
-                                         _stable_order, assign_in_groups)
+from poisson_matching.assignment import (BIG, EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING,
+                                         SMALL_MAX, _stable_order, assign_in_groups,
+                                         min_cost_perfect)
 from poisson_matching.geometry import Rect
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
@@ -625,11 +626,12 @@ class TestExactBadRate:
 
 
 # --- Single-problem solves ----------------------------------------------------
-# The package's three exact solves as they were before they became one-problem
+# The package's exact solves as they were before they became one-problem
 # calls of ``assign_in_groups``: each builds its cost matrix with the public
 # ``cdist`` and calls the public ``linear_sum_assignment`` once, with the rows
-# in the same golden-ratio order and the same tie pass. Kept as the oracles
-# for the grouped routine and for the per-block stages below.
+# in the same golden-ratio order (``min_cost_pairs`` of equal sides is the
+# perfect solve). Kept as the oracles for the grouped routine and for the
+# per-block stages below.
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -647,21 +649,6 @@ def _assign(cost):
     ``_golden_order(len(cost))[k]``."""
     assign = np.empty(len(cost), dtype=int)
     assign[_golden_order(len(cost))] = linear_sum_assignment(cost)[1]
-    return assign
-
-
-def min_cost_partners(reds, blues):
-    reds, blues = _points(reds), _points(blues)
-    if len(reds) != len(blues):
-        raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
-    if len(reds) == 0:
-        return np.empty(0, dtype=int)
-    order = _golden_order(len(reds))
-    reds = reds[order]
-    cost = cdist(reds, blues)
-    part = _canonicalize_ties(reds, blues, cost, _assign(cost)[order], order)
-    assign = np.empty_like(part)
-    assign[order] = part
     return assign
 
 
@@ -1037,9 +1024,7 @@ def _one_by_one(kind, reds, red_start, blues, blue_start, must=(), skip=()):
     for g in sorted(set(range(len(red_start) - 1)) - set(skip)):
         a, b = red_start[g], blue_start[g]
         r, bl = reds[a:red_start[g + 1]], blues[b:blue_start[g + 1]]
-        if kind == SQUARE:
-            pairs = enumerate(min_cost_partners(r, bl).tolist())
-        elif kind == RECTANGULAR:
+        if kind == RECTANGULAR:
             pairs = min_cost_pairs(r, bl)
         else:
             mr, mb = must[0][g], must[1][g]
@@ -1144,18 +1129,24 @@ def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=(
     return got_inputs, settled
 
 
-def _sizes(rng, kind, groups, largest=12):
-    nr = rng.integers(0 if kind != SQUARE else 1, largest + 1, groups)
-    nb = nr if kind == SQUARE else rng.integers(0, largest + 1, groups)
+def _sizes(rng, groups, square=False, largest=12):
+    """(reds, blues) sizes of ``groups`` problems; ``square`` ones have equal
+    sides, of at least one point."""
+    nr = rng.integers(1 if square else 0, largest + 1, groups)
+    nb = nr if square else rng.integers(0, largest + 1, groups)
     return list(zip(nr.tolist(), nb.tolist()))
 
 
 class TestAssignInGroups:
-    @pytest.mark.parametrize("kind", [SQUARE, RECTANGULAR, SATURATING])
+    # square problems (equal sides, as zero blocks and box-rematch cells are)
+    # are rectangular ones: the small-problem pass is offered them too
+    @pytest.mark.parametrize("shape", ["square", "rectangular", "saturating"])
     @pytest.mark.parametrize("points", ["random", "lattice", "mixed"])
-    def test_batches(self, monkeypatch, kind, points):
-        rng = derived_rng(151, [SQUARE, RECTANGULAR, SATURATING].index(kind), len(points))
-        sizes = _sizes(rng, kind, 80)
+    def test_batches(self, monkeypatch, shape, points):
+        shapes = ["square", "rectangular", "saturating"]
+        rng = derived_rng(151, shapes.index(shape), len(points))
+        kind = SATURATING if shape == "saturating" else RECTANGULAR
+        sizes = _sizes(rng, 80, square=shape == "square")
         lattice = {"random": [False] * 80, "lattice": [True] * 80,
                    "mixed": (rng.random(80) < 0.5).tolist()}[points]
         reds, rs, blues, bs = _batch(rng, sizes, lattice)
@@ -1163,34 +1154,27 @@ class TestAssignInGroups:
         inputs, settled = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
         assert len(inputs) + len(settled) > 40
         offered = _small_problems(kind, reds, rs, blues, bs, must)[0]
-        if kind == SQUARE:
-            assert not offered
-        else:
-            # reals have no near-ties, so the pass settles every small
-            # problem; the lattice's ties leave some to the kernel
-            assert len(settled) > 10
-            assert (len(settled) == len(offered)) == (points == "random")
+        # reals have no near-ties, so the pass settles every small problem;
+        # the lattice's ties leave some to the kernel
+        assert len(settled) > 10
+        assert (len(settled) == len(offered)) == (points == "random")
 
     def test_tied_group_between_untied_ones(self, monkeypatch):
-        # the middle group's two matchings both have length 2; only it goes
-        # through the tie pass's ordered scan, which picks the earlier blues
+        # the middle group's two matchings both have length 2, so the
+        # small-problem pass leaves it to the kernel, which picks one; the
+        # groups around it are solved as on their own
         rng = derived_rng(157)
         tied_reds, tied_blues = [[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]
         reds = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_reds, rng.uniform(0, 4, (7, 2))])
         blues = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_blues, rng.uniform(0, 4, (7, 2))])
         start = np.array([0, 9, 11, 18])
-        scanned, lex_rank = [], assignment._lex_rank
-
-        def counting(pts):
-            scanned.append(pts.tolist())
-            return lex_rank(pts)
-
-        monkeypatch.setattr(assignment, "_lex_rank", counting)
-        got = assign_in_groups(SQUARE, reds, start, blues, start)
-        monkeypatch.undo()
-        assert scanned == [tied_blues]
-        assert got[9:11].tolist() == [10, 9]  # (0,0)-(0,1) and (1,1)-(1,0)
-        _check_grouped(monkeypatch, SQUARE, reds, start, blues, start)
+        inputs, settled = _check_grouped(monkeypatch, RECTANGULAR, reds, start, blues, start)
+        assert settled == [] and [c.shape for c in inputs] == [(9, 9), (2, 2), (7, 7)]
+        got = assign_in_groups(RECTANGULAR, reds, start, blues, start)
+        assert sorted(got[9:11].tolist()) == [9, 10]
+        tied = min_cost_perfect(tied_reds, tied_blues)
+        assert tied.edges == [(i, j - 9) for i, j in enumerate(got[9:11].tolist())]
+        assert tied.total_length == 2.0
 
     def test_groups_with_an_empty_side(self, monkeypatch):
         rng = derived_rng(163)
@@ -1199,12 +1183,13 @@ class TestAssignInGroups:
         # the two-point problem is the pass's, the other reaches the kernel
         inputs, settled = _check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)
         assert len(inputs) == 1 and settled == [4]
-        # square problems with no points, saturating ones with no mandatory
-        # point: no pairs and no kernel call
+        # square problems with no points have no pairs and reach no kernel;
+        # the three-point one is the pass's
         square = [(0, 0), (3, 3), (0, 0)]
         reds, rs, blues, bs = _batch(rng, square, [False] * 3)
-        inputs, settled = _check_grouped(monkeypatch, SQUARE, reds, rs, blues, bs)
-        assert len(inputs) == 1 and settled == []
+        inputs, settled = _check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)
+        assert inputs == [] and settled == [1]
+        # saturating problems with no mandatory point: no pairs and no kernel call
         reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
         must = (np.array([0, 2, 0, 0, 0]), np.array([0, 1, 0, 0, 0]))
         inputs, settled = _check_grouped(monkeypatch, SATURATING, reds, rs, blues, bs, must)
@@ -1215,7 +1200,7 @@ class TestAssignInGroups:
     def test_mandatory_points_of_both_colors(self, monkeypatch):
         rng = derived_rng(167)
         for lattice in (False, True):
-            sizes = _sizes(rng, SATURATING, 40)
+            sizes = _sizes(rng, 40)
             sizes = [(max(nr, 2), max(nb, 2)) for nr, nb in sizes]
             reds, rs, blues, bs = _batch(rng, sizes, [lattice] * 40)
             nr, nb = np.diff(rs), np.diff(bs)
@@ -1223,33 +1208,76 @@ class TestAssignInGroups:
             assert ((must[0] > 0) & (must[1] > 0)).all()
             _check_grouped(monkeypatch, SATURATING, reds, rs, blues, bs, must)
 
-    @pytest.mark.parametrize("bound", [GROUP_ENTRIES, 64], ids=["default", "tiny"])
-    def test_group_larger_than_the_buffer(self, monkeypatch, bound):
-        # a problem above the bound gets a matrix of its own between problems
-        # that share the buffer; with a tiny bound most problems do
+    @pytest.mark.parametrize("spare", [1 << 16, 1], ids=["default", "tiny"])
+    def test_group_larger_than_the_buffer(self, monkeypatch, spare):
+        # every matrix of a call is a prefix of one reused buffer, so a
+        # problem must write every entry it reads: the buffer starts as NaN,
+        # large enough for every problem ("default") or grown by the call
+        # ("tiny"), and the problems grow, shrink and switch sides, so each
+        # finds the entries of a different shape before it
         rng = derived_rng(173)
-        big = math.isqrt(GROUP_ENTRIES) + 3
-        for kind in (SQUARE, RECTANGULAR, SATURATING):
-            sizes = _sizes(rng, kind, 20)
-            sizes[7] = (big, big) if kind != RECTANGULAR else (big - 20, big + 40)
-            reds, rs, blues, bs = _batch(rng, sizes, (np.arange(20) % 3 == 0).tolist())
+        sizes = [(5, 7), (40, 25), (9, 4), (60, 90), (6, 6), (30, 12), (4, 5), (70, 66)]
+        for kind in (RECTANGULAR, SATURATING):
+            reds, rs, blues, bs = _batch(rng, sizes, (np.arange(8) % 3 == 0).tolist())
             must = _must(rng, rs, bs) if kind == SATURATING else ()
-            if kind == SATURATING:
-                must[0][7] = 5
-            monkeypatch.setattr(assignment, "GROUP_ENTRIES", bound)
+            monkeypatch.setattr(assignment, "_spare", [np.full(spare, np.nan)])
+            # partners and kernel inputs against the fresh one-problem solves
             inputs, _ = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
-            assert max(c.size for c in inputs) > GROUP_ENTRIES
+            assert len(inputs) >= 6
+
+    def test_one_spare_kept_up_to_the_cap(self, monkeypatch):
+        rng = derived_rng(179)
+        monkeypatch.setattr(assignment, "_spare", [])
+        monkeypatch.setattr(assignment, "SPARE_ENTRIES", 30 * 30)
+        kept = []
+        for n in (5, 20, 12, 31, 8):
+            reds, blues = rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2))
+            assign_in_groups(RECTANGULAR, reds, [0, n], blues, [0, n])
+            assert len(assignment._spare) <= 1
+            kept.append(assignment._spare[0] if assignment._spare else None)
+        assert [None if k is None else len(k) for k in kept] == [25, 400, 400, None, 64]
+        assert kept[2] is kept[1]  # the smaller problem reused the buffer
+
+    def test_concurrent_calls_share_no_buffer(self, monkeypatch):
+        # threads switching every microsecond between the spare's pop and
+        # its return: each call's partners must be its own problems'
+        rng = derived_rng(181)
+        problems = [(rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2)))
+                    for n in (8, 30, 17, 45, 12, 26)]
+        want = [assign_in_groups(RECTANGULAR, r, [0, len(r)], b, [0, len(b)])
+                for r, b in problems]
+        wrong = []
+
+        def solve(k):
+            for _ in range(15):
+                r, b = problems[k]
+                got = assign_in_groups(RECTANGULAR, r, [0, len(r)], b, [0, len(b)])
+                if not np.array_equal(got, want[k]):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(problems))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
+        assert len(assignment._spare) <= 1
 
     def test_rejects_what_the_single_solves_reject(self):
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError, match="size mismatch: 2 reds vs 1 blues"):
-            assign_in_groups(SQUARE, pts, [0, 1, 3], pts, [0, 1, 2])
+            min_cost_perfect(pts[:2], pts[:1])
         with pytest.raises(ValueError, match="reserve pools too small"):
             assign_in_groups(SATURATING, pts, [0, 3], pts[:1], [0, 1], [2], [0])
         with pytest.raises(ValueError, match="unknown kind"):
             assign_in_groups("triangular", pts, [0, 3], pts, [0, 3])
         with pytest.raises(ValueError, match="need as many groups of blues as of reds"):
-            assign_in_groups(SQUARE, pts, [0, 1, 3], pts, [0, 3])
+            assign_in_groups(RECTANGULAR, pts, [0, 1, 3], pts, [0, 3])
 
 
 # --- Windows and block systems ------------------------------------------------

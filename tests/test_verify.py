@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from poisson_matching import verify
-from poisson_matching.assignment import _canonicalize_ties, _stable_order, min_cost_perfect
+from poisson_matching.assignment import _stable_order, min_cost_perfect
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        Domain, Point, Rect, Segment)
 from poisson_matching.matching import ONE_COLOR, Matching
@@ -792,14 +792,12 @@ class TestBoxRematch:
 def _min_cost_perfect(reds, blues):
     """min_cost_perfect as a single-problem solve, independent of the
     package's grouped one: public ``cdist`` and ``linear_sum_assignment``,
-    the rows in golden-ratio order, and the package's tie pass."""
+    the rows in golden-ratio order."""
     reds, blues = np.asarray(reds, float).reshape(-1, 2), np.asarray(blues, float).reshape(-1, 2)
     n = len(reds)
     order = np.argsort(np.arange(n) * ((math.sqrt(5.0) - 1.0) / 2.0) % 1.0, kind="stable")
-    cost = cdist(reds[order], blues)
-    part = _canonicalize_ties(reds[order], blues, cost, linear_sum_assignment(cost)[1], order)
-    assign = np.empty_like(part)
-    assign[order] = part
+    assign = np.empty(n, dtype=int)
+    assign[order] = linear_sum_assignment(cdist(reds[order], blues))[1]
     return Matching(reds, blues, list(enumerate(assign.tolist())))
 
 
