@@ -42,9 +42,9 @@ class ArcSpec:
     def to_json(self) -> dict:
         return {
             "edge": [int(self.edge[0]), int(self.edge[1])],
-            "height": self.height,
-            "lowest": self.lowest,
-            "depth": self.depth,
+            "height": float(self.height),
+            "lowest": float(self.lowest),
+            "depth": int(self.depth),
             "vertices": [[float(x), float(y)] for x, y in self.vertices],
         }
 

@@ -383,7 +383,13 @@ def min_cost_perfect(reds, blues) -> Matching:
 
 
 def brute_force_min(reds, blues) -> Matching:
-    """Exhaustive minimum over all permutations; independent oracle."""
+    """Exhaustive minimum over all permutations; independent oracle.
+
+    The permutations, in lexicographic order, are scored at once, each total
+    added column by column from 0.0 over the cost matrix's floats, not from
+    the solvers' kernel. In that order, a total more than EPS_TIE below the
+    least before it takes over; one within EPS_TIE competes by ``_lex_key``,
+    the earlier winning equal keys."""
     reds = _two_columns(reds, "reds", float)
     blues = _two_columns(blues, "blues", float)
     n = len(reds)
@@ -393,25 +399,21 @@ def brute_force_min(reds, blues) -> Matching:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX}")
     if n == 0:
         return Matching(reds, blues, [])
-    # the cost matrix's floats, not from the solvers' kernel; plain-float
-    # rows keep the n! loop cheap
-    rows = _pair_distances(reds[:, None], blues).tolist()
-    best = None
-    best_cost = math.inf
-    best_key = None
-    for perm in itertools.permutations(range(n)):
-        c = 0.0
-        for i, j in enumerate(perm):
-            c += rows[i][j]
-        if c < best_cost - EPS_TIE:
-            best, best_cost = perm, c
-            best_key = _lex_key(reds, blues, perm)
-        elif c <= best_cost + EPS_TIE:
-            best_cost = min(best_cost, c)
-            key = _lex_key(reds, blues, perm)
-            if best_key is None or key < best_key:
-                best, best_key = perm, key
-    return Matching(reds, blues, [(i, int(best[i])) for i in range(n)])
+    cost = _pair_distances(reds[:, None], blues)
+    # in lexicographic order, those of range(k) are each first f followed by
+    # those of range(k - 1), their values from f up raised by one
+    perms = np.zeros((1, 0), np.int8)
+    for k in range(1, n + 1):
+        perms = np.concatenate([np.insert(perms + (perms >= f), 0, f, axis=1) for f in range(k)])
+    total = np.zeros(len(perms))
+    for i in range(n):
+        total += cost[i].take(perms[:, i])
+    least = np.minimum.accumulate(np.concatenate([[np.inf], total[:-1]]))  # before each
+    took_over = np.flatnonzero(total < least - EPS_TIE)
+    first = took_over[-1] if len(took_over) else 0  # the last to take over
+    near = first + np.flatnonzero(total[first:] <= least[first:] + EPS_TIE)
+    best = min(near.tolist(), key=lambda k: _lex_key(reds, blues, perms[k]))
+    return Matching(reds, blues, list(enumerate(perms[best].tolist())))
 
 
 def _spans(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -352,13 +352,8 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
               type=click.Choice(["planarity", "arcs", "minimality", "improvable"]),
               required=True,
               help="planarity needs a strip or plane domain, minimality a line.")
-@click.option("--k", type=click.IntRange(1, 8), default=4, show_default=True,
-              help="Edges per minimality subset (factorial oracle).")
-@click.option("--trials", type=click.IntRange(1, None), default=200, show_default=True,
-              help="Subsets the minimality certificate checks.")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def cmd_verify(in_path, prop, k, trials, seed, out):
+def cmd_verify(in_path, prop, out):
     """Check a matching property; exit 1 with witnesses on violation."""
     ps, m, arcs, _ = _load_result(in_path)
     if m is None:
@@ -376,7 +371,7 @@ def cmd_verify(in_path, prop, k, trials, seed, out):
     elif prop == "minimality":
         if ps.domain.kind != "line":
             raise click.UsageError("minimality certificate requires a line domain")
-        report = verify.minimality_certificate_d1(m, k, trials, seed)
+        report = verify.minimality_certificate_d1(m)
     else:
         report = verify.check_improvable(m)
     _dump(report.to_json(), out)

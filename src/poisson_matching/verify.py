@@ -17,13 +17,14 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcTable
-from .assignment import (EPS_TIE, RECTANGULAR, _runs, _spans, _stable_order, assign_in_groups,
-                         brute_force_min, improvable_pair)
+from .assignment import (RECTANGULAR, _runs, _spans, _stable_order, assign_in_groups,
+                         improvable_pair)
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment, _crosses_region,
                        _intersections, _overlap_error, _same_points)
 from .hierarchy import ChernoffParams, chernoff_bound
 from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _in_order, _lengths
 from .sampling import ColoredPointSet, derived_rng
+from .walks import crossing_profile
 
 
 @dataclass
@@ -207,28 +208,29 @@ def check_improvable(m: Matching) -> VerificationReport:
                               [] if pair is None else [{"edges": list(pair)}])
 
 
-def minimality_certificate_d1(m: Matching, k: int, trials: int,
-                              seed: int = 0) -> VerificationReport:
-    """Check ``trials`` random k-subsets of the edges (all of them where
-    there are fewer) against the brute-force rematch minimum; a violating
-    subset witnesses non-minimality. The report's ``trials`` is the number
-    of subsets checked, 0 for a matching without edges."""
-    if not 1 <= k <= 8:
-        raise ValueError("need 1 <= k <= 8 (factorial oracle)")
-    rng = derived_rng(seed, 91)
+def minimality_certificate_d1(m: Matching) -> VerificationReport:
+    """Exact test that a line matching is min-cost for its endpoints, each
+    edge read as first end (red) against second end (partner). It costs the
+    integral of its coverage (``walks.crossing_profile``), at least |S|
+    everywhere, S being the first ends minus the second ends to the left,
+    whose integral is the least cost (the 1-D transport identity, Vallender
+    1973). So it is min-cost exactly when the two are equal on every gap
+    between consecutive distinct endpoint x's, counted at the gap's left end
+    in O(n log n); ``trials`` counts the gaps. The witness is the leftmost
+    gap where the coverage exceeds |S| (its discrepancy), and the positions
+    of the edges spanning it."""
+    prof = crossing_profile(m)
+    left = prof.breakpoints[:len(prof.values)]  # each gap's left end; none without edges
+    a, b = (e[:, 0] for e in m.endpoint_arrays())
+    s = np.abs(np.searchsorted(np.sort(a), left, side="right")
+               - np.searchsorted(np.sort(b), left, side="right"))
     violations = []
-    p, q = m.endpoint_arrays()
-    lengths = [math.hypot(dx, dy) for dx, dy in (p - q).tolist()]  # np.hypot rounds otherwise
-    size = min(k, len(p))
-    checked = max(trials, 0) if size else 0
-    for t in range(checked):
-        idx = rng.choice(len(p), size=size, replace=False)
-        own = _in_order(lengths[a] for a in idx)
-        best = brute_force_min(p[idx], q[idx]).total_length
-        if own > best + EPS_TIE:
-            violations.append({"trial": t, "edges": sorted(int(a) for a in idx),
-                               "cost": own, "minimum": best})
-    return VerificationReport("minimality_d1", checked, violations)
+    for k in np.flatnonzero(prof.values != s)[:1].tolist():
+        x0, x1 = prof.breakpoints[k:k + 2].tolist()
+        over = (np.minimum(a, b) <= x0) & (np.maximum(a, b) >= x1)
+        violations.append({"gap": [x0, x1], "coverage": int(prof.values[k]),
+                           "discrepancy": int(s[k]), "edges": np.flatnonzero(over).tolist()})
+    return VerificationReport("minimality_d1", len(left), violations)
 
 
 def chernoff_mc(p: ChernoffParams, trials: int, seed: int = 0) -> StatsReport:

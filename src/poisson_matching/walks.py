@@ -228,10 +228,10 @@ def crossing_profile(m: Matching) -> CrossingProfile:
     lo, hi = np.minimum(p[:, 0], q[:, 0]), np.maximum(p[:, 0], q[:, 0])
     ends = np.sort(np.concatenate([lo, hi]))  # np.unique's, without importing numpy.ma
     breaks = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
-    mids = (breaks[:-1] + breaks[1:]) / 2
-    # edges with lo <= mid, less those with hi < mid (each has lo <= hi)
-    values = (np.searchsorted(np.sort(lo), mids, side="right")
-              - np.searchsorted(np.sort(hi), mids, side="left"))
+    # edges with lo <= each gap's left break, less those with hi <= it; not at
+    # the gap's midpoint, which rounds onto a break between adjacent floats
+    values = (np.searchsorted(np.sort(lo), breaks[:-1], side="right")
+              - np.searchsorted(np.sort(hi), breaks[:-1], side="right"))
     return CrossingProfile(breaks, values.astype(int))
 
 

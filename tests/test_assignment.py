@@ -231,7 +231,40 @@ class TestTiePass:
         assert all(min_cost_perfect(reds, blues).edges == fast.edges for _ in range(5))
 
 
+def _brute_force_loop(reds, blues):
+    """``brute_force_min``'s edges by a scan of ``itertools.permutations``,
+    each total added in a loop: a total more than EPS_TIE below the least so
+    far takes over, one within EPS_TIE of it competes by the lex key."""
+    reds, blues = np.asarray(reds, float), np.asarray(blues, float)
+    rows = _pair_distances(reds[:, None], blues).tolist()
+    best, best_cost, best_key = None, math.inf, None
+    for perm in itertools.permutations(range(len(reds))):
+        c = 0.0
+        for i, j in enumerate(perm):
+            c += rows[i][j]
+        if c < best_cost - EPS_TIE:
+            best, best_cost = perm, c
+            best_key = assignment._lex_key(reds, blues, perm)
+        elif c <= best_cost + EPS_TIE:
+            best_cost = min(best_cost, c)
+            key = assignment._lex_key(reds, blues, perm)
+            if best_key is None or key < best_key:
+                best, best_key = perm, key
+    return list(enumerate(best))
+
+
 class TestBruteForce:
+    def test_equals_the_permutation_loop(self):
+        # random reals, small lattices full of exact ties, and lattices
+        # nudged by less than EPS_TIE, whose near-ties the scan order decides
+        rng = derived_rng(191)
+        for n in range(1, 8):
+            for _ in range(4):
+                lattice = rng.integers(0, 3, (2, n, 2)) * 0.1
+                for reds, blues in (rng.uniform(0, 3, (2, n, 2)), lattice,
+                                    lattice + rng.integers(0, 3, (2, n, 2)) * 1e-10):
+                    assert brute_force_min(reds, blues).edges == _brute_force_loop(reds, blues)
+
     def test_empty(self):
         m = brute_force_min(np.empty((0, 2)), np.empty((0, 2)))
         assert m.edges == [] and m.total_length == 0.0

@@ -389,13 +389,16 @@ BAD_INPUTS = {
         **json.loads(ONE_COLOR_REUSE), "matching": {
             "format": 1, "kind": "partial", "color_mode": "one_color", "edges": [[0, 1]]}}),
         "two-color matching"),
-    # a minimality certificate that checks no subset proves nothing
-    "minimality_k_0": ([*MINIMALITY, "--k", "0", "--in"], LINE_RESULT, "'--k'"),
-    "minimality_k_9": ([*MINIMALITY, "--k", "9", "--in"], LINE_RESULT, "'--k'"),
+    # the exact certificate samples nothing: the subset size, trial count and
+    # seed of the sampled one are no options, whatever their value
+    "minimality_k_0": ([*MINIMALITY, "--k", "0", "--in"], LINE_RESULT, "No such option '--k'"),
+    "minimality_k_9": ([*MINIMALITY, "--k", "9", "--in"], LINE_RESULT, "No such option '--k'"),
     "minimality_trials_0": ([*MINIMALITY, "--trials", "0", "--in"], LINE_RESULT,
-                            "'--trials'"),
+                            "No such option '--trials'"),
     "minimality_trials_negative": ([*MINIMALITY, "--trials", "-3", "--in"], LINE_RESULT,
-                                   "'--trials'"),
+                                   "No such option '--trials'"),
+    "minimality_seed": ([*MINIMALITY, "--seed", "0", "--in"], LINE_RESULT,
+                        "No such option '--seed'"),
     # the window's corner cell does not fit the int64 block lookup; this
     # used to exit 1 with an OverflowError traceback. The file states a
     # valid block system, so the lookup is what fails
@@ -740,12 +743,22 @@ def test_one_edge_result_is_valid(runner, tmp_path):
     assert invoke(runner, *VERIFY, str(path)).exit_code == 0
 
 
-def test_minimality_reports_subsets_checked(runner, tmp_path):
+def test_minimality_reports_gaps_checked(runner, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(LINE_RESULT)
-    res = invoke(runner, *MINIMALITY, "--trials", "5", "--in", str(path))
+    res = invoke(runner, *MINIMALITY, "--in", str(path))
     assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["trials"] == 5
+    assert json.loads(res.output)["trials"] == 1
+    # two edges over [2, 3], where one red and one blue lie to the left
+    crossed = json.loads(LINE_RESULT)
+    crossed["points"].update(reds=[[1.0, 0.0], [4.0, 0.0]], blues=[[2.0, 0.0], [3.0, 0.0]])
+    crossed["points"]["domain"]["x1"] = 5.0
+    crossed["matching"]["edges"] = [[0, 1], [1, 0]]
+    path.write_text(json.dumps(crossed))
+    res = invoke(runner, *MINIMALITY, "--in", str(path))
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.output)["violations"] == [
+        {"gap": [2.0, 3.0], "coverage": 2, "discrepancy": 0, "edges": [0, 1]}]
     empty = json.loads(LINE_RESULT)
     empty["matching"] = {"format": 1, "kind": "partial", "edges": []}
     path.write_text(json.dumps(empty))

@@ -19,8 +19,7 @@ from poisson_matching.verify import (ChernoffParams, _arc_arrays,
                                      box_rematch_experiment, chernoff_bound,
                                      chernoff_mc, check_arc_disjointness,
                                      check_planarity, crossing_stats,
-                                     estimate_eta, interior_window,
-                                     minimality_certificate_d1)
+                                     estimate_eta, interior_window)
 from poisson_matching.walks import (ArcSpec, excursion_matching,
                                     laminate_strips, one_color_pairing, polygonal_arcs)
 from test_geometry import scalar_edge_crosses_region, scalar_segments_intersect
@@ -807,35 +806,6 @@ def _added(values):
     for x in values:
         total += x
     return total
-
-
-def _neumaier(values, start=0):
-    """``sum()`` as Python 3.12 and later round it: Neumaier's compensated
-    sum, the compensation added at the end."""
-    total, carry = float(start), 0.0
-    for x in values:
-        t = total + x
-        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-        total = t
-    return total + carry
-
-
-class TestLengthsInOrder:
-    """Edge lengths are totalled in order from 0.0, so no report depends on
-    how ``sum()`` rounds, which changed in Python 3.12: a compensated
-    ``sum`` put into ``verify`` changes none of them."""
-
-    def test_minimality_costs(self, monkeypatch):
-        ps = sample(SampleConfig(1, 1, Domain.line(0, 200), seed=33))
-        e = excursion_matching(ps)._edge_array().copy()
-        e[:, 1] = derived_rng(34).permutation(e[:, 1])
-        shuffled = Matching(ps.reds, ps.blues, e)
-        want = minimality_certificate_d1(shuffled, 4, 200, 1).violations
-        monkeypatch.setattr(verify, "sum", _neumaier, raising=False)
-        assert minimality_certificate_d1(shuffled, 4, 200, 1).violations == want
-        lengths = [[math.dist(ps.reds[e[a, 0]], ps.blues[e[a, 1]]) for a in v["edges"]]
-                   for v in want]
-        assert len(want) > 100 and any(_neumaier(x) != _added(x) for x in lengths)
 
 
 def _box_rematch_loop(ps, m, t):

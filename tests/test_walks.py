@@ -565,6 +565,14 @@ class TestArcTable:
             for name in ("edges", "height", "lowest", "depth", "vertices"):
                 a, b = getattr(again, name), getattr(t, name)
                 assert np.array_equal(a, b) and a.dtype == b.dtype
+        # a row of numpy scalars writes plain numbers in every field
+        vertices = np.array([(0.0, 1.0), (0.0, 0.5), (1.0, 0.5), (1.0, 1.0)])
+        row = ArcSpec(edge=(np.int64(0), np.int64(0)), height=np.float64(0.5),
+                      lowest=np.float64(1.0), depth=np.int64(1),
+                      vertices=[tuple(v) for v in vertices])
+        plain = row.to_json()
+        assert json.loads(json.dumps(plain)) == plain
+        assert [type(plain[k]) for k in ("height", "lowest", "depth")] == [float, float, int]
 
     def test_empty_table(self):
         ps = strip_ps([], [])
@@ -589,13 +597,13 @@ class TestArcTable:
 
 
 def _reference_profile_values(m):
-    """The (mids x edges) matrix count the event counts replaced."""
+    """The (gaps x edges) matrix count of the edges spanning each gap between
+    consecutive breakpoints."""
     bs = m.blues if m.color_mode == "two_color" else m.reds
     lo = np.minimum(m.reds[[i for i, _ in m.edges], 0], bs[[j for _, j in m.edges], 0])
     hi = np.maximum(m.reds[[i for i, _ in m.edges], 0], bs[[j for _, j in m.edges], 0])
     breaks = np.unique(np.concatenate([lo, hi]))
-    mids = (breaks[:-1] + breaks[1:]) / 2
-    values = ((lo[None, :] <= mids[:, None]) & (mids[:, None] <= hi[None, :])).sum(axis=1)
+    values = ((lo[None, :] <= breaks[:-1, None]) & (breaks[1:, None] <= hi[None, :])).sum(axis=1)
     return breaks, values.astype(int)
 
 
@@ -628,11 +636,12 @@ class TestProfileAgainstMatrix:
                      [(0, 1), (1, 2), (2, 0)])
         assert self._check(m).tolist() == [1, 3, 1]
         # breakpoints 1 and the next float: their midpoint rounds to 1, where
-        # [0.5, 1] ends and [1, 4] starts; both still cover it
+        # [0.5, 1] ends and [1, 4] starts; only [1, 4] spans the gap
         adjacent = np.nextafter(1.0, 2.0)
+        assert (1.0 + adjacent) / 2 == 1.0
         m = Matching([[0.5, 0], [1.0, 0], [adjacent, 0]],
                      [[1.0, 0.5], [4.0, 0.5], [3.0, 0.5]], [(0, 0), (1, 1), (2, 2)])
-        assert self._check(m).tolist() == [1, 2, 2, 1]
+        assert self._check(m).tolist() == [1, 1, 2, 1]
 
     def test_without_edges(self):
         ps = line_ps([1, 2], [3, 4])
@@ -690,41 +699,98 @@ class TestCrossingProfile:
                 assert profile_value_at(base, t) <= profile_value_at(prof, t)
 
 
+def least_line_cost(m):
+    """The integral of |S| over the line, S being the edges' first ends minus
+    their second ends to the left: the least cost of matching those ends."""
+    p, q = m.endpoint_arrays()
+    xs = np.concatenate([p[:, 0], q[:, 0]])
+    order = np.argsort(xs, kind="stable")
+    s = np.cumsum(np.repeat([1, -1], len(p))[order])
+    return float(np.sum(np.abs(s[:-1]) * np.diff(xs[order])))
+
+
+def _rematched(m, positions, partners):
+    """``m`` with the edges at ``positions`` given the partners of the edges
+    at ``partners``."""
+    e = m._edge_array().copy()
+    e[positions, 1] = e[partners, 1]
+    return Matching(m.reds, m.blues, e)
+
+
 class TestMinimalityCertificate:
+    def _assert_witness(self, rep, m, changed=()):
+        """One witness: a gap the certificate counts, where more edges than
+        |S| span it, listed in full, among them an edge of ``changed``."""
+        assert not rep.passed and len(rep.violations) == 1
+        v = rep.violations[0]
+        x0, x1 = v["gap"]
+        p, q = m.endpoint_arrays()
+        lo, hi = np.minimum(p[:, 0], q[:, 0]), np.maximum(p[:, 0], q[:, 0])
+        assert v["edges"] == np.flatnonzero((lo <= x0) & (x1 <= hi)).tolist()
+        s = int((p[:, 0] <= x0).sum() - (q[:, 0] <= x0).sum())
+        assert v["coverage"] == len(v["edges"]) > v["discrepancy"] == abs(s)
+        assert not changed or set(changed) & set(v["edges"])
+        return v
+
     def test_single_edge_never_violates(self):
         ps = line_ps([1], [2])
-        m = excursion_matching(ps)
-        rep = minimality_certificate_d1(m, k=1, trials=10, seed=0)
-        assert rep.passed
+        rep = minimality_certificate_d1(excursion_matching(ps))
+        assert rep.passed and rep.trials == 1
 
     def test_excursion_matching_minimal(self):
-        ps = sample(SampleConfig(1, 1, Domain.line(0, 80), seed=31))
-        m = excursion_matching(ps)
-        rep = minimality_certificate_d1(m, k=6, trials=200, seed=1)
-        assert rep.passed
+        for seed in range(31, 36):
+            ps = sample(SampleConfig(1, 1, Domain.line(0, 80), seed=seed))
+            m = excursion_matching(ps)
+            assert minimality_certificate_d1(m).passed
+            assert m.total_length == pytest.approx(least_line_cost(m), abs=1e-9)
+
+    def test_zero_block_matching_minimal(self):
+        # zero blocks below the axis start with a blue, so their edges run in
+        # both directions and S is negative over them: coverage equals |S|,
+        # not S
+        for seed in range(1, 6):
+            ps = sample(SampleConfig(1, 1, Domain.line(0, 400), seed=seed))
+            m = zero_block_matching(ps)
+            p, q = m.endpoint_arrays()
+            assert (p[:, 0] < q[:, 0]).any() and (p[:, 0] > q[:, 0]).any()
+            assert minimality_certificate_d1(m).passed
+
+    def test_gap_between_adjacent_floats(self):
+        # the gap from 1 to the next float has its midpoint round to 1, where
+        # the first edge ends: no edge spans it, and S is 0 there
+        ps = line_ps([0.0, np.nextafter(1.0, 2.0)], [1.0, 2.0])
+        rep = minimality_certificate_d1(excursion_matching(ps))
+        assert rep.passed and rep.trials == 3
 
     def test_corrupted_matching_caught(self):
         ps = line_ps([1, 4], [2, 3])
         bad = Matching(ps.reds, ps.blues, [(0, 1), (1, 0)])
-        # cost 2+2=4; the rematch (1,2),(4,3) costs 2
-        rep = minimality_certificate_d1(bad, k=2, trials=20, seed=0)
-        assert not rep.passed
-        assert rep.violations[0]["cost"] > rep.violations[0]["minimum"]
+        # cost 2+2=4; the rematch (1,2),(4,3) costs 2. Both edges span
+        # [2, 3], where one red and one blue lie to the left
+        v = self._assert_witness(minimality_certificate_d1(bad), bad)
+        assert v == {"gap": [2.0, 3.0], "coverage": 2, "discrepancy": 0, "edges": [0, 1]}
 
-    def test_k_guard(self):
-        ps = line_ps([1], [2])
-        with pytest.raises(ValueError):
-            minimality_certificate_d1(excursion_matching(ps), k=9, trials=1)
-        with pytest.raises(ValueError):
-            minimality_certificate_d1(excursion_matching(ps), k=0, trials=1)
-
-    def test_reports_subsets_checked(self):
-        ps = line_ps([1, 4], [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_swapped_pair_caught(self, seed):
+        ps = sample(SampleConfig(1, 1, Domain.line(0, 1e4), seed=seed))
         m = excursion_matching(ps)
-        assert minimality_certificate_d1(m, k=2, trials=7).trials == 7
-        assert minimality_certificate_d1(m, k=2, trials=-3).trials == 0
+        assert minimality_certificate_d1(m).passed
+        bad = _rematched(m, [10, 500], [500, 10])
+        self._assert_witness(minimality_certificate_d1(bad), bad, changed=(10, 500))
+
+    def test_three_cycle_caught(self):
+        ps = sample(SampleConfig(1, 1, Domain.line(0, 200), seed=7))
+        m = excursion_matching(ps)
+        bad = _rematched(m, [3, 20, 40], [20, 40, 3])
+        self._assert_witness(minimality_certificate_d1(bad), bad, changed=(3, 20, 40))
+
+    def test_reports_gaps_checked(self):
+        # the gaps between the four distinct x's, and none without edges
+        ps = line_ps([1, 4], [2, 3])
+        m = Matching(ps.reds, ps.blues, [(0, 0), (1, 1)])
+        assert minimality_certificate_d1(m).trials == 3
         empty = Matching(ps.reds, ps.blues, [])
-        assert minimality_certificate_d1(empty, k=2, trials=200).trials == 0
+        assert minimality_certificate_d1(empty).trials == 0
 
 
 class TestLaminateStrips:
