@@ -25,7 +25,6 @@ the interpreter's exit leave those objects alone. In-process callers call
 from __future__ import annotations
 
 import contextlib
-import csv
 import gc
 import io
 import itertools
@@ -153,6 +152,10 @@ def main():
 
 
 def config_option(f):
+    """``--config FILE``: a JSON object of flag defaults, keyed by the
+    command's long flags without their dashes, ``-`` and ``_`` alike
+    ("lambda-red" or "lambda_red"); flags win. Any other key is a usage
+    error, so a misspelled or removed flag is not silently dropped."""
     def callback(ctx, param, value):
         if value:
             try:
@@ -161,7 +164,14 @@ def config_option(f):
                 raise click.BadParameter(f"{value}: {e}", ctx, param) from e
             if not isinstance(defaults, dict):
                 raise click.BadParameter(f"{value} is not a JSON object", ctx, param)
-            ctx.default_map = {**defaults, **(ctx.default_map or {})}
+            names = {flag[2:].replace("_", "-"): p.name for p in ctx.command.params
+                     if p is not param for flag in p.opts if flag.startswith("--")}
+            for key in defaults:
+                if key.replace("_", "-") not in names:
+                    raise click.BadParameter(f"{value}: unknown key {key!r}; the keys are the "
+                                             f"long flags {', '.join(names)}", ctx, param)
+            ctx.default_map = {**{names[key.replace("_", "-")]: v for key, v in defaults.items()},
+                               **(ctx.default_map or {})}
         return value
     return click.option("--config", type=click.Path(exists=True), callback=callback,
                         is_eager=True, expose_value=False,
@@ -450,6 +460,7 @@ def cmd_render(in_path, width, height, walk, blocks, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_sweep(lambdas, ratios, trials, seed, out):
     """Grid Monte Carlo sweep; CSV of (lambda, mu, estimate, bound, pass)."""
+    import csv  # only here, so no other command loads it
     rows = []
     ok = True
     for i, lam in enumerate(float(v) for v in lambdas.split(",")):

@@ -9,7 +9,6 @@ than silently resolved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,27 +25,44 @@ class Point(NamedTuple):
     y: float = 0.0
 
 
-@dataclass(frozen=True)
-class Segment:
-    a: Point
-    b: Point
+class _Frozen:
+    """An immutable value: its fields are the instance dict, in the order
+    ``__init__`` fills it. Equal and hashed by the fields' values, and shown
+    as a constructor call, as a frozen dataclass is, with no code generated
+    at import."""
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"degenerate segment at {self.a}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Rect:
+class Segment(_Frozen):
+    def __init__(self, a: Point, b: Point):
+        vars(self).update(a=a, b=b)
+        if a == b:
+            raise ValueError(f"degenerate segment at {a}")
+
+
+class Rect(_Frozen):
     """Half-open axis-aligned rectangle [x0, x1) x [y0, y1)."""
 
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-
-    def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
+    def __init__(self, x0: float, x1: float, y0: float, y1: float):
+        vars(self).update(x0=x0, x1=x1, y0=y0, y1=y1)
+        if not (x0 < x1 and y0 < y1):
             raise ValueError(f"empty rectangle {self}")
 
     @property
@@ -59,16 +75,12 @@ class Rect:
         return (self.x0 <= p[0]) & (p[0] < self.x1) & (self.y0 <= p[1]) & (p[1] < self.y1)
 
 
-@dataclass(frozen=True)
-class Disk:
-    cx: float
-    cy: float
-    radius: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.cx, self.cy, self.radius))):
+class Disk(_Frozen):
+    def __init__(self, cx: float, cy: float, radius: float):
+        vars(self).update(cx=cx, cy=cy, radius=radius)
+        if not all(map(math.isfinite, (cx, cy, radius))):
             raise ValueError("disk centre and radius must be finite")
-        if self.radius <= 0:
+        if radius <= 0:
             raise ValueError("disk radius must be positive")
 
 
@@ -93,35 +105,27 @@ STRIP = "strip"
 PLANE = "plane"
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(_Frozen):
     """Sampling domain: a window on the line, the unit strip, or the plane.
 
     The line stores y0 == y1 == 0; the strip fixes y to [0, 1). Either
     with another y-range, or any bound that is not finite, is a ValueError.
     """
 
-    kind: str
-    x0: float
-    x1: float
-    y0: float = 0.0
-    y1: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (LINE, STRIP, PLANE):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if not self.x0 < self.x1:
+    def __init__(self, kind: str, x0: float, x1: float, y0: float = 0.0, y1: float = 0.0):
+        vars(self).update(kind=kind, x0=x0, x1=x1, y0=y0, y1=y1)
+        if kind not in (LINE, STRIP, PLANE):
+            raise ValueError(f"unknown domain kind {kind!r}")
+        if not x0 < x1:
             raise ValueError("empty window")
-        if self.kind == PLANE and not self.y0 < self.y1:
+        if kind == PLANE and not y0 < y1:
             raise ValueError("empty window")
-        fixed = {LINE: (0.0, 0.0), STRIP: (0.0, 1.0)}.get(self.kind)
-        if fixed is not None and (self.y0, self.y1) != fixed:
-            raise ValueError(f"a {self.kind} domain has y0, y1 = {fixed}, "
-                             f"not {self.y0}, {self.y1}")
+        fixed = {LINE: (0.0, 0.0), STRIP: (0.0, 1.0)}.get(kind)
+        if fixed is not None and (y0, y1) != fixed:
+            raise ValueError(f"a {kind} domain has y0, y1 = {fixed}, not {y0}, {y1}")
         # a comparison, not math.isfinite, so that a huge int is no OverflowError
-        if not all(abs(v) < math.inf for v in (self.x0, self.x1, self.y0, self.y1)):
-            raise ValueError(f"domain bounds must be finite, got {self.x0}, {self.x1}, "
-                             f"{self.y0}, {self.y1}")
+        if not all(abs(v) < math.inf for v in (x0, x1, y0, y1)):
+            raise ValueError(f"domain bounds must be finite, got {x0}, {x1}, {y0}, {y1}")
 
     @staticmethod
     def line(x0: float, x1: float) -> "Domain":

@@ -49,20 +49,20 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .assignment import RECTANGULAR, SATURATING, _offsets, _stable_order, assign_in_groups
-from .geometry import Domain, Rect
+from .geometry import Domain, Rect, _Frozen
 from .matching import Matching, partner_edges
 from .sampling import ColoredPointSet, derived_rng
 
 
-@dataclass
 class BlockSystem:
     """Factorial grids: a[n] = n!, random offsets r[n], accumulated shifts
     t[n] = r[n]*a[n-2] + t[n-2]."""
 
-    N: int
-    a: List[int]
-    r: List[int]
-    t: List[int]
+    def __init__(self, N: int, a: List[int], r: List[int], t: List[int]):
+        self.N = N
+        self.a = a
+        self.r = r
+        self.t = t
 
     def dims(self, n: int) -> Tuple[int, int]:
         """(width, height) of a level-n block."""
@@ -166,13 +166,10 @@ def heir_frequency(n: int, trials: int, seed: int = 0) -> float:
     return float(np.mean(-t[n + 1] % a[n + 1] < a[n - 1]))
 
 
-@dataclass(frozen=True)
-class ChernoffParams:
-    lam: float
-    mu: float
-
-    def __post_init__(self):
-        if not (0 < self.mu <= self.lam):
+class ChernoffParams(_Frozen):
+    def __init__(self, lam: float, mu: float):
+        vars(self).update(lam=lam, mu=mu)
+        if not (0 < mu <= lam):
             raise ValueError("need 0 < mu <= lam")
 
 
@@ -208,13 +205,13 @@ class BlockRecord:
     new_edges_in_heirs: Optional[bool]
 
 
-@dataclass
 class ColorTable:
     """One color's points and the blocks of a level they lie in."""
 
-    row: np.ndarray      # block row of each point; -1 outside the window
-    blocks: int          # the level's blocks, rows 0..blocks-1
-    in_heir: np.ndarray  # per point: lies in its block's heir (never at level 1)
+    def __init__(self, row: np.ndarray, blocks: int, in_heir: np.ndarray):
+        self.row = row          # block row of each point; -1 outside the window
+        self.blocks = blocks    # the level's blocks, rows 0..blocks-1
+        self.in_heir = in_heir  # per point: lies in its block's heir (never at level 1)
 
     def select(self, *masks: np.ndarray) -> Tuple[np.ndarray, ...]:
         """The window's points in the disjoint per-point ``masks``, grouped
@@ -235,7 +232,6 @@ class ColorTable:
         return np.bincount(self.row[mask] + 1, minlength=self.blocks + 1)[1:]
 
 
-@dataclass
 class LevelTable:
     """The window's level-n blocks in children order, each color's points'
     rows among them, and, once stage n has run, its per-block columns, from
@@ -244,17 +240,23 @@ class LevelTable:
     they were when the stage ran (a later stage may unmatch them); the two
     heir flags are None at level 1."""
 
-    n: int
-    cells: np.ndarray  # (blocks, 2) ix, iy
-    red: ColorTable
-    blue: ColorTable
-    unmatched: Optional[np.ndarray] = None
-    bad: Optional[np.ndarray] = None
-    dodgy: Optional[np.ndarray] = None
-    new_edges: Optional[np.ndarray] = None
-    new_start: Optional[np.ndarray] = None
-    unmatched_in_heir: Optional[np.ndarray] = None
-    new_edges_in_heirs: Optional[np.ndarray] = None
+    def __init__(self, n: int, cells: np.ndarray, red: ColorTable, blue: ColorTable,
+                 unmatched: Optional[np.ndarray] = None, bad: Optional[np.ndarray] = None,
+                 dodgy: Optional[np.ndarray] = None, new_edges: Optional[np.ndarray] = None,
+                 new_start: Optional[np.ndarray] = None,
+                 unmatched_in_heir: Optional[np.ndarray] = None,
+                 new_edges_in_heirs: Optional[np.ndarray] = None):
+        self.n = n
+        self.cells = cells  # (blocks, 2) ix, iy
+        self.red = red
+        self.blue = blue
+        self.unmatched = unmatched
+        self.bad = bad
+        self.dodgy = dodgy
+        self.new_edges = new_edges
+        self.new_start = new_start
+        self.unmatched_in_heir = unmatched_in_heir
+        self.new_edges_in_heirs = new_edges_in_heirs
 
 
 def _block_records(lv: LevelTable) -> Tuple[BlockRecord, ...]:
@@ -303,20 +305,23 @@ def _level_tables(ps: ColoredPointSet, system: BlockSystem, cells: Dict[int, np.
     return {n: LevelTable(n, cells[n], *tables) for n, tables in colors.items()}
 
 
-@dataclass
 class StageState:
     """Mutable matching state across stages: partner index arrays (-1 for
     unmatched) plus per-point unmatch-event counters. ``levels[n]`` is the
     table of level n."""
 
-    ps: ColoredPointSet
-    system: BlockSystem
-    red_partner: np.ndarray
-    blue_partner: np.ndarray
-    red_unmatch_events: np.ndarray
-    blue_unmatch_events: np.ndarray
-    levels: Dict[int, LevelTable]
-    stage: int = 0
+    def __init__(self, ps: ColoredPointSet, system: BlockSystem, red_partner: np.ndarray,
+                 blue_partner: np.ndarray, red_unmatch_events: np.ndarray,
+                 blue_unmatch_events: np.ndarray, levels: Dict[int, LevelTable],
+                 stage: int = 0):
+        self.ps = ps
+        self.system = system
+        self.red_partner = red_partner
+        self.blue_partner = blue_partner
+        self.red_unmatch_events = red_unmatch_events
+        self.blue_unmatch_events = blue_unmatch_events
+        self.levels = levels
+        self.stage = stage
 
     @property
     def records(self) -> List[Tuple[BlockRecord, ...]]:

@@ -7,11 +7,10 @@ replay deterministically and trials can run in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, LINE, _same_points, _two_columns
+from .geometry import Domain, LINE, _Frozen, _same_points, _two_columns
 from .matching import FORMAT_VERSION
 
 
@@ -20,33 +19,24 @@ def derived_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    lambda_red: float
-    lambda_blue: float
-    domain: Domain
-    seed: int
-
-    def __post_init__(self):
+class SampleConfig(_Frozen):
+    def __init__(self, lambda_red: float, lambda_blue: float, domain: Domain, seed: int):
+        vars(self).update(lambda_red=lambda_red, lambda_blue=lambda_blue, domain=domain,
+                          seed=seed)
         # NaN passes a `<= 0` test
-        if not all(math.isfinite(lam) and lam > 0
-                   for lam in (self.lambda_red, self.lambda_blue)):
+        if not all(math.isfinite(lam) and lam > 0 for lam in (lambda_red, lambda_blue)):
             raise ValueError("intensities must be positive and finite")
 
 
-@dataclass
 class ColoredPointSet:
     """A sampled red/blue configuration; point arrays are (n, 2) and sorted
     by x then y so downstream constructions are deterministic."""
 
-    domain: Domain
-    reds: np.ndarray
-    blues: np.ndarray
-    seed: int = 0
-
-    def __post_init__(self):
-        self.reds = _canonical(self.reds)
-        self.blues = _canonical(self.blues)
+    def __init__(self, domain: Domain, reds: np.ndarray, blues: np.ndarray, seed: int = 0):
+        self.domain = domain
+        self.reds = _canonical(reds)
+        self.blues = _canonical(blues)
+        self.seed = seed
         for pts in (self.reds, self.blues):
             if pts.size and not np.isfinite(pts).all():
                 raise ValueError("non-finite coordinates")

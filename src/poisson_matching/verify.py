@@ -11,7 +11,6 @@ builtin ``sum`` (``matching._in_order``); the Chernoff tail is ``hierarchy``'s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,11 +26,11 @@ from .sampling import ColoredPointSet, derived_rng
 from .walks import crossing_profile
 
 
-@dataclass
 class VerificationReport:
-    property_name: str
-    trials: int
-    violations: List = field(default_factory=list)
+    def __init__(self, property_name: str, trials: int, violations: Optional[List] = None):
+        self.property_name = property_name
+        self.trials = trials
+        self.violations = [] if violations is None else violations
 
     @property
     def passed(self) -> bool:
@@ -47,10 +46,10 @@ class VerificationReport:
         }
 
 
-@dataclass
 class StatsReport:
-    name: str
-    payload: dict
+    def __init__(self, name: str, payload: dict):
+        self.name = name
+        self.payload = payload
 
     def to_json(self) -> dict:
         return {"format": FORMAT_VERSION, "name": self.name, **self.payload}
@@ -316,15 +315,16 @@ def crossing_stats(m: Matching, regions: Sequence[Region]) -> StatsReport:
     })
 
 
-@dataclass
 class BoxRematchResult:
     """The lengths before and after a box rematch, the number of cells
     rematched (those holding an edge), and the rematched matching."""
 
-    length_before: float
-    length_after: float
-    cells_rematched: int
-    matching: Matching
+    def __init__(self, length_before: float, length_after: float, cells_rematched: int,
+                 matching: Matching):
+        self.length_before = length_before
+        self.length_after = length_after
+        self.cells_rematched = cells_rematched
+        self.matching = matching
 
     @property
     def improvement(self) -> float:

@@ -20,7 +20,6 @@ unmatched and are flagged, never force-matched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -38,17 +37,13 @@ class WalkInvariantError(ValueError):
     (a point left of the window, say)."""
 
 
-@dataclass
 class StepWalk:
     """Piecewise-constant right-continuous walk: sorted jump locations with
     +/-1 signs, value 0 at the window's left edge."""
 
-    xs: np.ndarray
-    signs: np.ndarray
-
-    def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=float)
-        self.signs = np.asarray(self.signs, dtype=int)
+    def __init__(self, xs: np.ndarray, signs: np.ndarray):
+        self.xs = np.asarray(xs, dtype=float)
+        self.signs = np.asarray(signs, dtype=int)
         if len(self.xs) > 1 and not (np.diff(self.xs) > 0).all():
             raise ValueError("jump locations must be strictly increasing")
 
@@ -207,12 +202,12 @@ def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> ArcTable:
     return ArcTable(m._edge_array(), height, lowest, depth, vertices)
 
 
-@dataclass
 class CrossingProfile:
     """Piecewise-constant count of edges covering each location on the line."""
 
-    breakpoints: np.ndarray
-    values: np.ndarray  # len(breakpoints) - 1 interval values
+    def __init__(self, breakpoints: np.ndarray, values: np.ndarray):
+        self.breakpoints = breakpoints
+        self.values = values  # len(breakpoints) - 1 interval values
 
     def integral(self) -> float:
         widths = np.diff(self.breakpoints)

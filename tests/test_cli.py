@@ -837,15 +837,46 @@ def test_smallest_drawing_area_renders(runner, tmp_path):
 
 class TestConfigAndStats:
     def test_config_file_supplies_defaults(self, runner, tmp_path):
+        # no value is the flag's default, so an ignored key shows; keys are
+        # the long flags, with "-" or "_"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 7, "domain": "strip",
-                                   "window": "0,30"}))
+        cfg.write_text(json.dumps({"seed": 7, "domain": "line", "window": "0,30",
+                                   "lambda_red": 2.0, "lambda-blue": 0.5}))
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        invoke(runner, "sample", "--config", str(cfg), "--out", str(a))
-        invoke(runner, "sample", "--seed", "7", "--domain", "strip",
-               "--window", "0,30", "--out", str(b))
+        assert invoke(runner, "sample", "--config", str(cfg), "--out", str(a)).exit_code == 0
+        assert invoke(runner, "sample", "--seed", "7", "--domain", "line", "--window", "0,30",
+                      "--lambda-red", "2", "--lambda-blue", "0.5",
+                      "--out", str(b)).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["domain"]["kind"] == "line"
+
+    def test_config_keys_in_and_property(self, runner, tmp_path):
+        # the flags --in and --property, whose values are in_path and prop
+        line = sample_file(runner, tmp_path, domain="line")
+        m = tmp_path / "m.json"
+        invoke(runner, "match", "--in", str(line), "--construction", "excursion",
+               "--out", str(m))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"in": str(m), "property": "minimality"}))
+        res = invoke(runner, "verify", "--config", str(cfg))
+        assert res.exit_code == 0, res.output
+        assert res.output == invoke(runner, "verify", "--in", str(m),
+                                    "--property", "minimality").output
+        assert json.loads(res.output)["property"] == "minimality_d1"
+
+    @pytest.mark.parametrize("command,key", [
+        ("sample", "sed"), ("sample", "kind"), ("sample", "config"), ("sample", "--seed"),
+        ("verify", "k"), ("verify", "trials"), ("verify", "in_path"), ("verify", "prop"),
+        ("render", "no-walk"),
+    ])
+    def test_config_key_that_is_no_long_flag_is_named(self, runner, tmp_path, command, key):
+        # a misspelled or removed flag, or a parameter's name in place of its flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 5}))
+        res = invoke(runner, command, "--config", str(cfg))
+        assert res.exit_code == 2, res.output
+        assert f"unknown key {key!r}" in res.output
 
     def test_flags_override_config(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -976,8 +1007,10 @@ def test_output_digest_pinned(runner, pinned_inputs, name):
 # only scipy's top level and its compiled assignment and distance modules,
 # never the inits of scipy.optimize or scipy.spatial. Each case runs in a
 # fresh interpreter, since this process has loaded all of them long ago.
+# csv loads only in sweep, its one reader.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(poisson_matching.__file__)))
-WATCHED = ("numpy.ma", "scipy", "scipy.optimize", "scipy.spatial", "scipy.optimize._lsap")
+WATCHED = ("numpy.ma", "scipy", "scipy.optimize", "scipy.spatial", "scipy.optimize._lsap",
+           "csv")
 RUN_MAIN = """
 import sys
 from poisson_matching.cli import main
@@ -1067,6 +1100,25 @@ def test_public_names_pinned():
 @pytest.mark.parametrize("module", ["poisson_matching", "poisson_matching.cli"])
 def test_import_loads_no_scipy(module):
     assert _loaded_after(f"import sys\nimport {module}") == set()
+
+
+def test_import_makes_no_dataclasses_but_the_two_row_types():
+    # a dataclass generates and execs its methods at import, 0.3 to 1 ms a
+    # class; ArcSpec and BlockRecord are the rows tests rebuild with
+    # dataclasses.replace and astuple
+    code = ("import dataclasses, sys\n"
+            "import poisson_matching.cli\n"
+            "print(*sorted(f'{cls.__module__}.{cls.__qualname__}'\n"
+            "              for name, module in list(sys.modules.items())\n"
+            "              if name.startswith('poisson_matching')\n"
+            "              for cls in vars(module).values() if isinstance(cls, type)\n"
+            "              and cls.__module__ == name and dataclasses.is_dataclass(cls)))\n")
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["poisson_matching.arcs.ArcSpec",
+                                  "poisson_matching.hierarchy.BlockRecord"]
 
 
 def test_crossing_profile_loads_no_numpy_ma():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        _crosses_region, _intersections,
                                        edge_crosses_region, is_parallel_free,
                                        orientation, segments_intersect)
+from poisson_matching.hierarchy import ChernoffParams
+from poisson_matching.sampling import SampleConfig
 
 
 # --- Scalar oracles ---------------------------------------------------------
@@ -362,6 +365,57 @@ def test_empty_or_unknown_shapes_rejected(name):
     make, message = SHAPE_ERRORS[name]
     with pytest.raises(ValueError, match=message):
         make()
+
+
+# the immutable value classes: two builds of one value, a field name, and
+# another value of the class
+FROZEN = {
+    "Segment": (lambda: Segment(Point(0, 0), Point(1, 2)), "a",
+                Segment(Point(0, 0), Point(1, 3))),
+    "Rect": (lambda: Rect(0, 1, 0, 1), "x0", Rect(0, 1, 0, 2)),
+    "Disk": (lambda: Disk(0, 0, 1), "radius", Disk(0, 0, 2)),
+    "Domain": (lambda: Domain.strip(0, 1), "kind", Domain.line(0, 1)),
+    "SampleConfig": (lambda: SampleConfig(1.0, 1.0, Domain.strip(0, 1), 7), "seed",
+                     SampleConfig(1.0, 1.0, Domain.strip(0, 1), 8)),
+    "ChernoffParams": (lambda: ChernoffParams(2.0, 1.0), "mu", ChernoffParams(2.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+class TestFrozenValues:
+    def test_fields_cannot_change(self, name):
+        make, field, _ = FROZEN[name]
+        value = make()
+        before = repr(value)
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert repr(value) == before
+
+    def test_equal_values_are_equal_and_hash_alike(self, name):
+        make, _, other = FROZEN[name]
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other and not a == other
+        assert a != (a,) and len({a, b, other}) == 2
+
+
+def test_frozen_values_read_as_their_constructor_calls():
+    # Rect and Segment reprs appear in error messages
+    assert repr(Rect(0, 1, 0, 1)) == "Rect(x0=0, x1=1, y0=0, y1=1)"
+    assert repr(Segment(Point(0, 0), Point(1, 2.5))) == (
+        "Segment(a=Point(x=0, y=0), b=Point(x=1, y=2.5))")
+    assert repr(Domain.strip(0, 1)) == "Domain(kind='strip', x0=0, x1=1, y0=0.0, y1=1.0)"
+    assert repr(Disk(0.5, 0, 1)) == "Disk(cx=0.5, cy=0, radius=1)"
+    assert repr(ChernoffParams(2.0, 1)) == "ChernoffParams(lam=2.0, mu=1)"
+    assert repr(SampleConfig(1.0, 2, Domain.line(0, 3), 7)) == (
+        "SampleConfig(lambda_red=1.0, lambda_blue=2, "
+        "domain=Domain(kind='line', x0=0, x1=3, y0=0.0, y1=0.0), seed=7)")
+    with pytest.raises(ValueError, match=re.escape("empty rectangle Rect(x0=1, x1=1, y0=0, y1=1)")):
+        Rect(1, 1, 0, 1)
 
 
 class TestRectContains:
