@@ -5,8 +5,7 @@ from .geometry import (Disk, Domain, Point, Rect, Segment,
                        is_parallel_free, segments_intersect)
 from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 from .matching import Matching
-from .assignment import (brute_force_min, improvable_pair, max_cardinality_min_cost,
-                         min_cost_perfect)
+from .assignment import brute_force_min, max_cardinality_min_cost, min_cost_perfect
 from .arcs import ArcSpec, ArcTable
 from .walks import (CrossingProfile, StepWalk, WalkInvariantError, build_walk,
                     crossing_profile, cut_time_matching, excursion_matching,
@@ -16,6 +15,7 @@ from .hierarchy import BlockSystem, build_block_system, heir_frequency, run_hier
 from .verify import (ChernoffParams, StatsReport, VerificationReport,
                      box_rematch_experiment, check_arc_disjointness,
                      check_planarity, chernoff_bound, chernoff_mc,
-                     crossing_stats, estimate_eta, minimality_certificate_d1)
+                     crossing_stats, estimate_eta, minimality_certificate,
+                     minimality_certificate_d1)
 
 __version__ = "0.1.0"

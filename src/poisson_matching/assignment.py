@@ -20,10 +20,9 @@ in one numpy pass per size, with the cost matrix's floats, where the least
 total beats the runner-up by more than EPS_TIE; the rest (a near-tie, or a
 larger problem) reach the kernel.
 
-The brute-force enumerator ``brute_force_min``, kept as the oracle, and the
-2-swap probe ``improvable_pair`` solve nothing: they take their distances
-from ``_pair_distances``, in numpy, equal to the kernel's bit for bit, so
-they stay independent of the kernel loader and load no scipy.
+The oracle ``brute_force_min`` and ``verify.minimality_certificate`` solve
+nothing: their distances are ``_pair_distances``', in numpy, the kernel's
+bit for bit, so they are independent of the kernel loader and load no scipy.
 
 Of scipy, only two compiled functions are used, and ``_kernel`` loads
 them at the first solve, not when this module is imported:
@@ -76,7 +75,7 @@ import importlib.util
 import itertools
 import math
 import sys
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -86,7 +85,7 @@ from .matching import Matching, partner_edges
 EPS_TIE = 1e-9
 BRUTE_FORCE_MAX = 9
 BIG = 1e15  # forbidden-cell cost in padded assignment problems
-ROW_BLOCK = 64  # rows per block of the pair scans; bounds their temporaries
+ROW_BLOCK = 64  # rows per block of _pad and the cycle search; bounds their temporaries
 SMALL_MAX = 3  # largest small side the small-problem pass settles
 PAIR_BLOCK = 4096  # point pairs per batch of the small-problem pass
 SPARE_ENTRIES = 1 << 22  # largest buffer kept between solves: 32 MiB (module doc)
@@ -143,8 +142,8 @@ def _pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     the whole cost matrix: the float ``cdist`` gives for the pair, bit for
     bit, as both sum the squared differences in coordinate order and take
     the root (``np.hypot`` rounds differently)."""
-    d = q - p
-    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+    dx, dy = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]  # no (..., 2) difference array
+    return np.sqrt(dx * dx + dy * dy)
 
 
 @functools.lru_cache(maxsize=128)  # the hierarchy solves thousands of tiny problems
@@ -187,20 +186,6 @@ def _lex_key(reds: np.ndarray, blues: np.ndarray, assign) -> tuple:
     """Edge list ordered by red coordinates; key is the partner sequence."""
     order = np.lexsort((reds[:, 1], reds[:, 0]))
     return tuple((blues[assign[i]][0], blues[assign[i]][1]) for i in order)
-
-
-def _first_pair(n: int, hits) -> Optional[int]:
-    """Flat position a*n + b of the first pair a < b, in scan order, that
-    ``hits(rows, cols)`` marks; None if there is none. ``hits`` gets two
-    slices, a block of at most ROW_BLOCK rows and every column from the
-    block's first row on, and returns a boolean (rows, cols) array."""
-    for r0 in range(0, n, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n)
-        rows, cols = np.arange(r0, r1), np.arange(r0, n)
-        a, b = np.nonzero(hits(slice(r0, r1), slice(r0, n)) & (cols > rows[:, None]))
-        if len(a):  # nonzero lists the hits in row-major order
-            return int(rows[a[0]] * n + cols[b[0]])
-    return None
 
 
 def _pad(cost: np.ndarray, reds: np.ndarray, blues: np.ndarray,
@@ -517,17 +502,3 @@ def max_cardinality_min_cost(reds, blues) -> Matching:
     partner = assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)])
     return Matching(reds, blues, partner_edges(partner))
 
-
-def improvable_pair(m: Matching) -> Optional[Tuple[int, int]]:
-    """First edge pair (scan order) whose partner swap strictly shortens the
-    matching by more than EPS_TIE; None is necessary for minimality."""
-    p, q = m.endpoint_arrays()
-    n = len(p)
-    d = np.hypot(*(p - q).T)
-
-    def shorter(rows, cols):
-        alt = _pair_distances(p[rows, None], q[cols]) + _pair_distances(p[cols, None], q[rows]).T
-        return alt < d[rows, None] + d[cols] - EPS_TIE
-
-    pos = _first_pair(n, shorter) if n else None
-    return None if pos is None else divmod(pos, n)

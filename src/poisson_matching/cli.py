@@ -358,10 +358,8 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
 @config_option
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True,
               help="Result JSON from 'match'.")
-@click.option("--property", "prop",
-              type=click.Choice(["planarity", "arcs", "minimality", "improvable"]),
-              required=True,
-              help="planarity needs a strip or plane domain, minimality a line.")
+@click.option("--property", "prop", type=click.Choice(["planarity", "arcs", "minimality"]),
+              required=True, help="planarity needs a strip or plane domain.")
 @click.option("--out", type=click.Path(), default=None)
 def cmd_verify(in_path, prop, out):
     """Check a matching property; exit 1 with witnesses on violation."""
@@ -378,12 +376,9 @@ def cmd_verify(in_path, prop, out):
         if arcs is None:
             raise click.UsageError("input has no arcs")
         report = verify.check_arc_disjointness(arcs)
-    elif prop == "minimality":
-        if ps.domain.kind != "line":
-            raise click.UsageError("minimality certificate requires a line domain")
-        report = verify.minimality_certificate_d1(m)
-    else:
-        report = verify.check_improvable(m)
+    else:  # minimality: on a line, the O(n log n) count; elsewhere, the cycle search
+        report = (verify.minimality_certificate_d1(m) if ps.domain.kind == "line"
+                  else verify.minimality_certificate(m))
     _dump(report.to_json(), out)
     if not report.passed:
         sys.exit(1)

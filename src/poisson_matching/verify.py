@@ -16,8 +16,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcTable
-from .assignment import (RECTANGULAR, _runs, _spans, _stable_order, assign_in_groups,
-                         improvable_pair)
+from .assignment import (EPS_TIE, RECTANGULAR, ROW_BLOCK, _pair_distances, _runs, _spans,
+                         _stable_order, assign_in_groups)
 from .geometry import (EPS_GEOM, Point, Rect, Region, Segment, _crosses_region,
                        _intersections, _overlap_error, _same_points)
 from .hierarchy import ChernoffParams, chernoff_bound
@@ -199,14 +199,6 @@ def check_arc_disjointness(arcs: ArcTable) -> VerificationReport:
     )
 
 
-def check_improvable(m: Matching) -> VerificationReport:
-    """The 2-swap probe (``improvable_pair``) as a report: its pair of edges
-    is the witness, and ``trials`` counts the pairs of edges."""
-    n, pair = len(m._edge_array()), improvable_pair(m)
-    return VerificationReport("improvable_pair", n * (n - 1) // 2,
-                              [] if pair is None else [{"edges": list(pair)}])
-
-
 def minimality_certificate_d1(m: Matching) -> VerificationReport:
     """Exact test that a line matching is min-cost for its endpoints, each
     edge read as first end (red) against second end (partner). It costs the
@@ -230,6 +222,49 @@ def minimality_certificate_d1(m: Matching) -> VerificationReport:
         violations.append({"gap": [x0, x1], "coverage": int(prof.values[k]),
                            "discrepancy": int(s[k]), "edges": np.flatnonzero(over).tolist()})
     return VerificationReport("minimality_d1", len(left), violations)
+
+
+def minimality_certificate(m: Matching) -> VerificationReport:
+    """Exact test, on any domain, that a matching is min-cost for its
+    endpoints (first ends p against second ends q): it is when no
+    alternating cycle shortens it (Klein 1967). Arc i -> k, red i taking
+    edge k's partner, weighs c(p_i, q_k) - c(p_i, q_i) + EPS_TIE / n, so ties
+    and rounding close no cycle and a pass means no rematch gains more than
+    EPS_TIE. Bellman-Ford relaxes ROW_BLOCK rows of arcs at a time in place,
+    with ``_pair_distances`` (no scipy, no (n, n) array), and looks for a
+    cycle of predecessors after each block that moved a label. ``trials`` counts arcs."""
+    p, q = m.endpoint_arrays()
+    n, own = len(p), _pair_distances(p, q)
+    label, pred, moved = np.zeros(n), np.full(n, n), True  # n: no predecessor
+    while moved:
+        moved = False
+        for r0 in range(0, n, ROW_BLOCK):
+            reach = _pair_distances(p[r0:r0 + ROW_BLOCK, None], q)
+            reach += (label - own + EPS_TIE / n)[r0:r0 + ROW_BLOCK, None]
+            best = reach.argmin(axis=0)
+            least = reach[best, np.arange(n)]
+            k = np.flatnonzero(least < label)
+            if len(k):
+                moved, label[k], pred[k] = True, least[k], best[k] + r0
+                if violations := _cycle(pred, p, q, own):
+                    return VerificationReport("minimality_cycles", n * (n - 1), violations)
+    return VerificationReport("minimality_cycles", n * (n - 1))
+
+
+def _cycle(pred, p, q, own) -> List[dict]:
+    """The witness, edges and change, of a cycle that ``pred`` (len(pred): none)
+    closes: its edges from the least, each red taking the next edge's partner."""
+    back = np.append(pred, len(pred))
+    for _ in range(len(pred).bit_length()):  # 2**b > n steps back: a cycle or the root
+        back = back[back]
+    e = [int(back.min())]  # the least node on a cycle, if any
+    if e[0] == len(pred):
+        return []
+    while (x := int(pred[e[-1]])) != e[0]:
+        e.append(x)
+    e = np.array(e[:1] + e[:0:-1])
+    change = float((_pair_distances(p[e], q[np.roll(e, -1)]) - own[e]).sum())
+    return [{"edges": e.tolist(), "change": change}]
 
 
 def chernoff_mc(p: ChernoffParams, trials: int, seed: int = 0) -> StatsReport:

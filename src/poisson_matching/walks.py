@@ -8,9 +8,8 @@ The excursion matching is a bracket pairing found by sorting the walk's
 steps by level, and the arcs come as one ``ArcTable`` (``arcs.py``), built
 and laminated column by column with no per-arc Python. Both read each
 step's point by one rule: the m-th up-step is reds[m], the m-th down-step
-blues[m]. ``polygonal_arcs`` takes strips only. The reports that
-check these matchings, the d = 1 minimality certificate among them, are
-built in ``verify``.
+blues[m]. ``polygonal_arcs`` takes strips only. The reports that check
+these matchings, the minimality certificates among them, are in ``verify``.
 
 Finite-window truncation policy: rules defined via inf/sup over the whole
 real line are restricted to the window, and points they leave unresolved

@@ -17,13 +17,14 @@ import poisson_matching
 from poisson_matching import assignment, matching
 from poisson_matching.assignment import (BIG, BRUTE_FORCE_MAX, EPS_TIE, RECTANGULAR,
                                          ROW_BLOCK, SATURATING, SMALL_MAX, _pair_distances,
-                                         assign_in_groups, brute_force_min, improvable_pair,
+                                         assign_in_groups, brute_force_min,
                                          max_cardinality_min_cost, min_cost_perfect)
 from poisson_matching.geometry import Domain, is_parallel_free
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
 from poisson_matching.matching import ONE_COLOR, TWO_COLOR, Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
-from poisson_matching.verify import box_rematch_experiment, check_planarity
+from poisson_matching.verify import (box_rematch_experiment, check_planarity,
+                                     minimality_certificate)
 from poisson_matching.walks import (cut_time_matching, excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs, zero_block_matching)
 from test_hierarchy import _points
@@ -31,6 +32,7 @@ from test_hierarchy import _points
 # kernel gives a problem, the oracle for the small-problem pass
 from test_hierarchy import min_cost_pairs as kernel_pairs
 from test_hierarchy import min_cost_saturating as kernel_saturating
+from test_verify import assert_cycle_witness
 
 SQUARE_REDS = np.array([[0.0, 0.0], [1.0, 0.0]])
 SQUARE_BLUES = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -311,9 +313,9 @@ class TestBruteForce:
         monkeypatch.setattr(assignment, "_kernel", wrong)
         assert max_cardinality_min_cost(reds, blues).edges != want  # the fault is real
         assert brute_force_min(reds, blues).edges == want
-        assert improvable_pair(Matching(reds, blues, want)) is None
+        assert minimality_certificate(Matching(reds, blues, want)).passed
         swapped = [(0, least[1]), (1, least[0]), *want[2:]]
-        assert improvable_pair(Matching(reds, blues, swapped)) == (0, 1)
+        assert_cycle_witness(Matching(reds, blues, swapped))
 
 
 class TestMaxCardinalityMinCost:
@@ -1254,8 +1256,10 @@ def test_from_json_checks_stated_values_against_edges():
 
 
 def _reference_improvable_pair(m):
-    """The 2-swap scan as a plain loop over every edge pair: the reference
-    for the vectorised one."""
+    """The first edge pair, in scan order, whose partner swap shortens the
+    matching by more than EPS_TIE, as a plain loop over every edge pair: a
+    2-swap oracle for the cycle certificate, to which such a pair is a
+    shortening 2-cycle."""
     bs = m.blues if m.color_mode == TWO_COLOR else m.reds
     for a in range(len(m.edges)):
         i, j = m.edges[a]
@@ -1270,8 +1274,8 @@ def _reference_improvable_pair(m):
 
 def _crossed(reds, blues, a):
     """min_cost_perfect's edges with the partners of edge a and of the edge
-    whose red is nearest to a's exchanged: a local defect, so the first
-    improvable pair usually involves edge a wherever it sits in scan order."""
+    whose red is nearest to a's exchanged: a local defect, which a 2-swap
+    undoes, wherever edge a sits in the edge list."""
     edges = list(min_cost_perfect(reds, blues).edges)  # edge k has red k
     near = np.hypot(*(reds - reds[a]).T)
     near[a] = np.inf
@@ -1282,22 +1286,31 @@ def _crossed(reds, blues, a):
 
 
 class TestImprovablePair:
+    """The cycle certificate (``verify.minimality_certificate``) against the
+    2-swap reference: wherever a partner swap shortens a matching, the
+    certificate fails, with a cycle that shortens it."""
+
     def test_crossed_square_improvable(self):
         m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1), (1, 0)])
-        assert improvable_pair(m) == (0, 1)
+        v = assert_cycle_witness(m)
+        assert v["edges"] == [0, 1]
+        assert v["change"] == pytest.approx(2 - 2 * math.sqrt(2))
         improvement = m.total_length - 2.0
         assert improvement == pytest.approx(2 * math.sqrt(2) - 2)
 
     def test_optimal_square_not_improvable(self):
         m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 0), (1, 1)])
-        assert improvable_pair(m) is None
+        rep = minimality_certificate(m)
+        assert rep.passed and rep.trials == 2
 
     def test_solver_output_never_improvable(self):
         rng = derived_rng(31)
         for _ in range(50):
             reds = rng.uniform(0, 1, (20, 2))
             blues = rng.uniform(0, 1, (20, 2))
-            assert improvable_pair(min_cost_perfect(reds, blues)) is None
+            m = min_cost_perfect(reds, blues)
+            assert minimality_certificate(m).passed
+            assert _reference_improvable_pair(m) is None
 
     def test_swap_never_decreases_optimal_cost(self):
         rng = derived_rng(37)
@@ -1314,6 +1327,8 @@ class TestImprovablePair:
                 assert swapped.total_length >= base - 1e-9
 
     def test_matches_reference_on_random_inputs(self):
+        # one crossed pair in a minimum: the reference finds a pair, and the
+        # certificate a cycle, in every block of rows, not only the first
         rng = derived_rng(71)
         found = 0
         for _ in range(40):
@@ -1321,12 +1336,13 @@ class TestImprovablePair:
             reds = rng.uniform(0, 10, (n, 2))
             blues = rng.uniform(0, 10, (n, 2))
             m = _crossed(reds, blues, int(rng.integers(n)))
-            want = _reference_improvable_pair(m)
-            assert improvable_pair(m) == want
-            found += want is not None and want[0] >= ROW_BLOCK
+            assert _reference_improvable_pair(m) is not None
+            found += max(assert_cycle_witness(m)["edges"]) >= ROW_BLOCK
         assert found >= 5
 
     def test_matches_reference_on_lattices(self):
+        # permutations of lattice points, with ties: a pair the reference
+        # finds means a failure; a failure without one is a longer cycle
         rng = derived_rng(73)
         found = 0
         for _ in range(200):
@@ -1336,7 +1352,10 @@ class TestImprovablePair:
             blues = _lattice(rng, width, n, distinct=True)
             m = Matching(reds, blues, list(enumerate(rng.permutation(n).tolist())))
             want = _reference_improvable_pair(m)
-            assert improvable_pair(m) == want
+            rep = minimality_certificate(m)
+            if want is not None or not rep.passed:
+                v = assert_cycle_witness(m, rep)
+                assert want is not None or len(v["edges"]) >= 3
             found += want is not None
         assert 20 <= found < 200
 
@@ -1347,12 +1366,15 @@ class TestImprovablePair:
             reds = rng.uniform(0, 10, (n, 2))
             ends = rng.permutation(n).reshape(-1, 2).tolist()
             m = Matching(reds, np.empty((0, 2)), [tuple(e) for e in ends], color_mode=ONE_COLOR)
-            assert improvable_pair(m) == _reference_improvable_pair(m)
+            rep = minimality_certificate(m)
+            if _reference_improvable_pair(m) is not None or not rep.passed:
+                assert_cycle_witness(m, rep)
 
     def test_empty_and_single_edge(self):
-        assert improvable_pair(Matching(np.empty((0, 2)), np.empty((0, 2)), [])) is None
-        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1)])
-        assert improvable_pair(m) is None
+        rep = minimality_certificate(Matching(np.empty((0, 2)), np.empty((0, 2)), []))
+        assert rep.passed and rep.trials == 0
+        rep = minimality_certificate(Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1)]))
+        assert rep.passed and rep.trials == 0
 
 
 class TestPlanarityOfMinimum:

@@ -399,6 +399,9 @@ BAD_INPUTS = {
                                    "No such option '--trials'"),
     "minimality_seed": ([*MINIMALITY, "--seed", "0", "--in"], LINE_RESULT,
                         "No such option '--seed'"),
+    # improvable is no property: minimality is exact on every domain
+    "property_improvable": (["verify", "--property", "improvable", "--in"],
+                            json.dumps(ONE_EDGE_RESULT), "Invalid value for '--property'"),
     # the window's corner cell does not fit the int64 block lookup; this
     # used to exit 1 with an OverflowError traceback. The file states a
     # valid block system, so the lookup is what fails
@@ -471,8 +474,6 @@ BAD_INPUTS = {
         "size mismatch: 2 reds vs 1 blues"),
     "verify_point_set": (VERIFY, POINT_SET, "has no matching"),
     "stats_point_set": (STATS_ETA, POINT_SET, "has no matching"),
-    "minimality_on_strip": ([*MINIMALITY, "--in"], json.dumps(ONE_EDGE_RESULT),
-                            "requires a line domain"),
     "render_walk_on_plane": (["render", "--walk", "--out", os.devnull, "--in"],
                              PLANE_POINTS, "walk requires a line or strip domain"),
     # domain bounds and seeds of the wrong type, caught where the file is read
@@ -741,6 +742,11 @@ def test_one_edge_result_is_valid(runner, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(ONE_EDGE_RESULT))
     assert invoke(runner, *VERIFY, str(path)).exit_code == 0
+    # a strip, so the cycle search, which has no arc to try
+    res = invoke(runner, *MINIMALITY, "--in", str(path))
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["property"] == "minimality_cycles"
+    assert json.loads(res.output)["trials"] == 0
 
 
 def test_minimality_reports_gaps_checked(runner, tmp_path):
@@ -768,10 +774,11 @@ def test_minimality_reports_gaps_checked(runner, tmp_path):
 
 
 @pytest.mark.parametrize("construction,exit_code", [("min_cost", 0), ("excursion", 1)])
-def test_improvable_counts_edges_from_the_file(runner, tmp_path, monkeypatch,
-                                               construction, exit_code):
-    # the pair count comes from the matching's edge array: its list of edge
-    # tuples is never built
+def test_minimality_counts_arcs_from_the_file(runner, tmp_path, monkeypatch,
+                                              construction, exit_code):
+    # a plane min-cost result and a strip excursion result, both certified
+    # by the cycle search; the arc count comes from the matching's edge
+    # array: its list of edge tuples is never built
     points = (sample_file(runner, tmp_path, domain="plane", window="0,3,0,3", seed=1)
               if construction == "min_cost" else sample_file(runner, tmp_path))
     result = tmp_path / "m.json"
@@ -779,10 +786,11 @@ def test_improvable_counts_edges_from_the_file(runner, tmp_path, monkeypatch,
            "--out", str(result))
     n = len(json.loads(result.read_text())["matching"]["edges"])
     monkeypatch.setattr(Matching, "edges", property(lambda m: pytest.fail("edge tuples built")))
-    res = invoke(runner, "verify", "--property", "improvable", "--in", str(result))
+    res = invoke(runner, *MINIMALITY, "--in", str(result))
     assert res.exit_code == exit_code, res.output
     report = json.loads(res.output)
-    assert n >= 2 and report["trials"] == n * (n - 1) // 2
+    assert report["property"] == "minimality_cycles"
+    assert n >= 2 and report["trials"] == n * (n - 1)
     assert len(report["violations"]) == exit_code
 
 
@@ -864,6 +872,16 @@ class TestConfigAndStats:
         assert res.output == invoke(runner, "verify", "--in", str(m),
                                     "--property", "minimality").output
         assert json.loads(res.output)["property"] == "minimality_d1"
+
+    def test_config_property_improvable_is_invalid(self, runner, tmp_path):
+        # nor is improvable a property in a config file
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(ONE_EDGE_RESULT))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"in": str(path), "property": "improvable"}))
+        res = invoke(runner, "verify", "--config", str(cfg))
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--property'" in res.output and "improvable" in res.output
 
     @pytest.mark.parametrize("command,key", [
         ("sample", "sed"), ("sample", "kind"), ("sample", "config"), ("sample", "--seed"),
@@ -1028,9 +1046,9 @@ NO_SOLVE = {
     "stats_eta": "stats --kind eta --in {excursion} --out {out}",
     "stats_crossings": "stats --kind crossings --in {excursion} --out {out}",
     "render_walk": "render --in {excursion} --walk --out {svg}",
-    # the oracle and the 2-swap probe take their distances in numpy
+    # both minimality certificates take their distances in numpy
     "verify_minimality": "verify --property minimality --in {line_excursion} --out {out}",
-    "verify_improvable": "verify --property improvable --in {min_cost} --out {out}",
+    "verify_minimality_cycles": "verify --property minimality --in {min_cost} --out {out}",
 }
 # zero_block solves each balanced block between returns to zero exactly
 SOLVES = {
@@ -1079,7 +1097,7 @@ PUBLIC_NAMES = {
     "edge_crosses_region", "is_parallel_free", "segments_intersect",
     "ColoredPointSet", "SampleConfig", "derived_rng", "sample",
     "Matching",
-    "brute_force_min", "improvable_pair", "max_cardinality_min_cost", "min_cost_perfect",
+    "brute_force_min", "max_cardinality_min_cost", "min_cost_perfect",
     "ArcSpec", "ArcTable", "CrossingProfile", "StepWalk", "WalkInvariantError", "build_walk",
     "crossing_profile", "cut_time_matching", "excursion_matching", "laminate_strips",
     "minimality_certificate_d1", "one_color_pairing", "polygonal_arcs",
@@ -1087,7 +1105,7 @@ PUBLIC_NAMES = {
     "BlockSystem", "build_block_system", "heir_frequency", "run_hierarchical",
     "ChernoffParams", "StatsReport", "VerificationReport", "box_rematch_experiment",
     "check_arc_disjointness", "check_planarity", "chernoff_bound", "chernoff_mc",
-    "crossing_stats", "estimate_eta",
+    "crossing_stats", "estimate_eta", "minimality_certificate",
 }
 
 
@@ -1159,7 +1177,7 @@ JSON_OUTPUTS = {
     "verify_planarity": "verify --property planarity --in {excursion}",
     "verify_arcs": "verify --property arcs --in {excursion}",
     "verify_minimality": "verify --property minimality --in {line_excursion}",
-    "verify_improvable": "verify --property improvable --in {min_cost}",
+    "verify_minimality_cycles": "verify --property minimality --in {min_cost}",
     "stats_eta": "stats --kind eta --in {excursion}",
     "stats_crossings": "stats --kind crossings --in {excursion}",
     "stats_box_rematch": "stats --kind box-rematch --in {excursion}",

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from poisson_matching import verify
-from poisson_matching.assignment import _stable_order, min_cost_perfect
+from poisson_matching.assignment import (EPS_TIE, _stable_order, brute_force_min,
+                                         min_cost_perfect)
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        Domain, Point, Rect, Segment)
 from poisson_matching.matching import ONE_COLOR, Matching
@@ -19,11 +22,14 @@ from poisson_matching.verify import (ChernoffParams, _arc_arrays,
                                      box_rematch_experiment, chernoff_bound,
                                      chernoff_mc, check_arc_disjointness,
                                      check_planarity, crossing_stats,
-                                     estimate_eta, interior_window)
+                                     estimate_eta, interior_window,
+                                     minimality_certificate, minimality_certificate_d1)
 from poisson_matching.walks import (ArcSpec, excursion_matching,
-                                    laminate_strips, one_color_pairing, polygonal_arcs)
+                                    laminate_strips, one_color_pairing, polygonal_arcs,
+                                    zero_block_matching)
 from test_geometry import scalar_edge_crosses_region, scalar_segments_intersect
-from test_walks import table_of
+from test_hierarchy import hierarchical_case
+from test_walks import _rematched, table_of
 
 
 def square_ps(seed, side=20.0, lam=1.0):
@@ -581,6 +587,124 @@ class TestArcDisjointness:
             m = excursion_matching(ps)
             arcs = polygonal_arcs(m, ps)
             assert check_arc_disjointness(arcs).passed
+
+
+def assert_cycle_witness(m, rep=None):
+    """``minimality_certificate`` fails ``m`` (``rep``, its report, if given)
+    on one cycle of distinct edges, from the least, whose rematch, each red
+    taking the next edge's partner, shortens the matching by more than
+    EPS_TIE: by its ``change``, summed again here with math.hypot. Returns
+    the witness."""
+    rep = minimality_certificate(m) if rep is None else rep
+    assert not rep.passed and rep.property_name == "minimality_cycles"
+    n = len(m._edge_array())
+    assert rep.trials == n * (n - 1) and len(rep.violations) == 1
+    v = rep.violations[0]
+    e = v["edges"]
+    assert len(set(e)) == len(e) >= 2 and e[0] == min(e) and max(e) < n
+    p, q = m.endpoint_arrays()
+    change = math.fsum(math.hypot(*(p[a] - q[b])) - math.hypot(*(p[a] - q[a]))
+                       for a, b in zip(e, e[1:] + e[:1]))
+    assert v["change"] == pytest.approx(change, abs=1e-12) and change < -EPS_TIE
+    return v
+
+
+class TestCycleCertificate:
+    def test_passes_exactly_at_the_brute_force_minimum(self):
+        # every size up to 7, on uniform points and on 3 x 3 lattices, whose
+        # points repeat and whose lengths tie; the matching a random
+        # permutation or the solver's
+        rng = derived_rng(83)
+        failed = 0
+        for trial in range(600):
+            n = trial % 8
+            if trial % 3:
+                reds, blues = (rng.integers(0, 3, (n, 2)).astype(float) for _ in range(2))
+            else:
+                reds, blues = rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (n, 2))
+            m = (min_cost_perfect(reds, blues) if trial % 4 == 0 else
+                 Matching(reds, blues, list(enumerate(rng.permutation(n).tolist()))))
+            rep = minimality_certificate(m)
+            least = brute_force_min(reds, blues).total_length
+            assert rep.passed == (m.total_length <= least + EPS_TIE)
+            if not rep.passed:
+                assert_cycle_witness(m, rep)
+                failed += 1
+        assert 200 < failed < 500
+
+    def test_catches_a_rematch_no_two_swap_makes(self):
+        # no partner swap of two edges shortens this matching, but moving
+        # every partner one edge along a 4-cycle does
+        rng = derived_rng(41, 106)
+        reds, blues = rng.uniform(0, 1, (4, 2)), rng.uniform(0, 1, (4, 2))
+        m = Matching(reds, blues, [(0, 2), (1, 3), (2, 1), (3, 0)])
+        for a, b in itertools.combinations(range(4), 2):
+            edges = list(m.edges)
+            edges[a], edges[b] = (a, m.edges[b][1]), (b, m.edges[a][1])
+            assert Matching(reds, blues, edges).total_length > m.total_length
+        v = assert_cycle_witness(m)
+        assert v["edges"] == [0, 2, 1, 3]
+        assert m.total_length + v["change"] == pytest.approx(
+            brute_force_min(reds, blues).total_length)
+
+    def test_agrees_with_the_line_certificate(self):
+        for seed in range(4):
+            ps = sample(SampleConfig(1, 1, Domain.line(0, 150), seed=seed))
+            m = excursion_matching(ps)
+            for case in (m, _rematched(m, [3, 40], [40, 3]),
+                         _rematched(m, [3, 20, 40], [20, 40, 3]), zero_block_matching(ps)):
+                rep = minimality_certificate(case)
+                assert rep.passed == minimality_certificate_d1(case).passed
+                if not rep.passed:
+                    assert_cycle_witness(case, rep)
+
+    def test_catches_a_swapped_pair_and_a_three_cycle_in_the_plane(self):
+        ps, n = balanced(square_ps(5, side=8.0))
+        m = min_cost_perfect(ps.reds[:n], ps.blues[:n])
+        assert n > 40 and minimality_certificate(m).passed
+        assert_cycle_witness(_rematched(m, [3, 40], [40, 3]))
+        assert_cycle_witness(_rematched(m, [3, 20, 40], [20, 40, 3]))
+
+    def test_hierarchy_matching_fails(self):
+        # the N=4 hierarchy of seed 0 is no min-cost matching of its edges' ends
+        *_, (m, _, _) = hierarchical_case(seed=0, N=4)
+        assert_cycle_witness(m)
+
+    def test_one_color_reads_first_end_against_second(self):
+        # as a pairing, (0, 1) and (2, 3) is shorter; first ends against
+        # second ends, taking each other's second ends ties
+        reds = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
+        m = Matching(reds, np.empty((0, 2)), [(0, 2), (1, 3)], color_mode=ONE_COLOR)
+        assert minimality_certificate(m).passed
+        m = Matching(reds, np.empty((0, 2)), [(0, 2), (3, 1)], color_mode=ONE_COLOR)
+        assert assert_cycle_witness(m)["edges"] == [0, 1]
+
+    def test_no_arc_without_two_edges(self):
+        ps = square_ps(1)
+        for edges in ([], [(0, 0)]):
+            rep = minimality_certificate(Matching(ps.reds, ps.blues, edges))
+            assert rep.passed and rep.trials == 0 and rep.violations == []
+
+    @pytest.mark.parametrize("n", [50, 200, 500])
+    def test_certifies_the_solver_beyond_brute_force(self, n):
+        # an oracle for the kernel path where brute force cannot run: it
+        # shares no code with assign_in_groups
+        rng = derived_rng(89, n)
+        m = min_cost_perfect(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (n, 2)))
+        rep = minimality_certificate(m)
+        assert rep.passed and rep.trials == n * (n - 1)
+
+    def test_holds_no_square_array(self):
+        # row blocks: a strip matching of ~10**4 edges needs no (n, n) array
+        m = excursion_matching(sample(SampleConfig(1, 1, Domain.strip(0, 1e4), seed=3)))
+        n = len(m._edge_array())
+        tracemalloc.start()
+        try:
+            assert_cycle_witness(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 16
 
 
 class TestChernoff:
