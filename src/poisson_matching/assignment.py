@@ -15,10 +15,9 @@ and cut-time blocks each go to it in one call per step.
 
 A problem with at most SMALL_MAX = 3 points on one side has few enough
 injections to score outright. ``assign_in_groups``' first step, its
-small-problem pass (``_settle_small``), settles the problems of that size
-in one numpy pass per size, with the cost matrix's floats, where the least
-total beats the runner-up by more than EPS_TIE; the rest (a near-tie, or a
-larger problem) reach the kernel.
+small-problem pass (``_settle_small``), settles every problem of that size
+at its least total, in one numpy pass per size, with the cost matrix's
+floats; the larger problems reach the kernel.
 
 The oracle ``brute_force_min`` and ``verify.minimality_certificate`` solve
 nothing: their distances are ``_pair_distances``', in numpy, the kernel's
@@ -42,11 +41,9 @@ back to ``scipy.optimize.linear_sum_assignment`` and
 verifiers, the oracle and rendering never load scipy at all.
 
 Poisson points tie in length with probability 0, and the constructions
-need a minimum, not a canonical one. So ``min_cost_perfect`` returns a
-minimum: on tied inputs (within EPS_TIE) the kernel's choice for the points
-in the given order, the same on every run. The oracle returns the minimum
-whose edge list is lexicographically earliest in point coordinates, so on
-tied inputs the two can differ at equal length.
+need a minimum, not a canonical one. So every solve returns a least
+matching, the same on every run: on tied inputs the small-problem pass,
+the kernel and the oracle may each return another one of equal length.
 
 The assignment routine dominates the time of a dense solve. It takes its
 rows in golden-ratio order (see ``_assign``), and every dense solve builds
@@ -182,12 +179,6 @@ def _assign(cost: np.ndarray) -> np.ndarray:
     return _kernel("assign")(cost)[1]
 
 
-def _lex_key(reds: np.ndarray, blues: np.ndarray, assign) -> tuple:
-    """Edge list ordered by red coordinates; key is the partner sequence."""
-    order = np.lexsort((reds[:, 1], reds[:, 0]))
-    return tuple((blues[assign[i]][0], blues[assign[i]][1]) for i in order)
-
-
 def _pad(cost: np.ndarray, reds: np.ndarray, blues: np.ndarray,
          must_r: int, must_b: int) -> None:
     """Write a SATURATING problem's padded square matrix into ``cost``, in
@@ -223,11 +214,9 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
       two reserve points, and a problem without mandatory points has no
       pairs.
 
-    A problem with at most SMALL_MAX points on its small side goes first to
-    the small-problem pass (``_settle_small``), which settles it with the
-    kernel's answer unless it is a near-tie; a problem settled there reaches
-    no kernel.
-    Each other problem's cost matrix has its rows in golden-ratio order
+    A problem with at most SMALL_MAX points on its small side is settled by
+    the small-problem pass (``_settle_small``) and reaches no kernel. Each
+    other problem's cost matrix has its rows in golden-ratio order
     (``_scattered``): the smaller side's points against the larger side's,
     the reds where the sides are equal, written by the compiled ``cdist``
     kernel, or the padded matrix of ``_pad``. Every matrix is a prefix view
@@ -310,27 +299,22 @@ def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
     problems among those to ``solve`` (see ``assign_in_groups``); write
     their partners and return their indices.
 
-    A problem is offered when its small side has at most SMALL_MAX points:
+    A problem is small when its small side has at most SMALL_MAX points:
     RECTANGULAR, its smaller side (its reds where the sides are equal)
     against the other; SATURATING, its mandatory points, when they are all
     of one color, against every point of the other color, all reserve. Both
-    colors' problems go in one pass. An offered problem is settled where the
-    least total length of an injection of its small side into its other side
-    beats every other injection's by more than EPS_TIE. Such a unique
-    minimum is the matching the kernel gives the problem; the rest are left
-    to the kernel, whose choice among near-ties this does not model.
+    colors' problems go in one pass, and each is settled at the least total
+    length of an injection of its small side into its other side.
 
     The distances are the cost matrix's floats (``_pair_distances``), and an
     injection's total is their sum in point order. A problem with s points
     on its small side scores only the injections that give each point one of
-    its s + 1 nearest points, (s + 1)**s of them, so all problems of one
-    size go in one padded pass and the work is linear in the pairs of
-    points, however many points the other side has. No total that matters
-    is lost: a point matched outside its s + 1 nearest finds at least two of
-    them free, and moving it to either gives an injection whose total is no
-    larger (a float sum never grows when a term shrinks), at least one of
-    the two not the best one, so the least total and the runner-up's are
-    both reached inside."""
+    its s nearest points, s**s of them, so all problems of one size go in
+    one padded pass and the work is linear in the pairs of points, however
+    many points the other side has. The least total is among them: the other
+    s - 1 points take at most s - 1 of a point's s nearest, so one is free,
+    and moving the point there gives an injection whose total is no larger
+    (a float sum never grows when a term shrinks)."""
     n_r, n_b = np.diff(red_start), np.diff(blue_start)
     if kind == RECTANGULAR:
         fewer = n_r <= n_b
@@ -346,25 +330,22 @@ def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
     small, small_start = _spans(np.where(red, red_start[g], first_b), (k_r + k_b)[g])
     large, large_start = _spans(np.where(red, first_b, red_start[g]),
                                 np.where(red, n_b[g], n_r[g]))
-    settled = np.zeros(len(g), dtype=bool)
     # batches of at most PAIR_BLOCK point pairs, or one larger problem,
     # bound the temporaries, which hold every pair of a batch
     for p0, p1 in _runs(np.diff(small_start) * np.diff(large_start), PAIR_BLOCK):
         _settle_batch(pts, small, small_start, large, large_start, np.arange(p0, p1),
-                      len(reds), partner, settled)
-    return g[settled]
+                      len(reds), partner)
+    return g
 
 
 def min_cost_perfect(reds, blues) -> Matching:
-    """Perfect matching of minimum total Euclidean length. Where several
-    matchings tie for the minimum, it is the one the kernel picks for the
-    points in the given order, the same on every run (module doc)."""
+    """Perfect matching of minimum total Euclidean length: the size check,
+    then ``max_cardinality_min_cost``."""
     reds = _two_columns(reds, "reds", float)
     blues = _two_columns(blues, "blues", float)
     if len(reds) != len(blues):
         raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
-    partner = assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)])
-    return Matching(reds, blues, partner_edges(partner))
+    return max_cardinality_min_cost(reds, blues)
 
 
 def brute_force_min(reds, blues) -> Matching:
@@ -372,9 +353,7 @@ def brute_force_min(reds, blues) -> Matching:
 
     The permutations, in lexicographic order, are scored at once, each total
     added column by column from 0.0 over the cost matrix's floats, not from
-    the solvers' kernel. In that order, a total more than EPS_TIE below the
-    least before it takes over; one within EPS_TIE competes by ``_lex_key``,
-    the earlier winning equal keys."""
+    the solvers' kernel, and the first of least total is returned."""
     reds = _two_columns(reds, "reds", float)
     blues = _two_columns(blues, "blues", float)
     n = len(reds)
@@ -393,12 +372,7 @@ def brute_force_min(reds, blues) -> Matching:
     total = np.zeros(len(perms))
     for i in range(n):
         total += cost[i].take(perms[:, i])
-    least = np.minimum.accumulate(np.concatenate([[np.inf], total[:-1]]))  # before each
-    took_over = np.flatnonzero(total < least - EPS_TIE)
-    first = took_over[-1] if len(took_over) else 0  # the last to take over
-    near = first + np.flatnonzero(total[first:] <= least[first:] + EPS_TIE)
-    best = min(near.tolist(), key=lambda k: _lex_key(reds, blues, perms[k]))
-    return Matching(reds, blues, list(enumerate(perms[best].tolist())))
+    return Matching(reds, blues, list(enumerate(perms[np.argmin(total)].tolist())))
 
 
 def _spans(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -441,18 +415,16 @@ def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _choices(s: int) -> np.ndarray:
-    """Every way to give each of ``s`` points one of its s + 1 nearest
+    """Every way to give each of ``s`` points one of its s nearest
     candidates, one way per row."""
-    return np.array(list(itertools.product(range(s + 1), repeat=s)), dtype=np.intp)
+    return np.array(list(itertools.product(range(s), repeat=s)), dtype=np.intp)
 
 
-def _settle_batch(pts, small, small_start, large, large_start, groups, n_reds,
-                  partner, settled):
+def _settle_batch(pts, small, small_start, large, large_start, groups, n_reds, partner):
     """``_settle_small`` for the problems ``groups``: problem g matches its
     points ``small[small_start[g]:small_start[g + 1]]`` of ``pts`` (the
     reds, then the blues; ``n_reds`` of them reds) to distinct ones of
-    ``large[large_start[g]:large_start[g + 1]]``. Writes the partners of
-    the problems it settles and marks them in ``settled``."""
+    ``large[large_start[g]:large_start[g + 1]]``. Writes their partners."""
     n, n_large = np.diff(small_start)[groups], np.diff(large_start)[groups]
     # each small point of those problems against every point of its other side
     point, at = _spans(small_start[groups], n)
@@ -460,15 +432,14 @@ def _settle_batch(pts, small, small_start, large, large_start, groups, n_reds,
     cand, cat = _spans(np.repeat(large_start[groups], n), count)
     point, cand = small[point], large[cand]  # indices into pts
     dist = _pair_distances(np.repeat(pts[point], count, axis=0), pts[cand])
-    # each point's nearest candidates, padded with inf: only a point with
-    # more than size + 1 candidates needs its candidates sorted
-    rank = np.arange(SMALL_MAX + 1)
+    # each point's SMALL_MAX nearest candidates, its last repeated where it
+    # has fewer; a point of an s-point problem has at least s, and only its
+    # first s are read, so only a point with more needs them sorted
     order = np.arange(len(dist))
-    sort = np.flatnonzero(np.repeat(count > size + 1, count))
+    sort = np.flatnonzero(np.repeat(count > size, count))
     order[sort] = sort[np.lexsort((dist[sort], np.repeat(np.arange(len(point)), count)[sort]))]
-    have = rank < count[:, None]
-    near = order[np.where(have, cat[:-1, None] + rank, cat[:-1, None])]
-    near_d, near_c = np.where(have, dist[near], np.inf), cand[near]
+    near = order[cat[:-1, None] + np.minimum(np.arange(SMALL_MAX), count[:, None] - 1)]
+    near_d, near_c = dist[near], cand[near]
 
     for s in range(1, SMALL_MAX + 1):
         g = np.flatnonzero(n == s)
@@ -485,11 +456,7 @@ def _settle_batch(pts, small, small_start, large, large_start, groups, n_reds,
             for j in range(k):
                 total[picked[j] == picked[k]] = np.inf
         best = np.argmin(total, axis=1)
-        least = total[np.arange(len(g)), best]
-        total[np.arange(len(g)), best] = np.inf  # leaves the runner-up least
-        ok = total.min(axis=1) - least > EPS_TIE  # inf when the best is the only one
-        settled[groups[g[ok]]] = True
-        mine, theirs = point[rows[ok]], np.stack([p[ok, best[ok]] for p in picked], axis=1)
+        mine, theirs = point[rows], np.stack([p[np.arange(len(g)), best] for p in picked], axis=1)
         red = mine < n_reds  # the small side is red; a red's partner indexes the blues
         partner[np.where(red, mine, theirs)] = np.where(red, theirs, mine) - n_reds
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import hierarchy, verify, walks
 from .arcs import ArcTable
-from .assignment import EPS_TIE, brute_force_min, min_cost_perfect
+from .assignment import max_cardinality_min_cost
 from .geometry import Disk, Domain
 from .matching import FORMAT_VERSION, Matching
 from .render import MARGIN, _rows, render_scene
@@ -291,11 +291,9 @@ def _load_result(path: str):
               help="Strip window x0,x1 of laminate's bands.")
 @click.option("--lambda-red", type=float, default=1.0, show_default=True)
 @click.option("--lambda-blue", type=float, default=1.0, show_default=True)
-@click.option("--oracle", is_flag=True,
-              help="Cross-check min_cost against the brute-force oracle (n <= 9).")
 @click.option("--out", type=click.Path(), default=None)
 def cmd_match(in_path, construction, seed, coin, stages, bands, window,
-              lambda_red, lambda_blue, oracle, out):
+              lambda_red, lambda_blue, out):
     """Build a matching with the chosen construction."""
     arcs = None
     diagnostics = {}
@@ -336,14 +334,8 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
             m = walks.excursion_matching(ps)
             if kind == "strip":
                 arcs = walks.polygonal_arcs(m, ps)
-        else:  # min_cost
-            m = min_cost_perfect(ps.reds, ps.blues)
-            if oracle:
-                ref = brute_force_min(ps.reds, ps.blues)
-                diagnostics["oracle_cost"] = ref.total_length
-                if abs(ref.total_length - m.total_length) > EPS_TIE:
-                    click.echo("oracle mismatch", err=True)
-                    sys.exit(1)
+        else:  # min_cost: the smaller color fully matched, the excess left over
+            m = max_cardinality_min_cost(ps.reds, ps.blues)
     result = _result_json(ps, m, arcs, diagnostics)
     diagnostics.update({  # counted from the edge array and the result's lists
         "construction": construction,

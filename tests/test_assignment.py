@@ -220,45 +220,37 @@ class TestTiePass:
         assert min_cost_perfect(reds, blues).edges == list(enumerate(raw.tolist()))
 
     def test_tied_three_cycle_is_not_undone(self):
-        # Three matchings of equal length: min_cost_perfect returns one, and
-        # the same one on every call, not brute force's lexicographically
-        # earliest.
+        # Three matchings of equal length: min_cost_perfect and brute force
+        # each return one of least total, the same one on every call.
         reds = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]])
         blues = np.array([[1.0, 1.0], [0.0, 2.0], [1.0, 0.0]])
         fast = min_cost_perfect(reds, blues)
         slow = brute_force_min(reds, blues)
-        assert slow.edges == [(0, 1), (1, 2), (2, 0)]
-        assert fast.edges != slow.edges
         assert fast.total_length == slow.total_length
+        assert minimality_certificate(fast).passed and minimality_certificate(slow).passed
         assert all(min_cost_perfect(reds, blues).edges == fast.edges for _ in range(5))
+        assert all(brute_force_min(reds, blues).edges == slow.edges for _ in range(5))
 
 
 def _brute_force_loop(reds, blues):
     """``brute_force_min``'s edges by a scan of ``itertools.permutations``,
-    each total added in a loop: a total more than EPS_TIE below the least so
-    far takes over, one within EPS_TIE of it competes by the lex key."""
+    each total added in a loop: the first strict minimum."""
     reds, blues = np.asarray(reds, float), np.asarray(blues, float)
     rows = _pair_distances(reds[:, None], blues).tolist()
-    best, best_cost, best_key = None, math.inf, None
+    best, best_cost = None, math.inf
     for perm in itertools.permutations(range(len(reds))):
         c = 0.0
         for i, j in enumerate(perm):
             c += rows[i][j]
-        if c < best_cost - EPS_TIE:
+        if c < best_cost:
             best, best_cost = perm, c
-            best_key = assignment._lex_key(reds, blues, perm)
-        elif c <= best_cost + EPS_TIE:
-            best_cost = min(best_cost, c)
-            key = assignment._lex_key(reds, blues, perm)
-            if best_key is None or key < best_key:
-                best, best_key = perm, key
     return list(enumerate(best))
 
 
 class TestBruteForce:
     def test_equals_the_permutation_loop(self):
         # random reals, small lattices full of exact ties, and lattices
-        # nudged by less than EPS_TIE, whose near-ties the scan order decides
+        # nudged by less than EPS_TIE, whose near-ties the float totals decide
         rng = derived_rng(191)
         for n in range(1, 8):
             for _ in range(4):
@@ -287,12 +279,14 @@ class TestBruteForce:
             brute_force_min(pts, pts[:2] + 5)
 
     def test_tie_rule_lexicographic(self):
-        # two reds equidistant from two blues: the earlier partner sequence wins
+        # two reds equidistant from two blues: both matchings cost
+        # 2*sqrt(2) to the bit, and the first permutation in lexicographic
+        # order, the identity, is returned
         reds = [[0.0, 0.0], [2.0, 0.0]]
         blues = [[1.0, 1.0], [1.0, -1.0]]
         m = brute_force_min(reds, blues)
-        # both matchings cost 2*sqrt(2); partner of red (0,0) must be (1,-1)
-        assert m.edges[0] == (0, 1)
+        assert m.total_length == 2 * math.sqrt(2)
+        assert m.edges == [(0, 0), (1, 1)]
 
     def test_independent_of_the_solvers_kernel(self, monkeypatch):
         # a fault in the kernel loader must not reach the oracle: with a
@@ -474,18 +468,35 @@ class TestMinCostSaturating:
                                    [[0, 0], [1, 1]], [[0, 1]]) == []
 
 
+def _least_like(reds, blues, got, want) -> None:
+    """``got`` is a least matching where ``want`` is one: as many edges,
+    a total within EPS_TIE of its, and a passing minimality certificate."""
+    got, want = Matching(reds, blues, got), Matching(reds, blues, want)
+    assert len(got.edges) == len(want.edges)
+    assert abs(got.total_length - want.total_length) <= EPS_TIE
+    assert minimality_certificate(got).passed
+
+
 class TestAgainstIndexOrderPath:
     """The solves that build their cost matrix in solver row order give the
-    partners of the index-order path they replaced, bit for bit, tied inputs
-    (lattices, repeated points) included."""
+    partners of the index-order path they replaced, bit for bit, on untied
+    inputs; on tied ones (lattices, repeated points), where the small-problem
+    pass may pick another minimum, a least matching."""
 
     @staticmethod
     def _check(reds, blues) -> bool:
-        """min_cost_partners equals the old path; True when the input is
-        tied (``_tied``)."""
+        """min_cost_partners against the old path, as above; True when the
+        input is tied (``_tied``)."""
         want = _old_min_cost_partners(reds, blues)
-        assert np.array_equal(min_cost_partners(reds, blues), want)
-        return _tied(reds, blues, want)
+        got = min_cost_partners(reds, blues)
+        tied = (_tied(reds, blues, want)
+                or len(reds) <= SMALL_MAX and _tied_totals(_injection_totals(reds, blues)))
+        if tied:
+            _least_like(reds, blues, list(enumerate(got.tolist())),
+                        list(enumerate(want.tolist())))
+        else:
+            assert np.array_equal(got, want)
+        return tied
 
     def test_random_reals(self):
         rng = derived_rng(107)
@@ -539,8 +550,16 @@ class TestAgainstIndexOrderPath:
                 reds, blues, rres, bres = (rng.uniform(0, 4, (int(k), 2)) for k in sizes)
             if len(reds) > len(blues) + len(bres) or len(blues) > len(reds) + len(rres):
                 continue
-            assert (min_cost_saturating(reds, blues, rres, bres)
-                    == _old_min_cost_saturating(reds, blues, rres, bres))
+            got = min_cost_saturating(reds, blues, rres, bres)
+            want = _old_min_cost_saturating(reds, blues, rres, bres)
+            if lattice:  # tied: a least matching of the same kind
+                all_r, all_b = np.concatenate([reds, rres]), np.concatenate([blues, bres])
+                _least_like(all_r, all_b, got, want)
+                assert {i for i, _ in got} >= set(range(len(reds)))
+                assert {j for _, j in got} >= set(range(len(blues)))
+                assert not any(i >= len(reds) and j >= len(blues) for i, j in got)
+            else:
+                assert got == want
             both += len(rres) > 0 and len(bres) > 0
         assert both >= 100
 
@@ -689,7 +708,7 @@ def _grouped_pairs(monkeypatch, kind, reds, blues, must=()):
     """Solve the problems (reds[g], blues[g]) in one assign_in_groups call.
     Returns each problem's (red, blue) pairs, as indices within the
     problem, and the mask of the problems its small-problem pass
-    (``assignment._settle_small``, recorded) settled."""
+    (``assignment._settle_small``, recorded) settled: all it was offered."""
     (r, rs), (b, bs) = _laid(reds), _laid(blues)
     calls, settle = [], assignment._settle_small
     with monkeypatch.context() as patch:
@@ -709,16 +728,25 @@ def _check_four_ways(monkeypatch, small, large, extras):
     RECTANGULAR with the small sides as the reds and as the blues, and
     SATURATING with the small side mandatory, ``extras[g]`` as reserve of
     its color and the large side all reserve, again as either color. Each
-    way every problem's pairs are its single solve's through the public
-    scipy functions, the pass settles the same problems, and a settled
-    problem gets the same pairs. Returns the settled mask and each
+    way the pass settles the same problems, a settled problem gets the same
+    pairs, and every other problem's pairs are its single solve's through
+    the public scipy functions. A settled problem's pairs are those too
+    where its least total has no runner-up within EPS_TIE, and its least
+    total to the bit in any case. Returns the settled mask and each
     problem's pairs, (small, large) indices within the problem."""
     none = np.empty((0, 2))
     k = np.array([len(x) for x in small])
     zero = np.zeros_like(k)
     padded = [np.concatenate([_points(s), _points(e)]) for s, e in zip(small, extras)]
     pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
-    assert pairs == [kernel_pairs(s, t) for s, t in zip(small, large)]
+    for g, (s, t) in enumerate(zip(small, large)):
+        if settled[g]:
+            totals = _injection_totals(s, t)
+            cost = cdist(s, t)
+            assert sum(cost[i, j] for i, j in pairs[g]) == totals[0][0]
+            if _tied_totals(totals):
+                continue
+        assert pairs[g] == kernel_pairs(s, t)
     for kind, reds, blues, must, single in (
             (RECTANGULAR, large, small, (), lambda s, t, e: kernel_pairs(t, s)),
             (SATURATING, padded, large, (k, zero),
@@ -726,10 +754,12 @@ def _check_four_ways(monkeypatch, small, large, extras):
             (SATURATING, large, padded, (zero, k),
              lambda s, t, e: kernel_saturating(none, s, t, e))):
         got, mask = _grouped_pairs(monkeypatch, kind, reds, blues, must)
-        assert got == [single(*problem) for problem in zip(small, large, extras)]
         assert np.array_equal(mask, settled)
-        for g in np.flatnonzero(settled):
-            assert sorted(got[g] if reds is padded else [(i, j) for j, i in got[g]]) == pairs[g]
+        for g, problem in enumerate(zip(small, large, extras)):
+            if settled[g]:
+                assert sorted(got[g] if reds is padded else [(i, j) for j, i in got[g]]) == pairs[g]
+            else:
+                assert got[g] == single(*problem)
     return settled, pairs
 
 
@@ -769,19 +799,21 @@ class TestNearestInGroups:
 
     @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
     def test_matches_the_one_point_solves(self, monkeypatch, lattice):
+        # every one-point problem is settled; the lattice's have tied nearest points
         rng = derived_rng(62, lattice)
         sources, targets, extras = _one_point_groups(rng, lattice)
         settled, _ = _check_four_ways(monkeypatch, sources, targets, extras)
-        for g, (src, group) in enumerate(zip(sources, targets)):
-            cost = np.sort(cdist(src, group)[0])
-            assert settled[g] == (len(cost) == 1 or cost[1] - cost[0] > EPS_TIE)
-        assert (~settled).any() == lattice, (~settled).sum()
+        assert settled.all()
+        tied = [len(cost) > 1 and cost[1] - cost[0] <= EPS_TIE
+                for cost in (np.sort(cdist(src, group)[0]) for src, group in zip(sources, targets))]
+        assert any(tied) == lattice
 
     def test_single_target_and_no_group(self, monkeypatch):
+        # the second source is 1 from both its targets: it takes one of them
         sources, targets = [[[0, 0]], [[1, 1]]], [[[5, 5]], [[1, 2], [1, 0]]]
         pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, sources, targets)
-        assert settled.tolist() == [True, False]
-        assert pairs == [[(0, 0)], kernel_pairs(sources[1], targets[1])]
+        assert settled.tolist() == [True, True]
+        assert pairs[0] == [(0, 0)] and pairs[1] in ([(0, 0)], [(0, 1)])
         none = np.empty((0, 2))
         assert len(assign_in_groups(RECTANGULAR, none, [0], none, [0])) == 0
 
@@ -792,6 +824,12 @@ def _injection_totals(small, large):
     cost = cdist(small, large)
     return sorted((sum(cost[i, j] for i, j in enumerate(perm)), perm)
                   for perm in itertools.permutations(range(len(large)), len(small)))
+
+
+def _tied_totals(totals) -> bool:
+    """Whether the least of ``totals`` (``_injection_totals``) has a
+    runner-up within EPS_TIE."""
+    return len(totals) > 1 and totals[1][0] - totals[0][0] <= EPS_TIE
 
 
 def _small_groups(rng, lattice, groups=300):
@@ -817,54 +855,91 @@ def _small_groups(rng, lattice, groups=300):
 
 
 class TestMinCostInGroups:
-    """The small-problem pass of assign_in_groups: problems of up to
-    SMALL_MAX points on the small side are settled exactly where their least
-    total beats the runner-up by more than EPS_TIE, and a settled problem's
-    partners are the ones every solver gives it."""
+    """The small-problem pass of assign_in_groups: every problem of up to
+    SMALL_MAX points on the small side is settled at its least total, to
+    the bit; where no other injection is within EPS_TIE of it, its partners
+    are the ones every solver gives it."""
 
     @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
     def test_against_enumeration_and_the_solvers(self, monkeypatch, lattice):
         rng = derived_rng(64, lattice)
         small, large, extras = _small_groups(rng, lattice)
         settled, pairs = _check_four_ways(monkeypatch, small, large, extras)
-        sizes = {True: set(), False: set()}
+        sizes, tied = {True: set(), False: set()}, 0
         for g, (S, L) in enumerate(zip(small, large)):
-            totals = _injection_totals(S, L)
-            unique = len(totals) == 1 or totals[1][0] - totals[0][0] > EPS_TIE
-            assert settled[g] == (len(S) <= SMALL_MAX and unique), g
+            assert settled[g] == (len(S) <= SMALL_MAX), g
             sizes[bool(settled[g])].add(len(S))
             if not settled[g]:
                 continue
-            want_pairs = list(enumerate(totals[0][1]))
-            assert pairs[g] == want_pairs
+            totals = _injection_totals(S, L)
             if len(S) == len(L):
-                assert list(enumerate(min_cost_partners(S, L).tolist())) == want_pairs
-                assert brute_force_min(S, L).edges == want_pairs
-        # every small size is settled somewhere; four points never are, and
-        # the lattice's ties leave some small problems to the solvers
-        assert sizes[True] == set(range(1, SMALL_MAX + 1))
-        assert (SMALL_MAX + 1) in sizes[False]
-        assert (sizes[False] - {SMALL_MAX + 1} != set()) == lattice
+                _least_like(S, L, pairs[g], brute_force_min(S, L).edges)
+                assert list(enumerate(min_cost_partners(S, L).tolist())) == pairs[g]
+            if _tied_totals(totals):
+                tied += 1
+            else:
+                assert pairs[g] == list(enumerate(totals[0][1]))
+        # every small size is settled and four points never are; the
+        # lattice's settled problems include tied ones
+        assert sizes == {True: set(range(1, SMALL_MAX + 1)), False: {SMALL_MAX + 1}}
+        assert (tied > 0) == lattice
 
-    @pytest.mark.parametrize("gap,settles", [(0.0, False), (0.5 * EPS_TIE, False),
-                                             (1.5 * EPS_TIE, True), (4 * EPS_TIE, True)])
-    def test_runner_up_within_eps_tie_is_not_settled(self, monkeypatch, gap, settles):
+    @pytest.mark.parametrize("gap", [0.0, 0.5 * EPS_TIE, 1.5 * EPS_TIE, 4 * EPS_TIE])
+    def test_near_ties_settle_at_the_least_total(self, monkeypatch, gap):
         # one problem of each small size whose runner-up costs ``gap`` more:
-        # the point at (0, 0) has a second candidate 1 + gap away
+        # the point at (0, 0) has a second candidate 1 + gap away; each is
+        # settled at its least total, and with a gap that is the identity
         groups = [([[0, 0]], [[1, 0], [0, -1 - gap]]),
                   ([[0, 0], [10, 0]], [[1, 0], [10, 1], [0, -1 - gap]]),
                   ([[0, 0], [10, 0], [20, 0]],
                    [[1, 0], [10, 1], [20, 1], [0, -1 - gap], [30, 30]])]
         small = [np.array(S, float) for S, _ in groups]
         large = [np.array(L, float) for _, L in groups]
-        for S, L in zip(small, large):
-            totals = _injection_totals(S, L)
-            assert (totals[1][0] - totals[0][0] > EPS_TIE) == settles
         pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
-        assert settled.tolist() == [settles] * 3
-        assert pairs == [kernel_pairs(S, L) for S, L in zip(small, large)]
-        if settles:
+        assert settled.tolist() == [True] * 3
+        for S, L, p in zip(small, large, pairs):
+            cost = cdist(S, L)
+            assert sum(cost[i, j] for i, j in p) == _injection_totals(S, L)[0][0]
+        if gap:
             assert pairs == [[(i, i) for i in range(s)] for s in (1, 2, 3)]
+
+    @pytest.mark.parametrize("small,large", [
+        ([[0, 0], [3, 0]], [[1, 0], [-1.2, 0], [5.5, 0]]),
+        ([[0, 0], [1, 0], [2, 0]], [[1, 0.1], [1, -0.2], [-2, 0], [5, 0], [1, 3]]),
+    ], ids=["two", "three"])
+    def test_shared_nearest_needs_the_sth_nearest(self, monkeypatch, small, large):
+        # every point's nearest candidate is candidate 0, and the one least
+        # injection gives a point of the s-point side its s-th nearest
+        S, L = np.array(small, float), np.array(large, float)
+        cost = cdist(S, L)
+        assert (cost.argmin(axis=1) == 0).all()
+        totals = _injection_totals(S, L)
+        assert not _tied_totals(totals)
+        ranks = [np.argsort(cost[i], kind="stable").tolist().index(j)
+                 for i, j in enumerate(totals[0][1])]
+        assert max(ranks) == len(S) - 1
+        pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, [S], [L])
+        assert settled.tolist() == [True]
+        assert pairs == [list(enumerate(totals[0][1]))]
+
+    def test_choices_give_each_point_one_of_its_s_nearest(self):
+        for s in range(1, SMALL_MAX + 1):
+            ways = assignment._choices(s).tolist()
+            assert ways == [list(w) for w in itertools.product(range(s), repeat=s)]
+            assert len(ways) == s ** s
+
+    def test_many_candidates_against_enumeration(self, monkeypatch):
+        # small sides of one to three points against 50 to 60 candidates,
+        # in one call, each problem's pairs the least of every injection
+        rng = derived_rng(68)
+        small = [rng.uniform(0, 6, (s, 2)) for s in (1, 2, 3, 3)]
+        large = [rng.uniform(0, 6, (n, 2)) for n in (60, 55, 50, 52)]
+        pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
+        assert settled.all()
+        for S, L, p in zip(small, large, pairs):
+            totals = _injection_totals(S, L)
+            assert not _tied_totals(totals)
+            assert p == list(enumerate(totals[0][1]))
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_batches_change_nothing(self, block, monkeypatch):

@@ -196,22 +196,38 @@ class TestExitCodes:
                      "--in", str(tmp_path / "nope.json"))
         assert res.exit_code == 2
 
-    def test_min_cost_oracle_agrees(self, runner, tmp_path):
-        # seed 2 is the first whose tiny plane sample has equal counts
+    def test_min_cost_oracle_is_a_usage_error(self, runner, tmp_path):
+        # verify --property minimality is the one min-cost check: --oracle
+        # is no option, as a flag or as a config key
         pts = sample_file(runner, tmp_path, domain="plane", window="0,2,0,2", seed=2)
-        d = json.loads(pts.read_text())
-        assert len(d["reds"]) == len(d["blues"]) == 3
         res = invoke(runner, "match", "--in", str(pts), "--construction", "min_cost", "--oracle")
-        assert res.exit_code == 0, res.output
+        assert res.exit_code == 2 and "No such option" in res.output and "--oracle" in res.output
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"in": str(pts), "construction": "min_cost", "oracle": True}))
+        res = invoke(runner, "match", "--config", str(cfg))
+        assert res.exit_code == 2 and "unknown key 'oracle'" in res.output
 
-    def test_min_cost_oracle_mismatch_exits_one(self, runner, tmp_path, monkeypatch):
-        # an oracle that matches nothing costs 0, below any perfect matching
-        monkeypatch.setattr(cli, "brute_force_min", lambda reds, blues: Matching(reds, blues, []))
-        pts = sample_file(runner, tmp_path, domain="plane", window="0,3,0,3", seed=1)
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_min_cost_unequal_counts_is_partial(self, runner, tmp_path, seed):
+        # the smaller color fully matched, the excess of the other left over,
+        # and the result certified min-cost for its endpoints
+        pts = sample_file(runner, tmp_path, domain="plane", window="0,3,0,3", seed=seed)
+        d = json.loads(pts.read_text())
+        n_r, n_b = len(d["reds"]), len(d["blues"])
+        assert n_r != n_b
+        out = tmp_path / "mc.json"
         res = invoke(runner, "match", "--in", str(pts), "--construction", "min_cost",
-                     "--oracle")
-        assert res.exit_code == 1
-        assert "oracle mismatch" in res.output
+                     "--out", str(out))
+        assert res.exit_code == 0, res.output
+        r = json.loads(out.read_text())
+        assert r["matching"]["kind"] == "partial"
+        assert len(r["matching"]["edges"]) == min(n_r, n_b)
+        unmatched = r["matching"]["unmatched_reds"] + r["matching"]["unmatched_blues"]
+        assert len(unmatched) == abs(n_r - n_b)
+        assert r["matching"]["unmatched_reds" if n_r > n_b else "unmatched_blues"] == unmatched
+        res = invoke(runner, "verify", "--in", str(out), "--property", "minimality")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["property"] == "minimality_cycles"
 
     def test_sweep_bound_missed_exits_one(self, runner, monkeypatch):
         # no frequency lies below a negative bound
@@ -469,9 +485,6 @@ BAD_INPUTS = {
     "cut_time_on_line": (_match("cut_time"), LINE_POINTS, "cut_time requires a strip"),
     "excursion_on_plane": (_match("excursion"), PLANE_POINTS,
                            "walk requires a line or strip domain"),
-    "min_cost_unequal_counts": (_match("min_cost"), json.dumps({
-        **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.5], [0.5, 0.5]]}),
-        "size mismatch: 2 reds vs 1 blues"),
     "verify_point_set": (VERIFY, POINT_SET, "has no matching"),
     "stats_point_set": (STATS_ETA, POINT_SET, "has no matching"),
     "render_walk_on_plane": (["render", "--walk", "--out", os.devnull, "--in"],
@@ -1168,7 +1181,6 @@ JSON_OUTPUTS = {
     "sample": "sample --seed 7",
     "match_excursion": "match --construction excursion --in {strip}",
     "match_min_cost": "match --construction min_cost --in {plane}",
-    "match_min_cost_oracle": "match --construction min_cost --oracle --in {plane}",
     "match_zero_block": "match --construction zero_block --in {strip}",
     "match_one_color": "match --construction one_color --in {strip}",
     "match_cut_time": "match --construction cut_time --in {red_strip}",

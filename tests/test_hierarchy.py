@@ -22,6 +22,7 @@ from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window
                                         bad_block_bound, build_block_system,
                                         heir_frequency, init_state,
                                         run_hierarchical, run_stage, stage1)
+from poisson_matching.matching import Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 
 
@@ -927,40 +928,38 @@ def _tied(cost):
 
 
 def _record_small_solves(monkeypatch):
-    """Watch the assignment layer at the kernel boundary while the hierarchy
-    runs. Returns two lists: per problem that reaches the assignment kernel
-    (``assignment._assign``), (solver name, points on the small side,
-    whether that problem is tied), where the small side of a saturating
-    problem is its mandatory points when they are all of one color and None
-    otherwise, and tied is None above SMALL_MAX; and the small-side size of
-    every problem the small-problem pass settles, recorded at its batches
-    (``assignment._settle_batch``). A saturating problem is known by its
-    padded matrix (``assignment._pad``); a rectangular one's matrix holds
-    the cost rows of its small side in golden-ratio order."""
+    """Watch the assignment layer while the hierarchy runs. Returns two
+    lists: per problem that reaches the assignment kernel
+    (``assignment._assign``), (solver name, points on the small side), where
+    the small side of a saturating problem is its mandatory points when they
+    are all of one color and None otherwise; and per problem the
+    small-problem pass settles, recorded at its batches
+    (``assignment._settle_batch``), (points on the small side, whether that
+    problem is tied), tied being None where a small side of two or more
+    points faces more than 8. A saturating problem is known by its padded
+    matrix (``assignment._pad``)."""
     calls, settled, padded = [], [], []
     kernel, pad, settle = assignment._assign, assignment._pad, assignment._settle_batch
 
-    def record(name, cost):
-        size = len(cost) if cost is not None else None
-        calls.append((name, size, _tied(cost) if size is not None and size <= SMALL_MAX
-                      else None))
-
     def padding(cost, reds, blues, must_r, must_b):
         pad(cost, reds, blues, must_r, must_b)
-        padded.append((cost, reds, blues, must_r, must_b))
+        padded.append((cost, must_r, must_b))
 
     def solving(cost):
         if padded and padded[-1][0] is cost:
-            _, reds, blues, mr, mb = padded.pop()
-            one_sided = (reds[:mr], blues) if not mb else (blues[:mb], reds)
-            record("saturating", cdist(*one_sided) if not (mr and mb) else None)
-        else:  # problem row i is row at[i] of the matrix
-            record("pairs", cost[np.argsort(_golden_order(len(cost)), kind="stable")])
+            _, mr, mb = padded.pop()
+            calls.append(("saturating", None if mr and mb else mr or mb))
+        else:
+            calls.append(("pairs", len(cost)))
         return kernel(cost)
 
-    def settling(pts, small, small_start, large, large_start, groups, n_reds, partner, ok):
-        settle(pts, small, small_start, large, large_start, groups, n_reds, partner, ok)
-        settled.extend(np.diff(small_start)[groups[ok[groups]]].tolist())
+    def settling(pts, small, small_start, large, large_start, groups, n_reds, partner):
+        settle(pts, small, small_start, large, large_start, groups, n_reds, partner)
+        for g in groups.tolist():
+            S = pts[small[small_start[g]:small_start[g + 1]]]
+            L = pts[large[large_start[g]:large_start[g + 1]]]
+            settled.append((len(S), _tied(cdist(S, L)) if len(S) == 1 or len(L) <= 8
+                            else None))
 
     monkeypatch.setattr(assignment, "_assign", solving)
     monkeypatch.setattr(assignment, "_pad", padding)
@@ -969,48 +968,52 @@ def _record_small_solves(monkeypatch):
 
 
 def test_one_point_blocks_reach_the_solvers_only_when_tied(monkeypatch):
+    # the grouped pass settles one-point blocks at their least total, tied
+    # or not, so none reaches the kernel; the solvers still get every block
+    # with a larger assignment problem
     calls, settled = _record_small_solves(monkeypatch)
     for seed in range(4):
         hierarchical_case(seed)
-    assert 1 in settled
-    assert all(tied for _, size, tied in calls if size == 1), calls
-    # the solvers still get every block with a real assignment problem
-    assert {name for name, size, _ in calls
+    assert 1 in {size for size, _ in settled}
+    assert all(size != 1 for _, size in calls), calls
+    assert {name for name, size in calls
             if size is None or size > SMALL_MAX} == {"pairs", "saturating"}
 
 
 def test_small_blocks_reach_the_solvers_only_when_tied(monkeypatch):
-    # two and three points on the small side, in both steps: without a
-    # near-tie the grouped pass settles them
+    # two and three points on the small side, in both steps: the grouped
+    # pass settles them too, and no block of up to SMALL_MAX points reaches
+    # the kernel
     calls, settled = _record_small_solves(monkeypatch)
     for seed in range(4):
         hierarchical_case(seed)
-    assert set(range(1, SMALL_MAX + 1)) <= set(settled)
-    small = [(name, tied) for name, size, tied in calls if size is not None and size <= SMALL_MAX]
-    assert all(tied for _, tied in small), small
+    assert {size for size, _ in settled} == set(range(1, SMALL_MAX + 1))
+    assert all(size is None or size > SMALL_MAX for _, size in calls), calls
 
 
 @pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
                          ids=["zero_offsets", "seeded_offsets"])
 @pytest.mark.parametrize("seed", [1, 2])  # lattice seeds with tied one-point blocks
 def test_tied_one_point_blocks_fall_back_to_the_solvers(monkeypatch, system, seed):
-    calls, _ = _record_small_solves(monkeypatch)
+    # a tied one-point block is settled by the pass, not the kernel, and
+    # every stage still gives the per-block oracle's records and partners
+    calls, settled = _record_small_solves(monkeypatch)
     compare_with_oracle(system, lattice_case(system, seed))
-    one_point = [tied for _, size, tied in calls if size == 1]
-    assert one_point and all(one_point)
+    assert (1, True) in settled
+    assert all(size != 1 for _, size in calls), calls
 
 
 @pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
                          ids=["zero_offsets", "seeded_offsets"])
 def test_tied_small_blocks_fall_back_to_the_solvers(monkeypatch, system):
-    # lattice points make tied totals in blocks of two and three points too;
-    # those reach the solvers, and the partners are the per-block oracle's
-    calls, _ = _record_small_solves(monkeypatch)
+    # lattice points make tied totals in blocks of one, two and three
+    # points; the pass settles them, they reach no kernel, and every stage
+    # still gives the per-block oracle's records and partners
+    calls, settled = _record_small_solves(monkeypatch)
     for seed in (2, 7):  # between them, tied blocks of one, two and three points
         compare_with_oracle(system, lattice_case(system, seed))
-    sizes = {size for _, size, tied in calls if size is not None and size <= SMALL_MAX}
-    assert sizes == set(range(1, SMALL_MAX + 1)), sizes
-    assert all(tied for _, size, tied in calls if size is not None and size <= SMALL_MAX)
+    assert {size for size, tied in settled if tied} == set(range(1, SMALL_MAX + 1))
+    assert all(size is None or size > SMALL_MAX for _, size in calls), calls
 
 
 # --- The grouped exact solves against the single-problem solves --------------
@@ -1082,13 +1085,15 @@ def _small_problems(kind, reds, red_start, blues, blue_start, must=()):
 
 
 def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=()):
-    """Partners of assign_in_groups equal the single solves' for every
-    problem, and the kernel inputs equal theirs for the problems the
-    small-problem pass leaves. The pass, recorded at its batches
+    """Partners of assign_in_groups against the single solves': the same
+    for every problem the small-problem pass leaves, whose kernel inputs
+    are theirs too, and for every problem it settles without a tie
+    (``_tied``); a tied one gets a least matching, with as many pairs and a
+    total within EPS_TIE. The pass, recorded at its batches
     (``assignment._settle_batch``), must be offered exactly the small
     problems, in one pass: one set of point lists, its batches taking the
-    problems in order. Returns the kernel inputs and the problems the pass
-    settled."""
+    problems in order. Returns the kernel inputs, the problems the pass
+    settled (all it was offered), and the tied ones among them."""
     def recorder(seen, solve):
         def recording(cost):
             seen.append(np.array(cost))
@@ -1097,28 +1102,37 @@ def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=(
 
     batches, settle = [], assignment._settle_batch
 
-    def settling(pts, small, small_start, large, large_start, groups, n_reds, partner, ok):
-        settle(pts, small, small_start, large, large_start, groups, n_reds, partner, ok)
-        batches.append((pts[small], small_start, pts[large], large_start, groups, ok))
+    def settling(pts, small, small_start, large, large_start, groups, n_reds, partner):
+        settle(pts, small, small_start, large, large_start, groups, n_reds, partner)
+        batches.append((pts[small], small_start, pts[large], large_start, groups))
 
     got_inputs, want_inputs = [], []
     monkeypatch.setattr(assignment, "_assign", recorder(got_inputs, assignment._assign))
     monkeypatch.setattr(assignment, "_settle_batch", settling)
     got = assign_in_groups(kind, reds, red_start, blues, blue_start, *must)
     monkeypatch.undo()
-    assert np.array_equal(got, _one_by_one(kind, reds, red_start, blues, blue_start, must))
-    problems, small, large = _small_problems(kind, reds, red_start, blues, blue_start, must)
-    assert bool(batches) == (len(problems) > 0)
-    settled = []
+    want = _one_by_one(kind, reds, red_start, blues, blue_start, must)
+    settled, small, large = _small_problems(kind, reds, red_start, blues, blue_start, must)
+    assert bool(batches) == (len(settled) > 0)
     if batches:
-        small_pts, small_start, large_pts, large_start, _, ok = batches[0]
-        assert all(b[1] is small_start and b[5] is ok for b in batches)  # one pass
-        assert np.concatenate([b[4] for b in batches]).tolist() == list(range(len(problems)))
+        small_pts, small_start, large_pts, large_start, _ = batches[0]
+        assert all(b[1] is small_start for b in batches)  # one pass
+        assert np.concatenate([b[4] for b in batches]).tolist() == list(range(len(settled)))
         assert np.array_equal(small_pts, np.concatenate(small))
         assert np.array_equal(large_pts, np.concatenate(large))
         assert np.diff(small_start).tolist() == [len(x) for x in small]
         assert np.diff(large_start).tolist() == [len(x) for x in large]
-        settled = np.array(problems)[ok].tolist()
+    tied = [g for g, S, L in zip(settled, small, large) if _tied(cdist(S, L))]
+    for g in range(len(red_start) - 1):
+        a, a1 = red_start[g], red_start[g + 1]
+        if g not in tied:
+            assert np.array_equal(got[a:a1], want[a:a1]), g
+            continue
+        edges = [[(i, j) for i, j in enumerate(p[a:a1].tolist()) if j >= 0] for p in (got, want)]
+        lengths = [Matching(reds[a:a1], blues, e) for e in edges]
+        assert len(edges[0]) == len(edges[1])
+        assert {j for _, j in edges[0]} <= set(range(blue_start[g], blue_start[g + 1]))
+        assert abs(lengths[0].total_length - lengths[1].total_length) <= EPS_TIE
     monkeypatch.setattr(sys.modules[__name__], "linear_sum_assignment",
                         recorder(want_inputs, linear_sum_assignment))
     _one_by_one(kind, reds, red_start, blues, blue_start, must, skip=settled)
@@ -1126,7 +1140,7 @@ def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=(
     assert len(got_inputs) == len(want_inputs)
     for a, b in zip(got_inputs, want_inputs):
         assert a.shape == b.shape and np.array_equal(a, b)
-    return got_inputs, settled
+    return got_inputs, settled, tied
 
 
 def _sizes(rng, groups, square=False, largest=12):
@@ -1151,25 +1165,24 @@ class TestAssignInGroups:
                    "mixed": (rng.random(80) < 0.5).tolist()}[points]
         reds, rs, blues, bs = _batch(rng, sizes, lattice)
         must = _must(rng, rs, bs) if kind == SATURATING else ()
-        inputs, settled = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
+        inputs, settled, tied = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
         assert len(inputs) + len(settled) > 40
-        offered = _small_problems(kind, reds, rs, blues, bs, must)[0]
-        # reals have no near-ties, so the pass settles every small problem;
-        # the lattice's ties leave some to the kernel
+        # the pass settles every small problem, the lattice's tied ones too
         assert len(settled) > 10
-        assert (len(settled) == len(offered)) == (points == "random")
+        assert bool(tied) == (points != "random")
 
     def test_tied_group_between_untied_ones(self, monkeypatch):
-        # the middle group's two matchings both have length 2, so the
-        # small-problem pass leaves it to the kernel, which picks one; the
-        # groups around it are solved as on their own
+        # the middle group's two matchings both have length 2: the
+        # small-problem pass settles it with one of them, as on its own, and
+        # the groups around it reach the kernel and are solved as on their own
         rng = derived_rng(157)
         tied_reds, tied_blues = [[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]
         reds = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_reds, rng.uniform(0, 4, (7, 2))])
         blues = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_blues, rng.uniform(0, 4, (7, 2))])
         start = np.array([0, 9, 11, 18])
-        inputs, settled = _check_grouped(monkeypatch, RECTANGULAR, reds, start, blues, start)
-        assert settled == [] and [c.shape for c in inputs] == [(9, 9), (2, 2), (7, 7)]
+        inputs, settled, tied = _check_grouped(monkeypatch, RECTANGULAR, reds, start, blues,
+                                               start)
+        assert settled == tied == [1] and [c.shape for c in inputs] == [(9, 9), (7, 7)]
         got = assign_in_groups(RECTANGULAR, reds, start, blues, start)
         assert sorted(got[9:11].tolist()) == [9, 10]
         tied = min_cost_perfect(tied_reds, tied_blues)
@@ -1181,18 +1194,18 @@ class TestAssignInGroups:
         sizes = [(3, 0), (4, 5), (0, 2), (0, 0), (2, 2)]
         reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
         # the two-point problem is the pass's, the other reaches the kernel
-        inputs, settled = _check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)
+        inputs, settled, _ = _check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)
         assert len(inputs) == 1 and settled == [4]
         # square problems with no points have no pairs and reach no kernel;
         # the three-point one is the pass's
         square = [(0, 0), (3, 3), (0, 0)]
         reds, rs, blues, bs = _batch(rng, square, [False] * 3)
-        inputs, settled = _check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)
+        inputs, settled, _ = _check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)
         assert inputs == [] and settled == [1]
         # saturating problems with no mandatory point: no pairs and no kernel call
         reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
         must = (np.array([0, 2, 0, 0, 0]), np.array([0, 1, 0, 0, 0]))
-        inputs, settled = _check_grouped(monkeypatch, SATURATING, reds, rs, blues, bs, must)
+        inputs, settled, _ = _check_grouped(monkeypatch, SATURATING, reds, rs, blues, bs, must)
         assert len(inputs) == 1 and settled == []
         got = assign_in_groups(SATURATING, reds, rs, blues, bs, *must)
         assert (got[:3] == -1).all() and (got[7:] == -1).all()
@@ -1222,7 +1235,7 @@ class TestAssignInGroups:
             must = _must(rng, rs, bs) if kind == SATURATING else ()
             monkeypatch.setattr(assignment, "_spare", [np.full(spare, np.nan)])
             # partners and kernel inputs against the fresh one-problem solves
-            inputs, _ = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
+            inputs, *_ = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
             assert len(inputs) >= 6
 
     def test_one_spare_kept_up_to_the_cap(self, monkeypatch):
