@@ -9,7 +9,7 @@ than silently resolved.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -233,36 +233,6 @@ def _intersections(P1, Q1, P2, Q2) -> Tuple[np.ndarray, np.ndarray]:
     return hit, degenerate
 
 
-def _overlap_error(s1: Segment, s2: Segment) -> DegenerateGeometryError:
-    return DegenerateGeometryError(
-        f"collinear segments with overlapping interiors: {s1} / {s2}")
-
-
-def segments_intersect(s1: Segment, s2: Segment) -> bool:
-    """Closed-segment intersection test via orientation signs.
-
-    Raises DegenerateGeometryError for collinear segments with overlapping
-    interiors (impossible for parallel-free input; signals corrupt data).
-    """
-    hit, degenerate = _intersections(*([p] for p in (s1.a, s1.b, s2.a, s2.b)))
-    if degenerate[0]:
-        raise _overlap_error(s1, s2)
-    return bool(hit[0])
-
-
-def is_parallel_free(points: Sequence) -> bool:
-    """Whether no two distinct unordered point pairs span parallel vectors.
-
-    Each pair's direction is tested against the later ones at once, by
-    orientation from the origin; intended for desk-scale inputs.
-    """
-    pts = _two_columns(points, "points", float)
-    i, j = np.triu_indices(len(pts), 1)
-    V = pts[j] - pts[i]
-    return not any((orientation((0.0, 0.0), v, V[k + 1:]) == 0).any()
-                   for k, v in enumerate(V))
-
-
 def _segment_point_distance(A, B, p) -> np.ndarray:
     """Distance from the point p to each closed segment A[k]B[k]. The last
     step is Python's ``math.hypot``, as ``np.hypot`` rounds otherwise."""
@@ -289,8 +259,3 @@ def _crosses_region(P, Q, region: Region) -> np.ndarray:
                                      np.roll(corners, -1, axis=0)[:, None])
     return inside | (hit | degenerate).any(axis=0)
 
-
-def edge_crosses_region(s: Segment, region: Region) -> bool:
-    """Whether the closed segment intersects the closed region."""
-    return bool(_crosses_region(np.array([s.a], dtype=float),
-                                np.array([s.b], dtype=float), region)[0])

@@ -36,8 +36,7 @@ builds, per stage run, a tuple of ``BlockRecord`` rows from the columns in
 one pass. Most blocks of the lower levels hold a point or two, so one object
 per block made up much of a run's time.
 
-``heir_frequency`` applies the stage tables' heir test to the origin's unit
-cell, and ``bad_block_bound`` is twice ``chernoff_bound``, defined here.
+``bad_block_bound`` is twice ``chernoff_bound``, defined here.
 """
 
 from __future__ import annotations
@@ -149,21 +148,6 @@ def window_grids(system: BlockSystem, n: int, window: Rect) -> Dict[int, np.ndar
         raise ValueError("window corner lies beyond the block grid (|coordinate| >= 2**53)")
     corner = [[math.floor(window.x0), math.floor(window.y0)]]
     return system.grids(n, *system.locate(n, corner)[0].tolist())
-
-
-def heir_frequency(n: int, trials: int, seed: int = 0) -> float:
-    """Monte Carlo frequency of the unit square [0,1)^2 lying in the heir of
-    its (n+1)-block, i.e. its n-block being the heir; equals 1/(n(n+1)).
-    Needs 1 <= n <= 19, so that (n+1)! fits in int64, and trials >= 1."""
-    if not 1 <= n <= 19 or trials < 1:
-        raise ValueError(f"need 1 <= n <= 19 and trials >= 1, got n={n}, trials={trials}")
-    rng = derived_rng(seed, 11, n)
-    a = [math.factorial(k) for k in range(n + 2)]
-    t = [np.zeros(trials, dtype=np.int64), np.zeros(trials, dtype=np.int64)]
-    for m in range(2, n + 2):
-        rm = rng.integers(0, a[m] // a[m - 2], size=trials)
-        t.append(rm * a[m - 2] + t[m - 2])
-    return float(np.mean(-t[n + 1] % a[n + 1] < a[n - 1]))
 
 
 class ChernoffParams(_Frozen):

@@ -18,8 +18,8 @@ import numpy as np
 from .arcs import ArcTable
 from .assignment import (EPS_TIE, RECTANGULAR, ROW_BLOCK, _pair_distances, _runs, _spans,
                          _stable_order, assign_in_groups)
-from .geometry import (EPS_GEOM, Point, Rect, Region, Segment, _crosses_region,
-                       _intersections, _overlap_error, _same_points)
+from .geometry import (EPS_GEOM, DegenerateGeometryError, Point, Rect, Region, Segment,
+                       _crosses_region, _intersections, _same_points)
 from .hierarchy import ChernoffParams, chernoff_bound
 from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _in_order, _lengths
 from .sampling import ColoredPointSet, derived_rng
@@ -156,8 +156,9 @@ def _pairwise_hits(P: np.ndarray, Q: np.ndarray, skip_same_group=None) -> List[T
     if bad.any():
         k = int(np.argmax(bad))
         # plain floats, as the message shows them
-        raise _overlap_error(*(Segment(Point(*P[s].tolist()), Point(*Q[s].tolist()))
-                               for s in (ii[k], jj[k])))
+        s1, s2 = (Segment(Point(*P[s].tolist()), Point(*Q[s].tolist())) for s in (ii[k], jj[k]))
+        raise DegenerateGeometryError(
+            f"collinear segments with overlapping interiors: {s1} / {s2}")
     return list(zip(ii.tolist(), jj.tolist()))
 
 

@@ -7,6 +7,7 @@ default capture.
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 from click.testing import CliRunner
@@ -17,8 +18,7 @@ from poisson_matching.cli import main as cli_main
 from poisson_matching.geometry import Disk, Domain
 from poisson_matching.matching import Matching
 from poisson_matching.hierarchy import (BlockSystem, aligned_window,
-                                        build_block_system, heir_frequency,
-                                        run_hierarchical)
+                                        build_block_system, run_hierarchical)
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
 from poisson_matching.verify import (ChernoffParams, box_rematch_experiment,
@@ -29,6 +29,7 @@ from poisson_matching.verify import (ChernoffParams, box_rematch_experiment,
 from poisson_matching.walks import (build_walk, cut_times,
                                     cut_time_matching, excursion_matching,
                                     polygonal_arcs, zero_block_matching)
+from test_hierarchy import heir_share
 from test_walks import least_line_cost
 
 
@@ -195,14 +196,8 @@ def test_criterion_05_bad_free_window_with_excess():
 
 def test_criterion_06_heir_probability(capfd):
     t0 = time.perf_counter()
-    failures = []
-    trials = 100_000
-    for n in (1, 2, 3):
-        p = 1.0 / (n * (n + 1))
-        est = heir_frequency(n, trials, seed=600)
-        sigma = math.sqrt(p * (1 - p) / trials)
-        if abs(est - p) > 3 * sigma:
-            failures.append((n, est, p))
+    shares = {n: heir_share(n) for n in (1, 2, 3)}
+    failures = [(n, share) for n, share in shares.items() if share != Fraction(1, n * (n + 1))]
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 30.0
     _line(capfd, 6, "heir probability 1/(n(n+1))", ok, f"{elapsed:.1f}s")

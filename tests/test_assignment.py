@@ -19,7 +19,7 @@ from poisson_matching.assignment import (BIG, BRUTE_FORCE_MAX, EPS_TIE, RECTANGU
                                          ROW_BLOCK, SATURATING, SMALL_MAX, _pair_distances,
                                          assign_in_groups, brute_force_min,
                                          max_cardinality_min_cost, min_cost_perfect)
-from poisson_matching.geometry import Domain, is_parallel_free
+from poisson_matching.geometry import Domain
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
 from poisson_matching.matching import ONE_COLOR, TWO_COLOR, Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
@@ -27,6 +27,7 @@ from poisson_matching.verify import (box_rematch_experiment, check_planarity,
                                      minimality_certificate)
 from poisson_matching.walks import (cut_time_matching, excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs, zero_block_matching)
+from test_geometry import scalar_is_parallel_free
 from test_hierarchy import _points
 # the single-problem solves through the public scipy functions: what the
 # kernel gives a problem, the oracle for the small-problem pass
@@ -1163,7 +1164,6 @@ POINT_ENTRIES = {
     "min_cost_perfect": lambda pts: min_cost_perfect(pts, pts),
     "max_cardinality_min_cost": lambda pts: max_cardinality_min_cost(pts, pts),
     "brute_force_min": lambda pts: brute_force_min(pts, pts),
-    "is_parallel_free": is_parallel_free,
 }
 
 
@@ -1461,7 +1461,7 @@ class TestPlanarityOfMinimum:
                 reds = rng.uniform(0, 1, (n, 2))
                 blues = rng.uniform(0, 1, (n, 2))
                 if n <= 20:
-                    assert is_parallel_free(np.concatenate([reds, blues])[:20])
+                    assert scalar_is_parallel_free(np.concatenate([reds, blues])[:20])
                 m = min_cost_perfect(reds, blues)
                 assert check_planarity(m).passed
 

@@ -1107,7 +1107,6 @@ def cold_inputs(pinned_inputs, tmp_path_factory):
 # The package's public names: a new one is added here on purpose.
 PUBLIC_NAMES = {
     "Disk", "Domain", "Point", "Rect", "Segment", "DegenerateGeometryError",
-    "edge_crosses_region", "is_parallel_free", "segments_intersect",
     "ColoredPointSet", "SampleConfig", "derived_rng", "sample",
     "Matching",
     "brute_force_min", "max_cardinality_min_cost", "min_cost_perfect",
@@ -1115,7 +1114,7 @@ PUBLIC_NAMES = {
     "crossing_profile", "cut_time_matching", "excursion_matching", "laminate_strips",
     "minimality_certificate_d1", "one_color_pairing", "polygonal_arcs",
     "zero_block_matching",
-    "BlockSystem", "build_block_system", "heir_frequency", "run_hierarchical",
+    "BlockSystem", "build_block_system", "run_hierarchical",
     "ChernoffParams", "StatsReport", "VerificationReport", "box_rematch_experiment",
     "check_arc_disjointness", "check_planarity", "chernoff_bound", "chernoff_mc",
     "crossing_stats", "estimate_eta", "minimality_certificate",

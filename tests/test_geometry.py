@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        Domain, Point, Rect, Segment,
                                        _crosses_region, _intersections,
-                                       edge_crosses_region, is_parallel_free,
-                                       orientation, segments_intersect)
+                                       orientation)
 from poisson_matching.hierarchy import ChernoffParams
 from poisson_matching.sampling import SampleConfig
+from poisson_matching.verify import _pairwise_hits
 
 
 # --- Scalar oracles ---------------------------------------------------------
@@ -20,7 +20,8 @@ from poisson_matching.sampling import SampleConfig
 # The one-pair predicates as they were before the package's array forms
 # (``orientation`` on arrays, ``_intersections``, ``_crosses_region``) took
 # their place, kept verbatim as the oracles those forms must agree with row
-# by row; the other test modules confirm pairs with them too.
+# by row; the other test modules confirm pairs with them too, and check
+# their samples with ``scalar_is_parallel_free``.
 
 def scalar_orientation(a, b, c) -> int:
     """Sign of the cross product (b-a) x (c-a); 0 within EPS_GEOM."""
@@ -140,29 +141,43 @@ def seg(ax, ay, bx, by):
     return Segment(Point(ax, ay), Point(bx, by))
 
 
+HIT, MISS, OVERLAP = (True, False), (False, False), (False, True)
+
+
+def one_pair(s1: Segment, s2: Segment):
+    """``_intersections`` on the one pair of segments, as (hit, degenerate)."""
+    hit, degenerate = _intersections(*([p] for p in (s1.a, s1.b, s2.a, s2.b)))
+    return bool(hit[0]), bool(degenerate[0])
+
+
+def crosses(s: Segment, region) -> bool:
+    """``_crosses_region`` on the one segment, as (1, 2) endpoint arrays."""
+    return bool(_crosses_region(np.array([s.a], dtype=float),
+                                np.array([s.b], dtype=float), region)[0])
+
+
 class TestSegmentsIntersect:
     def test_square_diagonals_meet(self):
-        assert segments_intersect(seg(0, 0, 1, 1), seg(0, 1, 1, 0))
+        assert one_pair(seg(0, 0, 1, 1), seg(0, 1, 1, 0)) == HIT
 
     def test_parallel_horizontals_disjoint(self):
-        assert not segments_intersect(seg(0, 0, 1, 0), seg(0, 1, 1, 1))
+        assert one_pair(seg(0, 0, 1, 0), seg(0, 1, 1, 1)) == MISS
 
     def test_shared_endpoint_counts(self):
         # closed-segment semantics
-        assert segments_intersect(seg(0, 0, 1, 1), seg(1, 1, 2, 0))
+        assert one_pair(seg(0, 0, 1, 1), seg(1, 1, 2, 0)) == HIT
 
     def test_t_junction(self):
-        assert segments_intersect(seg(0, 0, 2, 0), seg(1, 0, 1, 1))
+        assert one_pair(seg(0, 0, 2, 0), seg(1, 0, 1, 1)) == HIT
 
     def test_collinear_overlap_flagged(self):
-        with pytest.raises(DegenerateGeometryError):
-            segments_intersect(seg(0, 0, 2, 0), seg(1, 0, 3, 0))
+        assert one_pair(seg(0, 0, 2, 0), seg(1, 0, 3, 0)) == OVERLAP
 
     def test_collinear_endpoint_touch(self):
-        assert segments_intersect(seg(0, 0, 1, 0), seg(1, 0, 2, 0))
+        assert one_pair(seg(0, 0, 1, 0), seg(1, 0, 2, 0)) == HIT
 
     def test_collinear_disjoint(self):
-        assert not segments_intersect(seg(0, 0, 1, 0), seg(2, 0, 3, 0))
+        assert one_pair(seg(0, 0, 1, 0), seg(2, 0, 3, 0)) == MISS
 
     @given(st.lists(st.floats(-10, 10), min_size=8, max_size=8))
     @settings(max_examples=200, deadline=None)
@@ -172,32 +187,30 @@ class TestSegmentsIntersect:
         if a == b or c == d:
             return
         s1, s2 = Segment(a, b), Segment(c, d)
-        try:
-            assert segments_intersect(s1, s2) == segments_intersect(s2, s1)
-        except DegenerateGeometryError:
-            pass
+        assert one_pair(s1, s2) == one_pair(s2, s1)
 
 
 class TestParallelFree:
+    # the scalar oracle the other test modules check their samples with
     def test_unit_square_corners_not(self):
-        assert not is_parallel_free([(0, 0), (1, 0), (0, 1), (1, 1)])
+        assert not scalar_is_parallel_free([(0, 0), (1, 0), (0, 1), (1, 1)])
 
     def test_three_points(self):
-        assert is_parallel_free([(0, 0), (1, 0), (0, 1)])
+        assert scalar_is_parallel_free([(0, 0), (1, 0), (0, 1)])
 
     def test_random_points_almost_surely(self):
         rng = np.random.default_rng(42)
         pts = rng.uniform(0, 1, size=(20, 2))
-        assert is_parallel_free(pts)
+        assert scalar_is_parallel_free(pts)
 
     def test_never_degenerate_for_parallel_free(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 1, size=(12, 2))
-        assert is_parallel_free(pts)
+        assert scalar_is_parallel_free(pts)
         segs = [Segment(Point(*pts[2 * i]), Point(*pts[2 * i + 1])) for i in range(6)]
         for i in range(len(segs)):
             for j in range(i + 1, len(segs)):
-                segments_intersect(segs[i], segs[j])  # must not raise
+                assert not one_pair(segs[i], segs[j])[1]
 
 
 # --- Array forms against the scalar oracles ---------------------------------
@@ -249,22 +262,25 @@ class TestArrayFormsAgainstScalar:
 
     @pytest.mark.parametrize("kind", PAIR_KINDS)
     def test_segments_intersect_answers_and_raises_alike(self, kind):
+        # one pair at a time, and a pair the oracle raises on raises its
+        # message in the segment sweep too
         rows = _pair_rows(kind, seed=10 + PAIR_KINDS.index(kind), n=1500)
         for ax, ay, bx, by, cx, cy, dx, dy in rows.tolist():
             s1, s2 = seg(ax, ay, bx, by), seg(cx, cy, dx, dy)
             try:
                 want = scalar_segments_intersect(s1, s2)
             except DegenerateGeometryError as e:
+                assert one_pair(s1, s2) == OVERLAP
                 with pytest.raises(DegenerateGeometryError) as got:
-                    segments_intersect(s1, s2)
+                    _pairwise_hits(np.array([[ax, ay], [cx, cy]]), np.array([[bx, by], [dx, dy]]))
                 assert str(got.value) == str(e)
             else:
-                assert segments_intersect(s1, s2) is want
+                assert one_pair(s1, s2) == (want, False)
 
     def test_integer_segments_keep_their_message(self):
         s1, s2 = seg(0, 0, 2, 0), seg(1, 0, 3, 0)
         with pytest.raises(DegenerateGeometryError) as got:
-            segments_intersect(s1, s2)
+            _pairwise_hits(np.array([[0, 0], [1, 0]]), np.array([[2, 0], [3, 0]]))
         assert str(got.value) == ("collinear segments with overlapping interiors: "
                                   f"{s1} / {s2}")
         assert "Point(x=0, y=0)" in str(got.value)
@@ -316,7 +332,7 @@ class TestRegionsAgainstScalar:
     def test_edge_crosses_region(self, region):
         segs = self._segments()
         want = [scalar_edge_crosses_region(s, region) for s in segs]
-        assert [edge_crosses_region(s, region) for s in segs] == want
+        assert [crosses(s, region) for s in segs] == want
         P = np.array([s.a for s in segs], dtype=float)
         Q = np.array([s.b for s in segs], dtype=float)
         assert _crosses_region(P, Q, region).tolist() == want
@@ -324,23 +340,10 @@ class TestRegionsAgainstScalar:
 
     def test_hand_cases(self):
         square = Rect(0, 2, 0, 1)
-        assert edge_crosses_region(seg(-1, 0, 3, 0), square)  # along the bottom
-        assert edge_crosses_region(seg(2, -1, 2, 4), square)  # along the right side
-        assert not edge_crosses_region(seg(3, 0, 4, 0), square)  # collinear, apart
-        assert edge_crosses_region(seg(0, 2, 2, 2), Disk(1, 1, 1))  # tangent
-
-
-class TestParallelFreeAgainstScalar:
-    def test_point_sets(self):
-        rng = np.random.default_rng(50)
-        sets = [rng.uniform(0, 1, (int(rng.integers(0, 12)), 2)) for _ in range(40)]
-        sets += [rng.integers(0, 5, (int(rng.integers(3, 8)), 2)).astype(float)
-                 for _ in range(40)]
-        sets += [[(0, 0), (1, 0), (0, 1), (1, 1 + t * EPS_GEOM)] for t in (0.5, 1.0, 2.0)]
-        sets += [[(0, 0), (0, 0), (1, 2)], [(3, 4)], []]
-        got = [is_parallel_free(pts) for pts in sets]
-        assert got == [scalar_is_parallel_free(pts) for pts in sets]
-        assert True in got and False in got
+        assert crosses(seg(-1, 0, 3, 0), square)  # along the bottom
+        assert crosses(seg(2, -1, 2, 4), square)  # along the right side
+        assert not crosses(seg(3, 0, 4, 0), square)  # collinear, apart
+        assert crosses(seg(0, 2, 2, 2), Disk(1, 1, 1))  # tangent
 
 
 @pytest.mark.parametrize("cx,cy,r", [(math.nan, 1, 1), (1, math.nan, 1), (1, 1, math.nan),
@@ -432,16 +435,16 @@ class TestRectContains:
 
 class TestEdgeCrossesRegion:
     def test_segment_through_disk(self):
-        assert edge_crosses_region(seg(0, 0, 2, 0), Disk(1, 0, 0.5))
+        assert crosses(seg(0, 0, 2, 0), Disk(1, 0, 0.5))
 
     def test_far_segment_misses_disk(self):
-        assert not edge_crosses_region(seg(0, 5, 2, 5), Disk(1, 0, 0.5))
+        assert not crosses(seg(0, 5, 2, 5), Disk(1, 0, 0.5))
 
     def test_endpoint_inside_rect(self):
-        assert edge_crosses_region(seg(0.5, 0.5, 5, 5), Rect(0, 1, 0, 1))
+        assert crosses(seg(0.5, 0.5, 5, 5), Rect(0, 1, 0, 1))
 
     def test_segment_spanning_rect(self):
-        assert edge_crosses_region(seg(-1, 0.5, 2, 0.5), Rect(0, 1, 0, 1))
+        assert crosses(seg(-1, 0.5, 2, 0.5), Rect(0, 1, 0, 1))
 
     def test_sampled_oracle_agreement(self):
         # oracle: dense sampling of points along each segment
@@ -457,7 +460,7 @@ class TestEdgeCrossesRegion:
             pts = a[None, :] + ts[:, None] * (b - a)[None, :]
             dense = bool(np.any((pts[:, 0] >= 0) & (pts[:, 0] <= 1)
                                 & (pts[:, 1] >= 0) & (pts[:, 1] <= 1)))
-            got = edge_crosses_region(s, square)
+            got = crosses(s, square)
             # dense sampling can miss grazing touches but never invent a hit
             if dense:
                 assert got
@@ -471,8 +474,8 @@ class TestEdgeCrossesRegion:
         s = seg(*cs)
         small = Disk(0, 0, r)
         big = Disk(0, 0, r + grow)
-        if edge_crosses_region(s, small):
-            assert edge_crosses_region(s, big)
+        if crosses(s, small):
+            assert crosses(s, big)
 
 
 class TestDomain:

@@ -17,10 +17,10 @@ from poisson_matching import assignment, hierarchy
 from poisson_matching.assignment import (BIG, EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING,
                                          SMALL_MAX, _stable_order, assign_in_groups,
                                          min_cost_perfect)
-from poisson_matching.geometry import Rect
+from poisson_matching.geometry import Domain, Rect
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
-                                        heir_frequency, init_state,
+                                        init_state,
                                         run_hierarchical, run_stage, stage1)
 from poisson_matching.matching import Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
@@ -268,54 +268,26 @@ def test_level_tables_equal_the_modulo_digits(N):
                                       np.zeros(len(pts), bool))
 
 
-# Per n, the hits of heir_frequency(n, trials, seed) for seeds 0, 1, 2 at one
-# trial and at 1000, recorded when it compared two grid-cell starts; it now
-# applies the stage tables' heir test, which must give the same floats.
-HEIR_HITS = {
-    1: ((1, 1, 1), (490, 477, 493)), 2: ((0, 0, 0), (168, 177, 187)),
-    3: ((0, 0, 0), (82, 84, 94)), 4: ((0, 0, 0), (59, 36, 53)),
-    5: ((0, 0, 0), (33, 34, 35)), 6: ((0, 0, 0), (29, 22, 24)),
-    7: ((0, 0, 0), (20, 21, 18)), 8: ((0, 0, 0), (16, 10, 13)),
-    9: ((0, 0, 0), (8, 15, 11)), 10: ((0, 0, 0), (6, 12, 8)),
-    11: ((0, 0, 0), (9, 3, 10)), 12: ((0, 0, 0), (3, 4, 8)),
-    13: ((1, 0, 0), (2, 8, 4)), 14: ((0, 0, 0), (3, 4, 5)),
-    15: ((0, 0, 0), (1, 3, 5)), 16: ((0, 0, 0), (4, 5, 3)),
-    17: ((0, 0, 0), (2, 5, 3)), 18: ((0, 0, 0), (6, 4, 5)),
-    19: ((0, 0, 0), (3, 2, 1)),
-}
+def heir_share(n):
+    """The share of the offset vectors r, 0 <= r[m] < m(m-1) for m = 2..n+1,
+    under which the unit cell [0, 1)^2 lies in the heir of its level-(n+1)
+    block, counted exactly: per vector, one point in that cell, in the
+    window of that block, and the level tables' heir flag."""
+    vectors = list(itertools.product(*(range(m * (m - 1)) for m in range(2, n + 2))))
+    hits = 0
+    for tail in vectors:
+        system = BlockSystem.from_offsets([0, 0, *tail])
+        window = system.rects(n + 1, system.locate(n + 1, [[0, 0]]))[0].tolist()
+        ps = ColoredPointSet(Domain.plane(*window), [[0.5, 0.5]], [], seed=0)
+        hits += bool(init_state(ps, system).levels[n + 1].red.in_heir[0])
+    return Fraction(hits, len(vectors))
 
 
 class TestHeirFrequency:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_closed_form(self, n):
-        trials = 100_000
-        p = 1.0 / (n * (n + 1))
-        est = heir_frequency(n, trials, seed=2)
-        sigma = math.sqrt(p * (1 - p) / trials)
-        assert abs(est - p) <= 3 * sigma
-
-    @pytest.mark.parametrize("n,trials", [(0, 1000), (-1, 1000), (2, 0), (2, -5),
-                                          (20, 1000), (25, 1)],
-                             ids=["n_zero", "n_negative", "no_trials", "negative_trials",
-                                  "n_20", "n_25"])
-    def test_rejects_out_of_range_arguments(self, n, trials):
-        # n = 0 used to return 1.0, and no trials a nan with a RuntimeWarning;
-        # from n = 20 on, (n+1)! overflows int64, which raised numpy's
-        # OverflowError
-        with pytest.raises(ValueError, match="1 <= n <= 19"):
-            heir_frequency(n, trials)
-
-    def test_smallest_arguments_accepted(self):
-        assert 0.0 <= heir_frequency(1, 1) <= 1.0
-
-    @pytest.mark.parametrize("n", sorted(HEIR_HITS))
-    def test_pinned(self, n):
-        # the frequency of one trial is a hit or a miss, and of 1000 trials
-        # the hit count over 1000, the very float np.mean gives
-        ones, thousands = HEIR_HITS[n]
-        for seed in range(3):
-            assert heir_frequency(n, 1, seed) == ones[seed]
-            assert heir_frequency(n, 1000, seed) == thousands[seed] / 1000
+        # a level-(n+1) block has n(n+1) children, one of them its heir
+        assert heir_share(n) == Fraction(1, n * (n + 1))
 
 
 def hierarchical_case(seed, N=4, lam=1.0):
@@ -850,11 +822,19 @@ def oracle_run_stage(state, n):
     return state
 
 
-def compare_with_oracle(system, ps):
+# a record's count columns: key, n_red, n_blue, unmatched, bad and dodgy,
+# which the blocks' counts decide, whichever least matching a stage takes
+COUNT_COLUMNS = 6
+
+
+def compare_with_oracle(system, ps, tied=False):
     """Run the table-driven stages and the per-block oracle side by side and
     require identical records, partners and unmatch-event counts after every
-    stage. Returns the oracle's (bad, dodgy) block counts."""
+    stage. On ``tied`` points (lattice windows, where least matchings tie)
+    only the records' count columns are compared. Returns the oracle's
+    (bad, dodgy) block counts."""
     state, oracle = init_state(ps, system), oracle_init_state(ps, system)
+    width = COUNT_COLUMNS if tied else None
     for n in range(1, system.N + 1):
         if n == 1:
             stage1(state)
@@ -862,11 +842,11 @@ def compare_with_oracle(system, ps):
         else:
             run_stage(state, n)
             oracle_run_stage(oracle, n)
-        got = [dataclasses.astuple(rec) for rec in state.records[n - 1]]
-        want = [dataclasses.astuple(rec) for rec in oracle.records[n - 1]]
+        got = [dataclasses.astuple(rec)[:width] for rec in state.records[n - 1]]
+        want = [dataclasses.astuple(rec)[:width] for rec in oracle.records[n - 1]]
         assert got == want, n
-        for name in ("red_partner", "blue_partner",
-                     "red_unmatch_events", "blue_unmatch_events"):
+        for name in () if tied else ("red_partner", "blue_partner",
+                                     "red_unmatch_events", "blue_unmatch_events"):
             assert (getattr(state, name) == getattr(oracle, name)).all(), (n, name)
     recs = [rec for level in oracle.records for rec in level]
     return sum(rec.bad for rec in recs), sum(rec.dodgy for rec in recs)
@@ -894,7 +874,7 @@ class TestAgainstPerBlockOracle:
                              ids=["zero_offsets", "seeded_offsets"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_lattice_points_on_block_edges(self, system, seed):
-        compare_with_oracle(system, lattice_case(system, seed))
+        compare_with_oracle(system, lattice_case(system, seed), tied=True)
 
     @pytest.mark.parametrize("blues,bad", [([], True), ([[0.5, 0.5]], False)],
                              ids=["bad", "absorbable"])
@@ -996,9 +976,9 @@ def test_small_blocks_reach_the_solvers_only_when_tied(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2])  # lattice seeds with tied one-point blocks
 def test_tied_one_point_blocks_fall_back_to_the_solvers(monkeypatch, system, seed):
     # a tied one-point block is settled by the pass, not the kernel, and
-    # every stage still gives the per-block oracle's records and partners
+    # every stage still gives the per-block oracle's record counts
     calls, settled = _record_small_solves(monkeypatch)
-    compare_with_oracle(system, lattice_case(system, seed))
+    compare_with_oracle(system, lattice_case(system, seed), tied=True)
     assert (1, True) in settled
     assert all(size != 1 for _, size in calls), calls
 
@@ -1008,10 +988,10 @@ def test_tied_one_point_blocks_fall_back_to_the_solvers(monkeypatch, system, see
 def test_tied_small_blocks_fall_back_to_the_solvers(monkeypatch, system):
     # lattice points make tied totals in blocks of one, two and three
     # points; the pass settles them, they reach no kernel, and every stage
-    # still gives the per-block oracle's records and partners
+    # still gives the per-block oracle's record counts
     calls, settled = _record_small_solves(monkeypatch)
     for seed in (2, 7):  # between them, tied blocks of one, two and three points
-        compare_with_oracle(system, lattice_case(system, seed))
+        compare_with_oracle(system, lattice_case(system, seed), tied=True)
     assert {size for size, tied in settled if tied} == set(range(1, SMALL_MAX + 1))
     assert all(size is None or size > SMALL_MAX for _, size in calls), calls
 

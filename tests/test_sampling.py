@@ -42,12 +42,12 @@ def test_poisson_mean_clt_band():
 
 
 def test_small_samples_parallel_free():
-    from poisson_matching.geometry import is_parallel_free
+    from test_geometry import scalar_is_parallel_free
     for s in range(5):
         ps = sample(SampleConfig(1.0, 1.0, Domain.plane(0, 4, 0, 4), seed=s))
         pts = np.concatenate([ps.reds, ps.blues])
         if len(pts) <= 40:
-            assert is_parallel_free(pts)
+            assert scalar_is_parallel_free(pts)
 
 
 def test_duplicate_points_rejected():
