@@ -28,15 +28,18 @@ them at the first solve, not when this module is imported:
 ``linear_sum_assignment`` from the extension module ``scipy.optimize._lsap``
 and ``cdist_euclidean`` from ``scipy.spatial._distance_pybind``, the
 function ``cdist`` itself calls for the Euclidean metric. ``_extension``
-finds each module in its subpackage's directory and runs it alone, so the
-inits of ``scipy.optimize`` and ``scipy.spatial`` never run. The load
-imports the light top-level ``scipy`` and the two modules, 25 modules in
-about 0.02 s and 2 MB, where the public imports load 571 modules in about
-0.6 s and 48 MB (2-CPU Xeon, scipy 1.17.1).
+finds each module in its subpackage's directory below the top-level
+package's and runs it alone, so no scipy init runs, not even the top
+level's. The load imports the two modules and nothing else, in about 1 ms
+and 0.5 MB of peak RSS (median of 15 fresh processes after importing the
+CLI); running the top-level init as well made it 23 modules, about 9 ms and
+1.7 MB, and the public imports load 571 modules in about 0.6 s and 48 MB
+(2-CPU Xeon, scipy 1.17.1).
 The functions are the ones the public imports reach, so costs, partners and
 output bytes are the same. Where a scipy lays its modules out otherwise (a
-module missing, not compiled, or without the function), ``_kernel`` falls
-back to ``scipy.optimize.linear_sum_assignment`` and
+module missing, not compiled, without the function, or failing to load
+without the top-level init, as where that init adds a DLL directory),
+``_kernel`` falls back to ``scipy.optimize.linear_sum_assignment`` and
 ``scipy.spatial.distance.cdist``. Sampling, the walk constructions, the arc
 verifiers, the oracle and rendering never load scipy at all.
 
@@ -71,6 +74,7 @@ import importlib.machinery
 import importlib.util
 import itertools
 import math
+import os
 import sys
 from typing import Iterator, Tuple
 
@@ -85,7 +89,7 @@ BIG = 1e15  # forbidden-cell cost in padded assignment problems
 ROW_BLOCK = 64  # rows per block of _pad and the cycle search; bounds their temporaries
 SMALL_MAX = 3  # largest small side the small-problem pass settles
 PAIR_BLOCK = 4096  # point pairs per batch of the small-problem pass
-SPARE_ENTRIES = 1 << 22  # largest buffer kept between solves: 32 MiB (module doc)
+SPARE_ENTRIES = 1 << 22  # 32 MiB: largest kept solve buffer (module doc), certificate rows
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # the kinds of problem assign_in_groups solves
@@ -105,18 +109,26 @@ _KERNELS = {
 
 
 def _extension(name: str):
-    """The compiled module ``name`` (``package.module``), run without the
-    package's init; None if the package's directory holds no compiled module
-    of that name. A module imported already is taken as it is."""
+    """The compiled module ``name`` (``top.sub.module``), run without any
+    package's init, the top level's included; None if the subpackage's
+    directory holds no compiled module of that name, or it fails to load
+    alone. A module imported already is taken as it is."""
     if name in sys.modules:
         return sys.modules[name]
-    package = importlib.util.find_spec(name.rpartition(".")[0])  # runs no subpackage init
-    where = package.submodule_search_locations if package is not None else None
-    spec = importlib.machinery.PathFinder.find_spec(name, where) if where else None
+    top, _, rest = name.partition(".")
+    package = importlib.util.find_spec(top)  # a top-level lookup runs no init
+    if package is None or not package.submodule_search_locations:
+        return None
+    where = [os.path.join(root, *rest.split(".")[:-1])
+             for root in package.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
     if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
         return None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:  # a wheel whose top-level init adds the DLL directory cannot load it alone
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        return None
     sys.modules[name] = module  # as an import would; a later public import reuses it
     return module
 
@@ -124,8 +136,9 @@ def _extension(name: str):
 @functools.lru_cache(maxsize=None)
 def _kernel(key: str):
     """The compiled function ``_KERNELS[key]`` names, loaded at its first use
-    (see module doc), or its public import where this scipy has no such
-    compiled function."""
+    with no scipy init (about 1 ms for both, see module doc), or its public
+    import where this scipy has no such compiled function or it does not
+    load alone."""
     module, name, public, public_name = _KERNELS[key]
     function = getattr(_extension(module), name, None)
     if function is None:
@@ -173,9 +186,10 @@ def _assign(cost: np.ndarray) -> np.ndarray:
 
     The routine is ``linear_sum_assignment`` of scipy's compiled module
     ``scipy.optimize._lsap``, loaded by ``_kernel`` at the first solve
-    without ``scipy.optimize``'s init; where that module is missing, not
-    compiled or lacks the function, it is the public
-    ``scipy.optimize.linear_sum_assignment``, the same routine."""
+    without any scipy init, ``scipy``'s and ``scipy.optimize``'s alike; where
+    that module is missing, not compiled, lacks the function or does not
+    load alone, it is the public ``scipy.optimize.linear_sum_assignment``,
+    the same routine."""
     return _kernel("assign")(cost)[1]
 
 

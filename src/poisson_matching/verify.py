@@ -16,8 +16,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcTable
-from .assignment import (EPS_TIE, RECTANGULAR, ROW_BLOCK, _pair_distances, _runs, _spans,
-                         _stable_order, assign_in_groups)
+from .assignment import (EPS_TIE, RECTANGULAR, ROW_BLOCK, SPARE_ENTRIES, _pair_distances,
+                         _runs, _spans, _stable_order, assign_in_groups)
 from .geometry import (EPS_GEOM, DegenerateGeometryError, Point, Rect, Region, Segment,
                        _crosses_region, _intersections, _same_points)
 from .hierarchy import ChernoffParams, chernoff_bound
@@ -231,17 +231,25 @@ def minimality_certificate(m: Matching) -> VerificationReport:
     alternating cycle shortens it (Klein 1967). Arc i -> k, red i taking
     edge k's partner, weighs c(p_i, q_k) - c(p_i, q_i) + EPS_TIE / n, so ties
     and rounding close no cycle and a pass means no rematch gains more than
-    EPS_TIE. Bellman-Ford relaxes ROW_BLOCK rows of arcs at a time in place,
-    with ``_pair_distances`` (no scipy, no (n, n) array), and looks for a
-    cycle of predecessors after each block that moved a label. ``trials`` counts arcs."""
+    EPS_TIE. Bellman-Ford relaxes ROW_BLOCK rows of arcs at a time, with
+    ``_pair_distances`` (no scipy), and looks for a cycle of predecessors
+    after each block that moved a label. The blocks' distance rows are kept
+    for the later rounds while they hold at most SPARE_ENTRIES floats in all
+    (the whole matrix up to n = 2048); the rest are recomputed each round,
+    so a large n makes no (n, n) array. ``trials`` counts arcs."""
     p, q = m.endpoint_arrays()
     n, own = len(p), _pair_distances(p, q)
     label, pred, moved = np.zeros(n), np.full(n, n), True  # n: no predecessor
+    kept, entries = {}, 0  # block start -> its distance rows
     while moved:
         moved = False
         for r0 in range(0, n, ROW_BLOCK):
-            reach = _pair_distances(p[r0:r0 + ROW_BLOCK, None], q)
-            reach += (label - own + EPS_TIE / n)[r0:r0 + ROW_BLOCK, None]
+            rows = kept.get(r0)
+            if rows is None:
+                rows = _pair_distances(p[r0:r0 + ROW_BLOCK, None], q)
+                if entries + rows.size <= SPARE_ENTRIES:
+                    kept[r0], entries = rows, entries + rows.size
+            reach = rows + (label - own + EPS_TIE / n)[r0:r0 + ROW_BLOCK, None]
             best = reach.argmin(axis=0)
             least = reach[best, np.arange(n)]
             k = np.flatnonzero(least < label)

@@ -1,3 +1,4 @@
+import importlib.machinery
 import itertools
 import json
 import math
@@ -654,27 +655,47 @@ class TestCompiledKernels:
         assert assignment._extension("json.tool") is None  # pure Python
         assert "json.tool" not in sys.modules
 
-    @pytest.mark.parametrize("lookup", [lambda name: None,
-                                        lambda name: types.ModuleType(name)],
-                             ids=["no_module", "no_function"])
-    def test_public_fallback_gives_equal_partners(self, public_only, lookup):
+    @staticmethod
+    def _solve_all():
+        """The partners of perfect, rectangular and saturating solves, on
+        random and lattice points."""
         rng = derived_rng(73)
         problems = [(rng.uniform(0, 10, (n, 2)), rng.uniform(0, 10, (n, 2)))
                     for n in (1, 5, 30, 120)]
         problems += [(_lattice(rng, w, n, False), _lattice(rng, w, n, False))
                      for w, n in ((3, 9), (5, 25))]
         reserves = [rng.uniform(0, 10, (k, 2)) for k in (4, 9)]
+        return ([min_cost_perfect(r, b).edges for r, b in problems],
+                [min_cost_pairs(r, b[:len(b) // 2 + 1]) for r, b in problems],
+                [min_cost_saturating(r[:2], b[:1], *reserves) for r, b in problems])
 
-        def solve_all():
-            return ([min_cost_perfect(r, b).edges for r, b in problems],
-                    [min_cost_pairs(r, b[:len(b) // 2 + 1]) for r, b in problems],
-                    [min_cost_saturating(r[:2], b[:1], *reserves) for r, b in problems])
-
-        compiled = solve_all()
+    @pytest.mark.parametrize("lookup", [lambda name: None,
+                                        lambda name: types.ModuleType(name)],
+                             ids=["no_module", "no_function"])
+    def test_public_fallback_gives_equal_partners(self, public_only, lookup):
+        compiled = self._solve_all()
         public_only(lookup)
         assert assignment._kernel("assign") is linear_sum_assignment
         assert assignment._kernel("cdist") is cdist
-        assert solve_all() == compiled
+        assert self._solve_all() == compiled
+
+    def test_failed_load_falls_back_to_public(self, public_only, monkeypatch):
+        # a compiled module that cannot load without scipy's top-level init
+        # (a wheel whose init adds the DLL directory): no module, no
+        # sys.modules entry, and the public functions' partners
+        def fail(loader, spec):
+            raise ImportError(f"DLL load failed while importing {spec.name}")
+
+        compiled = self._solve_all()
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", fail)
+        for module, *_ in assignment._KERNELS.values():
+            monkeypatch.delitem(sys.modules, module, raising=False)
+            assert assignment._extension(module) is None
+            assert module not in sys.modules
+        public_only(assignment._extension)
+        assert assignment._kernel("assign") is linear_sum_assignment
+        assert assignment._kernel("cdist") is cdist
+        assert self._solve_all() == compiled
 
     def test_public_import_after_private_load(self):
         code = """
@@ -684,7 +705,7 @@ from poisson_matching.assignment import _kernel, min_cost_perfect
 rng = np.random.default_rng(5)
 reds, blues = rng.random((40, 2)), rng.random((40, 2))
 edges = min_cost_perfect(reds, blues).edges
-assert not {"scipy.optimize", "scipy.spatial"} & set(sys.modules)
+assert not {"scipy", "scipy.optimize", "scipy.spatial"} & set(sys.modules)
 import scipy.optimize
 from scipy.spatial.distance import cdist
 cost = cdist(reds, blues)

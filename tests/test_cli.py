@@ -1035,12 +1035,13 @@ def test_output_digest_pinned(runner, pinned_inputs, name):
 
 # Cold start: scipy (and numpy.ma, which scipy's subpackages and np.unique
 # pull in) load only when a command solves an assignment problem, and then
-# only scipy's top level and its compiled assignment and distance modules,
-# never the inits of scipy.optimize or scipy.spatial. Each case runs in a
-# fresh interpreter, since this process has loaded all of them long ago.
-# csv loads only in sweep, its one reader.
+# only scipy's compiled assignment and distance modules, never an init:
+# not scipy's top level, nor scipy.optimize's or scipy.spatial's. Each case
+# runs in a fresh interpreter, since this process has loaded all of them
+# long ago. csv loads only in sweep, its one reader.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(poisson_matching.__file__)))
-WATCHED = ("numpy.ma", "scipy", "scipy.optimize", "scipy.spatial", "scipy.optimize._lsap",
+COMPILED_KERNELS = {"scipy.optimize._lsap", "scipy.spatial._distance_pybind"}
+WATCHED = ("numpy.ma", "scipy", "scipy.optimize", "scipy.spatial", *sorted(COMPILED_KERNELS),
            "csv")
 RUN_MAIN = """
 import sys
@@ -1170,9 +1171,7 @@ def test_command_without_solve_loads_no_scipy(cold_inputs, name):
 @pytest.mark.parametrize("name", sorted(SOLVES))
 def test_command_that_solves_loads_scipy(cold_inputs, name):
     argv = [arg.format(**cold_inputs) for arg in SOLVES[name].split()]
-    loaded = _loaded_after(RUN_MAIN, *argv)
-    assert "scipy.optimize._lsap" in loaded  # the assignment routine
-    assert not loaded & {"scipy.optimize", "scipy.spatial"}
+    assert _loaded_after(RUN_MAIN, *argv) == COMPILED_KERNELS
 
 
 # every command that writes JSON, run on the files of ``cold_inputs``

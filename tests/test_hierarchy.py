@@ -947,7 +947,7 @@ def _record_small_solves(monkeypatch):
     return calls, settled
 
 
-def test_one_point_blocks_reach_the_solvers_only_when_tied(monkeypatch):
+def test_one_point_blocks_are_settled_by_the_pass(monkeypatch):
     # the grouped pass settles one-point blocks at their least total, tied
     # or not, so none reaches the kernel; the solvers still get every block
     # with a larger assignment problem
@@ -960,7 +960,7 @@ def test_one_point_blocks_reach_the_solvers_only_when_tied(monkeypatch):
             if size is None or size > SMALL_MAX} == {"pairs", "saturating"}
 
 
-def test_small_blocks_reach_the_solvers_only_when_tied(monkeypatch):
+def test_small_blocks_are_settled_by_the_pass(monkeypatch):
     # two and three points on the small side, in both steps: the grouped
     # pass settles them too, and no block of up to SMALL_MAX points reaches
     # the kernel
@@ -974,7 +974,7 @@ def test_small_blocks_reach_the_solvers_only_when_tied(monkeypatch):
 @pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
                          ids=["zero_offsets", "seeded_offsets"])
 @pytest.mark.parametrize("seed", [1, 2])  # lattice seeds with tied one-point blocks
-def test_tied_one_point_blocks_fall_back_to_the_solvers(monkeypatch, system, seed):
+def test_tied_one_point_blocks_are_settled_by_the_pass(monkeypatch, system, seed):
     # a tied one-point block is settled by the pass, not the kernel, and
     # every stage still gives the per-block oracle's record counts
     calls, settled = _record_small_solves(monkeypatch)
@@ -985,7 +985,7 @@ def test_tied_one_point_blocks_fall_back_to_the_solvers(monkeypatch, system, see
 
 @pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
                          ids=["zero_offsets", "seeded_offsets"])
-def test_tied_small_blocks_fall_back_to_the_solvers(monkeypatch, system):
+def test_tied_small_blocks_are_settled_by_the_pass(monkeypatch, system):
     # lattice points make tied totals in blocks of one, two and three
     # points; the pass settles them, they reach no kernel, and every stage
     # still gives the per-block oracle's record counts

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from poisson_matching import verify
-from poisson_matching.assignment import (EPS_TIE, _stable_order, brute_force_min,
+from poisson_matching.assignment import (EPS_TIE, ROW_BLOCK, _stable_order, brute_force_min,
                                          min_cost_perfect)
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        Domain, Point, Rect, Segment)
@@ -693,6 +693,21 @@ class TestCycleCertificate:
         m = min_cost_perfect(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (n, 2)))
         rep = minimality_certificate(m)
         assert rep.passed and rep.trials == n * (n - 1)
+
+    def test_kept_rows_change_no_report(self, monkeypatch):
+        # every block's distance rows kept, only the first two, or none:
+        # the same reports, passing and failing, on the plane and a strip
+        rng = derived_rng(89, 300)
+        m = min_cost_perfect(rng.uniform(0, 1, (300, 2)), rng.uniform(0, 1, (300, 2)))
+        strip = excursion_matching(sample(SampleConfig(1, 1, Domain.strip(0, 3000), seed=3)))
+        cases = [m, _rematched(m, [3, 100, 250], [100, 250, 3]), strip]
+        reports = []
+        for spare in (verify.SPARE_ENTRIES, 2 * ROW_BLOCK * 300, 0):
+            monkeypatch.setattr(verify, "SPARE_ENTRIES", spare)
+            reports.append([json.dumps(minimality_certificate(case).to_json())
+                            for case in cases])
+        assert [json.loads(r)["pass"] for r in reports[0]] == [True, False, False]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_holds_no_square_array(self):
         # row blocks: a strip matching of ~10**4 edges needs no (n, n) array
