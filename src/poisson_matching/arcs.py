@@ -6,38 +6,31 @@
 table is built, and are read-only, so whatever is computed from a table
 holds for as long as the table lives: the verifiers keep their segment
 hits on it. A table is the only form in which any function takes arcs.
-``ArcSpec`` is the row type: indexing or iterating a table gives rows.
+``ArcSpec`` is the row type: iterating a table gives rows.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .geometry import Point, Segment
+from .geometry import _Frozen
 
 
-@dataclass(slots=True)
-class ArcSpec:
+class ArcSpec(_Frozen):
     """Four-vertex polyline joining a matched pair below all intervening
     arcs: down from the red to height H, across, and up to the blue, where
     H = (lowest intervening point height) / (maximum nesting depth)."""
 
-    edge: Tuple[int, int]
-    height: float
-    lowest: float
-    depth: int
-    vertices: List[Tuple[float, float]]
+    def __init__(self, edge: Tuple[int, int], height: float, lowest: float, depth: int,
+                 vertices: List[Tuple[float, float]]):
+        vars(self).update(edge=edge, height=height, lowest=lowest, depth=depth,
+                          vertices=vertices)
 
-    def segments(self) -> List[Segment]:
-        segs = []
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if a != b:
-                segs.append(Segment(Point(*a), Point(*b)))
-        return segs
+    def segments(self) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
+        """The polyline's pieces as vertex pairs, less the zero-length ones."""
+        return [(a, b) for a, b in zip(self.vertices, self.vertices[1:]) if a != b]
 
     def to_json(self) -> dict:
         return {
@@ -74,9 +67,9 @@ def _column(values, dtype, shape: tuple, n, what: str) -> np.ndarray:
 
 
 class ArcTable:
-    """E arcs as read-only columns (see the module docstring); ``len``,
-    ``table[k]`` and iteration give ``ArcSpec`` rows, built when read, with
-    plain Python numbers, tuple edges and lists of vertex tuples.
+    """E arcs as read-only columns (see the module docstring); ``len`` counts
+    them, and iteration gives ``ArcSpec`` rows, built when read, with plain
+    Python numbers, tuple edges and lists of vertex tuples.
 
     Every edge index is a non-negative integer, every depth an integer, and
     every height, lowest point and vertex coordinate a finite float; each
@@ -102,16 +95,8 @@ class ArcTable:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def __getitem__(self, k) -> ArcSpec:
-        return next(self._rows([operator.index(k)]))
-
     def __iter__(self) -> Iterator[ArcSpec]:
-        return self._rows(slice(None))
-
-    def _rows(self, k) -> Iterator[ArcSpec]:
-        """The rows of the arcs that the index ``k`` selects, one list of
-        plain values per column."""
-        coords = self.vertices[k].reshape(-1, 8).tolist()
-        return map(ArcSpec, map(tuple, self.edges[k].tolist()), self.height[k].tolist(),
-                   self.lowest[k].tolist(), self.depth[k].tolist(),
+        coords = self.vertices.reshape(-1, 8).tolist()
+        return map(ArcSpec, map(tuple, self.edges.tolist()), self.height.tolist(),
+                   self.lowest.tolist(), self.depth.tolist(),
                    [[(v[0], v[1]), (v[2], v[3]), (v[4], v[5]), (v[6], v[7])] for v in coords])

@@ -1,4 +1,4 @@
-"""Planar geometry primitives: points, segments, rectangles, intersection tests.
+"""Planar geometry primitives: rectangles, disks, domains, intersection tests.
 
 All predicates are tolerance-based (an absolute EPS_GEOM) and go through one
 orientation predicate on coordinate arrays: inputs are random reals, so exact
@@ -9,7 +9,7 @@ than silently resolved.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -18,11 +18,6 @@ EPS_GEOM = 1e-12
 
 class DegenerateGeometryError(ValueError):
     """Raised when collinear segments with overlapping interiors are detected."""
-
-
-class Point(NamedTuple):
-    x: float
-    y: float = 0.0
 
 
 class _Frozen:
@@ -48,13 +43,6 @@ class _Frozen:
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"{type(self).__qualname__}({fields})"
-
-
-class Segment(_Frozen):
-    def __init__(self, a: Point, b: Point):
-        vars(self).update(a=a, b=b)
-        if a == b:
-            raise ValueError(f"degenerate segment at {a}")
 
 
 class Rect(_Frozen):
@@ -195,7 +183,7 @@ def _lex_less(U, V) -> np.ndarray:
 
 
 def _sorted_ends(A, B) -> Tuple[np.ndarray, np.ndarray]:
-    """Each segment's ends (A[k], B[k]) as ``sorted`` orders the tuples."""
+    """Each pair of points (A[k], B[k]) as ``sorted`` orders the tuples."""
     swap = _lex_less(B, A)[:, None]
     return np.where(swap, B, A), np.where(swap, A, B)
 
@@ -204,9 +192,10 @@ def _intersections(P1, Q1, P2, Q2) -> Tuple[np.ndarray, np.ndarray]:
     """Whether the closed segments P1[k]Q1[k] and P2[k]Q2[k] ((..., 2)
     arrays, broadcast) intersect, as masks (hit, degenerate); degenerate
     rows, collinear with overlapping interiors, are not hits. In priority
-    order: a proper crossing; collinear segments (four zero signs), compared
-    by their sorted ends; an end with a zero sign on the other segment. Only
-    rows with a zero sign reach the last two."""
+    order: a proper crossing; collinear segments (four zero signs), which
+    overlap from the larger low end to the smaller high end; an end with a
+    zero sign on the other segment. Only rows with a zero sign reach the
+    last two."""
     P1, Q1, P2, Q2 = np.broadcast_arrays(*(np.asarray(X, dtype=float)
                                            for X in (P1, Q1, P2, Q2)))
     o1, o2 = orientation(P1, Q1, P2), orientation(P1, Q1, Q2)
@@ -219,11 +208,8 @@ def _intersections(P1, Q1, P2, Q2) -> Tuple[np.ndarray, np.ndarray]:
     o1, o2, o3, o4 = o1[zero], o2[zero], o3[zero], o4[zero]
     a, b, c, d = P1[zero], Q1[zero], P2[zero], Q2[zero]
     collinear = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
-    lo1, hi1 = _sorted_ends(a, b)
-    lo2, hi2 = _sorted_ends(c, d)
-    # the low end of the segment that starts later, the high end of the other
-    swap = _lex_less(lo2, lo1)[:, None]
-    late, high = np.where(swap, lo1, lo2), np.where(swap, hi2, hi1)
+    (lo1, hi1), (lo2, hi2) = _sorted_ends(a, b), _sorted_ends(c, d)
+    late, high = _sorted_ends(lo1, lo2)[1], _sorted_ends(hi1, hi2)[0]
     overlap = collinear & ~_lex_less(high, late)
     touch = (np.abs(late - high) <= EPS_GEOM).all(axis=1)
     on_other = (((o1 == 0) & _on_segment(a, b, c)) | ((o2 == 0) & _on_segment(a, b, d))

@@ -36,13 +36,13 @@ builds, per stage run, a tuple of ``BlockRecord`` rows from the columns in
 one pass. Most blocks of the lower levels hold a point or two, so one object
 per block made up much of a run's time.
 
-``bad_block_bound`` is twice ``chernoff_bound``, defined here.
+``bad_block_bound`` is twice ``chernoff_bound``, defined here beside
+``chernoff_tail``, the exact tail that the bound bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -162,6 +162,34 @@ def chernoff_bound(p: ChernoffParams) -> float:
     return math.exp(-p.mu ** 2 / (6.0 * p.lam))
 
 
+MAX_TAIL_COUNTS = 1 << 22  # the most counts a window of chernoff_tail may hold
+
+
+def chernoff_tail(p: ChernoffParams) -> float:
+    """P(X - X' >= Y) for independent X, X' ~ Poisson(lam) and Y ~ Poisson(mu),
+    exact to rounding: X' + Y is Z ~ Poisson(lam + mu), so the tail is the sum
+    over z of P(Z = z) P(X >= z). Each pmf is one cumulative sum of
+    log(mean / k), normalized, on the counts within 12 standard deviations
+    and 30 counts of its mean (all but about 1e-30 of its mass), so the work
+    is O(sqrt(lam)). A mean that is not finite, or whose window would hold
+    over MAX_TAIL_COUNTS counts, is a ValueError."""
+    windows = []
+    for mean in (p.lam + p.mu, p.lam):
+        half = 12.0 * math.sqrt(mean) + 30.0
+        if not 2.0 * half <= MAX_TAIL_COUNTS:
+            raise ValueError(f"no exact tail about a Poisson mean of {mean!r}: its window "
+                             f"would hold over {MAX_TAIL_COUNTS} counts")
+        k0 = max(0, math.floor(mean - half))
+        k = np.arange(k0 + 1, math.ceil(mean + half) + 1)
+        logs = np.append(0.0, np.cumsum(np.log(mean / k)))  # log P(k) - log P(k0)
+        pmf = np.exp(logs - logs.max())
+        windows.append((k0, pmf / pmf.sum()))
+    (z0, pz), (x0, px) = windows
+    # P(X >= k) from x0 on, and 0 past the window; every z below x0 reads 1
+    at_least = np.append(np.cumsum(px[::-1])[::-1], 0.0)
+    return float(pz @ at_least[np.clip(np.arange(z0, z0 + len(pz)) - x0, 0, len(px))])
+
+
 def bad_block_bound(system: BlockSystem, n: int) -> float:
     """Analytic tail bound on the probability that a fixed unit square lies
     in a bad level-n block, for 3 <= n <= N (it reads a[n - 3]): twice
@@ -174,19 +202,15 @@ def bad_block_bound(system: BlockSystem, n: int) -> float:
                                                a[n - 2] * a[n - 3]))
 
 
-@dataclass
-class BlockRecord:
+class BlockRecord(_Frozen):
     """One block after its stage: a row of ``StageState.records``."""
 
-    key: Tuple[int, int, int]
-    n_red: int
-    n_blue: int
-    unmatched: int
-    bad: bool
-    dodgy: bool
-    new_edges: List[Tuple[int, int]]
-    unmatched_in_heir: Optional[bool]
-    new_edges_in_heirs: Optional[bool]
+    def __init__(self, key: Tuple[int, int, int], n_red: int, n_blue: int, unmatched: int,
+                 bad: bool, dodgy: bool, new_edges: List[Tuple[int, int]],
+                 unmatched_in_heir: Optional[bool], new_edges_in_heirs: Optional[bool]):
+        vars(self).update(key=key, n_red=n_red, n_blue=n_blue, unmatched=unmatched, bad=bad,
+                          dodgy=dodgy, new_edges=new_edges, unmatched_in_heir=unmatched_in_heir,
+                          new_edges_in_heirs=new_edges_in_heirs)
 
 
 class ColorTable:
@@ -218,29 +242,19 @@ class ColorTable:
 
 class LevelTable:
     """The window's level-n blocks in children order, each color's points'
-    rows among them, and, once stage n has run, its per-block columns, from
-    which ``_block_records`` builds rows. ``new_edges`` holds the (red, blue)
-    pairs the stage made, grouped by block with offsets ``new_start``, as
-    they were when the stage ran (a later stage may unmatch them); the two
-    heir flags are None at level 1."""
+    rows among them, and its per-block columns, None until stage n runs
+    (``_keep_columns``), which ``_block_records`` reads. ``new_edges`` holds
+    the (red, blue) pairs the stage made, grouped by block with offsets
+    ``new_start``, as they were when the stage ran (a later stage may
+    unmatch them); the two heir flags are None at level 1."""
 
-    def __init__(self, n: int, cells: np.ndarray, red: ColorTable, blue: ColorTable,
-                 unmatched: Optional[np.ndarray] = None, bad: Optional[np.ndarray] = None,
-                 dodgy: Optional[np.ndarray] = None, new_edges: Optional[np.ndarray] = None,
-                 new_start: Optional[np.ndarray] = None,
-                 unmatched_in_heir: Optional[np.ndarray] = None,
-                 new_edges_in_heirs: Optional[np.ndarray] = None):
+    def __init__(self, n: int, cells: np.ndarray, red: ColorTable, blue: ColorTable):
         self.n = n
         self.cells = cells  # (blocks, 2) ix, iy
         self.red = red
         self.blue = blue
-        self.unmatched = unmatched
-        self.bad = bad
-        self.dodgy = dodgy
-        self.new_edges = new_edges
-        self.new_start = new_start
-        self.unmatched_in_heir = unmatched_in_heir
-        self.new_edges_in_heirs = new_edges_in_heirs
+        self.unmatched = self.bad = self.dodgy = self.new_edges = self.new_start = None
+        self.unmatched_in_heir = self.new_edges_in_heirs = None
 
 
 def _block_records(lv: LevelTable) -> Tuple[BlockRecord, ...]:

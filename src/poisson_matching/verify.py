@@ -5,7 +5,7 @@ Verification reports carry explicit violation witnesses; statistics reports
 infinite-volume claims. The arc verifiers flatten an ``ArcTable``'s vertex
 column into segments (``_arc_arrays``) and share one segment-hit list per
 table (``_arc_hits``). Edge lengths are totalled in order, never by the
-builtin ``sum`` (``matching._in_order``); the Chernoff tail is ``hierarchy``'s.
+builtin ``sum`` (``matching._in_order``).
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import numpy as np
 from .arcs import ArcTable
 from .assignment import (EPS_TIE, RECTANGULAR, ROW_BLOCK, SPARE_ENTRIES, _pair_distances,
                          _runs, _spans, _stable_order, assign_in_groups)
-from .geometry import (EPS_GEOM, DegenerateGeometryError, Point, Rect, Region, Segment,
-                       _crosses_region, _intersections, _same_points)
-from .hierarchy import ChernoffParams, chernoff_bound
+from .geometry import (EPS_GEOM, DegenerateGeometryError, Rect, Region, _crosses_region,
+                       _intersections, _same_points)
 from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _in_order, _lengths
-from .sampling import ColoredPointSet, derived_rng
+from .sampling import ColoredPointSet
 from .walks import crossing_profile
 
 
@@ -155,10 +154,10 @@ def _pairwise_hits(P: np.ndarray, Q: np.ndarray, skip_same_group=None) -> List[T
     ii, jj, bad = found[:, np.lexsort(found[1::-1])]  # by i, then j
     if bad.any():
         k = int(np.argmax(bad))
-        # plain floats, as the message shows them
-        s1, s2 = (Segment(Point(*P[s].tolist()), Point(*Q[s].tolist())) for s in (ii[k], jj[k]))
+        # the four endpoints as plain numbers
+        a, b, c, d = (tuple(X[s].tolist()) for s in (ii[k], jj[k]) for X in (P, Q))
         raise DegenerateGeometryError(
-            f"collinear segments with overlapping interiors: {s1} / {s2}")
+            f"collinear segments with overlapping interiors: {a}-{b} / {c}-{d}")
     return list(zip(ii.tolist(), jj.tolist()))
 
 
@@ -274,29 +273,6 @@ def _cycle(pred, p, q, own) -> List[dict]:
     e = np.array(e[:1] + e[:0:-1])
     change = float((_pair_distances(p[e], q[np.roll(e, -1)]) - own[e]).sum())
     return [{"edges": e.tolist(), "change": change}]
-
-
-def chernoff_mc(p: ChernoffParams, trials: int, seed: int = 0) -> StatsReport:
-    """Monte Carlo frequency of X - X' >= Y for independent Poisson draws
-    with means (lam, lam, mu), compared against the analytic bound."""
-    if trials < 10_000:
-        raise ValueError("need at least 1e4 trials")
-    rng = derived_rng(seed, 7)
-    x = rng.poisson(p.lam, size=trials)
-    xp = rng.poisson(p.lam, size=trials)
-    y = rng.poisson(p.mu, size=trials)
-    est = float(np.mean(x - xp >= y))
-    sigma = math.sqrt(max(est * (1.0 - est), 1e-12) / trials)
-    bound = chernoff_bound(p)
-    return StatsReport("chernoff_mc", {
-        "lam": p.lam,
-        "mu": p.mu,
-        "trials": trials,
-        "estimate": est,
-        "sigma": sigma,
-        "bound": bound,
-        "within_bound": est <= bound + 3 * sigma,
-    })
 
 
 def interior_window(ps: ColoredPointSet, fraction: float = 0.5) -> Rect:

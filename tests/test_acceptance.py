@@ -17,12 +17,12 @@ from poisson_matching.assignment import (brute_force_min, max_cardinality_min_co
 from poisson_matching.cli import main as cli_main
 from poisson_matching.geometry import Disk, Domain
 from poisson_matching.matching import Matching
-from poisson_matching.hierarchy import (BlockSystem, aligned_window,
-                                        build_block_system, run_hierarchical)
+from poisson_matching.hierarchy import (BlockSystem, ChernoffParams, aligned_window,
+                                        build_block_system, chernoff_bound, chernoff_tail,
+                                        run_hierarchical)
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
-from poisson_matching.verify import (ChernoffParams, box_rematch_experiment,
-                                     chernoff_bound, chernoff_mc,
+from poisson_matching.verify import (box_rematch_experiment,
                                      check_arc_disjointness, check_planarity,
                                      crossing_stats, estimate_eta,
                                      minimality_certificate, minimality_certificate_d1)
@@ -209,15 +209,15 @@ def test_criterion_07_poisson_tail_bound(capfd):
     for lam in (1.0, 5.0, 10.0, 20.0):
         for mu in (lam / 4, lam / 2, lam):
             p = ChernoffParams(lam, mu)
-            rep = chernoff_mc(p, trials=100_000, seed=700)
-            if not rep.payload["within_bound"]:
-                failures.append((lam, mu, rep.payload))
+            tail, bound = chernoff_tail(p), chernoff_bound(p)
+            if not tail <= bound:
+                failures.append((lam, mu, tail, bound))
     if abs(chernoff_bound(ChernoffParams(6, 6)) - math.exp(-1)) > 1e-6:
         failures.append(("spot", 6, 6))
     if abs(chernoff_bound(ChernoffParams(10, 5)) - math.exp(-25.0 / 60.0)) > 1e-6:
         failures.append(("spot", 10, 5))
     ok = not failures
-    _line(capfd, 7, "Poisson difference tail bound", ok, "12-point grid + spot values")
+    _line(capfd, 7, "Poisson difference tail bound", ok, "exact tails, 12-point grid + spot values")
     assert ok, failures
 
 
@@ -287,8 +287,7 @@ def test_criterion_09_cli_determinism_and_round_trips(capfd, tmp_path):
         run_twice(["stats", "--in", str(match), "--kind", "eta"], "s.json")
     run_twice(["match", "--construction", "hierarchical", "--seed", "9",
                "--stages", "3"], "h.json")
-    run_twice(["sweep", "--lambdas", "2,8", "--ratios", "0.5,1.0",
-               "--trials", "20000"], "sweep.csv")
+    run_twice(["sweep", "--lambdas", "2,8", "--ratios", "0.5,1.0"], "sweep.csv")
     # JSON round trips reproduce the stored documents exactly
     if pts:
         d = json.loads(pts.read_text())

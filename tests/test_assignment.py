@@ -161,7 +161,7 @@ def _tied(reds, blues, partner) -> bool:
     return bool((np.abs(alt) <= EPS_TIE).any())
 
 
-class TestTiePass:
+class TestTiedInputs:
     """Tied inputs, where a tie pass once chose among the minima: with none,
     min_cost_perfect returns a perfect matching of least length, brute
     force's within EPS_TIE up to BRUTE_FORCE_MAX points and the index-order

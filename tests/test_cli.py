@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poisson_matching
-from poisson_matching import cli, hierarchy, render, verify, walks
+from poisson_matching import cli, hierarchy, render, walks
 from poisson_matching.arcs import ArcTable
 from poisson_matching.cli import main
 from poisson_matching.geometry import Domain
@@ -104,12 +105,12 @@ class TestDeterminism:
         for name in ("s1.csv", "s2.csv"):
             out = tmp_path / name
             res = invoke(runner, "sweep", "--lambdas", "2,4", "--ratios",
-                         "0.5,1.0", "--trials", "20000", "--out", str(out))
+                         "0.5,1.0", "--out", str(out))
             assert res.exit_code == 0, res.output
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         header = outs[0].decode().splitlines()[0]
-        assert header == "lambda,mu,estimate,bound,pass"
+        assert header == "lambda,mu,tail,bound,pass"
 
 
 class TestRoundTrips:
@@ -230,12 +231,29 @@ class TestExitCodes:
         assert json.loads(res.output)["property"] == "minimality_cycles"
 
     def test_sweep_bound_missed_exits_one(self, runner, monkeypatch):
-        # no frequency lies below a negative bound
-        monkeypatch.setattr(verify, "chernoff_bound", lambda p: -1.0)
-        res = invoke(runner, "sweep", "--lambdas", "2", "--ratios", "0.5",
-                     "--trials", "10000")
+        # no tail lies below a negative bound
+        monkeypatch.setattr(hierarchy, "chernoff_bound", lambda p: -1.0)
+        res = invoke(runner, "sweep", "--lambdas", "2", "--ratios", "0.5")
         assert res.exit_code == 1
         assert res.output.splitlines()[-1].endswith(",-1.0,False")
+
+    @pytest.mark.parametrize("lambdas", ["inf", "nan", "1e12", "0"])
+    def test_sweep_lambda_without_exact_tail_exits_two(self, runner, lambdas):
+        # not finite, a window of over MAX_TAIL_COUNTS counts, or no mean
+        res = invoke(runner, "sweep", "--lambdas", lambdas, "--ratios", "0.5")
+        assert res.exit_code == 2, res.output
+
+    def test_sweep_takes_no_trials_or_seed(self, runner):
+        for option in ("--trials", "--seed"):
+            assert invoke(runner, "sweep", option, "5").exit_code == 2
+
+    def test_sweep_at_a_million_is_quick(self, runner):
+        # O(sqrt(lambda)) work: two windows of about 24,000 counts
+        t0 = time.perf_counter()
+        res = invoke(runner, "sweep", "--lambdas", "1000000", "--ratios", "0.5")
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[1] == "1000000.0,500000.0,0.0,0.0,True"
 
 
 ONE_EDGE_RESULT = {
@@ -1107,7 +1125,7 @@ def cold_inputs(pinned_inputs, tmp_path_factory):
 
 # The package's public names: a new one is added here on purpose.
 PUBLIC_NAMES = {
-    "Disk", "Domain", "Point", "Rect", "Segment", "DegenerateGeometryError",
+    "Disk", "Domain", "Rect", "DegenerateGeometryError",
     "ColoredPointSet", "SampleConfig", "derived_rng", "sample",
     "Matching",
     "brute_force_min", "max_cardinality_min_cost", "min_cost_perfect",
@@ -1115,9 +1133,10 @@ PUBLIC_NAMES = {
     "crossing_profile", "cut_time_matching", "excursion_matching", "laminate_strips",
     "minimality_certificate_d1", "one_color_pairing", "polygonal_arcs",
     "zero_block_matching",
-    "BlockSystem", "build_block_system", "run_hierarchical",
-    "ChernoffParams", "StatsReport", "VerificationReport", "box_rematch_experiment",
-    "check_arc_disjointness", "check_planarity", "chernoff_bound", "chernoff_mc",
+    "BlockSystem", "ChernoffParams", "build_block_system", "chernoff_bound", "chernoff_tail",
+    "run_hierarchical",
+    "StatsReport", "VerificationReport", "box_rematch_experiment",
+    "check_arc_disjointness", "check_planarity",
     "crossing_stats", "estimate_eta", "minimality_certificate",
 }
 
@@ -1133,23 +1152,23 @@ def test_import_loads_no_scipy(module):
     assert _loaded_after(f"import sys\nimport {module}") == set()
 
 
-def test_import_makes_no_dataclasses_but_the_two_row_types():
+def test_import_makes_no_dataclasses():
     # a dataclass generates and execs its methods at import, 0.3 to 1 ms a
-    # class; ArcSpec and BlockRecord are the rows tests rebuild with
-    # dataclasses.replace and astuple
-    code = ("import dataclasses, sys\n"
+    # class, and importing dataclasses takes about 2 ms; the package's
+    # values, its row types among them, are geometry._Frozen
+    code = ("import sys\n"
             "import poisson_matching.cli\n"
-            "print(*sorted(f'{cls.__module__}.{cls.__qualname__}'\n"
-            "              for name, module in list(sys.modules.items())\n"
-            "              if name.startswith('poisson_matching')\n"
-            "              for cls in vars(module).values() if isinstance(cls, type)\n"
-            "              and cls.__module__ == name and dataclasses.is_dataclass(cls)))\n")
+            "print('dataclasses' in sys.modules, *sorted(\n"
+            "    f'{cls.__module__}.{cls.__qualname__}'\n"
+            "    for name, module in list(sys.modules.items())\n"
+            "    if name.startswith('poisson_matching')\n"
+            "    for cls in vars(module).values() if isinstance(cls, type)\n"
+            "    and cls.__module__ == name and hasattr(cls, '__dataclass_fields__')))\n")
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["poisson_matching.arcs.ArcSpec",
-                                  "poisson_matching.hierarchy.BlockRecord"]
+    assert res.stdout.split() == ["False"]
 
 
 def test_crossing_profile_loads_no_numpy_ma():
@@ -1166,6 +1185,12 @@ def test_crossing_profile_loads_no_numpy_ma():
 def test_command_without_solve_loads_no_scipy(cold_inputs, name):
     argv = [arg.format(**cold_inputs) for arg in NO_SOLVE[name].split()]
     assert _loaded_after(RUN_MAIN, *argv) == set()
+
+
+def test_sweep_loads_csv_only(tmp_path):
+    # the exact tails take numpy alone
+    argv = "sweep --lambdas 1,20,1000000 --ratios 0.25,1.0 --out".split()
+    assert _loaded_after(RUN_MAIN, *argv, str(tmp_path / "sweep.csv")) == {"csv"}
 
 
 @pytest.mark.parametrize("name", sorted(SOLVES))

@@ -1,5 +1,6 @@
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
-                                       Domain, Point, Rect, Segment,
-                                       _crosses_region, _intersections,
+                                       Domain, Rect, _crosses_region, _intersections,
                                        orientation)
-from poisson_matching.hierarchy import ChernoffParams
+from poisson_matching.arcs import ArcSpec
+from poisson_matching.hierarchy import BlockRecord, ChernoffParams
 from poisson_matching.sampling import SampleConfig
 from poisson_matching.verify import _pairwise_hits
 
@@ -19,9 +20,27 @@ from poisson_matching.verify import _pairwise_hits
 #
 # The one-pair predicates as they were before the package's array forms
 # (``orientation`` on arrays, ``_intersections``, ``_crosses_region``) took
-# their place, kept verbatim as the oracles those forms must agree with row
-# by row; the other test modules confirm pairs with them too, and check
-# their samples with ``scalar_is_parallel_free``.
+# their place, kept as the oracles those forms must agree with row by row;
+# the other test modules confirm pairs with them too, and check their
+# samples with ``scalar_is_parallel_free``. The package passes segments as
+# endpoint arrays; the oracles take them one at a time as a ``Segment``.
+
+class Point(NamedTuple):
+    x: float
+    y: float
+
+
+class Segment(NamedTuple):
+    """A segment as the scalar oracles take it. A plain pair of vertex
+    tuples, as ``ArcSpec.segments`` lists them, compares equal to it, and
+    it reads as the package's overlap message names a segment."""
+
+    a: Point
+    b: Point
+
+    def __str__(self):
+        return f"{tuple(self.a)}-{tuple(self.b)}"
+
 
 def scalar_orientation(a, b, c) -> int:
     """Sign of the cross product (b-a) x (c-a); 0 within EPS_GEOM."""
@@ -58,14 +77,13 @@ def scalar_segments_intersect(s1: Segment, s2: Segment) -> bool:
         return True
 
     if o1 == o2 == 0 and o3 == o4 == 0:
-        # Collinear: compare projections along the shared line.
-        lo1, hi1 = sorted((a, b))
-        lo2, hi2 = sorted((c, d))
-        if lo2 < lo1:
-            lo1, hi1, lo2, hi2 = lo2, hi2, lo1, hi1
-        if lo2 > hi1:
+        # Collinear: the overlap runs from the larger low end to the smaller
+        # high end, the ends compared as tuples.
+        late = max(min(a, b), min(c, d))
+        high = min(max(a, b), max(c, d))
+        if late > high:
             return False
-        if abs(lo2[0] - hi1[0]) <= EPS_GEOM and abs(lo2[1] - hi1[1]) <= EPS_GEOM:
+        if abs(late[0] - high[0]) <= EPS_GEOM and abs(late[1] - high[1]) <= EPS_GEOM:
             return True  # touch at a single shared endpoint
         raise DegenerateGeometryError(
             f"collinear segments with overlapping interiors: {s1} / {s2}"
@@ -189,6 +207,16 @@ class TestSegmentsIntersect:
         s1, s2 = Segment(a, b), Segment(c, d)
         assert one_pair(s1, s2) == one_pair(s2, s1)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_collinear_tie_of_low_ends_in_either_order(self, swap):
+        # every orientation at this scale is within EPS_GEOM, so the pair is
+        # collinear; both low ends are (-8.89e-188, 0), and the overlap up to
+        # the smaller high end, (0, 0), is one point within EPS_GEOM: a touch
+        pair = [seg(0, 1, -8.89e-188, 0), seg(-8.89e-188, 0, 0, 0)]
+        s1, s2 = pair[::-1] if swap else pair
+        assert scalar_segments_intersect(s1, s2)
+        assert one_pair(s1, s2) == HIT
+
 
 class TestParallelFree:
     # the scalar oracle the other test modules check their samples with
@@ -283,7 +311,7 @@ class TestArrayFormsAgainstScalar:
             _pairwise_hits(np.array([[0, 0], [1, 0]]), np.array([[2, 0], [3, 0]]))
         assert str(got.value) == ("collinear segments with overlapping interiors: "
                                   f"{s1} / {s2}")
-        assert "Point(x=0, y=0)" in str(got.value)
+        assert str(got.value).endswith(": (0, 0)-(2, 0) / (1, 0)-(3, 0)")
 
     @pytest.mark.parametrize("kind", PAIR_KINDS)
     def test_orientation_signs(self, kind):
@@ -355,7 +383,8 @@ def test_disk_rejects_values_not_finite_or_radius_not_positive(cx, cy, r):
 
 # a constructor or method call on values it rejects, and a part of its message
 SHAPE_ERRORS = {
-    "degenerate_segment": (lambda: Segment(Point(1, 2), Point(1, 2)), "degenerate segment"),
+    "degenerate_segment": (lambda: _pairwise_hits(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])),
+                           "zero-length segment"),
     "empty_rect_in_x": (lambda: Rect(1, 1, 0, 1), "empty rectangle"),
     "empty_rect_in_y": (lambda: Rect(0, 1, 2, 1), "empty rectangle"),
     "unknown_domain_kind": (lambda: Domain("disk", 0, 1), "unknown domain kind 'disk'"),
@@ -373,8 +402,6 @@ def test_empty_or_unknown_shapes_rejected(name):
 # the immutable value classes: two builds of one value, a field name, and
 # another value of the class
 FROZEN = {
-    "Segment": (lambda: Segment(Point(0, 0), Point(1, 2)), "a",
-                Segment(Point(0, 0), Point(1, 3))),
     "Rect": (lambda: Rect(0, 1, 0, 1), "x0", Rect(0, 1, 0, 2)),
     "Disk": (lambda: Disk(0, 0, 1), "radius", Disk(0, 0, 2)),
     "Domain": (lambda: Domain.strip(0, 1), "kind", Domain.line(0, 1)),
@@ -406,11 +433,43 @@ class TestFrozenValues:
         assert a != (a,) and len({a, b, other}) == 2
 
 
+# the row types, which their list fields leave unhashable: a row, a field
+# name, another row of the type, and the row's repr, fields in order
+VERTICES = [(0.0, 1.0), (0.0, 0.25), (1.0, 0.25), (1.0, 0.5)]
+ROWS = {
+    "ArcSpec": (lambda: ArcSpec(edge=(0, 1), height=0.25, lowest=0.5, depth=2, vertices=VERTICES),
+                "vertices",
+                ArcSpec(edge=(0, 1), height=0.25, lowest=0.5, depth=1, vertices=VERTICES),
+                f"ArcSpec(edge=(0, 1), height=0.25, lowest=0.5, depth=2, vertices={VERTICES!r})"),
+    "BlockRecord": (lambda: BlockRecord(key=(2, 0, 1), n_red=3, n_blue=2, unmatched=1, bad=False,
+                                        dodgy=True, new_edges=[(4, 5)], unmatched_in_heir=True,
+                                        new_edges_in_heirs=None),
+                    "new_edges",
+                    BlockRecord(key=(2, 0, 1), n_red=3, n_blue=2, unmatched=1, bad=True,
+                                dodgy=True, new_edges=[(4, 5)], unmatched_in_heir=True,
+                                new_edges_in_heirs=None),
+                    "BlockRecord(key=(2, 0, 1), n_red=3, n_blue=2, unmatched=1, bad=False, "
+                    "dodgy=True, new_edges=[(4, 5)], unmatched_in_heir=True, "
+                    "new_edges_in_heirs=None)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_rows_are_frozen_values(name):
+    make, field, other, text = ROWS[name]
+    row = make()
+    with pytest.raises(AttributeError):
+        setattr(row, field, getattr(row, field))
+    with pytest.raises(AttributeError):
+        row.extra = 1
+    assert row == make() and row != other and row != (row,)
+    assert type(row)(**vars(row)) == row  # built by keyword from its fields
+    assert repr(row) == text
+
+
 def test_frozen_values_read_as_their_constructor_calls():
-    # Rect and Segment reprs appear in error messages
+    # Rect reprs appear in error messages
     assert repr(Rect(0, 1, 0, 1)) == "Rect(x0=0, x1=1, y0=0, y1=1)"
-    assert repr(Segment(Point(0, 0), Point(1, 2.5))) == (
-        "Segment(a=Point(x=0, y=0), b=Point(x=1, y=2.5))")
     assert repr(Domain.strip(0, 1)) == "Domain(kind='strip', x0=0, x1=1, y0=0.0, y1=1.0)"
     assert repr(Disk(0.5, 0, 1)) == "Disk(cx=0.5, cy=0, radius=1)"
     assert repr(ChernoffParams(2.0, 1)) == "ChernoffParams(lam=2.0, mu=1)"

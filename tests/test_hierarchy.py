@@ -283,7 +283,7 @@ def heir_share(n):
     return Fraction(hits, len(vectors))
 
 
-class TestHeirFrequency:
+class TestHeirShare:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_closed_form(self, n):
         # a level-(n+1) block has n(n+1) children, one of them its heir
@@ -471,10 +471,15 @@ def test_run_hierarchical_diagnostics_shape():
     assert type(diag["unmatched_red"]) is int and type(diag["unmatched_blue"]) is int
 
 
+def row_values(rec):
+    """A frozen row's field values, in field order."""
+    return tuple(vars(rec).values())
+
+
 def records_digest(state):
     """SHA-256 over every BlockRecord (all fields) and both unmatch-event counters."""
     payload = {
-        "records": [[dataclasses.astuple(rec) for rec in recs] for recs in state.records],
+        "records": [[row_values(rec) for rec in recs] for recs in state.records],
         "red_unmatch_events": state.red_unmatch_events.tolist(),
         "blue_unmatch_events": state.blue_unmatch_events.tolist(),
     }
@@ -842,8 +847,8 @@ def compare_with_oracle(system, ps, tied=False):
         else:
             run_stage(state, n)
             oracle_run_stage(oracle, n)
-        got = [dataclasses.astuple(rec)[:width] for rec in state.records[n - 1]]
-        want = [dataclasses.astuple(rec)[:width] for rec in oracle.records[n - 1]]
+        got = [row_values(rec)[:width] for rec in state.records[n - 1]]
+        want = [row_values(rec)[:width] for rec in oracle.records[n - 1]]
         assert got == want, n
         for name in () if tied else ("red_partner", "blue_partner",
                                      "red_unmatch_events", "blue_unmatch_events"):
@@ -1429,9 +1434,9 @@ class TestBlockRecordsView:
                 run_stage(state, n)
                 oracle_run_stage(oracle, n)
             for recs, want in zip(state.records, oracle.records):
-                want = [dataclasses.astuple(rec) for rec in want]
-                assert [dataclasses.astuple(recs[k]) for k in range(len(recs))] == want
-                assert [dataclasses.astuple(recs[k - len(recs)])
+                want = [row_values(rec) for rec in want]
+                assert [row_values(recs[k]) for k in range(len(recs))] == want
+                assert [row_values(recs[k - len(recs)])
                         for k in range(len(recs))] == want
 
     def test_rows_unchanged_by_later_stages(self):
@@ -1445,10 +1450,10 @@ class TestBlockRecordsView:
         for n in range(1, 5):
             if n > 1:
                 run_stage(state, n)
-            taken[n] = [dataclasses.astuple(rec) for rec in state.records[n - 1]]
+            taken[n] = [row_values(rec) for rec in state.records[n - 1]]
         undone = 0
         for n in range(1, 5):
-            assert [dataclasses.astuple(rec) for rec in state.records[n - 1]] == taken[n]
+            assert [row_values(rec) for rec in state.records[n - 1]] == taken[n]
             undone += sum(state.red_partner[i] != j
                           for rec in state.records[n - 1] for i, j in rec.new_edges)
         assert undone > 0

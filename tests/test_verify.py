@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -12,24 +11,22 @@ from scipy.spatial.distance import cdist
 from poisson_matching import verify
 from poisson_matching.assignment import (EPS_TIE, ROW_BLOCK, _stable_order, brute_force_min,
                                          min_cost_perfect)
-from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
-                                       Domain, Point, Rect, Segment)
+from poisson_matching.geometry import EPS_GEOM, DegenerateGeometryError, Disk, Domain, Rect
+from poisson_matching.hierarchy import ChernoffParams, chernoff_bound, chernoff_tail
 from poisson_matching.matching import ONE_COLOR, Matching
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig, canonical_order,
                                        derived_rng, sample)
-from poisson_matching.verify import (ChernoffParams, _arc_arrays,
-                                     _box_pairs, _pairwise_hits,
-                                     box_rematch_experiment, chernoff_bound,
-                                     chernoff_mc, check_arc_disjointness,
+from poisson_matching.verify import (_arc_arrays, _box_pairs, _pairwise_hits,
+                                     box_rematch_experiment, check_arc_disjointness,
                                      check_planarity, crossing_stats,
                                      estimate_eta, interior_window,
                                      minimality_certificate, minimality_certificate_d1)
 from poisson_matching.walks import (ArcSpec, excursion_matching,
                                     laminate_strips, one_color_pairing, polygonal_arcs,
                                     zero_block_matching)
-from test_geometry import scalar_edge_crosses_region, scalar_segments_intersect
+from test_geometry import Point, Segment, scalar_edge_crosses_region, scalar_segments_intersect
 from test_hierarchy import hierarchical_case
-from test_walks import _rematched, table_of
+from test_walks import _rematched, replaced, table_of
 
 
 def square_ps(seed, side=20.0, lam=1.0):
@@ -133,7 +130,8 @@ def _sweep_hits(segs, skip_same_group=None):
 
 def _arc_pieces(arcs):
     """Every ``ArcSpec.segments`` piece of the arcs, and its arc's index."""
-    pieces = [(s, k) for k, arc in enumerate(arcs) for s in arc.segments()]
+    pieces = [(Segment(Point(*a), Point(*b)), k) for k, arc in enumerate(arcs)
+              for a, b in arc.segments()]
     return [s for s, _ in pieces], [k for _, k in pieces]
 
 
@@ -447,6 +445,14 @@ class TestArcArrays:
                                      shift=0.4)
         assert 0 < self._check(arcs) < 3 * len(arcs)
 
+    def test_rows_list_the_flattened_pieces(self):
+        # a row's segments are the table's pieces: perfbench counts the
+        # verifiers' segments (verify.segments) from the rows
+        strip = _strip_arcs(1)[2]
+        laminate = laminate_strips([_strip_arcs(seed, 60.0) for seed in range(2)], shift=0.3)[2]
+        for table in (strip, laminate):
+            assert sum(len(a.segments()) for a in table) == len(_arc_arrays(table)[0]) > 0
+
     def test_no_arcs(self):
         assert self._check(table_of([])) == 0
         assert check_arc_disjointness(table_of([])).to_json()["trials"] == 0
@@ -526,17 +532,16 @@ def _tampered(rows, how, n_reds):
     if how == "one_missing":
         return rows[:-1]
     if how == "moved":
-        return [dataclasses.replace(a, vertices=[(x + 1000.0, y) for x, y in a.vertices])
-                for a in rows]
+        return [replaced(a, vertices=[(x + 1000.0, y) for x, y in a.vertices]) for a in rows]
     if how == "end_moved":
-        rows[0] = dataclasses.replace(first, vertices=[*first.vertices[:3], (
+        rows[0] = replaced(first, vertices=[*first.vertices[:3], (
             first.vertices[3][0], first.vertices[3][1] - 0.01)])
     elif how == "reversed":
-        rows[0] = dataclasses.replace(first, vertices=first.vertices[::-1])
+        rows[0] = replaced(first, vertices=first.vertices[::-1])
     elif how == "not_an_edge":
-        rows[0] = dataclasses.replace(first, edge=(first.edge[0], second.edge[1]))
+        rows[0] = replaced(first, edge=(first.edge[0], second.edge[1]))
     elif how == "red_out_of_range":
-        rows[0] = dataclasses.replace(first, edge=(n_reds, first.edge[1]))
+        rows[0] = replaced(first, edge=(n_reds, first.edge[1]))
     else:  # "twice"
         rows[1] = first
     return rows
@@ -722,6 +727,25 @@ class TestCycleCertificate:
         assert peak < n * n * 8 / 16
 
 
+def chernoff_frequency(p, draws, seed):
+    """The Monte Carlo frequency of X - X' >= Y over ``draws`` seeded draws
+    of X, X' ~ Poisson(lam) and Y ~ Poisson(mu): the oracle of the exact
+    ``chernoff_tail``."""
+    rng = derived_rng(seed, 7)
+    x, x2, y = (rng.poisson(mean, size=draws) for mean in (p.lam, p.lam, p.mu))
+    return float(np.mean(x - x2 >= y))
+
+
+def triple_sum_tail(p, top=60):
+    """P(X - X' >= Y) summed directly over every (x, x', y) up to ``top``,
+    a term of which is P(X = x) P(X' = x') P(Y = y) where x - x' >= y."""
+    def pmf(mean):
+        return [math.exp(k * math.log(mean) - mean - math.lgamma(k + 1)) for k in range(top)]
+    px, py = pmf(p.lam), pmf(p.mu)
+    return math.fsum(px[x] * px[x2] * py[y] for x in range(top) for x2 in range(x + 1)
+                     for y in range(x - x2 + 1))
+
+
 class TestChernoff:
     def test_spot_value_equal_means(self):
         assert abs(chernoff_bound(ChernoffParams(6, 6)) - math.exp(-1)) < 1e-6
@@ -736,20 +760,27 @@ class TestChernoff:
         with pytest.raises(ValueError):
             ChernoffParams(5, 0)
 
-    def test_trials_floor(self):
-        with pytest.raises(ValueError):
-            chernoff_mc(ChernoffParams(5, 5), trials=100)
+    def test_tail_window_bounded(self):
+        # a window about inf, or of more than MAX_TAIL_COUNTS counts
+        for lam in (math.inf, 1e12):
+            with pytest.raises(ValueError, match="no exact tail"):
+                chernoff_tail(ChernoffParams(lam, lam / 2))
 
     @pytest.mark.parametrize("lam,mu", [(1, 1), (5, 2.5), (10, 5), (20, 20)])
     def test_mc_within_bound(self, lam, mu):
-        rep = chernoff_mc(ChernoffParams(lam, mu), trials=50_000, seed=4)
-        assert rep.payload["within_bound"]
-        assert rep.payload["estimate"] <= rep.payload["bound"] + 3 * rep.payload["sigma"]
+        # the Monte Carlo frequency lies within 4 sigma of the exact tail,
+        # and the tail below the bound
+        p = ChernoffParams(lam, mu)
+        tail, draws = chernoff_tail(p), 200_000
+        sigma = math.sqrt(tail * (1.0 - tail) / draws)
+        assert abs(chernoff_frequency(p, draws, seed=4) - tail) <= 4 * sigma
+        assert tail <= chernoff_bound(p)
 
-    def test_mc_deterministic(self):
-        a = chernoff_mc(ChernoffParams(5, 5), trials=10_000, seed=9)
-        b = chernoff_mc(ChernoffParams(5, 5), trials=10_000, seed=9)
-        assert a.payload == b.payload
+    @pytest.mark.parametrize("lam,mu", [(0.01, 0.01), (0.5, 0.25), (1, 1), (2, 0.5), (3, 3),
+                                        (5, 1.25), (5, 5)])
+    def test_tail_equals_the_triple_sum(self, lam, mu):
+        p = ChernoffParams(lam, mu)
+        assert abs(chernoff_tail(p) - triple_sum_tail(p)) <= 1e-12
 
 
 def _eta_by_edge(pairs, fraction=0.5):
