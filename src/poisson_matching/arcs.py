@@ -6,7 +6,9 @@
 table is built, and are read-only, so whatever is computed from a table
 holds for as long as the table lives: the verifiers keep their segment
 hits on it. A table is the only form in which any function takes arcs.
-``ArcSpec`` is the row type: iterating a table gives rows.
+``ArcSpec`` is the row type that iterating a table gives. It is not part of
+the package's public API and remains only because the benchmark iterates
+tables; no code of the package builds or reads a row.
 """
 
 from __future__ import annotations

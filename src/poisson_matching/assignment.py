@@ -51,7 +51,9 @@ the kernel and the oracle may each return another one of equal length.
 The assignment routine dominates the time of a dense solve. It takes its
 rows in golden-ratio order (see ``_assign``), and every dense solve builds
 its cost matrix in that order to begin with, so none makes a reordered copy:
-at n=1000 that is one 7.6 MiB matrix, where the copy made it 15.3 MiB.
+at n=1000 that is one 7.6 MiB matrix, where the copy made it 15.3 MiB. Row
+k of every matrix, padded (``_pad``) or not, is point sc[k] of the rows'
+side, sc = ``_scattered(n)``.
 
 Every cost matrix of a call is a prefix view ``work[:n*m].reshape(n, m)``
 of one float64 buffer, taken from the module's one-slot spare (``_spare``),
@@ -162,12 +164,6 @@ def _scattered(n: int) -> np.ndarray:
     return np.argsort(np.arange(n) * GOLDEN % 1.0, kind="stable")
 
 
-@functools.lru_cache(maxsize=128)
-def _scattered_at(n: int) -> np.ndarray:
-    """Position of each of 0..n-1 in ``_scattered(n)``: its inverse."""
-    return _inverse(_scattered(n))
-
-
 def _assign(cost: np.ndarray) -> np.ndarray:
     """Column of each row of ``cost`` (no more rows than columns) in a
     min-cost assignment, from scipy's routine. Every solve builds ``cost``
@@ -194,21 +190,21 @@ def _assign(cost: np.ndarray) -> np.ndarray:
 
 
 def _pad(cost: np.ndarray, reds: np.ndarray, blues: np.ndarray,
-         must_r: int, must_b: int) -> None:
+         must_r: int, must_b: int, sc: np.ndarray) -> None:
     """Write a SATURATING problem's padded square matrix into ``cost``, in
-    the solver's row order: row at[i] holds padded row i. The first
-    ``must_r`` reds and ``must_b`` blues are mandatory. The cost rows come a
-    block at a time, so no temporary as large as the matrix is made."""
+    the solver's row order ``sc = _scattered(len(cost))``: row k holds red
+    sc[k], or a dummy row where sc[k] >= len(reds). The first ``must_r`` reds
+    and ``must_b`` blues are mandatory. The rows come a block at a time, so
+    no temporary as large as the matrix is made; a dummy row takes the last
+    red's distances (``mode="clip"``), which the masks on sc overwrite."""
     nr, nb = len(reds), len(blues)
-    at = _scattered_at(len(cost))
-    cost.fill(0.0)
-    distances = _kernel("cdist")
-    for r0 in range(0, nr, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, nr)
-        cost[at[r0:r1], :nb] = distances(reds[r0:r1], blues)
-    cost[at[must_r:nr], must_b:nb] = 0.0  # reserve-reserve: both unused
-    cost[at[:must_r], nb:] = BIG   # mandatory reds cannot go unmatched
-    cost[at[nr:], :must_b] = BIG   # mandatory blues cannot go unmatched
+    distances, row = _kernel("cdist"), sc[:, None]
+    for r0 in range(0, len(sc), ROW_BLOCK):
+        pts = reds.take(sc[r0:r0 + ROW_BLOCK], axis=0, mode="clip")
+        cost[r0:r0 + ROW_BLOCK, :nb] = distances(pts, blues)
+    cost[:, nb:] = np.where(row < must_r, BIG, 0.0)  # mandatory reds cannot go unmatched
+    np.copyto(cost[:, must_b:nb], 0.0, where=row >= must_r)  # reserve or dummy row: unused
+    np.copyto(cost[:, :must_b], BIG, where=row >= nr)  # mandatory blues cannot go unmatched
 
 
 def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
@@ -226,7 +222,8 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
       reds and ``blue_must[g]`` blues of problem g are mandatory and the
       rest are its reserve; every mandatory point is matched, no pair joins
       two reserve points, and a problem without mandatory points has no
-      pairs.
+      pairs. More mandatory points of a color than points of either is a
+      ValueError.
 
     A problem with at most SMALL_MAX points on its small side is settled by
     the small-problem pass (``_settle_small``) and reaches no kernel. Each
@@ -246,6 +243,8 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     if kind == SATURATING:
         must_r = np.asarray(red_must, dtype=np.int64)
         must_b = np.asarray(blue_must, dtype=np.int64)
+        if ((must_r > n_r) | (must_b > n_b)).any():  # _pad's dummy rows need must_r <= n_r
+            raise ValueError("more mandatory points than points in a problem")
         if ((must_r > n_b) | (must_b > n_r)).any():
             raise ValueError("reserve pools too small to saturate the mandatory points")
         solve = must_r + must_b > 0  # every pair needs a mandatory end
@@ -280,7 +279,7 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
             cost = work[:n * m].reshape(n, m)
             sc = _scattered(n)
             if kind == SATURATING:  # row k of the matrix is padded row sc[k]
-                _pad(cost, reds[a:a + nr], blues[b:b + nb], *must_k)
+                _pad(cost, reds[a:a + nr], blues[b:b + nb], *must_k, sc)
                 red_ends.append(sc)
                 blue_ends.append(assign(cost))
             elif nr <= nb:  # the reds are the rows

@@ -153,6 +153,8 @@ def window_grids(system: BlockSystem, n: int, window: Rect) -> Dict[int, np.ndar
 class ChernoffParams(_Frozen):
     def __init__(self, lam: float, mu: float):
         vars(self).update(lam=lam, mu=mu)
+        if not all(map(math.isfinite, (lam, mu))):
+            raise ValueError("lam and mu must be finite")
         if not (0 < mu <= lam):
             raise ValueError("need 0 < mu <= lam")
 

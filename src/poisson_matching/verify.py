@@ -224,36 +224,52 @@ def minimality_certificate_d1(m: Matching) -> VerificationReport:
     return VerificationReport("minimality_d1", len(left), violations)
 
 
+DISTANCE_BLOCK = 1 << 20  # distances per sub-block of the cycle search (8 MiB)
+
+
 def minimality_certificate(m: Matching) -> VerificationReport:
     """Exact test, on any domain, that a matching is min-cost for its
     endpoints (first ends p against second ends q): it is when no
     alternating cycle shortens it (Klein 1967). Arc i -> k, red i taking
     edge k's partner, weighs c(p_i, q_k) - c(p_i, q_i) + EPS_TIE / n, so ties
     and rounding close no cycle and a pass means no rematch gains more than
-    EPS_TIE. Bellman-Ford relaxes ROW_BLOCK rows of arcs at a time, with
-    ``_pair_distances`` (no scipy), and looks for a cycle of predecessors
-    after each block that moved a label. The blocks' distance rows are kept
-    for the later rounds while they hold at most SPARE_ENTRIES floats in all
-    (the whole matrix up to n = 2048); the rest are recomputed each round,
-    so a large n makes no (n, n) array. ``trials`` counts arcs."""
+    EPS_TIE. Bellman-Ford relaxes ROW_BLOCK rows of arcs at a time against
+    the labels as they stood at the block's start, with ``_pair_distances``
+    (no scipy), and looks for a cycle of predecessors after each block that
+    moved a label. A block's distance rows come in sub-blocks of at most
+    DISTANCE_BLOCK distances (one row where n is larger), so no temporary
+    exceeds 2**20 distances while n <= 2**20; each sub-block's column minima
+    are folded into the block's with a strict <, so the earliest row wins a
+    tie, as one ``argmin`` over the block would have it. The sub-blocks'
+    distance rows are kept for the later rounds while they hold at most
+    SPARE_ENTRIES floats in all (the whole matrix up to n = 2048); the rest
+    are recomputed each round, so a large n makes no (n, n) array.
+    ``trials`` counts arcs."""
     p, q = m.endpoint_arrays()
     n, own = len(p), _pair_distances(p, q)
     label, pred, moved = np.zeros(n), np.full(n, n), True  # n: no predecessor
-    kept, entries = {}, 0  # block start -> its distance rows
+    step = min(ROW_BLOCK, max(1, DISTANCE_BLOCK // max(n, 1)))  # rows per sub-block
+    kept, entries, columns = {}, 0, np.arange(n)  # sub-block start -> its distance rows
     while moved:
         moved = False
         for r0 in range(0, n, ROW_BLOCK):
-            rows = kept.get(r0)
-            if rows is None:
-                rows = _pair_distances(p[r0:r0 + ROW_BLOCK, None], q)
-                if entries + rows.size <= SPARE_ENTRIES:
-                    kept[r0], entries = rows, entries + rows.size
-            reach = rows + (label - own + EPS_TIE / n)[r0:r0 + ROW_BLOCK, None]
-            best = reach.argmin(axis=0)
-            least = reach[best, np.arange(n)]
+            r1, slack = min(r0 + ROW_BLOCK, n), label - own + EPS_TIE / n
+            least, best = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
+            for s0 in range(r0, r1, step):
+                s1 = min(s0 + step, r1)
+                rows = kept.get(s0)
+                if rows is None:
+                    rows = _pair_distances(p[s0:s1, None], q)
+                    if entries + rows.size <= SPARE_ENTRIES:
+                        kept[s0], entries = rows, entries + rows.size
+                reach = rows + slack[s0:s1, None]
+                row = reach.argmin(axis=0)
+                low = reach[row, columns]
+                k = np.flatnonzero(low < least)
+                least[k], best[k] = low[k], row[k] + s0
             k = np.flatnonzero(least < label)
             if len(k):
-                moved, label[k], pred[k] = True, least[k], best[k] + r0
+                moved, label[k], pred[k] = True, least[k], best[k]
                 if violations := _cycle(pred, p, q, own):
                     return VerificationReport("minimality_cycles", n * (n - 1), violations)
     return VerificationReport("minimality_cycles", n * (n - 1))

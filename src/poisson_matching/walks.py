@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .assignment import RECTANGULAR, _inverse, _stable_order, assign_in_groups
-from .arcs import ArcSpec, ArcTable  # ArcSpec, the table's row type, is exported here too
+from .arcs import ArcTable
 from .geometry import LINE, STRIP, Domain
 from .matching import ONE_COLOR, Matching, partner_edges
 from .sampling import ColoredPointSet, canonical_order

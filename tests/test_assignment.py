@@ -68,11 +68,6 @@ def min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
                                    [len(reds)], [len(blues)]))
 
 
-def test_scattered_at_inverts_scattered():
-    for n in range(301):
-        assert np.array_equal(assignment._scattered(n)[assignment._scattered_at(n)], np.arange(n))
-
-
 class TestMinCostPerfect:
     def test_single_pair(self):
         m = min_cost_perfect([[0, 0]], [[1, 0]])
@@ -876,7 +871,7 @@ def _small_groups(rng, lattice, groups=300):
     return small, large, extras
 
 
-class TestMinCostInGroups:
+class TestSmallProblemPass:
     """The small-problem pass of assign_in_groups: every problem of up to
     SMALL_MAX points on the small side is settled at its least total, to
     the bit; where no other injection is within EPS_TIE of it, its partners

@@ -1129,7 +1129,7 @@ PUBLIC_NAMES = {
     "ColoredPointSet", "SampleConfig", "derived_rng", "sample",
     "Matching",
     "brute_force_min", "max_cardinality_min_cost", "min_cost_perfect",
-    "ArcSpec", "ArcTable", "CrossingProfile", "StepWalk", "WalkInvariantError", "build_walk",
+    "ArcTable", "CrossingProfile", "StepWalk", "WalkInvariantError", "build_walk",
     "crossing_profile", "cut_time_matching", "excursion_matching", "laminate_strips",
     "minimality_certificate_d1", "one_color_pairing", "polygonal_arcs",
     "zero_block_matching",

@@ -926,8 +926,8 @@ def _record_small_solves(monkeypatch):
     calls, settled, padded = [], [], []
     kernel, pad, settle = assignment._assign, assignment._pad, assignment._settle_batch
 
-    def padding(cost, reds, blues, must_r, must_b):
-        pad(cost, reds, blues, must_r, must_b)
+    def padding(cost, reds, blues, must_r, must_b, sc):
+        pad(cost, reds, blues, must_r, must_b, sc)
         padded.append((cost, must_r, must_b))
 
     def solving(cost):
@@ -1272,6 +1272,9 @@ class TestAssignInGroups:
             min_cost_perfect(pts[:2], pts[:1])
         with pytest.raises(ValueError, match="reserve pools too small"):
             assign_in_groups(SATURATING, pts, [0, 3], pts[:1], [0, 1], [2], [0])
+        for must in ([[4], [0]], [[0], [4]]):  # more mandatory points than points
+            with pytest.raises(ValueError, match="more mandatory points"):
+                assign_in_groups(SATURATING, pts, [0, 3], pts, [0, 3], *must)
         with pytest.raises(ValueError, match="unknown kind"):
             assign_in_groups("triangular", pts, [0, 3], pts, [0, 3])
         with pytest.raises(ValueError, match="need as many groups of blues as of reds"):

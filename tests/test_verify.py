@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from poisson_matching import verify
+from poisson_matching.arcs import ArcSpec
 from poisson_matching.assignment import (EPS_TIE, ROW_BLOCK, _stable_order, brute_force_min,
                                          min_cost_perfect)
 from poisson_matching.geometry import EPS_GEOM, DegenerateGeometryError, Disk, Domain, Rect
@@ -21,9 +22,8 @@ from poisson_matching.verify import (_arc_arrays, _box_pairs, _pairwise_hits,
                                      check_planarity, crossing_stats,
                                      estimate_eta, interior_window,
                                      minimality_certificate, minimality_certificate_d1)
-from poisson_matching.walks import (ArcSpec, excursion_matching,
-                                    laminate_strips, one_color_pairing, polygonal_arcs,
-                                    zero_block_matching)
+from poisson_matching.walks import (excursion_matching, laminate_strips, one_color_pairing,
+                                    polygonal_arcs, zero_block_matching)
 from test_geometry import Point, Segment, scalar_edge_crosses_region, scalar_segments_intersect
 from test_hierarchy import hierarchical_case
 from test_walks import _rematched, replaced, table_of
@@ -714,6 +714,26 @@ class TestCycleCertificate:
         assert [json.loads(r)["pass"] for r in reports[0]] == [True, False, False]
         assert reports[0] == reports[1] == reports[2]
 
+    def test_sub_blocks_change_no_report(self, monkeypatch):
+        # a block's distance rows in sub-blocks of one row, a few rows, a
+        # whole block or more: the same reports, passing and failing, on the
+        # plane with and without a 3-cycle rematch and on two strips
+        cases = []
+        for n in (300, 1000):
+            rng = derived_rng(89, n)
+            m = min_cost_perfect(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (n, 2)))
+            cases += [m, _rematched(m, [3, 100, 250], [100, 250, 3])]
+        for length, seed in ((3000, 3), (6000, 0)):
+            cases.append(excursion_matching(sample(SampleConfig(
+                1, 1, Domain.strip(0, length), seed=seed))))
+        reports = []
+        for budget in (verify.DISTANCE_BLOCK, 60_000, 7_000, 1):
+            monkeypatch.setattr(verify, "DISTANCE_BLOCK", budget)
+            reports.append([json.dumps(minimality_certificate(case).to_json())
+                            for case in cases])
+        assert [json.loads(r)["pass"] for r in reports[0]] == [True, False] * 2 + [False] * 2
+        assert all(r == reports[0] for r in reports)
+
     def test_holds_no_square_array(self):
         # row blocks: a strip matching of ~10**4 edges needs no (n, n) array
         m = excursion_matching(sample(SampleConfig(1, 1, Domain.strip(0, 1e4), seed=3)))
@@ -760,9 +780,16 @@ class TestChernoff:
         with pytest.raises(ValueError):
             ChernoffParams(5, 0)
 
+    def test_params_not_finite_rejected(self):
+        # chernoff_bound(ChernoffParams(inf, inf)) would be nan
+        for lam, mu in ((math.inf, math.inf), (math.inf, 1.0), (math.nan, 1.0), (5.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                ChernoffParams(lam, mu)
+
     def test_tail_window_bounded(self):
-        # a window about inf, or of more than MAX_TAIL_COUNTS counts
-        for lam in (math.inf, 1e12):
+        # a window about inf (finite lam and mu whose sum overflows), or of
+        # more than MAX_TAIL_COUNTS counts
+        for lam in (1.5e308, 1e12):
             with pytest.raises(ValueError, match="no exact tail"):
                 chernoff_tail(ChernoffParams(lam, lam / 2))
 

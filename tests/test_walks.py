@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from poisson_matching import assignment
+from poisson_matching.arcs import ArcSpec, ArcTable
 from poisson_matching.assignment import SMALL_MAX, max_cardinality_min_cost, min_cost_perfect
 from poisson_matching.geometry import Domain, Rect
 from poisson_matching.matching import Matching
@@ -13,8 +14,7 @@ from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng
 from poisson_matching.verify import (check_arc_disjointness, check_planarity,
                                      minimality_certificate_d1)
 from poisson_matching import walks
-from poisson_matching.walks import (ArcSpec, ArcTable, StepWalk, WalkInvariantError,
-                                    build_walk, crossing_profile,
+from poisson_matching.walks import (StepWalk, WalkInvariantError, build_walk, crossing_profile,
                                     cut_time_matching, cut_times,
                                     excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs,
