@@ -109,8 +109,10 @@ class TestDeterminism:
             assert res.exit_code == 0, res.output
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-        header = outs[0].decode().splitlines()[0]
-        assert header == "lambda,mu,tail,bound,pass"
+        # csv.writer's excel dialect: every row, the last too, ends in CRLF
+        lines = outs[0].split(b"\r\n")
+        assert lines[0] == b"lambda,mu,tail,bound,pass"
+        assert len(lines) == 6 and lines[-1] == b"" and b"\n" not in b"".join(lines)
 
 
 class TestRoundTrips:
@@ -825,6 +827,48 @@ def test_minimality_counts_arcs_from_the_file(runner, tmp_path, monkeypatch,
     assert len(report["violations"]) == exit_code
 
 
+# a construction's result read back by a check that reads it whole: the
+# stated kind and unmatched lists of one_color and min_cost, the laminate's
+# arcs of three bands, and the hierarchy's cells under a box side of 2
+READ_BACK = {
+    "one_color_planarity": ("match --construction one_color --in {strip}",
+                            "verify --property planarity"),
+    "min_cost_planarity": ("match --construction min_cost --in {plane}",
+                           "verify --property planarity"),
+    "laminate_arcs": ("match --construction laminate --bands 3 --window 0,60 --seed 5",
+                      "verify --property arcs"),
+    "hierarchical_box_rematch": ("match --construction hierarchical --stages 3 --seed 7",
+                                 "stats --kind box-rematch --box-side 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_BACK))
+def test_a_result_read_back_passes_its_check(runner, pinned_inputs, tmp_path, name):
+    make, check = READ_BACK[name]
+    path = tmp_path / "result.json"
+    res = invoke(runner, *make.format(**pinned_inputs).split(), "--out", str(path))
+    assert res.exit_code == 0, res.output
+    res = invoke(runner, *check.split(), "--in", str(path))
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    if check.startswith("verify"):
+        assert report["pass"] is True
+    else:
+        assert report["cells_rematched"] > 0 and report["improvement"] >= 0
+
+
+def test_min_cost_result_with_two_partners_swapped_fails_minimality(runner, cold_inputs,
+                                                                    tmp_path):
+    d = json.loads(cold_inputs["min_cost"].read_text())
+    edges = d["matching"]["edges"]
+    edges[0][1], edges[1][1] = edges[1][1], edges[0][1]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(d))
+    res = invoke(runner, *MINIMALITY, "--in", str(path))
+    assert res.exit_code == 1, res.output
+    assert [v["edges"] for v in json.loads(res.output)["violations"]] == [[0, 1]]
+
+
 @pytest.mark.parametrize("command", [VERIFY, VERIFY_ARCS])
 def test_well_formed_arc_is_valid(runner, tmp_path, command):
     # the malformed arc inputs above differ from this one in one vertex
@@ -1056,7 +1100,7 @@ def test_output_digest_pinned(runner, pinned_inputs, name):
 # only scipy's compiled assignment and distance modules, never an init:
 # not scipy's top level, nor scipy.optimize's or scipy.spatial's. Each case
 # runs in a fresh interpreter, since this process has loaded all of them
-# long ago. csv loads only in sweep, its one reader.
+# long ago. No command loads csv: sweep joins its rows itself.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(poisson_matching.__file__)))
 COMPILED_KERNELS = {"scipy.optimize._lsap", "scipy.spatial._distance_pybind"}
 WATCHED = ("numpy.ma", "scipy", "scipy.optimize", "scipy.spatial", *sorted(COMPILED_KERNELS),
@@ -1081,6 +1125,8 @@ NO_SOLVE = {
     # both minimality certificates take their distances in numpy
     "verify_minimality": "verify --property minimality --in {line_excursion} --out {out}",
     "verify_minimality_cycles": "verify --property minimality --in {min_cost} --out {out}",
+    # the exact tails take numpy alone
+    "sweep": "sweep --lambdas 1,20,1000000 --ratios 0.25,1.0 --out {out}",
 }
 # zero_block solves each balanced block between returns to zero exactly
 SOLVES = {
@@ -1185,12 +1231,6 @@ def test_crossing_profile_loads_no_numpy_ma():
 def test_command_without_solve_loads_no_scipy(cold_inputs, name):
     argv = [arg.format(**cold_inputs) for arg in NO_SOLVE[name].split()]
     assert _loaded_after(RUN_MAIN, *argv) == set()
-
-
-def test_sweep_loads_csv_only(tmp_path):
-    # the exact tails take numpy alone
-    argv = "sweep --lambdas 1,20,1000000 --ratios 0.25,1.0 --out".split()
-    assert _loaded_after(RUN_MAIN, *argv, str(tmp_path / "sweep.csv")) == {"csv"}
 
 
 @pytest.mark.parametrize("name", sorted(SOLVES))

@@ -652,6 +652,26 @@ class TestCycleCertificate:
         assert m.total_length + v["change"] == pytest.approx(
             brute_force_min(reds, blues).total_length)
 
+    @pytest.mark.parametrize("gain", [5e-10, 3e-10, 2.2e-10, 1.8e-10, 1e-10, 0.0])
+    def test_a_two_cycle_fails_past_its_slack_of_two_eps_tie_over_n(self, gain):
+        # swapping the first two partners shortens the matching by about
+        # y**2 / 4: within EPS_TIE, a 2-cycle's slack of 2 EPS_TIE / n = 2e-10
+        # (n = 10) still decides, so both sides of it are pinned; the other
+        # eight edges are short and far apart
+        y = 2 * math.sqrt(gain)
+        far = [(100.0 * k, 0.0) for k in range(1, 9)]
+        reds = np.array([(0.0, 0.0), (1.0, 0.0), *far])
+        blues = np.array([(3.0, 0.0), (2.0, y), *((x + 0.5, 0.0) for x, _ in far)])
+        rep = minimality_certificate(Matching(reds, blues, [(i, i) for i in range(10)]))
+        assert rep.trials == 90 and gain < EPS_TIE
+        if gain > 2 * EPS_TIE / 10:
+            change = math.hypot(2, y) + 2 - 3 - math.hypot(1, y)
+            witness = {"edges": [0, 1], "change": pytest.approx(change, abs=1e-15)}
+            assert rep.violations == [witness]
+            assert change == pytest.approx(-gain, rel=1e-6)
+        else:
+            assert rep.passed and rep.violations == []
+
     def test_agrees_with_the_line_certificate(self):
         for seed in range(4):
             ps = sample(SampleConfig(1, 1, Domain.line(0, 150), seed=seed))
