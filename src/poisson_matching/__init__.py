@@ -3,7 +3,7 @@
 from .geometry import Disk, Domain, Rect, DegenerateGeometryError
 from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 from .matching import Matching
-from .assignment import brute_force_min, max_cardinality_min_cost, min_cost_perfect
+from .assignment import max_cardinality_min_cost, min_cost_perfect
 from .arcs import ArcTable
 from .walks import (CrossingProfile, StepWalk, WalkInvariantError, build_walk,
                     crossing_profile, cut_time_matching, excursion_matching,

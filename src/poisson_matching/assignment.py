@@ -19,9 +19,9 @@ small-problem pass (``_settle_small``), settles every problem of that size
 at its least total, in one numpy pass per size, with the cost matrix's
 floats; the larger problems reach the kernel.
 
-The oracle ``brute_force_min`` and ``verify.minimality_certificate`` solve
-nothing: their distances are ``_pair_distances``', in numpy, the kernel's
-bit for bit, so they are independent of the kernel loader and load no scipy.
+``verify.minimality_certificate`` solves nothing: its distances are
+``_pair_distances``', in numpy, the kernel's bit for bit, so it is
+independent of the kernel loader and loads no scipy.
 
 Of scipy, only two compiled functions are used, and ``_kernel`` loads
 them at the first solve, not when this module is imported:
@@ -40,13 +40,13 @@ output bytes are the same. Where a scipy lays its modules out otherwise (a
 module missing, not compiled, without the function, or failing to load
 without the top-level init, as where that init adds a DLL directory),
 ``_kernel`` falls back to ``scipy.optimize.linear_sum_assignment`` and
-``scipy.spatial.distance.cdist``. Sampling, the walk constructions, the arc
-verifiers, the oracle and rendering never load scipy at all.
+``scipy.spatial.distance.cdist``. Sampling, the walk constructions, the
+verifiers and rendering never load scipy at all.
 
 Poisson points tie in length with probability 0, and the constructions
 need a minimum, not a canonical one. So every solve returns a least
-matching, the same on every run: on tied inputs the small-problem pass,
-the kernel and the oracle may each return another one of equal length.
+matching, the same on every run: on tied inputs the small-problem pass and
+the kernel may each return another one of equal length.
 
 The assignment routine dominates the time of a dense solve. It takes its
 rows in golden-ratio order (see ``_assign``), and every dense solve builds
@@ -86,12 +86,11 @@ from .geometry import _two_columns
 from .matching import Matching, partner_edges
 
 EPS_TIE = 1e-9
-BRUTE_FORCE_MAX = 9
 BIG = 1e15  # forbidden-cell cost in padded assignment problems
 ROW_BLOCK = 64  # rows per block of _pad and the cycle search; bounds their temporaries
 SMALL_MAX = 3  # largest small side the small-problem pass settles
 PAIR_BLOCK = 4096  # point pairs per batch of the small-problem pass
-SPARE_ENTRIES = 1 << 22  # 32 MiB: largest kept solve buffer (module doc), certificate rows
+SPARE_ENTRIES = 1 << 22  # 32 MiB: largest kept solve buffer (module doc)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # the kinds of problem assign_in_groups solves
@@ -155,7 +154,10 @@ def _pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     bit, as both sum the squared differences in coordinate order and take
     the root (``np.hypot`` rounds differently)."""
     dx, dy = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]  # no (..., 2) difference array
-    return np.sqrt(dx * dx + dy * dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 @functools.lru_cache(maxsize=128)  # the hierarchy solves thousands of tiny problems
@@ -359,33 +361,6 @@ def min_cost_perfect(reds, blues) -> Matching:
     if len(reds) != len(blues):
         raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
     return max_cardinality_min_cost(reds, blues)
-
-
-def brute_force_min(reds, blues) -> Matching:
-    """Exhaustive minimum over all permutations; independent oracle.
-
-    The permutations, in lexicographic order, are scored at once, each total
-    added column by column from 0.0 over the cost matrix's floats, not from
-    the solvers' kernel, and the first of least total is returned."""
-    reds = _two_columns(reds, "reds", float)
-    blues = _two_columns(blues, "blues", float)
-    n = len(reds)
-    if n != len(blues):
-        raise ValueError("size mismatch")
-    if n > BRUTE_FORCE_MAX:
-        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX}")
-    if n == 0:
-        return Matching(reds, blues, [])
-    cost = _pair_distances(reds[:, None], blues)
-    # in lexicographic order, those of range(k) are each first f followed by
-    # those of range(k - 1), their values from f up raised by one
-    perms = np.zeros((1, 0), np.int8)
-    for k in range(1, n + 1):
-        perms = np.concatenate([np.insert(perms + (perms >= f), 0, f, axis=1) for f in range(k)])
-    total = np.zeros(len(perms))
-    for i in range(n):
-        total += cost[i].take(perms[:, i])
-    return Matching(reds, blues, list(enumerate(perms[np.argmin(total)].tolist())))
 
 
 def _spans(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -57,10 +57,15 @@ CONSTRUCTIONS = ("zero_block", "one_color", "cut_time", "excursion",
 def _write(chunks: Iterable[str], path: Optional[str]):
     """Stream the strings ``chunks`` to the file at ``path``, or to standard
     output, joined CHUNKS_PER_WRITE at a time: the JSON encoder's chunks are
-    a few bytes each, and a write per chunk costs more than the join."""
+    a few bytes each, and a write per chunk costs more than the join. A path
+    that cannot be opened for writing is a usage error."""
     chunks = iter(chunks)
     stdout = contextlib.nullcontext(click.get_text_stream("stdout"))
-    with open(path, "w") if path else stdout as f:
+    try:
+        out = open(path, "w") if path else stdout
+    except OSError as e:  # a missing directory, a directory, no permission
+        raise click.UsageError(f"cannot write --out {path}: {e.strerror}") from e
+    with out as f:
         while batch := list(itertools.islice(chunks, CHUNKS_PER_WRITE)):
             f.write("".join(batch))
         f.flush()
@@ -172,8 +177,8 @@ def config_option(f):
             ctx.default_map = {**{names[key.replace("_", "-")]: v for key, v in defaults.items()},
                                **(ctx.default_map or {})}
         return value
-    return click.option("--config", type=click.Path(exists=True), callback=callback,
-                        is_eager=True, expose_value=False,
+    return click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                        callback=callback, is_eager=True, expose_value=False,
                         help="JSON file with flag defaults.")(f)
 
 
@@ -274,7 +279,7 @@ def _load_result(path: str):
 
 @main.command("match")
 @config_option
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None,
+@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Point-set JSON from 'sample' (walk/min-cost constructions).")
 @click.option("--construction", type=click.Choice(CONSTRUCTIONS), required=True)
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -347,7 +352,7 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
 
 @main.command("verify")
 @config_option
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True,
+@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Result JSON from 'match'.")
 @click.option("--property", "prop", type=click.Choice(["planarity", "arcs", "minimality"]),
               required=True, help="planarity needs a strip or plane domain.")
@@ -377,7 +382,7 @@ def cmd_verify(in_path, prop, out):
 
 @main.command("stats")
 @config_option
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
+@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--kind", type=click.Choice(["eta", "crossings", "box-rematch"]),
               required=True)
 @click.option("--box-side", type=float, default=6.0, show_default=True,
@@ -412,7 +417,7 @@ def cmd_stats(in_path, kind, box_side, disk, out):
 
 @main.command("render")
 @config_option
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
+@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--width", type=DRAWABLE, default=800, show_default=True)
 @click.option("--height", type=DRAWABLE, default=400, show_default=True)
 @click.option("--walk/--no-walk", default=False, help="Overlay the counting walk.")

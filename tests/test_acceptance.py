@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 from click.testing import CliRunner
 
-from poisson_matching.assignment import (brute_force_min, max_cardinality_min_cost,
-                                         min_cost_perfect)
+from poisson_matching.assignment import max_cardinality_min_cost, min_cost_perfect
 from poisson_matching.cli import main as cli_main
 from poisson_matching.geometry import Disk, Domain
 from poisson_matching.matching import Matching
@@ -29,7 +28,7 @@ from poisson_matching.verify import (box_rematch_experiment,
 from poisson_matching.walks import (build_walk, cut_times,
                                     cut_time_matching, excursion_matching,
                                     polygonal_arcs, zero_block_matching)
-from test_hierarchy import heir_share
+from test_hierarchy import brute_force_min, heir_share
 from test_walks import least_line_cost
 
 

@@ -16,9 +16,8 @@ from scipy.spatial.distance import cdist
 import poisson_matching
 
 from poisson_matching import assignment, matching
-from poisson_matching.assignment import (BIG, BRUTE_FORCE_MAX, EPS_TIE, RECTANGULAR,
-                                         ROW_BLOCK, SATURATING, SMALL_MAX, _pair_distances,
-                                         assign_in_groups, brute_force_min,
+from poisson_matching.assignment import (BIG, EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING,
+                                         SMALL_MAX, _pair_distances, assign_in_groups,
                                          max_cardinality_min_cost, min_cost_perfect)
 from poisson_matching.geometry import Domain
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
@@ -29,7 +28,7 @@ from poisson_matching.verify import (box_rematch_experiment, check_planarity,
 from poisson_matching.walks import (cut_time_matching, excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs, zero_block_matching)
 from test_geometry import scalar_is_parallel_free
-from test_hierarchy import _points
+from test_hierarchy import BRUTE_FORCE_MAX, _points, brute_force_min
 # the single-problem solves through the public scipy functions: what the
 # kernel gives a problem, the oracle for the small-problem pass
 from test_hierarchy import min_cost_pairs as kernel_pairs
@@ -1173,8 +1172,9 @@ def test_edges_of_another_shape_rejected(edges):
         Matching(SQUARE_REDS, SQUARE_BLUES, edges)
 
 
-# every public entry that takes point arrays reads them through one gate, so
-# a (2, 3) array is not read as three points, nor a flat list as two
+# every public entry that takes point arrays, and the brute-force oracle,
+# reads them through one gate, so a (2, 3) array is not read as three
+# points, nor a flat list as two
 POINT_ENTRIES = {
     "Matching": lambda pts: Matching(pts, pts, []),
     "min_cost_perfect": lambda pts: min_cost_perfect(pts, pts),
@@ -1376,7 +1376,7 @@ def _crossed(reds, blues, a):
     return Matching(reds, blues, edges)
 
 
-class TestImprovablePair:
+class TestCycleCertificateAgainstTwoSwaps:
     """The cycle certificate (``verify.minimality_certificate``) against the
     2-swap reference: wherever a partner swap shortens a matching, the
     certificate fails, with a cycle that shortens it."""

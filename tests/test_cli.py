@@ -22,7 +22,7 @@ from poisson_matching.cli import main
 from poisson_matching.geometry import Domain
 from poisson_matching.matching import Matching
 from poisson_matching.render import render_scene
-from poisson_matching.sampling import ColoredPointSet, SampleConfig, sample
+from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 
 
 @pytest.fixture
@@ -558,6 +558,48 @@ def test_bad_input_is_usage_error(runner, tmp_path, name):
     assert res.exit_code == 2, res.output
     assert "Error:" in res.output and "Traceback" not in res.output
     assert cause in res.output
+
+
+# a directory read as a file, and an --out that cannot be opened, are usage
+# errors that name the path: exit 1 is for a property violation
+UNUSABLE_PATHS = {
+    "match_in_a_directory": "match --construction excursion --in {dir}",
+    "sample_config_a_directory": "sample --seed 1 --config {dir}",
+    "sample_out_in_no_directory": "sample --seed 1 --out {missing}",
+    "sample_out_a_directory": "sample --seed 1 --out {dir}",
+    "render_out_in_no_directory": "render --in {pts} --out {missing}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE_PATHS))
+def test_unusable_path_is_usage_error(runner, tmp_path, name):
+    pts = sample_file(runner, tmp_path)
+    bad = tmp_path / "nodir" / "out" if "{missing}" in UNUSABLE_PATHS[name] else tmp_path
+    res = invoke(runner, *UNUSABLE_PATHS[name].format(dir=bad, missing=bad, pts=pts).split())
+    assert res.exit_code == 2, res.output
+    assert "Error:" in res.output and "Traceback" not in res.output
+    assert str(bad) in res.output
+
+
+def test_one_color_coin_picks_the_phase_class(runner, tmp_path):
+    # --coin 0 and 1 pair the x-consecutive reds from the first and from the
+    # second, and diagnostics echo it; without it, the seed draws the coin
+    pts = sample_file(runner, tmp_path)
+    n_red = len(json.loads(pts.read_text())["reds"])
+
+    def match(*flags):
+        res = invoke(runner, "match", "--construction", "one_color", "--in", str(pts), *flags)
+        assert res.exit_code == 0, res.output
+        return json.loads(res.output)
+
+    for coin in (0, 1):
+        d = match("--coin", str(coin))
+        assert d["matching"]["edges"] == [[i, i + 1] for i in range(coin, n_red - 1, 2)]
+        assert d["diagnostics"]["coin"] == coin
+    coins = [int(derived_rng(seed, 6).integers(0, 2)) for seed in range(4)]
+    assert sorted(set(coins)) == [0, 1]
+    for seed, coin in enumerate(coins):
+        assert match("--seed", str(seed)) == match("--seed", str(seed), "--coin", str(coin))
 
 
 # files whose points lie outside their window, and the first such point: a
@@ -1174,7 +1216,7 @@ PUBLIC_NAMES = {
     "Disk", "Domain", "Rect", "DegenerateGeometryError",
     "ColoredPointSet", "SampleConfig", "derived_rng", "sample",
     "Matching",
-    "brute_force_min", "max_cardinality_min_cost", "min_cost_perfect",
+    "max_cardinality_min_cost", "min_cost_perfect",
     "ArcTable", "CrossingProfile", "StepWalk", "WalkInvariantError", "build_walk",
     "crossing_profile", "cut_time_matching", "excursion_matching", "laminate_strips",
     "minimality_certificate_d1", "one_color_pairing", "polygonal_arcs",

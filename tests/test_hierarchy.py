@@ -15,9 +15,9 @@ from scipy.stats import poisson, skellam
 
 from poisson_matching import assignment, hierarchy
 from poisson_matching.assignment import (BIG, EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING,
-                                         SMALL_MAX, _stable_order, assign_in_groups,
-                                         min_cost_perfect)
-from poisson_matching.geometry import Domain, Rect
+                                         SMALL_MAX, _pair_distances, _stable_order,
+                                         assign_in_groups, min_cost_perfect)
+from poisson_matching.geometry import Domain, Rect, _two_columns
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
                                         init_state,
@@ -660,6 +660,40 @@ def min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
     cost[at[nr:], :nb1] = BIG
     return [(i, j) for i, j in enumerate(_assign(cost).tolist())
             if i < nr and j < nb and (i < nr1 or j < nb1)]
+
+
+# The exhaustive oracle: every permutation scored at once, its distances
+# taken in numpy (``_pair_distances``, the kernel's bit for bit), so it shares
+# nothing with the kernel loader and loads no scipy.
+
+BRUTE_FORCE_MAX = 9
+
+
+def brute_force_min(reds, blues) -> Matching:
+    """Exhaustive minimum over all permutations; independent oracle.
+
+    The permutations, in lexicographic order, are scored at once, each total
+    added column by column from 0.0 over the cost matrix's floats, not from
+    the solvers' kernel, and the first of least total is returned."""
+    reds = _two_columns(reds, "reds", float)
+    blues = _two_columns(blues, "blues", float)
+    n = len(reds)
+    if n != len(blues):
+        raise ValueError("size mismatch")
+    if n > BRUTE_FORCE_MAX:
+        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX}")
+    if n == 0:
+        return Matching(reds, blues, [])
+    cost = _pair_distances(reds[:, None], blues)
+    # in lexicographic order, those of range(k) are each first f followed by
+    # those of range(k - 1), their values from f up raised by one
+    perms = np.zeros((1, 0), np.int8)
+    for k in range(1, n + 1):
+        perms = np.concatenate([np.insert(perms + (perms >= f), 0, f, axis=1) for f in range(k)])
+    total = np.zeros(len(perms))
+    for i in range(n):
+        total += cost[i].take(perms[:, i])
+    return Matching(reds, blues, list(enumerate(perms[np.argmin(total)].tolist())))
 
 
 # --- Per-block oracle ------------------------------------------------------
