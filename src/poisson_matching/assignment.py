@@ -272,7 +272,12 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     except IndexError:
         work = np.empty(0)
     if len(work) < need:
-        work = np.empty(need)
+        try:
+            work = np.empty(need)
+        except MemoryError:  # a usage error (the CLI's exit 2), not a property violation
+            k = g[np.argmax((n_rows * n_cols)[g])]
+            raise ValueError(f"a {n_rows[k]} x {n_cols[k]} cost matrix needs "
+                             f"{need * 8 / 2 ** 30:.1f} GiB, more than could be allocated") from None
     distances, assign = _kernel("cdist"), _assign  # looked up once, not per problem
     # problem by problem, in order, each row's red and blue within its problem
     red_ends, blue_ends = [], []

@@ -25,10 +25,12 @@ the interpreter's exit leave those objects alone. In-process callers call
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import itertools
 import json
 import operator
+import os
 import sys
 from typing import Iterable, Iterator, Optional
 
@@ -135,9 +137,16 @@ def _make_domain(kind: str, window: str) -> Domain:
 
 class InputErrorCommand(click.Command):
     """Command that reports invalid flag values and malformed input files as
-    usage errors (exit 2) under its own usage line, instead of tracebacks."""
+    usage errors (exit 2) under its own usage line, instead of tracebacks,
+    and an ``--out`` in no directory, or that is one, before its work."""
 
     def invoke(self, ctx):
+        out = ctx.params.get("out")
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            # found before the work, not when _write opens it after; nothing
+            # is created or truncated, so an --out that is the --in still works
+            code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
+            raise click.UsageError(f"cannot write --out {out}: {os.strerror(code)}", ctx)
         try:
             return super().invoke(ctx)
         except KeyError as e:

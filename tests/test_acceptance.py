@@ -28,8 +28,8 @@ from poisson_matching.verify import (box_rematch_experiment,
 from poisson_matching.walks import (build_walk, cut_times,
                                     cut_time_matching, excursion_matching,
                                     polygonal_arcs, zero_block_matching)
-from test_hierarchy import brute_force_min, heir_share
-from test_walks import least_line_cost
+from cases import heir_share
+from oracles import brute_force_min, least_line_cost
 
 
 def _line(capfd, num, name, ok, detail=""):
@@ -49,8 +49,8 @@ def test_criterion_01_oracle_equivalence(capfd):
             reds = rng.uniform(0, 1, size=(n, 2))
             blues = rng.uniform(0, 1, size=(n, 2))
             fast = min_cost_perfect(reds, blues)
-            slow = brute_force_min(reds, blues)
-            if abs(fast.total_length - slow.total_length) > 1e-9:
+            _, least = brute_force_min(reds, blues)
+            if abs(fast.total_length - least) > 1e-9:
                 failures.append((n, trial))
     elapsed = time.process_time() - t0
     ok = not failures and elapsed < 10.0
@@ -97,7 +97,7 @@ def test_criterion_03_line_minimality_and_length_identity(capfd):
         gaps += rep.trials
         if not rep.passed:
             failures.append((seed, rep.violations))
-        gap = abs(m.total_length - least_line_cost(m))
+        gap = abs(m.total_length - least_line_cost(*m.endpoint_arrays()))
         worst_gap = max(worst_gap, gap)
         if gap >= 1e-9:
             failures.append((seed, "length identity", gap))

@@ -16,8 +16,8 @@ from scipy.spatial.distance import cdist
 import poisson_matching
 
 from poisson_matching import assignment, matching
-from poisson_matching.assignment import (BIG, EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING,
-                                         SMALL_MAX, _pair_distances, assign_in_groups,
+from poisson_matching.assignment import (EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING, SMALL_MAX,
+                                         _pair_distances, assign_in_groups,
                                          max_cardinality_min_cost, min_cost_perfect)
 from poisson_matching.geometry import Domain
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
@@ -27,25 +27,22 @@ from poisson_matching.verify import (box_rematch_experiment, check_planarity,
                                      minimality_certificate)
 from poisson_matching.walks import (cut_time_matching, excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs, zero_block_matching)
-from test_geometry import scalar_is_parallel_free
-from test_hierarchy import BRUTE_FORCE_MAX, _points, brute_force_min
-# the single-problem solves through the public scipy functions: what the
-# kernel gives a problem, the oracle for the small-problem pass
-from test_hierarchy import min_cost_pairs as kernel_pairs
-from test_hierarchy import min_cost_saturating as kernel_saturating
-from test_verify import assert_cycle_witness
+from cases import assert_cycle_witness, check_solve, least_like
+from oracles import (BRUTE_FORCE_MAX, added, brute_force_min, injection_totals, points,
+                     saturating_least, scalar_is_parallel_free, tied)
+from oracles import min_cost_pairs as oracle_pairs
 
 SQUARE_REDS = np.array([[0.0, 0.0], [1.0, 0.0]])
 SQUARE_BLUES = np.array([[0.0, 1.0], [1.0, 1.0]])
 
 
 # One-problem calls of assign_in_groups: the partner array of a problem
-# with equal sides, and the (red, blue) pairs, by red, of a rectangular
-# problem and of a saturating one, whose indices run over reds + reserve_reds
-# and blues + reserve_blues.
+# with equal sides, and the (red, blue) pairs, by red, of a saturating
+# problem, whose indices run over reds + reserve_reds and blues +
+# reserve_blues (``max_cardinality_min_cost`` gives a rectangular one's).
 
 def min_cost_partners(reds, blues) -> np.ndarray:
-    reds, blues = _points(reds), _points(blues)
+    reds, blues = points(reds), points(blues)
     return assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)])
 
 
@@ -54,15 +51,10 @@ def _pairs(partner):
     return list(zip(ri.tolist(), partner[ri].tolist()))
 
 
-def min_cost_pairs(reds, blues):
-    reds, blues = _points(reds), _points(blues)
-    return _pairs(assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)]))
-
-
 def min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
-    reds, blues = _points(reds), _points(blues)
-    all_r = np.concatenate([reds, _points(reserve_reds)])
-    all_b = np.concatenate([blues, _points(reserve_blues)])
+    reds, blues = points(reds), points(blues)
+    all_r = np.concatenate([reds, points(reserve_reds)])
+    all_b = np.concatenate([blues, points(reserve_blues)])
     return _pairs(assign_in_groups(SATURATING, all_r, [0, len(all_r)], all_b, [0, len(all_b)],
                                    [len(reds)], [len(blues)]))
 
@@ -88,54 +80,10 @@ class TestMinCostPerfect:
             n = int(rng.integers(1, 8))
             reds = rng.uniform(0, 1, (n, 2))
             blues = rng.uniform(0, 1, (n, 2))
-            fast = min_cost_perfect(reds, blues)
-            slow = brute_force_min(reds, blues)
-            assert fast.total_length == slow.total_length
+            assert min_cost_perfect(reds, blues).edges == brute_force_min(reds, blues)[0]
 
     def test_empty(self):
         assert min_cost_perfect(np.empty((0, 2)), np.empty((0, 2))).edges == []
-
-
-# The index-order dense path as it was before every solve built its cost
-# matrix in solver row order: ``_assign`` copied the matrix into that order.
-# Kept verbatim as the oracle for the copy-free path.
-
-
-def _old_assign(cost: np.ndarray) -> np.ndarray:
-    from scipy.optimize import linear_sum_assignment
-    order = assignment._scattered(len(cost))
-    assign = np.empty(len(cost), dtype=int)
-    assign[order] = linear_sum_assignment(cost[order])[1]
-    return assign
-
-
-def _old_min_cost_partners(reds, blues) -> np.ndarray:
-    reds, blues = _points(reds), _points(blues)
-    if len(reds) != len(blues):
-        raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
-    if len(reds) == 0:
-        return np.empty(0, dtype=int)
-    return _old_assign(cdist(reds, blues))
-
-
-def _old_min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
-    reds, blues = _points(reds), _points(blues)
-    all_r = np.concatenate([reds, _points(reserve_reds)])
-    all_b = np.concatenate([blues, _points(reserve_blues)])
-    nr1, nb1, nr, nb = len(reds), len(blues), len(all_r), len(all_b)
-    if nr1 > nb or nb1 > nr:
-        raise ValueError("reserve pools too small to saturate the mandatory points")
-    if nr1 == nb1 == 0:  # every pair returned needs a mandatory end
-        return []
-    size = max(nr, nb)
-    cost = np.zeros((size, size))
-    if nr and nb:
-        cost[:nr, :nb] = cdist(all_r, all_b)
-        cost[nr1:nr, nb1:nb] = 0.0  # reserve-reserve: both unused
-    cost[:nr1, nb:] = BIG   # mandatory reds cannot go unmatched
-    cost[nr:, :nb1] = BIG   # mandatory blues cannot go unmatched
-    return [(i, j) for i, j in enumerate(_old_assign(cost).tolist())
-            if i < nr and j < nb and (i < nr1 or j < nb1)]
 
 
 def _lattice(rng, width, n, distinct):
@@ -145,75 +93,129 @@ def _lattice(rng, width, n, distinct):
     return np.stack([cells // width, cells % width], axis=1).astype(float)
 
 
-def _tied(reds, blues, partner) -> bool:
-    """Whether two reds can exchange their partners at a length within
-    EPS_TIE of their own: another least matching, when ``partner`` is one."""
-    swapped = cdist(reds, blues)[:, partner]  # [i, j]: red i to red j's partner
-    d = np.diag(swapped)
-    alt = swapped + swapped.T - d[:, None] - d
-    np.fill_diagonal(alt, np.inf)
-    return bool((np.abs(alt) <= EPS_TIE).any())
+def _check(reds, blues, must=None) -> bool:
+    """The one-problem solve against the oracle's: the oracle's partners
+    where the input is not tied, and a least matching where it is
+    (``cases.check_solve``). ``max_cardinality_min_cost`` is that solve
+    (``min_cost_perfect`` where the sides are equal, and a one-problem
+    ``assign_in_groups`` call), and ``min_cost_saturating`` its saturating
+    form. True when the input is tied."""
+    if must is None:
+        got = max_cardinality_min_cost(reds, blues).edges
+    else:
+        mr, mb = must
+        got = min_cost_saturating(reds[:mr], blues[:mb], reds[mr:], blues[mb:])
+    return check_solve(reds, blues, got, must)
+
+
+class TestAgainstIndexOrderPath:
+    """``_check`` on each family of inputs; each tied family counts the tied
+    inputs it met."""
+
+    def test_random_reals(self):
+        rng = derived_rng(107)
+        for n in (0, 1, 2, 3, 30, ROW_BLOCK + 1, 200):
+            reds, blues = rng.uniform(0, 5, (n, 2)), rng.uniform(0, 5, (n, 2))
+            assert not _check(reds, blues)
+
+    def test_lattices(self):
+        rng = derived_rng(109)
+        met = 0
+        for _ in range(300):
+            width = int(rng.integers(2, 7))
+            n = int(rng.integers(1, width * width + 1))
+            met += _check(_lattice(rng, width, n, distinct=True),
+                          _lattice(rng, width, n, distinct=True))
+        assert met >= 30
+
+    @pytest.mark.parametrize("side", ["reds", "blues"])
+    def test_duplicate_points(self, side):
+        rng = derived_rng(113, side == "reds")
+        met = 0
+        for _ in range(200):
+            width = int(rng.integers(2, 7))
+            n = int(rng.integers(2, 20))
+            dup = _lattice(rng, width, n, distinct=False)
+            other = _lattice(rng, width, n, distinct=n <= width * width)
+            met += _check(*((dup, other) if side == "reds" else (other, dup)))
+        assert met >= 30
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
+    def test_across_row_blocks(self, n):
+        rng = derived_rng(127, n)
+        met = 0
+        for width in (2, 3, 4, 5, 6):
+            met += _check(_lattice(rng, width, n, distinct=False),
+                          _lattice(rng, width, n, distinct=False))
+        assert not _check(rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2)))
+        assert met >= 3
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
+    def test_saturating_with_reserves(self, lattice):
+        rng = derived_rng(131, lattice)
+        both = met = 0
+        shapes = [rng.integers(0, 9, size=4) for _ in range(200)]
+        shapes += [(50, 30, 40, 70), (100, 90, 50, 80), (20, 70, 90, 5)]
+        for sizes in shapes:
+            if lattice:
+                reds, blues, rres, bres = (_lattice(rng, 6, int(k), distinct=False)
+                                           for k in sizes)
+            else:
+                reds, blues, rres, bres = (rng.uniform(0, 4, (int(k), 2)) for k in sizes)
+            if len(reds) > len(blues) + len(bres) or len(blues) > len(reds) + len(rres):
+                continue
+            met += _check(np.concatenate([reds, rres]), np.concatenate([blues, bres]),
+                          (len(reds), len(blues)))
+            both += len(rres) > 0 and len(bres) > 0
+        assert both >= 100 and (met >= 30 if lattice else met == 0)
 
 
 class TestTiedInputs:
-    """Tied inputs, where a tie pass once chose among the minima: with none,
-    min_cost_perfect returns a perfect matching of least length, brute
-    force's within EPS_TIE up to BRUTE_FORCE_MAX points and the index-order
-    solve's above, whichever minimum the kernel picks."""
+    """``_check`` on perfect problems, most of them full of ties, and, up to
+    BRUTE_FORCE_MAX points, a total within EPS_TIE of ``brute_force_min``'s,
+    a second oracle that enumerates."""
 
     @staticmethod
-    def _check(reds, blues) -> bool:
-        """The check above; True when the input is tied (``_tied``)."""
-        m = min_cost_perfect(reds, blues)
-        assert m.kind == "perfect"
+    def _check_enumerated(reds, blues) -> bool:
+        met = _check(reds, blues)
         if len(reds) <= BRUTE_FORCE_MAX:
-            least = brute_force_min(reds, blues).total_length
-        else:
-            least = Matching(reds, blues, list(enumerate(
-                linear_sum_assignment(cdist(reds, blues))[1].tolist()))).total_length
-        assert abs(m.total_length - least) <= EPS_TIE
-        return _tied(reds, blues, np.array([j for _, j in m.edges], dtype=int))
+            total = min_cost_perfect(reds, blues).total_length
+            assert abs(total - brute_force_min(reds, blues)[1]) <= EPS_TIE
+        return met
 
     def test_matches_reference_on_lattices(self):
         rng = derived_rng(53)
-        tied = 0
+        met = 0
         for _ in range(300):
             width = int(rng.integers(2, 7))
             n = int(rng.integers(1, min(width * width, 12) + 1))
-            reds = _lattice(rng, width, n, distinct=True)
-            blues = _lattice(rng, width, n, distinct=True)
-            tied += self._check(reds, blues)
-        assert tied >= 30
+            met += self._check_enumerated(_lattice(rng, width, n, distinct=True),
+                                          _lattice(rng, width, n, distinct=True))
+        assert met >= 30
 
     def test_matches_reference_with_duplicate_blues(self):
         rng = derived_rng(59)
-        tied = 0
+        met = 0
         for _ in range(200):
             width = int(rng.integers(2, 7))
             n = int(rng.integers(2, 15))
-            reds = _lattice(rng, width, n, distinct=n <= width * width)
-            blues = _lattice(rng, width, n, distinct=False)
-            tied += self._check(reds, blues)
-        assert tied >= 30
+            met += self._check_enumerated(_lattice(rng, width, n, distinct=n <= width * width),
+                                          _lattice(rng, width, n, distinct=False))
+        assert met >= 30
 
     def test_matches_reference_across_row_blocks(self):
         rng = derived_rng(61)
-        tied = 0
+        met = 0
         for width in (2, 3, 4, 5, 6):
             for n in (ROW_BLOCK + 1, 2 * ROW_BLOCK + 7):
-                reds = _lattice(rng, width, n, distinct=False)
-                blues = _lattice(rng, width, n, distinct=False)
-                tied += self._check(reds, blues)
-        assert tied >= 5
+                met += _check(_lattice(rng, width, n, distinct=False),
+                              _lattice(rng, width, n, distinct=False))
+        assert met >= 5
 
     def test_random_reals_pass_unchanged(self):
-        # no ties, and the partners are the kernel's, as the solver rows give them
         rng = derived_rng(67)
-        reds = rng.uniform(0, 5, (ROW_BLOCK * 3, 2))
-        blues = rng.uniform(0, 5, (ROW_BLOCK * 3, 2))
-        assert not self._check(reds, blues)
-        raw = _old_assign(cdist(reds, blues))
-        assert min_cost_perfect(reds, blues).edges == list(enumerate(raw.tolist()))
+        n = 3 * ROW_BLOCK
+        assert not _check(rng.uniform(0, 5, (n, 2)), rng.uniform(0, 5, (n, 2)))
 
     def test_tied_three_cycle_is_not_undone(self):
         # Three matchings of equal length: min_cost_perfect and brute force
@@ -221,20 +223,40 @@ class TestTiedInputs:
         reds = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]])
         blues = np.array([[1.0, 1.0], [0.0, 2.0], [1.0, 0.0]])
         fast = min_cost_perfect(reds, blues)
-        slow = brute_force_min(reds, blues)
-        assert fast.total_length == slow.total_length
+        slow = Matching(reds, blues, brute_force_min(reds, blues)[0])
+        assert fast.total_length == slow.total_length and self._check_enumerated(reds, blues)
         assert minimality_certificate(fast).passed and minimality_certificate(slow).passed
         assert all(min_cost_perfect(reds, blues).edges == fast.edges for _ in range(5))
-        assert all(brute_force_min(reds, blues).edges == slow.edges for _ in range(5))
+        assert all(brute_force_min(reds, blues)[0] == slow.edges for _ in range(5))
+
+
+class TestMinCostPairsInSolverOrder:
+    """``_check`` on rectangular problems, untied and tied."""
+
+    def test_random_rectangular_inputs(self):
+        rng = derived_rng(97)
+        for _ in range(200):
+            nr, nb = (int(k) for k in rng.integers(0, 12, 2))
+            assert not _check(rng.uniform(0, 3, (nr, 2)), rng.uniform(0, 3, (nb, 2)))
+
+    def test_lattice_ties(self):
+        rng = derived_rng(101)
+        met = 0
+        for _ in range(200):
+            width = int(rng.integers(2, 5))
+            nr, nb = (int(k) for k in rng.integers(1, width * width + 1, 2))
+            met += _check(_lattice(rng, width, nr, distinct=True),
+                          _lattice(rng, width, nb, distinct=True))
+        assert met >= 30
 
 
 def _brute_force_loop(reds, blues):
     """``brute_force_min``'s edges by a scan of ``itertools.permutations``,
-    each total added in a loop: the first strict minimum."""
-    reds, blues = np.asarray(reds, float), np.asarray(blues, float)
-    rows = _pair_distances(reds[:, None], blues).tolist()
+    each total added in a loop over ``cdist``'s entries: the first strict
+    minimum."""
+    rows = cdist(points(reds), points(blues)).tolist()
     best, best_cost = None, math.inf
-    for perm in itertools.permutations(range(len(reds))):
+    for perm in itertools.permutations(range(len(rows))):
         c = 0.0
         for i, j in enumerate(perm):
             c += rows[i][j]
@@ -253,16 +275,15 @@ class TestBruteForce:
                 lattice = rng.integers(0, 3, (2, n, 2)) * 0.1
                 for reds, blues in (rng.uniform(0, 3, (2, n, 2)), lattice,
                                     lattice + rng.integers(0, 3, (2, n, 2)) * 1e-10):
-                    assert brute_force_min(reds, blues).edges == _brute_force_loop(reds, blues)
+                    assert brute_force_min(reds, blues)[0] == _brute_force_loop(reds, blues)
 
     def test_empty(self):
-        m = brute_force_min(np.empty((0, 2)), np.empty((0, 2)))
-        assert m.edges == [] and m.total_length == 0.0
+        assert brute_force_min(np.empty((0, 2)), np.empty((0, 2))) == ([], 0.0)
 
     def test_collinear_pairs(self):
-        m = brute_force_min([[0, 0], [2, 0]], [[1, 0], [3, 0]])
-        assert sorted(m.edges) == [(0, 0), (1, 1)]
-        assert m.total_length == pytest.approx(2.0)
+        edges, total = brute_force_min([[0, 0], [2, 0]], [[1, 0], [3, 0]])
+        assert sorted(edges) == [(0, 0), (1, 1)]
+        assert total == pytest.approx(2.0)
 
     def test_factorial_guard(self):
         pts = np.random.default_rng(0).uniform(0, 1, (10, 2))
@@ -280,19 +301,14 @@ class TestBruteForce:
         # order, the identity, is returned
         reds = [[0.0, 0.0], [2.0, 0.0]]
         blues = [[1.0, 1.0], [1.0, -1.0]]
-        m = brute_force_min(reds, blues)
-        assert m.total_length == 2 * math.sqrt(2)
-        assert m.edges == [(0, 0), (1, 1)]
+        assert brute_force_min(reds, blues) == ([(0, 0), (1, 1)], 2 * math.sqrt(2))
 
     def test_independent_of_the_solvers_kernel(self, monkeypatch):
         # a fault in the kernel loader must not reach the oracle: with a
         # wrong distance kernel the solvers go wrong, the oracle does not
         rng = derived_rng(59)
         reds, blues = rng.uniform(0, 5, (7, 2)), rng.uniform(0, 5, (7, 2))
-        cost = cdist(reds, blues)
-        least = min(itertools.permutations(range(7)),
-                    key=lambda perm: sum(cost[i, j] for i, j in enumerate(perm)))
-        want = list(enumerate(least))
+        want = _brute_force_loop(reds, blues)
         kernel = assignment._kernel
 
         def wrong(key):
@@ -302,9 +318,9 @@ class TestBruteForce:
 
         monkeypatch.setattr(assignment, "_kernel", wrong)
         assert max_cardinality_min_cost(reds, blues).edges != want  # the fault is real
-        assert brute_force_min(reds, blues).edges == want
+        assert brute_force_min(reds, blues)[0] == want
         assert minimality_certificate(Matching(reds, blues, want)).passed
-        swapped = [(0, least[1]), (1, least[0]), *want[2:]]
+        swapped = [(0, want[1][1]), (1, want[0][1]), *want[2:]]
         assert_cycle_witness(Matching(reds, blues, swapped))
 
 
@@ -325,20 +341,15 @@ class TestMaxCardinalityMinCost:
             reds = rng.uniform(0, 1, (5, 2))
             blues = rng.uniform(0, 1, (3, 2))
             m = max_cardinality_min_cost(reds, blues)
-            best = min(
-                sum(math.hypot(*(reds[r] - blues[b])) for b, r in enumerate(inj))
-                for inj in itertools.permutations(range(5), 3)
-            )
-            assert m.total_length == pytest.approx(best, abs=1e-12)
+            assert m.total_length == pytest.approx(injection_totals(blues, reds)[0][0], abs=1e-12)
             assert len(m.edges) == 3 and not m.unmatched_blues
 
     def test_pairs_are_the_matching_edges(self):
         rng = derived_rng(29)
         reds = rng.uniform(0, 1, (6, 2))
         blues = rng.uniform(0, 1, (4, 2))
-        pairs = min_cost_pairs(reds, blues)
-        assert pairs == sorted(pairs)
-        assert max_cardinality_min_cost(reds, blues).edges == pairs
+        pairs = max_cardinality_min_cost(reds, blues).edges
+        assert pairs == sorted(pairs) == oracle_pairs(reds, blues)
 
     def test_excess_blues_left_unmatched(self):
         m = max_cardinality_min_cost([[0.0, 0.0]], [[0.1, 0.0], [5.0, 0.0]])
@@ -364,68 +375,6 @@ class TestMaxCardinalityMinCost:
         assert m.edges == [] and m.kind == "perfect"
 
 
-def _old_min_cost_pairs(reds, blues):
-    """min_cost_pairs as it was: the cost matrix in index order, reordered
-    by ``_old_assign`` (transposed when there are more reds than blues)."""
-    if len(reds) == 0 or len(blues) == 0:
-        return []
-    cost = cdist(reds, blues)
-    if len(reds) <= len(blues):
-        return list(enumerate(_old_assign(cost).tolist()))
-    return sorted(zip(_old_assign(cost.T).tolist(), range(len(blues))))
-
-
-class TestMinCostPairsInSolverOrder:
-    def test_cost_rows_equal_the_reordered_matrix(self):
-        rng = derived_rng(89)
-        reds, blues = rng.uniform(0, 9, (37, 2)), rng.uniform(0, 9, (23, 2))
-        cost = cdist(reds, blues)
-        for rows, cols, full in ((reds, blues, cost), (blues, reds, cost.T)):
-            order = assignment._scattered(len(rows))
-            assert np.array_equal(cdist(rows[order], cols), full[order])
-
-    def test_random_rectangular_inputs(self):
-        rng = derived_rng(97)
-        for _ in range(200):
-            nr, nb = (int(k) for k in rng.integers(0, 12, 2))
-            reds, blues = rng.uniform(0, 3, (nr, 2)), rng.uniform(0, 3, (nb, 2))
-            assert min_cost_pairs(reds, blues) == _old_min_cost_pairs(reds, blues)
-
-    def test_lattice_ties(self):
-        rng = derived_rng(101)
-        tied = 0
-        for _ in range(200):
-            width = int(rng.integers(2, 5))
-            nr, nb = (int(k) for k in rng.integers(1, width * width + 1, 2))
-            reds = _lattice(rng, width, nr, distinct=True)
-            blues = _lattice(rng, width, nb, distinct=True)
-            pairs = min_cost_pairs(reds, blues)
-            assert pairs == _old_min_cost_pairs(reds, blues)
-            cost = cdist(reds, blues)
-            tied += any(np.count_nonzero(cost[i] == cost[i, j]) > 1 for i, j in pairs)
-        assert tied > 50
-
-
-def _saturating_oracle(reds, blues, reserve_reds, reserve_blues):
-    """Minimum length over every set of disjoint pairs that covers all
-    mandatory points and pairs no two reserve points, by enumeration."""
-    all_r = np.concatenate([reds, reserve_reds])
-    all_b = np.concatenate([blues, reserve_blues])
-    best = math.inf
-    for k in range(min(len(all_r), len(all_b)) + 1):
-        for rs in itertools.combinations(range(len(all_r)), k):
-            for bs in itertools.permutations(range(len(all_b)), k):
-                pairs = list(zip(rs, bs))
-                if any(i >= len(reds) and j >= len(blues) for i, j in pairs):
-                    continue
-                if not (set(range(len(reds))) <= set(rs)
-                        and set(range(len(blues))) <= set(bs)):
-                    continue
-                best = min(best, sum(math.hypot(*(all_r[i] - all_b[j]))
-                                     for i, j in pairs))
-    return best
-
-
 class TestMinCostSaturating:
     def test_matches_enumeration_oracle(self):
         rng = derived_rng(47)
@@ -441,13 +390,9 @@ class TestMinCostSaturating:
             pairs = min_cost_saturating(reds, blues, rres, bres)
             all_r = np.concatenate([reds, rres])
             all_b = np.concatenate([blues, bres])
-            m = Matching(all_r, all_b, pairs)  # checks disjointness
-            assert pairs == sorted(pairs)
-            assert {i for i, _ in pairs} >= set(range(len(reds)))
-            assert {j for _, j in pairs} >= set(range(len(blues)))
-            assert not any(i >= len(reds) and j >= len(blues) for i, j in pairs)
-            assert m.total_length == pytest.approx(
-                _saturating_oracle(reds, blues, rres, bres), abs=1e-12)
+            assert not check_solve(all_r, all_b, pairs, (len(reds), len(blues)))
+            assert Matching(all_r, all_b, pairs).total_length == pytest.approx(
+                saturating_least(reds, blues, rres, bres), abs=1e-12)
 
     def test_reserve_absorbs_excess(self):
         # two mandatory reds, one mandatory blue: the far red takes the reserve blue
@@ -462,102 +407,6 @@ class TestMinCostSaturating:
         monkeypatch.setattr(assignment, "_assign", no_solve)
         assert min_cost_saturating(np.empty((0, 2)), np.empty((0, 2)),
                                    [[0, 0], [1, 1]], [[0, 1]]) == []
-
-
-def _least_like(reds, blues, got, want) -> None:
-    """``got`` is a least matching where ``want`` is one: as many edges,
-    a total within EPS_TIE of its, and a passing minimality certificate."""
-    got, want = Matching(reds, blues, got), Matching(reds, blues, want)
-    assert len(got.edges) == len(want.edges)
-    assert abs(got.total_length - want.total_length) <= EPS_TIE
-    assert minimality_certificate(got).passed
-
-
-class TestAgainstIndexOrderPath:
-    """The solves that build their cost matrix in solver row order give the
-    partners of the index-order path they replaced, bit for bit, on untied
-    inputs; on tied ones (lattices, repeated points), where the small-problem
-    pass may pick another minimum, a least matching."""
-
-    @staticmethod
-    def _check(reds, blues) -> bool:
-        """min_cost_partners against the old path, as above; True when the
-        input is tied (``_tied``)."""
-        want = _old_min_cost_partners(reds, blues)
-        got = min_cost_partners(reds, blues)
-        tied = (_tied(reds, blues, want)
-                or len(reds) <= SMALL_MAX and _tied_totals(_injection_totals(reds, blues)))
-        if tied:
-            _least_like(reds, blues, list(enumerate(got.tolist())),
-                        list(enumerate(want.tolist())))
-        else:
-            assert np.array_equal(got, want)
-        return tied
-
-    def test_random_reals(self):
-        rng = derived_rng(107)
-        for n in (0, 1, 2, 3, 30, ROW_BLOCK + 1, 200):
-            reds, blues = rng.uniform(0, 5, (n, 2)), rng.uniform(0, 5, (n, 2))
-            assert not self._check(reds, blues)
-
-    def test_lattices(self):
-        rng = derived_rng(109)
-        tied = 0
-        for _ in range(300):
-            width = int(rng.integers(2, 7))
-            n = int(rng.integers(1, width * width + 1))
-            tied += self._check(_lattice(rng, width, n, distinct=True),
-                                _lattice(rng, width, n, distinct=True))
-        assert tied >= 30
-
-    @pytest.mark.parametrize("side", ["reds", "blues"])
-    def test_duplicate_points(self, side):
-        rng = derived_rng(113, side == "reds")
-        tied = 0
-        for _ in range(200):
-            width = int(rng.integers(2, 7))
-            n = int(rng.integers(2, 20))
-            dup = _lattice(rng, width, n, distinct=False)
-            other = _lattice(rng, width, n, distinct=n <= width * width)
-            tied += self._check(*((dup, other) if side == "reds" else (other, dup)))
-        assert tied >= 30
-
-    @pytest.mark.parametrize("n", [ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
-    def test_across_row_blocks(self, n):
-        rng = derived_rng(127, n)
-        tied = 0
-        for width in (2, 3, 4, 5, 6):
-            tied += self._check(_lattice(rng, width, n, distinct=False),
-                                _lattice(rng, width, n, distinct=False))
-        assert not self._check(rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2)))
-        assert tied >= 3
-
-    @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
-    def test_saturating_with_reserves(self, lattice):
-        rng = derived_rng(131, lattice)
-        both = 0
-        shapes = [rng.integers(0, 9, size=4) for _ in range(200)]
-        shapes += [(50, 30, 40, 70), (100, 90, 50, 80), (20, 70, 90, 5)]
-        for sizes in shapes:
-            if lattice:
-                reds, blues, rres, bres = (_lattice(rng, 6, int(k), distinct=False)
-                                           for k in sizes)
-            else:
-                reds, blues, rres, bres = (rng.uniform(0, 4, (int(k), 2)) for k in sizes)
-            if len(reds) > len(blues) + len(bres) or len(blues) > len(reds) + len(rres):
-                continue
-            got = min_cost_saturating(reds, blues, rres, bres)
-            want = _old_min_cost_saturating(reds, blues, rres, bres)
-            if lattice:  # tied: a least matching of the same kind
-                all_r, all_b = np.concatenate([reds, rres]), np.concatenate([blues, bres])
-                _least_like(all_r, all_b, got, want)
-                assert {i for i, _ in got} >= set(range(len(reds)))
-                assert {j for _, j in got} >= set(range(len(blues)))
-                assert not any(i >= len(reds) and j >= len(blues) for i, j in got)
-            else:
-                assert got == want
-            both += len(rres) > 0 and len(bres) > 0
-        assert both >= 100
 
 
 class TestDenseSolvePeakMemory:
@@ -660,7 +509,7 @@ class TestCompiledKernels:
                      for w, n in ((3, 9), (5, 25))]
         reserves = [rng.uniform(0, 10, (k, 2)) for k in (4, 9)]
         return ([min_cost_perfect(r, b).edges for r, b in problems],
-                [min_cost_pairs(r, b[:len(b) // 2 + 1]) for r, b in problems],
+                [max_cardinality_min_cost(r, b[:len(b) // 2 + 1]).edges for r, b in problems],
                 [min_cost_saturating(r[:2], b[:1], *reserves) for r, b in problems])
 
     @pytest.mark.parametrize("lookup", [lambda name: None,
@@ -716,7 +565,7 @@ assert min_cost_perfect(reds, blues).edges == edges
 
 def _laid(groups):
     """Point lists laid end to end, and their offsets."""
-    groups = [_points(g) for g in groups]
+    groups = [points(g) for g in groups]
     return np.concatenate(groups), np.cumsum([0] + [len(g) for g in groups])
 
 
@@ -745,37 +594,29 @@ def _check_four_ways(monkeypatch, small, large, extras):
     SATURATING with the small side mandatory, ``extras[g]`` as reserve of
     its color and the large side all reserve, again as either color. Each
     way the pass settles the same problems, a settled problem gets the same
-    pairs, and every other problem's pairs are its single solve's through
-    the public scipy functions. A settled problem's pairs are those too
-    where its least total has no runner-up within EPS_TIE, and its least
-    total to the bit in any case. Returns the settled mask and each
-    problem's pairs, (small, large) indices within the problem."""
-    none = np.empty((0, 2))
+    pairs, at its least total to the bit, and every problem's pairs are the
+    oracle's where it is not tied, and a least matching where it is
+    (``cases.check_solve``). Returns the settled mask and each problem's
+    pairs, (small, large) indices within the problem."""
     k = np.array([len(x) for x in small])
     zero = np.zeros_like(k)
-    padded = [np.concatenate([_points(s), _points(e)]) for s, e in zip(small, extras)]
+    padded = [np.concatenate([points(s), points(e)]) for s, e in zip(small, extras)]
     pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
     for g, (s, t) in enumerate(zip(small, large)):
+        check_solve(s, t, pairs[g])
         if settled[g]:
-            totals = _injection_totals(s, t)
             cost = cdist(s, t)
-            assert sum(cost[i, j] for i, j in pairs[g]) == totals[0][0]
-            if _tied_totals(totals):
-                continue
-        assert pairs[g] == kernel_pairs(s, t)
-    for kind, reds, blues, must, single in (
-            (RECTANGULAR, large, small, (), lambda s, t, e: kernel_pairs(t, s)),
-            (SATURATING, padded, large, (k, zero),
-             lambda s, t, e: kernel_saturating(s, none, e, t)),
-            (SATURATING, large, padded, (zero, k),
-             lambda s, t, e: kernel_saturating(none, s, t, e))):
+            assert added(cost[i, j] for i, j in pairs[g]) == injection_totals(s, t)[0][0]
+    for kind, reds, blues, must in ((RECTANGULAR, large, small, ()),
+                                    (SATURATING, padded, large, (k, zero)),
+                                    (SATURATING, large, padded, (zero, k))):
         got, mask = _grouped_pairs(monkeypatch, kind, reds, blues, must)
         assert np.array_equal(mask, settled)
-        for g, problem in enumerate(zip(small, large, extras)):
+        for g in range(len(small)):
             if settled[g]:
                 assert sorted(got[g] if reds is padded else [(i, j) for j, i in got[g]]) == pairs[g]
             else:
-                assert got[g] == single(*problem)
+                check_solve(reds[g], blues[g], got[g], (must[0][g], must[1][g]) if must else None)
     return settled, pairs
 
 
@@ -820,9 +661,7 @@ class TestNearestInGroups:
         sources, targets, extras = _one_point_groups(rng, lattice)
         settled, _ = _check_four_ways(monkeypatch, sources, targets, extras)
         assert settled.all()
-        tied = [len(cost) > 1 and cost[1] - cost[0] <= EPS_TIE
-                for cost in (np.sort(cdist(src, group)[0]) for src, group in zip(sources, targets))]
-        assert any(tied) == lattice
+        assert any(tied(src, group) for src, group in zip(sources, targets)) == lattice
 
     def test_single_target_and_no_group(self, monkeypatch):
         # the second source is 1 from both its targets: it takes one of them
@@ -832,20 +671,6 @@ class TestNearestInGroups:
         assert pairs[0] == [(0, 0)] and pairs[1] in ([(0, 0)], [(0, 1)])
         none = np.empty((0, 2))
         assert len(assign_in_groups(RECTANGULAR, none, [0], none, [0])) == 0
-
-
-def _injection_totals(small, large):
-    """Every injection of ``small`` into ``large`` with its total length,
-    the sum in point order of scipy's ``cdist`` entries; ascending."""
-    cost = cdist(small, large)
-    return sorted((sum(cost[i, j] for i, j in enumerate(perm)), perm)
-                  for perm in itertools.permutations(range(len(large)), len(small)))
-
-
-def _tied_totals(totals) -> bool:
-    """Whether the least of ``totals`` (``_injection_totals``) has a
-    runner-up within EPS_TIE."""
-    return len(totals) > 1 and totals[1][0] - totals[0][0] <= EPS_TIE
 
 
 def _small_groups(rng, lattice, groups=300):
@@ -881,24 +706,23 @@ class TestSmallProblemPass:
         rng = derived_rng(64, lattice)
         small, large, extras = _small_groups(rng, lattice)
         settled, pairs = _check_four_ways(monkeypatch, small, large, extras)
-        sizes, tied = {True: set(), False: set()}, 0
+        sizes, tied_met = {True: set(), False: set()}, 0
         for g, (S, L) in enumerate(zip(small, large)):
             assert settled[g] == (len(S) <= SMALL_MAX), g
             sizes[bool(settled[g])].add(len(S))
             if not settled[g]:
                 continue
-            totals = _injection_totals(S, L)
             if len(S) == len(L):
-                _least_like(S, L, pairs[g], brute_force_min(S, L).edges)
+                least_like(S, L, pairs[g], brute_force_min(S, L)[0])
                 assert list(enumerate(min_cost_partners(S, L).tolist())) == pairs[g]
-            if _tied_totals(totals):
-                tied += 1
+            if tied(S, L):
+                tied_met += 1
             else:
-                assert pairs[g] == list(enumerate(totals[0][1]))
+                assert pairs[g] == list(enumerate(injection_totals(S, L)[0][1]))
         # every small size is settled and four points never are; the
         # lattice's settled problems include tied ones
         assert sizes == {True: set(range(1, SMALL_MAX + 1)), False: {SMALL_MAX + 1}}
-        assert (tied > 0) == lattice
+        assert (tied_met > 0) == lattice
 
     @pytest.mark.parametrize("gap", [0.0, 0.5 * EPS_TIE, 1.5 * EPS_TIE, 4 * EPS_TIE])
     def test_near_ties_settle_at_the_least_total(self, monkeypatch, gap):
@@ -915,7 +739,7 @@ class TestSmallProblemPass:
         assert settled.tolist() == [True] * 3
         for S, L, p in zip(small, large, pairs):
             cost = cdist(S, L)
-            assert sum(cost[i, j] for i, j in p) == _injection_totals(S, L)[0][0]
+            assert added(cost[i, j] for i, j in p) == injection_totals(S, L)[0][0]
         if gap:
             assert pairs == [[(i, i) for i in range(s)] for s in (1, 2, 3)]
 
@@ -929,8 +753,8 @@ class TestSmallProblemPass:
         S, L = np.array(small, float), np.array(large, float)
         cost = cdist(S, L)
         assert (cost.argmin(axis=1) == 0).all()
-        totals = _injection_totals(S, L)
-        assert not _tied_totals(totals)
+        totals = injection_totals(S, L)
+        assert not tied(S, L)
         ranks = [np.argsort(cost[i], kind="stable").tolist().index(j)
                  for i, j in enumerate(totals[0][1])]
         assert max(ranks) == len(S) - 1
@@ -953,8 +777,8 @@ class TestSmallProblemPass:
         pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
         assert settled.all()
         for S, L, p in zip(small, large, pairs):
-            totals = _injection_totals(S, L)
-            assert not _tied_totals(totals)
+            totals = injection_totals(S, L)
+            assert not tied(S, L)
             assert p == list(enumerate(totals[0][1]))
 
     @pytest.mark.parametrize("block", [1, 7, 64])
@@ -985,7 +809,7 @@ class TestSmallProblemPass:
             S, L = rng.uniform(0, 50, (s, 2)), rng.uniform(0, 50, (400, 2))
             pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, [S], [L])
             assert settled.tolist() == [True]
-            assert pairs == [kernel_pairs(S, L)]
+            assert pairs == [oracle_pairs(S, L)]
 
     def test_a_batch_over_pair_block_holds_one_problem(self, monkeypatch):
         # 1, 8000 and 100 point pairs: the middle problem is over PAIR_BLOCK,
@@ -1004,7 +828,7 @@ class TestSmallProblemPass:
         monkeypatch.setattr(assignment, "_settle_batch", settling)
         pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
         assert settled.tolist() == [True] * 3
-        assert pairs == [kernel_pairs(S, L) for S, L in zip(small, large)]
+        assert pairs == [oracle_pairs(S, L) for S, L in zip(small, large)]
         assert [groups for groups, _ in batches] == [[0], [1], [2]]
         assert all(len(groups) == 1 for groups, n in batches if n > assignment.PAIR_BLOCK)
 
@@ -1172,14 +996,12 @@ def test_edges_of_another_shape_rejected(edges):
         Matching(SQUARE_REDS, SQUARE_BLUES, edges)
 
 
-# every public entry that takes point arrays, and the brute-force oracle,
-# reads them through one gate, so a (2, 3) array is not read as three
-# points, nor a flat list as two
+# every public entry that takes point arrays reads them through one gate, so
+# a (2, 3) array is not read as three points, nor a flat list as two
 POINT_ENTRIES = {
     "Matching": lambda pts: Matching(pts, pts, []),
     "min_cost_perfect": lambda pts: min_cost_perfect(pts, pts),
     "max_cardinality_min_cost": lambda pts: max_cardinality_min_cost(pts, pts),
-    "brute_force_min": lambda pts: brute_force_min(pts, pts),
 }
 
 
@@ -1214,54 +1036,64 @@ def test_one_color_and_color_mode_checks(edges, color_mode, error):
         Matching(THREE_REDS, np.empty((0, 2)), edges, color_mode=color_mode)
 
 
-def _construction_cases():
-    """(name, matching) for every construction on seeded inputs, the empty
-    and one-color cases included."""
-    cases = []
-    for seed in range(3):
-        strip = sample(SampleConfig(1, 1, Domain.strip(0, 40), seed))
-        red_strip = sample(SampleConfig(1.3, 1, Domain.strip(0, 40), seed))
-        line = sample(SampleConfig(1, 1, Domain.line(0, 40), seed))
-        plane = sample(SampleConfig(1, 1, Domain.plane(0, 6, 0, 6), seed))
-        n = min(plane.n_red, plane.n_blue)
-        small = min(n, 6)
-        excursion = excursion_matching(strip)
+def _construction(name, seed):
+    """The matching the construction ``name`` builds on seed ``seed``'s
+    inputs, or for ``seed`` None, one of the empty and one-color cases. Each
+    test builds its case, so a fault in a construction fails its cases and
+    no other test."""
+    none = np.empty((0, 2))
+    if seed is None:
+        lone = ColoredPointSet(Domain.strip(0, 2), [[1.0, 0.5]], none)
+        return {"empty": lambda: Matching(none, none, []),
+                "no_blues": lambda: max_cardinality_min_cost(SQUARE_REDS, none),
+                "one_color_lone_red": lambda: one_color_pairing(lone, 0),
+                "one_color_empty": lambda: Matching(none, none, [], color_mode=ONE_COLOR),
+                }[name]()
+    strip = sample(SampleConfig(1, 1, Domain.strip(0, 40), seed))
+    red_strip = sample(SampleConfig(1.3, 1, Domain.strip(0, 40), seed))
+    plane = sample(SampleConfig(1, 1, Domain.plane(0, 6, 0, 6), seed))
+    n = min(plane.n_red, plane.n_blue)
+    small = plane.reds[:min(n, 6)], plane.blues[:min(n, 6)]
+
+    def hierarchical():
         system = build_block_system(seed, 3)
         window = sample(SampleConfig(1, 1, aligned_window(system), seed))
-        red_excursion = excursion_matching(red_strip)
-        bands = [(strip, excursion, polygonal_arcs(excursion, strip)),
-                 (red_strip, red_excursion, polygonal_arcs(red_excursion, red_strip))]
-        cases += [
-            ("zero_block", zero_block_matching(strip)),
-            ("one_color_0", one_color_pairing(strip, 0)),
-            ("one_color_1", one_color_pairing(strip, 1)),
-            ("cut_time", cut_time_matching(red_strip)),
-            ("excursion_strip", excursion),
-            ("excursion_line", excursion_matching(line)),
-            ("min_cost", min_cost_perfect(plane.reds[:n], plane.blues[:n])),
-            ("hierarchical", run_hierarchical(window, seed, 3, system=system)[0]),
-            ("laminate", laminate_strips(bands, 0.25)[1]),
-            ("max_cardinality", max_cardinality_min_cost(plane.reds, plane.blues)),
-            ("brute_force", brute_force_min(plane.reds[:small], plane.blues[:small])),
-            ("box_rematch", box_rematch_experiment(strip, excursion, 3.0).matching),
-        ]
-    lone = ColoredPointSet(Domain.strip(0, 2), [[1.0, 0.5]], np.empty((0, 2)))
-    cases += [
-        ("empty", Matching(np.empty((0, 2)), np.empty((0, 2)), [])),
-        ("no_blues", max_cardinality_min_cost(SQUARE_REDS, np.empty((0, 2)))),
-        ("one_color_lone_red", one_color_pairing(lone, 0)),
-        ("one_color_empty", Matching(np.empty((0, 2)), np.empty((0, 2)), [],
-                                     color_mode=ONE_COLOR)),
-    ]
-    return cases
+        return run_hierarchical(window, seed, 3, system=system)[0]
+
+    def laminate():
+        bands = [(ps, m, polygonal_arcs(m, ps))
+                 for ps, m in ((ps, excursion_matching(ps)) for ps in (strip, red_strip))]
+        return laminate_strips(bands, 0.25)[1]
+
+    return {
+        "zero_block": lambda: zero_block_matching(strip),
+        "one_color_0": lambda: one_color_pairing(strip, 0),
+        "one_color_1": lambda: one_color_pairing(strip, 1),
+        "cut_time": lambda: cut_time_matching(red_strip),
+        "excursion_strip": lambda: excursion_matching(strip),
+        "excursion_line": lambda: excursion_matching(
+            sample(SampleConfig(1, 1, Domain.line(0, 40), seed))),
+        "min_cost": lambda: min_cost_perfect(plane.reds[:n], plane.blues[:n]),
+        "hierarchical": hierarchical,
+        "laminate": laminate,
+        "max_cardinality": lambda: max_cardinality_min_cost(plane.reds, plane.blues),
+        "brute_force": lambda: Matching(*small, brute_force_min(*small)[0]),
+        "box_rematch": lambda: box_rematch_experiment(strip, excursion_matching(strip),
+                                                      3.0).matching,
+    }[name]()
 
 
-CONSTRUCTION_CASES = _construction_cases()
+SEEDED_CASES = ["zero_block", "one_color_0", "one_color_1", "cut_time", "excursion_strip",
+                "excursion_line", "min_cost", "hierarchical", "laminate", "max_cardinality",
+                "brute_force", "box_rematch"]
+CONSTRUCTION_CASES = [(name, seed) for seed in range(3) for name in SEEDED_CASES] + [
+    (name, None) for name in ("empty", "no_blues", "one_color_lone_red", "one_color_empty")]
+CASE_IDS = [f"{name}-{k}" for k, (name, _) in enumerate(CONSTRUCTION_CASES)]
 
 
-@pytest.mark.parametrize("name,m", CONSTRUCTION_CASES,
-                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CONSTRUCTION_CASES)])
-def test_kind_and_unmatched_follow_from_edges(name, m):
+@pytest.mark.parametrize("name,seed", CONSTRUCTION_CASES, ids=CASE_IDS)
+def test_kind_and_unmatched_follow_from_edges(name, seed):
+    m = _construction(name, seed)
     # the oracle: set difference over the edge ends
     if m.color_mode == ONE_COLOR:
         want_reds = set(range(len(m.reds))) - {k for e in m.edges for k in e}
@@ -1278,9 +1110,9 @@ def test_kind_and_unmatched_follow_from_edges(name, m):
         want_kind, sorted(want_reds), sorted(want_blues))
 
 
-@pytest.mark.parametrize("name,m", CONSTRUCTION_CASES,
-                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CONSTRUCTION_CASES)])
-def test_to_json_reads_the_edges_once(name, m):
+@pytest.mark.parametrize("name,seed", CONSTRUCTION_CASES, ids=CASE_IDS)
+def test_to_json_reads_the_edges_once(name, seed):
+    m = _construction(name, seed)
     # the fields as the properties give them, each reading the edge array
     # the constructor validated once; the writer builds no list of edge
     # tuples, which a matching built from an array never needs
@@ -1295,9 +1127,9 @@ def test_to_json_reads_the_edges_once(name, m):
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-@pytest.mark.parametrize("name,m", CONSTRUCTION_CASES,
-                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CONSTRUCTION_CASES)])
-def test_unmatched_lists_scan_only_their_own_color(monkeypatch, name, m):
+@pytest.mark.parametrize("name,seed", CONSTRUCTION_CASES, ids=CASE_IDS)
+def test_unmatched_lists_scan_only_their_own_color(monkeypatch, name, seed):
+    m = _construction(name, seed)
     scanned, unused = [], matching._unused
 
     def counting(n, used):
@@ -1314,9 +1146,9 @@ def test_unmatched_lists_scan_only_their_own_color(monkeypatch, name, m):
     assert (reds, blues) == (m.unmatched_reds, m.unmatched_blues)
 
 
-@pytest.mark.parametrize("name,m", CONSTRUCTION_CASES,
-                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CONSTRUCTION_CASES)])
-def test_list_and_array_built_matchings_agree(name, m):
+@pytest.mark.parametrize("name,seed", CONSTRUCTION_CASES, ids=CASE_IDS)
+def test_list_and_array_built_matchings_agree(name, seed):
+    m = _construction(name, seed)
     from_list = Matching(m.reds, m.blues, list(m.edges), color_mode=m.color_mode)
     from_array = Matching(m.reds, m.blues, np.array(m.edges, dtype=np.int64).reshape(-1, 2),
                           color_mode=m.color_mode)

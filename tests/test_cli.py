@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poisson_matching
-from poisson_matching import cli, hierarchy, render, walks
+from poisson_matching import assignment, cli, hierarchy, render, walks
 from poisson_matching.arcs import ArcTable
 from poisson_matching.cli import main
 from poisson_matching.geometry import Domain
@@ -579,6 +579,48 @@ def test_unusable_path_is_usage_error(runner, tmp_path, name):
     assert res.exit_code == 2, res.output
     assert "Error:" in res.output and "Traceback" not in res.output
     assert str(bad) in res.output
+
+
+# each command's flags before --out
+OUT_COMMANDS = {"sample": "--seed 1", "match": "--construction excursion --in {pts}",
+                "verify": "--property planarity --in {pts}", "stats": "--kind eta --in {pts}",
+                "render": "--in {pts}", "sweep": ""}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_COMMANDS))
+def test_unusable_out_is_found_before_the_work(runner, tmp_path, monkeypatch, name):
+    # the command's work is its callback: an --out in no directory is a usage
+    # error naming it before the work, and a usable --out lets the work run
+    pts, calls = sample_file(runner, tmp_path), []
+    before = pts.read_text()
+    monkeypatch.setattr(main.commands[name], "callback", lambda **params: calls.append(params))
+    flags = OUT_COMMANDS[name].format(pts=pts).split()
+    missing = tmp_path / "nodir" / "out"
+    res = invoke(runner, name, *flags, "--out", str(missing))
+    assert res.exit_code == 2 and str(missing) in res.output and "Traceback" not in res.output
+    assert calls == []
+    assert invoke(runner, name, *flags, "--out", str(pts)).exit_code == 0 and len(calls) == 1
+    assert pts.read_text() == before  # the check neither creates nor truncates
+
+
+def test_dense_problem_too_large_for_memory_is_usage_error(runner, tmp_path, monkeypatch):
+    # numpy's failed allocation (a MemoryError) is a ValueError that names
+    # the largest problem, so the CLI exits 2, the code of a usage error
+    def empty(shape, *args, **kwargs):
+        if np.prod(shape) > 100:
+            raise MemoryError(f"Unable to allocate an array of {shape} floats")
+        return np.empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(assignment, "np", types.SimpleNamespace(**{**vars(np), "empty": empty}))
+    monkeypatch.setattr(assignment, "_spare", [])
+    with pytest.raises(ValueError, match=r"a 12 x 20 cost matrix needs 0\.0 GiB"):
+        assignment.max_cardinality_min_cost(np.ones((20, 2)), np.zeros((12, 2)))
+    pts = sample_file(runner, tmp_path)
+    d = json.loads(pts.read_text())
+    n = sorted((len(d["reds"]), len(d["blues"])))
+    res = invoke(runner, "match", "--construction", "min_cost", "--in", str(pts))
+    assert res.exit_code == 2 and "Traceback" not in res.output
+    assert f"a {n[0]} x {n[1]} cost matrix needs" in res.output
 
 
 def test_one_color_coin_picks_the_phase_class(runner, tmp_path):

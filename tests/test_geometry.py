@@ -1,6 +1,5 @@
 import math
 import re
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,145 +13,8 @@ from poisson_matching.arcs import ArcSpec
 from poisson_matching.hierarchy import BlockRecord, ChernoffParams
 from poisson_matching.sampling import SampleConfig
 from poisson_matching.verify import _pairwise_hits
-
-
-# --- Scalar oracles ---------------------------------------------------------
-#
-# The one-pair predicates as they were before the package's array forms
-# (``orientation`` on arrays, ``_intersections``, ``_crosses_region``) took
-# their place, kept as the oracles those forms must agree with row by row;
-# the other test modules confirm pairs with them too, and check their
-# samples with ``scalar_is_parallel_free``. The package passes segments as
-# endpoint arrays; the oracles take them one at a time as a ``Segment``.
-
-class Point(NamedTuple):
-    x: float
-    y: float
-
-
-class Segment(NamedTuple):
-    """A segment as the scalar oracles take it. A plain pair of vertex
-    tuples, as ``ArcSpec.segments`` lists them, compares equal to it, and
-    it reads as the package's overlap message names a segment."""
-
-    a: Point
-    b: Point
-
-    def __str__(self):
-        return f"{tuple(self.a)}-{tuple(self.b)}"
-
-
-def scalar_orientation(a, b, c) -> int:
-    """Sign of the cross product (b-a) x (c-a); 0 within EPS_GEOM."""
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if det > EPS_GEOM:
-        return 1
-    if det < -EPS_GEOM:
-        return -1
-    return 0
-
-
-def scalar_on_segment(a, b, p) -> bool:
-    """Whether collinear point p lies on the closed segment ab."""
-    return (
-        min(a[0], b[0]) - EPS_GEOM <= p[0] <= max(a[0], b[0]) + EPS_GEOM
-        and min(a[1], b[1]) - EPS_GEOM <= p[1] <= max(a[1], b[1]) + EPS_GEOM
-    )
-
-
-def scalar_segments_intersect(s1: Segment, s2: Segment) -> bool:
-    """Closed-segment intersection test via orientation signs.
-
-    Raises DegenerateGeometryError for collinear segments with overlapping
-    interiors (impossible for parallel-free input; signals corrupt data).
-    """
-    a, b = s1.a, s1.b
-    c, d = s2.a, s2.b
-    o1 = scalar_orientation(a, b, c)
-    o2 = scalar_orientation(a, b, d)
-    o3 = scalar_orientation(c, d, a)
-    o4 = scalar_orientation(c, d, b)
-
-    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
-        return True
-
-    if o1 == o2 == 0 and o3 == o4 == 0:
-        # Collinear: the overlap runs from the larger low end to the smaller
-        # high end, the ends compared as tuples.
-        late = max(min(a, b), min(c, d))
-        high = min(max(a, b), max(c, d))
-        if late > high:
-            return False
-        if abs(late[0] - high[0]) <= EPS_GEOM and abs(late[1] - high[1]) <= EPS_GEOM:
-            return True  # touch at a single shared endpoint
-        raise DegenerateGeometryError(
-            f"collinear segments with overlapping interiors: {s1} / {s2}"
-        )
-
-    # Mixed cases: one endpoint lies on the other (closed) segment.
-    if o1 == 0 and scalar_on_segment(a, b, c):
-        return True
-    if o2 == 0 and scalar_on_segment(a, b, d):
-        return True
-    if o3 == 0 and scalar_on_segment(c, d, a):
-        return True
-    if o4 == 0 and scalar_on_segment(c, d, b):
-        return True
-    return False
-
-
-def scalar_is_parallel_free(points) -> bool:
-    """Whether no two distinct unordered point pairs span parallel vectors.
-
-    Quartic scan over pairs of pairs; intended for desk-scale inputs.
-    """
-    pts = [(float(p[0]), float(p[1])) for p in points]
-    n = len(pts)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for k, (i, j) in enumerate(pairs):
-        vx = pts[j][0] - pts[i][0]
-        vy = pts[j][1] - pts[i][1]
-        for (u, v) in pairs[k + 1:]:
-            wx = pts[v][0] - pts[u][0]
-            wy = pts[v][1] - pts[u][1]
-            if abs(vx * wy - vy * wx) <= EPS_GEOM:
-                return False
-    return True
-
-
-def scalar_segment_point_distance(a, b, p) -> float:
-    ax, ay = a[0], a[1]
-    bx, by = b[0], b[1]
-    px, py = p[0], p[1]
-    dx, dy = bx - ax, by - ay
-    denom = dx * dx + dy * dy
-    t = 0.0 if denom == 0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
-    return math.hypot(ax + t * dx - px, ay + t * dy - py)
-
-
-def scalar_edge_crosses_region(s: Segment, region) -> bool:
-    """Whether the closed segment intersects the closed region."""
-    if isinstance(region, Disk):
-        return scalar_segment_point_distance(s.a, s.b, (region.cx, region.cy)) <= region.radius
-    r: Rect = region
-    if (r.x0 <= s.a.x <= r.x1 and r.y0 <= s.a.y <= r.y1) or (
-        r.x0 <= s.b.x <= r.x1 and r.y0 <= s.b.y <= r.y1
-    ):
-        return True
-    corners = [
-        Point(r.x0, r.y0),
-        Point(r.x1, r.y0),
-        Point(r.x1, r.y1),
-        Point(r.x0, r.y1),
-    ]
-    for i in range(4):
-        edge = Segment(corners[i], corners[(i + 1) % 4])
-        try:
-            if scalar_segments_intersect(s, edge):
-                return True
-        except DegenerateGeometryError:
-            return True  # segment runs along a rectangle side: still touches
-    return False
+from oracles import (Overlap, Point, Segment, scalar_edge_crosses_region,
+                     scalar_is_parallel_free, scalar_orientation, scalar_segments_intersect)
 
 
 def seg(ax, ay, bx, by):
@@ -267,7 +129,7 @@ def _scalar_outcomes(rows):
     for ax, ay, bx, by, cx, cy, dx, dy in rows.tolist():
         try:
             out.append(scalar_segments_intersect(seg(ax, ay, bx, by), seg(cx, cy, dx, dy)))
-        except DegenerateGeometryError:
+        except Overlap:
             out.append(None)
     return out
 
@@ -297,7 +159,7 @@ class TestArrayFormsAgainstScalar:
             s1, s2 = seg(ax, ay, bx, by), seg(cx, cy, dx, dy)
             try:
                 want = scalar_segments_intersect(s1, s2)
-            except DegenerateGeometryError as e:
+            except Overlap as e:
                 assert one_pair(s1, s2) == OVERLAP
                 with pytest.raises(DegenerateGeometryError) as got:
                     _pairwise_hits(np.array([[ax, ay], [cx, cy]]), np.array([[bx, by], [dx, dy]]))

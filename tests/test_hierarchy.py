@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -9,21 +8,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 from scipy.stats import poisson, skellam
 
 from poisson_matching import assignment, hierarchy
-from poisson_matching.assignment import (BIG, EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING,
-                                         SMALL_MAX, _pair_distances, _stable_order,
+from poisson_matching.assignment import (BIG, RECTANGULAR, SATURATING, SMALL_MAX, _stable_order,
                                          assign_in_groups, min_cost_perfect)
-from poisson_matching.geometry import Domain, Rect, _two_columns
+from poisson_matching.geometry import Domain, Rect
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
                                         init_state,
                                         run_hierarchical, run_stage, stage1)
-from poisson_matching.matching import Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
+from cases import check_solve, heir_share, hierarchical_case
+from oracles import cost_matrix, min_cost_pairs, tied
 
 
 def zero_offset_system(N=4):
@@ -268,32 +265,11 @@ def test_level_tables_equal_the_modulo_digits(N):
                                       np.zeros(len(pts), bool))
 
 
-def heir_share(n):
-    """The share of the offset vectors r, 0 <= r[m] < m(m-1) for m = 2..n+1,
-    under which the unit cell [0, 1)^2 lies in the heir of its level-(n+1)
-    block, counted exactly: per vector, one point in that cell, in the
-    window of that block, and the level tables' heir flag."""
-    vectors = list(itertools.product(*(range(m * (m - 1)) for m in range(2, n + 2))))
-    hits = 0
-    for tail in vectors:
-        system = BlockSystem.from_offsets([0, 0, *tail])
-        window = system.rects(n + 1, system.locate(n + 1, [[0, 0]]))[0].tolist()
-        ps = ColoredPointSet(Domain.plane(*window), [[0.5, 0.5]], [], seed=0)
-        hits += bool(init_state(ps, system).levels[n + 1].red.in_heir[0])
-    return Fraction(hits, len(vectors))
-
-
 class TestHeirShare:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_closed_form(self, n):
         # a level-(n+1) block has n(n+1) children, one of them its heir
         assert heir_share(n) == Fraction(1, n * (n + 1))
-
-
-def hierarchical_case(seed, N=4, lam=1.0):
-    system = build_block_system(seed, N)
-    ps = sample(SampleConfig(lam, lam, aligned_window(system), seed))
-    return system, ps, run_hierarchical(ps, seed, N, system=system)
 
 
 class TestStages:
@@ -603,104 +579,12 @@ class TestExactBadRate:
             assert abs(bad[n] / blocks[n] - p) <= 4 * sigma, (n, bad[n], blocks[n])
 
 
-# --- Single-problem solves ----------------------------------------------------
-# The package's exact solves as they were before they became one-problem
-# calls of ``assign_in_groups``: each builds its cost matrix with the public
-# ``cdist`` and calls the public ``linear_sum_assignment`` once, with the rows
-# in the same golden-ratio order (``min_cost_pairs`` of equal sides is the
-# perfect solve). Kept as the oracles for the grouped routine and for the
-# per-block stages below.
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_order(n):
-    return np.argsort(np.arange(n) * GOLDEN % 1.0, kind="stable")
-
-
-def _points(pts):
-    return np.asarray(pts, dtype=float).reshape(-1, 2)
-
-
-def _assign(cost):
-    """Column of each problem row; row k of ``cost`` is problem row
-    ``_golden_order(len(cost))[k]``."""
-    assign = np.empty(len(cost), dtype=int)
-    assign[_golden_order(len(cost))] = linear_sum_assignment(cost)[1]
-    return assign
-
-
-def min_cost_pairs(reds, blues):
-    reds, blues = _points(reds), _points(blues)
-    if len(reds) == 0 or len(blues) == 0:
-        return []
-    if len(reds) <= len(blues):
-        return list(enumerate(_assign(cdist(reds[_golden_order(len(reds))], blues)).tolist()))
-    cost = cdist(blues[_golden_order(len(blues))], reds)
-    return sorted(zip(_assign(cost).tolist(), range(len(blues))))
-
-
-def min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
-    reds, blues = _points(reds), _points(blues)
-    all_r = np.concatenate([reds, _points(reserve_reds)])
-    all_b = np.concatenate([blues, _points(reserve_blues)])
-    nr1, nb1, nr, nb = len(reds), len(blues), len(all_r), len(all_b)
-    if nr1 > nb or nb1 > nr:
-        raise ValueError("reserve pools too small to saturate the mandatory points")
-    if nr1 == nb1 == 0:
-        return []
-    size = max(nr, nb)
-    at = np.argsort(_golden_order(size), kind="stable")
-    cost = np.zeros((size, size))
-    for r0 in range(0, nr, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, nr)
-        cost[at[r0:r1], :nb] = cdist(all_r[r0:r1], all_b)
-    cost[at[nr1:nr], nb1:nb] = 0.0
-    cost[at[:nr1], nb:] = BIG
-    cost[at[nr:], :nb1] = BIG
-    return [(i, j) for i, j in enumerate(_assign(cost).tolist())
-            if i < nr and j < nb and (i < nr1 or j < nb1)]
-
-
-# The exhaustive oracle: every permutation scored at once, its distances
-# taken in numpy (``_pair_distances``, the kernel's bit for bit), so it shares
-# nothing with the kernel loader and loads no scipy.
-
-BRUTE_FORCE_MAX = 9
-
-
-def brute_force_min(reds, blues) -> Matching:
-    """Exhaustive minimum over all permutations; independent oracle.
-
-    The permutations, in lexicographic order, are scored at once, each total
-    added column by column from 0.0 over the cost matrix's floats, not from
-    the solvers' kernel, and the first of least total is returned."""
-    reds = _two_columns(reds, "reds", float)
-    blues = _two_columns(blues, "blues", float)
-    n = len(reds)
-    if n != len(blues):
-        raise ValueError("size mismatch")
-    if n > BRUTE_FORCE_MAX:
-        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX}")
-    if n == 0:
-        return Matching(reds, blues, [])
-    cost = _pair_distances(reds[:, None], blues)
-    # in lexicographic order, those of range(k) are each first f followed by
-    # those of range(k - 1), their values from f up raised by one
-    perms = np.zeros((1, 0), np.int8)
-    for k in range(1, n + 1):
-        perms = np.concatenate([np.insert(perms + (perms >= f), 0, f, axis=1) for f in range(k)])
-    total = np.zeros(len(perms))
-    for i in range(n):
-        total += cost[i].take(perms[:, i])
-    return Matching(reds, blues, list(enumerate(perms[np.argmin(total)].tolist())))
-
-
 # --- Per-block oracle ------------------------------------------------------
 # The stages as they ran before the level tables: one block at a time, in
-# children order, from dict buckets of each block's points. Kept verbatim as
-# the oracle for the table-driven stages, which must give every record,
-# partner and unmatch-event count exactly.
+# children order, from dict buckets of each block's points, each block's
+# problem solved by ``oracles.min_cost_pairs``. The oracle for the
+# table-driven stages, which must give every record, partner and
+# unmatch-event count exactly on untied windows.
 
 @dataclasses.dataclass
 class OracleState:
@@ -752,8 +636,7 @@ def _link(state, ridx, bidx, pairs):
 def _match_max_cardinality(state, ridx, bidx):
     if len(ridx) == 0 or len(bidx) == 0:  # true in most unit squares: skip set-up
         return []
-    pairs = min_cost_pairs(state.ps.reds[ridx], state.ps.blues[bidx])
-    return _link(state, ridx, bidx, pairs)
+    return _link(state, ridx, bidx, min_cost_pairs(state.ps.reds[ridx], state.ps.blues[bidx]))
 
 
 def _window_block(ps, system):
@@ -801,10 +684,9 @@ def classify_dodgy(state, block):
 
 
 def _saturating_match(state, r1, b1, r2, b2):
-    pairs = min_cost_saturating(state.ps.reds[r1], state.ps.blues[b1],
-                                state.ps.reds[r2], state.ps.blues[b2])
-    return _link(state, np.concatenate([r1, r2]).astype(int),
-                 np.concatenate([b1, b2]).astype(int), pairs)
+    ridx, bidx = np.concatenate([r1, r2]).astype(int), np.concatenate([b1, b2]).astype(int)
+    pairs = min_cost_pairs(state.ps.reds[ridx], state.ps.blues[bidx], (len(r1), len(b1)))
+    return _link(state, ridx, bidx, pairs)
 
 
 def stage_n(state, block):
@@ -937,15 +819,6 @@ def test_hierarchy_solves_saturating_only_with_mandatory_points(monkeypatch):
     assert sizes and all(nr + nb > 0 for nr, nb in sizes)
 
 
-def _tied(cost):
-    """Whether the problem of matching each row of ``cost`` to a distinct
-    column has a runner-up within EPS_TIE of its least total, by enumerating
-    every injection; a total is the sum of its entries in row order."""
-    totals = sorted(sum(cost[i, j] for i, j in enumerate(perm))
-                    for perm in itertools.permutations(range(cost.shape[1]), len(cost)))
-    return len(totals) > 1 and totals[1] - totals[0] <= EPS_TIE
-
-
 def _record_small_solves(monkeypatch):
     """Watch the assignment layer while the hierarchy runs. Returns two
     lists: per problem that reaches the assignment kernel
@@ -954,9 +827,8 @@ def _record_small_solves(monkeypatch):
     are all of one color and None otherwise; and per problem the
     small-problem pass settles, recorded at its batches
     (``assignment._settle_batch``), (points on the small side, whether that
-    problem is tied), tied being None where a small side of two or more
-    points faces more than 8. A saturating problem is known by its padded
-    matrix (``assignment._pad``)."""
+    problem is tied). A saturating problem is known by its padded matrix
+    (``assignment._pad``)."""
     calls, settled, padded = [], [], []
     kernel, pad, settle = assignment._assign, assignment._pad, assignment._settle_batch
 
@@ -977,8 +849,7 @@ def _record_small_solves(monkeypatch):
         for g in groups.tolist():
             S = pts[small[small_start[g]:small_start[g + 1]]]
             L = pts[large[large_start[g]:large_start[g + 1]]]
-            settled.append((len(S), _tied(cdist(S, L)) if len(S) == 1 or len(L) <= 8
-                            else None))
+            settled.append((len(S), tied(S, L)))
 
     monkeypatch.setattr(assignment, "_assign", solving)
     monkeypatch.setattr(assignment, "_pad", padding)
@@ -1035,26 +906,9 @@ def test_tied_small_blocks_are_settled_by_the_pass(monkeypatch, system):
     assert all(size is None or size > SMALL_MAX for _, size in calls), calls
 
 
-# --- The grouped exact solves against the single-problem solves --------------
-# assign_in_groups must give every problem the partners, and the assignment
-# kernel the cost matrix, bit for bit, of the single-problem solves above.
-
-def _one_by_one(kind, reds, red_start, blues, blue_start, must=(), skip=()):
-    """assign_in_groups' partner array, problem by problem; the problems
-    ``skip`` are left unmatched."""
-    partner = np.full(len(reds), -1, dtype=np.int64)
-    for g in sorted(set(range(len(red_start) - 1)) - set(skip)):
-        a, b = red_start[g], blue_start[g]
-        r, bl = reds[a:red_start[g + 1]], blues[b:blue_start[g + 1]]
-        if kind == RECTANGULAR:
-            pairs = min_cost_pairs(r, bl)
-        else:
-            mr, mb = must[0][g], must[1][g]
-            pairs = min_cost_saturating(r[:mr], bl[:mb], r[mr:], bl[mb:])
-        for i, j in pairs:
-            partner[a + i] = b + j
-    return partner
-
+# --- The grouped exact solves against the oracle's one-problem solves -------
+# assign_in_groups must give every untied problem the oracle's partners, and
+# a tied one a least matching.
 
 def _batch(rng, sizes, lattice):
     """Groups of the given (reds, blues) sizes laid end to end: points of the
@@ -1104,33 +958,28 @@ def _small_problems(kind, reds, red_start, blues, blue_start, must=()):
 
 
 def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=()):
-    """Partners of assign_in_groups against the single solves': the same
-    for every problem the small-problem pass leaves, whose kernel inputs
-    are theirs too, and for every problem it settles without a tie
-    (``_tied``); a tied one gets a least matching, with as many pairs and a
-    total within EPS_TIE. The pass, recorded at its batches
+    """Partners of assign_in_groups against the oracle's one-problem solves:
+    the same for every problem that is not tied, and a least matching for a
+    tied one (``cases.check_solve``). The pass, recorded at its batches
     (``assignment._settle_batch``), must be offered exactly the small
     problems, in one pass: one set of point lists, its batches taking the
-    problems in order. Returns the kernel inputs, the problems the pass
-    settled (all it was offered), and the tied ones among them."""
-    def recorder(seen, solve):
-        def recording(cost):
-            seen.append(np.array(cost))
-            return solve(cost)
-        return recording
-
-    batches, settle = [], assignment._settle_batch
+    problems in order. Every other problem with
+    a pair to make reaches the kernel, with its cost matrix in the solver's
+    row order (``assignment._scattered``): the smaller side's rows, the reds
+    where the sides are equal, or the padded matrix, BIG in its forbidden
+    cells. Returns the kernel inputs, the problems the pass settled (all it
+    was offered), and the tied problems."""
+    batches, settle, inputs, solve = [], assignment._settle_batch, [], assignment._assign
 
     def settling(pts, small, small_start, large, large_start, groups, n_reds, partner):
         settle(pts, small, small_start, large, large_start, groups, n_reds, partner)
         batches.append((pts[small], small_start, pts[large], large_start, groups))
 
-    got_inputs, want_inputs = [], []
-    monkeypatch.setattr(assignment, "_assign", recorder(got_inputs, assignment._assign))
+    monkeypatch.setattr(assignment, "_assign", lambda cost: inputs.append(np.array(cost))
+                        or solve(cost))
     monkeypatch.setattr(assignment, "_settle_batch", settling)
     got = assign_in_groups(kind, reds, red_start, blues, blue_start, *must)
     monkeypatch.undo()
-    want = _one_by_one(kind, reds, red_start, blues, blue_start, must)
     settled, small, large = _small_problems(kind, reds, red_start, blues, blue_start, must)
     assert bool(batches) == (len(settled) > 0)
     if batches:
@@ -1141,25 +990,21 @@ def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=(
         assert np.array_equal(large_pts, np.concatenate(large))
         assert np.diff(small_start).tolist() == [len(x) for x in small]
         assert np.diff(large_start).tolist() == [len(x) for x in large]
-    tied = [g for g, S, L in zip(settled, small, large) if _tied(cdist(S, L))]
+    tied_problems, want_inputs = [], []
     for g in range(len(red_start) - 1):
-        a, a1 = red_start[g], red_start[g + 1]
-        if g not in tied:
-            assert np.array_equal(got[a:a1], want[a:a1]), g
-            continue
-        edges = [[(i, j) for i, j in enumerate(p[a:a1].tolist()) if j >= 0] for p in (got, want)]
-        lengths = [Matching(reds[a:a1], blues, e) for e in edges]
-        assert len(edges[0]) == len(edges[1])
-        assert {j for _, j in edges[0]} <= set(range(blue_start[g], blue_start[g + 1]))
-        assert abs(lengths[0].total_length - lengths[1].total_length) <= EPS_TIE
-    monkeypatch.setattr(sys.modules[__name__], "linear_sum_assignment",
-                        recorder(want_inputs, linear_sum_assignment))
-    _one_by_one(kind, reds, red_start, blues, blue_start, must, skip=settled)
-    monkeypatch.undo()
-    assert len(got_inputs) == len(want_inputs)
-    for a, b in zip(got_inputs, want_inputs):
+        a, a1, b0 = red_start[g], red_start[g + 1], blue_start[g]
+        r, b = reds[a:a1], blues[b0:blue_start[g + 1]]
+        m = (int(must[0][g]), int(must[1][g])) if kind == SATURATING else None  # as oracles take it
+        pairs = [(i, j - b0) for i, j in enumerate(got[a:a1].tolist()) if j >= 0]
+        if check_solve(r, b, pairs, m):
+            tied_problems.append(g)
+        if (sum(m) if m else len(r) * len(b)) and g not in settled:  # a pair for the kernel
+            cost = cost_matrix(r, b, m) if m or len(r) <= len(b) else cost_matrix(b, r)
+            want_inputs.append(np.where(np.isinf(cost), BIG, cost)[assignment._scattered(len(cost))])
+    assert len(inputs) == len(want_inputs)
+    for a, b in zip(inputs, want_inputs):
         assert a.shape == b.shape and np.array_equal(a, b)
-    return got_inputs, settled, tied
+    return inputs, settled, tied_problems
 
 
 def _sizes(rng, groups, square=False, largest=12):
@@ -1253,7 +1098,7 @@ class TestAssignInGroups:
             reds, rs, blues, bs = _batch(rng, sizes, (np.arange(8) % 3 == 0).tolist())
             must = _must(rng, rs, bs) if kind == SATURATING else ()
             monkeypatch.setattr(assignment, "_spare", [np.full(spare, np.nan)])
-            # partners and kernel inputs against the fresh one-problem solves
+            # partners and kernel inputs against the oracle's one-problem solves
             inputs, *_ = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
             assert len(inputs) >= 6
 

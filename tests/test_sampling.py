@@ -4,6 +4,7 @@ import pytest
 from poisson_matching.geometry import Domain
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig, canonical_order,
                                        derived_rng, sample)
+from oracles import scalar_is_parallel_free
 
 
 def test_determinism_same_seed():
@@ -42,7 +43,6 @@ def test_poisson_mean_clt_band():
 
 
 def test_small_samples_parallel_free():
-    from test_geometry import scalar_is_parallel_free
     for s in range(5):
         ps = sample(SampleConfig(1.0, 1.0, Domain.plane(0, 4, 0, 4), seed=s))
         pts = np.concatenate([ps.reds, ps.blues])

@@ -1,0 +1,34 @@
+"""The layout of the tests: the oracles share no code with the package they
+check, and no test module imports another (shared code is in ``oracles.py``
+and ``cases.py``)."""
+
+import ast
+import pathlib
+
+from poisson_matching import assignment, geometry
+
+TESTS = pathlib.Path(__file__).parent
+
+
+def _imported(path):
+    """The top-level packages and modules ``path`` imports, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield (node.module or ".").partition(".")[0]
+
+
+def test_no_test_module_imports_another():
+    assert [(path.name, name) for path in sorted(TESTS.glob("test_*.py"))
+            for name in _imported(path) if name.startswith("test_")] == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    # nor from cases.py, which does
+    assert not {"poisson_matching", "cases"} & set(_imported(TESTS / "oracles.py"))
+
+
+def test_oracle_tolerances_are_the_packages():
+    import oracles  # here, so a missing oracles.py fails this test, not the module
+    assert (oracles.EPS_TIE, oracles.EPS_GEOM) == (assignment.EPS_TIE, geometry.EPS_GEOM)

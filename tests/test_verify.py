@@ -5,8 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from poisson_matching import verify
 from poisson_matching.arcs import ArcSpec
@@ -23,9 +21,9 @@ from poisson_matching.verify import (_arc_arrays, _box_pairs, _pairwise_hits,
                                      minimality_certificate, minimality_certificate_d1)
 from poisson_matching.walks import (excursion_matching, laminate_strips, one_color_pairing,
                                     polygonal_arcs, zero_block_matching)
-from test_geometry import Point, Segment, scalar_edge_crosses_region, scalar_segments_intersect
-from test_hierarchy import brute_force_min, hierarchical_case
-from test_walks import _rematched, replaced, table_of
+from cases import assert_cycle_witness, hierarchical_case, rematched, replaced, table_of
+from oracles import (Overlap, Point, Segment, brute_force_min, dense_hits, min_cost_pairs,
+                     scalar_edge_crosses_region)
 
 
 def square_ps(seed, side=20.0, lam=1.0):
@@ -84,42 +82,6 @@ def _matching_segments(m):
     return [Segment(Point(*a), Point(*b)) for a, b in zip(p, q)]
 
 
-def _dense_hits(segs, skip_same_group=None):
-    """The all-pairs scan the sweep replaced, kept verbatim as the oracle:
-    n x n orientation arrays, then confirmation in (i, j) order by the
-    scalar oracle ``scalar_segments_intersect``, independent of the
-    package's array predicate."""
-    n = len(segs)
-    if n < 2:
-        return []
-    P = np.asarray([[s.a.x, s.a.y] for s in segs])
-    Q = np.asarray([[s.b.x, s.b.y] for s in segs])
-
-    def cross3(A, B, C):
-        return ((B[:, None, 0] - A[:, None, 0]) * (C[None, :, 1] - A[:, None, 1])
-                - (B[:, None, 1] - A[:, None, 1]) * (C[None, :, 0] - A[:, None, 0]))
-
-    d1 = cross3(P, Q, P)  # orient(Pi,Qi,Pj)
-    d2 = cross3(P, Q, Q)
-
-    def sgn(d):
-        return (d > EPS_GEOM).astype(np.int8) - (d < -EPS_GEOM).astype(np.int8)
-
-    s1, s2 = sgn(d1), sgn(d2)
-    s3, s4 = s1.T, s2.T
-    proper = (s1 * s2 == -1) & (s3 * s4 == -1)
-    touchy = (s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0)
-    candidate = proper | touchy
-    hits = []
-    ii, jj = np.nonzero(np.triu(candidate, k=1))
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if skip_same_group is not None and skip_same_group[i] == skip_same_group[j]:
-            continue
-        if scalar_segments_intersect(segs[i], segs[j]):
-            hits.append((i, j))
-    return hits
-
-
 def _sweep_hits(segs, skip_same_group=None):
     """The sweep on the segments' endpoint arrays, called like the oracle."""
     P = np.asarray([s.a for s in segs], dtype=float).reshape(-1, 2)
@@ -135,10 +97,10 @@ def _arc_pieces(arcs):
 
 
 def _outcome(scan, segs, groups=None):
-    """The hit list, or the DegenerateGeometryError message."""
+    """The hit list, or the overlap error's message."""
     try:
         return scan(segs, groups)
-    except DegenerateGeometryError as e:
+    except (DegenerateGeometryError, Overlap) as e:
         return ("degenerate", str(e))
 
 
@@ -190,7 +152,7 @@ def _assert_same_as_dense(families):
     find hits somewhere, so the family cannot pass vacuously."""
     found = 0
     for segs, groups in families:
-        want = _outcome(_dense_hits, segs, groups)
+        want = _outcome(dense_hits, segs, groups)
         assert _outcome(_sweep_hits, segs, groups) == want
         found += len(want) if isinstance(want, list) else 0
     assert found > 0
@@ -210,7 +172,7 @@ class TestSweepAgainstDenseScan:
                     for _ in range(40)]
         _assert_same_as_dense(families)
         kinds = {_touch(segs[i], segs[j]) for segs, _ in families
-                 for i, j in _dense_hits(segs)}
+                 for i, j in dense_hits(segs)}
         assert {"shared endpoint", "t-junction"} <= kinds
 
     def test_random_lattice_segments(self):
@@ -221,7 +183,7 @@ class TestSweepAgainstDenseScan:
                                .astype(float).tolist()), None) for _ in range(200)]
         _assert_same_as_dense(families)
         raised = [segs for segs, _ in families
-                  if isinstance(_outcome(_dense_hits, segs), tuple)]
+                  if isinstance(_outcome(dense_hits, segs), tuple)]
         assert 0 < len(raised) < len(families)
 
     @pytest.mark.parametrize("coords", [
@@ -233,9 +195,9 @@ class TestSweepAgainstDenseScan:
     ])
     def test_collinear_overlap_raises_on_both(self, coords):
         segs = _segments([tuple(map(float, c)) for c in coords])
-        with pytest.raises(DegenerateGeometryError):
-            _dense_hits(segs)
-        assert _outcome(_sweep_hits, segs) == _outcome(_dense_hits, segs)
+        with pytest.raises(Overlap):
+            dense_hits(segs)
+        assert _outcome(_sweep_hits, segs) == _outcome(dense_hits, segs)
 
     def test_first_degenerate_pair_in_index_order_raises(self):
         # two overlaps: (1, 2) lies leftmost, so the sweep meets it first,
@@ -244,24 +206,24 @@ class TestSweepAgainstDenseScan:
                           (1.0, 0.0, 3.0, 0.0), (11.0, 11.0, 13.0, 13.0)])
         want = ("degenerate", "collinear segments with overlapping interiors: "
                 f"{segs[0]} / {segs[3]}")
-        assert _outcome(_dense_hits, segs) == want
+        assert _outcome(dense_hits, segs) == want
         assert _outcome(_sweep_hits, segs) == want
         # exempt by owner, the first overlap gives way to the second
         groups = [0, 1, 2, 0]
-        assert _outcome(_sweep_hits, segs, groups) == _outcome(_dense_hits, segs, groups)
+        assert _outcome(_sweep_hits, segs, groups) == _outcome(dense_hits, segs, groups)
         assert f"{segs[1]} / {segs[2]}" in _outcome(_sweep_hits, segs, groups)[1]
 
     def test_collinear_touch_and_gap(self):
         touch = _segments([(0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 3.0, 3.0)])
         gap = _segments([(0.0, 0.0, 1.0, 1.0), (1.5, 1.5, 3.0, 3.0)])
-        assert _sweep_hits(touch) == _dense_hits(touch) == [(0, 1)]
-        assert _sweep_hits(gap) == _dense_hits(gap) == []
+        assert _sweep_hits(touch) == dense_hits(touch) == [(0, 1)]
+        assert _sweep_hits(gap) == dense_hits(gap) == []
 
     def test_near_flat_crossing(self):
         # the chords cross at (1, 1e-9) with every determinant tiny, and
         # their boxes are 2e-9 tall
         segs = _segments([(0.0, 0.0, 2.0, 2e-9), (0.0, 2e-9, 2.0, 0.0)])
-        assert _sweep_hits(segs) == _dense_hits(segs) == [(0, 1)]
+        assert _sweep_hits(segs) == dense_hits(segs) == [(0, 1)]
 
     def test_touch_within_eps_across_box_edges(self):
         # a vertical EPS_GEOM / 4 right of a horizontal's end, and a
@@ -270,7 +232,7 @@ class TestSweepAgainstDenseScan:
         gap = 1.0 + EPS_GEOM / 4
         segs = _segments([(0.0, 0.0, 1.0, 0.0), (gap, 0.0, gap, 1.0),
                           (5.0, 0.0, 5.0, 1.0), (4.0, gap, 6.0, gap)])
-        assert _sweep_hits(segs) == _dense_hits(segs) == [(0, 1), (2, 3)]
+        assert _sweep_hits(segs) == dense_hits(segs) == [(0, 1), (2, 3)]
 
     def test_owner_groups(self):
         rng = derived_rng(34)
@@ -281,7 +243,7 @@ class TestSweepAgainstDenseScan:
             families.append((segs, None))
         _assert_same_as_dense(families)
         # grouping really removes hits
-        assert any(len(_dense_hits(s, g)) < len(_dense_hits(s))
+        assert any(len(dense_hits(s, g)) < len(dense_hits(s))
                    for s, g in families[::2])
 
     @pytest.mark.parametrize("chunk", [1, 7, 100])
@@ -391,7 +353,7 @@ class TestReportsPinned:
         for seed in range(3):
             m, arcs = _crossing_arcs(seed)
             segs, owner = _arc_pieces(arcs)
-            raw = _dense_hits(segs, owner)
+            raw = dense_hits(segs, owner)
             found += len(raw)
             report = check_arc_disjointness(arcs).to_json()
             assert report["violations"] == [{"arcs": [owner[i], owner[j]]} for i, j in raw]
@@ -404,7 +366,7 @@ class TestReportsPinned:
             assert planar.trials == len(arcs) * (len(arcs) - 1) // 2
             chords = check_planarity(m)
             assert chords.violations == [{"edges": [i, j]} for i, j in
-                                         _dense_hits(_matching_segments(m))]
+                                         dense_hits(_matching_segments(m))]
             assert chords.trials == len(m.edges) * (len(m.edges) - 1) // 2
         assert found > 0
 
@@ -593,26 +555,6 @@ class TestArcDisjointness:
             assert check_arc_disjointness(arcs).passed
 
 
-def assert_cycle_witness(m, rep=None):
-    """``minimality_certificate`` fails ``m`` (``rep``, its report, if given)
-    on one cycle of distinct edges, from the least, whose rematch, each red
-    taking the next edge's partner, shortens the matching by more than
-    EPS_TIE: by its ``change``, summed again here with math.hypot. Returns
-    the witness."""
-    rep = minimality_certificate(m) if rep is None else rep
-    assert not rep.passed and rep.property_name == "minimality_cycles"
-    n = len(m._edge_array())
-    assert rep.trials == n * (n - 1) and len(rep.violations) == 1
-    v = rep.violations[0]
-    e = v["edges"]
-    assert len(set(e)) == len(e) >= 2 and e[0] == min(e) and max(e) < n
-    p, q = m.endpoint_arrays()
-    change = math.fsum(math.hypot(*(p[a] - q[b])) - math.hypot(*(p[a] - q[a]))
-                       for a, b in zip(e, e[1:] + e[:1]))
-    assert v["change"] == pytest.approx(change, abs=1e-12) and change < -EPS_TIE
-    return v
-
-
 class TestCycleCertificate:
     def test_passes_exactly_at_the_brute_force_minimum(self):
         # every size up to 7, on uniform points and on 3 x 3 lattices, whose
@@ -629,7 +571,7 @@ class TestCycleCertificate:
             m = (min_cost_perfect(reds, blues) if trial % 4 == 0 else
                  Matching(reds, blues, list(enumerate(rng.permutation(n).tolist()))))
             rep = minimality_certificate(m)
-            least = brute_force_min(reds, blues).total_length
+            _, least = brute_force_min(reds, blues)
             assert rep.passed == (m.total_length <= least + EPS_TIE)
             if not rep.passed:
                 assert_cycle_witness(m, rep)
@@ -649,7 +591,7 @@ class TestCycleCertificate:
         v = assert_cycle_witness(m)
         assert v["edges"] == [0, 2, 1, 3]
         assert m.total_length + v["change"] == pytest.approx(
-            brute_force_min(reds, blues).total_length)
+            brute_force_min(reds, blues)[1])
 
     @pytest.mark.parametrize("gain", [5e-10, 3e-10, 2.2e-10, 1.8e-10, 1e-10, 0.0])
     def test_a_two_cycle_fails_past_its_slack_of_two_eps_tie_over_n(self, gain):
@@ -675,8 +617,8 @@ class TestCycleCertificate:
         for seed in range(4):
             ps = sample(SampleConfig(1, 1, Domain.line(0, 150), seed=seed))
             m = excursion_matching(ps)
-            for case in (m, _rematched(m, [3, 40], [40, 3]),
-                         _rematched(m, [3, 20, 40], [20, 40, 3]), zero_block_matching(ps)):
+            for case in (m, rematched(m, [3, 40], [40, 3]),
+                         rematched(m, [3, 20, 40], [20, 40, 3]), zero_block_matching(ps)):
                 rep = minimality_certificate(case)
                 assert rep.passed == minimality_certificate_d1(case).passed
                 if not rep.passed:
@@ -686,8 +628,8 @@ class TestCycleCertificate:
         ps, n = balanced(square_ps(5, side=8.0))
         m = min_cost_perfect(ps.reds[:n], ps.blues[:n])
         assert n > 40 and minimality_certificate(m).passed
-        assert_cycle_witness(_rematched(m, [3, 40], [40, 3]))
-        assert_cycle_witness(_rematched(m, [3, 20, 40], [20, 40, 3]))
+        assert_cycle_witness(rematched(m, [3, 40], [40, 3]))
+        assert_cycle_witness(rematched(m, [3, 20, 40], [20, 40, 3]))
 
     def test_hierarchy_matching_fails(self):
         # the N=4 hierarchy of seed 0 is no min-cost matching of its edges' ends
@@ -727,7 +669,7 @@ class TestCycleCertificate:
         for n in (300, 1000):
             rng = derived_rng(89, n)
             m = min_cost_perfect(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (n, 2)))
-            cases += [m, _rematched(m, [3, 100, 250], [100, 250, 3])]
+            cases += [m, rematched(m, [3, 100, 250], [100, 250, 3])]
         for length, seed in ((3000, 3), (6000, 0)):
             cases.append(excursion_matching(sample(SampleConfig(
                 1, 1, Domain.strip(0, length), seed=seed))))
@@ -974,8 +916,6 @@ class TestBoxRematch:
             for t in (1.0, 2.0, 4.0):
                 res = box_rematch_experiment(ps, m, t)
                 assert res.length_after <= res.length_before + 1e-9
-                # and no cell of the oracle lengthens its own edges
-                assert all(imp >= -1e-9 for imp in _box_rematch_loop(ps, m, t)[0])
 
     def test_optimal_matching_is_fixed_point(self):
         ps, n = balanced(square_ps(3, side=6.0))
@@ -1003,30 +943,10 @@ class TestBoxRematch:
             box_rematch_experiment(ps, m, t=t)
 
 
-def _min_cost_perfect(reds, blues):
-    """min_cost_perfect as a single-problem solve, independent of the
-    package's grouped one: public ``cdist`` and ``linear_sum_assignment``,
-    the rows in golden-ratio order."""
-    reds, blues = np.asarray(reds, float).reshape(-1, 2), np.asarray(blues, float).reshape(-1, 2)
-    n = len(reds)
-    order = np.argsort(np.arange(n) * ((math.sqrt(5.0) - 1.0) / 2.0) % 1.0, kind="stable")
-    assign = np.empty(n, dtype=int)
-    assign[order] = linear_sum_assignment(cdist(reds[order], blues))[1]
-    return Matching(reds, blues, list(enumerate(assign.tolist())))
-
-
-def _added(values):
-    """``values`` added one by one from 0.0, in order."""
-    total = 0.0
-    for x in values:
-        total += x
-    return total
-
-
 def _box_rematch_loop(ps, m, t):
     """box_rematch_experiment as a plain loop over the edges, kept verbatim
-    as the oracle for the grouped version, with its own single-problem
-    solve: (improvements, new edges)."""
+    as the oracle for the grouped version, each cell solved by the oracle's
+    single-problem solve: (cells rematched, new edges)."""
     d = ps.domain
     cell_of = {}
     for k, (i, j) in enumerate(m.edges):
@@ -1036,30 +956,25 @@ def _box_rematch_loop(ps, m, t):
         if cr == cb:
             cell_of.setdefault(cr, []).append(k)
     new_edges = list(m.edges)
-    improvements = []
     for cell, ks in sorted(cell_of.items()):
         ridx = [m.edges[k][0] for k in ks]
         bidx = [m.edges[k][1] for k in ks]
-        before = _added(math.hypot(*(ps.reds[i] - ps.blues[j])) for i, j in zip(ridx, bidx))
-        sub = _min_cost_perfect(ps.reds[ridx], ps.blues[bidx])
-        after = sub.total_length
-        improvements.append(before - after)
-        for (a, b) in sub.edges:
+        for a, b in min_cost_pairs(ps.reds[ridx], ps.blues[bidx]):
             new_edges[ks[a]] = (ridx[a], bidx[b])
-    return improvements, new_edges
+    return len(cell_of), new_edges
 
 
 class TestBoxRematchAgainstLoop:
     @staticmethod
     def _same(ps, m, t):
         res = box_rematch_experiment(ps, m, t)
-        improvements, edges = _box_rematch_loop(ps, m, t)
-        assert res.cells_rematched == len(improvements)
+        cells, edges = _box_rematch_loop(ps, m, t)
+        assert res.cells_rematched == cells
         assert res.matching.edges == edges
         # bit-identical totals: the oracle's matching summed in edge order
         assert res.length_before == m.total_length
         assert res.length_after == Matching(ps.reds, ps.blues, edges).total_length
-        return len(improvements)
+        return cells
 
     def test_random_matchings(self):
         rng = np.random.default_rng(71)

@@ -7,7 +7,7 @@ import pytest
 
 from poisson_matching import assignment
 from poisson_matching.arcs import ArcSpec, ArcTable
-from poisson_matching.assignment import SMALL_MAX, max_cardinality_min_cost, min_cost_perfect
+from poisson_matching.assignment import SMALL_MAX, min_cost_perfect
 from poisson_matching.geometry import Domain, Rect
 from poisson_matching.matching import Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
@@ -19,7 +19,8 @@ from poisson_matching.walks import (StepWalk, WalkInvariantError, build_walk, cr
                                     excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs,
                                     zero_block_matching)
-from test_hierarchy import min_cost_pairs as kernel_pairs
+from cases import rematched, replaced, table_of
+from oracles import least_line_cost, min_cost_pairs
 
 
 def strip_ps(red_xs, blue_xs, length=10.0, heights=0.5):
@@ -220,38 +221,29 @@ class TestCutTimeMatching:
                 assert x <= cuts[0] or x > cuts[-1]
 
 
-# The block constructions as they were when every block built a Matching
-# (empty cut blocks included); the oracle for the partner-array path.
+def _per_block(ps, cuts):
+    """The edges of the oracle's solve of each block between consecutive
+    ``cuts``, one problem per block."""
+    rc, bc = walks._interval_cuts(ps, cuts)
+    return sorted((int(r0 + i), int(b0 + j)) for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:])
+                  for i, j in min_cost_pairs(ps.reds[r0:r1], ps.blues[b0:b1]))
 
 
-def _old_zero_block_matching(ps):
+def _zero_blocks(ps):
     walk = build_walk(ps)
-    zero_xs = walk.xs[walk.values == 0]
-    rc, bc = walks._interval_cuts(ps, np.concatenate([[ps.domain.x0], zero_xs]))
-    edges = []
-    for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
-        sub = min_cost_perfect(ps.reds[r0:r1], ps.blues[b0:b1])
-        edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
-    return Matching(ps.reds, ps.blues, sorted(edges))
+    return np.concatenate([[ps.domain.x0], walk.xs[walk.values == 0]])
 
 
-def _old_cut_time_matching(ps):
-    rc, bc = walks._interval_cuts(ps, cut_times(build_walk(ps)))
-    edges = []
-    for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:]):
-        sub = max_cardinality_min_cost(ps.reds[r0:r1], ps.blues[b0:b1])
-        edges.extend((int(r0 + i), int(b0 + j)) for i, j in sub.edges)
-    return Matching(ps.reds, ps.blues, sorted(edges))
-
-
-@pytest.mark.parametrize("construction, old, lam_red", [
-    (zero_block_matching, _old_zero_block_matching, 1.0),
-    (cut_time_matching, _old_cut_time_matching, 1.2)], ids=["zero_block", "cut_time"])
-def test_block_edges_equal_per_block_matchings(construction, old, lam_red):
+@pytest.mark.parametrize("construction, blocks, lam_red", [
+    (zero_block_matching, _zero_blocks, 1.0),
+    (cut_time_matching, lambda ps: cut_times(build_walk(ps)), 1.2)],
+    ids=["zero_block", "cut_time"])
+def test_block_edges_equal_per_block_matchings(construction, blocks, lam_red):
+    # Poisson windows: no block is tied, so its edges are the oracle's
     empty = 0
     for seed in range(10):
         ps = sample(SampleConfig(lam_red, 1.0, Domain.strip(0, 300), seed=seed))
-        got, want = construction(ps), old(ps)
+        got, want = construction(ps), Matching(ps.reds, ps.blues, _per_block(ps, blocks(ps)))
         assert got.edges == want.edges and got.kind == want.kind
         assert got.unmatched_reds == want.unmatched_reds
         assert got.unmatched_blues == want.unmatched_blues
@@ -264,23 +256,18 @@ def test_block_edges_equal_per_block_matchings(construction, old, lam_red):
 def test_cut_time_small_blocks_skip_the_kernel(monkeypatch):
     # the cut blocks with one to three blues are the small-problem pass's:
     # only the larger ones reach the assignment kernel, each with its blues
-    # as the rows, and the edges are the per-block solves through the public
-    # scipy functions
+    # as the rows (the edges are test_block_edges_equal_per_block_matchings')
     rows, kernel = [], assignment._assign
     monkeypatch.setattr(assignment, "_assign", lambda cost: rows.append(len(cost)) or kernel(cost))
     small = []
     for seed in range(10):
         ps = sample(SampleConfig(1.2, 1.0, Domain.strip(0, 300), seed=seed))
         rows.clear()
-        got = cut_time_matching(ps)
+        cut_time_matching(ps)
         rc, bc = walks._interval_cuts(ps, cut_times(build_walk(ps)))
         blues = np.diff(bc)
         assert sorted(rows) == sorted(blues[blues > SMALL_MAX].tolist())
         small += blues[(blues > 0) & (blues <= SMALL_MAX)].tolist()
-        want = sorted((int(r0 + i), int(b0 + j))
-                      for r0, r1, b0, b1 in zip(rc, rc[1:], bc, bc[1:])
-                      for i, j in kernel_pairs(ps.reds[r0:r1], ps.blues[b0:b1]))
-        assert got.edges == want
     assert len(small) >= 10 and set(small) == set(range(1, SMALL_MAX + 1))
 
 
@@ -457,19 +444,6 @@ def _reference_arcs(m, ps):
                       (float(b[0]), h), (float(b[0]), float(b[1]))],
         ))
     return arcs
-
-
-def replaced(row, **fields):
-    """A copy of the frozen row ``row`` with ``fields`` changed."""
-    return type(row)(**{**vars(row), **fields})
-
-
-def table_of(rows):
-    """The ``ArcTable`` of ``ArcSpec`` rows, built from their columns."""
-    rows = list(rows)
-    return ArcTable([a.edge for a in rows], [a.height for a in rows],
-                    [a.lowest for a in rows], [a.depth for a in rows],
-                    [a.vertices for a in rows])
 
 
 def _left_to_right_matching(ps, rng, reach=6):
@@ -700,24 +674,6 @@ class TestCrossingProfile:
                 assert profile_value_at(base, t) <= profile_value_at(prof, t)
 
 
-def least_line_cost(m):
-    """The integral of |S| over the line, S being the edges' first ends minus
-    their second ends to the left: the least cost of matching those ends."""
-    p, q = m.endpoint_arrays()
-    xs = np.concatenate([p[:, 0], q[:, 0]])
-    order = np.argsort(xs, kind="stable")
-    s = np.cumsum(np.repeat([1, -1], len(p))[order])
-    return float(np.sum(np.abs(s[:-1]) * np.diff(xs[order])))
-
-
-def _rematched(m, positions, partners):
-    """``m`` with the edges at ``positions`` given the partners of the edges
-    at ``partners``."""
-    e = m._edge_array().copy()
-    e[positions, 1] = e[partners, 1]
-    return Matching(m.reds, m.blues, e)
-
-
 class TestMinimalityCertificate:
     def _assert_witness(self, rep, m, changed=()):
         """One witness: a gap the certificate counts, where more edges than
@@ -743,7 +699,7 @@ class TestMinimalityCertificate:
             ps = sample(SampleConfig(1, 1, Domain.line(0, 80), seed=seed))
             m = excursion_matching(ps)
             assert minimality_certificate_d1(m).passed
-            assert m.total_length == pytest.approx(least_line_cost(m), abs=1e-9)
+            assert m.total_length == pytest.approx(least_line_cost(*m.endpoint_arrays()), abs=1e-9)
 
     def test_zero_block_matching_minimal(self):
         # zero blocks below the axis start with a blue, so their edges run in
@@ -776,13 +732,13 @@ class TestMinimalityCertificate:
         ps = sample(SampleConfig(1, 1, Domain.line(0, 1e4), seed=seed))
         m = excursion_matching(ps)
         assert minimality_certificate_d1(m).passed
-        bad = _rematched(m, [10, 500], [500, 10])
+        bad = rematched(m, [10, 500], [500, 10])
         self._assert_witness(minimality_certificate_d1(bad), bad, changed=(10, 500))
 
     def test_three_cycle_caught(self):
         ps = sample(SampleConfig(1, 1, Domain.line(0, 200), seed=7))
         m = excursion_matching(ps)
-        bad = _rematched(m, [3, 20, 40], [20, 40, 3])
+        bad = rematched(m, [3, 20, 40], [20, 40, 3])
         self._assert_witness(minimality_certificate_d1(bad), bad, changed=(3, 20, 40))
 
     def test_reports_gaps_checked(self):
