@@ -136,9 +136,10 @@ def _make_domain(kind: str, window: str) -> Domain:
 
 
 class InputErrorCommand(click.Command):
-    """Command that reports invalid flag values and malformed input files as
-    usage errors (exit 2) under its own usage line, instead of tracebacks,
-    and an ``--out`` in no directory, or that is one, before its work."""
+    """Command that reports invalid flag values, malformed input files and
+    a failed allocation as usage errors (exit 2) under its own usage line,
+    instead of tracebacks, and an ``--out`` in no directory, or that is one,
+    before its work."""
 
     def invoke(self, ctx):
         out = ctx.params.get("out")
@@ -153,6 +154,9 @@ class InputErrorCommand(click.Command):
             raise click.UsageError(f"input is missing the key {e}", ctx) from e
         except ValueError as e:  # includes json.JSONDecodeError
             raise click.UsageError(str(e), ctx) from e
+        except MemoryError as e:  # numpy's names the array it could not allocate
+            raise click.UsageError(f"out of memory: {str(e) or 'an allocation failed'}",
+                                   ctx) from e
 
 
 class InputErrorGroup(click.Group):

@@ -4,8 +4,12 @@ Verification reports carry explicit violation witnesses; statistics reports
 (average edge length, crossing counts) are diagnostics and never assert
 infinite-volume claims. The arc verifiers flatten an ``ArcTable``'s vertex
 column into segments (``_arc_arrays``) and share one segment-hit list per
-table (``_arc_hits``). Edge lengths are totalled in order, never by the
-builtin ``sum`` (``matching._in_order``).
+table (``_arc_hits``). Edge lengths have two totals: ``estimate_eta`` adds
+a window's lengths one by one from 0.0, in order (``matching._in_order``,
+never the builtin ``sum``, which rounds otherwise since Python 3.12), while
+``box_rematch_experiment``'s two totals, like ``Matching.total_length``, are
+numpy's pairwise ``.sum()`` of ``matching._lengths``, as is a cycle
+witness's ``change``.
 """
 
 from __future__ import annotations

@@ -1,19 +1,15 @@
 """Inputs and checkers that more than one test module shares and that call
 the package; the independent oracles are in ``oracles.py``."""
 
-import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
 from poisson_matching.arcs import ArcTable
 from poisson_matching.assignment import EPS_TIE
-from poisson_matching.geometry import Domain
-from poisson_matching.hierarchy import (BlockSystem, aligned_window, build_block_system,
-                                        init_state, run_hierarchical)
+from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
 from poisson_matching.matching import Matching
-from poisson_matching.sampling import ColoredPointSet, SampleConfig, sample
+from poisson_matching.sampling import SampleConfig, sample
 from poisson_matching.verify import minimality_certificate
 from oracles import min_cost_pairs, tied
 
@@ -22,21 +18,6 @@ def hierarchical_case(seed, N=4, lam=1.0):
     system = build_block_system(seed, N)
     ps = sample(SampleConfig(lam, lam, aligned_window(system), seed))
     return system, ps, run_hierarchical(ps, seed, N, system=system)
-
-
-def heir_share(n):
-    """The share of the offset vectors r, 0 <= r[m] < m(m-1) for m = 2..n+1,
-    under which the unit cell [0, 1)^2 lies in the heir of its level-(n+1)
-    block, counted exactly: per vector, one point in that cell, in the
-    window of that block, and the level tables' heir flag."""
-    vectors = list(itertools.product(*(range(m * (m - 1)) for m in range(2, n + 2))))
-    hits = 0
-    for tail in vectors:
-        system = BlockSystem.from_offsets([0, 0, *tail])
-        window = system.rects(n + 1, system.locate(n + 1, [[0, 0]]))[0].tolist()
-        ps = ColoredPointSet(Domain.plane(*window), [[0.5, 0.5]], [], seed=0)
-        hits += bool(init_state(ps, system).levels[n + 1].red.in_heir[0])
-    return Fraction(hits, len(vectors))
 
 
 def least_like(reds, blues, got, want, must=None) -> None:

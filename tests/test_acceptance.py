@@ -4,6 +4,7 @@ The lines are written to the real stdout so they appear even under pytest's
 default capture.
 """
 
+import itertools
 import json
 import math
 import time
@@ -18,7 +19,7 @@ from poisson_matching.geometry import Disk, Domain
 from poisson_matching.matching import Matching
 from poisson_matching.hierarchy import (BlockSystem, ChernoffParams, aligned_window,
                                         build_block_system, chernoff_bound, chernoff_tail,
-                                        run_hierarchical)
+                                        init_state, run_hierarchical)
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
 from poisson_matching.verify import (box_rematch_experiment,
@@ -28,8 +29,7 @@ from poisson_matching.verify import (box_rematch_experiment,
 from poisson_matching.walks import (build_walk, cut_times,
                                     cut_time_matching, excursion_matching,
                                     polygonal_arcs, zero_block_matching)
-from cases import heir_share
-from oracles import brute_force_min, least_line_cost
+from oracles import brute_force_min, least_line_cost, scalar_is_parallel_free
 
 
 def _line(capfd, num, name, ok, detail=""):
@@ -49,8 +49,8 @@ def test_criterion_01_oracle_equivalence(capfd):
             reds = rng.uniform(0, 1, size=(n, 2))
             blues = rng.uniform(0, 1, size=(n, 2))
             fast = min_cost_perfect(reds, blues)
-            _, least = brute_force_min(reds, blues)
-            if abs(fast.total_length - least) > 1e-9:
+            edges, least = brute_force_min(reds, blues)
+            if fast.edges != edges or abs(fast.total_length - least) > 1e-9:
                 failures.append((n, trial))
     elapsed = time.process_time() - t0
     ok = not failures and elapsed < 10.0
@@ -70,6 +70,10 @@ def test_criterion_02_min_cost_planarity(capfd):
             rng = derived_rng(200, n, seed)
             reds = rng.uniform(0, 1, size=(n, 2))
             blues = rng.uniform(0, 1, size=(n, 2))
+            # in general position, as the claim needs: no two point pairs
+            # span parallel vectors (checked on the first 20 points)
+            if n <= 20 and not scalar_is_parallel_free(np.concatenate([reds, blues])[:20]):
+                failures.append((n, seed, "parallel pairs"))
             m = min_cost_perfect(reds, blues)
             cert = minimality_certificate(m)
             certified += cert.passed
@@ -193,9 +197,25 @@ def test_criterion_05_bad_free_window_with_excess():
     assert any(rec.new_edges for rec in state.records[2])  # stage 3 rematched
 
 
+def _heir_share(n):
+    """The share of the offset vectors r, 0 <= r[m] < m(m-1) for m = 2..n+1,
+    under which the unit cell [0, 1)^2 lies in the heir of its level-(n+1)
+    block, counted exactly: per vector, one point in that cell, in the
+    window of that block, and the level tables' heir flag."""
+    vectors = list(itertools.product(*(range(m * (m - 1)) for m in range(2, n + 2))))
+    hits = 0
+    for tail in vectors:
+        system = BlockSystem.from_offsets([0, 0, *tail])
+        window = system.rects(n + 1, system.locate(n + 1, [[0, 0]]))[0].tolist()
+        ps = ColoredPointSet(Domain.plane(*window), [[0.5, 0.5]], [], seed=0)
+        hits += bool(init_state(ps, system).levels[n + 1].red.in_heir[0])
+    return Fraction(hits, len(vectors))
+
+
 def test_criterion_06_heir_probability(capfd):
     t0 = time.perf_counter()
-    shares = {n: heir_share(n) for n in (1, 2, 3)}
+    # a level-(n+1) block has n(n+1) children, one of them its heir
+    shares = {n: _heir_share(n) for n in (1, 2, 3)}
     failures = [(n, share) for n, share in shares.items() if share != Fraction(1, n * (n + 1))]
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 30.0
@@ -226,17 +246,21 @@ def test_criterion_08_box_rematch(capfd):
     dom = Domain.plane(0.0, 2.0, 0.0, 2.0)
     ps = ColoredPointSet(dom, [[0.0, 0.0], [1.0, 0.0]],
                          [[1.0, 1.0], [0.0, 1.0]], seed=0)
+    # both diagonals (blues are canonically sorted: blue 0 = (0,1), blue 1 = (1,1));
+    # the rematch leaves the two unit sides, planar
     m = Matching(ps.reds, ps.blues, [(0, 1), (1, 0)])
     res = box_rematch_experiment(ps, m, t=2.0)
-    if abs(res.improvement - (2 * math.sqrt(2) - 2)) > 1e-9:
-        failures.append(("crossed square", res.improvement))
+    if abs(res.improvement - (2 * math.sqrt(2) - 2)) > 1e-9 \
+            or abs(res.length_after - 2.0) > 1e-9 or not check_planarity(res.matching).passed:
+        failures.append(("crossed square", res.improvement, res.length_after))
     # boundary-crossing edges come back unchanged
     dom = Domain.plane(0.0, 4.0, 0.0, 4.0)
     ps = ColoredPointSet(dom, [[0.5, 0.5], [1.5, 1.5]],
                          [[3.5, 0.5], [1.5, 0.5]], seed=0)
     m = Matching(ps.reds, ps.blues, [(0, 0), (1, 1)])
-    if (0, 0) not in box_rematch_experiment(ps, m, t=2.0).matching.edges:
-        failures.append("boundary edge rewired")
+    res = box_rematch_experiment(ps, m, t=2.0)
+    if (0, 0) not in res.matching.edges or res.improvement != 0.0:
+        failures.append(("boundary edge rewired", res.improvement))
     # total length never increases on random suboptimal matchings
     for seed in range(10):
         full = sample(SampleConfig(1.0, 1.0, Domain.plane(0, 10, 0, 10),
@@ -286,11 +310,17 @@ def test_criterion_09_cli_determinism_and_round_trips(capfd, tmp_path):
         run_twice(["stats", "--in", str(match), "--kind", "eta"], "s.json")
     run_twice(["match", "--construction", "hierarchical", "--seed", "9",
                "--stages", "3"], "h.json")
-    run_twice(["sweep", "--lambdas", "2,8", "--ratios", "0.5,1.0"], "sweep.csv")
+    sweep = run_twice(["sweep", "--lambdas", "2,8", "--ratios", "0.5,1.0"], "sweep.csv")
+    if sweep:
+        # csv.writer's excel dialect: every row, the last too, ends in CRLF
+        lines = sweep.read_bytes().split(b"\r\n")
+        if lines[0] != b"lambda,mu,tail,bound,pass" or len(lines) != 6 \
+                or lines[-1] != b"" or b"\n" in b"".join(lines):
+            failures.append(("sweep csv", lines))
     # JSON round trips reproduce the stored documents exactly
     if pts:
         d = json.loads(pts.read_text())
-        if ColoredPointSet.from_json(d).to_json() != d:
+        if ColoredPointSet.from_json(d).to_json() != d or d["format"] != 1:
             failures.append("point-set round trip")
     if match:
         d = json.loads(match.read_text())

