@@ -147,13 +147,16 @@ def _kernel(key: str):
     return function
 
 
-def _pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _pair_distances(p: np.ndarray, q: np.ndarray, out=(None, None)) -> np.ndarray:
     """Distance from each point of ``p`` to the point of ``q`` it meets when
     the two (..., 2) arrays broadcast, so ``p[:, None]`` against ``q`` gives
     the whole cost matrix: the float ``cdist`` gives for the pair, bit for
     bit, as both sum the squared differences in coordinate order and take
-    the root (``np.hypot`` rounds differently)."""
-    dx, dy = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]  # no (..., 2) difference array
+    the root (``np.hypot`` rounds differently). ``out``, two arrays of the
+    broadcast shape, takes the work in place of fresh ones, and its first
+    is returned."""
+    dx = np.subtract(q[..., 0], p[..., 0], out=out[0])  # no (..., 2) difference array
+    dy = np.subtract(q[..., 1], p[..., 1], out=out[1])
     dx *= dx
     dy *= dy
     dx += dy

@@ -31,10 +31,11 @@ unmatch that are matched at the end.
 
 A stage keeps its records as per-block columns on its level table, with its
 new edges' partners read when it runs (a later heir unmatch overwrites the
-partner arrays). No row object is kept: each read of ``StageState.records``
-builds, per stage run, a tuple of ``BlockRecord`` rows from the columns in
-one pass. Most blocks of the lower levels hold a point or two, so one object
-per block made up much of a run's time.
+partner arrays). Every reader takes the columns. ``StageState.records`` is a
+row view that only the benchmark reads: each read builds, per stage run, a
+tuple of ``BlockRecord`` rows of six columns in one pass. No row object is
+kept, since most blocks of the lower levels hold a point or two, and one
+object per block made up much of a run's time.
 
 ``bad_block_bound`` is twice ``chernoff_bound``, defined here beside
 ``chernoff_tail``, the exact tail that the bound bounds.
@@ -205,14 +206,13 @@ def bad_block_bound(system: BlockSystem, n: int) -> float:
 
 
 class BlockRecord(_Frozen):
-    """One block after its stage: a row of ``StageState.records``."""
+    """One block after its stage: a row of ``StageState.records``, with the
+    level table's columns that the benchmark reads."""
 
     def __init__(self, key: Tuple[int, int, int], n_red: int, n_blue: int, unmatched: int,
-                 bad: bool, dodgy: bool, new_edges: List[Tuple[int, int]],
-                 unmatched_in_heir: Optional[bool], new_edges_in_heirs: Optional[bool]):
+                 bad: bool, dodgy: bool):
         vars(self).update(key=key, n_red=n_red, n_blue=n_blue, unmatched=unmatched, bad=bad,
-                          dodgy=dodgy, new_edges=new_edges, unmatched_in_heir=unmatched_in_heir,
-                          new_edges_in_heirs=new_edges_in_heirs)
+                          dodgy=dodgy)
 
 
 class ColorTable:
@@ -245,10 +245,10 @@ class ColorTable:
 class LevelTable:
     """The window's level-n blocks in children order, each color's points'
     rows among them, and its per-block columns, None until stage n runs
-    (``_keep_columns``), which ``_block_records`` reads. ``new_edges`` holds
-    the (red, blue) pairs the stage made, grouped by block with offsets
-    ``new_start``, as they were when the stage ran (a later stage may
-    unmatch them); the two heir flags are None at level 1."""
+    (``_keep_columns``). ``new_edges`` holds the (red, blue) pairs the stage
+    made, grouped by block with offsets ``new_start``, as they were when the
+    stage ran (a later stage may unmatch them); the two heir flags are None
+    at level 1."""
 
     def __init__(self, n: int, cells: np.ndarray, red: ColorTable, blue: ColorTable):
         self.n = n
@@ -260,21 +260,12 @@ class LevelTable:
 
 
 def _block_records(lv: LevelTable) -> Tuple[BlockRecord, ...]:
-    """Level ``lv``'s stage columns as ``BlockRecord`` rows, one per block
-    in children order, built in one pass."""
-    pairs = list(zip(*lv.new_edges.T.tolist()))
-    bounds = lv.new_start.tolist()
-    none = [None] * len(lv.cells)
-    heir_flags = [none if col is None else col.tolist()
-                  for col in (lv.unmatched_in_heir, lv.new_edges_in_heirs)]
+    """Level ``lv``'s key, count, bad and dodgy columns as ``BlockRecord``
+    rows, one per block in children order, built in one pass."""
     columns = zip(lv.cells.tolist(), lv.red.count(lv.red.row >= 0).tolist(),
                   lv.blue.count(lv.blue.row >= 0).tolist(), lv.unmatched.tolist(), lv.bad.tolist(),
-                  lv.dodgy.tolist(), bounds[:-1], bounds[1:], *heir_flags)
-    return tuple(BlockRecord(key=(lv.n, ix, iy), n_red=nr, n_blue=nb, unmatched=u,
-                             bad=is_bad, dodgy=is_dodgy, new_edges=pairs[s0:s1],
-                             unmatched_in_heir=in_heir, new_edges_in_heirs=confined)
-                 for (ix, iy), nr, nb, u, is_bad, is_dodgy, s0, s1, in_heir, confined
-                 in columns)
+                  lv.dodgy.tolist())
+    return tuple(BlockRecord((lv.n, ix, iy), *counts) for (ix, iy), *counts in columns)
 
 
 def _level_tables(ps: ColoredPointSet, system: BlockSystem, cells: Dict[int, np.ndarray],
@@ -326,7 +317,7 @@ class StageState:
     @property
     def records(self) -> List[Tuple[BlockRecord, ...]]:
         """Per stage run so far, its level's block records, built anew at
-        each read (``_block_records``)."""
+        each read (``_block_records``): the row view the benchmark reads."""
         return [_block_records(self.levels[n]) for n in range(1, self.stage + 1)]
 
     def to_matching(self) -> Matching:

@@ -241,23 +241,25 @@ def minimality_certificate(m: Matching) -> VerificationReport:
     since their last scan (every row at first): each round takes them in
     index order, in blocks of at most ROW_BLOCK rows and DISTANCE_BLOCK
     distances (one row where n is larger), computes the block's distance
-    rows afresh with ``_pair_distances`` (no scipy), relaxes them against
-    the labels as they stood at the block's start, and marks the rows whose
-    label fell. Labels only fall, so a row that is not stale lowers no label
-    and skipping it is exact; the search ends with a round that leaves no
-    stale row. After a block that moved a label, once ROW_BLOCK rows have
+    rows afresh with ``_pair_distances`` (no scipy) into the one pair of
+    block buffers that every block reuses, relaxes them against the labels
+    as they stood at the block's start, and marks the rows whose label
+    fell. Labels only fall, so a row that is not stale lowers no label and
+    skipping it is exact; the search ends with a round that leaves no stale
+    row. After a block that moved a label, once ROW_BLOCK rows have
     been relaxed since the last look, it looks for a cycle of predecessors.
-    No temporary exceeds a block's distances, so a large n makes no (n, n)
-    array. ``trials`` counts arcs."""
+    No temporary exceeds a block buffer's distances, so a large n makes no
+    (n, n) array. ``trials`` counts arcs."""
     p, q = m.endpoint_arrays()
     n, own = len(p), _pair_distances(p, q)
     label, pred, stale = np.zeros(n), np.full(n, n), np.ones(n, dtype=bool)  # n: no predecessor
     step, relaxed = min(ROW_BLOCK, max(1, DISTANCE_BLOCK // max(n, 1))), 0  # rows per block
+    buffers = np.empty((2, step, n))
     while len(rows := np.flatnonzero(stale)):
         for r0 in range(0, len(rows), step):
             block = rows[r0:r0 + step]
             stale[block], relaxed = False, relaxed + len(block)
-            reach = _pair_distances(p[block, None], q)
+            reach = _pair_distances(p[block, None], q, out=buffers[:, :len(block)])
             reach += (label[block] - own[block] + EPS_TIE / n)[:, None]
             least = reach.min(axis=0)
             k = np.flatnonzero(least < label)

@@ -78,14 +78,20 @@ def rematched(m, positions, partners):
     return Matching(m.reds, m.blues, e)
 
 
-def replaced(row, **fields):
-    """A copy of the frozen row ``row`` with ``fields`` changed."""
-    return type(row)(**{**vars(row), **fields})
+def arc_rows(table):
+    """The arcs of ``table``, read from its columns, as (edge, height,
+    lowest, depth, vertices) tuples of plain numbers: an edge as [red, blue]
+    and the vertices as four [x, y] lists."""
+    return list(zip(table.edges.tolist(), table.height.tolist(), table.lowest.tolist(),
+                    table.depth.tolist(), table.vertices.tolist()))
 
 
 def table_of(rows):
-    """The ``ArcTable`` of ``ArcSpec`` rows, built from their columns."""
-    rows = list(rows)
-    return ArcTable([a.edge for a in rows], [a.height for a in rows],
-                    [a.lowest for a in rows], [a.depth for a in rows],
-                    [a.vertices for a in rows])
+    """The ``ArcTable`` of (edge, height, lowest, depth, vertices) rows."""
+    return ArcTable(*(list(zip(*rows)) or [()] * 5))
+
+
+def arc_json(table):
+    """The arc objects a result file holds for ``table``, from its columns."""
+    return [dict(zip(("edge", "height", "lowest", "depth", "vertices"), row))
+            for row in arc_rows(table)]

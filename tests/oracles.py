@@ -178,8 +178,8 @@ class Point(NamedTuple):
 
 class Segment(NamedTuple):
     """A segment as the scalar oracles take it. A plain pair of vertex
-    tuples, as ``ArcSpec.segments`` lists them, compares equal to it, and
-    it reads as the package's overlap message names a segment."""
+    tuples compares equal to it, and it reads as the package's overlap
+    message names a segment."""
 
     a: Point
     b: Point

@@ -148,15 +148,17 @@ def _hierarchical_failures(tag, ps, m, diag, state, N):
     for i, j in m.edges:
         if not (window.contains(ps.reds[i]) and window.contains(ps.blues[j])):
             failures.append((tag, f"edge leaves level-{N} block", (i, j)))
-    for n, recs in zip(range(1, N + 1), state.records):
-        for rec in recs:
-            if rec.unmatched != abs(rec.n_red - rec.n_blue):
-                failures.append((tag, n, rec.key, "unmatched != |excess|"))
-            if n >= 2 and not rec.bad and not rec.unmatched_in_heir:
-                failures.append((tag, n, rec.key, "unmatched outside heir"))
-            if n >= 3 and not rec.bad and not rec.dodgy \
-                    and not rec.new_edges_in_heirs:
-                failures.append((tag, n, rec.key, "new edges outside heirs"))
+    for n in range(1, N + 1):
+        lv = state.levels[n]
+        n_red, n_blue = (np.bincount(t.row[t.row >= 0], minlength=len(lv.cells))
+                         for t in (lv.red, lv.blue))
+        wrong = {"unmatched != |excess|": lv.unmatched != np.abs(n_red - n_blue)}
+        if n >= 2:
+            wrong["unmatched outside heir"] = ~lv.bad & ~lv.unmatched_in_heir
+        if n >= 3:
+            wrong["new edges outside heirs"] = ~lv.bad & ~lv.dodgy & ~lv.new_edges_in_heirs
+        for what, rows in wrong.items():
+            failures += [(tag, n, (n, ix, iy), what) for ix, iy in lv.cells[rows].tolist()]
     bad_free = sum(diag["levels"][n]["bad_count"] for n in diag["levels"]) == 0
     if bad_free and (len(m.unmatched_reds) + len(m.unmatched_blues)
                      != abs(ps.n_red - ps.n_blue)):
@@ -194,7 +196,7 @@ def test_criterion_05_bad_free_window_with_excess():
     failures, bad_free = _hierarchical_failures("handcrafted", ps, m, diag, state, 3)
     assert bad_free and not failures, failures
     assert len(m.unmatched_reds) == 1 and not m.unmatched_blues
-    assert any(rec.new_edges for rec in state.records[2])  # stage 3 rematched
+    assert len(state.levels[3].new_edges)  # stage 3 rematched
 
 
 def _heir_share(n):

@@ -23,6 +23,7 @@ from poisson_matching.geometry import Domain
 from poisson_matching.matching import Matching
 from poisson_matching.render import render_scene
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
+from cases import arc_json
 
 
 @pytest.fixture
@@ -1315,7 +1316,7 @@ def _list_form(ps, m, arcs=None, diagnostics=None) -> dict:
     """The result ``_result_json`` describes, with every row list a list."""
     out = {"format": cli.FORMAT_VERSION, "points": ps.to_json(), "matching": m.to_json()}
     if arcs is not None:
-        out["arcs"] = [a.to_json() for a in arcs]
+        out["arcs"] = arc_json(arcs)
     if diagnostics is not None:
         out["diagnostics"] = diagnostics
     return out
@@ -1382,7 +1383,7 @@ def test_percent_r_is_json_for_finite_floats_and_ints(pairs, edges, arcs):
     obj = {"a": floats, "empty": floats[:0], "keyed": keyed,
            "b": {"c": {"edges": ints, "arcs": table, "none": empty}, "keyed": keyed}}
     want = {"a": floats.tolist(), "empty": [], "keyed": keyed,
-            "b": {"c": {"edges": ints.tolist(), "arcs": [a.to_json() for a in table],
+            "b": {"c": {"edges": ints.tolist(), "arcs": arc_json(table),
                         "none": []}, "keyed": keyed}}
     assert "".join(cli._json_chunks(obj, 0)) == json.dumps(want, indent=1, sort_keys=True)
 

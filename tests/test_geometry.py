@@ -295,8 +295,9 @@ class TestFrozenValues:
         assert a != (a,) and len({a, b, other}) == 2
 
 
-# the row types, which their list fields leave unhashable: a row, a field
-# name, another row of the type, and the row's repr, fields in order
+# the row types the benchmark reads, ArcSpec's list field leaving it
+# unhashable: a row, a field name, another row of the type, and the row's
+# repr, fields in order
 VERTICES = [(0.0, 1.0), (0.0, 0.25), (1.0, 0.25), (1.0, 0.5)]
 ROWS = {
     "ArcSpec": (lambda: ArcSpec(edge=(0, 1), height=0.25, lowest=0.5, depth=2, vertices=VERTICES),
@@ -304,15 +305,12 @@ ROWS = {
                 ArcSpec(edge=(0, 1), height=0.25, lowest=0.5, depth=1, vertices=VERTICES),
                 f"ArcSpec(edge=(0, 1), height=0.25, lowest=0.5, depth=2, vertices={VERTICES!r})"),
     "BlockRecord": (lambda: BlockRecord(key=(2, 0, 1), n_red=3, n_blue=2, unmatched=1, bad=False,
-                                        dodgy=True, new_edges=[(4, 5)], unmatched_in_heir=True,
-                                        new_edges_in_heirs=None),
-                    "new_edges",
+                                        dodgy=True),
+                    "bad",
                     BlockRecord(key=(2, 0, 1), n_red=3, n_blue=2, unmatched=1, bad=True,
-                                dodgy=True, new_edges=[(4, 5)], unmatched_in_heir=True,
-                                new_edges_in_heirs=None),
+                                dodgy=True),
                     "BlockRecord(key=(2, 0, 1), n_red=3, n_blue=2, unmatched=1, bad=False, "
-                    "dodgy=True, new_edges=[(4, 5)], unmatched_in_heir=True, "
-                    "new_edges_in_heirs=None)"),
+                    "dodgy=True)"),
 }
 
 

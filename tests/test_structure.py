@@ -1,6 +1,7 @@
 """The layout of the tests: the oracles share no code with the package they
 check, no test module imports another (shared code is in ``oracles.py``
-and ``cases.py``), and ``cases.py`` holds only what two modules share."""
+and ``cases.py``), ``cases.py`` holds only what two modules share, and only
+the row-view tests read the row types that the benchmark reads."""
 
 import ast
 import pathlib
@@ -53,3 +54,33 @@ def test_every_shared_case_has_two_users():
             for callee in _read(node) & set(helpers) - {name}:
                 users[callee] |= users[name]
     assert {name: sorted(found) for name, found in users.items() if len(found) < 2} == {}
+
+
+# per module, the tests of the row views (``StageState.records`` and
+# iterating an ``ArcTable``), which the benchmark reads: a class, a function
+# or an assignment of that name
+ROW_VIEW_TESTS = {"test_hierarchy.py": {"TestBlockRecordsView"}, "test_walks.py": {"TestArcTable"},
+                  "test_geometry.py": {"ROWS", "test_rows_are_frozen_values"}}
+
+
+def _outside(node, skip):
+    """The nodes below ``node``, less the classes, functions and assignments
+    named in ``skip`` and everything below them."""
+    for child in ast.iter_child_nodes(node):
+        names = {getattr(child, "name", None)} | {
+            target.id for target in getattr(child, "targets", ()) if isinstance(target, ast.Name)}
+        if not names & skip:
+            yield child
+            yield from _outside(child, skip)
+
+
+def test_only_the_row_view_tests_read_rows():
+    # every other test reads the level and arc tables' columns
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in _outside(ast.parse(path.read_text()), ROW_VIEW_TESTS.get(path.name, set())):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in {"ArcSpec", "BlockRecord"} or name == "records" and isinstance(
+                    node, ast.Attribute):
+                found.append((path.name, node.lineno, name))
+    assert found == []

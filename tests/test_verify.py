@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from poisson_matching import verify
-from poisson_matching.arcs import ArcSpec
+from poisson_matching.arcs import ArcTable
 from poisson_matching.assignment import EPS_TIE, _stable_order, min_cost_perfect
 from poisson_matching.geometry import EPS_GEOM, DegenerateGeometryError, Disk, Domain, Rect
 from poisson_matching.hierarchy import ChernoffParams, chernoff_tail
@@ -21,7 +21,7 @@ from poisson_matching.verify import (_arc_arrays, _box_pairs, _pairwise_hits,
                                      minimality_certificate, minimality_certificate_d1)
 from poisson_matching.walks import (excursion_matching, laminate_strips, one_color_pairing,
                                     polygonal_arcs, zero_block_matching)
-from cases import assert_cycle_witness, hierarchical_case, rematched, replaced, table_of
+from cases import arc_rows, assert_cycle_witness, hierarchical_case, rematched, table_of
 from oracles import (Overlap, Point, Segment, brute_force_min, dense_hits, min_cost_pairs,
                      scalar_edge_crosses_region)
 
@@ -90,9 +90,10 @@ def _sweep_hits(segs, skip_same_group=None):
 
 
 def _arc_pieces(arcs):
-    """Every ``ArcSpec.segments`` piece of the arcs, and its arc's index."""
-    pieces = [(Segment(Point(*a), Point(*b)), k) for k, arc in enumerate(arcs)
-              for a, b in arc.segments()]
+    """Every piece of the table's arcs, from each vertex to the next less
+    the zero-length ones, and its arc's index."""
+    pieces = [(Segment(Point(*a), Point(*b)), k) for k, (*_, vertices) in enumerate(arc_rows(arcs))
+              for a, b in zip(vertices, vertices[1:]) if a != b]
     return [s for s, _ in pieces], [k for _, k in pieces]
 
 
@@ -303,8 +304,7 @@ def _crossing_arcs(seed, n=80, length=40.0):
     arcs = []
     for (rx, ry), (bx, by), h in zip(reds.tolist(), blues.tolist(),
                                      rng.uniform(0.0, 0.2, n).tolist()):
-        arcs.append(ArcSpec(edge=(len(arcs), len(arcs)), height=h, lowest=h,
-                            depth=1, vertices=[(rx, ry), (rx, h), (bx, h), (bx, by)]))
+        arcs.append(((len(arcs), len(arcs)), h, h, 1, [(rx, ry), (rx, h), (bx, h), (bx, by)]))
     return m, table_of(arcs)
 
 
@@ -341,7 +341,7 @@ class TestReportsPinned:
         ps = ColoredPointSet(Domain.strip(0, 10), reds=[[1, 0.8], [2, 0.7], [6, 0.5]],
                              blues=[[3, 0.9], [4, 0.5], [7, 0.5]], seed=0)
         m = Matching(ps.reds, ps.blues, [(0, 0), (1, 1), (2, 2)])
-        rows = list(polygonal_arcs(m, ps))
+        rows = arc_rows(polygonal_arcs(m, ps))
         table = table_of([rows[2], rows[0], rows[1]])
         assert check_arc_disjointness(table).violations == [{"arcs": [1, 2]}]
         assert check_planarity(m, arcs=table).to_json() == {
@@ -378,11 +378,12 @@ def _strip_arcs(seed, length=150.0):
 
 
 def _arc(vertices):
-    return ArcSpec(edge=(0, 0), height=0.5, lowest=1.0, depth=1, vertices=vertices)
+    return (0, 0), 0.5, 1.0, 1, vertices
 
 
 class TestArcArrays:
-    """``_arc_arrays`` against the pieces that ``ArcSpec.segments`` lists."""
+    """``_arc_arrays`` against the pieces that a loop over each arc's
+    vertices lists (``_arc_pieces``)."""
 
     @staticmethod
     def _check(arcs):
@@ -405,14 +406,6 @@ class TestArcArrays:
         _, _, arcs = laminate_strips([_strip_arcs(seed, 60.0) for seed in range(3)],
                                      shift=0.4)
         assert 0 < self._check(arcs) < 3 * len(arcs)
-
-    def test_rows_list_the_flattened_pieces(self):
-        # a row's segments are the table's pieces: perfbench counts the
-        # verifiers' segments (verify.segments) from the rows
-        strip = _strip_arcs(1)[2]
-        laminate = laminate_strips([_strip_arcs(seed, 60.0) for seed in range(2)], shift=0.3)[2]
-        for table in (strip, laminate):
-            assert sum(len(a.segments()) for a in table) == len(_arc_arrays(table)[0]) > 0
 
     def test_no_arcs(self):
         assert self._check(table_of([])) == 0
@@ -473,39 +466,39 @@ class TestSharedArcHits:
         _, good_m, good = _strip_arcs(0)
         assert not check_arc_disjointness(crossed).passed
         # a copy of a table finds its hits afresh and reports alike
-        twin = table_of(crossed)
+        twin = table_of(arc_rows(crossed))
         assert check_planarity(m, arcs=twin).to_json() == check_planarity(m, arcs=crossed).to_json()
         assert check_arc_disjointness(good).passed
         assert check_planarity(good_m, arcs=good).passed
         # tables made and dropped in turn each report their own hits
         for k in range(20):
-            t = table_of(crossed) if k % 2 else table_of(good)
+            t = table_of(arc_rows(crossed if k % 2 else good))
             assert check_arc_disjointness(t).passed == (k % 2 == 0)
             del t
 
 
-def _tampered(rows, how, n_reds):
-    """The arc rows of a matching, changed so that they no longer draw it."""
-    rows = list(rows)
-    first, second = rows[0], rows[1]
+def _tampered(arcs, how, n_reds):
+    """The table ``arcs`` of a matching, its columns changed so that it no
+    longer draws the matching."""
+    edges, vertices, keep = arcs.edges.copy(), arcs.vertices.copy(), np.arange(len(arcs))
     if how == "empty":
-        return []
-    if how == "one_missing":
-        return rows[:-1]
-    if how == "moved":
-        return [replaced(a, vertices=[(x + 1000.0, y) for x, y in a.vertices]) for a in rows]
-    if how == "end_moved":
-        rows[0] = replaced(first, vertices=[*first.vertices[:3], (
-            first.vertices[3][0], first.vertices[3][1] - 0.01)])
+        keep = keep[:0]
+    elif how == "one_missing":
+        keep = keep[:-1]
+    elif how == "moved":
+        vertices[:, :, 0] += 1000.0
+    elif how == "end_moved":
+        vertices[0, 3, 1] -= 0.01
     elif how == "reversed":
-        rows[0] = replaced(first, vertices=first.vertices[::-1])
+        vertices[0] = vertices[0, ::-1].copy()
     elif how == "not_an_edge":
-        rows[0] = replaced(first, edge=(first.edge[0], second.edge[1]))
+        edges[0, 1] = edges[1, 1]
     elif how == "red_out_of_range":
-        rows[0] = replaced(first, edge=(n_reds, first.edge[1]))
+        edges[0, 0] = n_reds
     else:  # "twice"
-        rows[1] = first
-    return rows
+        keep[1] = 0
+    return ArcTable(edges[keep], arcs.height[keep], arcs.lowest[keep], arcs.depth[keep],
+                    vertices[keep])
 
 
 TAMPERINGS = ("empty", "one_missing", "moved", "end_moved", "reversed", "not_an_edge",
@@ -519,7 +512,7 @@ class TestArcsDrawTheMatching:
     def test_any_row_order_reports_alike(self):
         for seed in range(3):
             _, m, arcs = _strip_arcs(seed, 60.0)
-            rows = list(arcs)
+            rows = arc_rows(arcs)
             want = check_planarity(m, arcs=arcs).to_json()
             assert want["pass"] and want["trials"] == len(rows) * (len(rows) - 1) // 2
             order = derived_rng(seed, 3).permutation(len(rows)).tolist()
@@ -528,16 +521,16 @@ class TestArcsDrawTheMatching:
     def test_one_color_edges_are_found_by_their_first_red(self):
         ps = sample(SampleConfig(1, 1, Domain.strip(0, 40), 5))
         m = one_color_pairing(ps, 1)
-        rows = list(polygonal_arcs(m, ps))
-        rep = check_planarity(m, arcs=table_of(rows[::-1]))
-        assert rep.passed and rep.trials == len(rows) * (len(rows) - 1) // 2 > 0
+        arcs = polygonal_arcs(m, ps)
+        rep = check_planarity(m, arcs=table_of(arc_rows(arcs)[::-1]))
+        assert rep.passed and rep.trials == len(arcs) * (len(arcs) - 1) // 2 > 0
         with pytest.raises(ValueError):
-            check_planarity(m, arcs=table_of(_tampered(rows, "not_an_edge", ps.n_red)))
+            check_planarity(m, arcs=_tampered(arcs, "not_an_edge", ps.n_red))
 
     @pytest.mark.parametrize("how", TAMPERINGS)
     def test_arcs_that_draw_something_else_rejected(self, how):
         ps, m, arcs = _strip_arcs(1, 60.0)
-        tampered = table_of(_tampered(arcs, how, ps.n_red))
+        tampered = _tampered(arcs, how, ps.n_red)
         with pytest.raises(ValueError, match="arc") as rejected:
             check_planarity(m, arcs=tampered)
         # rejected as a drawing, not for the segments that overlap once drawn

@@ -11,7 +11,7 @@ from poisson_matching.assignment import SMALL_MAX, min_cost_perfect
 from poisson_matching.geometry import Domain, Rect
 from poisson_matching.matching import Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
-from poisson_matching.verify import (check_arc_disjointness, check_planarity,
+from poisson_matching.verify import (_arc_arrays, check_arc_disjointness, check_planarity,
                                      minimality_certificate_d1)
 from poisson_matching import walks
 from poisson_matching.walks import (StepWalk, WalkInvariantError, build_walk, crossing_profile,
@@ -19,7 +19,7 @@ from poisson_matching.walks import (StepWalk, WalkInvariantError, build_walk, cr
                                     excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs,
                                     zero_block_matching)
-from cases import rematched, replaced, table_of
+from cases import arc_json, arc_rows, rematched, table_of
 from oracles import min_cost_pairs
 
 
@@ -352,9 +352,9 @@ class TestPolygonalArcs:
     def test_single_edge_depth_one(self):
         ps = strip_ps([1], [2], heights=0.6)
         m = excursion_matching(ps)
-        (arc,) = polygonal_arcs(m, ps)
-        assert arc.depth == 1
-        assert arc.height == pytest.approx(0.6)
+        arcs = polygonal_arcs(m, ps)
+        assert arcs.depth.tolist() == [1]
+        assert arcs.height.tolist() == [pytest.approx(0.6)]
 
     def test_nested_outer_runs_lower(self):
         ps = strip_ps([1, 2, 3, 4], [], heights=0.8)
@@ -362,11 +362,11 @@ class TestPolygonalArcs:
                              reds=[[1, 0.8], [2, 0.8]],
                              blues=[[3, 0.8], [4, 0.8]], seed=0)
         m = excursion_matching(ps)
-        arcs = {a.edge: a for a in polygonal_arcs(m, ps)}
-        outer = arcs[(0, 1)]
-        inner = arcs[(1, 0)]
-        assert outer.depth == 2 and inner.depth == 1
-        assert outer.height < inner.height
+        arcs = polygonal_arcs(m, ps)
+        row = {tuple(edge): k for k, edge in enumerate(arcs.edges.tolist())}
+        outer, inner = row[0, 1], row[1, 0]
+        assert arcs.depth[outer] == 2 and arcs.depth[inner] == 1
+        assert arcs.height[outer] < arcs.height[inner]
 
     def test_arcs_disjoint_on_random_strip(self):
         ps = sample(SampleConfig(1, 1, Domain.strip(0, 100), seed=3))
@@ -401,8 +401,9 @@ class TestPolygonalArcs:
 
 
 def _reference_arcs(m, ps):
-    """The per-edge loop the range queries replaced, kept verbatim: an O(n)
-    mask over all points and a prefix sum per edge."""
+    """The per-edge loop the range queries replaced: an O(n) mask over all
+    points and a prefix sum per edge. Returns each arc as ``cases.arc_rows``
+    reads it from a table."""
     walk = build_walk(ps)
     vals = walk.values
     allpts = np.concatenate([ps.reds, ps.blues]) if ps.n_red + ps.n_blue else np.empty((0, 2))
@@ -422,11 +423,8 @@ def _reference_arcs(m, ps):
         if depth < 1:
             raise AssertionError("edge interval must contain the red's up-step")
         h = lowest / depth
-        arcs.append(ArcSpec(
-            edge=(i, j), height=h, lowest=lowest, depth=depth,
-            vertices=[(float(r[0]), float(r[1])), (float(r[0]), h),
-                      (float(b[0]), h), (float(b[0]), float(b[1]))],
-        ))
+        arcs.append(([i, j], h, lowest, depth, [[float(r[0]), float(r[1])], [float(r[0]), h],
+                                                [float(b[0]), h], [float(b[0]), float(b[1])]]))
     return arcs
 
 
@@ -444,8 +442,8 @@ def _left_to_right_matching(ps, rng, reach=6):
 
 
 def _same_arcs(got, want):
-    assert [a.to_json() for a in got] == [a.to_json() for a in want]
-    assert all(type(a.lowest) is float and type(a.depth) is int for a in got)
+    """The table ``got`` holds the reference loop's arcs ``want``, in order."""
+    assert arc_rows(got) == want
 
 
 class TestArcsAgainstLoop:
@@ -465,7 +463,7 @@ class TestArcsAgainstLoop:
             m = _left_to_right_matching(ps, rng)
             want = _reference_arcs(m, ps)
             _same_arcs(polygonal_arcs(m, ps), want)
-            depths.update(a.depth for a in want)
+            depths.update(depth for _, _, _, depth, _ in want)
         assert len(depths) > 3
 
     def test_hand_built(self):
@@ -511,27 +509,35 @@ class TestArcTable:
                 col[0] = 0
 
     def test_rows_equal_the_reference_loop(self):
+        # tuple edges, lists of vertex tuples and plain numbers, which
+        # ArcSpec.to_json writes as they are
         for seed in range(3):
             ps, m, t = self._arcs(seed)
-            want = _reference_arcs(m, ps)
-            assert list(t) == want  # tuple edges and vertices, plain numbers
+            want = [ArcSpec(tuple(edge), height, lowest, depth, list(map(tuple, vertices)))
+                    for edge, height, lowest, depth, vertices in _reference_arcs(m, ps)]
+            rows = list(t)
+            assert rows == want
+            assert all(type(v) is int for a in rows for v in (*a.edge, a.depth))
+            assert all(type(v) is float for a in rows
+                       for v in (a.height, a.lowest, *(c for xy in a.vertices for c in xy)))
 
     def test_rows_and_json_build_the_same_table(self):
         _, _, t = self._arcs(4)
         rows = [a.to_json() for a in t]
-        for again in (table_of(t), ArcTable.from_json(rows),
+        assert rows == arc_json(t)
+        for again in (table_of(arc_rows(t)), ArcTable.from_json(rows),
                       ArcTable.from_json(json.loads(json.dumps(rows)))):
             for name in ("edges", "height", "lowest", "depth", "vertices"):
                 a, b = getattr(again, name), getattr(t, name)
                 assert np.array_equal(a, b) and a.dtype == b.dtype
-        # a row of numpy scalars writes plain numbers in every field
-        vertices = np.array([(0.0, 1.0), (0.0, 0.5), (1.0, 0.5), (1.0, 1.0)])
-        row = ArcSpec(edge=(np.int64(0), np.int64(0)), height=np.float64(0.5),
-                      lowest=np.float64(1.0), depth=np.int64(1),
-                      vertices=[tuple(v) for v in vertices])
-        plain = row.to_json()
-        assert json.loads(json.dumps(plain)) == plain
-        assert [type(plain[k]) for k in ("height", "lowest", "depth")] == [float, float, int]
+
+    def test_rows_list_the_flattened_pieces(self):
+        # a row's segments are the table's pieces: the benchmark counts the
+        # verifiers' segments (verify.segments) from the rows
+        strip = self._arcs(1, 150.0)[2]
+        laminate = laminate_strips([self._arcs(seed, 60.0) for seed in range(2)], shift=0.3)[2]
+        for table in (strip, laminate):
+            assert sum(len(a.segments()) for a in table) == len(_arc_arrays(table)[0]) > 0
 
     def test_empty_table(self):
         ps = strip_ps([], [])
@@ -746,7 +752,8 @@ class TestLaminateStrips:
         # planarity of the drawn matching: arcs, not straight chords, which
         # keep the bands' order and so are not in the edges' order
         assert check_planarity(comb_m, arcs=comb_arcs).passed
-        assert sorted(a.edge for a in comb_arcs) == comb_m.edges != [a.edge for a in comb_arcs]
+        edges = list(map(tuple, comb_arcs.edges.tolist()))
+        assert sorted(edges) == comb_m.edges != edges
 
     def test_five_bands_arcs_disjoint(self):
         results = [self._band(s) for s in range(5)]
@@ -771,12 +778,12 @@ class TestLaminateStrips:
             assert np.array_equal(ps.reds, want_ps.reds)
             assert np.array_equal(ps.blues, want_ps.blues)
             assert m.edges == want_m.edges
-            assert list(arcs) == want_arcs
+            assert arc_rows(arcs) == want_arcs
 
 
 def _reference_laminate(results, shift):
     """The per-arc rebuild with dict remaps that the column concatenation
-    replaced, kept as the oracle."""
+    replaced, kept as the oracle, its arcs as ``cases.arc_rows`` reads them."""
     x0, x1 = results[0][0].domain.x0, results[0][0].domain.x1
     reds, blues, edges, arcs = [], [], [], []
     red_off = blue_off = 0
@@ -785,12 +792,9 @@ def _reference_laminate(results, shift):
         reds.append(ps.reds + [0.0, dy])
         blues.append(ps.blues + [0.0, dy])
         edges.extend((i + red_off, j + blue_off) for i, j in m.edges)
-        for arc in band_arcs:
-            arcs.append(ArcSpec(
-                edge=(arc.edge[0] + red_off, arc.edge[1] + blue_off),
-                height=arc.height + dy, lowest=arc.lowest + dy, depth=arc.depth,
-                vertices=[(x, y + dy) for x, y in arc.vertices],
-            ))
+        for (i, j), height, lowest, depth, vertices in arc_rows(band_arcs):
+            arcs.append(([i + red_off, j + blue_off], height + dy, lowest + dy, depth,
+                         [[x, y + dy] for x, y in vertices]))
         red_off += ps.n_red
         blue_off += ps.n_blue
     red_arr, blue_arr = np.concatenate(reds), np.concatenate(blues)
@@ -802,7 +806,7 @@ def _reference_laminate(results, shift):
                                red_arr[r_order], blue_arr[b_order], seed=results[0][0].seed)
     matching = Matching(combined.reds, combined.blues,
                         sorted((r_map[i], b_map[j]) for i, j in edges))
-    arcs = [replaced(arc, edge=(r_map[arc.edge[0]], b_map[arc.edge[1]])) for arc in arcs]
+    arcs = [([r_map[i], b_map[j]], *rest) for (i, j), *rest in arcs]
     return combined, matching, arcs
 
 
