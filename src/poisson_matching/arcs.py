@@ -17,7 +17,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .geometry import _Frozen
+from .geometry import _Frozen, _two_columns
 
 
 class ArcSpec(_Frozen):
@@ -41,30 +41,6 @@ class ArcSpec(_Frozen):
                 "depth": self.depth, "vertices": [list(v) for v in self.vertices]}
 
 
-def _column(values, dtype, shape: tuple, n, what: str) -> np.ndarray:
-    """``values`` as a fresh read-only array of ``dtype`` and shape
-    (n, *shape), n = None taking any length; anything else, or a float that
-    is not finite, or an integer column of other numbers, is a ValueError
-    saying that every arc needs ``what``."""
-    bad = ValueError(f"every arc needs {what}")
-    try:
-        a = np.array(values, dtype=None if dtype is np.int64 else dtype)
-    except (TypeError, ValueError) as e:  # a coordinate that is no number, ragged rows
-        raise bad from e
-    if a.size == 0:
-        a = a.reshape(0, *shape)
-    if a.shape[1:] != shape or n not in (None, len(a)):
-        raise bad
-    if dtype is np.int64:
-        if a.dtype.kind not in "iu" and len(a):
-            raise bad
-        a = a.astype(np.int64)
-    elif not np.isfinite(a).all():
-        raise bad
-    a.flags.writeable = False
-    return a
-
-
 class ArcTable:
     """E arcs as read-only columns (see the module docstring); ``len`` counts
     them, and iteration gives ``ArcSpec`` rows, built when read, with plain
@@ -75,21 +51,25 @@ class ArcTable:
     arc has four 2-D vertices. Anything else is a ValueError."""
 
     def __init__(self, edges, height, lowest, depth, vertices):
-        self.vertices = _column(vertices, float, (4, 2), None, "four finite 2-D vertices")
-        n = len(self.vertices)
-        self.edges = _column(edges, np.int64, (2,), n, "an edge of two indices")
+        n = None  # the first column's length, which every other must have
+        for name, values, dtype, shape, needs in (
+                ("edges", edges, np.int64, (2,), "an edge of two indices"),
+                ("height", height, float, (), "a finite height"),
+                ("lowest", lowest, float, (), "a finite lowest point"),
+                ("depth", depth, np.int64, (), "an integer depth"),
+                ("vertices", vertices, float, (4, 2), "four finite 2-D vertices")):
+            try:
+                a = _two_columns(values, name, dtype, (n, *shape))
+            except (TypeError, ValueError) as e:  # no number, ragged rows, another shape
+                raise ValueError(f"every arc needs {needs}") from e
+            if a is values:  # the caller's own float array: the table keeps a copy
+                a = a.copy()
+            a.flags.writeable = False
+            setattr(self, name, a)
+            n = len(a)
         if (self.edges < 0).any():
             raise ValueError("every arc needs an edge of two indices")
-        self.height = _column(height, float, (), n, "a finite height")
-        self.lowest = _column(lowest, float, (), n, "a finite lowest point")
-        self.depth = _column(depth, np.int64, (), n, "an integer depth")
         self._hits = None  # the verifiers' segment hits, found once (verify._arc_hits)
-
-    @classmethod
-    def from_json(cls, rows) -> "ArcTable":
-        """The table of the arc objects that ``ArcSpec.to_json`` writes."""
-        return cls(*([a[key] for a in rows]
-                     for key in ("edge", "height", "lowest", "depth", "vertices")))
 
     def __len__(self) -> int:
         return len(self.vertices)

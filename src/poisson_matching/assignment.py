@@ -238,8 +238,8 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     kernel, or the padded matrix of ``_pad``. Every matrix is a prefix view
     of one buffer, the module's spare (see module doc), and the assignment
     routine is called once per problem."""
-    reds = _two_columns(reds, "reds", float)
-    blues = _two_columns(blues, "blues", float)
+    reds = _two_columns(reds, "reds")
+    blues = _two_columns(blues, "blues")
     red_start = np.asarray(red_start, dtype=np.int64)
     blue_start = np.asarray(blue_start, dtype=np.int64)
     n_r, n_b = red_start[1:] - red_start[:-1], blue_start[1:] - blue_start[:-1]
@@ -364,8 +364,6 @@ def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
 def min_cost_perfect(reds, blues) -> Matching:
     """Perfect matching of minimum total Euclidean length: the size check,
     then ``max_cardinality_min_cost``."""
-    reds = _two_columns(reds, "reds", float)
-    blues = _two_columns(blues, "blues", float)
     if len(reds) != len(blues):
         raise ValueError(f"size mismatch: {len(reds)} reds vs {len(blues)} blues")
     return max_cardinality_min_cost(reds, blues)
@@ -460,8 +458,8 @@ def _settle_batch(pts, small, small_start, large, large_start, groups, n_reds, p
 def max_cardinality_min_cost(reds, blues) -> Matching:
     """Min-length matching of maximum cardinality; the smaller color class is
     fully matched and the excess of the other is left unmatched."""
-    reds = _two_columns(reds, "reds", float)
-    blues = _two_columns(blues, "blues", float)
+    reds = _two_columns(reds, "reds")
+    blues = _two_columns(blues, "blues")
     partner = assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)])
     return Matching(reds, blues, partner_edges(partner))
 

@@ -4,10 +4,9 @@ Every command is deterministic given its flags/config (all randomness flows
 from explicit seeds). Exit codes: 0 success, 1 property violation, 2 usage
 or configuration error, including any invalid flag value or input file. A
 JSON config file can supply defaults; flags win. The commands are a thin
-shell over the API: ``_load_result`` reads every input file (points only
-inside their window, arcs only as the drawing of the matching), ``verify``
-builds every report, and ``_write`` streams every output, so none is held
-whole.
+shell over the API: ``fileio`` reads every input file, ``--config`` files
+included, ``verify`` builds every report, and ``_write`` streams every
+output, so none is held whole.
 
 ``_dump`` is the one JSON writer. It writes the bytes of ``json.dumps(obj,
 indent=1, sort_keys=True)`` and a newline, from one walk (``_json_chunks``):
@@ -37,7 +36,7 @@ from typing import Iterable, Iterator, Optional
 import click
 import numpy as np
 
-from . import hierarchy, verify, walks
+from . import fileio, hierarchy, verify, walks
 from .arcs import ArcTable
 from .assignment import max_cardinality_min_cost
 from .geometry import Disk, Domain
@@ -120,11 +119,6 @@ def _dump(value, path: Optional[str]):
     _write(itertools.chain(_json_chunks(value, 0), ["\n"]), path)
 
 
-def _load(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
 def _make_domain(kind: str, window: str) -> Domain:
     """The ``kind`` domain on ``window``: 'x0,x1' for a line or strip,
     'x0,x1,y0,y1' for a plane; any other count is a usage error."""
@@ -176,11 +170,9 @@ def config_option(f):
     def callback(ctx, param, value):
         if value:
             try:
-                defaults = _load(value)
-            except ValueError as e:  # not JSON
-                raise click.BadParameter(f"{value}: {e}", ctx, param) from e
-            if not isinstance(defaults, dict):
-                raise click.BadParameter(f"{value} is not a JSON object", ctx, param)
+                defaults = fileio.load(value)
+            except ValueError as e:  # not JSON, or not an object
+                raise click.BadParameter(str(e), ctx, param) from e
             names = {flag[2:].replace("_", "-"): p.name for p in ctx.command.params
                      if p is not param for flag in p.opts if flag.startswith("--")}
             for key in defaults:
@@ -227,69 +219,6 @@ def _result_json(ps: ColoredPointSet, m: Matching, arcs: Optional[ArcTable] = No
     return out
 
 
-@contextlib.contextmanager
-def _fields_of(path: str):
-    """Building objects from the file at ``path``: a field of the wrong JSON
-    type (null for a list, a list for an object), or a number too large for
-    a float, is a ValueError naming the file, and so a usage error."""
-    try:
-        yield
-    except (TypeError, AttributeError, OverflowError) as e:
-        raise ValueError(f"malformed input {path}: {e}") from e
-
-
-def _block_system(d: dict, path: str) -> hierarchy.BlockSystem:
-    """The block system a hierarchical result was built on, from the offsets
-    its diagnostics state; stated shifts must be those the offsets give."""
-    with _fields_of(path):
-        offsets = d["diagnostics"]["offsets"]
-        system = hierarchy.BlockSystem.from_offsets(offsets["r"])
-        if offsets.get("t", system.t) != system.t:
-            raise ValueError(f"the block shifts t in {path} disagree with its offsets r")
-    return system
-
-
-def _check_format(d: dict, path: str, what: str = "") -> None:
-    if d.get("format", FORMAT_VERSION) != FORMAT_VERSION:
-        raise ValueError(f"unsupported {what}format {d['format']!r} in {path}")
-
-
-def _points_of(d: dict, path: str) -> ColoredPointSet:
-    """The point set ``d`` states; a point outside its domain's closed
-    window is a ValueError naming the file and the first such point."""
-    ps = ColoredPointSet.from_json(d)
-    w = ps.domain
-    x, y = np.concatenate([ps.reds, ps.blues]).T
-    out = np.flatnonzero((x < w.x0) | (x > w.x1) | (y < w.y0) | (y > w.y1))
-    if len(out):
-        raise ValueError(f"the point {(float(x[out[0]]), float(y[out[0]]))} in {path} lies "
-                         f"outside its window [{w.x0!r}, {w.x1!r}] x [{w.y0!r}, {w.y1!r}]")
-    return ps
-
-
-def _load_result(path: str):
-    """The points, matching and arcs of the result file at ``path``, and its
-    dict; a point-set file has neither matching nor arcs. Points outside the
-    file's window (``_points_of``) and arcs that do not draw the matching
-    (``verify._drawn_edges``) are input errors."""
-    d = _load(path)
-    if not isinstance(d, dict):
-        raise ValueError(f"malformed input {path}: not a JSON object")
-    _check_format(d, path)
-    with _fields_of(path):
-        if "points" not in d:
-            return _points_of(d, path), None, None, d
-        _check_format(d["points"], path, "points ")
-        _check_format(d["matching"], path, "matching ")
-        ps = _points_of(d["points"], path)
-        m = Matching.from_json(d["matching"], ps.reds, ps.blues)
-        arcs = None
-        if "arcs" in d:
-            arcs = ArcTable.from_json(d["arcs"])
-            verify._drawn_edges(m, arcs)
-        return ps, m, arcs, d
-
-
 @main.command("match")
 @config_option
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), default=None,
@@ -334,7 +263,7 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
     else:
         if in_path is None:
             raise click.UsageError(f"--in is required for {construction}")
-        ps, *_ = _load_result(in_path)
+        ps, *_ = fileio.load_result(in_path)
         kind = ps.domain.kind
         if construction in ("zero_block", "one_color", "cut_time") and kind != "strip":
             raise click.UsageError(f"{construction} requires a strip domain")
@@ -372,7 +301,7 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
 @click.option("--out", type=click.Path(), default=None)
 def cmd_verify(in_path, prop, out):
     """Check a matching property; exit 1 with witnesses on violation."""
-    ps, m, arcs, _ = _load_result(in_path)
+    ps, m, arcs, _ = fileio.load_result(in_path)
     if m is None:
         raise click.UsageError("input has no matching; run 'match' first")
     if prop == "planarity":
@@ -405,7 +334,7 @@ def cmd_verify(in_path, prop, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_stats(in_path, kind, box_side, disk, out):
     """Quantitative diagnostics for a matching."""
-    ps, m, *_ = _load_result(in_path)
+    ps, m, *_ = fileio.load_result(in_path)
     if m is None:
         raise click.UsageError("input has no matching; run 'match' first")
     if kind == "eta":
@@ -440,11 +369,11 @@ def cmd_stats(in_path, kind, box_side, disk, out):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_render(in_path, width, height, walk, blocks, out):
     """Render a result file to SVG."""
-    ps, m, arcs, d = _load_result(in_path)
+    ps, m, arcs, d = fileio.load_result(in_path)
     w = walks.build_walk(ps) if walk else None
     rects = []
     if blocks:
-        system = _block_system(d, in_path)
+        system = fileio.block_system(d, in_path)
         if blocks > system.N:
             raise click.UsageError(f"--blocks {blocks} is above the level of the file's "
                                    f"block system (N={system.N})")

@@ -75,12 +75,25 @@ class Disk(_Frozen):
 Region = Union[Rect, Disk]
 
 
-def _two_columns(values, what: str, dtype=None) -> np.ndarray:
-    """``values`` as an (n, 2) array: [] is no rows, another shape a ValueError."""
-    a = np.asarray(values, dtype=dtype)
-    if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != 2):
+def _two_columns(values, what: str, dtype=float, shape=(None, 2)) -> np.ndarray:
+    """``values`` as an array of ``dtype``, float or np.int64, and ``shape``
+    (None: any length; [] is no rows): the one gate for points, edges and arc
+    columns. Values must be finite floats, or integers for np.int64; any other
+    value or shape is a ValueError naming ``what``, or numpy's own error where
+    it cannot convert one. A float64 array is returned as it is given, and an
+    int64 result is always a copy."""
+    a = np.asarray(values, dtype=None if dtype is np.int64 else dtype)
+    if a.shape == (0,):
+        a = a.reshape(0, *shape[1:])
+    if a.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, a.shape)):
         raise ValueError(f"{what} must be rows of two, got an array of shape {a.shape}")
-    return a.reshape(-1, 2)
+    if dtype is np.int64:
+        if a.dtype.kind not in "iu" and a.size:
+            raise ValueError(f"{what} must be integers")
+        return a.astype(np.int64)
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite {what}")
+    return a
 
 
 def _same_points(p: np.ndarray, q: np.ndarray) -> np.ndarray:

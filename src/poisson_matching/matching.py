@@ -12,6 +12,7 @@ returns. This module loads no scipy.
 from __future__ import annotations
 
 import functools
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -41,22 +42,19 @@ class Matching:
     One-color: the unmatched reds are the reds at neither end of any edge,
     there are no unmatched blues, and the kind is always "partial" (the
     window truncates a pairing of the whole line). ``from_json`` rejects a
-    file whose stated kind or unmatched lists disagree with its edges."""
+    file whose stated kind, length or unmatched lists disagree with its edges."""
 
     def __init__(self, reds, blues, edges, color_mode: str = TWO_COLOR):
         if color_mode not in (TWO_COLOR, ONE_COLOR):
             raise ValueError(f"unknown color_mode {color_mode!r}")
         self.color_mode = color_mode
-        self.reds = _two_columns(reds, "reds", float)
-        self.blues = _two_columns(blues, "blues", float)
+        self.reds = _two_columns(reds, "reds")
+        self.blues = _two_columns(blues, "blues")
         self._e = self._validated(edges)
 
     def _validated(self, edges) -> np.ndarray:
         """The edges as a fresh read-only int64 array, after the checks."""
-        e = _two_columns(edges, "edges")
-        if len(e) and e.dtype.kind not in "iu":
-            raise ValueError("edge indices must be integers")
-        e = e.astype(np.int64)  # a copy, so the caller's array is not shared
+        e = _two_columns(edges, "edge indices", np.int64)  # a copy, not the caller's array
         # the first failing edge decides the error, range before reuse; the
         # edges before an out-of-range one are all in range
         i, j = e.T
@@ -134,16 +132,20 @@ class Matching:
 
     @staticmethod
     def from_json(d: dict, reds, blues) -> "Matching":
-        """The matching a file states; its kind and unmatched lists, where
-        given, must be those its edges give. The edges are read as one
-        array, and ``edges`` reads them as tuples of plain ints."""
-        m = Matching(reds, blues, np.asarray(d["edges"]),
-                     color_mode=d.get("color_mode", TWO_COLOR))
+        """The matching a file states; its kind, and its total length and
+        unmatched lists where given, must be those its edges give, the
+        length to a relative 1e-9. The edges are read as one array, and
+        ``edges`` reads them as tuples of plain ints."""
+        m = Matching(reds, blues, d["edges"], color_mode=d.get("color_mode", TWO_COLOR))
         if d["kind"] != m.kind:
             raise ValueError(f"stated kind {d['kind']!r} disagrees with the edges ({m.kind!r})")
         for key in ("unmatched_reds", "unmatched_blues"):
             if key in d and list(d[key]) != getattr(m, key):
                 raise ValueError(f"stated {key} disagree with the edges")
+        if "total_length" in d and not math.isclose(d["total_length"], m.total_length,
+                                                    rel_tol=1e-9):
+            raise ValueError(f"stated total_length {d['total_length']!r} disagrees with "
+                             f"the edges ({m.total_length!r})")
         return m
 
 

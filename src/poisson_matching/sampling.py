@@ -37,9 +37,6 @@ class ColoredPointSet:
         self.reds = _canonical(reds)
         self.blues = _canonical(blues)
         self.seed = seed
-        for pts in (self.reds, self.blues):
-            if pts.size and not np.isfinite(pts).all():
-                raise ValueError("non-finite coordinates")
         # equal points are adjacent once sorted, and -0.0 == 0.0 both in the
         # sort and in the comparison; the stable sort merges the two sorted
         # colours
@@ -95,7 +92,7 @@ def canonical_order(pts: np.ndarray, kind=None) -> np.ndarray:
 
 
 def _canonical(pts) -> np.ndarray:
-    pts = _two_columns(pts, "points", float)
+    pts = _two_columns(pts, "points")
     return pts.take(canonical_order(pts), axis=0)
 
 

@@ -983,7 +983,7 @@ def test_list_edges_read_back_as_own_int_tuples():
 @pytest.mark.parametrize("edges", [[[[0, 0]]], [0, 0], [[]], [[0, 0, 0]]],
                          ids=["nested", "flat", "empty_row", "three_wide"])
 def test_edges_of_another_shape_rejected(edges):
-    with pytest.raises(ValueError, match="edges must be"):
+    with pytest.raises(ValueError, match="edge indices must be rows of two"):
         Matching(SQUARE_REDS, SQUARE_BLUES, edges)
 
 
@@ -1162,9 +1162,12 @@ def test_from_json_checks_stated_values_against_edges():
     m = Matching(SQUARE_REDS, SQUARE_BLUES, [(1, 0)])
     d = m.to_json()
     assert Matching.from_json(d, SQUARE_REDS, SQUARE_BLUES).edges == [(1, 0)]
+    Matching.from_json({**d, "total_length": d["total_length"] * (1 + 1e-12)},
+                       SQUARE_REDS, SQUARE_BLUES)
     for key, value in [("kind", "perfect"), ("kind", "complete"),
                        ("unmatched_reds", [0, 1]), ("unmatched_blues", []),
-                       ("color_mode", "three_color")]:
+                       ("color_mode", "three_color"), ("total_length", 12345.0),
+                       ("total_length", d["total_length"] * (1 + 1e-8))]:
         with pytest.raises(ValueError):
             Matching.from_json({**d, key: value}, SQUARE_REDS, SQUARE_BLUES)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import traceback
 import tracemalloc
 import types
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poisson_matching
-from poisson_matching import assignment, cli, hierarchy, render, sampling, walks
+from poisson_matching import assignment, cli, fileio, hierarchy, render, sampling, walks
 from poisson_matching.arcs import ArcTable
 from poisson_matching.cli import main
 from poisson_matching.geometry import Domain
@@ -249,6 +250,28 @@ def _match(construction):
     return ["match", "--construction", construction, "--out", os.devnull, "--in"]
 
 
+def _two_arcs(**second):
+    """A two-edge strip result drawn by two arcs, the second's fields
+    overridden: numpy reads a column of one lone boolean as booleans, and
+    the table refused that, but a boolean beside a number as the number."""
+    arcs = [{"edge": [k, k], "height": 0.25, "lowest": 0.5, "depth": 1,
+             "vertices": [[x, 0.5], [x, 0.25], [x + 0.5, 0.25], [x + 0.5, 0.5]]}
+            for k, x in enumerate([0.0, 1.0])]
+    arcs[1].update(second)
+    return json.dumps({**ONE_EDGE_RESULT, "arcs": arcs, "points": {
+        **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.5], [1.0, 0.5]],
+        "blues": [[0.5, 0.5], [1.5, 0.5]]},
+        "matching": {"format": 1, "kind": "perfect", "edges": [[0, 0], [1, 1]]}})
+
+
+# two crossing edges, if the boolean index reads as 1
+BOOLEAN_EDGE = json.dumps({**ONE_EDGE_RESULT, "points": {
+    **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.0], [1.0, 0.0]],
+    "blues": [[0.0, 1.0], [1.0, 1.0]],
+    "domain": {"kind": "plane", "x0": 0.0, "x1": 2.0, "y0": 0.0, "y1": 2.0}},
+    "matching": {"format": 1, "kind": "perfect", "edges": [[0, True], [1, 0]]}})
+
+
 # command line, the text of the file appended as its last argument, and a
 # part of the error message that names the cause
 BAD_INPUTS = {
@@ -451,6 +474,26 @@ BAD_INPUTS = {
                           "seed must be an integer, got '3'"),
     "float_seed_match": (_match("excursion"), _with_points(seed=3.0),
                          "seed must be an integer, got 3.0"),
+    # a format is the int 1, and no number a JSON boolean, which numpy reads
+    # as 0 or 1; each of these exited 0, or 1 for the boolean edge index
+    "format_true": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "format": True}),
+                    "unsupported format True"),
+    "format_float": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "format": 1.0}),
+                     "unsupported format 1.0"),
+    "points_format_true": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "points": {
+        **ONE_EDGE_RESULT["points"], "format": True}}), "unsupported points format True"),
+    "points_format_float": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "points": {
+        **ONE_EDGE_RESULT["points"], "format": 1.0}}), "unsupported points format 1.0"),
+    "boolean_red": (_match("excursion"), _with_points(reds=[[True, True]], blues=[[1.5, 0.5]]),
+                    "reds must be numbers"),
+    "boolean_red_y": (_match("excursion"), _with_points(reds=[[0.5, False]]),
+                      "reds must be numbers"),
+    "boolean_arc_lowest": (VERIFY_ARCS, _two_arcs(lowest=True), "arc lowest must be numbers"),
+    "boolean_arc_depth": (VERIFY_ARCS, _two_arcs(depth=True), "arc depth must be numbers"),
+    "boolean_edge_index": (VERIFY, BOOLEAN_EDGE, "matching edges must be numbers"),
+    # the stated length must be the edges'; this exited 0
+    "total_length_disagrees": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
+        **ONE_EDGE_RESULT["matching"], "total_length": 12345.0}}), "stated total_length"),
     # a window of positive sides whose area underflows to 0.0
     "plane_window_of_zero_measure": (["sample", "--seed", "1", "--domain", "plane",
                                       "--window", "0,1e-200,0,1e-200"], None,
@@ -469,6 +512,48 @@ def test_bad_input_is_usage_error(runner, tmp_path, name):
     assert res.exit_code == 2, res.output
     assert "Error:" in res.output and "Traceback" not in res.output
     assert cause in res.output
+
+
+# every command that reads a file, less the file, and what each may put in
+# place of one value of it
+READERS = [*map(_match, ("zero_block", "one_color", "cut_time", "excursion", "min_cost")),
+           VERIFY, VERIFY_ARCS, [*MINIMALITY, "--in"], STATS_ETA,
+           ["stats", "--kind", "crossings", "--in"], ["stats", "--kind", "box-rematch", "--in"],
+           ["render", "--walk", "--out", os.devnull, "--in"],
+           ["render", "--blocks", "2", "--out", os.devnull, "--in"]]
+ODD_VALUES = [None, True, False, 0, -1, 2, 1.0, 0.5, -0.0, 1e300, math.inf, math.nan, 10 ** 400,
+              "", "1", [], [0], [[0, 0]], {}, {"format": 1}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_reader_exits_0_1_or_2_on_a_mutated_file(inputs, data):
+    # one value replaced, or one key dropped or renamed, at a node found by
+    # walking down from the top of one of six small files
+    name = data.draw(st.sampled_from(["strip", "plane", "excursion", "min_cost", "hier",
+                                      "laminate"]))
+    box = [json.loads(inputs[name].read_text())]
+    holder, key = box, 0
+    while holder[key] and isinstance(holder[key], (dict, list)) and data.draw(st.integers(0, 4)):
+        node = holder[key]
+        holder, key = node, data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                                      else range(len(node))))
+    change = data.draw(st.sampled_from(["value", "drop", "rename"] if isinstance(holder, dict)
+                                       else ["value"]))
+    if change == "value":
+        holder[key] = data.draw(st.sampled_from(ODD_VALUES))
+    elif change == "drop":
+        del holder[key]
+    else:
+        holder[key + "_"] = holder.pop(key)
+    path = inputs.tmp / "mutated.json"
+    path.write_text(json.dumps(box[0]))
+    runner = CliRunner()
+    for command in READERS:
+        res = runner.invoke(main, [*command, str(path)])
+        assert res.exit_code in (0, 1, 2), (command, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (
+            command, "".join(traceback.format_exception(res.exception)))
 
 
 # a directory read as a file, and an --out that cannot be opened, are usage
@@ -680,7 +765,7 @@ def test_render_blocks_draw_the_files_own_system(runner, tmp_path):
            "--out", str(path))
     res = invoke(runner, "render", "--in", str(path), "--blocks", "3", "--out", str(out))
     assert res.exit_code == 0, res.output
-    ps, m, _, _ = cli._load_result(str(path))
+    ps, m, _, _ = fileio.load_result(str(path))
 
     def drawn(seed):
         system = hierarchy.build_block_system(seed, 3)
@@ -714,7 +799,7 @@ def test_edges_read_as_tuples_of_plain_ints(tmp_path):
         **ONE_EDGE_RESULT["points"], "reds": [[0.0, 0.5], [0.5, 0.2]],
         "blues": [[1.0, 0.5], [1.5, 0.1]]},
         "matching": {"format": 1, "kind": "perfect", "edges": [[1, 0], [0, 1]]}}))
-    _, m, _, _ = cli._load_result(str(path))
+    _, m, _, _ = fileio.load_result(str(path))
     assert m.edges == [(1, 0), (0, 1)]
     assert all(type(i) is int and type(j) is int for i, j in m.edges)
     assert m._edge_array().dtype == np.int64
@@ -873,6 +958,7 @@ def test_min_cost_result_with_two_partners_swapped_fails_minimality(runner, inpu
     d = json.loads(inputs["min_cost"].read_text())
     edges = d["matching"]["edges"]
     edges[0][1], edges[1][1] = edges[1][1], edges[0][1]
+    del d["matching"]["total_length"]  # the swap made it wrong, an input error
     path = tmp_path / "swapped.json"
     path.write_text(json.dumps(d))
     res = invoke(runner, *MINIMALITY, "--in", str(path))

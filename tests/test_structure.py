@@ -1,14 +1,17 @@
 """The layout of the tests: the oracles share no code with the package they
 check, no test module imports another (shared code is in ``oracles.py``
 and ``cases.py``), ``cases.py`` holds only what two modules share, and only
-the row-view tests read the row types that the benchmark reads."""
+the row-view tests read the row types that the benchmark reads. And of the
+package: only ``fileio`` decodes JSON."""
 
 import ast
 import pathlib
 
+import poisson_matching
 from poisson_matching import assignment, geometry
 
 TESTS = pathlib.Path(__file__).parent
+PACKAGE = pathlib.Path(poisson_matching.__file__).parent
 
 
 def _imported(path):
@@ -84,3 +87,19 @@ def test_only_the_row_view_tests_read_rows():
                     node, ast.Attribute):
                 found.append((path.name, node.lineno, name))
     assert found == []
+
+
+def test_only_fileio_decodes_json():
+    # every file the CLI reads goes through one module
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id == "json" else set()
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"load", "loads"}:
+                found.add(path.name)
+    assert found == {"fileio.py"}

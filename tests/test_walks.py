@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poisson_matching import assignment
+from poisson_matching import assignment, fileio
 from poisson_matching.arcs import ArcSpec, ArcTable
 from poisson_matching.assignment import SMALL_MAX, min_cost_perfect
 from poisson_matching.geometry import Domain, Rect
@@ -525,8 +525,8 @@ class TestArcTable:
         _, _, t = self._arcs(4)
         rows = [a.to_json() for a in t]
         assert rows == arc_json(t)
-        for again in (table_of(arc_rows(t)), ArcTable.from_json(rows),
-                      ArcTable.from_json(json.loads(json.dumps(rows)))):
+        for again in (table_of(arc_rows(t)), fileio.arc_table(rows),
+                      fileio.arc_table(json.loads(json.dumps(rows)))):
             for name in ("edges", "height", "lowest", "depth", "vertices"):
                 a, b = getattr(again, name), getattr(t, name)
                 assert np.array_equal(a, b) and a.dtype == b.dtype
@@ -544,7 +544,7 @@ class TestArcTable:
         t = polygonal_arcs(excursion_matching(ps), ps)
         assert len(t) == 0 and list(t) == []
         assert t.vertices.shape == (0, 4, 2) and t.edges.shape == (0, 2)
-        assert ArcTable.from_json([]).vertices.shape == (0, 4, 2)
+        assert fileio.arc_table([]).vertices.shape == (0, 4, 2)
 
     @pytest.mark.parametrize("field,value", [
         ("edges", [(0,)]), ("edges", [(0, -1)]), ("edges", [(0.5, 1)]), ("edges", [None]),
