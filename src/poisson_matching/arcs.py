@@ -17,7 +17,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .geometry import _Frozen, _two_columns
+from .geometry import NotNumbersError, _Frozen, _two_columns
 
 
 class ArcSpec(_Frozen):
@@ -59,9 +59,10 @@ class ArcTable:
                 ("depth", depth, np.int64, (), "an integer depth"),
                 ("vertices", vertices, float, (4, 2), "four finite 2-D vertices")):
             try:
-                a = _two_columns(values, name, dtype, (n, *shape))
+                a = _two_columns(values, f"arc {name}", dtype, (n, *shape))
             except (TypeError, ValueError) as e:  # no number, ragged rows, another shape
-                raise ValueError(f"every arc needs {needs}") from e
+                text = f": {e}" if isinstance(e, NotNumbersError) else ""
+                raise ValueError(f"every arc needs {needs}{text}") from e
             if a is values:  # the caller's own float array: the table keeps a copy
                 a = a.copy()
             a.flags.writeable = False

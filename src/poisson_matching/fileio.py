@@ -5,9 +5,9 @@ arcs, diagnostics). It checks that every ``format`` is the int
 FORMAT_VERSION, that no point coordinate, edge index or arc value is a JSON
 boolean (numpy reads one as 0 or 1), that points lie in their window and
 that arcs draw the matching; the objects' ``from_json`` check the rest,
-every array through ``geometry._two_columns``. Of the diagnostics only
-``offsets`` is read (``block_system``). A missing key is a KeyError and any
-other fault a ValueError; the CLI exits 2 on either.
+every array through ``geometry._two_columns``, which refuses a string. Of
+the diagnostics only ``offsets`` is read (``block_system``). A missing key
+is a KeyError and any other fault a ValueError; the CLI exits 2 on either.
 """
 
 from __future__ import annotations

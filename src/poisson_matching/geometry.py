@@ -20,6 +20,10 @@ class DegenerateGeometryError(ValueError):
     """Raised when collinear segments with overlapping interiors are detected."""
 
 
+class NotNumbersError(ValueError):
+    """Raised for text where numbers are read: a JSON string is not a number."""
+
+
 class _Frozen:
     """An immutable value: its fields are the instance dict, in the order
     ``__init__`` fills it. Equal and hashed by the fields' values, and shown
@@ -80,9 +84,15 @@ def _two_columns(values, what: str, dtype=float, shape=(None, 2)) -> np.ndarray:
     (None: any length; [] is no rows): the one gate for points, edges and arc
     columns. Values must be finite floats, or integers for np.int64; any other
     value or shape is a ValueError naming ``what``, or numpy's own error where
-    it cannot convert one. A float64 array is returned as it is given, and an
-    int64 result is always a copy."""
-    a = np.asarray(values, dtype=None if dtype is np.int64 else dtype)
+    it cannot convert one. Text among floats, which numpy would read as the
+    number it spells, is a NotNumbersError, also beside an int too large for
+    int64 (an object array). A float64 array is returned as it is given, and
+    an int64 result is always a copy."""
+    a = np.asarray(values)
+    if dtype is not np.int64:
+        if a.dtype.kind in "SU" or a.dtype.kind == "O" and str in set(map(type, a.flat)):
+            raise NotNumbersError(f"{what} must be numbers, not text")
+        a = a.astype(dtype, copy=False)
     if a.shape == (0,):
         a = a.reshape(0, *shape[1:])
     if a.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, a.shape)):

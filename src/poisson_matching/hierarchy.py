@@ -22,16 +22,15 @@ grouped numpy over block rows. Each step solves its blocks in one
 ``assign_in_groups`` call, each block's points gathered by index arrays, so
 no Python loop visits a block. ``ColorTable.select`` is the one grouping:
 one stable sort of block row and part, per color and call, for the rematch
-step's two parts (A's open points outside B, then C's), the leftover step's
-open points and the stage's new edges. Blocks of one level are disjoint, so
-solving every block's rematch step and then every block's leftover step
-gives the same partners as going block by block. A stage's new edges are
-read back from the partner arrays: the reds unmatched after the heir
-unmatch that are matched at the end.
+step's two parts (A's open points outside B, then C's) and the leftover
+step's open points. Blocks of one level are disjoint, so solving every
+block's rematch step and then every block's leftover step gives the same
+partners as going block by block.
 
-A stage keeps its records as per-block columns on its level table, with its
-new edges' partners read when it runs (a later heir unmatch overwrites the
-partner arrays). Every reader takes the columns. ``StageState.records`` is a
+A stage keeps its records as per-block columns on its level table:
+``unmatched``, ``bad`` and ``dodgy``. The edges a stage made and the points
+it unmatched are not recorded: the partner arrays before and after the
+stage show them. Every reader takes the columns. ``StageState.records`` is a
 row view that only the benchmark reads: each read builds, per stage run, a
 tuple of ``BlockRecord`` rows of six columns in one pass. No row object is
 kept, since most blocks of the lower levels hold a point or two, and one
@@ -245,18 +244,14 @@ class ColorTable:
 class LevelTable:
     """The window's level-n blocks in children order, each color's points'
     rows among them, and its per-block columns, None until stage n runs
-    (``_keep_columns``). ``new_edges`` holds the (red, blue) pairs the stage
-    made, grouped by block with offsets ``new_start``, as they were when the
-    stage ran (a later stage may unmatch them); the two heir flags are None
-    at level 1."""
+    (``_keep_columns``)."""
 
     def __init__(self, n: int, cells: np.ndarray, red: ColorTable, blue: ColorTable):
         self.n = n
         self.cells = cells  # (blocks, 2) ix, iy
         self.red = red
         self.blue = blue
-        self.unmatched = self.bad = self.dodgy = self.new_edges = self.new_start = None
-        self.unmatched_in_heir = self.new_edges_in_heirs = None
+        self.unmatched = self.bad = self.dodgy = None
 
 
 def _block_records(lv: LevelTable) -> Tuple[BlockRecord, ...]:
@@ -298,19 +293,14 @@ def _level_tables(ps: ColoredPointSet, system: BlockSystem, cells: Dict[int, np.
 
 class StageState:
     """Mutable matching state across stages: partner index arrays (-1 for
-    unmatched) plus per-point unmatch-event counters. ``levels[n]`` is the
-    table of level n."""
+    unmatched). ``levels[n]`` is the table of level n."""
 
     def __init__(self, ps: ColoredPointSet, system: BlockSystem, red_partner: np.ndarray,
-                 blue_partner: np.ndarray, red_unmatch_events: np.ndarray,
-                 blue_unmatch_events: np.ndarray, levels: Dict[int, LevelTable],
-                 stage: int = 0):
+                 blue_partner: np.ndarray, levels: Dict[int, LevelTable], stage: int = 0):
         self.ps = ps
         self.system = system
         self.red_partner = red_partner
         self.blue_partner = blue_partner
-        self.red_unmatch_events = red_unmatch_events
-        self.blue_unmatch_events = blue_unmatch_events
         self.levels = levels
         self.stage = stage
 
@@ -354,8 +344,6 @@ def init_state(ps: ColoredPointSet, system: BlockSystem) -> StageState:
         ps=ps, system=system,
         red_partner=np.full(ps.n_red, -1, dtype=int),
         blue_partner=np.full(ps.n_blue, -1, dtype=int),
-        red_unmatch_events=np.zeros(ps.n_red, dtype=int),
-        blue_unmatch_events=np.zeros(ps.n_blue, dtype=int),
         levels=_level_tables(ps, system, cells, window),
     )
 
@@ -368,20 +356,11 @@ def _match_leftovers(state: StageState, lv: LevelTable) -> None:
                   lv.blue.select(state.blue_partner < 0))
 
 
-def _keep_columns(state: StageState, lv: LevelTable, bad: np.ndarray,
-                  dodgy: np.ndarray, new: Tuple[np.ndarray, np.ndarray],
-                  unmatched_in_heir=None, new_edges_in_heirs=None) -> None:
-    """Store the stage's per-block columns on the level. ``new`` holds the
-    reds matched in this stage, grouped by block and ascending within it,
-    with per-block counts; their partners are read now, before a later
-    stage's heir unmatch can overwrite them."""
-    ri, count = new
-    lv.new_start = _offsets(count)
-    lv.new_edges = np.column_stack([ri, state.red_partner[ri]])
+def _keep_columns(state: StageState, lv: LevelTable, bad: np.ndarray, dodgy: np.ndarray) -> None:
+    """Store the stage's per-block columns on the level."""
     lv.unmatched = (lv.red.count(state.red_partner < 0)
                     + lv.blue.count(state.blue_partner < 0))
     lv.bad, lv.dodgy = bad, dodgy
-    lv.unmatched_in_heir, lv.new_edges_in_heirs = unmatched_in_heir, new_edges_in_heirs
 
 
 def stage1(state: StageState) -> StageState:
@@ -392,7 +371,7 @@ def stage1(state: StageState) -> StageState:
     lv = state.levels[1]
     _match_leftovers(state, lv)
     clear = np.zeros(len(lv.cells), dtype=bool)  # no block is bad or dodgy
-    _keep_columns(state, lv, clear, clear, lv.red.select(state.red_partner >= 0))
+    _keep_columns(state, lv, clear, clear)
     state.stage = 1
     return state
 
@@ -414,14 +393,11 @@ def run_stage(state: StageState, n: int) -> StageState:
     partners = state.red_partner[heir_reds]
     state.red_partner[heir_reds] = -1
     state.blue_partner[partners] = -1
-    state.red_unmatch_events[heir_reds] += 1
-    state.blue_unmatch_events[partners] += 1
-
-    open_reds = state.red_partner < 0
 
     # (ii) match everything unmatched in A \ B into (A \ B) u C: a block's
     # problem lists the unmatched points of A \ B, then those of C
-    ri, n_r1, n_r2 = lv.red.select(open_reds & ~r_heir, r_heir & r_below if n > 2 else r_heir)
+    ri, n_r1, n_r2 = lv.red.select((state.red_partner < 0) & ~r_heir,
+                                   r_heir & r_below if n > 2 else r_heir)
     bi, n_b1, n_b2 = lv.blue.select((state.blue_partner < 0) & ~b_heir,
                                     b_heir & b_below if n > 2 else b_heir)
     excess = n_r1 - n_b1
@@ -433,17 +409,8 @@ def run_stage(state: StageState, n: int) -> StageState:
     # (iii) match as many of the remaining unmatched points in A as possible
     _match_leftovers(state, lv)
 
-    # bookkeeping for verification: a new edge's ends lie in B or in the heir
-    # of their own child of A (none at n = 2, whose children are level 1)
-    outside = (lv.red.count((state.red_partner < 0) & ~r_heir)
-               + lv.blue.count((state.blue_partner < 0) & ~b_heir))
-    new = lv.red.select(open_reds & (state.red_partner >= 0))
-    ri = new[0]  # the reds of this stage's new edges
-    stray = ~((r_heir | r_below)[ri] & (b_heir | b_below)[state.red_partner[ri]])
-    strays = np.bincount(lv.red.row[ri[stray]], minlength=len(lv.cells))
-    dodgy = below.bad.reshape(len(lv.cells), -1).any(axis=1)
-    _keep_columns(state, lv, ~feasible, dodgy, new,
-                  unmatched_in_heir=outside == 0, new_edges_in_heirs=strays == 0)
+    # A is dodgy when one of its children, consecutive rows of the level below, is bad
+    _keep_columns(state, lv, ~feasible, below.bad.reshape(len(lv.cells), -1).any(axis=1))
     state.stage = n
     return state
 

@@ -19,7 +19,7 @@ from poisson_matching.geometry import Disk, Domain
 from poisson_matching.matching import Matching
 from poisson_matching.hierarchy import (BlockSystem, ChernoffParams, aligned_window,
                                         build_block_system, chernoff_bound, chernoff_tail,
-                                        init_state, run_hierarchical)
+                                        init_state)
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
                                        derived_rng, sample)
 from poisson_matching.verify import (box_rematch_experiment,
@@ -29,6 +29,7 @@ from poisson_matching.verify import (box_rematch_experiment,
 from poisson_matching.walks import (build_walk, cut_times,
                                     cut_time_matching, excursion_matching,
                                     polygonal_arcs, zero_block_matching)
+from cases import stages
 from oracles import brute_force_min, least_line_cost, scalar_is_parallel_free
 
 
@@ -140,30 +141,32 @@ def test_criterion_04_strip_constructions(capfd):
     assert ok, failures
 
 
-def _hierarchical_failures(tag, ps, m, diag, state, N):
-    """Criterion 5's invariants on one window. Returns the failures and
-    whether the window was bad-free, so that its total-unmatched check ran."""
-    failures = []
-    window = ps.domain.window_rect()
+def _hierarchical_failures(tag, system, ps):
+    """Criterion 5's invariants on one window, each stage read from the
+    partner arrays (``cases.stages``), so no flag of the construction's is
+    read. Returns the failures, whether the window was bad-free, so that its
+    total-unmatched check ran, the final matching and the stages."""
+    failures, done = [], {}
+    for state, stage in stages(system, ps):
+        n = stage.n
+        done[n] = stage
+        wrong = {"unmatched != |excess|": stage.unmatched != np.abs(stage.excess)}
+        if n >= 2:
+            wrong["unmatched outside heir"] = ~stage.bad & ~stage.unmatched_in_heir
+        if n >= 3:
+            wrong["new edges outside heirs"] = ~stage.bad & ~stage.dodgy & ~stage.new_edges_in_heirs
+        for what, rows in wrong.items():
+            failures += [(tag, n, (n, ix, iy), what)
+                         for ix, iy in state.levels[n].cells[rows].tolist()]
+    m, window = state.to_matching(), ps.domain.window_rect()
     for i, j in m.edges:
         if not (window.contains(ps.reds[i]) and window.contains(ps.blues[j])):
-            failures.append((tag, f"edge leaves level-{N} block", (i, j)))
-    for n in range(1, N + 1):
-        lv = state.levels[n]
-        n_red, n_blue = (np.bincount(t.row[t.row >= 0], minlength=len(lv.cells))
-                         for t in (lv.red, lv.blue))
-        wrong = {"unmatched != |excess|": lv.unmatched != np.abs(n_red - n_blue)}
-        if n >= 2:
-            wrong["unmatched outside heir"] = ~lv.bad & ~lv.unmatched_in_heir
-        if n >= 3:
-            wrong["new edges outside heirs"] = ~lv.bad & ~lv.dodgy & ~lv.new_edges_in_heirs
-        for what, rows in wrong.items():
-            failures += [(tag, n, (n, ix, iy), what) for ix, iy in lv.cells[rows].tolist()]
-    bad_free = sum(diag["levels"][n]["bad_count"] for n in diag["levels"]) == 0
+            failures.append((tag, f"edge leaves level-{system.N} block", (i, j)))
+    bad_free = not any(stage.bad.any() for stage in done.values())
     if bad_free and (len(m.unmatched_reds) + len(m.unmatched_blues)
                      != abs(ps.n_red - ps.n_blue)):
         failures.append((tag, "bad-free total unmatched != excess"))
-    return failures, bad_free
+    return failures, bad_free, m, done
 
 
 def test_criterion_05_hierarchical_invariants(capfd):
@@ -172,8 +175,7 @@ def test_criterion_05_hierarchical_invariants(capfd):
     for seed in range(50):
         system = build_block_system(500 + seed, 4)
         ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), 500 + seed))
-        m, diag, state = run_hierarchical(ps, 500 + seed, 4, system=system)
-        found, bad_free = _hierarchical_failures(seed, ps, m, diag, state, 4)
+        found, bad_free, _, _ = _hierarchical_failures(seed, system, ps)
         failures += found
         bad_free_checked += bad_free
     ok = not failures
@@ -192,11 +194,10 @@ def test_criterion_05_bad_free_window_with_excess():
     reds = [[x + 0.25, y + 0.5] for x, y in cells] + [[1.5, 3.25]]
     blues = [[x + 0.75, y + 0.5] for x, y in cells]
     ps = ColoredPointSet(aligned_window(system), reds, blues, seed=0)
-    m, diag, state = run_hierarchical(ps, 0, 3, system=system)
-    failures, bad_free = _hierarchical_failures("handcrafted", ps, m, diag, state, 3)
+    failures, bad_free, m, done = _hierarchical_failures("handcrafted", system, ps)
     assert bad_free and not failures, failures
     assert len(m.unmatched_reds) == 1 and not m.unmatched_blues
-    assert len(state.levels[3].new_edges)  # stage 3 rematched
+    assert any(done[3].new_edges)  # stage 3 rematched
 
 
 def _heir_share(n):

@@ -491,6 +491,15 @@ BAD_INPUTS = {
     "boolean_arc_lowest": (VERIFY_ARCS, _two_arcs(lowest=True), "arc lowest must be numbers"),
     "boolean_arc_depth": (VERIFY_ARCS, _two_arcs(depth=True), "arc depth must be numbers"),
     "boolean_edge_index": (VERIFY, BOOLEAN_EDGE, "matching edges must be numbers"),
+    # nor a JSON string, which numpy reads as the number it spells; each exited 0
+    "string_red": (_match("excursion"), _with_points(reds=[["0.5", "0.5"]]),
+                   "points must be numbers"),
+    "string_blue_plane": (_match("min_cost"), json.dumps({**json.loads(PLANE_POINTS),
+                                                          "blues": [[1.0, "0.5"]]}),
+                          "points must be numbers"),
+    "string_arc_height": (VERIFY_ARCS, _two_arcs(height="0.25"), "arc height must be numbers"),
+    "string_arc_vertex": (VERIFY_ARCS, _two_arcs(vertices=[
+        [1.0, 0.5], [1.0, "0.25"], [1.5, 0.25], [1.5, 0.5]]), "arc vertices must be numbers"),
     # the stated length must be the edges'; this exited 0
     "total_length_disagrees": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "matching": {
         **ONE_EDGE_RESULT["matching"], "total_length": 12345.0}}), "stated total_length"),
@@ -528,8 +537,9 @@ ODD_VALUES = [None, True, False, 0, -1, 2, 1.0, 0.5, -0.0, 1e300, math.inf, math
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_every_reader_exits_0_1_or_2_on_a_mutated_file(inputs, data):
-    # one value replaced, or one key dropped or renamed, at a node found by
-    # walking down from the top of one of six small files
+    # one value replaced, a number written as a string, or one key dropped or
+    # renamed, at a node found by walking down from the top of one of six
+    # small files
     name = data.draw(st.sampled_from(["strip", "plane", "excursion", "min_cost", "hier",
                                       "laminate"]))
     box = [json.loads(inputs[name].read_text())]
@@ -538,10 +548,12 @@ def test_every_reader_exits_0_1_or_2_on_a_mutated_file(inputs, data):
         node = holder[key]
         holder, key = node, data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
                                                       else range(len(node))))
-    change = data.draw(st.sampled_from(["value", "drop", "rename"] if isinstance(holder, dict)
-                                       else ["value"]))
+    changes = ["value", "drop", "rename"] if isinstance(holder, dict) else ["value"]
+    change = data.draw(st.sampled_from(changes + ["string"] * (type(holder[key]) in (int, float))))
     if change == "value":
         holder[key] = data.draw(st.sampled_from(ODD_VALUES))
+    elif change == "string":
+        holder[key] = json.dumps(holder[key])
     elif change == "drop":
         del holder[key]
     else:

@@ -19,7 +19,7 @@ from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window
                                         init_state,
                                         run_hierarchical, run_stage, stage1)
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
-from cases import check_solve, hierarchical_case
+from cases import blocks_of, check_solve, hierarchical_case, stages, window_case
 from oracles import cost_matrix, min_cost_pairs, tied
 
 
@@ -268,19 +268,21 @@ def test_level_tables_equal_the_modulo_digits(N):
 
 class TestStages:
     def test_stage1_matches_within_unit_squares(self):
-        system, ps, (m, diag, state) = hierarchical_case(seed=3)
-        for i, j in state.levels[1].new_edges.tolist():
+        system, ps = window_case(seed=3)
+        _, stage = next(stages(system, ps))
+        edges = [edge for block in stage.new_edges for edge in block]
+        assert edges
+        for i, j in edges:
             r, b = ps.reds[i], ps.blues[j]
             assert math.floor(r[0]) == math.floor(b[0])
             assert math.floor(r[1]) == math.floor(b[1])
 
     def test_stage_edges_stay_in_their_block(self):
-        system, ps, (m, diag, state) = hierarchical_case(seed=11)
-        for n in range(1, 5):
-            lv = state.levels[n]
-            for (ix, iy), s0, s1 in zip(lv.cells.tolist(), lv.new_start, lv.new_start[1:]):
-                rect = block_at(system, n, ix, iy).rect
-                for i, j in lv.new_edges[s0:s1].tolist():
+        system, ps = window_case(seed=11)
+        for state, stage in stages(system, ps):
+            for (ix, iy), edges in zip(state.levels[stage.n].cells.tolist(), stage.new_edges):
+                rect = block_at(system, stage.n, ix, iy).rect
+                for i, j in edges:
                     assert rect.contains(ps.reds[i])
                     assert rect.contains(ps.blues[j])
 
@@ -303,18 +305,20 @@ class TestStages:
         assert diag["levels"][2]["bad_count"] == 0
         assert len(m.unmatched_reds) + len(m.unmatched_blues) == 1
 
-    def test_unmatch_events_bounded_by_covering_heirs(self):
-        system, ps, (m, diag, state) = hierarchical_case(seed=17)
-        for color, pts, events in (("red", ps.reds, state.red_unmatch_events),
-                                   ("blue", ps.blues, state.blue_unmatch_events)):
-            for idx in range(len(pts)):
-                x, y = pts[idx]
-                heirs = 0
-                for n in range(2, 5):
-                    block = block_holding(system, n, x, y)
-                    if heir_of(system, block).rect.contains((x, y)):
-                        heirs += 1
-                assert events[idx] <= heirs
+    def test_only_heir_points_lose_their_partners(self):
+        # the funnelling rule, on the partner arrays before and after each
+        # stage n: a point matched before it keeps its partner through it
+        # unless it lies in its level-n block's heir
+        kept = 0
+        for seed in (17, 19):
+            before = ()
+            for _, stage in stages(*window_case(seed)):
+                for was, now, heir in zip(before, stage.partners, stage.in_heir):
+                    held = (was >= 0) & ~heir
+                    assert np.array_equal(now[held], was[held]), (seed, stage.n)
+                    kept += np.count_nonzero(held)
+                before = stage.partners
+        assert kept > 0
 
     def test_misaligned_window_rejected(self):
         system = build_block_system(seed=1, N=4)
@@ -415,31 +419,31 @@ def test_run_hierarchical_diagnostics_shape():
     assert type(diag["unmatched_red"]) is int and type(diag["unmatched_blue"]) is int
 
 
-def block_rows(state, n):
-    """Level n's blocks after stage n, read from its columns, each as the
+def block_rows(state, stage):
+    """The level's blocks after ``stage`` (``cases.stages``), each as the
     per-block oracle gives it: (key, n_red, n_blue, unmatched, bad, dodgy,
-    new_edges, unmatched_in_heir, new_edges_in_heirs), the two heir flags
-    None at level 1."""
-    lv = state.levels[n]
+    new_edges, unmatched_in_heir, new_edges_in_heirs), the first six read
+    from the level table's columns and the last three from the stage, the
+    two heir flags None at level 1."""
+    lv = state.levels[stage.n]
     blocks = len(lv.cells)
-    keys = [(n, ix, iy) for ix, iy in lv.cells.tolist()]
+    keys = [(stage.n, ix, iy) for ix, iy in lv.cells.tolist()]
     counts = [np.bincount(t.row[t.row >= 0], minlength=blocks).tolist() for t in (lv.red, lv.blue)]
-    pairs, start = list(map(tuple, lv.new_edges.tolist())), lv.new_start.tolist()
-    new_edges = [pairs[s0:s1] for s0, s1 in zip(start, start[1:])]
     flags = [[None] * blocks if col is None else col.tolist()
-             for col in (lv.unmatched_in_heir, lv.new_edges_in_heirs)]
+             for col in (stage.unmatched_in_heir, stage.new_edges_in_heirs)]
     return list(zip(keys, *counts, lv.unmatched.tolist(), lv.bad.tolist(), lv.dodgy.tolist(),
-                    new_edges, *flags))
+                    stage.new_edges, *flags))
 
 
-def records_digest(state):
-    """SHA-256 over every block's nine columns (``block_rows``) and both
-    unmatch-event counters."""
-    payload = {
-        "records": [block_rows(state, n) for n in range(1, state.stage + 1)],
-        "red_unmatch_events": state.red_unmatch_events.tolist(),
-        "blue_unmatch_events": state.blue_unmatch_events.tolist(),
-    }
+def records_digest(system, ps):
+    """SHA-256 over every block's nine columns (``block_rows``) after each
+    stage, and both colors' unmatch-event counts at the end."""
+    records = []
+    for state, stage in stages(system, ps):
+        records.append(block_rows(state, stage))
+    red, blue = stage.unmatch_events
+    payload = {"records": records, "red_unmatch_events": red.tolist(),
+               "blue_unmatch_events": blue.tolist()}
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
@@ -455,22 +459,19 @@ RECORD_DIGESTS = {
 
 @pytest.mark.parametrize("seed,N", sorted(RECORD_DIGESTS))
 def test_block_records_pinned(seed, N):
-    _, _, (_, _, state) = hierarchical_case(seed, N)
-    assert records_digest(state) == RECORD_DIGESTS[seed, N]
+    system, ps = window_case(seed, N)
+    assert records_digest(system, ps) == RECORD_DIGESTS[seed, N]
 
 
 def check_against_rect_scan(system, ps):
-    """Run the stages one at a time and recompute each new level's block
-    counts and heir flags by plain ``Rect.contains`` scans over the block and
-    heir rectangles. Returns the number of blocks checked."""
-    state = init_state(ps, system)
-    stage1(state)
+    """Run the stages one at a time (``cases.stages``) and recompute each new
+    level's block counts and heir flags by plain ``Rect.contains`` scans over
+    the block and heir rectangles. Returns the number of blocks checked."""
     checked = 0
-    for n in range(1, system.N + 1):
-        if n > 1:
-            run_stage(state, n)
+    for state, stage in stages(system, ps):
+        n = stage.n
         for key, n_red, n_blue, n_unmatched, _, _, new_edges, in_heir, confined \
-                in block_rows(state, n):
+                in block_rows(state, stage):
             block = block_at(system, *key)
             reds = [i for i, p in enumerate(ps.reds) if block.rect.contains(p)]
             blues = [j for j, p in enumerate(ps.blues) if block.rect.contains(p)]
@@ -585,13 +586,10 @@ class OracleState:
 
 
 def _bucket(pts, system, n):
-    cell = np.floor(pts).astype(np.int64) - system.offsets(n)
-    block = cell // system.dims(n)
+    block, in_heir = blocks_of(system, pts, n)
     order = np.lexsort(block.T[::-1])  # stable, so each block's indices ascend
     keys, counts = np.unique(block[order], axis=0, return_counts=True)
     members = dict(zip(map(tuple, keys.tolist()), np.split(order, np.cumsum(counts)[:-1])))
-    along = cell[:, n % 2]
-    in_heir = along % system.a[n] < system.a[n - 2] if n >= 2 else np.zeros(len(pts), bool)
     return members, in_heir
 
 
@@ -724,26 +722,28 @@ COUNT_COLUMNS = 6
 
 
 def compare_with_oracle(system, ps, tied=False):
-    """Run the table-driven stages and the per-block oracle side by side and
-    require identical block columns (``block_rows``), partners and
-    unmatch-event counts after every stage. On ``tied`` points (lattice
-    windows, where least matchings tie) only the count columns are
-    compared. Returns the oracle's (bad, dodgy) block counts."""
-    state, oracle = init_state(ps, system), oracle_init_state(ps, system)
+    """Run the table-driven stages (``cases.stages``) and the per-block
+    oracle side by side and require identical block columns
+    (``block_rows``), partners and unmatch-event counts after every stage,
+    and the stage's own reading of the unmatched, bad and dodgy columns from
+    the partners. On ``tied`` points (lattice windows, where least matchings
+    tie) only the count columns are compared. Returns the oracle's (bad,
+    dodgy) block counts."""
+    oracle = oracle_init_state(ps, system)
     width = COUNT_COLUMNS if tied else None
-    for n in range(1, system.N + 1):
-        if n == 1:
-            stage1(state)
-            oracle_stage1(oracle)
-        else:
-            run_stage(state, n)
-            oracle_run_stage(oracle, n)
-        got = [row[:width] for row in block_rows(state, n)]
+    for state, stage in stages(system, ps):
+        n = stage.n
+        oracle_stage1(oracle) if n == 1 else oracle_run_stage(oracle, n)
+        got = [row[:width] for row in block_rows(state, stage)]
         want = [row[:width] for row in oracle.rows[n - 1]]
         assert got == want, n
-        for name in () if tied else ("red_partner", "blue_partner",
-                                     "red_unmatch_events", "blue_unmatch_events"):
-            assert (getattr(state, name) == getattr(oracle, name)).all(), (n, name)
+        derived = zip(stage.unmatched.tolist(), stage.bad.tolist(), stage.dodgy.tolist())
+        assert list(derived) == [row[3:COUNT_COLUMNS] for row in want], n
+        if not tied:
+            for mine, theirs in zip((state.red_partner, state.blue_partner, *stage.unmatch_events),
+                                    (oracle.red_partner, oracle.blue_partner,
+                                     oracle.red_unmatch_events, oracle.blue_unmatch_events)):
+                assert np.array_equal(mine, theirs), n
     rows = [row for level in oracle.rows for row in level]
     return sum(row[4] for row in rows), sum(row[5] for row in rows)  # bad, dodgy
 
@@ -1301,23 +1301,14 @@ class TestBlockRecordsView:
 
     def test_rows_unchanged_by_later_stages(self):
         # a later stage's heir unmatch rewrites red_partner for some of an
-        # earlier stage's new edges; the rows, and the new_edges column, keep
-        # what they had
-        system = build_block_system(3, 4)
-        ps = sample(SampleConfig(1.0, 1.0, aligned_window(system), 3))
-        state = init_state(ps, system)
-        stage1(state)
+        # earlier stage's new edges; the rows keep what they had
         taken = {}
-        for n in range(1, 5):
-            if n > 1:
-                run_stage(state, n)
-            taken[n] = state.records[n - 1], state.levels[n].new_edges.copy()
+        for state, stage in stages(*window_case(3)):
+            taken[stage.n] = state.records[stage.n - 1], stage.new_edges
         undone = 0
-        for n in range(1, 5):
-            rows, new_edges = taken[n]
+        for n, (rows, new_edges) in taken.items():
             assert state.records[n - 1] == rows
-            assert np.array_equal(state.levels[n].new_edges, new_edges)
-            undone += np.count_nonzero(state.red_partner[new_edges[:, 0]] != new_edges[:, 1])
+            undone += sum(state.red_partner[i] != j for edges in new_edges for i, j in edges)
         assert undone > 0
 
     def test_diagnostics_equal_row_sums(self):
