@@ -2,22 +2,24 @@
 
 Every solve in the package goes through this module, and within it through
 one door, ``assign_in_groups``: it alone scores an assignment problem or
-calls a scipy kernel. It takes many independent problems of one kind at
-once, as points laid end to end with offsets: RECTANGULAR (the smaller
-side fully matched, so every point where the sides are equal) and
-SATURATING (mandatory points and reserve pools). Their cost matrices are
-written by the ``cdist`` kernel into one reused buffer, and the assignment
-routine is called once per problem, so the Python around each problem is a
-few slices and two kernel calls; the partners come back as one array.
+calls a scipy kernel. It takes many independent problems at once, as
+points laid end to end with offsets. A problem's mandatory points must all
+be matched, and the rest, its reserve, pair only with mandatory points; by
+default its smaller side is mandatory. Mandatory points of one color make
+an injection into the other color, as their color's reserve can pair only
+with reserve, so its matrix needs no padding. The cost matrices are written
+by the ``cdist`` kernel into one reused buffer, and the assignment routine
+is called once per problem, so the Python around each problem is a few
+slices and two kernel calls; the partners come back as one array.
 ``min_cost_perfect`` and ``max_cardinality_min_cost`` are one-problem calls
 of it. The hierarchy's blocks, the box-rematch cells and the walks' zero
 and cut-time blocks each go to it in one call per step.
 
-A problem with at most SMALL_MAX = 3 points on one side has few enough
-injections to score outright. ``assign_in_groups``' first step, its
-small-problem pass (``_settle_small``), settles every problem of that size
-at its least total, in one numpy pass per size, with the cost matrix's
-floats; the larger problems reach the kernel.
+A problem with at most SMALL_MAX = 3 mandatory points, all of one color,
+has few enough injections to score outright. ``assign_in_groups``' first
+step, its small-problem pass (``_settle_small``), settles every problem of
+that size at its least total, in one numpy pass per size, with the cost
+matrix's floats; the larger problems reach the kernel.
 
 ``verify.minimality_certificate`` solves nothing: its distances are
 ``_pair_distances``', in numpy, the kernel's bit for bit, so it is
@@ -92,10 +94,6 @@ SMALL_MAX = 3  # largest small side the small-problem pass settles
 PAIR_BLOCK = 4096  # point pairs per batch of the small-problem pass
 SPARE_ENTRIES = 1 << 22  # 32 MiB: largest kept solve buffer (module doc)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# the kinds of problem assign_in_groups solves
-RECTANGULAR = "rectangular"
-SATURATING = "saturating"
 
 _spare: list = []  # at most one float64 buffer, free for the next solve
 
@@ -196,12 +194,13 @@ def _assign(cost: np.ndarray) -> np.ndarray:
 
 def _pad(cost: np.ndarray, reds: np.ndarray, blues: np.ndarray,
          must_r: int, must_b: int, sc: np.ndarray) -> None:
-    """Write a SATURATING problem's padded square matrix into ``cost``, in
-    the solver's row order ``sc = _scattered(len(cost))``: row k holds red
+    """Write a problem's padded square matrix into ``cost``, in the
+    solver's row order ``sc = _scattered(len(cost))``: row k holds red
     sc[k], or a dummy row where sc[k] >= len(reds). The first ``must_r`` reds
-    and ``must_b`` blues are mandatory. The rows come a block at a time, so
-    no temporary as large as the matrix is made; a dummy row takes the last
-    red's distances (``mode="clip"``), which the masks on sc overwrite."""
+    and ``must_b`` blues, both nonzero, are mandatory. The rows come a block
+    at a time, so no temporary as large as the matrix is made; a dummy row
+    takes the last red's distances (``mode="clip"``), which the masks on sc
+    overwrite."""
     nr, nb = len(reds), len(blues)
     distances, row = _kernel("cdist"), sc[:, None]
     for r0 in range(0, len(sc), ROW_BLOCK):
@@ -212,30 +211,32 @@ def _pad(cost: np.ndarray, reds: np.ndarray, blues: np.ndarray,
     np.copyto(cost[:, :must_b], BIG, where=row >= nr)  # mandatory blues cannot go unmatched
 
 
-def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
-                     red_must=None, blue_must=None) -> np.ndarray:
+def assign_in_groups(reds, red_start, blues, blue_start, must=None) -> np.ndarray:
     """Exact solves of many independent problems in one call. Problem g has
     the reds ``reds[red_start[g]:red_start[g + 1]]`` and the blues
     ``blues[blue_start[g]:blue_start[g + 1]]``. Returns the partner of every
-    red, as an index into ``blues``, or -1 where it is left unmatched. The
-    kinds:
+    red, as an index into ``blues``, or -1 where it is left unmatched.
 
-    - RECTANGULAR (``max_cardinality_min_cost``, and ``min_cost_perfect``
-      where the sides are equal): the smaller side fully matched at minimum
-      total length; a problem with an empty side has no pairs;
-    - SATURATING (the hierarchy's rematch step): the first ``red_must[g]``
-      reds and ``blue_must[g]`` blues of problem g are mandatory and the
-      rest are its reserve; every mandatory point is matched, no pair joins
-      two reserve points, and a problem without mandatory points has no
-      pairs. More mandatory points of a color than points of either is a
-      ValueError.
+    ``must = (red_must, blue_must)`` gives per problem the counts of its
+    mandatory points: the first ``red_must[g]`` reds and ``blue_must[g]``
+    blues of problem g, the rest being its reserve. Every mandatory point
+    is matched, no pair joins two reserve points, and the total length is
+    the least of all such matchings; a problem without mandatory points has
+    no pairs. More mandatory points of a color than points of either is a
+    ValueError. With ``must`` None, each problem's smaller side is
+    mandatory, its reds where the sides are equal: the smaller side fully
+    matched (``max_cardinality_min_cost``, and ``min_cost_perfect`` where
+    the sides are equal), and a problem with an empty side has no pairs.
 
-    A problem with at most SMALL_MAX points on its small side is settled by
-    the small-problem pass (``_settle_small``) and reaches no kernel. Each
-    other problem's cost matrix has its rows in golden-ratio order
-    (``_scattered``): the smaller side's points against the larger side's,
-    the reds where the sides are equal, written by the compiled ``cdist``
-    kernel, or the padded matrix of ``_pad``. Every matrix is a prefix view
+    A problem whose mandatory points are all of one color is an injection
+    of them into the other color: a reserve point of their color can pair
+    only with reserve, so it is never used. A problem with at most
+    SMALL_MAX such points is settled by the small-problem pass
+    (``_settle_small``) and reaches no kernel. Each other one's cost matrix
+    is its mandatory points against every point of the other color, written
+    by the compiled ``cdist`` kernel; a problem with mandatory points of
+    both colors needs the padded square matrix of ``_pad``. Every matrix
+    has its rows in golden-ratio order (``_scattered``), is a prefix view
     of one buffer, the module's spare (see module doc), and the assignment
     routine is called once per problem."""
     reds = _two_columns(reds, "reds")
@@ -245,30 +246,26 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     n_r, n_b = red_start[1:] - red_start[:-1], blue_start[1:] - blue_start[:-1]
     if len(n_r) != len(n_b):
         raise ValueError("need as many groups of blues as of reds")
-    if kind == SATURATING:
-        must_r = np.asarray(red_must, dtype=np.int64)
-        must_b = np.asarray(blue_must, dtype=np.int64)
-        if ((must_r > n_r) | (must_b > n_b)).any():  # _pad's dummy rows need must_r <= n_r
-            raise ValueError("more mandatory points than points in a problem")
-        if ((must_r > n_b) | (must_b > n_r)).any():
-            raise ValueError("reserve pools too small to saturate the mandatory points")
-        solve = must_r + must_b > 0  # every pair needs a mandatory end
-        n_rows = n_cols = np.maximum(n_r, n_b)
-        must = (must_r, must_b)
-    elif kind == RECTANGULAR:
-        solve = (n_r > 0) & (n_b > 0)
-        n_rows, n_cols = np.minimum(n_r, n_b), np.maximum(n_r, n_b)
-        must = ()
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    if must is None:
+        fewer = n_r <= n_b
+        must = np.where(fewer, n_r, 0), np.where(fewer, 0, n_b)
+    must_r, must_b = (np.asarray(m, dtype=np.int64) for m in must)
+    if ((must_r > n_r) | (must_b > n_b)).any():  # _pad's dummy rows need must_r <= n_r
+        raise ValueError("more mandatory points than points in a problem")
+    if ((must_r > n_b) | (must_b > n_r)).any():
+        raise ValueError("reserve pools too small to saturate the mandatory points")
+    solve = must_r + must_b > 0  # every pair needs a mandatory end
     partner = np.full(len(reds), -1, dtype=np.int64)
-    solve[_settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner)] = False
+    solve[_settle_small(reds, red_start, blues, blue_start, solve, must_r, must_b, partner)] = False
     g = solve.nonzero()[0]
     if not len(g):
         return partner
+    both = (must_r > 0) & (must_b > 0)
+    n_rows = np.where(both, np.maximum(n_r, n_b), must_r + must_b)
+    n_cols = np.where(both, np.maximum(n_r, n_b), np.where(must_r > 0, n_b, n_r))
     problems = zip(red_start[g].tolist(), n_r[g].tolist(), blue_start[g].tolist(),
-                   n_b[g].tolist(), n_rows[g].tolist(), n_cols[g].tolist(),
-                   *(m[g].tolist() for m in must))
+                   n_b[g].tolist(), must_r[g].tolist(), must_b[g].tolist(),
+                   n_rows[g].tolist(), n_cols[g].tolist())
     need = int((n_rows * n_cols)[g].max())
     try:  # list.pop is atomic: no other call gets this buffer
         work = _spare.pop()
@@ -285,19 +282,19 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     # problem by problem, in order, each row's red and blue within its problem
     red_ends, blue_ends = [], []
     try:
-        for a, nr, b, nb, n, m, *must_k in problems:
+        for a, nr, b, nb, mr, mb, n, m in problems:
             cost = work[:n * m].reshape(n, m)
             sc = _scattered(n)
-            if kind == SATURATING:  # row k of the matrix is padded row sc[k]
-                _pad(cost, reds[a:a + nr], blues[b:b + nb], *must_k, sc)
+            if mr and mb:  # row k of the matrix is padded row sc[k]
+                _pad(cost, reds[a:a + nr], blues[b:b + nb], mr, mb, sc)
                 red_ends.append(sc)
                 blue_ends.append(assign(cost))
-            elif nr <= nb:  # the reds are the rows
+            elif mr:  # the mandatory reds are the rows
                 red_ends.append(sc)
-                blue_ends.append(assign(distances(reds[a:a + nr][sc], blues[b:b + nb], out=cost)))
+                blue_ends.append(assign(distances(reds[a:a + mr][sc], blues[b:b + nb], out=cost)))
             else:
                 blue_ends.append(sc)
-                red_ends.append(assign(distances(blues[b:b + nb][sc], reds[a:a + nr], out=cost)))
+                red_ends.append(assign(distances(blues[b:b + mb][sc], reds[a:a + nr], out=cost)))
     finally:
         if len(work) <= SPARE_ENTRIES:
             _spare[:] = [work]  # one assignment: the spare never holds two
@@ -305,29 +302,25 @@ def assign_in_groups(kind: str, reds, red_start, blues, blue_start,
     def each_row(x: np.ndarray) -> np.ndarray:
         return np.repeat(x[g], n_rows[g])
 
+    # a padded matrix's dummy and reserve-reserve pairs go; every other pair is the problem's
     r, q = np.concatenate(red_ends), np.concatenate(blue_ends)
-    if kind == SATURATING:  # the matrix's pairs that are pairs of the problem
-        keep = ((r < each_row(n_r)) & (q < each_row(n_b))
-                & ((r < each_row(must_r)) | (q < each_row(must_b))))
-        r, q = r[keep], q[keep]
-        partner[r + each_row(red_start[:-1])[keep]] = q + each_row(blue_start[:-1])[keep]
-    else:
-        partner[r + each_row(red_start[:-1])] = q + each_row(blue_start[:-1])
+    keep = ((r < each_row(n_r)) & (q < each_row(n_b))
+            & ((r < each_row(must_r)) | (q < each_row(must_b))))
+    partner[r[keep] + each_row(red_start[:-1])[keep]] = q[keep] + each_row(blue_start[:-1])[keep]
     return partner
 
 
-def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
+def _settle_small(reds, red_start, blues, blue_start, solve, must_r, must_b, partner
                   ) -> np.ndarray:
     """The small-problem pass: settle in numpy, without a kernel, the small
     problems among those to ``solve`` (see ``assign_in_groups``); write
     their partners and return their indices.
 
-    A problem is small when its small side has at most SMALL_MAX points:
-    RECTANGULAR, its smaller side (its reds where the sides are equal)
-    against the other; SATURATING, its mandatory points, when they are all
-    of one color, against every point of the other color, all reserve. Both
-    colors' problems go in one pass, and each is settled at the least total
-    length of an injection of its small side into its other side.
+    A problem is small when its mandatory points (``must_r`` reds and
+    ``must_b`` blues) are all of one color and at most SMALL_MAX: they go
+    against every point of the other color. Both colors' problems go in one
+    pass, and each is settled at the least total length of an injection of
+    its small side into its other side.
 
     The distances are the cost matrix's floats (``_pair_distances``), and an
     injection's total is their sum in point order. A problem with s points
@@ -339,18 +332,13 @@ def _settle_small(kind, reds, red_start, blues, blue_start, solve, must, partner
     and moving the point there gives an injection whose total is no larger
     (a float sum never grows when a term shrinks)."""
     n_r, n_b = np.diff(red_start), np.diff(blue_start)
-    if kind == RECTANGULAR:
-        fewer = n_r <= n_b
-        k_r, k_b = np.where(fewer, n_r, 0), np.where(fewer, 0, n_b)
-    else:
-        k_r, k_b = must
-    g = np.flatnonzero(solve & (np.minimum(k_r, k_b) == 0) & (k_r + k_b <= SMALL_MAX))
+    g = np.flatnonzero(solve & (np.minimum(must_r, must_b) == 0) & (must_r + must_b <= SMALL_MAX))
     if not len(g):
         return g
     # both colors' points in one array, the blues after the reds; red marks
     # the problems whose small side is red
-    pts, first_b, red = np.concatenate([reds, blues]), blue_start[g] + len(reds), k_r[g] > 0
-    small, small_start = _spans(np.where(red, red_start[g], first_b), (k_r + k_b)[g])
+    pts, first_b, red = np.concatenate([reds, blues]), blue_start[g] + len(reds), must_r[g] > 0
+    small, small_start = _spans(np.where(red, red_start[g], first_b), (must_r + must_b)[g])
     large, large_start = _spans(np.where(red, first_b, red_start[g]),
                                 np.where(red, n_b[g], n_r[g]))
     # batches of at most PAIR_BLOCK point pairs, or one larger problem,
@@ -460,6 +448,6 @@ def max_cardinality_min_cost(reds, blues) -> Matching:
     fully matched and the excess of the other is left unmatched."""
     reds = _two_columns(reds, "reds")
     blues = _two_columns(blues, "blues")
-    partner = assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)])
+    partner = assign_in_groups(reds, [0, len(reds)], blues, [0, len(blues)])
     return Matching(reds, blues, partner_edges(partner))
 

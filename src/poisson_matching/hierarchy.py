@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .assignment import RECTANGULAR, SATURATING, _offsets, _stable_order, assign_in_groups
+from .assignment import _offsets, _stable_order, assign_in_groups
 from .geometry import Domain, Rect, _Frozen
 from .matching import Matching, partner_edges
 from .sampling import ColoredPointSet, derived_rng
@@ -321,15 +321,15 @@ def _kept(idx: np.ndarray, count: np.ndarray, keep: np.ndarray
     return idx[np.repeat(keep, count)], count[keep]
 
 
-def _solve_blocks(state: StageState, kind: str, red, blue, *must: np.ndarray) -> None:
+def _solve_blocks(state: StageState, red, blue, must=None) -> None:
     """Solve the blocks of ``red`` and ``blue`` in one ``assign_in_groups``
     call and link the partners. They hold each color's points grouped by
     block, (indices, per-block counts), each block's in the order its
-    problem takes them; ``must`` are the SATURATING kind's per-block counts
-    of mandatory reds and blues, which a block lists first."""
+    problem takes them; ``must``, as ``assign_in_groups`` takes it, None or
+    the per-block counts of mandatory reds and blues, listed first."""
     (ri, rc), (bi, bc) = red, blue
-    partner = assign_in_groups(kind, state.ps.reds.take(ri, axis=0), _offsets(rc),
-                               state.ps.blues.take(bi, axis=0), _offsets(bc), *must)
+    partner = assign_in_groups(state.ps.reds.take(ri, axis=0), _offsets(rc),
+                               state.ps.blues.take(bi, axis=0), _offsets(bc), must)
     k = np.flatnonzero(partner >= 0)
     ri, bj = ri[k], bi[partner[k]]
     state.red_partner[ri], state.blue_partner[bj] = bj, ri
@@ -352,7 +352,7 @@ def _match_leftovers(state: StageState, lv: LevelTable) -> None:
     """In every block of the level, min-length matching of maximum cardinality
     among its unmatched points: one problem per block, of which those with
     an empty side have no pairs."""
-    _solve_blocks(state, RECTANGULAR, lv.red.select(state.red_partner < 0),
+    _solve_blocks(state, lv.red.select(state.red_partner < 0),
                   lv.blue.select(state.blue_partner < 0))
 
 
@@ -403,8 +403,8 @@ def run_stage(state: StageState, n: int) -> StageState:
     excess = n_r1 - n_b1
     feasible = np.where(excess >= 0, excess <= n_b2, -excess <= n_r2)
     solve = feasible & (n_r1 + n_b1 > 0)
-    _solve_blocks(state, SATURATING, _kept(ri, n_r1 + n_r2, solve), _kept(bi, n_b1 + n_b2, solve),
-                  n_r1[solve], n_b1[solve])
+    _solve_blocks(state, _kept(ri, n_r1 + n_r2, solve), _kept(bi, n_b1 + n_b2, solve),
+                  (n_r1[solve], n_b1[solve]))
 
     # (iii) match as many of the remaining unmatched points in A as possible
     _match_leftovers(state, lv)

@@ -34,8 +34,8 @@ class ColoredPointSet:
 
     def __init__(self, domain: Domain, reds: np.ndarray, blues: np.ndarray, seed: int = 0):
         self.domain = domain
-        self.reds = _canonical(reds)
-        self.blues = _canonical(blues)
+        self.reds = _canonical(reds, "reds")
+        self.blues = _canonical(blues, "blues")
         self.seed = seed
         # equal points are adjacent once sorted, and -0.0 == 0.0 both in the
         # sort and in the comparison; the stable sort merges the two sorted
@@ -91,8 +91,8 @@ def canonical_order(pts: np.ndarray, kind=None) -> np.ndarray:
     return order
 
 
-def _canonical(pts) -> np.ndarray:
-    pts = _two_columns(pts, "points")
+def _canonical(pts, color: str) -> np.ndarray:
+    pts = _two_columns(pts, color)
     return pts.take(canonical_order(pts), axis=0)
 
 

@@ -20,8 +20,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcTable
-from .assignment import (EPS_TIE, RECTANGULAR, ROW_BLOCK, _pair_distances, _runs, _spans,
-                         _stable_order, assign_in_groups)
+from .assignment import (EPS_TIE, ROW_BLOCK, _pair_distances, _runs, _spans, _stable_order,
+                         assign_in_groups)
 from .geometry import (EPS_GEOM, DegenerateGeometryError, Rect, Region, _crosses_region,
                        _intersections, _same_points)
 from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _in_order, _lengths
@@ -421,7 +421,7 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     bounds = np.append(np.flatnonzero(first), len(ks))
     R, B = r.take(ks, axis=0), b.take(ks, axis=0)
     # each rematched edge keeps its red and takes the blue at B[new]
-    new = assign_in_groups(RECTANGULAR, R, bounds, B, bounds)
+    new = assign_in_groups(R, bounds, B, bounds)
     lengths = _lengths(r, b)
     length_before = float(lengths.sum())
     lengths[ks] = _lengths(R, B.take(new, axis=0))

@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .assignment import RECTANGULAR, _inverse, _stable_order, assign_in_groups
+from .assignment import _inverse, _stable_order, assign_in_groups
 from .arcs import ArcTable
 from .geometry import LINE, STRIP, Domain
 from .matching import ONE_COLOR, Matching, partner_edges
@@ -71,11 +71,11 @@ def _interval_cuts(ps: ColoredPointSet, boundaries
             np.searchsorted(ps.blues[:, 0], boundaries, side="right"))
 
 
-def _block_matching(ps: ColoredPointSet, kind: str, rc: np.ndarray, bc: np.ndarray) -> Matching:
+def _block_matching(ps: ColoredPointSet, rc: np.ndarray, bc: np.ndarray) -> Matching:
     """Solve every block of the cuts (rc, bc) (``_interval_cuts``) in one
-    ``assign_in_groups`` call of ``kind``: the matching of their edges, by
-    red. Points outside the blocks stay unmatched."""
-    partner = assign_in_groups(kind, ps.reds, rc, ps.blues, bc)
+    ``assign_in_groups`` call: the matching of their edges, by red. Points
+    outside the blocks stay unmatched."""
+    partner = assign_in_groups(ps.reds, rc, ps.blues, bc)
     return Matching(ps.reds, ps.blues, partner_edges(partner))
 
 
@@ -89,7 +89,7 @@ def zero_block_matching(ps: ColoredPointSet) -> Matching:
     rc, bc = _interval_cuts(ps, np.concatenate([[ps.domain.x0], zero_xs]))
     if (np.diff(rc) != np.diff(bc)).any():
         raise WalkInvariantError("zero block is not balanced")
-    return _block_matching(ps, RECTANGULAR, rc, bc)
+    return _block_matching(ps, rc, bc)
 
 
 def one_color_pairing(ps: ColoredPointSet, coin: int) -> Matching:
@@ -122,7 +122,7 @@ def cut_time_matching(ps: ColoredPointSet) -> Matching:
     rc, bc = _interval_cuts(ps, cuts)
     if (np.diff(rc) <= np.diff(bc)).any():
         raise WalkInvariantError("cut block must have a strict red excess")
-    return _block_matching(ps, RECTANGULAR, rc, bc)
+    return _block_matching(ps, rc, bc)
 
 
 def excursion_matching(ps: ColoredPointSet) -> Matching:

@@ -118,10 +118,10 @@ def stages(system, ps):
 
 def least_like(reds, blues, got, want, must=None) -> None:
     """``got`` is a least matching of the problem where ``want`` is one: a
-    matching of the problem, with as many edges (RECTANGULAR), or, where
-    ``must = (mr, mb)`` names its mandatory points (SATURATING), every
-    mandatory point matched and no two reserve points paired; a total within
-    EPS_TIE of ``want``'s; and a passing minimality certificate."""
+    matching of the problem, with as many edges (``must`` None), or, where
+    ``must = (mr, mb)`` names its mandatory points, every mandatory point
+    matched and no two reserve points paired; a total within EPS_TIE of
+    ``want``'s; and a passing minimality certificate."""
     got, want = Matching(reds, blues, got), Matching(reds, blues, want)
     if must is None:
         assert len(got.edges) == len(want.edges)

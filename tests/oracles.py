@@ -42,12 +42,12 @@ def added(values) -> float:
 def cost_matrix(reds, blues, must=None) -> np.ndarray:
     """A problem's cost matrix in index order, from the public ``cdist``.
 
-    A RECTANGULAR problem (``must`` None) is the reds against the blues. A
-    SATURATING one, ``must = (mr, mb)`` naming its first mr reds and mb
-    blues mandatory and the rest reserve, is padded in the textbook way to a
-    square of side max(reds, blues): a point paired with a dummy row or
-    column stays unmatched, which is forbidden (inf) for a mandatory point
-    and free for a reserve one, and two reserve points pair at no cost."""
+    With ``must`` None, it is the reds against the blues. With ``must =
+    (mr, mb)`` naming its first mr reds and mb blues mandatory and the rest
+    reserve, it is padded in the textbook way to a square of side
+    max(reds, blues): a point paired with a dummy row or column stays
+    unmatched, which is forbidden (inf) for a mandatory point and free for
+    a reserve one, and two reserve points pair at no cost."""
     cost = cdist(points(reds), points(blues))
     if must is None:
         return cost
@@ -62,12 +62,12 @@ def cost_matrix(reds, blues, must=None) -> np.ndarray:
 
 def min_cost_pairs(reds, blues, must=None) -> list:
     """The (red, blue) pairs, by red, of a least matching of the problem
-    (``cost_matrix``): RECTANGULAR, the smaller side matched in full;
-    SATURATING, every mandatory point matched and no two reserve points
+    (``cost_matrix``): with ``must`` None, the smaller side matched in
+    full; otherwise every mandatory point matched and no two reserve points
     paired. One public ``linear_sum_assignment`` call on the matrix."""
     cost = cost_matrix(reds, blues, must)
     nr, nb = len(points(reds)), len(points(blues))
-    mr, mb = must or (nr, nb)  # RECTANGULAR: every pair is kept
+    mr, mb = must or (nr, nb)  # must None: every pair is kept
     if 0 in cost.shape or mr + mb == 0:
         return []
     rows, cols = linear_sum_assignment(cost)
@@ -79,10 +79,9 @@ def tied(reds, blues, must=None) -> bool:
     """Whether the problem has another least matching, within EPS_TIE of
     the least total, than ``min_cost_pairs``'. Any other matching of the
     problem lacks one of that matching's pairs: a pair it added would share
-    an end with one of them, as they cover the small side (RECTANGULAR) or
-    every mandatory point (SATURATING). So the problem is tied exactly when,
-    for one of those pairs, the least matching without it is within
-    EPS_TIE."""
+    an end with one of them, as they cover the small side (``must`` None)
+    or every mandatory point. So the problem is tied exactly when, for one
+    of those pairs, the least matching without it is within EPS_TIE."""
     pairs = min_cost_pairs(reds, blues, must)
     cost = cost_matrix(reds, blues, must)
     least = added(cost[i, j] for i, j in pairs)

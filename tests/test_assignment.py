@@ -16,9 +16,9 @@ from scipy.spatial.distance import cdist
 import poisson_matching
 
 from poisson_matching import assignment, matching
-from poisson_matching.assignment import (EPS_TIE, RECTANGULAR, ROW_BLOCK, SATURATING, SMALL_MAX,
-                                         _pair_distances, assign_in_groups,
-                                         max_cardinality_min_cost, min_cost_perfect)
+from poisson_matching.assignment import (EPS_TIE, ROW_BLOCK, SMALL_MAX, _pair_distances,
+                                         assign_in_groups, max_cardinality_min_cost,
+                                         min_cost_perfect)
 from poisson_matching.geometry import Domain
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
 from poisson_matching.matching import ONE_COLOR, TWO_COLOR, Matching
@@ -42,7 +42,7 @@ SQUARE_BLUES = np.array([[0.0, 1.0], [1.0, 1.0]])
 
 def min_cost_partners(reds, blues) -> np.ndarray:
     reds, blues = points(reds), points(blues)
-    return assign_in_groups(RECTANGULAR, reds, [0, len(reds)], blues, [0, len(blues)])
+    return assign_in_groups(reds, [0, len(reds)], blues, [0, len(blues)])
 
 
 def _pairs(partner):
@@ -54,8 +54,8 @@ def min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
     reds, blues = points(reds), points(blues)
     all_r = np.concatenate([reds, points(reserve_reds)])
     all_b = np.concatenate([blues, points(reserve_blues)])
-    return _pairs(assign_in_groups(SATURATING, all_r, [0, len(all_r)], all_b, [0, len(all_b)],
-                                   [len(reds)], [len(blues)]))
+    return _pairs(assign_in_groups(all_r, [0, len(all_r)], all_b, [0, len(all_b)],
+                                   ([len(reds)], [len(blues)])))
 
 
 class TestMinCostPerfect:
@@ -560,7 +560,7 @@ def _laid(groups):
     return np.concatenate(groups), np.cumsum([0] + [len(g) for g in groups])
 
 
-def _grouped_pairs(monkeypatch, kind, reds, blues, must=()):
+def _grouped_pairs(monkeypatch, reds, blues, must=None):
     """Solve the problems (reds[g], blues[g]) in one assign_in_groups call.
     Returns each problem's (red, blue) pairs, as indices within the
     problem, and the mask of the problems its small-problem pass
@@ -570,7 +570,7 @@ def _grouped_pairs(monkeypatch, kind, reds, blues, must=()):
     with monkeypatch.context() as patch:
         patch.setattr(assignment, "_settle_small",
                       lambda *args: calls.append(settle(*args)) or calls[-1])
-        partner = assign_in_groups(kind, r, rs, b, bs, *must)
+        partner = assign_in_groups(r, rs, b, bs, must)
     assert len(calls) == 1  # one pass per call
     settled = np.zeros(len(reds), dtype=bool)
     settled[calls[0]] = True
@@ -581,9 +581,9 @@ def _grouped_pairs(monkeypatch, kind, reds, blues, must=()):
 
 def _check_four_ways(monkeypatch, small, large, extras):
     """Solve every problem (small[g], large[g]) in groups four ways:
-    RECTANGULAR with the small sides as the reds and as the blues, and
-    SATURATING with the small side mandatory, ``extras[g]`` as reserve of
-    its color and the large side all reserve, again as either color. Each
+    with ``must`` None, the small sides as the reds and as the blues, and
+    with the small side mandatory, ``extras[g]`` as reserve of its color
+    and the large side all reserve, again as either color. Each
     way the pass settles the same problems, a settled problem gets the same
     pairs, at its least total to the bit, and every problem's pairs are the
     oracle's where it is not tied, and a least matching where it is
@@ -592,16 +592,15 @@ def _check_four_ways(monkeypatch, small, large, extras):
     k = np.array([len(x) for x in small])
     zero = np.zeros_like(k)
     padded = [np.concatenate([points(s), points(e)]) for s, e in zip(small, extras)]
-    pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
+    pairs, settled = _grouped_pairs(monkeypatch, small, large)
     for g, (s, t) in enumerate(zip(small, large)):
         check_solve(s, t, pairs[g])
         if settled[g]:
             cost = cdist(s, t)
             assert added(cost[i, j] for i, j in pairs[g]) == injection_totals(s, t)[0][0]
-    for kind, reds, blues, must in ((RECTANGULAR, large, small, ()),
-                                    (SATURATING, padded, large, (k, zero)),
-                                    (SATURATING, large, padded, (zero, k))):
-        got, mask = _grouped_pairs(monkeypatch, kind, reds, blues, must)
+    for reds, blues, must in ((large, small, None), (padded, large, (k, zero)),
+                              (large, padded, (zero, k))):
+        got, mask = _grouped_pairs(monkeypatch, reds, blues, must)
         assert np.array_equal(mask, settled)
         for g in range(len(small)):
             if settled[g]:
@@ -657,11 +656,11 @@ class TestNearestInGroups:
     def test_single_target_and_no_group(self, monkeypatch):
         # the second source is 1 from both its targets: it takes one of them
         sources, targets = [[[0, 0]], [[1, 1]]], [[[5, 5]], [[1, 2], [1, 0]]]
-        pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, sources, targets)
+        pairs, settled = _grouped_pairs(monkeypatch, sources, targets)
         assert settled.tolist() == [True, True]
         assert pairs[0] == [(0, 0)] and pairs[1] in ([(0, 0)], [(0, 1)])
         none = np.empty((0, 2))
-        assert len(assign_in_groups(RECTANGULAR, none, [0], none, [0])) == 0
+        assert len(assign_in_groups(none, [0], none, [0])) == 0
 
 
 def _small_groups(rng, lattice, groups=300):
@@ -726,7 +725,7 @@ class TestSmallProblemPass:
                    [[1, 0], [10, 1], [20, 1], [0, -1 - gap], [30, 30]])]
         small = [np.array(S, float) for S, _ in groups]
         large = [np.array(L, float) for _, L in groups]
-        pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
+        pairs, settled = _grouped_pairs(monkeypatch, small, large)
         assert settled.tolist() == [True] * 3
         for S, L, p in zip(small, large, pairs):
             cost = cdist(S, L)
@@ -749,7 +748,7 @@ class TestSmallProblemPass:
         ranks = [np.argsort(cost[i], kind="stable").tolist().index(j)
                  for i, j in enumerate(totals[0][1])]
         assert max(ranks) == len(S) - 1
-        pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, [S], [L])
+        pairs, settled = _grouped_pairs(monkeypatch, [S], [L])
         assert settled.tolist() == [True]
         assert pairs == [list(enumerate(totals[0][1]))]
 
@@ -765,7 +764,7 @@ class TestSmallProblemPass:
         rng = derived_rng(68)
         small = [rng.uniform(0, 6, (s, 2)) for s in (1, 2, 3, 3)]
         large = [rng.uniform(0, 6, (n, 2)) for n in (60, 55, 50, 52)]
-        pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
+        pairs, settled = _grouped_pairs(monkeypatch, small, large)
         assert settled.all()
         for S, L, p in zip(small, large, pairs):
             totals = injection_totals(S, L)
@@ -779,13 +778,13 @@ class TestSmallProblemPass:
         # batch
         rng = derived_rng(66)
         small, large, _ = _small_groups(rng, lattice=True)
-        want = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
+        want = _grouped_pairs(monkeypatch, small, large)
         batches = []
         settle = assignment._settle_batch
         monkeypatch.setattr(assignment, "PAIR_BLOCK", block)
         monkeypatch.setattr(assignment, "_settle_batch",
                             lambda *a: batches.append(len(a[5])) or settle(*a))
-        got = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
+        got = _grouped_pairs(monkeypatch, small, large)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
         n_small = np.array([len(S) for S in small])
         pairs = n_small * np.array([len(L) for L in large])
@@ -798,7 +797,7 @@ class TestSmallProblemPass:
         rng = derived_rng(65)
         for s in range(1, SMALL_MAX + 1):
             S, L = rng.uniform(0, 50, (s, 2)), rng.uniform(0, 50, (400, 2))
-            pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, [S], [L])
+            pairs, settled = _grouped_pairs(monkeypatch, [S], [L])
             assert settled.tolist() == [True]
             assert pairs == [oracle_pairs(S, L)]
 
@@ -817,7 +816,7 @@ class TestSmallProblemPass:
             settle(*args)
 
         monkeypatch.setattr(assignment, "_settle_batch", settling)
-        pairs, settled = _grouped_pairs(monkeypatch, RECTANGULAR, small, large)
+        pairs, settled = _grouped_pairs(monkeypatch, small, large)
         assert settled.tolist() == [True] * 3
         assert pairs == [oracle_pairs(S, L) for S, L in zip(small, large)]
         assert [groups for groups, _ in batches] == [[0], [1], [2]]

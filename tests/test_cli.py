@@ -493,10 +493,10 @@ BAD_INPUTS = {
     "boolean_edge_index": (VERIFY, BOOLEAN_EDGE, "matching edges must be numbers"),
     # nor a JSON string, which numpy reads as the number it spells; each exited 0
     "string_red": (_match("excursion"), _with_points(reds=[["0.5", "0.5"]]),
-                   "points must be numbers"),
+                   "reds must be numbers"),
     "string_blue_plane": (_match("min_cost"), json.dumps({**json.loads(PLANE_POINTS),
                                                           "blues": [[1.0, "0.5"]]}),
-                          "points must be numbers"),
+                          "blues must be numbers"),
     "string_arc_height": (VERIFY_ARCS, _two_arcs(height="0.25"), "arc height must be numbers"),
     "string_arc_vertex": (VERIFY_ARCS, _two_arcs(vertices=[
         [1.0, 0.5], [1.0, "0.25"], [1.5, 0.25], [1.5, 0.5]]), "arc vertices must be numbers"),

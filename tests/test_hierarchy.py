@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import poisson, skellam
 
 from poisson_matching import assignment, hierarchy
-from poisson_matching.assignment import (BIG, RECTANGULAR, SATURATING, SMALL_MAX, _stable_order,
+from poisson_matching.assignment import (BIG, SMALL_MAX, _stable_order,
                                          assign_in_groups, min_cost_perfect)
 from poisson_matching.geometry import Domain, Rect
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
@@ -783,10 +783,10 @@ class TestAgainstPerBlockOracle:
 def test_hierarchy_solves_saturating_only_with_mandatory_points(monkeypatch):
     sizes = []
 
-    def recording(kind, reds, red_start, blues, blue_start, *must):
-        if kind == SATURATING:
+    def recording(reds, red_start, blues, blue_start, must=None):
+        if must is not None:
             sizes.extend(zip(*(np.asarray(m).tolist() for m in must)))
-        return assign_in_groups(kind, reds, red_start, blues, blue_start, *must)
+        return assign_in_groups(reds, red_start, blues, blue_start, must)
 
     monkeypatch.setattr(hierarchy, "assign_in_groups", recording)
     for seed in range(3):
@@ -797,26 +797,21 @@ def test_hierarchy_solves_saturating_only_with_mandatory_points(monkeypatch):
 def _record_small_solves(monkeypatch):
     """Watch the assignment layer while the hierarchy runs. Returns two
     lists: per problem that reaches the assignment kernel
-    (``assignment._assign``), (solver name, points on the small side), where
-    the small side of a saturating problem is its mandatory points when they
-    are all of one color and None otherwise; and per problem the
-    small-problem pass settles, recorded at its batches
+    (``assignment._assign``), ("pairs", its rows), the mandatory points of
+    one color, or ("padded", None) for a problem with mandatory points of
+    both colors, known by its padded matrix (``assignment._pad``); and per
+    problem the small-problem pass settles, recorded at its batches
     (``assignment._settle_batch``), (points on the small side, whether that
-    problem is tied). A saturating problem is known by its padded matrix
-    (``assignment._pad``)."""
+    problem is tied)."""
     calls, settled, padded = [], [], []
     kernel, pad, settle = assignment._assign, assignment._pad, assignment._settle_batch
 
-    def padding(cost, reds, blues, must_r, must_b, sc):
-        pad(cost, reds, blues, must_r, must_b, sc)
-        padded.append((cost, must_r, must_b))
+    def padding(cost, *args):
+        pad(cost, *args)
+        padded.append(cost)
 
     def solving(cost):
-        if padded and padded[-1][0] is cost:
-            _, mr, mb = padded.pop()
-            calls.append(("saturating", None if mr and mb else mr or mb))
-        else:
-            calls.append(("pairs", len(cost)))
+        calls.append(("padded", None) if padded and padded.pop() is cost else ("pairs", len(cost)))
         return kernel(cost)
 
     def settling(pts, small, small_start, large, large_start, groups, n_reds, partner):
@@ -842,7 +837,7 @@ def test_one_point_blocks_are_settled_by_the_pass(monkeypatch):
     assert 1 in {size for size, _ in settled}
     assert all(size != 1 for _, size in calls), calls
     assert {name for name, size in calls
-            if size is None or size > SMALL_MAX} == {"pairs", "saturating"}
+            if size is None or size > SMALL_MAX} == {"pairs", "padded"}
 
 
 def test_small_blocks_are_settled_by_the_pass(monkeypatch):
@@ -901,30 +896,36 @@ def _batch(rng, sizes, lattice):
 
 
 def _must(rng, red_start, blue_start):
-    """Mandatory counts of a feasible saturating problem for every group,
-    some with none, some with points of one color, some of both."""
+    """Mandatory counts of a feasible problem for every group, some with
+    none, some with points of one color, some of both."""
     nr, nb = np.diff(red_start), np.diff(blue_start)
     mr = rng.integers(0, np.minimum(nr, nb) + 1)
     mb = np.where(rng.random(len(nr)) < 0.5, 0, rng.integers(0, np.minimum(nb, nr - mr) + 1))
     return mr, mb
 
 
-def _small_problems(kind, reds, red_start, blues, blue_start, must=()):
+def _mandatory(r, b, must, g):
+    """Problem g's counts of mandatory reds and blues, of its points r and
+    b: ``must``'s, or with ``must`` None its smaller side's (its reds where
+    the sides are equal)."""
+    if must is None:
+        return (len(r), 0) if len(r) <= len(b) else (0, len(b))
+    return int(must[0][g]), int(must[1][g])
+
+
+def _small_problems(reds, red_start, blues, blue_start, must=None):
     """The problems the small-problem pass may settle, ascending, and per
-    problem its small side's points and the other side's: a rectangular
-    problem's smaller side (its reds where the sides are equal) against the
-    other, or a saturating problem's mandatory points, all of one color,
-    against every point of the other color."""
+    problem its small side's points and the other side's: with ``must``
+    None, the smaller side (its reds where the sides are equal) against the
+    other, and otherwise the mandatory points, all of one color, against
+    every point of the other color."""
     problems, small, large = [], [], []
     for g in range(len(red_start) - 1):
         r, b = reds[red_start[g]:red_start[g + 1]], blues[blue_start[g]:blue_start[g + 1]]
-        if kind == RECTANGULAR:
-            sides = (r, b) if len(r) <= len(b) else (b, r)
-        elif kind == SATURATING and not (must[0][g] and must[1][g]):
-            mr, mb = must[0][g], must[1][g]
-            sides = (r[:mr], b) if mr else (b[:mb], r)
-        else:
+        mr, mb = _mandatory(r, b, must, g)
+        if mr and mb:
             continue
+        sides = (r[:mr], b) if mr else (b[:mb], r)
         if 0 < len(sides[0]) <= SMALL_MAX:
             problems.append(g)
             small.append(sides[0])
@@ -932,7 +933,7 @@ def _small_problems(kind, reds, red_start, blues, blue_start, must=()):
     return problems, small, large
 
 
-def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=()):
+def _check_grouped(monkeypatch, reds, red_start, blues, blue_start, must=None):
     """Partners of assign_in_groups against the oracle's one-problem solves:
     the same for every problem that is not tied, and a least matching for a
     tied one (``cases.check_solve``). The pass, recorded at its batches
@@ -940,10 +941,12 @@ def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=(
     problems, in one pass: one set of point lists, its batches taking the
     problems in order. Every other problem with
     a pair to make reaches the kernel, with its cost matrix in the solver's
-    row order (``assignment._scattered``): the smaller side's rows, the reds
-    where the sides are equal, or the padded matrix, BIG in its forbidden
-    cells. Returns the kernel inputs, the problems the pass settled (all it
-    was offered), and the tied problems."""
+    row order (``assignment._scattered``): its mandatory points (with
+    ``must`` None, the smaller side, the reds where the sides are equal)
+    against every point of the other color, or, with mandatory points of
+    both colors, the padded matrix, BIG in its forbidden cells. Returns the
+    kernel inputs, the problems the pass settled (all it was offered), and
+    the tied problems."""
     batches, settle, inputs, solve = [], assignment._settle_batch, [], assignment._assign
 
     def settling(pts, small, small_start, large, large_start, groups, n_reds, partner):
@@ -953,9 +956,9 @@ def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=(
     monkeypatch.setattr(assignment, "_assign", lambda cost: inputs.append(np.array(cost))
                         or solve(cost))
     monkeypatch.setattr(assignment, "_settle_batch", settling)
-    got = assign_in_groups(kind, reds, red_start, blues, blue_start, *must)
+    got = assign_in_groups(reds, red_start, blues, blue_start, must)
     monkeypatch.undo()
-    settled, small, large = _small_problems(kind, reds, red_start, blues, blue_start, must)
+    settled, small, large = _small_problems(reds, red_start, blues, blue_start, must)
     assert bool(batches) == (len(settled) > 0)
     if batches:
         small_pts, small_start, large_pts, large_start, _ = batches[0]
@@ -969,12 +972,14 @@ def _check_grouped(monkeypatch, kind, reds, red_start, blues, blue_start, must=(
     for g in range(len(red_start) - 1):
         a, a1, b0 = red_start[g], red_start[g + 1], blue_start[g]
         r, b = reds[a:a1], blues[b0:blue_start[g + 1]]
-        m = (int(must[0][g]), int(must[1][g])) if kind == SATURATING else None  # as oracles take it
+        m = None if must is None else (int(must[0][g]), int(must[1][g]))  # as oracles take it
         pairs = [(i, j - b0) for i, j in enumerate(got[a:a1].tolist()) if j >= 0]
         if check_solve(r, b, pairs, m):
             tied_problems.append(g)
-        if (sum(m) if m else len(r) * len(b)) and g not in settled:  # a pair for the kernel
-            cost = cost_matrix(r, b, m) if m or len(r) <= len(b) else cost_matrix(b, r)
+        mr, mb = _mandatory(r, b, must, g)
+        if mr + mb and g not in settled:  # a pair for the kernel
+            cost = (cost_matrix(r, b, m) if mr and mb else cost_matrix(r[:mr], b) if mr
+                    else cost_matrix(b[:mb], r))
             want_inputs.append(np.where(np.isinf(cost), BIG, cost)[assignment._scattered(len(cost))])
     assert len(inputs) == len(want_inputs)
     for a, b in zip(inputs, want_inputs):
@@ -998,13 +1003,12 @@ class TestAssignInGroups:
     def test_batches(self, monkeypatch, shape, points):
         shapes = ["square", "rectangular", "saturating"]
         rng = derived_rng(151, shapes.index(shape), len(points))
-        kind = SATURATING if shape == "saturating" else RECTANGULAR
         sizes = _sizes(rng, 80, square=shape == "square")
         lattice = {"random": [False] * 80, "lattice": [True] * 80,
                    "mixed": (rng.random(80) < 0.5).tolist()}[points]
         reds, rs, blues, bs = _batch(rng, sizes, lattice)
-        must = _must(rng, rs, bs) if kind == SATURATING else ()
-        inputs, settled, tied = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
+        must = _must(rng, rs, bs) if shape == "saturating" else None
+        inputs, settled, tied = _check_grouped(monkeypatch, reds, rs, blues, bs, must)
         assert len(inputs) + len(settled) > 40
         # the pass settles every small problem, the lattice's tied ones too
         assert len(settled) > 10
@@ -1019,10 +1023,9 @@ class TestAssignInGroups:
         reds = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_reds, rng.uniform(0, 4, (7, 2))])
         blues = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_blues, rng.uniform(0, 4, (7, 2))])
         start = np.array([0, 9, 11, 18])
-        inputs, settled, tied = _check_grouped(monkeypatch, RECTANGULAR, reds, start, blues,
-                                               start)
+        inputs, settled, tied = _check_grouped(monkeypatch, reds, start, blues, start)
         assert settled == tied == [1] and [c.shape for c in inputs] == [(9, 9), (7, 7)]
-        got = assign_in_groups(RECTANGULAR, reds, start, blues, start)
+        got = assign_in_groups(reds, start, blues, start)
         assert sorted(got[9:11].tolist()) == [9, 10]
         tied = min_cost_perfect(tied_reds, tied_blues)
         assert tied.edges == [(i, j - 9) for i, j in enumerate(got[9:11].tolist())]
@@ -1033,20 +1036,20 @@ class TestAssignInGroups:
         sizes = [(3, 0), (4, 5), (0, 2), (0, 0), (2, 2)]
         reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
         # the two-point problem is the pass's, the other reaches the kernel
-        inputs, settled, _ = _check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)
+        inputs, settled, _ = _check_grouped(monkeypatch, reds, rs, blues, bs)
         assert len(inputs) == 1 and settled == [4]
         # square problems with no points have no pairs and reach no kernel;
         # the three-point one is the pass's
         square = [(0, 0), (3, 3), (0, 0)]
         reds, rs, blues, bs = _batch(rng, square, [False] * 3)
-        inputs, settled, _ = _check_grouped(monkeypatch, RECTANGULAR, reds, rs, blues, bs)
+        inputs, settled, _ = _check_grouped(monkeypatch, reds, rs, blues, bs)
         assert inputs == [] and settled == [1]
         # saturating problems with no mandatory point: no pairs and no kernel call
         reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
         must = (np.array([0, 2, 0, 0, 0]), np.array([0, 1, 0, 0, 0]))
-        inputs, settled, _ = _check_grouped(monkeypatch, SATURATING, reds, rs, blues, bs, must)
+        inputs, settled, _ = _check_grouped(monkeypatch, reds, rs, blues, bs, must)
         assert len(inputs) == 1 and settled == []
-        got = assign_in_groups(SATURATING, reds, rs, blues, bs, *must)
+        got = assign_in_groups(reds, rs, blues, bs, must)
         assert (got[:3] == -1).all() and (got[7:] == -1).all()
 
     def test_mandatory_points_of_both_colors(self, monkeypatch):
@@ -1058,7 +1061,23 @@ class TestAssignInGroups:
             nr, nb = np.diff(rs), np.diff(bs)
             must = (rng.integers(1, np.minimum(nr, nb)), rng.integers(1, np.minimum(nr, nb)))
             assert ((must[0] > 0) & (must[1] > 0)).all()
-            _check_grouped(monkeypatch, SATURATING, reds, rs, blues, bs, must)
+            _check_grouped(monkeypatch, reds, rs, blues, bs, must)
+
+    def test_mandatory_points_of_one_color_are_the_rows(self, monkeypatch):
+        # 5 mandatory points of 7 against 8 of the other color: the kernel
+        # gets their 5 x 8 matrix, not a padded 8 x 8 one, and no reserve
+        # point of their color is matched; reds mandatory, then blues
+        rng = derived_rng(191)
+        seven, eight = rng.uniform(0, 4, (7, 2)), rng.uniform(0, 4, (8, 2))
+        for reds, blues, must in ((seven, eight, ([5], [0])), (eight, seven, ([0], [5]))):
+            inputs, settled, tied = _check_grouped(monkeypatch, reds, [0, len(reds)], blues,
+                                                   [0, len(blues)], must)
+            assert [c.shape for c in inputs] == [(5, 8)] and settled == tied == []
+            got = assign_in_groups(reds, [0, len(reds)], blues, [0, len(blues)], must)
+            pairs = [(i, j) for i, j in enumerate(got.tolist()) if j >= 0]
+            assert pairs == min_cost_pairs(reds, blues, (must[0][0], must[1][0]))
+            matched = np.flatnonzero(got >= 0) if must[0][0] else got[got >= 0]
+            assert len(matched) == 5 and (matched < 5).all()
 
     @pytest.mark.parametrize("spare", [1 << 16, 1], ids=["default", "tiny"])
     def test_group_larger_than_the_buffer(self, monkeypatch, spare):
@@ -1069,12 +1088,12 @@ class TestAssignInGroups:
         # finds the entries of a different shape before it
         rng = derived_rng(173)
         sizes = [(5, 7), (40, 25), (9, 4), (60, 90), (6, 6), (30, 12), (4, 5), (70, 66)]
-        for kind in (RECTANGULAR, SATURATING):
+        for mandatory in (False, True):
             reds, rs, blues, bs = _batch(rng, sizes, (np.arange(8) % 3 == 0).tolist())
-            must = _must(rng, rs, bs) if kind == SATURATING else ()
+            must = _must(rng, rs, bs) if mandatory else None
             monkeypatch.setattr(assignment, "_spare", [np.full(spare, np.nan)])
             # partners and kernel inputs against the oracle's one-problem solves
-            inputs, *_ = _check_grouped(monkeypatch, kind, reds, rs, blues, bs, must)
+            inputs, *_ = _check_grouped(monkeypatch, reds, rs, blues, bs, must)
             assert len(inputs) >= 6
 
     def test_one_spare_kept_up_to_the_cap(self, monkeypatch):
@@ -1084,7 +1103,7 @@ class TestAssignInGroups:
         kept = []
         for n in (5, 20, 12, 31, 8):
             reds, blues = rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2))
-            assign_in_groups(RECTANGULAR, reds, [0, n], blues, [0, n])
+            assign_in_groups(reds, [0, n], blues, [0, n])
             assert len(assignment._spare) <= 1
             kept.append(assignment._spare[0] if assignment._spare else None)
         assert [None if k is None else len(k) for k in kept] == [25, 400, 400, None, 64]
@@ -1096,14 +1115,14 @@ class TestAssignInGroups:
         rng = derived_rng(181)
         problems = [(rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2)))
                     for n in (8, 30, 17, 45, 12, 26)]
-        want = [assign_in_groups(RECTANGULAR, r, [0, len(r)], b, [0, len(b)])
+        want = [assign_in_groups(r, [0, len(r)], b, [0, len(b)])
                 for r, b in problems]
         wrong = []
 
         def solve(k):
             for _ in range(15):
                 r, b = problems[k]
-                got = assign_in_groups(RECTANGULAR, r, [0, len(r)], b, [0, len(b)])
+                got = assign_in_groups(r, [0, len(r)], b, [0, len(b)])
                 if not np.array_equal(got, want[k]):
                     wrong.append(k)
 
@@ -1125,14 +1144,12 @@ class TestAssignInGroups:
         with pytest.raises(ValueError, match="size mismatch: 2 reds vs 1 blues"):
             min_cost_perfect(pts[:2], pts[:1])
         with pytest.raises(ValueError, match="reserve pools too small"):
-            assign_in_groups(SATURATING, pts, [0, 3], pts[:1], [0, 1], [2], [0])
-        for must in ([[4], [0]], [[0], [4]]):  # more mandatory points than points
+            assign_in_groups(pts, [0, 3], pts[:1], [0, 1], ([2], [0]))
+        for must in (([4], [0]), ([0], [4])):  # more mandatory points than points
             with pytest.raises(ValueError, match="more mandatory points"):
-                assign_in_groups(SATURATING, pts, [0, 3], pts, [0, 3], *must)
-        with pytest.raises(ValueError, match="unknown kind"):
-            assign_in_groups("triangular", pts, [0, 3], pts, [0, 3])
+                assign_in_groups(pts, [0, 3], pts, [0, 3], must)
         with pytest.raises(ValueError, match="need as many groups of blues as of reds"):
-            assign_in_groups(RECTANGULAR, pts, [0, 1, 3], pts, [0, 3])
+            assign_in_groups(pts, [0, 1, 3], pts, [0, 3])
 
 
 # --- Windows and block systems ------------------------------------------------

@@ -75,9 +75,9 @@ def test_duplicates_rejected_as_in_a_set_of_tuples(reds, blues):
 def test_points_of_another_shape_rejected(reds):
     d = ColoredPointSet(Domain.strip(0, 10), [], [[1.0, 0.5]]).to_json()
     assert ColoredPointSet.from_json(d).n_red == 0  # an empty list is no points
-    with pytest.raises(ValueError, match="points must be rows of two"):
+    with pytest.raises(ValueError, match="reds must be rows of two"):
         ColoredPointSet.from_json({**d, "reds": reds})
-    with pytest.raises(ValueError, match="points must be rows of two"):
+    with pytest.raises(ValueError, match="reds must be rows of two"):
         ColoredPointSet(Domain.strip(0, 10), reds, [])
 
 
