@@ -20,8 +20,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcTable
-from .assignment import (EPS_TIE, ROW_BLOCK, _pair_distances, _runs, _spans, _stable_order,
-                         assign_in_groups)
+from .assignment import EPS_TIE, ROW_BLOCK, _pair_distances, _runs, _spans, assign_in_groups
 from .geometry import (EPS_GEOM, DegenerateGeometryError, Rect, Region, _crosses_region,
                        _intersections, _same_points)
 from .matching import FORMAT_VERSION, TWO_COLOR, Matching, _in_order, _lengths
@@ -372,19 +371,6 @@ class BoxRematchResult:
         })
 
 
-def _cell_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.lexsort((y, x))`` for cells (x, y) of whole floats: one sort of the
-    cell numbers x * rows + y, counted from the lowest x and y, which are
-    exact below 2**53 cells; past that, the lexsort. A window under 2**53
-    squares a side (``box_rematch_experiment``'s bound) has finite cells."""
-    dx, dy = x - x.min(initial=np.inf), y - y.min(initial=np.inf)
-    rows = dy.max(initial=0.0) + 1
-    cells = (dx.max(initial=0.0) + 1) * rows
-    if not cells < 2 ** 53:
-        return np.lexsort((y, x))
-    return _stable_order((dx * rows + dy).astype(np.int64), int(cells))
-
-
 def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRematchResult:
     """Partition the window into side-t squares; inside each square, replace
     the edges lying entirely within it by the min-length matching of their
@@ -393,7 +379,7 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     blues.
 
     The edges are read once, from the matching's edge array. The cells are
-    ordered by one sort (``_cell_order``) and solved in one
+    ordered by one ``np.lexsort`` of their x and y and solved in one
     ``assign_in_groups`` call, each as ``min_cost_perfect`` solves it. Both
     totals are summed from the endpoint arrays as ``Matching.total_length``
     sums them (``_lengths``, the rematched edges' replaced for the total
@@ -414,7 +400,7 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
     # each end's cell, column by column: the same floats as Python's //
     x, y = (r[:, 0] - d.x0) // t, (r[:, 1] - d.y0) // t
     ks = np.flatnonzero((x == (b[:, 0] - d.x0) // t) & (y == (b[:, 1] - d.y0) // t))
-    ks = ks[_cell_order(x[ks], y[ks])]  # by cell, then by edge
+    ks = ks[np.lexsort((y[ks], x[ks]))]  # by cell, then by edge
     x, y = x[ks], y[ks]
     first = np.ones(len(ks), dtype=bool)
     first[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])

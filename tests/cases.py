@@ -1,12 +1,14 @@
 """Inputs and checkers that more than one test module shares and that call
 the package; the independent oracles are in ``oracles.py``."""
 
+import contextlib
 import math
 import types
 
 import numpy as np
 import pytest
 
+from poisson_matching import assignment
 from poisson_matching.arcs import ArcTable
 from poisson_matching.assignment import EPS_TIE
 from poisson_matching.hierarchy import (aligned_window, build_block_system, init_state,
@@ -14,7 +16,6 @@ from poisson_matching.hierarchy import (aligned_window, build_block_system, init
 from poisson_matching.matching import Matching
 from poisson_matching.sampling import SampleConfig, sample
 from poisson_matching.verify import minimality_certificate
-from oracles import min_cost_pairs, tied
 
 
 def window_case(seed, N=4, lam=1.0):
@@ -116,34 +117,49 @@ def stages(system, ps):
         below, last = heir, stage
 
 
-def least_like(reds, blues, got, want, must=None) -> None:
-    """``got`` is a least matching of the problem where ``want`` is one: a
-    matching of the problem, with as many edges (``must`` None), or, where
-    ``must = (mr, mb)`` names its mandatory points, every mandatory point
-    matched and no two reserve points paired; a total within EPS_TIE of
-    ``want``'s; and a passing minimality certificate."""
-    got, want = Matching(reds, blues, got), Matching(reds, blues, want)
-    if must is None:
-        assert len(got.edges) == len(want.edges)
-    else:
-        r, b = got._edge_array().T
-        assert {*range(must[0])} <= {*r.tolist()} and {*range(must[1])} <= {*b.tolist()}
-        assert ((r < must[0]) | (b < must[1])).all()
-    assert abs(got.total_length - want.total_length) <= EPS_TIE
-    assert minimality_certificate(got).passed
+def lattice(rng, width, n, distinct):
+    """n integer points on a width x width grid, distinct or drawn with
+    replacement (so points may repeat)."""
+    cells = rng.choice(width * width, size=n, replace=not distinct)
+    return np.column_stack([cells // width, cells % width]).astype(float)
 
 
-def check_solve(reds, blues, got, must=None) -> bool:
-    """``got``, a solve's (red, blue) pairs by red of one problem, as
-    ``oracles.min_cost_pairs`` takes it: the oracle's pairs where the
-    problem is not tied, and a least matching (``least_like``) where it is.
-    Returns whether it is tied."""
-    want = min_cost_pairs(reds, blues, must)
-    if not tied(reds, blues, must):
-        assert got == want
-        return False
-    least_like(reds, blues, got, want, must)
-    return True
+@contextlib.contextmanager
+def solver_spy():
+    """Watch the private steps of ``assignment.assign_in_groups`` while the
+    context lasts; the one place the tests patch the solver. The namespace
+    it yields collects: every cost matrix that reaches the kernel
+    (``assignment._assign``), copied, in ``matrices``, and whether
+    ``assignment._pad`` wrote it, in ``padded``; each batch of the
+    small-problem pass (``assignment._settle_batch``), as its problems'
+    indices within the pass and its count of point pairs, in ``batches``;
+    and each problem the pass settles, as its small side's points and its
+    other side's, in ``settled``."""
+    spy = types.SimpleNamespace(matrices=[], padded=[], batches=[], settled=[])
+    kernel, pad, settle = assignment._assign, assignment._pad, assignment._settle_batch
+    written = []
+
+    def padding(cost, *args):
+        pad(cost, *args)
+        written.append(cost)
+
+    def solving(cost):
+        spy.matrices.append(np.array(cost))
+        spy.padded.append(bool(written) and written.pop() is cost)
+        return kernel(cost)
+
+    def settling(pts, small, small_start, large, large_start, groups, n_reds, partner):
+        settle(pts, small, small_start, large, large_start, groups, n_reds, partner)
+        pairs = np.diff(small_start)[groups] * np.diff(large_start)[groups]
+        spy.batches.append((groups.tolist(), int(pairs.sum())))
+        spy.settled += [(pts[small[small_start[g]:small_start[g + 1]]],
+                         pts[large[large_start[g]:large_start[g + 1]]]) for g in groups.tolist()]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assignment, "_assign", solving)
+        patch.setattr(assignment, "_pad", padding)
+        patch.setattr(assignment, "_settle_batch", settling)
+        yield spy
 
 
 def assert_cycle_witness(m, rep=None):

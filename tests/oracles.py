@@ -12,6 +12,7 @@ no oracle copies the solver's row order: a test compares partners with
 matching where it is.
 """
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -100,6 +101,20 @@ def tied(reds, blues, must=None) -> bool:
 BRUTE_FORCE_MAX = 9
 
 
+@functools.lru_cache(maxsize=None)
+def _permutations(n):
+    """Every permutation of range(n), one a column, in lexicographic order:
+    those of range(k) are each first f followed by those of range(k - 1),
+    their values from f up raised by one. Built once per n and kept, 26 MB
+    at n = 9, as the tests take thousands of brute-force minima."""
+    perms = np.zeros((0, 1), np.intp)
+    for k in range(1, n + 1):
+        perms = np.concatenate([np.insert(perms + (perms >= f), 0, f, axis=0) for f in range(k)],
+                               axis=1)
+    perms.flags.writeable = False  # one array for every caller
+    return perms
+
+
 def brute_force_min(reds, blues):
     """Exhaustive minimum over all permutations: (edges, total).
 
@@ -116,42 +131,42 @@ def brute_force_min(reds, blues):
         raise ValueError("size mismatch")
     if n > BRUTE_FORCE_MAX:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX}")
-    # in lexicographic order, those of range(k) are each first f followed by
-    # those of range(k - 1), their values from f up raised by one
-    perms = np.zeros((1, 0), np.int8)
-    for k in range(1, n + 1):
-        perms = np.concatenate([np.insert(perms + (perms >= f), 0, f, axis=1) for f in range(k)])
-    total = np.zeros(len(perms))
+    perms = _permutations(n)
+    total = np.zeros(perms.shape[1])
     for i in range(n):
-        total += cost[i].take(perms[:, i])
+        total += cost[i].take(perms[i])
     best = int(np.argmin(total))
-    return list(enumerate(perms[best].tolist())), float(total[best])
+    return list(enumerate(perms[:, best].tolist())), float(total[best])
 
 
-def injection_totals(small, large) -> list:
-    """Every injection of ``small`` into ``large`` with its total length,
-    the sum in point order of ``cdist``'s entries; ascending."""
+def least_injection(small, large):
+    """The least total length of an injection of ``small`` into ``large``,
+    each total the sum in point order of ``cdist``'s entries, and the first
+    injection of that total in lexicographic order, as a tuple of indices
+    into ``large``."""
     cost = cdist(points(small), points(large))
-    return sorted((added(cost[i, j] for i, j in enumerate(perm)), perm)
-                  for perm in itertools.permutations(range(len(cost.T)), len(cost)))
+    perms = np.array(list(itertools.permutations(range(cost.shape[1]), len(cost))),
+                     dtype=np.intp).reshape(-1, len(cost))
+    total = np.zeros(len(perms))
+    for i in range(len(cost)):
+        total += cost[i].take(perms[:, i])
+    best = int(np.argmin(total))  # the first least, as the permutations are in order
+    return float(total[best]), tuple(perms[best].tolist())
 
 
-def saturating_least(reds, blues, reserve_reds, reserve_blues) -> float:
-    """Least length over every set of disjoint pairs that covers all
-    mandatory points and pairs no two reserve points, by enumeration."""
-    all_r = np.concatenate([points(reds), points(reserve_reds)])
-    all_b = np.concatenate([points(blues), points(reserve_blues)])
-    nr1, nb1 = len(points(reds)), len(points(blues))
-    best = math.inf
-    for k in range(min(len(all_r), len(all_b)) + 1):
-        for rs in itertools.combinations(range(len(all_r)), k):
-            for bs in itertools.permutations(range(len(all_b)), k):
-                pairs = list(zip(rs, bs))
-                if any(i >= nr1 and j >= nb1 for i, j in pairs):
+def enumerated_least(reds, blues, must) -> float:
+    """Least length over every set of disjoint pairs that matches each
+    mandatory point (the first mr reds and mb blues, ``must = (mr, mb)``)
+    and pairs no two reserve points, by enumeration."""
+    reds, blues = points(reds), points(blues)
+    (mr, mb), best = must, math.inf
+    for k in range(min(len(reds), len(blues)) + 1):
+        for rs in itertools.combinations(range(len(reds)), k):
+            for bs in itertools.permutations(range(len(blues)), k):
+                if (any(i >= mr and j >= mb for i, j in zip(rs, bs))
+                        or not {*range(mr)} <= {*rs} or not {*range(mb)} <= {*bs}):
                     continue
-                if not (set(range(nr1)) <= set(rs) and set(range(nb1)) <= set(bs)):
-                    continue
-                best = min(best, sum(math.hypot(*(all_r[i] - all_b[j])) for i, j in pairs))
+                best = min(best, sum(math.hypot(*(reds[i] - blues[j])) for i, j in zip(rs, bs)))
     return best
 
 

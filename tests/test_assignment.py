@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 
@@ -16,46 +17,22 @@ from scipy.spatial.distance import cdist
 import poisson_matching
 
 from poisson_matching import assignment, matching
-from poisson_matching.assignment import (EPS_TIE, ROW_BLOCK, SMALL_MAX, _pair_distances,
+from poisson_matching.assignment import (BIG, EPS_TIE, ROW_BLOCK, SMALL_MAX, _pair_distances,
                                          assign_in_groups, max_cardinality_min_cost,
                                          min_cost_perfect)
 from poisson_matching.geometry import Domain
 from poisson_matching.hierarchy import aligned_window, build_block_system, run_hierarchical
-from poisson_matching.matching import ONE_COLOR, TWO_COLOR, Matching
+from poisson_matching.matching import ONE_COLOR, Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 from poisson_matching.verify import box_rematch_experiment, minimality_certificate
 from poisson_matching.walks import (cut_time_matching, excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs, zero_block_matching)
-from cases import assert_cycle_witness, check_solve, least_like
-from oracles import (BRUTE_FORCE_MAX, added, brute_force_min, injection_totals, points,
-                     saturating_least, tied)
-from oracles import min_cost_pairs as oracle_pairs
+from cases import assert_cycle_witness, lattice, solver_spy
+from oracles import (BRUTE_FORCE_MAX, added, brute_force_min, cost_matrix, least_injection,
+                     min_cost_pairs, points, enumerated_least, tied)
 
 SQUARE_REDS = np.array([[0.0, 0.0], [1.0, 0.0]])
 SQUARE_BLUES = np.array([[0.0, 1.0], [1.0, 1.0]])
-
-
-# One-problem calls of assign_in_groups: the partner array of a problem
-# with equal sides, and the (red, blue) pairs, by red, of a saturating
-# problem, whose indices run over reds + reserve_reds and blues +
-# reserve_blues (``max_cardinality_min_cost`` gives a rectangular one's).
-
-def min_cost_partners(reds, blues) -> np.ndarray:
-    reds, blues = points(reds), points(blues)
-    return assign_in_groups(reds, [0, len(reds)], blues, [0, len(blues)])
-
-
-def _pairs(partner):
-    ri = np.flatnonzero(partner >= 0)
-    return list(zip(ri.tolist(), partner[ri].tolist()))
-
-
-def min_cost_saturating(reds, blues, reserve_reds, reserve_blues):
-    reds, blues = points(reds), points(blues)
-    all_r = np.concatenate([reds, points(reserve_reds)])
-    all_b = np.concatenate([blues, points(reserve_blues)])
-    return _pairs(assign_in_groups(all_r, [0, len(all_r)], all_b, [0, len(all_b)],
-                                   ([len(reds)], [len(blues)])))
 
 
 class TestMinCostPerfect:
@@ -75,170 +52,6 @@ class TestMinCostPerfect:
 
     def test_empty(self):
         assert min_cost_perfect(np.empty((0, 2)), np.empty((0, 2))).edges == []
-
-
-def _lattice(rng, width, n, distinct):
-    """n integer points on a width x width grid, distinct or drawn with
-    replacement (so points may repeat)."""
-    cells = rng.choice(width * width, size=n, replace=not distinct)
-    return np.stack([cells // width, cells % width], axis=1).astype(float)
-
-
-def _check(reds, blues, must=None) -> bool:
-    """The one-problem solve against the oracle's: the oracle's partners
-    where the input is not tied, and a least matching where it is
-    (``cases.check_solve``). ``max_cardinality_min_cost`` is that solve
-    (``min_cost_perfect`` where the sides are equal, and a one-problem
-    ``assign_in_groups`` call), and ``min_cost_saturating`` its saturating
-    form. True when the input is tied."""
-    if must is None:
-        got = max_cardinality_min_cost(reds, blues).edges
-    else:
-        mr, mb = must
-        got = min_cost_saturating(reds[:mr], blues[:mb], reds[mr:], blues[mb:])
-    return check_solve(reds, blues, got, must)
-
-
-class TestAgainstIndexOrderPath:
-    """``_check`` on each family of inputs; each tied family counts the tied
-    inputs it met."""
-
-    def test_random_reals(self):
-        rng = derived_rng(107)
-        for n in (0, 1, 2, 3, 30, ROW_BLOCK + 1, 200):
-            reds, blues = rng.uniform(0, 5, (n, 2)), rng.uniform(0, 5, (n, 2))
-            assert not _check(reds, blues)
-
-    def test_lattices(self):
-        rng = derived_rng(109)
-        met = 0
-        for _ in range(300):
-            width = int(rng.integers(2, 7))
-            n = int(rng.integers(1, width * width + 1))
-            met += _check(_lattice(rng, width, n, distinct=True),
-                          _lattice(rng, width, n, distinct=True))
-        assert met >= 30
-
-    @pytest.mark.parametrize("side", ["reds", "blues"])
-    def test_duplicate_points(self, side):
-        rng = derived_rng(113, side == "reds")
-        met = 0
-        for _ in range(200):
-            width = int(rng.integers(2, 7))
-            n = int(rng.integers(2, 20))
-            dup = _lattice(rng, width, n, distinct=False)
-            other = _lattice(rng, width, n, distinct=n <= width * width)
-            met += _check(*((dup, other) if side == "reds" else (other, dup)))
-        assert met >= 30
-
-    @pytest.mark.parametrize("n", [ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
-    def test_across_row_blocks(self, n):
-        rng = derived_rng(127, n)
-        met = 0
-        for width in (2, 3, 4, 5, 6):
-            met += _check(_lattice(rng, width, n, distinct=False),
-                          _lattice(rng, width, n, distinct=False))
-        assert not _check(rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2)))
-        assert met >= 3
-
-    @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
-    def test_saturating_with_reserves(self, lattice):
-        rng = derived_rng(131, lattice)
-        both = met = 0
-        shapes = [rng.integers(0, 9, size=4) for _ in range(200)]
-        shapes += [(50, 30, 40, 70), (100, 90, 50, 80), (20, 70, 90, 5)]
-        for sizes in shapes:
-            if lattice:
-                reds, blues, rres, bres = (_lattice(rng, 6, int(k), distinct=False)
-                                           for k in sizes)
-            else:
-                reds, blues, rres, bres = (rng.uniform(0, 4, (int(k), 2)) for k in sizes)
-            if len(reds) > len(blues) + len(bres) or len(blues) > len(reds) + len(rres):
-                continue
-            met += _check(np.concatenate([reds, rres]), np.concatenate([blues, bres]),
-                          (len(reds), len(blues)))
-            both += len(rres) > 0 and len(bres) > 0
-        assert both >= 100 and (met >= 30 if lattice else met == 0)
-
-
-class TestTiedInputs:
-    """``_check`` on perfect problems, most of them full of ties, and, up to
-    BRUTE_FORCE_MAX points, a total within EPS_TIE of ``brute_force_min``'s,
-    a second oracle that enumerates."""
-
-    @staticmethod
-    def _check_enumerated(reds, blues) -> bool:
-        met = _check(reds, blues)
-        if len(reds) <= BRUTE_FORCE_MAX:
-            total = min_cost_perfect(reds, blues).total_length
-            assert abs(total - brute_force_min(reds, blues)[1]) <= EPS_TIE
-        return met
-
-    def test_matches_reference_on_lattices(self):
-        rng = derived_rng(53)
-        met = 0
-        for _ in range(300):
-            width = int(rng.integers(2, 7))
-            n = int(rng.integers(1, min(width * width, 12) + 1))
-            met += self._check_enumerated(_lattice(rng, width, n, distinct=True),
-                                          _lattice(rng, width, n, distinct=True))
-        assert met >= 30
-
-    def test_matches_reference_with_duplicate_blues(self):
-        rng = derived_rng(59)
-        met = 0
-        for _ in range(200):
-            width = int(rng.integers(2, 7))
-            n = int(rng.integers(2, 15))
-            met += self._check_enumerated(_lattice(rng, width, n, distinct=n <= width * width),
-                                          _lattice(rng, width, n, distinct=False))
-        assert met >= 30
-
-    def test_matches_reference_across_row_blocks(self):
-        rng = derived_rng(61)
-        met = 0
-        for width in (2, 3, 4, 5, 6):
-            for n in (ROW_BLOCK + 1, 2 * ROW_BLOCK + 7):
-                met += _check(_lattice(rng, width, n, distinct=False),
-                              _lattice(rng, width, n, distinct=False))
-        assert met >= 5
-
-    def test_random_reals_pass_unchanged(self):
-        rng = derived_rng(67)
-        n = 3 * ROW_BLOCK
-        assert not _check(rng.uniform(0, 5, (n, 2)), rng.uniform(0, 5, (n, 2)))
-
-    def test_tied_three_cycle_is_not_undone(self):
-        # Three matchings of equal length: min_cost_perfect and brute force
-        # each return one of least total, the same one on every call.
-        reds = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]])
-        blues = np.array([[1.0, 1.0], [0.0, 2.0], [1.0, 0.0]])
-        fast = min_cost_perfect(reds, blues)
-        slow = Matching(reds, blues, brute_force_min(reds, blues)[0])
-        assert fast.total_length == slow.total_length and self._check_enumerated(reds, blues)
-        assert minimality_certificate(fast).passed and minimality_certificate(slow).passed
-        assert all(min_cost_perfect(reds, blues).edges == fast.edges for _ in range(5))
-        assert all(brute_force_min(reds, blues)[0] == slow.edges for _ in range(5))
-
-
-class TestMinCostPairsInSolverOrder:
-    """``_check`` on rectangular problems, untied and tied."""
-
-    def test_random_rectangular_inputs(self):
-        rng = derived_rng(97)
-        for _ in range(200):
-            nr, nb = (int(k) for k in rng.integers(0, 12, 2))
-            assert not _check(rng.uniform(0, 3, (nr, 2)), rng.uniform(0, 3, (nb, 2)))
-
-    def test_lattice_ties(self):
-        rng = derived_rng(101)
-        met = 0
-        for _ in range(200):
-            width = int(rng.integers(2, 5))
-            nr, nb = (int(k) for k in rng.integers(1, width * width + 1, 2))
-            met += _check(_lattice(rng, width, nr, distinct=True),
-                          _lattice(rng, width, nb, distinct=True))
-        assert met >= 30
 
 
 def _brute_force_loop(reds, blues):
@@ -332,7 +145,7 @@ class TestMaxCardinalityMinCost:
             reds = rng.uniform(0, 1, (5, 2))
             blues = rng.uniform(0, 1, (3, 2))
             m = max_cardinality_min_cost(reds, blues)
-            assert m.total_length == pytest.approx(injection_totals(blues, reds)[0][0], abs=1e-12)
+            assert m.total_length == pytest.approx(least_injection(blues, reds)[0], abs=1e-12)
             assert len(m.edges) == 3 and not m.unmatched_blues
 
     def test_pairs_are_the_matching_edges(self):
@@ -340,7 +153,7 @@ class TestMaxCardinalityMinCost:
         reds = rng.uniform(0, 1, (6, 2))
         blues = rng.uniform(0, 1, (4, 2))
         pairs = max_cardinality_min_cost(reds, blues).edges
-        assert pairs == sorted(pairs) == oracle_pairs(reds, blues)
+        assert pairs == sorted(pairs) == min_cost_pairs(reds, blues)
 
     def test_excess_blues_left_unmatched(self):
         m = max_cardinality_min_cost([[0.0, 0.0]], [[0.1, 0.0], [5.0, 0.0]])
@@ -366,71 +179,38 @@ class TestMaxCardinalityMinCost:
         assert m.edges == [] and m.kind == "perfect"
 
 
-class TestMinCostSaturating:
-    def test_matches_enumeration_oracle(self):
-        rng = derived_rng(47)
-        for _ in range(60):
-            sizes = rng.integers(0, 3, size=4)
-            if sizes.sum() > 6:
-                continue
-            reds, blues, rres, bres = (rng.uniform(0, 1, (int(n), 2)) for n in sizes)
-            if len(reds) > len(blues) + len(bres) or len(blues) > len(reds) + len(rres):
-                with pytest.raises(ValueError):
-                    min_cost_saturating(reds, blues, rres, bres)
-                continue
-            pairs = min_cost_saturating(reds, blues, rres, bres)
-            all_r = np.concatenate([reds, rres])
-            all_b = np.concatenate([blues, bres])
-            assert not check_solve(all_r, all_b, pairs, (len(reds), len(blues)))
-            assert Matching(all_r, all_b, pairs).total_length == pytest.approx(
-                saturating_least(reds, blues, rres, bres), abs=1e-12)
-
-    def test_reserve_absorbs_excess(self):
-        # two mandatory reds, one mandatory blue: the far red takes the reserve blue
-        pairs = min_cost_saturating([[0, 0], [5, 0]], [[0.1, 0]], np.empty((0, 2)),
-                                    [[5, 0.2], [9, 9]])
-        assert pairs == [(0, 0), (1, 1)]
-
-    def test_no_mandatory_points_solves_nothing(self, monkeypatch):
-        def no_solve(cost):
-            raise AssertionError("solved a problem with no mandatory point")
-
-        monkeypatch.setattr(assignment, "_assign", no_solve)
-        assert min_cost_saturating(np.empty((0, 2)), np.empty((0, 2)),
-                                   [[0, 0], [1, 1]], [[0, 1]]) == []
-
-
 class TestDenseSolvePeakMemory:
     """A dense solve holds one n-by-n cost matrix: no reordered copy, and
-    only row blocks besides (the index-order path peaked at two matrices)."""
+    only row blocks besides."""
 
     N = 600
 
     @staticmethod
-    def _traced_peak(solve, *args) -> int:
-        solve(*(a[:3] for a in args))  # load scipy outside the trace
+    def _traced_peak(solve) -> int:
+        min_cost_perfect(SQUARE_REDS, SQUARE_BLUES)  # load scipy outside the trace
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            solve(*args)
+            solve()
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
 
-    @pytest.mark.parametrize("solve", [min_cost_partners, min_cost_perfect])
-    def test_perfect_solves(self, solve):
+    def test_perfect_solve(self):
         rng = derived_rng(137)
         reds, blues = rng.uniform(0, 25, (self.N, 2)), rng.uniform(0, 25, (self.N, 2))
-        assert self._traced_peak(solve, reds, blues) < 1.3 * self.N * self.N * 8
+        peak = self._traced_peak(lambda: min_cost_perfect(reds, blues))
+        assert peak < 1.3 * self.N * self.N * 8
 
-    def test_saturating(self):
+    def test_mandatory_points_of_both_colors(self):
+        # 300 of 600 reds and 250 of 570 blues mandatory: a padded 600 x 600 matrix
         rng = derived_rng(139)
-        reds, rres = rng.uniform(0, 25, (300, 2)), rng.uniform(0, 25, (300, 2))
-        blues, bres = rng.uniform(0, 25, (250, 2)), rng.uniform(0, 25, (320, 2))
-        peak = self._traced_peak(min_cost_saturating, reds, blues, rres, bres)
+        reds, blues = rng.uniform(0, 25, (600, 2)), rng.uniform(0, 25, (570, 2))
+        peak = self._traced_peak(
+            lambda: assign_in_groups(reds, [0, 600], blues, [0, 570], ([300], [250])))
         assert peak < 1.3 * self.N * self.N * 8
 
 
@@ -441,7 +221,7 @@ def _cost_matrices():
     for n in (2, 7, 40, 150):
         yield rng.uniform(0.0, 10.0, (n, n))
     for width, n in ((2, 6), (3, 9), (5, 25), (6, 60)):
-        yield cdist(_lattice(rng, width, n, False), _lattice(rng, width, n, False))
+        yield cdist(lattice(rng, width, n, False), lattice(rng, width, n, False))
     for rows, cols in ((3, 8), (20, 45), (45, 20), (1, 9), (9, 1)):
         yield rng.uniform(0.0, 10.0, (rows, cols))
     yield np.zeros((1, 5))  # one row, every column tied
@@ -491,17 +271,23 @@ class TestCompiledKernels:
 
     @staticmethod
     def _solve_all():
-        """The partners of perfect, rectangular and saturating solves, on
-        random and lattice points."""
+        """The partners of solves with equal sides, with unequal sides, and
+        with mandatory points of both colors, on random and lattice points."""
         rng = derived_rng(73)
         problems = [(rng.uniform(0, 10, (n, 2)), rng.uniform(0, 10, (n, 2)))
                     for n in (1, 5, 30, 120)]
-        problems += [(_lattice(rng, w, n, False), _lattice(rng, w, n, False))
+        problems += [(lattice(rng, w, n, False), lattice(rng, w, n, False))
                      for w, n in ((3, 9), (5, 25))]
         reserves = [rng.uniform(0, 10, (k, 2)) for k in (4, 9)]
+
+        def mandatory(r, b):  # r[:2] and b[:1] mandatory, the reserves after them
+            must = ([len(r[:2])], [1])
+            r, b = np.concatenate([r[:2], reserves[0]]), np.concatenate([b[:1], reserves[1]])
+            return assign_in_groups(r, [0, len(r)], b, [0, len(b)], must).tolist()
+
         return ([min_cost_perfect(r, b).edges for r, b in problems],
                 [max_cardinality_min_cost(r, b[:len(b) // 2 + 1]).edges for r, b in problems],
-                [min_cost_saturating(r[:2], b[:1], *reserves) for r, b in problems])
+                [mandatory(r, b) for r, b in problems])
 
     @pytest.mark.parametrize("lookup", [lambda name: None,
                                         lambda name: types.ModuleType(name)],
@@ -554,87 +340,357 @@ assert min_cost_perfect(reds, blues).edges == edges
         assert res.returncode == 0, res.stderr
 
 
+# --- The solver against the oracles -----------------------------------------
+# One checker, ``_check_grouped``, watches an ``assign_in_groups`` call with
+# ``cases.solver_spy`` and checks every problem of it; a one-problem call is
+# a one-group batch. ``TestAssignInGroups::test_family`` drives it over every
+# shape, kind of point and size of problem, and the other tests over cases of
+# their own.
+
 def _laid(groups):
     """Point lists laid end to end, and their offsets."""
     groups = [points(g) for g in groups]
     return np.concatenate(groups), np.cumsum([0] + [len(g) for g in groups])
 
 
-def _grouped_pairs(monkeypatch, reds, blues, must=None):
-    """Solve the problems (reds[g], blues[g]) in one assign_in_groups call.
-    Returns each problem's (red, blue) pairs, as indices within the
-    problem, and the mask of the problems its small-problem pass
-    (``assignment._settle_small``, recorded) settled: all it was offered."""
-    (r, rs), (b, bs) = _laid(reds), _laid(blues)
-    calls, settle = [], assignment._settle_small
-    with monkeypatch.context() as patch:
-        patch.setattr(assignment, "_settle_small",
-                      lambda *args: calls.append(settle(*args)) or calls[-1])
-        partner = assign_in_groups(r, rs, b, bs, must)
-    assert len(calls) == 1  # one pass per call
-    settled = np.zeros(len(reds), dtype=bool)
-    settled[calls[0]] = True
-    pairs = [[(i, int(partner[rs[g] + i] - bs[g])) for i in range(rs[g + 1] - rs[g])
-              if partner[rs[g] + i] >= 0] for g in range(len(reds))]
-    return pairs, settled
+def _mandatory(nr, nb, must, g):
+    """Problem g's counts of mandatory reds and blues, of its nr reds and nb
+    blues: ``must``'s, or with ``must`` None its smaller side's (its reds
+    where the sides are equal)."""
+    if must is None:
+        return (nr, 0) if nr <= nb else (0, nb)
+    return int(must[0][g]), int(must[1][g])
 
 
-def _check_four_ways(monkeypatch, small, large, extras):
-    """Solve every problem (small[g], large[g]) in groups four ways:
-    with ``must`` None, the small sides as the reds and as the blues, and
-    with the small side mandatory, ``extras[g]`` as reserve of its color
-    and the large side all reserve, again as either color. Each
-    way the pass settles the same problems, a settled problem gets the same
-    pairs, at its least total to the bit, and every problem's pairs are the
-    oracle's where it is not tied, and a least matching where it is
-    (``cases.check_solve``). Returns the settled mask and each problem's
-    pairs, (small, large) indices within the problem."""
-    k = np.array([len(x) for x in small])
-    zero = np.zeros_like(k)
-    padded = [np.concatenate([points(s), points(e)]) for s, e in zip(small, extras)]
-    pairs, settled = _grouped_pairs(monkeypatch, small, large)
-    for g, (s, t) in enumerate(zip(small, large)):
-        check_solve(s, t, pairs[g])
-        if settled[g]:
-            cost = cdist(s, t)
-            assert added(cost[i, j] for i, j in pairs[g]) == injection_totals(s, t)[0][0]
-    for reds, blues, must in ((large, small, None), (padded, large, (k, zero)),
-                              (large, padded, (zero, k))):
-        got, mask = _grouped_pairs(monkeypatch, reds, blues, must)
-        assert np.array_equal(mask, settled)
-        for g in range(len(small)):
-            if settled[g]:
-                assert sorted(got[g] if reds is padded else [(i, j) for j, i in got[g]]) == pairs[g]
-            else:
-                check_solve(reds[g], blues[g], got[g], (must[0][g], must[1][g]) if must else None)
-    return settled, pairs
+def _small_problems(reds, red_start, blues, blue_start, must=None) -> dict:
+    """The problems the small-problem pass settles, ascending, each with
+    its small side's points and its other side's: those whose mandatory
+    points, 1 to SMALL_MAX of them, are all of one color, against every
+    point of the other color."""
+    small = {}
+    for g in range(len(red_start) - 1):
+        r, b = reds[red_start[g]:red_start[g + 1]], blues[blue_start[g]:blue_start[g + 1]]
+        mr, mb = _mandatory(len(r), len(b), must, g)
+        if not (mr and mb) and 0 < mr + mb <= SMALL_MAX:
+            small[g] = (r[:mr], b) if mr else (b[:mb], r)
+    return small
 
 
-def _one_point_groups(rng, lattice, groups=400):
-    """Per group a source, 1-6 targets and 0-3 points of the source's color
-    (the saturating problem's other reserve), all distinct within the group:
-    uniform reals, or integer points of a 5x5 lattice, where ties are
-    common. Returns (sources, targets, extras), a list of each."""
-    sources, targets, extras = [], [], []
-    for _ in range(groups):
-        k, e = int(rng.integers(1, 7)), int(rng.integers(0, 4))
-        if lattice:
-            cells = rng.choice(25, size=1 + k + e, replace=False)
-            pts = np.column_stack([cells // 5, cells % 5]).astype(float)
+def _check_problem(reds, blues, got, must=None) -> bool:
+    """``got``, one problem's (red, blue) pairs by red, against the oracle's
+    (``oracles.min_cost_pairs``): equal where the problem is not tied, and
+    where it is, a least matching: as many pairs (``must`` None), or every
+    mandatory point matched and no two reserve points paired (``must =
+    (mr, mb)``), a total within EPS_TIE of the oracle's, and a passing
+    minimality certificate. Returns whether it is tied."""
+    want = min_cost_pairs(reds, blues, must)
+    if not tied(reds, blues, must):
+        assert got == want
+        return False
+    got, want = Matching(reds, blues, got), Matching(reds, blues, want)
+    if must is None:
+        assert len(got.edges) == len(want.edges)
+    else:
+        r, b = got._edge_array().T
+        assert {*range(must[0])} <= {*r.tolist()} and {*range(must[1])} <= {*b.tolist()}
+        assert ((r < must[0]) | (b < must[1])).all()
+    assert abs(got.total_length - want.total_length) <= EPS_TIE
+    assert minimality_certificate(got).passed
+    return True
+
+
+def _check_grouped(reds, red_start, blues, blue_start, must=None):
+    """Solve the problems in one ``assign_in_groups`` call, watched by
+    ``cases.solver_spy``, and check each: its pairs pass ``_check_problem``;
+    with equal sides and ``must`` None, up to BRUTE_FORCE_MAX points a side,
+    its total is within EPS_TIE of ``brute_force_min``'s, and with ``must``
+    and at most six points, within 1e-12 of ``enumerated_least``'s. The
+    small-problem pass settles exactly the ``_small_problems``, in order,
+    each at its least total to the bit (``least_injection``) where its
+    other side has at most 12 points. Every other problem with a mandatory
+    point reaches the kernel, in order, with its cost matrix in the solver's
+    row order (``assignment._scattered``): its mandatory points against
+    every point of the other color, or, with mandatory points of both
+    colors, the padded matrix ``_pad`` writes, BIG in its forbidden cells.
+    Returns the spy, with each problem's (red, blue) pairs within it
+    (``pairs``), the problems the pass settled (``small``) and the tied
+    ones (``tied``)."""
+    with solver_spy() as spy:
+        got = assign_in_groups(reds, red_start, blues, blue_start, must)
+    small = _small_problems(reds, red_start, blues, blue_start, must)
+    assert [g for groups, _ in spy.batches for g in groups] == list(range(len(small)))
+    assert len(spy.settled) == len(small)
+    for (S, L), (s, l) in zip(spy.settled, small.values()):
+        assert np.array_equal(S, s) and np.array_equal(L, l)
+    spy.pairs, spy.small, spy.tied, want, padded = [], list(small), [], [], []
+    for g in range(len(red_start) - 1):
+        a, a1, b0, b1 = red_start[g], red_start[g + 1], blue_start[g], blue_start[g + 1]
+        r, b = reds[a:a1], blues[b0:b1]
+        mr, mb = _mandatory(len(r), len(b), must, g)
+        m = None if must is None else (mr, mb)  # as the oracles take it
+        pairs = [(i, j - b0) for i, j in enumerate(got[a:a1].tolist()) if j >= 0]
+        spy.pairs.append(pairs)
+        if _check_problem(r, b, pairs, m):
+            spy.tied.append(g)
+        total = added(cdist(r, b)[i, j] for i, j in pairs)
+        if must is None and len(r) == len(b) <= BRUTE_FORCE_MAX:
+            assert abs(total - brute_force_min(r, b)[1]) <= EPS_TIE
+        elif must is not None and len(r) + len(b) <= 6:
+            assert total == pytest.approx(enumerated_least(r, b, m), abs=1e-12)
+        if g in small:
+            S, L = small[g]
+            mine = pairs if mr else sorted((j, i) for i, j in pairs)
+            if len(L) <= 12:
+                assert added(cdist(S, L)[i, j] for i, j in mine) == least_injection(S, L)[0]
+        elif mr + mb:
+            cost = (cost_matrix(r, b, m) if mr and mb else cost_matrix(r[:mr], b) if mr
+                    else cost_matrix(b[:mb], r))
+            want.append(np.where(np.isinf(cost), BIG, cost)[assignment._scattered(len(cost))])
+            padded.append(bool(mr and mb))
+    assert len(spy.matrices) == len(want)
+    for cost, want_cost in zip(spy.matrices, want):
+        assert cost.shape == want_cost.shape and np.array_equal(cost, want_cost)
+    assert spy.padded == padded
+    return spy
+
+
+SHAPES = ["equal", "unequal", "one_color", "both_colors"]
+KINDS = ["reals", "distinct", "repeats"]
+# by size: the least and most rows of a problem's cost matrix, and by shape
+# how many problems of each kind
+SIZES = {
+    "small": (1, SMALL_MAX, {"equal": (270, 550, 150), "unequal": (1150, 2050, 100),
+                             "one_color": (1350, 1230, 100), "both_colors": (50, 50, 50)}),
+    "up_to_12": (0, 12, {"equal": (200, 1000, 700), "unequal": (700, 950, 100),
+                         "one_color": (700, 300, 1200), "both_colors": (220, 50, 200)}),
+    "row_block": (13, ROW_BLOCK + 1, {"equal": (10, 100, 180), "unequal": (10, 10, 10),
+                                      "one_color": (10, 10, 10), "both_colors": (40, 10, 40)}),
+    "row_blocks": (ROW_BLOCK + 2, 2 * ROW_BLOCK + 7, {"equal": (4, 4, 12), "unequal": (4, 4, 4),
+                                                      "one_color": (4, 4, 4),
+                                                      "both_colors": (4, 4, 4)}),
+}
+# how many problems at least are tied where the points are a lattice's: one
+# where not listed
+LEAST_TIED = {("equal", "distinct", "up_to_12"): 60, ("equal", "repeats", "up_to_12"): 90,
+              ("equal", "repeats", "row_block"): 6, ("equal", "repeats", "row_blocks"): 5,
+              ("unequal", "distinct", "up_to_12"): 30, ("both_colors", "repeats", "up_to_12"): 30}
+
+
+def _family(rng, shape, kind, size):
+    """``SIZES[size]``'s problems of one ``shape`` and ``kind``, laid end to
+    end as ``assign_in_groups`` takes them: (reds, red_start, blues,
+    blue_start, must). A problem's cost matrix has n rows, n drawn from the
+    size's range, the first problem's its top. By ``shape``:
+
+    - ``equal``: n points a side, ``must`` None;
+    - ``unequal``: n points on one side and 1 to 9 more on the other,
+      ``must`` None;
+    - ``one_color``: n mandatory points and 0 to 3 reserve of one color,
+      against n to n + 8 points of the other, all reserve;
+    - ``both_colors``: max(n, 1) points on one side, 1 to as many on the
+      other, and of each color 1 to the smaller count mandatory.
+
+    Either side is the red one, at random. By ``kind``, the points are
+    uniform ``reals``, or lattice points, ``distinct`` within a color or
+    drawn with ``repeats``, of a grid w points wide, w**2 at least the
+    larger side and w at most 2 over the least such, so they tie often."""
+    lo, hi, counts = SIZES[size]
+    count = counts[shape][KINDS.index(kind)]
+    reds, blues, must = [], [], []
+    for n in [hi, *rng.integers(lo, hi + 1, count - 1).tolist()]:
+        d, e = (int(k) for k in rng.integers(0, [9, 4]))
+        if shape == "both_colors":
+            n = max(n, 1)
+            m = int(rng.integers(1, n + 1))
+            sizes = [n, m, *rng.integers(1, m + 1, 2).tolist()]
         else:
-            pts = rng.uniform(-3, 3, (1 + k + e, 2))
-        sources.append(pts[:1])
-        targets.append(pts[1:1 + k])
-        extras.append(pts[1 + k:])
-    return sources, targets, extras
+            sizes = {"equal": [n, n, n, 0], "unequal": [n, n + 1 + d, n, 0],
+                     "one_color": [n + e, n + d, n, 0]}[shape]
+        if rng.random() < 0.5:
+            sizes = [sizes[1], sizes[0], sizes[3], sizes[2]]
+        w = math.isqrt(max(sizes[0], sizes[1], 1) - 1) + 1 + int(rng.integers(0, 3))
+        for k, out in zip(sizes, (reds, blues)):
+            out.append(rng.uniform(0, w, (k, 2)) if kind == "reals"
+                       else lattice(rng, w, k, kind == "distinct"))
+        must.append(sizes[2:])
+    return (*_laid(reds), *_laid(blues),
+            None if shape in ("equal", "unequal") else tuple(np.array(must).T))
 
 
-class TestNearestInGroups:
-    """The one-point problems of the small-problem pass: a nearest-point
-    query per problem, with no limit on the problem's size."""
+def _batch(rng, sizes, on_lattice):
+    """Groups of the given (reds, blues) sizes laid end to end: points of the
+    4x4 integer lattice where ``on_lattice[g]`` holds, where tied totals are
+    common, and uniform reals elsewhere. Returns (reds, red_start, blues,
+    blue_start)."""
+    reds, blues = [], []
+    for (nr, nb), lat in zip(sizes, on_lattice):
+        for n, out in ((nr, reds), (nb, blues)):
+            out.append(rng.integers(0, 4, (n, 2)).astype(float) if lat
+                       else rng.uniform(0, 4, (n, 2)))
+    nr, nb = np.array(sizes, dtype=np.int64).reshape(-1, 2).T
+    return (np.concatenate(reds), np.concatenate([[0], np.cumsum(nr)]),
+            np.concatenate(blues), np.concatenate([[0], np.cumsum(nb)]))
+
+
+def _must(rng, red_start, blue_start):
+    """Mandatory counts of a feasible problem for every group, some with
+    none, some with points of one color, some of both."""
+    nr, nb = np.diff(red_start), np.diff(blue_start)
+    mr = rng.integers(0, np.minimum(nr, nb) + 1)
+    mb = np.where(rng.random(len(nr)) < 0.5, 0, rng.integers(0, np.minimum(nb, nr - mr) + 1))
+    return mr, mb
+
+
+class TestAssignInGroups:
+    @pytest.mark.parametrize("size", list(SIZES))
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_family(self, shape, kind, size):
+        # every problem is _check_grouped's; uniform reals never tie, lattice points often
+        rng = derived_rng(151, SHAPES.index(shape), KINDS.index(kind), list(SIZES).index(size))
+        run = _check_grouped(*_family(rng, shape, kind, size))
+        least = LEAST_TIED.get((shape, kind, size), 1)
+        assert run.tied == [] if kind == "reals" else len(run.tied) >= least
+
+    def test_tied_three_cycle_is_not_undone(self):
+        # Three matchings of equal length: min_cost_perfect and brute force
+        # each return one of least total, the same one on every call.
+        reds = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]])
+        blues = np.array([[1.0, 1.0], [0.0, 2.0], [1.0, 0.0]])
+        fast = min_cost_perfect(reds, blues)
+        slow = Matching(reds, blues, brute_force_min(reds, blues)[0])
+        assert fast.total_length == slow.total_length
+        assert _check_grouped(reds, [0, 3], blues, [0, 3]).tied == [0]
+        assert minimality_certificate(fast).passed and minimality_certificate(slow).passed
+        assert all(min_cost_perfect(reds, blues).edges == fast.edges for _ in range(5))
+        assert all(brute_force_min(reds, blues)[0] == slow.edges for _ in range(5))
+
+    def test_tied_group_between_untied_ones(self):
+        # the middle group's two matchings both have length 2: the
+        # small-problem pass settles it with one of them, as on its own, and
+        # the groups around it reach the kernel and are solved as on their own
+        rng = derived_rng(157)
+        tied_reds, tied_blues = [[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]
+        reds = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_reds, rng.uniform(0, 4, (7, 2))])
+        blues = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_blues, rng.uniform(0, 4, (7, 2))])
+        start = np.array([0, 9, 11, 18])
+        run = _check_grouped(reds, start, blues, start)
+        assert run.small == run.tied == [1] and [c.shape for c in run.matrices] == [(9, 9), (7, 7)]
+        tied = min_cost_perfect(tied_reds, tied_blues)
+        assert tied.edges == run.pairs[1] and tied.total_length == 2.0
+
+    def test_groups_with_an_empty_side(self):
+        rng = derived_rng(163)
+        sizes = [(3, 0), (4, 5), (0, 2), (0, 0), (2, 2)]
+        reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
+        # the two-point problem is the pass's, the other reaches the kernel
+        run = _check_grouped(reds, rs, blues, bs)
+        assert len(run.matrices) == 1 and run.small == [4]
+        # square problems with no points have no pairs and reach no kernel;
+        # the three-point one is the pass's
+        square = [(0, 0), (3, 3), (0, 0)]
+        run = _check_grouped(*_batch(rng, square, [False] * 3))
+        assert run.matrices == [] and run.small == [1]
+        # problems with no mandatory point: no pairs and no kernel call
+        reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
+        must = (np.array([0, 2, 0, 0, 0]), np.array([0, 1, 0, 0, 0]))
+        run = _check_grouped(reds, rs, blues, bs, must)
+        assert len(run.matrices) == 1 and run.small == []
+        assert not any(run.pairs[g] for g in (0, 2, 3, 4))
+        none = np.empty((0, 2))  # and a call with no problem
+        assert len(assign_in_groups(none, [0], none, [0])) == 0
+
+    def test_mandatory_points_of_one_color_are_the_rows(self):
+        # 5 mandatory points of 7 against 8 of the other color: the kernel
+        # gets their 5 x 8 matrix, not a padded 8 x 8 one, and no reserve
+        # point of their color is matched; reds mandatory, then blues
+        rng = derived_rng(191)
+        seven, eight = rng.uniform(0, 4, (7, 2)), rng.uniform(0, 4, (8, 2))
+        for reds, blues, must in ((seven, eight, ([5], [0])), (eight, seven, ([0], [5]))):
+            run = _check_grouped(reds, [0, len(reds)], blues, [0, len(blues)], must)
+            assert [c.shape for c in run.matrices] == [(5, 8)] and run.small == run.tied == []
+            matched = [i if must[0][0] else j for i, j in run.pairs[0]]
+            assert len(matched) == 5 and max(matched) < 5
+
+    @pytest.mark.parametrize("spare", [1 << 16, 1], ids=["default", "tiny"])
+    def test_group_larger_than_the_buffer(self, monkeypatch, spare):
+        # every matrix of a call is a prefix of one reused buffer, so a
+        # problem must write every entry it reads: the buffer starts as NaN,
+        # large enough for every problem ("default") or grown by the call
+        # ("tiny"), and the problems grow, shrink and switch sides, so each
+        # finds the entries of a different shape before it
+        rng = derived_rng(173)
+        sizes = [(5, 7), (40, 25), (9, 4), (60, 90), (6, 6), (30, 12), (4, 5), (70, 66)]
+        for mandatory in (False, True):
+            reds, rs, blues, bs = _batch(rng, sizes, (np.arange(8) % 3 == 0).tolist())
+            must = _must(rng, rs, bs) if mandatory else None
+            monkeypatch.setattr(assignment, "_spare", [np.full(spare, np.nan)])
+            # partners and kernel inputs against the oracle's one-problem solves
+            assert len(_check_grouped(reds, rs, blues, bs, must).matrices) >= 6
+
+    def test_one_spare_kept_up_to_the_cap(self, monkeypatch):
+        rng = derived_rng(179)
+        monkeypatch.setattr(assignment, "_spare", [])
+        monkeypatch.setattr(assignment, "SPARE_ENTRIES", 30 * 30)
+        kept = []
+        for n in (5, 20, 12, 31, 8):
+            reds, blues = rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2))
+            assign_in_groups(reds, [0, n], blues, [0, n])
+            assert len(assignment._spare) <= 1
+            kept.append(assignment._spare[0] if assignment._spare else None)
+        assert [None if k is None else len(k) for k in kept] == [25, 400, 400, None, 64]
+        assert kept[2] is kept[1]  # the smaller problem reused the buffer
+
+    def test_concurrent_calls_share_no_buffer(self, monkeypatch):
+        # threads switching every microsecond between the spare's pop and
+        # its return: each call's partners must be its own problems'
+        rng = derived_rng(181)
+        problems = [(rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2)))
+                    for n in (8, 30, 17, 45, 12, 26)]
+        want = [assign_in_groups(r, [0, len(r)], b, [0, len(b)])
+                for r, b in problems]
+        wrong = []
+
+        def solve(k):
+            for _ in range(15):
+                r, b = problems[k]
+                got = assign_in_groups(r, [0, len(r)], b, [0, len(b)])
+                if not np.array_equal(got, want[k]):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(problems))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
+        assert len(assignment._spare) <= 1
+
+    def test_rejects_what_the_single_solves_reject(self):
+        pts = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="size mismatch: 2 reds vs 1 blues"):
+            min_cost_perfect(pts[:2], pts[:1])
+        with pytest.raises(ValueError, match="reserve pools too small"):
+            assign_in_groups(pts, [0, 3], pts[:1], [0, 1], ([2], [0]))
+        for must in (([4], [0]), ([0], [4])):  # more mandatory points than points
+            with pytest.raises(ValueError, match="more mandatory points"):
+                assign_in_groups(pts, [0, 3], pts, [0, 3], must)
+        with pytest.raises(ValueError, match="need as many groups of blues as of reds"):
+            assign_in_groups(pts, [0, 1, 3], pts, [0, 3])
+
+
+class TestSmallProblemPass:
+    """The small-problem pass of assign_in_groups on cases of its own: its
+    distances, near ties, a least injection that needs a point's s-th
+    nearest, many candidates, and its batches."""
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 50.0, 1e4])
-    def test_distances_equal_cdist_bitwise(self, scale):
+    def test_pair_distances_equal_cdist_bitwise(self, scale):
         rng = derived_rng(61)
         p = rng.uniform(-scale, scale, (300, 2))
         q = rng.uniform(-scale, scale, (300, 2))
@@ -644,113 +700,37 @@ class TestNearestInGroups:
         got = _pair_distances(p[rows], q[cols])
         assert np.array_equal(got, want.ravel())
 
-    @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
-    def test_matches_the_one_point_solves(self, monkeypatch, lattice):
-        # every one-point problem is settled; the lattice's have tied nearest points
-        rng = derived_rng(62, lattice)
-        sources, targets, extras = _one_point_groups(rng, lattice)
-        settled, _ = _check_four_ways(monkeypatch, sources, targets, extras)
-        assert settled.all()
-        assert any(tied(src, group) for src, group in zip(sources, targets)) == lattice
-
-    def test_single_target_and_no_group(self, monkeypatch):
-        # the second source is 1 from both its targets: it takes one of them
-        sources, targets = [[[0, 0]], [[1, 1]]], [[[5, 5]], [[1, 2], [1, 0]]]
-        pairs, settled = _grouped_pairs(monkeypatch, sources, targets)
-        assert settled.tolist() == [True, True]
-        assert pairs[0] == [(0, 0)] and pairs[1] in ([(0, 0)], [(0, 1)])
-        none = np.empty((0, 2))
-        assert len(assign_in_groups(none, [0], none, [0])) == 0
-
-
-def _small_groups(rng, lattice, groups=300):
-    """Per group 1-4 small points, as many to 8 large points and 0-3 points
-    of the small side's color (the saturating problem's other reserve), all
-    distinct within the group: uniform reals, or integer points of a 4x4
-    lattice, where tied totals are common. Returns (small, large, extras),
-    a list of each."""
-    small, large, extras = [], [], []
-    for _ in range(groups):
-        s = int(rng.integers(1, 5))
-        n, e = int(rng.integers(s, 9)), int(rng.integers(0, 4))
-        if lattice:
-            cells = rng.choice(16, size=min(s + n + e, 16), replace=False)
-            pts = np.column_stack([cells // 4, cells % 4]).astype(float)
-            n = min(n, 16 - s)
-        else:
-            pts = rng.uniform(-3, 3, (s + n + e, 2))
-        small.append(pts[:s])
-        large.append(pts[s:s + n])
-        extras.append(pts[s + n:])
-    return small, large, extras
-
-
-class TestSmallProblemPass:
-    """The small-problem pass of assign_in_groups: every problem of up to
-    SMALL_MAX points on the small side is settled at its least total, to
-    the bit; where no other injection is within EPS_TIE of it, its partners
-    are the ones every solver gives it."""
-
-    @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
-    def test_against_enumeration_and_the_solvers(self, monkeypatch, lattice):
-        rng = derived_rng(64, lattice)
-        small, large, extras = _small_groups(rng, lattice)
-        settled, pairs = _check_four_ways(monkeypatch, small, large, extras)
-        sizes, tied_met = {True: set(), False: set()}, 0
-        for g, (S, L) in enumerate(zip(small, large)):
-            assert settled[g] == (len(S) <= SMALL_MAX), g
-            sizes[bool(settled[g])].add(len(S))
-            if not settled[g]:
-                continue
-            if len(S) == len(L):
-                least_like(S, L, pairs[g], brute_force_min(S, L)[0])
-                assert list(enumerate(min_cost_partners(S, L).tolist())) == pairs[g]
-            if tied(S, L):
-                tied_met += 1
-            else:
-                assert pairs[g] == list(enumerate(injection_totals(S, L)[0][1]))
-        # every small size is settled and four points never are; the
-        # lattice's settled problems include tied ones
-        assert sizes == {True: set(range(1, SMALL_MAX + 1)), False: {SMALL_MAX + 1}}
-        assert (tied_met > 0) == lattice
-
     @pytest.mark.parametrize("gap", [0.0, 0.5 * EPS_TIE, 1.5 * EPS_TIE, 4 * EPS_TIE])
-    def test_near_ties_settle_at_the_least_total(self, monkeypatch, gap):
+    def test_near_ties_settle_at_the_least_total(self, gap):
         # one problem of each small size whose runner-up costs ``gap`` more:
         # the point at (0, 0) has a second candidate 1 + gap away; each is
-        # settled at its least total, and with a gap that is the identity
+        # settled at its least total (_check_grouped), and with a gap that
+        # is the identity
         groups = [([[0, 0]], [[1, 0], [0, -1 - gap]]),
                   ([[0, 0], [10, 0]], [[1, 0], [10, 1], [0, -1 - gap]]),
                   ([[0, 0], [10, 0], [20, 0]],
                    [[1, 0], [10, 1], [20, 1], [0, -1 - gap], [30, 30]])]
-        small = [np.array(S, float) for S, _ in groups]
-        large = [np.array(L, float) for _, L in groups]
-        pairs, settled = _grouped_pairs(monkeypatch, small, large)
-        assert settled.tolist() == [True] * 3
-        for S, L, p in zip(small, large, pairs):
-            cost = cdist(S, L)
-            assert added(cost[i, j] for i, j in p) == injection_totals(S, L)[0][0]
+        run = _check_grouped(*_laid(S for S, _ in groups), *_laid(L for _, L in groups))
+        assert run.small == [0, 1, 2]
         if gap:
-            assert pairs == [[(i, i) for i in range(s)] for s in (1, 2, 3)]
+            assert run.pairs == [[(i, i) for i in range(s)] for s in (1, 2, 3)]
 
     @pytest.mark.parametrize("small,large", [
         ([[0, 0], [3, 0]], [[1, 0], [-1.2, 0], [5.5, 0]]),
         ([[0, 0], [1, 0], [2, 0]], [[1, 0.1], [1, -0.2], [-2, 0], [5, 0], [1, 3]]),
     ], ids=["two", "three"])
-    def test_shared_nearest_needs_the_sth_nearest(self, monkeypatch, small, large):
+    def test_shared_nearest_needs_the_sth_nearest(self, small, large):
         # every point's nearest candidate is candidate 0, and the one least
         # injection gives a point of the s-point side its s-th nearest
         S, L = np.array(small, float), np.array(large, float)
         cost = cdist(S, L)
         assert (cost.argmin(axis=1) == 0).all()
-        totals = injection_totals(S, L)
+        best = least_injection(S, L)[1]
         assert not tied(S, L)
-        ranks = [np.argsort(cost[i], kind="stable").tolist().index(j)
-                 for i, j in enumerate(totals[0][1])]
+        ranks = [np.argsort(cost[i], kind="stable").tolist().index(j) for i, j in enumerate(best)]
         assert max(ranks) == len(S) - 1
-        pairs, settled = _grouped_pairs(monkeypatch, [S], [L])
-        assert settled.tolist() == [True]
-        assert pairs == [list(enumerate(totals[0][1]))]
+        run = _check_grouped(*_laid([S]), *_laid([L]))
+        assert run.small == [0] and run.pairs == [list(enumerate(best))]
 
     def test_choices_give_each_point_one_of_its_s_nearest(self):
         for s in range(1, SMALL_MAX + 1):
@@ -758,69 +738,47 @@ class TestSmallProblemPass:
             assert ways == [list(w) for w in itertools.product(range(s), repeat=s)]
             assert len(ways) == s ** s
 
-    def test_many_candidates_against_enumeration(self, monkeypatch):
+    def test_many_candidates_against_enumeration(self):
         # small sides of one to three points against 50 to 60 candidates,
         # in one call, each problem's pairs the least of every injection
         rng = derived_rng(68)
         small = [rng.uniform(0, 6, (s, 2)) for s in (1, 2, 3, 3)]
         large = [rng.uniform(0, 6, (n, 2)) for n in (60, 55, 50, 52)]
-        pairs, settled = _grouped_pairs(monkeypatch, small, large)
-        assert settled.all()
-        for S, L, p in zip(small, large, pairs):
-            totals = injection_totals(S, L)
-            assert not tied(S, L)
-            assert p == list(enumerate(totals[0][1]))
+        run = _check_grouped(*_laid(small), *_laid(large))
+        assert run.small == [0, 1, 2, 3] and run.tied == []
+        assert run.pairs == [list(enumerate(least_injection(S, L)[1]))
+                             for S, L in zip(small, large)]
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_batches_change_nothing(self, block, monkeypatch):
-        # problems go in batches of about PAIR_BLOCK point pairs; with a
-        # block of one pair every problem of at most SMALL_MAX points is a
-        # batch
-        rng = derived_rng(66)
-        small, large, _ = _small_groups(rng, lattice=True)
-        want = _grouped_pairs(monkeypatch, small, large)
-        batches = []
-        settle = assignment._settle_batch
-        monkeypatch.setattr(assignment, "PAIR_BLOCK", block)
-        monkeypatch.setattr(assignment, "_settle_batch",
-                            lambda *a: batches.append(len(a[5])) or settle(*a))
-        got = _grouped_pairs(monkeypatch, small, large)
-        assert got[0] == want[0] and np.array_equal(got[1], want[1])
-        n_small = np.array([len(S) for S in small])
-        pairs = n_small * np.array([len(L) for L in large])
-        assert sum(batches) == (n_small <= SMALL_MAX).sum()
-        assert len(batches) >= pairs[n_small <= SMALL_MAX].sum() / (block + 8 * SMALL_MAX)
-        if block == 1:
-            assert batches == [1] * len(batches)
-
-    def test_no_limit_on_the_large_side(self, monkeypatch):
+    def test_no_limit_on_the_large_side(self):
         rng = derived_rng(65)
         for s in range(1, SMALL_MAX + 1):
             S, L = rng.uniform(0, 50, (s, 2)), rng.uniform(0, 50, (400, 2))
-            pairs, settled = _grouped_pairs(monkeypatch, [S], [L])
-            assert settled.tolist() == [True]
-            assert pairs == [oracle_pairs(S, L)]
+            run = _check_grouped(*_laid([S]), *_laid([L]))  # the oracle's pairs
+            assert run.small == [0] and run.tied == []
 
-    def test_a_batch_over_pair_block_holds_one_problem(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_batches_change_nothing(self, block, monkeypatch):
+        # problems go in batches of at most PAIR_BLOCK point pairs, or alone
+        # where one has more; with a block of one pair every problem is a
+        # batch, and the partners are the same, ties included
+        problems = _family(derived_rng(66), "unequal", "repeats", "small")
+        want = assign_in_groups(*problems)
+        monkeypatch.setattr(assignment, "PAIR_BLOCK", block)
+        with solver_spy() as spy:
+            assert np.array_equal(assign_in_groups(*problems), want)
+        assert len(spy.settled) == len(problems[1]) - 1  # every problem is the pass's
+        assert all(pairs <= block or len(groups) == 1 for groups, pairs in spy.batches)
+
+    def test_a_batch_over_pair_block_holds_one_problem(self):
         # 1, 8000 and 100 point pairs: the middle problem is over PAIR_BLOCK,
         # so it is a batch alone, and the last problem one of its own
         rng = derived_rng(67)
         small = [rng.uniform(0, 50, (s, 2)) for s in (1, 2, 1)]
         large = [rng.uniform(0, 50, (n, 2)) for n in (1, 4000, 100)]
-        batches, settle = [], assignment._settle_batch
-
-        def settling(*args):
-            small_start, large_start, groups = args[2], args[4], args[5]
-            pairs = (np.diff(small_start) * np.diff(large_start))[groups]
-            batches.append((groups.tolist(), int(pairs.sum())))
-            settle(*args)
-
-        monkeypatch.setattr(assignment, "_settle_batch", settling)
-        pairs, settled = _grouped_pairs(monkeypatch, small, large)
-        assert settled.tolist() == [True] * 3
-        assert pairs == [oracle_pairs(S, L) for S, L in zip(small, large)]
-        assert [groups for groups, _ in batches] == [[0], [1], [2]]
-        assert all(len(groups) == 1 for groups, n in batches if n > assignment.PAIR_BLOCK)
+        run = _check_grouped(*_laid(small), *_laid(large))
+        assert run.small == [0, 1, 2]
+        assert [groups for groups, _ in run.batches] == [[0], [1], [2]]
+        assert all(len(groups) == 1 for groups, n in run.batches if n > assignment.PAIR_BLOCK)
 
 
 # The batcher of assign_in_groups before one splitter served every size-capped
@@ -1169,117 +1127,6 @@ def test_from_json_checks_stated_values_against_edges():
                        ("total_length", d["total_length"] * (1 + 1e-8))]:
         with pytest.raises(ValueError):
             Matching.from_json({**d, key: value}, SQUARE_REDS, SQUARE_BLUES)
-
-
-def _reference_improvable_pair(m):
-    """The first edge pair, in scan order, whose partner swap shortens the
-    matching by more than EPS_TIE, as a plain loop over every edge pair: a
-    2-swap oracle for the cycle certificate, to which such a pair is a
-    shortening 2-cycle."""
-    bs = m.blues if m.color_mode == TWO_COLOR else m.reds
-    for a in range(len(m.edges)):
-        i, j = m.edges[a]
-        for b in range(a + 1, len(m.edges)):
-            u, v = m.edges[b]
-            cur = math.hypot(*(m.reds[i] - bs[j])) + math.hypot(*(m.reds[u] - bs[v]))
-            alt = math.hypot(*(m.reds[i] - bs[v])) + math.hypot(*(m.reds[u] - bs[j]))
-            if alt < cur - EPS_TIE:
-                return (a, b)
-    return None
-
-
-def _crossed(reds, blues, a):
-    """min_cost_perfect's edges with the partners of edge a and of the edge
-    whose red is nearest to a's exchanged: a local defect, which a 2-swap
-    undoes, wherever edge a sits in the edge list."""
-    edges = list(min_cost_perfect(reds, blues).edges)  # edge k has red k
-    near = np.hypot(*(reds - reds[a]).T)
-    near[a] = np.inf
-    a, b = sorted((a, int(np.argmin(near))))
-    (i, x), (j, y) = edges[a], edges[b]
-    edges[a], edges[b] = (i, y), (j, x)
-    return Matching(reds, blues, edges)
-
-
-class TestCycleCertificateAgainstTwoSwaps:
-    """The cycle certificate (``verify.minimality_certificate``) against the
-    2-swap reference: wherever a partner swap shortens a matching, the
-    certificate fails, with a cycle that shortens it."""
-
-    def test_crossed_square_improvable(self):
-        m = Matching(SQUARE_REDS, SQUARE_BLUES, [(0, 1), (1, 0)])
-        v = assert_cycle_witness(m)
-        assert v["edges"] == [0, 1]
-        assert v["change"] == pytest.approx(2 - 2 * math.sqrt(2))
-        improvement = m.total_length - 2.0
-        assert improvement == pytest.approx(2 * math.sqrt(2) - 2)
-
-    def test_solver_output_never_improvable(self):
-        rng = derived_rng(31)
-        for _ in range(50):
-            reds = rng.uniform(0, 1, (20, 2))
-            blues = rng.uniform(0, 1, (20, 2))
-            m = min_cost_perfect(reds, blues)
-            assert minimality_certificate(m).passed
-            assert _reference_improvable_pair(m) is None
-
-    def test_swap_never_decreases_optimal_cost(self):
-        rng = derived_rng(37)
-        reds = rng.uniform(0, 1, (8, 2))
-        blues = rng.uniform(0, 1, (8, 2))
-        m = min_cost_perfect(reds, blues)
-        base = m.total_length
-        for a in range(len(m.edges)):
-            for b in range(a + 1, len(m.edges)):
-                edges = list(m.edges)
-                (i, x), (j, y) = edges[a], edges[b]
-                edges[a], edges[b] = (i, y), (j, x)
-                swapped = Matching(reds, blues, edges)
-                assert swapped.total_length >= base - 1e-9
-
-    def test_matches_reference_on_random_inputs(self):
-        # one crossed pair in a minimum: the reference finds a pair, and the
-        # certificate a cycle, in every block of rows, not only the first
-        rng = derived_rng(71)
-        found = 0
-        for _ in range(40):
-            n = int(rng.integers(2, 3 * ROW_BLOCK))
-            reds = rng.uniform(0, 10, (n, 2))
-            blues = rng.uniform(0, 10, (n, 2))
-            m = _crossed(reds, blues, int(rng.integers(n)))
-            assert _reference_improvable_pair(m) is not None
-            found += max(assert_cycle_witness(m)["edges"]) >= ROW_BLOCK
-        assert found >= 5
-
-    def test_matches_reference_on_lattices(self):
-        # permutations of lattice points, with ties: a pair the reference
-        # finds means a failure; a failure without one is a longer cycle
-        rng = derived_rng(73)
-        found = 0
-        for _ in range(200):
-            width = int(rng.integers(2, 7))
-            n = int(rng.integers(2, min(width * width, 12) + 1))
-            reds = _lattice(rng, width, n, distinct=True)
-            blues = _lattice(rng, width, n, distinct=True)
-            m = Matching(reds, blues, list(enumerate(rng.permutation(n).tolist())))
-            want = _reference_improvable_pair(m)
-            rep = minimality_certificate(m)
-            if want is not None or not rep.passed:
-                v = assert_cycle_witness(m, rep)
-                assert want is not None or len(v["edges"]) >= 3
-            found += want is not None
-        assert 20 <= found < 200
-
-    def test_matches_reference_one_color(self):
-        rng = derived_rng(79)
-        for _ in range(30):
-            n = 2 * int(rng.integers(1, ROW_BLOCK))
-            reds = rng.uniform(0, 10, (n, 2))
-            ends = rng.permutation(n).reshape(-1, 2).tolist()
-            m = Matching(reds, np.empty((0, 2)), [tuple(e) for e in ends], color_mode=ONE_COLOR)
-            rep = minimality_certificate(m)
-            if _reference_improvable_pair(m) is not None or not rep.passed:
-                assert_cycle_witness(m, rep)
 
 
 def test_matching_json_round_trip():

@@ -2,25 +2,22 @@ import dataclasses
 import hashlib
 import json
 import math
-import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import poisson, skellam
 
-from poisson_matching import assignment, hierarchy
-from poisson_matching.assignment import (BIG, SMALL_MAX, _stable_order,
-                                         assign_in_groups, min_cost_perfect)
+from poisson_matching import hierarchy
+from poisson_matching.assignment import SMALL_MAX, _stable_order, assign_in_groups
 from poisson_matching.geometry import Domain, Rect
 from poisson_matching.hierarchy import (BlockRecord, BlockSystem, aligned_window,
                                         bad_block_bound, build_block_system,
                                         init_state,
                                         run_hierarchical, run_stage, stage1)
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
-from cases import blocks_of, check_solve, hierarchical_case, stages, window_case
-from oracles import cost_matrix, min_cost_pairs, tied
+from cases import blocks_of, hierarchical_case, solver_spy, stages, window_case
+from oracles import min_cost_pairs, tied
 
 
 def zero_offset_system(N=4):
@@ -661,7 +658,7 @@ def classify_dodgy(state, block):
     return any(state.status.get(c.key) == "bad" for c in children(state.system, block))
 
 
-def _saturating_match(state, r1, b1, r2, b2):
+def _match_with_reserve(state, r1, b1, r2, b2):
     ridx, bidx = np.concatenate([r1, r2]).astype(int), np.concatenate([b1, b2]).astype(int)
     pairs = min_cost_pairs(state.ps.reds[ridx], state.ps.blues[bidx], (len(r1), len(b1)))
     return _link(state, ridx, bidx, pairs)
@@ -692,7 +689,7 @@ def stage_n(state, block):
     excess = len(r1) - len(b1)
     feasible = excess <= len(b2) if excess >= 0 else -excess <= len(r2)
     state.status[block.key] = "ok" if feasible else "bad"
-    new_edges = _saturating_match(state, r1, b1, r2, b2) if feasible else []
+    new_edges = _match_with_reserve(state, r1, b1, r2, b2) if feasible else []
 
     # (iii) match as many of the remaining unmatched points in A as possible
     un_r, un_b = state.red_partner[ridx] < 0, state.blue_partner[bidx] < 0
@@ -780,7 +777,7 @@ class TestAgainstPerBlockOracle:
         assert compare_with_oracle(system, ps) == (int(bad), 0)
 
 
-def test_hierarchy_solves_saturating_only_with_mandatory_points(monkeypatch):
+def test_hierarchy_hands_over_only_problems_with_mandatory_points(monkeypatch):
     sizes = []
 
     def recording(reds, red_start, blues, blue_start, must=None):
@@ -794,362 +791,62 @@ def test_hierarchy_solves_saturating_only_with_mandatory_points(monkeypatch):
     assert sizes and all(nr + nb > 0 for nr, nb in sizes)
 
 
-def _record_small_solves(monkeypatch):
-    """Watch the assignment layer while the hierarchy runs. Returns two
-    lists: per problem that reaches the assignment kernel
-    (``assignment._assign``), ("pairs", its rows), the mandatory points of
-    one color, or ("padded", None) for a problem with mandatory points of
-    both colors, known by its padded matrix (``assignment._pad``); and per
-    problem the small-problem pass settles, recorded at its batches
-    (``assignment._settle_batch``), (points on the small side, whether that
-    problem is tied)."""
-    calls, settled, padded = [], [], []
-    kernel, pad, settle = assignment._assign, assignment._pad, assignment._settle_batch
+# The hierarchy's use of the small-problem pass, watched by ``cases.solver_spy``:
+# a kernel matrix's rows are a problem's mandatory points of one color,
+# unless ``_pad`` wrote it, and a settled problem is its small side's points
+# and its other side's.
 
-    def padding(cost, *args):
-        pad(cost, *args)
-        padded.append(cost)
-
-    def solving(cost):
-        calls.append(("padded", None) if padded and padded.pop() is cost else ("pairs", len(cost)))
-        return kernel(cost)
-
-    def settling(pts, small, small_start, large, large_start, groups, n_reds, partner):
-        settle(pts, small, small_start, large, large_start, groups, n_reds, partner)
-        for g in groups.tolist():
-            S = pts[small[small_start[g]:small_start[g + 1]]]
-            L = pts[large[large_start[g]:large_start[g + 1]]]
-            settled.append((len(S), tied(S, L)))
-
-    monkeypatch.setattr(assignment, "_assign", solving)
-    monkeypatch.setattr(assignment, "_pad", padding)
-    monkeypatch.setattr(assignment, "_settle_batch", settling)
-    return calls, settled
+def _kernel_rows(spy):
+    """The rows of each kernel matrix of one color's mandatory points."""
+    return [len(cost) for cost, padded in zip(spy.matrices, spy.padded) if not padded]
 
 
-def test_one_point_blocks_are_settled_by_the_pass(monkeypatch):
+def test_one_point_blocks_are_settled_by_the_pass():
     # the grouped pass settles one-point blocks at their least total, tied
     # or not, so none reaches the kernel; the solvers still get every block
-    # with a larger assignment problem
-    calls, settled = _record_small_solves(monkeypatch)
-    for seed in range(4):
-        hierarchical_case(seed)
-    assert 1 in {size for size, _ in settled}
-    assert all(size != 1 for _, size in calls), calls
-    assert {name for name, size in calls
-            if size is None or size > SMALL_MAX} == {"pairs", "padded"}
+    # with a larger assignment problem, of one color and of both
+    with solver_spy() as spy:
+        for seed in range(4):
+            hierarchical_case(seed)
+    assert 1 in {len(S) for S, _ in spy.settled}
+    assert 1 not in _kernel_rows(spy)
+    assert any(spy.padded) and max(_kernel_rows(spy)) > SMALL_MAX
 
 
-def test_small_blocks_are_settled_by_the_pass(monkeypatch):
+def test_small_blocks_are_settled_by_the_pass():
     # two and three points on the small side, in both steps: the grouped
     # pass settles them too, and no block of up to SMALL_MAX points reaches
     # the kernel
-    calls, settled = _record_small_solves(monkeypatch)
-    for seed in range(4):
-        hierarchical_case(seed)
-    assert {size for size, _ in settled} == set(range(1, SMALL_MAX + 1))
-    assert all(size is None or size > SMALL_MAX for _, size in calls), calls
+    with solver_spy() as spy:
+        for seed in range(4):
+            hierarchical_case(seed)
+    assert {len(S) for S, _ in spy.settled} == set(range(1, SMALL_MAX + 1))
+    assert min(_kernel_rows(spy)) > SMALL_MAX
 
 
 @pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
                          ids=["zero_offsets", "seeded_offsets"])
 @pytest.mark.parametrize("seed", [1, 2])  # lattice seeds with tied one-point blocks
-def test_tied_one_point_blocks_are_settled_by_the_pass(monkeypatch, system, seed):
+def test_tied_one_point_blocks_are_settled_by_the_pass(system, seed):
     # a tied one-point block is settled by the pass, not the kernel, and
     # every stage still gives the per-block oracle's count columns
-    calls, settled = _record_small_solves(monkeypatch)
-    compare_with_oracle(system, lattice_case(system, seed), tied=True)
-    assert (1, True) in settled
-    assert all(size != 1 for _, size in calls), calls
+    with solver_spy() as spy:
+        compare_with_oracle(system, lattice_case(system, seed), tied=True)
+    assert any(len(S) == 1 and tied(S, L) for S, L in spy.settled)
+    assert 1 not in _kernel_rows(spy)
 
 
 @pytest.mark.parametrize("system", [zero_offset_system(4), build_block_system(0, 4)],
                          ids=["zero_offsets", "seeded_offsets"])
-def test_tied_small_blocks_are_settled_by_the_pass(monkeypatch, system):
+def test_tied_small_blocks_are_settled_by_the_pass(system):
     # lattice points make tied totals in blocks of one, two and three
     # points; the pass settles them, they reach no kernel, and every stage
     # still gives the per-block oracle's count columns
-    calls, settled = _record_small_solves(monkeypatch)
-    for seed in (2, 7):  # between them, tied blocks of one, two and three points
-        compare_with_oracle(system, lattice_case(system, seed), tied=True)
-    assert {size for size, tied in settled if tied} == set(range(1, SMALL_MAX + 1))
-    assert all(size is None or size > SMALL_MAX for _, size in calls), calls
-
-
-# --- The grouped exact solves against the oracle's one-problem solves -------
-# assign_in_groups must give every untied problem the oracle's partners, and
-# a tied one a least matching.
-
-def _batch(rng, sizes, lattice):
-    """Groups of the given (reds, blues) sizes laid end to end: points of the
-    4x4 integer lattice where ``lattice[g]`` holds, where tied totals are
-    common, and uniform reals elsewhere. Returns (reds, red_start, blues,
-    blue_start)."""
-    reds, blues = [], []
-    for (nr, nb), lat in zip(sizes, lattice):
-        for n, out in ((nr, reds), (nb, blues)):
-            out.append(rng.integers(0, 4, (n, 2)).astype(float) if lat
-                       else rng.uniform(0, 4, (n, 2)))
-    nr, nb = np.array(sizes, dtype=np.int64).reshape(-1, 2).T
-    return (np.concatenate(reds), np.concatenate([[0], np.cumsum(nr)]),
-            np.concatenate(blues), np.concatenate([[0], np.cumsum(nb)]))
-
-
-def _must(rng, red_start, blue_start):
-    """Mandatory counts of a feasible problem for every group, some with
-    none, some with points of one color, some of both."""
-    nr, nb = np.diff(red_start), np.diff(blue_start)
-    mr = rng.integers(0, np.minimum(nr, nb) + 1)
-    mb = np.where(rng.random(len(nr)) < 0.5, 0, rng.integers(0, np.minimum(nb, nr - mr) + 1))
-    return mr, mb
-
-
-def _mandatory(r, b, must, g):
-    """Problem g's counts of mandatory reds and blues, of its points r and
-    b: ``must``'s, or with ``must`` None its smaller side's (its reds where
-    the sides are equal)."""
-    if must is None:
-        return (len(r), 0) if len(r) <= len(b) else (0, len(b))
-    return int(must[0][g]), int(must[1][g])
-
-
-def _small_problems(reds, red_start, blues, blue_start, must=None):
-    """The problems the small-problem pass may settle, ascending, and per
-    problem its small side's points and the other side's: with ``must``
-    None, the smaller side (its reds where the sides are equal) against the
-    other, and otherwise the mandatory points, all of one color, against
-    every point of the other color."""
-    problems, small, large = [], [], []
-    for g in range(len(red_start) - 1):
-        r, b = reds[red_start[g]:red_start[g + 1]], blues[blue_start[g]:blue_start[g + 1]]
-        mr, mb = _mandatory(r, b, must, g)
-        if mr and mb:
-            continue
-        sides = (r[:mr], b) if mr else (b[:mb], r)
-        if 0 < len(sides[0]) <= SMALL_MAX:
-            problems.append(g)
-            small.append(sides[0])
-            large.append(sides[1])
-    return problems, small, large
-
-
-def _check_grouped(monkeypatch, reds, red_start, blues, blue_start, must=None):
-    """Partners of assign_in_groups against the oracle's one-problem solves:
-    the same for every problem that is not tied, and a least matching for a
-    tied one (``cases.check_solve``). The pass, recorded at its batches
-    (``assignment._settle_batch``), must be offered exactly the small
-    problems, in one pass: one set of point lists, its batches taking the
-    problems in order. Every other problem with
-    a pair to make reaches the kernel, with its cost matrix in the solver's
-    row order (``assignment._scattered``): its mandatory points (with
-    ``must`` None, the smaller side, the reds where the sides are equal)
-    against every point of the other color, or, with mandatory points of
-    both colors, the padded matrix, BIG in its forbidden cells. Returns the
-    kernel inputs, the problems the pass settled (all it was offered), and
-    the tied problems."""
-    batches, settle, inputs, solve = [], assignment._settle_batch, [], assignment._assign
-
-    def settling(pts, small, small_start, large, large_start, groups, n_reds, partner):
-        settle(pts, small, small_start, large, large_start, groups, n_reds, partner)
-        batches.append((pts[small], small_start, pts[large], large_start, groups))
-
-    monkeypatch.setattr(assignment, "_assign", lambda cost: inputs.append(np.array(cost))
-                        or solve(cost))
-    monkeypatch.setattr(assignment, "_settle_batch", settling)
-    got = assign_in_groups(reds, red_start, blues, blue_start, must)
-    monkeypatch.undo()
-    settled, small, large = _small_problems(reds, red_start, blues, blue_start, must)
-    assert bool(batches) == (len(settled) > 0)
-    if batches:
-        small_pts, small_start, large_pts, large_start, _ = batches[0]
-        assert all(b[1] is small_start for b in batches)  # one pass
-        assert np.concatenate([b[4] for b in batches]).tolist() == list(range(len(settled)))
-        assert np.array_equal(small_pts, np.concatenate(small))
-        assert np.array_equal(large_pts, np.concatenate(large))
-        assert np.diff(small_start).tolist() == [len(x) for x in small]
-        assert np.diff(large_start).tolist() == [len(x) for x in large]
-    tied_problems, want_inputs = [], []
-    for g in range(len(red_start) - 1):
-        a, a1, b0 = red_start[g], red_start[g + 1], blue_start[g]
-        r, b = reds[a:a1], blues[b0:blue_start[g + 1]]
-        m = None if must is None else (int(must[0][g]), int(must[1][g]))  # as oracles take it
-        pairs = [(i, j - b0) for i, j in enumerate(got[a:a1].tolist()) if j >= 0]
-        if check_solve(r, b, pairs, m):
-            tied_problems.append(g)
-        mr, mb = _mandatory(r, b, must, g)
-        if mr + mb and g not in settled:  # a pair for the kernel
-            cost = (cost_matrix(r, b, m) if mr and mb else cost_matrix(r[:mr], b) if mr
-                    else cost_matrix(b[:mb], r))
-            want_inputs.append(np.where(np.isinf(cost), BIG, cost)[assignment._scattered(len(cost))])
-    assert len(inputs) == len(want_inputs)
-    for a, b in zip(inputs, want_inputs):
-        assert a.shape == b.shape and np.array_equal(a, b)
-    return inputs, settled, tied_problems
-
-
-def _sizes(rng, groups, square=False, largest=12):
-    """(reds, blues) sizes of ``groups`` problems; ``square`` ones have equal
-    sides, of at least one point."""
-    nr = rng.integers(1 if square else 0, largest + 1, groups)
-    nb = nr if square else rng.integers(0, largest + 1, groups)
-    return list(zip(nr.tolist(), nb.tolist()))
-
-
-class TestAssignInGroups:
-    # square problems (equal sides, as zero blocks and box-rematch cells are)
-    # are rectangular ones: the small-problem pass is offered them too
-    @pytest.mark.parametrize("shape", ["square", "rectangular", "saturating"])
-    @pytest.mark.parametrize("points", ["random", "lattice", "mixed"])
-    def test_batches(self, monkeypatch, shape, points):
-        shapes = ["square", "rectangular", "saturating"]
-        rng = derived_rng(151, shapes.index(shape), len(points))
-        sizes = _sizes(rng, 80, square=shape == "square")
-        lattice = {"random": [False] * 80, "lattice": [True] * 80,
-                   "mixed": (rng.random(80) < 0.5).tolist()}[points]
-        reds, rs, blues, bs = _batch(rng, sizes, lattice)
-        must = _must(rng, rs, bs) if shape == "saturating" else None
-        inputs, settled, tied = _check_grouped(monkeypatch, reds, rs, blues, bs, must)
-        assert len(inputs) + len(settled) > 40
-        # the pass settles every small problem, the lattice's tied ones too
-        assert len(settled) > 10
-        assert bool(tied) == (points != "random")
-
-    def test_tied_group_between_untied_ones(self, monkeypatch):
-        # the middle group's two matchings both have length 2: the
-        # small-problem pass settles it with one of them, as on its own, and
-        # the groups around it reach the kernel and are solved as on their own
-        rng = derived_rng(157)
-        tied_reds, tied_blues = [[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]
-        reds = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_reds, rng.uniform(0, 4, (7, 2))])
-        blues = np.concatenate([rng.uniform(0, 4, (9, 2)), tied_blues, rng.uniform(0, 4, (7, 2))])
-        start = np.array([0, 9, 11, 18])
-        inputs, settled, tied = _check_grouped(monkeypatch, reds, start, blues, start)
-        assert settled == tied == [1] and [c.shape for c in inputs] == [(9, 9), (7, 7)]
-        got = assign_in_groups(reds, start, blues, start)
-        assert sorted(got[9:11].tolist()) == [9, 10]
-        tied = min_cost_perfect(tied_reds, tied_blues)
-        assert tied.edges == [(i, j - 9) for i, j in enumerate(got[9:11].tolist())]
-        assert tied.total_length == 2.0
-
-    def test_groups_with_an_empty_side(self, monkeypatch):
-        rng = derived_rng(163)
-        sizes = [(3, 0), (4, 5), (0, 2), (0, 0), (2, 2)]
-        reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
-        # the two-point problem is the pass's, the other reaches the kernel
-        inputs, settled, _ = _check_grouped(monkeypatch, reds, rs, blues, bs)
-        assert len(inputs) == 1 and settled == [4]
-        # square problems with no points have no pairs and reach no kernel;
-        # the three-point one is the pass's
-        square = [(0, 0), (3, 3), (0, 0)]
-        reds, rs, blues, bs = _batch(rng, square, [False] * 3)
-        inputs, settled, _ = _check_grouped(monkeypatch, reds, rs, blues, bs)
-        assert inputs == [] and settled == [1]
-        # saturating problems with no mandatory point: no pairs and no kernel call
-        reds, rs, blues, bs = _batch(rng, sizes, [False] * 5)
-        must = (np.array([0, 2, 0, 0, 0]), np.array([0, 1, 0, 0, 0]))
-        inputs, settled, _ = _check_grouped(monkeypatch, reds, rs, blues, bs, must)
-        assert len(inputs) == 1 and settled == []
-        got = assign_in_groups(reds, rs, blues, bs, must)
-        assert (got[:3] == -1).all() and (got[7:] == -1).all()
-
-    def test_mandatory_points_of_both_colors(self, monkeypatch):
-        rng = derived_rng(167)
-        for lattice in (False, True):
-            sizes = _sizes(rng, 40)
-            sizes = [(max(nr, 2), max(nb, 2)) for nr, nb in sizes]
-            reds, rs, blues, bs = _batch(rng, sizes, [lattice] * 40)
-            nr, nb = np.diff(rs), np.diff(bs)
-            must = (rng.integers(1, np.minimum(nr, nb)), rng.integers(1, np.minimum(nr, nb)))
-            assert ((must[0] > 0) & (must[1] > 0)).all()
-            _check_grouped(monkeypatch, reds, rs, blues, bs, must)
-
-    def test_mandatory_points_of_one_color_are_the_rows(self, monkeypatch):
-        # 5 mandatory points of 7 against 8 of the other color: the kernel
-        # gets their 5 x 8 matrix, not a padded 8 x 8 one, and no reserve
-        # point of their color is matched; reds mandatory, then blues
-        rng = derived_rng(191)
-        seven, eight = rng.uniform(0, 4, (7, 2)), rng.uniform(0, 4, (8, 2))
-        for reds, blues, must in ((seven, eight, ([5], [0])), (eight, seven, ([0], [5]))):
-            inputs, settled, tied = _check_grouped(monkeypatch, reds, [0, len(reds)], blues,
-                                                   [0, len(blues)], must)
-            assert [c.shape for c in inputs] == [(5, 8)] and settled == tied == []
-            got = assign_in_groups(reds, [0, len(reds)], blues, [0, len(blues)], must)
-            pairs = [(i, j) for i, j in enumerate(got.tolist()) if j >= 0]
-            assert pairs == min_cost_pairs(reds, blues, (must[0][0], must[1][0]))
-            matched = np.flatnonzero(got >= 0) if must[0][0] else got[got >= 0]
-            assert len(matched) == 5 and (matched < 5).all()
-
-    @pytest.mark.parametrize("spare", [1 << 16, 1], ids=["default", "tiny"])
-    def test_group_larger_than_the_buffer(self, monkeypatch, spare):
-        # every matrix of a call is a prefix of one reused buffer, so a
-        # problem must write every entry it reads: the buffer starts as NaN,
-        # large enough for every problem ("default") or grown by the call
-        # ("tiny"), and the problems grow, shrink and switch sides, so each
-        # finds the entries of a different shape before it
-        rng = derived_rng(173)
-        sizes = [(5, 7), (40, 25), (9, 4), (60, 90), (6, 6), (30, 12), (4, 5), (70, 66)]
-        for mandatory in (False, True):
-            reds, rs, blues, bs = _batch(rng, sizes, (np.arange(8) % 3 == 0).tolist())
-            must = _must(rng, rs, bs) if mandatory else None
-            monkeypatch.setattr(assignment, "_spare", [np.full(spare, np.nan)])
-            # partners and kernel inputs against the oracle's one-problem solves
-            inputs, *_ = _check_grouped(monkeypatch, reds, rs, blues, bs, must)
-            assert len(inputs) >= 6
-
-    def test_one_spare_kept_up_to_the_cap(self, monkeypatch):
-        rng = derived_rng(179)
-        monkeypatch.setattr(assignment, "_spare", [])
-        monkeypatch.setattr(assignment, "SPARE_ENTRIES", 30 * 30)
-        kept = []
-        for n in (5, 20, 12, 31, 8):
-            reds, blues = rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2))
-            assign_in_groups(reds, [0, n], blues, [0, n])
-            assert len(assignment._spare) <= 1
-            kept.append(assignment._spare[0] if assignment._spare else None)
-        assert [None if k is None else len(k) for k in kept] == [25, 400, 400, None, 64]
-        assert kept[2] is kept[1]  # the smaller problem reused the buffer
-
-    def test_concurrent_calls_share_no_buffer(self, monkeypatch):
-        # threads switching every microsecond between the spare's pop and
-        # its return: each call's partners must be its own problems'
-        rng = derived_rng(181)
-        problems = [(rng.uniform(0, 9, (n, 2)), rng.uniform(0, 9, (n, 2)))
-                    for n in (8, 30, 17, 45, 12, 26)]
-        want = [assign_in_groups(r, [0, len(r)], b, [0, len(b)])
-                for r, b in problems]
-        wrong = []
-
-        def solve(k):
-            for _ in range(15):
-                r, b = problems[k]
-                got = assign_in_groups(r, [0, len(r)], b, [0, len(b)])
-                if not np.array_equal(got, want[k]):
-                    wrong.append(k)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(problems))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and wrong == []
-        assert len(assignment._spare) <= 1
-
-    def test_rejects_what_the_single_solves_reject(self):
-        pts = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="size mismatch: 2 reds vs 1 blues"):
-            min_cost_perfect(pts[:2], pts[:1])
-        with pytest.raises(ValueError, match="reserve pools too small"):
-            assign_in_groups(pts, [0, 3], pts[:1], [0, 1], ([2], [0]))
-        for must in (([4], [0]), ([0], [4])):  # more mandatory points than points
-            with pytest.raises(ValueError, match="more mandatory points"):
-                assign_in_groups(pts, [0, 3], pts, [0, 3], must)
-        with pytest.raises(ValueError, match="need as many groups of blues as of reds"):
-            assign_in_groups(pts, [0, 1, 3], pts, [0, 3])
+    with solver_spy() as spy:
+        for seed in (2, 7):  # between them, tied blocks of one, two and three points
+            compare_with_oracle(system, lattice_case(system, seed), tied=True)
+    assert {len(S) for S, L in spy.settled if tied(S, L)} == set(range(1, SMALL_MAX + 1))
+    assert min(_kernel_rows(spy)) > SMALL_MAX
 
 
 # --- Windows and block systems ------------------------------------------------

@@ -1,7 +1,8 @@
 """The layout of the tests: the oracles share no code with the package they
 check, no test module imports another (shared code is in ``oracles.py``
 and ``cases.py``), ``cases.py`` holds only what two modules share, and only
-the row-view tests read the row types that the benchmark reads. And of the
+the row-view tests read the row types that the benchmark reads, and only
+``cases.solver_spy`` patches the solver's private steps. And of the
 package: only ``fileio`` decodes JSON."""
 
 import ast
@@ -86,6 +87,31 @@ def test_only_the_row_view_tests_read_rows():
             if name in {"ArcSpec", "BlockRecord"} or name == "records" and isinstance(
                     node, ast.Attribute):
                 found.append((path.name, node.lineno, name))
+    assert found == []
+
+
+# the private steps of ``assignment.assign_in_groups`` that the spy wraps
+SOLVER_STEPS = {"_assign", "_pad", "_settle_batch", "_settle_small"}
+
+
+def test_only_the_spy_patches_the_solver():
+    # every test that watches the solver does it through ``cases.solver_spy``:
+    # no other module sets one of its steps, by ``setattr`` or by assignment
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name == "cases.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "setattr" in {
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)}:
+                names = {arg.value.rpartition(".")[2] for arg in node.args
+                         if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names = {node.attr}
+            else:
+                continue
+            if names & SOLVER_STEPS:
+                found.append((path.name, node.lineno))
     assert found == []
 
 

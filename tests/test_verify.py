@@ -8,10 +8,10 @@ import pytest
 
 from poisson_matching import verify
 from poisson_matching.arcs import ArcTable
-from poisson_matching.assignment import EPS_TIE, _stable_order, min_cost_perfect
+from poisson_matching.assignment import EPS_TIE, ROW_BLOCK, min_cost_perfect
 from poisson_matching.geometry import EPS_GEOM, DegenerateGeometryError, Disk, Domain, Rect
 from poisson_matching.hierarchy import ChernoffParams, chernoff_tail
-from poisson_matching.matching import ONE_COLOR, Matching
+from poisson_matching.matching import ONE_COLOR, TWO_COLOR, Matching
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig, canonical_order,
                                        derived_rng, sample)
 from poisson_matching.verify import (_arc_arrays, _box_pairs, _pairwise_hits,
@@ -21,7 +21,8 @@ from poisson_matching.verify import (_arc_arrays, _box_pairs, _pairwise_hits,
                                      minimality_certificate, minimality_certificate_d1)
 from poisson_matching.walks import (excursion_matching, laminate_strips, one_color_pairing,
                                     polygonal_arcs, zero_block_matching)
-from cases import arc_rows, assert_cycle_witness, hierarchical_case, rematched, table_of
+from cases import (arc_rows, assert_cycle_witness, hierarchical_case, lattice, rematched,
+                   table_of)
 from oracles import (Overlap, Point, Segment, brute_force_min, dense_hits, min_cost_pairs,
                      scalar_edge_crosses_region)
 
@@ -702,6 +703,117 @@ class TestCycleCertificate:
         assert peak < n * n * 8 / 16
 
 
+def _reference_improvable_pair(m):
+    """The first edge pair, in scan order, whose partner swap shortens the
+    matching by more than EPS_TIE, as a plain loop over every edge pair: a
+    2-swap oracle for the cycle certificate, to which such a pair is a
+    shortening 2-cycle."""
+    bs = m.blues if m.color_mode == TWO_COLOR else m.reds
+    for a in range(len(m.edges)):
+        i, j = m.edges[a]
+        for b in range(a + 1, len(m.edges)):
+            u, v = m.edges[b]
+            cur = math.hypot(*(m.reds[i] - bs[j])) + math.hypot(*(m.reds[u] - bs[v]))
+            alt = math.hypot(*(m.reds[i] - bs[v])) + math.hypot(*(m.reds[u] - bs[j]))
+            if alt < cur - EPS_TIE:
+                return (a, b)
+    return None
+
+
+def _crossed(reds, blues, a):
+    """min_cost_perfect's edges with the partners of edge a and of the edge
+    whose red is nearest to a's exchanged: a local defect, which a 2-swap
+    undoes, wherever edge a sits in the edge list."""
+    edges = list(min_cost_perfect(reds, blues).edges)  # edge k has red k
+    near = np.hypot(*(reds - reds[a]).T)
+    near[a] = np.inf
+    a, b = sorted((a, int(np.argmin(near))))
+    (i, x), (j, y) = edges[a], edges[b]
+    edges[a], edges[b] = (i, y), (j, x)
+    return Matching(reds, blues, edges)
+
+
+class TestCycleCertificateAgainstTwoSwaps:
+    """The cycle certificate (``verify.minimality_certificate``) against the
+    2-swap reference: wherever a partner swap shortens a matching, the
+    certificate fails, with a cycle that shortens it."""
+
+    def test_crossed_square_improvable(self):
+        m = Matching([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]], [(0, 1), (1, 0)])
+        v = assert_cycle_witness(m)
+        assert v["edges"] == [0, 1]
+        assert v["change"] == pytest.approx(2 - 2 * math.sqrt(2))
+        improvement = m.total_length - 2.0
+        assert improvement == pytest.approx(2 * math.sqrt(2) - 2)
+
+    def test_solver_output_never_improvable(self):
+        rng = derived_rng(31)
+        for _ in range(50):
+            reds = rng.uniform(0, 1, (20, 2))
+            blues = rng.uniform(0, 1, (20, 2))
+            m = min_cost_perfect(reds, blues)
+            assert minimality_certificate(m).passed
+            assert _reference_improvable_pair(m) is None
+
+    def test_swap_never_decreases_optimal_cost(self):
+        rng = derived_rng(37)
+        reds = rng.uniform(0, 1, (8, 2))
+        blues = rng.uniform(0, 1, (8, 2))
+        m = min_cost_perfect(reds, blues)
+        base = m.total_length
+        for a in range(len(m.edges)):
+            for b in range(a + 1, len(m.edges)):
+                edges = list(m.edges)
+                (i, x), (j, y) = edges[a], edges[b]
+                edges[a], edges[b] = (i, y), (j, x)
+                swapped = Matching(reds, blues, edges)
+                assert swapped.total_length >= base - 1e-9
+
+    def test_matches_reference_on_random_inputs(self):
+        # one crossed pair in a minimum: the reference finds a pair, and the
+        # certificate a cycle, in every block of rows, not only the first
+        rng = derived_rng(71)
+        found = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 3 * ROW_BLOCK))
+            reds = rng.uniform(0, 10, (n, 2))
+            blues = rng.uniform(0, 10, (n, 2))
+            m = _crossed(reds, blues, int(rng.integers(n)))
+            assert _reference_improvable_pair(m) is not None
+            found += max(assert_cycle_witness(m)["edges"]) >= ROW_BLOCK
+        assert found >= 5
+
+    def test_matches_reference_on_lattices(self):
+        # permutations of lattice points, with ties: a pair the reference
+        # finds means a failure; a failure without one is a longer cycle
+        rng = derived_rng(73)
+        found = 0
+        for _ in range(200):
+            width = int(rng.integers(2, 7))
+            n = int(rng.integers(2, min(width * width, 12) + 1))
+            reds = lattice(rng, width, n, distinct=True)
+            blues = lattice(rng, width, n, distinct=True)
+            m = Matching(reds, blues, list(enumerate(rng.permutation(n).tolist())))
+            want = _reference_improvable_pair(m)
+            rep = minimality_certificate(m)
+            if want is not None or not rep.passed:
+                v = assert_cycle_witness(m, rep)
+                assert want is not None or len(v["edges"]) >= 3
+            found += want is not None
+        assert 20 <= found < 200
+
+    def test_matches_reference_one_color(self):
+        rng = derived_rng(79)
+        for _ in range(30):
+            n = 2 * int(rng.integers(1, ROW_BLOCK))
+            reds = rng.uniform(0, 10, (n, 2))
+            ends = rng.permutation(n).reshape(-1, 2).tolist()
+            m = Matching(reds, np.empty((0, 2)), [tuple(e) for e in ends], color_mode=ONE_COLOR)
+            rep = minimality_certificate(m)
+            if _reference_improvable_pair(m) is not None or not rep.passed:
+                assert_cycle_witness(m, rep)
+
+
 def chernoff_frequency(p, draws, seed):
     """The Monte Carlo frequency of X - X' >= Y over ``draws`` seeded draws
     of X, X' ~ Poisson(lam) and Y ~ Poisson(mu): the oracle of the exact
@@ -960,12 +1072,8 @@ class TestBoxRematchAgainstLoop:
         m = Matching(ps.reds, ps.blues, [])
         assert self._same(ps, m, 2.0) == 0
 
-    def test_window_of_2_15_cells_or_more(self, monkeypatch):
-        # three edges in each of 60 cells scattered over a 256-by-256 grid
-        # of side 1, so the cells' numbers sort as int64 (``_cell_order``)
-        bounds = []
-        monkeypatch.setattr(verify, "_stable_order",
-                            lambda key, bound: bounds.append(bound) or _stable_order(key, bound))
+    def test_window_of_2_15_cells_or_more(self):
+        # three edges in each of 60 cells scattered over a 256-by-256 grid of side 1
         rng = np.random.default_rng(73)
         cell = rng.choice(256 * 256, 60, replace=False)
         corner = np.repeat(np.column_stack([cell // 256, cell % 256]), 3, axis=0).astype(float)
@@ -976,31 +1084,3 @@ class TestBoxRematchAgainstLoop:
         blue_of = np.arange(len(reds)).reshape(-1, 3)[:, ::-1].ravel()
         m = Matching(ps.reds, ps.blues, np.column_stack([at_r, at_b[blue_of]]))
         assert self._same(ps, m, 1.0) == 60
-        assert bounds and min(bounds) >= 2 ** 15
-
-
-class TestCellOrder:
-    """``_cell_order`` against ``np.lexsort``: by int16 cell numbers, by
-    int64 ones past 2**15 cells, and by the lexsort itself past 2**53 cells
-    or for an infinite cell."""
-
-    def test_each_way_is_the_lexsort(self, monkeypatch):
-        bounds = []
-        monkeypatch.setattr(verify, "_stable_order",
-                            lambda key, bound: bounds.append(bound) or _stable_order(key, bound))
-        rng = np.random.default_rng(74)
-        lexsorts = 0
-        for lo, hi in ((0, 3), (-7, 100), (1000, 1400), (-2 ** 40, 2 ** 40), (0, 2 ** 60)):
-            for n in (0, 1, 50, 500):
-                x, y = (rng.integers(lo, hi, n).astype(float) for _ in range(2))
-                calls = len(bounds)
-                assert np.array_equal(verify._cell_order(x, y), np.lexsort((y, x)))
-                lexsorts += len(bounds) == calls
-        x = np.array([3.0, np.inf, -np.inf, 3.0, np.inf, 0.0])
-        y = np.array([1.0, 0.0, 2.0, 0.0, 0.0, -np.inf])
-        calls = len(bounds)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            assert np.array_equal(verify._cell_order(x, y), np.lexsort((y, x)))
-        lexsorts += len(bounds) == calls
-        # the two widest ranges at 50 and 500 cells, and the infinite cells
-        assert min(bounds) < 2 ** 15 < max(bounds) < 2 ** 53 and lexsorts == 5

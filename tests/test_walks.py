@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poisson_matching import assignment, fileio
+from poisson_matching import fileio
 from poisson_matching.arcs import ArcSpec, ArcTable
 from poisson_matching.assignment import SMALL_MAX, min_cost_perfect
 from poisson_matching.geometry import Domain, Rect
@@ -19,7 +19,7 @@ from poisson_matching.walks import (StepWalk, WalkInvariantError, build_walk, cr
                                     excursion_matching, laminate_strips,
                                     one_color_pairing, polygonal_arcs,
                                     zero_block_matching)
-from cases import arc_json, arc_rows, rematched, table_of
+from cases import arc_json, arc_rows, rematched, solver_spy, table_of
 from oracles import min_cost_pairs
 
 
@@ -237,20 +237,19 @@ def test_block_edges_equal_per_block_matchings(construction, blocks, lam_red):
     assert construction is zero_block_matching or empty >= 10  # blue-free blocks met
 
 
-def test_cut_time_small_blocks_skip_the_kernel(monkeypatch):
+def test_cut_time_small_blocks_skip_the_kernel():
     # the cut blocks with one to three blues are the small-problem pass's:
     # only the larger ones reach the assignment kernel, each with its blues
     # as the rows (the edges are test_block_edges_equal_per_block_matchings')
-    rows, kernel = [], assignment._assign
-    monkeypatch.setattr(assignment, "_assign", lambda cost: rows.append(len(cost)) or kernel(cost))
     small = []
     for seed in range(10):
         ps = sample(SampleConfig(1.2, 1.0, Domain.strip(0, 300), seed=seed))
-        rows.clear()
-        cut_time_matching(ps)
+        with solver_spy() as spy:
+            cut_time_matching(ps)
         rc, bc = walks._interval_cuts(ps, cut_times(build_walk(ps)))
         blues = np.diff(bc)
-        assert sorted(rows) == sorted(blues[blues > SMALL_MAX].tolist())
+        rows = [len(cost) for cost in spy.matrices]
+        assert sorted(rows) == sorted(blues[blues > SMALL_MAX].tolist()) and not any(spy.padded)
         small += blues[(blues > 0) & (blues <= SMALL_MAX)].tolist()
     assert len(small) >= 10 and set(small) == set(range(1, SMALL_MAX + 1))
 
