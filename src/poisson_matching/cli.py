@@ -5,15 +5,8 @@ from explicit seeds). Exit codes: 0 success, 1 property violation, 2 usage
 or configuration error, including any invalid flag value or input file. A
 JSON config file can supply defaults; flags win. The commands are a thin
 shell over the API: ``fileio`` reads every input file, ``--config`` files
-included, ``verify`` builds every report, and ``_write`` streams every
-output, so none is held whole.
-
-``_dump`` is the one JSON writer. It writes the bytes of ``json.dumps(obj,
-indent=1, sort_keys=True)`` and a newline, from one walk (``_json_chunks``):
-the commands put the point and edge arrays and the arc table in the dict
-themselves, each is written from its numpy columns, one ``%`` template per
-row, and only the rest (diagnostics, reports, scalars) goes through the
-json encoder, chunk by chunk.
+included, and encodes every JSON object, ``verify`` builds every report,
+and ``_write`` streams every output, so none is held whole.
 
 ``run`` is the console script's entry: it freezes the import heap with
 ``gc.freeze()`` before the command runs, so the command's collections and
@@ -27,29 +20,19 @@ import contextlib
 import errno
 import gc
 import itertools
-import json
-import operator
 import os
 import sys
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import click
-import numpy as np
 
 from . import fileio, hierarchy, verify, walks
-from .arcs import ArcTable
 from .assignment import max_cardinality_min_cost
 from .geometry import Disk, Domain
-from .matching import FORMAT_VERSION, Matching
-from .render import MARGIN, _rows, render_scene
-from .sampling import ColoredPointSet, SampleConfig, derived_rng, sample
+from .render import MARGIN, render_scene
+from .sampling import SampleConfig, derived_rng, sample
 
 CHUNKS_PER_WRITE = 256
-# one row of each column list, None where a column's value goes
-PAIR_ROW = [None, None]  # a point's (x, y), an edge's (red, partner)
-ARC_ROW = {"depth": None, "edge": [None, None], "height": None, "lowest": None,
-           "vertices": [[None, None]] * 4}  # keys sorted, as _json_chunks' columns
-ENCODER = json.JSONEncoder(indent=1, sort_keys=True)
 DRAWABLE = click.IntRange(2 * MARGIN + 1, None)  # leaves a drawing area
 CONSTRUCTIONS = ("zero_block", "one_color", "cut_time", "excursion",
                  "min_cost", "hierarchical", "laminate")
@@ -72,51 +55,10 @@ def _write(chunks: Iterable[str], path: Optional[str]):
         f.flush()
 
 
-def _json_chunks(value, level: int) -> Iterator[str]:
-    """The text ``json.dumps(value, indent=1, sort_keys=True)`` gives
-    ``value`` as the value of a key indented ``level`` spaces, as chunks. An
-    (n, 2) array or an ``ArcTable`` is written row by row from its columns,
-    ``PAIR_ROW`` or ``ARC_ROW`` filled by ``render._rows``; every float
-    column is finite, checked where it was built, so ``%r`` is json's form.
-    A dict holding either at any depth, keyed by strings, is walked key by
-    key, sorted; any other value is the encoder's chunks, re-indented, as
-    they come."""
-    if isinstance(value, (np.ndarray, ArcTable)):
-        if not len(value):
-            return iter(["[]"])
-        if isinstance(value, ArcTable):
-            prototype, columns = ARC_ROW, (value.depth, *value.edges.T, value.height,
-                                           value.lowest, *value.vertices.reshape(-1, 8).T)
-        else:
-            prototype, columns = PAIR_ROW, value.T
-        pad = "\n" + " " * (level + 1)
-        template = json.dumps(prototype, indent=1, sort_keys=True).replace("null", "%r")
-        rows = _rows("," + pad + template.replace("\n", pad), *columns)
-        # the first row has no comma before it
-        return itertools.chain(["[" + next(rows)[1:]], rows, ["\n" + " " * level + "]"])
-    if isinstance(value, dict) and _holds_rows(value):
-        pad = "\n" + " " * (level + 1)
-        fields = (itertools.chain([("," if k else "") + pad + json.dumps(key) + ": "],
-                                  _json_chunks(value[key], level + 1))
-                  for k, key in enumerate(sorted(value)))
-        return itertools.chain(["{"], itertools.chain.from_iterable(fields),
-                               ["\n" + " " * level + "}"])
-    chunks = ENCODER.iterencode(value)
-    if level:  # the encoder indents from 0
-        chunks = map(operator.methodcaller("replace", "\n", "\n" + " " * level), chunks)
-    return chunks
-
-
-def _holds_rows(d: dict) -> bool:
-    """Whether ``d`` or a dict nested in it holds an array or an arc table."""
-    return any(isinstance(v, (np.ndarray, ArcTable)) or isinstance(v, dict) and _holds_rows(v)
-               for v in d.values())
-
-
 def _dump(value, path: Optional[str]):
-    """Stream ``value``'s JSON text (``_json_chunks``) and a newline to
+    """Stream ``value``'s JSON text (``fileio.json_chunks``) and a newline to
     ``path`` or stdout."""
-    _write(itertools.chain(_json_chunks(value, 0), ["\n"]), path)
+    _write(itertools.chain(fileio.json_chunks(value), ["\n"]), path)
 
 
 def _make_domain(kind: str, window: str) -> Domain:
@@ -200,23 +142,7 @@ def cmd_sample(seed, kind, window, lambda_red, lambda_blue, out):
     """Draw a seeded two-color Poisson configuration."""
     domain = _make_domain(kind, window)
     ps = sample(SampleConfig(lambda_red, lambda_blue, domain, seed))
-    _dump(ps.to_json(rows=np.asarray), out)
-
-
-def _result_json(ps: ColoredPointSet, m: Matching, arcs: Optional[ArcTable] = None,
-                 diagnostics=None) -> dict:
-    """The result object, its point and edge arrays and its arc table kept
-    as they are, for ``_dump`` to write from their columns."""
-    out = {
-        "format": FORMAT_VERSION,
-        "points": ps.to_json(rows=np.asarray),
-        "matching": m.to_json(rows=np.asarray),
-    }
-    if arcs is not None:
-        out["arcs"] = arcs
-    if diagnostics is not None:
-        out["diagnostics"] = diagnostics
-    return out
+    _dump(fileio.result(ps), out)
 
 
 @main.command("match")
@@ -282,7 +208,7 @@ def cmd_match(in_path, construction, seed, coin, stages, bands, window,
                 arcs = walks.polygonal_arcs(m, ps)
         else:  # min_cost: the smaller color fully matched, the excess left over
             m = max_cardinality_min_cost(ps.reds, ps.blues)
-    result = _result_json(ps, m, arcs, diagnostics)
+    result = fileio.result(ps, m, arcs, diagnostics)
     diagnostics.update({  # counted from the edge array and the result's lists
         "construction": construction,
         "edges": len(m._edge_array()),

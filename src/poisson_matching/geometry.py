@@ -8,6 +8,7 @@ than silently resolved.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Tuple, Union
 
@@ -21,7 +22,7 @@ class DegenerateGeometryError(ValueError):
 
 
 class NotNumbersError(ValueError):
-    """Raised for text where numbers are read: a JSON string is not a number."""
+    """Raised for text or a boolean where numbers are read: neither is a number."""
 
 
 class _Frozen:
@@ -86,9 +87,14 @@ def _two_columns(values, what: str, dtype=float, shape=(None, 2)) -> np.ndarray:
     value or shape is a ValueError naming ``what``, or numpy's own error where
     it cannot convert one. Text among floats, which numpy would read as the
     number it spells, is a NotNumbersError, also beside an int too large for
-    int64 (an object array). A float64 array is returned as it is given, and
-    an int64 result is always a copy."""
+    int64 (an object array), and so is a boolean: a boolean array, or a
+    Python or numpy boolean among the numbers of a list, which numpy reads
+    as 0 or 1, so the lists are scanned only where the array holds a 0 or a
+    1. A float64 array is returned as it is given, and an int64 result is
+    always a copy."""
     a = np.asarray(values)
+    if a.dtype.kind == "b":
+        raise NotNumbersError(f"{what} must be numbers, not true or false")
     if dtype is not np.int64:
         if a.dtype.kind in "SU" or a.dtype.kind == "O" and str in set(map(type, a.flat)):
             raise NotNumbersError(f"{what} must be numbers, not text")
@@ -97,9 +103,15 @@ def _two_columns(values, what: str, dtype=float, shape=(None, 2)) -> np.ndarray:
         a = a.reshape(0, *shape[1:])
     if a.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, a.shape)):
         raise ValueError(f"{what} must be rows of two, got an array of shape {a.shape}")
+    if dtype is np.int64 and a.dtype.kind not in "iu" and a.size:
+        raise ValueError(f"{what} must be integers")
+    if not isinstance(values, np.ndarray) and ((a == 0) | (a == 1)).any():
+        leaves = values
+        for _ in range(a.ndim - 1):  # the lists nest as deep as the array
+            leaves = itertools.chain.from_iterable(leaves)
+        if {bool, np.bool_} & set(map(type, leaves)):
+            raise NotNumbersError(f"{what} must be numbers, not true or false")
     if dtype is np.int64:
-        if a.dtype.kind not in "iu" and a.size:
-            raise ValueError(f"{what} must be integers")
         return a.astype(np.int64)
     if not np.isfinite(a).all():
         raise ValueError(f"non-finite {what}")

@@ -118,8 +118,8 @@ class Matching:
 
     def to_json(self, rows=np.ndarray.tolist) -> dict:
         """The matching object; ``rows`` gives the value the (E, 2) edge
-        array is written as (the CLI passes ``np.asarray``, and its writer
-        writes the array from its columns)."""
+        array is written as (``fileio.result`` passes ``np.asarray``, and
+        ``fileio.json_chunks`` writes the array from its columns)."""
         return {
             "format": FORMAT_VERSION,
             "kind": self.kind,

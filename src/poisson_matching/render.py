@@ -3,9 +3,9 @@ block hierarchies. Text output with fixed number formatting so renders are
 byte-identical across runs and usable as golden files.
 
 ``render_scene`` streams the document: each layer is one ``%`` template
-filled row by row from numpy columns, mapped to the screen once per
-column and read ROWS_PER_BLOCK rows at a time (``_rows``, which the CLI's
-JSON writer uses too), so neither a list of elements nor the text is held.
+filled row by row from numpy columns, mapped to the screen once per column
+and read ROWS_PER_BLOCK rows at a time (``_rows``, which the JSON writer
+``fileio.json_chunks`` uses too), so neither the elements nor the text is held.
 """
 
 from __future__ import annotations

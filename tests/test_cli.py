@@ -21,7 +21,7 @@ from poisson_matching import assignment, cli, fileio, hierarchy, render, samplin
 from poisson_matching.arcs import ArcTable
 from poisson_matching.cli import main
 from poisson_matching.geometry import Domain
-from poisson_matching.matching import Matching
+from poisson_matching.matching import FORMAT_VERSION, Matching
 from poisson_matching.render import render_scene
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 from cases import arc_json
@@ -252,8 +252,9 @@ def _match(construction):
 
 def _two_arcs(**second):
     """A two-edge strip result drawn by two arcs, the second's fields
-    overridden: numpy reads a column of one lone boolean as booleans, and
-    the table refused that, but a boolean beside a number as the number."""
+    overridden, as JSON text: ``fileio.json_chunks`` writes only what the
+    gate admits. numpy reads a column of one lone boolean as booleans, and a
+    boolean beside a number as the number; the second is the case here."""
     arcs = [{"edge": [k, k], "height": 0.25, "lowest": 0.5, "depth": 1,
              "vertices": [[x, 0.5], [x, 0.25], [x + 0.5, 0.25], [x + 0.5, 0.5]]}
             for k, x in enumerate([0.0, 1.0])]
@@ -490,7 +491,7 @@ BAD_INPUTS = {
                       "reds must be numbers"),
     "boolean_arc_lowest": (VERIFY_ARCS, _two_arcs(lowest=True), "arc lowest must be numbers"),
     "boolean_arc_depth": (VERIFY_ARCS, _two_arcs(depth=True), "arc depth must be numbers"),
-    "boolean_edge_index": (VERIFY, BOOLEAN_EDGE, "matching edges must be numbers"),
+    "boolean_edge_index": (VERIFY, BOOLEAN_EDGE, "edge indices must be numbers"),
     # nor a JSON string, which numpy reads as the number it spells; each exited 0
     "string_red": (_match("excursion"), _with_points(reds=[["0.5", "0.5"]]),
                    "reds must be numbers"),
@@ -1396,7 +1397,7 @@ def test_dump_holds_less_than_the_file(tmp_path):
     path = tmp_path / "result.json"
     tracemalloc.start()
     try:
-        cli._dump(cli._result_json(ps, m, arcs), str(path))
+        cli._dump(fileio.result(ps, m, arcs), str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1411,8 +1412,8 @@ def _written(tmp_path, obj) -> str:
 
 
 def _list_form(ps, m, arcs=None, diagnostics=None) -> dict:
-    """The result ``_result_json`` describes, with every row list a list."""
-    out = {"format": cli.FORMAT_VERSION, "points": ps.to_json(), "matching": m.to_json()}
+    """The result ``fileio.result`` describes, with every row list a list."""
+    out = {"format": FORMAT_VERSION, "points": ps.to_json(), "matching": m.to_json()}
     if arcs is not None:
         out["arcs"] = arc_json(arcs)
     if diagnostics is not None:
@@ -1433,8 +1434,8 @@ def test_writer_equals_json_dumps_on_strips(tmp_path, length):
     assert length < 10000 or len(arcs) > 4 * render.ROWS_PER_BLOCK
     diagnostics = {"construction": "excursion", "edges": len(arcs)}
     want = json.dumps(_list_form(ps, m, arcs, diagnostics), indent=1, sort_keys=True) + "\n"
-    assert _written(tmp_path, cli._result_json(ps, m, arcs, diagnostics)) == want
-    assert (_written(tmp_path, ps.to_json(rows=np.asarray))
+    assert _written(tmp_path, fileio.result(ps, m, arcs, diagnostics)) == want
+    assert (_written(tmp_path, fileio.result(ps))
             == json.dumps(ps.to_json(), indent=1, sort_keys=True) + "\n")
 
 
@@ -1452,7 +1453,7 @@ def test_writer_equals_json_dumps_on_laminate_and_hierarchy(tmp_path):
     cases.append((ps, m, None, diagnostics))  # nested records and lists
     for ps, m, arcs, diagnostics in cases:
         want = json.dumps(_list_form(ps, m, arcs, diagnostics), indent=1, sort_keys=True)
-        assert _written(tmp_path, cli._result_json(ps, m, arcs, diagnostics)) == want + "\n"
+        assert _written(tmp_path, fileio.result(ps, m, arcs, diagnostics)) == want + "\n"
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -1483,7 +1484,7 @@ def test_percent_r_is_json_for_finite_floats_and_ints(pairs, edges, arcs):
     want = {"a": floats.tolist(), "empty": [], "keyed": keyed,
             "b": {"c": {"edges": ints.tolist(), "arcs": arc_json(table),
                         "none": []}, "keyed": keyed}}
-    assert "".join(cli._json_chunks(obj, 0)) == json.dumps(want, indent=1, sort_keys=True)
+    assert "".join(fileio.json_chunks(obj)) == json.dumps(want, indent=1, sort_keys=True)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

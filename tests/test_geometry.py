@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from poisson_matching.geometry import (EPS_GEOM, DegenerateGeometryError, Disk,
                                        Domain, Rect, _crosses_region, _intersections,
                                        orientation)
-from poisson_matching.arcs import ArcSpec
+from poisson_matching.arcs import ArcSpec, ArcTable
+from poisson_matching.assignment import assign_in_groups, max_cardinality_min_cost
 from poisson_matching.hierarchy import BlockRecord, ChernoffParams
-from poisson_matching.sampling import SampleConfig
+from poisson_matching.matching import Matching
+from poisson_matching.sampling import ColoredPointSet, SampleConfig
 from poisson_matching.verify import _pairwise_hits
 from oracles import (Overlap, Point, Segment, scalar_edge_crosses_region,
                      scalar_is_parallel_free, scalar_orientation, scalar_segments_intersect)
@@ -259,6 +261,30 @@ def test_empty_or_unknown_shapes_rejected(name):
     make, message = SHAPE_ERRORS[name]
     with pytest.raises(ValueError, match=message):
         make()
+
+
+# each API call that takes numbers, on ``bad`` numbers where it reads points
+# or edge indices, and on its first row as two arcs' depths
+TWO = np.array([[0.5, 0.25], [1.5, 0.75]])
+BOOLEAN_TAKERS = {
+    "reds": lambda bad: ColoredPointSet(Domain.strip(0, 2), bad, TWO),
+    "blues": lambda bad: ColoredPointSet(Domain.strip(0, 2), TWO, bad),
+    "edges": lambda bad: Matching(TWO, TWO, bad),
+    "max_cardinality_min_cost": lambda bad: max_cardinality_min_cost(bad, TWO),
+    "assign_in_groups": lambda bad: assign_in_groups(bad, [0, 1], TWO, [0, 2]),
+    "arc_depth": lambda bad: ArcTable([(0, 0), (1, 1)], [0.25] * 2, [0.5] * 2, bad[0], [
+        [(x, 1.0), (x, 0.25), (x + 0.5, 0.25), (x + 0.5, 1.0)] for x in (0.0, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("bad", [[[0, True]], [[0, np.True_]], np.array([[False, True]])],
+                         ids=["in_a_list", "numpy_bool_in_a_list", "array"])
+@pytest.mark.parametrize("name", sorted(BOOLEAN_TAKERS))
+def test_the_api_refuses_booleans(name, bad):
+    # the one gate, geometry._two_columns, refuses them: numpy reads a
+    # boolean beside numbers as 0 or 1, and a boolean array as numbers too
+    with pytest.raises(ValueError, match="must be numbers, not true or false"):
+        BOOLEAN_TAKERS[name](bad)
 
 
 # the immutable value classes: two builds of one value, a field name, and

@@ -3,7 +3,7 @@ check, no test module imports another (shared code is in ``oracles.py``
 and ``cases.py``), ``cases.py`` holds only what two modules share, and only
 the row-view tests read the row types that the benchmark reads, and only
 ``cases.solver_spy`` patches the solver's private steps. And of the
-package: only ``fileio`` decodes JSON."""
+package: only ``fileio`` decodes or encodes JSON."""
 
 import ast
 import pathlib
@@ -115,8 +115,9 @@ def test_only_the_spy_patches_the_solver():
     assert found == []
 
 
-def test_only_fileio_decodes_json():
-    # every file the CLI reads goes through one module
+def test_only_fileio_reads_or_writes_json():
+    # every file the CLI reads, and every JSON object it writes, goes
+    # through one module
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -126,6 +127,6 @@ def test_only_fileio_decodes_json():
                 names = {alias.name for alias in node.names}
             else:
                 continue
-            if names & {"load", "loads"}:
+            if names & {"load", "loads", "dump", "dumps", "JSONEncoder"}:
                 found.add(path.name)
     assert found == {"fileio.py"}

@@ -6,14 +6,25 @@ Colour swap: swapping the reds with the blues, and each problem's mandatory
 reds with its mandatory blues, transposes the partners exactly, in the
 grouped solve and in the hierarchy. Poisson points tie with probability 0,
 so the least matching is unique and its partners must agree.
+
+Translation: moving the points and the window together by whole numbers
+keeps every construction's edges, on dyadic points (multiples of 2**-20),
+where the move is exact in floats, so every difference the constructions
+take is too. The points keep their order, so the edges are compared as
+index pairs. The hierarchy moves by a whole level-5 block of its own block
+system. The windows straddle x = 0, so a walk anchored at 0 rather than at
+the window's left edge moves with neither.
 """
 
 import numpy as np
 import pytest
 
-from poisson_matching.assignment import assign_in_groups
+from poisson_matching.assignment import assign_in_groups, max_cardinality_min_cost
+from poisson_matching.geometry import Domain
 from poisson_matching.hierarchy import run_hierarchical
-from poisson_matching.sampling import ColoredPointSet, derived_rng
+from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
+from poisson_matching.walks import (cut_time_matching, excursion_matching, one_color_pairing,
+                                    zero_block_matching)
 from cases import window_case
 
 
@@ -62,3 +73,51 @@ def test_swapping_colors_transposes_the_hierarchy(N):
         *_, mirror = run_hierarchical(swapped, seed, N, system=system)
         assert np.array_equal(mirror.red_partner, state.blue_partner)
         assert np.array_equal(mirror.blue_partner, state.red_partner)
+
+
+def _dyadic(ps):
+    """``ps`` with every coordinate rounded to a multiple of 2**-20."""
+    return ColoredPointSet(ps.domain, *(np.round(p * 2.0 ** 20) / 2.0 ** 20
+                                        for p in (ps.reds, ps.blues)), seed=ps.seed)
+
+
+def _moved(ps, dx, dy):
+    """``ps`` and its window moved by (dx, dy)."""
+    d = ps.domain
+    return ColoredPointSet(Domain(d.kind, d.x0 + dx, d.x1 + dx, d.y0 + dy, d.y1 + dy),
+                           ps.reds + (dx, dy), ps.blues + (dx, dy), seed=ps.seed)
+
+
+# each construction, and its red intensity: cut-time blocks need a red drift
+CONSTRUCTIONS = {
+    "excursion": (excursion_matching, 1.0),
+    "cut_time": (cut_time_matching, 1.2),
+    "zero_block": (zero_block_matching, 1.0),
+    "one_color": (lambda ps: one_color_pairing(ps, 1), 1.0),
+    "min_cost": (lambda ps: max_cardinality_min_cost(ps.reds, ps.blues), 1.0),
+}
+WINDOWS = {"line": Domain.line(-150, 150), "strip": Domain.strip(-150, 150),
+           "plane": Domain.plane(-6, 6, -6, 6)}
+
+
+@pytest.mark.parametrize("construction,kind", [
+    *((c, kind) for c in CONSTRUCTIONS for kind in ("line", "strip")), ("min_cost", "plane")])
+def test_moving_points_and_window_keeps_the_edges(construction, kind):
+    build, lambda_red = CONSTRUCTIONS[construction]
+    matched = 0  # seeds with an edge: cut-time's seed 3 has no cut block with a blue
+    for seed in range(6):
+        ps = _dyadic(sample(SampleConfig(lambda_red, 1.0, WINDOWS[kind], seed)))
+        edges = build(ps).edges
+        assert build(_moved(ps, 64, -32 if kind == "plane" else 0)).edges == edges
+        matched += edges != []
+    assert matched >= 5
+
+
+def test_moving_the_hierarchy_by_a_block_keeps_the_edges():
+    for seed in range(5):
+        system, ps = window_case(seed, 5)
+        ps = _dyadic(ps)
+        width, height = system.dims(5)
+        moved = _moved(ps, width, -height)  # into the block (1, -1), as the plane's (64, -32)
+        m, *_ = run_hierarchical(ps, seed, 5, system=system)
+        assert run_hierarchical(moved, seed, 5, system=system)[0].edges == m.edges != []

@@ -551,6 +551,11 @@ class TestArcTable:
         ("lowest", ["low"]), ("depth", [1.5]), ("depth", [None]),
         ("vertices", [[(0.0, 1.0), (0.0, 0.5), (1.0, 1.0)]]),
         ("vertices", [[(0.0, 1.0), ({"y": 0}, 0.5), (1.0, 0.5), (1.0, 1.0)]]),
+        # booleans, which numpy reads as 0 or 1 (the depths are in
+        # test_geometry.test_the_api_refuses_booleans, as one arc's lone
+        # boolean depth is no integer either)
+        ("edges", [(0, True)]), ("height", [True]), ("lowest", [False]),
+        ("vertices", [[(0.0, True), (0.0, 0.25), (1.0, 0.25), (1.0, True)]]),
     ])
     def test_malformed_column_rejected(self, field, value):
         good = dict(edges=[(0, 0)], height=[0.25], lowest=[0.5], depth=[1],
