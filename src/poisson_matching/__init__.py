@@ -13,6 +13,6 @@ from .hierarchy import (BlockSystem, ChernoffParams, build_block_system, chernof
                         chernoff_tail, run_hierarchical)
 from .verify import (StatsReport, VerificationReport, box_rematch_experiment,
                      check_arc_disjointness, check_planarity, crossing_stats, estimate_eta,
-                     minimality_certificate, minimality_certificate_d1)
+                     minimality_certificate)
 
 __version__ = "0.1.0"

@@ -240,9 +240,8 @@ def cmd_verify(in_path, prop, out):
         if arcs is None:
             raise click.UsageError("input has no arcs")
         report = verify.check_arc_disjointness(arcs)
-    else:  # minimality: on a line, the O(n log n) count; elsewhere, the cycle search
-        report = (verify.minimality_certificate_d1(m) if ps.domain.kind == "line"
-                  else verify.minimality_certificate(m))
+    else:
+        report = verify.minimality_certificate(m)
     _dump(report.to_json(), out)
     if not report.passed:
         sys.exit(1)

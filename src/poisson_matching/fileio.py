@@ -68,11 +68,28 @@ def arc_table(rows) -> ArcTable:
                       for key in ("edge", "height", "lowest", "depth", "vertices")))
 
 
+def _check(ps: ColoredPointSet, m=None, arcs=None, path: str = "") -> None:
+    """A result file's rules beyond its objects' own, read or written: its
+    points lie in their closed window, ``m`` matches them and ``arcs`` draw
+    ``m`` (``verify._drawn_edges``). A ValueError names the file ``path``."""
+    w = ps.domain
+    x, y = np.concatenate([ps.reds, ps.blues]).T
+    out = np.flatnonzero((x < w.x0) | (x > w.x1) | (y < w.y0) | (y > w.y1))
+    if len(out):
+        raise ValueError(f"the point {(float(x[out[0]]), float(y[out[0]]))}"
+                         f"{path and ' in ' + path} lies outside its window "
+                         f"[{w.x0!r}, {w.x1!r}] x [{w.y0!r}, {w.y1!r}]")
+    if m is not None:
+        ps.check_matching(m)
+    if arcs is not None:
+        verify._drawn_edges(m, arcs)
+
+
 def load_result(path: str):
     """The points, matching and arcs of the result file at ``path``, and its
     dict; a point-set file, the point set alone, has neither matching nor
     arcs. A point outside its domain's closed window, and arcs that do not
-    draw the matching (``verify._drawn_edges``), are input errors."""
+    draw the matching, are input errors (``_check``)."""
     d = load(path)
     with _fields_of(path):
         points = d.get("points", d)
@@ -81,19 +98,9 @@ def load_result(path: str):
             if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
                 raise ValueError(f"unsupported {what}format {version!r} in {path}")
         ps = ColoredPointSet.from_json(points)
-        w = ps.domain
-        x, y = np.concatenate([ps.reds, ps.blues]).T
-        out = np.flatnonzero((x < w.x0) | (x > w.x1) | (y < w.y0) | (y > w.y1))
-        if len(out):
-            raise ValueError(f"the point {(float(x[out[0]]), float(y[out[0]]))} in {path} lies "
-                             f"outside its window [{w.x0!r}, {w.x1!r}] x [{w.y0!r}, {w.y1!r}]")
-        if points is d:
-            return ps, None, None, d
-        m = Matching.from_json(d["matching"], ps.reds, ps.blues)
-        arcs = None
-        if "arcs" in d:
-            arcs = arc_table(d["arcs"])
-            verify._drawn_edges(m, arcs)
+        m = None if points is d else Matching.from_json(d["matching"], ps.reds, ps.blues)
+        arcs = arc_table(d["arcs"]) if m is not None and "arcs" in d else None
+        _check(ps, m, arcs, path)
         return ps, m, arcs, d
 
 
@@ -111,9 +118,10 @@ def block_system(d: dict, path: str) -> hierarchy.BlockSystem:
 def result(ps: ColoredPointSet, m: Optional[Matching] = None,
            arcs: Optional[ArcTable] = None, diagnostics=None) -> dict:
     """The object of a result file, or of a point-set file, the point set
-    alone, where ``m`` is None, as ``load_result`` reads them; the point and
-    edge arrays and the arc table are kept as they are, for ``json_chunks``
-    to write from their columns."""
+    alone, where ``m`` is None, as ``load_result`` reads and refuses them;
+    the point and edge arrays and the arc table are kept as they are, for
+    ``json_chunks`` to write from their columns."""
+    _check(ps, m, arcs)
     points = ps.to_json(rows=np.asarray)
     if m is None:
         return points

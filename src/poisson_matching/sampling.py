@@ -7,6 +7,7 @@ replay deterministically and trials can run in parallel.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -14,15 +15,22 @@ from .geometry import Domain, LINE, _Frozen, _same_points, _two_columns
 from .matching import FORMAT_VERSION
 
 
+def _seed(seed) -> int:
+    """``seed`` as an int, through ``operator.index``: a boolean is no seed."""
+    if isinstance(seed, bool) or not hasattr(seed, "__index__"):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return operator.index(seed)
+
+
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream identified by (seed, *path)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
+    return np.random.default_rng(np.random.SeedSequence([_seed(seed), *map(int, path)]))
 
 
 class SampleConfig(_Frozen):
     def __init__(self, lambda_red: float, lambda_blue: float, domain: Domain, seed: int):
         vars(self).update(lambda_red=lambda_red, lambda_blue=lambda_blue, domain=domain,
-                          seed=seed)
+                          seed=_seed(seed))
         # NaN passes a `<= 0` test
         if not all(math.isfinite(lam) and lam > 0 for lam in (lambda_red, lambda_blue)):
             raise ValueError("intensities must be positive and finite")
@@ -36,7 +44,7 @@ class ColoredPointSet:
         self.domain = domain
         self.reds = _canonical(reds, "reds")
         self.blues = _canonical(blues, "blues")
-        self.seed = seed
+        self.seed = _seed(seed)
         # equal points are adjacent once sorted, and -0.0 == 0.0 both in the
         # sort and in the comparison; the stable sort merges the two sorted
         # colours
@@ -65,10 +73,13 @@ class ColoredPointSet:
             "blues": rows(self.blues),
         }
 
+    def check_matching(self, m) -> None:
+        """A ValueError unless ``m`` matches this set's reds and blues."""
+        if not (np.array_equal(m.reds, self.reds) and np.array_equal(m.blues, self.blues)):
+            raise ValueError("a matching of other points: not the point set's reds and blues")
+
     @staticmethod
     def from_json(d: dict) -> "ColoredPointSet":
-        if type(d["seed"]) is not int:
-            raise ValueError(f"seed must be an integer, got {d['seed']!r}")
         return ColoredPointSet(
             domain=Domain.from_json(d["domain"]),
             reds=d["reds"],

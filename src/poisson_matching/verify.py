@@ -202,7 +202,15 @@ def check_arc_disjointness(arcs: ArcTable) -> VerificationReport:
     )
 
 
-def minimality_certificate_d1(m: Matching) -> VerificationReport:
+def minimality_certificate(m: Matching) -> VerificationReport:
+    """Exact test that a matching is min-cost for its endpoints: the line
+    count (``_line_certificate``) where all its reds and blues, if any, have
+    one y, and the cycle search (``_cycle_certificate``) elsewhere."""
+    y = np.concatenate([m.reds[:, 1], m.blues[:, 1]])
+    return (_line_certificate if (y == y[:1]).all() else _cycle_certificate)(m)
+
+
+def _line_certificate(m: Matching) -> VerificationReport:
     """Exact test that a line matching is min-cost for its endpoints, each
     edge read as first end (red) against second end (partner). It costs the
     integral of its coverage (``walks.crossing_profile``), at least |S|
@@ -230,7 +238,7 @@ def minimality_certificate_d1(m: Matching) -> VerificationReport:
 DISTANCE_BLOCK = 1 << 20  # distances per block of the cycle search (8 MiB)
 
 
-def minimality_certificate(m: Matching) -> VerificationReport:
+def _cycle_certificate(m: Matching) -> VerificationReport:
     """Exact test, on any domain, that a matching is min-cost for its
     endpoints (first ends p against second ends q): it is when no
     alternating cycle shortens it (Klein 1967). Arc i -> k, red i taking
@@ -314,6 +322,7 @@ def estimate_eta(pairs: Sequence[Tuple[ColoredPointSet, Matching]],
     pooled_total = 0.0
     pooled_matched = 0
     for ps, m in pairs:
+        ps.check_matching(m)
         s = interior_window(ps, fraction)
         p, q = m.endpoint_arrays()
         inside = s.contains(p.T)
@@ -388,6 +397,7 @@ def box_rematch_experiment(ps: ColoredPointSet, m: Matching, t: float) -> BoxRem
 
     A side that leaves the window 2**53 squares or more across, where cell
     numbers are no longer exact floats or overflow to inf, is a ValueError."""
+    ps.check_matching(m)
     if not (math.isfinite(t) and t > 0):
         raise ValueError("square side must be positive and finite")
     if m.color_mode != TWO_COLOR:

@@ -9,7 +9,7 @@ steps by level, and the arcs come as one ``ArcTable`` (``arcs.py``), built
 and laminated column by column with no per-arc Python. Both read each
 step's point by one rule: the m-th up-step is reds[m], the m-th down-step
 blues[m]. ``polygonal_arcs`` takes strips only. The reports that check
-these matchings, the minimality certificates among them, are in ``verify``.
+these matchings, the minimality certificate among them, are in ``verify``.
 
 Finite-window truncation policy: rules defined via inf/sup over the whole
 real line are restricted to the window, and points they leave unresolved
@@ -174,6 +174,7 @@ def polygonal_arcs(m: Matching, ps: ColoredPointSet) -> ArcTable:
     lowest of them and the walk's highest value over them are range queries
     (``_range_reduce``); the depth counts from the walk's value just left of
     the red. Each step's point is read by ``excursion_matching``'s rule."""
+    ps.check_matching(m)
     if ps.domain.kind != STRIP:
         raise ValueError(f"polygonal arcs need a strip domain, not a {ps.domain.kind}")
     walk = build_walk(ps)
@@ -249,6 +250,7 @@ def laminate_strips(results: Sequence[Tuple[ColoredPointSet, Matching, ArcTable]
     reds, blues, edges, arcs = [], [], [], []
     offset = np.zeros(2, dtype=np.int64)  # reds and blues of the bands so far
     for band, (ps, m, t) in enumerate(results):
+        ps.check_matching(m)
         if ps.domain.kind != STRIP or (ps.domain.x0, ps.domain.x1) != (x0, x1):
             raise ValueError("all bands must share the same strip window")
         dy = band + shift

@@ -15,7 +15,7 @@ from poisson_matching.hierarchy import (aligned_window, build_block_system, init
                                         run_hierarchical, run_stage, stage1)
 from poisson_matching.matching import Matching
 from poisson_matching.sampling import SampleConfig, sample
-from poisson_matching.verify import minimality_certificate
+from poisson_matching.verify import _cycle_certificate
 
 
 def window_case(seed, N=4, lam=1.0):
@@ -163,12 +163,12 @@ def solver_spy():
 
 
 def assert_cycle_witness(m, rep=None):
-    """``minimality_certificate`` fails ``m`` (``rep``, its report, if given)
-    on one cycle of distinct edges, from the least, whose rematch, each red
-    taking the next edge's partner, shortens the matching by more than
-    EPS_TIE: by its ``change``, summed again here with math.hypot. Returns
-    the witness."""
-    rep = minimality_certificate(m) if rep is None else rep
+    """The cycle search (``verify._cycle_certificate``) fails ``m`` (``rep``,
+    its report, if given) on one cycle of distinct edges, from the least,
+    whose rematch, each red taking the next edge's partner, shortens the
+    matching by more than EPS_TIE: by its ``change``, summed again here with
+    math.hypot. Returns the witness."""
+    rep = _cycle_certificate(m) if rep is None else rep
     assert not rep.passed and rep.property_name == "minimality_cycles"
     n = len(m._edge_array())
     assert rep.trials == n * (n - 1) and len(rep.violations) == 1

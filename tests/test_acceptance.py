@@ -25,7 +25,7 @@ from poisson_matching.sampling import (ColoredPointSet, SampleConfig,
 from poisson_matching.verify import (box_rematch_experiment,
                                      check_arc_disjointness, check_planarity,
                                      crossing_stats, estimate_eta,
-                                     minimality_certificate, minimality_certificate_d1)
+                                     minimality_certificate)
 from poisson_matching.walks import (build_walk, cut_times,
                                     cut_time_matching, excursion_matching,
                                     polygonal_arcs, zero_block_matching)
@@ -98,7 +98,7 @@ def test_criterion_03_line_minimality_and_length_identity(capfd):
     for seed in range(20):
         ps = sample(SampleConfig(1.0, 1.0, Domain.line(0.0, 100.0), 300 + seed))
         m = excursion_matching(ps)
-        rep = minimality_certificate_d1(m)
+        rep = minimality_certificate(m)
         gaps += rep.trials
         if not rep.passed:
             failures.append((seed, rep.violations))

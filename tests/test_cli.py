@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -475,6 +476,8 @@ BAD_INPUTS = {
                           "seed must be an integer, got '3'"),
     "float_seed_match": (_match("excursion"), _with_points(seed=3.0),
                          "seed must be an integer, got 3.0"),
+    "bool_seed_match": (_match("excursion"), _with_points(seed=True),
+                        "seed must be an integer, got True"),
     # a format is the int 1, and no number a JSON boolean, which numpy reads
     # as 0 or 1; each of these exited 0, or 1 for the boolean edge index
     "format_true": (VERIFY, json.dumps({**ONE_EDGE_RESULT, "format": True}),
@@ -860,6 +863,23 @@ def test_every_command_reading_arcs_rejects_arcs_that_do_not_draw_the_matching(
     assert "arc" in res.output and "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("name", sorted(UNDRAWN_ARCS))
+def test_the_writer_refuses_arcs_that_do_not_draw_the_matching(inputs, name):
+    # as the reader refuses them; it wrote them
+    ps, m, _, d = fileio.load_result(str(inputs["excursion"]))
+    with pytest.raises(ValueError, match="arc"):
+        fileio.result(ps, m, fileio.arc_table(UNDRAWN_ARCS[name](d["arcs"])))
+
+
+@pytest.mark.parametrize("point", [(25.0, 0.5), (5.0, 2.0)], ids=["right_of", "above"])
+def test_the_writer_refuses_a_point_outside_its_window(point):
+    # as the reader refuses it, without a path to name; it wrote it
+    ps = ColoredPointSet(Domain.strip(0, 20), [point], [])
+    with pytest.raises(ValueError, match=re.escape(
+            f"the point {point} lies outside its window [0, 20] x [0.0, 1.0]")):
+        fileio.result(ps)
+
+
 def test_laminate_arcs_draw_the_matching_out_of_edge_order(runner, tmp_path):
     path = tmp_path / "lam.json"
     invoke(runner, "match", "--construction", "laminate", "--seed", "4", "--bands", "2",
@@ -885,11 +905,15 @@ def test_one_edge_result_is_valid(runner, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(ONE_EDGE_RESULT))
     assert invoke(runner, *VERIFY, str(path)).exit_code == 0
-    # a strip, so the cycle search, which has no arc to try
-    res = invoke(runner, *MINIMALITY, "--in", str(path))
-    assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["property"] == "minimality_cycles"
-    assert json.loads(res.output)["trials"] == 0
+    # its two points on one y take the line count, over its one gap; with
+    # the blue off that y, the cycle search, which has no arc to try
+    for y, method, trials in ((0.5, "minimality_d1", 1), (0.75, "minimality_cycles", 0)):
+        path.write_text(json.dumps({**ONE_EDGE_RESULT, "points": {
+            **ONE_EDGE_RESULT["points"], "blues": [[1.0, y]]}}))
+        res = invoke(runner, *MINIMALITY, "--in", str(path))
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["property"] == method
+        assert json.loads(res.output)["trials"] == trials
 
 
 def test_minimality_reports_gaps_checked(runner, tmp_path):
@@ -1293,7 +1317,7 @@ PUBLIC_NAMES = {
     "max_cardinality_min_cost", "min_cost_perfect",
     "ArcTable", "CrossingProfile", "StepWalk", "WalkInvariantError", "build_walk",
     "crossing_profile", "cut_time_matching", "excursion_matching", "laminate_strips",
-    "minimality_certificate_d1", "one_color_pairing", "polygonal_arcs",
+    "one_color_pairing", "polygonal_arcs",
     "zero_block_matching",
     "BlockSystem", "ChernoffParams", "build_block_system", "chernoff_bound", "chernoff_tail",
     "run_hierarchical",

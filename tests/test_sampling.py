@@ -1,6 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
+from poisson_matching import fileio, verify, walks
 from poisson_matching.geometry import Domain
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig, canonical_order,
                                        derived_rng, sample)
@@ -102,6 +106,59 @@ def test_derived_rng_streams_independent_and_stable():
     a2 = derived_rng(5, 1).uniform(size=3)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
+
+
+# each call that takes a seed; a float one used to name the stream of its
+# integer part, and a boolean one the stream of 0 or 1
+SEED_TAKERS = {
+    "SampleConfig": lambda seed: SampleConfig(1.0, 1.0, Domain.strip(0, 1), seed),
+    "ColoredPointSet": lambda seed: ColoredPointSet(Domain.strip(0, 1), [], [], seed),
+    "derived_rng": derived_rng,
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.True_],
+                         ids=["float", "whole_float", "bool", "numpy_bool"])
+@pytest.mark.parametrize("name", sorted(SEED_TAKERS))
+def test_seed_must_be_an_integer(name, seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        SEED_TAKERS[name](seed)
+
+
+def test_numpy_integer_seeds_are_their_ints():
+    ps = sample(SampleConfig(1.0, 1.0, Domain.strip(0, 20), np.int64(8)))
+    same = sample(SampleConfig(1.0, 1.0, Domain.strip(0, 20), 8))
+    assert type(ps.seed) is int and json.loads(json.dumps(ps.to_json())) == same.to_json()
+    assert derived_rng(np.uint64(5), 1).uniform() == derived_rng(5, 1).uniform()
+
+
+def _other_points(differing):
+    """A strip's point set, and an excursion matching of its points less the
+    first of the color ``differing``, with its arcs."""
+    ps = sample(SampleConfig(1.0, 1.0, Domain.strip(0, 20), 3))
+    reds, blues = (pts[1:] if color == differing else pts
+                   for color, pts in (("reds", ps.reds), ("blues", ps.blues)))
+    other = ColoredPointSet(ps.domain, reds, blues)
+    m = walks.excursion_matching(other)
+    return ps, m, walks.polygonal_arcs(m, other)
+
+
+# each call that takes a point set and a matching; each gave a result for
+# these, and polygonal_arcs on another strip's points numpy's own error
+OTHER_POINT_TAKERS = {
+    "polygonal_arcs": lambda ps, m, arcs: walks.polygonal_arcs(m, ps),
+    "laminate_strips": lambda ps, m, arcs: walks.laminate_strips([(ps, m, arcs)], 0.0),
+    "estimate_eta": lambda ps, m, arcs: verify.estimate_eta([(ps, m)]),
+    "box_rematch_experiment": lambda ps, m, arcs: verify.box_rematch_experiment(ps, m, 1.0),
+    "result": lambda ps, m, arcs: fileio.result(ps, m),
+}
+
+
+@pytest.mark.parametrize("differing", ["reds", "blues"])
+@pytest.mark.parametrize("name", sorted(OTHER_POINT_TAKERS))
+def test_a_matching_of_other_points_is_refused(name, differing):
+    with pytest.raises(ValueError, match="a matching of other points"):
+        OTHER_POINT_TAKERS[name](*_other_points(differing))
 
 
 def _lexsorted(pts):

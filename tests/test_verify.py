@@ -8,17 +8,19 @@ import pytest
 
 from poisson_matching import verify
 from poisson_matching.arcs import ArcTable
-from poisson_matching.assignment import EPS_TIE, ROW_BLOCK, min_cost_perfect
+from poisson_matching.assignment import (EPS_TIE, ROW_BLOCK, max_cardinality_min_cost,
+                                         min_cost_perfect)
 from poisson_matching.geometry import EPS_GEOM, DegenerateGeometryError, Disk, Domain, Rect
 from poisson_matching.hierarchy import ChernoffParams, chernoff_tail
 from poisson_matching.matching import ONE_COLOR, TWO_COLOR, Matching
 from poisson_matching.sampling import (ColoredPointSet, SampleConfig, canonical_order,
                                        derived_rng, sample)
-from poisson_matching.verify import (_arc_arrays, _box_pairs, _pairwise_hits,
-                                     box_rematch_experiment, check_arc_disjointness,
+from poisson_matching.verify import (_arc_arrays, _box_pairs, _cycle_certificate,
+                                     _pairwise_hits, box_rematch_experiment,
+                                     check_arc_disjointness,
                                      check_planarity, crossing_stats,
                                      estimate_eta, interior_window,
-                                     minimality_certificate, minimality_certificate_d1)
+                                     minimality_certificate)
 from poisson_matching.walks import (excursion_matching, laminate_strips, one_color_pairing,
                                     polygonal_arcs, zero_block_matching)
 from cases import (arc_rows, assert_cycle_witness, hierarchical_case, lattice, rematched,
@@ -549,6 +551,20 @@ class TestArcDisjointness:
             assert check_arc_disjointness(arcs).passed
 
 
+def test_the_certificate_picks_its_method_from_the_points():
+    # points on one y take the line count, and any other points the cycle
+    # search: the line count read 4 of these strip optima as not minimal
+    line = sample(SampleConfig(1, 1, Domain.line(0, 30), seed=0))
+    assert minimality_certificate(excursion_matching(line)).property_name == "minimality_d1"
+    for seed in range(6):
+        ps = sample(SampleConfig(1, 1, Domain.strip(0, 30), seed=seed))
+        rep = minimality_certificate(max_cardinality_min_cost(ps.reds, ps.blues))
+        assert rep.property_name == "minimality_cycles" and rep.passed
+    # the reds on one y, and a blue off it
+    off = Matching([[0.0, 0.5], [1.0, 0.5]], [[2.0, 0.5], [3.0, 0.75]], [(0, 0), (1, 1)])
+    assert minimality_certificate(off).property_name == "minimality_cycles"
+
+
 class TestCycleCertificate:
     def test_passes_exactly_at_the_brute_force_minimum(self):
         # every size up to 7, on uniform points and on 3 x 3 lattices, whose
@@ -564,7 +580,7 @@ class TestCycleCertificate:
                 reds, blues = rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (n, 2))
             m = (min_cost_perfect(reds, blues) if trial % 4 == 0 else
                  Matching(reds, blues, list(enumerate(rng.permutation(n).tolist()))))
-            rep = minimality_certificate(m)
+            rep = _cycle_certificate(m)
             _, least = brute_force_min(reds, blues)
             assert rep.passed == (m.total_length <= least + EPS_TIE)
             if not rep.passed:
@@ -597,7 +613,7 @@ class TestCycleCertificate:
         far = [(100.0 * k, 0.0) for k in range(1, 9)]
         reds = np.array([(0.0, 0.0), (1.0, 0.0), *far])
         blues = np.array([(3.0, 0.0), (2.0, y), *((x + 0.5, 0.0) for x, _ in far)])
-        rep = minimality_certificate(Matching(reds, blues, [(i, i) for i in range(10)]))
+        rep = _cycle_certificate(Matching(reds, blues, [(i, i) for i in range(10)]))
         assert rep.trials == 90 and gain < EPS_TIE
         if gain > 2 * EPS_TIE / 10:
             change = math.hypot(2, y) + 2 - 3 - math.hypot(1, y)
@@ -613,8 +629,8 @@ class TestCycleCertificate:
             m = excursion_matching(ps)
             for case in (m, rematched(m, [3, 40], [40, 3]),
                          rematched(m, [3, 20, 40], [20, 40, 3]), zero_block_matching(ps)):
-                rep = minimality_certificate(case)
-                assert rep.passed == minimality_certificate_d1(case).passed
+                rep, line = _cycle_certificate(case), minimality_certificate(case)
+                assert line.property_name == "minimality_d1" and rep.passed == line.passed
                 if not rep.passed:
                     assert_cycle_witness(case, rep)
 
@@ -635,7 +651,7 @@ class TestCycleCertificate:
         # second ends, taking each other's second ends ties
         reds = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
         m = Matching(reds, np.empty((0, 2)), [(0, 2), (1, 3)], color_mode=ONE_COLOR)
-        assert minimality_certificate(m).passed
+        assert _cycle_certificate(m).passed
         m = Matching(reds, np.empty((0, 2)), [(0, 2), (3, 1)], color_mode=ONE_COLOR)
         assert assert_cycle_witness(m)["edges"] == [0, 1]
 
@@ -734,7 +750,7 @@ def _crossed(reds, blues, a):
 
 
 class TestCycleCertificateAgainstTwoSwaps:
-    """The cycle certificate (``verify.minimality_certificate``) against the
+    """The cycle certificate (``verify._cycle_certificate``) against the
     2-swap reference: wherever a partner swap shortens a matching, the
     certificate fails, with a cycle that shortens it."""
 

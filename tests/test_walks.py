@@ -12,7 +12,7 @@ from poisson_matching.geometry import Domain, Rect
 from poisson_matching.matching import Matching
 from poisson_matching.sampling import ColoredPointSet, SampleConfig, derived_rng, sample
 from poisson_matching.verify import (_arc_arrays, check_arc_disjointness, check_planarity,
-                                     minimality_certificate_d1)
+                                     minimality_certificate)
 from poisson_matching import walks
 from poisson_matching.walks import (StepWalk, WalkInvariantError, build_walk, crossing_profile,
                                     cut_time_matching, cut_times,
@@ -685,7 +685,7 @@ class TestMinimalityCertificate:
 
     def test_single_edge_never_violates(self):
         ps = line_ps([1], [2])
-        rep = minimality_certificate_d1(excursion_matching(ps))
+        rep = minimality_certificate(excursion_matching(ps))
         assert rep.passed and rep.trials == 1
 
     def test_zero_block_matching_minimal(self):
@@ -697,13 +697,13 @@ class TestMinimalityCertificate:
             m = zero_block_matching(ps)
             p, q = m.endpoint_arrays()
             assert (p[:, 0] < q[:, 0]).any() and (p[:, 0] > q[:, 0]).any()
-            assert minimality_certificate_d1(m).passed
+            assert minimality_certificate(m).passed
 
     def test_gap_between_adjacent_floats(self):
         # the gap from 1 to the next float has its midpoint round to 1, where
         # the first edge ends: no edge spans it, and S is 0 there
         ps = line_ps([0.0, np.nextafter(1.0, 2.0)], [1.0, 2.0])
-        rep = minimality_certificate_d1(excursion_matching(ps))
+        rep = minimality_certificate(excursion_matching(ps))
         assert rep.passed and rep.trials == 3
 
     def test_corrupted_matching_caught(self):
@@ -711,30 +711,30 @@ class TestMinimalityCertificate:
         bad = Matching(ps.reds, ps.blues, [(0, 1), (1, 0)])
         # cost 2+2=4; the rematch (1,2),(4,3) costs 2. Both edges span
         # [2, 3], where one red and one blue lie to the left
-        v = self._assert_witness(minimality_certificate_d1(bad), bad)
+        v = self._assert_witness(minimality_certificate(bad), bad)
         assert v == {"gap": [2.0, 3.0], "coverage": 2, "discrepancy": 0, "edges": [0, 1]}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_swapped_pair_caught(self, seed):
         ps = sample(SampleConfig(1, 1, Domain.line(0, 1e4), seed=seed))
         m = excursion_matching(ps)
-        assert minimality_certificate_d1(m).passed
+        assert minimality_certificate(m).passed
         bad = rematched(m, [10, 500], [500, 10])
-        self._assert_witness(minimality_certificate_d1(bad), bad, changed=(10, 500))
+        self._assert_witness(minimality_certificate(bad), bad, changed=(10, 500))
 
     def test_three_cycle_caught(self):
         ps = sample(SampleConfig(1, 1, Domain.line(0, 200), seed=7))
         m = excursion_matching(ps)
         bad = rematched(m, [3, 20, 40], [20, 40, 3])
-        self._assert_witness(minimality_certificate_d1(bad), bad, changed=(3, 20, 40))
+        self._assert_witness(minimality_certificate(bad), bad, changed=(3, 20, 40))
 
     def test_reports_gaps_checked(self):
         # the gaps between the four distinct x's, and none without edges
         ps = line_ps([1, 4], [2, 3])
         m = Matching(ps.reds, ps.blues, [(0, 0), (1, 1)])
-        assert minimality_certificate_d1(m).trials == 3
+        assert minimality_certificate(m).trials == 3
         empty = Matching(ps.reds, ps.blues, [])
-        assert minimality_certificate_d1(empty).trials == 0
+        assert minimality_certificate(empty).trials == 0
 
 
 class TestLaminateStrips:
